@@ -8,7 +8,9 @@
 //! configuration: fixed budgets reproduce the historic tables at
 //! `--seed 0`, adaptive mode ([`SweepConfig::adaptive`]) stops each
 //! Monte-Carlo point early once its Wilson 95% half-width is tight, and
-//! an attached checkpoint store makes interrupted sweeps resumable.
+//! the attached window logs make a sweep resumable, shardable across OS
+//! processes ([`coordinate`]) and mergeable — all through one engine
+//! loop (DESIGN.md, "Sweep lifecycle").
 
 pub mod e1;
 pub mod e10;
@@ -31,11 +33,11 @@ pub mod e8;
 pub mod e9;
 pub mod report;
 
-use am_protocols::{
-    CheckpointStore, ShardCheckpointStore, ShardMergeSource, ShardSpec, SweepConfig, SweepRunner,
-};
+use am_protocols::{ShardCheckpointStore, ShardSpec, SweepConfig, SweepRunner};
 use report::Report;
+use std::num::NonZeroU32;
 use std::path::Path;
+use std::process::{Child, Command, Stdio};
 
 /// Budget cap applied to every Monte-Carlo loop under `--fast`: enough
 /// trials to exercise the full pipeline, few enough that all nineteen
@@ -43,8 +45,8 @@ use std::path::Path;
 pub const FAST_BUDGET: u64 = 24;
 
 /// Context one experiment run receives: the base seed, the sweep-engine
-/// configuration, and (optionally) a checkpoint store for resumable
-/// sweeps.
+/// configuration, and the window logs of the residue classes this
+/// process answers for (none = the whole range, unlogged).
 pub struct RunCtx {
     /// Base seed; 0 reproduces the historic tables in fixed mode.
     pub seed: u64,
@@ -63,9 +65,7 @@ pub struct RunCtx {
     /// honour it (E18's planet-scale sweep); `None` keeps each
     /// experiment's own default.
     pub topology: Option<am_net::Topology>,
-    checkpoint: Option<CheckpointStore>,
-    shard_store: Option<ShardCheckpointStore>,
-    merge: Option<ShardMergeSource>,
+    stores: Vec<ShardCheckpointStore>,
 }
 
 impl RunCtx {
@@ -78,9 +78,7 @@ impl RunCtx {
             fast: false,
             trials_scale: 1,
             topology: None,
-            checkpoint: None,
-            shard_store: None,
-            merge: None,
+            stores: Vec::new(),
         }
     }
 
@@ -92,49 +90,12 @@ impl RunCtx {
         }
     }
 
-    /// Attaches a checkpoint store (created fresh or resumed by the
-    /// caller); every engine point will persist its tally after each
-    /// batch.
-    #[must_use]
-    pub fn with_checkpoint(mut self, store: CheckpointStore) -> RunCtx {
-        self.checkpoint = Some(store);
-        self
-    }
-
-    /// Turns the context into one shard of a multi-process run: only the
-    /// store's residue class of trial indices executes, with per-window
-    /// tallies persisted to `store`. Reports produced under a shard
-    /// context hold shard-local tallies — progress, not estimates — and
-    /// must not be saved as final results.
-    #[must_use]
-    pub fn with_shard_store(mut self, store: ShardCheckpointStore) -> RunCtx {
-        self.shard_store = Some(store);
-        self
-    }
-
-    /// Turns the context into the merge step: every sweep point replays
-    /// the unsharded batch loop over `source`'s shard tallies (plus
-    /// inline top-ups for unrecorded windows), producing final results
-    /// byte-identical to an unsharded run.
-    #[must_use]
-    pub fn with_merge_source(mut self, source: ShardMergeSource) -> RunCtx {
-        self.merge = Some(source);
-        self
-    }
-
     /// The sweep engine for this run; experiment code funnels every
-    /// Monte-Carlo point through it.
+    /// Monte-Carlo point through it. Under a shard's context the tallies
+    /// it returns cover that shard's indices only — progress, not
+    /// estimates.
     pub fn runner(&self) -> SweepRunner<'_> {
-        if let Some(store) = &self.shard_store {
-            return SweepRunner::sharded(self.sweep, store);
-        }
-        if let Some(source) = &self.merge {
-            return SweepRunner::merging(self.sweep, source, self.checkpoint.as_ref());
-        }
-        match &self.checkpoint {
-            Some(store) => SweepRunner::with_checkpoints(self.sweep, store),
-            None => SweepRunner::new(self.sweep),
-        }
+        SweepRunner::over(self.sweep, &self.stores)
     }
 
     /// A per-point trial budget: the experiment's historic default,
@@ -156,31 +117,12 @@ impl RunCtx {
 
     /// False when an engine point was halted mid-budget (the
     /// `--max-batches` interruption lane): the report's tallies are
-    /// partial and must not be saved as final results. A shard context
-    /// is complete once every point has proven global coverage.
+    /// partial and must not be saved as final results. A shard is
+    /// complete once every point has proven global coverage.
     pub fn complete(&self) -> bool {
-        self.checkpoint
-            .as_ref()
-            .is_none_or(CheckpointStore::all_done)
-            && self
-                .shard_store
-                .as_ref()
-                .is_none_or(ShardCheckpointStore::all_done)
-    }
-
-    /// The attached checkpoint store, if any.
-    pub fn checkpoint(&self) -> Option<&CheckpointStore> {
-        self.checkpoint.as_ref()
-    }
-
-    /// The attached shard checkpoint store, if this is a shard context.
-    pub fn shard_store(&self) -> Option<&ShardCheckpointStore> {
-        self.shard_store.as_ref()
-    }
-
-    /// The attached merge source, if this is a merge context.
-    pub fn merge_source(&self) -> Option<&ShardMergeSource> {
-        self.merge.as_ref()
+        self.runner()
+            .log()
+            .is_none_or(ShardCheckpointStore::all_done)
     }
 }
 
@@ -314,6 +256,24 @@ pub fn run_one(id: &str, seed: u64) -> Option<Report> {
     run_with(id, &RunCtx::fixed(seed))
 }
 
+/// What one harness process does with each sweep — which residue classes
+/// of the trial-index range it answers for, and whether it publishes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SweepRole {
+    /// The unsharded run: class `0/1`, logged to
+    /// `<out-dir>/<id>.checkpoint.json`, final results written.
+    Whole,
+    /// One shard of a multi-process sweep: run only this class and leave
+    /// its log (`<out-dir>/<id>.shard-<i>-of-<m>.checkpoint.json`) for a
+    /// later merge instead of writing final results.
+    Shard(ShardSpec),
+    /// The merge: answer for all classes of this many shards, reusing
+    /// every window their logs recorded and running the rest, and write
+    /// final results byte-identical to an unsharded run; the logs are
+    /// deleted once the results are on disk.
+    Merge(NonZeroU32),
+}
+
 /// Harness-level options shared by a whole binary invocation.
 #[derive(Clone, Debug)]
 pub struct HarnessOpts {
@@ -327,28 +287,20 @@ pub struct HarnessOpts {
     pub fast: bool,
     /// Multiply every sweep trial budget (see [`RunCtx::trials_scale`]).
     pub trials_scale: u64,
-    /// Resume interrupted sweeps from their checkpoints.
+    /// Continue from the log an interrupted [`SweepRole::Whole`] or
+    /// [`SweepRole::Shard`] run left behind (a merge always reads the
+    /// logs).
     pub resume: bool,
-    /// Write per-experiment checkpoint files (`<out-dir>/<id>.checkpoint.json`).
-    pub checkpoints: bool,
     /// Topology override for experiments that honour it (see
     /// [`RunCtx::topology`]).
     pub topology: Option<am_net::Topology>,
-    /// Run as one shard of a multi-process sweep: execute only this
-    /// residue class of trial indices and write
-    /// `<out-dir>/<id>.shard-<i>-of-<m>.checkpoint.json` instead of
-    /// final results. Takes precedence over `merge_shards`.
-    pub shard: Option<ShardSpec>,
-    /// Merge this many shard checkpoint files from `out_dir` into final
-    /// results byte-identical to an unsharded run (re-running any trials
-    /// missing from the shard files); the shard files are deleted once
-    /// the merged JSON is written.
-    pub merge_shards: Option<u32>,
+    /// This process's part in the sweep.
+    pub role: SweepRole,
 }
 
 impl HarnessOpts {
-    /// Fixed-budget defaults writing under `out_dir`, with
-    /// checkpointing on (the binary's baseline).
+    /// Fixed-budget defaults writing under `out_dir` (the binary's
+    /// baseline).
     pub fn new(seed: u64, out_dir: &str) -> HarnessOpts {
         HarnessOpts {
             seed,
@@ -357,10 +309,8 @@ impl HarnessOpts {
             fast: false,
             trials_scale: 1,
             resume: false,
-            checkpoints: true,
             topology: None,
-            shard: None,
-            merge_shards: None,
+            role: SweepRole::Whole,
         }
     }
 }
@@ -372,119 +322,158 @@ impl HarnessOpts {
 /// When the sweep was interrupted (`max_batches_per_run`), the final
 /// JSON is *not* written: the checkpoint file is kept instead and the
 /// record's `output` is `None`, so a later `--resume` run completes the
-/// sweep and writes byte-identical final results.
+/// sweep and writes byte-identical final results. A shard never writes
+/// final JSON; its record's `output` is its log once every point is done.
 pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord> {
     find(id)?;
+    let dir = Path::new(&opts.out_dir);
+    // Logs are written during the run, so the directory must exist
+    // before the first batch.
+    let _ = std::fs::create_dir_all(dir);
+    let (classes, reuse): (Vec<ShardSpec>, bool) = match opts.role {
+        SweepRole::Whole => (vec![ShardSpec::UNSHARDED], opts.resume),
+        SweepRole::Shard(spec) => (vec![spec], opts.resume),
+        SweepRole::Merge(count) => (ShardSpec::all(count).collect(), true),
+    };
+    let stores = classes
+        .into_iter()
+        .map(|spec| {
+            let path = dir.join(spec.file_name(id));
+            if reuse {
+                match ShardCheckpointStore::load(&path, opts.seed, spec, &opts.sweep) {
+                    Ok(store) => return store,
+                    Err(e) => eprintln!(
+                        "[sweep] checkpoint {} {e}; its trials will be re-run",
+                        path.display()
+                    ),
+                }
+            }
+            ShardCheckpointStore::create(path, opts.seed, spec, &opts.sweep)
+        })
+        .collect();
     let mut ctx = RunCtx {
         seed: opts.seed,
         sweep: opts.sweep,
         fast: opts.fast,
         trials_scale: opts.trials_scale,
         topology: opts.topology,
-        checkpoint: None,
-        shard_store: None,
-        merge: None,
+        stores,
     };
-    if let Some(spec) = opts.shard {
-        // Shard lane: run one residue class, persist per-window tallies,
-        // never write final results.
-        let _ = std::fs::create_dir_all(&opts.out_dir);
-        let path = Path::new(&opts.out_dir).join(spec.file_name(id));
-        let store = if opts.resume {
-            ShardCheckpointStore::resume(path, opts.seed, spec, &opts.sweep)
-        } else {
-            ShardCheckpointStore::create(path, opts.seed, spec, &opts.sweep)
-        };
-        ctx.shard_store = Some(store);
-    } else {
-        if let Some(count) = opts.merge_shards {
-            let (source, warnings) =
-                ShardMergeSource::load(Path::new(&opts.out_dir), id, count, opts.seed, &opts.sweep);
-            for w in &warnings {
-                eprintln!("[shard] {w}");
-            }
-            ctx.merge = Some(source);
-        }
-        // The merge lane replays recorded tallies — cheap to redo from the
-        // shard files after a kill — so it skips the per-window checkpoint
-        // store whose whole-file rewrites would cost O(windows²) I/O.
-        if opts.checkpoints && ctx.merge.is_none() {
-            // Checkpoints are written during the run, so the directory must
-            // exist before the first batch.
-            let _ = std::fs::create_dir_all(&opts.out_dir);
-            let path = Path::new(&opts.out_dir).join(format!("{id}.checkpoint.json"));
-            let store = if opts.resume {
-                CheckpointStore::resume(path, opts.seed)
-            } else {
-                CheckpointStore::create(path, opts.seed)
-            };
-            ctx = ctx.with_checkpoint(store);
-        }
+    if matches!(opts.role, SweepRole::Merge(_)) {
+        // The batch cap interrupts a writer, which leaves a log to resume
+        // from; the merge must run to completion or no final results
+        // would ever be written.
+        ctx.sweep.max_batches_per_run = None;
     }
     let started = std::time::Instant::now();
     let rep = run_with(id, &ctx)?;
     let duration_ms = started.elapsed().as_secs_f64() * 1e3;
-    if let Some(store) = ctx.shard_store() {
-        // A shard's report holds its residue class's tallies only —
-        // progress, not estimates — so neither the rendered report nor
-        // the final JSON is emitted here; the merge step produces both.
-        let spec = store.spec();
-        return Some(if ctx.complete() {
-            println!(
-                "[shard {spec}] {id} finished in {duration_ms:.0} ms; \
-                 tallies at {}",
-                store.path().display()
-            );
-            am_obs::ExperimentRecord {
-                id: id.to_string(),
-                duration_ms,
-                output: Some(store.path().display().to_string()),
-            }
-        } else {
-            println!(
-                "[shard {spec}] {id} interrupted by the batch cap after {duration_ms:.0} ms; \
-                 checkpoint kept at {} — rerun with --resume to finish",
-                store.path().display()
-            );
-            am_obs::ExperimentRecord {
-                id: id.to_string(),
-                duration_ms,
-                output: None,
-            }
-        });
+    // A shard's report holds its residue class's tallies only, so neither
+    // the rendered report nor the final JSON is emitted for it; the merge
+    // produces both.
+    let shard = match opts.role {
+        SweepRole::Shard(spec) => Some(spec),
+        _ => None,
+    };
+    if shard.is_none() {
+        println!("{}", rep.render());
     }
-    println!("{}", rep.render());
-    let saved = if ctx.complete() {
-        let saved = rep.save_in(&opts.out_dir);
-        if let Some(store) = ctx.checkpoint() {
-            store.discard();
-        }
-        if let Some(source) = ctx.merge_source() {
-            // The merged final results are on disk; the shard files have
-            // served their purpose (a stale shard file would shadow the
-            // next run's tallies exactly like a stale checkpoint).
-            if saved.is_some() {
-                source.discard_files();
-            }
-        }
-        println!("[obs] {id} finished in {duration_ms:.0} ms");
-        saved
-    } else {
-        let where_ = ctx
-            .checkpoint()
-            .map(|s| s.path().display().to_string())
-            .unwrap_or_default();
+    let log = ctx.stores[0].path().display().to_string();
+    let output = if !ctx.complete() {
         println!(
             "[sweep] {id} interrupted by the batch cap after {duration_ms:.0} ms; \
-             checkpoint kept at {where_} — rerun with --resume to finish"
+             checkpoint kept at {log} — rerun with --resume to finish"
         );
         None
+    } else if let Some(spec) = shard {
+        println!("[shard {spec}] {id} finished in {duration_ms:.0} ms; tallies at {log}");
+        Some(log)
+    } else {
+        let saved = rep.save_in(&opts.out_dir);
+        if saved.is_some() {
+            // The final results are on disk; a stale log would shadow the
+            // next run's tallies.
+            ctx.stores.iter().for_each(ShardCheckpointStore::discard);
+        }
+        println!("[obs] {id} finished in {duration_ms:.0} ms");
+        saved.map(|p| p.display().to_string())
     };
     Some(am_obs::ExperimentRecord {
         id: id.to_string(),
         duration_ms,
-        output: saved.map(|p| p.display().to_string()),
+        output,
     })
+}
+
+/// Runs `id` as `workers` shard child processes of the current
+/// executable and merges their logs into final results byte-identical to
+/// an unsharded run. `child_args(spec, resume)` is the argv that makes
+/// the executable run shard `spec` (continuing its log when `resume`)
+/// and exit 0 when the shard is done, non-zero when it should be
+/// restarted. Children are polled every 25 ms; one that fails is
+/// restarted with `resume` up to twice, after which — like a child that
+/// never spawned — its unrecorded windows are left for the merge to run,
+/// so a sick worker degrades throughput, never results.
+pub fn coordinate(
+    id: &str,
+    opts: &HarnessOpts,
+    workers: NonZeroU32,
+    child_args: impl Fn(ShardSpec, bool) -> Vec<String>,
+) -> Option<am_obs::ExperimentRecord> {
+    const MAX_RETRIES: u32 = 2;
+    find(id)?;
+    let spawn = |spec: ShardSpec, resume: bool| -> Option<Child> {
+        std::env::current_exe()
+            .and_then(|exe| {
+                Command::new(exe)
+                    .args(child_args(spec, resume))
+                    .stdout(Stdio::null())
+                    .spawn()
+            })
+            .map_err(|e| eprintln!("[coordinator] {id} shard {spec} failed to spawn: {e}"))
+            .ok()
+    };
+    let mut slots: Vec<(ShardSpec, Option<Child>, u32)> = ShardSpec::all(workers)
+        .map(|spec| (spec, spawn(spec, opts.resume), 0))
+        .collect();
+    println!("[coordinator] {id}: {workers} shard processes launched");
+    while slots.iter().any(|(_, child, _)| child.is_some()) {
+        std::thread::sleep(std::time::Duration::from_millis(25));
+        for (spec, slot, retries) in &mut slots {
+            let Some(child) = slot else { continue };
+            let status = match child.try_wait() {
+                Ok(None) => continue,
+                Ok(Some(status)) => status,
+                Err(e) => {
+                    eprintln!("[coordinator] {id} shard {spec} wait failed: {e}");
+                    *slot = None;
+                    continue;
+                }
+            };
+            *slot = None;
+            if status.success() {
+                continue;
+            }
+            if *retries < MAX_RETRIES {
+                *retries += 1;
+                eprintln!(
+                    "[coordinator] {id} shard {spec} exited with {status}; restarting \
+                     from its checkpoint (retry {retries}/{MAX_RETRIES})"
+                );
+                *slot = spawn(*spec, true);
+            } else {
+                eprintln!(
+                    "[coordinator] {id} shard {spec} gave up after {MAX_RETRIES} \
+                     retries; the merge will re-run its trials"
+                );
+            }
+        }
+    }
+    let merge = HarnessOpts {
+        role: SweepRole::Merge(workers),
+        ..opts.clone()
+    };
+    execute(id, &merge)
 }
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 //! Blockchains" (SPAA 2020).
 //!
 //! ```text
-//! am-experiments                  # run everything (E1..E18)
+//! am-experiments                  # run everything (E1..E19)
 //! am-experiments e8 e9 e10        # run a subset
 //! am-experiments --seed 7 e8      # shift every Monte-Carlo trial
 //! am-experiments --out-dir out e8 # write out/e8.json + out/manifest.json
 //! am-experiments --adaptive e8    # Wilson early stopping per sweep point
 //! am-experiments --ci-width 0.02 e8  # adaptive, tighter half-width target
-//! am-experiments --fast           # tiny budgets: all 18 in seconds
+//! am-experiments --fast           # tiny budgets: all 19 in seconds
 //! am-experiments --max-batches 1 e8  # stop mid-sweep (checkpoint kept)
 //! am-experiments --resume e8      # finish from the checkpoint
 //! am-experiments --trace t.json e14 # export a chrome://tracing trace
@@ -33,9 +33,10 @@
 //! actually used and the achieved 95% CI per point in the JSON.
 
 use am_bench::trajectory::{record_sweep, SweepThroughput};
-use am_experiments::{execute, report::Report, HarnessOpts, REGISTRY};
+use am_experiments::{coordinate, execute, report::Report, HarnessOpts, SweepRole, REGISTRY};
 use am_obs::RunManifest;
 use am_protocols::{ShardSpec, SweepConfig};
+use std::num::NonZeroU32;
 
 struct Cli {
     seed: u64,
@@ -49,12 +50,21 @@ struct Cli {
     max_batches: Option<u64>,
     topology: Option<am_net::Topology>,
     topology_raw: Option<String>,
-    shard: Option<ShardSpec>,
-    merge_shards: Option<u32>,
-    workers: Option<u32>,
+    role: SweepRole,
+    workers: Option<NonZeroU32>,
     record: bool,
     trials_scale: u64,
     ids: Vec<String>,
+}
+
+/// A process has one role, so `--shard` and `--merge-shards` exclude each
+/// other (and themselves, repeated with a different value).
+fn set_role(cli: &mut Cli, role: SweepRole) -> Result<(), String> {
+    if cli.role != SweepRole::Whole {
+        return Err("--shard runs one slice and --merge-shards folds them; give one, once".into());
+    }
+    cli.role = role;
+    Ok(())
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -70,8 +80,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         max_batches: None,
         topology: None,
         topology_raw: None,
-        shard: None,
-        merge_shards: None,
+        role: SweepRole::Whole,
         workers: None,
         record: false,
         trials_scale: 1,
@@ -134,27 +143,24 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--shard" => {
                 let v = it.next().ok_or("--shard needs i/m (e.g. 0/4)")?;
-                cli.shard = Some(v.parse().map_err(|e| format!("--shard: {e}"))?);
+                let spec = v.parse().map_err(|e| format!("--shard: {e}"))?;
+                set_role(&mut cli, SweepRole::Shard(spec))?;
             }
             "--merge-shards" => {
                 let v = it.next().ok_or("--merge-shards needs a shard count")?;
-                let m: u32 = v
+                let count = v
                     .parse()
-                    .map_err(|_| format!("--merge-shards needs a u32, got '{v}'"))?;
-                if m == 0 {
-                    return Err("--merge-shards must be ≥ 1".into());
-                }
-                cli.merge_shards = Some(m);
+                    .map_err(|_| format!("--merge-shards needs a shard count ≥ 1, got '{v}'"))?;
+                set_role(&mut cli, SweepRole::Merge(count))?;
             }
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a process count")?;
-                let w: u32 = v
-                    .parse()
-                    .map_err(|_| format!("--workers needs a u32, got '{v}'"))?;
-                if !(1..=256).contains(&w) {
-                    return Err(format!("--workers must be in 1..=256, got {w}"));
-                }
-                cli.workers = Some(w);
+                cli.workers = Some(
+                    v.parse()
+                        .ok()
+                        .filter(|w: &NonZeroU32| w.get() <= 256)
+                        .ok_or_else(|| format!("--workers must be in 1..=256, got '{v}'"))?,
+                );
             }
             "--record" => cli.record = true,
             "--no-obs" => cli.obs = false,
@@ -164,13 +170,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             id => cli.ids.push(id.to_lowercase()),
         }
     }
-    if cli.shard.is_some() && (cli.workers.is_some() || cli.merge_shards.is_some()) {
+    if cli.workers.is_some() && cli.role != SweepRole::Whole {
         return Err(
-            "--shard runs one slice; it cannot combine with --workers or --merge-shards".into(),
+            "--workers spawns the shards and merges them itself; drop --shard / --merge-shards"
+                .into(),
         );
-    }
-    if cli.workers.is_some() && cli.merge_shards.is_some() {
-        return Err("--workers merges on completion; drop --merge-shards".into());
     }
     Ok(cli)
 }
@@ -196,10 +200,10 @@ fn sweep_config(cli: &Cli) -> SweepConfig {
 /// Argv for a shard child process: the parent's sweep-shaping flags plus
 /// `--shard i/m`, with obs off (children's manifests would trample the
 /// coordinator's) and stdout silenced by the spawner.
-fn shard_child_args(cli: &Cli, id: &str, index: u32, workers: u32, resume: bool) -> Vec<String> {
+fn shard_child_args(cli: &Cli, id: &str, spec: ShardSpec, resume: bool) -> Vec<String> {
     let mut args = vec![
         "--shard".to_string(),
-        format!("{index}/{workers}"),
+        spec.to_string(),
         "--seed".to_string(),
         cli.seed.to_string(),
         "--out-dir".to_string(),
@@ -235,148 +239,49 @@ fn shard_child_args(cli: &Cli, id: &str, index: u32, workers: u32, resume: bool)
     args
 }
 
-/// The in-repo coordinator: per experiment, spawns `--workers` shard
-/// child processes (this same binary with `--shard i/w`), monitors them,
-/// restarts failures from their checkpoints (`--resume`, bounded
-/// retries), then merges the shard tallies into final results
-/// byte-identical to an unsharded run. With `--record`, publishes the
-/// end-to-end trials/sec into BENCH_TRAJECTORY.json. Returns false if
-/// any experiment failed to produce merged results.
+/// `--workers`: runs every selected experiment through
+/// [`am_experiments::coordinate`] with this binary's own `--shard i/w`
+/// as the child command. With `--record`, publishes the end-to-end
+/// trials/sec into BENCH_TRAJECTORY.json. Returns false if any
+/// experiment failed to produce merged results.
 fn run_coordinator(
     cli: &Cli,
     opts: &HarnessOpts,
+    workers: NonZeroU32,
     ids: &[String],
     manifest: &mut RunManifest,
 ) -> bool {
-    const MAX_RETRIES: u32 = 2;
-    let workers = cli.workers.unwrap_or(1);
-    let exe = match std::env::current_exe() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("[coordinator] cannot locate own binary: {e}");
-            return false;
-        }
-    };
     let mut ok = true;
     for id in ids {
-        if am_experiments::find(id).is_none() {
+        let started = std::time::Instant::now();
+        let child = |spec, resume| shard_child_args(cli, id, spec, resume);
+        let Some(rec) = coordinate(id, opts, workers, child) else {
             eprintln!("unknown experiment '{id}' (try --list)");
             ok = false;
             continue;
-        }
-        let started = std::time::Instant::now();
-        let spawn = |index: u32, resume: bool| {
-            std::process::Command::new(&exe)
-                .args(shard_child_args(cli, id, index, workers, resume))
-                .stdout(std::process::Stdio::null())
-                .spawn()
         };
-        struct Slot {
-            index: u32,
-            child: Option<std::process::Child>,
-            retries: u32,
+        if rec.output.is_none() {
+            ok = false;
+        } else if cli.record {
+            record_throughput(cli, id, workers.get(), started.elapsed().as_secs_f64());
         }
-        let mut slots: Vec<Slot> = Vec::new();
-        for index in 0..workers {
-            match spawn(index, cli.resume) {
-                Ok(child) => slots.push(Slot {
-                    index,
-                    child: Some(child),
-                    retries: 0,
-                }),
-                Err(e) => {
-                    // The merge tops up missing shards, so a failed spawn
-                    // degrades throughput, not correctness.
-                    eprintln!("[coordinator] {id} shard {index}/{workers} failed to spawn: {e}");
-                    slots.push(Slot {
-                        index,
-                        child: None,
-                        retries: MAX_RETRIES,
-                    });
-                }
-            }
-        }
-        println!("[coordinator] {id}: {workers} shard processes launched");
-        loop {
-            let mut running = 0usize;
-            for slot in &mut slots {
-                let Some(child) = &mut slot.child else {
-                    continue;
-                };
-                match child.try_wait() {
-                    Ok(None) => running += 1,
-                    Ok(Some(status)) if status.success() => slot.child = None,
-                    Ok(Some(status)) => {
-                        slot.child = None;
-                        if slot.retries < MAX_RETRIES {
-                            slot.retries += 1;
-                            eprintln!(
-                                "[coordinator] {id} shard {}/{workers} exited with {status}; \
-                                 restarting from its checkpoint (retry {}/{MAX_RETRIES})",
-                                slot.index, slot.retries
-                            );
-                            match spawn(slot.index, true) {
-                                Ok(c) => {
-                                    slot.child = Some(c);
-                                    running += 1;
-                                }
-                                Err(e) => eprintln!(
-                                    "[coordinator] {id} shard {}/{workers} respawn failed: {e}",
-                                    slot.index
-                                ),
-                            }
-                        } else {
-                            eprintln!(
-                                "[coordinator] {id} shard {}/{workers} gave up after \
-                                 {MAX_RETRIES} retries; the merge will re-run its trials",
-                                slot.index
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "[coordinator] {id} shard {}/{workers} wait failed: {e}",
-                            slot.index
-                        );
-                        slot.child = None;
-                    }
-                }
-            }
-            if running == 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        }
-        let mut mopts = opts.clone();
-        mopts.shard = None;
-        mopts.merge_shards = Some(workers);
-        // --max-batches is the children's interruption knob (the chaos /
-        // resume lanes); the merge step itself must run to completion or
-        // no final results would ever be written.
-        mopts.sweep.max_batches_per_run = None;
-        match execute(id, &mopts) {
-            Some(rec) => {
-                if cli.record && rec.output.is_some() {
-                    let wall_s = started.elapsed().as_secs_f64();
-                    let trials = Report::load_from(&cli.out_dir, id)
-                        .map(|r| r.total_sweep_trials())
-                        .unwrap_or(0);
-                    record_sweep(&SweepThroughput {
-                        experiment: id.clone(),
-                        shards: workers,
-                        trials,
-                        wall_s,
-                    });
-                }
-                if rec.output.is_none() {
-                    ok = false;
-                }
-                manifest.record(rec);
-            }
-            None => ok = false,
-        }
+        manifest.record(rec);
     }
     ok
+}
+
+/// Appends a `sweep/<id>/shards<n>` trials/sec record for the results
+/// just written.
+fn record_throughput(cli: &Cli, id: &str, shards: u32, wall_s: f64) {
+    let trials = Report::load_from(&cli.out_dir, id)
+        .map(|r| r.total_sweep_trials())
+        .unwrap_or(0);
+    record_sweep(&SweepThroughput {
+        experiment: id.to_string(),
+        shards,
+        trials,
+        wall_s,
+    });
 }
 
 fn main() {
@@ -413,27 +318,28 @@ fn main() {
         fast: cli.fast,
         trials_scale: cli.trials_scale,
         resume: cli.resume,
-        checkpoints: true,
         topology: cli.topology,
-        shard: cli.shard,
-        merge_shards: cli.merge_shards,
+        role: cli.role,
     };
     let mut manifest = RunManifest::new(cli.seed, cli.out_dir.clone());
     let mut failed = false;
     let mut shard_incomplete = false;
-    if cli.workers.is_some() {
-        if !run_coordinator(&cli, &opts, &selected, &mut manifest) {
+    if let Some(workers) = cli.workers {
+        if !run_coordinator(&cli, &opts, workers, &selected, &mut manifest) {
             failed = true;
         }
     } else {
         for id in &selected {
             match execute(id, &opts) {
                 Some(rec) => {
-                    if cli.shard.is_some() && rec.output.is_none() {
+                    let is_shard = matches!(cli.role, SweepRole::Shard(_));
+                    if is_shard && rec.output.is_none() {
                         shard_incomplete = true;
                     }
-                    if cli.record && cli.shard.is_none() && rec.output.is_some() {
-                        if cli.merge_shards.is_some() {
+                    if cli.record && !is_shard && rec.output.is_some() {
+                        if cli.role == SweepRole::Whole {
+                            record_throughput(&cli, id, 1, rec.duration_ms / 1e3);
+                        } else {
                             // A standalone merge's wall clock covers only the
                             // merge step, not the shard runs — recording it
                             // would fabricate throughput. The coordinator
@@ -443,16 +349,6 @@ fn main() {
                                  --merge-shards has no end-to-end wall clock \
                                  (use --workers to record sharded throughput)"
                             );
-                        } else {
-                            let trials = Report::load_from(&cli.out_dir, id)
-                                .map(|r| r.total_sweep_trials())
-                                .unwrap_or(0);
-                            record_sweep(&SweepThroughput {
-                                experiment: id.clone(),
-                                shards: 1,
-                                trials,
-                                wall_s: rec.duration_ms / 1e3,
-                            });
                         }
                     }
                     manifest.record(rec);

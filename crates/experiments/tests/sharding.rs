@@ -1,14 +1,16 @@
 //! Shard-merge equivalence: sweeps split into interleaved trial-index
 //! shards and merged back must produce final JSON byte-identical to the
 //! unsharded run — fixed and adaptive stopping alike, and regardless of
-//! whether a shard was killed mid-run and resumed (DESIGN.md §15).
+//! whether a shard was killed mid-run and resumed (DESIGN.md, "Sweep
+//! lifecycle").
 //!
 //! The shard lanes here run in one process for test speed; the OS-process
 //! spawning itself is the coordinator's job (`--workers`, the `sweepd`
 //! example) and is exercised by the CI shard-smoke job.
 
-use am_experiments::{execute, HarnessOpts};
+use am_experiments::{execute, HarnessOpts, SweepRole};
 use am_protocols::{ShardSpec, SweepConfig};
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 
 fn base_dir(tag: &str) -> PathBuf {
@@ -23,11 +25,17 @@ fn opts(out_dir: &Path, sweep: SweepConfig) -> HarnessOpts {
         fast: true,
         trials_scale: 1,
         resume: false,
-        checkpoints: true,
         topology: None,
-        shard: None,
-        merge_shards: None,
+        role: SweepRole::Whole,
     }
+}
+
+fn shard(i: u32, m: u32) -> SweepRole {
+    SweepRole::Shard(ShardSpec::new(i, m).unwrap())
+}
+
+fn merge(m: u32) -> SweepRole {
+    SweepRole::Merge(NonZeroU32::new(m).unwrap())
 }
 
 /// `--fast` CLI equivalent: small batches so budgets span several
@@ -49,12 +57,12 @@ fn run_both(id: &str, dir: &Path, m: u32, sweep: SweepConfig) -> (Vec<u8>, Vec<u
 
     for i in 0..m {
         let mut o = opts(&dir_b, sweep);
-        o.shard = Some(ShardSpec::new(i, m).unwrap());
+        o.role = shard(i, m);
         let rec = execute(id, &o).expect("known experiment");
         assert!(rec.output.is_some(), "shard {i}/{m} finishes");
     }
     let mut o = opts(&dir_b, sweep);
-    o.merge_shards = Some(m);
+    o.role = merge(m);
     let rec = execute(id, &o).expect("known experiment");
     assert!(rec.output.is_some(), "merge completes");
 
@@ -133,7 +141,7 @@ fn killed_shard_resumed_then_merged_matches_e8() {
 
     for i in 0..3u32 {
         let mut o = opts(&dir_b, sweep);
-        o.shard = Some(ShardSpec::new(i, 3).unwrap());
+        o.role = shard(i, 3);
         if i == 1 {
             // Kill shard 1 after one batch window per point...
             o.sweep.max_batches_per_run = Some(1);
@@ -149,7 +157,7 @@ fn killed_shard_resumed_then_merged_matches_e8() {
         assert!(rec.output.is_some(), "shard {i}/3 finishes");
     }
     let mut o = opts(&dir_b, sweep);
-    o.merge_shards = Some(3);
+    o.role = merge(3);
     assert!(execute("e8", &o).expect("e8 exists").output.is_some());
 
     let a = std::fs::read(dir_a.join("e8.json")).unwrap();
@@ -170,16 +178,39 @@ fn missing_shard_is_topped_up_by_the_merge_e6() {
 
     for i in [0u32, 2] {
         let mut o = opts(&dir_b, sweep);
-        o.shard = Some(ShardSpec::new(i, 3).unwrap());
+        o.role = shard(i, 3);
         execute("e6", &o).expect("e6 exists");
     }
     let mut o = opts(&dir_b, sweep);
-    o.merge_shards = Some(3);
+    o.role = merge(3);
     assert!(execute("e6", &o).expect("e6 exists").output.is_some());
 
     let a = std::fs::read(dir_a.join("e6.json")).unwrap();
     let b = std::fs::read(dir_b.join("e6.json")).unwrap();
     assert_eq!(a, b, "merge tops up the absent shard's trials exactly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn merge_of_one_with_no_log_is_the_unsharded_run_e6() {
+    // The smallest merge there is. A shard count of 0 used to reach the
+    // engine through the library (the CLI alone rejected it) and produce
+    // an all-zero table with no error; `NonZeroU32` now makes that
+    // unrepresentable, and the 1-way merge over a missing log must run
+    // every trial itself.
+    let dir = base_dir("e6_merge1");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = fast_sweep(None);
+    let (dir_a, dir_b) = (dir.join("unsharded"), dir.join("merged"));
+    execute("e6", &opts(&dir_a, sweep)).expect("e6 exists");
+    let mut o = opts(&dir_b, sweep);
+    o.role = merge(1);
+    assert!(execute("e6", &o).expect("e6 exists").output.is_some());
+    let a = std::fs::read(dir_a.join("e6.json")).unwrap();
+    let b = std::fs::read(dir_b.join("e6.json")).unwrap();
+    assert_eq!(a, b, "a 1-way merge of nothing is the unsharded run");
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/e6.json");
+    assert_eq!(std::fs::read(golden).unwrap(), b, "and it is the golden");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -195,11 +226,11 @@ fn sharded_merge_reproduces_the_committed_golden_e8() {
     let sweep = fast_sweep(None);
     for i in 0..4u32 {
         let mut o = opts(&dir, sweep);
-        o.shard = Some(ShardSpec::new(i, 4).unwrap());
+        o.role = shard(i, 4);
         execute("e8", &o).expect("e8 exists");
     }
     let mut o = opts(&dir, sweep);
-    o.merge_shards = Some(4);
+    o.role = merge(4);
     assert!(execute("e8", &o).expect("e8 exists").output.is_some());
 
     let g = std::fs::read(&golden).expect("committed golden");

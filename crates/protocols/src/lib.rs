@@ -23,12 +23,11 @@
 //! * [`runner`] — parallel Monte-Carlo estimation of validity-failure
 //!   rates and resilience thresholds (rayon fan-out, per-trial seeding).
 //! * [`sweep`] — the adaptive sweep engine: batched trials with Wilson
-//!   early stopping ([`am_stats::StopRule`]), per-point budgets, and
-//!   crash-safe checkpoint/resume.
-//! * [`shard`] — multi-process sweep sharding: interleaved trial slices,
-//!   per-shard checkpoints, and the byte-identical merge the sweep
-//!   engine's [`SweepRunner::sharded`]/[`SweepRunner::merging`] modes
-//!   build on.
+//!   early stopping ([`am_stats::StopRule`]), per-point budgets, and one
+//!   batch loop for the unsharded run, a shard and the merge alike.
+//! * [`shard`] — the engine's persistent half: interleaved residue
+//!   classes of the trial-index range and the one crash-safe window-log
+//!   store behind checkpoint/resume and multi-process sharding.
 //!
 //! ## Modelling notes (see DESIGN.md)
 //!
@@ -64,10 +63,8 @@ pub use dag::{run_dag, DagAdversary, DagRule, DagTrial};
 pub use params::{ParamError, Params, ParamsBuilder, ViewPolicy};
 pub use propagation::{run_chain_net, run_dag_net, BlockMsg, Propagation};
 pub use runner::{measure_failure_rate, resilience_threshold, trial_seed, TrialKind};
-pub use shard::{ShardCheckpointStore, ShardMergeSource, ShardPointCheckpoint, ShardSpec};
-pub use sweep::{
-    CheckpointStore, PointCheckpoint, PointResult, SweepConfig, SweepMode, SweepRunner,
-};
+pub use shard::{LoadError, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};
+pub use sweep::{PointResult, SweepConfig, SweepMode, SweepRunner};
 pub use timestamp::{run_timestamp, TimestampTrial};
 pub use weak::{
     run_chain_staggered, run_dag_multinode, run_dag_staggered, MultiTrial, StaggeredTrial,

@@ -1,69 +1,70 @@
-//! Multi-process sweep sharding: deterministic interleaved trial slices,
-//! per-shard checkpoints, and the byte-identical merge.
+//! The sweep's window logs: residue-class identity, the one checkpoint
+//! store, and the conservative stop test.
 //!
 //! The sweep engine's tallies are pure functions of `(seed, trial
 //! index)`, so a sweep point can be split across OS processes by residue
-//! class: shard `i` of `m` runs exactly the trial indices `≡ i (mod m)`.
-//! Because the unsharded engine consults its stopping rule only at batch
-//! boundaries, a shard records its *per-window* hit counts (window `b` =
-//! the index range the unsharded run would cover in batch `b`), and the
-//! merge step replays the unsharded batch loop with each window's hits
-//! reassembled as the sum over shards — reproducing the unsharded
-//! tallies, batch counts, and stop decisions bit for bit, adaptive early
-//! stops included.
+//! class: shard `i` of `m` runs exactly the trial indices `≡ i (mod m)`,
+//! and the unsharded run *is* shard `0/1`. The engine consults its
+//! stopping rule only at batch boundaries, so each class keeps, per
+//! point, an append-only log of its *per-window* hit counts (window `b` =
+//! the index range batch `b` covers). Any process that reads the union of
+//! the `m` logs can replay the batch loop with each window's hits summed
+//! over classes and reproduce the single-process tallies, batch counts
+//! and stop decisions bit for bit, adaptive early stops included.
 //!
 //! Three pieces live here:
 //!
-//! * [`ShardSpec`] — which residue class a process owns, plus the
-//!   closed-form index arithmetic.
-//! * [`ShardCheckpointStore`] — the per-shard checkpoint file
-//!   (`<id>.shard-<i>-of-<m>.checkpoint.json`), written with the same
-//!   atomic tmp+rename discipline as the unsharded store and stamped
-//!   with seed, schema, shard identity, batch size, and sweep mode so a
-//!   mismatched file is ignored rather than merged.
-//! * [`ShardMergeSource`] — the merge-side loader: reads the `m` shard
-//!   files and serves per-window hit counts back to the engine. Windows
-//!   a shard never recorded (killed mid-run, or a shard that stopped a
-//!   grid point earlier than its peers) are simply re-run by the merge
-//!   process — the "top-up" lane — so the merged output is byte-identical
-//!   to the unsharded run even when shards die or diverge on
-//!   data-dependent grids.
+//! * [`ShardSpec`] — a validated residue class plus the closed-form
+//!   index arithmetic.
+//! * [`ShardCheckpointStore`] — one class's log file
+//!   (`<id>.checkpoint.json` for `0/1`, else
+//!   `<id>.shard-<i>-of-<m>.checkpoint.json`), written with an atomic
+//!   tmp+rename and stamped with schema, seed, shard identity, batch size
+//!   and sweep mode. [`ShardCheckpointStore::load`] is the only reader:
+//!   `--resume` and the merge both go through it, and a file that is
+//!   absent, damaged or stamped for another run is a typed
+//!   [`LoadError`], never trusted and never a panic.
+//! * [`surely_stopped`] — the stop test every role shares.
 //!
-//! **Why shards can stop early at all.** A shard alone cannot evaluate
-//! the global Wilson stopping rule — it sees only its residue class's
-//! hits. But it *can* bound the global tally: at batch boundary `T` the
-//! global hit count lies in `[own_hits, own_hits + (T − own_trials)]`,
-//! and the Wilson half-width is unimodal in the hit count (widest at
-//! `T/2`). When every tally in that interval satisfies the rule, the
-//! unsharded run has provably stopped at or before `T`, so the shard has
-//! recorded every window the merge can ever ask for and may stop too
-//! ([`surely_stopped`]). Fixed-mode rules only fire at the budget, so
-//! fixed shards run their full slice — exactly the unsharded behaviour.
+//! **Why a process that sees only some classes can stop at all.** It
+//! cannot evaluate the global Wilson rule, but it can bound the global
+//! tally: at batch boundary `T` the global hit count lies in `[seen_hits,
+//! seen_hits + (T − seen_trials)]`, and the Wilson half-width is unimodal
+//! in the hit count (widest at `T/2`). When every tally in that interval
+//! satisfies the rule, the single-process run has provably stopped at or
+//! before `T`, so the shard has logged every window a merge can ever ask
+//! for. A process that has seen *every* index below `T` (the unsharded
+//! run, the merge) has a one-point interval, and the test is exactly
+//! [`StopRule::check`]. Fixed-mode rules only fire at the budget, so
+//! fixed shards run their full slice.
 
 use crate::sweep::{SweepConfig, SweepMode};
 use am_stats::{Proportion, StopRule};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io;
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Version stamp of the shard checkpoint JSON document.
+/// Version stamp of the checkpoint JSON document.
 pub const SHARD_CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
-/// Which interleaved slice of the trial-index range a process owns:
-/// shard `index` of `count` runs the indices `≡ index (mod count)`.
+/// One residue class of the trial-index range: shard `index` of `count`
+/// owns the indices `≡ index (mod count)`. Fields are private so that
+/// `index < count` (and hence `count ≥ 1`) holds for every value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// 0-based shard index.
-    pub index: u32,
-    /// Total shard count (≥ 1).
-    pub count: u32,
+    index: u32,
+    count: u32,
 }
 
 impl ShardSpec {
+    /// The whole index range as a single class: the unsharded run.
+    pub const UNSHARDED: ShardSpec = ShardSpec { index: 0, count: 1 };
+
     /// A validated spec; `index` must be below `count`.
     pub fn new(index: u32, count: u32) -> Result<ShardSpec, String> {
         if count == 0 {
@@ -77,8 +78,27 @@ impl ShardSpec {
         Ok(ShardSpec { index, count })
     }
 
-    /// The checkpoint file name this shard writes for experiment `id`.
+    /// Every class of a `count`-way split, in index order.
+    pub fn all(count: NonZeroU32) -> impl Iterator<Item = ShardSpec> {
+        let count = count.get();
+        (0..count).map(move |index| ShardSpec { index, count })
+    }
+
+    /// 0-based shard index.
+    pub fn index(&self) -> u32 {
+        self.index
+    }
+
+    /// Total shard count (≥ 1).
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// The checkpoint file name this class writes for experiment `id`.
     pub fn file_name(&self, id: &str) -> String {
+        if *self == ShardSpec::UNSHARDED {
+            return format!("{id}.checkpoint.json");
+        }
         format!(
             "{id}.shard-{}-of-{}.checkpoint.json",
             self.index, self.count
@@ -139,7 +159,7 @@ pub fn tmp_path_for(path: &Path, pid: u32, seq: u64) -> PathBuf {
 /// file plus a rename, so two processes (or stores) checkpointing into
 /// the same path can never tear each other's tmp file — the last rename
 /// wins and readers always see a complete document.
-pub(crate) fn write_atomic(path: &Path, body: &str) -> io::Result<()> {
+fn write_atomic(path: &Path, body: &str) -> io::Result<()> {
     let tmp = tmp_path_for(
         path,
         std::process::id(),
@@ -149,31 +169,52 @@ pub(crate) fn write_atomic(path: &Path, body: &str) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// One sweep point's per-shard state: this shard's hit count inside each
-/// global batch window it has run, in window order.
+/// One sweep point's log for one residue class: the class's hit count
+/// inside each global batch window it has run, in window order.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardPointCheckpoint {
-    /// `batch_hits[b]` = failures among this shard's indices inside the
-    /// unsharded run's batch window `b`.
+    /// `batch_hits[b]` = failures among this class's indices inside the
+    /// single-process run's batch window `b`.
     pub batch_hits: Vec<u64>,
-    /// Whether this shard has proven the unsharded run stops within the
-    /// recorded windows (or has exhausted the budget).
+    /// Whether the writer has proven the single-process run stops within
+    /// the recorded windows (or has exhausted the budget).
     pub done: bool,
 }
 
-/// The identity stamp a shard checkpoint carries beyond seed + schema:
-/// window geometry (batch size) and stopping mode, both of which the
-/// merge must share for the per-window hits to line up.
-fn mode_label(cfg: &SweepConfig) -> String {
-    match cfg.mode {
-        SweepMode::Fixed => "fixed".to_string(),
-        SweepMode::Adaptive { target_half_width } => format!("adaptive:{target_half_width}"),
+/// Why [`ShardCheckpointStore::load`] refused a file. Every variant
+/// means the same thing to the caller — start the class's log empty and
+/// re-run its trials — but the warning should say which.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoadError {
+    /// No file at the path.
+    Missing,
+    /// Unreadable, not UTF-8, not JSON, or not the checkpoint shape
+    /// (e.g. truncated by a crash of something other than this store).
+    Unparsable,
+    /// A well-formed checkpoint of a different run: `field` is the first
+    /// header entry (or `"batch_hits"`, for a tally no window of this
+    /// geometry can hold) that disagrees.
+    Mismatch {
+        /// The disagreeing header field.
+        field: &'static str,
+    },
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Missing => write!(f, "missing"),
+            LoadError::Unparsable => write!(f, "unparsable"),
+            LoadError::Mismatch { field } => write!(f, "ignored ({field} mismatch)"),
+        }
     }
 }
 
-/// The on-disk per-shard checkpoint: schema, seed, shard identity, sweep
-/// geometry, and per-point window tallies, written atomically after
-/// every window.
+impl std::error::Error for LoadError {}
+
+/// One residue class's on-disk log: a header naming the run it belongs
+/// to (schema, seed, shard identity, batch size, sweep mode — everything
+/// the window geometry depends on) and the per-point window tallies.
 #[derive(Debug)]
 pub struct ShardCheckpointStore {
     path: PathBuf,
@@ -186,7 +227,7 @@ pub struct ShardCheckpointStore {
 
 impl ShardCheckpointStore {
     /// A fresh store writing to `path`; any existing file is overwritten
-    /// at the first window.
+    /// at the first flush.
     pub fn create(
         path: impl Into<PathBuf>,
         seed: u64,
@@ -198,32 +239,73 @@ impl ShardCheckpointStore {
             seed,
             spec,
             batch: cfg.batch,
-            mode: mode_label(cfg),
+            mode: match cfg.mode {
+                SweepMode::Fixed => "fixed".to_string(),
+                SweepMode::Adaptive { target_half_width } => {
+                    format!("adaptive:{target_half_width}")
+                }
+            },
             points: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Resumes from `path` if it holds a checkpoint for the same seed,
-    /// shard identity, and sweep geometry; otherwise starts fresh.
-    pub fn resume(
+    /// Reopens the log at `path` if it was written for the same seed,
+    /// shard identity and sweep geometry.
+    pub fn load(
         path: impl Into<PathBuf>,
         seed: u64,
         spec: ShardSpec,
         cfg: &SweepConfig,
-    ) -> ShardCheckpointStore {
-        let path = path.into();
-        let points = std::fs::read_to_string(&path)
+    ) -> Result<ShardCheckpointStore, LoadError> {
+        let mut store = ShardCheckpointStore::create(path, seed, spec, cfg);
+        let body = std::fs::read(&store.path).map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => LoadError::Missing,
+            _ => LoadError::Unparsable,
+        })?;
+        store.points = Mutex::new(store.parse(&body)?);
+        Ok(store)
+    }
+
+    fn header(&self) -> [(&'static str, Value); 6] {
+        [
+            ("schema_version", SHARD_CHECKPOINT_SCHEMA_VERSION.to_value()),
+            ("seed", self.seed.to_value()),
+            ("shard_index", self.spec.index.to_value()),
+            ("shard_count", self.spec.count.to_value()),
+            ("batch", self.batch.to_value()),
+            ("mode", self.mode.to_value()),
+        ]
+    }
+
+    fn parse(&self, body: &[u8]) -> Result<BTreeMap<String, ShardPointCheckpoint>, LoadError> {
+        let doc: Value = std::str::from_utf8(body)
             .ok()
-            .and_then(|body| parse_shard_file(&body, seed, spec, cfg))
-            .unwrap_or_default();
-        ShardCheckpointStore {
-            path,
-            seed,
-            spec,
-            batch: cfg.batch,
-            mode: mode_label(cfg),
-            points: Mutex::new(points),
+            .and_then(|s| serde_json::from_str(s).ok())
+            .ok_or(LoadError::Unparsable)?;
+        for (field, want) in self.header() {
+            if *doc.get(field).ok_or(LoadError::Unparsable)? != want {
+                return Err(LoadError::Mismatch { field });
+            }
         }
+        let Some(Value::Object(entries)) = doc.get("points") else {
+            return Err(LoadError::Unparsable);
+        };
+        let mut points = BTreeMap::new();
+        for (key, val) in entries {
+            let cp = ShardPointCheckpoint::from_value(val).map_err(|_| LoadError::Unparsable)?;
+            // No window holds more hits than the class has indices in a
+            // full batch; a larger tally cannot have come from this run.
+            for (w, &hits) in (0u64..).zip(&cp.batch_hits) {
+                let lo = w.saturating_mul(self.batch);
+                if hits > self.spec.trials_in(lo, lo.saturating_add(self.batch)) {
+                    return Err(LoadError::Mismatch {
+                        field: "batch_hits",
+                    });
+                }
+            }
+            points.insert(key.clone(), cp);
+        }
+        Ok(points)
     }
 
     /// The file this store writes.
@@ -231,7 +313,7 @@ impl ShardCheckpointStore {
         &self.path
     }
 
-    /// The shard identity this store records.
+    /// The residue class this store logs.
     pub fn spec(&self) -> ShardSpec {
         self.spec
     }
@@ -246,43 +328,12 @@ impl ShardCheckpointStore {
         let body = {
             let mut points = self.points.lock().unwrap();
             points.insert(key.to_string(), cp);
-            self.render(&points)
-        };
-        write_atomic(&self.path, &body)
-    }
-
-    /// Records a point's state in memory only — no disk write. Rewriting
-    /// the whole file every batch window is O(windows²) I/O on long
-    /// sweeps, so the engine stages most windows and [`flush`es]
-    /// periodically plus at every durability boundary (point done,
-    /// interruption return).
-    ///
-    /// [`flush`es]: ShardCheckpointStore::flush
-    pub fn stage(&self, key: &str, cp: ShardPointCheckpoint) {
-        self.points.lock().unwrap().insert(key.to_string(), cp);
-    }
-
-    /// Writes the current in-memory state to the checkpoint file.
-    pub fn flush(&self) -> io::Result<()> {
-        let body = {
-            let points = self.points.lock().unwrap();
-            self.render(&points)
-        };
-        write_atomic(&self.path, &body)
-    }
-
-    fn render(&self, points: &BTreeMap<String, ShardPointCheckpoint>) -> String {
-        let doc = Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                SHARD_CHECKPOINT_SCHEMA_VERSION.to_value(),
-            ),
-            ("seed".to_string(), self.seed.to_value()),
-            ("shard_index".to_string(), self.spec.index.to_value()),
-            ("shard_count".to_string(), self.spec.count.to_value()),
-            ("batch".to_string(), self.batch.to_value()),
-            ("mode".to_string(), self.mode.to_value()),
-            (
+            let mut doc: Vec<(String, Value)> = self
+                .header()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            doc.push((
                 "points".to_string(),
                 Value::Object(
                     points
@@ -290,9 +341,10 @@ impl ShardCheckpointStore {
                         .map(|(k, cp)| (k.clone(), cp.to_value()))
                         .collect(),
                 ),
-            ),
-        ]);
-        serde_json::to_string_pretty(&doc).unwrap_or_else(|_| "{}".into())
+            ));
+            serde_json::to_string_pretty(&Value::Object(doc)).unwrap_or_else(|_| "{}".into())
+        };
+        write_atomic(&self.path, &body)
     }
 
     /// Whether every recorded point has proven global coverage — false
@@ -301,153 +353,48 @@ impl ShardCheckpointStore {
         self.points.lock().unwrap().values().all(|cp| cp.done)
     }
 
-    /// Deletes the checkpoint file.
+    /// Deletes the checkpoint file and any tmp sibling a writer killed
+    /// between its write and its rename left behind (call after the
+    /// final results are safely written; a stale checkpoint would shadow
+    /// the next run).
     pub fn discard(&self) {
         let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn parse_shard_file(
-    body: &str,
-    seed: u64,
-    spec: ShardSpec,
-    cfg: &SweepConfig,
-) -> Option<BTreeMap<String, ShardPointCheckpoint>> {
-    let v: Value = serde_json::from_str(body).ok()?;
-    if v.get("schema_version")?.as_u64()? != u64::from(SHARD_CHECKPOINT_SCHEMA_VERSION)
-        || v.get("seed")?.as_u64()? != seed
-        || v.get("shard_index")?.as_u64()? != u64::from(spec.index)
-        || v.get("shard_count")?.as_u64()? != u64::from(spec.count)
-        || v.get("batch")?.as_u64()? != cfg.batch
-        || *v.get("mode")? != Value::String(mode_label(cfg))
-    {
-        return None;
-    }
-    let Value::Object(entries) = v.get("points")? else {
-        return None;
-    };
-    let mut points = BTreeMap::new();
-    for (key, val) in entries {
-        points.insert(key.clone(), ShardPointCheckpoint::from_value(val).ok()?);
-    }
-    Some(points)
-}
-
-/// The merge-side view of `m` shard checkpoint files: per-point,
-/// per-shard window tallies, plus the source paths for post-merge
-/// cleanup.
-#[derive(Debug)]
-pub struct ShardMergeSource {
-    count: u32,
-    paths: Vec<PathBuf>,
-    points: BTreeMap<String, Vec<Option<ShardPointCheckpoint>>>,
-}
-
-impl ShardMergeSource {
-    /// Loads the `count` shard files for experiment `id` under `dir`.
-    /// Missing or mismatched (seed / schema / geometry) files degrade to
-    /// absent shards — their trials are re-run by the merge — and each
-    /// degradation is reported as a warning string.
-    pub fn load(
-        dir: &Path,
-        id: &str,
-        count: u32,
-        seed: u64,
-        cfg: &SweepConfig,
-    ) -> (ShardMergeSource, Vec<String>) {
-        let mut warnings = Vec::new();
-        let mut paths = Vec::new();
-        let mut per_shard: Vec<Option<BTreeMap<String, ShardPointCheckpoint>>> = Vec::new();
-        for index in 0..count {
-            let spec = ShardSpec { index, count };
-            let path = dir.join(spec.file_name(id));
-            let parsed = match std::fs::read_to_string(&path) {
-                Ok(body) => {
-                    let parsed = parse_shard_file(&body, seed, spec, cfg);
-                    if parsed.is_none() {
-                        warnings.push(format!(
-                            "shard file {} ignored (schema/seed/geometry mismatch); \
-                             its trials will be re-run",
-                            path.display()
-                        ));
-                    }
-                    parsed
-                }
-                Err(_) => {
-                    warnings.push(format!(
-                        "shard file {} missing; its trials will be re-run",
-                        path.display()
-                    ));
-                    None
-                }
-            };
-            paths.push(path);
-            per_shard.push(parsed);
-        }
-        let mut points: BTreeMap<String, Vec<Option<ShardPointCheckpoint>>> = BTreeMap::new();
-        for (index, shard_points) in per_shard.into_iter().enumerate() {
-            let Some(shard_points) = shard_points else {
-                continue;
-            };
-            for (key, cp) in shard_points {
-                points
-                    .entry(key)
-                    .or_insert_with(|| vec![None; count as usize])[index] = Some(cp);
+        let (Some(dir), Some(stem)) = (self.path.parent(), self.path.file_stem()) else {
+            return;
+        };
+        let stale = format!("{}.tmp.", stem.to_string_lossy());
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            if entry.file_name().to_string_lossy().starts_with(&stale) {
+                let _ = std::fs::remove_file(entry.path());
             }
         }
-        (
-            ShardMergeSource {
-                count,
-                paths,
-                points,
-            },
-            warnings,
-        )
-    }
-
-    /// The shard count this source merges.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
-    /// Shard `shard`'s recorded hits inside window `window` of point
-    /// `key`, if it got that far.
-    pub fn hits(&self, key: &str, shard: u32, window: u64) -> Option<u64> {
-        self.points
-            .get(key)?
-            .get(shard as usize)?
-            .as_ref()?
-            .batch_hits
-            .get(usize::try_from(window).ok()?)
-            .copied()
-    }
-
-    /// Deletes the shard checkpoint files (call after the merged final
-    /// results are safely written).
-    pub fn discard_files(&self) {
-        for p in &self.paths {
-            let _ = std::fs::remove_file(p);
-        }
     }
 }
 
-/// Whether the *unsharded* run has provably stopped at or before
-/// `trials` global trials, given that this shard observed `own_hits`
-/// failures over its `own_trials` indices below that boundary. The
-/// global hit count lies in `[own_hits, own_hits + (trials −
-/// own_trials)]`; the Wilson half-width is unimodal in the hit count
+/// Whether the single-process run has provably stopped at or before
+/// `trials` global trials, given that this process has seen `seen_hits`
+/// failures over `seen_trials` of the indices below that boundary. The
+/// global hit count lies in `[seen_hits, seen_hits + (trials −
+/// seen_trials)]`; the Wilson half-width is unimodal in the hit count
 /// (maximal near `trials/2`), so checking the interval's endpoints plus
 /// the clamped midpoint bounds the width over every consistent tally.
-pub(crate) fn surely_stopped(rule: &StopRule, own_hits: u64, own_trials: u64, trials: u64) -> bool {
-    debug_assert!(own_trials <= trials && own_hits <= own_trials);
+/// With `seen_trials == trials` the three probes coincide and this is
+/// exactly `rule.check(..).is_some()`.
+pub(crate) fn surely_stopped(
+    rule: &StopRule,
+    seen_hits: u64,
+    seen_trials: u64,
+    trials: u64,
+) -> bool {
+    debug_assert!(seen_trials <= trials && seen_hits <= seen_trials);
     if trials >= rule.max_trials {
         return true;
     }
     if trials < rule.min_trials {
         return false;
     }
-    let lo = own_hits;
-    let hi = own_hits + (trials - own_trials);
+    let lo = seen_hits;
+    let hi = seen_hits + (trials - seen_trials);
     let mid = (trials / 2).clamp(lo, hi);
     [lo, mid, hi]
         .iter()
@@ -464,6 +411,13 @@ mod tests {
         assert_eq!(s, ShardSpec { index: 2, count: 4 });
         assert_eq!(s.to_string(), "2/4");
         assert_eq!(s.file_name("e8"), "e8.shard-2-of-4.checkpoint.json");
+        assert_eq!("0/1".parse(), Ok(ShardSpec::UNSHARDED));
+        assert_eq!(ShardSpec::UNSHARDED.file_name("e8"), "e8.checkpoint.json");
+        let three = ShardSpec::all(NonZeroU32::new(3).unwrap());
+        assert_eq!(
+            three.map(|s| s.to_string()).collect::<Vec<_>>(),
+            ["0/3", "1/3", "2/3"]
+        );
         assert!("4/4".parse::<ShardSpec>().is_err(), "index must be < count");
         assert!("0/0".parse::<ShardSpec>().is_err(), "count must be ≥ 1");
         assert!("nope".parse::<ShardSpec>().is_err());
@@ -553,75 +507,83 @@ mod tests {
     }
 
     #[test]
-    fn shard_store_resume_validates_identity() {
+    fn load_validates_identity_with_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("am_shard_ident_{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let cfg = SweepConfig::adaptive(0.05);
         let spec = ShardSpec { index: 1, count: 4 };
         let path = dir.join(spec.file_name("e8"));
-        let store = ShardCheckpointStore::create(&path, 3, spec, &cfg);
-        store
-            .update(
-                "k",
-                ShardPointCheckpoint {
-                    batch_hits: vec![1, 0, 2],
-                    done: true,
-                },
-            )
+        let load = |seed, spec, cfg: &SweepConfig| {
+            ShardCheckpointStore::load(&path, seed, spec, cfg).map(|s| s.lookup("k"))
+        };
+        assert_eq!(load(3, spec, &cfg), Err(LoadError::Missing));
+        let cp = ShardPointCheckpoint {
+            batch_hits: vec![1, 0, 2],
+            done: true,
+        };
+        ShardCheckpointStore::create(&path, 3, spec, &cfg)
+            .update("k", cp.clone())
             .unwrap();
+        assert_eq!(load(3, spec, &cfg), Ok(Some(cp)));
 
-        let same = ShardCheckpointStore::resume(&path, 3, spec, &cfg);
-        assert_eq!(same.lookup("k").unwrap().batch_hits, vec![1, 0, 2]);
-        assert!(same.all_done());
+        // Any identity mismatch must be refused, naming the field — a
+        // foreign run's tallies are never continued or merged.
+        let mismatch = |field| Err(LoadError::Mismatch { field });
+        assert_eq!(load(4, spec, &cfg), mismatch("seed"));
+        let other = ShardSpec { index: 2, count: 4 };
+        assert_eq!(load(3, other, &cfg), mismatch("shard_index"));
+        let other = ShardSpec { index: 1, count: 5 };
+        assert_eq!(load(3, other, &cfg), mismatch("shard_count"));
+        let mut other = cfg;
+        other.batch = 8;
+        assert_eq!(load(3, spec, &other), mismatch("batch"));
+        assert_eq!(load(3, spec, &SweepConfig::fixed()), mismatch("mode"));
 
-        // Any identity mismatch must start fresh, not merge foreign data.
-        let other_seed = ShardCheckpointStore::resume(&path, 4, spec, &cfg);
-        assert!(other_seed.lookup("k").is_none(), "seed mismatch");
-        let other_spec =
-            ShardCheckpointStore::resume(&path, 3, ShardSpec { index: 2, count: 4 }, &cfg);
-        assert!(other_spec.lookup("k").is_none(), "shard identity mismatch");
-        let mut other_batch = cfg;
-        other_batch.batch = 8;
-        let other = ShardCheckpointStore::resume(&path, 3, spec, &other_batch);
-        assert!(other.lookup("k").is_none(), "batch geometry mismatch");
-        let other_mode = ShardCheckpointStore::resume(&path, 3, spec, &SweepConfig::fixed());
-        assert!(other_mode.lookup("k").is_none(), "mode mismatch");
+        // Damage is refused too: a truncated document, a non-UTF-8 byte,
+        // a tally no 32-index window of a 4-way split can hold (9 > 8), and the
+        // pre-unification `{hits, trials, batches, done}` layout.
+        let body = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &body[..body.len() / 2]).unwrap();
+        assert_eq!(load(3, spec, &cfg), Err(LoadError::Unparsable));
+        let mut flipped = body.clone();
+        flipped[body.len() / 2] ^= 0xFF;
+        std::fs::write(&path, &flipped).unwrap();
+        assert_eq!(load(3, spec, &cfg), Err(LoadError::Unparsable));
+        let impossible = ShardPointCheckpoint {
+            batch_hits: vec![8, 9],
+            done: false,
+        };
+        ShardCheckpointStore::create(&path, 3, spec, &cfg)
+            .update("k", impossible)
+            .unwrap();
+        assert_eq!(load(3, spec, &cfg), mismatch("batch_hits"));
+        let old = r#"{"schema_version":1,"seed":3,"points":{"k":{"hits":5,"trials":10,"batches":1,"done":true}}}"#;
+        std::fs::write(&path, old).unwrap();
+        assert_eq!(load(3, spec, &cfg), Err(LoadError::Unparsable));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn merge_source_reports_missing_shards() {
-        let dir = std::env::temp_dir().join(format!("am_shard_merge_{}", std::process::id()));
+    fn discard_removes_the_file_and_its_stale_tmp_siblings() {
+        // A writer killed between its write and its rename leaves
+        // `<stem>.tmp.<pid>.<seq>` behind; discard sweeps those up, and
+        // only those.
+        let dir = std::env::temp_dir().join(format!("am_shard_tmp_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::create_dir_all(&dir);
         let cfg = SweepConfig::fixed();
-        for index in [0u32, 2] {
-            let spec = ShardSpec { index, count: 3 };
-            let store = ShardCheckpointStore::create(dir.join(spec.file_name("e6")), 0, spec, &cfg);
-            store
-                .update(
-                    "pt",
-                    ShardPointCheckpoint {
-                        batch_hits: vec![u64::from(index)],
-                        done: true,
-                    },
-                )
-                .unwrap();
-        }
-        let (src, warnings) = ShardMergeSource::load(&dir, "e6", 3, 0, &cfg);
-        assert_eq!(
-            warnings.len(),
-            1,
-            "exactly shard 1 is missing: {warnings:?}"
-        );
-        assert!(warnings[0].contains("shard-1-of-3"));
-        assert_eq!(src.hits("pt", 0, 0), Some(0));
-        assert_eq!(src.hits("pt", 1, 0), None, "missing shard has no data");
-        assert_eq!(src.hits("pt", 2, 0), Some(2));
-        assert_eq!(src.hits("pt", 0, 1), None, "beyond recorded windows");
-        assert_eq!(src.hits("nope", 0, 0), None, "unknown point");
-        src.discard_files();
-        assert!(!dir.join("e6.shard-0-of-3.checkpoint.json").exists());
+        let path = dir.join(ShardSpec::UNSHARDED.file_name("e6"));
+        let store = ShardCheckpointStore::create(&path, 0, ShardSpec::UNSHARDED, &cfg);
+        store.update("pt", ShardPointCheckpoint::default()).unwrap();
+        let stale = tmp_path_for(&path, 999_999, 7);
+        let neighbour = dir.join("e6.shard-0-of-2.checkpoint.tmp.1.0");
+        std::fs::write(&stale, "{").unwrap();
+        std::fs::write(&neighbour, "{").unwrap();
+        std::fs::write(dir.join("e6.json"), "{}").unwrap();
+        store.discard();
+        assert!(!path.exists() && !stale.exists());
+        assert!(neighbour.exists(), "another class's tmp file is not ours");
+        assert!(dir.join("e6.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -657,5 +619,34 @@ mod tests {
         let rule = cfg.rule(100);
         assert!(!surely_stopped(&rule, 0, 25, 96), "fixed never stops early");
         assert!(surely_stopped(&rule, 0, 25, 100), "fixed stops at budget");
+    }
+
+    #[test]
+    fn surely_stopped_is_the_exact_rule_on_a_full_tally() {
+        // The unsharded run and the merge see every index below the
+        // boundary, so the conservative test must degenerate to
+        // `StopRule::check` — this is what lets one loop serve all roles.
+        for cfg in [SweepConfig::fixed(), SweepConfig::adaptive(0.05)] {
+            for budget in [0u64, 1, 31, 32, 100, 400] {
+                let rule = cfg.rule(budget);
+                for trials in (0..=budget + 40).step_by(7).chain([budget]) {
+                    for hits in [
+                        0,
+                        1,
+                        trials / 7,
+                        trials / 2,
+                        trials.saturating_sub(1),
+                        trials,
+                    ] {
+                        let hits = hits.min(trials);
+                        assert_eq!(
+                            surely_stopped(&rule, hits, trials, trials),
+                            rule.check(&Proportion::from_counts(hits, trials)).is_some(),
+                            "{cfg:?} budget {budget} tally {hits}/{trials}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

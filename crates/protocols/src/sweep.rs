@@ -15,11 +15,18 @@
 //!   (failure rate ≈ 0 or ≈ 1) finish in a batch or two, hard points near
 //!   the resilience threshold run to the budget cap. [`SweepMode::Fixed`]
 //!   reproduces the historic fixed-budget tables exactly.
-//! * **Checkpoint/resume.** With a [`CheckpointStore`] attached, the
-//!   engine persists per-point tallies and the batch cursor after every
-//!   batch; a resumed run restores them and continues at the cursor,
-//!   producing bit-identical final results (integer tallies + the same
-//!   per-index seeds leave nothing schedule-dependent).
+//! * **One lifecycle for every role.** A process answers for a set of
+//!   residue classes of the trial-index range (see [`crate::shard`]),
+//!   each with an append-only per-window hit log: the unsharded run is
+//!   class `0/1`, a shard is class `i/m`, the merge is all of `mod m`.
+//!   In each batch window a class's hits are *reused* if its log already
+//!   holds that window and *run* otherwise — so `--resume` (own log from
+//!   an earlier process), the merge (the `m` shard logs) and top-up (a
+//!   window some shard never reached) are one mechanism. The stop test
+//!   is [`surely_stopped`], exact whenever the process has seen every
+//!   index, conservative otherwise. Integer tallies plus index-derived
+//!   seeds leave nothing schedule-dependent, so every split, kill and
+//!   resume reproduces the single-process results bit for bit.
 //! * **Warm workers.** Rayon pool threads persist for the process
 //!   lifetime, so the `thread_local!` arenas in [`crate::scratch`]
 //!   (banked-grant buffer, GHOST weight bitsets) warm up on a worker's
@@ -28,33 +35,17 @@
 //!   not just one trial. Buffers are cleared before reuse, so tallies
 //!   stay bit-identical regardless of which worker runs which trial.
 //!
-//! Observability: `sweep.batches`, `sweep.trials`, and
-//! `sweep.trials_saved` counters, plus a `sweep/<key>` span per point.
-//! Sharded and merging engines add `sweep.shard.trials`,
-//! `sweep.merge.windows_reused`, and `sweep.merge.topup_trials`.
-//!
-//! **Multi-process sharding.** Because tallies are pure functions of
-//! `(seed, trial index)`, a sweep can be split across OS processes by
-//! residue class (see [`crate::shard`]): [`SweepRunner::sharded`] runs
-//! one interleaved slice and records per-window hits to a
-//! [`ShardCheckpointStore`]; [`SweepRunner::merging`] replays the
-//! unsharded batch loop with each window's hits summed over shard files,
-//! re-running any window a shard never recorded, and produces results
-//! bit-identical to the single-process engine — adaptive early stops
-//! included.
+//! Observability: a `sweep/<key>` span per point and four counters —
+//! `sweep.batches` (windows in which this process ran trials),
+//! `sweep.trials` (indices this process ran), `sweep.windows_reused`
+//! (class-windows taken from a log instead) and `sweep.trials_saved`
+//! (budget left unspent at each stop this process saw exactly).
 
 use crate::params::Params;
 use crate::runner::{trial_seed, TrialKind};
-use crate::shard::{
-    surely_stopped, write_atomic, ShardCheckpointStore, ShardMergeSource, ShardPointCheckpoint,
-};
+use crate::shard::{surely_stopped, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};
 use am_stats::{Proportion, StopReason, StopRule, WilsonInterval};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// How a sweep spends its per-point trial budget.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -164,144 +155,15 @@ impl PointResult {
     }
 }
 
-/// Per-point persistent state: the tally and the batch cursor. The
-/// cursor always equals `trials` because every trial index below it has
-/// run exactly once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct PointCheckpoint {
-    /// Failure count so far.
-    pub hits: u64,
-    /// Trials run so far (also the next trial index).
-    pub trials: u64,
-    /// Batches executed so far.
-    pub batches: u64,
-    /// Whether the point's stopping rule has fired.
-    pub done: bool,
-}
-
-/// The on-disk checkpoint: schema, base seed, and per-point tallies,
-/// written atomically (tmp + rename) after every batch.
-///
-/// The store is keyed by caller-chosen stable strings (e.g.
-/// `"e8/l0.2/t3/chain"`); a resumed run with the same seed restores each
-/// key's cursor and continues, which — with index-derived trial seeds —
-/// reproduces the uninterrupted run bit for bit. A checkpoint recorded
-/// under a different base seed is ignored on load.
-#[derive(Debug)]
-pub struct CheckpointStore {
-    path: PathBuf,
-    seed: u64,
-    points: Mutex<BTreeMap<String, PointCheckpoint>>,
-}
-
-/// Version stamp of the checkpoint JSON document.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
-
-/// How many batch windows a shard runs between checkpoint flushes. The
-/// in-memory tally is always current; only the file lags. A mid-flush
-/// kill therefore costs at most this many windows of one shard's work
-/// (the merge re-runs whatever the file is missing), while the sweep
+/// How many batch windows a writer runs between checkpoint flushes. The
+/// in-memory log is always current; only the file lags. A hard kill
+/// therefore costs at most this many windows of one point's work (the
+/// next process re-runs whatever the file is missing), while the sweep
 /// avoids rewriting the whole checkpoint after every window.
 const SHARD_FLUSH_WINDOWS: usize = 256;
 
-impl CheckpointStore {
-    /// A fresh store writing to `path`; any existing file is ignored and
-    /// will be overwritten at the first batch.
-    pub fn create(path: impl Into<PathBuf>, seed: u64) -> CheckpointStore {
-        CheckpointStore {
-            path: path.into(),
-            seed,
-            points: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Resumes from `path` if it holds a checkpoint for the same seed;
-    /// otherwise starts fresh (a seed mismatch means the tallies belong
-    /// to a different run and must not be continued).
-    pub fn resume(path: impl Into<PathBuf>, seed: u64) -> CheckpointStore {
-        let path = path.into();
-        let points = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|body| Self::parse(&body, seed))
-            .unwrap_or_default();
-        CheckpointStore {
-            path,
-            seed,
-            points: Mutex::new(points),
-        }
-    }
-
-    fn parse(body: &str, seed: u64) -> Option<BTreeMap<String, PointCheckpoint>> {
-        let v: Value = serde_json::from_str(body).ok()?;
-        if v.get("schema_version")?.as_u64()? != CHECKPOINT_SCHEMA_VERSION as u64
-            || v.get("seed")?.as_u64()? != seed
-        {
-            return None;
-        }
-        let Value::Object(entries) = v.get("points")? else {
-            return None;
-        };
-        let mut points = BTreeMap::new();
-        for (key, val) in entries {
-            points.insert(key.clone(), PointCheckpoint::from_value(val).ok()?);
-        }
-        Some(points)
-    }
-
-    /// The file this store writes.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The recorded state of a point, if any.
-    pub fn lookup(&self, key: &str) -> Option<PointCheckpoint> {
-        self.points.lock().unwrap().get(key).copied()
-    }
-
-    /// Records a point's state and rewrites the checkpoint file.
-    pub fn update(&self, key: &str, cp: PointCheckpoint) -> io::Result<()> {
-        let body = {
-            let mut points = self.points.lock().unwrap();
-            points.insert(key.to_string(), cp);
-            self.render(&points)
-        };
-        write_atomic(&self.path, &body)
-    }
-
-    fn render(&self, points: &BTreeMap<String, PointCheckpoint>) -> String {
-        let doc = Value::Object(vec![
-            (
-                "schema_version".to_string(),
-                CHECKPOINT_SCHEMA_VERSION.to_value(),
-            ),
-            ("seed".to_string(), self.seed.to_value()),
-            (
-                "points".to_string(),
-                Value::Object(
-                    points
-                        .iter()
-                        .map(|(k, cp)| (k.clone(), cp.to_value()))
-                        .collect(),
-                ),
-            ),
-        ]);
-        serde_json::to_string_pretty(&doc).unwrap_or_else(|_| "{}".into())
-    }
-
-    /// Whether every recorded point has finished its stopping rule —
-    /// false after a `max_batches_per_run` halt (or a crash mid-sweep).
-    pub fn all_done(&self) -> bool {
-        self.points.lock().unwrap().values().all(|cp| cp.done)
-    }
-
-    /// Deletes the checkpoint file (call after the final results are
-    /// safely written; a stale checkpoint would shadow the next run).
-    pub fn discard(&self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// The engine: a configuration plus an optional checkpoint store.
+/// The engine: a configuration plus the window logs of the residue
+/// classes this process answers for.
 ///
 /// ```
 /// use am_protocols::sweep::{SweepConfig, SweepRunner};
@@ -314,73 +176,57 @@ impl CheckpointStore {
 /// ```
 pub struct SweepRunner<'a> {
     cfg: SweepConfig,
-    checkpoint: Option<&'a CheckpointStore>,
-    exec: Exec<'a>,
+    stores: &'a [ShardCheckpointStore],
 }
 
-/// How the engine executes trials: locally (the historic single-process
-/// path), as one shard of a multi-process run, or as the merge step
-/// reassembling shard tallies.
-enum Exec<'a> {
-    Local,
-    Shard(&'a ShardCheckpointStore),
-    Merge(&'a ShardMergeSource),
+/// What one point cost this process; [`SweepRunner::estimate`] folds it
+/// into the `sweep.*` counters.
+#[derive(Debug, Default, PartialEq)]
+struct Work {
+    batches: u64,
+    trials: u64,
+    windows_reused: u64,
+    trials_saved: u64,
 }
 
 impl<'a> SweepRunner<'a> {
-    /// An engine without checkpointing (library/test use).
+    /// The plain single-process engine: class `0/1`, no log on disk.
     pub fn new(cfg: SweepConfig) -> SweepRunner<'static> {
-        SweepRunner {
-            cfg,
-            checkpoint: None,
-            exec: Exec::Local,
-        }
+        SweepRunner::over(cfg, &[])
     }
 
-    /// An engine persisting per-point state to `store` after every batch.
-    pub fn with_checkpoints(cfg: SweepConfig, store: &'a CheckpointStore) -> SweepRunner<'a> {
-        SweepRunner {
-            cfg,
-            checkpoint: Some(store),
-            exec: Exec::Local,
-        }
-    }
-
-    /// An engine running one interleaved slice of every point: only trial
-    /// indices owned by `store`'s [`ShardSpec`](crate::shard::ShardSpec)
-    /// run, and per-window hit counts are persisted to `store` for a
-    /// later [`SweepRunner::merging`] pass. The returned tallies cover
-    /// this shard's indices only — they are progress reports, not the
-    /// sweep's estimates.
-    pub fn sharded(cfg: SweepConfig, store: &'a ShardCheckpointStore) -> SweepRunner<'a> {
-        SweepRunner {
-            cfg,
-            checkpoint: None,
-            exec: Exec::Shard(store),
-        }
-    }
-
-    /// An engine replaying the unsharded batch loop with each window's
-    /// hits reassembled from `source`'s shard files; windows no shard
-    /// recorded are re-run inline ("top-up"), so the results are
-    /// bit-identical to a single-process run regardless of shard deaths
-    /// or divergence. An optional `store` checkpoints the merged state
-    /// exactly like an unsharded run.
-    pub fn merging(
-        cfg: SweepConfig,
-        source: &'a ShardMergeSource,
-        store: Option<&'a CheckpointStore>,
-    ) -> SweepRunner<'a> {
-        SweepRunner {
-            cfg,
-            checkpoint: store,
-            exec: Exec::Merge(source),
-        }
+    /// An engine answering for the residue class of every store in
+    /// `stores` (none = the whole range, unlogged). With one store the
+    /// process is that class's writer: windows already in the log are
+    /// reused, the rest are run, appended and flushed — a fresh or
+    /// resumed unsharded run (`0/1`) or shard (`i/m`), whose tallies
+    /// cover its own indices only. With the `m` stores of a split it is
+    /// the merge: a reader of the union of logs that runs whatever window
+    /// no shard recorded and writes nothing.
+    ///
+    /// # Panics
+    /// If the stores do not share one shard count.
+    pub fn over(cfg: SweepConfig, stores: &'a [ShardCheckpointStore]) -> SweepRunner<'a> {
+        assert!(
+            stores
+                .iter()
+                .all(|s| s.spec().count() == stores[0].spec().count()),
+            "the logs of one sweep share one shard count"
+        );
+        SweepRunner { cfg, stores }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &SweepConfig {
         &self.cfg
+    }
+
+    /// The log this process appends to, if it is a class's single writer.
+    pub fn log(&self) -> Option<&'a ShardCheckpointStore> {
+        match self.stores {
+            [store] => Some(store),
+            _ => None,
+        }
     }
 
     /// Estimates a Bernoulli proportion: `trial(i)` runs trial `i` and
@@ -391,205 +237,119 @@ impl<'a> SweepRunner<'a> {
     /// The trial function must be deterministic in `i` (derive all
     /// randomness from `i`, e.g. via
     /// [`trial_seed`](crate::runner::trial_seed)); the engine guarantees
-    /// each index in `0..trials_used` runs exactly once, across batches
-    /// and resumes.
+    /// each index in `0..trials_used` runs exactly once, across batches,
+    /// shards and resumes.
     pub fn estimate<F>(&self, key: &str, budget: u64, trial: F) -> PointResult
     where
         F: Fn(u64) -> bool + Sync,
     {
-        match self.exec {
-            Exec::Local => self.estimate_with(key, budget, |_window, lo, n| {
-                (lo..lo + n).into_par_iter().filter(|&i| trial(i)).count() as u64
-            }),
-            Exec::Merge(source) => {
-                let shards = u64::from(source.count());
-                self.estimate_with(key, budget, |window, lo, n| {
-                    // Reassemble this window's hits shard by shard; any
-                    // residue class without a recorded tally (killed
-                    // shard, or a shard whose local view stopped this
-                    // point earlier) is topped up by running its trial
-                    // indices right here.
-                    let mut hits = 0u64;
-                    for r in 0..shards {
-                        match source.hits(key, r as u32, window) {
-                            Some(h) => {
-                                hits += h;
-                                am_obs::counter("sweep.merge.windows_reused").inc();
-                            }
-                            None => {
-                                hits += (lo..lo + n)
-                                    .into_par_iter()
-                                    .filter(|&i| i % shards == r)
-                                    .filter(|&i| trial(i))
-                                    .count() as u64;
-                                am_obs::counter("sweep.merge.topup_trials").add(n.div_ceil(shards));
-                            }
-                        }
-                    }
-                    hits
-                })
-            }
-            Exec::Shard(store) => self.estimate_shard(store, key, budget, &trial),
-        }
-    }
-
-    /// The unsharded batch loop, generic over where a window's hit count
-    /// comes from: `window_hits(window, lo, n)` must return the failure
-    /// count over global trial indices `[lo, lo + n)` — by running them
-    /// ([`Exec::Local`]) or by summing shard tallies ([`Exec::Merge`]).
-    /// Stopping decisions, checkpoint writes, and counters are identical
-    /// either way, which is what makes the merge bit-exact.
-    fn estimate_with<W>(&self, key: &str, budget: u64, mut window_hits: W) -> PointResult
-    where
-        W: FnMut(u64, u64, u64) -> u64,
-    {
         let _span = am_obs::span(format!("sweep/{key}"));
-        let rule = self.cfg.rule(budget);
-        let mut cp = self
-            .checkpoint
-            .and_then(|s| s.lookup(key))
-            .unwrap_or_default();
-        let mut batches_this_run = 0u64;
-        loop {
-            let tally = Proportion::from_counts(cp.hits, cp.trials);
-            if cp.done {
-                // Replayed from a checkpoint that already stopped; the
-                // reason is re-derived from the same rule and tally.
-                let stop = rule.check(&tally).unwrap_or(StopReason::Budget);
-                return self.finish(budget, cp, stop);
-            }
-            if let Some(stop) = rule.check(&tally) {
-                cp.done = true;
-                self.save(key, cp);
-                am_obs::counter("sweep.trials_saved").add(budget.saturating_sub(cp.trials));
-                return self.finish(budget, cp, stop);
-            }
-            if self
-                .cfg
-                .max_batches_per_run
-                .is_some_and(|cap| batches_this_run >= cap)
-            {
-                return PointResult {
-                    tally,
-                    budget,
-                    batches: cp.batches,
-                    stop: StopReason::Budget,
-                    complete: false,
-                };
-            }
-            let n = rule.next_batch(cp.trials, self.cfg.batch);
-            debug_assert!(n > 0, "rule must stop before an empty batch");
-            let hits = window_hits(cp.batches, cp.trials, n);
-            cp.hits += hits;
-            cp.trials += n;
-            cp.batches += 1;
-            batches_this_run += 1;
-            am_obs::counter("sweep.batches").inc();
-            am_obs::counter("sweep.trials").add(n);
-            self.save(key, cp);
-        }
+        let (result, work) = self.run_point(key, budget, &trial);
+        am_obs::counter("sweep.batches").add(work.batches);
+        am_obs::counter("sweep.trials").add(work.trials);
+        am_obs::counter("sweep.windows_reused").add(work.windows_reused);
+        am_obs::counter("sweep.trials_saved").add(work.trials_saved);
+        result
     }
 
-    /// One shard's slice of a point: runs only the trial indices its
-    /// residue class owns inside each global batch window, records the
-    /// per-window hits, and stops once the *global* rule has provably
-    /// fired ([`surely_stopped`]) — the conservative bound means a shard
-    /// may run a few windows past where the merged run will stop, never
-    /// fewer. The returned tally covers this shard's indices only.
-    fn estimate_shard<F>(
-        &self,
-        store: &ShardCheckpointStore,
-        key: &str,
-        budget: u64,
-        trial: &F,
-    ) -> PointResult
+    /// The one batch loop. Walks the global batch windows; in each, every
+    /// class this process answers for contributes its logged hits or, if
+    /// the log is short, runs its indices of the window. Stops once the
+    /// single-process rule has provably fired given what was seen.
+    fn run_point<F>(&self, key: &str, budget: u64, trial: &F) -> (PointResult, Work)
     where
         F: Fn(u64) -> bool + Sync,
     {
-        let _span = am_obs::span(format!("sweep/{key}"));
         let rule = self.cfg.rule(budget);
-        let spec = store.spec();
-        let mut cp = store.lookup(key).unwrap_or_default();
-        // The global trial boundary after the recorded windows; window
-        // sizes are deterministic, so it is reconstructible from the
-        // window count alone.
-        let mut bound = (cp.batch_hits.len() as u64 * self.cfg.batch).min(budget);
-        let mut own_hits: u64 = cp.batch_hits.iter().sum();
-        let mut own_trials = spec.trials_in(0, bound);
-        let mut batches_this_run = 0u64;
-        loop {
-            if !cp.done && surely_stopped(&rule, own_hits, own_trials, bound) {
-                cp.done = true;
-                self.save_shard(store, key, &cp);
-            }
-            if cp.done {
-                let stop = if bound >= budget {
-                    StopReason::Budget
-                } else {
-                    StopReason::HalfWidth
-                };
-                return self.finish(
-                    budget,
-                    PointCheckpoint {
-                        hits: own_hits,
-                        trials: own_trials,
-                        batches: cp.batch_hits.len() as u64,
-                        done: true,
-                    },
-                    stop,
-                );
+        let mut logs: Vec<(ShardSpec, ShardPointCheckpoint)> = match self.stores {
+            [] => vec![(ShardSpec::UNSHARDED, ShardPointCheckpoint::default())],
+            stores => stores
+                .iter()
+                .map(|s| (s.spec(), s.lookup(key).unwrap_or_default()))
+                .collect(),
+        };
+        let was_done = logs[0].1.done;
+        let mut work = Work::default();
+        // `seen` tallies this process's classes below the global trial
+        // boundary `bound`; window sizes are deterministic, so a resumed
+        // log's boundary is reconstructed by replaying its windows.
+        let (mut seen, mut bound, mut window) = (Proportion::new(), 0u64, 0usize);
+        let complete = loop {
+            if surely_stopped(&rule, seen.hits, seen.trials, bound) {
+                break true;
             }
             if self
                 .cfg
                 .max_batches_per_run
-                .is_some_and(|cap| batches_this_run >= cap)
+                .is_some_and(|cap| work.batches >= cap)
             {
-                // Durability boundary: persist any staged windows before
-                // handing control back for the resume.
-                self.save_shard(store, key, &cp);
-                return PointResult {
-                    tally: Proportion::from_counts(own_hits, own_trials),
-                    budget,
-                    batches: cp.batch_hits.len() as u64,
-                    stop: StopReason::Budget,
-                    complete: false,
-                };
+                break false;
             }
             let n = rule.next_batch(bound, self.cfg.batch);
             debug_assert!(n > 0, "surely_stopped must fire at the budget");
-            let hits = (bound..bound + n)
-                .into_par_iter()
-                .filter(|&i| spec.owns(i))
-                .filter(|&i| trial(i))
-                .count() as u64;
-            let own_n = spec.trials_in(bound, bound + n);
-            cp.batch_hits.push(hits);
-            own_hits += hits;
-            own_trials += own_n;
-            bound += n;
-            batches_this_run += 1;
-            am_obs::counter("sweep.batches").inc();
-            am_obs::counter("sweep.shard.trials").add(own_n);
-            // Rewriting the file every window is O(windows²) I/O on
-            // scaled sweeps; stage in memory and flush every
-            // SHARD_FLUSH_WINDOWS (a kill loses at most that many
-            // windows of one shard's work — the merge re-runs them).
-            if cp.batch_hits.len().is_multiple_of(SHARD_FLUSH_WINDOWS) {
-                self.save_shard(store, key, &cp);
-            } else {
-                store.stage(key, cp.clone());
+            let mut ran = false;
+            for (class, log) in &mut logs {
+                let own_n = class.trials_in(bound, bound + n);
+                let hits = match log.batch_hits.get(window) {
+                    Some(&hits) => {
+                        work.windows_reused += 1;
+                        hits
+                    }
+                    None => {
+                        let hits = (bound..bound + n)
+                            .into_par_iter()
+                            .filter(|&i| class.owns(i) && trial(i))
+                            .count() as u64;
+                        log.batch_hits.push(hits);
+                        work.trials += own_n;
+                        ran = true;
+                        hits
+                    }
+                };
+                seen.hits += hits;
+                seen.trials += own_n;
             }
+            bound += n;
+            window += 1;
+            if ran {
+                work.batches += 1;
+                if window.is_multiple_of(SHARD_FLUSH_WINDOWS) {
+                    self.save(key, &logs[0].1);
+                }
+            }
+        };
+        // Durability boundaries: the point finished, or the batch cap is
+        // handing control back for a later resume.
+        logs[0].1.done = complete;
+        if work.batches > 0 || complete != was_done {
+            self.save(key, &logs[0].1);
         }
-    }
-
-    fn save_shard(&self, store: &ShardCheckpointStore, key: &str, cp: &ShardPointCheckpoint) {
-        store.stage(key, cp.clone());
-        if let Err(e) = store.flush() {
-            eprintln!(
-                "[sweep] shard checkpoint write to {} failed: {e}",
-                store.path().display()
-            );
+        // Whether `seen` is the global tally, i.e. the stop test was exact.
+        let exact = seen.trials == bound;
+        if complete && exact {
+            work.trials_saved = budget - seen.trials;
         }
+        let stop = if !complete {
+            StopReason::Budget
+        } else if self.cfg.mode == SweepMode::Fixed {
+            StopReason::Fixed
+        } else if let (true, Some(stop)) = (exact, rule.check(&seen)) {
+            stop
+        } else if bound >= budget {
+            // A shard's tally is partial, so report which bound its
+            // conservative test ran into instead of the rule's verdict.
+            StopReason::Budget
+        } else {
+            StopReason::HalfWidth
+        };
+        let result = PointResult {
+            tally: seen,
+            budget,
+            batches: window as u64,
+            stop,
+            complete,
+        };
+        (result, work)
     }
 
     /// Estimates the validity-failure rate of `kind` at `p` — the
@@ -606,9 +366,9 @@ impl<'a> SweepRunner<'a> {
         result
     }
 
-    fn save(&self, key: &str, cp: PointCheckpoint) {
-        if let Some(store) = self.checkpoint {
-            if let Err(e) = store.update(key, cp) {
+    fn save(&self, key: &str, cp: &ShardPointCheckpoint) {
+        if let Some(store) = self.log() {
+            if let Err(e) = store.update(key, cp.clone()) {
                 // Checkpointing is crash insurance, not correctness; a
                 // full disk must not kill the sweep itself.
                 eprintln!(
@@ -618,20 +378,6 @@ impl<'a> SweepRunner<'a> {
             }
         }
     }
-
-    fn finish(&self, budget: u64, cp: PointCheckpoint, stop: StopReason) -> PointResult {
-        let stop = match self.cfg.mode {
-            SweepMode::Fixed => StopReason::Fixed,
-            SweepMode::Adaptive { .. } => stop,
-        };
-        PointResult {
-            tally: Proportion::from_counts(cp.hits, cp.trials),
-            budget,
-            batches: cp.batches,
-            stop,
-            complete: true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -639,6 +385,9 @@ mod tests {
     use super::*;
     use crate::chain::{ChainAdversary, TieBreak};
     use crate::runner::measure_failure_rate;
+    use crate::shard::LoadError;
+    use std::num::NonZeroU32;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn coin(i: u64) -> bool {
         // A deterministic ~30% coin on the trial index.
@@ -702,74 +451,66 @@ mod tests {
         assert_eq!(adaptive.tally, prefix);
     }
 
-    #[test]
-    fn checkpoint_resume_is_bit_identical() {
-        let dir = std::env::temp_dir().join("am_sweep_ckpt_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("checkpoint.json");
-
-        // Uninterrupted reference.
-        let full = SweepRunner::new(SweepConfig::adaptive(0.03)).estimate("pt", 4000, coin);
-
-        // Interrupted after one batch per process, resumed until done.
-        let mut halted_cfg = SweepConfig::adaptive(0.03);
-        halted_cfg.max_batches_per_run = Some(1);
-        let store = CheckpointStore::create(&path, 9);
-        let first = SweepRunner::with_checkpoints(halted_cfg, &store).estimate("pt", 4000, coin);
-        assert!(!first.complete);
-        assert!(!store.all_done());
-        let mut resumed = first;
-        for _ in 0..200 {
-            let store = CheckpointStore::resume(&path, 9);
-            resumed = SweepRunner::with_checkpoints(halted_cfg, &store).estimate("pt", 4000, coin);
-            if resumed.complete {
-                assert!(store.all_done());
-                break;
-            }
-        }
-        assert!(resumed.complete, "resume loop never finished");
-        assert_eq!(resumed.tally, full.tally);
-        assert_eq!(resumed.batches, full.batches);
-        assert_eq!(resumed.stop, full.stop);
-
-        // A third run over the finished checkpoint replays without trials.
-        let store = CheckpointStore::resume(&path, 9);
-        let replay = SweepRunner::with_checkpoints(halted_cfg, &store)
-            .estimate("pt", 4000, |_| panic!("done points must not re-run trials"));
-        assert_eq!(replay.tally, full.tally);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_ignores_other_seeds() {
-        let dir = std::env::temp_dir().join("am_sweep_seed_test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("checkpoint.json");
-        let store = CheckpointStore::create(&path, 1);
-        store
-            .update(
-                "k",
-                PointCheckpoint {
-                    hits: 5,
-                    trials: 10,
-                    batches: 1,
-                    done: true,
-                },
-            )
-            .unwrap();
-        assert!(CheckpointStore::resume(&path, 1).lookup("k").is_some());
-        assert!(
-            CheckpointStore::resume(&path, 2).lookup("k").is_none(),
-            "a different seed's tallies must not be continued"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     fn shard_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("am_sweep_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::create_dir_all(&dir);
         dir
+    }
+
+    fn halted(cfg: SweepConfig) -> SweepConfig {
+        SweepConfig {
+            max_batches_per_run: Some(1),
+            ..cfg
+        }
+    }
+
+    /// The class's log under `dir`, reopened if a usable file is there.
+    fn open(dir: &std::path::Path, spec: ShardSpec, cfg: &SweepConfig) -> ShardCheckpointStore {
+        let path = dir.join(spec.file_name("pt"));
+        ShardCheckpointStore::load(&path, 9, spec, cfg)
+            .unwrap_or_else(|_| ShardCheckpointStore::create(&path, 9, spec, cfg))
+    }
+
+    /// Runs one class as a chain of processes that each die after a
+    /// single window, until the class reports done.
+    fn stutter(dir: &std::path::Path, spec: ShardSpec, cfg: SweepConfig, budget: u64) {
+        for _ in 0..400 {
+            let store = [open(dir, spec, &halted(cfg))];
+            if SweepRunner::over(halted(cfg), &store)
+                .estimate("pt", budget, coin)
+                .complete
+            {
+                assert!(store[0].all_done());
+                return;
+            }
+            assert!(!store[0].all_done());
+        }
+        panic!("resume loop never finished");
+    }
+
+    #[test]
+    fn checkpoint_resume_is_bit_identical() {
+        // Uninterrupted reference vs. one window per process, resumed
+        // until done: same tally, batch count and stop reason.
+        let cfg = SweepConfig::adaptive(0.03);
+        let full = SweepRunner::new(cfg).estimate("pt", 4000, coin);
+        let dir = shard_dir("ckpt");
+        stutter(&dir, ShardSpec::UNSHARDED, cfg, 4000);
+        let store = [open(&dir, ShardSpec::UNSHARDED, &cfg)];
+        assert_eq!(
+            store[0].lookup("pt").unwrap().batch_hits.len() as u64,
+            full.batches
+        );
+        let before = std::fs::read(store[0].path()).unwrap();
+
+        // A further run over the finished log replays without trials and
+        // without touching the file.
+        let replay = SweepRunner::over(cfg, &store)
+            .estimate("pt", 4000, |_| panic!("done points must not re-run trials"));
+        assert_eq!(replay, full);
+        assert_eq!(std::fs::read(store[0].path()).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn run_sharded_and_merge(
@@ -778,33 +519,33 @@ mod tests {
         budget: u64,
         tag: &str,
         kill_shard: Option<u32>,
-    ) -> PointResult {
-        use crate::shard::{ShardCheckpointStore, ShardMergeSource, ShardSpec};
+    ) -> (PointResult, Work, u64) {
         let dir = shard_dir(tag);
-        for index in 0..shards {
-            let spec = ShardSpec::new(index, shards).unwrap();
-            let path = dir.join(spec.file_name("pt"));
-            if kill_shard == Some(index) {
-                // Simulate a kill mid-run: one window per process, one
-                // process — the shard file ends incomplete.
-                let mut halted = cfg;
-                halted.max_batches_per_run = Some(1);
-                let store = ShardCheckpointStore::create(&path, 9, spec, &halted);
-                let r = SweepRunner::sharded(halted, &store).estimate("pt", budget, coin);
-                assert!(!r.complete || budget <= halted.batch);
+        let count = NonZeroU32::new(shards).unwrap();
+        for spec in ShardSpec::all(count) {
+            // A killed shard is one window in one process: its file ends
+            // incomplete.
+            let cfg = if kill_shard == Some(spec.index()) {
+                halted(cfg)
             } else {
-                let store = ShardCheckpointStore::create(&path, 9, spec, &cfg);
-                let r = SweepRunner::sharded(cfg, &store).estimate("pt", budget, coin);
-                assert!(r.complete);
-                assert!(store.all_done());
-            }
+                cfg
+            };
+            let store = [open(&dir, spec, &cfg)];
+            let r = SweepRunner::over(cfg, &store).estimate("pt", budget, coin);
+            assert_eq!(r.complete, store[0].all_done());
+            assert!(r.complete || cfg.max_batches_per_run.is_some());
         }
-        let (source, warnings) = ShardMergeSource::load(&dir, "pt", shards, 9, &cfg);
-        assert!(warnings.is_empty(), "all shard files present: {warnings:?}");
-        let merged = SweepRunner::merging(cfg, &source, None).estimate("pt", budget, coin);
-        source.discard_files();
+        let stores: Vec<_> = ShardSpec::all(count)
+            .map(|spec| ShardCheckpointStore::load(dir.join(spec.file_name("pt")), 9, spec, &cfg))
+            .collect::<Result<_, _>>()
+            .expect("all shard files present");
+        let calls = AtomicU64::new(0);
+        let (merged, work) = SweepRunner::over(cfg, &stores).run_point("pt", budget, &|i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            coin(i)
+        });
         let _ = std::fs::remove_dir_all(&dir);
-        merged
+        (merged, work, calls.into_inner())
     }
 
     #[test]
@@ -812,7 +553,7 @@ mod tests {
         let cfg = SweepConfig::fixed();
         let full = SweepRunner::new(cfg).estimate("pt", 500, coin);
         for shards in [1, 2, 4, 7] {
-            let merged = run_sharded_and_merge(cfg, shards, 500, "fx", None);
+            let (merged, ..) = run_sharded_and_merge(cfg, shards, 500, "fx", None);
             assert_eq!(merged, full, "{shards} shards");
         }
     }
@@ -826,7 +567,7 @@ mod tests {
         let full = SweepRunner::new(cfg).estimate("pt", 4000, coin);
         assert_eq!(full.stop, StopReason::HalfWidth, "test wants an early stop");
         for shards in [1, 2, 4] {
-            let merged = run_sharded_and_merge(cfg, shards, 4000, "ad", None);
+            let (merged, ..) = run_sharded_and_merge(cfg, shards, 4000, "ad", None);
             assert_eq!(merged, full, "{shards} shards");
         }
     }
@@ -837,56 +578,96 @@ mod tests {
         // residue class inline and still reproduces the unsharded run.
         let cfg = SweepConfig::adaptive(0.04);
         let full = SweepRunner::new(cfg).estimate("pt", 4000, coin);
-        let merged = run_sharded_and_merge(cfg, 3, 4000, "kill", Some(1));
+        let (merged, ..) = run_sharded_and_merge(cfg, 3, 4000, "kill", Some(1));
         assert_eq!(merged, full);
     }
 
     #[test]
+    fn work_counts_exactly_the_indices_run_and_reused() {
+        // Indices run + indices reused == trials_used, with "run" being
+        // precisely the trial calls made — per class, not `n / shards`
+        // rounded up (32-trial windows over 3 shards hold 11, 11 and 10).
+        let cfg = SweepConfig::adaptive(0.04);
+        let calls = AtomicU64::new(0);
+        let (full, work) = SweepRunner::new(cfg).run_point("pt", 4000, &|i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            coin(i)
+        });
+        let used = full.trials_used();
+        assert!(used % 3 != 0, "test wants uneven classes");
+        let expect = Work {
+            batches: full.batches,
+            trials: used,
+            windows_reused: 0,
+            trials_saved: 4000 - used,
+        };
+        assert_eq!((work, calls.into_inner()), (expect, used));
+
+        // Healthy 3-way split: the merge runs nothing.
+        let (merged, work, calls) = run_sharded_and_merge(cfg, 3, 4000, "w3", None);
+        let expect = Work {
+            batches: 0,
+            trials: 0,
+            windows_reused: 3 * full.batches,
+            trials_saved: 4000 - used,
+        };
+        assert_eq!((merged, work, calls), (full, expect, 0));
+
+        // Shard 1 logged only window 0: the merge runs class 1's indices
+        // of every later window and reuses everything else.
+        let (merged, work, calls) = run_sharded_and_merge(cfg, 3, 4000, "wk", Some(1));
+        let topped_up = ShardSpec::new(1, 3).unwrap().trials_in(cfg.batch, used);
+        let expect = Work {
+            batches: full.batches - 1,
+            trials: topped_up,
+            windows_reused: 2 * full.batches + 1,
+            trials_saved: 4000 - used,
+        };
+        assert_eq!((merged, work, calls), (full, expect, topped_up));
+    }
+
+    #[test]
     fn merge_with_no_shard_files_degrades_to_local() {
-        // All shards missing: the merge runs every trial itself.
-        use crate::shard::ShardMergeSource;
+        // All shards missing: the merge runs every trial itself and,
+        // being a reader, leaves no file behind.
         let dir = shard_dir("empty");
         let cfg = SweepConfig::adaptive(0.04);
-        let (source, warnings) = ShardMergeSource::load(&dir, "pt", 4, 9, &cfg);
-        assert_eq!(warnings.len(), 4);
-        let merged = SweepRunner::merging(cfg, &source, None).estimate("pt", 4000, coin);
+        let stores: Vec<_> = ShardSpec::all(NonZeroU32::new(4).unwrap())
+            .map(|spec| {
+                let path = dir.join(spec.file_name("pt"));
+                let missing = ShardCheckpointStore::load(&path, 9, spec, &cfg).unwrap_err();
+                assert_eq!(missing, LoadError::Missing);
+                ShardCheckpointStore::create(path, 9, spec, &cfg)
+            })
+            .collect();
+        let merged = SweepRunner::over(cfg, &stores).estimate("pt", 4000, coin);
         let full = SweepRunner::new(cfg).estimate("pt", 4000, coin);
         assert_eq!(merged, full);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn killed_shard_resumes_from_its_checkpoint() {
-        use crate::shard::{ShardCheckpointStore, ShardSpec};
         let cfg = SweepConfig::adaptive(0.03);
         let budget = 4000;
         let dir = shard_dir("resume");
         let spec = ShardSpec::new(1, 4).unwrap();
-        let path = dir.join(spec.file_name("pt"));
 
         // Reference: the shard run uninterrupted.
-        let clean_store = ShardCheckpointStore::create(&path, 9, spec, &cfg);
-        let clean = SweepRunner::sharded(cfg, &clean_store).estimate("pt", budget, coin);
-        let clean_cp = clean_store.lookup("pt").unwrap();
-        clean_store.discard();
+        let clean_store = [open(&dir, spec, &cfg)];
+        let clean = SweepRunner::over(cfg, &clean_store).estimate("pt", budget, coin);
+        let clean_cp = clean_store[0].lookup("pt").unwrap();
+        clean_store[0].discard();
 
         // One window per process, resumed until done.
-        let mut halted = cfg;
-        halted.max_batches_per_run = Some(1);
-        let store = ShardCheckpointStore::create(&path, 9, spec, &halted);
-        let first = SweepRunner::sharded(halted, &store).estimate("pt", budget, coin);
-        assert!(!first.complete);
-        let mut resumed = first;
-        for _ in 0..400 {
-            let store = ShardCheckpointStore::resume(&path, 9, spec, &halted);
-            resumed = SweepRunner::sharded(halted, &store).estimate("pt", budget, coin);
-            if resumed.complete {
-                assert_eq!(store.lookup("pt").unwrap(), clean_cp);
-                break;
-            }
-        }
-        assert!(resumed.complete, "resume loop never finished");
-        assert_eq!(resumed, clean);
+        stutter(&dir, spec, cfg, budget);
+        let store = [open(&dir, spec, &cfg)];
+        assert_eq!(store[0].lookup("pt").unwrap(), clean_cp);
+        let replay = SweepRunner::over(cfg, &store).estimate("pt", budget, |_| {
+            panic!("done points must not re-run trials")
+        });
+        assert_eq!(replay, clean);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -895,19 +676,17 @@ mod tests {
         // A shard stops at or after the global stop point (never before),
         // so the merge never asks for an unrecorded window of a healthy
         // shard — pin that containment directly.
-        use crate::shard::{ShardCheckpointStore, ShardSpec};
         let cfg = SweepConfig::adaptive(0.04);
         let budget = 4000;
         let full = SweepRunner::new(cfg).estimate("pt", budget, coin);
         let dir = shard_dir("overrun");
-        for index in 0..3u32 {
-            let spec = ShardSpec::new(index, 3).unwrap();
-            let store = ShardCheckpointStore::create(dir.join(spec.file_name("pt")), 9, spec, &cfg);
-            SweepRunner::sharded(cfg, &store).estimate("pt", budget, coin);
-            let cp = store.lookup("pt").unwrap();
+        for spec in ShardSpec::all(NonZeroU32::new(3).unwrap()) {
+            let store = [open(&dir, spec, &cfg)];
+            SweepRunner::over(cfg, &store).estimate("pt", budget, coin);
+            let cp = store[0].lookup("pt").unwrap();
             assert!(
                 cp.batch_hits.len() as u64 >= full.batches,
-                "shard {index} recorded {} windows < global {}",
+                "shard {spec} recorded {} windows < global {}",
                 cp.batch_hits.len(),
                 full.batches
             );

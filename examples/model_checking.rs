@@ -11,8 +11,8 @@
 //!
 //! A second mode splits the Lemma 3.1 round-lower-bound frontier across
 //! OS processes, mirroring the experiments CLI's sweep sharding
-//! (DESIGN.md §15): each shard owns the input masks in its residue
-//! class, writes its tagged witnesses to a small JSON file, and a merge
+//! (DESIGN.md §8, "Sweep lifecycle"): each shard owns the input masks in
+//! its residue class, writes its tagged witnesses to a small JSON file, and a merge
 //! pass reproduces `search_disagreement_t_parallel`'s answer exactly:
 //!
 //! ```text

@@ -1,17 +1,17 @@
 //! `sweepd`: a minimal multi-process sweep supervisor built directly on
-//! the `am-experiments` library (DESIGN.md §15).
+//! the `am-experiments` library (DESIGN.md, "Sweep lifecycle").
 //!
 //! ```text
 //! cargo run --release --example sweepd -- e8 --workers 4 --fast --out-dir out
 //! ```
 //!
-//! The supervisor re-executes itself once per shard (a hidden
-//! `--worker i/m` mode), monitors the children, restarts any that die —
-//! resuming from the shard checkpoint the dead worker left behind — and
-//! merges the shard tallies into final results byte-identical to an
-//! unsharded run. The experiments CLI's `--workers` flag does the same
-//! thing; this example is the library-level recipe for embedding the
-//! pattern in other binaries.
+//! The supervisor hands `am_experiments::coordinate` the argv of its own
+//! hidden `--worker i/m` mode; the library re-executes the binary once
+//! per shard, monitors the children, restarts any that die — resuming
+//! from the shard checkpoint the dead worker left behind — and merges the
+//! shard tallies into final results byte-identical to an unsharded run.
+//! The experiments CLI's `--workers` flag calls the same function; this
+//! example is the recipe for embedding it in another binary.
 //!
 //! Flags (defaults in brackets):
 //!
@@ -29,9 +29,9 @@
 //! checkpoint survives, the supervisor restarts it with `--resume`, and
 //! the merged output still matches the unsharded run byte for byte.
 
-use am_experiments::{execute, HarnessOpts};
+use am_experiments::{coordinate, execute, HarnessOpts, SweepRole};
 use am_protocols::{ShardSpec, SweepConfig};
-use std::process::{Command, Stdio};
+use std::num::NonZeroU32;
 
 fn usage(err: &str) -> ! {
     eprintln!("sweepd: {err}");
@@ -52,7 +52,7 @@ fn parse<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
 
 struct Cli {
     id: Option<String>,
-    workers: u32,
+    workers: NonZeroU32,
     seed: u64,
     out_dir: String,
     fast: bool,
@@ -69,7 +69,7 @@ struct Cli {
 fn parse_args() -> Cli {
     let mut cli = Cli {
         id: None,
-        workers: 2,
+        workers: NonZeroU32::new(2).expect("2 > 0"),
         seed: 0,
         out_dir: "out-sweepd".to_string(),
         fast: false,
@@ -98,7 +98,7 @@ fn parse_args() -> Cli {
             other => usage(&format!("unknown flag {other:?}")),
         }
     }
-    if !(1..=256).contains(&cli.workers) {
+    if cli.workers.get() > 256 {
         usage("--workers must be in 1..=256");
     }
     if let Some(w) = cli.adaptive {
@@ -126,7 +126,7 @@ fn base_opts(cli: &Cli) -> HarnessOpts {
 /// restart with `--resume`).
 fn run_worker(cli: &Cli, id: &str, spec: ShardSpec) -> ! {
     let mut opts = base_opts(cli);
-    opts.shard = Some(spec);
+    opts.role = SweepRole::Shard(spec);
     opts.resume = cli.resume;
     if cli.cap {
         // The chaos demo: give up after one batch window, leaving a
@@ -139,11 +139,11 @@ fn run_worker(cli: &Cli, id: &str, spec: ShardSpec) -> ! {
     std::process::exit(if rec.output.is_some() { 0 } else { 3 });
 }
 
-fn worker_args(cli: &Cli, id: &str, index: u32, resume: bool) -> Vec<String> {
+fn worker_args(cli: &Cli, id: &str, spec: ShardSpec, resume: bool) -> Vec<String> {
     let mut args = vec![
         id.to_string(),
         "--worker".to_string(),
-        format!("{index}/{}", cli.workers),
+        spec.to_string(),
         "--seed".to_string(),
         cli.seed.to_string(),
         "--out-dir".to_string(),
@@ -158,7 +158,7 @@ fn worker_args(cli: &Cli, id: &str, index: u32, resume: bool) -> Vec<String> {
     }
     if resume {
         args.push("--resume".to_string());
-    } else if cli.chaos_kill == Some(index) {
+    } else if cli.chaos_kill == Some(spec.index()) {
         args.push("--cap".to_string());
     }
     args
@@ -172,72 +172,12 @@ fn main() {
     if let Some(spec) = cli.worker {
         run_worker(&cli, &id, spec);
     }
-    if let Some(i) = cli.chaos_kill {
-        if i >= cli.workers {
-            usage("--chaos-kill index out of range");
-        }
+    if cli.chaos_kill.is_some_and(|i| i >= cli.workers.get()) {
+        usage("--chaos-kill index out of range");
     }
-    let exe = std::env::current_exe().unwrap_or_else(|e| usage(&format!("current_exe: {e}")));
-
-    struct Slot {
-        index: u32,
-        child: std::process::Child,
-        retries: u32,
-    }
-    const MAX_RETRIES: u32 = 2;
-    let spawn = |index: u32, resume: bool| -> std::process::Child {
-        Command::new(&exe)
-            .args(worker_args(&cli, &id, index, resume))
-            .stdout(Stdio::null())
-            .spawn()
-            .unwrap_or_else(|e| usage(&format!("spawn worker {index}: {e}")))
-    };
     println!("sweepd: {id} across {} worker processes", cli.workers);
-    let mut slots: Vec<Slot> = (0..cli.workers)
-        .map(|index| Slot {
-            index,
-            child: spawn(index, false),
-            retries: 0,
-        })
-        .collect();
-    while !slots.is_empty() {
-        let mut i = 0;
-        while i < slots.len() {
-            match slots[i].child.try_wait() {
-                Ok(Some(status)) if status.success() => {
-                    println!("sweepd: worker {} finished", slots[i].index);
-                    slots.swap_remove(i);
-                }
-                Ok(Some(status)) => {
-                    let slot = &mut slots[i];
-                    if slot.retries >= MAX_RETRIES {
-                        println!(
-                            "sweepd: worker {} failed {status} after {MAX_RETRIES} retries; \
-                             the merge will re-run its missing trials",
-                            slot.index
-                        );
-                        slots.swap_remove(i);
-                    } else {
-                        slot.retries += 1;
-                        println!(
-                            "sweepd: worker {} exited {status}; restarting from its checkpoint \
-                             (attempt {}/{MAX_RETRIES})",
-                            slot.index, slot.retries
-                        );
-                        slot.child = spawn(slot.index, true);
-                        i += 1;
-                    }
-                }
-                Ok(None) => i += 1,
-                Err(e) => usage(&format!("wait worker {}: {e}", slots[i].index)),
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    println!("sweepd: merging {} shards", cli.workers);
-    let mut opts = base_opts(&cli);
-    opts.merge_shards = Some(cli.workers);
-    if execute(&id, &opts).is_none() {
+    let child = |spec, resume| worker_args(&cli, &id, spec, resume);
+    if coordinate(&id, &base_opts(&cli), cli.workers, child).is_none() {
         usage(&format!("unknown experiment {id:?}"));
     }
 }
