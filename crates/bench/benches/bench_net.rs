@@ -4,10 +4,21 @@
 
 use am_bench::{presets::Preset, recorder};
 use am_mp::{MpSystem, Network, Payload};
-use am_net::{Fault, LatencyModel, NetProfile, SimNet, Transport};
+use am_net::{Fault, LatencyModel, NetConfig, SimNet, Transport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
+
+/// A fault-free seed-1 mesh recording the delivery trace (what these
+/// lanes have always measured).
+fn traced(latency: LatencyModel, n: usize) -> SimNet<Payload> {
+    NetConfig::builder()
+        .latency(latency)
+        .trace(true)
+        .build()
+        .expect("valid config")
+        .build_net(n, 1)
+}
 
 /// Broadcasts `rounds` waves from every node and drains all arrivals.
 fn pump<T: Transport<Payload>>(net: &mut T, rounds: u64) -> u64 {
@@ -48,15 +59,13 @@ fn bench_broadcast_drain(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("sim_constant", n), &n, |b, &n| {
             b.iter(|| {
-                let mut net: SimNet<Payload> =
-                    SimNet::new(n, 1).with_latency(LatencyModel::Constant(1_000));
+                let mut net: SimNet<Payload> = traced(LatencyModel::Constant(1_000), n);
                 black_box(pump(&mut net, 8))
             })
         });
         g.bench_with_input(BenchmarkId::new("sim_exponential", n), &n, |b, &n| {
             b.iter(|| {
-                let mut net: SimNet<Payload> =
-                    SimNet::new(n, 1).with_latency(LatencyModel::Exponential { mean: 1_000 });
+                let mut net: SimNet<Payload> = traced(LatencyModel::Exponential { mean: 1_000 }, n);
                 black_box(pump(&mut net, 8))
             })
         });
@@ -70,10 +79,13 @@ fn bench_fault_pipeline(c: &mut Criterion) {
     // Cost of the injector chain itself: same load, drops+dup+reorder on.
     g.bench_function("faulty_n16", |b| {
         b.iter(|| {
-            let mut net: SimNet<Payload> = SimNet::new(16, 1).with_latency(LatencyModel::Uniform {
-                lo: 100,
-                hi: 10_000,
-            });
+            let mut net: SimNet<Payload> = traced(
+                LatencyModel::Uniform {
+                    lo: 100,
+                    hi: 10_000,
+                },
+                16,
+            );
             net.add_fault(Fault::Drop { prob: 0.1 });
             net.add_fault(Fault::Duplicate {
                 prob: 0.05,
@@ -107,12 +119,14 @@ fn bench_pr5_networked(_c: &mut Criterion) {
         let mut acc = 0u64;
         for (drop, partition) in [(0.05, None), (0.15, Some((50_000_000u64, 250_000_000u64)))] {
             let n = 8usize;
-            let mut profile =
-                NetProfile::ideal(LatencyModel::Exponential { mean: 1_000_000 }).with_drop(drop);
+            let mut cfg = NetConfig::builder()
+                .latency(LatencyModel::Exponential { mean: 1_000_000 })
+                .drop(drop)
+                .trace(true);
             if let Some((from_ns, until_ns)) = partition {
-                profile = profile.with_partition(from_ns, until_ns);
+                cfg = cfg.partition(from_ns, until_ns);
             }
-            let net: SimNet<Payload> = profile.build(n, 0xe14);
+            let net: SimNet<Payload> = cfg.build().expect("valid config").build_net(n, 0xe14);
             let mut sys = MpSystem::with_transport(net, &[], 0xe14);
             sys.set_naive(naive);
             for i in 0..800 {

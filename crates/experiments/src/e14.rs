@@ -25,7 +25,7 @@
 use crate::report::{f, Report};
 use crate::RunCtx;
 use am_mp::{MpMsg, MpSystem, Payload};
-use am_net::{LatencyModel, NetConfig, NetProfile, SimNet, Transport};
+use am_net::{LatencyModel, NetConfig, SimNet, Transport};
 use am_protocols::{
     run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak, TrialKind,
 };
@@ -71,9 +71,10 @@ pub(crate) fn baseline_equivalence(seed: u64) -> (Table, Vec<String>) {
         ],
     );
     let mut all_equal = true;
+    let ideal = NetConfig::ideal(LatencyModel::Constant(0));
     for &n in &[4usize, 8, 16, 32, 64] {
         let (a_app, a_read, a_total) = e4_script(MpSystem::new(n, &[], seed ^ 42), n);
-        let sim: SimNet<Payload> = SimNet::new(n, seed ^ 42);
+        let sim: SimNet<Payload> = ideal.build_net(n, seed ^ 42);
         let (b_app, b_read, b_total) = e4_script(MpSystem::with_transport(sim, &[], seed ^ 42), n);
         let equal = a_total == b_total;
         all_equal &= equal;
@@ -94,7 +95,7 @@ pub(crate) fn baseline_equivalence(seed: u64) -> (Table, Vec<String>) {
     ));
 
     // The E4 semantics checks, replayed over the simulator with E4's seed.
-    let sim: SimNet<Payload> = SimNet::new(7, seed ^ 7);
+    let sim: SimNet<Payload> = ideal.build_net(7, seed ^ 7);
     let mut sys = MpSystem::with_transport(sim, &[5, 6], seed ^ 7);
     let m = sys.append(0, 1).expect("append with byz minority");
     let view = sys.read(3).expect("read with byz minority");
@@ -145,11 +146,11 @@ struct AbdOutcome {
 /// Returns the outcome and the substrate (for its statistics).
 fn abd_script(
     n: usize,
-    profile: &NetProfile,
+    cfg: &NetConfig,
     seed: u64,
     rounds: usize,
 ) -> (AbdOutcome, SimNet<Payload>) {
-    let net: SimNet<Payload> = profile.build(n, seed);
+    let net: SimNet<Payload> = cfg.build_net(n, seed);
     let mut sys = MpSystem::with_transport(net, &[], seed);
     let mut out = AbdOutcome {
         appends_ok: 0,
@@ -217,7 +218,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     let mut s_stall = Series::new("stalled fraction vs drop rate");
     let mut netstats_abd: Option<Value> = None;
     for &drop in &[0.0f64, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5] {
-        let profile = NetProfile::ideal(latency).with_drop(drop);
+        let profile = NetConfig::builder()
+            .latency(latency)
+            .drop(drop)
+            .build()
+            .expect("valid config");
         let (mut ok_a, mut ok_r, mut stalled, mut viol) = (0u32, 0u32, 0u32, 0u32);
         for s in 0..trials {
             let (o, net) = abd_script(n, &profile, seed ^ 0xe14 ^ (s << 8), rounds);
@@ -270,10 +275,14 @@ pub fn run(ctx: &RunCtx) -> Report {
         ],
     );
     for &win in &[0u64, 2, 10, 50] {
-        let profile = NetProfile::ideal(latency).with_partition(0, win * 1_000_000);
+        let profile = NetConfig::builder()
+            .latency(latency)
+            .partition(0, win * 1_000_000)
+            .build()
+            .expect("valid config");
         let (mut min_ok, mut maj_ok, mut stalled) = (0u32, 0u32, 0u32);
         for s in 0..trials {
-            let net: SimNet<Payload> = profile.build(n, seed ^ 0xabd ^ (s << 8));
+            let net: SimNet<Payload> = profile.build_net(n, seed ^ 0xabd ^ (s << 8));
             let mut sys = MpSystem::with_transport(net, &[], seed ^ 0xabd ^ (s << 8));
             for i in 0..8 {
                 let node = if i % 2 == 0 {
@@ -329,7 +338,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     let mut s_dag = Series::new("dag failure vs drop");
     let mut points = Vec::new();
     for &drop in &[0.0f64, 0.1, 0.2, 0.3, 0.5] {
-        let profile = NetProfile::ideal(block_latency).with_drop(drop);
+        let profile = NetConfig::builder()
+            .latency(block_latency)
+            .drop(drop)
+            .build()
+            .expect("valid config");
         let p = Params::new(pn, pt, lambda, k, seed ^ 0x14).with_net(profile);
         let chain_key = format!("drop{drop}/chain");
         let chain_pt = runner.measure(&chain_key, &p, chain_kind, ptrials);
@@ -357,7 +370,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     let mut s_ckept = Series::new("chain kept vs drop");
     let mut s_dkept = Series::new("dag kept vs drop");
     for &drop in &[0.0f64, 0.1, 0.2, 0.3, 0.5] {
-        let profile = NetConfig::from(NetProfile::ideal(block_latency).with_drop(drop));
+        let profile = NetConfig::builder()
+            .latency(block_latency)
+            .drop(drop)
+            .build()
+            .expect("valid config");
         let (mut ck, mut dk, mut orphans) = (0.0f64, 0.0f64, 0u64);
         for s in 0..inc_trials {
             let p = Params::new(pn, pt, lambda, k, seed ^ 0x17 ^ (s * 0x9e37));
@@ -404,7 +421,11 @@ pub fn run(ctx: &RunCtx) -> Report {
         &["window (Δ)", "chain failure", "dag failure", "gap"],
     );
     for &win in &[0u64, 2, 5, 10] {
-        let profile = NetProfile::ideal(block_latency).with_partition(0, win * DELTA_NS);
+        let profile = NetConfig::builder()
+            .latency(block_latency)
+            .partition(0, win * DELTA_NS)
+            .build()
+            .expect("valid config");
         let p = Params::new(pn, pt, lambda, k, seed ^ 0x15).with_net(profile);
         let chain_key = format!("part{win}/chain");
         let chain_pt = runner.measure(&chain_key, &p, chain_kind, ptrials);
@@ -429,7 +450,12 @@ pub fn run(ctx: &RunCtx) -> Report {
     let _part5 = am_obs::span("netstats");
 
     // --- Network observability snapshots → the e14.netstats.json side-car. ---
-    let profile = NetConfig::from(NetProfile::ideal(block_latency).with_drop(0.2));
+    let profile = NetConfig::builder()
+        .latency(block_latency)
+        .drop(0.2)
+        .trace(true)
+        .build()
+        .expect("valid config");
     let p = Params::new(pn, pt, lambda, k, seed ^ 0x16);
     let (_, chain_stats) = run_chain_net(
         &p,
@@ -475,14 +501,18 @@ mod tests {
 
     #[test]
     fn abd_script_is_safe_and_stalls_under_heavy_drops() {
-        let clean = NetProfile::ideal(LatencyModel::Constant(1000));
+        let clean = NetConfig::ideal(LatencyModel::Constant(1000));
         let (o, _) = abd_script(5, &clean, 7, 4);
         assert_eq!(o.appends_ok, 4);
         assert_eq!(o.reads_ok, 4);
         assert_eq!(o.stalled, 0);
         assert_eq!(o.safety_violations, 0);
 
-        let lossy = clean.with_drop(0.5);
+        let lossy = NetConfig::builder()
+            .latency(LatencyModel::Constant(1000))
+            .drop(0.5)
+            .build()
+            .unwrap();
         let mut stalled = 0;
         for s in 0..10 {
             let (o, _) = abd_script(5, &lossy, s, 4);

@@ -28,7 +28,7 @@
 
 use crate::report::{f, Report};
 use crate::RunCtx;
-use am_net::{LatencyModel, NetProfile};
+use am_net::{LatencyModel, NetConfig};
 use am_protocols::{run_bft_net_full, BftAdversary, BftNetRun, Params};
 use am_stats::{Series, Table};
 
@@ -71,8 +71,7 @@ fn prefix_agree(chains: &[Vec<am_core::MsgId>], correct: usize) -> bool {
     })
 }
 
-fn net_cell(p: &Params, adv: BftAdversary, profile: &NetProfile, reps: u64) -> NetCell {
-    let cfg = am_net::NetConfig::from(*profile);
+fn net_cell(p: &Params, adv: BftAdversary, cfg: &NetConfig, reps: u64) -> NetCell {
     let correct = p.n - p.t;
     let mut cell = NetCell {
         finality_rate: 0.0,
@@ -86,7 +85,7 @@ fn net_cell(p: &Params, adv: BftAdversary, profile: &NetProfile, reps: u64) -> N
     let mut finalized = 0u64;
     for s in 0..reps {
         let q = p.with_seed(p.seed ^ (s.wrapping_mul(0x9e37_79b9).wrapping_add(s)));
-        let run: BftNetRun = run_bft_net_full(&q, adv, &cfg);
+        let run: BftNetRun = run_bft_net_full(&q, adv, cfg);
         cell.finality_rate += run.trial.finality as u64 as f64;
         cell.gate_height += run.trial.finalized_height as f64;
         cell.spread_gate += spread(&run.chains_at_gate, correct) as f64;
@@ -154,7 +153,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     let mut s_rate = Series::new("finality rate vs drop");
     let mut s_spread = Series::new("watermark spread at gate vs drop");
     for &drop in &[0.0f64, 0.05, 0.1, 0.2, 0.3] {
-        let profile = NetProfile::ideal(latency).with_drop(drop);
+        let profile = NetConfig::builder()
+            .latency(latency)
+            .drop(drop)
+            .build()
+            .expect("valid config");
         let p = Params::new(N, 0, LAMBDA, K, seed ^ 0x16);
         let cell = net_cell(&p, BftAdversary::Absent, &profile, reps);
         conflicts_total += cell.conflicts;
@@ -188,14 +191,18 @@ pub fn run(ctx: &RunCtx) -> Report {
         &COLS,
     );
     for (label, profile) in [
-        ("clean", NetProfile::ideal(latency)),
-        ("dup 0.3", NetProfile::ideal(latency).with_dup(0.3)),
-        ("reorder 0.3", NetProfile::ideal(latency).with_reorder(0.3)),
+        ("clean", NetConfig::builder().latency(latency)),
+        ("dup 0.3", NetConfig::builder().latency(latency).dup(0.3)),
+        (
+            "reorder 0.3",
+            NetConfig::builder().latency(latency).reorder(0.3),
+        ),
         (
             "dup+reorder",
-            NetProfile::ideal(latency).with_dup(0.2).with_reorder(0.2),
+            NetConfig::builder().latency(latency).dup(0.2).reorder(0.2),
         ),
     ] {
+        let profile = profile.build().expect("valid config");
         let p = Params::new(N, 0, LAMBDA, K, seed ^ 0x16d);
         let cell = net_cell(&p, BftAdversary::Absent, &profile, reps);
         conflicts_total += cell.conflicts;
@@ -219,7 +226,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_part = Series::new("finality rate vs partition window (Δ)");
     for &win in &[0u64, 4, 16, 64] {
-        let profile = NetProfile::ideal(latency).with_partition(0, win * DELTA_NS);
+        let profile = NetConfig::builder()
+            .latency(latency)
+            .partition(0, win * DELTA_NS)
+            .build()
+            .expect("valid config");
         let p = Params::new(N, 0, LAMBDA, K, seed ^ 0x16e);
         let cell = net_cell(&p, BftAdversary::Absent, &profile, reps);
         conflicts_total += cell.conflicts;
@@ -245,7 +256,11 @@ pub fn run(ctx: &RunCtx) -> Report {
         &COLS,
     );
     for &drop in &[0.0f64, 0.1, 0.2] {
-        let profile = NetProfile::ideal(latency).with_drop(drop);
+        let profile = NetConfig::builder()
+            .latency(latency)
+            .drop(drop)
+            .build()
+            .expect("valid config");
         let p = Params::new(N, 1, LAMBDA, K, seed ^ 0x16f);
         let cell = net_cell(&p, BftAdversary::Equivocator, &profile, reps);
         conflicts_total += cell.conflicts;
@@ -301,7 +316,7 @@ mod tests {
     #[test]
     fn net_cell_on_a_clean_wire_finalizes_and_agrees() {
         let p = Params::new(5, 0, 0.5, 4, 2);
-        let profile = NetProfile::ideal(LatencyModel::Constant(DELTA_NS / 50));
+        let profile = NetConfig::ideal(LatencyModel::Constant(DELTA_NS / 50));
         let cell = net_cell(&p, BftAdversary::Absent, &profile, 3);
         assert_eq!(cell.finality_rate, 1.0);
         assert_eq!(cell.healed_agree, 1.0);

@@ -7,7 +7,7 @@
 //! race the library unit tests.
 
 use am_experiments::run_one;
-use am_net::{LatencyModel, NetProfile};
+use am_net::{LatencyModel, NetConfig};
 use am_protocols::{run_chain_net, ChainAdversary, Params, TieBreak};
 use serde::Value;
 use std::sync::Mutex;
@@ -21,13 +21,12 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 fn exercise_all_layers() {
     run_one("e4", 0).expect("e4 runs");
     let p = Params::new(6, 1, 0.5, 9, 3);
-    let profile = NetProfile::ideal(LatencyModel::Constant(10_000_000)).with_drop(0.1);
-    let _ = run_chain_net(
-        &p,
-        TieBreak::Randomized,
-        ChainAdversary::Absent,
-        &profile.into(),
-    );
+    let cfg = NetConfig::builder()
+        .latency(LatencyModel::Constant(10_000_000))
+        .drop(0.1)
+        .build()
+        .expect("valid config");
+    let _ = run_chain_net(&p, TieBreak::Randomized, ChainAdversary::Absent, &cfg);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! memory behaviour.
 
 use am_mp::{Delivery, MpError, MpMsg, MpSystem, Payload};
-use am_net::{LatencyModel, NetProfile, SimNet};
+use am_net::{LatencyModel, NetConfig, SimNet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -29,11 +29,14 @@ struct Observed {
 }
 
 fn faulty_net(n: usize, seed: u64) -> SimNet<Payload> {
-    NetProfile::ideal(LatencyModel::Exponential { mean: 1_000 })
-        .with_drop(0.08)
-        .with_dup(0.1)
-        .with_reorder(0.3)
-        .build(n, seed ^ 0x5ca1_ab1e)
+    NetConfig::builder()
+        .latency(LatencyModel::Exponential { mean: 1_000 })
+        .drop(0.08)
+        .dup(0.1)
+        .reorder(0.3)
+        .build()
+        .expect("valid config")
+        .build_net(n, seed ^ 0x5ca1_ab1e)
 }
 
 /// One seed-derived script: appends, reads, and pause/resume churn under

@@ -3,7 +3,7 @@
 //! property that lets Algorithms 2/3 run unchanged over either.
 
 use am_mp::{MpMsg, MpSystem, Network, Payload};
-use am_net::{LatencyModel, NetProfile, SimNet, Transport};
+use am_net::{LatencyModel, NetConfig, SimNet, Transport};
 use proptest::prelude::*;
 
 /// Drains every arrived/in-flight message via the Transport interface,
@@ -27,7 +27,7 @@ fn drain_fifo<T: Transport<Payload>>(net: &mut T) -> Vec<(usize, usize, &'static
 }
 
 fn ideal_sim(n: usize, seed: u64) -> SimNet<Payload> {
-    NetProfile::ideal(LatencyModel::Constant(0)).build(n, seed)
+    NetConfig::ideal(LatencyModel::Constant(0)).build_net(n, seed)
 }
 
 /// One scripted operation for the equivalence property.
@@ -157,9 +157,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = 5;
-        let net: SimNet<Payload> = NetProfile::ideal(LatencyModel::Exponential { mean: 1000 })
-            .with_drop(drop_pct as f64 / 100.0)
-            .build(n, seed);
+        let net: SimNet<Payload> = NetConfig::builder()
+            .latency(LatencyModel::Exponential { mean: 1000 })
+            .drop(drop_pct as f64 / 100.0)
+            .build()
+            .expect("valid config")
+            .build_net(n, seed);
         let mut sys = MpSystem::with_transport(net, &[], seed);
         let mut completed: Vec<MpMsg> = Vec::new();
         for i in 0..4 {

@@ -1,12 +1,10 @@
 //! The unified, validating network configuration.
 //!
-//! `SimNet` historically grew by accretion: `SimNet::new(n, seed)` plus
-//! `.with_latency(..)`, plus the `Copy` [`NetProfile`] with its
-//! `with_drop/with_dup/with_reorder/with_partition` chained setters —
-//! none of which validated anything, so a NaN drop probability or an
-//! inverted partition window silently produced meaningless trials. This
-//! module fronts the whole surface with one validating builder, mirroring
-//! the `Params::builder()` pattern:
+//! One validating builder is the only way to configure (and, through
+//! [`NetConfig::build_net`], construct) a `SimNet`, mirroring the
+//! `Params::builder()` pattern — a NaN drop probability or an inverted
+//! partition window is rejected instead of silently producing
+//! meaningless trials:
 //!
 //! ```
 //! use am_net::{LatencyModel, NetConfig, Topology};
@@ -21,23 +19,15 @@
 //! assert_eq!(cfg.fanout, Some(6));
 //! assert!(NetConfig::builder().drop(f64::NAN).build().is_err());
 //! ```
-//!
-//! The legacy constructors survive as thin wrappers ([`NetProfile::build`]
-//! converts through `NetConfig` and stays bit-identical at every seed;
-//! the 100-seed `config_equivalence` suite pins this), but new code and
-//! every topology-aware knob — [`Topology`], gossip fanout, per-link
-//! bandwidth, opt-in delivery tracing — go through the builder.
 
 use crate::latency::LatencyModel;
-use crate::sim::NetProfile;
 use crate::topology::Topology;
 
 /// A validated, `Copy` network configuration: topology, latency classes,
 /// fault probabilities, bandwidth queueing, gossip fanout, and stats
-/// options. Construct with [`NetConfig::builder`] (validating) or convert
-/// from a legacy [`NetProfile`] (`From`, which keeps the legacy always-on
-/// delivery trace). Fields are public for reading; hand-building a
-/// literal skips validation and is deprecated.
+/// options. Construct with [`NetConfig::builder`] (validating). Fields are
+/// public for reading; hand-building a literal skips validation and is
+/// deprecated.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetConfig {
     /// Who is wired to whom on the gossip overlay.
@@ -58,8 +48,7 @@ pub struct NetConfig {
     /// Gossip fanout cap per announcement hop (`None` = full degree).
     pub fanout: Option<usize>,
     /// Whether the per-delivery trace is recorded. Off by default — at
-    /// n = 5000 an unbounded record stream dominates memory; the legacy
-    /// `NetProfile`/`SimNet::new` paths keep it on for bit-compat.
+    /// n = 5000 an unbounded record stream dominates memory.
     pub trace: bool,
     /// Use the dense n² per-link counter layout instead of the sparse
     /// O(active links) map — the in-tree baseline `bench_topology`
@@ -259,33 +248,12 @@ impl NetConfig {
         }
     }
 
-    /// A fault-free full-mesh config with the given latency (the
-    /// counterpart of the legacy `NetProfile::ideal`, trace off).
+    /// A fault-free full-mesh config with the given latency.
     pub fn ideal(latency: LatencyModel) -> NetConfig {
         NetConfig::builder()
             .latency(latency)
             .build()
             .expect("ideal config is always valid")
-    }
-}
-
-impl From<NetProfile> for NetConfig {
-    /// The legacy-compat conversion: same latency and fault knobs, full
-    /// mesh, *trace on* — `NetProfile`-built simulators always recorded
-    /// the delivery trace, and the equivalence suites compare it.
-    fn from(p: NetProfile) -> NetConfig {
-        NetConfig {
-            topology: Topology::FullMesh,
-            latency: p.latency,
-            drop_prob: p.drop_prob,
-            dup_prob: p.dup_prob,
-            reorder_prob: p.reorder_prob,
-            partition: p.partition,
-            bandwidth_bps: None,
-            fanout: None,
-            trace: true,
-            dense_stats: false,
-        }
     }
 }
 
@@ -301,23 +269,6 @@ mod tests {
         assert_eq!(cfg.drop_prob, 0.0);
         assert!(!cfg.trace);
         assert_eq!(cfg, NetConfig::ideal(LatencyModel::Constant(0)));
-    }
-
-    #[test]
-    fn profile_conversion_keeps_every_knob_and_turns_trace_on() {
-        let p = NetProfile::ideal(LatencyModel::Exponential { mean: 500 })
-            .with_drop(0.1)
-            .with_dup(0.2)
-            .with_reorder(0.3)
-            .with_partition(5, 50);
-        let cfg = NetConfig::from(p);
-        assert_eq!(cfg.latency, p.latency);
-        assert_eq!(cfg.drop_prob, 0.1);
-        assert_eq!(cfg.dup_prob, 0.2);
-        assert_eq!(cfg.reorder_prob, 0.3);
-        assert_eq!(cfg.partition, Some((5, 50)));
-        assert!(cfg.trace, "legacy path keeps the delivery trace on");
-        assert_eq!(cfg.topology, Topology::FullMesh);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use config::{NetConfig, NetConfigBuilder, NetConfigError};
 pub use fault::{Fault, PartitionSpec};
 pub use latency::LatencyModel;
 pub use queue::EventQueue;
-pub use sim::{NetProfile, NetScratch, SimNet};
+pub use sim::{NetScratch, SimNet};
 pub use stats::{DeliveryRecord, NetStats};
 pub use topology::{Topology, TopologyMap};
 pub use transport::{Envelope, Kinded, Transport};

@@ -62,81 +62,6 @@ fn link_key(from: usize, to: usize) -> u64 {
     ((from as u64) << 32) | to as u64
 }
 
-/// A compact, `Copy` network profile for embedding in experiment
-/// parameter structs — the *legacy* chained-setter surface, kept as a
-/// thin wrapper over [`NetConfig`] (see [`crate::config`]): building
-/// through a profile is bit-identical to building through
-/// `NetConfig::from(profile)` at every seed, with the delivery trace on.
-/// New code uses [`NetConfig::builder`], which validates and exposes the
-/// topology/bandwidth/fanout knobs a profile cannot express.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetProfile {
-    /// Default latency of every link.
-    pub latency: LatencyModel,
-    /// Probability each message is dropped.
-    pub drop_prob: f64,
-    /// Probability each message is duplicated.
-    pub dup_prob: f64,
-    /// Probability each message gets an extra (reordering) delay.
-    pub reorder_prob: f64,
-    /// Optional half/half partition window `(from_ns, until_ns)`: nodes
-    /// `0..n/2` are cut off from the rest during the window.
-    pub partition: Option<(u64, u64)>,
-}
-
-impl NetProfile {
-    /// A fault-free profile with the given latency.
-    pub fn ideal(latency: LatencyModel) -> NetProfile {
-        NetProfile {
-            latency,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            reorder_prob: 0.0,
-            partition: None,
-        }
-    }
-
-    /// Sets the drop probability.
-    pub fn with_drop(mut self, prob: f64) -> NetProfile {
-        self.drop_prob = prob;
-        self
-    }
-
-    /// Sets the duplication probability.
-    pub fn with_dup(mut self, prob: f64) -> NetProfile {
-        self.dup_prob = prob;
-        self
-    }
-
-    /// Sets the reorder probability.
-    pub fn with_reorder(mut self, prob: f64) -> NetProfile {
-        self.reorder_prob = prob;
-        self
-    }
-
-    /// Schedules the half/half partition window.
-    pub fn with_partition(mut self, from_ns: u64, until_ns: u64) -> NetProfile {
-        self.partition = Some((from_ns, until_ns));
-        self
-    }
-
-    /// Builds the simulator for `n` nodes with this profile.
-    pub fn build<M: Kinded>(&self, n: usize, seed: u64) -> SimNet<M> {
-        NetConfig::from(*self).build_net(n, seed)
-    }
-
-    /// Builds the simulator on recycled [`NetScratch`] storage, so hot
-    /// trial loops pay zero queue/inbox allocations after warm-up.
-    pub fn build_with_scratch<M: Kinded>(
-        &self,
-        n: usize,
-        seed: u64,
-        scratch: NetScratch<M>,
-    ) -> SimNet<M> {
-        NetConfig::from(*self).build_net_with_scratch(n, seed, scratch)
-    }
-}
-
 impl NetConfig {
     /// Builds the simulator for `n` nodes with this configuration.
     pub fn build_net<M: Kinded>(&self, n: usize, seed: u64) -> SimNet<M> {
@@ -144,21 +69,39 @@ impl NetConfig {
     }
 
     /// Like [`NetConfig::build_net`] but reusing recycled [`NetScratch`]
-    /// storage. Fault injectors are appended in the fixed legacy order
-    /// (drop, duplicate, reorder, partition), so RNG draw order — and
-    /// hence the delivery trace — matches the historic
-    /// `NetProfile::build` path exactly on full-mesh configs.
+    /// storage. Fault injectors are appended in a fixed order (drop,
+    /// duplicate, reorder, partition), which fixes the RNG draw order and
+    /// hence the delivery trace per seed.
     pub fn build_net_with_scratch<M: Kinded>(
         &self,
         n: usize,
         seed: u64,
-        scratch: NetScratch<M>,
+        mut scratch: NetScratch<M>,
     ) -> SimNet<M> {
-        let mut net = SimNet::with_scratch(n, seed, scratch);
-        net.default_latency = self.latency;
-        net.topo = self.topology.instantiate(n, seed);
-        net.bandwidth_bps = self.bandwidth_bps;
-        net.stats = NetStats::with_options(n, self.trace, self.dense_stats);
+        let mut inbox_slots = std::mem::take(&mut scratch.inboxes);
+        inbox_slots.resize_with(n, Vec::new);
+        let mut net = SimNet {
+            n,
+            now_ns: 0,
+            queue: EventQueue::from_storage(scratch.queue),
+            arrived: inbox_slots.into_iter().map(Inbox::from_slots).collect(),
+            default_latency: self.latency,
+            link_latency: HashMap::new(),
+            topo: self.topology.instantiate(n, seed),
+            bandwidth_bps: self.bandwidth_bps,
+            link_busy: HashMap::new(),
+            faults: Vec::new(),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
+            stats: NetStats::with_options(n, self.trace, self.dense_stats),
+            sent: 0,
+            delivered: 0,
+            dirty: Vec::new(),
+            in_dirty: vec![false; n],
+            obs_sent: am_obs::counter("net.sent"),
+            obs_delivered: am_obs::counter("net.delivered"),
+            obs_dropped: am_obs::counter("net.dropped"),
+            obs_duplicated: am_obs::counter("net.duplicated"),
+        };
         if self.drop_prob > 0.0 {
             net.add_fault(Fault::Drop {
                 prob: self.drop_prob,
@@ -371,40 +314,6 @@ pub struct SimNet<M> {
 }
 
 impl<M: Kinded> SimNet<M> {
-    /// A fault-free simulator with constant zero latency (the degenerate
-    /// case equivalent to the reliable in-process network).
-    pub fn new(n: usize, seed: u64) -> SimNet<M> {
-        SimNet::with_scratch(n, seed, NetScratch::new())
-    }
-
-    /// Like [`SimNet::new`] but reusing recycled [`NetScratch`] storage.
-    pub fn with_scratch(n: usize, seed: u64, mut scratch: NetScratch<M>) -> SimNet<M> {
-        let mut inbox_slots = std::mem::take(&mut scratch.inboxes);
-        inbox_slots.resize_with(n, Vec::new);
-        SimNet {
-            n,
-            now_ns: 0,
-            queue: EventQueue::from_storage(scratch.queue),
-            arrived: inbox_slots.into_iter().map(Inbox::from_slots).collect(),
-            default_latency: LatencyModel::Constant(0),
-            link_latency: HashMap::new(),
-            topo: TopologyMap::mesh(n),
-            bandwidth_bps: None,
-            link_busy: HashMap::new(),
-            faults: Vec::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
-            stats: NetStats::new(n),
-            sent: 0,
-            delivered: 0,
-            dirty: Vec::new(),
-            in_dirty: vec![false; n],
-            obs_sent: am_obs::counter("net.sent"),
-            obs_delivered: am_obs::counter("net.delivered"),
-            obs_dropped: am_obs::counter("net.dropped"),
-            obs_duplicated: am_obs::counter("net.duplicated"),
-        }
-    }
-
     /// Tears the simulator down to its reusable storage (queue slab +
     /// inbox buffers), dropping any undelivered payloads.
     pub fn into_scratch(self) -> NetScratch<M> {
@@ -412,12 +321,6 @@ impl<M: Kinded> SimNet<M> {
             queue: self.queue.into_storage(),
             inboxes: self.arrived.into_iter().map(Inbox::into_slots).collect(),
         }
-    }
-
-    /// Sets the default latency model of every link.
-    pub fn with_latency(mut self, model: LatencyModel) -> SimNet<M> {
-        self.default_latency = model;
-        self
     }
 
     /// Overrides the latency model of one directed link.
@@ -736,6 +639,16 @@ mod tests {
         }
     }
 
+    /// A traced fault-free full mesh with `latency` on every link.
+    fn mesh(n: usize, seed: u64, latency: LatencyModel) -> SimNet<Ping> {
+        NetConfig::builder()
+            .latency(latency)
+            .trace(true)
+            .build()
+            .unwrap()
+            .build_net(n, seed)
+    }
+
     fn drain(net: &mut SimNet<Ping>) -> Vec<(u64, usize, usize, u64)> {
         let mut out = Vec::new();
         loop {
@@ -755,7 +668,7 @@ mod tests {
 
     #[test]
     fn constant_latency_delivers_in_send_order() {
-        let mut net: SimNet<Ping> = SimNet::new(3, 1).with_latency(LatencyModel::Constant(10));
+        let mut net: SimNet<Ping> = mesh(3, 1, LatencyModel::Constant(10));
         net.send(0, 1, Ping(1));
         net.send(0, 2, Ping(2));
         net.send(1, 2, Ping(3));
@@ -770,7 +683,7 @@ mod tests {
 
     #[test]
     fn latency_orders_arrivals_not_sends() {
-        let mut net: SimNet<Ping> = SimNet::new(2, 1);
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(0));
         net.set_link_latency(0, 1, LatencyModel::Constant(100));
         net.set_link_latency(1, 0, LatencyModel::Constant(1));
         net.send(0, 1, Ping(1)); // slow link, sent first
@@ -784,7 +697,7 @@ mod tests {
 
     #[test]
     fn drop_all_loses_everything() {
-        let mut net: SimNet<Ping> = SimNet::new(2, 1);
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(0));
         net.add_fault(Fault::Drop { prob: 1.0 });
         net.broadcast(0, Ping(1));
         assert!(!net.advance());
@@ -795,7 +708,7 @@ mod tests {
 
     #[test]
     fn duplicates_arrive_twice() {
-        let mut net: SimNet<Ping> = SimNet::new(2, 1).with_latency(LatencyModel::Constant(5));
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(5));
         net.add_fault(Fault::Duplicate {
             prob: 1.0,
             extra: LatencyModel::Constant(7),
@@ -809,7 +722,7 @@ mod tests {
 
     #[test]
     fn crash_window_eats_sends_and_arrivals() {
-        let mut net: SimNet<Ping> = SimNet::new(2, 1).with_latency(LatencyModel::Constant(10));
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(10));
         net.add_fault(Fault::Crash {
             node: 1,
             from_ns: 0,
@@ -829,7 +742,7 @@ mod tests {
 
     #[test]
     fn partition_heals() {
-        let mut net: SimNet<Ping> = SimNet::new(4, 1).with_latency(LatencyModel::Constant(1));
+        let mut net: SimNet<Ping> = mesh(4, 1, LatencyModel::Constant(1));
         net.add_fault(Fault::Partition(PartitionSpec {
             side_a: vec![0, 1],
             from_ns: 0,
@@ -861,11 +774,15 @@ mod tests {
     #[test]
     fn same_seed_same_trace() {
         let run = |seed: u64| {
-            let mut net: SimNet<Ping> = NetProfile::ideal(LatencyModel::Exponential { mean: 100 })
-                .with_drop(0.2)
-                .with_dup(0.1)
-                .with_reorder(0.3)
-                .build(4, seed);
+            let mut net: SimNet<Ping> = NetConfig::builder()
+                .latency(LatencyModel::Exponential { mean: 100 })
+                .drop(0.2)
+                .dup(0.1)
+                .reorder(0.3)
+                .trace(true)
+                .build()
+                .unwrap()
+                .build_net(4, seed);
             for round in 0..20u64 {
                 for from in 0..4 {
                     net.broadcast(from, Ping(round * 4 + from as u64));
@@ -887,11 +804,15 @@ mod tests {
         // The Arc-interned broadcast and the deep-clone baseline must
         // draw the same randomness and produce the same trace.
         let run = |zero_copy: bool| {
-            let mut net: SimNet<Ping> = NetProfile::ideal(LatencyModel::Exponential { mean: 50 })
-                .with_drop(0.1)
-                .with_dup(0.2)
-                .with_reorder(0.3)
-                .build(5, 77);
+            let mut net: SimNet<Ping> = NetConfig::builder()
+                .latency(LatencyModel::Exponential { mean: 50 })
+                .drop(0.1)
+                .dup(0.2)
+                .reorder(0.3)
+                .trace(true)
+                .build()
+                .unwrap()
+                .build_net(5, 77);
             for round in 0..30u64 {
                 for from in 0..5 {
                     let msg = Ping(round * 5 + from as u64);
@@ -911,10 +832,14 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_identical_and_allocation_stable() {
         let run = |scratch: NetScratch<Ping>| {
-            let mut net: SimNet<Ping> = NetProfile::ideal(LatencyModel::Exponential { mean: 100 })
-                .with_drop(0.2)
-                .with_dup(0.1)
-                .build_with_scratch(4, 9, scratch);
+            let mut net: SimNet<Ping> = NetConfig::builder()
+                .latency(LatencyModel::Exponential { mean: 100 })
+                .drop(0.2)
+                .dup(0.1)
+                .trace(true)
+                .build()
+                .unwrap()
+                .build_net_with_scratch(4, 9, scratch);
             for round in 0..20u64 {
                 for from in 0..4 {
                     net.broadcast(from, Ping(round));
@@ -932,7 +857,7 @@ mod tests {
 
     #[test]
     fn middle_removal_preserves_inbox_order() {
-        let mut net: SimNet<Ping> = SimNet::new(2, 1).with_latency(LatencyModel::Constant(1));
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(1));
         for i in 0..6 {
             net.send(0, 1, Ping(i));
         }
@@ -954,7 +879,7 @@ mod tests {
 
     #[test]
     fn advance_until_is_bounded_and_moves_the_clock() {
-        let mut net: SimNet<Ping> = SimNet::new(2, 1);
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(0));
         net.set_link_latency(0, 1, LatencyModel::Constant(10));
         net.send(0, 1, Ping(1)); // arrives at 10
         net.send(0, 1, Ping(2)); // arrives at 10
@@ -972,11 +897,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_builder_wires_faults() {
-        let net: SimNet<Ping> = NetProfile::ideal(LatencyModel::Constant(1))
-            .with_drop(0.5)
-            .with_partition(10, 20)
-            .build(6, 7);
+    fn config_wires_faults_in_fixed_order() {
+        let net: SimNet<Ping> = NetConfig::builder()
+            .latency(LatencyModel::Constant(1))
+            .drop(0.5)
+            .partition(10, 20)
+            .trace(true)
+            .build()
+            .unwrap()
+            .build_net(6, 7);
         assert_eq!(net.n(), 6);
         assert_eq!(net.faults.len(), 2);
         match &net.faults[1] {
@@ -992,8 +921,7 @@ mod tests {
     fn exponential_latency_reorders_across_links() {
         // With memoryless latency, some later send overtakes an earlier
         // one with overwhelming probability over enough trials.
-        let mut net: SimNet<Ping> =
-            SimNet::new(2, 9).with_latency(LatencyModel::Exponential { mean: 1000 });
+        let mut net: SimNet<Ping> = mesh(2, 9, LatencyModel::Exponential { mean: 1000 });
         for i in 0..50 {
             net.send(0, 1, Ping(i));
         }
@@ -1061,7 +989,7 @@ mod tests {
 
     #[test]
     fn drained_arrival_nodes_come_back_sorted_and_deduplicated() {
-        let mut net: SimNet<Ping> = SimNet::new(5, 1).with_latency(LatencyModel::Constant(10));
+        let mut net: SimNet<Ping> = mesh(5, 1, LatencyModel::Constant(10));
         net.send(0, 3, Ping(1));
         net.send(0, 1, Ping(2));
         net.send(0, 3, Ping(3));
@@ -1075,35 +1003,5 @@ mod tests {
         net.advance_until(20);
         net.drain_arrived_nodes(&mut active);
         assert_eq!(active, vec![4]);
-    }
-
-    #[test]
-    fn builder_config_with_trace_matches_legacy_profile_bitwise() {
-        let workload = |mut net: SimNet<Ping>| {
-            for round in 0..15u64 {
-                for from in 0..4 {
-                    net.broadcast(from, Ping(round * 4 + from as u64));
-                }
-            }
-            let got = drain(&mut net);
-            (got, net.stats().trace().to_vec(), net.sent_count())
-        };
-        let profile = NetProfile::ideal(LatencyModel::Exponential { mean: 200 })
-            .with_drop(0.15)
-            .with_dup(0.1)
-            .with_reorder(0.2)
-            .with_partition(0, 500);
-        let via_profile = workload(profile.build(4, 11));
-        let cfg = NetConfig::builder()
-            .latency(LatencyModel::Exponential { mean: 200 })
-            .drop(0.15)
-            .dup(0.1)
-            .reorder(0.2)
-            .partition(0, 500)
-            .trace(true)
-            .build()
-            .unwrap();
-        let via_builder = workload(cfg.build_net(4, 11));
-        assert_eq!(via_profile, via_builder);
     }
 }

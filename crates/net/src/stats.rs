@@ -220,15 +220,8 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Stats for an `n`-node network with the legacy defaults: sparse
-    /// links, delivery trace *on* (every `SimNet::new` / `NetProfile`
-    /// construction historically traced; `NetConfig` turns it off unless
-    /// asked).
-    pub fn new(n: usize) -> NetStats {
-        NetStats::with_options(n, true, false)
-    }
-
-    /// Stats with explicit trace / dense-layout choices.
+    /// Stats for an `n`-node network with explicit trace / dense-layout
+    /// choices.
     pub fn with_options(n: usize, trace: bool, dense: bool) -> NetStats {
         NetStats {
             n,
@@ -384,7 +377,7 @@ mod tests {
 
     #[test]
     fn counters_aggregate_per_link_and_kind() {
-        let mut s = NetStats::new(3);
+        let mut s = NetStats::with_options(3, true, false);
         s.on_sent(0, 1, "a");
         s.on_sent(0, 1, "a");
         s.on_sent(1, 2, "b");
@@ -413,7 +406,7 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let mut s = NetStats::new(2);
+        let mut s = NetStats::with_options(2, true, false);
         s.on_sent(0, 1, "x");
         s.on_delivered(
             DeliveryRecord {

@@ -1,24 +1,13 @@
-//! The `NetConfig` builder is the new front door for every network the
-//! repo simulates; this suite pins it to the legacy surfaces it
-//! replaced.
+//! The `NetConfig` builder is the only front door for every network the
+//! repo simulates; this suite checks two of its promises.
 //!
-//! 1. **100-seed bit-identity** — a faulty chatter script driven over a
-//!    network assembled the pre-PR8 way (`SimNet::new`, `with_latency`,
-//!    and hand-added faults in the historic Drop → Duplicate → Reorder
-//!    → Partition order) and over `NetConfig::builder()` must produce the
-//!    same delivery tuples, the same per-delivery trace, and the same
-//!    statistics JSON, byte for byte — every seeded experiment in the
-//!    repo depends on this.
-//! 2. **Layout neutrality** — the sparse per-link statistics store and
+//! 1. **Layout neutrality** — the sparse per-link statistics store and
 //!    the dense n² baseline export identical JSON.
-//! 3. **Validation** — property tests drive every invalid field through
+//! 2. **Validation** — property tests drive every invalid field through
 //!    the builder and assert each is rejected with the right error,
 //!    and that everything in-range builds.
 
-use am_net::{
-    Fault, Kinded, LatencyModel, NetConfig, NetConfigError, NetProfile, PartitionSpec, SimNet,
-    Topology, Transport,
-};
+use am_net::{Kinded, LatencyModel, NetConfig, NetConfigError, SimNet, Topology, Transport};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,89 +45,6 @@ fn chatter(net: &mut SimNet<Ping>) -> Vec<(usize, usize, u64)> {
 }
 
 const LAT: LatencyModel = LatencyModel::Uniform { lo: 50, hi: 9_000 };
-const N: usize = 6;
-
-/// The pre-PR8 assembly: raw constructor, setter, hand-ordered faults.
-fn legacy_net(seed: u64) -> SimNet<Ping> {
-    let mut net: SimNet<Ping> = SimNet::new(N, seed).with_latency(LAT);
-    net.add_fault(Fault::Drop { prob: 0.15 });
-    net.add_fault(Fault::Duplicate {
-        prob: 0.1,
-        extra: LAT,
-    });
-    net.add_fault(Fault::Reorder {
-        prob: 0.2,
-        extra: LAT,
-    });
-    net.add_fault(Fault::Partition(PartitionSpec {
-        side_a: (0..N / 2).collect(),
-        from_ns: 4_000,
-        until_ns: 20_000,
-    }));
-    net
-}
-
-/// The same network through the validating builder. `trace(true)`
-/// mirrors the legacy always-on delivery trace.
-fn builder_net(seed: u64) -> SimNet<Ping> {
-    NetConfig::builder()
-        .latency(LAT)
-        .drop(0.15)
-        .dup(0.1)
-        .reorder(0.2)
-        .partition(4_000, 20_000)
-        .trace(true)
-        .build()
-        .expect("valid config")
-        .build_net(N, seed)
-}
-
-#[test]
-fn hundred_seeds_of_builder_vs_legacy_bit_identity() {
-    for seed in 0..100u64 {
-        let mut legacy = legacy_net(seed);
-        let mut built = builder_net(seed);
-        let a = chatter(&mut legacy);
-        let b = chatter(&mut built);
-        assert_eq!(a, b, "delivery tuples diverged at seed {seed}");
-        assert_eq!(
-            legacy.stats().trace(),
-            built.stats().trace(),
-            "delivery traces diverged at seed {seed}"
-        );
-        assert_eq!(
-            legacy.stats().to_json().render(false),
-            built.stats().to_json().render(false),
-            "statistics JSON diverged at seed {seed}"
-        );
-        assert_eq!(legacy.sent_count(), built.sent_count());
-        assert_eq!(legacy.delivered_count(), built.delivered_count());
-    }
-}
-
-#[test]
-fn hundred_seeds_of_profile_wrapper_vs_builder() {
-    // The kept `NetProfile` surface is a thin wrapper over `NetConfig`;
-    // its `build` must stay interchangeable with the builder path.
-    for seed in 0..100u64 {
-        let profile = NetProfile::ideal(LAT)
-            .with_drop(0.15)
-            .with_dup(0.1)
-            .with_reorder(0.2)
-            .with_partition(4_000, 20_000);
-        let mut from_profile: SimNet<Ping> = profile.build(N, seed);
-        let mut from_builder = builder_net(seed);
-        assert_eq!(
-            chatter(&mut from_profile),
-            chatter(&mut from_builder),
-            "profile wrapper diverged at seed {seed}"
-        );
-        assert_eq!(
-            from_profile.stats().to_json().render(false),
-            from_builder.stats().to_json().render(false)
-        );
-    }
-}
 
 #[test]
 fn sparse_and_dense_stats_layouts_export_identical_json() {

@@ -9,7 +9,7 @@
 //! delivery sequence (including adversarial middle-of-inbox takes)
 //! against values recorded from the pre-tombstone implementation.
 
-use am_net::{Kinded, LatencyModel, NetProfile, SimNet, Transport};
+use am_net::{Kinded, LatencyModel, NetConfig, SimNet, Transport};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Ping(u64);
@@ -32,10 +32,13 @@ fn fingerprint(deliveries: &[(usize, usize, u64)]) -> u64 {
 }
 
 fn run_seed0() -> Vec<(usize, usize, u64)> {
-    let mut net: SimNet<Ping> = NetProfile::ideal(LatencyModel::Uniform { lo: 10, hi: 1_000 })
-        .with_reorder(0.5)
-        .with_dup(0.25)
-        .build(4, 0);
+    let mut net: SimNet<Ping> = NetConfig::builder()
+        .latency(LatencyModel::Uniform { lo: 10, hi: 1_000 })
+        .reorder(0.5)
+        .dup(0.25)
+        .build()
+        .expect("valid config")
+        .build_net(4, 0);
 
     let mut out = Vec::new();
     for round in 0..4u64 {

@@ -10,9 +10,10 @@
 //! `pipeline > 1` keeps that many requests outstanding per client (the
 //! open-loop lane), which trades per-request latency for throughput.
 //!
-//! Client-side latency of every completed call lands in `am-obs` log₂
-//! histograms (`node.lat.append` / `node.lat.read` / `node.lat.query`),
-//! and the final [`LoadgenRecord`] — counts, throughput, p50/p99/p999 per
+//! Client-side latency of every completed call lands in one of the run's
+//! own four `am-obs` log₂ histograms (append / read / query / finality —
+//! values owned by the run, not entries of the global registry, so
+//! concurrent runs do not see each other), and the final [`LoadgenRecord`] — counts, throughput, p50/p99/p999 per
 //! op class — is plain serde data, ready for the BENCH_PR6 trajectory
 //! file or a smoke-test round-trip.
 
@@ -248,18 +249,25 @@ struct ClientOutcome {
     errors: u64,
 }
 
+/// One run's latency store: a histogram per op class, shared by its
+/// client threads.
+#[derive(Clone)]
+struct Latencies {
+    append: am_obs::Histogram,
+    read: am_obs::Histogram,
+    query: am_obs::Histogram,
+    finality: am_obs::Histogram,
+}
+
 fn client_loop(
     cfg: LoadgenConfig,
     client: u64,
     handle: NodeHandle,
     stop: Arc<StopState>,
+    lat: Latencies,
 ) -> ClientOutcome {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (0x10ad ^ client.wrapping_mul(0x9e37)));
     let zipf = ZipfCdf::new(cfg.authors, cfg.skew);
-    let lat_append = am_obs::histogram("node.lat.append");
-    let lat_read = am_obs::histogram("node.lat.read");
-    let lat_query = am_obs::histogram("node.lat.query");
-    let lat_finality = am_obs::histogram("node.lat.finality");
     let mut out = ClientOutcome {
         completed: 0,
         errors: 0,
@@ -278,10 +286,10 @@ fn client_loop(
         };
         let ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         match kind {
-            OpKind::Append => lat_append.record(ns),
-            OpKind::Read => lat_read.record(ns),
-            OpKind::Query => lat_query.record(ns),
-            OpKind::Finality => lat_finality.record(ns),
+            OpKind::Append => lat.append.record(ns),
+            OpKind::Read => lat.read.record(ns),
+            OpKind::Query => lat.query.record(ns),
+            OpKind::Finality => lat.finality.record(ns),
         }
         out.completed += 1;
         if resp.is_err() {
@@ -306,18 +314,19 @@ fn client_loop(
     out
 }
 
-/// Runs the workload and returns the measured record. Resets and enables
-/// the global `am-obs` registry for the duration of the run (its
-/// histograms are the latency store), restoring the disabled state
-/// afterwards.
+/// Runs the workload and returns the measured record. Touches no global
+/// `am-obs` state: the latency histograms are the run's own values.
 pub fn run(cfg: LoadgenConfig) -> LoadgenRecord {
     assert!(
         cfg.requests > 0 || cfg.duration_ms > 0,
         "either a request budget or a duration must bound the run"
     );
-    let obs_was_enabled = am_obs::enabled();
-    am_obs::reset();
-    am_obs::set_enabled(true);
+    let lat = Latencies {
+        append: am_obs::Histogram::detached(),
+        read: am_obs::Histogram::detached(),
+        query: am_obs::Histogram::detached(),
+        finality: am_obs::Histogram::detached(),
+    };
 
     let rt = NodeRuntime::spawn(ClusterConfig {
         nodes: cfg.nodes,
@@ -342,7 +351,8 @@ pub fn run(cfg: LoadgenConfig) -> LoadgenRecord {
         .map(|c| {
             let handle = rt.handle();
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || client_loop(cfg, c as u64, handle, stop))
+            let lat = lat.clone();
+            std::thread::spawn(move || client_loop(cfg, c as u64, handle, stop, lat))
         })
         .collect();
     let mut completed = 0;
@@ -355,7 +365,7 @@ pub fn run(cfg: LoadgenConfig) -> LoadgenRecord {
     let elapsed = started.elapsed();
     drop(rt.join());
 
-    let record = LoadgenRecord {
+    LoadgenRecord {
         nodes: cfg.nodes as u64,
         clients: cfg.clients as u64,
         authors: cfg.authors as u64,
@@ -368,13 +378,11 @@ pub fn run(cfg: LoadgenConfig) -> LoadgenRecord {
         elapsed_ms: elapsed.as_millis().min(u128::from(u64::MAX)) as u64,
         requests_per_sec: completed as f64 / elapsed.as_secs_f64().max(1e-9),
         trials_per_sec: (completed + errors) as f64 / elapsed.as_secs_f64().max(1e-9),
-        append: OpStats::from_hist(&am_obs::histogram("node.lat.append")),
-        read: OpStats::from_hist(&am_obs::histogram("node.lat.read")),
-        query: OpStats::from_hist(&am_obs::histogram("node.lat.query")),
-        finality: OpStats::from_hist(&am_obs::histogram("node.lat.finality")),
-    };
-    am_obs::set_enabled(obs_was_enabled);
-    record
+        append: OpStats::from_hist(&lat.append),
+        read: OpStats::from_hist(&lat.read),
+        query: OpStats::from_hist(&lat.query),
+        finality: OpStats::from_hist(&lat.finality),
+    }
 }
 
 #[cfg(test)]

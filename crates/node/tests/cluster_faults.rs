@@ -4,7 +4,7 @@
 //! (never hangs), and converge every node to an identical linearization
 //! once the partition heals — all under a lossy network.
 
-use am_net::{LatencyModel, NetProfile};
+use am_net::{LatencyModel, NetConfig};
 use am_node::api::{
     ApiError, AppendReq, LinearizeReq, ReadReq, Request, Response, SnapshotAtReq, TipReq,
 };
@@ -15,17 +15,19 @@ const N: usize = 5;
 const PARTITION_FROM: u64 = 10_000;
 const PARTITION_UNTIL: u64 = 50_000;
 
-/// `NetProfile::with_partition` cuts `0..n/2` off from the rest, so with
+/// A `NetConfig` partition window cuts `0..n/2` off from the rest, so with
 /// five nodes the minority side is `{0, 1}` and the majority `{2, 3, 4}`
 /// keeps a quorum of 3.
 fn faulty_cluster(drop_prob: f64, seed: u64) -> Cluster {
     Cluster::new(ClusterConfig {
         nodes: N,
         seed,
-        net: NetProfile::ideal(LatencyModel::Constant(1))
-            .with_drop(drop_prob)
-            .with_partition(PARTITION_FROM, PARTITION_UNTIL)
-            .into(),
+        net: NetConfig::builder()
+            .latency(LatencyModel::Constant(1))
+            .drop(drop_prob)
+            .partition(PARTITION_FROM, PARTITION_UNTIL)
+            .build()
+            .expect("valid config"),
         mempool: MempoolConfig::default(),
     })
 }

@@ -116,26 +116,45 @@ pub(crate) fn bucket_quantile(buckets: &[u64; 64], count: u64, q: f64) -> u64 {
     bucket_upper(63)
 }
 
-/// A named log₂-bucket histogram handle.
+/// A log₂-bucket histogram handle: named and registry-backed from
+/// [`histogram`], or a caller-owned value from [`Histogram::detached`].
 #[derive(Clone)]
-pub struct Histogram(Arc<HistInner>);
+pub struct Histogram {
+    inner: Arc<HistInner>,
+    /// Detached histograms are the owner's own data, not telemetry: they
+    /// record regardless of [`crate::enabled`] and [`crate::reset`] never
+    /// sees them.
+    detached: bool,
+}
 
 impl Histogram {
+    /// A histogram outside the global registry that always records —
+    /// for a measurement whose *result* is the histogram (a load run's
+    /// latency table), so concurrent runs cannot clear or gate each
+    /// other's samples. Clones share the same cells.
+    pub fn detached() -> Histogram {
+        Histogram {
+            inner: Arc::new(HistInner::new()),
+            detached: true,
+        }
+    }
+
     /// Records one value.
     #[inline]
     pub fn record(&self, v: u64) {
-        if crate::enabled() {
-            self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.0.count.fetch_add(1, Ordering::Relaxed);
-            self.0.total.fetch_add(v, Ordering::Relaxed);
+        if self.detached || crate::enabled() {
+            self.inner.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+            self.inner.count.fetch_add(1, Ordering::Relaxed);
+            self.inner.total.fetch_add(v, Ordering::Relaxed);
         }
     }
 
     /// A consistent-enough snapshot of the aggregates.
     pub fn stats(&self) -> HistogramStats {
-        let buckets: [u64; 64] = std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed));
-        let count = self.0.count.load(Ordering::Relaxed);
-        let total = self.0.total.load(Ordering::Relaxed);
+        let buckets: [u64; 64] =
+            std::array::from_fn(|i| self.inner.buckets[i].load(Ordering::Relaxed));
+        let count = self.inner.count.load(Ordering::Relaxed);
+        let total = self.inner.total.load(Ordering::Relaxed);
         HistogramStats {
             count,
             total,
@@ -171,10 +190,13 @@ pub struct HistogramStats {
 /// Fetches (creating on first use) the histogram named `name`.
 pub fn histogram(name: &str) -> Histogram {
     let mut map = registry().hists.lock().unwrap_or_else(|e| e.into_inner());
-    Histogram(Arc::clone(
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistInner::new())),
-    ))
+    Histogram {
+        inner: Arc::clone(
+            map.entry(name.to_string())
+                .or_insert_with(|| Arc::new(HistInner::new())),
+        ),
+        detached: false,
+    }
 }
 
 /// A snapshot of every histogram's aggregates, name-sorted.
@@ -251,6 +273,18 @@ mod tests {
         assert_eq!(s.p99, 127, "p99 stays in the bulk bucket");
         assert_eq!(s.p999, 16_383, "p999 reaches the outlier bucket");
         crate::set_enabled(false);
+    }
+
+    #[test]
+    fn detached_histogram_ignores_global_state() {
+        // No test lock and no `set_enabled`: whatever the other tests
+        // are doing to the registry, a detached histogram records.
+        let h = Histogram::detached();
+        let shared = h.clone();
+        h.record(100);
+        shared.record(100);
+        let s = h.stats();
+        assert_eq!((s.count, s.total), (2, 200));
     }
 
     #[test]

@@ -28,11 +28,13 @@
 //!   votes from a 2Δ-stale view, diluting the freshness of quorums and
 //!   stretching finality latency.
 
-use crate::params::Params;
+use crate::params::{Params, ViewPolicy};
+use crate::propagation::{over_wire, Propagation};
+use crate::schedule::GrantSchedule;
+use crate::view::{SharedLog, Visibility};
 use am_bft::FinalityOracle;
 use am_core::{IncrementalDag, MsgId, Time, GENESIS};
 use am_net::{NetConfig, NetStats};
-use am_poisson::{Grant, TokenAuthority};
 
 /// The Byzantine strategy of a BFT finality trial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,6 +172,33 @@ fn burst_threshold(p: &Params) -> usize {
     p.t.max(2)
 }
 
+/// Assembles a vote's parent list into `buf`: the selected candidate
+/// first (`parents[0]` *is* the vote), then the author's own last block
+/// unless the candidate or genesis already stands for it (a view that
+/// lags the author's own history must not force a round collision), then
+/// every other tip of the view the vote is cast from.
+fn vote_parents(
+    buf: &mut Vec<MsgId>,
+    sel: MsgId,
+    own: MsgId,
+    view_tips: impl IntoIterator<Item = MsgId>,
+) {
+    buf.clear();
+    buf.push(sel);
+    if own != sel && own != GENESIS {
+        buf.push(own);
+    }
+    buf.extend(view_tips.into_iter().filter(|&t| t != sel && t != own));
+}
+
+/// The StaleMiner vote: the first deepest block of the log as it stood
+/// 2Δ before `now`, referencing that stale view's tips.
+fn stale_vote(buf: &mut Vec<MsgId>, inc: &IncrementalDag, now: Time, delta: f64, own: MsgId) {
+    let stale = inc.prefix_at_time(Time::new(now.seconds() - 2.0 * delta));
+    let sel = inc.deepest_in_prefix(stale)[0];
+    vote_parents(buf, sel, own, inc.tips_of_prefix(stale));
+}
+
 /// Feeds one node's oracle the blocks it just admitted. Correct nodes'
 /// admission logs are ancestor-closed, but an omniscient Byzantine
 /// author sees its own block instantly even when it hasn't received the
@@ -179,7 +208,7 @@ fn burst_threshold(p: &Params) -> usize {
 fn feed_node(
     oracle: &mut FinalityOracle,
     deferred: &mut Vec<MsgId>,
-    prop: &crate::propagation::Propagation,
+    prop: &Propagation,
     authors: &[u32],
     admitted: &[MsgId],
 ) {
@@ -220,15 +249,15 @@ fn feed_node(
 /// ```
 pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
     let _span = am_obs::span("protocols/bft");
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
+    let mut sched = GrantSchedule::new(p, 1.0, grant_budget(p), "protocols/bft_stalled");
+    // The finality layer always reads interval snapshots, whatever
+    // `p.view_policy` says.
+    let mut view = SharedLog::new(ViewPolicy::IntervalSnapshot, p.delta);
     let mut inc = IncrementalDag::new();
     let mut oracle = FinalityOracle::new(p.n);
     let mut append_time: Vec<f64> = vec![0.0];
     let mut lag = LagTally::default();
 
-    let mut boundary_len = 1usize;
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
     let mut eq_cnt = vec![0u64; p.n];
     // A node always knows its own history: every non-equivocating append
     // carries the author's previous block as a parent, so a snapshot view
@@ -237,10 +266,6 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
     let mut last_own: Vec<MsgId> = vec![GENESIS; p.n];
     let mut parents_buf: Vec<MsgId> = Vec::new();
     let mut now = Time::ZERO;
-
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = grant_budget(p);
-    let mut grants = 0usize;
 
     macro_rules! append {
         ($node:expr, $parents:expr, $at:expr) => {{
@@ -255,83 +280,41 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
     }
 
     while oracle.finalized_height() < p.k && !oracle.conflict_detected() {
-        grants += 1;
-        if grants > max_grants {
-            am_obs::event(
-                "protocols/bft_stalled",
-                0,
-                (now.seconds() * 1e9) as u64,
-                || {
-                    format!(
-                        "k {} finalized {} after {grants} grants",
-                        p.k,
-                        oracle.finalized_height()
-                    )
-                },
-            );
-            break;
-        }
-        let g = auth.next_grant();
+        let Some(g) = sched.next() else { break };
         now = g.time;
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = inc.len();
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
+        view.advance_to(g.time, &inc);
+        let node = g.node.index();
 
-        if auth.is_byz(g.node) {
+        if sched.is_byz(g.node) {
             match adv {
                 BftAdversary::Absent => {}
                 BftAdversary::Equivocator => {
-                    let node = g.node.index();
                     eq_cnt[node] += 1;
+                    parents_buf.clear();
                     if eq_cnt[node] % 2 == 1 {
                         // Honest-looking vote on the current view.
                         let deepest = inc.deepest_in_prefix(inc.len());
-                        let sel = pick_vote(&oracle, &deepest);
-                        parents_buf.clear();
-                        parents_buf.push(sel);
-                        append!(node, &parents_buf, g.time);
+                        parents_buf.push(pick_vote(&oracle, &deepest));
                     } else {
                         // Fork own history from genesis: the round-1
                         // collision brands the author an equivocator.
-                        parents_buf.clear();
                         parents_buf.push(GENESIS);
-                        append!(node, &parents_buf, g.time);
                     }
+                    append!(node, &parents_buf, g.time);
                 }
                 BftAdversary::Withholder => {
-                    banked.push(g);
-                    if banked.len() >= burst_threshold(p) {
+                    sched.bank.push(g);
+                    if sched.bank.len() >= burst_threshold(p) {
                         let mut tip = inc.deepest();
-                        for tok in banked.drain(..) {
+                        for tok in sched.bank.drain(..) {
                             let node = tok.node.index();
-                            parents_buf.clear();
-                            parents_buf.push(tip);
-                            let own = last_own[node];
-                            if own != tip && own != GENESIS {
-                                parents_buf.push(own);
-                            }
+                            vote_parents(&mut parents_buf, tip, last_own[node], []);
                             tip = append!(node, &parents_buf, g.time);
                         }
                     }
                 }
                 BftAdversary::StaleMiner => {
-                    let stale = inc.prefix_at_time(Time::new(g.time.seconds() - 2.0 * p.delta));
-                    let deepest = inc.deepest_in_prefix(stale);
-                    let sel = deepest[0];
-                    let node = g.node.index();
-                    let own = last_own[node];
-                    parents_buf.clear();
-                    parents_buf.push(sel);
-                    if own != sel && own != GENESIS {
-                        parents_buf.push(own);
-                    }
-                    inc.tips_of_prefix(stale)
-                        .into_iter()
-                        .filter(|&t| t != sel && t != own)
-                        .for_each(|t| parents_buf.push(t));
+                    stale_vote(&mut parents_buf, &inc, g.time, p.delta, last_own[node]);
                     append!(node, &parents_buf, g.time);
                 }
             }
@@ -341,24 +324,17 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
         // Correct append: vote for the deepest block of the view that
         // extends the finalized prefix, referencing every view tip plus
         // the author's own last block (self-parent).
-        let prefix = boundary_len.min(inc.len());
-        let deepest = inc.deepest_in_prefix(prefix);
-        let sel = pick_vote(&oracle, &deepest);
-        let node = g.node.index();
-        let own = last_own[node];
-        parents_buf.clear();
-        parents_buf.push(sel);
-        if own != sel && own != GENESIS {
-            parents_buf.push(own);
-        }
-        inc.tips_of_prefix(prefix)
-            .into_iter()
-            .filter(|&t| t != sel && t != own)
-            .for_each(|t| parents_buf.push(t));
+        let prefix = view.prefix(&inc);
+        let sel = pick_vote(&oracle, &inc.deepest_in_prefix(prefix));
+        vote_parents(
+            &mut parents_buf,
+            sel,
+            last_own[node],
+            inc.tips_of_prefix(prefix),
+        );
         append!(node, &parents_buf, g.time);
     }
 
-    crate::scratch::put_banked(banked);
     finish(p, &oracle, inc.len() - 1, &lag, now.seconds())
 }
 
@@ -407,14 +383,24 @@ pub fn run_bft_net(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> (BftTrial,
 /// settled / healed chains) for the agreement property suites.
 pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNetRun {
     let _span = am_obs::span("protocols/bft_net");
-    let mut prop = crate::propagation::Propagation::with_scratch(
-        p.n,
-        cfg,
-        p.seed ^ 0x6e57_c0de,
-        crate::scratch::take_net(),
-    );
+    let (mut run, stats) = over_wire(p, cfg, |prop| bft_over_wire(p, adv, prop));
+    run.stats = stats;
+    run
+}
+
+/// One BFT finality trial under the visibility `p` itself asks for.
+pub(crate) fn bft_trial(p: &Params, adv: BftAdversary) -> BftTrial {
+    match &p.net {
+        None => run_bft(p, adv),
+        Some(cfg) => run_bft_net(p, adv, cfg).0,
+    }
+}
+
+/// The networked driver: per-node oracles fed in admission order.
+/// (`stats` is filled in by the caller once the wire is torn down.)
+fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNetRun {
     prop.set_track_admitted(true);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
+    let mut sched = GrantSchedule::new(p, 1.0, grant_budget(p), "protocols/bft_stalled");
     let mut inc = IncrementalDag::new();
     let mut oracles: Vec<FinalityOracle> = (0..p.n).map(|_| FinalityOracle::new(p.n)).collect();
     let mut authors: Vec<u32> = vec![u32::MAX];
@@ -422,7 +408,6 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
     let mut lag = LagTally::default();
     let correct = p.n - p.t;
 
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
     let mut eq_cnt = vec![0u64; p.n];
     // Self-parent bookkeeping for the omniscient strategies (correct
     // appends are safe without it: a node's own blocks are always in its
@@ -431,11 +416,6 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
     let mut parents_buf: Vec<MsgId> = Vec::new();
     let mut admitted_buf: Vec<MsgId> = Vec::new();
     let mut now = Time::ZERO;
-
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = grant_budget(p);
-    let mut grants = 0usize;
-
     let mut deferred: Vec<Vec<MsgId>> = vec![Vec::new(); p.n];
 
     // Feeds each node's oracle the blocks it admitted since last time;
@@ -448,7 +428,7 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
                 feed_node(
                     &mut oracles[node],
                     &mut deferred[node],
-                    &prop,
+                    prop,
                     &authors,
                     &admitted_buf,
                 );
@@ -480,70 +460,38 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
         if min_final >= p.k || conflict {
             break;
         }
-        grants += 1;
-        if grants > max_grants {
-            am_obs::event(
-                "protocols/bft_stalled",
-                0,
-                (now.seconds() * 1e9) as u64,
-                || format!("k {} min finalized {min_final} after {grants} grants", p.k),
-            );
-            break;
-        }
-        let g = auth.next_grant();
+        let Some(g) = sched.next() else { break };
         now = g.time;
         prop.advance_to(g.time);
         feed!(g.time);
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
+        let node = g.node.index();
 
-        if auth.is_byz(g.node) {
+        if sched.is_byz(g.node) {
             match adv {
                 BftAdversary::Absent => {}
                 BftAdversary::Equivocator => {
-                    let node = g.node.index();
                     eq_cnt[node] += 1;
-                    if eq_cnt[node] % 2 == 1 {
-                        let sel = prop.deepest_visible(node)[0];
-                        parents_buf.clear();
-                        parents_buf.push(sel);
-                        append!(node, &parents_buf, g.time);
+                    parents_buf.clear();
+                    parents_buf.push(if eq_cnt[node] % 2 == 1 {
+                        prop.deepest_visible(node)[0]
                     } else {
-                        parents_buf.clear();
-                        parents_buf.push(GENESIS);
-                        append!(node, &parents_buf, g.time);
-                    }
+                        GENESIS
+                    });
+                    append!(node, &parents_buf, g.time);
                 }
                 BftAdversary::Withholder => {
-                    banked.push(g);
-                    if banked.len() >= burst_threshold(p) {
+                    sched.bank.push(g);
+                    if sched.bank.len() >= burst_threshold(p) {
                         let mut tip = inc.deepest();
-                        for tok in banked.drain(..) {
+                        for tok in sched.bank.drain(..) {
                             let node = tok.node.index();
-                            parents_buf.clear();
-                            parents_buf.push(tip);
-                            let own = last_own[node];
-                            if own != tip && own != GENESIS {
-                                parents_buf.push(own);
-                            }
+                            vote_parents(&mut parents_buf, tip, last_own[node], []);
                             tip = append!(node, &parents_buf, g.time);
                         }
                     }
                 }
                 BftAdversary::StaleMiner => {
-                    let stale = inc.prefix_at_time(Time::new(g.time.seconds() - 2.0 * p.delta));
-                    let deepest = inc.deepest_in_prefix(stale);
-                    let sel = deepest[0];
-                    let node = g.node.index();
-                    let own = last_own[node];
-                    parents_buf.clear();
-                    parents_buf.push(sel);
-                    if own != sel && own != GENESIS {
-                        parents_buf.push(own);
-                    }
-                    inc.tips_of_prefix(stale)
-                        .into_iter()
-                        .filter(|&t| t != sel && t != own)
-                        .for_each(|t| parents_buf.push(t));
+                    stale_vote(&mut parents_buf, &inc, g.time, p.delta, last_own[node]);
                     append!(node, &parents_buf, g.time);
                 }
             }
@@ -558,16 +506,15 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
         // arrived tip. First repair dangling references — without the
         // pull, one dropped announcement would starve the node's cone
         // (and therefore every quorum) forever.
-        let node = g.node.index();
         prop.pull_missing_parents(node);
         let sel = pick_vote(&oracles[node], prop.deepest_visible(node));
-        parents_buf.clear();
-        parents_buf.push(sel);
-        prop.visible_tips(node)
-            .iter()
-            .copied()
-            .filter(|&t| t != sel)
-            .for_each(|t| parents_buf.push(t));
+        // The node's own blocks are among its tips: no separate self-parent.
+        vote_parents(
+            &mut parents_buf,
+            sel,
+            sel,
+            prop.visible_tips(node).iter().copied(),
+        );
         append!(node, &parents_buf, g.time);
         feed!(g.time);
     }
@@ -595,13 +542,9 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
     let digests_healed: Vec<u64> = oracles.iter().map(|o| o.finalized_digest()).collect();
     let conflict_any = oracles[..correct].iter().any(|o| o.conflict_detected());
 
-    let trial = finish(p, &oracles[0], total_appends, &lag, finish_time);
-    crate::scratch::put_banked(banked);
-    let stats = prop.stats().clone();
-    crate::scratch::put_net(prop.into_scratch());
     BftNetRun {
-        trial,
-        stats,
+        trial: finish(p, &oracles[0], total_appends, &lag, finish_time),
+        stats: NetStats::default(),
         chains_at_gate,
         chains_settled,
         chains_healed,
@@ -613,16 +556,20 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use am_net::{LatencyModel, NetProfile};
+    use am_net::LatencyModel;
 
-    fn fast() -> NetConfig {
-        NetProfile::ideal(LatencyModel::Constant(10_000_000)).into()
+    /// 0.01 Δ constant latency with `prob` drops, delivery trace on.
+    fn fast_drop(prob: f64) -> NetConfig {
+        NetConfig::builder()
+            .latency(LatencyModel::Constant(10_000_000))
+            .drop(prob)
+            .trace(true)
+            .build()
+            .unwrap()
     }
 
-    fn fast_drop(prob: f64) -> NetConfig {
-        NetProfile::ideal(LatencyModel::Constant(10_000_000))
-            .with_drop(prob)
-            .into()
+    fn fast() -> NetConfig {
+        fast_drop(0.0)
     }
 
     /// Pairwise extension-order check over finalized chains.

@@ -20,9 +20,12 @@
 //!   other correct append of the interval. Needs one token per interval,
 //!   i.e. succeeds once `λt ≥ 1 ⇔ t/n ≥ 1/(1+λ(n−t))`.
 
-use crate::params::{Params, ViewPolicy};
+use crate::params::Params;
+use crate::propagation::over_wire;
+use crate::schedule::{one_shot_budget, GrantSchedule};
+use crate::view::{interval_of, SharedLog, Visibility};
 use am_core::{AppendMemory, IncrementalDag, MessageBuilder, MsgId, NodeId, Sign, Value};
-use am_poisson::{Grant, TokenAuthority};
+use am_net::{NetConfig, NetStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
@@ -107,6 +110,20 @@ impl ChainSim {
         id
     }
 
+    /// [`Self::append`], then announces the block to `vis`.
+    fn publish<V: Visibility>(
+        &mut self,
+        vis: &mut V,
+        node: NodeId,
+        value: Value,
+        parent: MsgId,
+        time: am_core::Time,
+    ) -> MsgId {
+        let id = self.append(node, value, parent, time);
+        vis.published(node.index(), id, &[parent], time);
+        id
+    }
+
     /// Deepest block ids within the first `prefix` messages.
     pub(crate) fn deepest_in_prefix(&self, prefix: usize) -> Vec<MsgId> {
         self.inc.deepest_in_prefix(prefix)
@@ -117,7 +134,8 @@ impl ChainSim {
     }
 }
 
-/// Runs one trial of Algorithm 5.
+/// Runs one trial of Algorithm 5 on the abstract append memory: every
+/// correct node sees the `p.view_policy` prefix of the shared log.
 ///
 /// ```
 /// use am_protocols::{run_chain, ChainAdversary, Params, TieBreak};
@@ -126,60 +144,71 @@ impl ChainSim {
 /// assert!(out.chain_len >= p.k);
 /// ```
 pub fn run_chain(p: &Params, tie: TieBreak, adv: ChainAdversary) -> ChainTrial {
+    run_chain_on(p, tie, adv, &mut SharedLog::new(p.view_policy, p.delta))
+}
+
+/// Runs one Algorithm 5 trial with block propagation over `cfg`,
+/// returning the trial outcome and the network statistics.
+///
+/// The adversary stays omniscient (it reads the shared log directly —
+/// the worst case), but its blocks travel the same faulty network.
+pub fn run_chain_net(
+    p: &Params,
+    tie: TieBreak,
+    adv: ChainAdversary,
+    cfg: &NetConfig,
+) -> (ChainTrial, NetStats) {
+    let _span = am_obs::span("protocols/chain_net");
+    over_wire(p, cfg, |prop| run_chain_on(p, tie, adv, prop))
+}
+
+/// One Algorithm 5 trial under the visibility `p` itself asks for: gossip
+/// over `p.net` when set, the abstract memory otherwise.
+pub(crate) fn chain_trial(p: &Params, tie: TieBreak, adv: ChainAdversary) -> ChainTrial {
+    match &p.net {
+        None => run_chain(p, tie, adv),
+        Some(cfg) => run_chain_net(p, tie, adv, cfg).0,
+    }
+}
+
+/// The Algorithm 5 loop, once, for any [`Visibility`].
+fn run_chain_on<V: Visibility>(
+    p: &Params,
+    tie: TieBreak,
+    adv: ChainAdversary,
+    vis: &mut V,
+) -> ChainTrial {
     let mut sim = ChainSim::new(p);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
+    let mut sched = GrantSchedule::new(p, 1.0, one_shot_budget(p), "protocols/chain_stalled");
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
 
-    let mut boundary_len = 1usize; // memory length at the interval start
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = Vec::new();
     // ForkMaker: tips already forked (one Byzantine sibling is enough).
     let mut forked: HashSet<MsgId> = HashSet::new();
-    // TieBreaker: whether this interval's first correct append was hit.
-    let mut hit_this_interval = false;
+    // TieBreaker: the interval whose first correct append was already hit.
+    let mut hit_interval: Option<u64> = None;
     let mut correct_appends = 0usize;
 
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
-
     while (sim.max_depth() as usize) < p.k {
-        grants += 1;
-        if grants > max_grants {
-            break; // safety valve; decision stays a failure
-        }
-        let g = auth.next_grant();
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = sim.mem.len();
-            hit_this_interval = false;
-        }
-        // Expire stale banked tokens.
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
+        // An exhausted budget (undelivered blocks can stall growth)
+        // leaves the decision a failure.
+        let Some(g) = sched.next() else { break };
+        vis.advance_to(g.time, &sim.inc);
 
-        // Correct view prefix under the configured policy.
-        let view_prefix = match p.view_policy {
-            ViewPolicy::IntervalSnapshot => boundary_len,
-            ViewPolicy::LaggedDelta => self_prefix_lagged(&sim, g.time, p.delta),
-        };
-
-        if auth.is_byz(g.node) {
+        if sched.is_byz(g.node) {
             match adv {
                 ChainAdversary::Absent => {}
                 ChainAdversary::Dissenter => {
                     // Honest-structure, minority-value block on the real tip.
-                    let tips = sim.deepest_in_prefix(sim.mem.len());
-                    let tip = tips[0];
-                    sim.append(g.node, Value::minus(), tip, g.time);
+                    let tip = sim.inc.deepest();
+                    sim.publish(vis, g.node, Value::minus(), tip, g.time);
                 }
-                ChainAdversary::ForkMaker | ChainAdversary::TieBreaker => banked.push(g),
+                ChainAdversary::ForkMaker | ChainAdversary::TieBreaker => sched.bank.push(g),
             }
             continue;
         }
 
-        // --- Correct append: view per the configured lag policy. ---
-        let tips = sim.deepest_in_prefix(view_prefix);
+        // --- Correct append: the longest chain of the node's view. ---
+        let tips = vis.deepest(g.node.index(), &sim.inc);
         let tip = match tie {
             TieBreak::Deterministic => tips[0],
             TieBreak::Randomized => tips[rng.gen_range(0..tips.len())],
@@ -188,42 +217,38 @@ pub fn run_chain(p: &Params, tie: TieBreak, adv: ChainAdversary) -> ChainTrial {
         // ForkMaker preemption: place a Byzantine sibling *before* the
         // correct block so it wins the deterministic (first-in-memory) tie.
         if adv == ChainAdversary::ForkMaker && !forked.contains(&tip) {
-            if let Some(tok) = banked.pop() {
-                sim.append(tok.node, Value::minus(), tip, g.time);
+            if let Some(tok) = sched.bank.pop() {
+                sim.publish(vis, tok.node, Value::minus(), tip, g.time);
                 forked.insert(tip);
             }
         }
 
-        let correct_block = sim.append(g.node, Value::plus(), tip, g.time);
+        let correct_block = sim.publish(vis, g.node, Value::plus(), tip, g.time);
         correct_appends += 1;
 
         // TieBreaker: ride the first correct append of the interval,
         // spending every banked token as a private chain on top of it —
         // all later correct appends of the interval extend an "outdated"
         // state and are orphaned.
-        if adv == ChainAdversary::TieBreaker && !hit_this_interval && !banked.is_empty() {
-            let mut tip = correct_block;
-            for tok in banked.drain(..) {
-                tip = sim.append(tok.node, Value::minus(), tip, g.time);
+        if adv == ChainAdversary::TieBreaker && !sched.bank.is_empty() {
+            let interval = Some(interval_of(g.time, p.delta));
+            if hit_interval != interval {
+                let mut tip = correct_block;
+                for tok in sched.bank.drain(..) {
+                    tip = sim.publish(vis, tok.node, Value::minus(), tip, g.time);
+                }
+                hit_interval = interval;
             }
-            hit_this_interval = true;
         }
     }
 
     decide(p, &sim, correct_appends)
 }
 
-/// Prefix visible to a node whose view lags the memory by Δ.
-fn self_prefix_lagged(sim: &ChainSim, now: am_core::Time, delta: f64) -> usize {
-    sim.inc
-        .prefix_at_time(am_core::Time::new(now.seconds() - delta))
-}
-
 /// The common decision: all nodes read the same final memory, select the
 /// first longest chain, and take the sign of the sum of its first `k`
-/// appends (Algorithm 5 lines 8–10). Shared with the network-propagated
-/// runner in [`crate::propagation`].
-pub(crate) fn decide(p: &Params, sim: &ChainSim, correct_appends: usize) -> ChainTrial {
+/// appends (Algorithm 5 lines 8–10).
+fn decide(p: &Params, sim: &ChainSim, correct_appends: usize) -> ChainTrial {
     // Canonical chain: walk back from the smallest-id deepest tip.
     let tips = sim.deepest_in_prefix(sim.mem.len());
     let tip = tips[0];

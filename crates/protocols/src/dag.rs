@@ -16,11 +16,15 @@
 //! interval, `O(λ log n)` w.h.p. — measured by experiment E9.
 
 use crate::params::{Params, ViewPolicy};
+use crate::propagation::over_wire;
+use crate::schedule::{one_shot_budget, GrantSchedule};
+use crate::view::{SharedLog, Visibility};
 use am_core::{
     chain::longest_chain_with, ghost, linearize_naive, linearize_with, longest_chain,
     pivot::pivot_chain_with, pivot_chain, AppendMemory, ConeCoverTracker, DagIndex, IncrementalDag,
     Linearization, MemoryView, MessageBuilder, MsgId, Sign, Value,
 };
+use am_net::{NetConfig, NetStats};
 use am_poisson::{Grant, TokenAuthority};
 
 /// Chain-selection rule for the DAG ordering (Algorithm 6 line 9).
@@ -75,8 +79,9 @@ pub(crate) struct DagSim {
     /// replaces the per-grant snapshot + DFS of the decision gate.
     pub(crate) cover: ConeCoverTracker,
     pub(crate) byz_author: Vec<bool>,
-    /// Reusable tips buffer for [`DagSim::append_referencing_prefix`] — the
-    /// hot loop allocates no per-grant tip vectors.
+    /// Reusable parents buffer for [`DagSim::publish_on_tips`] and
+    /// [`DagSim::append_referencing_prefix`] — the hot loops allocate no
+    /// per-grant tip vectors.
     tips_buf: Vec<MsgId>,
 }
 
@@ -114,6 +119,35 @@ impl DagSim {
         id
     }
 
+    /// [`Self::append`], then announces the block to `vis`.
+    fn publish<V: Visibility>(
+        &mut self,
+        vis: &mut V,
+        node: am_core::NodeId,
+        value: Value,
+        parents: &[MsgId],
+        time: am_core::Time,
+    ) -> MsgId {
+        let id = self.append(node, value, parents, time);
+        vis.published(node.index(), id, parents, time);
+        id
+    }
+
+    /// [`Self::publish`] on the parents the caller just wrote into the
+    /// sim-owned tips buffer.
+    fn publish_on_tips<V: Visibility>(
+        &mut self,
+        vis: &mut V,
+        node: am_core::NodeId,
+        value: Value,
+        time: am_core::Time,
+    ) -> MsgId {
+        let tips = std::mem::take(&mut self.tips_buf);
+        let id = self.publish(vis, node, value, &tips, time);
+        self.tips_buf = tips;
+        id
+    }
+
     /// Covered-value count of the deepest tip's past cone, maintained
     /// incrementally — the Algorithm 6 "chain covers ≥ k values" gate
     /// without re-reading the memory.
@@ -129,7 +163,7 @@ impl DagSim {
 
     /// Appends a message referencing every tip of the length-`prefix` view,
     /// reusing the sim-owned tips buffer — the allocation-free form of
-    /// `tips_of_prefix` + `append` used by the hot loops.
+    /// `tips_of_prefix` + `append` for runners with no wire to announce on.
     pub(crate) fn append_referencing_prefix(
         &mut self,
         node: am_core::NodeId,
@@ -200,7 +234,8 @@ impl DagSim {
     }
 }
 
-/// Runs one trial of Algorithm 6.
+/// Runs one trial of Algorithm 6 on the abstract append memory: every
+/// correct node sees the `p.view_policy` prefix of the shared log.
 ///
 /// ```
 /// use am_protocols::{run_dag, DagAdversary, DagRule, Params};
@@ -209,16 +244,40 @@ impl DagSim {
 /// assert!(out.covered_values >= p.k);
 /// ```
 pub fn run_dag(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
-    let mut sim = DagSim::new(p);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
+    run_dag_on(p, rule, adv, &mut SharedLog::new(p.view_policy, p.delta))
+}
 
-    let mut boundary_len = 1usize;
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
+/// Runs one Algorithm 6 trial with block propagation over `cfg`,
+/// returning the trial outcome and the network statistics.
+pub fn run_dag_net(
+    p: &Params,
+    rule: DagRule,
+    adv: DagAdversary,
+    cfg: &NetConfig,
+) -> (DagTrial, NetStats) {
+    let _span = am_obs::span("protocols/dag_net");
+    over_wire(p, cfg, |prop| run_dag_on(p, rule, adv, prop))
+}
+
+/// One Algorithm 6 trial under the visibility `p` itself asks for: gossip
+/// over `p.net` when set, the abstract memory otherwise.
+pub(crate) fn dag_trial(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
+    match &p.net {
+        None => run_dag(p, rule, adv),
+        Some(cfg) => run_dag_net(p, rule, adv, cfg).0,
+    }
+}
+
+/// The Algorithm 6 loop, once, for any [`Visibility`].
+fn run_dag_on<V: Visibility>(
+    p: &Params,
+    rule: DagRule,
+    adv: DagAdversary,
+    vis: &mut V,
+) -> DagTrial {
+    let mut sim = DagSim::new(p);
+    let mut sched = GrantSchedule::new(p, 1.0, one_shot_budget(p), "protocols/dag_stalled");
     let mut burst_len = 0usize;
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
 
     loop {
         // Decision gate: the selected chain covers ≥ k values. The count is
@@ -230,49 +289,42 @@ pub fn run_dag(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
             }
             // Withhold-burst: fire when the bank can bridge the gap.
             if adv == DagAdversary::WithholdBurst
-                && !banked.is_empty()
-                && covered + banked.len() >= p.k
+                && !sched.bank.is_empty()
+                && covered + sched.bank.len() >= p.k
             {
                 let mut tip = sim.deepest();
                 let fire_at = sim.mem.now();
-                for tok in banked.drain(..) {
-                    tip = sim.append(tok.node, Value::minus(), &[tip], fire_at);
+                vis.advance_to(fire_at, &sim.inc);
+                for tok in sched.bank.drain(..) {
+                    tip = sim.publish(vis, tok.node, Value::minus(), &[tip], fire_at);
                     burst_len += 1;
                 }
                 continue;
             }
         }
 
-        grants += 1;
-        if grants > max_grants {
-            break;
-        }
-        let g = auth.next_grant();
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = sim.mem.len();
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
+        let Some(g) = sched.next() else { break };
+        vis.advance_to(g.time, &sim.inc);
 
-        if auth.is_byz(g.node) {
+        if sched.is_byz(g.node) {
             match adv {
                 DagAdversary::Absent => {}
                 DagAdversary::Dissenter => {
-                    let len = sim.mem.len();
-                    sim.append_referencing_prefix(g.node, Value::minus(), len, g.time);
+                    // Omniscient: references every tip of the whole log.
+                    sim.inc
+                        .tips_of_prefix_into(sim.inc.len(), &mut sim.tips_buf);
+                    sim.publish_on_tips(vis, g.node, Value::minus(), g.time);
                 }
-                DagAdversary::WithholdBurst => banked.push(g),
+                DagAdversary::WithholdBurst => sched.bank.push(g),
             }
             continue;
         }
 
-        // Correct append: reference every tip of the policy-lagged view.
-        let prefix = sim.view_prefix(p.view_policy, boundary_len, g.time, p.delta);
-        sim.append_referencing_prefix(g.node, Value::plus(), prefix, g.time);
+        // Correct append: reference every tip of the node's view.
+        vis.tips_into(g.node.index(), &sim.inc, &mut sim.tips_buf);
+        sim.publish_on_tips(vis, g.node, Value::plus(), g.time);
     }
 
-    crate::scratch::put_banked(banked);
     decide(p, &sim, rule, burst_len)
 }
 
@@ -297,7 +349,7 @@ pub(crate) fn select_chain_with(rule: DagRule, dag: &DagIndex) -> Vec<MsgId> {
     }
 }
 
-pub(crate) fn decide(p: &Params, sim: &DagSim, rule: DagRule, burst_len: usize) -> DagTrial {
+fn decide(p: &Params, sim: &DagSim, rule: DagRule, burst_len: usize) -> DagTrial {
     let view = sim.mem.read();
     // One index build serves chain selection and linearization.
     let dag = DagIndex::new(&view);

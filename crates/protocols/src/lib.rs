@@ -20,8 +20,16 @@
 //!   as an embedded BFT protocol (`am-bft`), with per-node finality
 //!   oracles and Byzantine strategies that target finality itself
 //!   (equivocation, vote withholding, stale-parent mining).
-//! * [`runner`] — parallel Monte-Carlo estimation of validity-failure
-//!   rates and resilience thresholds (rayon fan-out, per-trial seeding).
+//! * [`propagation`] — block gossip over `am-net`. Algorithms 5 and 6 are
+//!   each written once, generic over what a correct node *sees* (the
+//!   crate-private `view::Visibility`): the abstract append memory
+//!   (`view::SharedLog`, a Δ-lagged common prefix of the log) or
+//!   [`Propagation`] (whatever the faulty wire delivered). Every runner
+//!   steps through one `schedule::GrantSchedule` (token draw, grant
+//!   budget, TTL expiry of banked Byzantine tokens). See DESIGN.md §16.
+//! * [`runner`] — Monte-Carlo estimation of validity-failure rates and
+//!   resilience thresholds (per-trial seeding; trials are mapped through
+//!   the `rayon` API, which the vendored shim runs sequentially).
 //! * [`sweep`] — the adaptive sweep engine: batched trials with Wilson
 //!   early stopping ([`am_stats::StopRule`]), per-point budgets, and one
 //!   batch loop for the unsharded run, a shard and the merge alike.
@@ -51,17 +59,19 @@ pub mod dag;
 pub mod params;
 pub mod propagation;
 pub mod runner;
+pub(crate) mod schedule;
 pub(crate) mod scratch;
 pub mod shard;
 pub mod sweep;
 pub mod timestamp;
+pub(crate) mod view;
 pub mod weak;
 
 pub use bft::{run_bft, run_bft_net, run_bft_net_full, BftAdversary, BftNetRun, BftTrial};
-pub use chain::{run_chain, ChainAdversary, ChainTrial, TieBreak};
-pub use dag::{run_dag, DagAdversary, DagRule, DagTrial};
+pub use chain::{run_chain, run_chain_net, ChainAdversary, ChainTrial, TieBreak};
+pub use dag::{run_dag, run_dag_net, DagAdversary, DagRule, DagTrial};
 pub use params::{ParamError, Params, ParamsBuilder, ViewPolicy};
-pub use propagation::{run_chain_net, run_dag_net, BlockMsg, Propagation};
+pub use propagation::{BlockMsg, Propagation};
 pub use runner::{measure_failure_rate, resilience_threshold, trial_seed, TrialKind};
 pub use shard::{LoadError, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};
 pub use sweep::{PointResult, SweepConfig, SweepMode, SweepRunner};

@@ -163,11 +163,10 @@ impl ParamsBuilder {
         self
     }
 
-    /// Run trials over a faulty network. Accepts a [`NetConfig`] or a
-    /// legacy `NetProfile` (converted, trace on).
+    /// Run trials over a faulty network.
     #[must_use]
-    pub fn net(mut self, cfg: impl Into<NetConfig>) -> Self {
-        self.net = Some(cfg.into());
+    pub fn net(mut self, cfg: NetConfig) -> Self {
+        self.net = Some(cfg);
         self
     }
 
@@ -256,11 +255,10 @@ impl Params {
     }
 
     /// Same parameters with trials run over a faulty network (E14/E17/
-    /// E18). Accepts a [`NetConfig`] or a legacy `NetProfile`
-    /// (converted, trace on).
+    /// E18).
     #[must_use]
-    pub fn with_net(mut self, cfg: impl Into<NetConfig>) -> Params {
-        self.net = Some(cfg.into());
+    pub fn with_net(mut self, cfg: NetConfig) -> Params {
+        self.net = Some(cfg);
         self
     }
 

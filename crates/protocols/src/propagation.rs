@@ -1,12 +1,12 @@
 //! Block propagation over a faulty network (Algorithms 5/6 over `am-net`).
 //!
-//! The baseline runners in [`crate::chain`] and [`crate::dag`] model the
-//! synchrony bound Δ abstractly: a correct node's view is the shared
-//! memory truncated to an interval snapshot. This module replaces the
-//! abstraction with an actual message-passing substrate — every block is
-//! broadcast over an [`am_net::SimNet`] and a node's view is exactly the
-//! set of blocks that *arrived* (closed under ancestors), so latency,
-//! drops, duplication, and partitions directly shape the views.
+//! On the abstract memory ([`crate::view::SharedLog`]) a correct node's
+//! view is a Δ-lagged prefix of the shared log. [`Propagation`] is the
+//! other [`Visibility`]: an actual message-passing substrate — every
+//! block is broadcast over an [`am_net::SimNet`] and a node's view is
+//! exactly the set of blocks that *arrived* (closed under ancestors), so
+//! latency, drops, duplication, and partitions directly shape the views.
+//! The trial loops themselves live in [`crate::chain`] and [`crate::dag`].
 //!
 //! Under a fault-free low-latency profile the behaviour matches the
 //! abstract model; as faults grow, correct nodes build on stale tips. The
@@ -18,15 +18,11 @@
 //! is `1e9` ns on the network clock, so latency models are in ns and a
 //! `Constant(50_000_000)` link is 0.05 Δ.
 
-use crate::chain::{ChainAdversary, ChainSim, ChainTrial, TieBreak};
-use crate::dag::{DagAdversary, DagRule, DagSim, DagTrial};
 use crate::params::Params;
-use am_core::{MsgId, Time, Value, GENESIS};
+use crate::view::Visibility;
+use am_core::{IncrementalDag, MsgId, Time, GENESIS};
 use am_net::{Kinded, NetConfig, NetScratch, NetStats, SimNet, Transport};
-use am_poisson::{Grant, TokenAuthority};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::collections::HashSet;
+use std::borrow::Cow;
 
 /// The gossip payload: a block reference (contents live in the shared
 /// arrival log; the network only decides *when* each node learns of it).
@@ -465,206 +461,67 @@ impl Propagation {
     }
 }
 
-/// Runs one Algorithm 5 trial with block propagation over `cfg`,
-/// returning the trial outcome and the network statistics.
-///
-/// The adversary stays omniscient (it reads the shared log directly —
-/// the worst case), but its blocks travel the same faulty network.
-pub fn run_chain_net(
-    p: &Params,
-    tie: TieBreak,
-    adv: ChainAdversary,
-    cfg: &NetConfig,
-) -> (ChainTrial, NetStats) {
-    let _span = am_obs::span("protocols/chain_net");
-    let mut sim = ChainSim::new(p);
-    let mut prop =
-        Propagation::with_scratch(p.n, cfg, p.seed ^ 0x6e57_c0de, crate::scratch::take_net());
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
-    let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
-
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
-    let mut forked: HashSet<MsgId> = HashSet::new();
-    let mut hit_this_interval = false;
-    let mut correct_appends = 0usize;
-
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
-
-    while (sim.max_depth() as usize) < p.k {
-        grants += 1;
-        if grants > max_grants {
-            // Undelivered blocks can stall growth; count as failure.
-            am_obs::event("protocols/chain_stalled", 0, ns(sim.mem.now()), || {
-                format!(
-                    "k {} max_depth {} after {grants} grants",
-                    p.k,
-                    sim.max_depth()
-                )
-            });
-            break;
-        }
-        let g = auth.next_grant();
-        prop.advance_to(g.time);
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            hit_this_interval = false;
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
-
-        if auth.is_byz(g.node) {
-            match adv {
-                ChainAdversary::Absent => {}
-                ChainAdversary::Dissenter => {
-                    let tip = sim.deepest_in_prefix(sim.mem.len())[0];
-                    let id = sim.append(g.node, Value::minus(), tip, g.time);
-                    prop.on_append(g.node.index(), id, &[tip], g.time);
-                }
-                ChainAdversary::ForkMaker | ChainAdversary::TieBreaker => banked.push(g),
-            }
-            continue;
-        }
-
-        // Correct append: the longest chain of what actually arrived.
-        let tips = prop.deepest_visible(g.node.index());
-        let tip = match tie {
-            TieBreak::Deterministic => tips[0],
-            TieBreak::Randomized => tips[rng.gen_range(0..tips.len())],
-        };
-
-        if adv == ChainAdversary::ForkMaker && !forked.contains(&tip) {
-            if let Some(tok) = banked.pop() {
-                let id = sim.append(tok.node, Value::minus(), tip, g.time);
-                prop.on_append(tok.node.index(), id, &[tip], g.time);
-                forked.insert(tip);
-            }
-        }
-
-        let correct_block = sim.append(g.node, Value::plus(), tip, g.time);
-        prop.on_append(g.node.index(), correct_block, &[tip], g.time);
-        correct_appends += 1;
-
-        if adv == ChainAdversary::TieBreaker && !hit_this_interval && !banked.is_empty() {
-            let mut tip = correct_block;
-            for tok in banked.drain(..) {
-                let id = sim.append(tok.node, Value::minus(), tip, g.time);
-                prop.on_append(tok.node.index(), id, &[tip], g.time);
-                tip = id;
-            }
-            hit_this_interval = true;
-        }
+impl Visibility for Propagation {
+    fn advance_to(&mut self, at: Time, _log: &IncrementalDag) {
+        Propagation::advance_to(self, at);
     }
 
-    crate::scratch::put_banked(banked);
-    let stats = prop.stats().clone();
-    crate::scratch::put_net(prop.into_scratch());
-    (crate::chain::decide(p, &sim, correct_appends), stats)
+    fn published(&mut self, author: usize, id: MsgId, parents: &[MsgId], at: Time) {
+        self.on_append(author, id, parents, at);
+    }
+
+    fn tips_into(&self, node: usize, _log: &IncrementalDag, out: &mut Vec<MsgId>) {
+        // Copied out because the append that follows mutates the layer
+        // the slice borrows from.
+        out.clear();
+        out.extend_from_slice(self.visible_tips(node));
+    }
+
+    fn deepest<'a>(&'a self, node: usize, _log: &IncrementalDag) -> Cow<'a, [MsgId]> {
+        Cow::Borrowed(self.deepest_visible(node))
+    }
 }
 
-/// Runs one Algorithm 6 trial with block propagation over `cfg`,
-/// returning the trial outcome and the network statistics.
-pub fn run_dag_net(
+/// Runs `trial` over a fresh gossip layer for `p` on `cfg` — pooled
+/// network storage, wire randomness on its own `seed ^ 0x6e57_c0de`
+/// stream so the grant schedule is untouched — and returns its outcome
+/// with the network statistics.
+pub(crate) fn over_wire<T>(
     p: &Params,
-    rule: DagRule,
-    adv: DagAdversary,
     cfg: &NetConfig,
-) -> (DagTrial, NetStats) {
-    let _span = am_obs::span("protocols/dag_net");
-    let mut sim = DagSim::new(p);
+    trial: impl FnOnce(&mut Propagation) -> T,
+) -> (T, NetStats) {
     let mut prop =
         Propagation::with_scratch(p.n, cfg, p.seed ^ 0x6e57_c0de, crate::scratch::take_net());
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
-
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
-    let mut tips_buf: Vec<MsgId> = crate::scratch::take_tips();
-    let mut burst_len = 0usize;
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
-
-    loop {
-        if sim.mem.len() > p.k {
-            // Incremental coverage gate — no snapshot, no per-grant DFS.
-            let covered = sim.gate_covered();
-            if covered >= p.k {
-                break;
-            }
-            if adv == DagAdversary::WithholdBurst
-                && !banked.is_empty()
-                && covered + banked.len() >= p.k
-            {
-                let mut tip = sim.deepest();
-                let fire_at = sim.mem.now();
-                prop.advance_to(fire_at);
-                for tok in banked.drain(..) {
-                    let id = sim.append(tok.node, Value::minus(), &[tip], fire_at);
-                    prop.on_append(tok.node.index(), id, &[tip], fire_at);
-                    tip = id;
-                    burst_len += 1;
-                }
-                continue;
-            }
-        }
-
-        grants += 1;
-        if grants > max_grants {
-            am_obs::event("protocols/dag_stalled", 0, ns(sim.mem.now()), || {
-                format!("k {} after {grants} grants", p.k)
-            });
-            break;
-        }
-        let g = auth.next_grant();
-        prop.advance_to(g.time);
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
-
-        if auth.is_byz(g.node) {
-            match adv {
-                DagAdversary::Absent => {}
-                DagAdversary::Dissenter => {
-                    let tips = sim.tips_of_prefix(sim.mem.len());
-                    let id = sim.append(g.node, Value::minus(), &tips, g.time);
-                    prop.on_append(g.node.index(), id, &tips, g.time);
-                }
-                DagAdversary::WithholdBurst => banked.push(g),
-            }
-            continue;
-        }
-
-        // Correct append: reference every tip that actually arrived. The
-        // borrowed slice is copied into the pooled buffer because the
-        // append mutates the propagation layer it borrows from.
-        tips_buf.clear();
-        tips_buf.extend_from_slice(prop.visible_tips(g.node.index()));
-        let id = sim.append(g.node, Value::plus(), &tips_buf, g.time);
-        prop.on_append(g.node.index(), id, &tips_buf, g.time);
-    }
-
-    crate::scratch::put_banked(banked);
-    crate::scratch::put_tips(tips_buf);
+    let out = trial(&mut prop);
     let stats = prop.stats().clone();
     crate::scratch::put_net(prop.into_scratch());
-    (crate::dag::decide(p, &sim, rule, burst_len), stats)
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use am_net::{LatencyModel, NetProfile, Topology};
+    use crate::{
+        run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
+    };
+    use am_net::{LatencyModel, NetConfigBuilder, Topology};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
-    /// 0.01 Δ constant latency — effectively the synchronous ideal.
-    fn fast() -> NetProfile {
-        NetProfile::ideal(LatencyModel::Constant(10_000_000))
+    /// 0.01 Δ constant latency — effectively the synchronous ideal —
+    /// with the delivery trace on; tests chain the fault under study.
+    fn fast() -> NetConfigBuilder {
+        NetConfig::builder()
+            .latency(LatencyModel::Constant(10_000_000))
+            .trace(true)
     }
 
     #[test]
     fn visibility_is_ancestor_closed_under_reordering() {
         // Child announced over a fast link, parent over a slow one: the
         // child must stay buffered until the parent arrives.
-        let profile = NetProfile::ideal(LatencyModel::Constant(0));
-        let mut prop = Propagation::new(3, &profile.into(), 1);
+        let mut prop = Propagation::new(3, &NetConfig::ideal(LatencyModel::Constant(0)), 1);
         prop.net
             .set_link_latency(0, 2, LatencyModel::Constant(1_000));
         prop.net.set_link_latency(1, 2, LatencyModel::Constant(10));
@@ -689,14 +546,17 @@ mod tests {
         // visible counter agree with full rescans of the visibility
         // bitmaps — the old implementation's semantics.
         for seed in 0..6u64 {
-            let profile = NetProfile::ideal(LatencyModel::Uniform {
-                lo: 10_000_000,
-                hi: 900_000_000,
-            })
-            .with_drop(0.25)
-            .with_dup(0.15);
+            let cfg = NetConfig::builder()
+                .latency(LatencyModel::Uniform {
+                    lo: 10_000_000,
+                    hi: 900_000_000,
+                })
+                .drop(0.25)
+                .dup(0.15)
+                .build()
+                .unwrap();
             let n = 5;
-            let mut prop = Propagation::new(n, &profile.into(), seed);
+            let mut prop = Propagation::new(n, &cfg, seed);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut known: Vec<MsgId> = vec![GENESIS];
             for step in 1..=60u64 {
@@ -756,7 +616,7 @@ mod tests {
                 &p,
                 TieBreak::Randomized,
                 ChainAdversary::Absent,
-                &fast().into(),
+                &fast().build().unwrap(),
             );
             assert!(out.validity, "seed {seed}");
             assert!(out.chain_len >= p.k);
@@ -773,7 +633,7 @@ mod tests {
                 &p,
                 DagRule::LongestChain,
                 DagAdversary::Absent,
-                &fast().into(),
+                &fast().build().unwrap(),
             );
             assert!(out.validity, "seed {seed}");
             assert!(out.covered_values >= p.k);
@@ -783,7 +643,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = Params::new(10, 3, 0.5, 21, 99);
-        let profile = NetConfig::from(fast().with_drop(0.1));
+        let profile = fast().drop(0.1).build().unwrap();
         let (a, sa) = run_chain_net(
             &p,
             TieBreak::Randomized,
@@ -811,7 +671,7 @@ mod tests {
         let trials = 8;
         for seed in 0..trials {
             let p = Params::new(8, 0, 0.5, 15, seed);
-            let profile = NetConfig::from(fast().with_drop(0.4));
+            let profile = fast().drop(0.4).build().unwrap();
             let (c, _) = run_chain_net(&p, TieBreak::Randomized, ChainAdversary::Absent, &profile);
             chain_orphans += c.orphaned_correct;
             chain_kept += c.chain_len as f64 / c.total_appends as f64;
@@ -835,7 +695,7 @@ mod tests {
         // A long partition makes the halves build privately; the DAG
         // still covers nearly everything once views merge.
         let p = Params::new(8, 0, 0.5, 15, 3);
-        let profile = NetConfig::from(fast().with_partition(0, 20_000_000_000)); // 20 Δ
+        let profile = fast().partition(0, 20_000_000_000).build().unwrap(); // 20 Δ
         let (d, stats) = run_dag_net(&p, DagRule::LongestChain, DagAdversary::Absent, &profile);
         assert!(stats.totals().dropped > 0, "the partition must cut traffic");
         assert!(d.validity, "an adversary-free DAG stays valid across heal");
@@ -921,29 +781,5 @@ mod tests {
         for node in 0..n {
             assert_eq!(prop.visible_count(node), 2);
         }
-    }
-
-    #[test]
-    fn legacy_profile_and_mesh_config_trials_are_bit_identical() {
-        // The NetConfig path with explicit mesh/trace settings must
-        // reproduce the NetProfile path exactly — trace and outcome.
-        let p = Params::new(9, 2, 0.5, 18, 123);
-        let profile = fast().with_drop(0.2).with_dup(0.1);
-        let (a, sa) = run_chain_net(
-            &p,
-            TieBreak::Randomized,
-            ChainAdversary::ForkMaker,
-            &profile.into(),
-        );
-        let cfg = NetConfig::builder()
-            .latency(LatencyModel::Constant(10_000_000))
-            .drop(0.2)
-            .dup(0.1)
-            .trace(true)
-            .build()
-            .unwrap();
-        let (b, sb) = run_chain_net(&p, TieBreak::Randomized, ChainAdversary::ForkMaker, &cfg);
-        assert_eq!(a, b);
-        assert_eq!(sa.trace(), sb.trace());
     }
 }

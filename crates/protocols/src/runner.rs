@@ -1,15 +1,15 @@
-//! Parallel Monte-Carlo estimation over trials.
+//! Monte-Carlo estimation over trials.
 //!
-//! Fans trials out with rayon (`par_iter` over trial indices), each trial
-//! deterministically seeded from the base seed and its index, and reduces
-//! into [`Proportion`] tallies — the pattern the experiment harness and
-//! the resilience-threshold searches are built on.
+//! Maps trials over their indices through the `rayon` API (`par_iter`;
+//! the vendored shim runs it sequentially on the calling thread), each
+//! trial deterministically seeded from the base seed and its index, and
+//! reduces into [`Proportion`] tallies — the pattern the experiment
+//! harness and the resilience-threshold searches are built on.
 
-use crate::bft::{run_bft, run_bft_net, BftAdversary};
-use crate::chain::{run_chain, ChainAdversary, TieBreak};
-use crate::dag::{run_dag, DagAdversary, DagRule};
+use crate::bft::{bft_trial, BftAdversary};
+use crate::chain::{chain_trial, ChainAdversary, TieBreak};
+use crate::dag::{dag_trial, DagAdversary, DagRule};
 use crate::params::Params;
-use crate::propagation::{run_chain_net, run_dag_net};
 use crate::sweep::{SweepConfig, SweepRunner};
 use crate::timestamp::run_timestamp;
 use am_stats::{search_threshold, Proportion, ThresholdResult};
@@ -41,26 +41,16 @@ impl TrialKind {
     }
 
     /// Runs one trial; returns whether **validity failed**. When
-    /// `p.net` is set, chain/DAG trials propagate blocks over the faulty
-    /// network (the timestamp baseline has a central authority and no
-    /// gossip, so the profile does not apply to it).
+    /// `p.net` is set, chain/DAG/BFT trials propagate blocks over the
+    /// faulty network (the timestamp baseline has a central authority
+    /// and no gossip, so the network does not apply to it).
     pub fn run_one(&self, p: &Params) -> bool {
-        match (self, p.net) {
-            (TrialKind::Timestamp, _) => !run_timestamp(p).validity,
-            (TrialKind::Chain(tie, adv), None) => !run_chain(p, *tie, *adv).validity,
-            (TrialKind::Chain(tie, adv), Some(profile)) => {
-                !run_chain_net(p, *tie, *adv, &profile).0.validity
-            }
-            (TrialKind::Dag(rule, adv), None) => !run_dag(p, *rule, *adv).validity,
-            (TrialKind::Dag(rule, adv), Some(profile)) => {
-                !run_dag_net(p, *rule, *adv, &profile).0.validity
-            }
-            (TrialKind::Bft(adv), None) => {
-                let out = run_bft(p, *adv);
-                !out.finality || out.conflict
-            }
-            (TrialKind::Bft(adv), Some(profile)) => {
-                let out = run_bft_net(p, *adv, &profile).0;
+        match self {
+            TrialKind::Timestamp => !run_timestamp(p).validity,
+            TrialKind::Chain(tie, adv) => !chain_trial(p, *tie, *adv).validity,
+            TrialKind::Dag(rule, adv) => !dag_trial(p, *rule, *adv).validity,
+            TrialKind::Bft(adv) => {
+                let out = bft_trial(p, *adv);
                 !out.finality || out.conflict
             }
         }

@@ -1,10 +1,9 @@
 //! Per-thread trial scratch: buffers reused across Monte-Carlo trials.
 //!
-//! The sweep engine fans trials out over rayon's worker pool; pool threads
-//! persist for the process lifetime, so a `thread_local!` arena gives every
-//! worker a private set of buffers that warm up once and are then reused by
-//! every trial that worker runs — no synchronisation, no per-trial
-//! allocation churn. Two buffers matter on the hot path:
+//! A `thread_local!` arena gives every thread that runs trials a private
+//! set of buffers that warm up once and are then reused by every trial
+//! that thread runs — no synchronisation, no per-trial allocation churn.
+//! Two buffers matter on the hot path:
 //!
 //! * the **banked-grant buffer** every withhold-style adversary fills and
 //!   drains (its capacity stabilises at the largest bank seen), and
@@ -26,7 +25,6 @@ struct TrialScratch {
     banked: Vec<Grant>,
     ghost: GhostScratch,
     net: NetScratch<BlockMsg>,
-    tips: Vec<MsgId>,
 }
 
 thread_local! {
@@ -34,7 +32,6 @@ thread_local! {
         banked: Vec::new(),
         ghost: GhostScratch::new(),
         net: NetScratch::default(),
-        tips: Vec::new(),
     });
 }
 
@@ -64,18 +61,6 @@ pub(crate) fn take_net() -> NetScratch<BlockMsg> {
 /// Returns network scratch to the pool for the next trial on this thread.
 pub(crate) fn put_net(scratch: NetScratch<BlockMsg>) {
     TRIAL_SCRATCH.with(|s| s.borrow_mut().net = scratch);
-}
-
-/// Takes the pooled tips buffer (empty, capacity retained) used to copy a
-/// node's borrowed tip slice before mutating the propagation layer.
-pub(crate) fn take_tips() -> Vec<MsgId> {
-    TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().tips))
-}
-
-/// Returns the tips buffer to the pool, clearing it first.
-pub(crate) fn put_tips(mut v: Vec<MsgId>) {
-    v.clear();
-    TRIAL_SCRATCH.with(|s| s.borrow_mut().tips = v);
 }
 
 #[cfg(test)]

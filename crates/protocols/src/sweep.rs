@@ -5,7 +5,8 @@
 //! This module is the one engine those sweeps share:
 //!
 //! * **Batched, schedule-independent trials.** Each point runs trials in
-//!   rayon-parallel batches; trial `i` is seeded by
+//!   batches mapped through the `rayon` API (the vendored shim executes
+//!   them sequentially on the calling thread); trial `i` is seeded by
 //!   [`trial_seed`](crate::runner::trial_seed)`(seed, i)`, so the tally is
 //!   a pure function of `(seed, trial count)` — independent of batch
 //!   boundaries, thread schedule, and interruption.
@@ -27,13 +28,12 @@
 //!   index, conservative otherwise. Integer tallies plus index-derived
 //!   seeds leave nothing schedule-dependent, so every split, kill and
 //!   resume reproduces the single-process results bit for bit.
-//! * **Warm workers.** Rayon pool threads persist for the process
-//!   lifetime, so the `thread_local!` arenas in [`crate::scratch`]
-//!   (banked-grant buffer, GHOST weight bitsets) warm up on a worker's
-//!   first trial and are reused by every later trial that worker runs —
-//!   the batched fan-out amortises allocation across the whole sweep,
-//!   not just one trial. Buffers are cleared before reuse, so tallies
-//!   stay bit-identical regardless of which worker runs which trial.
+//! * **Warm scratch.** The `thread_local!` arenas in [`crate::scratch`]
+//!   (banked-grant buffer, GHOST weight bitsets, network storage) warm
+//!   up on a thread's first trial and are reused by every later trial
+//!   that thread runs, amortising allocation across the whole sweep, not
+//!   just one trial. Buffers are cleared before reuse, so tallies stay
+//!   bit-identical regardless of which thread runs which trial.
 //!
 //! Observability: a `sweep/<key>` span per point and four counters —
 //! `sweep.batches` (windows in which this process ran trials),

@@ -24,9 +24,10 @@
 
 use crate::chain::ChainSim;
 use crate::dag::{covered_of_lin, select_chain, select_chain_with, DagRule, DagSim};
-use crate::params::Params;
+use crate::params::{Params, ViewPolicy};
+use crate::schedule::{one_shot_budget, GrantSchedule};
+use crate::view::{SharedLog, Visibility};
 use am_core::{linearize_with, DagIndex, MsgId, Sign, Value};
-use am_poisson::{Grant, TokenAuthority};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -53,14 +54,8 @@ pub struct StaggeredTrial {
 pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> StaggeredTrial {
     assert!(ttl_factor >= 1.0);
     let mut sim = DagSim::new(p);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
-
-    let mut boundary_len = 1usize;
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
-    let ttl = p.token_ttl * p.delta * ttl_factor;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
+    let mut sched = GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/dag_stalled");
+    let mut shared = SharedLog::new(p.view_policy, p.delta);
 
     // Phase 1: run until the k-value condition first holds; the adversary
     // only banks (it wants a maximal reorg at the decision boundary).
@@ -68,22 +63,12 @@ pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> Staggere
         if sim.mem.len() > p.k && sim.gate_covered() >= p.k {
             break;
         }
-        grants += 1;
-        if grants > max_grants {
-            break;
-        }
-        let g = auth.next_grant();
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = sim.mem.len();
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
-        if auth.is_byz(g.node) {
-            banked.push(g);
+        let Some(g) = sched.next() else { break };
+        shared.advance_to(g.time, &sim.inc);
+        if sched.is_byz(g.node) {
+            sched.bank.push(g);
         } else {
-            let prefix = sim.view_prefix(p.view_policy, boundary_len, g.time, p.delta);
-            sim.append_referencing_prefix(g.node, Value::plus(), prefix, g.time);
+            sim.append_referencing_prefix(g.node, Value::plus(), shared.prefix(&sim.inc), g.time);
         }
     }
 
@@ -98,21 +83,14 @@ pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> Staggere
     // private chain forked from a canonical-chain block deep enough that
     // the release strictly overtakes the public tip, rerouting chain
     // selection for anyone who reads after it.
-    let reorg_len = banked.len();
+    let reorg_len = sched.bank.len();
     if reorg_len > 0 {
-        let chain = early_chain;
-        let max_depth = chain.len() - 1; // genesis at depth 0
-                                         // Fork so that fork_depth + reorg_len > max_depth.
-        let fork_depth = max_depth
-            .saturating_sub(reorg_len.saturating_sub(2))
-            .min(max_depth);
-        let mut tip: MsgId = chain[fork_depth];
+        let mut tip = reorg_fork_point(&early_chain, reorg_len);
         let at = sim.mem.now();
-        for tok in banked.drain(..) {
+        for tok in sched.bank.drain(..) {
             tip = sim.append(tok.node, Value::minus(), &[tip], at);
         }
     }
-    crate::scratch::put_banked(banked);
 
     // Late decider: reads after the release (one Δ of skew).
     let late_view = sim.mem.read();
@@ -125,6 +103,14 @@ pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> Staggere
         validity: early == Some(Sign::Plus) && late == Some(Sign::Plus),
         reorg_len,
     }
+}
+
+/// Where a withheld chain of `reorg_len` blocks forks off `chain`
+/// (root-first): deep enough that the release strictly overtakes the
+/// public tip (`fork_depth + reorg_len > max_depth`).
+fn reorg_fork_point(chain: &[MsgId], reorg_len: usize) -> MsgId {
+    let max_depth = chain.len() - 1; // genesis at depth 0
+    chain[max_depth.saturating_sub(reorg_len.saturating_sub(2))]
 }
 
 /// The Algorithm 6 decision on a given snapshot: builds one index, selects
@@ -167,34 +153,21 @@ fn decide_on_chain(
 pub fn run_chain_staggered(p: &Params, ttl_factor: f64) -> StaggeredTrial {
     assert!(ttl_factor >= 1.0);
     let mut sim = ChainSim::new(p);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
+    let mut sched =
+        GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/chain_stalled");
+    // This runner always reads interval snapshots, whatever `p.view_policy`.
+    let mut shared = SharedLog::new(ViewPolicy::IntervalSnapshot, p.delta);
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
-
-    let mut boundary_len = 1usize;
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
-    let ttl = p.token_ttl * p.delta * ttl_factor;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
 
     // Phase 1: correct nodes build; the adversary only banks.
     while (sim.max_depth() as usize) < p.k {
-        grants += 1;
-        if grants > max_grants {
-            break;
-        }
-        let g = auth.next_grant();
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = sim.mem.len();
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
-        if auth.is_byz(g.node) {
-            banked.push(g);
+        let Some(g) = sched.next() else { break };
+        shared.advance_to(g.time, &sim.inc);
+        if sched.is_byz(g.node) {
+            sched.bank.push(g);
             continue;
         }
-        let tips = sim.deepest_in_prefix(boundary_len);
+        let tips = shared.deepest(g.node.index(), &sim.inc);
         let tip = tips[rng.gen_range(0..tips.len())];
         sim.append(g.node, Value::plus(), tip, g.time);
     }
@@ -204,20 +177,14 @@ pub fn run_chain_staggered(p: &Params, ttl_factor: f64) -> StaggeredTrial {
 
     // Phase 2: release the private side chain, forked deep enough to
     // strictly overtake the public tip.
-    let reorg_len = banked.len();
+    let reorg_len = sched.bank.len();
     if reorg_len > 0 {
-        let chain = canonical_chain(&sim);
-        let max_depth = chain.len() - 1;
-        let fork_depth = max_depth
-            .saturating_sub(reorg_len.saturating_sub(2))
-            .min(max_depth);
-        let mut tip = chain[fork_depth];
+        let mut tip = reorg_fork_point(&canonical_chain(&sim), reorg_len);
         let at = sim.mem.now();
-        for tok in banked.drain(..) {
+        for tok in sched.bank.drain(..) {
             tip = sim.append(tok.node, Value::minus(), tip, at);
         }
     }
-    crate::scratch::put_banked(banked);
 
     // Late decider.
     let late = chain_decide(p, &sim);
@@ -288,14 +255,8 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
     assert!(ttl_factor >= 1.0);
     let n_corr = p.n_correct();
     let mut sim = DagSim::new(p);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
-
-    let mut boundary_len = 1usize;
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = crate::scratch::take_banked();
-    let ttl = p.token_ttl * p.delta * ttl_factor;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
+    let mut sched = GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/dag_stalled");
+    let mut shared = SharedLog::new(p.view_policy, p.delta);
 
     // Per-node read schedule: node i reads at (j + i/n_corr)·Δ.
     let mut next_read: Vec<f64> = (0..n_corr)
@@ -305,13 +266,9 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
     let mut decide_times: Vec<f64> = vec![f64::INFINITY; n_corr];
     let mut released = false;
 
-    'outer: loop {
-        grants += 1;
-        if grants > max_grants {
-            break;
-        }
-        let g = auth.next_grant();
-
+    // Drawn but not yet entered: the reads below happen *before* the
+    // grant, with the tokens that were live then.
+    'outer: while let Some(g) = sched.draw() {
         // Process reads scheduled before this grant, in time order.
         loop {
             let (i, &t) = match next_read
@@ -330,17 +287,12 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
             // The adversary releases its reorg the instant a decision is
             // possible, before slower readers catch up. The coverage probe
             // uses the incremental tracker — no snapshot, no DFS.
-            if !released && sim.gate_covered() >= p.k && !banked.is_empty() {
+            if !released && sim.gate_covered() >= p.k && !sched.bank.is_empty() {
                 released = true;
-                let view = sim.mem.read();
-                let chain = select_chain(rule, &view);
-                let max_depth = chain.len() - 1;
-                let fork_depth = max_depth
-                    .saturating_sub(banked.len().saturating_sub(2))
-                    .min(max_depth);
-                let mut tip: MsgId = chain[fork_depth];
+                let chain = select_chain(rule, &sim.mem.read());
+                let mut tip = reorg_fork_point(&chain, sched.bank.len());
                 let at = sim.mem.now();
-                for tok in banked.drain(..) {
+                for tok in sched.bank.drain(..) {
                     tip = sim.append(tok.node, Value::minus(), &[tip], at);
                 }
             }
@@ -363,21 +315,15 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
             }
         }
 
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = sim.mem.len();
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
-        if auth.is_byz(g.node) {
-            banked.push(g);
+        sched.expire(&g);
+        shared.advance_to(g.time, &sim.inc);
+        if sched.is_byz(g.node) {
+            sched.bank.push(g);
         } else {
-            let prefix = sim.view_prefix(p.view_policy, boundary_len, g.time, p.delta);
-            sim.append_referencing_prefix(g.node, Value::plus(), prefix, g.time);
+            sim.append_referencing_prefix(g.node, Value::plus(), shared.prefix(&sim.inc), g.time);
         }
     }
 
-    crate::scratch::put_banked(banked);
     let first = decisions.iter().flatten().next().copied();
     let agreement = decisions.iter().all(|d| d.is_some()) && decisions.iter().all(|d| *d == first);
     let validity = decisions.iter().all(|d| *d == Some(Sign::Plus));

@@ -17,7 +17,7 @@
 //!    every correct node ends on the identical chain.
 
 use am_core::MsgId;
-use am_net::{LatencyModel, NetConfig, NetProfile};
+use am_net::{LatencyModel, NetConfig};
 use am_protocols::{run_bft_net_full, BftAdversary, Params};
 
 const DELTA_NS: u64 = 1_000_000_000;
@@ -89,37 +89,38 @@ fn family(name: &str, p: &Params, adv: BftAdversary, profile: &NetConfig, equali
 #[test]
 fn agreement_under_drops() {
     let latency = LatencyModel::Constant(DELTA_NS / 20);
-    let profile = NetProfile::ideal(latency).with_drop(0.2);
+    let profile = NetConfig::builder()
+        .latency(latency)
+        .drop(0.2)
+        .build()
+        .expect("valid config");
     let p = Params::new(5, 0, 0.5, 4, 0xa9);
-    family("drop 0.2", &p, BftAdversary::Absent, &profile.into(), true);
+    family("drop 0.2", &p, BftAdversary::Absent, &profile, true);
 }
 
 #[test]
 fn agreement_under_dup_and_reorder() {
     let latency = LatencyModel::Constant(DELTA_NS / 20);
-    let profile = NetProfile::ideal(latency).with_dup(0.25).with_reorder(0.25);
+    let profile = NetConfig::builder()
+        .latency(latency)
+        .dup(0.25)
+        .reorder(0.25)
+        .build()
+        .expect("valid config");
     let p = Params::new(5, 0, 0.5, 4, 0xa9d);
-    family(
-        "dup+reorder",
-        &p,
-        BftAdversary::Absent,
-        &profile.into(),
-        true,
-    );
+    family("dup+reorder", &p, BftAdversary::Absent, &profile, true);
 }
 
 #[test]
 fn agreement_across_partition_heal() {
     let latency = LatencyModel::Constant(DELTA_NS / 20);
-    let profile = NetProfile::ideal(latency).with_partition(0, 8 * DELTA_NS);
+    let profile = NetConfig::builder()
+        .latency(latency)
+        .partition(0, 8 * DELTA_NS)
+        .build()
+        .expect("valid config");
     let p = Params::new(5, 0, 0.5, 4, 0xa9e);
-    family(
-        "partition 8Δ",
-        &p,
-        BftAdversary::Absent,
-        &profile.into(),
-        true,
-    );
+    family("partition 8Δ", &p, BftAdversary::Absent, &profile, true);
 }
 
 #[test]
@@ -128,13 +129,17 @@ fn agreement_with_equivocator_on_lossy_wire() {
     // transient quorum can leave one watermark a step ahead permanently:
     // the heal guarantees extension order, not equality, here.
     let latency = LatencyModel::Constant(DELTA_NS / 20);
-    let profile = NetProfile::ideal(latency).with_drop(0.1);
+    let profile = NetConfig::builder()
+        .latency(latency)
+        .drop(0.1)
+        .build()
+        .expect("valid config");
     let p = Params::new(5, 1, 0.5, 4, 0xa9f);
     family(
         "eq + drop 0.1",
         &p,
         BftAdversary::Equivocator,
-        &profile.into(),
+        &profile,
         false,
     );
 }
