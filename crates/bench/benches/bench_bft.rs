@@ -115,5 +115,30 @@ fn bench_pr7_finality(_c: &mut Criterion) {
     rec.write();
 }
 
-criterion_group!(benches, bench_oracle, bench_pr7_finality);
+/// Absolute lanes: ns per [`FinalityOracle::observe`] on the
+/// honest-append shape at n = 12 and n = 48 (20 rounds of blocks each),
+/// recorded into `BENCH_TRAJECTORY.json`. This shape finalizes a height
+/// per block, so every observe pays a full passing scan; n = 48 must
+/// still cost far less than the 16× of a rule that walks the quorum and
+/// the clique per block.
+fn bench_observe_absolute(_c: &mut Criterion) {
+    let mut rec = recorder::Recorder::preset(Preset::Trajectory);
+    for n in [12usize, 48] {
+        let blocks = make_blocks(n, 20 * n);
+        rec.measure_absolute(
+            &format!("bft/observe_ns_n{n}"),
+            blocks.len() as u64,
+            Duration::from_millis(700),
+            || black_box(trajectory_incremental(n, &blocks)),
+        );
+    }
+    rec.write();
+}
+
+criterion_group!(
+    benches,
+    bench_oracle,
+    bench_pr7_finality,
+    bench_observe_absolute
+);
 criterion_main!(benches);

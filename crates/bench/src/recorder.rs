@@ -62,6 +62,13 @@ fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
 }
 
+/// The host's core count — the machine context of an absolute record.
+pub(crate) fn cores() -> u64 {
+    std::thread::available_parallelism()
+        .map(|n| n.get() as u64)
+        .unwrap_or(1)
+}
+
 /// Inserts or replaces `key` in an insertion-ordered object body.
 fn upsert(entries: &mut Vec<(String, Value)>, key: &str, value: Value) {
     match entries.iter_mut().find(|(k, _)| k == key) {
@@ -114,6 +121,33 @@ impl Recorder {
             op: op.to_string(),
             record: Value::Object(entry),
         });
+        ns
+    }
+
+    /// [`measure`](Recorder::measure) for an absolute lane: `f` performs
+    /// `ops_per_call` operations, and the record is `{ns_per_op,
+    /// ops_per_call, cores}` — no baseline, compared against its own
+    /// committed value from a like machine. Returns the ns per operation.
+    pub fn measure_absolute<O>(
+        &mut self,
+        op: &str,
+        ops_per_call: u64,
+        budget: Duration,
+        f: impl FnMut() -> O,
+    ) -> f64 {
+        let ns = self.measure(op, None, budget, f) / ops_per_call as f64;
+        self.results.pop();
+        self.record_value(
+            op,
+            Value::Object(vec![
+                ("ns_per_op".to_string(), num(round2(ns))),
+                (
+                    "ops_per_call".to_string(),
+                    Value::Number(Number::UInt(ops_per_call)),
+                ),
+                ("cores".to_string(), Value::Number(Number::UInt(cores()))),
+            ]),
+        );
         ns
     }
 

@@ -22,7 +22,7 @@
 //!   the `PERF_BUDGET_SCALE` env knob to absorb noisy runners.
 
 use crate::presets::{Preset, HEADLINE};
-use crate::recorder::Recorder;
+use crate::recorder::{cores, Recorder};
 use serde::{Number, Value};
 use std::path::PathBuf;
 
@@ -53,9 +53,6 @@ fn root_path(file_name: &str) -> PathBuf {
 /// the host's core count (shard speedups are only meaningful relative to
 /// the cores that backed them).
 pub fn record_sweep(t: &SweepThroughput) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
     let trials_per_sec = t.trials as f64 / t.wall_s.max(1e-9);
     let mut rec = Recorder::preset(Preset::Trajectory);
     rec.record_value(
@@ -68,7 +65,7 @@ pub fn record_sweep(t: &SweepThroughput) {
                 "shards".to_string(),
                 Value::Number(Number::UInt(u64::from(t.shards))),
             ),
-            ("cores".to_string(), Value::Number(Number::UInt(cores))),
+            ("cores".to_string(), Value::Number(Number::UInt(cores()))),
         ]),
     );
     rec.write();

@@ -79,13 +79,16 @@ pub struct DagInterpreter {
     /// Parent count per block (genesis 0), for role classification.
     nparents: Vec<u8>,
     /// Per block: for each author, the max round present in the closed
-    /// past cone (0 = none). The justification high-water vector.
-    hw: Vec<Box<[u32]>>,
+    /// past cone (0 = none). The justification high-water vectors, flat
+    /// with stride `n` (one allocation, so a clone is one memcpy).
+    hw: Vec<u32>,
     /// Per author: first block observed at each round (index `r - 1`).
     by_round: Vec<Vec<u32>>,
     /// Sticky equivocator flags.
     equiv: Vec<bool>,
     equivocators: usize,
+    /// (proposals, votes, echoes) over the interpreted blocks.
+    roles: (usize, usize, usize),
 }
 
 impl DagInterpreter {
@@ -100,10 +103,11 @@ impl DagInterpreter {
             sel: vec![0],
             jump: vec![0],
             nparents: vec![0],
-            hw: vec![vec![0; n].into_boxed_slice()],
+            hw: vec![0; n],
             by_round: vec![Vec::new(); n],
             equiv: vec![false; n],
             equivocators: 0,
+            roles: (0, 0, 0),
         }
     }
 
@@ -129,21 +133,27 @@ impl DagInterpreter {
         assert!(author < self.n, "author out of range");
         assert!(!parents.is_empty(), "blocks reference at least genesis");
         let idx = self.author.len() as u32;
+        assert!(
+            parents.iter().all(|&p| p < idx),
+            "parents must precede the block"
+        );
 
         // Justification high water: elementwise max over parents, then
         // the block itself advances its author's entry by one round.
-        let mut hw = self.hw[parents[0] as usize].clone();
+        let n = self.n;
+        let base = self.hw.len();
+        let row = |b: u32| b as usize * n..(b as usize + 1) * n;
+        self.hw.extend_from_within(row(parents[0]));
         for &p in &parents[1..] {
-            assert!(p < idx, "parents must precede the block");
-            for (h, &ph) in hw.iter_mut().zip(self.hw[p as usize].iter()) {
+            let (old, new) = self.hw.split_at_mut(base);
+            for (h, &ph) in new.iter_mut().zip(&old[row(p)]) {
                 *h = (*h).max(ph);
             }
         }
-        let r = hw[author] + 1;
-        hw[author] = r;
+        let r = self.hw[base + author] + 1;
+        self.hw[base + author] = r;
 
         let sel = parents[0];
-        assert!(sel < idx, "parents must precede the block");
         let height = self.height[sel as usize] + 1;
         // Jump pointer: point at jump[jump[sel]] when the two hops below
         // span equal height gaps (the classic O(1)-space level-ancestor
@@ -177,7 +187,11 @@ impl DagInterpreter {
         self.jump.push(jump);
         self.nparents
             .push(parents.len().min(u8::MAX as usize) as u8);
-        self.hw.push(hw);
+        match self.role_of(idx) {
+            Role::Proposal => self.roles.0 += 1,
+            Role::Vote => self.roles.1 += 1,
+            Role::Echo => self.roles.2 += 1,
+        }
         idx
     }
 
@@ -217,6 +231,12 @@ impl DagInterpreter {
         }
     }
 
+    /// Counts of (proposals, votes, echoes) over the interpreted blocks,
+    /// genesis excluded.
+    pub fn role_counts(&self) -> (usize, usize, usize) {
+        self.roles
+    }
+
     /// Author of a block (`None` for genesis).
     pub fn author_of(&self, b: u32) -> Option<usize> {
         let a = self.author[b as usize];
@@ -233,16 +253,31 @@ impl DagInterpreter {
         self.height[b as usize]
     }
 
+    /// The block's selected parent, `parents[0]` (genesis is its own).
+    pub fn selected_parent(&self, b: u32) -> u32 {
+        self.sel[b as usize]
+    }
+
     /// Highest round of `author` witnessed inside `b`'s closed past cone
     /// (0 = none).
     pub fn high_water(&self, b: u32, author: usize) -> u32 {
-        self.hw[b as usize][author]
+        self.high_water_row(b)[author]
+    }
+
+    /// [`high_water`](DagInterpreter::high_water) for every author.
+    pub fn high_water_row(&self, b: u32) -> &[u32] {
+        &self.hw[b as usize * self.n..(b as usize + 1) * self.n]
     }
 
     /// The first block observed for `(author, round)`; `round` is 1-based
     /// and must have been reached.
     pub fn block_at(&self, author: usize, round: u32) -> u32 {
         self.by_round[author][round as usize - 1]
+    }
+
+    /// Number of rounds the author has reached (0 = silent).
+    pub fn rounds_of(&self, author: usize) -> u32 {
+        self.by_round[author].len() as u32
     }
 
     /// The author's highest-round block, if any (first-observed at that

@@ -22,8 +22,12 @@
 //! * [`FinalityOracle`] — advances a monotone finalized watermark: a
 //!   chain block is final once a quorum of non-equivocating authors vote
 //!   for it *with pairwise mutual visibility of those votes* (the CBC
-//!   clique condition). Maintains an O(new-tail) finalized-prefix digest
-//!   and the finalized past cone (a `ConeCoverTracker` pinned to the
+//!   clique condition). The verdict at the height under test is kept
+//!   incrementally — a vote vector, a per-height ancestor memo, and the
+//!   row the clique is stuck on — so an observed block touches only its
+//!   author's vote and usually skips the scan ([`OracleStats`] counts
+//!   how often). Maintains an O(new-tail) finalized-prefix digest and
+//!   the finalized past cone (a `ConeCoverTracker` pinned to the
 //!   finalized head) for O(1) [`is_final`](FinalityOracle::is_final)
 //!   probes.
 //!
@@ -38,4 +42,4 @@ mod interpret;
 mod oracle;
 
 pub use interpret::{DagInterpreter, Role};
-pub use oracle::FinalityOracle;
+pub use oracle::{FinalityOracle, OracleStats};

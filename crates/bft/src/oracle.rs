@@ -23,6 +23,25 @@
 //! invariant checked exhaustively in `am-sched` and statistically by the
 //! 300-seed suite).
 //!
+//! The verdict is kept incrementally at the one height under test,
+//! `h = finalized_height + 1`. A new block by author `a` can change only
+//! `a`'s vote at `h` and what `a`'s latest block witnesses, so
+//! [`observe`](FinalityOracle::observe) recomputes that one vote and
+//! skips the tally-and-clique scan outright unless the vote moved or the
+//! last scan was stuck on `a`'s own row — O(n) for the interpreter's
+//! high-water merge, O(1) for the oracle. "Ancestor at `h`" comes from a
+//! per-block memo stamped with `h`, so each selected-parent edge above
+//! the finalized head is walked once per height. A scan settles a
+//! supporter pair `(u, v)` by comparing the round of `v` that `latest(u)`
+//! witnesses with a per-column threshold (every block of `v` from there
+//! up is known to vote for the candidate) — one branch-free pass over
+//! `u`'s high-water row — and looks a witnessed block's vote up only when
+//! the row falls short; it tries the supporter with the oldest latest
+//! block first, since that row has seen the least. The rule itself —
+//! first tally entry in author order reaching the quorum, the conflict
+//! test, the clique over *all* supporters — is pinned against a
+//! from-scratch transcription in `tests/oracle_spec.rs`.
+//!
 //! The watermark only advances: heights are finalized in order, each new
 //! candidate must extend the previously finalized block (a quorum
 //! candidate that fails this raises [`conflict_detected`]
@@ -52,8 +71,9 @@ fn mix(h: u64, v: u64) -> u64 {
 ///
 /// Feed every block exactly once via [`observe`](FinalityOracle::observe),
 /// parents first (any ancestor-closed order works — per-node oracles feed
-/// blocks in their own admission order). Global ids need not be dense:
-/// the oracle remaps them to local interpretation ids internally.
+/// blocks in their own admission order). Global ids may have gaps — the
+/// oracle remaps them to local interpretation ids — but the remap is a
+/// `Vec` indexed by global id, so memory is O(largest id observed).
 ///
 /// ```
 /// use am_bft::FinalityOracle;
@@ -87,11 +107,48 @@ pub struct FinalityOracle {
     /// Chain blocks finalized since the last drain (global ids).
     newly_final: Vec<MsgId>,
     conflict: bool,
+    // The verdict at the height under test, `h = finalized_height + 1`,
+    // kept incrementally: one observed block moves only its author's
+    // vote and what its author's latest block witnesses.
+    /// Per author: the selected-chain ancestor at `h` of its latest
+    /// block (`NONE` = equivocator, silent, or still below `h`).
+    vote: Vec<u32>,
+    /// Per block: (height stamp, selected-chain ancestor at that height).
+    memo: Vec<(u32, u32)>,
+    /// The supporter whose latest block failed the clique in the last
+    /// scan (`NONE` = the scan stopped at the tally or the conflict test,
+    /// which only a changed vote can move).
+    stuck: u32,
+    stats: OracleStats,
     // Scratch (reused across observes).
     pbuf: Vec<u32>,
     pbuf_ids: Vec<MsgId>,
     tally: Vec<(u32, u32)>,
-    supporters: Vec<u32>,
+    /// Per supporter `v`, during one clique scan: the lowest round such
+    /// that every block of `v` from it up to `v`'s latest is known to
+    /// vote for the candidate.
+    voting_from: Vec<u32>,
+}
+
+/// Work counters of one [`FinalityOracle`] (see
+/// [`stats`](FinalityOracle::stats)): how often the incremental verdict
+/// got away with touching one author.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OracleStats {
+    /// Blocks observed.
+    pub observes: u64,
+    /// Observes that skipped the scan: the author's vote did not move
+    /// and the clique was stuck on someone else's latest block.
+    pub early_outs: u64,
+    /// Tally-and-clique scans run.
+    pub scans: u64,
+    /// Witnessed blocks whose vote a scan had to look up (the rest of
+    /// its pair checks were one integer compare).
+    pub witness_lookups: u64,
+    /// Heights finalized.
+    pub heights_advanced: u64,
+    /// Selected-parent edges walked filling the per-height memo.
+    pub memo_edges: u64,
 }
 
 impl FinalityOracle {
@@ -112,10 +169,14 @@ impl FinalityOracle {
             digest: 0,
             newly_final: Vec::new(),
             conflict: false,
+            vote: vec![NONE; n],
+            memo: vec![(0, 0)],
+            stuck: NONE,
+            stats: OracleStats::default(),
             pbuf: Vec::new(),
             pbuf_ids: Vec::new(),
             tally: Vec::new(),
-            supporters: Vec::new(),
+            voting_from: Vec::new(),
         }
     }
 
@@ -153,7 +214,59 @@ impl FinalityOracle {
             .extend(self.pbuf.iter().map(|&l| MsgId(l as u64)));
         self.cone
             .on_append(MsgId(idx as u64), &self.pbuf_ids, author < self.interp.n());
-        self.try_advance();
+        self.memo.push((0, 0));
+        self.stats.observes += 1;
+        // Nobody else's latest block (hence vote, or what it witnesses)
+        // moved.
+        let vote = self.vote_by(author);
+        let moved = std::mem::replace(&mut self.vote[author], vote) != vote;
+        if moved || self.stuck == author as u32 {
+            self.try_advance();
+        } else {
+            self.stats.early_outs += 1;
+        }
+    }
+
+    /// The author's vote at the height under test: that of its latest
+    /// block, `NONE` for an equivocator or a silent author.
+    fn vote_by(&mut self, author: usize) -> u32 {
+        match self.interp.latest(author) {
+            Some(l) if !self.interp.is_equivocator(author) => self.vote_of(l),
+            _ => NONE,
+        }
+    }
+
+    /// The block's vote at the height under test: its selected-chain
+    /// ancestor there, `NONE` if it sits below. Memoised per block and
+    /// stamped with the height, so each selected-parent edge is walked
+    /// once per height — the cost follows the finality lag, not the
+    /// chain height.
+    fn vote_of(&mut self, b: u32) -> u32 {
+        let h = self.final_chain.len() as u32 + 1;
+        if self.interp.height_of(b) < h {
+            return NONE;
+        }
+        // Down to the first block already stamped `h`, or at height `h`.
+        let mut v = b;
+        let anc = loop {
+            let (stamp, anc) = self.memo[v as usize];
+            if stamp == h {
+                break anc;
+            }
+            if self.interp.height_of(v) == h {
+                break v;
+            }
+            v = self.interp.selected_parent(v);
+            self.stats.memo_edges += 1;
+        };
+        let mut w = b;
+        loop {
+            self.memo[w as usize] = (h, anc);
+            if w == v {
+                return anc;
+            }
+            w = self.interp.selected_parent(w);
+        }
     }
 
     /// Attempts to extend the finalized chain height by height; stops at
@@ -161,92 +274,93 @@ impl FinalityOracle {
     fn try_advance(&mut self) {
         let n = self.interp.n();
         loop {
-            let h = self.final_chain.len() as u32 + 1;
-            // Tally the selected-chain ancestor at height h of every
-            // eligible author's latest block.
+            self.stats.scans += 1;
+            self.stuck = NONE;
+            // Tally the votes, in author order.
             self.tally.clear();
-            for a in 0..n {
-                if self.interp.is_equivocator(a) {
-                    continue;
-                }
-                let Some(l) = self.interp.latest(a) else {
-                    continue;
-                };
-                if self.interp.height_of(l) < h {
-                    continue;
-                }
-                let c = self.interp.ancestor_at(l, h);
+            for &c in self.vote.iter().filter(|&&c| c != NONE) {
                 match self.tally.iter_mut().find(|e| e.0 == c) {
                     Some(e) => e.1 += 1,
                     None => self.tally.push((c, 1)),
                 }
             }
             // Votes are one-per-author, so at most one candidate can
-            // reach a quorum > n/2.
+            // reach a quorum > n/2 (below that, the first in author
+            // order wins).
             let Some(&(cand, _)) = self.tally.iter().find(|e| e.1 as usize >= self.quorum) else {
                 return;
             };
             // The candidate must extend the finalized prefix; a quorum
             // behind a conflicting branch is a detected safety breach,
             // never a fork.
-            let prev = if h == 1 {
-                0
-            } else {
-                self.final_chain[h as usize - 2]
-            };
-            if self.interp.ancestor_at(cand, h - 1) != prev {
+            let prev = self.final_chain.last().copied().unwrap_or(0);
+            if self.interp.selected_parent(cand) != prev {
                 self.conflict = true;
                 return;
             }
-            self.supporters.clear();
-            for a in 0..n {
-                if self.interp.is_equivocator(a) {
+            // Clique condition: every supporter's latest block must
+            // witness every other supporter voting for the candidate —
+            // the highest-round block of `v` in `latest(u)`'s cone votes
+            // for it. `v`'s own latest block does, and rows see a column's
+            // last few rounds, so a pair is usually settled by comparing
+            // the witnessed round with `voting_from[v]` (0 for a
+            // non-supporter: any round will do).
+            self.voting_from.clear();
+            self.voting_from
+                .extend((0..n).map(|v| u32::from(self.vote[v] == cand) * self.interp.rounds_of(v)));
+            // The row most likely to fail is the supporter whose latest
+            // block is oldest (it has seen the least): try it first.
+            let stalest = (0..n)
+                .filter(|&u| self.vote[u] == cand)
+                .min_by_key(|&u| self.interp.latest(u));
+            for u in stalest.into_iter().chain(0..n) {
+                if self.vote[u] != cand {
                     continue;
                 }
-                let Some(l) = self.interp.latest(a) else {
+                let lu = self.interp.latest(u).expect("a voter has blocks");
+                let row = self.interp.high_water_row(lu).iter();
+                let short: u32 = row
+                    .zip(&self.voting_from)
+                    .map(|(r, from)| u32::from(r < from))
+                    .sum();
+                if short == 0 {
                     continue;
-                };
-                if self.interp.height_of(l) >= h && self.interp.ancestor_at(l, h) == cand {
-                    self.supporters.push(a as u32);
                 }
-            }
-            // Clique condition: every member's latest block must witness
-            // every other member voting for the candidate.
-            let mut clique = true;
-            'outer: for &u in &self.supporters {
-                let lu = self
-                    .interp
-                    .latest(u as usize)
-                    .expect("supporter has blocks");
-                for &v in &self.supporters {
-                    if v == u {
+                for v in 0..n {
+                    let r = self.interp.high_water(lu, v);
+                    if r >= self.voting_from[v] {
                         continue;
                     }
-                    let r = self.interp.high_water(lu, v as usize);
-                    if r == 0 {
-                        clique = false;
-                        break 'outer;
+                    self.stats.witness_lookups += 1;
+                    if r == 0 || self.vote_of(self.interp.block_at(v, r)) != cand {
+                        self.stuck = u as u32;
+                        return;
                     }
-                    let m = self.interp.block_at(v as usize, r);
-                    if !self.interp.votes_for(m, cand) {
-                        clique = false;
-                        break 'outer;
+                    if r + 1 == self.voting_from[v] {
+                        self.voting_from[v] = r;
                     }
                 }
-            }
-            if !clique {
-                return;
             }
             // Finalize: extend the chain, the rolling digest, and the
             // finalized cone (head descends → marks extend in place).
             self.final_chain.push(cand);
+            self.stats.heights_advanced += 1;
             let a = self.interp.author_of(cand).expect("non-genesis") as u64;
             let r = self.interp.round_of(cand) as u64;
             self.digest = mix(self.digest, (a << 32) | r);
             self.digest = mix(self.digest, self.global[cand as usize]);
             self.cone.cover_of(MsgId(cand as u64));
             self.newly_final.push(MsgId(self.global[cand as usize]));
+            // Every vote moves up one height.
+            for a in 0..n {
+                self.vote[a] = self.vote_by(a);
+            }
         }
+    }
+
+    /// The work counters so far.
+    pub fn stats(&self) -> OracleStats {
+        self.stats
     }
 
     /// Height of the finalized chain (number of finalized non-genesis
@@ -349,15 +463,7 @@ impl FinalityOracle {
     /// Counts of (proposals, votes, echoes) over the observed blocks,
     /// genesis excluded.
     pub fn role_counts(&self) -> (usize, usize, usize) {
-        let (mut p, mut v, mut e) = (0, 0, 0);
-        for b in 1..self.interp.len() as u32 {
-            match self.interp.role_of(b) {
-                Role::Proposal => p += 1,
-                Role::Vote => v += 1,
-                Role::Echo => e += 1,
-            }
-        }
-        (p, v, e)
+        self.interp.role_counts()
     }
 
     /// Read-only access to the interpretation layer.

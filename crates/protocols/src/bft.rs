@@ -218,19 +218,19 @@ fn feed_node(
             continue;
         }
         oracle.observe(id, authors[id.index()] as usize, prop.parents_of(id));
-        let mut progress = true;
-        while progress {
-            progress = false;
-            let mut i = 0;
-            while i < deferred.len() {
-                let d = deferred[i];
-                if prop.parents_of(d).iter().all(|p| oracle.is_observed(*p)) {
+        // Each pass observes, in deferral order, whatever the passes
+        // before it unblocked.
+        loop {
+            let waiting = deferred.len();
+            deferred.retain(|&d| {
+                let ready = prop.parents_of(d).iter().all(|p| oracle.is_observed(*p));
+                if ready {
                     oracle.observe(d, authors[d.index()] as usize, prop.parents_of(d));
-                    deferred.remove(i);
-                    progress = true;
-                } else {
-                    i += 1;
                 }
+                !ready
+            });
+            if deferred.len() == waiting {
+                break;
             }
         }
     }
@@ -265,6 +265,7 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
     // collision (self-equivocation).
     let mut last_own: Vec<MsgId> = vec![GENESIS; p.n];
     let mut parents_buf: Vec<MsgId> = Vec::new();
+    let mut tips_buf: Vec<MsgId> = Vec::new();
     let mut now = Time::ZERO;
 
     macro_rules! append {
@@ -324,13 +325,13 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
         // Correct append: vote for the deepest block of the view that
         // extends the finalized prefix, referencing every view tip plus
         // the author's own last block (self-parent).
-        let prefix = view.prefix(&inc);
-        let sel = pick_vote(&oracle, &inc.deepest_in_prefix(prefix));
+        let sel = pick_vote(&oracle, view.deepest(node, &inc));
+        view.tips_into(node, &inc, &mut tips_buf);
         vote_parents(
             &mut parents_buf,
             sel,
             last_own[node],
-            inc.tips_of_prefix(prefix),
+            tips_buf.iter().copied(),
         );
         append!(node, &parents_buf, g.time);
     }
@@ -346,6 +347,15 @@ fn finish(
     finish_time: f64,
 ) -> BftTrial {
     let finalized_height = oracle.finalized_height();
+    if am_obs::enabled() {
+        let s = oracle.stats();
+        am_obs::counter("bft/observes").add(s.observes);
+        am_obs::counter("bft/early_outs").add(s.early_outs);
+        am_obs::counter("bft/scans").add(s.scans);
+        am_obs::counter("bft/witness_lookups").add(s.witness_lookups);
+        am_obs::counter("bft/heights_advanced").add(s.heights_advanced);
+        am_obs::counter("bft/memo_edges").add(s.memo_edges);
+    }
     BftTrial {
         finality: finalized_height >= p.k && !oracle.conflict_detected(),
         finalized_height,

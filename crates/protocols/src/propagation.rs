@@ -22,7 +22,6 @@ use crate::params::Params;
 use crate::view::Visibility;
 use am_core::{IncrementalDag, MsgId, Time, GENESIS};
 use am_net::{Kinded, NetConfig, NetScratch, NetStats, SimNet, Transport};
-use std::borrow::Cow;
 
 /// The gossip payload: a block reference (contents live in the shared
 /// arrival log; the network only decides *when* each node learns of it).
@@ -470,15 +469,15 @@ impl Visibility for Propagation {
         self.on_append(author, id, parents, at);
     }
 
-    fn tips_into(&self, node: usize, _log: &IncrementalDag, out: &mut Vec<MsgId>) {
+    fn tips_into(&mut self, node: usize, _log: &IncrementalDag, out: &mut Vec<MsgId>) {
         // Copied out because the append that follows mutates the layer
         // the slice borrows from.
         out.clear();
         out.extend_from_slice(self.visible_tips(node));
     }
 
-    fn deepest<'a>(&'a self, node: usize, _log: &IncrementalDag) -> Cow<'a, [MsgId]> {
-        Cow::Borrowed(self.deepest_visible(node))
+    fn deepest<'a>(&'a mut self, node: usize, _log: &IncrementalDag) -> &'a [MsgId] {
+        self.deepest_visible(node)
     }
 }
 

@@ -18,7 +18,6 @@
 
 use crate::params::ViewPolicy;
 use am_core::{IncrementalDag, MsgId, Time};
-use std::borrow::Cow;
 
 /// The Δ-interval containing `at`.
 pub(crate) fn interval_of(at: Time, delta: f64) -> u64 {
@@ -39,11 +38,11 @@ pub(crate) trait Visibility {
 
     /// The tips of `node`'s view, ascending by id, into `out` (cleared
     /// first) — what an Algorithm 6 append references.
-    fn tips_into(&self, node: usize, log: &IncrementalDag, out: &mut Vec<MsgId>);
+    fn tips_into(&mut self, node: usize, log: &IncrementalDag, out: &mut Vec<MsgId>);
 
     /// The deepest blocks of `node`'s view, ascending by id — the longest
     /// chains Algorithm 5 line 6 chooses among.
-    fn deepest<'a>(&'a self, node: usize, log: &IncrementalDag) -> Cow<'a, [MsgId]>;
+    fn deepest<'a>(&'a mut self, node: usize, log: &IncrementalDag) -> &'a [MsgId];
 }
 
 /// The abstract append memory as a visibility policy: all correct nodes
@@ -57,6 +56,12 @@ pub(crate) struct SharedLog {
     /// and the log length when it began.
     interval: u64,
     boundary_len: usize,
+    /// Tips and deepest blocks of the prefix of length `memo_prefix` —
+    /// both are functions of the prefix length alone, and a snapshot
+    /// prefix moves once per Δ, not once per grant.
+    memo_prefix: usize,
+    memo_tips: Vec<MsgId>,
+    memo_deepest: Vec<MsgId>,
 }
 
 impl SharedLog {
@@ -68,6 +73,9 @@ impl SharedLog {
             now: Time::ZERO,
             interval: 0,
             boundary_len: 1,
+            memo_prefix: 0,
+            memo_tips: Vec::new(),
+            memo_deepest: Vec::new(),
         }
     }
 
@@ -78,6 +86,16 @@ impl SharedLog {
             ViewPolicy::LaggedDelta => {
                 log.prefix_at_time(Time::new(self.now.seconds() - self.delta))
             }
+        }
+    }
+
+    /// Recomputes the memo if the visible prefix moved since it was taken.
+    fn refresh(&mut self, log: &IncrementalDag) {
+        let prefix = self.prefix(log);
+        if prefix != self.memo_prefix {
+            self.memo_prefix = prefix;
+            log.tips_of_prefix_into(prefix, &mut self.memo_tips);
+            self.memo_deepest = log.deepest_in_prefix(prefix);
         }
     }
 }
@@ -102,12 +120,15 @@ impl Visibility for SharedLog {
 
     fn published(&mut self, _author: usize, _id: MsgId, _parents: &[MsgId], _at: Time) {}
 
-    fn tips_into(&self, _node: usize, log: &IncrementalDag, out: &mut Vec<MsgId>) {
-        log.tips_of_prefix_into(self.prefix(log), out);
+    fn tips_into(&mut self, _node: usize, log: &IncrementalDag, out: &mut Vec<MsgId>) {
+        self.refresh(log);
+        out.clear();
+        out.extend_from_slice(&self.memo_tips);
     }
 
-    fn deepest<'a>(&'a self, _node: usize, log: &IncrementalDag) -> Cow<'a, [MsgId]> {
-        Cow::Owned(log.deepest_in_prefix(self.prefix(log)))
+    fn deepest<'a>(&'a mut self, _node: usize, log: &IncrementalDag) -> &'a [MsgId] {
+        self.refresh(log);
+        &self.memo_deepest
     }
 }
 
@@ -141,7 +162,17 @@ mod tests {
         let mut tips = vec![GENESIS];
         view.tips_into(0, &log, &mut tips);
         assert_eq!(tips, vec![MsgId(2)]);
-        assert_eq!(view.deepest(0, &log).as_ref(), &[MsgId(2)]);
+        assert_eq!(view.deepest(0, &log), &[MsgId(2)]);
+        // The memoised answers hold while the log grows past the frozen
+        // prefix, and are retaken when the next interval moves it.
+        let log = log_with(&[0.2, 0.7, 1.2, 1.3, 1.8]);
+        view.advance_to(Time::new(1.9), &log);
+        view.tips_into(0, &log, &mut tips);
+        assert_eq!(tips, vec![MsgId(2)]);
+        view.advance_to(Time::new(2.1), &log);
+        view.tips_into(0, &log, &mut tips);
+        assert_eq!(tips, vec![MsgId(5)]);
+        assert_eq!(view.deepest(0, &log), &[MsgId(5)]);
     }
 
     #[test]
