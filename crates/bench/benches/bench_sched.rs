@@ -13,12 +13,14 @@
 //! inside the shared state budget).
 
 use am_bench::{presets::Preset, recorder};
+use am_sched::search::{state_fingerprint, successors_compact, CState, LogArena, Stabilizer};
 use am_sched::{
     check_nonforking, check_nonforking_naive, search, simulate_execution, simulate_execution_naive,
     Config, Explorer, QuorumVoteProtocol, SearchOptions, Valency,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::{Number, Value};
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -222,5 +224,65 @@ fn bench_pr9_sched(_c: &mut Criterion) {
     rec.write();
 }
 
-criterion_group!(benches, bench_search_kernels, bench_pr9_sched);
+/// The first `cap` distinct states of the unreduced state graph from
+/// `inputs`, breadth-first — the raw successors a search hands its
+/// canonicalizer.
+fn sample_states(proto: &QuorumVoteProtocol, inputs: &[u8], cap: usize) -> Vec<CState> {
+    let mut arena = LogArena::new();
+    let root = CState::from_config(&Config::initial(inputs), &mut arena);
+    let mut seen: HashSet<u128> = HashSet::from([state_fingerprint(&root)]);
+    let mut states = vec![root];
+    let mut next = 0;
+    while next < states.len() && states.len() < cap {
+        let s = states[next];
+        next += 1;
+        for (_, t) in successors_compact(proto, &s, &mut arena) {
+            if states.len() < cap && seen.insert(state_fingerprint(&t)) {
+                states.push(t);
+            }
+        }
+    }
+    states
+}
+
+/// Absolute lanes at n = 6, recorded into `BENCH_TRAJECTORY.json`: ns
+/// per symmetry canonicalization under a stabilizer of order 36 (inputs
+/// 000111) and 120 (000001), and ns per visited state of the whole
+/// reduced 000111 search.
+fn bench_sched_absolute(_c: &mut Criterion) {
+    let mut rec = recorder::Recorder::preset(Preset::Trajectory);
+    let budget = Duration::from_millis(700);
+    let proto = QuorumVoteProtocol::new(6, 4, 0);
+    for inputs in [[0u8, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 1]] {
+        let stab = Stabilizer::new(&inputs);
+        let states = sample_states(&proto, &inputs, 2_000);
+        rec.measure_absolute(
+            &format!("sched/canon_ns_g{}", stab.order()),
+            states.len() as u64,
+            budget,
+            || {
+                for s in &states {
+                    black_box(stab.canonicalize(black_box(s)));
+                }
+            },
+        );
+    }
+    let init = Config::initial(&[0, 0, 0, 1, 1, 1]);
+    let (states, truncated, _) = reduced_states(&proto, &init, 2_000_000);
+    assert!(!truncated, "the n = 6 search must fit the cap");
+    rec.measure_absolute(
+        "sched/search_ns_per_state_n6",
+        states as u64,
+        budget,
+        || black_box(reduced_states(&proto, &init, 2_000_000).0),
+    );
+    rec.write();
+}
+
+criterion_group!(
+    benches,
+    bench_search_kernels,
+    bench_pr9_sched,
+    bench_sched_absolute
+);
 criterion_main!(benches);

@@ -83,7 +83,11 @@ pub trait AsyncProtocol: Send + Sync {
     /// on inputs, values, and counts. Opting in lets the compact search
     /// core quotient the state space by input-preserving permutations
     /// (DESIGN.md §14); protocols that break ties by author index (e.g.
-    /// [`FirstSeenProtocol`]) must leave this `false`.
+    /// [`FirstSeenProtocol`]) must leave this `false`. A symmetric
+    /// protocol must also append only parent-free entries — a [`Ref`]
+    /// names its author by index, which relabelling would have to
+    /// rewrite — and the search panics on the first append that has
+    /// parents.
     fn symmetric(&self) -> bool {
         false
     }

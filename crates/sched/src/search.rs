@@ -19,7 +19,9 @@
 //!   [`AsyncProtocol::symmetric`], states are canonicalized under the
 //!   node-ID permutations that fix the input vector (the stabilizer of
 //!   the initial configuration); one representative per orbit is
-//!   explored.
+//!   explored. The orbit minimum is computed lazily from a per-search
+//!   group table ([`Stabilizer`]) — no permuted state but the winner is
+//!   ever built.
 //! * **Partial-order reduction** — sleep sets over the commutation
 //!   structure of the append memory (reads/appends/decides by distinct
 //!   nodes commute unless an append changes what the other node would
@@ -28,9 +30,10 @@
 //!   reduced search is pinned to the naive one by
 //!   `tests/reduced_equivalence.rs`.
 //! * **Parallel frontier** — level-synchronized BFS: successor
-//!   generation is fanned out over `workers` threads against the
-//!   read-only arena, then merged sequentially in frontier order, so
-//!   every counter and witness is deterministic for any worker count.
+//!   generation — canonicalization and fingerprinting included — is
+//!   fanned out over `workers` threads against the read-only arena,
+//!   then merged (intern, visited set) sequentially in frontier order,
+//!   so every counter and witness is deterministic for any worker count.
 
 use crate::explore::{Config, Entry, LocalState, Valency};
 use crate::proto::{AsyncProtocol, Op, ViewRef};
@@ -39,8 +42,8 @@ use std::collections::HashMap;
 /// Maximum node count the compact state representation supports.
 pub const MAX_N: usize = 8;
 
-/// Words in the canonical state encoding (see [`encode`]).
-const ENC_WORDS: usize = 2 * MAX_N + 4;
+/// Words in the canonical state encoding.
+pub const ENC_WORDS: usize = 2 * MAX_N + 4;
 
 /// Sentinel for "undecided" in [`CState::decided`].
 const UNDECIDED: u8 = 0xff;
@@ -253,6 +256,20 @@ fn encode(s: &CState) -> [u64; ENC_WORDS] {
     w
 }
 
+/// The state `enc` encodes, given the arena ids the encoding leaves out.
+fn decode(enc: &[u64; ENC_WORDS], logs: [u32; MAX_N]) -> CState {
+    let bytes = |k: usize| enc[k].to_le_bytes();
+    CState {
+        logs,
+        loglen: bytes(2 * MAX_N),
+        logh: std::array::from_fn(|a| enc[a]),
+        view: std::array::from_fn(|v| bytes(MAX_N + v)),
+        own: bytes(2 * MAX_N + 1),
+        decided: bytes(2 * MAX_N + 2),
+        input: bytes(2 * MAX_N + 3),
+    }
+}
+
 /// 128-bit fingerprint of an encoding: two independent splitmix64 lanes.
 fn fingerprint(enc: &[u64; ENC_WORDS]) -> u128 {
     let mut a = 0x243f_6a88_85a3_08d3u64;
@@ -264,118 +281,175 @@ fn fingerprint(enc: &[u64; ENC_WORDS]) -> u128 {
     ((a as u128) << 64) | b as u128
 }
 
-/// Applies node-ID permutation `p` (node `v` ↦ `p[v]`) to a state.
-fn apply_perm(s: &CState, p: &[u8; MAX_N]) -> CState {
-    let mut t = *s;
-    for v in 0..MAX_N {
-        let pv = p[v] as usize;
-        t.logs[pv] = s.logs[v];
-        t.loglen[pv] = s.loglen[v];
-        t.logh[pv] = s.logh[v];
-        t.own[pv] = s.own[v];
-        t.decided[pv] = s.decided[v];
-        t.input[pv] = s.input[v];
-        for (a, &pa) in p.iter().enumerate() {
-            t.view[pv][pa as usize] = s.view[v][a];
-        }
-    }
-    t
+/// The identity permutation.
+const IDENTITY: [u8; MAX_N] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+/// Byte `j` of the result is byte `inv[j]` of `x`: a packed per-node
+/// byte field (or a view row's columns) after the permutation whose
+/// inverse is `inv`. (`& 7` is a no-op that spares the bounds check.)
+fn shuffle(x: u64, inv: &[u8; MAX_N]) -> u64 {
+    let b = x.to_le_bytes();
+    u64::from_le_bytes(inv.map(|i| b[(i & 7) as usize]))
 }
 
-/// Enumerates the stabilizer of the input vector: all permutations of
-/// `0..n` that map equal-input nodes to equal-input nodes (identity on
-/// `n..MAX_N`). The identity is always first.
-fn stabilizer_perms(inputs: &[u8]) -> Vec<[u8; MAX_N]> {
-    let n = inputs.len();
-    let mut id = [0u8; MAX_N];
-    for (v, slot) in id.iter_mut().enumerate() {
-        *slot = v as u8;
-    }
-    let zeros: Vec<usize> = (0..n).filter(|&v| inputs[v] == 0).collect();
-    let ones: Vec<usize> = (0..n).filter(|&v| inputs[v] == 1).collect();
-    let mut out = Vec::new();
-    let mut perm = id;
-    // Recursive product of the two class permutation groups.
-    fn rec(
-        classes: &[Vec<usize>],
-        ci: usize,
-        used: &mut u16,
-        perm: &mut [u8; MAX_N],
-        out: &mut Vec<[u8; MAX_N]>,
-    ) {
-        if ci == classes.len() {
-            out.push(*perm);
-            return;
-        }
-        let class = &classes[ci];
+/// Word `k >= MAX_N` of `encode(t)`, where `t` is `s` with node `v`
+/// relabelled `p[v]`, read off `src = encode(s)` and `inv = p⁻¹`
+/// without building `t`: a view row or a packed byte field, columns
+/// shuffled. (Word `k < MAX_N` is just `src[inv[k]]`; `& 7` as in
+/// [`shuffle`].)
+fn permuted_word(src: &[u64; ENC_WORDS], inv: &[u8; MAX_N], k: usize) -> u64 {
+    let row = if k < 2 * MAX_N {
+        MAX_N + (inv[k - MAX_N] & 7) as usize
+    } else {
+        k
+    };
+    shuffle(src[row], inv)
+}
+
+/// The stabilizer of an input vector as a group table, built once per
+/// search: every permutation of `0..n` that maps equal-input nodes to
+/// equal-input nodes (identity on the padding nodes `n..MAX_N`).
+pub struct Stabilizer {
+    /// Forward permutations in lexicographic order of their images over
+    /// (zero-input nodes ascending, then one-input nodes ascending) —
+    /// the identity is first. The order is part of the contract: the
+    /// first minimal permutation wins and relabels the sleep mask.
+    perms: Vec<[u8; MAX_N]>,
+    /// `invs[i]` is the inverse of `perms[i]`.
+    invs: Vec<[u8; MAX_N]>,
+    /// The orbit partition of the nodes below `n`, as the pairs of
+    /// consecutive members of each orbit (padding nodes are in none).
+    adjacent: Vec<(usize, usize)>,
+}
+
+impl Stabilizer {
+    /// The stabilizer of `inputs` (one binary input per node). Of no
+    /// inputs it is the trivial group: nothing folds and `canonicalize`
+    /// just encodes.
+    pub fn new(inputs: &[u8]) -> Stabilizer {
+        assert!(
+            inputs.len() <= MAX_N,
+            "compact search supports n <= {MAX_N}"
+        );
+        let classes: Vec<usize> = [0u8, 1]
+            .iter()
+            .flat_map(|&b| (0..inputs.len()).filter(move |&v| inputs[v] == b))
+            .collect();
+        let adjacent = classes
+            .windows(2)
+            .filter(|w| inputs[w[0]] == inputs[w[1]])
+            .map(|w| (w[0], w[1]))
+            .collect();
+        // Depth-first over `classes`, targets ascending: lexicographic.
         fn assign(
-            class: &[usize],
+            inputs: &[u8],
+            classes: &[usize],
             i: usize,
-            used: &mut u16,
+            used: u8,
             perm: &mut [u8; MAX_N],
-            classes: &[Vec<usize>],
-            ci: usize,
             out: &mut Vec<[u8; MAX_N]>,
         ) {
-            if i == class.len() {
-                rec(classes, ci + 1, used, perm, out);
-                return;
-            }
-            for &target in class {
-                if *used & (1 << target) == 0 {
-                    *used |= 1 << target;
-                    perm[class[i]] = target as u8;
-                    assign(class, i + 1, used, perm, classes, ci, out);
-                    *used &= !(1 << target);
+            let Some(&v) = classes.get(i) else {
+                return out.push(*perm);
+            };
+            for target in (0..inputs.len()).filter(|&t| inputs[t] == inputs[v]) {
+                if used & (1 << target) == 0 {
+                    perm[v] = target as u8;
+                    assign(inputs, classes, i + 1, used | 1 << target, perm, out);
                 }
             }
         }
-        assign(class, 0, used, perm, classes, ci, out);
-    }
-    let classes = [zeros, ones];
-    let mut used = 0u16;
-    rec(&classes, 0, &mut used, &mut perm, &mut out);
-    // Identity first (deterministic tie handling in callers).
-    if let Some(pos) = out.iter().position(|p| *p == id) {
-        out.swap(0, pos);
-    }
-    out
-}
-
-/// Canonicalizes `s` under `perms`: returns the permuted state with the
-/// lexicographically smallest encoding, that encoding, and the
-/// permutation used. Deterministic: first minimal permutation wins.
-fn canonicalize(s: &CState, perms: &[[u8; MAX_N]]) -> (CState, [u64; ENC_WORDS], [u8; MAX_N]) {
-    let mut best_enc = encode(s);
-    let mut best_state = *s;
-    let mut best_perm = perms[0];
-    for p in &perms[1..] {
-        let t = apply_perm(s, p);
-        let e = encode(&t);
-        if e < best_enc {
-            best_enc = e;
-            best_state = t;
-            best_perm = *p;
+        let mut perms = Vec::new();
+        assign(inputs, &classes, 0, 0, &mut { IDENTITY }, &mut perms);
+        let invs = perms
+            .iter()
+            .map(|p| {
+                let mut inv = IDENTITY;
+                for (v, &pv) in p.iter().enumerate() {
+                    inv[pv as usize] = v as u8;
+                }
+                inv
+            })
+            .collect();
+        Stabilizer {
+            perms,
+            invs,
+            adjacent,
         }
     }
-    (best_state, best_enc, best_perm)
+
+    /// Number of permutations in the group.
+    pub fn order(&self) -> usize {
+        self.perms.len()
+    }
+
+    /// Canonicalizes `s` (whose inputs the table was built for): the
+    /// permuted state with the lexicographically smallest encoding, that
+    /// encoding, and the permutation used — the first minimal one in
+    /// list order. No permuted state but the winner is ever built: each
+    /// candidate's encoding is computed a word at a time from `s` and
+    /// abandoned at the first word larger than the best so far.
+    pub fn canonicalize(&self, s: &CState) -> (CState, [u64; ENC_WORDS], [u8; MAX_N]) {
+        let src = encode(s);
+        // The `logh` words lead the encoding, so only permutations that
+        // sort `logh` within each orbit can be minimal, and all of those
+        // tie on them. Same-input nodes append the same vote, so `logh`
+        // is usually constant on every orbit and nothing is filtered.
+        let logh_free = self.adjacent.iter().all(|&(a, b)| src[a] == src[b]);
+        let sorts = |inv: &[u8; MAX_N]| {
+            let at = |v: usize| src[inv[v] as usize];
+            self.adjacent.iter().all(|&(a, b)| at(a) <= at(b))
+        };
+        let mut live = self
+            .invs
+            .iter()
+            .enumerate()
+            .filter(|(_, inv)| logh_free || sorts(inv));
+        let (mut best, mut best_inv) = live.next().expect("some permutation sorts logh");
+        // Words of `enc` below `valid` are the best candidate's; the rest
+        // are filled in when a comparison first needs them.
+        let (mut enc, mut valid) = (src, ENC_WORDS);
+        if best != 0 {
+            (0..MAX_N).for_each(|k| enc[k] = src[best_inv[k] as usize]);
+            valid = MAX_N;
+        }
+        for (i, inv) in live {
+            // The first word on which this candidate and the best differ.
+            let differs = (MAX_N..ENC_WORDS).find_map(|k| {
+                if k == valid {
+                    enc[k] = permuted_word(&src, best_inv, k);
+                    valid += 1;
+                }
+                let w = permuted_word(&src, inv, k);
+                (w != enc[k]).then_some((k, w))
+            });
+            // A tie on every word keeps the earlier permutation.
+            if let Some((k, w)) = differs.filter(|&(k, w)| w < enc[k]) {
+                (enc[k], valid, best, best_inv) = (w, k + 1, i, inv);
+            }
+        }
+        (valid..ENC_WORDS).for_each(|k| enc[k] = permuted_word(&src, best_inv, k));
+        // The representative is its encoding read back; only the arena
+        // ids ride along.
+        let logs = best_inv.map(|v| s.logs[v as usize]);
+        (decode(&enc, logs), enc, self.perms[best])
+    }
 }
 
 /// Canonical key of a configuration under input-stabilizer symmetry —
 /// exposed so property tests can check the quotient is well defined:
 /// `canonical_key(perm(c)) == canonical_key(c)` for any permutation
 /// fixing the input vector. With `symmetric: false` the key is just the
-/// plain encoding (no folding).
+/// plain encoding (no folding). A test helper, not the search path: it
+/// rebuilds the arena and the stabilizer table on every call.
 pub fn canonical_key(c: &Config, symmetric: bool) -> Vec<u64> {
     let mut arena = LogArena::new();
     let s = CState::from_config(c, &mut arena);
-    let inputs: Vec<u8> = c.nodes.iter().map(|st| st.input).collect();
     if !symmetric {
         return encode(&s).to_vec();
     }
-    let perms = stabilizer_perms(&inputs);
-    let (_, enc, _) = canonicalize(&s, &perms);
-    enc.to_vec()
+    let inputs: Vec<u8> = c.nodes.iter().map(|st| st.input).collect();
+    Stabilizer::new(&inputs).canonicalize(&s).1.to_vec()
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +602,8 @@ struct NodeMoves {
     /// rule-(b) self-loop read).
     mv: [Option<Move>; MAX_N],
     /// Whether the node's pending op is insensitive to the `fresh` flag
-    /// (so a concurrent append cannot change what it does next).
+    /// (so a concurrent append cannot change what it does next). Only
+    /// evaluated for pending decides and for nodes with nothing fresh.
     stable: [bool; MAX_N],
     /// Whether anything unseen exists for the node.
     fresh: [bool; MAX_N],
@@ -558,10 +633,11 @@ fn node_moves(proto: &dyn AsyncProtocol, s: &CState, arena: &LogArena, n: usize)
         };
         let op = proto.next_op(v, s.input[v], s.own[v] as usize, &view, fresh);
         // Stability: would the op differ under the flipped fresh flag?
-        // (Only meaningful when nothing is fresh — once fresh, appends
-        // keep it fresh; we still record it for the dependence rule.)
-        let flipped = proto.next_op(v, s.input[v], s.own[v] as usize, &view, !fresh);
-        out.stable[v] = op == flipped;
+        // Read only by the ample rule (pending decides) and by
+        // `independent` while nothing is fresh, so only asked then.
+        if matches!(op, Op::Decide(_)) || !fresh {
+            out.stable[v] = op == proto.next_op(v, s.input[v], s.own[v] as usize, &view, !fresh);
+        }
         out.mv[v] = match op {
             Op::Idle => None,
             Op::Read => {
@@ -627,13 +703,41 @@ fn apply_move(s: &CState, v: usize, mv: &Move, n: usize) -> (CState, Option<Entr
 // The search proper
 // ---------------------------------------------------------------------------
 
-/// A successor produced by the generation phase, before interning.
+/// A successor produced by the generation phase: already the orbit
+/// representative, but not yet interned.
 struct SuccProto {
     state: CState,
+    /// Fingerprint of the state's canonical encoding.
+    fp: u128,
+    /// Whether a permutation other than the identity won. The identity
+    /// is listed first, so the representative then has a strictly
+    /// smaller encoding: it is a different state of the orbit.
+    folded: bool,
     /// Sleep mask for the successor (bit v = node v's move sleeps).
     sleep: u8,
     /// Author + entry to intern (appends only).
     intern: Option<(usize, Entry)>,
+}
+
+impl SuccProto {
+    /// Canonicalizes the raw successor `t` of a move by node `v`. The
+    /// representative is a pure function of `t` (arena ids only ride
+    /// along), so this runs in the generation phase; sleep masks and the
+    /// pending intern name node indices and are relabelled with it.
+    fn new(t: &CState, v: usize, sleep: u8, entry: Option<Entry>, stab: &Stabilizer) -> SuccProto {
+        let (state, enc, p) = stab.canonicalize(t);
+        let mut relabelled = 0u8;
+        for (u, &pu) in p.iter().enumerate() {
+            relabelled |= (sleep >> u & 1) << pu;
+        }
+        SuccProto {
+            state,
+            fp: fingerprint(&enc),
+            folded: p != IDENTITY,
+            sleep: relabelled,
+            intern: entry.map(|e| (p[v] as usize, e)),
+        }
+    }
 }
 
 /// Facts and successors produced for one frontier state.
@@ -654,9 +758,10 @@ fn expand(
     s: &CState,
     sleep: u8,
     arena: &LogArena,
-    n: usize,
+    stab: &Stabilizer,
     opts: &SearchOptions,
 ) -> GenOut {
+    let n = proto.n();
     let moves = node_moves(proto, s, arena, n);
     let bits = s.decision_bits(n);
     let violation = bits == 0b11;
@@ -697,13 +802,9 @@ fn expand(
         if let Some(v) = ample_v {
             out.ample = true;
             if sleep & (1 << v) == 0 {
-                let (t, intern) = apply_move(s, v, moves.mv[v].as_ref().unwrap(), n);
+                let (t, entry) = apply_move(s, v, moves.mv[v].as_ref().unwrap(), n);
                 out.transitions = 1;
-                out.succs.push(SuccProto {
-                    state: t,
-                    sleep: 0,
-                    intern: intern.map(|e| (v, e)),
-                });
+                out.succs.push(SuccProto::new(&t, v, 0, entry, stab));
             }
             return out;
         }
@@ -727,13 +828,10 @@ fn expand(
                 }
             }
         }
-        let (t, intern) = apply_move(s, v, mv, n);
+        let (t, entry) = apply_move(s, v, mv, n);
         out.transitions += 1;
-        out.succs.push(SuccProto {
-            state: t,
-            sleep: succ_sleep,
-            intern: intern.map(|e| (v, e)),
-        });
+        out.succs
+            .push(SuccProto::new(&t, v, succ_sleep, entry, stab));
         explored_mask |= 1 << v;
     }
     out
@@ -754,17 +852,18 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
 
     let mut arena = LogArena::new();
     let root_raw = CState::from_config(init, &mut arena);
-    let inputs: Vec<u8> = init.nodes.iter().map(|s| s.input).collect();
 
     // Symmetry applies only to protocols that declare equivariance, and
     // only while logs stay parent-free (permuting authors would
-    // otherwise have to rewrite refs inside entries).
-    let perms = if opts.symmetry && proto.symmetric() {
-        stabilizer_perms(&inputs)
+    // otherwise have to rewrite refs inside entries) — asserted where
+    // entries are interned.
+    let inputs: Vec<u8> = if opts.symmetry && proto.symmetric() {
+        init.nodes.iter().map(|s| s.input).collect()
     } else {
-        Vec::new()
+        Vec::new() // the trivial group
     };
-    let use_sym = perms.len() > 1;
+    let stab = Stabilizer::new(&inputs);
+    let use_sym = stab.order() > 1;
 
     let mut report = SearchReport {
         states: 0,
@@ -780,11 +879,7 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
         collisions: 0,
     };
 
-    let root = if use_sym {
-        canonicalize(&root_raw, &perms).0
-    } else {
-        root_raw
-    };
+    let (root, root_enc, _) = stab.canonicalize(&root_raw);
 
     // visited: key → sleep mask the state was explored with. A revisit
     // whose mask is not a superset must be re-explored with the
@@ -793,20 +888,19 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
     // Fingerprint audit map for exact mode: fp → representative index.
     let mut fp_audit: HashMap<u128, Config> = HashMap::new();
 
-    let key_of = |s: &CState, arena: &LogArena, exact: bool| -> (Key, u128) {
-        let fp = fingerprint(&encode(s));
-        if exact {
-            (Key::Exact(s.to_config(n, arena)), fp)
+    let key_of = |s: &CState, fp: u128, arena: &LogArena| -> Key {
+        if opts.exact {
+            Key::Exact(s.to_config(n, arena))
         } else {
-            (Key::Fp(fp), fp)
+            Key::Fp(fp)
         }
     };
 
-    let (root_key, root_fp) = key_of(&root, &arena, opts.exact);
+    let root_fp = fingerprint(&root_enc);
     if opts.exact {
         fp_audit.insert(root_fp, root.to_config(n, &arena));
     }
-    visited.insert(root_key, 0);
+    visited.insert(key_of(&root, root_fp, &arena), 0);
     report.states = 1;
 
     let mut frontier: Vec<(CState, u8)> = vec![(root, 0)];
@@ -814,27 +908,26 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
 
     'levels: while !frontier.is_empty() {
         // --- Generation phase: parallel over the frontier, arena
-        // read-only, output in frontier order. ---
+        // read-only, output in frontier order. Successors come out
+        // canonicalized and fingerprinted. ---
         let outs: Vec<GenOut> = if opts.workers <= 1 || frontier.len() < 2 {
             frontier
                 .iter()
-                .map(|(s, sl)| expand(proto, s, *sl, &arena, n, opts))
+                .map(|(s, sl)| expand(proto, s, *sl, &arena, &stab, opts))
                 .collect()
         } else {
-            let workers = opts.workers.min(frontier.len());
-            let chunk = frontier.len().div_ceil(workers);
-            let arena_ref = &arena;
-            let frontier_ref = &frontier;
-            let mut chunks: Vec<Vec<GenOut>> = Vec::with_capacity(workers);
+            // `chunks` never hands out an empty or out-of-range part,
+            // whatever the frontier length is modulo the worker count.
+            let chunk = frontier.len().div_ceil(opts.workers);
+            let (arena_ref, stab_ref) = (&arena, &stab);
+            let mut chunks: Vec<Vec<GenOut>> = Vec::with_capacity(opts.workers);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let lo = w * chunk;
-                        let hi = ((w + 1) * chunk).min(frontier_ref.len());
+                let handles: Vec<_> = frontier
+                    .chunks(chunk)
+                    .map(|part| {
                         scope.spawn(move || {
-                            frontier_ref[lo..hi]
-                                .iter()
-                                .map(|(s, sl)| expand(proto, s, *sl, arena_ref, n, opts))
+                            part.iter()
+                                .map(|(s, sl)| expand(proto, s, *sl, arena_ref, stab_ref, opts))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -846,7 +939,8 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
             chunks.into_iter().flatten().collect()
         };
 
-        // --- Merge phase: sequential, deterministic in frontier order. ---
+        // --- Merge phase: sequential, deterministic in frontier order:
+        // intern, then the visited set. ---
         let mut next: Vec<(CState, u8)> = Vec::new();
         for (fi, out) in outs.into_iter().enumerate() {
             seen_bits |= out.decision_bits;
@@ -866,30 +960,19 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
             if opts.mode == SearchMode::ValencyOnly && seen_bits == 0b11 {
                 break 'levels;
             }
-            for mut sp in out.succs {
-                if let Some((author, entry)) = sp.intern.take() {
-                    sp.state.logs[author] = arena.push(sp.state.logs[author], entry);
+            for sp in out.succs {
+                let (mut canon, sleep, fp) = (sp.state, sp.sleep, sp.fp);
+                if let Some((author, entry)) = sp.intern {
+                    assert!(
+                        !use_sym || entry.parents.is_empty(),
+                        "{} declares symmetric() but appends an entry with parents; \
+                         AsyncProtocol::symmetric requires parent-free entries",
+                        proto.name()
+                    );
+                    canon.logs[author] = arena.push(canon.logs[author], entry);
                 }
-                let (canon, mut sleep) = if use_sym {
-                    let (c, _, p) = canonicalize(&sp.state, &perms);
-                    if c != sp.state {
-                        report.symmetry_folds += 1;
-                    }
-                    // Sleep masks name node indices: permute along.
-                    let mut m = 0u8;
-                    for (v, &pv) in p.iter().enumerate().take(n) {
-                        if sp.sleep & (1 << v) != 0 {
-                            m |= 1 << pv;
-                        }
-                    }
-                    (c, m)
-                } else {
-                    (sp.state, sp.sleep)
-                };
-                if !opts.sleep_sets {
-                    sleep = 0;
-                }
-                let (key, fp) = key_of(&canon, &arena, opts.exact);
+                report.symmetry_folds += u64::from(sp.folded);
+                let key = key_of(&canon, fp, &arena);
                 if opts.exact {
                     match fp_audit.get(&fp) {
                         None => {
@@ -1009,16 +1092,10 @@ mod tests {
 
     #[test]
     fn stabilizer_size_matches_class_factorials() {
-        assert_eq!(stabilizer_perms(&[0, 1, 1]).len(), 2); // 1! * 2!
-        assert_eq!(stabilizer_perms(&[0, 0, 1, 1]).len(), 4); // 2! * 2!
-        assert_eq!(stabilizer_perms(&[1, 1, 1]).len(), 6); // 3!
-        assert_eq!(stabilizer_perms(&[0, 1])[0], {
-            let mut id = [0u8; MAX_N];
-            for (v, s) in id.iter_mut().enumerate() {
-                *s = v as u8;
-            }
-            id
-        });
+        assert_eq!(Stabilizer::new(&[0, 1, 1]).order(), 2); // 1! * 2!
+        assert_eq!(Stabilizer::new(&[0, 0, 1, 1]).order(), 4); // 2! * 2!
+        assert_eq!(Stabilizer::new(&[1, 1, 1]).order(), 6); // 3!
+        assert_eq!(Stabilizer::new(&[0, 1]).perms[0], IDENTITY);
     }
 
     #[test]
@@ -1127,19 +1204,37 @@ mod tests {
 
     #[test]
     fn parallel_frontier_is_deterministic() {
-        let p = EchoVoteProtocol::new(3, 2, 0);
-        let init = Config::initial(&[0, 1, 1]);
-        let seq = search(&p, &init, &SearchOptions::reduced(500_000));
-        let par = search(&p, &init, &SearchOptions::reduced(500_000).with_workers(4));
-        assert_eq!(seq.states, par.states);
-        assert_eq!(seq.transitions, par.transitions);
-        assert_eq!(seq.valency, par.valency);
-        assert_eq!(seq.symmetry_folds, par.symmetry_folds);
-        assert_eq!(seq.fingerprint_hits, par.fingerprint_hits);
-        assert_eq!(
-            seq.agreement_violation, par.agreement_violation,
-            "witness configs must be byte-identical across worker counts"
-        );
+        // Canonicalization runs inside the fanned-out phase, so the n = 5
+        // and n = 6 quorum-vote searches (large stabilizers) are pinned
+        // across worker counts too.
+        let echo = EchoVoteProtocol::new(3, 2, 0);
+        let q5 = QuorumVoteProtocol::new(5, 3, 0);
+        let q6 = QuorumVoteProtocol::new(6, 4, 0);
+        let cases: [(&dyn AsyncProtocol, &[u8]); 3] = [
+            (&echo, &[0, 1, 1]),
+            (&q5, &[0, 0, 1, 1, 1]),
+            (&q6, &[0, 0, 0, 0, 0, 1]),
+        ];
+        for (p, inputs) in cases {
+            let init = Config::initial(inputs);
+            let opts = SearchOptions::reduced(500_000);
+            let seq = search(p, &init, &opts);
+            assert!(!seq.truncated);
+            for workers in [2, 4] {
+                let par = search(p, &init, &opts.with_workers(workers));
+                assert_eq!(seq.states, par.states);
+                assert_eq!(seq.transitions, par.transitions);
+                assert_eq!(seq.fingerprint_hits, par.fingerprint_hits);
+                assert_eq!(seq.por_sleep_skipped, par.por_sleep_skipped);
+                assert_eq!(seq.symmetry_folds, par.symmetry_folds);
+                assert_eq!(seq.valency, par.valency);
+                assert_eq!(
+                    (&seq.agreement_violation, &seq.vfree_nontermination),
+                    (&par.agreement_violation, &par.vfree_nontermination),
+                    "witness configs must be byte-identical across worker counts"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,322 @@
+//! Spec-equivalence suite for the symmetry canonicalizer (DESIGN.md §14).
+//!
+//! `Stabilizer::canonicalize` never builds a permuted state except the
+//! winner. The rule it must reproduce — materialise every stabilizer
+//! permutation in list order, encode each, keep the first minimal one —
+//! lives here as the spec, with its own permutation listing,
+//! `apply_perm` and `encode`, so the search path has no twin in `src/`.
+//! On seeded random states the canonical state, the 20-word encoding and
+//! the chosen permutation must all equal the spec's: the permutation
+//! decides how sleep masks are relabelled, so a different winner of a tie
+//! moves `transitions`, `sleep_skipped` and `fingerprint_hits`.
+//!
+//! Mutation-checked: each of these edits to `Stabilizer` in `search.rs`
+//! fails `matches_the_materialising_spec` —
+//!
+//! * reversed tie rule (a candidate that ties on every word replaces the
+//!   best: the last minimal permutation wins);
+//! * `logh` skip applied although an orbit is not constant
+//!   (`logh_free = true`);
+//! * padding nodes `n..MAX_N` counted into the zero-input orbit;
+//! * forward permutation used for the inverse (`inv[v] = pv`);
+//! * early exit on `<=` instead of `<` (the word scan stops at the first
+//!   word even when it ties, so the candidate is abandoned instead of
+//!   compared on the next word).
+
+use am_sched::search::{CState, LogArena, Stabilizer, ENC_WORDS, MAX_N};
+use am_sched::{search, AsyncProtocol, Config, Op, Ref, SearchOptions, ViewRef};
+
+const UNDECIDED: u8 = 0xff;
+
+// ---------------------------------------------------------------------------
+// The spec
+// ---------------------------------------------------------------------------
+
+fn spec_encode(s: &CState) -> [u64; ENC_WORDS] {
+    let mut w = [0u64; ENC_WORDS];
+    w[..MAX_N].copy_from_slice(&s.logh);
+    for v in 0..MAX_N {
+        w[MAX_N + v] = u64::from_le_bytes(s.view[v]);
+    }
+    w[2 * MAX_N] = u64::from_le_bytes(s.loglen);
+    w[2 * MAX_N + 1] = u64::from_le_bytes(s.own);
+    w[2 * MAX_N + 2] = u64::from_le_bytes(s.decided);
+    w[2 * MAX_N + 3] = u64::from_le_bytes(s.input);
+    w
+}
+
+/// Node `v` becomes node `p[v]`.
+fn spec_apply_perm(s: &CState, p: &[u8; MAX_N]) -> CState {
+    let mut t = *s;
+    for v in 0..MAX_N {
+        let pv = p[v] as usize;
+        t.logs[pv] = s.logs[v];
+        t.loglen[pv] = s.loglen[v];
+        t.logh[pv] = s.logh[v];
+        t.own[pv] = s.own[v];
+        t.decided[pv] = s.decided[v];
+        t.input[pv] = s.input[v];
+        for (a, &pa) in p.iter().enumerate() {
+            t.view[pv][pa as usize] = s.view[v][a];
+        }
+    }
+    t
+}
+
+/// Every permutation of `0..n` that keeps each node's input, identity on
+/// `n..MAX_N`, in lexicographic order of the images of (zero-input nodes
+/// ascending, then one-input nodes ascending).
+fn spec_perms(inputs: &[u8]) -> Vec<[u8; MAX_N]> {
+    let n = inputs.len();
+    let order: Vec<usize> = (0..n)
+        .filter(|&v| inputs[v] == 0)
+        .chain((0..n).filter(|&v| inputs[v] == 1))
+        .collect();
+    let mut images: Vec<Vec<u8>> = vec![Vec::new()];
+    for &v in &order {
+        let mut longer = Vec::new();
+        for prefix in &images {
+            for t in (0..n as u8).filter(|&t| inputs[t as usize] == inputs[v]) {
+                if !prefix.contains(&t) {
+                    longer.push([prefix.as_slice(), &[t]].concat());
+                }
+            }
+        }
+        images = longer;
+    }
+    images.sort();
+    images
+        .iter()
+        .map(|image| {
+            let mut p = [0, 1, 2, 3, 4, 5, 6, 7];
+            for (&v, &t) in order.iter().zip(image) {
+                p[v] = t;
+            }
+            p
+        })
+        .collect()
+}
+
+/// The rule: first minimal permutation in list order wins.
+fn spec_canonicalize(s: &CState, perms: &[[u8; MAX_N]]) -> (CState, [u64; ENC_WORDS], [u8; MAX_N]) {
+    let mut best = (*s, spec_encode(s), perms[0]);
+    for p in &perms[1..] {
+        let t = spec_apply_perm(s, p);
+        let e = spec_encode(&t);
+        if e < best.1 {
+            best = (t, e, *p);
+        }
+    }
+    best
+}
+
+// ---------------------------------------------------------------------------
+// Seeded random states
+// ---------------------------------------------------------------------------
+
+/// splitmix64 — the suite's only randomness, so every run sees the same
+/// states.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, k: u64) -> u64 {
+        self.next() % k
+    }
+}
+
+/// A random state over `inputs`. Nodes draw a *type* from a pool of
+/// `types` and every field is a function of the types involved, so few
+/// types make tie-heavy states (one type: every permutation ties and the
+/// identity must win) and many make generic ones; `noise` then perturbs
+/// single cells so that ties break late, in the view rows or the packed
+/// byte fields. Padding nodes keep the values `from_config` gives them.
+fn random_state(inputs: &[u8], rng: &mut Rng) -> CState {
+    let n = inputs.len();
+    let mut arena = LogArena::new();
+    let mut s = CState::from_config(&Config::initial(inputs), &mut arena);
+    let types = 1 + rng.below(4);
+    let ty: Vec<u64> = (0..n).map(|_| rng.below(types)).collect();
+    let salt = rng.next();
+    let f = |a: u64, b: u64, k: u64| {
+        let mut r = Rng(salt ^ (a << 8) ^ (b << 16) ^ (k << 24));
+        r.next()
+    };
+    // 0 = nobody appended, 1 = `logh` a function of the input class
+    // (same-input nodes appended the same vote — the common case),
+    // 2 = a function of the type (unequal within a class, with repeats).
+    let logh_mode = rng.below(3);
+    let view_max = 1 + rng.below(3);
+    for v in 0..n {
+        s.logs[v] = 1 + rng.below(1 << 20) as u32;
+        match logh_mode {
+            0 => {}
+            1 => s.logh[v] = f(u64::from(inputs[v]), 0, 1),
+            _ if f(ty[v], 0, 2) % 3 > 0 => s.logh[v] = f(ty[v], 0, 3),
+            _ => {}
+        }
+        s.loglen[v] = (f(ty[v], 0, 4) % 3) as u8;
+        s.own[v] = (f(ty[v], 0, 5) % 2) as u8;
+        s.decided[v] = match f(ty[v], 0, 6) % 4 {
+            0 => 0,
+            1 => 1,
+            _ => UNDECIDED,
+        };
+        for a in 0..n {
+            let diag = u64::from(a == v);
+            s.view[v][a] = (f(ty[v], ty[a], 7 + diag) % (view_max + 1)) as u8;
+        }
+    }
+    for _ in 0..rng.below(3) {
+        let (v, a) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+        match rng.below(4) {
+            0 => s.view[v][a] = s.view[v][a].wrapping_add(1) % 4,
+            1 => s.own[v] ^= 1,
+            2 => s.decided[v] = [0, 1, UNDECIDED][rng.below(3) as usize],
+            _ => s.loglen[v] = (s.loglen[v] + 1) % 3,
+        }
+    }
+    s
+}
+
+/// Every split of every n in 2..=MAX_N (one-sided and singleton classes
+/// included), zeros and ones interleaved at random; fewer states where
+/// the spec has to walk thousands of permutations.
+#[test]
+fn matches_the_materialising_spec() {
+    let mut rng = Rng(0x5eed_ca11);
+    let (mut states, mut folded, mut unequal_logh, mut full_ties) = (0, 0, 0, 0);
+    for n in 2..=MAX_N {
+        for zeros in 0..=n {
+            let order: usize = (1..=zeros).product::<usize>() * (1..=n - zeros).product::<usize>();
+            let count = match order {
+                0..=720 => 60,
+                721..=5040 => 12,
+                _ => 4,
+            };
+            for _ in 0..count {
+                let mut inputs: Vec<u8> = (0..n).map(|v| u8::from(v >= zeros)).collect();
+                for i in (1..n).rev() {
+                    inputs.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                let s = random_state(&inputs, &mut rng);
+                let perms = spec_perms(&inputs);
+                assert_eq!(perms.len(), order);
+                let stab = Stabilizer::new(&inputs);
+                assert_eq!(stab.order(), order);
+
+                let want = spec_canonicalize(&s, &perms);
+                let got = stab.canonicalize(&s);
+                assert_eq!(got.2, want.2, "permutation, inputs {inputs:?}, state {s:?}");
+                assert_eq!(got.1, want.1, "encoding, inputs {inputs:?}, state {s:?}");
+                assert_eq!(got.0, want.0, "state, inputs {inputs:?}, state {s:?}");
+
+                states += 1;
+                folded += usize::from(want.2 != perms[0]);
+                unequal_logh += usize::from(
+                    (0..n)
+                        .any(|a| (0..n).any(|b| inputs[a] == inputs[b] && s.logh[a] != s.logh[b])),
+                );
+                full_ties += usize::from(
+                    order > 1
+                        && perms
+                            .iter()
+                            .all(|p| spec_encode(&spec_apply_perm(&s, p)) == want.1),
+                );
+            }
+        }
+    }
+    // The generator must keep reaching the cases the rule turns on.
+    assert!(states >= 2_000, "{states} states");
+    assert!(folded >= 500, "{folded} states folded");
+    assert!(
+        unequal_logh >= 300,
+        "{unequal_logh} states with unequal logh in a class"
+    );
+    assert!(full_ties >= 100, "{full_ties} fully symmetric states");
+}
+
+/// The quotient is well defined: every state of an orbit canonicalizes to
+/// the same encoding and the same state up to arena ids riding along.
+#[test]
+fn orbit_mates_share_the_representative() {
+    let mut rng = Rng(0x0b17_5eed);
+    for _ in 0..300 {
+        let n = 2 + rng.below(5) as usize;
+        let inputs: Vec<u8> = (0..n).map(|_| rng.below(2) as u8).collect();
+        let s = random_state(&inputs, &mut rng);
+        let perms = spec_perms(&inputs);
+        let stab = Stabilizer::new(&inputs);
+        let p = perms[rng.below(perms.len() as u64) as usize];
+        let (a, b) = (
+            stab.canonicalize(&s),
+            stab.canonicalize(&spec_apply_perm(&s, &p)),
+        );
+        assert_eq!(a.1, b.1, "inputs {inputs:?}, perm {p:?}, state {s:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The symmetry precondition
+// ---------------------------------------------------------------------------
+
+/// Claims symmetry, but its second append references an entry by author
+/// index — exactly what relabelling authors cannot carry along.
+struct ParentRefProtocol;
+
+impl AsyncProtocol for ParentRefProtocol {
+    fn n(&self) -> usize {
+        3
+    }
+
+    fn name(&self) -> String {
+        "parent-ref".to_string()
+    }
+
+    fn symmetric(&self) -> bool {
+        true
+    }
+
+    fn next_op(&self, node: usize, input: u8, own: usize, _: &ViewRef<'_>, _: bool) -> Op {
+        match own {
+            0 => Op::Append {
+                value: input,
+                parents: Vec::new(),
+            },
+            1 => Op::Append {
+                value: input,
+                parents: vec![Ref {
+                    author: node as u8,
+                    seq: 0,
+                }],
+            },
+            _ => Op::Decide(input),
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "AsyncProtocol::symmetric requires parent-free entries")]
+fn symmetric_protocol_appending_parents_is_refused() {
+    search(
+        &ParentRefProtocol,
+        &Config::initial(&[0, 1, 1]),
+        &SearchOptions::reduced(10_000),
+    );
+}
+
+/// The same protocol is searched without complaint when nothing folds.
+#[test]
+fn parent_refs_are_fine_without_the_quotient() {
+    let mut opts = SearchOptions::reduced(10_000);
+    opts.symmetry = false;
+    let rep = search(&ParentRefProtocol, &Config::initial(&[0, 1, 1]), &opts);
+    assert!(!rep.truncated);
+}
