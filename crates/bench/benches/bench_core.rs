@@ -1,7 +1,7 @@
-//! Core data-structure benches + ablations A1 (snapshot strategy) and A2
-//! (ordering-rule cost on adversarial DAGs).
+//! Core data-structure benches + ablation A2 (ordering-rule cost on
+//! adversarial DAGs), and the `core/*` lanes of the perf ledger.
 
-use am_bench::{chain_history, dag_history, presets::Preset, recorder};
+use am_bench::{chain_history, dag_history, recorder::Recorder};
 use am_core::{
     ghost, linearize, linearize_with, longest_chain, longest_chain_with, ConeCoverTracker,
     DagIndex, MsgId,
@@ -10,17 +10,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-/// A1: shared-Arc snapshot reads vs naive deep-clone reads.
-fn bench_snapshot_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("A1_snapshot");
+/// Shared-Arc snapshot reads across history lengths.
+fn bench_snapshot(c: &mut Criterion) {
+    let mut g = c.benchmark_group("snapshot");
     g.sample_size(20);
     for len in [100usize, 1000, 5000] {
         let mem = chain_history(8, len);
         g.bench_with_input(BenchmarkId::new("shared_arc", len), &mem, |b, mem| {
             b.iter(|| black_box(mem.read().len()))
-        });
-        g.bench_with_input(BenchmarkId::new("deep_clone", len), &mem, |b, mem| {
-            b.iter(|| black_box(mem.read_deep_clone().len()))
         });
     }
     g.finish();
@@ -75,14 +72,13 @@ fn bench_linearize(c: &mut Criterion) {
     g.finish();
 }
 
-/// PR4 micro-kernels: each optimised core path vs the from-scratch
-/// recomputation it replaced. Results merge into `BENCH_PR4.json` (see
-/// CONTRIBUTING.md); the vendored criterion shim cannot report them.
-fn bench_pr4_core_kernels(_c: &mut Criterion) {
-    let mut rec = recorder::Recorder::preset(Preset::Pr4);
+/// The `core/*` ledger lanes: the decision path's kernels on a bushy
+/// 1500-message DAG, ns per message.
+fn bench_core_absolute(_c: &mut Criterion) {
+    let mut rec = Recorder::new();
     let budget = Duration::from_millis(400);
-    let len = 1500usize;
-    let view = dag_history(8, len, 11).read();
+    let view = dag_history(8, 1500, 11).read();
+    let msgs = view.len() as u64;
     // Per-message parent table + running deepest tip, as the gate sees it.
     let parents: Vec<Vec<MsgId>> = view.iter().map(|m| m.parents.clone()).collect();
     let mut depth = vec![0u32; parents.len()];
@@ -97,74 +93,36 @@ fn bench_pr4_core_kernels(_c: &mut Criterion) {
         });
     }
     // Gate kernel: covered count of the deepest tip after every append.
-    rec.measure(
-        "cone_cover/incremental_gate",
-        Some("cone_cover/per_append_dfs_naive"),
-        budget,
-        || {
-            let mut t = ConeCoverTracker::new();
-            let mut acc = 0usize;
-            for (i, ps) in parents.iter().enumerate().skip(1) {
-                t.on_append(MsgId(i as u64), ps, true);
-                acc += t.cover_of(deepest[i]);
-            }
-            black_box(acc)
-        },
-    );
-    rec.measure("cone_cover/per_append_dfs_naive", None, budget, || {
+    rec.measure_absolute("core/cone_cover_incremental_gate", msgs - 1, budget, || {
+        let mut t = ConeCoverTracker::new();
         let mut acc = 0usize;
-        let mut seen = vec![false; parents.len()];
-        let mut stack = Vec::new();
-        for i in 1..parents.len() {
-            seen[..=i].fill(false);
-            stack.push(deepest[i]);
-            while let Some(id) = stack.pop() {
-                if !seen[id.index()] {
-                    seen[id.index()] = true;
-                    acc += 1;
-                    stack.extend_from_slice(&parents[id.index()]);
-                }
-            }
+        for (i, ps) in parents.iter().enumerate().skip(1) {
+            t.on_append(MsgId(i as u64), ps, true);
+            acc += t.cover_of(deepest[i]);
         }
         black_box(acc)
     });
-    // Decision kernel: one shared DagIndex for select + linearize, vs the
-    // old select(view) + linearize(view) pair that each built its own.
-    rec.measure(
-        "decide/shared_index",
-        Some("decide/duplicate_index_naive"),
-        budget,
-        || {
-            let dag = DagIndex::new(&view);
-            let chain = longest_chain_with(&dag);
-            black_box(linearize_with(&dag, &chain).order.len())
-        },
-    );
-    rec.measure("decide/duplicate_index_naive", None, budget, || {
-        let chain = longest_chain(&view);
-        black_box(linearize(&view, &chain).order.len())
+    // Decision kernel: one shared DagIndex for select + linearize.
+    rec.measure_absolute("core/decide_shared_index", msgs, budget, || {
+        let dag = DagIndex::new(&view);
+        let chain = longest_chain_with(&dag);
+        black_box(linearize_with(&dag, &chain).order.len())
     });
-    // GHOST kernel: pooled scratch + prebuilt index vs from-scratch.
+    // GHOST kernel: pooled scratch over a prebuilt index.
     let dag = DagIndex::new(&view);
     let mut gs = ghost::GhostScratch::new();
-    rec.measure(
-        "ghost/pivot_pooled_scratch",
-        Some("ghost/pivot_from_view_naive"),
-        budget,
-        || black_box(ghost::ghost_pivot_in(&dag, &mut gs).len()),
-    );
-    rec.measure("ghost/pivot_from_view_naive", None, budget, || {
-        black_box(ghost::ghost_pivot(&view).len())
+    rec.measure_absolute("core/ghost_pivot_pooled_scratch", msgs, budget, || {
+        black_box(ghost::ghost_pivot_in(&dag, &mut gs).len())
     });
     rec.write();
 }
 
 criterion_group!(
     benches,
-    bench_snapshot_strategies,
+    bench_snapshot,
     bench_dag_index,
     bench_ordering_rules,
     bench_linearize,
-    bench_pr4_core_kernels
+    bench_core_absolute
 );
 criterion_main!(benches);

@@ -3,6 +3,7 @@
 
 use am_sched::{
     initial_bivalent, search_disagreement, Config, Explorer, FirstSeenProtocol, QuorumVoteProtocol,
+    SearchOptions,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,7 +27,7 @@ fn bench_bivalent_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("E1_bivalent_start");
     g.bench_function("quorum_vote_n3", |b| {
         let qv = QuorumVoteProtocol::new(3, 2, 0);
-        b.iter(|| black_box(initial_bivalent(&qv, 300_000).is_some()))
+        b.iter(|| black_box(initial_bivalent(&qv, &SearchOptions::reduced(300_000)).is_some()))
     });
     g.finish();
 }

@@ -1,8 +1,9 @@
 //! am-net kernels: the discrete-event simulator's broadcast+drain cost
 //! across sizes and latency models, against the reliable in-process
-//! network as the zero-overhead baseline — the price of simulated time.
+//! network as the zero-overhead baseline — the price of simulated time —
+//! and the `mp/*` lanes of the perf ledger.
 
-use am_bench::{presets::Preset, recorder};
+use am_bench::recorder::Recorder;
 use am_mp::{MpSystem, Network, Payload};
 use am_net::{Fault, LatencyModel, NetConfig, SimNet, Transport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -101,21 +102,15 @@ fn bench_fault_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// PR5: the zero-copy networked engine vs the retained naive baselines
-/// (`broadcast_cloning`, `local_view_rebuild`, `acks_hashmap` — switched
-/// together by `MpSystem::set_naive`). Results merge into
-/// `BENCH_PR5.json` (see CONTRIBUTING.md); the 300-seed `naive_equiv`
-/// suite proves both paths are the same algorithm bit-for-bit.
-fn bench_pr5_networked(_c: &mut Criterion) {
-    let mut rec = recorder::Recorder::preset(Preset::Pr5);
+/// The `mp/*` ledger lanes: ABD over a faulty `SimNet`, and the view
+/// snapshot.
+fn bench_mp_absolute(_c: &mut Criterion) {
+    let mut rec = Recorder::new();
     let budget = Duration::from_millis(700);
 
-    // Tentpole headline — an E14-shaped sweep cell: ABD append+read
-    // rounds over a lossy, then partitioned, network. Naive mode pays an
-    // O(history) view rebuild for every ReadReq response and
-    // HashMap/HashSet churn for every ack; the optimized engine answers
-    // with O(history/chunk) snapshot clones and dense bitmask tallies.
-    let sweep = |naive: bool| {
+    // An E14-shaped sweep cell: 800 append + read + read rounds at n = 8
+    // over a lossy, then partitioned, network — ns per ABD operation.
+    let sweep = || {
         let mut acc = 0u64;
         for (drop, partition) in [(0.05, None), (0.15, Some((50_000_000u64, 250_000_000u64)))] {
             let n = 8usize;
@@ -128,7 +123,6 @@ fn bench_pr5_networked(_c: &mut Criterion) {
             }
             let net: SimNet<Payload> = cfg.build().expect("valid config").build_net(n, 0xe14);
             let mut sys = MpSystem::with_transport(net, &[], 0xe14);
-            sys.set_naive(naive);
             for i in 0..800 {
                 let _ = sys.append(i % n, 1);
                 let _ = sys.read((i + 1) % n);
@@ -138,31 +132,16 @@ fn bench_pr5_networked(_c: &mut Criterion) {
         }
         black_box(acc)
     };
-    rec.measure(
-        "net_sweep/e14_drop_partition",
-        Some("net_sweep/e14_drop_partition_naive"),
-        budget,
-        || sweep(false),
-    );
-    rec.measure("net_sweep/e14_drop_partition_naive", None, budget, || {
-        sweep(true)
-    });
+    rec.measure_absolute("mp/abd_e14_drop_partition", 2 * 800 * 3, budget, sweep);
 
-    // The ABD read/local_view kernel: a settled 1000-append history,
-    // snapshotting one node's view. The persistent chunked view clones
-    // O(history/chunk) Arcs; the naive baseline copies every message.
+    // Snapshotting one node's view of a settled 1000-append history: the
+    // persistent chunked view clones O(history/chunk) Arcs.
     let mut sys = MpSystem::new(5, &[], 7);
     for i in 0..1000usize {
         sys.append(i % 5, 1).expect("reliable network cannot stall");
     }
-    rec.measure(
-        "abd/local_view",
-        Some("abd/local_view_rebuild"),
-        budget,
-        || black_box(sys.local_view(0).len()),
-    );
-    rec.measure("abd/local_view_rebuild", None, budget, || {
-        black_box(sys.local_view_rebuild(0).len())
+    rec.measure_absolute("mp/local_view_h1000", 1, budget, || {
+        black_box(sys.local_view(0).len())
     });
     rec.write();
 }
@@ -171,6 +150,6 @@ criterion_group!(
     benches,
     bench_broadcast_drain,
     bench_fault_pipeline,
-    bench_pr5_networked
+    bench_mp_absolute
 );
 criterion_main!(benches);

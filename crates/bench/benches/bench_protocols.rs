@@ -1,10 +1,11 @@
 //! E6–E9 kernels: single-trial cost of Algorithms 4, 5, and 6 across
-//! rates, sizes, and adversaries.
+//! rates, sizes, and adversaries, and the `protocols/*` lanes of the perf
+//! ledger.
 
-use am_bench::{presets::Preset, recorder};
+use am_bench::recorder::Recorder;
 use am_protocols::{
-    dag::run_dag_naive, run_chain, run_dag, run_timestamp, ChainAdversary, DagAdversary, DagRule,
-    Params, TieBreak, ViewPolicy,
+    run_chain, run_dag, run_timestamp, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
+    ViewPolicy,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -106,113 +107,65 @@ fn bench_view_policy(c: &mut Criterion) {
     g.finish();
 }
 
-/// One E8-shaped sweep grid (λ × t, DAG trials) end-to-end: the rate and
-/// threat axes of experiment E8 driven through the Algorithm-6 hot loop.
-fn dag_grid(naive: bool) -> usize {
+/// One E8-shaped sweep grid (λ × t, 35 DAG trials) end-to-end: the rate
+/// and threat axes of experiment E8 driven through the Algorithm-6 hot
+/// loop.
+fn dag_grid() -> usize {
     let mut acc = 0usize;
     for (li, lambda) in [0.05f64, 0.1, 0.2, 0.4, 0.8].into_iter().enumerate() {
         for t in 1..=7usize {
             let p = Params::new(12, t, lambda, 41, (li * 100 + t) as u64);
-            let trial = if naive {
-                run_dag_naive(&p, DagRule::LongestChain, DagAdversary::Dissenter)
-            } else {
-                run_dag(&p, DagRule::LongestChain, DagAdversary::Dissenter)
-            };
-            acc += trial.covered_values;
+            acc += run_dag(&p, DagRule::LongestChain, DagAdversary::Dissenter).covered_values;
         }
     }
     acc
 }
 
-/// PR4: incremental decision-path engine vs the retained `*_naive`
-/// baselines. Results are merged into `BENCH_PR4.json` (see
-/// CONTRIBUTING.md) rather than reported through criterion, because the
-/// vendored shim does not expose measured timings to the caller.
-fn bench_pr4_decision_path(_c: &mut Criterion) {
-    let mut rec = recorder::Recorder::preset(Preset::Pr4);
+/// Four seeds of one `run_dag` configuration.
+fn trial_set(n: usize, t: usize, rule: DagRule, adv: DagAdversary) -> usize {
+    (0..4u64)
+        .map(|seed| run_dag(&Params::new(n, t, 1.6, 15, seed), rule, adv).covered_values)
+        .sum()
+}
+
+/// The `protocols/*` ledger lanes, ns per Algorithm-6 trial.
+fn bench_protocols_absolute(_c: &mut Criterion) {
+    let mut rec = Recorder::new();
     let budget = Duration::from_millis(800);
-    // Tentpole headline — the quadratic regime: at λ = 1.6 per node every
-    // Δ-interval carries ~λ·n grants, the interval-snapshot lag keeps the
-    // gate short of k for a whole interval, and the pre-PR4 engine pays a
-    // snapshot rebuild plus a full-history DFS on every one of those
-    // grants (O(n) work per grant, O(n²) per trial). The incremental
-    // engine answers the same gate in O(1) per grant.
-    let trial_set = |naive: bool, rule: DagRule| {
-        let mut acc = 0usize;
-        for seed in 0..4u64 {
-            let p = Params::new(96, 31, 1.6, 15, seed);
-            let trial = if naive {
-                run_dag_naive(&p, rule, DagAdversary::Absent)
-            } else {
-                run_dag(&p, rule, DagAdversary::Absent)
-            };
-            acc += trial.covered_values;
-        }
-        acc
-    };
-    rec.measure(
-        "run_dag/longest_quadratic_lam1.6_k15",
-        Some("run_dag_naive/longest_quadratic_lam1.6_k15"),
-        budget,
-        || black_box(trial_set(false, DagRule::LongestChain)),
-    );
-    rec.measure(
-        "run_dag_naive/longest_quadratic_lam1.6_k15",
-        None,
-        budget,
-        || black_box(trial_set(true, DagRule::LongestChain)),
-    );
-    rec.measure(
-        "run_dag/ghost_quadratic_lam1.6_k15",
-        Some("run_dag_naive/ghost_quadratic_lam1.6_k15"),
-        budget,
-        || black_box(trial_set(false, DagRule::Ghost)),
-    );
-    rec.measure(
-        "run_dag_naive/ghost_quadratic_lam1.6_k15",
-        None,
-        budget,
-        || black_box(trial_set(true, DagRule::Ghost)),
-    );
+    // The quadratic regime: at λ = 1.6 per node every Δ-interval carries
+    // ~λ·n grants and the interval-snapshot lag keeps the gate short of k
+    // for a whole interval, so the per-grant gate cost dominates a trial.
+    for (name, rule) in [
+        ("longest", DagRule::LongestChain),
+        ("ghost", DagRule::Ghost),
+    ] {
+        rec.measure_absolute(
+            &format!("protocols/run_dag_{name}_quadratic_lam1.6_k15"),
+            4,
+            budget,
+            || black_box(trial_set(96, 31, rule, DagAdversary::Absent)),
+        );
+    }
     // Lemma 5.5 withhold-burst at small n: short trials dominated by
-    // shared token-stream and append costs — the floor of the win.
-    let withhold_set = |naive: bool| {
-        let mut acc = 0usize;
-        for seed in 0..4u64 {
-            let p = Params::new(48, 15, 1.6, 15, seed);
-            let trial = if naive {
-                run_dag_naive(&p, DagRule::LongestChain, DagAdversary::WithholdBurst)
-            } else {
-                run_dag(&p, DagRule::LongestChain, DagAdversary::WithholdBurst)
-            };
-            acc += trial.covered_values;
-        }
-        acc
-    };
-    rec.measure(
-        "run_dag_withhold/longest_n48_lam1.6_k15",
-        Some("run_dag_withhold_naive/longest_n48_lam1.6_k15"),
+    // shared token-stream and append costs.
+    rec.measure_absolute(
+        "protocols/run_dag_withhold_longest_n48_lam1.6_k15",
+        4,
         budget,
-        || black_box(withhold_set(false)),
+        || {
+            black_box(trial_set(
+                48,
+                15,
+                DagRule::LongestChain,
+                DagAdversary::WithholdBurst,
+            ))
+        },
     );
-    rec.measure(
-        "run_dag_withhold_naive/longest_n48_lam1.6_k15",
-        None,
-        budget,
-        || black_box(withhold_set(true)),
-    );
-    // E8-shaped λ × t grid, end-to-end.
-    rec.measure(
-        "e8_grid/dag_longest_dissenter",
-        Some("e8_grid/dag_longest_dissenter_naive"),
+    rec.measure_absolute(
+        "protocols/e8_grid_dag_longest_dissenter",
+        35,
         Duration::from_secs(2),
-        || black_box(dag_grid(false)),
-    );
-    rec.measure(
-        "e8_grid/dag_longest_dissenter_naive",
-        None,
-        Duration::from_secs(2),
-        || black_box(dag_grid(true)),
+        || black_box(dag_grid()),
     );
     rec.write();
 }
@@ -223,6 +176,6 @@ criterion_group!(
     bench_chain_trial,
     bench_dag_trial,
     bench_view_policy,
-    bench_pr4_decision_path
+    bench_protocols_absolute
 );
 criterion_main!(benches);

@@ -1,10 +1,12 @@
-//! E3 kernels: Algorithm 1 execution across n/t, and ablation A3 — the
-//! chain-acceptance rule with and without dead-state memoization.
+//! E3 kernels: Algorithm 1 execution across n/t and the chain-acceptance
+//! rule, and the `sync/*` lanes of the perf ledger.
 
+use am_bench::recorder::Recorder;
 use am_core::{AppendMemory, MessageBuilder, MsgId, NodeId, Round, Value, GENESIS};
-use am_sync::{accepted_values, accepted_values_naive, run, Dissenter, Straddler, SyncConfig};
+use am_sync::{accepted_values, run, Dissenter, Straddler, SyncConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Duration;
 
 fn bench_algorithm1(c: &mut Criterion) {
     let mut g = c.benchmark_group("E3_algorithm1");
@@ -36,7 +38,7 @@ fn bench_algorithm1(c: &mut Criterion) {
 }
 
 /// Builds a full-information t+1-round history for `n` nodes and returns
-/// its final view, for the acceptance-rule ablation.
+/// its final view, for the acceptance-rule lanes.
 fn history(n: usize, t: u32) -> am_core::MemoryView {
     let mem = AppendMemory::new(n);
     let mut prev_round: Vec<MsgId> = vec![GENESIS];
@@ -57,25 +59,20 @@ fn history(n: usize, t: u32) -> am_core::MemoryView {
     mem.read()
 }
 
-/// A3: memoized DFS vs naive path enumeration on the dense reference
-/// graphs correct nodes produce.
-fn bench_acceptance(c: &mut Criterion) {
-    let mut g = c.benchmark_group("A3_acceptance");
-    g.sample_size(20);
+/// The `sync/*` ledger lanes: memoized-DFS chain acceptance on the dense
+/// reference graphs correct nodes produce, ns per view.
+fn bench_acceptance(_c: &mut Criterion) {
+    let mut rec = Recorder::new();
     for (n, t) in [(8usize, 2u32), (16, 3), (24, 4)] {
         let view = history(n, t);
-        g.bench_with_input(
-            BenchmarkId::new("memoized", format!("n{n}_t{t}")),
-            &view,
-            |b, v| b.iter(|| black_box(accepted_values(v, t).len())),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("naive", format!("n{n}_t{t}")),
-            &view,
-            |b, v| b.iter(|| black_box(accepted_values_naive(v, t).len())),
+        rec.measure_absolute(
+            &format!("sync/accept_n{n}_t{t}"),
+            1,
+            Duration::from_millis(300),
+            || black_box(accepted_values(&view, t).len()),
         );
     }
-    g.finish();
+    rec.write();
 }
 
 criterion_group!(benches, bench_algorithm1, bench_acceptance);

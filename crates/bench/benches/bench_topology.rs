@@ -1,27 +1,22 @@
-//! am-net topology kernels: relay-gossip flood throughput and the cost
-//! of per-link statistics layouts at planet scale.
+//! am-net topology kernels: relay-gossip flood throughput at planet
+//! scale, and the `net/*` lane of the perf ledger.
 //!
-//! The PR8 topology engine keeps all per-link state sparse — latency
+//! The topology engine keeps all per-link state sparse — latency
 //! overrides, bandwidth busy horizons, and `NetStats` counters are
 //! hash-keyed by the links actually used, so a 1000-node relay overlay
-//! touches ~8n entries instead of materializing n² of them. The bench
-//! pair floods the same block DAG over the same overlay with the sparse
-//! layout (shipped default) and the dense O(n²) table (`dense_stats`,
-//! the pre-PR8 behaviour) and times the gap; both produce byte-identical
-//! statistics exports, pinned by the `config_equivalence` suite.
+//! touches ~8n entries instead of materializing n² of them.
 
-use am_bench::{presets::Preset, recorder};
+use am_bench::recorder::Recorder;
 use am_core::{MsgId, Time};
 use am_net::{LatencyModel, NetConfig, Topology};
 use am_protocols::Propagation;
 use criterion::{criterion_group, criterion_main, Criterion};
-use serde::{Number, Value};
 use std::hint::black_box;
 use std::time::Duration;
 
 /// The overlay under test: a degree-8 relay graph, the E18 shape
 /// without the geo latency classes (kernel cost, not physics).
-fn overlay(dense_stats: bool) -> NetConfig {
+fn overlay() -> NetConfig {
     NetConfig::builder()
         .topology(Topology::Relay { k: 8 })
         .latency(LatencyModel::Uniform {
@@ -29,7 +24,6 @@ fn overlay(dense_stats: bool) -> NetConfig {
             hi: 20_000_000,
         })
         .fanout(6)
-        .dense_stats(dense_stats)
         .build()
         .expect("static bench config is valid")
 }
@@ -55,69 +49,27 @@ fn flood(n: usize, blocks: usize, cfg: &NetConfig, seed: u64) -> u64 {
 fn bench_flood(c: &mut Criterion) {
     let mut g = c.benchmark_group("topology_flood");
     g.sample_size(10);
-    let (n, blocks) = (1000usize, 40usize);
-    let sparse = overlay(false);
-    let dense = overlay(true);
-    g.bench_function("relay8_sparse_n1000", |b| {
-        b.iter(|| black_box(flood(n, blocks, &sparse, 1)))
-    });
-    g.bench_function("relay8_dense_n1000", |b| {
-        b.iter(|| black_box(flood(n, blocks, &dense, 1)))
+    let cfg = overlay();
+    g.bench_function("relay8_n1000", |b| {
+        b.iter(|| black_box(flood(1000, 40, &cfg, 1)))
     });
     g.finish();
 }
 
-/// PR8: the sparse-vs-dense kernel pair plus a divergence-probe record,
-/// merged into `BENCH_PR8.json` (see CONTRIBUTING.md "Benchmark
-/// trajectory files").
-fn bench_pr8_topology(_c: &mut Criterion) {
-    let mut rec = recorder::Recorder::preset(Preset::Pr8);
-    let budget = Duration::from_millis(700);
-    let (n, blocks) = (1000usize, 40usize);
-    let sparse = overlay(false);
-    let dense = overlay(true);
-    assert_eq!(
-        flood(n, blocks, &sparse, 1),
-        flood(n, blocks, &dense, 1),
-        "statistics layout must not change delivery"
-    );
-
-    let sparse_ns = rec.measure(
-        "topology/relay_flood_sparse",
-        Some("topology/relay_flood_dense"),
-        budget,
-        || black_box(flood(n, blocks, &sparse, 1)),
-    );
-    let dense_ns = rec.measure("topology/relay_flood_dense", None, budget, || {
-        black_box(flood(n, blocks, &dense, 1))
-    });
-    println!(
-        "pr8: sparse per-link state runs {:.2}x the dense-stats baseline \
-         ({:.1} vs {:.1} trials/sec at n = {n})",
-        dense_ns / sparse_ns,
-        1e9 / sparse_ns,
-        1e9 / dense_ns
-    );
-    rec.record_value(
-        "topology/relay_flood_trials_per_sec",
-        Value::Object(vec![
-            ("n".to_string(), Value::Number(Number::UInt(n as u64))),
-            (
-                "blocks".to_string(),
-                Value::Number(Number::UInt(blocks as u64)),
-            ),
-            (
-                "sparse".to_string(),
-                Value::Number(Number::Float(1e9 / sparse_ns)),
-            ),
-            (
-                "dense_baseline".to_string(),
-                Value::Number(Number::Float(1e9 / dense_ns)),
-            ),
-        ]),
+/// The `net/*` ledger lane: the 40-block flood at n = 1000, ns per
+/// delivered message.
+fn bench_net_absolute(_c: &mut Criterion) {
+    let mut rec = Recorder::new();
+    let cfg = overlay();
+    let delivered = flood(1000, 40, &cfg, 1);
+    rec.measure_absolute(
+        "net/relay_flood_n1000_b40",
+        delivered,
+        Duration::from_millis(700),
+        || black_box(flood(1000, 40, &cfg, 1)),
     );
     rec.write();
 }
 
-criterion_group!(benches, bench_flood, bench_pr8_topology);
+criterion_group!(benches, bench_flood, bench_net_absolute);
 criterion_main!(benches);

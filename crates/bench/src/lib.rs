@@ -1,8 +1,10 @@
-//! Shared fixtures for the benchmark suite.
+//! Shared fixtures for the benchmark suite, and the perf ledger's writer.
 //!
 //! The benches (one per experiment family, plus the DESIGN.md ablations)
-//! live in `benches/`; this crate only hosts reusable history builders so
-//! the fixtures stay identical across bench targets.
+//! live in `benches/`; this crate hosts the reusable history builders, so
+//! the fixtures stay identical across bench targets, and the
+//! [`recorder`] every recorded lane writes `BENCH_TRAJECTORY.json`
+//! through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,7 +13,6 @@ use am_core::{AppendMemory, MessageBuilder, MsgId, NodeId, Value, GENESIS};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-pub mod presets;
 pub mod recorder;
 pub mod trajectory;
 

@@ -82,7 +82,7 @@ pub use ghost::{ghost_pivot, ghost_pivot_with, subtree_weights, GhostScratch};
 pub use history::History;
 pub use ids::{MsgId, NodeId, Round, Time, GENESIS};
 pub use incremental::{ConeCoverTracker, IncrementalDag};
-pub use linearize::{linearize, linearize_naive, linearize_with, Linearization};
+pub use linearize::{linearize, linearize_with, Linearization};
 pub use memory::AppendMemory;
 pub use message::{Message, MessageBuilder};
 pub use ordering::{GhostRule, LongestChainRule, OrderingRule, PivotRule};

@@ -141,77 +141,6 @@ pub fn linearize_with(dag: &DagIndex, chain: &[MsgId]) -> Linearization {
     Linearization { order, uncovered }
 }
 
-/// Pre-PR4 [`linearize`] kept verbatim as the benchmark baseline: builds
-/// its own index, re-walks each chain block's full past cone, and keeps
-/// per-epoch membership in hash maps. Semantically identical to
-/// [`linearize`] (asserted by the engine-equivalence suite).
-pub fn linearize_naive(view: &MemoryView, chain: &[MsgId]) -> Linearization {
-    let dag = DagIndex::new(view);
-    let n = dag.len();
-    let mut emitted = vec![false; n];
-    let mut order: Vec<MsgId> = Vec::with_capacity(n);
-
-    for &block in chain {
-        let Some(bpos) = dag.position(block) else {
-            continue;
-        };
-        if emitted[bpos] {
-            continue;
-        }
-        let mut epoch: Vec<usize> = dag
-            .past_cone(bpos)
-            .into_iter()
-            .filter(|&p| !emitted[p])
-            .collect();
-        epoch.push(bpos);
-        emit_topo_naive(&dag, &mut emitted, &epoch, &mut order);
-    }
-
-    let uncovered: Vec<MsgId> = (0..n)
-        .filter(|&p| !emitted[p])
-        .map(|p| dag.id_at(p))
-        .collect();
-    Linearization { order, uncovered }
-}
-
-/// Pre-PR4 epoch emission: hash-map membership and pending counts.
-fn emit_topo_naive(dag: &DagIndex, emitted: &mut [bool], epoch: &[usize], order: &mut Vec<MsgId>) {
-    use std::cmp::Reverse;
-    let in_epoch: std::collections::HashSet<usize> = epoch.iter().copied().collect();
-    let mut pending: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for &p in epoch {
-        let cnt = dag
-            .parents_of(p)
-            .iter()
-            .filter(|&&q| in_epoch.contains(&(q as usize)) && !emitted[q as usize])
-            .count();
-        pending.insert(p, cnt);
-    }
-    let mut ready: BinaryHeap<Reverse<((u32, u64), usize)>> = pending
-        .iter()
-        .filter(|&(_, &c)| c == 0)
-        .map(|(&p, _)| Reverse((content_key(dag.message(p)), p)))
-        .collect();
-    while let Some(Reverse((_, p))) = ready.pop() {
-        if emitted[p] {
-            continue;
-        }
-        emitted[p] = true;
-        order.push(dag.id_at(p));
-        for &c in dag.children_of(p) {
-            let c = c as usize;
-            if let Some(cnt) = pending.get_mut(&c) {
-                if *cnt > 0 {
-                    *cnt -= 1;
-                    if *cnt == 0 {
-                        ready.push(Reverse((content_key(dag.message(c)), c)));
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,9 +9,7 @@
 //! Reads return [`MemoryView`] snapshots. Because the memory is append-only,
 //! a snapshot is a *prefix* of the arrival log; the implementation shares
 //! one `Arc`'d prefix across all readers and only rebuilds it when appends
-//! happened since the last read (copy-on-read). The ablation benchmark A1
-//! compares this against the naive deep-clone strategy exposed as
-//! [`AppendMemory::read_deep_clone`].
+//! happened since the last read (copy-on-read).
 
 use crate::error::AppendError;
 use crate::ids::{MsgId, NodeId, Time, GENESIS};
@@ -216,32 +214,6 @@ impl AppendMemory {
         MemoryView::from_arc(Arc::new(g.log[..len].to_vec()))
     }
 
-    /// Pre-PR4 [`AppendMemory::read`] kept verbatim as the benchmark
-    /// baseline: a stale snapshot is replaced wholesale by a fresh
-    /// pointer-copy clone of the log — O(history) per stale read instead of
-    /// O(appends since last read). Semantically identical to `read`.
-    pub fn read_rebuild(&self) -> MemoryView {
-        {
-            let g = self.inner.read();
-            if g.snapshot.len() == g.log.len() {
-                return MemoryView::from_arc(Arc::clone(&g.snapshot));
-            }
-        }
-        let mut g = self.inner.write();
-        if g.snapshot.len() != g.log.len() {
-            g.snapshot = Arc::new(g.log.clone());
-        }
-        MemoryView::from_arc(Arc::clone(&g.snapshot))
-    }
-
-    /// Naive snapshot that deep-clones every message (ablation A1 baseline;
-    /// semantically identical to [`AppendMemory::read`]).
-    pub fn read_deep_clone(&self) -> MemoryView {
-        let g = self.inner.read();
-        let cloned: Vec<Arc<Message>> = g.log.iter().map(|m| Arc::new(Message::clone(m))).collect();
-        MemoryView::from_arc(Arc::new(cloned))
-    }
-
     /// `R_i.read()`: the register view of node `i` — that node's appends in
     /// its own total order.
     pub fn read_register(&self, author: NodeId) -> Vec<Arc<Message>> {
@@ -384,20 +356,6 @@ mod tests {
         let p = m.read_prefix(2);
         assert!(p.contains(MsgId(1)));
         assert!(!p.contains(MsgId(2)));
-    }
-
-    #[test]
-    fn deep_clone_read_matches_shared_read() {
-        let m = AppendMemory::new(3);
-        for i in 0..3 {
-            m.append(mb(i, Value::plus())).unwrap();
-        }
-        let a = m.read();
-        let b = m.read_deep_clone();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(**x, **y);
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! PR4 engine-equivalence property suite.
+//! Engine-equivalence property suite.
 //!
 //! The incremental decision-path engine (the `ConeCoverTracker`, the CSR
 //! `DagIndex` with epoch-stamped scratch, and the shared-index
@@ -6,13 +6,27 @@
 //! result must agree exactly with a from-scratch recomputation. This suite
 //! drives all three layers over ≥1k randomized histories — random parent
 //! picks, forks, value mixes, and sparse (subsequence) views.
+//!
+//! `src/` holds one linearization; the obvious rule lives here as
+//! [`spec_linearize`], written against `MemoryView` alone (no `DagIndex`,
+//! no positions, no stamps). Mutation-checked: each of these edits to
+//! `linearize_with` in `linearize.rs` fails
+//! `linearize_with_matches_the_from_scratch_spec_over_1000_histories` —
+//!
+//! * tie key reversed (the ready heap ordered by `(seq, author)`);
+//! * epoch boundary off by one block (the first chain block skipped, so
+//!   its cone is emitted as part of the next block's epoch);
+//! * already-emitted ancestor re-emitted (the cone walk and the heap pop
+//!   no longer stop at `emitted`);
+//! * `uncovered` dropped (returned empty).
 
 use am_core::{
     chain, ghost, linearize, linearize_with, pivot, AppendMemory, ConeCoverTracker, DagIndex,
-    MessageBuilder, MsgId, NodeId, Value,
+    Linearization, MemoryView, MessageBuilder, MsgId, NodeId, Value,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// From-scratch covered-value count: DFS over the closed past cone of
@@ -33,6 +47,50 @@ fn naive_cover(parents: &[Vec<MsgId>], carries: &[bool], tip: MsgId) -> usize {
         stack.extend_from_slice(&parents[i]);
     }
     count
+}
+
+/// The linearization rule, from scratch: per chain block, the epoch is the
+/// block's not-yet-emitted closed past cone (DFS over the view's parent
+/// lists, references outside the view ignored); the epoch is emitted in
+/// Kahn's order, always taking the ready member with the least
+/// `(author, id)` content key (genesis counts as author 0). Whatever no
+/// epoch reached is `uncovered`, in view order.
+fn spec_linearize(view: &MemoryView, chain: &[MsgId]) -> Linearization {
+    let key = |id: MsgId| (view.get(id).unwrap().author.map_or(0, |a| a.0), id);
+    let mut emitted: HashSet<MsgId> = HashSet::new();
+    let mut order = Vec::new();
+    for &block in chain {
+        if !view.contains(block) {
+            continue;
+        }
+        let mut epoch: HashSet<MsgId> = HashSet::new();
+        let mut stack = vec![block];
+        while let Some(id) = stack.pop() {
+            if view.contains(id) && !emitted.contains(&id) && epoch.insert(id) {
+                stack.extend_from_slice(&view.get(id).unwrap().parents);
+            }
+        }
+        while !epoch.is_empty() {
+            let next = epoch
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    let ps = &view.get(id).unwrap().parents;
+                    ps.iter().all(|p| !epoch.contains(p))
+                })
+                .min_by_key(|&id| key(id))
+                .expect("a finite DAG always has a ready member");
+            epoch.remove(&next);
+            emitted.insert(next);
+            order.push(next);
+        }
+    }
+    let uncovered = view
+        .iter()
+        .map(|m| m.id)
+        .filter(|id| !emitted.contains(id))
+        .collect();
+    Linearization { order, uncovered }
 }
 
 /// A random history in an `AppendMemory`: every append references 1–3
@@ -214,4 +272,42 @@ fn shared_index_decision_path_matches_fresh_recomputation() {
             );
         }
     }
+}
+
+#[test]
+fn linearize_with_matches_the_from_scratch_spec_over_1000_histories() {
+    let mut sparse_uncovered = 0usize;
+    for seed in 0..1000u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5bec_0000 + seed);
+        let authors = rng.gen_range(2..=6usize);
+        let appends = rng.gen_range(5..=40usize);
+        let (mem, _, _) = random_history(&mut rng, authors, appends);
+        let full = mem.read();
+        let sparse = MemoryView::from_messages(
+            full.iter()
+                .filter(|m| m.is_genesis() || rng.gen_bool(0.7))
+                .map(Arc::clone)
+                .collect::<Vec<_>>(),
+        );
+        let full_lc = chain::longest_chain(&full);
+        for view in [&full, &sparse] {
+            let dag = DagIndex::new(view);
+            // The three chain rules on this view, plus the full view's
+            // longest chain: on the sparse view it names blocks the view
+            // lacks and skips over dropped links.
+            let chains = [
+                chain::longest_chain_with(&dag),
+                ghost::ghost_pivot_with(&dag),
+                pivot::pivot_chain_with(&dag),
+                full_lc.clone(),
+            ];
+            for chain in &chains {
+                let want = spec_linearize(view, chain);
+                assert_eq!(linearize_with(&dag, chain), want, "seed {seed} {chain:?}");
+                assert_eq!(want.order.len() + want.uncovered.len(), view.len());
+                sparse_uncovered += want.uncovered.len();
+            }
+        }
+    }
+    assert!(sparse_uncovered > 0, "no history left anything uncovered");
 }

@@ -9,7 +9,7 @@ use crate::report::Report;
 use crate::RunCtx;
 use am_sched::{
     initial_bivalent, round_robin_witness, AsyncProtocol, Config, EchoVoteProtocol, Explorer,
-    FirstSeenProtocol, QuorumVoteProtocol, WitnessOutcome,
+    FirstSeenProtocol, QuorumVoteProtocol, SearchOptions, WitnessOutcome,
 };
 use am_stats::Table;
 
@@ -40,8 +40,9 @@ pub fn run(_ctx: &RunCtx) -> Report {
     );
     let budget = 300_000;
     for proto in &zoo {
-        let bi = initial_bivalent(proto.as_ref(), budget);
-        let witness = round_robin_witness(proto.as_ref(), 3 * proto.n(), budget);
+        let opts = SearchOptions::reduced(budget);
+        let bi = initial_bivalent(proto.as_ref(), &opts);
+        let witness = round_robin_witness(proto.as_ref(), 3 * proto.n(), &opts);
         // Exhaustive safety scan over all initial configurations.
         let ex = Explorer::new(proto.as_ref(), budget);
         let mut agreement_broken = false;

@@ -12,7 +12,8 @@
 use crate::report::Report;
 use crate::RunCtx;
 use am_sched::{
-    round_robin_witness, AsyncProtocol, FirstSeenProtocol, QuorumVoteProtocol, WitnessOutcome,
+    round_robin_witness, AsyncProtocol, FirstSeenProtocol, QuorumVoteProtocol, SearchOptions,
+    WitnessOutcome,
 };
 use am_stats::Table;
 
@@ -36,8 +37,9 @@ pub fn run(_ctx: &RunCtx) -> Report {
             "identical",
         ],
     );
+    let opts = SearchOptions::reduced(300_000);
     for proto in &zoo {
-        let w1 = round_robin_witness(proto.as_ref(), 3 * proto.n(), 300_000);
+        let w1 = round_robin_witness(proto.as_ref(), 3 * proto.n(), &opts);
         // Token gating: each append event in the witness schedule is
         // preceded by a token grant at an adversary-chosen time. Because
         // the node is asynchronous, the grant may precede the append by an
@@ -45,7 +47,7 @@ pub fn run(_ctx: &RunCtx) -> Report {
         // the token-gated model: grant all tokens at time 0, apply the
         // same event sequence. The replay below re-runs the witness
         // construction (it is deterministic) standing in for that lift.
-        let w2 = round_robin_witness(proto.as_ref(), 3 * proto.n(), 300_000);
+        let w2 = round_robin_witness(proto.as_ref(), 3 * proto.n(), &opts);
         let fmt = |w: &am_sched::Witness| match &w.outcome {
             WitnessOutcome::KeptBivalent => format!("bivalent, {} steps", w.schedule.len()),
             o => format!("{o:?}"),

@@ -18,7 +18,7 @@ use crate::view::{AckTally, MpView};
 use am_net::Transport;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A value in a node's local view of the simulated memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,20 +101,12 @@ pub struct MpSystem<T: Transport<Payload> = Network> {
     next_op: u64,
     /// Ack tallies per (author, seq, content): dense bitmask counters.
     acks: AckTally,
-    /// The pre-optimization ack bookkeeping, used in naive mode only and
-    /// kept in-tree as the equivalence baseline (see
-    /// [`MpSystem::set_naive`]).
-    acks_hashmap: HashMap<(usize, u64, u64), HashSet<usize>>,
     /// `resp_hw[receiver][responder]`: how much of `responder`'s
     /// append-only view `receiver` has already merged from earlier
     /// `ViewResp`s. Everything below the mark has been verified and
     /// adopted here before, so later responses are merged from the mark
-    /// on (the naive baseline re-walks full responses).
+    /// on.
     resp_hw: Vec<Vec<usize>>,
-    /// When set, run every optimized path through its naive baseline:
-    /// deep-clone broadcasts, per-read view rebuilds, HashMap/HashSet ack
-    /// tallies.
-    naive: bool,
     stats: MpStats,
     /// Delivery budget per quorum wait, to turn deadlock into an error.
     max_pump: usize,
@@ -170,9 +162,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
             next_seq: vec![0; n],
             next_op: 0,
             acks: AckTally::new(n),
-            acks_hashmap: HashMap::new(),
             resp_hw: vec![vec![0; n]; n],
-            naive: false,
             stats: MpStats::default(),
             max_pump: 1_000_000,
             write_quorum: n / 2 + 1,
@@ -204,19 +194,6 @@ impl<T: Transport<Payload>> MpSystem<T> {
     /// Sets the delivery-order policy.
     pub fn set_delivery(&mut self, d: Delivery) {
         self.delivery = d;
-    }
-
-    /// Switches the system onto its pre-optimization baselines: broadcasts
-    /// deep-clone per recipient ([`Transport::broadcast_cloning`]), every
-    /// `ReadReq` response rebuilds the responder's view from scratch
-    /// ([`MpSystem::local_view_rebuild`]), and ack quorums are tallied in
-    /// `HashMap<_, HashSet<_>>` (`acks_hashmap`). Outcomes are bit-equal
-    /// to the optimized paths — the equivalence suite pins this — so the
-    /// flag exists for benchmarking and differential testing. Set it
-    /// before the first operation; toggling mid-run would split the ack
-    /// bookkeeping across the two tallies.
-    pub fn set_naive(&mut self, naive: bool) {
-        self.naive = naive;
     }
 
     /// Number of nodes.
@@ -257,38 +234,9 @@ impl<T: Transport<Payload>> MpSystem<T> {
         &self.views[node]
     }
 
-    /// The naive O(history) baseline for [`MpSystem::local_view`]: deep-
-    /// copies every message into a fresh vector, exactly what
-    /// `views[node].clone()` cost when views were plain `Vec<MpMsg>`.
-    /// Kept in-tree for the equivalence suite and BENCH_PR5.
-    pub fn local_view_rebuild(&self, node: usize) -> Vec<MpMsg> {
-        self.views[node].to_vec()
-    }
-
-    /// Distinct ackers recorded for an append instance, from whichever
-    /// tally the current mode maintains.
+    /// Distinct ackers recorded for an append instance.
     pub fn ack_count(&self, key: (usize, u64, u64)) -> usize {
-        if self.naive {
-            self.acks_hashmap.get(&key).map_or(0, HashSet::len)
-        } else {
-            self.acks.count(key)
-        }
-    }
-
-    fn record_ack(&mut self, key: (usize, u64, u64), from: usize) {
-        if self.naive {
-            self.acks_hashmap.entry(key).or_default().insert(from);
-        } else {
-            self.acks.add(key, from);
-        }
-    }
-
-    fn broadcast_payload(&mut self, from: usize, payload: Payload) {
-        if self.naive {
-            self.net.broadcast_cloning(from, payload);
-        } else {
-            self.net.broadcast(from, payload);
-        }
+        self.acks.count(key)
     }
 
     /// Message-complexity statistics so far.
@@ -348,7 +296,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
             sig,
         };
         let before = self.net.sent_count();
-        self.broadcast_payload(
+        self.net.broadcast(
             v,
             Payload::Append {
                 author: v,
@@ -388,7 +336,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
         let op = self.next_op;
         self.next_op += 1;
         let before = self.net.sent_count();
-        self.broadcast_payload(v, Payload::ReadReq { op });
+        self.net.broadcast(v, Payload::ReadReq { op });
         // Collect responses by pumping; responses are tagged with `op`.
         let mut responders: HashSet<usize> = HashSet::new();
         let mut budget = self.max_pump;
@@ -571,7 +519,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
                         sig,
                     });
                     // Line 4 of Algorithm 2: broadcast the ack.
-                    self.broadcast_payload(
+                    self.net.broadcast(
                         target,
                         Payload::Ack {
                             author,
@@ -586,18 +534,12 @@ impl<T: Transport<Payload>> MpSystem<T> {
                 seq,
                 content,
             } => {
-                self.record_ack((author, seq, content), env.from);
+                self.acks.add((author, seq, content), env.from);
             }
             Payload::ReadReq { op: req_op } => {
-                // Line 3 of Algorithm 3: send the local view back. The
-                // optimized path snapshots (full chunks shared, nothing
-                // copied); the naive baseline rebuilds the whole view —
-                // the old O(history) per-response cost.
-                let view = if self.naive {
-                    MpView::from_slice(&self.local_view_rebuild(target))
-                } else {
-                    self.views[target].clone()
-                };
+                // Line 3 of Algorithm 3: send the local view back — a
+                // snapshot (full chunks shared, nothing copied).
+                let view = self.views[target].clone();
                 self.net
                     .send(target, env.from, Payload::ViewResp { op: req_op, view });
             }
@@ -606,14 +548,9 @@ impl<T: Transport<Payload>> MpSystem<T> {
                 // values. A responder's view is append-only, so every
                 // message below the high-water mark of a previously
                 // merged response from the same responder has already
-                // been verified and adopted here — the optimized path
-                // starts at the mark, the naive baseline re-walks the
-                // whole response (the old O(history) merge).
-                let start = if self.naive {
-                    0
-                } else {
-                    self.resp_hw[target][env.from]
-                };
+                // been verified and adopted here, so the merge starts at
+                // the mark.
+                let start = self.resp_hw[target][env.from];
                 for m in view.iter_from(start) {
                     if self.ring.verify(m.author, m.content, m.sig)
                         && !self.seen[target].contains(&m.content)
@@ -881,53 +818,60 @@ mod tests {
         assert_eq!(run(9), run(9));
     }
 
+    /// A node's view rebuilt message by message from what it stores — what
+    /// every snapshot must equal, however its chunks are shared.
+    fn rebuilt_view(sys: &MpSystem, node: usize) -> Vec<MpMsg> {
+        sys.view(node).iter().copied().collect()
+    }
+
     #[test]
     fn pause_resume_views_and_ack_tallies_match_naive_baselines() {
         // The incremental structures must survive the pause/resume
         // catch-up path: a resumed node replays its whole backlog into an
         // MpView that already has live snapshots (earlier ViewResps), and
-        // ack bitmasks keep counting across the pause. Run the same
-        // script on a fast and a naive system and require identical
-        // outcomes, then require each node's snapshot to equal its own
-        // naive rebuild.
-        let run = |naive: bool| {
-            let mut sys = MpSystem::new(5, &[], 23);
-            sys.set_naive(naive);
-            sys.set_delivery(Delivery::Random);
-            let mut keys = Vec::new();
-            sys.pause(3);
-            sys.pause(4);
-            for i in 0..6 {
-                let m = sys.append(i % 3, i as i8).unwrap();
-                keys.push((m.author, m.seq, m.content));
-            }
-            let mid_read = sys.read(1).unwrap();
-            sys.resume(3);
-            sys.resume(4);
-            sys.pause(0);
-            for i in 0..4 {
-                let m = sys.append(1 + i % 2, -(i as i8)).unwrap();
-                keys.push((m.author, m.seq, m.content));
-            }
-            sys.resume(0);
-            sys.settle();
-            let acks: Vec<usize> = keys.iter().map(|&k| sys.ack_count(k)).collect();
-            let views: Vec<Vec<MpMsg>> = (0..5).map(|v| sys.local_view(v).to_vec()).collect();
-            // Snapshot ≡ naive rebuild, node by node.
-            for v in 0..5 {
-                assert_eq!(
-                    sys.local_view(v).to_vec(),
-                    sys.local_view_rebuild(v),
-                    "node {v}: snapshot diverged from rebuild"
-                );
-            }
-            (mid_read.to_vec(), acks, views, sys.total_sent())
-        };
-        let fast = run(false);
-        let naive = run(true);
-        assert_eq!(fast, naive, "fast and naive modes diverged");
+        // ack bitmasks keep counting across the pause. Every observable of
+        // the script is pinned to what the deep-clone / per-read-rebuild /
+        // HashMap-tally baselines produced at 38356ab (the last commit to
+        // carry them; they and the shipped paths were asserted equal there
+        // before the FNV-1a of the Debug form was recorded), and each
+        // node's snapshot must equal its own rebuild.
+        let mut sys = MpSystem::new(5, &[], 23);
+        sys.set_delivery(Delivery::Random);
+        let mut keys = Vec::new();
+        sys.pause(3);
+        sys.pause(4);
+        for i in 0..6 {
+            let m = sys.append(i % 3, i as i8).unwrap();
+            keys.push((m.author, m.seq, m.content));
+        }
+        let mid_read = sys.read(1).unwrap();
+        sys.resume(3);
+        sys.resume(4);
+        sys.pause(0);
+        for i in 0..4 {
+            let m = sys.append(1 + i % 2, -(i as i8)).unwrap();
+            keys.push((m.author, m.seq, m.content));
+        }
+        sys.resume(0);
+        sys.settle();
+        let acks: Vec<usize> = keys.iter().map(|&k| sys.ack_count(k)).collect();
+        let views: Vec<Vec<MpMsg>> = (0..5).map(|v| sys.local_view(v).to_vec()).collect();
+        for (v, snapshot) in views.iter().enumerate() {
+            assert_eq!(
+                *snapshot,
+                rebuilt_view(&sys, v),
+                "node {v}: snapshot diverged from rebuild"
+            );
+        }
+        let observed = (mid_read.to_vec(), acks, views, sys.total_sent());
+        let fnv = format!("{observed:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(fnv, 0x53b9_58bf_47db_a18c, "moved: {observed:?}");
         // Every append completed, so every key reached its quorum of 3.
-        assert!(fast.1.iter().all(|&c| c >= 3));
+        assert!(observed.1.iter().all(|&c| c >= 3));
     }
 
     #[test]

@@ -50,10 +50,6 @@ pub struct NetConfig {
     /// Whether the per-delivery trace is recorded. Off by default — at
     /// n = 5000 an unbounded record stream dominates memory.
     pub trace: bool,
-    /// Use the dense n² per-link counter layout instead of the sparse
-    /// O(active links) map — the in-tree baseline `bench_topology`
-    /// measures against. Counters are identical either way.
-    pub dense_stats: bool,
 }
 
 /// Why a [`NetConfigBuilder`] rejected its inputs.
@@ -175,13 +171,6 @@ impl NetConfigBuilder {
         self
     }
 
-    /// Use the dense n² stats layout (benchmark baseline only).
-    #[must_use]
-    pub fn dense_stats(mut self, on: bool) -> Self {
-        self.cfg.dense_stats = on;
-        self
-    }
-
     /// Validates and builds. Rejects NaN/out-of-range probabilities,
     /// zero bandwidth/fanout/degree/regions, and inverted partition
     /// windows.
@@ -243,7 +232,6 @@ impl NetConfig {
                 bandwidth_bps: None,
                 fanout: None,
                 trace: false,
-                dense_stats: false,
             },
         }
     }

@@ -92,7 +92,7 @@ impl NetConfig {
             link_busy: HashMap::new(),
             faults: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
-            stats: NetStats::with_options(n, self.trace, self.dense_stats),
+            stats: NetStats::with_options(n, self.trace),
             sent: 0,
             delivered: 0,
             dirty: Vec::new(),
@@ -393,8 +393,8 @@ impl<M: Kinded + Clone> SimNet<M> {
     /// queueing, latency sampling, and event scheduling over a payload
     /// that is either owned (point-to-point) or Arc-interned (broadcast
     /// fan-out). RNG draw order, stats, and `seq` assignment are
-    /// identical for both, so cloning and zero-copy sends produce
-    /// bit-identical traces.
+    /// identical for both, so per-recipient sends and the zero-copy
+    /// broadcast produce bit-identical traces.
     fn send_gossip(&mut self, from: usize, to: usize, payload: Gossip<M>) {
         let kind = payload.get().kind();
         self.sent += 1;
@@ -477,14 +477,6 @@ impl<M: Kinded + Clone> SimNet<M> {
             self.schedule(from, to, payload.clone(), tx_ns + base + dup_extra);
         }
         self.schedule(from, to, payload, tx_ns + base + extra_ns);
-    }
-
-    /// The deep-copy point-to-point baseline kept in-tree for the
-    /// equivalence suite: identical to [`Transport::send`] except the
-    /// payload always travels as an owned value (duplicates deep-clone).
-    /// [`Transport::broadcast_cloning`] fans out over this path.
-    pub fn send_cloning(&mut self, from: usize, to: usize, payload: M) {
-        self.send_gossip(from, to, Gossip::Owned(payload));
     }
 
     /// Moves one popped event into its arrival inbox (or drops it if the
@@ -801,8 +793,9 @@ mod tests {
 
     #[test]
     fn broadcast_cloning_matches_zero_copy_broadcast() {
-        // The Arc-interned broadcast and the deep-clone baseline must
-        // draw the same randomness and produce the same trace.
+        // The Arc-interned broadcast and one owned `send` per recipient
+        // (the trait's default body) must draw the same randomness and
+        // produce the same trace.
         let run = |zero_copy: bool| {
             let mut net: SimNet<Ping> = NetConfig::builder()
                 .latency(LatencyModel::Exponential { mean: 50 })
@@ -819,7 +812,9 @@ mod tests {
                     if zero_copy {
                         net.broadcast(from, msg);
                     } else {
-                        net.broadcast_cloning(from, msg);
+                        for to in 0..5 {
+                            net.send(from, to, msg.clone());
+                        }
                     }
                 }
             }

@@ -1,10 +1,8 @@
 //! Per-link / per-kind observability.
 //!
 //! Per-link counters live in a sparse map keyed by the directed link, so
-//! memory is O(active links) — the dense n² layout (25M `Counters` at
-//! n = 5000, allocated eagerly even for an idle network) survives only as
-//! an opt-in benchmark baseline ([`NetStats::with_options`] /
-//! `NetConfig::dense_stats`). Totals are maintained incrementally, so
+//! memory is O(active links), not n² (25M `Counters` at n = 5000, even
+//! for an idle network). Totals are maintained incrementally, so
 //! [`NetStats::totals`] is O(1) instead of an n² scan, and the delivery
 //! trace is opt-in for the same reason: at 5k nodes an unbounded record
 //! stream dominates peak memory.
@@ -127,32 +125,20 @@ pub struct DeliveryRecord {
     pub seq: u64,
 }
 
-/// The per-link counter storage: sparse by default (O(active links)),
-/// dense n² on request as the benchmark baseline. Counter values and the
-/// JSON export (sorted `(from, to)` order either way) are identical.
-#[derive(Clone)]
-enum LinkStore {
-    Sparse(HashMap<u64, Counters>),
-    Dense { n: usize, links: Vec<Counters> },
-}
+/// The per-link counter storage: a sparse map keyed by the directed link
+/// (O(active links)).
+#[derive(Clone, Default)]
+struct LinkStore(HashMap<u64, Counters>);
 
 impl std::fmt::Debug for LinkStore {
-    /// Deterministic Debug: the sparse map prints in sorted key order
-    /// (HashMap iteration order varies per instance), the dense table in
-    /// the same non-zero `(from, to)` form so the two layouts compare
-    /// equal in Debug whenever their counters agree.
+    /// Deterministic Debug: entries print in sorted `(from, to)` order
+    /// (HashMap iteration order varies per instance).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut map = f.debug_map();
         for (from, to, c) in self.sorted_nonzero() {
             map.entry(&(from, to), &c);
         }
         map.finish()
-    }
-}
-
-impl Default for LinkStore {
-    fn default() -> Self {
-        LinkStore::Sparse(HashMap::new())
     }
 }
 
@@ -163,46 +149,29 @@ fn store_key(from: usize, to: usize) -> u64 {
 
 impl LinkStore {
     fn get_mut(&mut self, from: usize, to: usize) -> &mut Counters {
-        match self {
-            LinkStore::Sparse(map) => map.entry(store_key(from, to)).or_default(),
-            LinkStore::Dense { n, links } => &mut links[from * *n + to],
-        }
+        self.0.entry(store_key(from, to)).or_default()
     }
 
     fn get(&self, from: usize, to: usize) -> Counters {
-        match self {
-            LinkStore::Sparse(map) => map.get(&store_key(from, to)).copied().unwrap_or_default(),
-            LinkStore::Dense { n, links } => links[from * *n + to],
-        }
+        self.0
+            .get(&store_key(from, to))
+            .copied()
+            .unwrap_or_default()
     }
 
     fn active(&self) -> usize {
-        match self {
-            LinkStore::Sparse(map) => map.len(),
-            LinkStore::Dense { links, .. } => links.iter().filter(|c| !c.is_zero()).count(),
-        }
+        self.0.len()
     }
 
     /// Non-zero links, ascending `(from, to)` — the historic row-major
     /// export order.
     fn sorted_nonzero(&self) -> Vec<(usize, usize, Counters)> {
-        match self {
-            LinkStore::Sparse(map) => {
-                let mut keys: Vec<u64> = map.keys().copied().collect();
-                keys.sort_unstable();
-                keys.into_iter()
-                    .map(|k| ((k >> 32) as usize, (k & 0xffff_ffff) as usize, map[&k]))
-                    .filter(|(_, _, c)| !c.is_zero())
-                    .collect()
-            }
-            LinkStore::Dense { n, links } => (0..*n)
-                .flat_map(|from| (0..*n).map(move |to| (from, to)))
-                .filter_map(|(from, to)| {
-                    let c = links[from * n + to];
-                    (!c.is_zero()).then_some((from, to, c))
-                })
-                .collect(),
-        }
+        let mut keys: Vec<u64> = self.0.keys().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|k| ((k >> 32) as usize, (k & 0xffff_ffff) as usize, self.0[&k]))
+            .filter(|(_, _, c)| !c.is_zero())
+            .collect()
     }
 }
 
@@ -220,19 +189,12 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Stats for an `n`-node network with explicit trace / dense-layout
-    /// choices.
-    pub fn with_options(n: usize, trace: bool, dense: bool) -> NetStats {
+    /// Stats for an `n`-node network, recording the per-delivery trace
+    /// iff `trace`.
+    pub fn with_options(n: usize, trace: bool) -> NetStats {
         NetStats {
             n,
-            links: if dense {
-                LinkStore::Dense {
-                    n,
-                    links: vec![Counters::default(); n * n],
-                }
-            } else {
-                LinkStore::Sparse(HashMap::new())
-            },
+            links: LinkStore::default(),
             totals: Counters::default(),
             kinds: BTreeMap::new(),
             trace: Vec::new(),
@@ -317,7 +279,7 @@ impl NetStats {
 
     /// Renders everything as a JSON value: totals, per-kind counters with
     /// delay histograms, and the non-empty links in ascending `(from,
-    /// to)` order — identical output for sparse and dense layouts.
+    /// to)` order.
     pub fn to_json(&self) -> Value {
         let kinds: Vec<(String, Value)> = self
             .kinds
@@ -377,7 +339,7 @@ mod tests {
 
     #[test]
     fn counters_aggregate_per_link_and_kind() {
-        let mut s = NetStats::with_options(3, true, false);
+        let mut s = NetStats::with_options(3, true);
         s.on_sent(0, 1, "a");
         s.on_sent(0, 1, "a");
         s.on_sent(1, 2, "b");
@@ -406,7 +368,7 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let mut s = NetStats::with_options(2, true, false);
+        let mut s = NetStats::with_options(2, true);
         s.on_sent(0, 1, "x");
         s.on_delivered(
             DeliveryRecord {
@@ -456,27 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_layouts_agree() {
-        let sparse = exercise(NetStats::with_options(4, true, false));
-        let dense = exercise(NetStats::with_options(4, true, true));
-        assert_eq!(sparse.totals(), dense.totals());
-        assert_eq!(sparse.active_links(), dense.active_links());
-        for from in 0..4 {
-            for to in 0..4 {
-                assert_eq!(sparse.link(from, to), dense.link(from, to));
-            }
-        }
-        assert_eq!(sparse.trace(), dense.trace());
-        assert_eq!(
-            sparse.to_json().render(false),
-            dense.to_json().render(false),
-            "JSON export must be byte-identical across layouts"
-        );
-    }
-
-    #[test]
     fn trace_opt_out_keeps_counters() {
-        let s = exercise(NetStats::with_options(4, false, false));
+        let s = exercise(NetStats::with_options(4, false));
         assert!(s.trace().is_empty(), "trace off records nothing");
         assert!(!s.trace_enabled());
         assert_eq!(s.totals().delivered, 8, "counters still aggregate");

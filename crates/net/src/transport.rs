@@ -45,22 +45,11 @@ pub trait Transport<M> {
     fn send(&mut self, from: usize, to: usize, payload: M);
 
     /// Broadcasts to every node including the sender (self-delivery keeps
-    /// the paper's pseudocode symmetric). Substrates that can share one
+    /// the paper's pseudocode symmetric): one [`send`](Transport::send)
+    /// (and payload clone) per recipient. Substrates that can share one
     /// payload across recipients (see `SimNet`'s Arc-interned override)
-    /// must stay observably identical to
-    /// [`broadcast_cloning`](Transport::broadcast_cloning).
+    /// must stay observably identical to that loop.
     fn broadcast(&mut self, from: usize, payload: M)
-    where
-        M: Clone,
-    {
-        self.broadcast_cloning(from, payload);
-    }
-
-    /// The deep-copy broadcast baseline: one independent
-    /// [`send`](Transport::send) (and payload clone) per recipient. Kept
-    /// as a named method so the equivalence suite can pin optimized
-    /// `broadcast` overrides against it.
-    fn broadcast_cloning(&mut self, from: usize, payload: M)
     where
         M: Clone,
     {

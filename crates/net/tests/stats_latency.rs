@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Value;
 
 fn populated_stats() -> NetStats {
-    let mut s = NetStats::with_options(3, true, false);
+    let mut s = NetStats::with_options(3, true);
     for seq in 0..10u64 {
         s.on_sent(0, 1, "block");
         s.on_delivered(
@@ -61,7 +61,7 @@ fn netstats_json_round_trips_through_text() {
 
 #[test]
 fn empty_netstats_round_trips_too() {
-    let doc = NetStats::with_options(4, true, false).to_json();
+    let doc = NetStats::with_options(4, true).to_json();
     let text = serde_json::to_string(&doc).unwrap();
     let parsed: Value = serde_json::from_str(&text).unwrap();
     assert_eq!(parsed, doc);

@@ -22,7 +22,7 @@
 //! [`loadgen`] drives the stack: an open- or closed-loop workload
 //! generator with a configurable read/append mix and zipf-skewed author
 //! keys, recording throughput and latency quantiles (p50/p99/p999 via
-//! `am-obs` histograms) for the BENCH_PR6 trajectory.
+//! `am-obs` histograms).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

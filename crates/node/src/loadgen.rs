@@ -14,8 +14,8 @@
 //! own four `am-obs` log₂ histograms (append / read / query / finality —
 //! values owned by the run, not entries of the global registry, so
 //! concurrent runs do not see each other), and the final [`LoadgenRecord`] — counts, throughput, p50/p99/p999 per
-//! op class — is plain serde data, ready for the BENCH_PR6 trajectory
-//! file or a smoke-test round-trip.
+//! op class — is plain serde data, ready for a smoke-test round-trip (the
+//! `loadgen` example files its throughput in the perf ledger).
 
 use crate::api::{
     AppendReq, FinalizedHeightReq, LinearizeReq, ReadReq, Request, Response, SnapshotAtFinalReq,
@@ -118,7 +118,7 @@ impl OpStats {
     }
 }
 
-/// The result of one load run — the BENCH_PR6 record shape.
+/// The result of one load run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LoadgenRecord {
     /// Protocol nodes.
@@ -144,9 +144,7 @@ pub struct LoadgenRecord {
     /// Completed requests per second.
     pub requests_per_sec: f64,
     /// Request round-trips per second counting typed-error responses too
-    /// — the loadgen's analogue of the sweep engine's trials/sec, so the
-    /// consolidated BENCH_TRAJECTORY.json fold picks throughput up from
-    /// recorded runs automatically.
+    /// — the loadgen's analogue of the sweep engine's trials/sec.
     pub trials_per_sec: f64,
     /// Append-call latency.
     pub append: OpStats,

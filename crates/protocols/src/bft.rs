@@ -5,7 +5,7 @@
 //! optional block gossip over `am-net` — but run it as a *finality*
 //! protocol: every appended block doubles as a protocol message
 //! (`parents[0]` is the author's vote), per-node
-//! [`FinalityOracle`](am_bft::FinalityOracle)s interpret their own
+//! [`FinalityOracle`]s interpret their own
 //! admitted sub-DAG, and the trial succeeds once the finalized chain
 //! reaches `k` blocks.
 //!

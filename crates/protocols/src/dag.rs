@@ -15,17 +15,16 @@
 //! lemma bounds the burst by the token yield of a correct-silence
 //! interval, `O(λ log n)` w.h.p. — measured by experiment E9.
 
-use crate::params::{Params, ViewPolicy};
+use crate::params::Params;
 use crate::propagation::over_wire;
 use crate::schedule::{one_shot_budget, GrantSchedule};
 use crate::view::{SharedLog, Visibility};
 use am_core::{
-    chain::longest_chain_with, ghost, linearize_naive, linearize_with, longest_chain,
-    pivot::pivot_chain_with, pivot_chain, AppendMemory, ConeCoverTracker, DagIndex, IncrementalDag,
-    Linearization, MemoryView, MessageBuilder, MsgId, Sign, Value,
+    chain::longest_chain_with, ghost, linearize_with, longest_chain, pivot::pivot_chain_with,
+    pivot_chain, AppendMemory, ConeCoverTracker, DagIndex, IncrementalDag, Linearization,
+    MemoryView, MessageBuilder, MsgId, Sign, Value,
 };
 use am_net::{NetConfig, NetStats};
-use am_poisson::{Grant, TokenAuthority};
 
 /// Chain-selection rule for the DAG ordering (Algorithm 6 line 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,14 +155,9 @@ impl DagSim {
         self.cover.cover_of(tip)
     }
 
-    /// Tips of the prefix view of length `prefix`.
-    pub(crate) fn tips_of_prefix(&self, prefix: usize) -> Vec<MsgId> {
-        self.inc.tips_of_prefix(prefix)
-    }
-
     /// Appends a message referencing every tip of the length-`prefix` view,
-    /// reusing the sim-owned tips buffer — the allocation-free form of
-    /// `tips_of_prefix` + `append` for runners with no wire to announce on.
+    /// reusing the sim-owned tips buffer — allocation-free, for runners
+    /// with no wire to announce on.
     pub(crate) fn append_referencing_prefix(
         &mut self,
         node: am_core::NodeId,
@@ -181,56 +175,6 @@ impl DagSim {
     /// Id of the deepest message (ties to smallest id).
     pub(crate) fn deepest(&self) -> MsgId {
         self.inc.deepest()
-    }
-
-    /// Pre-PR4 deepest-tip lookup kept for the `*_naive` baselines: a full
-    /// rescan of the depth table, as the per-grant gate used to do.
-    pub(crate) fn deepest_rescan(&self) -> MsgId {
-        let mut best = MsgId(0);
-        for i in 1..self.inc.len() {
-            let id = MsgId(i as u64);
-            if self.inc.depth_of(id) > self.inc.depth_of(best) {
-                best = id;
-            }
-        }
-        best
-    }
-
-    /// Prefix visible under the view policy at grant time `now`.
-    pub(crate) fn view_prefix(
-        &self,
-        policy: ViewPolicy,
-        boundary_len: usize,
-        now: am_core::Time,
-        delta: f64,
-    ) -> usize {
-        match policy {
-            ViewPolicy::IntervalSnapshot => boundary_len,
-            ViewPolicy::LaggedDelta => self
-                .inc
-                .prefix_at_time(am_core::Time::new(now.seconds() - delta)),
-        }
-    }
-
-    /// Number of value-carrying messages in the closed past cone of `tip`
-    /// — the "chain containing at least k values" gate of Algorithm 6.
-    pub(crate) fn covered_values(&self, view: &MemoryView, tip: MsgId) -> usize {
-        let mut seen = vec![false; view.len()];
-        let mut stack = vec![tip];
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            let i = id.index();
-            if seen[i] {
-                continue;
-            }
-            seen[i] = true;
-            let m = view.get(id).expect("cone id in view");
-            if m.value.as_sign().is_some() {
-                count += 1;
-            }
-            stack.extend_from_slice(&m.parents);
-        }
-        count
     }
 }
 
@@ -397,108 +341,6 @@ pub(crate) fn covered_of_lin(view: &MemoryView, chain: &[MsgId], lin: &Lineariza
         .count()
 }
 
-/// Pre-PR4 decision path kept verbatim as the benchmark baseline: separate
-/// index builds inside chain selection and linearization, plus a per-tip
-/// cone DFS for the covered count. Semantically identical to [`decide`].
-pub(crate) fn decide_naive(p: &Params, sim: &DagSim, rule: DagRule, burst_len: usize) -> DagTrial {
-    let view = sim.mem.read_rebuild();
-    let chain = select_chain(rule, &view);
-    let lin = linearize_naive(&view, &chain);
-    let prefix = lin.first_k_values(&view, p.k);
-    let mut sum = 0i64;
-    let mut byz_in_prefix = 0usize;
-    for id in &prefix {
-        let m = view.get(*id).unwrap();
-        sum += m.value.spin_contribution();
-        if m.author.map(|a| sim.byz_author[a.index()]).unwrap_or(false) {
-            byz_in_prefix += 1;
-        }
-    }
-    let decision = Sign::of_sum(sum);
-    let covered = chain
-        .last()
-        .map(|&tip| sim.covered_values(&view, tip))
-        .unwrap_or(0);
-    DagTrial {
-        decision,
-        validity: decision == Some(Sign::Plus),
-        byz_in_prefix,
-        burst_len,
-        covered_values: covered,
-        total_appends: view.append_count(),
-        finish_time: sim.mem.now().seconds(),
-    }
-}
-
-/// Pre-PR4 [`run_dag`] kept verbatim as the benchmark baseline: per-grant
-/// memory snapshot + full-history DFS at the decision gate, and the
-/// duplicate-index [`decide_naive`]. Semantically identical to [`run_dag`];
-/// the equivalence is asserted by tests and by the engine property suite.
-pub fn run_dag_naive(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
-    let mut sim = DagSim::new(p);
-    let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
-
-    let mut boundary_len = 1usize;
-    let mut cur_interval = 0u64;
-    let mut banked: Vec<Grant> = Vec::new();
-    let mut burst_len = 0usize;
-    let ttl = p.token_ttl * p.delta;
-    let max_grants = 10_000 + 400 * p.k * (p.n + 1);
-    let mut grants = 0usize;
-
-    loop {
-        if sim.mem.len() > p.k {
-            let view = sim.mem.read_rebuild();
-            let covered = sim.covered_values(&view, sim.deepest_rescan());
-            if covered >= p.k {
-                break;
-            }
-            if adv == DagAdversary::WithholdBurst
-                && !banked.is_empty()
-                && covered + banked.len() >= p.k
-            {
-                let mut tip = sim.deepest_rescan();
-                let fire_at = sim.mem.now();
-                for tok in banked.drain(..) {
-                    tip = sim.append(tok.node, Value::minus(), &[tip], fire_at);
-                    burst_len += 1;
-                }
-                continue;
-            }
-        }
-
-        grants += 1;
-        if grants > max_grants {
-            break;
-        }
-        let g = auth.next_grant();
-        let interval = (g.time.seconds() / p.delta) as u64;
-        if interval != cur_interval {
-            cur_interval = interval;
-            boundary_len = sim.mem.len();
-        }
-        banked.retain(|b| b.time.seconds() + ttl >= g.time.seconds());
-
-        if auth.is_byz(g.node) {
-            match adv {
-                DagAdversary::Absent => {}
-                DagAdversary::Dissenter => {
-                    let tips = sim.tips_of_prefix(sim.mem.len());
-                    sim.append(g.node, Value::minus(), &tips, g.time);
-                }
-                DagAdversary::WithholdBurst => banked.push(g),
-            }
-            continue;
-        }
-
-        let prefix = sim.view_prefix(p.view_policy, boundary_len, g.time, p.delta);
-        let tips = sim.tips_of_prefix(prefix);
-        sim.append(g.node, Value::plus(), &tips, g.time);
-    }
-
-    decide_naive(p, &sim, rule, burst_len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,26 +461,5 @@ mod tests {
         let a = run_dag(&p, DagRule::Ghost, DagAdversary::WithholdBurst);
         let b = run_dag(&p, DagRule::Ghost, DagAdversary::WithholdBurst);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn incremental_engine_matches_naive_baseline() {
-        // The tracker + shared-index decision path must reproduce the
-        // pre-PR4 snapshot-and-DFS path bit for bit, across every rule and
-        // adversary combination.
-        for seed in 0..12 {
-            let p = Params::new(10, 3, 0.8, 21, seed);
-            for rule in [DagRule::LongestChain, DagRule::Ghost, DagRule::Pivot] {
-                for adv in [
-                    DagAdversary::Absent,
-                    DagAdversary::Dissenter,
-                    DagAdversary::WithholdBurst,
-                ] {
-                    let fast = run_dag(&p, rule, adv);
-                    let naive = run_dag_naive(&p, rule, adv);
-                    assert_eq!(fast, naive, "seed {seed} {rule:?} {adv:?}");
-                }
-            }
-        }
     }
 }

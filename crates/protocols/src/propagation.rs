@@ -1,8 +1,8 @@
 //! Block propagation over a faulty network (Algorithms 5/6 over `am-net`).
 //!
-//! On the abstract memory ([`crate::view::SharedLog`]) a correct node's
+//! On the abstract memory (`SharedLog`) a correct node's
 //! view is a Δ-lagged prefix of the shared log. [`Propagation`] is the
-//! other [`Visibility`]: an actual message-passing substrate — every
+//! other `Visibility`: an actual message-passing substrate — every
 //! block is broadcast over an [`am_net::SimNet`] and a node's view is
 //! exactly the set of blocks that *arrived* (closed under ancestors), so
 //! latency, drops, duplication, and partitions directly shape the views.
@@ -361,41 +361,8 @@ impl Propagation {
         self.visible_n[node]
     }
 
-    /// Naive baseline for [`Self::visible_tips`]: recomputes the tip set
-    /// from the raw visibility bitmap in O(visible blocks). Kept for
-    /// benchmarks and regression tests against the maintained invariant.
-    pub fn visible_tips_rescan(&self, node: usize) -> Vec<MsgId> {
-        let vis = &self.visible[node];
-        let mut is_tip = vis.clone();
-        for (idx, &seen) in vis.iter().enumerate() {
-            if seen {
-                for p in &self.parents[idx] {
-                    is_tip[p.index()] = false;
-                }
-            }
-        }
-        (0..vis.len())
-            .filter(|&i| vis[i] && is_tip[i])
-            .map(|i| MsgId(i as u64))
-            .collect()
-    }
-
-    /// Naive baseline for [`Self::deepest_visible`]: rescans the bitmap
-    /// for the maximum visible depth and its achievers.
-    pub fn deepest_visible_rescan(&self, node: usize) -> Vec<MsgId> {
-        let vis = &self.visible[node];
-        let best = (0..vis.len())
-            .filter(|&i| vis[i])
-            .map(|i| self.depth[i])
-            .max()
-            .unwrap_or(0);
-        (0..vis.len())
-            .filter(|&i| vis[i] && self.depth[i] == best)
-            .map(|i| MsgId(i as u64))
-            .collect()
-    }
-
-    /// Naive baseline for [`Self::visible_count`]: scans the bitmap.
+    /// [`Self::visible_count`] by scanning the bitmap (the `debug_assert!`
+    /// reference for the maintained counter).
     pub fn visible_count_scan(&self, node: usize) -> usize {
         self.visible[node].iter().filter(|&&v| v).count()
     }
@@ -536,6 +503,43 @@ mod tests {
         assert_eq!(prop.visible_count(2), 3, "a arrived, unlocking b");
         assert_eq!(prop.visible_tips(2), vec![b]);
         assert_eq!(prop.deepest_visible(2), vec![b]);
+    }
+
+    /// The from-scratch references the maintained invariants are checked
+    /// against.
+    impl Propagation {
+        /// Reference for [`Propagation::visible_tips`]: recomputes the tip
+        /// set from the raw visibility bitmap.
+        fn visible_tips_rescan(&self, node: usize) -> Vec<MsgId> {
+            let vis = &self.visible[node];
+            let mut is_tip = vis.clone();
+            for (idx, &seen) in vis.iter().enumerate() {
+                if seen {
+                    for p in &self.parents[idx] {
+                        is_tip[p.index()] = false;
+                    }
+                }
+            }
+            (0..vis.len())
+                .filter(|&i| vis[i] && is_tip[i])
+                .map(|i| MsgId(i as u64))
+                .collect()
+        }
+
+        /// Reference for [`Propagation::deepest_visible`]: rescans the bitmap
+        /// for the maximum visible depth and its achievers.
+        fn deepest_visible_rescan(&self, node: usize) -> Vec<MsgId> {
+            let vis = &self.visible[node];
+            let best = (0..vis.len())
+                .filter(|&i| vis[i])
+                .map(|i| self.depth[i])
+                .max()
+                .unwrap_or(0);
+            (0..vis.len())
+                .filter(|&i| vis[i] && self.depth[i] == best)
+                .map(|i| MsgId(i as u64))
+                .collect()
+        }
     }
 
     #[test]

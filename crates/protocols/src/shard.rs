@@ -24,7 +24,7 @@
 //!   `--resume` and the merge both go through it, and a file that is
 //!   absent, damaged or stamped for another run is a typed
 //!   [`LoadError`], never trusted and never a panic.
-//! * [`surely_stopped`] — the stop test every role shares.
+//! * `surely_stopped` — the stop test every role shares.
 //!
 //! **Why a process that sees only some classes can stop at all.** It
 //! cannot evaluate the global Wilson rule, but it can bound the global

@@ -7,7 +7,7 @@
 //! * **Batched, schedule-independent trials.** Each point runs trials in
 //!   batches mapped through the `rayon` API (the vendored shim executes
 //!   them sequentially on the calling thread); trial `i` is seeded by
-//!   [`trial_seed`](crate::runner::trial_seed)`(seed, i)`, so the tally is
+//!   [`trial_seed`]`(seed, i)`, so the tally is
 //!   a pure function of `(seed, trial count)` — independent of batch
 //!   boundaries, thread schedule, and interruption.
 //! * **Sequential stopping.** In [`SweepMode::Adaptive`] the engine
@@ -24,11 +24,11 @@
 //!   holds that window and *run* otherwise — so `--resume` (own log from
 //!   an earlier process), the merge (the `m` shard logs) and top-up (a
 //!   window some shard never reached) are one mechanism. The stop test
-//!   is [`surely_stopped`], exact whenever the process has seen every
+//!   is `surely_stopped`, exact whenever the process has seen every
 //!   index, conservative otherwise. Integer tallies plus index-derived
 //!   seeds leave nothing schedule-dependent, so every split, kill and
 //!   resume reproduces the single-process results bit for bit.
-//! * **Warm scratch.** The `thread_local!` arenas in [`crate::scratch`]
+//! * **Warm scratch.** The `thread_local!` arenas in `crate::scratch`
 //!   (banked-grant buffer, GHOST weight bitsets, network storage) warm
 //!   up on a thread's first trial and are reused by every later trial
 //!   that thread runs, amortising allocation across the whole sweep, not
@@ -236,7 +236,7 @@ impl<'a> SweepRunner<'a> {
     ///
     /// The trial function must be deterministic in `i` (derive all
     /// randomness from `i`, e.g. via
-    /// [`trial_seed`](crate::runner::trial_seed)); the engine guarantees
+    /// [`trial_seed`]); the engine guarantees
     /// each index in `0..trials_used` runs exactly once, across batches,
     /// shards and resumes.
     pub fn estimate<F>(&self, key: &str, budget: u64, trial: F) -> PointResult

@@ -8,31 +8,12 @@
 //! so the adversarial schedule the paper proves to exist is produced
 //! explicitly for concrete protocols.
 
-use crate::explore::{Config, Explorer, Valency};
+use crate::explore::{Config, Valency};
 use crate::proto::AsyncProtocol;
 use crate::search::{
     state_fingerprint, successors_compact, valency_fast, CState, LogArena, SearchOptions,
 };
 use std::collections::{HashMap, VecDeque};
-
-/// Lemma 2.2 (search form): scans all `2^n` input vectors and returns a
-/// bivalent initial configuration, together with its input vector, if one
-/// exists. For any protocol satisfying validity and 1-resilience, one must.
-pub fn initial_bivalent(
-    proto: &dyn AsyncProtocol,
-    max_configs: usize,
-) -> Option<(Vec<u8>, Config)> {
-    let n = proto.n();
-    let ex = Explorer::new(proto, max_configs);
-    for mask in 0..(1u32 << n) {
-        let inputs: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
-        let c = Config::initial(&inputs);
-        if ex.valency_of(&c) == Valency::Bivalent {
-            return Some((inputs, c));
-        }
-    }
-    None
-}
 
 /// Outcome of a round-robin bivalence-extension attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,142 +52,12 @@ pub struct Witness {
     pub outcome: WitnessOutcome,
 }
 
-/// Lemma 2.3 (search form): BFS from bivalent `c` for a bivalent `c'`
-/// reachable via a path containing at least one event of `node`. Returns
-/// the event path (as node indices) and the final configuration.
-fn extend_through_node(
-    ex: &Explorer<'_>,
-    c: &Config,
-    node: usize,
-    valency_cache: &mut HashMap<Config, Valency>,
-    max_frontier: usize,
-) -> Option<(Vec<usize>, Config)> {
-    let n_nodes = c.nodes.len();
-    // BFS state: (config, has-node-event-on-path, path).
-    let mut queue: VecDeque<(Config, bool, Vec<usize>)> = VecDeque::new();
-    let mut seen: HashMap<(Config, bool), ()> = HashMap::new();
-    queue.push_back((c.clone(), false, Vec::new()));
-    seen.insert((c.clone(), false), ());
-    let mut visited = 0usize;
-
-    while let Some((cur, hit, path)) = queue.pop_front() {
-        visited += 1;
-        if visited > max_frontier {
-            return None;
-        }
-        if hit {
-            let val = *valency_cache
-                .entry(cur.clone())
-                .or_insert_with(|| ex.valency_of(&cur));
-            if val == Valency::Bivalent {
-                return Some((path, cur));
-            }
-        }
-        for v in 0..n_nodes {
-            if let Some((_, c2)) = ex.apply(&cur, v) {
-                let hit2 = hit || v == node;
-                if let std::collections::hash_map::Entry::Vacant(e) = seen.entry((c2.clone(), hit2))
-                {
-                    e.insert(());
-                    let mut p2 = path.clone();
-                    p2.push(v);
-                    queue.push_back((c2, hit2, p2));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Theorem 2.1 (constructive form): builds a schedule of length
-/// `target_steps` real events in which each node takes steps round-robin
-/// and the system remains bivalent throughout.
-///
-/// A node whose only available step is the rule-(b) self-loop (a read of an
-/// unchanged memory) takes that step — it counts toward the node's
-/// infinitely-many-operations obligation without changing the
-/// configuration; such steps are tallied in
-/// [`Witness::null_steps`].
-/// ```
-/// use am_sched::{round_robin_witness, QuorumVoteProtocol, WitnessOutcome};
-/// let proto = QuorumVoteProtocol::new(3, 2, 0);
-/// let w = round_robin_witness(&proto, 6, 300_000);
-/// assert_eq!(w.outcome, WitnessOutcome::KeptBivalent);
-/// ```
-pub fn round_robin_witness(
-    proto: &dyn AsyncProtocol,
-    target_steps: usize,
-    max_configs: usize,
-) -> Witness {
-    let Some((inputs, start)) = initial_bivalent(proto, max_configs) else {
-        return Witness {
-            inputs: Vec::new(),
-            schedule: Vec::new(),
-            null_steps: 0,
-            outcome: WitnessOutcome::NoBivalentStart,
-        };
-    };
-    let ex = Explorer::new(proto, max_configs);
-    let mut valency_cache: HashMap<Config, Valency> = HashMap::new();
-    let mut cur = start;
-    let mut schedule: Vec<usize> = Vec::new();
-    let mut null_steps = 0usize;
-    let n = proto.n();
-    let mut rr = 0usize;
-
-    while schedule.len() < target_steps {
-        let node = rr % n;
-        rr += 1;
-        // If the node currently has no state-changing event, it performs a
-        // rule-(b) read: configuration unchanged, obligation satisfied.
-        if ex.is_passive(&cur, node) {
-            null_steps += 1;
-            // Guard against a fully-stuck system spinning forever: if every
-            // node is passive, the run is an infinite null-step computation
-            // — trivially non-deciding, so the witness holds.
-            if (0..n).all(|v| ex.is_passive(&cur, v)) {
-                let remaining = target_steps - schedule.len();
-                return Witness {
-                    inputs,
-                    schedule,
-                    null_steps: null_steps + remaining,
-                    outcome: WitnessOutcome::KeptBivalent,
-                };
-            }
-            continue;
-        }
-        match extend_through_node(&ex, &cur, node, &mut valency_cache, 200_000) {
-            Some((path, c2)) => {
-                schedule.extend_from_slice(&path);
-                cur = c2;
-            }
-            None => {
-                let steps = schedule.len();
-                return Witness {
-                    inputs,
-                    schedule,
-                    null_steps,
-                    outcome: WitnessOutcome::StuckAt { node, steps },
-                };
-            }
-        }
-    }
-    Witness {
-        inputs,
-        schedule,
-        null_steps,
-        outcome: WitnessOutcome::KeptBivalent,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fast variants on the compact search core
-// ---------------------------------------------------------------------------
-
-/// Lemma 2.2 on the compact core: like [`initial_bivalent`] but every
-/// valency query runs the reduced search with early exit on bivalence,
-/// so the scan reaches input vectors the naive explorer cannot.
-pub fn initial_bivalent_fast(
+/// Lemma 2.2 (search form): scans all `2^n` input vectors and returns a
+/// bivalent initial configuration, together with its input vector, if one
+/// exists. For any protocol satisfying validity and 1-resilience, one must.
+/// Every valency query runs the compact-core search under `opts`, with
+/// early exit on bivalence.
+pub fn initial_bivalent(
     proto: &dyn AsyncProtocol,
     opts: &SearchOptions,
 ) -> Option<(Vec<u8>, Config)> {
@@ -221,10 +72,12 @@ pub fn initial_bivalent_fast(
     None
 }
 
-/// Lemma 2.3 on the compact core: BFS over fingerprinted compact states
-/// for a bivalent configuration reachable via at least one event of
-/// `node`. Valency queries are cached by state fingerprint.
-fn extend_through_node_fast(
+/// Lemma 2.3 (search form): BFS from bivalent `start`, over fingerprinted
+/// compact states, for a bivalent configuration reachable via a path
+/// containing at least one event of `node`. Returns the event path (as
+/// node indices) and the final state. Valency queries are cached by state
+/// fingerprint.
+fn extend_through_node(
     proto: &dyn AsyncProtocol,
     arena: &mut LogArena,
     start: &CState,
@@ -273,16 +126,27 @@ fn extend_through_node_fast(
     None
 }
 
-/// Theorem 2.1 on the compact core: like [`round_robin_witness`] but
-/// with interned states, fingerprinted dedup, and reduced valency
-/// queries throughout — the witness construction that scales past the
-/// naive explorer's n.
-pub fn round_robin_witness_fast(
+/// Theorem 2.1 (constructive form): builds a schedule of length
+/// `target_steps` real events in which each node takes steps round-robin
+/// and the system remains bivalent throughout.
+///
+/// A node whose only available step is the rule-(b) self-loop (a read of an
+/// unchanged memory) takes that step — it counts toward the node's
+/// infinitely-many-operations obligation without changing the
+/// configuration; such steps are tallied in
+/// [`Witness::null_steps`].
+/// ```
+/// use am_sched::{round_robin_witness, QuorumVoteProtocol, SearchOptions, WitnessOutcome};
+/// let proto = QuorumVoteProtocol::new(3, 2, 0);
+/// let w = round_robin_witness(&proto, 6, &SearchOptions::reduced(300_000));
+/// assert_eq!(w.outcome, WitnessOutcome::KeptBivalent);
+/// ```
+pub fn round_robin_witness(
     proto: &dyn AsyncProtocol,
     target_steps: usize,
     opts: &SearchOptions,
 ) -> Witness {
-    let Some((inputs, start)) = initial_bivalent_fast(proto, opts) else {
+    let Some((inputs, start)) = initial_bivalent(proto, opts) else {
         return Witness {
             inputs: Vec::new(),
             schedule: Vec::new(),
@@ -301,12 +165,16 @@ pub fn round_robin_witness_fast(
     while schedule.len() < target_steps {
         let node = rr % n;
         rr += 1;
+        // If the node currently has no state-changing event, it performs a
+        // rule-(b) read: configuration unchanged, obligation satisfied.
         let succs = successors_compact(proto, &cur, &mut arena);
         if !succs.iter().any(|(v, _)| *v == node) {
             null_steps += 1;
             if succs.is_empty() {
-                // Fully stuck: an infinite null-step computation —
-                // trivially non-deciding, the witness holds.
+                // Guard against a fully-stuck system spinning forever: if
+                // every node is passive, the run is an infinite null-step
+                // computation — trivially non-deciding, so the witness
+                // holds.
                 let remaining = target_steps - schedule.len();
                 return Witness {
                     inputs,
@@ -317,7 +185,7 @@ pub fn round_robin_witness_fast(
             }
             continue;
         }
-        match extend_through_node_fast(
+        match extend_through_node(
             proto,
             &mut arena,
             &cur,
@@ -352,12 +220,14 @@ pub fn round_robin_witness_fast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::Explorer;
     use crate::proto::{FirstSeenProtocol, QuorumVoteProtocol};
 
     #[test]
     fn first_seen_has_bivalent_start() {
         let p = FirstSeenProtocol::new(3);
-        let (inputs, _) = initial_bivalent(&p, 100_000).expect("must exist");
+        let (inputs, _) =
+            initial_bivalent(&p, &SearchOptions::reduced(100_000)).expect("must exist");
         // Mixed inputs are required for bivalence under validity.
         assert!(inputs.contains(&0));
         assert!(inputs.contains(&1));
@@ -366,13 +236,13 @@ mod tests {
     #[test]
     fn quorum_vote_has_bivalent_start() {
         let p = QuorumVoteProtocol::new(3, 2, 0);
-        assert!(initial_bivalent(&p, 300_000).is_some());
+        assert!(initial_bivalent(&p, &SearchOptions::reduced(300_000)).is_some());
     }
 
     #[test]
     fn witness_keeps_first_seen_bivalent() {
         let p = FirstSeenProtocol::new(3);
-        let w = round_robin_witness(&p, 6, 100_000);
+        let w = round_robin_witness(&p, 6, &SearchOptions::reduced(100_000));
         assert_eq!(w.outcome, WitnessOutcome::KeptBivalent, "witness: {w:?}");
         assert!(w.schedule.len() >= 6 || w.null_steps > 0);
         // Every node appears in the combined schedule (round-robin drove
@@ -388,25 +258,38 @@ mod tests {
     #[test]
     fn witness_keeps_quorum_vote_bivalent() {
         let p = QuorumVoteProtocol::new(3, 2, 0);
-        let w = round_robin_witness(&p, 8, 300_000);
+        let w = round_robin_witness(&p, 8, &SearchOptions::reduced(300_000));
         assert_eq!(w.outcome, WitnessOutcome::KeptBivalent, "witness: {w:?}");
     }
 
     #[test]
     fn fast_witness_matches_naive_outcome() {
+        // The compact-core witness, replayed event by event on the naive
+        // explorer: every step is a real event there, and the explorer's
+        // own valency of where the schedule ends is still bivalent.
         let p = QuorumVoteProtocol::new(3, 2, 0);
-        let naive = round_robin_witness(&p, 8, 300_000);
-        let fast = round_robin_witness_fast(&p, 8, &SearchOptions::reduced(300_000));
-        assert_eq!(naive.outcome, fast.outcome);
-        assert_eq!(naive.inputs, fast.inputs, "same bivalent start found");
+        let w = round_robin_witness(&p, 8, &SearchOptions::reduced(300_000));
+        assert_eq!(w.outcome, WitnessOutcome::KeptBivalent);
+        let ex = Explorer::new(&p, 300_000);
+        let mut c = Config::initial(&w.inputs);
+        for &v in &w.schedule {
+            c = ex.apply(&c, v).expect("scheduled event must be enabled").1;
+        }
+        assert_eq!(ex.valency_of(&c), Valency::Bivalent);
     }
 
     #[test]
     fn fast_initial_bivalent_matches_naive() {
+        // The mask scan must stop where the naive explorer's valency
+        // first reads bivalent.
         let p = FirstSeenProtocol::new(3);
-        let naive = initial_bivalent(&p, 100_000).expect("must exist");
-        let fast = initial_bivalent_fast(&p, &SearchOptions::reduced(100_000)).expect("must exist");
-        assert_eq!(naive.0, fast.0, "mask scan order pins the same inputs");
+        let ex = Explorer::new(&p, 100_000);
+        let naive = (0..8u32)
+            .map(|mask| (0..3).map(|i| ((mask >> i) & 1) as u8).collect::<Vec<u8>>())
+            .find(|inputs| ex.valency_of(&Config::initial(inputs)) == Valency::Bivalent)
+            .expect("must exist");
+        let fast = initial_bivalent(&p, &SearchOptions::reduced(100_000)).expect("must exist");
+        assert_eq!(naive, fast.0, "mask scan order pins the same inputs");
     }
 
     #[test]
@@ -435,7 +318,7 @@ mod tests {
                 crate::proto::Op::Decide(0)
             }
         }
-        let w = round_robin_witness(&Constant, 4, 10_000);
+        let w = round_robin_witness(&Constant, 4, &SearchOptions::reduced(10_000));
         assert_eq!(w.outcome, WitnessOutcome::NoBivalentStart);
     }
 }

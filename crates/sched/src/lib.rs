@@ -43,17 +43,14 @@ pub mod round_lb;
 pub mod search;
 pub mod zoo_ext;
 
-pub use bivalence::{
-    initial_bivalent, initial_bivalent_fast, round_robin_witness, round_robin_witness_fast,
-    Witness, WitnessOutcome,
-};
+pub use bivalence::{initial_bivalent, round_robin_witness, Witness, WitnessOutcome};
 pub use explore::{Analysis, Config, Entry, Event, Explorer, LocalState, Ref, Valency};
-pub use nonforking::{check_nonforking, check_nonforking_naive, NonforkingReport};
+pub use nonforking::{check_nonforking, NonforkingReport};
 pub use proto::{AsyncProtocol, FirstSeenProtocol, Op, QuorumVoteProtocol, ViewRef};
 pub use round_lb::{
     merge_round_lb_shards, search_disagreement, search_disagreement_t,
-    search_disagreement_t_parallel, search_disagreement_t_shard, simulate_execution,
-    simulate_execution_naive, Disagreement, RoundLbOutcome, RoundLbShard,
+    search_disagreement_t_parallel, search_disagreement_t_shard, simulate_execution, Disagreement,
+    RoundLbOutcome, RoundLbShard,
 };
 pub use search::{canonical_key, search, valency_fast, SearchMode, SearchOptions, SearchReport};
 pub use zoo_ext::EchoVoteProtocol;

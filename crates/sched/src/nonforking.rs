@@ -73,12 +73,11 @@ pub struct NonforkingReport {
     pub violation: Option<String>,
     /// Duplicate ordered histories pruned by the fingerprint cache
     /// (distinct Byzantine prefix choices that manufactured the very
-    /// same block — the subtree is byte-identical, so it is cut). Zero
-    /// in the naive search.
+    /// same block — the subtree is byte-identical, so it is cut).
     pub fingerprint_hits: u64,
     /// Oracle observations saved by carrying the finality oracle
     /// incrementally down the DFS instead of replaying every history
-    /// from scratch. Zero in the naive search.
+    /// from scratch.
     pub observes_saved: u64,
 }
 
@@ -97,15 +96,12 @@ struct Search {
     byz: Vec<bool>,
     max_blocks: usize,
     max_states: usize,
-    /// Reduced mode: incremental oracle + ordered-history dedup. Off =
-    /// the naive baseline (replay every visit, no pruning).
-    reduced: bool,
     report: NonforkingReport,
     /// Structural block-set key → finalized chains (as cid sequences)
     /// seen at states holding exactly that set.
     groups: HashMap<u64, Vec<Vec<u64>>>,
-    /// Fingerprints of *ordered* histories already visited (reduced
-    /// mode). Two lanes folded over the cid sequence.
+    /// Fingerprints of *ordered* histories already visited. Two lanes
+    /// folded over the cid sequence.
     seen: HashMap<u128, ()>,
 }
 
@@ -142,20 +138,6 @@ fn view_parents(blocks: &[Block], p: usize, own: MsgId) -> Vec<MsgId> {
     parents
 }
 
-/// Replays `blocks` into a fresh oracle; returns the finalized chain,
-/// whether a conflict was certified, and the equivocator count.
-fn replay(n: usize, blocks: &[Block]) -> (Vec<MsgId>, bool, usize) {
-    let mut oracle = FinalityOracle::new(n);
-    for (i, b) in blocks.iter().enumerate() {
-        oracle.observe(MsgId(i as u64 + 1), b.author, &b.parents);
-    }
-    (
-        oracle.finalized_chain(),
-        oracle.conflict_detected(),
-        oracle.equivocator_count(),
-    )
-}
-
 impl Search {
     fn chain_cids(blocks: &[Block], chain: &[MsgId]) -> Vec<u64> {
         chain
@@ -183,7 +165,7 @@ impl Search {
     }
 
     /// Pushes a cid onto an ordered-history fingerprint (two independent
-    /// splitmix lanes — the hash-compaction key of the reduced search).
+    /// splitmix lanes — the search's hash-compaction key).
     fn hist_push(fp: u128, cid: u64) -> u128 {
         let hi = mix((fp >> 64) as u64, cid);
         let lo = mix(
@@ -193,9 +175,9 @@ impl Search {
         ((hi as u128) << 64) | lo as u128
     }
 
-    /// DFS from `blocks`, whose own replay produced `chain`; `oracle` is
-    /// the finality oracle after observing exactly `blocks` (only used
-    /// in reduced mode), `hist_fp` the ordered-history fingerprint.
+    /// DFS from `blocks`, which finalize `chain`; `oracle` is the
+    /// finality oracle after observing exactly `blocks`, `hist_fp` the
+    /// ordered-history fingerprint.
     fn explore(
         &mut self,
         blocks: &mut Vec<Block>,
@@ -261,19 +243,16 @@ impl Search {
                     cid = mix(base, twin);
                 }
                 let child_fp = Search::hist_push(hist_fp, cid);
-                if self.reduced {
-                    // Identical ordered histories have identical oracle
-                    // states and identical subtrees — cut them. Under
-                    // the current move rule every move extends the
-                    // parent set with a fresh block, so this fires only
-                    // if a future universe (or a cid collision) ever
-                    // manufactures a duplicate; it is a guard whose
-                    // hit count *measures* that risk (DESIGN.md §14).
-                    if self.seen.contains_key(&child_fp) {
-                        self.report.fingerprint_hits += 1;
-                        continue;
-                    }
-                    self.seen.insert(child_fp, ());
+                // Identical ordered histories have identical oracle
+                // states and identical subtrees — cut them. Under the
+                // current move rule every move extends the parent set
+                // with a fresh block, so this fires only if a future
+                // universe (or a cid collision) ever manufactures a
+                // duplicate; it is a guard whose hit count *measures*
+                // that risk (DESIGN.md §14).
+                if self.seen.insert(child_fp, ()).is_some() {
+                    self.report.fingerprint_hits += 1;
+                    continue;
                 }
                 blocks.push(Block {
                     author: node,
@@ -298,32 +277,21 @@ impl Search {
         hist_fp: u128,
     ) {
         self.report.states += 1;
-        let mut incr_oracle = None;
-        let (chain, conflict, equivocators) = if self.reduced {
-            // Incremental: clone the parent's oracle and observe only
-            // the newest block instead of replaying the whole history.
-            let mut o = parent_oracle.clone();
-            let last = blocks.last().expect("visit is only called post-append");
-            o.observe(MsgId(blocks.len() as u64), last.author, &last.parents);
-            self.report.observes_saved += blocks.len() as u64 - 1;
-            let out = (
-                o.finalized_chain(),
-                o.conflict_detected(),
-                o.equivocator_count(),
-            );
-            incr_oracle = Some(o);
-            out
-        } else {
-            replay(self.n, blocks)
-        };
-        if conflict {
+        // Incremental: clone the parent's oracle and observe only the
+        // newest block instead of replaying the whole history.
+        let mut oracle = parent_oracle.clone();
+        let last = blocks.last().expect("visit is only called post-append");
+        oracle.observe(MsgId(blocks.len() as u64), last.author, &last.parents);
+        self.report.observes_saved += blocks.len() as u64 - 1;
+        let chain = oracle.finalized_chain();
+        if oracle.conflict_detected() {
             self.fail(format!(
                 "conflicting quorum certified after {} blocks",
                 blocks.len()
             ));
             return;
         }
-        if equivocators > 0 {
+        if oracle.equivocator_count() > 0 {
             self.report.equivocating_states += 1;
         }
         if chain.len() > 1 {
@@ -352,17 +320,26 @@ impl Search {
             return;
         }
         peers.push(cids);
-        let oracle = incr_oracle.as_ref().unwrap_or(parent_oracle);
-        self.explore(blocks, &chain, oracle, hist_fp);
+        self.explore(blocks, &chain, &oracle, hist_fp);
     }
 }
 
-fn run_search(
+/// Exhaustively explores every interleaving of up to `max_blocks`
+/// appends by `n` authors (those in `byz` using arbitrary stale-prefix
+/// views without self-parents) and checks the nonforking invariants at
+/// every reachable state. `max_states` bounds the search; hitting it
+/// sets [`NonforkingReport::truncated`] rather than failing.
+///
+/// The finality oracle is carried incrementally down the DFS and ordered
+/// histories are fingerprint-deduped; the replay-every-state search it
+/// must agree with counter for counter is the spec in
+/// `tests/reduced_equivalence.rs`. Reduction counters are published
+/// through am-obs.
+pub fn check_nonforking(
     n: usize,
     byz: &[usize],
     max_blocks: usize,
     max_states: usize,
-    reduced: bool,
 ) -> NonforkingReport {
     let mut byz_mask = vec![false; n];
     for &b in byz {
@@ -373,7 +350,6 @@ fn run_search(
         byz: byz_mask,
         max_blocks,
         max_states,
-        reduced,
         report: NonforkingReport {
             states: 0,
             truncated: false,
@@ -387,45 +363,15 @@ fn run_search(
         groups: HashMap::new(),
         seen: HashMap::new(),
     };
-    let mut blocks = Vec::new();
-    let (chain, _, _) = replay(n, &blocks);
     let oracle = FinalityOracle::new(n);
-    search.explore(&mut blocks, &chain, &oracle, 0x006e_6f6e_666f_726b_u128);
+    search.explore(
+        &mut Vec::new(),
+        &oracle.finalized_chain(),
+        &oracle,
+        0x006e_6f6e_666f_726b_u128,
+    );
+    search.report.publish_obs();
     search.report
-}
-
-/// Exhaustively explores every interleaving of up to `max_blocks`
-/// appends by `n` authors (those in `byz` using arbitrary stale-prefix
-/// views without self-parents) and checks the nonforking invariants at
-/// every reachable state. `max_states` bounds the search; hitting it
-/// sets [`NonforkingReport::truncated`] rather than failing.
-///
-/// Runs the reduced search: incremental finality oracles and
-/// fingerprint-deduped ordered histories ([`check_nonforking_naive`] is
-/// the unreduced baseline it is pinned against). Reduction counters are
-/// published through am-obs.
-pub fn check_nonforking(
-    n: usize,
-    byz: &[usize],
-    max_blocks: usize,
-    max_states: usize,
-) -> NonforkingReport {
-    let rep = run_search(n, byz, max_blocks, max_states, true);
-    rep.publish_obs();
-    rep
-}
-
-/// The naive baseline: full oracle replay at every state, no history
-/// dedup — every interleaving of every stale-prefix choice is visited
-/// verbatim. Kept in-tree so the reduced search's verdicts (and its
-/// speedup) stay measurable against it.
-pub fn check_nonforking_naive(
-    n: usize,
-    byz: &[usize],
-    max_blocks: usize,
-    max_states: usize,
-) -> NonforkingReport {
-    run_search(n, byz, max_blocks, max_states, false)
 }
 
 #[cfg(test)]
@@ -467,22 +413,25 @@ mod tests {
     #[test]
     fn reduced_search_is_a_drop_in_for_naive() {
         // The incremental oracle must be *observationally identical* to
-        // replay-from-scratch: every counter and verdict equal. (The
-        // history fingerprint cache is a guard, not a reduction, under
-        // the current move rule — see DESIGN.md §14 — so state counts
-        // match exactly.)
-        for byz in [&[][..], &[2][..]] {
-            let naive = check_nonforking_naive(3, byz, 5, 400_000);
+        // replay-from-scratch: every counter and verdict equal. The
+        // literals are what the replay-every-state, no-pruning search
+        // returned at 38356ab (the last commit to carry it, where the two
+        // were asserted equal field for field); the same comparison runs
+        // against a live from-scratch search in
+        // `tests/reduced_equivalence.rs`. (The history fingerprint cache
+        // is a guard, not a reduction, under the current move rule — see
+        // DESIGN.md §14 — so state counts match exactly.)
+        for (byz, states, equivocating) in [(&[][..], 363, 0), (&[2][..], 2955, 2044)] {
             let fast = check_nonforking(3, byz, 5, 400_000);
-            assert!(!naive.truncated && !fast.truncated);
-            assert_eq!(naive.violation, fast.violation, "byz {byz:?}");
-            assert_eq!(naive.states, fast.states, "byz {byz:?}");
-            assert_eq!(naive.max_finalized, fast.max_finalized, "byz {byz:?}");
-            assert_eq!(naive.finalizing_states, fast.finalizing_states);
-            assert_eq!(naive.equivocating_states, fast.equivocating_states);
-            assert_eq!(naive.fingerprint_hits, 0, "naive search must not prune");
+            assert!(!fast.truncated);
+            assert_eq!(fast.violation, None, "byz {byz:?}");
+            assert_eq!(fast.states, states, "byz {byz:?}");
+            assert_eq!(fast.max_finalized, 0, "byz {byz:?}");
+            assert_eq!(fast.finalizing_states, 0, "byz {byz:?}");
+            assert_eq!(fast.equivocating_states, equivocating, "byz {byz:?}");
+            assert_eq!(fast.fingerprint_hits, 0, "the guard must not prune");
             assert!(
-                fast.observes_saved > naive.states as u64,
+                fast.observes_saved > fast.states as u64,
                 "incremental oracles must save more than one observe per state"
             );
         }

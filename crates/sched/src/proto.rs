@@ -13,7 +13,7 @@ use crate::explore::{Entry, Ref};
 ///
 /// The logs are borrowed as per-author *slices* so both the naive
 /// [`crate::explore::Explorer`] (which owns `Vec<Vec<Entry>>`) and the
-/// compact [`crate::search`] core (which decodes interned logs into
+/// compact [`mod@crate::search`] core (which decodes interned logs into
 /// per-worker scratch buffers) can serve the same protocol trait without
 /// materialising a nested allocation per call.
 pub struct ViewRef<'a> {

@@ -60,158 +60,6 @@ pub struct RoundLbOutcome {
     pub validity_violation: Option<Disagreement>,
 }
 
-/// Identity of a message in the round-based execution: `(round, author)`,
-/// rounds 1-based, author `n_correct` = the Byzantine node.
-type MsgKey = (u32, usize);
-
-struct Execution {
-    n_correct: usize,
-    n_byz: usize,
-    rounds: u32,
-    /// Messages present: key → (value, referenced keys).
-    msgs: std::collections::HashMap<MsgKey, (u8, Vec<MsgKey>)>,
-    /// Visibility: key → round at which each correct node sees it.
-    seen_at: std::collections::HashMap<MsgKey, Vec<u32>>,
-}
-
-impl Execution {
-    /// Runs the full-information R-round protocol under the given inputs
-    /// and Byzantine strategy; returns per-correct-node decisions.
-    fn run(inputs: &[u8], n_byz: usize, rounds: u32, strategy: &ByzStrategy, tie: u8) -> Vec<u8> {
-        let n_correct = inputs.len();
-        let mut ex = Execution {
-            n_correct,
-            n_byz,
-            rounds,
-            msgs: std::collections::HashMap::new(),
-            seen_at: std::collections::HashMap::new(),
-        };
-
-        for r in 1..=rounds {
-            // Correct appends: (input, L_{r-1}) where L_{r-1} is everything
-            // the node saw by the end of round r-1.
-            for (i, &input) in inputs.iter().enumerate() {
-                let refs: Vec<MsgKey> = if r == 1 {
-                    Vec::new()
-                } else {
-                    ex.visible_to(i, r - 1)
-                };
-                let key = (r, i);
-                ex.msgs.insert(key, (input, refs));
-                // Correct appends land in the memory immediately: every
-                // node's read at the end of round r sees them.
-                ex.seen_at.insert(key, vec![r; n_correct]);
-            }
-            // Byzantine append with straddled visibility.
-            if let Some(Some(a)) = strategy.get((r - 1) as usize) {
-                let refs: Vec<MsgKey> = if r == 1 {
-                    Vec::new()
-                } else {
-                    // Claims to have seen everything of round r-1 (the
-                    // Byzantine node reads the true memory).
-                    ex.all_of_round(r - 1)
-                };
-                let key = (r, n_correct + a.actor % n_byz.max(1));
-                ex.msgs.insert(key, (a.value, refs));
-                let vis: Vec<u32> = (0..n_correct)
-                    .map(|i| {
-                        if (a.visible_now >> i) & 1 == 1 {
-                            r
-                        } else {
-                            r + 1
-                        }
-                    })
-                    .collect();
-                ex.seen_at.insert(key, vis);
-            }
-        }
-
-        (0..n_correct).map(|i| ex.decide(i, tie)).collect()
-    }
-
-    /// Keys visible to correct node `i` by the end of round `r`.
-    fn visible_to(&self, i: usize, r: u32) -> Vec<MsgKey> {
-        let mut v: Vec<MsgKey> = self
-            .seen_at
-            .iter()
-            .filter(|(_, vis)| vis[i] <= r)
-            .map(|(&k, _)| k)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All message keys of round `r` (the Byzantine full-knowledge view).
-    fn all_of_round(&self, r: u32) -> Vec<MsgKey> {
-        let mut v: Vec<MsgKey> = self
-            .msgs
-            .keys()
-            .copied()
-            .filter(|&(kr, _)| kr == r)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Algorithm-1 acceptance truncated to `rounds` chains: node `i`
-    /// accepts author `v`'s round-1 value iff there is a chain of `rounds`
-    /// *distinct* authors `v, w_1, …, w_{rounds-1}` with each link listing
-    /// the previous message in its references, and the final message
-    /// visible to `i` by the decision round.
-    fn accepts(&self, i: usize, v: usize) -> bool {
-        let start: MsgKey = (1, v);
-        if !self.msgs.contains_key(&start) {
-            return false;
-        }
-        if self.rounds == 1 {
-            return self.seen_at[&start][i] <= 1;
-        }
-        // DFS over chains with distinct-author tracking.
-        let mut stack: Vec<(MsgKey, u64)> = vec![(start, 1u64 << v)];
-        while let Some((key, authors)) = stack.pop() {
-            let (r, _) = key;
-            if r == self.rounds {
-                if self.seen_at[&key][i] <= self.rounds {
-                    return true;
-                }
-                continue;
-            }
-            // Find round r+1 messages that reference `key` and whose
-            // author is new to the chain.
-            for (&(nr, na), (_, refs)) in &self.msgs {
-                if nr == r + 1 && (authors >> na) & 1 == 0 && refs.contains(&key) {
-                    stack.push(((nr, na), authors | (1u64 << na)));
-                }
-            }
-        }
-        false
-    }
-
-    /// The decision of correct node `i`: majority over accepted round-1
-    /// values, ties to `tie`.
-    fn decide(&self, i: usize, tie: u8) -> u8 {
-        let mut ones = 0usize;
-        let mut zeros = 0usize;
-        for v in 0..self.n_correct + self.n_byz {
-            // every author incl. Byzantine
-            if let Some(&(val, _)) = self.msgs.get(&(1, v)) {
-                if self.accepts(i, v) {
-                    if val == 1 {
-                        ones += 1;
-                    } else {
-                        zeros += 1;
-                    }
-                }
-            }
-        }
-        match ones.cmp(&zeros) {
-            std::cmp::Ordering::Greater => 1,
-            std::cmp::Ordering::Less => 0,
-            std::cmp::Ordering::Equal => tie,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Dense execution engine (hot path)
 // ---------------------------------------------------------------------------
@@ -224,12 +72,12 @@ const MAX_WIDTH: usize = 11;
 /// reference lists fit in one `u64` bitmask each).
 const MAX_SLOTS: usize = MAX_ROUNDS * MAX_WIDTH;
 
-/// The same R-round execution as [`Execution::run`], on flat arrays: a
-/// message `(round, author)` is the slot `(round-1)·width + author`,
-/// presence and reference lists are `u64` bitmasks, visibility is a flat
-/// per-slot array — no allocation anywhere on the per-execution path.
-/// Pinned decision-identical to the naive engine by
-/// `tests/reduced_equivalence.rs` and the in-module tests.
+/// One R-round execution of the full-information protocol on flat
+/// arrays: a message `(round, author)` is the slot
+/// `(round-1)·width + author`, presence and reference lists are `u64`
+/// bitmasks, visibility is a flat per-slot array — no allocation anywhere
+/// on the per-execution path. Pinned decision for decision to the
+/// `HashMap`-backed reference in this module's tests.
 struct DenseExecution {
     width: usize,
     rounds: u32,
@@ -248,7 +96,8 @@ impl DenseExecution {
         (r as usize - 1) * self.width + author
     }
 
-    /// Runs the protocol; mirrors [`Execution::run`] decision-for-decision.
+    /// Runs the full-information R-round protocol under the given inputs
+    /// and Byzantine strategy; returns per-correct-node decisions.
     fn run(inputs: &[u8], n_byz: usize, rounds: u32, strategy: &ByzStrategy, tie: u8) -> Vec<u8> {
         let n_correct = inputs.len();
         let width = n_correct + n_byz.max(1);
@@ -382,18 +231,6 @@ pub fn simulate_execution(
     tie: u8,
 ) -> Vec<u8> {
     DenseExecution::run(inputs, n_byz, rounds, strategy, tie)
-}
-
-/// The naive `HashMap`-backed reference simulation, kept in-tree as the
-/// baseline the dense engine is pinned (and benchmarked) against.
-pub fn simulate_execution_naive(
-    inputs: &[u8],
-    n_byz: usize,
-    rounds: u32,
-    strategy: &ByzStrategy,
-    tie: u8,
-) -> Vec<u8> {
-    Execution::run(inputs, n_byz, rounds, strategy, tie)
 }
 
 /// Enumerates every Byzantine strategy for `rounds` rounds over
@@ -642,6 +479,166 @@ pub fn search_disagreement_t_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Identity of a message in the round-based execution: `(round, author)`,
+    /// rounds 1-based, author `n_correct` = the Byzantine node.
+    type MsgKey = (u32, usize);
+
+    /// The `HashMap`-backed reference simulation the dense engine is
+    /// pinned against, decision for decision.
+    struct Execution {
+        n_correct: usize,
+        n_byz: usize,
+        rounds: u32,
+        /// Messages present: key → (value, referenced keys).
+        msgs: std::collections::HashMap<MsgKey, (u8, Vec<MsgKey>)>,
+        /// Visibility: key → round at which each correct node sees it.
+        seen_at: std::collections::HashMap<MsgKey, Vec<u32>>,
+    }
+
+    impl Execution {
+        /// Runs the full-information R-round protocol under the given inputs
+        /// and Byzantine strategy; returns per-correct-node decisions.
+        fn run(
+            inputs: &[u8],
+            n_byz: usize,
+            rounds: u32,
+            strategy: &ByzStrategy,
+            tie: u8,
+        ) -> Vec<u8> {
+            let n_correct = inputs.len();
+            let mut ex = Execution {
+                n_correct,
+                n_byz,
+                rounds,
+                msgs: std::collections::HashMap::new(),
+                seen_at: std::collections::HashMap::new(),
+            };
+
+            for r in 1..=rounds {
+                // Correct appends: (input, L_{r-1}) where L_{r-1} is everything
+                // the node saw by the end of round r-1.
+                for (i, &input) in inputs.iter().enumerate() {
+                    let refs: Vec<MsgKey> = if r == 1 {
+                        Vec::new()
+                    } else {
+                        ex.visible_to(i, r - 1)
+                    };
+                    let key = (r, i);
+                    ex.msgs.insert(key, (input, refs));
+                    // Correct appends land in the memory immediately: every
+                    // node's read at the end of round r sees them.
+                    ex.seen_at.insert(key, vec![r; n_correct]);
+                }
+                // Byzantine append with straddled visibility.
+                if let Some(Some(a)) = strategy.get((r - 1) as usize) {
+                    let refs: Vec<MsgKey> = if r == 1 {
+                        Vec::new()
+                    } else {
+                        // Claims to have seen everything of round r-1 (the
+                        // Byzantine node reads the true memory).
+                        ex.all_of_round(r - 1)
+                    };
+                    let key = (r, n_correct + a.actor % n_byz.max(1));
+                    ex.msgs.insert(key, (a.value, refs));
+                    let vis: Vec<u32> = (0..n_correct)
+                        .map(|i| {
+                            if (a.visible_now >> i) & 1 == 1 {
+                                r
+                            } else {
+                                r + 1
+                            }
+                        })
+                        .collect();
+                    ex.seen_at.insert(key, vis);
+                }
+            }
+
+            (0..n_correct).map(|i| ex.decide(i, tie)).collect()
+        }
+
+        /// Keys visible to correct node `i` by the end of round `r`.
+        fn visible_to(&self, i: usize, r: u32) -> Vec<MsgKey> {
+            let mut v: Vec<MsgKey> = self
+                .seen_at
+                .iter()
+                .filter(|(_, vis)| vis[i] <= r)
+                .map(|(&k, _)| k)
+                .collect();
+            v.sort_unstable();
+            v
+        }
+
+        /// All message keys of round `r` (the Byzantine full-knowledge view).
+        fn all_of_round(&self, r: u32) -> Vec<MsgKey> {
+            let mut v: Vec<MsgKey> = self
+                .msgs
+                .keys()
+                .copied()
+                .filter(|&(kr, _)| kr == r)
+                .collect();
+            v.sort_unstable();
+            v
+        }
+
+        /// Algorithm-1 acceptance truncated to `rounds` chains: node `i`
+        /// accepts author `v`'s round-1 value iff there is a chain of `rounds`
+        /// *distinct* authors `v, w_1, …, w_{rounds-1}` with each link listing
+        /// the previous message in its references, and the final message
+        /// visible to `i` by the decision round.
+        fn accepts(&self, i: usize, v: usize) -> bool {
+            let start: MsgKey = (1, v);
+            if !self.msgs.contains_key(&start) {
+                return false;
+            }
+            if self.rounds == 1 {
+                return self.seen_at[&start][i] <= 1;
+            }
+            // DFS over chains with distinct-author tracking.
+            let mut stack: Vec<(MsgKey, u64)> = vec![(start, 1u64 << v)];
+            while let Some((key, authors)) = stack.pop() {
+                let (r, _) = key;
+                if r == self.rounds {
+                    if self.seen_at[&key][i] <= self.rounds {
+                        return true;
+                    }
+                    continue;
+                }
+                // Find round r+1 messages that reference `key` and whose
+                // author is new to the chain.
+                for (&(nr, na), (_, refs)) in &self.msgs {
+                    if nr == r + 1 && (authors >> na) & 1 == 0 && refs.contains(&key) {
+                        stack.push(((nr, na), authors | (1u64 << na)));
+                    }
+                }
+            }
+            false
+        }
+
+        /// The decision of correct node `i`: majority over accepted round-1
+        /// values, ties to `tie`.
+        fn decide(&self, i: usize, tie: u8) -> u8 {
+            let mut ones = 0usize;
+            let mut zeros = 0usize;
+            for v in 0..self.n_correct + self.n_byz {
+                // every author incl. Byzantine
+                if let Some(&(val, _)) = self.msgs.get(&(1, v)) {
+                    if self.accepts(i, v) {
+                        if val == 1 {
+                            ones += 1;
+                        } else {
+                            zeros += 1;
+                        }
+                    }
+                }
+            }
+            match ones.cmp(&zeros) {
+                std::cmp::Ordering::Greater => 1,
+                std::cmp::Ordering::Less => 0,
+                std::cmp::Ordering::Equal => tie,
+            }
+        }
+    }
 
     #[test]
     fn one_round_protocol_is_broken_by_straddling() {

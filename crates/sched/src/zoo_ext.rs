@@ -101,6 +101,7 @@ mod tests {
     use super::*;
     use crate::bivalence::{initial_bivalent, round_robin_witness, WitnessOutcome};
     use crate::explore::{Config, Explorer, Valency};
+    use crate::search::SearchOptions;
 
     #[test]
     fn echo_vote_validates_uniform_inputs() {
@@ -127,7 +128,7 @@ mod tests {
             assert!(!a.truncated, "budget too small for inputs {inputs:?}");
             any_violation |= a.agreement_violation.is_some();
         }
-        let bivalent = initial_bivalent(&p, 500_000).is_some();
+        let bivalent = initial_bivalent(&p, &SearchOptions::reduced(500_000)).is_some();
         assert!(
             any_violation || bivalent,
             "echo-vote must fail in one of the predicted ways"
@@ -137,7 +138,7 @@ mod tests {
     #[test]
     fn echo_vote_round_robin_witness() {
         let p = EchoVoteProtocol::new(3, 2, 0);
-        let w = round_robin_witness(&p, 8, 500_000);
+        let w = round_robin_witness(&p, 8, &SearchOptions::reduced(500_000));
         assert!(
             matches!(w.outcome, WitnessOutcome::KeptBivalent)
                 || matches!(w.outcome, WitnessOutcome::StuckAt { .. }),

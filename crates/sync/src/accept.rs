@@ -9,11 +9,10 @@
 //! in the next one's reference set, with **pairwise distinct authors**,
 //! whose final (round `t+1`) message is in the deciding node's view.
 //!
-//! Two implementations are provided (ablation A3):
-//! * [`accepted_values_naive`] — literal recursive path enumeration;
-//! * [`accepted_values`] — DFS with memoized dead states, which prunes the
-//!   exponential blow-up on the dense reference graphs correct nodes
-//!   produce.
+//! [`accepted_values`] is a DFS with memoized dead states, which prunes
+//! the exponential blow-up on the dense reference graphs correct nodes
+//! produce; the literal recursive path enumeration it must agree with is
+//! the reference in this module's tests.
 
 use am_core::view::MemoryView;
 use am_core::{Message, MsgId, NodeId, Round, Value};
@@ -106,47 +105,6 @@ fn chain_exists(
     dfs(idx, start, bit, t, dead)
 }
 
-/// Naive acceptance: literal path enumeration with no memoization
-/// (ablation A3 baseline; semantics identical to [`accepted_values`]).
-pub fn accepted_values_naive(view: &MemoryView, t: u32) -> Vec<Accepted> {
-    fn dfs(idx: &RoundIndex<'_>, m: &Arc<Message>, mask: u64, t: u32) -> bool {
-        let Some(Round(r)) = m.round else {
-            return false;
-        };
-        if r == t + 1 {
-            return true;
-        }
-        if let Some(kids) = idx.children.get(&m.id) {
-            for k in kids {
-                let (Some(Round(kr)), Some(bit)) = (k.round, author_bit(k)) else {
-                    continue;
-                };
-                if kr == r + 1 && mask & bit == 0 && dfs(idx, k, mask | bit, t) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-    let idx = RoundIndex::new(view);
-    let mut out = Vec::new();
-    for m in idx.round_1() {
-        let (Some(author), Value::Bit(value), Some(bit)) = (m.author, m.value, author_bit(m))
-        else {
-            continue;
-        };
-        if dfs(&idx, m, bit, t) {
-            out.push(Accepted {
-                author,
-                value,
-                msg: m.id,
-            });
-        }
-    }
-    out.sort_by_key(|a| a.msg);
-    out
-}
-
 /// Chain acceptance with dead-state memoization: the accepted round-1
 /// value instances visible in `view` under parameter `t`.
 pub fn accepted_values(view: &MemoryView, t: u32) -> Vec<Accepted> {
@@ -181,6 +139,46 @@ pub fn decide(accepted: &[Accepted]) -> bool {
 mod tests {
     use super::*;
     use am_core::{AppendMemory, MessageBuilder, GENESIS};
+
+    /// The reference: literal path enumeration with no memoization.
+    fn accepted_values_naive(view: &MemoryView, t: u32) -> Vec<Accepted> {
+        fn dfs(idx: &RoundIndex<'_>, m: &Arc<Message>, mask: u64, t: u32) -> bool {
+            let Some(Round(r)) = m.round else {
+                return false;
+            };
+            if r == t + 1 {
+                return true;
+            }
+            if let Some(kids) = idx.children.get(&m.id) {
+                for k in kids {
+                    let (Some(Round(kr)), Some(bit)) = (k.round, author_bit(k)) else {
+                        continue;
+                    };
+                    if kr == r + 1 && mask & bit == 0 && dfs(idx, k, mask | bit, t) {
+                        return true;
+                    }
+                }
+            }
+            false
+        }
+        let idx = RoundIndex::new(view);
+        let mut out = Vec::new();
+        for m in idx.round_1() {
+            let (Some(author), Value::Bit(value), Some(bit)) = (m.author, m.value, author_bit(m))
+            else {
+                continue;
+            };
+            if dfs(&idx, m, bit, t) {
+                out.push(Accepted {
+                    author,
+                    value,
+                    msg: m.id,
+                });
+            }
+        }
+        out.sort_by_key(|a| a.msg);
+        out
+    }
 
     /// Builds a clean 2-round (t=1) history for 3 correct nodes with the
     /// given inputs; returns the memory.

@@ -18,8 +18,7 @@
 //! realise exactly the subsets a strategy requests, in request order.
 //!
 //! Modules:
-//! * [`accept`] — the chain-acceptance rule, in a naive path-enumeration
-//!   form and a pruned DFS form (ablation A3).
+//! * [`accept`] — the chain-acceptance rule (pruned DFS).
 //! * [`byz`] — Byzantine strategies: silence, equivocation, straddling,
 //!   and chain injection.
 //! * [`runner`] — the round scheduler and outcome checking.
@@ -32,7 +31,7 @@ pub mod byz;
 pub mod crash;
 pub mod runner;
 
-pub use accept::{accepted_values, accepted_values_naive};
+pub use accept::accepted_values;
 pub use byz::{
     ByzPlan, ByzStrategy, ChainInjector, Dissenter, Equivocator, PlanCtx, PlannedMsg, RefsPolicy,
     Silent, Straddler,

@@ -21,16 +21,16 @@
 //! | `--seed N` | base RNG seed [0] |
 //! | `--topology T` | cluster gossip topology: `mesh`, `relay:<k>`, `geo:<r>[:<k>]` [mesh] |
 //! | `--out-dir DIR` | also write `DIR/loadgen.json` |
-//! | `--record` | merge the record into BENCH_PR6.json |
+//! | `--record` | merge the run's throughput into BENCH_TRAJECTORY.json |
 //!
-//! Each run prints a throughput/latency summary; `--record` appends the
-//! run to the PR6 benchmark trajectory under an op name derived from the
-//! configuration, so repeated runs at different shapes accumulate into
-//! one comparable table.
+//! Each run prints a throughput/latency summary; `--record` files the
+//! run's throughput in the perf ledger under a `node/loadgen/…` op name
+//! derived from the configuration, so repeated runs at different shapes
+//! accumulate into one comparable table.
 
-use am_bench::presets::Preset;
 use am_bench::recorder::Recorder;
 use append_memory::node::{LoadgenConfig, LoadgenRecord};
+use serde::{Number, Value};
 
 fn usage(err: &str) -> ! {
     eprintln!("loadgen: {err}");
@@ -97,11 +97,11 @@ fn parse_args() -> Cli {
     cli
 }
 
-/// The op name the run files under in BENCH_PR6.json — one slot per
+/// The op name the run files under in the ledger — one slot per
 /// workload shape, so re-runs of a shape update in place.
 fn op_name(cfg: &LoadgenConfig) -> String {
     format!(
-        "loadgen/n{}_c{}_mix{}_zipf{}_p{}",
+        "node/loadgen/n{}_c{}_mix{}_zipf{}_p{}",
         cfg.nodes, cfg.clients, cfg.read_mix, cfg.skew, cfg.pipeline
     )
 }
@@ -129,6 +129,10 @@ fn summarize(rec: &LoadgenRecord) {
     }
 }
 
+fn uint(x: u64) -> Value {
+    Value::Number(Number::UInt(x))
+}
+
 fn main() {
     let cli = parse_args();
     let rec = append_memory::node::loadgen::run(cli.cfg);
@@ -143,8 +147,21 @@ fn main() {
         println!("loadgen: wrote {}", path.display());
     }
     if cli.record {
-        let mut recorder = Recorder::preset(Preset::Pr6);
-        recorder.record_value(&op_name(&cli.cfg), serde_json::to_value(&rec).unwrap());
+        let mut recorder = Recorder::new();
+        recorder.record_value(
+            &op_name(&cli.cfg),
+            vec![
+                ("completed".into(), uint(rec.completed)),
+                ("errors".into(), uint(rec.errors)),
+                ("elapsed_ms".into(), uint(rec.elapsed_ms)),
+                (
+                    "requests_per_sec".into(),
+                    Value::Number(Number::Float(
+                        (rec.requests_per_sec * 100.0).round() / 100.0,
+                    )),
+                ),
+            ],
+        );
         recorder.write();
     }
     if cli.out_dir.is_none() && !cli.record {

@@ -24,8 +24,8 @@
 use append_memory::sched::round_lb::ByzAction;
 use append_memory::sched::{
     initial_bivalent, merge_round_lb_shards, round_robin_witness, search_disagreement_t_shard,
-    AsyncProtocol, Config, Disagreement, Explorer, QuorumVoteProtocol, RoundLbShard, Valency,
-    WitnessOutcome,
+    AsyncProtocol, Config, Disagreement, Explorer, QuorumVoteProtocol, RoundLbShard, SearchOptions,
+    Valency, WitnessOutcome,
 };
 use serde_json::Value;
 
@@ -252,10 +252,11 @@ fn main() {
         }
 
         // Lemma 2.2 + Theorem 2.1.
-        match initial_bivalent(&proto, budget) {
+        let opts = SearchOptions::reduced(budget);
+        match initial_bivalent(&proto, &opts) {
             Some((inputs, _)) => {
                 println!("  bivalent start: {inputs:?}");
-                let w = round_robin_witness(&proto, 9, budget);
+                let w = round_robin_witness(&proto, 9, &opts);
                 match w.outcome {
                     WitnessOutcome::KeptBivalent => println!(
                         "  round-robin adversary kept it bivalent for {} real steps \

@@ -7,7 +7,7 @@ use append_memory::protocols::{
     Params, TieBreak, TrialKind,
 };
 use append_memory::sched::{
-    round_robin_witness, search_disagreement, QuorumVoteProtocol, WitnessOutcome,
+    round_robin_witness, search_disagreement, QuorumVoteProtocol, SearchOptions, WitnessOutcome,
 };
 use append_memory::stats::theory::chain_resilience_bound;
 use append_memory::sync::{run as run_sync, Dissenter, Straddler, SyncConfig};
@@ -120,7 +120,7 @@ fn protocol_histories_satisfy_core_invariants() {
 fn synchrony_is_the_dividing_line() {
     // Asynchronous: the checker keeps quorum-vote bivalent forever.
     let proto = QuorumVoteProtocol::new(3, 2, 0);
-    let w = round_robin_witness(&proto, 6, 300_000);
+    let w = round_robin_witness(&proto, 6, &SearchOptions::reduced(300_000));
     assert_eq!(w.outcome, WitnessOutcome::KeptBivalent);
     // Synchronous: Algorithm 1 with the same population decides correctly.
     let cfg = SyncConfig::new(3, 0);
