@@ -4,11 +4,11 @@
 //! and the `mp/*` lanes of the perf ledger.
 
 use am_bench::recorder::Recorder;
-use am_mp::{MpSystem, Network, Payload};
+use am_mp::{MpMsg, MpSystem, MpView, Network, Payload, Signature};
 use am_net::{Fault, LatencyModel, NetConfig, SimNet, Transport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fault-free seed-1 mesh recording the delivery trace (what these
 /// lanes have always measured).
@@ -102,8 +102,22 @@ fn bench_fault_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
+/// A view of `h` distinct messages, built outside any `MpSystem`.
+fn view_of(h: u64) -> MpView {
+    let msgs: Vec<MpMsg> = (0..h)
+        .map(|i| MpMsg {
+            author: (i % 7) as usize,
+            seq: i,
+            value: 1,
+            content: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            sig: Signature(i),
+        })
+        .collect();
+    MpView::from_slice(&msgs)
+}
+
 /// The `mp/*` ledger lanes: ABD over a faulty `SimNet`, and the view
-/// snapshot.
+/// operations whose cost must not depend on the history behind them.
 fn bench_mp_absolute(_c: &mut Criterion) {
     let mut rec = Recorder::new();
     let budget = Duration::from_millis(700);
@@ -134,8 +148,7 @@ fn bench_mp_absolute(_c: &mut Criterion) {
     };
     rec.measure_absolute("mp/abd_e14_drop_partition", 2 * 800 * 3, budget, sweep);
 
-    // Snapshotting one node's view of a settled 1000-append history: the
-    // persistent chunked view clones O(history/chunk) Arcs.
+    // Snapshotting one node's view of a settled 1000-append history.
     let mut sys = MpSystem::new(5, &[], 7);
     for i in 0..1000usize {
         sys.append(i % 5, 1).expect("reliable network cannot stall");
@@ -143,6 +156,65 @@ fn bench_mp_absolute(_c: &mut Criterion) {
     rec.measure_absolute("mp/local_view_h1000", 1, budget, || {
         black_box(sys.local_view(0).len())
     });
+
+    // The shape of the persistent view: a snapshot (taken and dropped) at
+    // a thousand and at a million messages, a cut in the middle of the
+    // million, and the first push after a snapshot of it (at a million
+    // the tail is full, so it moves into the trie and the right edge the
+    // snapshot shares is copied — the dearer of the two cases; the
+    // pushed-to copy is dropped, so the view stays at a million).
+    // Batched, so the recorder's clock read per call (≈ 60 ns here) does
+    // not floor them.
+    let small = view_of(1_000);
+    let large = view_of(1_000_000);
+    for (op, view) in [
+        ("mp/view_clone_h1000", &small),
+        ("mp/view_clone_h1000000", &large),
+    ] {
+        rec.measure_absolute(op, 1_000, budget, || {
+            for _ in 0..1_000 {
+                black_box(black_box(view).clone());
+            }
+        });
+    }
+    rec.measure_absolute("mp/prefix_mid_h1000000", 100, budget, || {
+        for k in 0..100 {
+            black_box(large.prefix(black_box(500_000 + k)));
+        }
+    });
+    let next = *small.last().expect("non-empty");
+    rec.measure_absolute("mp/push_after_snapshot_h1000000", 100, budget, || {
+        for _ in 0..100 {
+            let mut live = large.clone();
+            live.push(black_box(next));
+            black_box(live);
+        }
+    });
+    drop((small, large));
+
+    // One quorum read at n = 4 whose reader is five appends behind, on a
+    // history of 20 000 (growing by the five untimed appends per sample,
+    // to under 30 000 within the budget).
+    let mut sys = MpSystem::new(4, &[], 11);
+    for i in 0..20_000usize {
+        sys.append(i % 4, 1).expect("reliable network cannot stall");
+    }
+    sys.read(0).expect("reliable network cannot stall");
+    let mut i = 0usize;
+    rec.measure_absolute_part(
+        "mp/read_n4_gap5_h20000",
+        1,
+        Duration::from_millis(60),
+        || {
+            for _ in 0..5 {
+                i += 1;
+                sys.append(i % 4, 1).expect("reliable network cannot stall");
+            }
+            let start = Instant::now();
+            black_box(sys.read(0).expect("reliable network cannot stall").len());
+            start.elapsed()
+        },
+    );
     rec.write();
 }
 

@@ -100,6 +100,14 @@ mod tests {
                 record.get("cores").and_then(Value::as_u64).is_some(),
                 "{op}: no machine context"
             );
+            // Records written since the recorder began stamping carry the
+            // commit they were measured at; the `mp/` lanes were all
+            // re-recorded with it.
+            match record.get("commit") {
+                Some(Value::String(stamp)) => assert!(!stamp.is_empty(), "{op}: empty commit"),
+                Some(other) => panic!("{op}: commit is {other:?}"),
+                None => assert!(!op.starts_with("mp/"), "{op}: no commit stamp"),
+            }
             for ratio_field in ["speedup", "source", "baseline"] {
                 assert!(
                     record.get(ratio_field).is_none(),

@@ -99,6 +99,11 @@ fn trace_covers_every_layer_and_parses_as_chrome_trace() {
             .unwrap_or(0)
     };
     assert!(get("mp.appends") >= 4);
+    // A read explains itself: how many messages its `ViewResp` merges
+    // walked, and how many of those the reader did not hold yet.
+    assert!(get("mp.reads") > 0);
+    assert!(get("mp.read.merge_walked") >= get("mp.read.merge_adopted"));
+    assert!(get("mp.read.merge_adopted") > 0);
     assert!(get("net.sent") > 0);
     assert!(get("net.delivered") > 0);
     assert!(get("poisson.grants") > 0);
@@ -117,10 +122,12 @@ fn trace_covers_every_layer_and_parses_as_chrome_trace() {
         .get("spans")
         .and_then(|s| s.get("e4/mp/append"))
         .is_some());
-    assert!(parsed
-        .get("counters")
-        .and_then(|c| c.get("net.sent"))
-        .is_some());
+    for name in ["net.sent", "mp.read.merge_walked", "mp.read.merge_adopted"] {
+        assert!(
+            parsed.get("counters").and_then(|c| c.get(name)).is_some(),
+            "manifest lacks counter {name}"
+        );
+    }
 
     am_obs::set_enabled(false);
 }

@@ -107,6 +107,9 @@ pub struct MpSystem<T: Transport<Payload> = Network> {
     /// adopted here before, so later responses are merged from the mark
     /// on.
     resp_hw: Vec<Vec<usize>>,
+    /// Responders to the read in progress: one bit per node, cleared at
+    /// the start of every read.
+    responders: Vec<u64>,
     stats: MpStats,
     /// Delivery budget per quorum wait, to turn deadlock into an error.
     max_pump: usize,
@@ -121,6 +124,11 @@ pub struct MpSystem<T: Transport<Payload> = Network> {
     obs_appends: am_obs::Counter,
     obs_reads: am_obs::Counter,
     obs_pumped: am_obs::Counter,
+    /// Messages iterated by `ViewResp` merges, and those of them newly
+    /// adopted: their ratio says how much of a read's work was wasted on
+    /// messages the reader already held.
+    obs_merge_walked: am_obs::Counter,
+    obs_merge_adopted: am_obs::Counter,
 }
 
 /// Delivery-order policies: the simulated network may hand a node its
@@ -163,6 +171,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
             next_op: 0,
             acks: AckTally::new(n),
             resp_hw: vec![vec![0; n]; n],
+            responders: vec![0; n.div_ceil(64)],
             stats: MpStats::default(),
             max_pump: 1_000_000,
             write_quorum: n / 2 + 1,
@@ -172,6 +181,8 @@ impl<T: Transport<Payload>> MpSystem<T> {
             obs_appends: am_obs::counter("mp.appends"),
             obs_reads: am_obs::counter("mp.reads"),
             obs_pumped: am_obs::counter("mp.deliveries_pumped"),
+            obs_merge_walked: am_obs::counter("mp.read.merge_walked"),
+            obs_merge_adopted: am_obs::counter("mp.read.merge_adopted"),
         }
     }
 
@@ -221,8 +232,8 @@ impl<T: Transport<Payload>> MpSystem<T> {
         self.paused[node] = false;
     }
 
-    /// A snapshot of `node`'s local view `M_v`. O(history / chunk): full
-    /// chunks are shared with the live view, not copied.
+    /// A snapshot of `node`'s local view `M_v`. O(1): it shares every
+    /// stored message with the live view.
     pub fn local_view(&self, node: usize) -> MpView {
         self.views[node].clone()
     }
@@ -269,10 +280,10 @@ impl<T: Transport<Payload>> MpSystem<T> {
     }
 
     fn msg_content(author: usize, seq: u64, value: i8) -> u64 {
-        let mut bytes = Vec::with_capacity(17);
-        bytes.extend_from_slice(&(author as u64).to_le_bytes());
-        bytes.extend_from_slice(&seq.to_le_bytes());
-        bytes.push(value as u8);
+        let mut bytes = [0u8; 17];
+        bytes[..8].copy_from_slice(&(author as u64).to_le_bytes());
+        bytes[8..16].copy_from_slice(&seq.to_le_bytes());
+        bytes[16] = value as u8;
         content_hash(&bytes)
     }
 
@@ -338,17 +349,20 @@ impl<T: Transport<Payload>> MpSystem<T> {
         let before = self.net.sent_count();
         self.net.broadcast(v, Payload::ReadReq { op });
         // Collect responses by pumping; responses are tagged with `op`.
-        let mut responders: HashSet<usize> = HashSet::new();
+        self.responders.fill(0);
+        let mut responded = 0;
         let mut budget = self.max_pump;
         let _quorum_span = am_obs::span("quorum");
-        while responders.len() < self.read_quorum {
+        while responded < self.read_quorum {
             if budget == 0 {
                 return Err(MpError::Stalled);
             }
             budget -= 1;
             match self.pump_one_tracking_read(v, op) {
                 Some(Some(from)) => {
-                    responders.insert(from);
+                    let (word, bit) = (&mut self.responders[from / 64], 1u64 << (from % 64));
+                    responded += usize::from(*word & bit == 0);
+                    *word |= bit;
                 }
                 Some(None) => {}
                 None => return Err(MpError::Stalled),
@@ -538,7 +552,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
             }
             Payload::ReadReq { op: req_op } => {
                 // Line 3 of Algorithm 3: send the local view back — a
-                // snapshot (full chunks shared, nothing copied).
+                // snapshot, two pointer copies whatever the history.
                 let view = self.views[target].clone();
                 self.net
                     .send(target, env.from, Payload::ViewResp { op: req_op, view });
@@ -551,6 +565,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
                 // been verified and adopted here, so the merge starts at
                 // the mark.
                 let start = self.resp_hw[target][env.from];
+                let held = self.views[target].len();
                 for m in view.iter_from(start) {
                     if self.ring.verify(m.author, m.content, m.sig)
                         && !self.seen[target].contains(&m.content)
@@ -559,6 +574,10 @@ impl<T: Transport<Payload>> MpSystem<T> {
                         self.views[target].push(*m);
                     }
                 }
+                self.obs_merge_walked
+                    .add(view.len().saturating_sub(start) as u64);
+                self.obs_merge_adopted
+                    .add((self.views[target].len() - held) as u64);
                 if view.len() > self.resp_hw[target][env.from] {
                     self.resp_hw[target][env.from] = view.len();
                 }
@@ -819,7 +838,7 @@ mod tests {
     }
 
     /// A node's view rebuilt message by message from what it stores — what
-    /// every snapshot must equal, however its chunks are shared.
+    /// every snapshot must equal, however its leaves are shared.
     fn rebuilt_view(sys: &MpSystem, node: usize) -> Vec<MpMsg> {
         sys.view(node).iter().copied().collect()
     }

@@ -45,8 +45,8 @@ pub enum Payload {
         /// The operation id this responds to.
         op: u64,
         /// A snapshot of the responder's local view. [`MpView`] shares its
-        /// chunks with the responder's live view, so building and cloning
-        /// this payload is O(history / chunk), not O(history).
+        /// storage with the responder's live view, so building, cloning
+        /// and dropping this payload is O(1), whatever the history.
         view: MpView,
     },
 }

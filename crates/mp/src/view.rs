@@ -1,43 +1,109 @@
 //! Incremental ABD state: persistent local views and dense ack tallies.
 //!
-//! Two hot structures behind Algorithms 2/3 used to be rebuilt or
-//! deep-copied per operation:
+//! Two hot structures behind Algorithms 2/3:
 //!
-//! * `views[node].clone()` — every `local_view`/`read` return and every
-//!   `ReadReq` response copied the node's whole history, making a read
-//!   O(history · n). [`MpView`] is a persistent append-only log of fixed
-//!   chunks behind [`Arc`]s (the same copy-on-write idiom as
-//!   `am-core`'s snapshot machinery): cloning shares every full chunk, so
-//!   a snapshot costs one pointer bump per `CHUNK` messages, and pushing
-//!   after a snapshot copies at most the last (partial) chunk.
-//! * `acks: HashMap<(author, seq, content), HashSet<usize>>` — quorum
-//!   counting paid two hash lookups and a heap-allocated set per ack.
-//!   [`AckTally`] flattens the sets into one dense bitmask block per op
-//!   with a maintained count, so recording an ack is one hash lookup plus
-//!   a bit test.
+//! * [`MpView`] — a node's local view `M_v`. Every `ReadReq` response,
+//!   every `read`/`local_view` return and every archive snapshot is a
+//!   copy of one, and a view only ever grows, so it is a persistent
+//!   append-only radix vector (the Clojure / `im` vector restricted to
+//!   `push`): full leaves of `LEAF` messages hang off a trie of
+//!   branching width `WIDTH`, and the newest `1..=LEAF` messages sit in
+//!   a tail outside it. Nodes and leaves live behind [`Arc`]s and are
+//!   never written while shared, so a snapshot is the root pointer and
+//!   the tail pointer, whatever the history `H` behind them:
+//!
+//!   | operation | 128-message `Vec<Arc<chunk>>` (before) | radix vector |
+//!   |---|---|---|
+//!   | `clone`; dropping a snapshot | H/128 refcounts each | 2 refcounts, no allocation |
+//!   | `push` | O(1) amortized; ≤ 127 messages copied after a snapshot | O(1) amortized — a `Vec::push` while the tail is unshared with room; ≤ `LEAF − 1` messages copied after a snapshot; every `LEAF` pushes the tail moves into the trie by pointer, copying ≤ `WIDTH` pointers per level only where a snapshot shares the right edge |
+//!   | `iter_from` seek | O(1) | O(1) into the tail, O(log H) below it, then one slice per leaf |
+//!   | `prefix(h)` | h/128 refcounts + ≤ 127 messages | ≤ `WIDTH` refcounts per level + ≤ `LEAF − 1` messages |
+//!   | dropping the last owner | H/128 frees | H/`LEAF` frees, recursing no deeper than the trie |
+//!
+//! * [`AckTally`] — quorum counting: one dense bitmask block per op with
+//!   a maintained count, so recording an ack is one hash lookup (the op
+//!   key) plus a bit test, and no per-op set lives on the heap.
 //!
 //! Every observable of a scripted run (appends, reads, settled views,
 //! message counts, the full `NetStats`) is pinned over 300 seeds by
-//! `tests/naive_equiv.rs` to what the deep-copy / hash-set forms produced.
+//! `tests/naive_equiv.rs`; the structure itself — three trie levels,
+//! every leaf boundary, divergent futures of one prefix, and the bounds
+//! in the table as allocation counts — by `tests/view_spec.rs`.
 
 use crate::abd::MpMsg;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Messages per shared chunk. Snapshot cost is one `Arc` clone per
-/// `CHUNK` messages; a post-snapshot push copies at most `CHUNK − 1`
-/// messages (the shared partial tail chunk).
-const CHUNK: usize = 128;
+/// log₂ of the trie's branching width.
+const BITS: u32 = 5;
+/// Children per trie node.
+const WIDTH: usize = 1 << BITS;
+/// Messages per leaf, and the capacity of the tail.
+const LEAF: usize = 64;
+
+/// `LEAF` messages once inside the trie, `0..=LEAF` as a tail.
+type Leaf = Arc<Vec<MpMsg>>;
+
+/// A trie node. Every child but the last is a complete subtree.
+#[derive(Clone, Debug)]
+enum Node {
+    /// An interior level: `1..=WIDTH` subtrees.
+    Branch(Vec<Arc<Node>>),
+    /// The bottom level: `1..=WIDTH` full leaves.
+    Leaves(Vec<Leaf>),
+}
+
+/// Child slot of leaf number `leaf` in a node `shift` bits above the
+/// bottom level.
+fn slot(leaf: usize, shift: u32) -> usize {
+    (leaf >> shift) & (WIDTH - 1)
+}
+
+/// `leaf` under as many single-child `Branch` levels as `shift` spans.
+fn spine(leaf: Leaf, shift: u32) -> Arc<Node> {
+    let mut node = Arc::new(Node::Leaves(vec![leaf]));
+    for _ in 0..shift / BITS {
+        node = Arc::new(Node::Branch(vec![node]));
+    }
+    node
+}
+
+/// The subtree `node` (`shift` bits above the bottom level) cut off after
+/// leaf number `last`. Everything left of the cut is shared; a node is
+/// copied only where the cut falls inside it — at most one per level,
+/// which also bounds the recursion.
+fn cut_after(node: &Arc<Node>, shift: u32, last: usize) -> Arc<Node> {
+    let at = slot(last, shift);
+    match &**node {
+        Node::Leaves(leaves) if at + 1 == leaves.len() => Arc::clone(node),
+        Node::Leaves(leaves) => Arc::new(Node::Leaves(leaves[..=at].to_vec())),
+        Node::Branch(kids) => {
+            let edge = cut_after(&kids[at], shift - BITS, last);
+            if at + 1 == kids.len() && Arc::ptr_eq(&edge, &kids[at]) {
+                return Arc::clone(node);
+            }
+            let mut kept = Vec::with_capacity(at + 1);
+            kept.extend_from_slice(&kids[..at]);
+            kept.push(edge);
+            Arc::new(Node::Branch(kept))
+        }
+    }
+}
 
 /// A persistent append-only view of a node's local memory `M_v`.
 ///
-/// Layout invariant: every chunk except possibly the last holds exactly
-/// `CHUNK` messages, and no chunk is empty — so logically equal views
-/// always have identical chunk layout. Shared (full) chunks are never
-/// grown in place, which keeps earlier snapshots stable.
-#[derive(Clone, Debug, Default)]
+/// Layout invariant, a function of `len` alone (so logically equal views
+/// are laid out identically): the tail holds the messages from position
+/// `(len − 1) / LEAF · LEAF` on — never empty unless the view is — and
+/// the trie holds the full leaves before it, at minimal height. A node
+/// or leaf reachable from two views is never written again.
+#[derive(Clone, Default)]
 pub struct MpView {
-    chunks: Vec<Arc<Vec<MpMsg>>>,
+    /// The full leaves before the tail; `None` while there are none.
+    root: Option<Arc<Node>>,
+    /// `BITS` × the number of `Branch` levels above the bottom one.
+    shift: u32,
+    tail: Leaf,
     len: usize,
 }
 
@@ -47,12 +113,20 @@ impl MpView {
         MpView::default()
     }
 
-    /// Builds a view from a message slice (chunked canonically).
+    /// Builds a view from a message slice.
     pub fn from_slice(msgs: &[MpMsg]) -> MpView {
-        MpView {
-            chunks: msgs.chunks(CHUNK).map(|c| Arc::new(c.to_vec())).collect(),
-            len: msgs.len(),
+        let mut view = MpView::new();
+        let mut leaves = msgs.chunks(LEAF);
+        if let Some(last) = leaves.next_back() {
+            for (k, full) in leaves.enumerate() {
+                view.push_leaf(Arc::new(full.to_vec()), k);
+            }
+            let mut tail = Vec::with_capacity(LEAF);
+            tail.extend_from_slice(last);
+            view.tail = Arc::new(tail);
+            view.len = msgs.len();
         }
+        view
     }
 
     /// Number of messages in the view.
@@ -65,18 +139,99 @@ impl MpView {
         self.len == 0
     }
 
-    /// Appends a message. O(1) amortized; if the tail chunk is shared
-    /// with a snapshot, it is copied first (at most `CHUNK − 1` messages).
+    /// Appends a message. O(1) amortized: a `Vec::push` unless the tail
+    /// is full, shared with a snapshot, or was allocated without room.
     pub fn push(&mut self, msg: MpMsg) {
-        match self.chunks.last_mut() {
-            Some(tail) if tail.len() < CHUNK => Arc::make_mut(tail).push(msg),
-            _ => {
-                let mut fresh = Vec::with_capacity(CHUNK);
-                fresh.push(msg);
-                self.chunks.push(Arc::new(fresh));
-            }
+        match Arc::get_mut(&mut self.tail) {
+            Some(tail) if tail.len() < LEAF.min(tail.capacity()) => tail.push(msg),
+            _ => self.push_new_tail(msg),
         }
         self.len += 1;
+    }
+
+    /// The push that cannot write the tail in place. A full tail becomes
+    /// the trie's next leaf (by pointer, shared or not) and `msg` starts
+    /// a fresh one; otherwise the old tail is left to whichever snapshot
+    /// shares it and the view goes on with a roomy copy.
+    #[cold]
+    fn push_new_tail(&mut self, msg: MpMsg) {
+        let mut fresh = Vec::with_capacity(LEAF);
+        if self.tail.len() < LEAF {
+            fresh.extend_from_slice(&self.tail);
+        }
+        fresh.push(msg);
+        let old = std::mem::replace(&mut self.tail, Arc::new(fresh));
+        if old.len() == LEAF {
+            self.push_leaf(old, self.len / LEAF - 1);
+        }
+    }
+
+    /// Hangs `leaf` into the trie as leaf number `k` (the trie holds
+    /// exactly `k` leaves). Walks the right edge once; `Arc::make_mut`
+    /// copies a node on it only if a snapshot shares that node.
+    fn push_leaf(&mut self, leaf: Leaf, k: usize) {
+        let root = match self.root.take() {
+            None => spine(leaf, 0),
+            // Every slot under the root is taken: it becomes the first
+            // child of a taller root, beside a spine of its own height.
+            Some(full) if k == WIDTH << self.shift => {
+                let beside = spine(leaf, self.shift);
+                self.shift += BITS;
+                Arc::new(Node::Branch(vec![full, beside]))
+            }
+            Some(mut root) => {
+                let mut node = &mut root;
+                let mut shift = self.shift;
+                loop {
+                    match Arc::make_mut(node) {
+                        Node::Leaves(leaves) => {
+                            leaves.push(leaf);
+                            break;
+                        }
+                        Node::Branch(kids) => {
+                            let at = slot(k, shift);
+                            shift -= BITS;
+                            if at == kids.len() {
+                                kids.push(spine(leaf, shift));
+                                break;
+                            }
+                            node = &mut kids[at];
+                        }
+                    }
+                }
+                root
+            }
+        };
+        self.root = Some(root);
+    }
+
+    /// Position of the tail's first message.
+    fn tail_start(&self) -> usize {
+        self.len - self.tail.len()
+    }
+
+    /// Leaf number `k` of the trie. O(log H).
+    fn leaf(&self, k: usize) -> &Leaf {
+        let mut node = self.root.as_ref().expect("leaf k lies in the trie");
+        let mut shift = self.shift;
+        loop {
+            match &**node {
+                Node::Leaves(leaves) => return &leaves[slot(k, 0)],
+                Node::Branch(kids) => {
+                    node = &kids[slot(k, shift)];
+                    shift -= BITS;
+                }
+            }
+        }
+    }
+
+    /// The stored run of messages from position `at < len` to the end of
+    /// its leaf (or of the tail).
+    fn run_from(&self, at: usize) -> &[MpMsg] {
+        match at.checked_sub(self.tail_start()) {
+            Some(in_tail) => &self.tail[in_tail..],
+            None => &self.leaf(at / LEAF)[at % LEAF..],
+        }
     }
 
     /// Whether the view contains `msg` (linear scan, like `Vec::contains`).
@@ -86,69 +241,94 @@ impl MpView {
 
     /// Iterates the messages in append order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            chunks: &self.chunks,
-            chunk: 0,
-            idx: 0,
-        }
+        self.iter_from(0)
     }
 
     /// Iterates the messages in append order starting at position
-    /// `start` (clamped to the end). The canonical chunk layout — every
-    /// chunk except the last is full — makes the jump O(1): nothing in
-    /// the skipped prefix is walked.
+    /// `start` (clamped to the end). Nothing in the skipped prefix is
+    /// walked: the first step seeks — O(1) if `start` lies in the tail,
+    /// as a reader's merge mark or an archive's height usually does,
+    /// O(log H) otherwise — and each later leaf costs one more descent.
     pub fn iter_from(&self, start: usize) -> Iter<'_> {
-        let start = start.min(self.len);
         Iter {
-            chunks: &self.chunks,
-            chunk: start / CHUNK,
-            idx: start % CHUNK,
+            view: self,
+            next_run: start.min(self.len),
+            run: [].iter(),
         }
     }
 
     /// The last message, if any.
     pub fn last(&self) -> Option<&MpMsg> {
-        self.chunks.last().and_then(|c| c.last())
+        self.tail.last()
     }
 
     /// A snapshot of the first `len` messages (clamped to the end),
-    /// sharing every full chunk with `self` — O(chunks) plus a copy of
-    /// at most one partial tail chunk, never O(history). This is the
-    /// archival layer's snapshot-at-height primitive.
+    /// sharing every node and leaf left of the cut with `self`: it copies
+    /// at most one node per trie level and `LEAF − 1` messages, however
+    /// long the history. This is the archival layer's snapshot-at-height
+    /// primitive.
     pub fn prefix(&self, len: usize) -> MpView {
-        let len = len.min(self.len);
-        let full = len / CHUNK;
-        let mut chunks: Vec<Arc<Vec<MpMsg>>> = self.chunks[..full].to_vec();
-        let tail = len % CHUNK;
-        if tail > 0 {
-            chunks.push(Arc::new(self.chunks[full][..tail].to_vec()));
+        if len >= self.len {
+            return self.clone();
         }
-        MpView { chunks, len }
+        if len == 0 {
+            return MpView::new();
+        }
+        let tail_start = (len - 1) / LEAF * LEAF;
+        let leaves = tail_start / LEAF;
+        let source = if tail_start == self.tail_start() {
+            &self.tail
+        } else {
+            self.leaf(leaves)
+        };
+        let keep = len - tail_start;
+        let tail = if keep == source.len() {
+            Arc::clone(source)
+        } else {
+            Arc::new(source[..keep].to_vec())
+        };
+        let (root, shift) = self.first_leaves(leaves);
+        MpView {
+            root,
+            shift,
+            tail,
+            len,
+        }
+    }
+
+    /// The trie of the first `leaves` leaves and its `shift`.
+    fn first_leaves(&self, leaves: usize) -> (Option<Arc<Node>>, u32) {
+        let (Some(last), Some(mut node)) = (leaves.checked_sub(1), self.root.as_ref()) else {
+            return (None, 0);
+        };
+        // Minimal height: a level that would keep a single child is not
+        // copied, its child becomes the root.
+        let mut shift = self.shift;
+        while let Node::Branch(kids) = &**node {
+            if last >> shift != 0 {
+                break;
+            }
+            node = &kids[0];
+            shift -= BITS;
+        }
+        (Some(cut_after(node, shift, last)), shift)
     }
 
     /// Deep-copies the view into a plain vector.
     pub fn to_vec(&self) -> Vec<MpMsg> {
         let mut out = Vec::with_capacity(self.len);
-        for c in &self.chunks {
-            out.extend_from_slice(c);
+        while out.len() < self.len {
+            out.extend_from_slice(self.run_from(out.len()));
         }
         out
     }
+}
 
-    /// Number of backing chunks (exposed for tests asserting the sharing
-    /// behaviour).
-    #[doc(hidden)]
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// How many backing chunks are shared (refcount > 1) with snapshots.
-    #[doc(hidden)]
-    pub fn shared_chunk_count(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|c| Arc::strong_count(c) > 1)
-            .count()
+impl std::fmt::Debug for MpView {
+    /// The messages in append order (what equality compares), not the
+    /// trie that stores them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self).finish()
     }
 }
 
@@ -162,9 +342,11 @@ impl Eq for MpView {}
 /// Borrowing iterator over an [`MpView`] in append order.
 #[derive(Debug)]
 pub struct Iter<'a> {
-    chunks: &'a [Arc<Vec<MpMsg>>],
-    chunk: usize,
-    idx: usize,
+    view: &'a MpView,
+    /// Position of the first message after `run`.
+    next_run: usize,
+    /// What is left of the current leaf (or tail).
+    run: std::slice::Iter<'a, MpMsg>,
 }
 
 impl<'a> Iterator for Iter<'a> {
@@ -172,14 +354,21 @@ impl<'a> Iterator for Iter<'a> {
 
     fn next(&mut self) -> Option<&'a MpMsg> {
         loop {
-            let c = self.chunks.get(self.chunk)?;
-            if let Some(m) = c.get(self.idx) {
-                self.idx += 1;
+            if let Some(m) = self.run.next() {
                 return Some(m);
             }
-            self.chunk += 1;
-            self.idx = 0;
+            if self.next_run == self.view.len {
+                return None;
+            }
+            let run = self.view.run_from(self.next_run);
+            self.next_run += run.len();
+            self.run = run.iter();
         }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.run.len() + self.view.len - self.next_run;
+        (left, Some(left))
     }
 }
 
@@ -192,28 +381,24 @@ impl<'a> IntoIterator for &'a MpView {
     }
 }
 
-/// Owning iterator over an [`MpView`] ([`MpMsg`] is `Copy`; chunks stay
-/// shared).
+/// Owning iterator over an [`MpView`] ([`MpMsg`] is `Copy`; leaves stay
+/// shared). Each step is a lookup, O(log H) below the tail.
 #[derive(Debug)]
 pub struct IntoIter {
     view: MpView,
-    chunk: usize,
-    idx: usize,
+    next: usize,
 }
 
 impl Iterator for IntoIter {
     type Item = MpMsg;
 
     fn next(&mut self) -> Option<MpMsg> {
-        loop {
-            let c = self.view.chunks.get(self.chunk)?;
-            if let Some(&m) = c.get(self.idx) {
-                self.idx += 1;
-                return Some(m);
-            }
-            self.chunk += 1;
-            self.idx = 0;
+        if self.next == self.view.len {
+            return None;
         }
+        let m = self.view.run_from(self.next)[0];
+        self.next += 1;
+        Some(m)
     }
 }
 
@@ -224,8 +409,7 @@ impl IntoIterator for MpView {
     fn into_iter(self) -> IntoIter {
         IntoIter {
             view: self,
-            chunk: 0,
-            idx: 0,
+            next: 0,
         }
     }
 }
@@ -311,7 +495,7 @@ mod tests {
         assert_eq!(v.len(), 200);
         assert_eq!(v.to_vec(), msgs);
         assert_eq!(v.iter().count(), 200);
-        assert_eq!(v.chunk_count(), 200usize.div_ceil(CHUNK));
+        assert_eq!(v.tail_start(), 199 / LEAF * LEAF);
         assert!(v.contains(&msgs[137]));
         assert!(!v.contains(&msg(999)));
     }
@@ -323,25 +507,39 @@ mod tests {
         for &m in &msgs {
             v.push(m);
         }
-        // Every offset, including chunk boundaries and one past the end.
-        for start in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 149, 150, 151, 999] {
+        // Every offset, including leaf boundaries and one past the end.
+        for start in [0, 1, LEAF - 1, LEAF, LEAF + 1, 149, 150, 151, 999] {
             let got: Vec<MpMsg> = v.iter_from(start).copied().collect();
             let want: Vec<MpMsg> = msgs.iter().skip(start).copied().collect();
             assert_eq!(got, want, "iter_from({start}) diverged from skip");
+            assert_eq!(
+                v.iter_from(start).size_hint(),
+                (want.len(), Some(want.len()))
+            );
         }
     }
 
     #[test]
     fn prefix_shares_full_chunks_and_matches_take() {
-        let msgs: Vec<MpMsg> = (0..(3 * CHUNK as u64 + 17)).map(msg).collect();
+        // Two trie levels: two complete bottom nodes, three more leaves
+        // and a 17-message tail.
+        let span = WIDTH * LEAF;
+        let msgs: Vec<MpMsg> = (0..(2 * span + 3 * LEAF + 17) as u64).map(msg).collect();
         let v = MpView::from_slice(&msgs);
         for len in [
             0,
             1,
-            CHUNK - 1,
-            CHUNK,
-            CHUNK + 1,
-            2 * CHUNK,
+            LEAF - 1,
+            LEAF,
+            LEAF + 1,
+            2 * LEAF,
+            span,
+            span + 1,
+            span + LEAF,
+            span + LEAF + 1,
+            2 * span + LEAF,
+            v.len() - 17,
+            v.len() - 1,
             v.len(),
             v.len() + 9,
         ] {
@@ -349,14 +547,31 @@ mod tests {
             let want: Vec<MpMsg> = msgs.iter().take(len).copied().collect();
             assert_eq!(p.len(), want.len(), "prefix({len}) length");
             assert_eq!(p.to_vec(), want, "prefix({len}) content");
-            // Canonical layout: equal views compare equal.
-            assert_eq!(p, MpView::from_slice(&want));
+            // Canonical layout: equal views compare equal and are laid
+            // out alike.
+            let built = MpView::from_slice(&want);
+            assert_eq!(p, built);
+            assert_eq!((p.shift, p.tail.len()), (built.shift, built.tail.len()));
         }
-        // A chunk-aligned prefix shares every chunk with the source.
-        let aligned = v.prefix(2 * CHUNK);
-        assert_eq!(aligned.chunk_count(), 2);
-        assert!(v.shared_chunk_count() >= 2, "full chunks are shared");
-        drop(aligned);
+        // A leaf-aligned prefix copies no message: its tail is the
+        // source's leaf and its trie the source's first leaf.
+        let aligned = v.prefix(2 * LEAF);
+        assert!(Arc::ptr_eq(&aligned.tail, v.leaf(1)));
+        assert!(Arc::ptr_eq(aligned.leaf(0), v.leaf(0)));
+        // Cut one leaf past the first complete bottom node: that node,
+        // whole and shared, is the prefix's root.
+        let Some(Node::Branch(kids)) = v.root.as_deref() else {
+            panic!("two levels expected");
+        };
+        let collapsed = v.prefix(span + LEAF);
+        assert_eq!(collapsed.shift, 0);
+        assert!(Arc::ptr_eq(collapsed.root.as_ref().unwrap(), &kids[0]));
+        // A cut inside the source's tail shares the whole trie.
+        let short = v.prefix(v.len() - 5);
+        assert!(Arc::ptr_eq(
+            short.root.as_ref().unwrap(),
+            v.root.as_ref().unwrap()
+        ));
         assert_eq!(v.last(), msgs.last());
         assert_eq!(MpView::new().last(), None);
     }
@@ -373,23 +588,29 @@ mod tests {
 
     #[test]
     fn snapshots_share_full_chunks_and_stay_stable() {
-        let snap_at = CHUNK as u64 + CHUNK as u64 / 2; // one full chunk + a partial tail
+        let snap_at = (LEAF + LEAF / 2) as u64; // one full leaf + a partial tail
         let mut v = MpView::new();
         for i in 0..snap_at {
             v.push(msg(i));
         }
         let snap = v.clone();
-        assert_eq!(v.shared_chunk_count(), v.chunk_count(), "clone shares all");
-        // Pushing after the snapshot copies only the partial tail chunk.
-        for i in snap_at..snap_at + CHUNK as u64 {
+        assert!(Arc::ptr_eq(&snap.tail, &v.tail), "clone shares the tail");
+        assert!(Arc::ptr_eq(snap.leaf(0), v.leaf(0)), "and the trie");
+        // Pushing after the snapshot copies only the partial tail.
+        for i in snap_at..snap_at + LEAF as u64 {
             v.push(msg(i));
         }
         assert_eq!(snap.len(), snap_at as usize);
         assert_eq!(snap.to_vec(), (0..snap_at).map(msg).collect::<Vec<_>>());
-        assert_eq!(v.len(), (snap_at + CHUNK as u64) as usize);
-        // The snapshot's full chunk (0) is still shared; only the tail
+        assert_eq!(v.len(), snap_at as usize + LEAF);
+        assert_eq!(
+            v.to_vec(),
+            (0..snap_at + LEAF as u64).map(msg).collect::<Vec<_>>()
+        );
+        // The snapshot's full leaf is still shared; only the tail
         // diverged.
-        assert!(v.shared_chunk_count() >= 1);
+        assert!(Arc::ptr_eq(snap.leaf(0), v.leaf(0)));
+        assert!(!Arc::ptr_eq(&snap.tail, v.leaf(1)));
     }
 
     #[test]

@@ -5,9 +5,17 @@
 //! API three query shapes the raw protocol state can't serve cheaply:
 //!
 //! * **Snapshot at height** — [`Archive::snapshot_at`] is
-//!   [`MpView::prefix`]: O(chunks) chunk-pointer copies plus at most one
-//!   partial tail, never a walk of history.
-//! * **O(1) tail** — [`Archive::tail`] jumps with [`MpView::iter_from`];
+//!   [`MpView::prefix`], and [`Archive::snapshot`] a clone. With H
+//!   messages archived:
+//!
+//!   | | 128-message chunk list (before) | radix vector |
+//!   |---|---|---|
+//!   | `snapshot` (clone), and dropping it | H/128 refcounts each | 2 refcounts |
+//!   | `snapshot_at(h)` (prefix) | h/128 refcounts + ≤ 127 messages copied | O(log H) refcounts + less than one leaf of messages copied |
+//!   | `sync_from` per new message (push) | O(1) amortized | O(1) amortized |
+//!   | `tail(k)` seek (`iter_from`) | O(1) | O(1) near the tip, O(log H) below |
+//!
+//! * **Cheap tail** — [`Archive::tail`] seeks with [`MpView::iter_from`];
 //!   [`Archive::tip`] is the last entry.
 //! * **Canonical linearization** — [`Archive::linearization_digest`] is
 //!   a pure function of which messages a node holds, independent of
@@ -97,18 +105,19 @@ impl Archive {
     }
 
     /// Snapshot of the first `height` decided messages (clamped), sharing
-    /// chunks with the live log — O(chunks), not O(history).
+    /// storage with the live log: O(log history) pointer copies plus less
+    /// than one leaf of messages, whatever the height.
     pub fn snapshot_at(&self, height: usize) -> MpView {
         self.log.prefix(height)
     }
 
-    /// The full decided log as a shared snapshot.
+    /// The full decided log as a shared snapshot. O(1).
     pub fn snapshot(&self) -> MpView {
         self.log.clone()
     }
 
-    /// The last `k` decided messages, oldest first. O(k) via the chunked
-    /// log's O(1) tail jump.
+    /// The last `k` decided messages, oldest first. O(k) after the log's
+    /// seek (O(1) inside its newest leaf, O(log history) below).
     pub fn tail(&self, k: usize) -> Vec<MpMsg> {
         let start = self.height().saturating_sub(k);
         self.log.iter_from(start).copied().collect()

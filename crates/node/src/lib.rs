@@ -11,8 +11,8 @@
 //!   entries execute through the ABD protocol over a `SimNet` (so fault
 //!   schedules — drops, partitions — apply to a *running* cluster), and
 //!   each node's decided history lands in its archive.
-//! * [`archive`] — decided history on the chunked persistent `MpView`
-//!   log: snapshot-at-height in O(chunks), O(1) tail and tip, rolling
+//! * [`archive`] — decided history on the persistent `MpView` log:
+//!   snapshot-at-height in O(log history), cheap tail and tip, rolling
 //!   per-height digests, and an O(1) order-independent linearization
 //!   digest that converged nodes agree on.
 //! * [`runtime`] + [`api`] — the cluster behind a thread, serving the
