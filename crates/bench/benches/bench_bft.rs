@@ -10,7 +10,6 @@ use am_bench::recorder::Recorder;
 use am_bft::FinalityOracle;
 use am_core::{MsgId, GENESIS};
 use am_protocols::{run_bft, BftAdversary, Params};
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -46,16 +45,6 @@ fn trajectory_incremental(n: usize, blocks: &[(MsgId, usize, Vec<MsgId>)]) -> u6
     acc
 }
 
-fn bench_oracle(c: &mut Criterion) {
-    let mut g = c.benchmark_group("bft_oracle");
-    g.sample_size(20);
-    let blocks = make_blocks(8, 400);
-    g.bench_function("incremental_400", |b| {
-        b.iter(|| black_box(trajectory_incremental(8, &blocks)))
-    });
-    g.finish();
-}
-
 /// The `bft/*` ledger lanes. ns per [`FinalityOracle::observe`] on the
 /// honest-append shape: the 400-block watermark trajectory at n = 8, and
 /// 20 rounds of blocks at n = 12 and n = 48. This shape finalizes a
@@ -63,8 +52,8 @@ fn bench_oracle(c: &mut Criterion) {
 /// must still cost far less than the 16× of a rule that walks the quorum
 /// and the clique per block. Then one end-to-end finality trial at E15's
 /// own grid point (n = 12, k = 9), fault-free and at the tolerance edge.
-fn bench_bft_absolute(_c: &mut Criterion) {
-    let mut rec = Recorder::new();
+fn main() {
+    let mut rec = Recorder::layer("bft");
     let budget = Duration::from_millis(700);
     for (op, n, total) in [
         ("bft/watermark_trajectory_n8", 8usize, 400usize),
@@ -85,8 +74,5 @@ fn bench_bft_absolute(_c: &mut Criterion) {
             black_box(run_bft(&p, adv).finalized_height)
         });
     }
-    rec.write();
+    rec.write().unwrap_or_else(|e| panic!("{e}"));
 }
-
-criterion_group!(benches, bench_oracle, bench_bft_absolute);
-criterion_main!(benches);

@@ -1,82 +1,40 @@
-//! Core data-structure benches + ablation A2 (ordering-rule cost on
-//! adversarial DAGs), and the `core/*` lanes of the perf ledger.
+//! The `core/*` lanes of the perf ledger: ablation A1 (what a snapshot
+//! read costs as the history grows), ablation A2 (ordering-rule cost on a
+//! bushy DAG) and the decision path's kernels.
 
 use am_bench::{chain_history, dag_history, recorder::Recorder};
 use am_core::{
-    ghost, linearize, linearize_with, longest_chain, longest_chain_with, ConeCoverTracker,
-    DagIndex, MsgId,
+    ghost, linearize_with, longest_chain, longest_chain_with, ConeCoverTracker, DagIndex, MsgId,
 };
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-/// Shared-Arc snapshot reads across history lengths.
-fn bench_snapshot(c: &mut Criterion) {
-    let mut g = c.benchmark_group("snapshot");
-    g.sample_size(20);
+fn main() {
+    let mut rec = Recorder::layer("core");
+    let budget = Duration::from_millis(400);
+
+    // A1: a read with no append since the last one hands out the shared
+    // snapshot, so its cost must not grow with the history behind it.
     for len in [100usize, 1000, 5000] {
         let mem = chain_history(8, len);
-        g.bench_with_input(BenchmarkId::new("shared_arc", len), &mem, |b, mem| {
-            b.iter(|| black_box(mem.read().len()))
+        rec.measure_absolute(&format!("core/snapshot_read_h{len}"), 1, budget, || {
+            black_box(mem.read().len())
         });
     }
-    g.finish();
-}
 
-/// DagIndex construction cost on chains and bushy DAGs.
-fn bench_dag_index(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dag_index");
-    g.sample_size(20);
-    for len in [100usize, 1000] {
-        let chain = chain_history(8, len).read();
-        let dag = dag_history(8, len, 42).read();
-        g.bench_with_input(BenchmarkId::new("chain", len), &chain, |b, v| {
-            b.iter(|| black_box(DagIndex::new(v).max_depth()))
-        });
-        g.bench_with_input(BenchmarkId::new("bushy", len), &dag, |b, v| {
-            b.iter(|| black_box(DagIndex::new(v).max_depth()))
-        });
-    }
-    g.finish();
-}
+    // A2: longest chain vs GHOST's exact distinct-descendant weights,
+    // from a view (index build included), ns per message.
+    let view = dag_history(8, 2000, 7).read();
+    let msgs = view.len() as u64;
+    rec.measure_absolute("core/a2_longest_chain_h2000", msgs, budget, || {
+        black_box(longest_chain(&view).len())
+    });
+    rec.measure_absolute("core/a2_ghost_h2000", msgs, budget, || {
+        black_box(ghost::ghost_pivot(&view).len())
+    });
 
-/// A2: GHOST vs longest-chain selection on bushy DAGs.
-fn bench_ordering_rules(c: &mut Criterion) {
-    let mut g = c.benchmark_group("A2_ordering_rule");
-    g.sample_size(20);
-    for len in [100usize, 500, 2000] {
-        let view = dag_history(8, len, 7).read();
-        g.bench_with_input(BenchmarkId::new("longest_chain", len), &view, |b, v| {
-            b.iter(|| black_box(longest_chain(v).len()))
-        });
-        g.bench_with_input(BenchmarkId::new("ghost", len), &view, |b, v| {
-            b.iter(|| black_box(ghost::ghost_pivot(v).len()))
-        });
-    }
-    g.finish();
-}
-
-/// Linearization cost along the longest chain.
-fn bench_linearize(c: &mut Criterion) {
-    let mut g = c.benchmark_group("linearize");
-    g.sample_size(20);
-    for len in [100usize, 1000] {
-        let view = dag_history(8, len, 3).read();
-        let chain = longest_chain(&view);
-        g.bench_with_input(
-            BenchmarkId::new("bushy", len),
-            &(view, chain),
-            |b, (v, ch)| b.iter(|| black_box(linearize(v, ch).order.len())),
-        );
-    }
-    g.finish();
-}
-
-/// The `core/*` ledger lanes: the decision path's kernels on a bushy
-/// 1500-message DAG, ns per message.
-fn bench_core_absolute(_c: &mut Criterion) {
-    let mut rec = Recorder::new();
-    let budget = Duration::from_millis(400);
+    // The decision path's kernels on a bushy 1500-message DAG, ns per
+    // message.
     let view = dag_history(8, 1500, 11).read();
     let msgs = view.len() as u64;
     // Per-message parent table + running deepest tip, as the gate sees it.
@@ -114,15 +72,5 @@ fn bench_core_absolute(_c: &mut Criterion) {
     rec.measure_absolute("core/ghost_pivot_pooled_scratch", msgs, budget, || {
         black_box(ghost::ghost_pivot_in(&dag, &mut gs).len())
     });
-    rec.write();
+    rec.write().unwrap_or_else(|e| panic!("{e}"));
 }
-
-criterion_group!(
-    benches,
-    bench_snapshot,
-    bench_dag_index,
-    bench_ordering_rules,
-    bench_linearize,
-    bench_core_absolute
-);
-criterion_main!(benches);

@@ -1,17 +1,21 @@
-//! am-net kernels: the discrete-event simulator's broadcast+drain cost
-//! across sizes and latency models, against the reliable in-process
-//! network as the zero-overhead baseline — the price of simulated time —
-//! and the `mp/*` lanes of the perf ledger.
+//! The `net/*` lanes of the perf ledger, ns per delivered message: the
+//! discrete-event simulator's broadcast + drain across sizes and latency
+//! models beside the reliable in-process network (the price of simulated
+//! time), the fault-injector chain, and a relay-gossip flood at n = 1000.
+//!
+//! The topology engine keeps all per-link state sparse — latency
+//! overrides, bandwidth busy horizons and `NetStats` counters are
+//! hash-keyed by the links actually used, so a 1000-node relay overlay
+//! touches ~8n entries instead of materializing n² of them.
 
 use am_bench::recorder::Recorder;
-use am_mp::{MpMsg, MpSystem, MpView, Network, Payload, Signature};
-use am_net::{Fault, LatencyModel, NetConfig, SimNet, Transport};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+use am_core::{MsgId, Time};
+use am_mp::{Network, Payload};
+use am_net::{Fault, LatencyModel, NetConfig, SimNet, Topology, Transport};
+use am_protocols::Propagation;
+use std::time::Duration;
 
-/// A fault-free seed-1 mesh recording the delivery trace (what these
-/// lanes have always measured).
+/// A fault-free seed-1 mesh recording the delivery trace.
 fn traced(latency: LatencyModel, n: usize) -> SimNet<Payload> {
     NetConfig::builder()
         .latency(latency)
@@ -21,10 +25,33 @@ fn traced(latency: LatencyModel, n: usize) -> SimNet<Payload> {
         .build_net(n, 1)
 }
 
-/// Broadcasts `rounds` waves from every node and drains all arrivals.
-fn pump<T: Transport<Payload>>(net: &mut T, rounds: u64) -> u64 {
+/// The same mesh at n = 16 behind the whole injector chain: drops,
+/// duplicates and reorders on.
+fn faulty() -> SimNet<Payload> {
+    let mut net = traced(
+        LatencyModel::Uniform {
+            lo: 100,
+            hi: 10_000,
+        },
+        16,
+    );
+    net.add_fault(Fault::Drop { prob: 0.1 });
+    net.add_fault(Fault::Duplicate {
+        prob: 0.05,
+        extra: LatencyModel::Constant(500),
+    });
+    net.add_fault(Fault::Reorder {
+        prob: 0.2,
+        extra: LatencyModel::Constant(2_000),
+    });
+    net
+}
+
+/// Broadcasts eight waves from every node and drains all arrivals;
+/// returns the messages delivered.
+fn pump<T: Transport<Payload>>(mut net: T) -> u64 {
     let n = net.n();
-    for round in 0..rounds {
+    for round in 0..8 {
         for from in 0..n {
             net.broadcast(
                 from,
@@ -48,180 +75,73 @@ fn pump<T: Transport<Payload>>(net: &mut T, rounds: u64) -> u64 {
     net.delivered_count()
 }
 
-fn bench_broadcast_drain(c: &mut Criterion) {
-    let mut g = c.benchmark_group("net_broadcast_drain");
-    g.sample_size(20);
+/// One lane: `build` a network, [`pump`] it, ns per message delivered
+/// (the count is seed-deterministic, so one untimed run fixes it).
+fn drain_lane<T: Transport<Payload>>(rec: &mut Recorder, op: &str, build: impl Fn() -> T) {
+    let delivered = pump(build());
+    rec.measure_absolute(op, delivered, Duration::from_millis(400), || pump(build()));
+}
+
+/// The overlay under test: a degree-8 relay graph, the E18 shape
+/// without the geo latency classes (kernel cost, not physics).
+fn overlay() -> NetConfig {
+    NetConfig::builder()
+        .topology(Topology::Relay { k: 8 })
+        .latency(LatencyModel::Uniform {
+            lo: 2_000_000,
+            hi: 20_000_000,
+        })
+        .fanout(6)
+        .build()
+        .expect("static bench config is valid")
+}
+
+/// Floods `blocks` DAG blocks (round-robin authors, visible-tips
+/// parents) over the overlay and drains the network; returns total
+/// messages delivered.
+fn flood(n: usize, blocks: usize, cfg: &NetConfig, seed: u64) -> u64 {
+    let mut prop = Propagation::new(n, cfg, seed);
+    let mut parents: Vec<MsgId> = Vec::new();
+    for i in 1..=blocks {
+        let at = Time::new(i as f64 * 0.125);
+        let author = (i * 17) % n;
+        prop.advance_to(at);
+        parents.clear();
+        parents.extend_from_slice(prop.visible_tips(author));
+        prop.on_append(author, MsgId(i as u64), &parents, at);
+    }
+    prop.settle();
+    prop.stats().totals().delivered
+}
+
+fn main() {
+    let mut rec = Recorder::layer("net");
     for n in [8usize, 32] {
-        g.bench_with_input(BenchmarkId::new("reliable", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut net = Network::new(n);
-                black_box(pump(&mut net, 8))
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("sim_constant", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut net: SimNet<Payload> = traced(LatencyModel::Constant(1_000), n);
-                black_box(pump(&mut net, 8))
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("sim_exponential", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut net: SimNet<Payload> = traced(LatencyModel::Exponential { mean: 1_000 }, n);
-                black_box(pump(&mut net, 8))
-            })
-        });
+        drain_lane(
+            &mut rec,
+            &format!("net/broadcast_drain_reliable_n{n}"),
+            || Network::new(n),
+        );
+        drain_lane(
+            &mut rec,
+            &format!("net/broadcast_drain_sim_constant_n{n}"),
+            || traced(LatencyModel::Constant(1_000), n),
+        );
+        drain_lane(
+            &mut rec,
+            &format!("net/broadcast_drain_sim_exponential_n{n}"),
+            || traced(LatencyModel::Exponential { mean: 1_000 }, n),
+        );
     }
-    g.finish();
-}
+    drain_lane(&mut rec, "net/broadcast_drain_sim_faulty_n16", faulty);
 
-fn bench_fault_pipeline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("net_fault_pipeline");
-    g.sample_size(20);
-    // Cost of the injector chain itself: same load, drops+dup+reorder on.
-    g.bench_function("faulty_n16", |b| {
-        b.iter(|| {
-            let mut net: SimNet<Payload> = traced(
-                LatencyModel::Uniform {
-                    lo: 100,
-                    hi: 10_000,
-                },
-                16,
-            );
-            net.add_fault(Fault::Drop { prob: 0.1 });
-            net.add_fault(Fault::Duplicate {
-                prob: 0.05,
-                extra: LatencyModel::Constant(500),
-            });
-            net.add_fault(Fault::Reorder {
-                prob: 0.2,
-                extra: LatencyModel::Constant(2_000),
-            });
-            black_box(pump(&mut net, 8))
-        })
-    });
-    g.finish();
-}
-
-/// A view of `h` distinct messages, built outside any `MpSystem`.
-fn view_of(h: u64) -> MpView {
-    let msgs: Vec<MpMsg> = (0..h)
-        .map(|i| MpMsg {
-            author: (i % 7) as usize,
-            seq: i,
-            value: 1,
-            content: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            sig: Signature(i),
-        })
-        .collect();
-    MpView::from_slice(&msgs)
-}
-
-/// The `mp/*` ledger lanes: ABD over a faulty `SimNet`, and the view
-/// operations whose cost must not depend on the history behind them.
-fn bench_mp_absolute(_c: &mut Criterion) {
-    let mut rec = Recorder::new();
-    let budget = Duration::from_millis(700);
-
-    // An E14-shaped sweep cell: 800 append + read + read rounds at n = 8
-    // over a lossy, then partitioned, network — ns per ABD operation.
-    let sweep = || {
-        let mut acc = 0u64;
-        for (drop, partition) in [(0.05, None), (0.15, Some((50_000_000u64, 250_000_000u64)))] {
-            let n = 8usize;
-            let mut cfg = NetConfig::builder()
-                .latency(LatencyModel::Exponential { mean: 1_000_000 })
-                .drop(drop)
-                .trace(true);
-            if let Some((from_ns, until_ns)) = partition {
-                cfg = cfg.partition(from_ns, until_ns);
-            }
-            let net: SimNet<Payload> = cfg.build().expect("valid config").build_net(n, 0xe14);
-            let mut sys = MpSystem::with_transport(net, &[], 0xe14);
-            for i in 0..800 {
-                let _ = sys.append(i % n, 1);
-                let _ = sys.read((i + 1) % n);
-                let _ = sys.read((i + 3) % n);
-            }
-            acc += sys.total_sent();
-        }
-        black_box(acc)
-    };
-    rec.measure_absolute("mp/abd_e14_drop_partition", 2 * 800 * 3, budget, sweep);
-
-    // Snapshotting one node's view of a settled 1000-append history.
-    let mut sys = MpSystem::new(5, &[], 7);
-    for i in 0..1000usize {
-        sys.append(i % 5, 1).expect("reliable network cannot stall");
-    }
-    rec.measure_absolute("mp/local_view_h1000", 1, budget, || {
-        black_box(sys.local_view(0).len())
-    });
-
-    // The shape of the persistent view: a snapshot (taken and dropped) at
-    // a thousand and at a million messages, a cut in the middle of the
-    // million, and the first push after a snapshot of it (at a million
-    // the tail is full, so it moves into the trie and the right edge the
-    // snapshot shares is copied — the dearer of the two cases; the
-    // pushed-to copy is dropped, so the view stays at a million).
-    // Batched, so the recorder's clock read per call (≈ 60 ns here) does
-    // not floor them.
-    let small = view_of(1_000);
-    let large = view_of(1_000_000);
-    for (op, view) in [
-        ("mp/view_clone_h1000", &small),
-        ("mp/view_clone_h1000000", &large),
-    ] {
-        rec.measure_absolute(op, 1_000, budget, || {
-            for _ in 0..1_000 {
-                black_box(black_box(view).clone());
-            }
-        });
-    }
-    rec.measure_absolute("mp/prefix_mid_h1000000", 100, budget, || {
-        for k in 0..100 {
-            black_box(large.prefix(black_box(500_000 + k)));
-        }
-    });
-    let next = *small.last().expect("non-empty");
-    rec.measure_absolute("mp/push_after_snapshot_h1000000", 100, budget, || {
-        for _ in 0..100 {
-            let mut live = large.clone();
-            live.push(black_box(next));
-            black_box(live);
-        }
-    });
-    drop((small, large));
-
-    // One quorum read at n = 4 whose reader is five appends behind, on a
-    // history of 20 000 (growing by the five untimed appends per sample,
-    // to under 30 000 within the budget).
-    let mut sys = MpSystem::new(4, &[], 11);
-    for i in 0..20_000usize {
-        sys.append(i % 4, 1).expect("reliable network cannot stall");
-    }
-    sys.read(0).expect("reliable network cannot stall");
-    let mut i = 0usize;
-    rec.measure_absolute_part(
-        "mp/read_n4_gap5_h20000",
-        1,
-        Duration::from_millis(60),
-        || {
-            for _ in 0..5 {
-                i += 1;
-                sys.append(i % 4, 1).expect("reliable network cannot stall");
-            }
-            let start = Instant::now();
-            black_box(sys.read(0).expect("reliable network cannot stall").len());
-            start.elapsed()
-        },
+    let cfg = overlay();
+    let delivered = flood(1000, 40, &cfg, 1);
+    rec.measure_absolute(
+        "net/relay_flood_n1000_b40",
+        delivered,
+        Duration::from_millis(1100),
+        || flood(1000, 40, &cfg, 1),
     );
-    rec.write();
+    rec.write().unwrap_or_else(|e| panic!("{e}"));
 }
-
-criterion_group!(
-    benches,
-    bench_broadcast_drain,
-    bench_fault_pipeline,
-    bench_mp_absolute
-);
-criterion_main!(benches);

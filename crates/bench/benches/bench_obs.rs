@@ -1,19 +1,14 @@
-//! Observability overhead on the E4 hot loop: the same append+read
-//! workload with the obs registry disabled (the default — every probe is
-//! one relaxed atomic load) and enabled (spans, counters, ring events).
-//!
-//! The acceptance bar is that disabled-obs overhead stays under 5% of the
-//! hot loop; the ratio line printed at the end makes the comparison
-//! explicit without cross-reading ns/iter rows.
+//! The `obs/*` lanes of the perf ledger: what observability costs when
+//! it is off (the default — every probe is one relaxed atomic load) and
+//! what turning it on costs the E4 hot loop.
 
+use am_bench::recorder::Recorder;
 use am_mp::MpSystem;
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use std::time::Instant;
+use std::time::Duration;
 
-/// The E4 kernel: one ABD append plus one read on an n-node system.
-fn e4_hot_loop(n: usize) -> usize {
-    let mut sys = MpSystem::new(n, &[], 1);
+/// The E4 kernel: one ABD append plus one read on a 16-node system.
+fn e4_hot_loop() -> usize {
+    let mut sys = MpSystem::new(16, &[], 1);
     sys.append(0, 1).unwrap();
     sys.settle();
     let v = sys.read(1).unwrap();
@@ -21,68 +16,27 @@ fn e4_hot_loop(n: usize) -> usize {
     v.len()
 }
 
-fn bench_obs_modes(c: &mut Criterion) {
-    let mut g = c.benchmark_group("E4_obs_overhead");
-    g.sample_size(50);
-    let n = 16usize;
+fn main() {
+    let mut rec = Recorder::layer("obs");
+    let budget = Duration::from_millis(400);
 
+    // The disabled probes themselves — the entire cost obs adds to an
+    // instrumented hot path when observability is off.
     am_obs::set_enabled(false);
     am_obs::reset();
-    g.bench_function("obs_disabled", |b| b.iter(|| black_box(e4_hot_loop(n))));
-
-    am_obs::set_enabled(true);
-    am_obs::reset();
-    g.bench_function("obs_enabled", |b| b.iter(|| black_box(e4_hot_loop(n))));
-    am_obs::set_enabled(false);
-    g.finish();
-}
-
-/// Benchmarks the disabled probes themselves — the entire cost obs adds
-/// to an instrumented hot path when observability is off.
-fn bench_disabled_probes(c: &mut Criterion) {
-    am_obs::set_enabled(false);
-    am_obs::reset();
-    let mut g = c.benchmark_group("obs_disabled_probes");
     let counter = am_obs::counter("bench.disabled");
-    g.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
-    g.bench_function("span_open_drop", |b| {
-        b.iter(|| drop(black_box(am_obs::span("bench/disabled"))))
+    rec.measure_absolute("obs/disabled_counter_ns", 1, budget, || counter.inc());
+    rec.measure_absolute("obs/disabled_span_ns", 1, budget, || {
+        am_obs::span("bench/disabled")
     });
-    g.finish();
-}
 
-/// Times the two modes back to back and prints the overhead ratio, so the
-/// <5% disabled-obs claim is a single line of bench output.
-fn overhead_ratio(_c: &mut Criterion) {
-    let n = 16usize;
-    let iters = 300u32;
-    let time = |on: bool| {
+    // The hot loop with the registry off, then on (spans, counters, ring
+    // events).
+    for (op, on) in [("obs/e4_loop_ns_off", false), ("obs/e4_loop_ns_on", true)] {
         am_obs::set_enabled(on);
         am_obs::reset();
-        for _ in 0..10 {
-            black_box(e4_hot_loop(n)); // warm-up
-        }
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(e4_hot_loop(n));
-        }
-        start.elapsed().as_secs_f64() / iters as f64
-    };
-    let disabled = time(false);
-    let enabled = time(true);
+        rec.measure_absolute(op, 1, budget, e4_hot_loop);
+    }
     am_obs::set_enabled(false);
-    println!(
-        "E4 hot loop (n={n}): obs disabled {:.1} us/iter, enabled {:.1} us/iter, enabled/disabled = {:.3}",
-        disabled * 1e6,
-        enabled * 1e6,
-        enabled / disabled
-    );
+    rec.write().unwrap_or_else(|e| panic!("{e}"));
 }
-
-criterion_group!(
-    benches,
-    bench_obs_modes,
-    bench_disabled_probes,
-    overhead_ratio
-);
-criterion_main!(benches);

@@ -1,111 +1,14 @@
-//! E6–E9 kernels: single-trial cost of Algorithms 4, 5, and 6 across
-//! rates, sizes, and adversaries, and the `protocols/*` lanes of the perf
-//! ledger.
+//! The `protocols/*` lanes of the perf ledger: what one trial of
+//! Algorithms 4, 5 and 6 costs across rates, sizes and adversaries, and
+//! ablation A5 (the two view policies).
 
 use am_bench::recorder::Recorder;
 use am_protocols::{
     run_chain, run_dag, run_timestamp, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
     ViewPolicy,
 };
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-
-fn bench_timestamp(c: &mut Criterion) {
-    let mut g = c.benchmark_group("E6_timestamp_trial");
-    g.sample_size(20);
-    for k in [41usize, 201, 1001] {
-        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let p = Params::new(32, 10, 1.0, k, 5);
-            b.iter(|| black_box(run_timestamp(&p).byz_in_prefix))
-        });
-    }
-    g.finish();
-}
-
-fn bench_chain_trial(c: &mut Criterion) {
-    let mut g = c.benchmark_group("E7_E8_chain_trial");
-    g.sample_size(20);
-    for lambda in [0.1f64, 0.4, 0.8] {
-        let p = Params::new(12, 4, lambda, 41, 5);
-        g.bench_with_input(
-            BenchmarkId::new("tiebreaker", format!("lam{lambda}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    black_box(
-                        run_chain(p, TieBreak::Randomized, ChainAdversary::TieBreaker).chain_len,
-                    )
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("forkmaker_det", format!("lam{lambda}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    black_box(
-                        run_chain(p, TieBreak::Deterministic, ChainAdversary::ForkMaker).chain_len,
-                    )
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_dag_trial(c: &mut Criterion) {
-    let mut g = c.benchmark_group("E9_dag_trial");
-    g.sample_size(20);
-    for lambda in [0.1f64, 0.4, 0.8] {
-        let p = Params::new(12, 4, lambda, 41, 5);
-        g.bench_with_input(
-            BenchmarkId::new("withhold_longest", format!("lam{lambda}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    black_box(
-                        run_dag(p, DagRule::LongestChain, DagAdversary::WithholdBurst)
-                            .covered_values,
-                    )
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("withhold_ghost", format!("lam{lambda}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    black_box(
-                        run_dag(p, DagRule::Ghost, DagAdversary::WithholdBurst).covered_values,
-                    )
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-/// A5: interval-snapshot vs lagged-Δ view computation cost.
-fn bench_view_policy(c: &mut Criterion) {
-    let mut g = c.benchmark_group("A5_view_policy");
-    g.sample_size(20);
-    for vp in [ViewPolicy::IntervalSnapshot, ViewPolicy::LaggedDelta] {
-        let p = Params::new(12, 4, 0.4, 41, 5).with_view_policy(vp);
-        g.bench_with_input(
-            BenchmarkId::new("chain_tiebreaker", format!("{vp:?}")),
-            &p,
-            |b, p| {
-                b.iter(|| {
-                    black_box(
-                        run_chain(p, TieBreak::Randomized, ChainAdversary::TieBreaker).chain_len,
-                    )
-                })
-            },
-        );
-    }
-    g.finish();
-}
 
 /// One E8-shaped sweep grid (λ × t, 35 DAG trials) end-to-end: the rate
 /// and threat axes of experiment E8 driven through the Algorithm-6 hot
@@ -128,9 +31,19 @@ fn trial_set(n: usize, t: usize, rule: DagRule, adv: DagAdversary) -> usize {
         .sum()
 }
 
-/// The `protocols/*` ledger lanes, ns per Algorithm-6 trial.
-fn bench_protocols_absolute(_c: &mut Criterion) {
-    let mut rec = Recorder::new();
+/// Four seeds of one randomized-tie-break `run_chain` configuration
+/// against the tie-breaker adversary (E8's pairing).
+fn chain_set(base: &Params) -> usize {
+    (0..4u64)
+        .map(|seed| {
+            let p = base.with_seed(seed);
+            run_chain(&p, TieBreak::Randomized, ChainAdversary::TieBreaker).chain_len
+        })
+        .sum()
+}
+
+fn main() {
+    let mut rec = Recorder::layer("protocols");
     let budget = Duration::from_millis(800);
     // The quadratic regime: at λ = 1.6 per node every Δ-interval carries
     // ~λ·n grants and the interval-snapshot lag keeps the gate short of k
@@ -164,18 +77,33 @@ fn bench_protocols_absolute(_c: &mut Criterion) {
     rec.measure_absolute(
         "protocols/e8_grid_dag_longest_dissenter",
         35,
-        Duration::from_secs(2),
+        budget,
         || black_box(dag_grid()),
     );
-    rec.write();
+    // Algorithm 5 at the withhold lane's size and rate, and Algorithm 4
+    // at E6's mid k.
+    let chain = Params::new(48, 15, 1.6, 15, 0);
+    rec.measure_absolute(
+        "protocols/run_chain_tiebreaker_n48_lam1.6_k15",
+        4,
+        budget,
+        || black_box(chain_set(&chain)),
+    );
+    let stamp = Params::new(32, 10, 1.0, 201, 5);
+    rec.measure_absolute("protocols/run_timestamp_n32_k201", 1, budget, || {
+        black_box(run_timestamp(&stamp).byz_in_prefix)
+    });
+    // A5: the same chain trial under interval-snapshot and lagged-Δ
+    // views (that both reach the same verdicts is
+    // `view_policies_agree_on_the_threshold_shape`).
+    for (name, vp) in [
+        ("interval", ViewPolicy::IntervalSnapshot),
+        ("lagged", ViewPolicy::LaggedDelta),
+    ] {
+        let p = Params::new(12, 4, 0.4, 41, 0).with_view_policy(vp);
+        rec.measure_absolute(&format!("protocols/a5_chain_{name}"), 4, budget, || {
+            black_box(chain_set(&p))
+        });
+    }
+    rec.write().unwrap_or_else(|e| panic!("{e}"));
 }
-
-criterion_group!(
-    benches,
-    bench_timestamp,
-    bench_chain_trial,
-    bench_dag_trial,
-    bench_view_policy,
-    bench_protocols_absolute
-);
-criterion_main!(benches);

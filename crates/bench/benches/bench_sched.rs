@@ -3,7 +3,7 @@
 //! The search core explores interned compact states under 128-bit
 //! fingerprints, sleep-set partial-order reduction, an ample rule for
 //! stable decisions, and symmetry folding under the input vector's
-//! stabilizer (DESIGN.md §14), verdict-pinned to the naive [`Explorer`]
+//! stabilizer (DESIGN.md §14), verdict-pinned to the naive `Explorer`
 //! by `crates/sched/tests/reduced_equivalence.rs`. What the reductions
 //! buy in *state counts* is E19's table; this binary records what a
 //! state, an execution and a canonicalization cost.
@@ -11,10 +11,8 @@
 use am_bench::recorder::Recorder;
 use am_sched::search::{state_fingerprint, successors_compact, CState, LogArena, Stabilizer};
 use am_sched::{
-    check_nonforking, search, simulate_execution, Config, Explorer, QuorumVoteProtocol,
-    SearchOptions, Valency,
+    check_nonforking, search, simulate_execution, Config, QuorumVoteProtocol, SearchOptions,
 };
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Duration;
@@ -28,14 +26,10 @@ fn headline() -> (QuorumVoteProtocol, Config) {
     )
 }
 
-fn naive_states(proto: &QuorumVoteProtocol, init: &Config, cap: usize) -> (usize, bool, Valency) {
-    let a = Explorer::new(proto, cap).analyze(init);
-    (a.configs, a.truncated, a.valency)
-}
-
-fn reduced_states(proto: &QuorumVoteProtocol, init: &Config, cap: usize) -> (usize, bool, Valency) {
+/// States visited by the reduced search, and whether it hit `cap`.
+fn reduced_states(proto: &QuorumVoteProtocol, init: &Config, cap: usize) -> (usize, bool) {
     let r = search(proto, init, &SearchOptions::reduced(cap));
-    (r.states, r.truncated, r.valency)
+    (r.states, r.truncated)
 }
 
 /// Scans 128 (input mask × strategy) executions of the Lemma 3.1 search
@@ -62,22 +56,6 @@ fn round_lb_scan() -> u64 {
         }
     }
     checksum
-}
-
-fn bench_search_kernels(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sched_search");
-    g.sample_size(10);
-    let (proto, init) = headline();
-    g.bench_function("analyze_explorer_n4", |b| {
-        b.iter(|| black_box(naive_states(&proto, &init, 2_000_000).0))
-    });
-    g.bench_function("search_reduced_n4", |b| {
-        b.iter(|| black_box(reduced_states(&proto, &init, 2_000_000).0))
-    });
-    g.bench_function("round_lb_scan_dense", |b| {
-        b.iter(|| black_box(round_lb_scan()))
-    });
-    g.finish();
 }
 
 /// The first `cap` distinct states of the unreduced state graph from
@@ -107,9 +85,9 @@ fn sample_states(proto: &QuorumVoteProtocol, inputs: &[u8], cap: usize) -> Vec<C
 /// search. At small n: ns per visited state of the reduced n = 4
 /// headline search and of the nonforking search, ns per round-lb
 /// execution.
-fn bench_sched_absolute(_c: &mut Criterion) {
-    let mut rec = Recorder::new();
-    let budget = Duration::from_millis(700);
+fn main() {
+    let mut rec = Recorder::layer("sched");
+    let budget = Duration::from_millis(800);
     let proto = QuorumVoteProtocol::new(6, 4, 0);
     for inputs in [[0u8, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 1]] {
         let stab = Stabilizer::new(&inputs);
@@ -126,7 +104,7 @@ fn bench_sched_absolute(_c: &mut Criterion) {
         );
     }
     let init = Config::initial(&[0, 0, 0, 1, 1, 1]);
-    let (states, truncated, _) = reduced_states(&proto, &init, 2_000_000);
+    let (states, truncated) = reduced_states(&proto, &init, 2_000_000);
     assert!(!truncated, "the n = 6 search must fit the cap");
     rec.measure_absolute(
         "sched/search_ns_per_state_n6",
@@ -136,7 +114,7 @@ fn bench_sched_absolute(_c: &mut Criterion) {
     );
 
     let (proto, init) = headline();
-    let (states, truncated, _) = reduced_states(&proto, &init, 2_000_000);
+    let (states, truncated) = reduced_states(&proto, &init, 2_000_000);
     assert!(!truncated, "headline config must fit the cap");
     rec.measure_absolute(
         "sched/search_ns_per_state_n4",
@@ -154,8 +132,5 @@ fn bench_sched_absolute(_c: &mut Criterion) {
         budget,
         || black_box(check_nonforking(3, &[1], 5, 400_000).states),
     );
-    rec.write();
+    rec.write().unwrap_or_else(|e| panic!("{e}"));
 }
-
-criterion_group!(benches, bench_search_kernels, bench_sched_absolute);
-criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! [`record_sweep`] publishes per-experiment sweep throughput (trials/sec
 //! at a given shard count), recorded by the experiments harness at merge
 //! time. The host's core count is stored alongside, because
-//! multi-process sharding is the only real parallelism in this workspace
-//! (the vendored rayon shim is sequential) and a 1-core container cannot
+//! multi-process sharding is the only parallelism a sweep has (a
+//! process runs its trials on one thread) and a 1-core container cannot
 //! exhibit the four-shard speedup a 4-core CI runner can.
 //!
 //! The ledger's `budgets` section — per-experiment wall-clock ceilings
@@ -13,8 +13,7 @@
 //! preserves it verbatim on every merge, and CI multiplies each ceiling
 //! by the `PERF_BUDGET_SCALE` env knob to absorb noisy runners.
 
-use crate::recorder::Recorder;
-use serde::{Number, Value};
+use crate::recorder::{num, uint, LedgerError, Recorder};
 
 /// One sweep throughput observation, recorded at merge time.
 #[derive(Debug, Clone)]
@@ -29,36 +28,30 @@ pub struct SweepThroughput {
     pub wall_s: f64,
 }
 
-fn num(x: f64) -> Value {
-    Value::Number(Number::Float((x * 100.0).round() / 100.0))
-}
-
 /// Records one experiment's sweep throughput under
 /// `sweep/<experiment>/shards<m>`: trials, wall seconds, trials/sec, and
 /// the host's core count (shard speedups are only meaningful relative to
 /// the cores that backed them).
-pub fn record_sweep(t: &SweepThroughput) {
+pub fn record_sweep(t: &SweepThroughput) -> Result<(), LedgerError> {
     let trials_per_sec = t.trials as f64 / t.wall_s.max(1e-9);
     let mut rec = Recorder::new();
     rec.record_value(
         &format!("sweep/{}/shards{}", t.experiment, t.shards),
         vec![
-            ("trials".to_string(), Value::Number(Number::UInt(t.trials))),
+            ("trials".to_string(), uint(t.trials)),
             ("wall_s".to_string(), num(t.wall_s)),
             ("trials_per_sec".to_string(), num(trials_per_sec)),
-            (
-                "shards".to_string(),
-                Value::Number(Number::UInt(u64::from(t.shards))),
-            ),
+            ("shards".to_string(), uint(u64::from(t.shards))),
         ],
     );
-    rec.write();
+    rec.write()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{FORMAT, SCHEMA};
+    use crate::recorder::{FORMAT, SAMPLES, SCHEMA};
+    use serde::Value;
 
     fn committed_ledger() -> Value {
         let body = std::fs::read_to_string(Recorder::output_path()).expect("ledger is committed");
@@ -74,7 +67,9 @@ mod tests {
 
     #[test]
     fn ledger_holds_layer_keyed_absolutes_only() {
-        const LAYERS: [&str; 9] = [
+        // The layers a `cargo bench -p am-bench` target owns, and the two
+        // whole-run layers written by `--record`.
+        const KERNEL: [&str; 8] = [
             "core/",
             "protocols/",
             "mp/",
@@ -82,31 +77,51 @@ mod tests {
             "sync/",
             "bft/",
             "sched/",
-            "node/",
-            "sweep/",
+            "obs/",
         ];
+        const WHOLE_RUN: [&str; 2] = ["node/", "sweep/"];
         let doc = committed_ledger();
         assert_eq!(doc.get("schema"), Some(&Value::String(SCHEMA.into())));
         assert_eq!(doc.get("format"), Some(&Value::String(FORMAT.into())));
         assert!(doc.get("speedups").is_none(), "ratios are not recorded");
         let ops = section(&doc, "ops");
-        assert!(!ops.is_empty());
-        for (op, record) in &ops {
+        for layer in KERNEL.iter().chain(&WHOLE_RUN) {
             assert!(
-                LAYERS.iter().any(|l| op.starts_with(l)),
+                ops.iter().any(|(op, _)| op.starts_with(layer)),
+                "no `{layer}` lane"
+            );
+        }
+        for (op, record) in &ops {
+            let kernel = KERNEL.iter().any(|l| op.starts_with(l));
+            assert!(
+                kernel || WHOLE_RUN.iter().any(|l| op.starts_with(l)),
                 "{op}: not under a layer key"
             );
-            assert!(
-                record.get("cores").and_then(Value::as_u64).is_some(),
-                "{op}: no machine context"
-            );
-            // Records written since the recorder began stamping carry the
-            // commit they were measured at; the `mp/` lanes were all
-            // re-recorded with it.
+            // Machine context, on every record.
+            let cores = record.get("cores").and_then(Value::as_u64);
+            assert!(cores.is_some_and(|c| c > 0), "{op}: cores {cores:?}");
             match record.get("commit") {
                 Some(Value::String(stamp)) => assert!(!stamp.is_empty(), "{op}: empty commit"),
-                Some(other) => panic!("{op}: commit is {other:?}"),
-                None => assert!(!op.starts_with("mp/"), "{op}: no commit stamp"),
+                other => panic!("{op}: commit is {other:?}"),
+            }
+            // The noise band, on every kernel timing.
+            if kernel {
+                let field = |k: &str| {
+                    let v = record.get(k).and_then(Value::as_f64);
+                    v.unwrap_or_else(|| panic!("{op}: no `{k}`"))
+                };
+                let (median, min) = (field("ns_per_op"), field("min_ns_per_op"));
+                assert!(
+                    0.0 < min && min <= median,
+                    "{op}: min {min}, median {median}"
+                );
+                assert!(field("mad_ns_per_op") >= 0.0, "{op}");
+                assert_eq!(
+                    record.get("samples").and_then(Value::as_u64),
+                    Some(SAMPLES as u64),
+                    "{op}"
+                );
+                assert!(field("ops_per_call") >= 1.0, "{op}");
             }
             for ratio_field in ["speedup", "source", "baseline"] {
                 assert!(

@@ -82,14 +82,6 @@ impl RunCtx {
         }
     }
 
-    /// A context with an explicit sweep configuration.
-    pub fn with_sweep(seed: u64, sweep: SweepConfig) -> RunCtx {
-        RunCtx {
-            sweep,
-            ..RunCtx::fixed(seed)
-        }
-    }
-
     /// The sweep engine for this run; experiment code funnels every
     /// Monte-Carlo point through it. Under a shard's context the tallies
     /// it returns cover that shard's indices only — progress, not

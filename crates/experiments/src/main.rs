@@ -263,25 +263,29 @@ fn run_coordinator(
         if rec.output.is_none() {
             ok = false;
         } else if cli.record {
-            record_throughput(cli, id, workers.get(), started.elapsed().as_secs_f64());
+            ok &= record_throughput(cli, id, workers.get(), started.elapsed().as_secs_f64());
         }
         manifest.record(rec);
     }
     ok
 }
 
-/// Appends a `sweep/<id>/shards<n>` trials/sec record for the results
-/// just written.
-fn record_throughput(cli: &Cli, id: &str, shards: u32, wall_s: f64) {
+/// Files a `sweep/<id>/shards<n>` trials/sec record for the results
+/// just written; `false` (after saying why) if the ledger refused it.
+fn record_throughput(cli: &Cli, id: &str, shards: u32, wall_s: f64) -> bool {
     let trials = Report::load_from(&cli.out_dir, id)
         .map(|r| r.total_sweep_trials())
         .unwrap_or(0);
-    record_sweep(&SweepThroughput {
+    let filed = record_sweep(&SweepThroughput {
         experiment: id.to_string(),
         shards,
         trials,
         wall_s,
     });
+    if let Err(e) = &filed {
+        eprintln!("[record] {e}");
+    }
+    filed.is_ok()
 }
 
 fn main() {
@@ -338,7 +342,7 @@ fn main() {
                     }
                     if cli.record && !is_shard && rec.output.is_some() {
                         if cli.role == SweepRole::Whole {
-                            record_throughput(&cli, id, 1, rec.duration_ms / 1e3);
+                            failed |= !record_throughput(&cli, id, 1, rec.duration_ms / 1e3);
                         } else {
                             // A standalone merge's wall clock covers only the
                             // merge step, not the shard runs — recording it

@@ -8,7 +8,7 @@
 //!
 //! - pushing an event never allocates once the slab has warmed up (freed
 //!   nodes are recycled in place), and the slab itself can be recycled
-//!   across rayon trials via [`Storage`], mirroring the `TrialScratch`
+//!   across trials via [`Storage`], mirroring the `TrialScratch`
 //!   pattern from `am-protocols`;
 //! - pops are `O(log n)` amortized (two-pass pairing merge) with no
 //!   sift-down over a dense array;
@@ -42,7 +42,7 @@ struct Node<K, E> {
 /// [`EventQueue::into_storage`] returns the warmed-up slab (payloads
 /// dropped, capacity kept); [`EventQueue::from_storage`] rebuilds a fresh
 /// queue on top of it with zero allocations. Trial runners keep one
-/// `Storage` per rayon worker thread.
+/// `Storage` per thread (a `thread_local!`).
 #[derive(Debug)]
 pub struct Storage<K, E> {
     nodes: Vec<Node<K, E>>,

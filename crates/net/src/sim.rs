@@ -246,8 +246,8 @@ impl<M> Inbox<M> {
 }
 
 /// Recycled queue + inbox storage for a [`SimNet`], following the
-/// `TrialScratch` pattern: rayon trial loops keep one `NetScratch` per
-/// worker thread, rebuild each trial's `SimNet` on it via
+/// `TrialScratch` pattern: trial loops keep one `NetScratch` per
+/// thread, rebuild each trial's `SimNet` on it via
 /// [`NetConfig::build_net_with_scratch`], and reclaim it afterwards with
 /// [`SimNet::into_scratch`].
 #[derive(Debug)]

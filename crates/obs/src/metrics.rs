@@ -199,24 +199,6 @@ pub fn histogram(name: &str) -> Histogram {
     }
 }
 
-/// A snapshot of every histogram's aggregates, name-sorted.
-pub fn histogram_values() -> Vec<(String, HistogramStats)> {
-    let names: Vec<String> = registry()
-        .hists
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .keys()
-        .cloned()
-        .collect();
-    names
-        .into_iter()
-        .map(|n| {
-            let s = histogram(&n).stats();
-            (n, s)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,5 @@
-//! A minimal discrete-event queue for the protocol runners.
+//! A minimal discrete-event queue (called only by the `benchmark/`
+//! harness's `poisson.queue_op_ns` probe; see the crate docs).
 //!
 //! A thin wrapper over the shared slab-backed event core
 //! ([`am_net::queue::EventQueue`]) keyed by `(Time, seq)`; `seq` breaks

@@ -15,8 +15,11 @@
 //!   `(time, node)` grants, with adversarial controls (Byzantine nodes may
 //!   *bank* their tokens and spend them later — the withholding power of
 //!   Lemma 5.5; correct nodes must spend immediately);
-//! * [`des`] — a small discrete-event simulator used by the protocol
-//!   runners.
+//! * [`des`] — a small `(Time, seq)`-ordered event queue over
+//!   `am_net::queue`. No runner in this workspace schedules through it
+//!   (they step a [`TokenAuthority`] directly); its one caller is the
+//!   `poisson.queue_op_ns` probe of the `benchmark/` harness, which is
+//!   why it stays.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -27,9 +27,8 @@
 //!   [`Propagation`] (whatever the faulty wire delivered). Every runner
 //!   steps through one `schedule::GrantSchedule` (token draw, grant
 //!   budget, TTL expiry of banked Byzantine tokens). See DESIGN.md §16.
-//! * [`runner`] — Monte-Carlo estimation of validity-failure rates and
-//!   resilience thresholds (per-trial seeding; trials are mapped through
-//!   the `rayon` API, which the vendored shim runs sequentially).
+//! * [`runner`] — Monte-Carlo estimation of validity-failure rates
+//!   (per-trial seeding from the base seed and the trial index).
 //! * [`sweep`] — the adaptive sweep engine: batched trials with Wilson
 //!   early stopping ([`am_stats::StopRule`]), per-point budgets, and one
 //!   batch loop for the unsharded run, a shard and the merge alike.
@@ -72,7 +71,7 @@ pub use chain::{run_chain, run_chain_net, ChainAdversary, ChainTrial, TieBreak};
 pub use dag::{run_dag, run_dag_net, DagAdversary, DagRule, DagTrial};
 pub use params::{ParamError, Params, ParamsBuilder, ViewPolicy};
 pub use propagation::{BlockMsg, Propagation};
-pub use runner::{measure_failure_rate, resilience_threshold, trial_seed, TrialKind};
+pub use runner::{measure_failure_rate, trial_seed, TrialKind};
 pub use shard::{LoadError, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};
 pub use sweep::{PointResult, SweepConfig, SweepMode, SweepRunner};
 pub use timestamp::{run_timestamp, TimestampTrial};

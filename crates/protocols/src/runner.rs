@@ -1,10 +1,8 @@
 //! Monte-Carlo estimation over trials.
 //!
-//! Maps trials over their indices through the `rayon` API (`par_iter`;
-//! the vendored shim runs it sequentially on the calling thread), each
-//! trial deterministically seeded from the base seed and its index, and
-//! reduces into [`Proportion`] tallies — the pattern the experiment
-//! harness and the resilience-threshold searches are built on.
+//! Maps trials over their indices, each trial deterministically seeded
+//! from the base seed and its index, and reduces into [`Proportion`]
+//! tallies — the pattern the experiment harness is built on.
 
 use crate::bft::{bft_trial, BftAdversary};
 use crate::chain::{chain_trial, ChainAdversary, TieBreak};
@@ -12,7 +10,7 @@ use crate::dag::{dag_trial, DagAdversary, DagRule};
 use crate::params::Params;
 use crate::sweep::{SweepConfig, SweepRunner};
 use crate::timestamp::run_timestamp;
-use am_stats::{search_threshold, Proportion, ThresholdResult};
+use am_stats::Proportion;
 
 /// Which protocol/strategy combination a measurement runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,8 +55,8 @@ impl TrialKind {
     }
 }
 
-/// Per-trial seed derivation: SplitMix of the base seed and index, so
-/// parallel runs are reproducible and independent of scheduling.
+/// Per-trial seed derivation: SplitMix of the base seed and index, so a
+/// tally does not depend on which process or thread ran which index.
 pub fn trial_seed(base: u64, index: u64) -> u64 {
     let mut z = base ^ index.wrapping_mul(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -67,57 +65,14 @@ pub fn trial_seed(base: u64, index: u64) -> u64 {
 }
 
 /// Measures the validity-failure rate of `kind` at `p` over `trials`
-/// Monte-Carlo runs, in parallel — the fixed-budget entry point, now a
-/// thin wrapper over the [`crate::sweep`] engine (same trial indices,
-/// same seeds, identical tallies).
+/// Monte-Carlo runs — the fixed-budget entry point, a thin wrapper over
+/// the [`crate::sweep`] engine (same trial indices, same seeds,
+/// identical tallies).
 pub fn measure_failure_rate(p: &Params, kind: TrialKind, trials: u64) -> Proportion {
     let _span = am_obs::span(format!("protocols/measure/{}", kind.label()));
     SweepRunner::new(SweepConfig::fixed())
         .measure(&kind.label(), p, kind, trials)
         .tally
-}
-
-/// Empirical resilience threshold: the largest `t` (over a probe grid up
-/// to `n/2`) whose failure rate stays below `tol`.
-pub fn resilience_threshold(
-    base: &Params,
-    kind: TrialKind,
-    trials: u64,
-    tol: f64,
-) -> ThresholdResult {
-    resilience_threshold_with(
-        &SweepRunner::new(SweepConfig::fixed()),
-        &kind.label(),
-        base,
-        kind,
-        trials,
-        tol,
-    )
-}
-
-/// [`resilience_threshold`] through an explicit sweep engine: adaptive
-/// runners stop each probed `t` early once its Wilson half-width is
-/// tight, and checkpointing runners make the scan resumable. `key`
-/// namespaces the probes in the checkpoint file.
-pub fn resilience_threshold_with(
-    runner: &SweepRunner<'_>,
-    key: &str,
-    base: &Params,
-    kind: TrialKind,
-    trials: u64,
-    tol: f64,
-) -> ThresholdResult {
-    let grid = am_stats::threshold::byzantine_grid(base.n as u64, 8);
-    search_threshold(base.n as u64, &grid, tol, 0.9, |t| {
-        runner
-            .measure(
-                &format!("{key}/t{t}"),
-                &base.with_t(t as usize),
-                kind,
-                trials,
-            )
-            .tally
-    })
 }
 
 #[cfg(test)]
@@ -148,31 +103,6 @@ mod tests {
         let p = Params::new(8, 0, 1.0, 15, 1);
         let rate = measure_failure_rate(&p, TrialKind::Timestamp, 50);
         assert_eq!(rate.hits, 0);
-    }
-
-    #[test]
-    fn threshold_search_finds_dag_above_chain() {
-        // Small but end-to-end: at λ = 0.5, the DAG's empirical threshold
-        // must exceed the chain's under their respective worst adversaries.
-        let base = Params::new(8, 1, 0.5, 21, 5);
-        let chain = resilience_threshold(
-            &base,
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker),
-            24,
-            0.3,
-        );
-        let dag = resilience_threshold(
-            &base,
-            TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst),
-            24,
-            0.3,
-        );
-        assert!(
-            dag.resilience >= chain.resilience,
-            "dag {} must be ≥ chain {}",
-            dag.resilience,
-            chain.resilience
-        );
     }
 
     #[test]

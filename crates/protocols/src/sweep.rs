@@ -5,11 +5,12 @@
 //! This module is the one engine those sweeps share:
 //!
 //! * **Batched, schedule-independent trials.** Each point runs trials in
-//!   batches mapped through the `rayon` API (the vendored shim executes
-//!   them sequentially on the calling thread); trial `i` is seeded by
-//!   [`trial_seed`]`(seed, i)`, so the tally is
-//!   a pure function of `(seed, trial count)` — independent of batch
-//!   boundaries, thread schedule, and interruption.
+//!   batches, one after another on the calling thread; trial `i` is
+//!   seeded by [`trial_seed`]`(seed, i)`, so the tally is a pure function
+//!   of `(seed, trial count)` — independent of batch boundaries and
+//!   interruption, and of which thread would run which index (the trial
+//!   closure is `Sync` for that reason: a window is a sum over
+//!   independent indices).
 //! * **Sequential stopping.** In [`SweepMode::Adaptive`] the engine
 //!   consults an [`am_stats::StopRule`] between batches and stops a point
 //!   as soon as its Wilson half-width reaches the target — easy points
@@ -45,7 +46,6 @@ use crate::params::Params;
 use crate::runner::{trial_seed, TrialKind};
 use crate::shard::{surely_stopped, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};
 use am_stats::{Proportion, StopReason, StopRule, WilsonInterval};
-use rayon::prelude::*;
 
 /// How a sweep spends its per-point trial budget.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -297,7 +297,6 @@ impl<'a> SweepRunner<'a> {
                     }
                     None => {
                         let hits = (bound..bound + n)
-                            .into_par_iter()
                             .filter(|&i| class.owns(i) && trial(i))
                             .count() as u64;
                         log.batch_hits.push(hits);
@@ -436,6 +435,34 @@ mod tests {
         let r = runner.estimate("hard", 200, |i| i % 2 == 0);
         assert_eq!(r.stop, StopReason::Budget);
         assert_eq!(r.trials_used(), 200);
+    }
+
+    #[test]
+    fn adaptive_needs_at_least_half_the_trials_at_equal_half_width() {
+        // The 30-point E8 grid (λ × t, chain vs the tie-breaker, budget
+        // 300): fixed first, to learn its worst 95 % half-width, then
+        // adaptive targeting exactly that width — the comparison is at
+        // equal statistical quality. Counts are seed-deterministic.
+        let kind = TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker);
+        let run_grid = |cfg: SweepConfig| {
+            let runner = SweepRunner::new(cfg);
+            let (mut total, mut worst_hw) = (0u64, 0.0f64);
+            for lambda in [0.05, 0.1, 0.2, 0.4, 0.8] {
+                for t in 1..=6usize {
+                    let p = Params::new(12, t, lambda, 41, 7);
+                    let r = runner.measure(&format!("l{lambda}/t{t}"), &p, kind, 300);
+                    total += r.trials_used();
+                    let w = r.ci95();
+                    worst_hw = worst_hw.max((w.hi - w.lo) / 2.0);
+                }
+            }
+            (total, worst_hw)
+        };
+        let (fixed_total, fixed_hw) = run_grid(SweepConfig::fixed());
+        let (adaptive_total, adaptive_hw) = run_grid(SweepConfig::adaptive(fixed_hw));
+        assert_eq!((fixed_total, adaptive_total), (9_000, 1_912));
+        assert!(adaptive_hw <= fixed_hw, "{adaptive_hw} > {fixed_hw}");
+        assert!(fixed_total >= 2 * adaptive_total);
     }
 
     #[test]

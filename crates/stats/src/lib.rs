@@ -9,8 +9,6 @@
 //!   confidence intervals.
 //! * [`sequential`] — adaptive stopping rules: stop a point's sampling
 //!   loop once its Wilson half-width reaches a target or a budget cap.
-//! * [`threshold`] — empirical resilience-threshold search: the largest
-//!   Byzantine fraction at which a protocol still satisfies a property.
 //! * [`theory`] — the paper's closed-form bounds (chain resilience
 //!   `1/(1+λ(n−t))` from Theorem 5.4, the validity tails of Theorems 5.2
 //!   and 5.6, and the Lemma 5.5 silence/withhold bounds).
@@ -28,7 +26,6 @@ pub mod sequential;
 pub mod summary;
 pub mod table;
 pub mod theory;
-pub mod threshold;
 
 pub use dist::{binomial_pmf, erf, normal_cdf, normal_pdf, poisson_cdf, poisson_pmf};
 pub use estimator::{Proportion, WilsonInterval};
@@ -40,4 +37,3 @@ pub use theory::{
     chain_resilience_bound, dag_validity_failure_bound, timestamp_validity_failure_bound,
     withhold_burst_bound,
 };
-pub use threshold::{search_threshold, ThresholdResult};

@@ -162,7 +162,10 @@ fn main() {
                 ),
             ],
         );
-        recorder.write();
+        if let Err(e) = recorder.write() {
+            eprintln!("loadgen: {e}");
+            std::process::exit(1);
+        }
     }
     if cli.out_dir.is_none() && !cli.record {
         println!("{json}");
