@@ -1,14 +1,32 @@
 #!/usr/bin/env bash
 # One implementation of each idea in src/: fails on a reference twin, a
-# switch that selects one, a per-PR bench file, or a second timing loop /
-# pretend thread pool (the deleted criterion and rayon shims).
+# switch that selects one, a per-PR bench file, a second timing loop /
+# pretend thread pool (the deleted criterion and rayon shims), or a SipHash
+# map / an `Arc`ed payload on the simulator's per-message path.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
-# twin check — that is where references live.
+# source checks — that is where references live.
 set -euo pipefail
-if awk 'prev ~ /^#\[cfg\(test\)\]/ && /^mod tests/ {nextfile} {prev = $0; print FILENAME ":" FNR ":" $0}' \
-  crates/*/src/*.rs |
+# The lines of the given files before their test module, as file:line:text.
+shipped() {
+  awk 'prev ~ /^#\[cfg\(test\)\]/ && /^mod tests/ {nextfile} {prev = $0; print FILENAME ":" FNR ":" $0}' "$@"
+}
+if shipped crates/*/src/*.rs |
   grep -E 'fn [A-Za-z0-9_]+_(naive|rebuild|rescan|cloning)\b|set_naive|dense_stats|acks_hashmap'; then
   echo "error: reference twin in src/ — move it test-side (CONTRIBUTING.md)" >&2
+  exit 1
+fi
+# Per-message maps are `am_net::hash::{IntMap, IntSet}`; a std map spelled
+# out in these files is a default-hasher one. Comment lines may name them.
+if shipped crates/net/src/sim.rs crates/net/src/stats.rs crates/mp/src/abd.rs crates/mp/src/view.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\b(HashMap|HashSet|RandomState)\b'; then
+  echo "error: default-hasher map on the per-message path — use am_net::hash::{IntMap, IntSet} (DESIGN.md §10)" >&2
+  exit 1
+fi
+if shipped crates/net/src/sim.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\b(Arc|Gossip)\b'; then
+  echo "error: SimNet carries parcel handles, not shared payloads — keep Arc/Gossip out of sim.rs (DESIGN.md §10)" >&2
   exit 1
 fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then

@@ -1,7 +1,8 @@
 //! The `mp/*` lanes of the perf ledger: one simulated `M.append` /
 //! `M.read` across system sizes (E4's Θ(n²) / Θ(n) message shapes as
-//! wall clock), ABD over a faulty `SimNet`, and the view operations whose
-//! cost must not depend on the history behind them.
+//! wall clock), the serving shape (n = 8 over an ideal `SimNet`), ABD
+//! over a faulty `SimNet`, and the view operations whose cost must not
+//! depend on the history behind them.
 
 use am_bench::recorder::Recorder;
 use am_mp::{MpMsg, MpSystem, MpView, Payload, Signature};
@@ -64,6 +65,40 @@ fn main() {
     // the quorum is met by the correct majority alone.
     let byz: Vec<usize> = (11..16).collect();
     append_lane(&mut rec, "mp/append_n16_byz5", 16, &byz, e4_budget);
+
+    // The serving shape (`am-node`'s cluster on `serve_append_heavy`): the
+    // same algorithms at n = 8 over an ideal zero-latency `SimNet`,
+    // appends back to back without settling. One append with its 72
+    // messages, then a quorum read by a node whose last read is 840
+    // appends old: every responder's 840-message suffix is walked and
+    // nothing in it is new, the broadcasts having delivered it already.
+    let ideal = || {
+        let net: SimNet<Payload> = NetConfig::ideal(LatencyModel::Constant(0)).build_net(8, 11);
+        MpSystem::with_transport(net, &[], 11)
+    };
+    let mut sys = ideal();
+    let mut i = 0usize;
+    rec.measure_absolute("mp/append_n8_simnet_ideal", 1, e4_budget, || {
+        i += 1;
+        sys.append(i % 8, 1)
+            .expect("ideal network cannot stall")
+            .seq
+    });
+    let mut sys = ideal();
+    rec.measure_absolute_part(
+        "mp/read_n8_simnet_gap840",
+        1,
+        Duration::from_millis(1600),
+        || {
+            for _ in 0..840 {
+                i += 1;
+                sys.append(i % 8, 1).expect("ideal network cannot stall");
+            }
+            let start = Instant::now();
+            black_box(sys.read(0).expect("ideal network cannot stall").len());
+            start.elapsed()
+        },
+    );
 
     // An E14-shaped sweep cell: 800 append + read + read rounds at n = 8
     // over a lossy, then partitioned, network — ns per ABD operation.

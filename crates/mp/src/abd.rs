@@ -14,11 +14,10 @@
 
 use crate::net::{Network, Payload};
 use crate::sig::{content_hash, KeyRing, Signature};
-use crate::view::{AckTally, MpView};
+use crate::view::{AckTally, MpView, SeenTable};
 use am_net::Transport;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashSet;
 
 /// A value in a node's local view of the simulated memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -95,8 +94,8 @@ pub struct MpSystem<T: Transport<Payload> = Network> {
     byz: Vec<bool>,
     paused: Vec<bool>,
     views: Vec<MpView>,
-    /// Membership index per node for O(1) duplicate checks.
-    seen: Vec<HashSet<u64>>,
+    /// Membership index per node: which messages its view holds.
+    seen: Vec<SeenTable>,
     next_seq: Vec<u64>,
     next_op: u64,
     /// Ack tallies per (author, seq, content): dense bitmask counters.
@@ -166,7 +165,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
             byz: byz_flags,
             paused: vec![false; n],
             views: vec![MpView::new(); n],
-            seen: vec![HashSet::new(); n],
+            seen: vec![SeenTable::new(n); n],
             next_seq: vec![0; n],
             next_op: 0,
             acks: AckTally::new(n),
@@ -318,11 +317,11 @@ impl<T: Transport<Payload>> MpSystem<T> {
             },
         );
         // Pump until the originator holds a quorum of acks.
-        let key = (v, seq, content);
+        let tally = self.acks.block((v, seq, content));
         let mut budget = self.max_pump;
         let _quorum_span = am_obs::span("quorum");
         loop {
-            if self.ack_count(key) >= self.quorum() {
+            if self.acks.count_at(tally) >= self.quorum() {
                 break;
             }
             if budget == 0 || !self.pump_one() {
@@ -402,9 +401,8 @@ impl<T: Transport<Payload>> MpSystem<T> {
         };
         let ma = mk(self, val_a);
         let mb = mk(self, val_b);
-        let in_a: HashSet<usize> = set_a.iter().copied().collect();
         for to in 0..self.n() {
-            let m = if in_a.contains(&to) { &ma } else { &mb };
+            let m = if set_a.contains(&to) { &ma } else { &mb };
             self.net.send(
                 b,
                 to,
@@ -461,6 +459,34 @@ impl<T: Transport<Payload>> MpSystem<T> {
             }
         }
         delivered
+    }
+
+    /// Adds `m` to a node's `view` (`seen` being that node's membership
+    /// index) unless the node holds it already or it does not check out.
+    /// A message is what its author signed only if the signature covers
+    /// `content` *and* `content` is the hash of the `(author, seq, value)`
+    /// it travels with: without the second test a Byzantine author could
+    /// sign one content and ship it under two values, and the membership
+    /// test would leave each node with whichever copy it met first, for
+    /// good. Membership is tested first — it is the only test a message
+    /// already held needs, and a read merge walks thousands of those.
+    /// Returns whether the message was new.
+    #[inline(always)]
+    fn adopt(seen: &mut SeenTable, view: &mut MpView, ring: &KeyRing, m: &MpMsg) -> bool {
+        !seen.contains(m.author, m.seq, m.content) && Self::adopt_new(seen, view, ring, m)
+    }
+
+    /// The rest of [`Self::adopt`], out of line so that the merge loop is
+    /// the membership test alone.
+    #[inline(never)]
+    fn adopt_new(seen: &mut SeenTable, view: &mut MpView, ring: &KeyRing, m: &MpMsg) -> bool {
+        let valid = m.content == Self::msg_content(m.author, m.seq, m.value)
+            && ring.verify(m.author, m.content, m.sig);
+        if valid {
+            seen.insert(m.author, m.seq, m.content);
+            view.push(*m);
+        }
+        valid
     }
 
     /// Delivers one message to some unpaused node (round-robin-ish: first
@@ -523,15 +549,15 @@ impl<T: Transport<Payload>> MpSystem<T> {
                 content,
                 sig,
             } => {
-                if self.ring.verify(author, content, sig) && !self.seen[target].contains(&content) {
-                    self.seen[target].insert(content);
-                    self.views[target].push(MpMsg {
-                        author,
-                        seq,
-                        value,
-                        content,
-                        sig,
-                    });
+                let msg = MpMsg {
+                    author,
+                    seq,
+                    value,
+                    content,
+                    sig,
+                };
+                let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
+                if Self::adopt(seen, mine, &self.ring, &msg) {
                     // Line 4 of Algorithm 2: broadcast the ack.
                     self.net.broadcast(
                         target,
@@ -566,13 +592,9 @@ impl<T: Transport<Payload>> MpSystem<T> {
                 // the mark.
                 let start = self.resp_hw[target][env.from];
                 let held = self.views[target].len();
+                let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
                 for m in view.iter_from(start) {
-                    if self.ring.verify(m.author, m.content, m.sig)
-                        && !self.seen[target].contains(&m.content)
-                    {
-                        self.seen[target].insert(m.content);
-                        self.views[target].push(*m);
-                    }
+                    Self::adopt(seen, mine, &self.ring, m);
                 }
                 self.obs_merge_walked
                     .add(view.len().saturating_sub(start) as u64);

@@ -64,9 +64,11 @@ impl KeyRing {
         Signature(mix(self.secrets[author] ^ mix(content)))
     }
 
-    /// Verifies that `sig` is `author`'s signature over `content`.
+    /// Verifies that `sig` is `author`'s signature over `content`. An
+    /// `author` the ring has no key for (it comes off the wire) verifies
+    /// nothing.
     pub fn verify(&self, author: usize, content: u64, sig: Signature) -> bool {
-        self.sign(author, content) == sig
+        author < self.secrets.len() && self.sign(author, content) == sig
     }
 }
 
@@ -91,6 +93,7 @@ mod tests {
         let s = ring.sign(2, c);
         assert!(!ring.verify(1, c, s));
         assert!(!ring.verify(3, c, s));
+        assert!(!ring.verify(4, c, s), "no key, no signature");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Incremental ABD state: persistent local views and dense ack tallies.
+//! Incremental ABD state: persistent local views, dense ack tallies and
+//! the per-node membership table.
 //!
-//! Two hot structures behind Algorithms 2/3:
+//! Three hot structures behind Algorithms 2/3:
 //!
 //! * [`MpView`] — a node's local view `M_v`. Every `ReadReq` response,
 //!   every `read`/`local_view` return and every archive snapshot is a
@@ -21,8 +22,15 @@
 //!   | dropping the last owner | H/128 frees | H/`LEAF` frees, recursing no deeper than the trie |
 //!
 //! * [`AckTally`] — quorum counting: one dense bitmask block per op with
-//!   a maintained count, so recording an ack is one hash lookup (the op
-//!   key) plus a bit test, and no per-op set lives on the heap.
+//!   a maintained count, so recording an ack is one integer-hashed lookup
+//!   (the op key) plus a bit test, no per-op set lives on the heap, and
+//!   the appender polls its own block by index.
+//!
+//! * `SeenTable` — "does this node already hold this message?", asked
+//!   once per delivered `Append` and once per message a `ViewResp` merge
+//!   walks. Indexed by `(author, seq)`, so the n = 8 read that walks
+//!   6 713 messages it already holds compares its way down eight dense
+//!   rows instead of probing a hash set 6 713 times.
 //!
 //! Every observable of a scripted run (appends, reads, settled views,
 //! message counts, the full `NetStats`) is pinned over 300 seeds by
@@ -31,7 +39,7 @@
 //! in the table as allocation counts — by `tests/view_spec.rs`.
 
 use crate::abd::MpMsg;
-use std::collections::HashMap;
+use am_net::hash::{IntMap, IntSet};
 use std::sync::Arc;
 
 /// log₂ of the trie's branching width.
@@ -421,7 +429,7 @@ pub struct AckTally {
     /// Words per op block: ⌈n / 64⌉.
     stride: usize,
     /// Key → block index into `bits` / `counts`.
-    index: HashMap<(usize, u64, u64), u32>,
+    index: IntMap<(usize, u64, u64), u32>,
     /// Acker bitmasks, `stride` words per op.
     bits: Vec<u64>,
     /// Maintained popcount per op.
@@ -433,26 +441,37 @@ impl AckTally {
     pub fn new(n: usize) -> AckTally {
         AckTally {
             stride: n.div_ceil(64).max(1),
-            index: HashMap::new(),
+            index: IntMap::default(),
             bits: Vec::new(),
             counts: Vec::new(),
         }
     }
 
+    /// The block tallying `key`, started empty if no ack named it yet.
+    /// Resolved once by the appender, which then polls
+    /// [`count_at`](AckTally::count_at) instead of hashing the key on
+    /// every pump iteration.
+    pub(crate) fn block(&mut self, key: (usize, u64, u64)) -> usize {
+        if let Some(&b) = self.index.get(&key) {
+            return b as usize;
+        }
+        let b = self.counts.len();
+        self.index
+            .insert(key, u32::try_from(b).expect("op count fits u32"));
+        self.bits.resize(self.bits.len() + self.stride, 0);
+        self.counts.push(0);
+        b
+    }
+
+    /// Distinct ackers recorded in `block`.
+    pub(crate) fn count_at(&self, block: usize) -> usize {
+        self.counts[block] as usize
+    }
+
     /// Records that node `from` acked `key`; returns the distinct-acker
     /// count after recording. Duplicate acks are idempotent.
     pub fn add(&mut self, key: (usize, u64, u64), from: usize) -> usize {
-        let block = match self.index.get(&key) {
-            Some(&b) => b as usize,
-            None => {
-                let b = self.counts.len();
-                self.index
-                    .insert(key, u32::try_from(b).expect("op count fits u32"));
-                self.bits.resize(self.bits.len() + self.stride, 0);
-                self.counts.push(0);
-                b
-            }
-        };
+        let block = self.block(key);
         let word = &mut self.bits[block * self.stride + from / 64];
         let bit = 1u64 << (from % 64);
         if *word & bit == 0 {
@@ -466,7 +485,78 @@ impl AckTally {
     pub fn count(&self, key: (usize, u64, u64)) -> usize {
         self.index
             .get(&key)
-            .map_or(0, |&b| self.counts[b as usize] as usize)
+            .map_or(0, |&b| self.count_at(b as usize))
+    }
+}
+
+/// How far past the end of an author's dense row a `seq` may lie and
+/// still extend the row. A gap an honest run can produce (messages
+/// overtaking one another on a slow or resumed node) fits; a `seq` picked
+/// to make the row huge does not, and costs one overflow entry instead.
+const SEQ_SLACK: u64 = 1 << 10;
+
+/// The row entry of a slot nothing was admitted to.
+const VACANT: u64 = 0;
+
+/// The set of messages one node holds, as a membership index over their
+/// content hashes.
+///
+/// A receiver admits a message only if `content` is the hash of its
+/// `(author, seq, value)`, so equal content means equal slot and the set
+/// can be laid out by slot: `rows[author][seq]` holds the content first
+/// admitted there, and testing a message the node already holds — what a
+/// read merge does thousands of times in author-and-seq order — is one
+/// compare in a row it is walking anyway. Whatever has no dense slot of
+/// its own goes to an integer-hashed overflow keyed by content alone: the
+/// second content an equivocating author signs for one `(author, seq)`,
+/// a `seq` more than [`SEQ_SLACK`] past its row (so no input makes a row
+/// longer than the messages admitted into it plus the slack), and the one
+/// content that reads as [`VACANT`].
+#[derive(Clone, Debug)]
+pub(crate) struct SeenTable {
+    rows: Vec<Vec<u64>>,
+    overflow: IntSet<u64>,
+}
+
+impl SeenTable {
+    /// An empty table for `n` authors.
+    pub(crate) fn new(n: usize) -> SeenTable {
+        SeenTable {
+            rows: vec![Vec::new(); n],
+            overflow: IntSet::default(),
+        }
+    }
+
+    /// Whether the message `content` names — `(author, seq)` being the
+    /// slot that content is the hash of — is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, author: usize, seq: u64, content: u64) -> bool {
+        let dense = usize::try_from(seq)
+            .ok()
+            .and_then(|seq| self.rows.get(author)?.get(seq))
+            .map_or(VACANT, |&c| c);
+        // The overflow is consulted even when the slot is vacant: a seq
+        // that was out of reach when admitted may be in reach by now.
+        (dense == content && content != VACANT)
+            || (!self.overflow.is_empty() && self.overflow.contains(&content))
+    }
+
+    /// Adds a message [`contains`](SeenTable::contains) just denied.
+    /// `author` is below the `n` the table was built for (the caller
+    /// verified its signature).
+    pub(crate) fn insert(&mut self, author: usize, seq: u64, content: u64) {
+        let row = &mut self.rows[author];
+        if content != VACANT && seq < row.len() as u64 + SEQ_SLACK {
+            let seq = seq as usize; // < a `Vec` length + 2¹⁰
+            if seq >= row.len() {
+                row.resize(seq + 1, VACANT);
+            }
+            if row[seq] == VACANT {
+                row[seq] = content;
+                return;
+            }
+        }
+        self.overflow.insert(content);
     }
 }
 
@@ -646,5 +736,65 @@ mod tests {
         let k2 = (3, 7, 0xabce);
         assert_eq!(t.add(k2, 1), 1);
         assert_eq!(t.count(k), 3);
+    }
+
+    #[test]
+    fn tally_block_resolved_early_counts_the_same_acks() {
+        let mut t = AckTally::new(8);
+        let k = (1, 2, 0xfeed);
+        let block = t.block(k);
+        assert_eq!(t.count_at(block), 0);
+        assert_eq!(t.block(k), block, "resolving twice starts nothing new");
+        t.add(k, 3);
+        t.add((1, 3, 0xbeef), 3);
+        t.add(k, 5);
+        assert_eq!((t.count_at(block), t.count(k)), (2, 2));
+    }
+
+    #[test]
+    fn seen_table_is_a_set_of_contents_laid_out_by_slot() {
+        let mut t = SeenTable::new(3);
+        let put = |t: &mut SeenTable, author, seq, content| {
+            assert!(!t.contains(author, seq, content));
+            t.insert(author, seq, content);
+            assert!(t.contains(author, seq, content));
+        };
+        // In order, out of order within the slack, and other authors.
+        for (author, seq, content) in [(0, 0, 10), (0, 1, 11), (0, 700, 12), (0, 5, 13), (2, 3, 14)]
+        {
+            put(&mut t, author, seq, content);
+        }
+        assert_eq!(
+            (t.rows[0].len(), t.rows[1].len(), t.rows[2].len()),
+            (701, 0, 4)
+        );
+        assert!(t.overflow.is_empty(), "nothing so far needed the overflow");
+        // A vacant slot, another content at a taken slot, an unknown
+        // author: not members.
+        assert!(!t.contains(0, 2, 11) && !t.contains(0, 1, 99) && !t.contains(7, 0, 10));
+
+        // The second content signed for a taken slot overflows, and both
+        // stay members.
+        put(&mut t, 0, 1, 21);
+        assert_eq!(t.rows[0][1], 11);
+        assert!(t.overflow.contains(&21) && t.contains(0, 1, 11));
+
+        // A seq out of reach overflows without touching the row …
+        put(&mut t, 1, 1 << 40, 30);
+        put(&mut t, 1, SEQ_SLACK, 31);
+        assert!(t.rows[1].is_empty());
+        // … and is still a member once the row has grown past it.
+        put(&mut t, 1, SEQ_SLACK - 1, 32);
+        put(&mut t, 1, SEQ_SLACK + 1, 33);
+        assert_eq!(t.rows[1].len() as u64, SEQ_SLACK + 2);
+        assert_eq!(t.rows[1][SEQ_SLACK as usize], VACANT);
+        assert!(t.contains(1, SEQ_SLACK, 31));
+
+        // The content that reads as a vacant entry is a member like any
+        // other, through the overflow.
+        put(&mut t, 2, 0, VACANT);
+        assert_eq!(t.rows[2][0], VACANT);
+        assert!(!t.contains(2, 1, 77));
+        assert_eq!(t.overflow.len(), 4);
     }
 }

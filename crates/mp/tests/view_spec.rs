@@ -1,5 +1,7 @@
-//! `MpView` held to a plain `Vec<MpMsg>`, and its bounds held to an
-//! allocation count.
+//! `MpView` held to a plain `Vec<MpMsg>`, its bounds held to an
+//! allocation count, and — at the end, under the same counting allocator
+//! — what a node's membership table (`SeenTable`, also `src/view.rs`)
+//! must and must not let into a view.
 //!
 //! [`MpView`] is a persistent radix vector (`src/view.rs`): full leaves
 //! under a trie, the newest messages in a tail, everything behind `Arc`s
@@ -47,8 +49,18 @@
 //! lookups and later pushes work on the taller trie. The canonical height
 //! is pinned in-crate, where `shift` is visible, by
 //! `view::tests::prefix_shares_full_chunks_and_matches_take`.
+//!
+//! The membership table is indexed by `(author, seq)`, which is sound
+//! only because a receiver checks that `content` is the hash of the
+//! `(author, seq, value)` it arrives with: `a_content_signed_for_one_value
+//! …` injects the pair a Byzantine author could otherwise split the
+//! correct nodes with (it fails at `db294cd`, where half of them keep the
+//! other value for good). And it is indexed by numbers off the wire:
+//! `wild_and_gapped_seqs…` holds a `seq` of 2⁴⁰ and a 500-seq backlog
+//! replayed in random order to a heap bound that does not know them.
 
-use am_mp::{MpMsg, MpView, Signature};
+use am_mp::sig::content_hash;
+use am_mp::{Delivery, KeyRing, MpMsg, MpSystem, MpView, Payload, Signature};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -454,4 +466,153 @@ fn a_million_messages_and_a_snapshot_drop_on_a_small_stack() {
         .expect("spawn")
         .join()
         .expect("build and drop within 128 KiB of stack");
+}
+
+// ---------------------------------------------------------------------------
+// The membership table, from outside: what gets into a view
+// ---------------------------------------------------------------------------
+
+/// `author`'s append of `value` at `seq`, signed — what `MpSystem::append`
+/// builds, for authors and seqs it would not.
+fn signed(ring: &KeyRing, author: usize, seq: u64, value: i8) -> MpMsg {
+    let mut bytes = [0u8; 17];
+    bytes[..8].copy_from_slice(&(author as u64).to_le_bytes());
+    bytes[8..16].copy_from_slice(&seq.to_le_bytes());
+    bytes[16] = value as u8;
+    let content = content_hash(&bytes);
+    MpMsg {
+        author,
+        seq,
+        value,
+        content,
+        sig: ring.sign(author, content),
+    }
+}
+
+fn wire(m: MpMsg) -> Payload {
+    Payload::Append {
+        author: m.author,
+        seq: m.seq,
+        value: m.value,
+        content: m.content,
+        sig: m.sig,
+    }
+}
+
+/// A five-node system over the reliable network with node 4 Byzantine,
+/// and the key ring its seed makes (a test may sign as anybody).
+fn system_with_keys(seed: u64) -> (MpSystem, KeyRing) {
+    let mut sys = MpSystem::new(5, &[4], seed);
+    let ring = KeyRing::new(5, seed);
+    // The helper signs what the system signs.
+    let first = sys.append(0, 1).expect("quorum of correct nodes");
+    assert_eq!(first, signed(&ring, 0, 0, 1));
+    sys.settle();
+    (sys, ring)
+}
+
+#[test]
+fn a_content_signed_for_one_value_is_not_accepted_under_another() {
+    let (mut sys, ring) = system_with_keys(5);
+    // Node 4 signs (4, 0, +1) and ships that content and signature under
+    // −1 as well. Nodes 0 and 1 meet the honest copy first, 2 and 3 the
+    // twisted one; everybody then gets the other.
+    let honest = signed(&ring, 4, 0, 1);
+    let twisted = MpMsg {
+        value: -1,
+        ..honest
+    };
+    for to in 0..4 {
+        let order = if to < 2 {
+            [honest, twisted]
+        } else {
+            [twisted, honest]
+        };
+        for m in order {
+            sys.transport_mut().send(4, to, wire(m));
+        }
+    }
+    sys.settle();
+    // The same trick inside a read response, for a slot nobody has met.
+    let honest_next = signed(&ring, 4, 1, 1);
+    let twisted_next = MpMsg {
+        value: -1,
+        ..honest_next
+    };
+    let view = MpView::from_slice(&[twisted_next]);
+    sys.transport_mut()
+        .send(4, 2, Payload::ViewResp { op: u64::MAX, view });
+    sys.settle();
+    let want = [signed(&ring, 0, 0, 1), honest];
+    for node in 0..4 {
+        assert_eq!(
+            sys.local_view(node).to_vec(),
+            want,
+            "node {node}: every correct view holds the honest value and only it"
+        );
+    }
+    // The honest copy of the second slot is still welcome afterwards.
+    sys.transport_mut().send(4, 2, wire(honest_next));
+    sys.settle();
+    assert_eq!(sys.local_view(2).last(), Some(&honest_next));
+}
+
+#[test]
+fn wild_and_gapped_seqs_are_accepted_at_a_constant_heap_cost() {
+    // A correctly signed append whose seq is 2⁴⁰: accepted by every
+    // correct node, once, and nothing about it is sized by the number.
+    let (mut sys, ring) = system_with_keys(6);
+    let wild = signed(&ring, 4, 1 << 40, 1);
+    let ((), bytes) = allocated(|| {
+        for _twice in 0..2 {
+            for to in 0..4 {
+                sys.transport_mut().send(4, to, wire(wild));
+            }
+            sys.settle();
+        }
+    });
+    // 208 B when written: four first overflow entries.
+    assert!(bytes <= 4 * 1024, "seq 2^40 allocated {bytes} B");
+    for node in 0..4 {
+        let view = sys.local_view(node);
+        assert_eq!(view.len(), 2, "node {node}: admitted once, not twice");
+        assert_eq!(view.last(), Some(&wild), "node {node}");
+    }
+
+    // Both of an equivocated pair — one (author, seq), two contents —
+    // are held by everybody after a read, once each.
+    let (a, b) = sys
+        .byz_equivocate(4, 1, -1, &[0, 1])
+        .expect("node 4 is Byzantine");
+    assert_eq!((a.author, a.seq), (b.author, b.seq));
+    sys.settle();
+    for _ in 0..2 {
+        for node in 0..4 {
+            let view = sys.read(node).expect("quorum of correct nodes");
+            assert!(view.contains(&a) && view.contains(&b), "node {node}");
+            assert_eq!(view.len(), 4, "node {node}: no copy admitted twice");
+        }
+        sys.settle();
+    }
+
+    // A node paused for 500 appends of one author and then handed its
+    // backlog in random order meets seq 400-odd before seq 0: the table
+    // grows to the gap at once, and to nothing more.
+    let mut sys = MpSystem::new(5, &[], 7);
+    sys.set_delivery(Delivery::Random);
+    sys.pause(4);
+    for _ in 0..500 {
+        sys.append(0, 1).expect("four of five are up");
+    }
+    sys.settle();
+    sys.resume(4);
+    let (_, bytes) = allocated(|| sys.settle());
+    // 500 messages in node 4's view (20 KB), their table row, as many
+    // ack broadcasts through the network: 29 KB when written.
+    assert!(bytes <= 64 * 1024, "the replay allocated {bytes} B");
+    let mut seqs: Vec<u64> = sys.view(4).iter().map(|m| m.seq).collect();
+    assert_ne!(seqs, (0..500).collect::<Vec<_>>(), "replayed in order");
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..500).collect::<Vec<_>>());
+    assert_eq!(sys.view(4).len(), sys.view(0).len());
 }

@@ -15,7 +15,8 @@
 //!   implements it, and so does [`SimNet`]; Algorithms 2/3 run unchanged
 //!   over either.
 //! * [`SimNet`] — a seeded discrete-event simulator: a slab-backed
-//!   pairing-heap event queue ([`EventQueue`]) keyed by `(time_ns, seq)`
+//!   pairing-heap event queue ([`EventQueue`]) keyed by `(time_ns, seq)`,
+//!   carrying 24-byte handles to payloads held once in a slab,
 //!   drives per-link latency models
 //!   ([`LatencyModel`]: constant, uniform, exponential) and composable
 //!   fault injectors ([`Fault`]: probabilistic drops, duplication,
@@ -33,6 +34,7 @@
 
 pub mod config;
 pub mod fault;
+pub mod hash;
 pub mod latency;
 pub mod queue;
 pub mod sim;

@@ -2,6 +2,7 @@
 
 use crate::config::NetConfig;
 use crate::fault::{Fault, PartitionSpec};
+use crate::hash::IntMap;
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
 use crate::stats::{DeliveryRecord, NetStats};
@@ -9,51 +10,129 @@ use crate::topology::TopologyMap;
 use crate::transport::{Envelope, Kinded, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::num::NonZeroU32;
 
-/// A payload travelling through the simulator: either owned by exactly
-/// one in-flight copy (point-to-point sends) or shared behind an [`Arc`]
-/// (broadcast fan-out and duplicates of shared sends). An n-node
-/// broadcast interns the payload once and ships n−1 pointer bumps instead
-/// of n−1 deep clones; [`Gossip::into_owned`] unwraps without cloning
-/// whenever the delivered copy is the last one alive.
-#[derive(Clone, Debug)]
-enum Gossip<M> {
-    /// Single-recipient payload, moved in and out without indirection.
-    Owned(M),
-    /// Broadcast-interned payload; clones are pointer bumps.
-    Shared(Arc<M>),
-}
+/// Handle to a payload held in the simulator's [`Parcels`] slab: the slot
+/// index plus one, so an `Option` of anything carrying it costs no extra
+/// word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ParcelId(NonZeroU32);
 
-impl<M> Gossip<M> {
-    fn get(&self) -> &M {
-        match self {
-            Gossip::Owned(m) => m,
-            Gossip::Shared(a) => a,
-        }
+impl ParcelId {
+    fn slot(self) -> usize {
+        self.0.get() as usize - 1
     }
 }
 
-impl<M: Clone> Gossip<M> {
-    fn into_owned(self) -> M {
-        match self {
-            Gossip::Owned(m) => m,
-            Gossip::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
-/// A scheduled arrival in flight. Ordering lives in the event queue's
-/// `(at_ns, seq)` key, so flights never implement `Ord` and the queue
-/// never inspects the payload. Endpoints are `u32` — node counts cap at
-/// `u32::MAX` and 5k-node runs keep millions of these in the slab.
+/// One slab slot: a payload and how many in-flight or arrived copies of
+/// it are still owed a delivery. Vacant slots hold `None` and sit on the
+/// free list.
 #[derive(Debug)]
-struct Flight<M> {
+struct Parcel<M> {
+    payload: Option<M>,
+    refs: u32,
+}
+
+/// Every payload inside the network, stored once. `send` and `broadcast`
+/// move the payload in and pass [`ParcelId`]s through the event queue and
+/// the inboxes; each way a copy can leave the network gives its reference
+/// back — a fault drop through [`Parcels::release`], a delivery through
+/// [`Parcels::take`], which moves the payload out for the last reference
+/// and clones it for any earlier one. Nothing is allocated per message
+/// once the slab has warmed up, and the slab is recycled across trials
+/// through [`NetScratch`] like the queue's.
+#[derive(Debug)]
+struct Parcels<M> {
+    slots: Vec<Parcel<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> Parcels<M> {
+    fn new() -> Parcels<M> {
+        Parcels {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Empties the slab, dropping every payload still inside the network
+    /// and keeping the capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    /// Stores `payload` with `refs` copies owed.
+    fn insert(&mut self, payload: M, refs: u32) -> ParcelId {
+        debug_assert!(refs > 0, "a parcel nobody is owed would never be freed");
+        let parcel = Parcel {
+            payload: Some(payload),
+            refs,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = parcel;
+                slot
+            }
+            None => {
+                self.slots.push(parcel);
+                u32::try_from(self.slots.len() - 1).expect("parcel slab exceeds u32 indices")
+            }
+        };
+        ParcelId(NonZeroU32::new(slot + 1).expect("slot + 1 > 0"))
+    }
+
+    fn get(&self, id: ParcelId) -> &M {
+        self.slots[id.slot()]
+            .payload
+            .as_ref()
+            .expect("a live handle names an occupied slot")
+    }
+
+    /// One more copy owed (the duplicate fault).
+    fn add_ref(&mut self, id: ParcelId) {
+        self.slots[id.slot()].refs += 1;
+    }
+
+    /// One copy will never be delivered; the payload is dropped with the
+    /// last of them.
+    fn release(&mut self, id: ParcelId) {
+        let parcel = &mut self.slots[id.slot()];
+        parcel.refs -= 1;
+        if parcel.refs == 0 {
+            parcel.payload = None;
+            self.free.push(id.slot() as u32);
+        }
+    }
+}
+
+impl<M: Clone> Parcels<M> {
+    /// The payload for one delivery: moved out if this is the last copy
+    /// owed, cloned otherwise.
+    fn take(&mut self, id: ParcelId) -> M {
+        let parcel = &mut self.slots[id.slot()];
+        parcel.refs -= 1;
+        if parcel.refs == 0 {
+            self.free.push(id.slot() as u32);
+            parcel.payload.take()
+        } else {
+            parcel.payload.clone()
+        }
+        .expect("a live handle names an occupied slot")
+    }
+}
+
+/// A scheduled arrival in flight: 24 bytes whatever the payload, which
+/// stays in the [`Parcels`] slab. Ordering lives in the event queue's
+/// `(at_ns, seq)` key, so flights never implement `Ord` and the queue
+/// never sees the payload. Endpoints are `u32` — node counts cap at
+/// `u32::MAX` and 5k-node runs keep millions of these in the slab.
+#[derive(Clone, Copy, Debug)]
+struct Flight {
     sent_ns: u64,
     from: u32,
     to: u32,
-    payload: Gossip<M>,
+    parcel: ParcelId,
 }
 
 /// The directed-link key for the sparse per-link maps.
@@ -84,12 +163,13 @@ impl NetConfig {
             n,
             now_ns: 0,
             queue: EventQueue::from_storage(scratch.queue),
+            parcels: scratch.parcels,
             arrived: inbox_slots.into_iter().map(Inbox::from_slots).collect(),
             default_latency: self.latency,
-            link_latency: HashMap::new(),
+            link_latency: IntMap::default(),
             topo: self.topology.instantiate(n, seed),
             bandwidth_bps: self.bandwidth_bps,
-            link_busy: HashMap::new(),
+            link_busy: IntMap::default(),
             faults: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
             stats: NetStats::with_options(n, self.trace),
@@ -130,16 +210,17 @@ impl NetConfig {
     }
 }
 
-/// A queued arrival waiting in a node's inbox. Compact on purpose — the
-/// receiver is implied by which inbox it sits in, and the payload kind is
-/// recomputed from the payload at delivery — so 5k-node backlogs carry no
+/// A queued arrival waiting in a node's inbox. Compact on purpose (24
+/// bytes, tombstone included) — the receiver is implied by which inbox it
+/// sits in, the payload stays in the [`Parcels`] slab and its kind is
+/// recomputed from it at delivery — so 5k-node backlogs carry no
 /// redundant per-arrival bookkeeping.
-#[derive(Debug)]
-struct Arrival<M> {
-    from: u32,
+#[derive(Clone, Copy, Debug)]
+struct Arrival {
     sent_ns: u64,
     seq: u64,
-    payload: Gossip<M>,
+    from: u32,
+    parcel: ParcelId,
 }
 
 /// An order-preserving inbox with O(1) amortized removal at either end
@@ -153,8 +234,8 @@ struct Arrival<M> {
 /// and the buffer compacts (order-preserving) only when tombstones
 /// dominate. Delivery *order* is bit-identical to the `VecDeque` scheme.
 #[derive(Debug)]
-struct Inbox<M> {
-    slots: Vec<Option<Arrival<M>>>,
+struct Inbox {
+    slots: Vec<Option<Arrival>>,
     /// Index of the first possibly-live slot (everything before is a
     /// tombstone).
     head: usize,
@@ -162,8 +243,8 @@ struct Inbox<M> {
     live: usize,
 }
 
-impl<M> Inbox<M> {
-    fn from_slots(mut slots: Vec<Option<Arrival<M>>>) -> Inbox<M> {
+impl Inbox {
+    fn from_slots(mut slots: Vec<Option<Arrival>>) -> Inbox {
         slots.clear();
         Inbox {
             slots,
@@ -180,7 +261,7 @@ impl<M> Inbox<M> {
         self.live == 0
     }
 
-    fn push(&mut self, arrival: Arrival<M>) {
+    fn push(&mut self, arrival: Arrival) {
         if self.live == 0 {
             // Whole buffer is tombstones — restart it for free.
             self.slots.clear();
@@ -192,7 +273,7 @@ impl<M> Inbox<M> {
 
     /// Removes and returns the arrival at logical position `idx` (0 =
     /// oldest). Preserves the relative order of everything else.
-    fn take(&mut self, idx: usize) -> Option<Arrival<M>> {
+    fn take(&mut self, idx: usize) -> Option<Arrival> {
         if idx >= self.live {
             return None;
         }
@@ -239,21 +320,24 @@ impl<M> Inbox<M> {
     }
 
     /// Tears the inbox down to its reusable slot buffer.
-    fn into_slots(mut self) -> Vec<Option<Arrival<M>>> {
+    fn into_slots(mut self) -> Vec<Option<Arrival>> {
         self.slots.clear();
         self.slots
     }
 }
 
-/// Recycled queue + inbox storage for a [`SimNet`], following the
-/// `TrialScratch` pattern: trial loops keep one `NetScratch` per
-/// thread, rebuild each trial's `SimNet` on it via
+/// Recycled queue, payload-slab and inbox storage for a [`SimNet`],
+/// following the `TrialScratch` pattern: trial loops keep one
+/// `NetScratch` per thread, rebuild each trial's `SimNet` on it via
 /// [`NetConfig::build_net_with_scratch`], and reclaim it afterwards with
-/// [`SimNet::into_scratch`].
+/// [`SimNet::into_scratch`]. It holds capacity only — every payload of
+/// the simulator it came from was dropped when it was taken.
 #[derive(Debug)]
 pub struct NetScratch<M> {
-    queue: Storage<u64, Flight<M>>,
-    inboxes: Vec<Vec<Option<Arrival<M>>>>,
+    queue: Storage<u64, Flight>,
+    /// Always empty here.
+    parcels: Parcels<M>,
+    inboxes: Vec<Vec<Option<Arrival>>>,
 }
 
 impl<M> Default for NetScratch<M> {
@@ -267,6 +351,7 @@ impl<M> NetScratch<M> {
     pub fn new() -> NetScratch<M> {
         NetScratch {
             queue: Storage::new(),
+            parcels: Parcels::new(),
             inboxes: Vec::new(),
         }
     }
@@ -275,7 +360,9 @@ impl<M> NetScratch<M> {
 /// The seeded discrete-event network: latency models feed a slab-backed
 /// event queue ([`crate::queue::EventQueue`]); fault injectors run at
 /// send time; arrivals land in per-node inboxes consumed through the
-/// [`Transport`] interface.
+/// [`Transport`] interface. Queue and inboxes carry 24-byte handles; the
+/// payloads themselves sit in one slab (`Parcels`) from `send` to
+/// delivery.
 ///
 /// Per-node state is O(nodes + active links): latency overrides, link
 /// busy-times, and [`NetStats`] counters all live in sparse maps keyed by
@@ -285,19 +372,20 @@ impl<M> NetScratch<M> {
 pub struct SimNet<M> {
     n: usize,
     now_ns: u64,
-    queue: EventQueue<u64, Flight<M>>,
-    arrived: Vec<Inbox<M>>,
+    queue: EventQueue<u64, Flight>,
+    parcels: Parcels<M>,
+    arrived: Vec<Inbox>,
     default_latency: LatencyModel,
     /// Sparse per-link latency overrides (the old dense `Vec` was n²).
-    link_latency: HashMap<u64, LatencyModel>,
-    /// Gossip adjacency + region/latency classes (implicit full mesh by
-    /// default).
+    link_latency: IntMap<u64, LatencyModel>,
+    /// The gossip adjacency + region/latency classes (implicit full mesh
+    /// by default).
     topo: TopologyMap,
     /// Per-link store-and-forward capacity; `None` = infinite.
     bandwidth_bps: Option<u64>,
     /// Sparse per-link transmit-busy horizon (only touched when
     /// `bandwidth_bps` is set).
-    link_busy: HashMap<u64, u64>,
+    link_busy: IntMap<u64, u64>,
     faults: Vec<Fault>,
     rng: ChaCha8Rng,
     stats: NetStats,
@@ -314,11 +402,13 @@ pub struct SimNet<M> {
 }
 
 impl<M: Kinded> SimNet<M> {
-    /// Tears the simulator down to its reusable storage (queue slab +
-    /// inbox buffers), dropping any undelivered payloads.
-    pub fn into_scratch(self) -> NetScratch<M> {
+    /// Tears the simulator down to its reusable storage (queue slab,
+    /// payload slab, inbox buffers), dropping any undelivered payloads.
+    pub fn into_scratch(mut self) -> NetScratch<M> {
+        self.parcels.clear();
         NetScratch {
             queue: self.queue.into_storage(),
+            parcels: self.parcels,
             inboxes: self.arrived.into_iter().map(Inbox::into_slots).collect(),
         }
     }
@@ -375,28 +465,26 @@ impl<M: Kinded> SimNet<M> {
         self.faults.iter().any(|f| f.crashes(node, at_ns))
     }
 
-    fn schedule(&mut self, from: usize, to: usize, payload: Gossip<M>, delay_ns: u64) {
+    fn schedule(&mut self, from: usize, to: usize, parcel: ParcelId, delay_ns: u64) {
         self.queue.schedule(
             self.now_ns + delay_ns,
             Flight {
                 sent_ns: self.now_ns,
                 from: from as u32,
                 to: to as u32,
-                payload,
+                parcel,
             },
         );
     }
-}
 
-impl<M: Kinded + Clone> SimNet<M> {
     /// The shared send path: fault injection, transmission-delay
-    /// queueing, latency sampling, and event scheduling over a payload
-    /// that is either owned (point-to-point) or Arc-interned (broadcast
-    /// fan-out). RNG draw order, stats, and `seq` assignment are
-    /// identical for both, so per-recipient sends and the zero-copy
-    /// broadcast produce bit-identical traces.
-    fn send_gossip(&mut self, from: usize, to: usize, payload: Gossip<M>) {
-        let kind = payload.get().kind();
+    /// queueing, latency sampling, and event scheduling for one copy of
+    /// a payload of kind `kind` already in the slab, whose reference this
+    /// call either hands to the flight it schedules or releases. RNG draw order,
+    /// stats, and `seq` assignment do not depend on how many copies share
+    /// the parcel, so per-recipient sends and the one-parcel broadcast
+    /// produce bit-identical traces.
+    fn send_parcel(&mut self, from: usize, to: usize, parcel: ParcelId, kind: &'static str) {
         self.sent += 1;
         self.stats.on_sent(from, to, kind);
         self.obs_sent.inc();
@@ -409,6 +497,7 @@ impl<M: Kinded + Clone> SimNet<M> {
             am_obs::event("net/drop/crashed_sender", from, self.now_ns, || {
                 format!("{kind} {from}->{to}")
             });
+            self.parcels.release(parcel);
             return;
         }
 
@@ -423,6 +512,7 @@ impl<M: Kinded + Clone> SimNet<M> {
                         am_obs::event("net/drop/random", from, self.now_ns, || {
                             format!("{kind} {from}->{to}")
                         });
+                        self.parcels.release(parcel);
                         return;
                     }
                 }
@@ -443,6 +533,7 @@ impl<M: Kinded + Clone> SimNet<M> {
                         am_obs::event("net/drop/partitioned", from, self.now_ns, || {
                             format!("{kind} {from}->{to}")
                         });
+                        self.parcels.release(parcel);
                         return;
                     }
                 }
@@ -459,7 +550,7 @@ impl<M: Kinded + Clone> SimNet<M> {
         // without bandwidth stay bit-identical to the historic path.
         let mut tx_ns: u64 = 0;
         if let Some(bps) = self.bandwidth_bps {
-            let bits = (payload.get().wire_bytes() as u128) * 8;
+            let bits = (self.parcels.get(parcel).wire_bytes() as u128) * 8;
             let tx = ((bits * 1_000_000_000) / bps.max(1) as u128).min(u64::MAX as u128) as u64;
             let busy = self.link_busy.entry(link_key(from, to)).or_insert(0);
             let done = (*busy).max(self.now_ns).saturating_add(tx);
@@ -474,37 +565,39 @@ impl<M: Kinded + Clone> SimNet<M> {
             am_obs::event("net/duplicate", from, self.now_ns, || {
                 format!("{kind} {from}->{to}")
             });
-            self.schedule(from, to, payload.clone(), tx_ns + base + dup_extra);
+            self.parcels.add_ref(parcel);
+            self.schedule(from, to, parcel, tx_ns + base + dup_extra);
         }
-        self.schedule(from, to, payload, tx_ns + base + extra_ns);
+        self.schedule(from, to, parcel, tx_ns + base + extra_ns);
     }
 
     /// Moves one popped event into its arrival inbox (or drops it if the
     /// receiver is crashed), advancing the clock to the event time.
-    fn admit(&mut self, at_ns: u64, seq: u64, flight: Flight<M>) -> bool {
+    fn admit(&mut self, at_ns: u64, seq: u64, flight: Flight) -> bool {
         debug_assert!(at_ns >= self.now_ns, "time went backwards");
         self.now_ns = at_ns;
         let Flight {
             sent_ns,
             from,
             to,
-            payload,
+            parcel,
         } = flight;
         let to = to as usize;
         if self.crashed(to, self.now_ns) {
-            let kind = payload.get().kind();
+            let kind = self.parcels.get(parcel).kind();
             self.stats.on_dropped(from as usize, to, kind);
             self.obs_dropped.inc();
             am_obs::event("net/drop/crashed_receiver", to, self.now_ns, || {
                 format!("{kind} {from}->{to}")
             });
+            self.parcels.release(parcel);
             return false;
         }
         self.arrived[to].push(Arrival {
-            from,
             sent_ns,
             seq,
-            payload,
+            from,
+            parcel,
         });
         if !self.in_dirty[to] {
             self.in_dirty[to] = true;
@@ -536,17 +629,23 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     }
 
     fn send(&mut self, from: usize, to: usize, payload: M) {
-        self.send_gossip(from, to, Gossip::Owned(payload));
+        let kind = payload.kind();
+        let parcel = self.parcels.insert(payload, 1);
+        self.send_parcel(from, to, parcel, kind);
     }
 
     fn broadcast(&mut self, from: usize, payload: M)
     where
         M: Clone,
     {
-        // Intern once; every recipient's flight is an Arc pointer bump.
-        let shared = Arc::new(payload);
+        // One parcel, one reference per recipient (endpoints are `u32`).
+        if self.n == 0 {
+            return;
+        }
+        let kind = payload.kind();
+        let parcel = self.parcels.insert(payload, self.n as u32);
         for to in 0..self.n {
-            self.send_gossip(from, to, Gossip::Shared(Arc::clone(&shared)));
+            self.send_parcel(from, to, parcel, kind);
         }
     }
 
@@ -556,13 +655,14 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
 
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope<M>> {
         let Arrival {
-            from,
             sent_ns,
             seq,
-            payload,
+            from,
+            parcel,
         } = self.arrived[node].take(idx)?;
         let from = from as usize;
-        let kind = payload.get().kind();
+        let payload = self.parcels.take(parcel);
+        let kind = payload.kind();
         self.delivered += 1;
         self.obs_delivered.inc();
         if am_obs::enabled() {
@@ -582,7 +682,7 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
         Some(Envelope {
             from,
             to: node,
-            payload: payload.into_owned(),
+            payload,
         })
     }
 
@@ -656,6 +756,14 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn handles_are_24_bytes_and_their_options_are_free() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Flight>(), 24);
+        assert_eq!(size_of::<Option<Flight>>(), 24);
+        assert_eq!(size_of::<Option<Arrival>>(), 24);
     }
 
     #[test]
@@ -793,9 +901,9 @@ mod tests {
 
     #[test]
     fn broadcast_cloning_matches_zero_copy_broadcast() {
-        // The Arc-interned broadcast and one owned `send` per recipient
-        // (the trait's default body) must draw the same randomness and
-        // produce the same trace.
+        // The one-parcel broadcast and one `send` (one parcel) per
+        // recipient (the trait's default body) must draw the same
+        // randomness and produce the same trace.
         let run = |zero_copy: bool| {
             let mut net: SimNet<Ping> = NetConfig::builder()
                 .latency(LatencyModel::Exponential { mean: 50 })

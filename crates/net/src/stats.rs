@@ -7,8 +7,8 @@
 //! trace is opt-in for the same reason: at 5k nodes an unbounded record
 //! stream dominates peak memory.
 
+use crate::hash::IntMap;
 use serde::Value;
-use std::collections::{BTreeMap, HashMap};
 
 /// Counter set shared by links and payload kinds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -126,9 +126,10 @@ pub struct DeliveryRecord {
 }
 
 /// The per-link counter storage: a sparse map keyed by the directed link
-/// (O(active links)).
+/// (O(active links)), integer-hashed — it is probed on every send, drop
+/// and delivery and only ever read out sorted.
 #[derive(Clone, Default)]
-struct LinkStore(HashMap<u64, Counters>);
+struct LinkStore(IntMap<u64, Counters>);
 
 impl std::fmt::Debug for LinkStore {
     /// Deterministic Debug: entries print in sorted `(from, to)` order
@@ -175,6 +176,46 @@ impl LinkStore {
     }
 }
 
+/// The per-kind counter storage: a handful of entries kept sorted by
+/// label, so `Debug` and JSON read like the `BTreeMap` this replaced. A
+/// kind is a `&'static str` literal, so the per-message lookup compares
+/// label *addresses* and falls back to comparing text (two literals with
+/// the same text need not share an address) only for a label not met
+/// before at that address.
+#[derive(Clone, Default)]
+struct KindStore(Vec<(&'static str, (Counters, DelayHistogram))>);
+
+impl std::fmt::Debug for KindStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(k, v)| (k, v)))
+            .finish()
+    }
+}
+
+impl KindStore {
+    fn get_mut(&mut self, kind: &'static str) -> &mut (Counters, DelayHistogram) {
+        let same_literal =
+            |k: &str| std::ptr::eq(k.as_ptr(), kind.as_ptr()) && k.len() == kind.len();
+        let at = match self.0.iter().position(|(k, _)| same_literal(k)) {
+            Some(at) => at,
+            None => match self.0.binary_search_by(|(k, _)| (*k).cmp(kind)) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.0.insert(at, (kind, Default::default()));
+                    at
+                }
+            },
+        };
+        &mut self.0[at].1
+    }
+
+    fn get(&self, kind: &str) -> Option<&(Counters, DelayHistogram)> {
+        let at = self.0.binary_search_by(|(k, _)| (*k).cmp(kind)).ok()?;
+        Some(&self.0[at].1)
+    }
+}
+
 /// Aggregated network observability: per-link counters, per-kind counters
 /// with delay histograms, maintained totals, and the (opt-in) delivery
 /// trace.
@@ -183,7 +224,7 @@ pub struct NetStats {
     n: usize,
     links: LinkStore,
     totals: Counters,
-    kinds: BTreeMap<&'static str, (Counters, DelayHistogram)>,
+    kinds: KindStore,
     trace: Vec<DeliveryRecord>,
     trace_on: bool,
 }
@@ -196,42 +237,38 @@ impl NetStats {
             n,
             links: LinkStore::default(),
             totals: Counters::default(),
-            kinds: BTreeMap::new(),
+            kinds: KindStore::default(),
             trace: Vec::new(),
             trace_on: trace,
         }
-    }
-
-    fn kind_mut(&mut self, kind: &'static str) -> &mut (Counters, DelayHistogram) {
-        self.kinds.entry(kind).or_default()
     }
 
     /// Records a send.
     pub fn on_sent(&mut self, from: usize, to: usize, kind: &'static str) {
         self.links.get_mut(from, to).sent += 1;
         self.totals.sent += 1;
-        self.kind_mut(kind).0.sent += 1;
+        self.kinds.get_mut(kind).0.sent += 1;
     }
 
     /// Records a drop (fault loss).
     pub fn on_dropped(&mut self, from: usize, to: usize, kind: &'static str) {
         self.links.get_mut(from, to).dropped += 1;
         self.totals.dropped += 1;
-        self.kind_mut(kind).0.dropped += 1;
+        self.kinds.get_mut(kind).0.dropped += 1;
     }
 
     /// Records an injected duplicate.
     pub fn on_duplicated(&mut self, from: usize, to: usize, kind: &'static str) {
         self.links.get_mut(from, to).duplicated += 1;
         self.totals.duplicated += 1;
-        self.kind_mut(kind).0.duplicated += 1;
+        self.kinds.get_mut(kind).0.duplicated += 1;
     }
 
     /// Records a consumed delivery with its in-flight delay.
     pub fn on_delivered(&mut self, rec: DeliveryRecord, delay_ns: u64) {
         self.links.get_mut(rec.from, rec.to).delivered += 1;
         self.totals.delivered += 1;
-        let (c, h) = self.kind_mut(rec.kind);
+        let (c, h) = self.kinds.get_mut(rec.kind);
         c.delivered += 1;
         h.record(delay_ns);
         if self.trace_on {
@@ -283,6 +320,7 @@ impl NetStats {
     pub fn to_json(&self) -> Value {
         let kinds: Vec<(String, Value)> = self
             .kinds
+            .0
             .iter()
             .map(|(k, (c, h))| {
                 let mut obj = match c.to_json() {
@@ -424,5 +462,37 @@ mod tests {
         assert!(!s.trace_enabled());
         assert_eq!(s.totals().delivered, 8, "counters still aggregate");
         assert_eq!(s.kind("a").delivered, 8);
+    }
+
+    #[test]
+    fn kinds_print_as_the_sorted_map_they_replace() {
+        use std::collections::BTreeMap;
+        // The same text at two addresses must be one kind.
+        let ack_elsewhere: &'static str = String::from("ack").leak();
+        let mut s = NetStats::with_options(2, false);
+        let mut want: BTreeMap<&'static str, (Counters, DelayHistogram)> = BTreeMap::new();
+        for kind in [
+            "view_resp",
+            "ack",
+            "append",
+            ack_elsewhere,
+            "read_req",
+            "ack",
+        ] {
+            s.on_sent(0, 1, kind);
+            want.entry(kind).or_default().0.sent += 1;
+        }
+        assert_eq!(s.kind("ack").sent, 3);
+        assert_eq!(s.kind("nope"), Counters::default());
+        assert_eq!(format!("{:?}", s.kinds), format!("{want:?}"));
+        assert_eq!(format!("{:#?}", s.kinds), format!("{want:#?}"));
+        let names = |j: &Value| match j.get("kinds") {
+            Some(Value::Object(kinds)) => kinds.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("kinds not an object: {other:?}"),
+        };
+        assert_eq!(
+            names(&s.to_json()),
+            ["ack", "append", "read_req", "view_resp"]
+        );
     }
 }

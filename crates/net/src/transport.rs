@@ -47,8 +47,9 @@ pub trait Transport<M> {
     /// Broadcasts to every node including the sender (self-delivery keeps
     /// the paper's pseudocode symmetric): one [`send`](Transport::send)
     /// (and payload clone) per recipient. Substrates that can share one
-    /// payload across recipients (see `SimNet`'s Arc-interned override)
-    /// must stay observably identical to that loop.
+    /// payload across recipients (see `SimNet`'s override: one slab slot,
+    /// one reference per recipient) must stay observably identical to
+    /// that loop.
     fn broadcast(&mut self, from: usize, payload: M)
     where
         M: Clone,
