@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One implementation of each idea in src/: fails on a reference twin, a
 # switch that selects one, a per-PR bench file, a second timing loop /
-# pretend thread pool (the deleted criterion and rayon shims), or a SipHash
-# map / an `Arc`ed payload on the simulator's per-message path.
+# pretend thread pool (the deleted criterion and rayon shims), a SipHash
+# map / an `Arc`ed payload on the simulator's per-message path, or a second
+# copy of a trial's graph beside its `TrialDag`.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -27,6 +28,16 @@ if shipped crates/net/src/sim.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\b(Arc|Gossip)\b'; then
   echo "error: SimNet carries parcel handles, not shared payloads — keep Arc/Gossip out of sim.rs (DESIGN.md §10)" >&2
+  exit 1
+fi
+# A trial runner keeps its history in the pooled `TrialDag` and decides on
+# it in place; the memory + snapshot index it replaced is the test-side
+# reference (`crates/protocols/tests/trial_dag_spec.rs`).
+if shipped crates/protocols/src/chain.rs crates/protocols/src/dag.rs \
+  crates/protocols/src/timestamp.rs crates/protocols/src/weak.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\b(AppendMemory|MessageBuilder)\b|DagIndex::new'; then
+  echo "error: a trial runner builds a second copy of its graph — append to and decide on the TrialDag (DESIGN.md, \"Trial DAG\")" >&2
   exit 1
 fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then

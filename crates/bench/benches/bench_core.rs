@@ -3,8 +3,10 @@
 //! bushy DAG) and the decision path's kernels.
 
 use am_bench::{chain_history, dag_history, recorder::Recorder};
+use am_core::chain::longest_chain_positions;
 use am_core::{
-    ghost, linearize_with, longest_chain, longest_chain_with, ConeCoverTracker, DagIndex, MsgId,
+    ghost, linearize_in, linearize_with, longest_chain, longest_chain_with, ConeCoverTracker,
+    DagIndex, LinScratch, MsgId,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -66,8 +68,16 @@ fn main() {
         let chain = longest_chain_with(&dag);
         black_box(linearize_with(&dag, &chain).order.len())
     });
-    // GHOST kernel: pooled scratch over a prebuilt index.
+    // The trial path's share of it: the same linearization over a built
+    // index into warm scratch — no allocation.
     let dag = DagIndex::new(&view);
+    let chain = longest_chain_positions(&dag);
+    let mut lin = LinScratch::new();
+    rec.measure_absolute("core/linearize_in_warm_scratch", msgs, budget, || {
+        linearize_in(&dag, &chain, &mut lin);
+        black_box(lin.order().len())
+    });
+    // GHOST kernel: pooled scratch over a prebuilt index.
     let mut gs = ghost::GhostScratch::new();
     rec.measure_absolute("core/ghost_pivot_pooled_scratch", msgs, budget, || {
         black_box(ghost::ghost_pivot_in(&dag, &mut gs).len())

@@ -3,9 +3,10 @@
 //! ablation A5 (the two view policies).
 
 use am_bench::recorder::Recorder;
+use am_core::{NodeId, Time, Value, GENESIS};
 use am_protocols::{
     run_chain, run_dag, run_timestamp, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
-    ViewPolicy,
+    TrialDag, ViewPolicy,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -105,5 +106,21 @@ fn main() {
             black_box(chain_set(&p))
         });
     }
+    // The arena under every runner above: reset, then a trial-sized
+    // history of two-parent appends into warm columns, ns per append.
+    const HISTORY: u64 = 40;
+    let mut dag = TrialDag::new(12);
+    rec.measure_absolute("protocols/trial_dag_append_ns", HISTORY, budget, || {
+        dag.reset(12);
+        let (mut older, mut newer) = (GENESIS, GENESIS);
+        for i in 0..HISTORY {
+            let parents = [newer, older];
+            let parents = if i == 0 { &parents[..1] } else { &parents[..] };
+            let at = Time::new(i as f64);
+            let id = dag.append(NodeId(i as u32 % 12), Value::plus(), parents, at);
+            (older, newer) = (newer, id.expect("parents exist"));
+        }
+        black_box(newer)
+    });
     rec.write().unwrap_or_else(|e| panic!("{e}"));
 }

@@ -6,7 +6,7 @@
 //! random). This module computes the longest-chain tips and extracts chains;
 //! the tie-breaking *policy* lives with the protocols, which own the RNG.
 
-use crate::dag::DagIndex;
+use crate::dag::{DagIndex, DagRead};
 use crate::ids::MsgId;
 use crate::view::MemoryView;
 
@@ -14,7 +14,7 @@ use crate::view::MemoryView;
 /// line 5 ("the set of the last states in the longest chains of M").
 /// Returned in id (arrival) order, so index 0 is the deterministic
 /// "first longest chain in the memory" choice of Theorem 5.3.
-pub fn longest_chain_tips(dag: &DagIndex) -> Vec<usize> {
+pub fn longest_chain_tips<D: DagRead + ?Sized>(dag: &D) -> Vec<usize> {
     let d = dag.max_depth();
     (0..dag.len()).filter(|&i| dag.depth_of(i) == d).collect()
 }
@@ -23,8 +23,10 @@ pub fn longest_chain_tips(dag: &DagIndex) -> Vec<usize> {
 /// has several parents (DAG merges), the deepest parent is followed, ties
 /// broken towards the smallest id — this is the canonical chain
 /// decomposition used to order a DAG by its longest chain.
-pub fn chain_to_genesis(dag: &DagIndex, tip: usize) -> Vec<usize> {
-    let mut chain = vec![tip];
+pub fn chain_to_genesis<D: DagRead + ?Sized>(dag: &D, tip: usize) -> Vec<usize> {
+    // Following deepest parents loses exactly one level per step.
+    let mut chain = Vec::with_capacity(dag.depth_of(tip) as usize + 1);
+    chain.push(tip);
     let mut cur = tip;
     loop {
         let parents = dag.parents_of(cur);
@@ -47,6 +49,16 @@ pub fn chain_to_genesis(dag: &DagIndex, tip: usize) -> Vec<usize> {
     chain
 }
 
+/// The longest chain as positions, root first, under the deterministic
+/// first-tip rule for ties; empty for an empty DAG.
+pub fn longest_chain_positions<D: DagRead + ?Sized>(dag: &D) -> Vec<usize> {
+    let d = dag.max_depth();
+    match (0..dag.len()).find(|&i| dag.depth_of(i) == d) {
+        Some(tip) => chain_to_genesis(dag, tip),
+        None => Vec::new(),
+    }
+}
+
 /// Convenience: the longest chain of a view as message ids (root first),
 /// using the deterministic first-tip rule for ties.
 pub fn longest_chain(view: &MemoryView) -> Vec<MsgId> {
@@ -56,12 +68,8 @@ pub fn longest_chain(view: &MemoryView) -> Vec<MsgId> {
 
 /// [`longest_chain`] on an existing index — decision paths that also
 /// linearize build the index once and share it.
-pub fn longest_chain_with(dag: &DagIndex) -> Vec<MsgId> {
-    let tips = longest_chain_tips(dag);
-    let Some(&tip) = tips.first() else {
-        return Vec::new();
-    };
-    chain_to_genesis(dag, tip)
+pub fn longest_chain_with<D: DagRead + ?Sized>(dag: &D) -> Vec<MsgId> {
+    longest_chain_positions(dag)
         .into_iter()
         .map(|p| dag.id_at(p))
         .collect()
@@ -69,7 +77,7 @@ pub fn longest_chain_with(dag: &DagIndex) -> Vec<MsgId> {
 
 /// Number of messages that are *not* on the chain through `tip` — the forks
 /// ("wasted" correct appends in the Theorem 5.4 analysis).
-pub fn off_chain_count(dag: &DagIndex, tip: usize) -> usize {
+pub fn off_chain_count<D: DagRead + ?Sized>(dag: &D, tip: usize) -> usize {
     dag.len() - chain_to_genesis(dag, tip).len()
 }
 

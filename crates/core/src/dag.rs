@@ -23,6 +23,51 @@ use crate::view::MemoryView;
 use std::cell::RefCell;
 use std::sync::Arc;
 
+/// What the chain-selection and ordering rules read of a reference DAG:
+/// positions `0..len` in topological (id) order, CSR adjacency in both
+/// directions, longest-path depths, and the two content-derived facts the
+/// rules break ties with. [`DagIndex`] implements it over a
+/// [`MemoryView`]; the trial runners' append-only arena implements it over
+/// its own columns, so [`crate::chain`], [`crate::ghost`], [`crate::pivot`]
+/// and [`crate::linearize`] exist once.
+pub trait DagRead {
+    /// Number of messages.
+    fn len(&self) -> usize;
+
+    /// Whether the DAG holds no message at all (not even genesis).
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Parent positions of `pos`, in the order the message lists them.
+    fn parents_of(&self, pos: usize) -> &[u32];
+
+    /// Child positions of `pos`, ascending.
+    fn children_of(&self, pos: usize) -> &[u32];
+
+    /// Longest-path depth of `pos` (roots have depth 0).
+    fn depth_of(&self, pos: usize) -> u32;
+
+    /// Maximum depth over all messages (0 when empty).
+    fn max_depth(&self) -> u32 {
+        (0..self.len()).map(|p| self.depth_of(p)).max().unwrap_or(0)
+    }
+
+    /// The message id at `pos`.
+    fn id_at(&self, pos: usize) -> MsgId;
+
+    /// Position of `id`, if the DAG holds it.
+    fn position(&self, id: MsgId) -> Option<usize>;
+
+    /// `(author, seq)` of `pos` — the content-derived order inside a
+    /// linearization epoch. Genesis has no author and reads `(0, 0)`.
+    fn content_key(&self, pos: usize) -> (u32, u64);
+
+    /// Position of the *first listed* parent of `pos`, if the DAG holds it
+    /// (the parental-tree edge of the pivot rule).
+    fn first_parent(&self, pos: usize) -> Option<usize>;
+}
+
 /// Epoch-stamped visit marks shared by the cone traversals. A node is
 /// "marked" when its stamp equals the current epoch; bumping the epoch
 /// invalidates every mark at once.
@@ -289,6 +334,48 @@ impl DagIndex {
     pub fn longest_chain_tip_count(&self) -> usize {
         let d = self.max_depth();
         self.depth.iter().filter(|&&x| x == d).count()
+    }
+}
+
+impl DagRead for DagIndex {
+    #[inline]
+    fn len(&self) -> usize {
+        DagIndex::len(self)
+    }
+
+    #[inline]
+    fn parents_of(&self, pos: usize) -> &[u32] {
+        DagIndex::parents_of(self, pos)
+    }
+
+    #[inline]
+    fn children_of(&self, pos: usize) -> &[u32] {
+        DagIndex::children_of(self, pos)
+    }
+
+    #[inline]
+    fn depth_of(&self, pos: usize) -> u32 {
+        DagIndex::depth_of(self, pos)
+    }
+
+    #[inline]
+    fn id_at(&self, pos: usize) -> MsgId {
+        DagIndex::id_at(self, pos)
+    }
+
+    fn position(&self, id: MsgId) -> Option<usize> {
+        DagIndex::position(self, id)
+    }
+
+    #[inline]
+    fn content_key(&self, pos: usize) -> (u32, u64) {
+        let m = self.message(pos);
+        (m.author.map_or(0, |a| a.0), m.seq)
+    }
+
+    fn first_parent(&self, pos: usize) -> Option<usize> {
+        let first = self.message(pos).parents.first()?;
+        DagIndex::position(self, *first)
     }
 }
 

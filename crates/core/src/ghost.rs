@@ -7,7 +7,7 @@
 //! *future cone* (set of descendants, the DAG generalisation of the subtree
 //! weight) is heaviest, breaking residual ties towards the smaller id.
 
-use crate::dag::DagIndex;
+use crate::dag::{DagIndex, DagRead};
 use crate::ids::MsgId;
 use crate::view::MemoryView;
 
@@ -41,7 +41,7 @@ impl GhostScratch {
 /// Weight of every message: 1 + the size of its future cone. In a tree this
 /// is exactly the GHOST subtree size; in a DAG a message may be counted in
 /// several branches, which matches the inclusive interpretation.
-pub fn subtree_weights(dag: &DagIndex) -> Vec<u64> {
+pub fn subtree_weights<D: DagRead + ?Sized>(dag: &D) -> Vec<u64> {
     let mut s = GhostScratch::new();
     subtree_weights_in(dag, &mut s);
     s.weight
@@ -49,7 +49,7 @@ pub fn subtree_weights(dag: &DagIndex) -> Vec<u64> {
 
 /// [`subtree_weights`] into caller-owned scratch buffers (read the result
 /// from [`GhostScratch::weights`]); no allocation once the pool is warm.
-pub fn subtree_weights_in(dag: &DagIndex, s: &mut GhostScratch) {
+pub fn subtree_weights_in<D: DagRead + ?Sized>(dag: &D, s: &mut GhostScratch) {
     let n = dag.len();
     s.weight.clear();
     s.weight.resize(n, 0);
@@ -97,25 +97,26 @@ pub fn subtree_weights_in(dag: &DagIndex, s: &mut GhostScratch) {
 
 /// The GHOST pivot chain: the heaviest-subtree walk from genesis, returned
 /// root-first as positions into the index.
-pub fn ghost_pivot_positions(dag: &DagIndex) -> Vec<usize> {
+pub fn ghost_pivot_positions<D: DagRead + ?Sized>(dag: &D) -> Vec<usize> {
     let mut s = GhostScratch::new();
     ghost_pivot_positions_in(dag, &mut s)
 }
 
 /// [`ghost_pivot_positions`] through caller-owned scratch buffers.
-pub fn ghost_pivot_positions_in(dag: &DagIndex, s: &mut GhostScratch) -> Vec<usize> {
+pub fn ghost_pivot_positions_in<D: DagRead + ?Sized>(dag: &D, s: &mut GhostScratch) -> Vec<usize> {
     if dag.is_empty() {
         return Vec::new();
     }
     subtree_weights_in(dag, s);
     let weight = &s.weight;
     // Start at the root with the heaviest cone (genesis in full views).
-    let mut cur = dag
-        .roots()
-        .into_iter()
+    let mut cur = (0..dag.len())
+        .filter(|&r| dag.parents_of(r).is_empty())
         .max_by_key(|&r| (weight[r], std::cmp::Reverse(r)))
         .expect("non-empty DAG has a root");
-    let mut chain = vec![cur];
+    // A walk along child edges gains at least one level per step.
+    let mut chain = Vec::with_capacity(dag.max_depth() as usize + 1);
+    chain.push(cur);
     loop {
         let kids = dag.children_of(cur);
         if kids.is_empty() {
@@ -142,7 +143,7 @@ pub fn ghost_pivot(view: &MemoryView) -> Vec<MsgId> {
 
 /// [`ghost_pivot`] on an existing index — decision paths that also
 /// linearize build the index once and share it.
-pub fn ghost_pivot_with(dag: &DagIndex) -> Vec<MsgId> {
+pub fn ghost_pivot_with<D: DagRead + ?Sized>(dag: &D) -> Vec<MsgId> {
     ghost_pivot_positions(dag)
         .into_iter()
         .map(|p| dag.id_at(p))
@@ -150,7 +151,7 @@ pub fn ghost_pivot_with(dag: &DagIndex) -> Vec<MsgId> {
 }
 
 /// [`ghost_pivot_with`] through caller-owned scratch buffers.
-pub fn ghost_pivot_in(dag: &DagIndex, s: &mut GhostScratch) -> Vec<MsgId> {
+pub fn ghost_pivot_in<D: DagRead + ?Sized>(dag: &D, s: &mut GhostScratch) -> Vec<MsgId> {
     ghost_pivot_positions_in(dag, s)
         .into_iter()
         .map(|p| dag.id_at(p))

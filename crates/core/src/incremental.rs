@@ -5,7 +5,11 @@
 //! message at a time. [`IncrementalDag`] maintains the quantities the
 //! Section 5 runners actually poll — longest-path depth, the prefix-tips
 //! needed for interval views, and arrival-time prefixes for lagged views —
-//! in O(parents) per append.
+//! in O(parents) per append; [`ConeCoverTracker`] maintains the parent
+//! adjacency and the covered-value count of the decision gate. Both
+//! `reset` to the genesis-only state with their capacity kept, so a
+//! Monte-Carlo loop reuses one pair for every trial instead of building
+//! a pair per trial.
 
 use crate::ids::{MsgId, Time};
 
@@ -54,6 +58,18 @@ impl IncrementalDag {
         }
     }
 
+    /// Back to the genesis-only state of [`new`](IncrementalDag::new),
+    /// keeping the buffers' capacity.
+    pub fn reset(&mut self) {
+        self.depth.clear();
+        self.depth.push(0);
+        self.first_child.clear();
+        self.first_child.push(None);
+        self.arrivals.clear();
+        self.arrivals.push(Time::ZERO);
+        self.deepest = 0;
+    }
+
     /// Number of messages tracked (genesis included).
     pub fn len(&self) -> usize {
         self.depth.len()
@@ -96,9 +112,10 @@ impl IncrementalDag {
         self.depth[id.index()]
     }
 
-    /// Maximum depth over the whole history.
+    /// Maximum depth over the whole history — the depth of
+    /// [`deepest`](IncrementalDag::deepest), so O(1).
     pub fn max_depth(&self) -> u32 {
-        *self.depth.iter().max().expect("genesis present")
+        self.depth[self.deepest as usize]
     }
 
     /// The deepest message (ties to the smallest id), maintained on append.
@@ -109,12 +126,22 @@ impl IncrementalDag {
     /// Deepest message ids *within the first `prefix` messages* — the
     /// longest-chain tip candidates of a prefix view.
     pub fn deepest_in_prefix(&self, prefix: usize) -> Vec<MsgId> {
+        let mut out = Vec::new();
+        self.deepest_in_prefix_into(prefix, &mut out);
+        out
+    }
+
+    /// [`deepest_in_prefix`](IncrementalDag::deepest_in_prefix) into a
+    /// caller buffer (cleared first).
+    pub fn deepest_in_prefix_into(&self, prefix: usize, out: &mut Vec<MsgId>) {
+        out.clear();
         let prefix = prefix.clamp(1, self.len());
         let max = self.depth[..prefix].iter().copied().max().unwrap_or(0);
-        (0..prefix)
-            .filter(|&i| self.depth[i] == max)
-            .map(|i| MsgId(i as u64))
-            .collect()
+        out.extend(
+            (0..prefix)
+                .filter(|&i| self.depth[i] == max)
+                .map(|i| MsgId(i as u64)),
+        );
     }
 
     /// Tips of the prefix view of length `prefix`: messages whose first
@@ -238,9 +265,39 @@ impl ConeCoverTracker {
         }
     }
 
+    /// Back to the genesis-only state of [`new`](ConeCoverTracker::new)
+    /// — marks, epochs and the tracked cone included — keeping the
+    /// buffers' capacity.
+    pub fn reset(&mut self) {
+        self.par_off.clear();
+        self.par_off.extend([0, 0]);
+        self.par.clear();
+        self.carries_value.clear();
+        self.carries_value.push(false);
+        self.mark.clear();
+        self.mark.push(1);
+        self.epoch = 1;
+        self.probe.clear();
+        self.probe.push(0);
+        self.probe_epoch = 0;
+        self.tracked = 0;
+        self.covered = 0;
+    }
+
     /// Number of messages tracked (genesis included).
     pub fn len(&self) -> usize {
         self.carries_value.len()
+    }
+
+    /// Parents of message `i` in the order they were listed — the CSR row
+    /// the tracker already keeps, for owners that index the same history.
+    pub fn parents_of(&self, i: usize) -> &[u32] {
+        &self.par[self.par_off[i] as usize..self.par_off[i + 1] as usize]
+    }
+
+    /// Total parent references recorded (the edge count).
+    pub fn edge_count(&self) -> usize {
+        self.par.len()
     }
 
     /// Whether only genesis is present.
@@ -560,6 +617,89 @@ mod tests {
             let q = rng.gen_range(0..=i);
             assert_eq!(t.cover_of(MsgId(q)), naive_cover(&parents, &values, q));
             assert_eq!(t.cover_of(MsgId(i)), naive_cover(&parents, &values, i));
+        }
+    }
+
+    /// A random forked history: every append references one to three
+    /// earlier messages.
+    fn random_forked(len: u64, seed: u64) -> (IncrementalDag, Vec<Vec<MsgId>>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut d = IncrementalDag::new();
+        let mut parents = vec![Vec::new()];
+        for i in 1..len {
+            let ps: Vec<MsgId> = (0..rng.gen_range(1..=3))
+                .map(|_| MsgId(rng.gen_range(i.saturating_sub(6)..i)))
+                .collect();
+            d.on_append(MsgId(i), &ps, t(i as f64));
+            parents.push(ps);
+        }
+        (d, parents)
+    }
+
+    #[test]
+    fn max_depth_and_deepest_match_the_scanning_definition() {
+        let mut d = IncrementalDag::new();
+        let (full, parents) = random_forked(400, 5);
+        for (i, ps) in parents.iter().enumerate().skip(1) {
+            d.on_append(MsgId(i as u64), ps, t(i as f64));
+            let scan = (0..d.len()).map(|j| d.depth_of(MsgId(j as u64))).max();
+            assert_eq!(Some(d.max_depth()), scan, "after append {i}");
+            let first = (0..d.len()).find(|&j| Some(d.depth_of(MsgId(j as u64))) == scan);
+            assert_eq!(
+                Some(d.deepest().index()),
+                first,
+                "ties go to the smallest id"
+            );
+        }
+        assert_eq!(d.max_depth(), full.max_depth());
+    }
+
+    #[test]
+    fn deepest_in_prefix_into_matches_the_scanning_definition() {
+        let (d, _) = random_forked(300, 9);
+        let mut buf = vec![MsgId(77); 5]; // dirty on purpose
+        for prefix in [0, 1, 2, 17, 150, 300, 999] {
+            d.deepest_in_prefix_into(prefix, &mut buf);
+            let p = prefix.clamp(1, d.len());
+            let max = (0..p).map(|j| d.depth_of(MsgId(j as u64))).max().unwrap();
+            let scan: Vec<MsgId> = (0..p as u64)
+                .map(MsgId)
+                .filter(|&m| d.depth_of(m) == max)
+                .collect();
+            assert_eq!(buf, scan, "prefix {prefix}");
+            assert_eq!(d.deepest_in_prefix(prefix), scan);
+        }
+    }
+
+    #[test]
+    fn reset_trackers_behave_like_fresh_ones() {
+        let (mut d, parents) = random_forked(200, 3);
+        let mut c = ConeCoverTracker::new();
+        for (i, ps) in parents.iter().enumerate().skip(1) {
+            c.on_append(MsgId(i as u64), ps, i % 4 != 0);
+        }
+        c.cover_of(MsgId(150));
+        c.cover_of(MsgId(40)); // bumps the epoch
+        d.reset();
+        c.reset();
+        assert!(d.is_empty() && c.is_empty());
+        assert_eq!((d.max_depth(), d.deepest()), (0, MsgId(0)));
+        assert_eq!(
+            (c.tracked_tip(), c.covered(), c.edge_count()),
+            (MsgId(0), 0, 0)
+        );
+        let (mut fresh_d, mut fresh_c) = (IncrementalDag::new(), ConeCoverTracker::new());
+        for (i, ps) in parents.iter().enumerate().skip(1).take(60) {
+            let id = MsgId(i as u64);
+            for (d, c) in [(&mut d, &mut c), (&mut fresh_d, &mut fresh_c)] {
+                d.on_append(id, ps, t(i as f64));
+                c.on_append(id, ps, true);
+            }
+            assert_eq!(c.cover_of(d.deepest()), fresh_c.cover_of(fresh_d.deepest()));
+            assert_eq!(c.parents_of(i), fresh_c.parents_of(i));
+            assert_eq!(d.tips_of_prefix(i), fresh_d.tips_of_prefix(i));
+            assert_eq!(d.prefix_at_time(t(i as f64 - 0.5)), i);
         }
     }
 

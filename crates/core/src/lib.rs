@@ -28,7 +28,9 @@
 //! * [`Message`] / [`MessageBuilder`] — appended commands with values and
 //!   parent references.
 //! * [`DagIndex`] — the reference graph over a view: parents, children,
-//!   tips, depths, past/future cones, topological orders.
+//!   tips, depths, past/future cones, topological orders. The chain and
+//!   ordering rules below read a DAG through [`DagRead`], which it
+//!   implements.
 //! * Chain selection rules: [`chain::longest_chain`],
 //!   [`ghost::ghost_pivot`], and the
 //!   [`ordering::OrderingRule`] abstraction used by the
@@ -76,13 +78,13 @@ pub mod value;
 pub mod view;
 
 pub use chain::{chain_to_genesis, longest_chain, longest_chain_tips, longest_chain_with};
-pub use dag::DagIndex;
+pub use dag::{DagIndex, DagRead};
 pub use error::{AppendError, CoreError};
 pub use ghost::{ghost_pivot, ghost_pivot_with, subtree_weights, GhostScratch};
 pub use history::History;
 pub use ids::{MsgId, NodeId, Round, Time, GENESIS};
 pub use incremental::{ConeCoverTracker, IncrementalDag};
-pub use linearize::{linearize, linearize_with, Linearization};
+pub use linearize::{linearize, linearize_in, linearize_with, LinScratch, Linearization};
 pub use memory::AppendMemory;
 pub use message::{Message, MessageBuilder};
 pub use ordering::{GhostRule, LongestChainRule, OrderingRule, PivotRule};

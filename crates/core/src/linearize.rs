@@ -5,13 +5,14 @@
 //! chain block defines an *epoch*: the messages in its past cone that no
 //! earlier chain block covered. Epochs are emitted chain-order; inside an
 //! epoch, messages are emitted in a topological order with deterministic
-//! content-derived tie-breaking by `(author, seq)` — nodes may not use the
-//! memory's arrival order, which the model explicitly withholds from them.
+//! content-derived tie-breaking by `(author, seq)`
+//! ([`DagRead::content_key`]) — nodes may not use the memory's arrival
+//! order, which the model explicitly withholds from them.
 
-use crate::dag::DagIndex;
+use crate::dag::{DagIndex, DagRead};
 use crate::ids::MsgId;
-use crate::message::Message;
 use crate::view::MemoryView;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The result of linearizing a DAG along a chain.
@@ -42,10 +43,32 @@ impl Linearization {
     }
 }
 
-/// Content-derived sort key: epochs order their members by `(author, seq)`,
-/// never by the memory's private arrival order.
-fn content_key(m: &Message) -> (u32, u64) {
-    (m.author.map_or(0, |a| a.0), m.seq)
+/// Reusable buffers of [`linearize_in`]. Trial loops keep one per thread,
+/// so a decision allocates nothing once the buffers have grown to the
+/// working history size; every call starts from a cleared state.
+#[derive(Debug, Default)]
+pub struct LinScratch {
+    emitted: Vec<bool>,
+    /// `stamp[p] == cur` marks `p` as a member of the epoch currently being
+    /// emitted; `pending[p]` is only meaningful under a matching stamp.
+    stamp: Vec<u32>,
+    pending: Vec<u32>,
+    epoch: Vec<usize>,
+    ready: BinaryHeap<Reverse<((u32, u64), usize)>>,
+    order: Vec<usize>,
+}
+
+impl LinScratch {
+    /// Empty scratch; buffers grow on first use.
+    pub fn new() -> LinScratch {
+        LinScratch::default()
+    }
+
+    /// Positions covered by the last [`linearize_in`] call, in decision
+    /// order (the root first).
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
 }
 
 /// Linearizes `view` along `chain` (a root-first list of message ids, as
@@ -57,26 +80,45 @@ pub fn linearize(view: &MemoryView, chain: &[MsgId]) -> Linearization {
 }
 
 /// [`linearize`] on an existing index — decision paths build the index once
-/// and share it between chain selection and linearization. Epoch membership
-/// and pending parent counts live in dense stamp arrays instead of per-epoch
-/// hash maps.
-pub fn linearize_with(dag: &DagIndex, chain: &[MsgId]) -> Linearization {
-    use std::cmp::Reverse;
-    let n = dag.len();
-    let mut emitted = vec![false; n];
-    let mut order: Vec<MsgId> = Vec::with_capacity(n);
-    // `stamp[p] == cur` marks p as a member of the epoch currently being
-    // emitted; `pending[p]` is only meaningful under a matching stamp.
-    let mut stamp: Vec<u32> = vec![0; n];
-    let mut pending: Vec<u32> = vec![0; n];
-    let mut cur: u32 = 0;
-    let mut epoch: Vec<usize> = Vec::new();
-    let mut ready: BinaryHeap<Reverse<((u32, u64), usize)>> = BinaryHeap::new();
+/// and share it between chain selection and linearization. Chain ids the
+/// DAG does not hold are skipped. The allocating form of [`linearize_in`].
+pub fn linearize_with<D: DagRead + ?Sized>(dag: &D, chain: &[MsgId]) -> Linearization {
+    let positions: Vec<usize> = chain.iter().filter_map(|&id| dag.position(id)).collect();
+    let mut s = LinScratch::new();
+    linearize_in(dag, &positions, &mut s);
+    Linearization {
+        order: s.order.iter().map(|&p| dag.id_at(p)).collect(),
+        uncovered: (0..dag.len())
+            .filter(|&p| !s.emitted[p])
+            .map(|p| dag.id_at(p))
+            .collect(),
+    }
+}
 
-    for &block in chain {
-        let Some(bpos) = dag.position(block) else {
-            continue;
-        };
+/// Linearizes `dag` along `chain` — root-first *positions*, as the
+/// `*_positions` chain rules return them — into `s`; read the result from
+/// [`LinScratch::order`]. Epoch membership and pending parent counts live
+/// in dense stamp arrays instead of per-epoch hash maps.
+pub fn linearize_in<D: DagRead + ?Sized>(dag: &D, chain: &[usize], s: &mut LinScratch) {
+    let n = dag.len();
+    let LinScratch {
+        emitted,
+        stamp,
+        pending,
+        epoch,
+        ready,
+        order,
+    } = s;
+    emitted.clear();
+    emitted.resize(n, false);
+    stamp.clear();
+    stamp.resize(n, 0);
+    pending.clear();
+    pending.resize(n, 0);
+    order.clear();
+    let mut cur: u32 = 0;
+
+    for &bpos in chain {
         if emitted[bpos] {
             continue;
         }
@@ -104,7 +146,7 @@ pub fn linearize_with(dag: &DagIndex, chain: &[MsgId]) -> Linearization {
         }
         // Remaining in-epoch parent counts; members with none are ready.
         ready.clear();
-        for &p in &epoch {
+        for &p in epoch.iter() {
             let cnt = dag
                 .parents_of(p)
                 .iter()
@@ -112,7 +154,7 @@ pub fn linearize_with(dag: &DagIndex, chain: &[MsgId]) -> Linearization {
                 .count() as u32;
             pending[p] = cnt;
             if cnt == 0 {
-                ready.push(Reverse((content_key(dag.message(p)), p)));
+                ready.push(Reverse((dag.content_key(p), p)));
             }
         }
         // Emit in topological order, min-heap on the content key.
@@ -121,24 +163,18 @@ pub fn linearize_with(dag: &DagIndex, chain: &[MsgId]) -> Linearization {
                 continue;
             }
             emitted[p] = true;
-            order.push(dag.id_at(p));
+            order.push(p);
             for &c in dag.children_of(p) {
                 let c = c as usize;
                 if stamp[c] == cur && pending[c] > 0 {
                     pending[c] -= 1;
                     if pending[c] == 0 {
-                        ready.push(Reverse((content_key(dag.message(c)), c)));
+                        ready.push(Reverse((dag.content_key(c), c)));
                     }
                 }
             }
         }
     }
-
-    let uncovered: Vec<MsgId> = (0..n)
-        .filter(|&p| !emitted[p])
-        .map(|p| dag.id_at(p))
-        .collect();
-    Linearization { order, uncovered }
 }
 
 #[cfg(test)]

@@ -8,34 +8,27 @@
 //! referenced by many branches: the pivot rule counts them once, in the
 //! subtree of their first parent.
 
-use crate::dag::DagIndex;
+use crate::dag::{DagIndex, DagRead};
 use crate::ids::MsgId;
 use crate::view::MemoryView;
 
 /// First-parent tree: for each position, the parent position whose edge is
 /// the message's *first* listed reference (or `None` for roots).
-pub fn first_parent_tree(dag: &DagIndex) -> Vec<Option<u32>> {
+pub fn first_parent_tree<D: DagRead + ?Sized>(dag: &D) -> Vec<Option<u32>> {
     (0..dag.len())
-        .map(|pos| {
-            let msg = dag.message(pos);
-            msg.parents
-                .first()
-                .and_then(|&p| dag.position(p))
-                .map(|p| p as u32)
-        })
+        .map(|pos| dag.first_parent(pos).map(|p| p as u32))
         .collect()
 }
 
 /// Subtree sizes of the first-parent tree (each block counted exactly
 /// once, in its first parent's subtree).
-pub fn pivot_weights(dag: &DagIndex) -> Vec<u64> {
-    let tree = first_parent_tree(dag);
+pub fn pivot_weights<D: DagRead + ?Sized>(dag: &D) -> Vec<u64> {
     let mut w = vec![1u64; dag.len()];
     // Positions ascend from parents to children, so a reverse sweep
     // accumulates children before parents.
     for pos in (0..dag.len()).rev() {
-        if let Some(p) = tree[pos] {
-            w[p as usize] += w[pos];
+        if let Some(p) = dag.first_parent(pos) {
+            w[p] += w[pos];
         }
     }
     w
@@ -43,36 +36,26 @@ pub fn pivot_weights(dag: &DagIndex) -> Vec<u64> {
 
 /// The pivot chain: heaviest-first-parent-subtree walk from the heaviest
 /// root, ties to the smaller id. Returned root-first as positions.
-pub fn pivot_chain_positions(dag: &DagIndex) -> Vec<usize> {
+pub fn pivot_chain_positions<D: DagRead + ?Sized>(dag: &D) -> Vec<usize> {
     if dag.is_empty() {
         return Vec::new();
     }
-    let tree = first_parent_tree(dag);
     let w = pivot_weights(dag);
-    // Tree children (first-parent edges only).
-    let mut kids: Vec<Vec<u32>> = vec![Vec::new(); dag.len()];
-    for (pos, parent) in tree.iter().enumerate() {
-        if let Some(p) = parent {
-            kids[*p as usize].push(pos as u32);
-        }
-    }
     let mut cur = (0..dag.len())
-        .filter(|&p| tree[p].is_none())
+        .filter(|&p| dag.first_parent(p).is_none())
         .max_by_key(|&p| (w[p], std::cmp::Reverse(p)))
         .expect("non-empty view has a tree root");
-    let mut chain = vec![cur];
-    loop {
-        let c = &kids[cur];
-        if c.is_empty() {
-            break;
-        }
-        let mut best = c[0] as usize;
-        for &k in &c[1..] {
-            let k = k as usize;
-            if w[k] > w[best] || (w[k] == w[best] && k < best) {
-                best = k;
-            }
-        }
+    let mut chain = Vec::with_capacity(dag.max_depth() as usize + 1);
+    chain.push(cur);
+    // The tree children of `cur` are those of its DAG children that list
+    // it first.
+    while let Some(best) = dag
+        .children_of(cur)
+        .iter()
+        .map(|&k| k as usize)
+        .filter(|&k| dag.first_parent(k) == Some(cur))
+        .max_by_key(|&k| (w[k], std::cmp::Reverse(k)))
+    {
         chain.push(best);
         cur = best;
     }
@@ -87,7 +70,7 @@ pub fn pivot_chain(view: &MemoryView) -> Vec<MsgId> {
 
 /// [`pivot_chain`] on an existing index — decision paths that also
 /// linearize build the index once and share it.
-pub fn pivot_chain_with(dag: &DagIndex) -> Vec<MsgId> {
+pub fn pivot_chain_with<D: DagRead + ?Sized>(dag: &D) -> Vec<MsgId> {
     pivot_chain_positions(dag)
         .into_iter()
         .map(|p| dag.id_at(p))

@@ -132,6 +132,35 @@ fn trace_covers_every_layer_and_parses_as_chrome_trace() {
     am_obs::set_enabled(false);
 }
 
+/// `TokenAuthority`, `SimNet` and `Propagation` resolve their counter
+/// handles once per process, whatever the registry's state at that
+/// moment: the same handles must stay inert while disabled, count once
+/// enabled, and read zero after a reset.
+#[test]
+fn handles_resolved_once_follow_enable_and_reset() {
+    let _l = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const LAYERS: [&str; 3] = ["poisson.grants", "net.sent", "protocols.blocks_announced"];
+    let read = || LAYERS.map(|name| am_obs::counter(name).get());
+    let trial = || {
+        let p = Params::new(6, 1, 0.5, 9, 3);
+        let cfg = NetConfig::builder().build().expect("valid config");
+        run_chain_net(&p, TieBreak::Randomized, ChainAdversary::Absent, &cfg)
+    };
+    am_obs::set_enabled(false);
+    am_obs::reset();
+    trial(); // resolves every handle, if no earlier test has
+    assert_eq!(read(), [0; 3], "disabled: inert");
+    am_obs::set_enabled(true);
+    trial();
+    let counted = read();
+    assert!(counted.iter().all(|&c| c > 0), "enabled: {counted:?}");
+    trial();
+    assert_eq!(read(), counted.map(|c| 2 * c), "the same trial, twice");
+    am_obs::reset();
+    assert_eq!(read(), [0; 3], "reset zeroes the shared cells");
+    am_obs::set_enabled(false);
+}
+
 #[test]
 fn disabled_obs_records_nothing_and_preserves_results() {
     let _l = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -177,10 +177,10 @@ impl NetConfig {
             delivered: 0,
             dirty: Vec::new(),
             in_dirty: vec![false; n],
-            obs_sent: am_obs::counter("net.sent"),
-            obs_delivered: am_obs::counter("net.delivered"),
-            obs_dropped: am_obs::counter("net.dropped"),
-            obs_duplicated: am_obs::counter("net.duplicated"),
+            obs_sent: am_obs::static_counter!("net.sent"),
+            obs_delivered: am_obs::static_counter!("net.delivered"),
+            obs_dropped: am_obs::static_counter!("net.dropped"),
+            obs_duplicated: am_obs::static_counter!("net.duplicated"),
         };
         if self.drop_prob > 0.0 {
             net.add_fault(Fault::Drop {
@@ -395,10 +395,10 @@ pub struct SimNet<M> {
     /// [`SimNet::drain_arrived_nodes`], deduplicated via `in_dirty`.
     dirty: Vec<u32>,
     in_dirty: Vec<bool>,
-    obs_sent: am_obs::Counter,
-    obs_delivered: am_obs::Counter,
-    obs_dropped: am_obs::Counter,
-    obs_duplicated: am_obs::Counter,
+    obs_sent: &'static am_obs::Counter,
+    obs_delivered: &'static am_obs::Counter,
+    obs_dropped: &'static am_obs::Counter,
+    obs_duplicated: &'static am_obs::Counter,
 }
 
 impl<M: Kinded> SimNet<M> {

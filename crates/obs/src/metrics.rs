@@ -1,9 +1,13 @@
 //! Named counters and fixed-bucket histograms.
 //!
 //! Handles ([`Counter`], [`Histogram`]) are `Arc`s into the registry:
-//! fetch once (e.g. in a constructor), then increment on the hot path.
-//! Every mutation is gated on [`crate::enabled`], so a disabled registry
-//! costs one relaxed atomic load per call.
+//! fetch once, then increment on the hot path. Every mutation is gated on
+//! [`crate::enabled`], so a disabled registry costs one relaxed atomic
+//! load per call. The fetch itself ([`counter`], [`histogram`]) locks the
+//! registry and allocates the name even when disabled — a type built once
+//! per simulated trial resolves its handles once per process with
+//! [`static_counter!`](crate::static_counter) /
+//! [`static_histogram!`](crate::static_histogram) instead.
 
 use crate::registry::registry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +45,28 @@ pub fn counter(name: &str) -> Counter {
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     Counter(Arc::clone(map.entry(name.to_string()).or_default()))
+}
+
+/// The counter named by a string literal, resolved on first use and cached
+/// in a `static` at the call site: `&'static Counter`. [`crate::reset`]
+/// zeroes the shared cell in place, so the cached handle stays valid, and
+/// a handle resolved while disabled counts once [`crate::set_enabled`]
+/// turns recording on.
+#[macro_export]
+macro_rules! static_counter {
+    ($name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::counter($name))
+    }};
+}
+
+/// [`static_counter!`](crate::static_counter) for a [`Histogram`].
+#[macro_export]
+macro_rules! static_histogram {
+    ($name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::histogram($name))
+    }};
 }
 
 /// A snapshot of every counter, name-sorted.
@@ -215,6 +241,33 @@ mod tests {
         b.add(4);
         assert_eq!(a.get(), 5);
         assert!(counter_values().contains(&("m.test".to_string(), 5)));
+        crate::set_enabled(false);
+    }
+
+    #[test]
+    fn static_handles_resolved_while_disabled_count_once_enabled() {
+        let _l = test_lock::hold();
+        crate::set_enabled(false);
+        let handles = || {
+            (
+                crate::static_counter!("m.static"),
+                crate::static_histogram!("m.static_hist"),
+            )
+        };
+        let (c, h) = handles();
+        c.inc();
+        h.record(7);
+        assert_eq!((c.get(), h.stats().count), (0, 0), "disabled: inert");
+        crate::set_enabled(true);
+        let (c2, h2) = handles(); // the same call site: the cached pair
+        c2.add(2);
+        h2.record(7);
+        assert_eq!((c.get(), h.stats().count), (2, 1));
+        assert!(counter_values().contains(&("m.static".to_string(), 2)));
+        crate::reset();
+        assert_eq!((c.get(), h.stats().count), (0, 0), "reset zeroes in place");
+        c.inc();
+        assert_eq!(counter("m.static").get(), 1, "and the handle stays live");
         crate::set_enabled(false);
     }
 

@@ -36,9 +36,11 @@ pub struct TokenAuthority {
     granted: u64,
     granted_byz: u64,
     prev_grant: Time,
-    obs_grants: am_obs::Counter,
-    obs_banked: am_obs::Counter,
-    obs_interarrival: am_obs::Histogram,
+    // One authority is built per Monte-Carlo trial: the handles are
+    // resolved once per process, not once per trial.
+    obs_grants: &'static am_obs::Counter,
+    obs_banked: &'static am_obs::Counter,
+    obs_interarrival: &'static am_obs::Histogram,
 }
 
 impl TokenAuthority {
@@ -58,9 +60,9 @@ impl TokenAuthority {
             granted: 0,
             granted_byz: 0,
             prev_grant: Time::ZERO,
-            obs_grants: am_obs::counter("poisson.grants"),
-            obs_banked: am_obs::counter("poisson.grants_banked"),
-            obs_interarrival: am_obs::histogram("poisson.interarrival_ns"),
+            obs_grants: am_obs::static_counter!("poisson.grants"),
+            obs_banked: am_obs::static_counter!("poisson.grants_banked"),
+            obs_interarrival: am_obs::static_histogram!("poisson.interarrival_ns"),
         }
     }
 

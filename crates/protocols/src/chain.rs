@@ -23,8 +23,10 @@
 use crate::params::Params;
 use crate::propagation::over_wire;
 use crate::schedule::{one_shot_budget, GrantSchedule};
+use crate::scratch;
+use crate::trial_dag::TrialDag;
 use crate::view::{interval_of, SharedLog, Visibility};
-use am_core::{AppendMemory, IncrementalDag, MessageBuilder, MsgId, NodeId, Sign, Value};
+use am_core::{chain_to_genesis, DagRead, MsgId, NodeId, Sign, Time, Value};
 use am_net::{NetConfig, NetStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -71,67 +73,39 @@ pub struct ChainTrial {
     pub finish_time: f64,
 }
 
-/// State tracked incrementally during a trial (shared with the staggered
-/// runner in [`crate::weak`]).
-pub(crate) struct ChainSim {
-    pub(crate) mem: AppendMemory,
-    /// Incremental depth / tips / arrival bookkeeping.
-    pub(crate) inc: IncrementalDag,
-    /// Authors flagged Byzantine.
-    pub(crate) byz_author: Vec<bool>,
+/// Appends a single-parent block (shared with the staggered runner in
+/// [`crate::weak`]).
+pub(crate) fn extend(
+    dag: &mut TrialDag,
+    node: NodeId,
+    value: Value,
+    parent: MsgId,
+    time: Time,
+) -> MsgId {
+    dag.append(node, value, &[parent], time)
+        .expect("chain append is valid")
 }
 
-impl ChainSim {
-    pub(crate) fn new(p: &Params) -> ChainSim {
-        let mut byz_author = vec![false; p.n];
-        for b in p.byz_nodes() {
-            byz_author[b.index()] = true;
-        }
-        ChainSim {
-            mem: AppendMemory::new(p.n),
-            inc: IncrementalDag::new(),
-            byz_author,
-        }
-    }
+/// [`extend`], then announces the block to `vis`.
+fn publish<V: Visibility>(
+    dag: &mut TrialDag,
+    vis: &mut V,
+    node: NodeId,
+    value: Value,
+    parent: MsgId,
+    time: Time,
+) -> MsgId {
+    let id = extend(dag, node, value, parent, time);
+    vis.published(node.index(), id, &[parent], time);
+    id
+}
 
-    /// Appends a single-parent block, maintaining the incremental index.
-    pub(crate) fn append(
-        &mut self,
-        node: NodeId,
-        value: Value,
-        parent: MsgId,
-        time: am_core::Time,
-    ) -> MsgId {
-        let id = self
-            .mem
-            .append_at(MessageBuilder::new(node, value).parent(parent), time)
-            .expect("chain append is valid");
-        self.inc.on_append(id, &[parent], time);
-        id
-    }
-
-    /// [`Self::append`], then announces the block to `vis`.
-    fn publish<V: Visibility>(
-        &mut self,
-        vis: &mut V,
-        node: NodeId,
-        value: Value,
-        parent: MsgId,
-        time: am_core::Time,
-    ) -> MsgId {
-        let id = self.append(node, value, parent, time);
-        vis.published(node.index(), id, &[parent], time);
-        id
-    }
-
-    /// Deepest block ids within the first `prefix` messages.
-    pub(crate) fn deepest_in_prefix(&self, prefix: usize) -> Vec<MsgId> {
-        self.inc.deepest_in_prefix(prefix)
-    }
-
-    pub(crate) fn max_depth(&self) -> u32 {
-        self.inc.max_depth()
-    }
+/// The canonical chain, root first: back from the smallest-id deepest
+/// block (every block of a chain trial has one parent, so this is the
+/// longest-chain rule of `am-core` verbatim). Shared with the staggered
+/// runner in [`crate::weak`].
+pub(crate) fn canonical_chain(dag: &TrialDag) -> Vec<usize> {
+    chain_to_genesis(dag, dag.deepest().index())
 }
 
 /// Runs one trial of Algorithm 5 on the abstract append memory: every
@@ -178,7 +152,7 @@ fn run_chain_on<V: Visibility>(
     adv: ChainAdversary,
     vis: &mut V,
 ) -> ChainTrial {
-    let mut sim = ChainSim::new(p);
+    let mut dag = scratch::take_dag(p.n);
     let mut sched = GrantSchedule::new(p, 1.0, one_shot_budget(p), "protocols/chain_stalled");
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
 
@@ -188,19 +162,19 @@ fn run_chain_on<V: Visibility>(
     let mut hit_interval: Option<u64> = None;
     let mut correct_appends = 0usize;
 
-    while (sim.max_depth() as usize) < p.k {
+    while (dag.log().max_depth() as usize) < p.k {
         // An exhausted budget (undelivered blocks can stall growth)
         // leaves the decision a failure.
         let Some(g) = sched.next() else { break };
-        vis.advance_to(g.time, &sim.inc);
+        vis.advance_to(g.time, dag.log());
 
         if sched.is_byz(g.node) {
             match adv {
                 ChainAdversary::Absent => {}
                 ChainAdversary::Dissenter => {
                     // Honest-structure, minority-value block on the real tip.
-                    let tip = sim.inc.deepest();
-                    sim.publish(vis, g.node, Value::minus(), tip, g.time);
+                    let tip = dag.deepest();
+                    publish(&mut dag, vis, g.node, Value::minus(), tip, g.time);
                 }
                 ChainAdversary::ForkMaker | ChainAdversary::TieBreaker => sched.bank.push(g),
             }
@@ -208,7 +182,7 @@ fn run_chain_on<V: Visibility>(
         }
 
         // --- Correct append: the longest chain of the node's view. ---
-        let tips = vis.deepest(g.node.index(), &sim.inc);
+        let tips = vis.deepest(g.node.index(), dag.log());
         let tip = match tie {
             TieBreak::Deterministic => tips[0],
             TieBreak::Randomized => tips[rng.gen_range(0..tips.len())],
@@ -218,12 +192,12 @@ fn run_chain_on<V: Visibility>(
         // correct block so it wins the deterministic (first-in-memory) tie.
         if adv == ChainAdversary::ForkMaker && !forked.contains(&tip) {
             if let Some(tok) = sched.bank.pop() {
-                sim.publish(vis, tok.node, Value::minus(), tip, g.time);
+                publish(&mut dag, vis, tok.node, Value::minus(), tip, g.time);
                 forked.insert(tip);
             }
         }
 
-        let correct_block = sim.publish(vis, g.node, Value::plus(), tip, g.time);
+        let correct_block = publish(&mut dag, vis, g.node, Value::plus(), tip, g.time);
         correct_appends += 1;
 
         // TieBreaker: ride the first correct append of the interval,
@@ -235,44 +209,31 @@ fn run_chain_on<V: Visibility>(
             if hit_interval != interval {
                 let mut tip = correct_block;
                 for tok in sched.bank.drain(..) {
-                    tip = sim.publish(vis, tok.node, Value::minus(), tip, g.time);
+                    tip = publish(&mut dag, vis, tok.node, Value::minus(), tip, g.time);
                 }
                 hit_interval = interval;
             }
         }
     }
 
-    decide(p, &sim, correct_appends)
+    let out = decide(p, &dag, correct_appends);
+    scratch::put_dag(dag);
+    out
 }
 
 /// The common decision: all nodes read the same final memory, select the
 /// first longest chain, and take the sign of the sum of its first `k`
 /// appends (Algorithm 5 lines 8–10).
-fn decide(p: &Params, sim: &ChainSim, correct_appends: usize) -> ChainTrial {
-    // Canonical chain: walk back from the smallest-id deepest tip.
-    let tips = sim.deepest_in_prefix(sim.mem.len());
-    let tip = tips[0];
-    let view = sim.mem.read();
-    let mut chain: Vec<MsgId> = Vec::with_capacity(sim.inc.depth_of(tip) as usize + 1);
-    let mut cur = tip;
-    loop {
-        chain.push(cur);
-        let m = view.get(cur).expect("chain id in view");
-        match m.parents.first() {
-            Some(&parent) => cur = parent,
-            None => break,
-        }
-    }
-    chain.reverse(); // genesis first
-
+fn decide(p: &Params, dag: &TrialDag, correct_appends: usize) -> ChainTrial {
+    let chain = canonical_chain(dag);
     let mut sum = 0i64;
     let mut byz_in_prefix = 0usize;
     let mut chain_correct = 0usize;
-    for (i, id) in chain.iter().skip(1).enumerate() {
-        let m = view.get(*id).unwrap();
-        let is_byz = m.author.map(|a| sim.byz_author[a.index()]).unwrap_or(false);
+    for (i, &pos) in chain.iter().skip(1).enumerate() {
+        let id = dag.id_at(pos);
+        let is_byz = dag.author(id).is_some_and(|a| p.is_byz(a));
         if i < p.k {
-            sum += m.value.spin_contribution();
+            sum += dag.value(id).spin_contribution();
             if is_byz {
                 byz_in_prefix += 1;
             }
@@ -287,9 +248,9 @@ fn decide(p: &Params, sim: &ChainSim, correct_appends: usize) -> ChainTrial {
         validity: decision == Some(Sign::Plus),
         byz_in_prefix,
         chain_len: chain.len() - 1,
-        total_appends: view.append_count(),
+        total_appends: dag.append_count(),
         orphaned_correct: correct_appends.saturating_sub(chain_correct),
-        finish_time: sim.mem.now().seconds(),
+        finish_time: dag.now().seconds(),
     }
 }
 

@@ -18,12 +18,13 @@
 use crate::params::Params;
 use crate::propagation::over_wire;
 use crate::schedule::{one_shot_budget, GrantSchedule};
+use crate::scratch::{self, IdBuf};
+use crate::trial_dag::TrialDag;
 use crate::view::{SharedLog, Visibility};
-use am_core::{
-    chain::longest_chain_with, ghost, linearize_with, longest_chain, pivot::pivot_chain_with,
-    pivot_chain, AppendMemory, ConeCoverTracker, DagIndex, IncrementalDag, Linearization,
-    MemoryView, MessageBuilder, MsgId, Sign, Value,
-};
+use am_core::chain::longest_chain_positions;
+use am_core::ghost::{ghost_pivot_positions_in, GhostScratch};
+use am_core::pivot::pivot_chain_positions;
+use am_core::{linearize_in, MsgId, NodeId, Sign, Time, Value};
 use am_net::{NetConfig, NetStats};
 
 /// Chain-selection rule for the DAG ordering (Algorithm 6 line 9).
@@ -68,114 +69,31 @@ pub struct DagTrial {
     pub finish_time: f64,
 }
 
-/// Incremental bookkeeping for the DAG simulation (shared with the weak
-/// agreement / temporal-asynchrony runners in [`crate::weak`]).
-pub(crate) struct DagSim {
-    pub(crate) mem: AppendMemory,
-    /// Incremental depth / tips / arrival bookkeeping.
-    pub(crate) inc: IncrementalDag,
-    /// Incremental covered-value count of the deepest tip's past cone —
-    /// replaces the per-grant snapshot + DFS of the decision gate.
-    pub(crate) cover: ConeCoverTracker,
-    pub(crate) byz_author: Vec<bool>,
-    /// Reusable parents buffer for [`DagSim::publish_on_tips`] and
-    /// [`DagSim::append_referencing_prefix`] — the hot loops allocate no
-    /// per-grant tip vectors.
-    tips_buf: Vec<MsgId>,
+/// Appends a block on `parents` (shared with the weak agreement /
+/// temporal-asynchrony runners in [`crate::weak`]).
+pub(crate) fn append(
+    dag: &mut TrialDag,
+    node: NodeId,
+    value: Value,
+    parents: &[MsgId],
+    time: Time,
+) -> MsgId {
+    dag.append(node, value, parents, time)
+        .expect("dag append is valid")
 }
 
-impl DagSim {
-    pub(crate) fn new(p: &Params) -> DagSim {
-        let mut byz_author = vec![false; p.n];
-        for b in p.byz_nodes() {
-            byz_author[b.index()] = true;
-        }
-        DagSim {
-            mem: AppendMemory::new(p.n),
-            inc: IncrementalDag::new(),
-            cover: ConeCoverTracker::new(),
-            byz_author,
-            tips_buf: Vec::new(),
-        }
-    }
-
-    pub(crate) fn append(
-        &mut self,
-        node: am_core::NodeId,
-        value: Value,
-        parents: &[MsgId],
-        time: am_core::Time,
-    ) -> MsgId {
-        let id = self
-            .mem
-            .append_at(
-                MessageBuilder::new(node, value).parents(parents.iter().copied()),
-                time,
-            )
-            .expect("dag append is valid");
-        self.inc.on_append(id, parents, time);
-        self.cover.on_append(id, parents, value.as_sign().is_some());
-        id
-    }
-
-    /// [`Self::append`], then announces the block to `vis`.
-    fn publish<V: Visibility>(
-        &mut self,
-        vis: &mut V,
-        node: am_core::NodeId,
-        value: Value,
-        parents: &[MsgId],
-        time: am_core::Time,
-    ) -> MsgId {
-        let id = self.append(node, value, parents, time);
-        vis.published(node.index(), id, parents, time);
-        id
-    }
-
-    /// [`Self::publish`] on the parents the caller just wrote into the
-    /// sim-owned tips buffer.
-    fn publish_on_tips<V: Visibility>(
-        &mut self,
-        vis: &mut V,
-        node: am_core::NodeId,
-        value: Value,
-        time: am_core::Time,
-    ) -> MsgId {
-        let tips = std::mem::take(&mut self.tips_buf);
-        let id = self.publish(vis, node, value, &tips, time);
-        self.tips_buf = tips;
-        id
-    }
-
-    /// Covered-value count of the deepest tip's past cone, maintained
-    /// incrementally — the Algorithm 6 "chain covers ≥ k values" gate
-    /// without re-reading the memory.
-    pub(crate) fn gate_covered(&mut self) -> usize {
-        let tip = self.inc.deepest();
-        self.cover.cover_of(tip)
-    }
-
-    /// Appends a message referencing every tip of the length-`prefix` view,
-    /// reusing the sim-owned tips buffer — allocation-free, for runners
-    /// with no wire to announce on.
-    pub(crate) fn append_referencing_prefix(
-        &mut self,
-        node: am_core::NodeId,
-        value: Value,
-        prefix: usize,
-        time: am_core::Time,
-    ) -> MsgId {
-        let mut tips = std::mem::take(&mut self.tips_buf);
-        self.inc.tips_of_prefix_into(prefix, &mut tips);
-        let id = self.append(node, value, &tips, time);
-        self.tips_buf = tips;
-        id
-    }
-
-    /// Id of the deepest message (ties to smallest id).
-    pub(crate) fn deepest(&self) -> MsgId {
-        self.inc.deepest()
-    }
+/// [`append`], then announces the block to `vis`.
+fn publish<V: Visibility>(
+    dag: &mut TrialDag,
+    vis: &mut V,
+    node: NodeId,
+    value: Value,
+    parents: &[MsgId],
+    time: Time,
+) -> MsgId {
+    let id = append(dag, node, value, parents, time);
+    vis.published(node.index(), id, parents, time);
+    id
 }
 
 /// Runs one trial of Algorithm 6 on the abstract append memory: every
@@ -219,15 +137,17 @@ fn run_dag_on<V: Visibility>(
     adv: DagAdversary,
     vis: &mut V,
 ) -> DagTrial {
-    let mut sim = DagSim::new(p);
+    let mut dag = scratch::take_dag(p.n);
+    // The parent list of the append being assembled.
+    let mut tips = scratch::take_ids(IdBuf::Parents);
     let mut sched = GrantSchedule::new(p, 1.0, one_shot_budget(p), "protocols/dag_stalled");
     let mut burst_len = 0usize;
 
     loop {
         // Decision gate: the selected chain covers ≥ k values. The count is
         // maintained incrementally — no snapshot, no per-grant DFS.
-        if sim.mem.len() > p.k {
-            let covered = sim.gate_covered();
+        if dag.len() > p.k {
+            let covered = dag.gate_covered();
             if covered >= p.k {
                 break;
             }
@@ -236,11 +156,11 @@ fn run_dag_on<V: Visibility>(
                 && !sched.bank.is_empty()
                 && covered + sched.bank.len() >= p.k
             {
-                let mut tip = sim.deepest();
-                let fire_at = sim.mem.now();
-                vis.advance_to(fire_at, &sim.inc);
+                let mut tip = dag.deepest();
+                let fire_at = dag.now();
+                vis.advance_to(fire_at, dag.log());
                 for tok in sched.bank.drain(..) {
-                    tip = sim.publish(vis, tok.node, Value::minus(), &[tip], fire_at);
+                    tip = publish(&mut dag, vis, tok.node, Value::minus(), &[tip], fire_at);
                     burst_len += 1;
                 }
                 continue;
@@ -248,16 +168,15 @@ fn run_dag_on<V: Visibility>(
         }
 
         let Some(g) = sched.next() else { break };
-        vis.advance_to(g.time, &sim.inc);
+        vis.advance_to(g.time, dag.log());
 
         if sched.is_byz(g.node) {
             match adv {
                 DagAdversary::Absent => {}
                 DagAdversary::Dissenter => {
                     // Omniscient: references every tip of the whole log.
-                    sim.inc
-                        .tips_of_prefix_into(sim.inc.len(), &mut sim.tips_buf);
-                    sim.publish_on_tips(vis, g.node, Value::minus(), g.time);
+                    dag.log().tips_of_prefix_into(dag.len(), &mut tips);
+                    publish(&mut dag, vis, g.node, Value::minus(), &tips, g.time);
                 }
                 DagAdversary::WithholdBurst => sched.bank.push(g),
             }
@@ -265,80 +184,78 @@ fn run_dag_on<V: Visibility>(
         }
 
         // Correct append: reference every tip of the node's view.
-        vis.tips_into(g.node.index(), &sim.inc, &mut sim.tips_buf);
-        sim.publish_on_tips(vis, g.node, Value::plus(), g.time);
+        vis.tips_into(g.node.index(), dag.log(), &mut tips);
+        publish(&mut dag, vis, g.node, Value::plus(), &tips, g.time);
     }
 
-    decide(p, &sim, rule, burst_len)
+    let out = decide(p, &mut dag, rule, burst_len);
+    scratch::put_ids(IdBuf::Parents, tips);
+    scratch::put_dag(dag);
+    out
 }
 
-/// Chain selection for a rule on a view.
-pub(crate) fn select_chain(rule: DagRule, view: &MemoryView) -> Vec<MsgId> {
+/// The chain `rule` selects on `dag`, root first, as positions. The
+/// child index must be current ([`TrialDag::index_children`]).
+pub(crate) fn select_chain(rule: DagRule, dag: &TrialDag, ghost: &mut GhostScratch) -> Vec<usize> {
     match rule {
-        DagRule::LongestChain => longest_chain(view),
-        DagRule::Ghost => ghost::ghost_pivot(view),
-        DagRule::Pivot => pivot_chain(view),
+        DagRule::LongestChain => longest_chain_positions(dag),
+        DagRule::Ghost => ghost_pivot_positions_in(dag, ghost),
+        DagRule::Pivot => pivot_chain_positions(dag),
     }
 }
 
-/// Chain selection on an existing index — decision paths build the index
-/// once and share it with [`linearize_with`]. GHOST selection routes
-/// through the per-thread scratch pool to reuse its weight bitsets across
-/// trials.
-pub(crate) fn select_chain_with(rule: DagRule, dag: &DagIndex) -> Vec<MsgId> {
-    match rule {
-        DagRule::LongestChain => longest_chain_with(dag),
-        DagRule::Ghost => crate::scratch::ghost_pivot_pooled(dag),
-        DagRule::Pivot => pivot_chain_with(dag),
-    }
+/// One read of the DAG as it stands (Algorithm 6 lines 8–9): index the
+/// children, select the chain by `rule`, order the DAG along it — all in
+/// pooled scratch — and hand `f` the chain and the decision order, both as
+/// positions. The trial may keep appending afterwards.
+pub(crate) fn read<R>(
+    dag: &mut TrialDag,
+    rule: DagRule,
+    f: impl FnOnce(&TrialDag, &[usize], &[usize]) -> R,
+) -> R {
+    dag.index_children();
+    scratch::with_decision(|ghost, lin| {
+        let chain = select_chain(rule, dag, ghost);
+        linearize_in(dag, &chain, lin);
+        f(dag, &chain, lin.order())
+    })
 }
 
-fn decide(p: &Params, sim: &DagSim, rule: DagRule, burst_len: usize) -> DagTrial {
-    let view = sim.mem.read();
-    // One index build serves chain selection and linearization.
-    let dag = DagIndex::new(&view);
-    let chain = select_chain_with(rule, &dag);
-    let lin = linearize_with(&dag, &chain);
-    let prefix = lin.first_k_values(&view, p.k);
-    let mut sum = 0i64;
-    let mut byz_in_prefix = 0usize;
-    for id in &prefix {
-        let m = view.get(*id).unwrap();
-        sum += m.value.spin_contribution();
-        if m.author.map(|a| sim.byz_author[a.index()]).unwrap_or(false) {
-            byz_in_prefix += 1;
-        }
-    }
-    let decision = Sign::of_sum(sum);
-    let covered = covered_of_lin(&view, &chain, &lin);
-    DagTrial {
-        decision,
-        validity: decision == Some(Sign::Plus),
-        byz_in_prefix,
-        burst_len,
-        covered_values: covered,
-        total_appends: view.append_count(),
-        finish_time: sim.mem.now().seconds(),
-    }
-}
-
-/// Covered-value count of the chain tip's closed past cone, read off an
-/// existing linearization: consecutive chain blocks are parent/child, so
-/// every block is an ancestor of the tip and the linearized order *is* the
-/// tip's closed past cone — counting its value-carriers equals the per-tip
-/// cone DFS without running one.
-pub(crate) fn covered_of_lin(view: &MemoryView, chain: &[MsgId], lin: &Linearization) -> usize {
-    if chain.is_empty() {
-        return 0;
-    }
-    lin.order
+/// The value-carrying messages of a decision `order`, in that order.
+/// Because consecutive chain blocks are parent and child, `order` is the
+/// chain tip's closed past cone, so their count is the tip's covered-value
+/// count without a cone walk.
+pub(crate) fn values_of<'a>(
+    dag: &'a TrialDag,
+    order: &'a [usize],
+) -> impl Iterator<Item = MsgId> + 'a {
+    order
         .iter()
-        .filter(|&&id| {
-            view.get(id)
-                .map(|m| m.value.as_sign().is_some())
-                .unwrap_or(false)
-        })
-        .count()
+        .map(|&pos| MsgId(pos as u64))
+        .filter(|&id| dag.value(id).as_sign().is_some())
+}
+
+fn decide(p: &Params, dag: &mut TrialDag, rule: DagRule, burst_len: usize) -> DagTrial {
+    read(dag, rule, |dag, _chain, order| {
+        let mut sum = 0i64;
+        let mut byz_in_prefix = 0usize;
+        for id in values_of(dag, order).take(p.k) {
+            sum += dag.value(id).spin_contribution();
+            if dag.author(id).is_some_and(|a| p.is_byz(a)) {
+                byz_in_prefix += 1;
+            }
+        }
+        let decision = Sign::of_sum(sum);
+        DagTrial {
+            decision,
+            validity: decision == Some(Sign::Plus),
+            byz_in_prefix,
+            burst_len,
+            covered_values: values_of(dag, order).count(),
+            total_appends: dag.append_count(),
+            finish_time: dag.now().seconds(),
+        }
+    })
 }
 
 #[cfg(test)]

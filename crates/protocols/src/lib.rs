@@ -27,6 +27,9 @@
 //!   [`Propagation`] (whatever the faulty wire delivered). Every runner
 //!   steps through one `schedule::GrantSchedule` (token draw, grant
 //!   budget, TTL expiry of banked Byzantine tokens). See DESIGN.md §16.
+//! * [`trial_dag`] — the one graph a trial keeps: a flat, append-only
+//!   [`TrialDag`] arena that every runner above takes from the thread's
+//!   pool and resets, and that the chain rules of `am-core` read directly.
 //! * [`runner`] — Monte-Carlo estimation of validity-failure rates
 //!   (per-trial seeding from the base seed and the trial index).
 //! * [`sweep`] — the adaptive sweep engine: batched trials with Wilson
@@ -63,6 +66,7 @@ pub(crate) mod scratch;
 pub mod shard;
 pub mod sweep;
 pub mod timestamp;
+pub mod trial_dag;
 pub(crate) mod view;
 pub mod weak;
 
@@ -75,6 +79,7 @@ pub use runner::{measure_failure_rate, trial_seed, TrialKind};
 pub use shard::{LoadError, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};
 pub use sweep::{PointResult, SweepConfig, SweepMode, SweepRunner};
 pub use timestamp::{run_timestamp, TimestampTrial};
+pub use trial_dag::TrialDag;
 pub use weak::{
     run_chain_staggered, run_dag_multinode, run_dag_staggered, MultiTrial, StaggeredTrial,
 };

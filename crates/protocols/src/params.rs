@@ -267,6 +267,11 @@ impl Params {
         self.n - self.t
     }
 
+    /// Whether `node` is Byzantine (the last `t` ids are).
+    pub fn is_byz(&self, node: NodeId) -> bool {
+        node.index() >= self.n_correct()
+    }
+
     /// The Byzantine node ids.
     pub fn byz_nodes(&self) -> Vec<NodeId> {
         (self.n_correct()..self.n)
@@ -311,6 +316,7 @@ mod tests {
         assert_eq!(p.n_correct(), 7);
         assert_eq!(p.byz_nodes().len(), 3);
         assert_eq!(p.byz_nodes()[0], NodeId(7));
+        assert!(p.is_byz(NodeId(7)) && !p.is_byz(NodeId(6)));
         assert!((p.correct_rate() - 3.5).abs() < 1e-12);
         assert!((p.byz_rate() - 1.5).abs() < 1e-12);
     }

@@ -91,7 +91,7 @@ pub struct Propagation {
     rotor: Vec<usize>,
     /// Reused buffer for the O(active) delivery drain.
     active_buf: Vec<u32>,
-    obs_announced: am_obs::Counter,
+    obs_announced: &'static am_obs::Counter,
 }
 
 impl Propagation {
@@ -144,7 +144,7 @@ impl Propagation {
             },
             rotor,
             active_buf: Vec::new(),
-            obs_announced: am_obs::counter("protocols.blocks_announced"),
+            obs_announced: am_obs::static_counter!("protocols.blocks_announced"),
         }
     }
 

@@ -1,38 +1,58 @@
-//! Per-thread trial scratch: buffers reused across Monte-Carlo trials.
+//! Per-thread trial scratch: what a Monte-Carlo trial borrows instead of
+//! building.
 //!
-//! A `thread_local!` arena gives every thread that runs trials a private
-//! set of buffers that warm up once and are then reused by every trial
-//! that thread runs — no synchronisation, no per-trial allocation churn.
-//! Two buffers matter on the hot path:
+//! A `thread_local!` pool gives every thread that runs trials a private
+//! set of buffers that grow to their working size once and are then
+//! reused by every trial that thread runs — no synchronisation, and a
+//! warm abstract trial allocates nothing for its graph or its decision:
 //!
+//! * the **trial DAG** ([`TrialDag`]) — the whole append history and its
+//!   incremental indexes; [`take_dag`] hands it out *reset*, not rebuilt;
+//! * the **decision scratch** ([`with_decision`]) — GHOST's exact-weight
+//!   bitset pool (`n × ⌈n/64⌉` words) and the linearization buffers;
+//! * **id buffers** ([`IdBuf`]) — the parent list a DAG append assembles
+//!   and the two memoised answers of the shared-log view;
 //! * the **banked-grant buffer** every withhold-style adversary fills and
-//!   drains (its capacity stabilises at the largest bank seen), and
-//! * the **GHOST scratch** ([`GhostScratch`]) whose exact-weight bitset
-//!   pool is `n × ⌈n/64⌉` words — by far the largest per-decision
-//!   allocation when the rule is [`DagRule::Ghost`](crate::DagRule).
+//!   drains, and the **network storage** of a networked trial.
 //!
-//! Trials remain bit-identical: the buffers are cleared (or fully
-//! overwritten) before use, so no state leaks between trials.
+//! Each buffer has one named slot, so its capacity depends only on the
+//! sequence of trials the thread has run — a repeated workload reaches
+//! every high-water mark in its first pass and allocates identically
+//! thereafter. Trials remain bit-identical: a buffer is cleared, reset or
+//! fully overwritten before use, so no state leaks between trials. A trial
+//! that panics forfeits what it held; the next one starts a fresh buffer.
 
 use crate::propagation::BlockMsg;
+use crate::trial_dag::TrialDag;
 use am_core::ghost::GhostScratch;
-use am_core::{DagIndex, MsgId};
+use am_core::{LinScratch, MsgId};
 use am_net::NetScratch;
 use am_poisson::Grant;
 use std::cell::RefCell;
 
+/// The pooled `Vec<MsgId>` slots, by role.
+#[derive(Clone, Copy)]
+pub(crate) enum IdBuf {
+    /// The parent list of the append being assembled.
+    Parents,
+    /// `SharedLog`'s memoised tips of the visible prefix.
+    MemoTips,
+    /// `SharedLog`'s memoised deepest blocks of the visible prefix.
+    MemoDeepest,
+}
+
+#[derive(Default)]
 struct TrialScratch {
     banked: Vec<Grant>,
+    ids: [Vec<MsgId>; 3],
+    dag: Option<TrialDag>,
     ghost: GhostScratch,
+    lin: LinScratch,
     net: NetScratch<BlockMsg>,
 }
 
 thread_local! {
-    static TRIAL_SCRATCH: RefCell<TrialScratch> = RefCell::new(TrialScratch {
-        banked: Vec::new(),
-        ghost: GhostScratch::new(),
-        net: NetScratch::default(),
-    });
+    static TRIAL_SCRATCH: RefCell<TrialScratch> = RefCell::new(TrialScratch::default());
 }
 
 /// Takes the pooled banked-grant buffer (empty, capacity retained).
@@ -47,9 +67,42 @@ pub(crate) fn put_banked(mut v: Vec<Grant>) {
     TRIAL_SCRATCH.with(|s| s.borrow_mut().banked = v);
 }
 
-/// GHOST pivot through the pooled per-thread [`GhostScratch`].
-pub(crate) fn ghost_pivot_pooled(dag: &DagIndex) -> Vec<MsgId> {
-    TRIAL_SCRATCH.with(|s| am_core::ghost::ghost_pivot_in(dag, &mut s.borrow_mut().ghost))
+/// Takes the pooled id buffer of role `which` (empty, capacity retained).
+/// Return it with [`put_ids`] under the same role.
+pub(crate) fn take_ids(which: IdBuf) -> Vec<MsgId> {
+    TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().ids[which as usize]))
+}
+
+/// Returns an id buffer to its slot, clearing it first.
+pub(crate) fn put_ids(which: IdBuf, mut v: Vec<MsgId>) {
+    v.clear();
+    TRIAL_SCRATCH.with(|s| s.borrow_mut().ids[which as usize] = v);
+}
+
+/// Takes the pooled trial DAG, reset to the genesis-only state for `n`
+/// authors. Return it with [`put_dag`] when the trial is done.
+pub(crate) fn take_dag(n: usize) -> TrialDag {
+    match TRIAL_SCRATCH.with(|s| s.borrow_mut().dag.take()) {
+        Some(mut dag) => {
+            dag.reset(n);
+            dag
+        }
+        None => TrialDag::new(n),
+    }
+}
+
+/// Returns a trial DAG to the pool for the next trial on this thread.
+pub(crate) fn put_dag(dag: TrialDag) {
+    TRIAL_SCRATCH.with(|s| s.borrow_mut().dag = Some(dag));
+}
+
+/// Runs `f` on the pooled decision scratch. `f` must not re-enter this
+/// module (the pool is borrowed for its duration).
+pub(crate) fn with_decision<R>(f: impl FnOnce(&mut GhostScratch, &mut LinScratch) -> R) -> R {
+    TRIAL_SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        f(&mut s.ghost, &mut s.lin)
+    })
 }
 
 /// Takes the pooled network scratch (event-queue slab + inbox slots) for
@@ -66,6 +119,7 @@ pub(crate) fn put_net(scratch: NetScratch<BlockMsg>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use am_core::{ghost, AppendMemory, DagIndex, MessageBuilder, NodeId, Time, Value, GENESIS};
 
     #[test]
     fn banked_pool_round_trips_and_keeps_capacity() {
@@ -81,22 +135,55 @@ mod tests {
     }
 
     #[test]
+    fn id_slots_are_separate_and_come_back_empty() {
+        let mut parents = take_ids(IdBuf::Parents);
+        parents.extend([GENESIS; 100]);
+        let cap = parents.capacity();
+        put_ids(IdBuf::Parents, parents);
+        assert_eq!(take_ids(IdBuf::MemoTips).capacity(), 0, "another slot");
+        let back = take_ids(IdBuf::Parents);
+        assert!(back.is_empty() && back.capacity() == cap);
+        put_ids(IdBuf::Parents, back);
+    }
+
+    #[test]
+    fn pooled_dag_comes_back_reset() {
+        let mut dag = take_dag(3);
+        dag.append(NodeId(2), Value::plus(), &[GENESIS], Time::new(1.0))
+            .unwrap();
+        put_dag(dag);
+        let dag = take_dag(2);
+        assert!(dag.is_empty() && dag.now() == Time::ZERO);
+        put_dag(dag);
+    }
+
+    #[test]
     fn pooled_ghost_matches_fresh_scratch() {
-        use am_core::{ghost, AppendMemory, MessageBuilder, NodeId, Value, GENESIS};
+        // The same forked history in the pooled arena and in the memory.
         let m = AppendMemory::new(4);
+        let mut dag = take_dag(4);
         let mut tip = GENESIS;
-        for i in 0..20u32 {
-            tip = m
-                .append(MessageBuilder::new(NodeId(i % 4), Value::plus()).parent(tip))
+        let mut both = |author: u32, value: Value, parent: MsgId| {
+            let id = m
+                .append(MessageBuilder::new(NodeId(author), value).parent(parent))
                 .unwrap();
+            let at = dag.now();
+            assert_eq!(dag.append(NodeId(author), value, &[parent], at), Ok(id));
+            id
+        };
+        for i in 0..20u32 {
+            tip = both(i % 4, Value::plus(), tip);
             if i % 5 == 0 {
-                m.append(MessageBuilder::new(NodeId((i + 1) % 4), Value::minus()).parent(GENESIS))
-                    .unwrap();
+                both((i + 1) % 4, Value::minus(), GENESIS);
             }
         }
-        let dag = DagIndex::new(&m.read());
+        dag.index_children();
+        let reference = ghost::ghost_pivot_with(&DagIndex::new(&m.read()));
         // Run twice so the second call exercises a warm (dirty) pool.
-        assert_eq!(ghost_pivot_pooled(&dag), ghost::ghost_pivot_with(&dag));
-        assert_eq!(ghost_pivot_pooled(&dag), ghost::ghost_pivot_with(&dag));
+        for _ in 0..2 {
+            let pooled = with_decision(|gs, _| ghost::ghost_pivot_in(&dag, gs));
+            assert_eq!(pooled, reference);
+        }
+        put_dag(dag);
     }
 }

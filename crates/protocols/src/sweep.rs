@@ -29,11 +29,12 @@
 //!   index, conservative otherwise. Integer tallies plus index-derived
 //!   seeds leave nothing schedule-dependent, so every split, kill and
 //!   resume reproduces the single-process results bit for bit.
-//! * **Warm scratch.** The `thread_local!` arenas in `crate::scratch`
-//!   (banked-grant buffer, GHOST weight bitsets, network storage) warm
-//!   up on a thread's first trial and are reused by every later trial
-//!   that thread runs, amortising allocation across the whole sweep, not
-//!   just one trial. Buffers are cleared before reuse, so tallies stay
+//! * **Reset, not rebuilt.** A trial takes its graph (`TrialDag`), its
+//!   decision scratch, its id buffers, its bank and its network storage
+//!   from the `thread_local!` pool in `crate::scratch` and puts them
+//!   back; each grows to its working size on a thread's first trials and
+//!   a warm abstract trial then allocates nothing for any of them.
+//!   Everything is reset or cleared before use, so tallies stay
 //!   bit-identical regardless of which thread runs which trial.
 //!
 //! Observability: a `sweep/<key>` span per point and four counters —

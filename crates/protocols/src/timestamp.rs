@@ -12,7 +12,8 @@
 //! memory around so the invariants stay checkable.
 
 use crate::params::Params;
-use am_core::{AppendMemory, MessageBuilder, Sign, Value, GENESIS};
+use crate::scratch;
+use am_core::{Sign, Value, GENESIS};
 use am_poisson::TokenAuthority;
 
 /// Outcome of one Algorithm 4 trial.
@@ -29,7 +30,7 @@ pub struct TimestampTrial {
 
 /// Runs one trial of Algorithm 4 under worst-case Byzantine behaviour.
 pub fn run_timestamp(p: &Params) -> TimestampTrial {
-    let mem = AppendMemory::new(p.n);
+    let mut dag = scratch::take_dag(p.n);
     let mut auth = TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed);
     let mut byz_in_prefix = 0usize;
     let mut sum = 0i64;
@@ -38,7 +39,7 @@ pub fn run_timestamp(p: &Params) -> TimestampTrial {
         let g = auth.next_grant();
         let byz = auth.is_byz(g.node);
         let value = if byz { Value::minus() } else { Value::plus() };
-        mem.append_at(MessageBuilder::new(g.node, value).parent(GENESIS), g.time)
+        dag.append(g.node, value, &[GENESIS], g.time)
             .expect("timestamped append is valid");
         if byz {
             byz_in_prefix += 1;
@@ -47,7 +48,7 @@ pub fn run_timestamp(p: &Params) -> TimestampTrial {
             sum += 1;
         }
     }
-    mem.seal();
+    scratch::put_dag(dag);
 
     // All nodes share the timestamp order, so the decision is common: the
     // sign of the sum of the first k appends.

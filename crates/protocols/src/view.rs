@@ -17,6 +17,7 @@
 //! Adversaries stay omniscient under both (they read the log itself).
 
 use crate::params::ViewPolicy;
+use crate::scratch::{self, IdBuf};
 use am_core::{IncrementalDag, MsgId, Time};
 
 /// The Δ-interval containing `at`.
@@ -58,7 +59,8 @@ pub(crate) struct SharedLog {
     boundary_len: usize,
     /// Tips and deepest blocks of the prefix of length `memo_prefix` —
     /// both are functions of the prefix length alone, and a snapshot
-    /// prefix moves once per Δ, not once per grant.
+    /// prefix moves once per Δ, not once per grant. The two buffers are
+    /// pooled per thread across trials.
     memo_prefix: usize,
     memo_tips: Vec<MsgId>,
     memo_deepest: Vec<MsgId>,
@@ -74,8 +76,8 @@ impl SharedLog {
             interval: 0,
             boundary_len: 1,
             memo_prefix: 0,
-            memo_tips: Vec::new(),
-            memo_deepest: Vec::new(),
+            memo_tips: scratch::take_ids(IdBuf::MemoTips),
+            memo_deepest: scratch::take_ids(IdBuf::MemoDeepest),
         }
     }
 
@@ -95,8 +97,15 @@ impl SharedLog {
         if prefix != self.memo_prefix {
             self.memo_prefix = prefix;
             log.tips_of_prefix_into(prefix, &mut self.memo_tips);
-            self.memo_deepest = log.deepest_in_prefix(prefix);
+            log.deepest_in_prefix_into(prefix, &mut self.memo_deepest);
         }
+    }
+}
+
+impl Drop for SharedLog {
+    fn drop(&mut self) {
+        scratch::put_ids(IdBuf::MemoTips, std::mem::take(&mut self.memo_tips));
+        scratch::put_ids(IdBuf::MemoDeepest, std::mem::take(&mut self.memo_deepest));
     }
 }
 

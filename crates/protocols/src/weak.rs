@@ -22,12 +22,14 @@
 //!   (their "Δ" stretches), so the bank — and with it the reorg depth —
 //!   grows by that factor.
 
-use crate::chain::ChainSim;
-use crate::dag::{covered_of_lin, select_chain, select_chain_with, DagRule, DagSim};
+use crate::chain::{canonical_chain, extend};
+use crate::dag::{append, read, select_chain, values_of, DagRule};
 use crate::params::{Params, ViewPolicy};
 use crate::schedule::{one_shot_budget, GrantSchedule};
+use crate::scratch::{self, IdBuf};
+use crate::trial_dag::TrialDag;
 use crate::view::{SharedLog, Visibility};
-use am_core::{linearize_with, DagIndex, MsgId, Sign, Value};
+use am_core::{MsgId, Sign, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -53,49 +55,48 @@ pub struct StaggeredTrial {
 /// asynchrony window).
 pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> StaggeredTrial {
     assert!(ttl_factor >= 1.0);
-    let mut sim = DagSim::new(p);
+    let mut dag = scratch::take_dag(p.n);
+    let mut tips = scratch::take_ids(IdBuf::Parents);
     let mut sched = GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/dag_stalled");
     let mut shared = SharedLog::new(p.view_policy, p.delta);
 
     // Phase 1: run until the k-value condition first holds; the adversary
     // only banks (it wants a maximal reorg at the decision boundary).
     loop {
-        if sim.mem.len() > p.k && sim.gate_covered() >= p.k {
+        if dag.len() > p.k && dag.gate_covered() >= p.k {
             break;
         }
         let Some(g) = sched.next() else { break };
-        shared.advance_to(g.time, &sim.inc);
+        shared.advance_to(g.time, dag.log());
         if sched.is_byz(g.node) {
             sched.bank.push(g);
         } else {
-            sim.append_referencing_prefix(g.node, Value::plus(), shared.prefix(&sim.inc), g.time);
+            shared.tips_into(g.node.index(), dag.log(), &mut tips);
+            append(&mut dag, g.node, Value::plus(), &tips, g.time);
         }
     }
 
-    // Early decider: snapshot now. One index serves both the early
-    // decision and the adversary's fork-point computation below.
-    let early_view = sim.mem.read();
-    let early_dag = DagIndex::new(&early_view);
-    let early_chain = select_chain_with(rule, &early_dag);
-    let early = decide_on_chain(p, &early_view, &early_dag, &early_chain);
-
-    // Phase 2: the adversary releases its bank as a *reorg chain*: a
-    // private chain forked from a canonical-chain block deep enough that
-    // the release strictly overtakes the public tip, rerouting chain
-    // selection for anyone who reads after it.
+    // Early decider: reads now. The same read yields the point the
+    // adversary forks its **reorg chain** from: a canonical-chain block
+    // deep enough that the release strictly overtakes the public tip.
     let reorg_len = sched.bank.len();
-    if reorg_len > 0 {
-        let mut tip = reorg_fork_point(&early_chain, reorg_len);
-        let at = sim.mem.now();
-        for tok in sched.bank.drain(..) {
-            tip = sim.append(tok.node, Value::minus(), &[tip], at);
-        }
+    let (early, fork) = read(&mut dag, rule, |dag, chain, order| {
+        (decide_on(p, dag, order), reorg_fork_point(chain, reorg_len))
+    });
+
+    // Phase 2: the adversary releases its bank as a private chain,
+    // rerouting chain selection for anyone who reads after it.
+    let at = dag.now();
+    let mut tip = fork;
+    for tok in sched.bank.drain(..) {
+        tip = append(&mut dag, tok.node, Value::minus(), &[tip], at);
     }
 
     // Late decider: reads after the release (one Δ of skew).
-    let late_view = sim.mem.read();
-    let late = decide_on(p, rule, &late_view);
+    let late = read(&mut dag, rule, |dag, _, order| decide_on(p, dag, order));
 
+    scratch::put_ids(IdBuf::Parents, tips);
+    scratch::put_dag(dag);
     StaggeredTrial {
         early,
         late,
@@ -106,37 +107,20 @@ pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> Staggere
 }
 
 /// Where a withheld chain of `reorg_len` blocks forks off `chain`
-/// (root-first): deep enough that the release strictly overtakes the
-/// public tip (`fork_depth + reorg_len > max_depth`).
-fn reorg_fork_point(chain: &[MsgId], reorg_len: usize) -> MsgId {
+/// (root-first positions): deep enough that the release strictly
+/// overtakes the public tip (`fork_depth + reorg_len > max_depth`).
+fn reorg_fork_point(chain: &[usize], reorg_len: usize) -> MsgId {
     let max_depth = chain.len() - 1; // genesis at depth 0
-    chain[max_depth.saturating_sub(reorg_len.saturating_sub(2))]
+    MsgId(chain[max_depth.saturating_sub(reorg_len.saturating_sub(2))] as u64)
 }
 
-/// The Algorithm 6 decision on a given snapshot: builds one index, selects
-/// the chain, and decides.
-fn decide_on(p: &Params, rule: DagRule, view: &am_core::MemoryView) -> Option<Sign> {
-    let dag = DagIndex::new(view);
-    let chain = select_chain_with(rule, &dag);
-    decide_on_chain(p, view, &dag, &chain)
-}
-
-/// The Algorithm 6 decision given an already-built index and selected
-/// chain (so callers that need the chain for other purposes pay for one
-/// index build only).
-fn decide_on_chain(
-    p: &Params,
-    view: &am_core::MemoryView,
-    dag: &DagIndex,
-    chain: &[MsgId],
-) -> Option<Sign> {
-    let lin = linearize_with(dag, chain);
-    let prefix = lin.first_k_values(view, p.k);
+/// The Algorithm 6 decision on one read: the sign of the sum of the first
+/// `k` values of the decision `order`.
+fn decide_on(p: &Params, dag: &TrialDag, order: &[usize]) -> Option<Sign> {
     Sign::of_sum(
-        prefix
-            .iter()
-            .filter_map(|id| view.get(*id))
-            .map(|m| m.value.spin_contribution())
+        values_of(dag, order)
+            .take(p.k)
+            .map(|id| dag.value(id).spin_contribution())
             .sum(),
     )
 }
@@ -152,7 +136,7 @@ fn decide_on_chain(
 /// the same parameters (measured in E12).
 pub fn run_chain_staggered(p: &Params, ttl_factor: f64) -> StaggeredTrial {
     assert!(ttl_factor >= 1.0);
-    let mut sim = ChainSim::new(p);
+    let mut dag = scratch::take_dag(p.n);
     let mut sched =
         GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/chain_stalled");
     // This runner always reads interval snapshots, whatever `p.view_policy`.
@@ -160,35 +144,37 @@ pub fn run_chain_staggered(p: &Params, ttl_factor: f64) -> StaggeredTrial {
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
 
     // Phase 1: correct nodes build; the adversary only banks.
-    while (sim.max_depth() as usize) < p.k {
+    while (dag.log().max_depth() as usize) < p.k {
         let Some(g) = sched.next() else { break };
-        shared.advance_to(g.time, &sim.inc);
+        shared.advance_to(g.time, dag.log());
         if sched.is_byz(g.node) {
             sched.bank.push(g);
             continue;
         }
-        let tips = shared.deepest(g.node.index(), &sim.inc);
+        let tips = shared.deepest(g.node.index(), dag.log());
         let tip = tips[rng.gen_range(0..tips.len())];
-        sim.append(g.node, Value::plus(), tip, g.time);
+        extend(&mut dag, g.node, Value::plus(), tip, g.time);
     }
 
     // Early decider: first k blocks of the canonical chain.
-    let early = chain_decide(p, &sim);
+    let chain = canonical_chain(&dag);
+    let early = chain_decide(p, &dag, &chain);
 
     // Phase 2: release the private side chain, forked deep enough to
     // strictly overtake the public tip.
     let reorg_len = sched.bank.len();
     if reorg_len > 0 {
-        let mut tip = reorg_fork_point(&canonical_chain(&sim), reorg_len);
-        let at = sim.mem.now();
+        let mut tip = reorg_fork_point(&chain, reorg_len);
+        let at = dag.now();
         for tok in sched.bank.drain(..) {
-            tip = sim.append(tok.node, Value::minus(), tip, at);
+            tip = extend(&mut dag, tok.node, Value::minus(), tip, at);
         }
     }
 
     // Late decider.
-    let late = chain_decide(p, &sim);
+    let late = chain_decide(p, &dag, &canonical_chain(&dag));
 
+    scratch::put_dag(dag);
     StaggeredTrial {
         early,
         late,
@@ -198,35 +184,14 @@ pub fn run_chain_staggered(p: &Params, ttl_factor: f64) -> StaggeredTrial {
     }
 }
 
-/// Canonical chain (root-first ids) of the current chain simulation.
-fn canonical_chain(sim: &ChainSim) -> Vec<MsgId> {
-    let tips = sim.deepest_in_prefix(sim.mem.len());
-    let tip = tips[0];
-    let view = sim.mem.read();
-    let mut chain = Vec::new();
-    let mut cur = tip;
-    loop {
-        chain.push(cur);
-        match view.get(cur).and_then(|m| m.parents.first().copied()) {
-            Some(parent) => cur = parent,
-            None => break,
-        }
-    }
-    chain.reverse();
-    chain
-}
-
-/// The Algorithm 5 decision on the current state: sign of the sum of the
-/// first k blocks of the canonical chain.
-fn chain_decide(p: &Params, sim: &ChainSim) -> Option<Sign> {
-    let chain = canonical_chain(sim);
-    let view = sim.mem.read();
+/// The Algorithm 5 decision on a canonical chain (root-first positions):
+/// sign of the sum of its first k blocks.
+fn chain_decide(p: &Params, dag: &TrialDag, chain: &[usize]) -> Option<Sign> {
     let sum: i64 = chain
         .iter()
         .skip(1)
         .take(p.k)
-        .filter_map(|id| view.get(*id))
-        .map(|m| m.value.spin_contribution())
+        .map(|&pos| dag.value(MsgId(pos as u64)).spin_contribution())
         .sum();
     Sign::of_sum(sum)
 }
@@ -254,7 +219,8 @@ pub struct MultiTrial {
 pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTrial {
     assert!(ttl_factor >= 1.0);
     let n_corr = p.n_correct();
-    let mut sim = DagSim::new(p);
+    let mut dag = scratch::take_dag(p.n);
+    let mut tips = scratch::take_ids(IdBuf::Parents);
     let mut sched = GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/dag_stalled");
     let mut shared = SharedLog::new(p.view_policy, p.delta);
 
@@ -287,43 +253,38 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
             // The adversary releases its reorg the instant a decision is
             // possible, before slower readers catch up. The coverage probe
             // uses the incremental tracker — no snapshot, no DFS.
-            if !released && sim.gate_covered() >= p.k && !sched.bank.is_empty() {
+            if !released && dag.gate_covered() >= p.k && !sched.bank.is_empty() {
                 released = true;
-                let chain = select_chain(rule, &sim.mem.read());
+                dag.index_children();
+                let chain = scratch::with_decision(|ghost, _| select_chain(rule, &dag, ghost));
                 let mut tip = reorg_fork_point(&chain, sched.bank.len());
-                let at = sim.mem.now();
+                let at = dag.now();
                 for tok in sched.bank.drain(..) {
-                    tip = sim.append(tok.node, Value::minus(), &[tip], at);
+                    tip = append(&mut dag, tok.node, Value::minus(), &[tip], at);
                 }
             }
-            // This reader's decision: one index build serves chain
-            // selection, coverage, and the decision itself.
-            let view = sim.mem.read();
-            let dag = DagIndex::new(&view);
-            let chain = select_chain_with(rule, &dag);
-            let lin = linearize_with(&dag, &chain);
-            if covered_of_lin(&view, &chain, &lin) >= p.k {
-                let prefix = lin.first_k_values(&view, p.k);
-                decisions[i] = Sign::of_sum(
-                    prefix
-                        .iter()
-                        .filter_map(|id| view.get(*id))
-                        .map(|m| m.value.spin_contribution())
-                        .sum(),
-                );
+            // This reader's decision, if its read covers k values.
+            let decision = read(&mut dag, rule, |dag, _, order| {
+                (values_of(dag, order).count() >= p.k).then(|| decide_on(p, dag, order))
+            });
+            if let Some(d) = decision {
+                decisions[i] = d;
                 decide_times[i] = t;
             }
         }
 
         sched.expire(&g);
-        shared.advance_to(g.time, &sim.inc);
+        shared.advance_to(g.time, dag.log());
         if sched.is_byz(g.node) {
             sched.bank.push(g);
         } else {
-            sim.append_referencing_prefix(g.node, Value::plus(), shared.prefix(&sim.inc), g.time);
+            shared.tips_into(g.node.index(), dag.log(), &mut tips);
+            append(&mut dag, g.node, Value::plus(), &tips, g.time);
         }
     }
 
+    scratch::put_ids(IdBuf::Parents, tips);
+    scratch::put_dag(dag);
     let first = decisions.iter().flatten().next().copied();
     let agreement = decisions.iter().all(|d| d.is_some()) && decisions.iter().all(|d| *d == first);
     let validity = decisions.iter().all(|d| *d == Some(Sign::Plus));
