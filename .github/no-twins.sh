@@ -2,8 +2,9 @@
 # One implementation of each idea in src/: fails on a reference twin, a
 # switch that selects one, a per-PR bench file, a second timing loop /
 # pretend thread pool (the deleted criterion and rayon shims), a SipHash
-# map / an `Arc`ed payload on the simulator's per-message path, or a second
-# copy of a trial's graph beside its `TrialDag`.
+# map / an `Arc`ed payload on the simulator's per-message path, a public way
+# to pick the event queue's lane or the link table's representation, or a
+# second copy of a trial's graph beside its `TrialDag`.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -28,6 +29,16 @@ if shipped crates/net/src/sim.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\b(Arc|Gossip)\b'; then
   echo "error: SimNet carries parcel handles, not shared payloads — keep Arc/Gossip out of sim.rs (DESIGN.md §10)" >&2
+  exit 1
+fi
+# The event queue adapts to the order events arrive in and the link table's
+# representation follows from `n`: neither is a caller's choice. A public
+# function, `NetConfig` field or builder method in am-net naming either is
+# the second code path keyed on config that PR 24 avoided.
+if shipped crates/net/src/*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -iE 'pub (const )?fn [a-z0-9_]*(dense|sparse|in_?order|heap_only|run_only|fast_path)[a-z0-9_]*\(|pub [a-z0-9_]*(dense|sparse|in_?order|heap_only|run_only|fast_path)[a-z0-9_]*:'; then
+  echo "error: a public switch for the queue lane or the link-table representation in am-net — the queue reads the event order, the table reads n (DESIGN.md §10)" >&2
   exit 1
 fi
 # A trial runner keeps its history in the pooled `TrialDag` and decides on

@@ -1,18 +1,22 @@
 //! The `net/*` lanes of the perf ledger, ns per delivered message: the
 //! discrete-event simulator's broadcast + drain across sizes and latency
 //! models beside the reliable in-process network (the price of simulated
-//! time), the fault-injector chain, and a relay-gossip flood at n = 1000.
+//! time), the fault-injector chain, and a relay-gossip flood at n = 1000 —
+//! then the event queue by itself (ns per event at 4 096 in flight, fed in
+//! order and fed shuffled) and one whole networked trial of the
+//! benchmark's first `sweep_net` point.
 //!
-//! The topology engine keeps all per-link state sparse — latency
-//! overrides, bandwidth busy horizons and `NetStats` counters are
-//! hash-keyed by the links actually used, so a 1000-node relay overlay
-//! touches ~8n entries instead of materializing n² of them.
+//! The topology engine keeps per-link state sparse — latency overrides and
+//! bandwidth busy horizons are hash-keyed by the links actually used, and
+//! so are the `NetStats` counters once n outgrows the directly indexed
+//! table (n ≤ 64), so a 1000-node relay overlay touches ~8n entries
+//! instead of materializing n² of them.
 
 use am_bench::recorder::Recorder;
 use am_core::{MsgId, Time};
 use am_mp::{Network, Payload};
-use am_net::{Fault, LatencyModel, NetConfig, SimNet, Topology, Transport};
-use am_protocols::Propagation;
+use am_net::{EventQueue, Fault, LatencyModel, NetConfig, SimNet, Topology, Transport};
+use am_protocols::{run_chain_net, trial_seed, ChainAdversary, Params, Propagation, TieBreak};
 use std::time::Duration;
 
 /// A fault-free seed-1 mesh recording the delivery trace.
@@ -114,6 +118,44 @@ fn flood(n: usize, blocks: usize, cfg: &NetConfig, seed: u64) -> u64 {
     prop.stats().totals().delivered
 }
 
+/// Events in flight in the two queue lanes.
+const IN_FLIGHT: u64 = 4_096;
+
+/// A queue holding [`IN_FLIGHT`] events, keys ascending.
+fn loaded_queue() -> EventQueue<u64, u64> {
+    let mut q = EventQueue::new();
+    for i in 0..IN_FLIGHT {
+        q.schedule(i, i);
+    }
+    q
+}
+
+/// One pop and one schedule per event, [`IN_FLIGHT`] times over: each
+/// popped event goes back `delay(key)` later (the hold model).
+fn hold(q: &mut EventQueue<u64, u64>, delay: impl Fn(u64) -> u64) -> u64 {
+    let mut acc = 0;
+    for _ in 0..IN_FLIGHT {
+        let (key, _, item) = q.pop().expect("the queue stays loaded");
+        acc ^= item;
+        q.schedule(key + delay(key), item);
+    }
+    acc
+}
+
+/// The benchmark's first `sweep_net` point (`drop0.2/chain` at seed 11):
+/// Algorithm 5 at n = 12 against the tie-breaker, blocks gossiped over a
+/// 0.05 Δ mesh that drops a fifth of its messages. 16 trials.
+fn sweep_net_trials(cfg: &NetConfig) -> usize {
+    let base = Params::new(12, 4, 0.5, 21, 11 ^ 0x14);
+    (0..16u64)
+        .map(|i| {
+            let p = base.with_seed(trial_seed(base.seed, i));
+            let (t, _) = run_chain_net(&p, TieBreak::Randomized, ChainAdversary::TieBreaker, cfg);
+            t.chain_len
+        })
+        .sum()
+}
+
 fn main() {
     let mut rec = Recorder::layer("net");
     for n in [8usize, 32] {
@@ -142,6 +184,33 @@ fn main() {
         delivered,
         Duration::from_millis(1100),
         || flood(1000, 40, &cfg, 1),
+    );
+
+    // A constant delay keeps every event in schedule order; a delay spread
+    // over the queue's whole span (a multiplicative hash of the key) puts
+    // nearly every event behind the latest one scheduled.
+    let budget = Duration::from_millis(400);
+    let mut q = loaded_queue();
+    rec.measure_absolute("net/queue_inorder_push_pop", IN_FLIGHT, budget, || {
+        hold(&mut q, |_| IN_FLIGHT)
+    });
+    let mut q = loaded_queue();
+    rec.measure_absolute("net/queue_shuffled_push_pop", IN_FLIGHT, budget, || {
+        hold(&mut q, |key| {
+            1 + (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % (2 * IN_FLIGHT)
+        })
+    });
+
+    let lossy = NetConfig::builder()
+        .latency(LatencyModel::Constant(50_000_000))
+        .drop(0.2)
+        .build()
+        .expect("static bench config is valid");
+    rec.measure_absolute(
+        "net/sweep_net_trial_drop0.2_chain",
+        16,
+        Duration::from_millis(800),
+        || sweep_net_trials(&lossy),
     );
     rec.write().unwrap_or_else(|e| panic!("{e}"));
 }

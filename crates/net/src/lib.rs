@@ -14,17 +14,18 @@
 //!   `am-mp`'s reliable [`Network`](../am_mp/net/struct.Network.html)
 //!   implements it, and so does [`SimNet`]; Algorithms 2/3 run unchanged
 //!   over either.
-//! * [`SimNet`] — a seeded discrete-event simulator: a slab-backed
-//!   pairing-heap event queue ([`EventQueue`]) keyed by `(time_ns, seq)`,
-//!   carrying 24-byte handles to payloads held once in a slab,
-//!   drives per-link latency models
+//! * [`SimNet`] — a seeded discrete-event simulator: an event queue
+//!   ([`EventQueue`]: an in-order run beside a slab pairing heap, one
+//!   total order `(time_ns, seq)`), carrying 24-byte handles to payloads
+//!   held once in a slab, drives per-link latency models
 //!   ([`LatencyModel`]: constant, uniform, exponential) and composable
 //!   fault injectors ([`Fault`]: probabilistic drops, duplication,
 //!   reorder-by-extra-delay, node crash/recover windows, scheduled
 //!   partitions with heal times).
-//! * [`NetStats`] — per-link and per-payload-kind counters (sent,
-//!   delivered, dropped, duplicated) plus log-bucketed delay histograms,
-//!   exportable as JSON next to an experiment's `results/<id>.json`.
+//! * [`NetStats`] — per-link (directly indexed while n² is small, a
+//!   sparse map beyond) and per-payload-kind counters (sent, delivered,
+//!   dropped, duplicated) plus log-bucketed delay histograms, exportable
+//!   as JSON next to an experiment's `results/<id>.json`.
 //!
 //! Everything is deterministic per seed: the same seed yields the same
 //! delivery trace, byte for byte (see the `determinism` tests).

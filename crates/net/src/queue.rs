@@ -1,25 +1,41 @@
-//! The shared slab-backed event core.
+//! The shared event core: an in-order run beside a slab pairing heap, one
+//! total order.
 //!
-//! Both discrete-event simulators in the workspace — [`SimNet`] here in
-//! `am-net` and `am_poisson::des::EventQueue` — used to run on a
-//! [`std::collections::BinaryHeap`] of boxed-in-`Vec` entries. This module
-//! replaces both with one indexed pairing heap whose nodes live in a slab
-//! (`Vec<Node>` plus an intrusive free list), so:
+//! One type serves every discrete-event loop in the workspace — [`SimNet`]
+//! here and the `am_poisson::des::EventQueue` wrapper over it. Events are
+//! ordered by the strict total order `(key, seq)`, where `seq` is the
+//! schedule sequence number, so equal-key events pop in schedule order and
+//! the pop sequence is **independent of how the events are stored** — a
+//! pairing heap, a binary heap and a sorted list all produce the identical
+//! event trace. The queue keeps them in two places and reads no
+//! configuration to choose between them; it adapts to the order events
+//! arrive in:
 //!
-//! - pushing an event never allocates once the slab has warmed up (freed
-//!   nodes are recycled in place), and the slab itself can be recycled
-//!   across trials via [`Storage`], mirroring the `TrialScratch`
-//!   pattern from `am-protocols`;
-//! - pops are `O(log n)` amortized (two-pass pairing merge) with no
-//!   sift-down over a dense array;
-//! - ordering is the strict total order `(key, seq)` where `seq` is the
-//!   schedule sequence number, so equal-key events pop in schedule order
-//!   and the pop sequence is **independent of heap shape** — a pairing
-//!   heap, a binary heap, and a sorted list all produce the identical
-//!   event trace. `crates/net/tests/queue_determinism.rs` fuzzes this
-//!   against a `BinaryHeap` reference model.
+//! - the **in-order run**: a ring buffer that takes a scheduled event
+//!   whenever its key is ≥ the key at the run's tail (an empty run takes
+//!   anything). `seq` only grows, so the run is sorted by `(key, seq)` by
+//!   construction and its front is its minimum. Under a constant latency
+//!   events are scheduled in pop order already — every one lands here, and
+//!   a push or a pop is one ring-buffer operation;
+//! - the **pairing heap**: everything else melds into a heap whose nodes
+//!   live in a slab (`Vec<Node>` plus an intrusive free list) — `O(1)`
+//!   push, `O(log n)` amortized pop (two-pass pairing merge), no per-event
+//!   allocation once the slab has warmed up. Every key in it is below the
+//!   run's tail, so the heap is empty whenever the run is. Spread-latency
+//!   traffic lives here but for its record-late events (0.02 % of
+//!   `gossip_scale`'s) and pays one key compare more per operation than
+//!   the heap alone.
+//!
+//! [`EventQueue::pop`] and [`EventQueue::peek_key`] take the smaller
+//! `(key, seq)` of the two fronts. Both stores keep their capacity across
+//! trials through [`Storage`], mirroring the `TrialScratch` pattern from
+//! `am-protocols`. `crates/net/tests/queue_determinism.rs` fuzzes the pop
+//! sequence against a `BinaryHeap` reference model over schedule shapes
+//! that exercise the run alone, the heap alone and both at once.
 //!
 //! [`SimNet`]: crate::SimNet
+
+use std::collections::VecDeque;
 
 /// Sentinel index: "no node".
 const NIL: u32 = u32::MAX;
@@ -37,14 +53,18 @@ struct Node<K, E> {
     item: Option<E>,
 }
 
-/// Recycled node storage for an [`EventQueue`].
+/// One event in the in-order run: `(key, seq, payload)`.
+type RunEntry<K, E> = (K, u64, E);
+
+/// Recycled run and node storage for an [`EventQueue`].
 ///
-/// [`EventQueue::into_storage`] returns the warmed-up slab (payloads
-/// dropped, capacity kept); [`EventQueue::from_storage`] rebuilds a fresh
-/// queue on top of it with zero allocations. Trial runners keep one
-/// `Storage` per thread (a `thread_local!`).
+/// [`EventQueue::into_storage`] returns the warmed-up ring buffer and slab
+/// (payloads dropped, capacity kept); [`EventQueue::from_storage`]
+/// rebuilds a fresh queue on top of them with zero allocations. Trial
+/// runners keep one `Storage` per thread (a `thread_local!`).
 #[derive(Debug)]
 pub struct Storage<K, E> {
+    run: VecDeque<RunEntry<K, E>>,
     nodes: Vec<Node<K, E>>,
     pair_scratch: Vec<u32>,
 }
@@ -59,23 +79,27 @@ impl<K, E> Storage<K, E> {
     /// Empty storage (allocates nothing until first use).
     pub fn new() -> Storage<K, E> {
         Storage {
+            run: VecDeque::new(),
             nodes: Vec::new(),
             pair_scratch: Vec::new(),
         }
     }
 }
 
-/// A deterministic min-queue over `(key, seq)` backed by a slab pairing
-/// heap. `seq` is assigned per [`schedule`](EventQueue::schedule) call in
-/// strictly increasing order starting at 0, so ties on `key` break in
-/// schedule order.
+/// A deterministic min-queue over `(key, seq)`: an in-order run beside a
+/// slab pairing heap (see the module docs). `seq` is assigned per
+/// [`schedule`](EventQueue::schedule) call in strictly increasing order
+/// starting at 0, so ties on `key` break in schedule order.
 #[derive(Debug)]
 pub struct EventQueue<K, E> {
+    /// The in-order run: strictly ascending in `(key, seq)`, front first.
+    run: VecDeque<RunEntry<K, E>>,
     nodes: Vec<Node<K, E>>,
     /// Free-list head (linked through `sibling`).
     free: u32,
     /// Root of the pairing heap.
     root: u32,
+    /// Queued events, run and heap together.
     len: usize,
     next_seq: u64,
     /// Reused buffer for the first merge pass of `pop`.
@@ -97,17 +121,21 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     /// An empty queue with room for `cap` in-flight events.
     pub fn with_capacity(cap: usize) -> EventQueue<K, E> {
         EventQueue::from_storage(Storage {
+            run: VecDeque::with_capacity(cap),
             nodes: Vec::with_capacity(cap),
             pair_scratch: Vec::new(),
         })
     }
 
-    /// Rebuilds an empty queue on recycled [`Storage`]: node capacity is
-    /// kept, any stale payloads are dropped, and `seq` restarts at 0.
+    /// Rebuilds an empty queue on recycled [`Storage`]: run and node
+    /// capacity is kept, any stale payloads are dropped, and `seq`
+    /// restarts at 0.
     pub fn from_storage(mut storage: Storage<K, E>) -> EventQueue<K, E> {
+        storage.run.clear();
         storage.nodes.clear();
         storage.pair_scratch.clear();
         EventQueue {
+            run: storage.run,
             nodes: storage.nodes,
             free: NIL,
             root: NIL,
@@ -121,6 +149,7 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     /// still-queued payloads.
     pub fn into_storage(self) -> Storage<K, E> {
         Storage {
+            run: self.run,
             nodes: self.nodes,
             pair_scratch: self.pair_scratch,
         }
@@ -144,12 +173,18 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
 
     /// Key of the earliest queued event, if any.
     pub fn peek_key(&self) -> Option<K> {
-        (self.root != NIL).then(|| self.nodes[self.root as usize].key)
+        let heap = (self.root != NIL).then(|| self.nodes[self.root as usize].key);
+        match (self.run.front(), heap) {
+            (Some(&(run, ..)), Some(heap)) => Some(run.min(heap)),
+            (Some(&(run, ..)), None) => Some(run),
+            (None, heap) => heap,
+        }
     }
 
     /// Removes every queued event (payloads are dropped; capacity and the
     /// `seq` counter are kept).
     pub fn clear(&mut self) {
+        self.run.clear();
         self.nodes.clear();
         self.free = NIL;
         self.root = NIL;
@@ -157,10 +192,17 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     }
 
     /// Queues `item` at `key` and returns the assigned sequence number.
-    /// Allocation-free whenever a previously popped slot is available.
+    /// Allocation-free whenever the run has room or a previously popped
+    /// slot is available.
     pub fn schedule(&mut self, key: K, item: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.len += 1;
+        // In order behind the run's tail (`seq` already is): extend the run.
+        if self.run.back().is_none_or(|&(tail, ..)| key >= tail) {
+            self.run.push_back((key, seq, item));
+            return seq;
+        }
         let idx = if self.free != NIL {
             let idx = self.free;
             let slot = &mut self.nodes[idx as usize];
@@ -183,14 +225,24 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
             idx
         };
         self.root = self.meld(self.root, idx);
-        self.len += 1;
         seq
     }
 
-    /// Pops the event with the smallest `(key, seq)`.
+    /// Pops the event with the smallest `(key, seq)` — the smaller of the
+    /// run's front and the heap's root.
     pub fn pop(&mut self) -> Option<(K, u64, E)> {
-        if self.root == NIL {
-            return None;
+        let run_first = match (self.run.front(), self.root) {
+            (None, NIL) => return None,
+            (Some(_), NIL) => true,
+            (None, _) => false,
+            (Some(&(key, seq, _)), root) => {
+                let root = &self.nodes[root as usize];
+                (key, seq) < (root.key, root.seq)
+            }
+        };
+        self.len -= 1;
+        if run_first {
+            return self.run.pop_front();
         }
         let root = self.root;
         let slot = &mut self.nodes[root as usize];
@@ -226,7 +278,6 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
         }
         self.pair_scratch = scratch;
         self.root = new_root;
-        self.len -= 1;
         Some((key, seq, item))
     }
 
@@ -287,21 +338,28 @@ mod tests {
     fn storage_recycling_resets_seq_and_keeps_capacity() {
         let mut q = EventQueue::new();
         for i in 0..100u64 {
-            q.schedule(i, i);
+            q.schedule(1_000 + i, i); // in order: the run
         }
+        for i in 0..100u64 {
+            q.schedule(999 - i, i); // below the run's tail: the heap
+        }
+        assert_eq!((q.run.len(), q.nodes.len()), (100, 100));
         while q.pop().is_some() {}
-        let cap_before = q.nodes.capacity();
+        let (run_cap, node_cap) = (q.run.capacity(), q.nodes.capacity());
         let storage = q.into_storage();
         let mut q2: EventQueue<u64, u64> = EventQueue::from_storage(storage);
         assert_eq!(q2.next_seq(), 0);
-        assert!(q2.nodes.capacity() >= cap_before);
+        assert!(q2.run.capacity() >= run_cap && q2.nodes.capacity() >= node_cap);
         assert_eq!(q2.schedule(1, 9), 0);
         assert_eq!(q2.pop(), Some((1, 0, 9)));
     }
 
     #[test]
     fn interleaved_push_pop_recycles_slots() {
+        // A far-future sentinel holds the run's tail, so every other event
+        // is out of order and goes through the heap's slab.
         let mut q = EventQueue::new();
+        q.schedule(u64::MAX, 0);
         let mut last_popped = None;
         for round in 0..50u64 {
             q.schedule(round * 2, round);
@@ -312,7 +370,27 @@ mod tests {
         }
         // Slab never grows past live events + one recycled slot.
         assert!(q.nodes.len() <= 51, "slab grew to {}", q.nodes.len());
-        assert_eq!(q.len(), 50);
+        assert_eq!(q.len(), 51);
+    }
+
+    #[test]
+    fn in_order_schedules_never_touch_the_heap() {
+        // Constant-latency traffic: keys never decrease, pops interleave.
+        let mut q = EventQueue::new();
+        for round in 0..50u64 {
+            for i in 0..4u64 {
+                q.schedule(round * 10, round * 4 + i);
+            }
+            // Schedule order is pop order: the `round`-th event overall.
+            assert_eq!(q.pop(), Some((round / 4 * 10, round, round)));
+        }
+        assert!(q.nodes.is_empty(), "an in-order event reached the slab");
+        assert_eq!((q.len(), q.run.len()), (150, 150));
+        // One late event is the heap's; the fronts still merge in order.
+        q.schedule(5, 999);
+        assert_eq!((q.nodes.len(), q.peek_key()), (1, Some(5)));
+        assert_eq!(q.pop(), Some((5, 200, 999)));
+        assert_eq!(q.pop(), Some((120, 50, 50)));
     }
 
     #[test]

@@ -159,6 +159,11 @@ impl NetConfig {
     ) -> SimNet<M> {
         let mut inbox_slots = std::mem::take(&mut scratch.inboxes);
         inbox_slots.resize_with(n, Vec::new);
+        scratch.stats.reset(n, self.trace);
+        scratch.dirty.clear();
+        scratch.in_dirty.clear();
+        scratch.in_dirty.resize(n, false);
+        scratch.faults.clear();
         let mut net = SimNet {
             n,
             now_ns: 0,
@@ -170,13 +175,13 @@ impl NetConfig {
             topo: self.topology.instantiate(n, seed),
             bandwidth_bps: self.bandwidth_bps,
             link_busy: IntMap::default(),
-            faults: Vec::new(),
+            faults: scratch.faults,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
-            stats: NetStats::with_options(n, self.trace),
+            stats: scratch.stats,
             sent: 0,
             delivered: 0,
-            dirty: Vec::new(),
-            in_dirty: vec![false; n],
+            dirty: scratch.dirty,
+            in_dirty: scratch.in_dirty,
             obs_sent: am_obs::static_counter!("net.sent"),
             obs_delivered: am_obs::static_counter!("net.delivered"),
             obs_dropped: am_obs::static_counter!("net.dropped"),
@@ -200,8 +205,11 @@ impl NetConfig {
             });
         }
         if let Some((from_ns, until_ns)) = self.partition {
+            let mut side_a = scratch.side_a;
+            side_a.clear();
+            side_a.extend(0..n / 2);
             net.add_fault(Fault::Partition(PartitionSpec {
-                side_a: (0..n / 2).collect(),
+                side_a,
                 from_ns,
                 until_ns,
             }));
@@ -326,18 +334,27 @@ impl Inbox {
     }
 }
 
-/// Recycled queue, payload-slab and inbox storage for a [`SimNet`],
+/// Everything a [`SimNet`] would otherwise allocate per trial — queue
+/// storage, payload slab, inbox buffers, the [`NetStats`] tables, the
+/// arrival set, the injector list and a partition's member list —
 /// following the `TrialScratch` pattern: trial loops keep one
 /// `NetScratch` per thread, rebuild each trial's `SimNet` on it via
-/// [`NetConfig::build_net_with_scratch`], and reclaim it afterwards with
+/// [`NetConfig::build_net_with_scratch`], which resets every piece rather
+/// than rebuilding it, and reclaim it afterwards with
 /// [`SimNet::into_scratch`]. It holds capacity only — every payload of
-/// the simulator it came from was dropped when it was taken.
+/// the simulator it came from was dropped when it was taken, and nothing
+/// the old simulator counted or was configured with shows in the next.
 #[derive(Debug)]
 pub struct NetScratch<M> {
     queue: Storage<u64, Flight>,
     /// Always empty here.
     parcels: Parcels<M>,
     inboxes: Vec<Vec<Option<Arrival>>>,
+    stats: NetStats,
+    dirty: Vec<u32>,
+    in_dirty: Vec<bool>,
+    faults: Vec<Fault>,
+    side_a: Vec<usize>,
 }
 
 impl<M> Default for NetScratch<M> {
@@ -353,6 +370,11 @@ impl<M> NetScratch<M> {
             queue: Storage::new(),
             parcels: Parcels::new(),
             inboxes: Vec::new(),
+            stats: NetStats::default(),
+            dirty: Vec::new(),
+            in_dirty: Vec::new(),
+            faults: Vec::new(),
+            side_a: Vec::new(),
         }
     }
 }
@@ -364,11 +386,12 @@ impl<M> NetScratch<M> {
 /// payloads themselves sit in one slab (`Parcels`) from `send` to
 /// delivery.
 ///
-/// Per-node state is O(nodes + active links): latency overrides, link
-/// busy-times, and [`NetStats`] counters all live in sparse maps keyed by
-/// the directed link, and the set of nodes with fresh arrivals is
-/// maintained incrementally ([`SimNet::drain_arrived_nodes`]) so delivery
-/// loops iterate O(active) instead of O(n).
+/// Per-node state is O(nodes + active links): latency overrides and link
+/// busy-times live in sparse maps keyed by the directed link, as do the
+/// [`NetStats`] counters once n² outgrows a small directly indexed table,
+/// and the set of nodes with fresh arrivals is maintained incrementally
+/// ([`SimNet::drain_arrived_nodes`]) so delivery loops iterate O(active)
+/// instead of O(n).
 pub struct SimNet<M> {
     n: usize,
     now_ns: u64,
@@ -402,14 +425,23 @@ pub struct SimNet<M> {
 }
 
 impl<M: Kinded> SimNet<M> {
-    /// Tears the simulator down to its reusable storage (queue slab,
-    /// payload slab, inbox buffers), dropping any undelivered payloads.
+    /// Tears the simulator down to its reusable storage (see
+    /// [`NetScratch`]), dropping any undelivered payloads.
     pub fn into_scratch(mut self) -> NetScratch<M> {
         self.parcels.clear();
+        let side_a = self.faults.drain(..).find_map(|fault| match fault {
+            Fault::Partition(spec) => Some(spec.side_a),
+            _ => None,
+        });
         NetScratch {
             queue: self.queue.into_storage(),
             parcels: self.parcels,
             inboxes: self.arrived.into_iter().map(Inbox::into_slots).collect(),
+            stats: self.stats,
+            dirty: self.dirty,
+            in_dirty: self.in_dirty,
+            faults: self.faults,
+            side_a: side_a.unwrap_or_default(),
         }
     }
 
@@ -431,6 +463,14 @@ impl<M: Kinded> SimNet<M> {
     /// The collected observability data.
     pub fn stats(&self) -> &NetStats {
         &self.stats
+    }
+
+    /// Moves the collected observability data out — for a caller that
+    /// keeps the statistics of a simulator it is done with — leaving the
+    /// empty [`NetStats`] of a zero-node network. A simulator torn down
+    /// with its statistics in place recycles their storage instead.
+    pub fn take_stats(&mut self) -> NetStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// The gossip adjacency this network was configured with.
@@ -485,6 +525,14 @@ impl<M: Kinded> SimNet<M> {
     /// the parcel, so per-recipient sends and the one-parcel broadcast
     /// produce bit-identical traces.
     fn send_parcel(&mut self, from: usize, to: usize, parcel: ParcelId, kind: &'static str) {
+        // Checked here, at the caller's send, and on `n` rather than on
+        // adjacency (repair traffic leaves the topology): past this point
+        // an endpoint indexes the link table and an inbox unchecked.
+        assert!(
+            from < self.n && to < self.n,
+            "send {from}->{to} names a node outside this {}-node network",
+            self.n
+        );
         self.sent += 1;
         self.stats.on_sent(from, to, kind);
         self.obs_sent.inc();
@@ -766,6 +814,55 @@ mod tests {
         assert_eq!(size_of::<Option<Arrival>>(), 24);
     }
 
+    /// A degree-2 ring: most node pairs are not adjacent.
+    fn ring(n: usize) -> SimNet<Ping> {
+        NetConfig::builder()
+            .topology(Topology::Relay { k: 2 })
+            .build()
+            .unwrap()
+            .build_net(n, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "send 0->3 names a node outside this 3-node network")]
+    fn send_to_a_node_out_of_range_panics_at_the_send() {
+        mesh(3, 1, LatencyModel::Constant(10)).send(0, 3, Ping(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "send 3->0 names a node outside this 3-node network")]
+    fn send_from_a_node_out_of_range_panics_at_the_send() {
+        mesh(3, 1, LatencyModel::Constant(10)).send(3, 0, Ping(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "send 5->0 names a node outside this 5-node network")]
+    fn broadcast_from_a_node_out_of_range_panics_at_the_send() {
+        mesh(5, 1, LatencyModel::Constant(10)).broadcast(5, Ping(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "send 2->8 names a node outside this 8-node network")]
+    fn sparse_topology_send_to_a_node_out_of_range_panics_at_the_send() {
+        ring(8).send(2, 8, Ping(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "send 9->2 names a node outside this 8-node network")]
+    fn sparse_topology_send_from_a_node_out_of_range_panics_at_the_send() {
+        ring(8).send(9, 2, Ping(1));
+    }
+
+    #[test]
+    fn off_topology_sends_are_legal() {
+        // Pull repair asks a block's author directly, neighbour or not:
+        // the endpoint check is on the node count, not on adjacency.
+        let mut net = ring(8);
+        net.send(0, 4, Ping(1));
+        assert_eq!(drain(&mut net).len(), 1);
+        assert_eq!(net.stats().link(0, 4).delivered, 1);
+    }
+
     #[test]
     fn constant_latency_delivers_in_send_order() {
         let mut net: SimNet<Ping> = mesh(3, 1, LatencyModel::Constant(10));
@@ -956,6 +1053,58 @@ mod tests {
         let (got_b, trace_b, _) = run(scratch);
         assert_eq!(got_a, got_b, "recycled storage must not change results");
         assert_eq!(trace_a, trace_b);
+    }
+
+    #[test]
+    fn scratch_from_another_network_leaves_no_trace() {
+        // The recycled statistics, arrival set, injector list and partition
+        // side come from a larger, faultier network torn down mid-flight.
+        let run = |scratch: NetScratch<Ping>| {
+            let mut net: SimNet<Ping> = NetConfig::builder()
+                .latency(LatencyModel::Constant(10))
+                .partition(0, 15)
+                .trace(true)
+                .build()
+                .unwrap()
+                .build_net_with_scratch(4, 3, scratch);
+            assert_eq!(net.faults.len(), 1, "only this config's injectors");
+            for from in 0..4 {
+                net.broadcast(from, Ping(from as u64));
+            }
+            let got = drain(&mut net);
+            (got, format!("{:?}", net.stats()), net.stats().to_json())
+        };
+        let mut other: SimNet<Ping> = NetConfig::builder()
+            .latency(LatencyModel::Constant(1))
+            .drop(0.3)
+            .dup(0.3)
+            .partition(0, 1_000)
+            .build()
+            .unwrap()
+            .build_net(9, 8);
+        for from in 0..9 {
+            other.broadcast(from, Ping(99));
+        }
+        other.advance();
+        assert!(other.stats().active_links() > 16 && !other.dirty.is_empty());
+        assert_eq!(run(other.into_scratch()), run(NetScratch::new()));
+    }
+
+    #[test]
+    fn taken_stats_are_the_trial_s_own_and_leave_nothing_behind() {
+        let mut net: SimNet<Ping> = mesh(3, 1, LatencyModel::Constant(1));
+        net.broadcast(0, Ping(1));
+        let _ = drain(&mut net);
+        let want = format!("{:?}", net.stats());
+        let taken = net.take_stats();
+        assert_eq!(format!("{taken:?}"), want);
+        assert_eq!(net.stats().totals(), crate::stats::Counters::default());
+        // The scratch recycles whatever was left in place — here nothing.
+        let mut again: SimNet<Ping> = NetConfig::ideal(LatencyModel::Constant(1))
+            .build_net_with_scratch(3, 1, net.into_scratch());
+        again.broadcast(0, Ping(1));
+        let _ = drain(&mut again);
+        assert_eq!(again.stats().totals(), taken.totals());
     }
 
     #[test]

@@ -392,22 +392,26 @@ pub fn run_bft_net(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> (BftTrial,
 /// [`run_bft_net`] with the per-node finality state exposed (gate /
 /// settled / healed chains) for the agreement property suites.
 pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNetRun {
-    let _span = am_obs::span("protocols/bft_net");
-    let (mut run, stats) = over_wire(p, cfg, |prop| bft_over_wire(p, adv, prop));
-    run.stats = stats;
-    run
+    over_wire(BFT_NET_SPAN, p, cfg, |prop| {
+        let mut run = bft_over_wire(p, adv, prop);
+        run.stats = prop.take_stats();
+        run
+    })
 }
+
+/// The obs span around one networked BFT finality trial.
+const BFT_NET_SPAN: &str = "protocols/bft_net";
 
 /// One BFT finality trial under the visibility `p` itself asks for.
 pub(crate) fn bft_trial(p: &Params, adv: BftAdversary) -> BftTrial {
     match &p.net {
         None => run_bft(p, adv),
-        Some(cfg) => run_bft_net(p, adv, cfg).0,
+        Some(cfg) => over_wire(BFT_NET_SPAN, p, cfg, |prop| bft_over_wire(p, adv, prop)).trial,
     }
 }
 
 /// The networked driver: per-node oracles fed in admission order.
-/// (`stats` is filled in by the caller once the wire is torn down.)
+/// (`stats` is left empty for a caller that wants them to fill in.)
 fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNetRun {
     prop.set_track_admitted(true);
     let mut sched = GrantSchedule::new(p, 1.0, grant_budget(p), "protocols/bft_stalled");

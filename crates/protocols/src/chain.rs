@@ -132,16 +132,22 @@ pub fn run_chain_net(
     adv: ChainAdversary,
     cfg: &NetConfig,
 ) -> (ChainTrial, NetStats) {
-    let _span = am_obs::span("protocols/chain_net");
-    over_wire(p, cfg, |prop| run_chain_on(p, tie, adv, prop))
+    over_wire(CHAIN_NET_SPAN, p, cfg, |prop| {
+        (run_chain_on(p, tie, adv, prop), prop.take_stats())
+    })
 }
+
+/// The obs span around one networked Algorithm 5 trial.
+const CHAIN_NET_SPAN: &str = "protocols/chain_net";
 
 /// One Algorithm 5 trial under the visibility `p` itself asks for: gossip
 /// over `p.net` when set, the abstract memory otherwise.
 pub(crate) fn chain_trial(p: &Params, tie: TieBreak, adv: ChainAdversary) -> ChainTrial {
     match &p.net {
         None => run_chain(p, tie, adv),
-        Some(cfg) => run_chain_net(p, tie, adv, cfg).0,
+        Some(cfg) => over_wire(CHAIN_NET_SPAN, p, cfg, |prop| {
+            run_chain_on(p, tie, adv, prop)
+        }),
     }
 }
 

@@ -117,16 +117,20 @@ pub fn run_dag_net(
     adv: DagAdversary,
     cfg: &NetConfig,
 ) -> (DagTrial, NetStats) {
-    let _span = am_obs::span("protocols/dag_net");
-    over_wire(p, cfg, |prop| run_dag_on(p, rule, adv, prop))
+    over_wire(DAG_NET_SPAN, p, cfg, |prop| {
+        (run_dag_on(p, rule, adv, prop), prop.take_stats())
+    })
 }
+
+/// The obs span around one networked Algorithm 6 trial.
+const DAG_NET_SPAN: &str = "protocols/dag_net";
 
 /// One Algorithm 6 trial under the visibility `p` itself asks for: gossip
 /// over `p.net` when set, the abstract memory otherwise.
 pub(crate) fn dag_trial(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
     match &p.net {
         None => run_dag(p, rule, adv),
-        Some(cfg) => run_dag_net(p, rule, adv, cfg).0,
+        Some(cfg) => over_wire(DAG_NET_SPAN, p, cfg, |prop| run_dag_on(p, rule, adv, prop)),
     }
 }
 

@@ -52,7 +52,11 @@ pub struct Propagation {
     net: SimNet<BlockMsg>,
     /// Global block metadata, indexed by `MsgId::index()`.
     depth: Vec<u32>,
-    parents: Vec<Vec<MsgId>>,
+    /// Every block's parent list, back to back: block `i`'s parents are
+    /// `parent_ids[parent_off[i]..parent_off[i + 1]]` (see
+    /// [`Self::parents_of`]).
+    parent_off: Vec<u32>,
+    parent_ids: Vec<MsgId>,
     /// Block authors (`u32::MAX` for genesis), for pull repair.
     authors: Vec<u32>,
     /// `visible[node][id.index()]`.
@@ -100,9 +104,9 @@ impl Propagation {
         Propagation::with_scratch(n, cfg, seed, NetScratch::default())
     }
 
-    /// Like [`Self::new`], but recycling pooled network storage (event-queue
-    /// slab and inbox slots) from a previous trial. Bit-identical to a
-    /// fresh build; only allocation behaviour differs.
+    /// Like [`Self::new`], but recycling pooled network storage (see
+    /// [`NetScratch`]) from a previous trial. Bit-identical to a fresh
+    /// build; only allocation behaviour differs.
     pub fn with_scratch(
         n: usize,
         cfg: &NetConfig,
@@ -124,7 +128,8 @@ impl Propagation {
         Propagation {
             net,
             depth: vec![0],
-            parents: vec![Vec::new()],
+            parent_off: vec![0, 0], // genesis has no parents
+            parent_ids: Vec::new(),
             authors: vec![u32::MAX],
             visible: vec![vec![true]; n], // genesis is visible everywhere
             pending: vec![Vec::new(); n],
@@ -166,7 +171,9 @@ impl Propagation {
             .max()
             .unwrap_or(1);
         self.depth.push(d);
-        self.parents.push(parents.to_vec());
+        self.parent_ids.extend_from_slice(parents);
+        let end = u32::try_from(self.parent_ids.len()).expect("parent references exceed u32");
+        self.parent_off.push(end);
         self.authors.push(author as u32);
         for v in &mut self.visible {
             v.push(false);
@@ -278,7 +285,7 @@ impl Propagation {
     }
 
     fn parents_visible(&self, node: usize, id: MsgId) -> bool {
-        self.parents[id.index()]
+        self.parents_of(id)
             .iter()
             .all(|p| self.visible[node][p.index()])
     }
@@ -314,7 +321,7 @@ impl Propagation {
         if self.track_admitted {
             self.admitted[node].push(id);
         }
-        let parents = &self.parents[idx];
+        let parents = &self.parent_ids[parent_span(&self.parent_off, idx)];
         // `retain` preserves order, so the sorted invariant survives the
         // parent eviction; the insert below restores it for the new tip.
         self.tips[node].retain(|t| !parents.contains(t));
@@ -397,7 +404,7 @@ impl Propagation {
         wanted.clear();
         for i in 0..self.pending[node].len() {
             let id = self.pending[node][i];
-            for &p in &self.parents[id.index()] {
+            for &p in &self.parent_ids[parent_span(&self.parent_off, id.index())] {
                 if !self.visible[node][p.index()] && !wanted.contains(&p) {
                     wanted.push(p);
                 }
@@ -418,13 +425,26 @@ impl Propagation {
     /// The parents a block was announced with (for replaying admissions
     /// into a per-node interpreter).
     pub fn parents_of(&self, id: MsgId) -> &[MsgId] {
-        &self.parents[id.index()]
+        &self.parent_ids[parent_span(&self.parent_off, id.index())]
     }
 
     /// The network's observability data.
     pub fn stats(&self) -> &NetStats {
         self.net.stats()
     }
+
+    /// Moves the network's observability data out of a layer that is done
+    /// (see [`SimNet::take_stats`]).
+    pub fn take_stats(&mut self) -> NetStats {
+        self.net.take_stats()
+    }
+}
+
+/// Where block `idx`'s parents sit in the flat parent list. (A free
+/// function over the offsets so a caller can hold the slice while it
+/// mutates another field of the layer.)
+fn parent_span(parent_off: &[u32], idx: usize) -> std::ops::Range<usize> {
+    parent_off[idx] as usize..parent_off[idx + 1] as usize
 }
 
 impl Visibility for Propagation {
@@ -448,21 +468,24 @@ impl Visibility for Propagation {
     }
 }
 
-/// Runs `trial` over a fresh gossip layer for `p` on `cfg` — pooled
-/// network storage, wire randomness on its own `seed ^ 0x6e57_c0de`
-/// stream so the grant schedule is untouched — and returns its outcome
-/// with the network statistics.
+/// Runs `trial`, inside the obs span `span`, over a fresh gossip layer
+/// for `p` on `cfg` — pooled network storage, wire randomness on its own
+/// `seed ^ 0x6e57_c0de` stream so the grant schedule is untouched — and
+/// returns its outcome. A trial whose caller keeps the network statistics
+/// ends with [`Propagation::take_stats`]; otherwise their tables go back
+/// to the pool with the rest of the network.
 pub(crate) fn over_wire<T>(
+    span: &'static str,
     p: &Params,
     cfg: &NetConfig,
     trial: impl FnOnce(&mut Propagation) -> T,
-) -> (T, NetStats) {
+) -> T {
+    let _span = am_obs::span(span);
     let mut prop =
         Propagation::with_scratch(p.n, cfg, p.seed ^ 0x6e57_c0de, crate::scratch::take_net());
     let out = trial(&mut prop);
-    let stats = prop.stats().clone();
     crate::scratch::put_net(prop.into_scratch());
-    (out, stats)
+    out
 }
 
 #[cfg(test)]
@@ -515,7 +538,7 @@ mod tests {
             let mut is_tip = vis.clone();
             for (idx, &seen) in vis.iter().enumerate() {
                 if seen {
-                    for p in &self.parents[idx] {
+                    for p in self.parents_of(MsgId(idx as u64)) {
                         is_tip[p.index()] = false;
                     }
                 }

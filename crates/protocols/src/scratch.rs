@@ -13,7 +13,10 @@
 //! * **id buffers** ([`IdBuf`]) — the parent list a DAG append assembles
 //!   and the two memoised answers of the shared-log view;
 //! * the **banked-grant buffer** every withhold-style adversary fills and
-//!   drains, and the **network storage** of a networked trial.
+//!   drains, and the **network storage** of a networked trial
+//!   ([`NetScratch`]: event queue, payload slab, inboxes, and the
+//!   statistics tables, arrival set and injector list `SimNet` resets
+//!   instead of rebuilding).
 //!
 //! Each buffer has one named slot, so its capacity depends only on the
 //! sequence of trials the thread has run — a repeated workload reaches
@@ -105,8 +108,9 @@ pub(crate) fn with_decision<R>(f: impl FnOnce(&mut GhostScratch, &mut LinScratch
     })
 }
 
-/// Takes the pooled network scratch (event-queue slab + inbox slots) for
-/// a networked trial. Return it with [`put_net`] when the trial is done.
+/// Takes the pooled network scratch (everything a `SimNet` would allocate
+/// per trial) for a networked trial. Return it with [`put_net`] when the
+/// trial is done.
 pub(crate) fn take_net() -> NetScratch<BlockMsg> {
     TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().net))
 }
