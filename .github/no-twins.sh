@@ -51,6 +51,23 @@ if shipped crates/protocols/src/chain.rs crates/protocols/src/dag.rs \
   echo "error: a trial runner builds a second copy of its graph — append to and decide on the TrialDag (DESIGN.md, \"Trial DAG\")" >&2
   exit 1
 fi
+# A BFT trial interprets its DAG once, into the pooled table, and gives each
+# observer a pooled `FinalityView`; `Propagation` keeps per-node flags as
+# block-major bitmaps. A per-trial oracle or table, or a per-node bool row,
+# in the drivers is the rebuilt-per-trial state PR 25 removed.
+if shipped crates/protocols/src/bft.rs crates/protocols/src/propagation.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E 'FinalityOracle::new|DagInterpreter::new|Vec<Vec<bool>>'; then
+  echo "error: a BFT or gossip trial builds its own oracle, table or per-node bool rows — take the pooled table, views and bitmaps (DESIGN.md §12, §16)" >&2
+  exit 1
+fi
+# The finality rule exists once, in `FinalityView`; `FinalityOracle` owns a
+# table and a view, it does not carry a copy of the rule.
+if [ "$(shipped crates/bft/src/*.rs | grep -cE '\bfn try_advance\b')" -gt 1 ]; then
+  shipped crates/bft/src/*.rs | grep -E '\bfn try_advance\b'
+  echo "error: a second finality rule in am-bft — the rule lives once, in FinalityView (DESIGN.md §12)" >&2
+  exit 1
+fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then
   echo "error: per-PR bench file at the root — record into BENCH_TRAJECTORY.json" >&2
   exit 1

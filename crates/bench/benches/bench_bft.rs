@@ -9,7 +9,8 @@
 use am_bench::recorder::Recorder;
 use am_bft::FinalityOracle;
 use am_core::{MsgId, GENESIS};
-use am_protocols::{run_bft, BftAdversary, Params};
+use am_net::{LatencyModel, NetConfig};
+use am_protocols::{run_bft, run_bft_net, BftAdversary, Params};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -51,7 +52,10 @@ fn trajectory_incremental(n: usize, blocks: &[(MsgId, usize, Vec<MsgId>)]) -> u6
 /// height per block, so every observe pays a full passing scan; n = 48
 /// must still cost far less than the 16× of a rule that walks the quorum
 /// and the clique per block. Then one end-to-end finality trial at E15's
-/// own grid point (n = 12, k = 9), fault-free and at the tolerance edge.
+/// own grid point (n = 12, k = 9), fault-free and at the tolerance edge,
+/// and one networked trial at `bft_finality`'s third point (t = 3
+/// equivocators, 10 % drops at 0.05 Δ: twelve per-node views over one
+/// table, the workload's dominant cost).
 fn main() {
     let mut rec = Recorder::layer("bft");
     let budget = Duration::from_millis(700);
@@ -74,5 +78,16 @@ fn main() {
             black_box(run_bft(&p, adv).finalized_height)
         });
     }
+    let lossy = NetConfig::builder()
+        .latency(LatencyModel::Constant(50_000_000))
+        .drop(0.1)
+        .build()
+        .expect("static config");
+    let p = Params::new(12, 3, 0.5, 9, 0x15);
+    let op = "bft/net_trial_n12_t3_equivocator_drop0.1";
+    rec.measure_absolute(op, 1, budget, || {
+        let (trial, _) = run_bft_net(&p, BftAdversary::Equivocator, &lossy);
+        black_box(trial.finalized_height)
+    });
     rec.write().unwrap_or_else(|e| panic!("{e}"));
 }

@@ -1,4 +1,5 @@
-//! The DAG → protocol-message interpreter.
+//! The DAG → protocol-message interpreter: the order-independent block
+//! table.
 //!
 //! Schett & Danezis observe that a block DAG already *is* the message
 //! history of a BFT protocol: every block an author appends doubles as a
@@ -8,30 +9,38 @@
 //! separate vote traffic exists — agreement rounds are read back out of
 //! the append/gossip machinery the Section 5 protocols already run on.
 //!
-//! [`DagInterpreter`] maintains that reading incrementally, O(parents·n)
-//! per appended block:
+//! Their second observation is what makes the reading shareable: it is a
+//! pure function of the DAG. Everything [`DagInterpreter`] records about a
+//! block depends only on the block's closed past cone, and every
+//! ancestor-closed view that holds the block holds that cone — so one
+//! table serves every observer of a trial, whatever order each observer
+//! admitted the blocks in. Per block, O(parents·n) on push:
 //!
 //! * **round** — the block's 1-based sequence number within its author's
 //!   own blocks *as witnessed by its past cone* (an author that builds on
 //!   a stale prefix of its own history re-uses a round — equivocation);
 //! * **high-water visibility** — for each block `b` and author `a`, the
 //!   highest round of `a` present in `b`'s closed past cone (the
-//!   justification weight the finality oracle quorum-checks);
+//!   justification weight the finality rule quorum-checks);
 //! * **selected chain** — `parents[0]` is the block's explicit vote: the
 //!   chain tip its author endorses. Chains are trees, and a jump-pointer
 //!   (binary-lifting) ancestor structure answers "does block `b` vote for
 //!   `x`?" in O(log height);
-//! * **equivocation** — two distinct blocks by one author at one round
-//!   mark the author as an equivocator, permanently (the oracle excludes
-//!   flagged authors from every later quorum);
 //! * **role** — each block is classified as the proposal, vote, or echo
 //!   message of the embedded protocol (rotating proposer slots by chain
 //!   height; multi-parent merges act as echoes relaying concurrent
-//!   messages).
+//!   messages);
+//! * **parents** (a CSR row) and the **id** the caller knows the block by.
 //!
-//! Indices are dense local ids in observation order (genesis = 0), the
-//! same convention as `am_core::IncrementalDag`; the owner (the
-//! [`FinalityOracle`](crate::FinalityOracle)) remaps global `MsgId`s.
+//! What depends on *observation order* — which block an observer saw first
+//! at an (author, round) slot, hence who it has caught equivocating, its
+//! votes and its finalized prefix — is one observer's
+//! [`FinalityView`](crate::FinalityView) over this table.
+//!
+//! Indices are dense table ids in push order (genesis = 0), the same
+//! convention as `am_core::IncrementalDag`.
+
+use am_core::MsgId;
 
 /// Sentinel for "no block" / "no author" in the packed index vectors.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -51,7 +60,8 @@ pub enum Role {
     Echo,
 }
 
-/// Incremental interpretation of a growing block DAG as BFT messages.
+/// Incremental interpretation of a growing block DAG as BFT messages —
+/// the order-independent half, shared by every observer of the DAG.
 ///
 /// ```
 /// use am_bft::DagInterpreter;
@@ -61,11 +71,13 @@ pub enum Role {
 /// assert_eq!(it.round_of(b), 1);
 /// assert_eq!(it.height_of(b), 2);
 /// assert!(it.votes_for(b, a));
-/// assert_eq!(it.equivocator_count(), 0);
+/// assert_eq!(it.parents_of(b), &[a]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DagInterpreter {
     n: usize,
+    /// The caller's id per block (genesis `MsgId(0)`).
+    id: Vec<u64>,
     /// Author per block (`NONE` for genesis).
     author: Vec<u32>,
     /// 1-based own-sequence round per block (genesis 0).
@@ -76,39 +88,65 @@ pub struct DagInterpreter {
     sel: Vec<u32>,
     /// Level-ancestor jump pointer over the selected-parent tree.
     jump: Vec<u32>,
-    /// Parent count per block (genesis 0), for role classification.
-    nparents: Vec<u8>,
+    /// Parent CSR: block `b`'s parents are `par[par_off[b]..par_off[b + 1]]`.
+    par_off: Vec<u32>,
+    par: Vec<u32>,
     /// Per block: for each author, the max round present in the closed
     /// past cone (0 = none). The justification high-water vectors, flat
     /// with stride `n` (one allocation, so a clone is one memcpy).
     hw: Vec<u32>,
-    /// Per author: first block observed at each round (index `r - 1`).
-    by_round: Vec<Vec<u32>>,
-    /// Sticky equivocator flags.
-    equiv: Vec<bool>,
-    equivocators: usize,
-    /// (proposals, votes, echoes) over the interpreted blocks.
-    roles: (usize, usize, usize),
+}
+
+impl Default for DagInterpreter {
+    /// A genesis-only interpreter over one author (a slot to
+    /// [`reset`](DagInterpreter::reset) before use).
+    fn default() -> DagInterpreter {
+        DagInterpreter::new(1)
+    }
 }
 
 impl DagInterpreter {
     /// A fresh interpreter over `n` authors, holding only genesis.
     pub fn new(n: usize) -> DagInterpreter {
+        let mut it = DagInterpreter {
+            n: 0,
+            id: Vec::new(),
+            author: Vec::new(),
+            round: Vec::new(),
+            height: Vec::new(),
+            sel: Vec::new(),
+            jump: Vec::new(),
+            par_off: Vec::new(),
+            par: Vec::new(),
+            hw: Vec::new(),
+        };
+        it.reset(n);
+        it
+    }
+
+    /// Back to the genesis-only state of [`new`](DagInterpreter::new) over
+    /// `n` authors, keeping every buffer's capacity.
+    pub fn reset(&mut self, n: usize) {
         assert!(n >= 1, "need at least one author");
-        DagInterpreter {
-            n,
-            author: vec![NONE],
-            round: vec![0],
-            height: vec![0],
-            sel: vec![0],
-            jump: vec![0],
-            nparents: vec![0],
-            hw: vec![0; n],
-            by_round: vec![Vec::new(); n],
-            equiv: vec![false; n],
-            equivocators: 0,
-            roles: (0, 0, 0),
+        self.n = n;
+        self.id.clear();
+        self.id.push(0);
+        self.author.clear();
+        self.author.push(NONE);
+        for col in [
+            &mut self.round,
+            &mut self.height,
+            &mut self.sel,
+            &mut self.jump,
+        ] {
+            col.clear();
+            col.push(0);
         }
+        self.par_off.clear();
+        self.par_off.extend([0, 0]);
+        self.par.clear();
+        self.hw.clear();
+        self.hw.resize(n, 0);
     }
 
     /// Number of blocks interpreted (genesis included).
@@ -126,13 +164,28 @@ impl DagInterpreter {
         self.n
     }
 
-    /// Interprets the next block: `parents` are prior local ids,
+    /// Interprets the next block: `parents` are prior table ids,
     /// `parents[0]` is the selected chain tip (the vote). Returns the
-    /// block's local id. O(parents · n).
+    /// block's table id, which is also the id it is known by. O(parents · n).
     pub fn push(&mut self, author: usize, parents: &[u32]) -> u32 {
+        let id = MsgId(self.len() as u64);
+        self.push_as(id, author, parents.iter().copied())
+    }
+
+    /// [`push`](DagInterpreter::push) for a block the caller knows as `id`
+    /// (any id space; [`id_of`](DagInterpreter::id_of) returns it).
+    pub fn push_as(
+        &mut self,
+        id: MsgId,
+        author: usize,
+        parents: impl IntoIterator<Item = u32>,
+    ) -> u32 {
         assert!(author < self.n, "author out of range");
-        assert!(!parents.is_empty(), "blocks reference at least genesis");
         let idx = self.author.len() as u32;
+        let start = self.par.len();
+        self.par.extend(parents);
+        let parents = &self.par[start..];
+        assert!(!parents.is_empty(), "blocks reference at least genesis");
         assert!(
             parents.iter().all(|&p| p < idx),
             "parents must precede the block"
@@ -168,30 +221,14 @@ impl DagInterpreter {
             sel
         };
 
-        // Round bookkeeping + equivocation: rounds per author grow
-        // contiguously (a block at round r witnesses one at r - 1), so a
-        // collision means two blocks share (author, round).
-        let slots = &mut self.by_round[author];
-        debug_assert!(r as usize <= slots.len() + 1, "rounds grow contiguously");
-        if r as usize == slots.len() + 1 {
-            slots.push(idx);
-        } else if !self.equiv[author] {
-            self.equiv[author] = true;
-            self.equivocators += 1;
-        }
-
+        let end = u32::try_from(self.par.len()).expect("parent references exceed u32");
+        self.par_off.push(end);
+        self.id.push(id.0);
         self.author.push(author as u32);
         self.round.push(r);
         self.height.push(height);
         self.sel.push(sel);
         self.jump.push(jump);
-        self.nparents
-            .push(parents.len().min(u8::MAX as usize) as u8);
-        match self.role_of(idx) {
-            Role::Proposal => self.roles.0 += 1,
-            Role::Vote => self.roles.1 += 1,
-            Role::Echo => self.roles.2 += 1,
-        }
         idx
     }
 
@@ -224,17 +261,11 @@ impl DagInterpreter {
         }
         if self.height[i] as usize % self.n == self.author[i] as usize {
             Role::Proposal
-        } else if self.nparents[i] >= 2 {
+        } else if self.parents_of(b).len() >= 2 {
             Role::Echo
         } else {
             Role::Vote
         }
-    }
-
-    /// Counts of (proposals, votes, echoes) over the interpreted blocks,
-    /// genesis excluded.
-    pub fn role_counts(&self) -> (usize, usize, usize) {
-        self.roles
     }
 
     /// Author of a block (`None` for genesis).
@@ -258,6 +289,18 @@ impl DagInterpreter {
         self.sel[b as usize]
     }
 
+    /// The block's parents as table ids, in the order they were pushed
+    /// (genesis has none).
+    pub fn parents_of(&self, b: u32) -> &[u32] {
+        let b = b as usize;
+        &self.par[self.par_off[b] as usize..self.par_off[b + 1] as usize]
+    }
+
+    /// The id the caller pushed the block under (`MsgId(0)` for genesis).
+    pub fn id_of(&self, b: u32) -> MsgId {
+        MsgId(self.id[b as usize])
+    }
+
     /// Highest round of `author` witnessed inside `b`'s closed past cone
     /// (0 = none).
     pub fn high_water(&self, b: u32, author: usize) -> u32 {
@@ -268,39 +311,22 @@ impl DagInterpreter {
     pub fn high_water_row(&self, b: u32) -> &[u32] {
         &self.hw[b as usize * self.n..(b as usize + 1) * self.n]
     }
-
-    /// The first block observed for `(author, round)`; `round` is 1-based
-    /// and must have been reached.
-    pub fn block_at(&self, author: usize, round: u32) -> u32 {
-        self.by_round[author][round as usize - 1]
-    }
-
-    /// Number of rounds the author has reached (0 = silent).
-    pub fn rounds_of(&self, author: usize) -> u32 {
-        self.by_round[author].len() as u32
-    }
-
-    /// The author's highest-round block, if any (first-observed at that
-    /// round when equivocating).
-    pub fn latest(&self, author: usize) -> Option<u32> {
-        self.by_round[author].last().copied()
-    }
-
-    /// Whether the author has been caught equivocating.
-    pub fn is_equivocator(&self, author: usize) -> bool {
-        self.equiv[author]
-    }
-
-    /// Number of authors caught equivocating.
-    pub fn equivocator_count(&self) -> usize {
-        self.equivocators
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FinalityView;
     use rand::{Rng, SeedableRng};
+
+    /// One observer that saw every block of `it` in table order.
+    fn observed(it: &DagInterpreter) -> FinalityView {
+        let mut view = FinalityView::new(it.n());
+        for b in 1..it.len() as u32 {
+            view.observe(it, b);
+        }
+        view
+    }
 
     #[test]
     fn chain_rounds_heights_and_votes() {
@@ -318,7 +344,7 @@ mod tests {
             assert!(it.votes_for(tip, anc));
         }
         assert!(!it.votes_for(5, tip), "votes never point forward");
-        assert_eq!(it.equivocator_count(), 0);
+        assert_eq!(observed(&it).equivocator_count(), 0);
     }
 
     #[test]
@@ -331,7 +357,7 @@ mod tests {
         assert_eq!(it.high_water(a2, 0), 2);
         assert_eq!(it.high_water(a2, 1), 1);
         assert_eq!(it.high_water(a2, 2), 0);
-        assert_eq!(it.block_at(1, 1), b1);
+        assert_eq!(observed(&it).block_at(1, 1), b1);
     }
 
     #[test]
@@ -339,16 +365,17 @@ mod tests {
         let mut it = DagInterpreter::new(2);
         let a1 = it.push(0, &[0]);
         let _a2 = it.push(0, &[a1]);
-        assert_eq!(it.equivocator_count(), 0);
+        assert_eq!(observed(&it).equivocator_count(), 0);
         // Author 0 builds on genesis again, pretending a1 never happened:
         // round 1 collides with a1.
         let fork = it.push(0, &[0]);
         assert_eq!(it.round_of(fork), 1);
-        assert!(it.is_equivocator(0));
-        assert!(!it.is_equivocator(1));
-        assert_eq!(it.equivocator_count(), 1);
+        let view = observed(&it);
+        assert!(view.is_equivocator(0));
+        assert!(!view.is_equivocator(1));
+        assert_eq!(view.equivocator_count(), 1);
         // latest stays the first-observed top-round block.
-        assert_eq!(it.latest(0), Some(2));
+        assert_eq!(view.latest(0), Some(2));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! orders, quorums small enough for two candidates to qualify — and
 //! compare every observable after *every* block.
 
-use am_bft::{DagInterpreter, FinalityOracle};
+use am_bft::{DagInterpreter, FinalityOracle, FinalityView};
 use am_core::{MsgId, GENESIS};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -63,8 +63,16 @@ impl Spec {
     }
 
     /// Called after the oracle interpreted `id`: re-derives the whole
-    /// verdict, height by height, from `it`.
-    fn observe(&mut self, id: MsgId, author: usize, parents: &[MsgId], it: &DagInterpreter) {
+    /// verdict, height by height, from the oracle's table `it` and the
+    /// first-observed slots of its view.
+    fn observe(
+        &mut self,
+        id: MsgId,
+        author: usize,
+        parents: &[MsgId],
+        it: &DagInterpreter,
+        view: &FinalityView,
+    ) {
         let idx = self.global.len() as u32;
         self.global.push(id);
         self.local.insert(id, idx);
@@ -79,8 +87,8 @@ impl Spec {
             // Tally the selected-chain ancestor at height h of every
             // eligible author's latest block, in author order.
             let voters: Vec<(usize, u32, u32)> = (0..n)
-                .filter(|&a| !it.is_equivocator(a))
-                .filter_map(|a| it.latest(a).map(|l| (a, l)))
+                .filter(|&a| !view.is_equivocator(a))
+                .filter_map(|a| view.latest(a).map(|l| (a, l)))
                 .filter(|&(_, l)| it.height_of(l) >= h)
                 .map(|(a, l)| (a, l, it.ancestor_at(l, h)))
                 .collect();
@@ -109,7 +117,7 @@ impl Spec {
             let clique = supporters.iter().all(|&(u, lu)| {
                 supporters.iter().filter(|s| s.0 != u).all(|&(v, _)| {
                     let r = it.high_water(lu, v);
-                    r != 0 && it.votes_for(it.block_at(v, r), cand)
+                    r != 0 && it.votes_for(view.block_at(v, r), cand)
                 })
             });
             if !clique {
@@ -207,7 +215,7 @@ fn check_against_spec(n: usize, quorum: usize, blocks: &[Block], what: &str) -> 
     let mut drained = Vec::new();
     for (i, (id, author, parents)) in blocks.iter().enumerate() {
         oracle.observe(*id, *author, parents);
-        spec.observe(*id, *author, parents, oracle.interpreter());
+        spec.observe(*id, *author, parents, oracle.interpreter(), oracle.view());
         let at = format!("{what}, block {i}");
         assert_eq!(oracle.finalized_chain(), spec.chain_ids(), "{at}: chain");
         assert_eq!(oracle.finalized_digest(), spec.digest, "{at}: digest");

@@ -330,9 +330,7 @@ impl ConeCoverTracker {
     }
 
     /// Whether `id` lies in the closed past cone of the tracked tip — an
-    /// O(1) membership probe against the maintained marks. `am-bft` keeps
-    /// a tracker pinned to the finalized head and answers `is_final` with
-    /// exactly this query.
+    /// O(1) membership probe against the maintained marks.
     pub fn in_cone(&self, id: MsgId) -> bool {
         let i = id.index();
         i < self.len() && self.mark[i] == self.epoch

@@ -42,6 +42,135 @@ fn ns(t: Time) -> u64 {
     (t.seconds() * 1e9) as u64
 }
 
+/// A block-major bitmap over nodes: block `i`'s row is `stride = ⌈n/64⌉`
+/// words and bit `node` of it is that node's flag, so registering a block
+/// appends one row (one word at n ≤ 64) however many nodes there are.
+#[derive(Default)]
+struct BlockBits {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl BlockBits {
+    /// Empty, with rows sized for `n` nodes.
+    fn reset(&mut self, n: usize) {
+        self.stride = n.div_ceil(64);
+        self.words.clear();
+    }
+
+    /// Appends a row with the first `set` nodes' bits on (bits ≥ `set`
+    /// stay clear).
+    fn push_row(&mut self, set: usize) {
+        self.words
+            .extend((0..self.stride).map(|w| match set.saturating_sub(64 * w) {
+                0 => 0,
+                k if k >= 64 => u64::MAX,
+                k => (1u64 << k) - 1,
+            }));
+    }
+
+    fn get(&self, block: usize, node: usize) -> bool {
+        self.words[block * self.stride + node / 64] & (1 << (node % 64)) != 0
+    }
+
+    fn set(&mut self, block: usize, node: usize) {
+        self.words[block * self.stride + node / 64] |= 1 << (node % 64);
+    }
+}
+
+/// One node's view: what it has admitted and what is waiting.
+#[derive(Default)]
+struct NodeView {
+    /// Arrived blocks waiting for parents.
+    pending: Vec<MsgId>,
+    /// Current tips (visible blocks with no visible child). Invariant:
+    /// sorted ascending by id.
+    tips: Vec<MsgId>,
+    /// Max visible depth and the blocks achieving it. Invariant:
+    /// `deepest` is sorted ascending by id.
+    best_depth: u32,
+    deepest: Vec<MsgId>,
+    /// Maintained count of visible blocks (genesis included).
+    visible_n: usize,
+    /// Opt-in admission log: ids in the order they became visible.
+    admitted: Vec<MsgId>,
+    /// Rotating fanout cursor, seeded by node id so neighbour choices
+    /// decorrelate across nodes without drawing randomness.
+    rotor: usize,
+}
+
+/// Everything a [`Propagation`] keeps per block and per node. Pooled
+/// across trials (see [`PropagationScratch`]): [`Tables::reset`] returns
+/// it to the genesis-only state for the next trial's `n`, capacity kept.
+#[derive(Default)]
+struct Tables {
+    /// Longest-path depth per block, indexed by `MsgId::index()`.
+    depth: Vec<u32>,
+    /// Every block's parent list, back to back: block `i`'s parents are
+    /// `parent_ids[parent_off[i]..parent_off[i + 1]]` (see [`parent_span`]).
+    parent_off: Vec<u32>,
+    parent_ids: Vec<MsgId>,
+    /// Block authors (`u32::MAX` for genesis), for pull repair.
+    authors: Vec<u32>,
+    /// Which nodes see each block.
+    visible: BlockBits,
+    /// Which nodes have heard each announcement (relay mode only; gates
+    /// forward-on-first-hear).
+    heard: BlockBits,
+    nodes: Vec<NodeView>,
+    /// Reused buffer for [`Propagation::flush_pending`] and pull repair.
+    ready_buf: Vec<MsgId>,
+    /// Reused buffer for the O(active) delivery drain.
+    active_buf: Vec<u32>,
+}
+
+impl Tables {
+    /// Genesis only, visible to (and, under relay, heard by) all `n`
+    /// nodes; `rotor(v)` seeds node `v`'s fanout cursor.
+    fn reset(&mut self, n: usize, relay: bool, rotor: impl Fn(usize) -> usize) {
+        self.depth.clear();
+        self.depth.push(0);
+        self.parent_off.clear();
+        self.parent_off.extend([0, 0]); // genesis has no parents
+        self.parent_ids.clear();
+        self.authors.clear();
+        self.authors.push(u32::MAX);
+        self.visible.reset(n);
+        self.visible.push_row(n);
+        self.heard.reset(n);
+        if relay {
+            self.heard.push_row(n);
+        }
+        self.nodes.resize_with(n, NodeView::default);
+        for (v, node) in self.nodes.iter_mut().enumerate() {
+            node.pending.clear();
+            node.tips.clear();
+            node.tips.push(GENESIS);
+            node.best_depth = 0;
+            node.deepest.clear();
+            node.deepest.push(GENESIS);
+            node.visible_n = 1;
+            node.admitted.clear();
+            node.rotor = rotor(v);
+        }
+    }
+
+    fn parents_visible(&self, node: usize, id: MsgId) -> bool {
+        self.parent_ids[parent_span(&self.parent_off, id.index())]
+            .iter()
+            .all(|p| self.visible.get(p.index(), node))
+    }
+}
+
+/// What a [`Propagation`] hands back when a trial is done — the network's
+/// storage and the per-node tables — so the next trial on this thread
+/// resets them instead of building them.
+#[derive(Default)]
+pub(crate) struct PropagationScratch {
+    net: NetScratch<BlockMsg>,
+    tables: Tables,
+}
+
 /// Per-node visibility of the growing block DAG, driven by deliveries
 /// from a [`SimNet`].
 ///
@@ -50,36 +179,11 @@ fn ns(t: Time) -> u64 {
 /// always ancestor-closed sub-DAGs, as required by both protocols.
 pub struct Propagation {
     net: SimNet<BlockMsg>,
-    /// Global block metadata, indexed by `MsgId::index()`.
-    depth: Vec<u32>,
-    /// Every block's parent list, back to back: block `i`'s parents are
-    /// `parent_ids[parent_off[i]..parent_off[i + 1]]` (see
-    /// [`Self::parents_of`]).
-    parent_off: Vec<u32>,
-    parent_ids: Vec<MsgId>,
-    /// Block authors (`u32::MAX` for genesis), for pull repair.
-    authors: Vec<u32>,
-    /// `visible[node][id.index()]`.
-    visible: Vec<Vec<bool>>,
-    /// Arrived blocks waiting for parents, per node.
-    pending: Vec<Vec<MsgId>>,
-    /// Current tips (visible blocks with no visible child), per node.
-    /// Invariant: sorted ascending by id.
-    tips: Vec<Vec<MsgId>>,
-    /// Max visible depth and the blocks achieving it, per node.
-    /// Invariant: `deepest[node]` is sorted ascending by id.
-    best_depth: Vec<u32>,
-    deepest: Vec<Vec<MsgId>>,
-    /// Maintained count of visible blocks, per node (genesis included).
-    visible_n: Vec<usize>,
-    /// Opt-in per-node admission log: ids in the order they became
-    /// visible (ancestor-closed by construction). The BFT runners drain
-    /// this to feed per-node finality oracles in delivery order; the
-    /// Algorithm 5/6 runners leave it off.
+    t: Tables,
+    /// Whether the per-node admission logs are kept: the BFT runners
+    /// drain them to feed per-node finality views in delivery order; the
+    /// Algorithm 5/6 runners leave them off.
     track_admitted: bool,
-    admitted: Vec<Vec<MsgId>>,
-    /// Reused buffer for [`Self::flush_pending`].
-    ready_buf: Vec<MsgId>,
     /// Gossip fanout cap per announcement hop (`None` = full degree).
     fanout: usize,
     /// Whether relay forwarding is on: non-mesh topologies and
@@ -87,76 +191,51 @@ pub struct Propagation {
     /// relying on the author reaching everyone directly. Off on the
     /// legacy full-mesh path, which therefore stays bit-identical.
     relay: bool,
-    /// `heard[node][id.index()]` — has the node seen this announcement
-    /// (relay mode only; gates forward-on-first-hear).
-    heard: Vec<Vec<bool>>,
-    /// Per-node rotating fanout cursor, seeded by node id so neighbour
-    /// choices decorrelate across nodes without drawing randomness.
-    rotor: Vec<usize>,
-    /// Reused buffer for the O(active) delivery drain.
-    active_buf: Vec<u32>,
     obs_announced: &'static am_obs::Counter,
 }
 
 impl Propagation {
     /// A propagation layer for `n` nodes over `cfg`, seeded.
     pub fn new(n: usize, cfg: &NetConfig, seed: u64) -> Propagation {
-        Propagation::with_scratch(n, cfg, seed, NetScratch::default())
+        Propagation::with_scratch(n, cfg, seed, PropagationScratch::default())
     }
 
-    /// Like [`Self::new`], but recycling pooled network storage (see
-    /// [`NetScratch`]) from a previous trial. Bit-identical to a fresh
-    /// build; only allocation behaviour differs.
-    pub fn with_scratch(
+    /// Like [`Self::new`], but recycling a previous trial's storage.
+    /// Bit-identical to a fresh build; only allocation behaviour differs.
+    pub(crate) fn with_scratch(
         n: usize,
         cfg: &NetConfig,
         seed: u64,
-        scratch: NetScratch<BlockMsg>,
+        scratch: PropagationScratch,
     ) -> Propagation {
-        let net = cfg.build_net_with_scratch(n, seed, scratch);
+        let net = cfg.build_net_with_scratch(n, seed, scratch.net);
         let relay = cfg.fanout.is_some() || !net.topology().is_mesh();
-        let rotor = (0..n)
-            .map(|v| {
-                let deg = net.topology().degree(v);
-                if deg == 0 {
-                    0
-                } else {
-                    v % deg
-                }
-            })
-            .collect();
+        let mut t = scratch.tables;
+        t.reset(n, relay, |v| {
+            let deg = net.topology().degree(v);
+            if deg == 0 {
+                0
+            } else {
+                v % deg
+            }
+        });
         Propagation {
             net,
-            depth: vec![0],
-            parent_off: vec![0, 0], // genesis has no parents
-            parent_ids: Vec::new(),
-            authors: vec![u32::MAX],
-            visible: vec![vec![true]; n], // genesis is visible everywhere
-            pending: vec![Vec::new(); n],
-            tips: vec![vec![GENESIS]; n],
-            best_depth: vec![0; n],
-            deepest: vec![vec![GENESIS]; n],
-            visible_n: vec![1; n],
+            t,
             track_admitted: false,
-            admitted: vec![Vec::new(); n],
-            ready_buf: Vec::new(),
             fanout: cfg.fanout.unwrap_or(usize::MAX),
             relay,
-            heard: if relay {
-                vec![vec![true]; n]
-            } else {
-                Vec::new()
-            },
-            rotor,
-            active_buf: Vec::new(),
             obs_announced: am_obs::static_counter!("protocols.blocks_announced"),
         }
     }
 
-    /// Tears the layer down, returning the network storage for reuse by
-    /// the next trial on this thread.
-    pub fn into_scratch(self) -> NetScratch<BlockMsg> {
-        self.net.into_scratch()
+    /// Tears the layer down, returning its storage for reuse by the next
+    /// trial on this thread.
+    pub(crate) fn into_scratch(self) -> PropagationScratch {
+        PropagationScratch {
+            net: self.net.into_scratch(),
+            tables: self.t,
+        }
     }
 
     /// Registers a freshly appended block and broadcasts its announcement
@@ -164,31 +243,28 @@ impl Propagation {
     /// with the append time first so fault windows line up.
     pub fn on_append(&mut self, author: usize, id: MsgId, parents: &[MsgId], at: Time) {
         let idx = id.index();
-        debug_assert_eq!(idx, self.depth.len(), "appends must arrive in id order");
+        let t = &mut self.t;
+        debug_assert_eq!(idx, t.depth.len(), "appends must arrive in id order");
         let d = parents
             .iter()
-            .map(|p| self.depth[p.index()] + 1)
+            .map(|p| t.depth[p.index()] + 1)
             .max()
             .unwrap_or(1);
-        self.depth.push(d);
-        self.parent_ids.extend_from_slice(parents);
-        let end = u32::try_from(self.parent_ids.len()).expect("parent references exceed u32");
-        self.parent_off.push(end);
-        self.authors.push(author as u32);
-        for v in &mut self.visible {
-            v.push(false);
+        t.depth.push(d);
+        t.parent_ids.extend_from_slice(parents);
+        let end = u32::try_from(t.parent_ids.len()).expect("parent references exceed u32");
+        t.parent_off.push(end);
+        t.authors.push(author as u32);
+        t.visible.push_row(0);
+        if self.relay {
+            t.heard.push_row(0);
+            t.heard.set(idx, author);
         }
         self.obs_announced.inc();
         am_obs::event("protocols/block_appended", author, ns(at), || {
             format!("block {idx} depth {d}")
         });
         self.mark_visible(author, id);
-        if self.relay {
-            for h in &mut self.heard {
-                h.push(false);
-            }
-            self.heard[author][idx] = true;
-        }
         // On the full-mesh default the announce below reproduces the
         // legacy `for to in 0..n if to != author` loop exactly (mesh
         // neighbour order is 0..n skipping self, fanout is unlimited).
@@ -210,8 +286,9 @@ impl Propagation {
                 }
             }
         } else {
-            let start = self.rotor[node];
-            self.rotor[node] = (start + self.fanout) % deg;
+            let rotor = &mut self.t.nodes[node].rotor;
+            let start = *rotor;
+            *rotor = (start + self.fanout) % deg;
             let mut sent = 0;
             let mut i = 0;
             while sent < self.fanout && i < deg {
@@ -252,7 +329,7 @@ impl Propagation {
     /// arrivals (ascending, matching the legacy full `0..n` scan order on
     /// the nodes it visits). Returns whether anything was delivered.
     fn drain_deliveries(&mut self) -> bool {
-        let mut active = std::mem::take(&mut self.active_buf);
+        let mut active = std::mem::take(&mut self.t.active_buf);
         self.net.drain_arrived_nodes(&mut active);
         let any = !active.is_empty();
         for &node in active.iter() {
@@ -261,83 +338,80 @@ impl Propagation {
                 self.try_admit(node, env.from, env.payload.id);
             }
         }
-        self.active_buf = active;
+        self.t.active_buf = active;
         any
     }
 
     fn try_admit(&mut self, node: usize, from: usize, id: MsgId) {
-        if self.relay && !self.heard[node][id.index()] {
+        if self.relay && !self.t.heard.get(id.index(), node) {
             // First hear: forward to this node's own neighbourhood before
             // the visibility check — gossip relays propagate
             // announcements even while the block's parents are missing.
-            self.heard[node][id.index()] = true;
+            self.t.heard.set(id.index(), node);
             self.announce_from(node, from, id);
         }
-        if self.visible[node][id.index()] {
+        if self.t.visible.get(id.index(), node) {
             return; // duplicate delivery
         }
-        if self.parents_visible(node, id) {
+        if self.t.parents_visible(node, id) {
             self.mark_visible(node, id);
             self.flush_pending(node);
         } else {
-            self.pending[node].push(id);
+            self.t.nodes[node].pending.push(id);
         }
     }
 
-    fn parents_visible(&self, node: usize, id: MsgId) -> bool {
-        self.parents_of(id)
-            .iter()
-            .all(|p| self.visible[node][p.index()])
-    }
-
     fn flush_pending(&mut self, node: usize) {
-        let mut ready = std::mem::take(&mut self.ready_buf);
+        let mut ready = std::mem::take(&mut self.t.ready_buf);
         loop {
             ready.clear();
             ready.extend(
-                self.pending[node]
+                self.t.nodes[node]
+                    .pending
                     .iter()
                     .copied()
-                    .filter(|&id| self.parents_visible(node, id)),
+                    .filter(|&id| self.t.parents_visible(node, id)),
             );
             if ready.is_empty() {
                 break;
             }
-            self.pending[node].retain(|id| !ready.contains(id));
+            self.t.nodes[node].pending.retain(|id| !ready.contains(id));
             for &id in &ready {
-                if !self.visible[node][id.index()] {
+                if !self.t.visible.get(id.index(), node) {
                     self.mark_visible(node, id);
                 }
             }
         }
         ready.clear();
-        self.ready_buf = ready;
+        self.t.ready_buf = ready;
     }
 
     fn mark_visible(&mut self, node: usize, id: MsgId) {
         let idx = id.index();
-        self.visible[node][idx] = true;
-        self.visible_n[node] += 1;
+        let t = &mut self.t;
+        t.visible.set(idx, node);
+        let parents = &t.parent_ids[parent_span(&t.parent_off, idx)];
+        let d = t.depth[idx];
+        let view = &mut t.nodes[node];
+        view.visible_n += 1;
         if self.track_admitted {
-            self.admitted[node].push(id);
+            view.admitted.push(id);
         }
-        let parents = &self.parent_ids[parent_span(&self.parent_off, idx)];
         // `retain` preserves order, so the sorted invariant survives the
         // parent eviction; the insert below restores it for the new tip.
-        self.tips[node].retain(|t| !parents.contains(t));
-        if let Err(pos) = self.tips[node].binary_search(&id) {
-            self.tips[node].insert(pos, id);
+        view.tips.retain(|t| !parents.contains(t));
+        if let Err(pos) = view.tips.binary_search(&id) {
+            view.tips.insert(pos, id);
         }
-        let d = self.depth[idx];
-        match d.cmp(&self.best_depth[node]) {
+        match d.cmp(&view.best_depth) {
             std::cmp::Ordering::Greater => {
-                self.best_depth[node] = d;
-                self.deepest[node].clear();
-                self.deepest[node].push(id);
+                view.best_depth = d;
+                view.deepest.clear();
+                view.deepest.push(id);
             }
             std::cmp::Ordering::Equal => {
-                if let Err(pos) = self.deepest[node].binary_search(&id) {
-                    self.deepest[node].insert(pos, id);
+                if let Err(pos) = view.deepest.binary_search(&id) {
+                    view.deepest.insert(pos, id);
                 }
             }
             std::cmp::Ordering::Less => {}
@@ -348,8 +422,9 @@ impl Propagation {
     /// Algorithm 6 append references). Borrowed from the maintained
     /// sorted invariant — no clone, no sort.
     pub fn visible_tips(&self, node: usize) -> &[MsgId] {
-        debug_assert!(self.tips[node].is_sorted(), "tips invariant violated");
-        &self.tips[node]
+        let tips = &self.t.nodes[node].tips;
+        debug_assert!(tips.is_sorted(), "tips invariant violated");
+        tips
     }
 
     /// The deepest visible blocks of `node`, sorted by id — the longest
@@ -357,21 +432,24 @@ impl Propagation {
     /// deterministic "first in memory" tie-break winner). Borrowed from
     /// the maintained sorted invariant — no clone, no sort.
     pub fn deepest_visible(&self, node: usize) -> &[MsgId] {
-        debug_assert!(self.deepest[node].is_sorted(), "deepest invariant violated");
-        &self.deepest[node]
+        let deepest = &self.t.nodes[node].deepest;
+        debug_assert!(deepest.is_sorted(), "deepest invariant violated");
+        deepest
     }
 
     /// How many blocks (genesis included) `node` can see. O(1) — a
     /// maintained counter, not a bitmap scan.
     pub fn visible_count(&self, node: usize) -> usize {
-        debug_assert_eq!(self.visible_n[node], self.visible_count_scan(node));
-        self.visible_n[node]
+        debug_assert_eq!(self.t.nodes[node].visible_n, self.visible_count_scan(node));
+        self.t.nodes[node].visible_n
     }
 
     /// [`Self::visible_count`] by scanning the bitmap (the `debug_assert!`
     /// reference for the maintained counter).
     pub fn visible_count_scan(&self, node: usize) -> usize {
-        self.visible[node].iter().filter(|&&v| v).count()
+        (0..self.t.depth.len())
+            .filter(|&b| self.t.visible.get(b, node))
+            .count()
     }
 
     /// Turns the per-node admission log on (call before the first
@@ -385,7 +463,7 @@ impl Propagation {
     /// [`Self::set_track_admitted`].
     pub fn drain_admitted(&mut self, node: usize, out: &mut Vec<MsgId>) {
         debug_assert!(self.track_admitted, "admission log is off");
-        out.append(&mut self.admitted[node]);
+        out.append(&mut self.t.nodes[node].admitted);
     }
 
     /// Opt-in pull repair (the finality runners call it; Algorithm 5/6
@@ -400,12 +478,12 @@ impl Propagation {
     /// parks in pending and is repaired on a later call. Returns the
     /// number of fetches issued.
     pub fn pull_missing_parents(&mut self, node: usize) -> usize {
-        let mut wanted = std::mem::take(&mut self.ready_buf);
+        let t = &mut self.t;
+        let mut wanted = std::mem::take(&mut t.ready_buf);
         wanted.clear();
-        for i in 0..self.pending[node].len() {
-            let id = self.pending[node][i];
-            for &p in &self.parent_ids[parent_span(&self.parent_off, id.index())] {
-                if !self.visible[node][p.index()] && !wanted.contains(&p) {
+        for &id in &t.nodes[node].pending {
+            for &p in &t.parent_ids[parent_span(&t.parent_off, id.index())] {
+                if !t.visible.get(p.index(), node) && !wanted.contains(&p) {
                     wanted.push(p);
                 }
             }
@@ -414,18 +492,12 @@ impl Propagation {
         for &p in &wanted {
             // A node always sees its own appends instantly, so a missing
             // block's author is never the requester.
-            let author = self.authors[p.index()] as usize;
+            let author = t.authors[p.index()] as usize;
             self.net.send(author, node, BlockMsg { id: p });
         }
         wanted.clear();
-        self.ready_buf = wanted;
+        t.ready_buf = wanted;
         fetched
-    }
-
-    /// The parents a block was announced with (for replaying admissions
-    /// into a per-node interpreter).
-    pub fn parents_of(&self, id: MsgId) -> &[MsgId] {
-        &self.parent_ids[parent_span(&self.parent_off, id.index())]
     }
 
     /// The network's observability data.
@@ -468,12 +540,12 @@ impl Visibility for Propagation {
     }
 }
 
-/// Runs `trial`, inside the obs span `span`, over a fresh gossip layer
-/// for `p` on `cfg` — pooled network storage, wire randomness on its own
-/// `seed ^ 0x6e57_c0de` stream so the grant schedule is untouched — and
-/// returns its outcome. A trial whose caller keeps the network statistics
-/// ends with [`Propagation::take_stats`]; otherwise their tables go back
-/// to the pool with the rest of the network.
+/// Runs `trial`, inside the obs span `span`, over a gossip layer for `p`
+/// on `cfg` — pooled storage (network and tables), wire randomness on its
+/// own `seed ^ 0x6e57_c0de` stream so the grant schedule is untouched —
+/// and returns its outcome. A trial whose caller keeps the network
+/// statistics ends with [`Propagation::take_stats`]; otherwise their
+/// tables go back to the pool with the rest of the layer.
 pub(crate) fn over_wire<T>(
     span: &'static str,
     p: &Params,
@@ -482,14 +554,23 @@ pub(crate) fn over_wire<T>(
 ) -> T {
     let _span = am_obs::span(span);
     let mut prop =
-        Propagation::with_scratch(p.n, cfg, p.seed ^ 0x6e57_c0de, crate::scratch::take_net());
+        Propagation::with_scratch(p.n, cfg, p.seed ^ 0x6e57_c0de, crate::scratch::take_prop());
     let out = trial(&mut prop);
-    crate::scratch::put_net(prop.into_scratch());
+    crate::scratch::put_prop(prop.into_scratch());
     out
 }
 
 #[cfg(test)]
 mod tests {
+    //! The maintained views are held to rescans of the bitmaps, on fresh
+    //! layers and on layers recycled through one [`PropagationScratch`]
+    //! across n = 5 → 70 → 5 (n = 70 gives two-word bitmap rows). Checked
+    //! to catch, each on its own:
+    //!
+    //! * a row stride taken from the previous trial's n;
+    //! * a genesis row that sets bits at or above n;
+    //! * `heard` not cleared on reset (the n = 70 ring stops flooding);
+    //! * `visible_n` not reset.
     use super::*;
     use crate::{
         run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
@@ -534,11 +615,11 @@ mod tests {
         /// Reference for [`Propagation::visible_tips`]: recomputes the tip
         /// set from the raw visibility bitmap.
         fn visible_tips_rescan(&self, node: usize) -> Vec<MsgId> {
-            let vis = &self.visible[node];
+            let vis = self.visible_row(node);
             let mut is_tip = vis.clone();
             for (idx, &seen) in vis.iter().enumerate() {
                 if seen {
-                    for p in self.parents_of(MsgId(idx as u64)) {
+                    for p in &self.t.parent_ids[parent_span(&self.t.parent_off, idx)] {
                         is_tip[p.index()] = false;
                     }
                 }
@@ -552,84 +633,128 @@ mod tests {
         /// Reference for [`Propagation::deepest_visible`]: rescans the bitmap
         /// for the maximum visible depth and its achievers.
         fn deepest_visible_rescan(&self, node: usize) -> Vec<MsgId> {
-            let vis = &self.visible[node];
+            let vis = self.visible_row(node);
             let best = (0..vis.len())
                 .filter(|&i| vis[i])
-                .map(|i| self.depth[i])
+                .map(|i| self.t.depth[i])
                 .max()
                 .unwrap_or(0);
             (0..vis.len())
-                .filter(|&i| vis[i] && self.depth[i] == best)
+                .filter(|&i| vis[i] && self.t.depth[i] == best)
                 .map(|i| MsgId(i as u64))
                 .collect()
         }
+
+        /// Node `node`'s column of the visibility bitmap, one flag per
+        /// block.
+        fn visible_row(&self, node: usize) -> Vec<bool> {
+            (0..self.t.depth.len())
+                .map(|b| self.t.visible.get(b, node))
+                .collect()
+        }
+
+        /// No bitmap row carries a bit for a node that does not exist.
+        fn rows_fit(&self, n: usize) -> bool {
+            let fits = |bits: &BlockBits| {
+                bits.stride == n.div_ceil(64)
+                    && bits.words.chunks(bits.stride).all(|row| {
+                        row.iter().enumerate().all(|(w, &word)| {
+                            let live = n.saturating_sub(64 * w).min(64);
+                            live == 64 || word >> live == 0
+                        })
+                    })
+            };
+            fits(&self.t.visible) && fits(&self.t.heard)
+        }
+    }
+
+    /// One lossy, reordering run at `n` on recycled storage, checking
+    /// after every advance that the maintained sorted tips/deepest and the
+    /// O(1) visible counter agree with full rescans of the bitmaps (the
+    /// old implementation's semantics). Returns the storage and every
+    /// node's final tips.
+    fn invariants_under_faults(
+        n: usize,
+        seed: u64,
+        scratch: PropagationScratch,
+    ) -> (PropagationScratch, Vec<Vec<MsgId>>) {
+        let cfg = NetConfig::builder()
+            .latency(LatencyModel::Uniform {
+                lo: 10_000_000,
+                hi: 900_000_000,
+            })
+            .drop(0.25)
+            .dup(0.15)
+            .build()
+            .unwrap();
+        let mut prop = Propagation::with_scratch(n, &cfg, seed, scratch);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut known: Vec<MsgId> = vec![GENESIS];
+        let check = |prop: &Propagation, at: &str| {
+            assert!(prop.rows_fit(n), "bitmap rows overhang n ({at})");
+            for node in 0..n {
+                assert_eq!(
+                    prop.visible_tips(node),
+                    prop.visible_tips_rescan(node),
+                    "tips diverged from rescan ({at} node {node})"
+                );
+                assert_eq!(
+                    prop.deepest_visible(node),
+                    prop.deepest_visible_rescan(node),
+                    "deepest diverged from rescan ({at} node {node})"
+                );
+                assert_eq!(
+                    prop.visible_count(node),
+                    prop.visible_count_scan(node),
+                    "visible count ({at} node {node})"
+                );
+            }
+        };
+        for step in 1..=60u64 {
+            let at = Time::new(step as f64 * 0.05);
+            prop.advance_to(at);
+            let author = rng.gen_range(0..n);
+            // Parent set: 1-2 random blocks *visible to the author*
+            // (the protocol invariant: a node only references its own
+            // view). Remote nodes still receive children before
+            // parents thanks to the latency spread.
+            let vis: Vec<MsgId> = known
+                .iter()
+                .copied()
+                .filter(|id| prop.t.visible.get(id.index(), author))
+                .collect();
+            let mut parents = vec![vis[rng.gen_range(0..vis.len())]];
+            if vis.len() > 2 && rng.gen_bool(0.5) {
+                let extra = vis[rng.gen_range(0..vis.len())];
+                if !parents.contains(&extra) {
+                    parents.push(extra);
+                }
+            }
+            let id = MsgId(step);
+            prop.on_append(author, id, &parents, at);
+            known.push(id);
+            check(&prop, &format!("n {n} seed {seed} step {step}"));
+        }
+        prop.settle();
+        check(&prop, &format!("n {n} seed {seed} settled"));
+        let tips = (0..n).map(|v| prop.visible_tips(v).to_vec()).collect();
+        (prop.into_scratch(), tips)
     }
 
     #[test]
     fn maintained_invariants_match_rescans_under_faults() {
-        // Drive a lossy, reordering network hard and check after every
-        // advance that the maintained sorted tips/deepest and the O(1)
-        // visible counter agree with full rescans of the visibility
-        // bitmaps — the old implementation's semantics.
+        // Each seed fresh, then twice through one pool that a two-word
+        // n = 70 trial dirties in between: the recycled runs must pass
+        // the same checks and end exactly where the fresh one does.
+        let mut pool = PropagationScratch::default();
         for seed in 0..6u64 {
-            let cfg = NetConfig::builder()
-                .latency(LatencyModel::Uniform {
-                    lo: 10_000_000,
-                    hi: 900_000_000,
-                })
-                .drop(0.25)
-                .dup(0.15)
-                .build()
-                .unwrap();
-            let n = 5;
-            let mut prop = Propagation::new(n, &cfg, seed);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut known: Vec<MsgId> = vec![GENESIS];
-            for step in 1..=60u64 {
-                let at = Time::new(step as f64 * 0.05);
-                prop.advance_to(at);
-                let author = rng.gen_range(0..n);
-                // Parent set: 1-2 random blocks *visible to the author*
-                // (the protocol invariant: a node only references its own
-                // view). Remote nodes still receive children before
-                // parents thanks to the latency spread.
-                let vis: Vec<MsgId> = known
-                    .iter()
-                    .copied()
-                    .filter(|id| prop.visible[author][id.index()])
-                    .collect();
-                let mut parents = vec![vis[rng.gen_range(0..vis.len())]];
-                if vis.len() > 2 && rng.gen_bool(0.5) {
-                    let extra = vis[rng.gen_range(0..vis.len())];
-                    if !parents.contains(&extra) {
-                        parents.push(extra);
-                    }
+            let (_, fresh) = invariants_under_faults(5, seed, PropagationScratch::default());
+            for n in [5, 70, 5] {
+                let (back, tips) = invariants_under_faults(n, seed, pool);
+                pool = back;
+                if n == 5 {
+                    assert_eq!(tips, fresh, "seed {seed}: pooled run diverged from fresh");
                 }
-                let id = MsgId(step);
-                prop.on_append(author, id, &parents, at);
-                known.push(id);
-                for node in 0..n {
-                    assert_eq!(
-                        prop.visible_tips(node),
-                        prop.visible_tips_rescan(node),
-                        "tips diverged from rescan (seed {seed} step {step} node {node})"
-                    );
-                    assert_eq!(
-                        prop.deepest_visible(node),
-                        prop.deepest_visible_rescan(node),
-                        "deepest diverged from rescan (seed {seed} step {step} node {node})"
-                    );
-                    assert_eq!(prop.visible_count(node), prop.visible_count_scan(node));
-                }
-            }
-            prop.settle();
-            for node in 0..n {
-                assert_eq!(prop.visible_tips(node), prop.visible_tips_rescan(node));
-                assert_eq!(
-                    prop.deepest_visible(node),
-                    prop.deepest_visible_rescan(node)
-                );
-                assert_eq!(prop.visible_count(node), prop.visible_count_scan(node));
             }
         }
     }
@@ -727,23 +852,26 @@ mod tests {
         assert!(d.validity, "an adversary-free DAG stays valid across heal");
     }
 
-    #[test]
-    fn relay_topology_floods_via_forwarding() {
-        // On a degree-2 ring an announcement reaches non-neighbours only
-        // by relay forwarding — every node must still converge.
-        let n = 10;
+    /// One block flooded around a degree-2 ring of `n` nodes on recycled
+    /// storage; returns the storage.
+    fn flood_ring(n: usize, scratch: PropagationScratch) -> PropagationScratch {
         let cfg = NetConfig::builder()
             .latency(LatencyModel::Constant(10_000_000))
             .topology(Topology::Relay { k: 2 })
             .trace(true)
             .build()
             .unwrap();
-        let mut prop = Propagation::new(n, &cfg, 7);
+        let mut prop = Propagation::with_scratch(n, &cfg, 7, scratch);
         prop.on_append(0, MsgId(1), &[GENESIS], Time::ZERO);
         prop.settle();
         for node in 0..n {
-            assert_eq!(prop.visible_count(node), 2, "node {node} missed the block");
+            assert_eq!(
+                prop.visible_count(node),
+                2,
+                "n {n}: node {node} missed the block"
+            );
         }
+        assert!(prop.rows_fit(n), "n {n}: bitmap rows overhang n");
         // The author itself only reached its 2 ring neighbours; the rest
         // of the coverage came from forwards (n-1 first-hears, each
         // forwarding to ≤ 2 peers).
@@ -753,6 +881,18 @@ mod tests {
             sent <= 2 * n as u64,
             "degree-2 flood is bounded, sent {sent}"
         );
+        prop.into_scratch()
+    }
+
+    #[test]
+    fn relay_topology_floods_via_forwarding() {
+        // On a degree-2 ring an announcement reaches non-neighbours only
+        // by relay forwarding — every node must still converge, also on
+        // pooled two-word rows that a previous flood left dirty.
+        let mut pool = flood_ring(10, PropagationScratch::default());
+        for _ in 0..2 {
+            pool = flood_ring(70, pool);
+        }
     }
 
     #[test]

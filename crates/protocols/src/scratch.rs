@@ -13,10 +13,14 @@
 //! * **id buffers** ([`IdBuf`]) — the parent list a DAG append assembles
 //!   and the two memoised answers of the shared-log view;
 //! * the **banked-grant buffer** every withhold-style adversary fills and
-//!   drains, and the **network storage** of a networked trial
-//!   ([`NetScratch`]: event queue, payload slab, inboxes, and the
-//!   statistics tables, arrival set and injector list `SimNet` resets
-//!   instead of rebuilding).
+//!   drains;
+//! * the **gossip layer** of a networked trial ([`PropagationScratch`]:
+//!   the `SimNet` storage — event queue, payload slab, inboxes, the
+//!   statistics tables, arrival set and injector list — and
+//!   `Propagation`'s block metadata, visibility bitmaps and per-node
+//!   views, all reset instead of rebuilt);
+//! * the **BFT trial tables** ([`BftScratch`]: one interpretation table,
+//!   one finality view per observer, the drivers' own bookkeeping).
 //!
 //! Each buffer has one named slot, so its capacity depends only on the
 //! sequence of trials the thread has run — a repeated workload reaches
@@ -25,11 +29,11 @@
 //! fully overwritten before use, so no state leaks between trials. A trial
 //! that panics forfeits what it held; the next one starts a fresh buffer.
 
-use crate::propagation::BlockMsg;
+use crate::bft::BftScratch;
+use crate::propagation::PropagationScratch;
 use crate::trial_dag::TrialDag;
 use am_core::ghost::GhostScratch;
 use am_core::{LinScratch, MsgId};
-use am_net::NetScratch;
 use am_poisson::Grant;
 use std::cell::RefCell;
 
@@ -51,7 +55,8 @@ struct TrialScratch {
     dag: Option<TrialDag>,
     ghost: GhostScratch,
     lin: LinScratch,
-    net: NetScratch<BlockMsg>,
+    prop: PropagationScratch,
+    bft: Option<BftScratch>,
 }
 
 thread_local! {
@@ -108,16 +113,35 @@ pub(crate) fn with_decision<R>(f: impl FnOnce(&mut GhostScratch, &mut LinScratch
     })
 }
 
-/// Takes the pooled network scratch (everything a `SimNet` would allocate
-/// per trial) for a networked trial. Return it with [`put_net`] when the
-/// trial is done.
-pub(crate) fn take_net() -> NetScratch<BlockMsg> {
-    TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().net))
+/// Takes the pooled gossip-layer storage (everything a `Propagation` and
+/// its `SimNet` would allocate per trial) for a networked trial. Return it
+/// with [`put_prop`] when the trial is done.
+pub(crate) fn take_prop() -> PropagationScratch {
+    TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().prop))
 }
 
-/// Returns network scratch to the pool for the next trial on this thread.
-pub(crate) fn put_net(scratch: NetScratch<BlockMsg>) {
-    TRIAL_SCRATCH.with(|s| s.borrow_mut().net = scratch);
+/// Returns gossip-layer storage to the pool for the next trial on this
+/// thread.
+pub(crate) fn put_prop(scratch: PropagationScratch) {
+    TRIAL_SCRATCH.with(|s| s.borrow_mut().prop = scratch);
+}
+
+/// Takes the pooled BFT trial tables, reset for `n` authors and
+/// `observers` finality views. Return them with [`put_bft`] when the
+/// trial is done.
+pub(crate) fn take_bft(n: usize, observers: usize) -> BftScratch {
+    // An `Option` slot, as for the trial DAG: taking must not build a
+    // placeholder (a fresh table and `IncrementalDag` allocate).
+    let mut bft = TRIAL_SCRATCH
+        .with(|s| s.borrow_mut().bft.take())
+        .unwrap_or_default();
+    bft.reset(n, observers);
+    bft
+}
+
+/// Returns BFT trial tables to the pool for the next trial on this thread.
+pub(crate) fn put_bft(bft: BftScratch) {
+    TRIAL_SCRATCH.with(|s| s.borrow_mut().bft = Some(bft));
 }
 
 #[cfg(test)]
