@@ -68,6 +68,21 @@ if [ "$(shipped crates/bft/src/*.rs | grep -cE '\bfn try_advance\b')" -gt 1 ]; t
   echo "error: a second finality rule in am-bft — the rule lives once, in FinalityView (DESIGN.md §12)" >&2
   exit 1
 fi
+# A model-checker state costs no heap traffic: the visited sets are keyed by
+# the fingerprint itself over the pass-through hasher (`FpMap` / `FpSet`), and
+# the nonforking DFS refills one oracle per depth with `clone_from`.
+if shipped crates/sched/src/search.rs crates/sched/src/nonforking.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\bHash(Map|Set)<\(?(u128|u64|\(u32, ?u64\))\b'; then
+  echo "error: default-hasher map keyed by a fingerprint in the model checker — use FpMap / FpSet (DESIGN.md §14)" >&2
+  exit 1
+fi
+if shipped crates/sched/src/nonforking.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E 'oracles?[A-Za-z0-9_]*(\[[^]]*\])?\.clone\(\)|FinalityOracle::clone\b'; then
+  echo "error: a finality oracle cloned per nonforking state — clone_from into the depth's slot (DESIGN.md §14)" >&2
+  exit 1
+fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then
   echo "error: per-PR bench file at the root — record into BENCH_TRAJECTORY.json" >&2
   exit 1

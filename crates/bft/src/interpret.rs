@@ -73,7 +73,7 @@ pub enum Role {
 /// assert!(it.votes_for(b, a));
 /// assert_eq!(it.parents_of(b), &[a]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DagInterpreter {
     n: usize,
     /// The caller's id per block (genesis `MsgId(0)`).
@@ -105,10 +105,52 @@ impl Default for DagInterpreter {
     }
 }
 
+impl Clone for DagInterpreter {
+    fn clone(&self) -> DagInterpreter {
+        let mut it = DagInterpreter::empty();
+        it.clone_from(self);
+        it
+    }
+
+    /// Copies `src` into this table's buffers, keeping their capacity.
+    fn clone_from(&mut self, src: &DagInterpreter) {
+        let DagInterpreter {
+            n,
+            id,
+            author,
+            round,
+            height,
+            sel,
+            jump,
+            par_off,
+            par,
+            hw,
+        } = src;
+        self.n = *n;
+        self.id.clone_from(id);
+        self.author.clone_from(author);
+        self.round.clone_from(round);
+        self.height.clone_from(height);
+        self.sel.clone_from(sel);
+        self.jump.clone_from(jump);
+        self.par_off.clone_from(par_off);
+        self.par.clone_from(par);
+        self.hw.clone_from(hw);
+    }
+}
+
 impl DagInterpreter {
     /// A fresh interpreter over `n` authors, holding only genesis.
     pub fn new(n: usize) -> DagInterpreter {
-        let mut it = DagInterpreter {
+        let mut it = DagInterpreter::empty();
+        it.reset(n);
+        it
+    }
+
+    /// No blocks, no authors, no buffers: [`reset`](DagInterpreter::reset)
+    /// or `clone_from` makes it a table.
+    fn empty() -> DagInterpreter {
+        DagInterpreter {
             n: 0,
             id: Vec::new(),
             author: Vec::new(),
@@ -119,9 +161,7 @@ impl DagInterpreter {
             par_off: Vec::new(),
             par: Vec::new(),
             hw: Vec::new(),
-        };
-        it.reset(n);
-        it
+        }
     }
 
     /// Back to the genesis-only state of [`new`](DagInterpreter::new) over

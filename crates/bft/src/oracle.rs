@@ -37,12 +37,36 @@ use am_core::MsgId;
 /// assert!(o.is_final(MsgId(1)));
 /// assert!(!o.conflict_detected());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FinalityOracle {
     table: DagInterpreter,
     view: FinalityView,
     /// Global id index → table id (`NONE` = unobserved).
     local_of: Vec<u32>,
+}
+
+impl Clone for FinalityOracle {
+    fn clone(&self) -> FinalityOracle {
+        FinalityOracle {
+            table: self.table.clone(),
+            view: self.view.clone(),
+            local_of: self.local_of.clone(),
+        }
+    }
+
+    /// Copies `src` into this oracle's buffers, keeping their capacity:
+    /// a pooled oracle refilled from another allocates only where `src`
+    /// outgrew it.
+    fn clone_from(&mut self, src: &FinalityOracle) {
+        let FinalityOracle {
+            table,
+            view,
+            local_of,
+        } = src;
+        self.table.clone_from(table);
+        self.view.clone_from(view);
+        self.local_of.clone_from(local_of);
+    }
 }
 
 impl FinalityOracle {

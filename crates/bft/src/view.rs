@@ -141,7 +141,7 @@ struct Seen {
 /// assert_eq!(early.finalized_chain(), late.finalized_chain());
 /// assert_eq!(early.finalized_digest(), late.finalized_digest());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FinalityView {
     n: usize,
     quorum: usize,
@@ -185,6 +185,59 @@ pub struct FinalityView {
     stack: Vec<u32>,
 }
 
+impl Clone for FinalityView {
+    fn clone(&self) -> FinalityView {
+        let mut view = FinalityView::empty();
+        view.clone_from(self);
+        view
+    }
+
+    /// Copies `src` into this view's buffers — the round slots' rows
+    /// included — keeping their capacity.
+    fn clone_from(&mut self, src: &FinalityView) {
+        let FinalityView {
+            n,
+            quorum,
+            seen,
+            observed,
+            by_round,
+            equiv,
+            equivocators,
+            roles,
+            final_chain,
+            digest,
+            newly_final,
+            cone,
+            conflict,
+            vote,
+            stuck,
+            stats,
+            tally,
+            voting_from,
+            stack,
+        } = src;
+        self.n = *n;
+        self.quorum = *quorum;
+        self.seen.clone_from(seen);
+        self.observed = *observed;
+        self.by_round.clone_from(by_round);
+        self.equiv.clone_from(equiv);
+        self.equivocators = *equivocators;
+        self.roles = *roles;
+        self.final_chain.clone_from(final_chain);
+        self.digest = *digest;
+        self.newly_final.clone_from(newly_final);
+        self.cone = *cone;
+        self.conflict = *conflict;
+        self.vote.clone_from(vote);
+        self.stuck = *stuck;
+        self.stats = *stats;
+        self.tally.clone_from(tally);
+        self.voting_from.clone_from(voting_from);
+        self.stack.clone_from(stack);
+    }
+}
+
 impl FinalityView {
     /// A view over `n` authors with the default quorum `⌊2n/3⌋ + 1`,
     /// holding only genesis.
@@ -194,7 +247,15 @@ impl FinalityView {
 
     /// A view with an explicit quorum (clamped to `1..=n`).
     pub(crate) fn with_quorum(n: usize, quorum: usize) -> FinalityView {
-        let mut view = FinalityView {
+        let mut view = FinalityView::empty();
+        view.reset_with(n, quorum);
+        view
+    }
+
+    /// No authors, nothing observed, no buffers: `reset_with` or
+    /// `clone_from` makes it a view.
+    fn empty() -> FinalityView {
+        FinalityView {
             n: 0,
             quorum: 0,
             seen: Vec::new(),
@@ -214,9 +275,7 @@ impl FinalityView {
             tally: Vec::new(),
             voting_from: Vec::new(),
             stack: Vec::new(),
-        };
-        view.reset_with(n, quorum);
-        view
+        }
     }
 
     /// Back to the fresh state of [`new`](FinalityView::new) over `n`

@@ -16,7 +16,12 @@
 //! the cone are also recomputed from scratch (mixer and plain DFS), since
 //! an oracle runs the same view code. A pooled table and views, reset
 //! across n = 12 → 4 → 65 → 12, must be indistinguishable from fresh
-//! ones.
+//! ones. So must a pooled oracle refilled with `clone_from` — the model
+//! checker keeps one per DFS depth — whatever it held before: a longer
+//! history, a shorter one, or one over a different `n`. Its `Debug` form
+//! must equal the source's (every field of table, view and remap), and
+//! observing on must keep chain, digest and [`OracleStats`] equal to an
+//! oracle that saw the whole history itself.
 //!
 //! Checked to catch, each on its own:
 //!
@@ -25,7 +30,10 @@
 //! * the cone walk counting genesis;
 //! * the digest mixing the table id instead of the caller's id (the
 //!   sparse-id case);
-//! * `observe` skipping the parents-observed assert.
+//! * `observe` skipping the parents-observed assert;
+//! * a field forgotten in a manual `clone_from` — e.g. `FinalityView`'s
+//!   `stuck` or `stats`, `DagInterpreter`'s `jump` or `FinalityOracle`'s
+//!   `local_of` left as the slot had it.
 
 use am_bft::{DagInterpreter, FinalityOracle, FinalityView, OracleStats};
 use am_core::{MsgId, GENESIS};
@@ -379,6 +387,55 @@ fn pooled_table_and_views_reset_like_fresh_ones() {
             );
         }
     }
+}
+
+/// An oracle over `n` authors that observed `blocks` in order.
+fn oracle_of(n: usize, blocks: &[Block]) -> FinalityOracle {
+    let mut oracle = FinalityOracle::new(n);
+    for (id, author, parents) in blocks {
+        oracle.observe(*id, *author, parents);
+    }
+    oracle
+}
+
+#[test]
+fn clone_from_refills_a_used_oracle_exactly() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xc10e);
+    let mut finalized = 0;
+    for case in 0..12 {
+        let n = [4usize, 7][case % 2];
+        let fork = [0.0, 0.04, 0.08][case % 3];
+        let blocks = random_dag(&mut rng, n, 12 * n + 20, fork);
+        let cut = blocks.len() / 2;
+        let src = oracle_of(n, &blocks[..cut]);
+        let other = random_dag(&mut rng, n + 3, 8 * n, 0.05);
+        let slots = [
+            ("longer", oracle_of(n, &blocks)),
+            ("shorter", oracle_of(n, &blocks[..cut / 3])),
+            ("other n", oracle_of(n + 3, &other)),
+        ];
+        for (held, mut slot) in slots {
+            slot.clone_from(&src);
+            assert_eq!(
+                format!("{slot:?}"),
+                format!("{src:?}"),
+                "case {case}: slot that held a {held} history"
+            );
+            let mut whole = oracle_of(n, &blocks[..cut]);
+            for (id, author, parents) in &blocks[cut..] {
+                slot.observe(*id, *author, parents);
+                whole.observe(*id, *author, parents);
+                assert_eq!(slot.finalized_chain(), whole.finalized_chain());
+                assert_eq!(slot.finalized_digest(), whole.finalized_digest());
+                assert_eq!(slot.stats(), whole.stats(), "case {case}, {held}");
+            }
+            finalized += usize::from(slot.finalized_height() > src.finalized_height());
+        }
+    }
+    assert!(
+        finalized > 12,
+        "only {finalized} refilled slots finalized on"
+    );
 }
 
 #[test]

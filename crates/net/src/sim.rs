@@ -176,6 +176,7 @@ impl NetConfig {
             bandwidth_bps: self.bandwidth_bps,
             link_busy: IntMap::default(),
             faults: scratch.faults,
+            spare_side_a: scratch.side_a,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
             stats: scratch.stats,
             sent: 0,
@@ -205,7 +206,7 @@ impl NetConfig {
             });
         }
         if let Some((from_ns, until_ns)) = self.partition {
-            let mut side_a = scratch.side_a;
+            let mut side_a = std::mem::take(&mut net.spare_side_a);
             side_a.clear();
             side_a.extend(0..n / 2);
             net.add_fault(Fault::Partition(PartitionSpec {
@@ -410,6 +411,9 @@ pub struct SimNet<M> {
     /// `bandwidth_bps` is set).
     link_busy: IntMap<u64, u64>,
     faults: Vec<Fault>,
+    /// The recycled partition member list while no partition in `faults`
+    /// holds it, so a partition-free trial hands it on unchanged.
+    spare_side_a: Vec<usize>,
     rng: ChaCha8Rng,
     stats: NetStats,
     sent: u64,
@@ -441,7 +445,7 @@ impl<M: Kinded> SimNet<M> {
             dirty: self.dirty,
             in_dirty: self.in_dirty,
             faults: self.faults,
-            side_a: side_a.unwrap_or_default(),
+            side_a: side_a.unwrap_or(self.spare_side_a),
         }
     }
 
@@ -1088,6 +1092,34 @@ mod tests {
         other.advance();
         assert!(other.stats().active_links() > 16 && !other.dirty.is_empty());
         assert_eq!(run(other.into_scratch()), run(NetScratch::new()));
+    }
+
+    #[test]
+    fn a_partition_free_net_hands_the_partition_list_on() {
+        // What a pooled scratch holds must not depend on whether the last
+        // trial on it had a partition: partitioned → partition-free →
+        // partitioned keeps one member list, never reallocated.
+        let partitioned = NetConfig::builder()
+            .latency(LatencyModel::Constant(1))
+            .partition(0, 10)
+            .build()
+            .unwrap();
+        let plain = NetConfig::ideal(LatencyModel::Constant(1));
+        let scratch = partitioned.build_net::<Ping>(6, 1).into_scratch();
+        let list = (scratch.side_a.as_ptr(), scratch.side_a.capacity());
+        assert!(list.1 >= 3, "the partition filled the list");
+        let scratch = plain
+            .build_net_with_scratch::<Ping>(6, 2, scratch)
+            .into_scratch();
+        assert_eq!((scratch.side_a.as_ptr(), scratch.side_a.capacity()), list);
+        let net: SimNet<Ping> = partitioned.build_net_with_scratch(6, 3, scratch);
+        match &net.faults[..] {
+            [Fault::Partition(p)] => {
+                assert_eq!(p.side_a, [0, 1, 2]);
+                assert_eq!((p.side_a.as_ptr(), p.side_a.capacity()), list);
+            }
+            other => panic!("expected one partition, got {other:?}"),
+        }
     }
 
     #[test]

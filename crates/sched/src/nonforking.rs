@@ -28,9 +28,10 @@
 //!    interleavings don't matter) finalize pairwise extension-ordered
 //!    chains, even when their watermarks differ.
 
+use crate::search::{FpMap, FpSet};
 use am_bft::FinalityOracle;
 use am_core::{MsgId, GENESIS};
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// splitmix64-style mixer for structural block identities.
 fn mix(h: u64, v: u64) -> u64 {
@@ -43,10 +44,10 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 /// One appended block of a history under exploration.
-#[derive(Clone)]
 struct Block {
     author: usize,
-    parents: Vec<MsgId>,
+    /// Where its parents sit in the DFS path's parent pool.
+    parents: Range<usize>,
     depth: u32,
     /// Structural identity: a pure function of `(author, parent cids,
     /// duplicate index)` — equal across interleavings that assign
@@ -91,26 +92,65 @@ impl NonforkingReport {
     }
 }
 
+/// One distinct finalized chain of a block-set group, in
+/// [`Search::chain_cids`]; a group's chains are linked in the order they
+/// were first seen.
+struct Chain {
+    start: u32,
+    len: u32,
+    /// The group's next chain (`LAST` = none).
+    next: u32,
+}
+
+/// End of a group's chain list.
+const LAST: u32 = u32::MAX;
+
+/// The DFS state. Everything here is sized by the path's depth or grows
+/// geometrically, so a visited state allocates nothing once the first
+/// path to each depth has warmed its buffers.
 struct Search {
     n: usize,
     byz: Vec<bool>,
     max_blocks: usize,
     max_states: usize,
     report: NonforkingReport,
-    /// Structural block-set key → finalized chains (as cid sequences)
-    /// seen at states holding exactly that set.
-    groups: HashMap<u64, Vec<Vec<u64>>>,
+    /// The history on the DFS path, its blocks' parents in one pool
+    /// truncated on pop.
+    blocks: Vec<Block>,
+    parents: Vec<MsgId>,
+    /// `oracles[d]` has observed the first `d` blocks of the path. A
+    /// visit refills its depth's slot from the one above and observes
+    /// only the newest block, instead of replaying the whole history.
+    oracles: Vec<FinalityOracle>,
+    /// Per-state scratch: `view_parents`' child marks, the finalized
+    /// chain as cids, the sorted block-set key.
+    has_child: Vec<bool>,
+    cids: Vec<u64>,
+    set: Vec<u64>,
+    /// Structural block-set key → (first, last) of its chain list: the
+    /// distinct finalized chains (as cid sequences) seen at states
+    /// holding exactly that set. A duplicate never changes the fork
+    /// verdict or which peer a fork reports first, so it is not stored.
+    groups: FpMap<u64, (u32, u32)>,
+    chains: Vec<Chain>,
+    chain_cids: Vec<u64>,
     /// Fingerprints of *ordered* histories already visited. Two lanes
     /// folded over the cid sequence.
-    seen: HashMap<u128, ()>,
+    seen: FpSet<u128>,
 }
 
-/// The parent list an append on the prefix of the first `p` blocks
-/// (plus genesis) uses: the deepest visible block (ties to the smallest
-/// id), the author's own last block when `own` is given and visible,
-/// and every remaining visible tip — the same rule the protocol
-/// drivers follow.
-fn view_parents(blocks: &[Block], p: usize, own: MsgId) -> Vec<MsgId> {
+/// Appends to `pool` the parent list an append on the prefix of the
+/// first `p` blocks (plus genesis) uses, and returns where it went: the
+/// deepest visible block (ties to the smallest id), the author's own last
+/// block when `own` is given and visible, and every remaining visible
+/// tip — the same rule the protocol drivers follow.
+fn view_parents(
+    blocks: &[Block],
+    pool: &mut Vec<MsgId>,
+    has_child: &mut Vec<bool>,
+    p: usize,
+    own: MsgId,
+) -> Range<usize> {
     let mut best_d = 0u32;
     let mut sel = GENESIS;
     for (i, b) in blocks[..p].iter().enumerate() {
@@ -119,45 +159,28 @@ fn view_parents(blocks: &[Block], p: usize, own: MsgId) -> Vec<MsgId> {
             sel = MsgId(i as u64 + 1);
         }
     }
-    let mut has_child = vec![false; p + 1];
+    has_child.clear();
+    has_child.resize(p + 1, false);
     for b in &blocks[..p] {
-        for par in &b.parents {
+        for par in &pool[b.parents.clone()] {
             has_child[par.index()] = true;
         }
     }
-    let mut parents = vec![sel];
+    let start = pool.len();
+    pool.push(sel);
     if own != sel && own != GENESIS && own.index() <= p {
-        parents.push(own);
+        pool.push(own);
     }
     for (idx, taken) in has_child.iter().enumerate() {
         let id = MsgId(idx as u64);
         if !taken && id != sel && id != own {
-            parents.push(id);
+            pool.push(id);
         }
     }
-    parents
+    start..pool.len()
 }
 
 impl Search {
-    fn chain_cids(blocks: &[Block], chain: &[MsgId]) -> Vec<u64> {
-        chain
-            .iter()
-            .map(|id| {
-                if *id == GENESIS {
-                    0
-                } else {
-                    blocks[id.index() - 1].cid
-                }
-            })
-            .collect()
-    }
-
-    fn set_key(blocks: &[Block]) -> u64 {
-        let mut cids: Vec<u64> = blocks.iter().map(|b| b.cid).collect();
-        cids.sort_unstable();
-        cids.into_iter().fold(0x006e_6f6e_666f_726b_u64, mix)
-    }
-
     fn fail(&mut self, why: String) {
         if self.report.violation.is_none() {
             self.report.violation = Some(why);
@@ -175,33 +198,25 @@ impl Search {
         ((hi as u128) << 64) | lo as u128
     }
 
-    /// DFS from `blocks`, which finalize `chain`; `oracle` is the
-    /// finality oracle after observing exactly `blocks`, `hist_fp` the
-    /// ordered-history fingerprint.
-    fn explore(
-        &mut self,
-        blocks: &mut Vec<Block>,
-        chain: &[MsgId],
-        oracle: &FinalityOracle,
-        hist_fp: u128,
-    ) {
-        if self.report.violation.is_some() || blocks.len() >= self.max_blocks {
+    /// DFS from the path in `blocks`, whose oracle is
+    /// `oracles[blocks.len()]`; `hist_fp` is its ordered-history
+    /// fingerprint.
+    fn explore(&mut self, hist_fp: u128) {
+        let len = self.blocks.len();
+        if self.report.violation.is_some() || len >= self.max_blocks {
             return;
         }
         for node in 0..self.n {
             // A correct author's single move uses the full view with a
             // self-parent; a Byzantine author picks any prefix, dropping
             // the self-parent (the equivocation device).
-            let prefixes = if self.byz[node] {
-                0..=blocks.len()
-            } else {
-                blocks.len()..=blocks.len()
-            };
+            let prefixes = if self.byz[node] { 0..=len } else { len..=len };
             for p in prefixes {
                 if self.report.states >= self.max_states {
                     self.report.truncated = true;
                     return;
                 }
+                let blocks = &self.blocks;
                 let own = if self.byz[node] {
                     GENESIS
                 } else {
@@ -211,27 +226,17 @@ impl Search {
                         .map(|i| MsgId(i as u64 + 1))
                         .unwrap_or(GENESIS)
                 };
-                let parents = view_parents(blocks, p, own);
-                let depth = parents
+                let parents = view_parents(blocks, &mut self.parents, &mut self.has_child, p, own);
+                let of = |pa: &MsgId| pa.index().checked_sub(1).map(|i| &blocks[i]);
+                let new_parents = &self.parents[parents.clone()];
+                let depth = new_parents
                     .iter()
-                    .map(|pa| {
-                        if *pa == GENESIS {
-                            1
-                        } else {
-                            blocks[pa.index() - 1].depth + 1
-                        }
-                    })
+                    .map(|pa| of(pa).map_or(1, |b| b.depth + 1))
                     .max()
                     .unwrap();
-                let base = parents
+                let base = new_parents
                     .iter()
-                    .map(|pa| {
-                        if *pa == GENESIS {
-                            0
-                        } else {
-                            blocks[pa.index() - 1].cid
-                        }
-                    })
+                    .map(|pa| of(pa).map_or(0, |b| b.cid))
                     .fold(mix(0, node as u64 + 1), mix);
                 // Structural twins (same author, same parents — i.e.
                 // equivocation duplicates) get distinct cids via a
@@ -250,18 +255,23 @@ impl Search {
                 // universe (or a cid collision) ever manufactures a
                 // duplicate; it is a guard whose hit count *measures*
                 // that risk (DESIGN.md §14).
-                if self.seen.insert(child_fp, ()).is_some() {
+                if !self.seen.insert(child_fp) {
                     self.report.fingerprint_hits += 1;
+                    self.parents.truncate(parents.start);
                     continue;
                 }
-                blocks.push(Block {
+                self.blocks.push(Block {
                     author: node,
                     parents,
                     depth,
                     cid,
                 });
-                self.visit(blocks, chain, oracle, child_fp);
-                blocks.pop();
+                self.visit(child_fp);
+                let popped = self
+                    .blocks
+                    .pop()
+                    .expect("visit leaves the path as it found it");
+                self.parents.truncate(popped.parents.start);
                 if self.report.violation.is_some() {
                     return;
                 }
@@ -269,58 +279,98 @@ impl Search {
         }
     }
 
-    fn visit(
-        &mut self,
-        blocks: &mut Vec<Block>,
-        parent_chain: &[MsgId],
-        parent_oracle: &FinalityOracle,
-        hist_fp: u128,
-    ) {
+    fn visit(&mut self, hist_fp: u128) {
         self.report.states += 1;
-        // Incremental: clone the parent's oracle and observe only the
-        // newest block instead of replaying the whole history.
-        let mut oracle = parent_oracle.clone();
-        let last = blocks.last().expect("visit is only called post-append");
-        oracle.observe(MsgId(blocks.len() as u64), last.author, &last.parents);
-        self.report.observes_saved += blocks.len() as u64 - 1;
-        let chain = oracle.finalized_chain();
+        let d = self.blocks.len();
+        let (above, here) = self.oracles.split_at_mut(d);
+        let (parent, oracle) = (&above[d - 1], &mut here[0]);
+        oracle.clone_from(parent);
+        let last = self
+            .blocks
+            .last()
+            .expect("visit is only called post-append");
+        oracle.observe(
+            MsgId(d as u64),
+            last.author,
+            &self.parents[last.parents.clone()],
+        );
+        self.report.observes_saved += d as u64 - 1;
         if oracle.conflict_detected() {
-            self.fail(format!(
-                "conflicting quorum certified after {} blocks",
-                blocks.len()
-            ));
+            self.fail(format!("conflicting quorum certified after {d} blocks"));
             return;
         }
         if oracle.equivocator_count() > 0 {
             self.report.equivocating_states += 1;
         }
+        // Ids are dense and observed in path order, so the table ids the
+        // views hold are the path's global ids.
+        let (parent, oracle) = (&self.oracles[d - 1], &self.oracles[d]);
+        let (parent_chain, chain) = (
+            parent.view().finalized_chain(),
+            oracle.view().finalized_chain(),
+        );
+        debug_assert!(chain
+            .iter()
+            .all(|&l| oracle.interpreter().id_of(l) == MsgId(l.into())));
         if chain.len() > 1 {
             self.report.finalizing_states += 1;
             self.report.max_finalized = self.report.max_finalized.max(chain.len() - 1);
         }
         // Monotonicity: the child's chain extends the parent's.
-        if chain.len() < parent_chain.len() || chain[..parent_chain.len()] != *parent_chain {
-            self.fail(format!(
-                "finality retracted: {parent_chain:?} -> {chain:?} after {} blocks",
-                blocks.len()
-            ));
+        if !chain.starts_with(parent_chain) {
+            let ids = |c: &[u32]| c.iter().map(|&l| MsgId(l.into())).collect::<Vec<_>>();
+            let why = format!(
+                "finality retracted: {:?} -> {:?} after {d} blocks",
+                ids(parent_chain),
+                ids(chain)
+            );
+            self.fail(why);
             return;
         }
         // Cross-schedule agreement: same logical block set, extension-
         // ordered chains (watermarks may differ; prefixes may not).
-        let cids = Search::chain_cids(blocks, &chain);
-        let peers = self.groups.entry(Search::set_key(blocks)).or_default();
-        let fork = peers.iter().find(|peer| {
-            let m = peer.len().min(cids.len());
-            peer[..m] != cids[..m]
-        });
-        if let Some(peer) = fork {
-            let why = format!("two schedules of one history fork: {peer:?} vs {cids:?}");
-            self.fail(why);
-            return;
+        self.cids.clear();
+        self.cids
+            .extend(chain.iter().map(|&l| self.blocks[l as usize - 1].cid));
+        self.set.clear();
+        self.set.extend(self.blocks.iter().map(|b| b.cid));
+        self.set.sort_unstable();
+        let key = self
+            .set
+            .iter()
+            .fold(0x006e_6f6e_666f_726b_u64, |h, &c| mix(h, c));
+        let group = self.groups.entry(key).or_insert((LAST, LAST));
+        let (cids, mut at, mut dup) = (&self.cids[..], group.0, false);
+        while at != LAST {
+            let peer = &self.chains[at as usize];
+            let peer_cids = &self.chain_cids[peer.start as usize..][..peer.len as usize];
+            let m = peer_cids.len().min(cids.len());
+            if peer_cids[..m] != cids[..m] {
+                let why = format!("two schedules of one history fork: {peer_cids:?} vs {cids:?}");
+                self.fail(why);
+                return;
+            }
+            // Extension-ordered, so equal exactly when equally long.
+            dup |= peer_cids.len() == cids.len();
+            at = peer.next;
         }
-        peers.push(cids);
-        self.explore(blocks, &chain, &oracle, hist_fp);
+        if !dup {
+            let idx = self.chains.len() as u32;
+            self.chains.push(Chain {
+                start: self.chain_cids.len() as u32,
+                len: cids.len() as u32,
+                next: LAST,
+            });
+            self.chain_cids.extend_from_slice(cids);
+            match *group {
+                (LAST, _) => *group = (idx, idx),
+                (_, tail) => {
+                    self.chains[tail as usize].next = idx;
+                    group.1 = idx;
+                }
+            }
+        }
+        self.explore(hist_fp);
     }
 }
 
@@ -330,8 +380,8 @@ impl Search {
 /// every reachable state. `max_states` bounds the search; hitting it
 /// sets [`NonforkingReport::truncated`] rather than failing.
 ///
-/// The finality oracle is carried incrementally down the DFS and ordered
-/// histories are fingerprint-deduped; the replay-every-state search it
+/// The finality oracle is carried incrementally down the DFS, one pooled
+/// oracle per depth, and ordered histories are fingerprint-deduped; the replay-every-state search it
 /// must agree with counter for counter is the spec in
 /// `tests/reduced_equivalence.rs`. Reduction counters are published
 /// through am-obs.
@@ -360,16 +410,18 @@ pub fn check_nonforking(
             fingerprint_hits: 0,
             observes_saved: 0,
         },
-        groups: HashMap::new(),
-        seen: HashMap::new(),
+        blocks: Vec::new(),
+        parents: Vec::new(),
+        oracles: vec![FinalityOracle::new(n); max_blocks + 1],
+        has_child: Vec::new(),
+        cids: Vec::new(),
+        set: Vec::new(),
+        groups: FpMap::default(),
+        chains: Vec::new(),
+        chain_cids: Vec::new(),
+        seen: FpSet::default(),
     };
-    let oracle = FinalityOracle::new(n);
-    search.explore(
-        &mut Vec::new(),
-        &oracle.finalized_chain(),
-        &oracle,
-        0x006e_6f6e_666f_726b_u128,
-    );
+    search.explore(0x006e_6f6e_666f_726b_u128);
     search.report.publish_obs();
     search.report
 }
@@ -449,30 +501,25 @@ mod tests {
     fn view_parents_selects_deepest_and_tips() {
         // genesis <- b1 <- b2, plus b3 off genesis: full view selects b2
         // (deepest), keeps b3 as a tip.
-        let blocks = vec![
-            Block {
-                author: 0,
-                parents: vec![GENESIS],
-                depth: 1,
-                cid: 1,
-            },
-            Block {
-                author: 1,
-                parents: vec![MsgId(1)],
-                depth: 2,
-                cid: 2,
-            },
-            Block {
-                author: 2,
-                parents: vec![GENESIS],
-                depth: 1,
-                cid: 3,
-            },
+        let block = |author, parents, depth, cid| Block {
+            author,
+            parents,
+            depth,
+            cid,
+        };
+        let blocks = [
+            block(0, 0..1, 1, 1),
+            block(1, 1..2, 2, 2),
+            block(2, 2..3, 1, 3),
         ];
-        let ps = view_parents(&blocks, 3, GENESIS);
-        assert_eq!(ps, vec![MsgId(2), MsgId(3)]);
-        // Self-parent joins when it isn't already the selection.
-        let ps = view_parents(&blocks, 3, MsgId(1));
-        assert_eq!(ps, vec![MsgId(2), MsgId(1), MsgId(3)]);
+        let mut pool = vec![GENESIS, MsgId(1), GENESIS];
+        let mut has_child = Vec::new();
+        let ps = view_parents(&blocks, &mut pool, &mut has_child, 3, GENESIS);
+        assert_eq!(pool[ps.clone()], [MsgId(2), MsgId(3)]);
+        // Self-parent joins when it isn't already the selection; the list
+        // goes after the pool's end, whatever is there.
+        let ps2 = view_parents(&blocks, &mut pool, &mut has_child, 3, MsgId(1));
+        assert_eq!(ps2.start, ps.end);
+        assert_eq!(pool[ps2], [MsgId(2), MsgId(1), MsgId(3)]);
     }
 }

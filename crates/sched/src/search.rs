@@ -10,8 +10,9 @@
 //! * **Interning** — per-author logs live once in a [`LogArena`]; a
 //!   state is a fixed-size, `Copy` [`CState`] of arena ids, counts and
 //!   incremental content hashes (≈150 bytes, no heap).
-//! * **Hash compaction** — the visited set keys 128-bit fingerprints
-//!   (two independent splitmix64 lanes over the canonical encoding).
+//! * **Hash compaction** — the visited set is keyed by the 128-bit
+//!   fingerprint itself (two independent splitmix64 lanes over the
+//!   canonical encoding, so a pass-through hasher suffices).
 //!   `exact: true` keys full decoded configurations instead and counts
 //!   how many fingerprints would have collided, so the collision risk
 //!   of the compacted mode is *measured*, not assumed.
@@ -34,10 +35,14 @@
 //!   fanned out over `workers` threads against the read-only arena,
 //!   then merged (intern, visited set) sequentially in frontier order,
 //!   so every counter and witness is deterministic for any worker count.
+//!   Successors go to one buffer per level (per worker), and every
+//!   level buffer is reused by the next: a state allocates nothing.
 
 use crate::explore::{Config, Entry, LocalState, Valency};
 use crate::proto::{AsyncProtocol, Op, ViewRef};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry as Slot;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum node count the compact state representation supports.
 pub const MAX_N: usize = 8;
@@ -77,6 +82,40 @@ fn log_push_hash(log_hash: u64, eh: u64) -> u64 {
 /// Hash of the empty log.
 const EMPTY_LOG_HASH: u64 = 0x8422_2015_a5a5_a5a5;
 
+/// Hasher for keys that are already splitmix-mixed — fingerprints,
+/// content hashes, a small id beside one: it folds the key's integers
+/// together instead of SipHashing them a second time.
+#[derive(Default)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("pass-through hashing takes integer keys only");
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = self.0.rotate_left(32) ^ x;
+    }
+
+    fn write_u128(&mut self, x: u128) {
+        self.write_u64(x as u64 ^ (x >> 64) as u64);
+    }
+}
+
+/// A map keyed by mixed integers (see [`PassThrough`]).
+pub(crate) type FpMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
+
+/// A set of mixed integers (see [`PassThrough`]).
+pub(crate) type FpSet<K> = HashSet<K, BuildHasherDefault<PassThrough>>;
+
 // ---------------------------------------------------------------------------
 // Log arena
 // ---------------------------------------------------------------------------
@@ -87,7 +126,7 @@ const EMPTY_LOG_HASH: u64 = 0x8422_2015_a5a5_a5a5;
 /// entries and ids are a function of log *content* alone.
 pub struct LogArena {
     logs: Vec<Vec<Entry>>,
-    children: HashMap<(u32, u64), Vec<u32>>,
+    children: FpMap<(u32, u64), Vec<u32>>,
 }
 
 /// Id of the empty log.
@@ -98,7 +137,7 @@ impl LogArena {
     pub fn new() -> LogArena {
         LogArena {
             logs: vec![Vec::new()],
-            children: HashMap::new(),
+            children: FpMap::default(),
         }
     }
 
@@ -740,19 +779,21 @@ impl SuccProto {
     }
 }
 
-/// Facts and successors produced for one frontier state.
+/// Facts produced for one frontier state; its successors go to the
+/// level's buffer.
 struct GenOut {
     decision_bits: u8,
     violation: bool,
     /// Crashed-node index of a v-free non-termination witness.
     vfree: Option<usize>,
-    succs: Vec<SuccProto>,
     sleep_skipped: u64,
     ample: bool,
+    /// Transitions executed, one successor pushed for each.
     transitions: u64,
 }
 
-/// Expands one frontier state: facts, POR-filtered moves, successors.
+/// Expands one frontier state: facts, POR-filtered moves, and the
+/// successors, appended to `succs`.
 fn expand(
     proto: &dyn AsyncProtocol,
     s: &CState,
@@ -760,6 +801,7 @@ fn expand(
     arena: &LogArena,
     stab: &Stabilizer,
     opts: &SearchOptions,
+    succs: &mut Vec<SuccProto>,
 ) -> GenOut {
     let n = proto.n();
     let moves = node_moves(proto, s, arena, n);
@@ -787,7 +829,6 @@ fn expand(
         decision_bits: bits,
         violation,
         vfree,
-        succs: Vec::new(),
         sleep_skipped: 0,
         ample: false,
         transitions: 0,
@@ -804,7 +845,7 @@ fn expand(
             if sleep & (1 << v) == 0 {
                 let (t, entry) = apply_move(s, v, moves.mv[v].as_ref().unwrap(), n);
                 out.transitions = 1;
-                out.succs.push(SuccProto::new(&t, v, 0, entry, stab));
+                succs.push(SuccProto::new(&t, v, 0, entry, stab));
             }
             return out;
         }
@@ -830,18 +871,79 @@ fn expand(
         }
         let (t, entry) = apply_move(s, v, mv, n);
         out.transitions += 1;
-        out.succs
-            .push(SuccProto::new(&t, v, succ_sleep, entry, stab));
+        succs.push(SuccProto::new(&t, v, succ_sleep, entry, stab));
         explored_mask |= 1 << v;
     }
     out
 }
 
-/// Visited-set key: fingerprint (compact) or full configuration (exact).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Fp(u128),
-    Exact(Config),
+/// The visited set: state → the sleep mask it was explored with, keyed
+/// by the fingerprint itself or (`SearchOptions::exact`) by the decoded
+/// configuration, beside an audit map that counts fingerprints two
+/// distinct states share.
+enum Visited {
+    Fp(FpMap<u128, u8>),
+    Exact {
+        masks: HashMap<Config, u8>,
+        audit: FpMap<u128, Config>,
+    },
+}
+
+impl Visited {
+    fn new(exact: bool) -> Visited {
+        if exact {
+            Visited::Exact {
+                masks: HashMap::new(),
+                audit: FpMap::default(),
+            }
+        } else {
+            Visited::Fp(FpMap::default())
+        }
+    }
+
+    /// Room for `additional` more states without a rehash.
+    fn reserve(&mut self, additional: usize) {
+        if let Visited::Fp(masks) = self {
+            masks.reserve(additional);
+        }
+    }
+
+    /// The mask the state with fingerprint `fp` (decoded by `config`,
+    /// which only `exact` calls) was stored with, or `None` after storing
+    /// it with `sleep`.
+    fn probe(
+        &mut self,
+        fp: u128,
+        sleep: u8,
+        config: impl FnOnce() -> Config,
+        collisions: &mut u64,
+    ) -> Option<&mut u8> {
+        match self {
+            Visited::Fp(masks) => stored(masks.entry(fp), sleep),
+            Visited::Exact { masks, audit } => {
+                let config = config();
+                match audit.entry(fp) {
+                    Slot::Vacant(e) => {
+                        e.insert(config.clone());
+                    }
+                    Slot::Occupied(e) => *collisions += u64::from(*e.get() != config),
+                }
+                stored(masks.entry(config), sleep)
+            }
+        }
+    }
+}
+
+/// The value of an occupied entry, or `None` after filling a vacant one
+/// with `value`.
+fn stored<K, V>(slot: Slot<'_, K, V>, value: V) -> Option<&mut V> {
+    match slot {
+        Slot::Occupied(e) => Some(e.into_mut()),
+        Slot::Vacant(e) => {
+            e.insert(value);
+            None
+        }
+    }
 }
 
 /// Runs the compact search from `init`.
@@ -881,68 +983,65 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
 
     let (root, root_enc, _) = stab.canonicalize(&root_raw);
 
-    // visited: key → sleep mask the state was explored with. A revisit
-    // whose mask is not a superset must be re-explored with the
-    // intersection (strictly smaller → terminates).
-    let mut visited: HashMap<Key, u8> = HashMap::new();
-    // Fingerprint audit map for exact mode: fp → representative index.
-    let mut fp_audit: HashMap<u128, Config> = HashMap::new();
-
-    let key_of = |s: &CState, fp: u128, arena: &LogArena| -> Key {
-        if opts.exact {
-            Key::Exact(s.to_config(n, arena))
-        } else {
-            Key::Fp(fp)
-        }
-    };
-
+    // A revisit whose sleep mask is not a superset of the stored one must
+    // be re-explored with the intersection (strictly smaller →
+    // terminates).
+    let mut visited = Visited::new(opts.exact);
     let root_fp = fingerprint(&root_enc);
-    if opts.exact {
-        fp_audit.insert(root_fp, root.to_config(n, &arena));
-    }
-    visited.insert(key_of(&root, root_fp, &arena), 0);
+    let root_config = || root.to_config(n, &arena);
+    visited.probe(root_fp, 0, root_config, &mut report.collisions);
     report.states = 1;
 
+    // Reused level to level: the frontier and the next one, each state's
+    // facts, one successor buffer (and one pair per worker).
     let mut frontier: Vec<(CState, u8)> = vec![(root, 0)];
+    let mut next: Vec<(CState, u8)> = Vec::new();
+    let mut outs: Vec<GenOut> = Vec::new();
+    let mut succs: Vec<SuccProto> = Vec::new();
+    let mut parts: Vec<(Vec<GenOut>, Vec<SuccProto>)> = Vec::new();
     let mut seen_bits = 0u8;
 
     'levels: while !frontier.is_empty() {
         // --- Generation phase: parallel over the frontier, arena
         // read-only, output in frontier order. Successors come out
         // canonicalized and fingerprinted. ---
-        let outs: Vec<GenOut> = if opts.workers <= 1 || frontier.len() < 2 {
-            frontier
-                .iter()
-                .map(|(s, sl)| expand(proto, s, *sl, &arena, &stab, opts))
-                .collect()
+        outs.clear();
+        succs.clear();
+        if opts.workers <= 1 || frontier.len() < 2 {
+            outs.extend(
+                frontier
+                    .iter()
+                    .map(|(s, sl)| expand(proto, s, *sl, &arena, &stab, opts, &mut succs)),
+            );
         } else {
             // `chunks` never hands out an empty or out-of-range part,
             // whatever the frontier length is modulo the worker count.
             let chunk = frontier.len().div_ceil(opts.workers);
             let (arena_ref, stab_ref) = (&arena, &stab);
-            let mut chunks: Vec<Vec<GenOut>> = Vec::with_capacity(opts.workers);
+            parts.resize_with(opts.workers, Default::default);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = frontier
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|(s, sl)| expand(proto, s, *sl, arena_ref, stab_ref, opts))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    chunks.push(h.join().expect("search worker panicked"));
+                for (part, (part_outs, part_succs)) in frontier.chunks(chunk).zip(&mut parts) {
+                    scope.spawn(move || {
+                        part_outs.extend(part.iter().map(|(s, sl)| {
+                            expand(proto, s, *sl, arena_ref, stab_ref, opts, part_succs)
+                        }));
+                    });
                 }
             });
-            chunks.into_iter().flatten().collect()
-        };
+            // Concatenated in frontier order; each part keeps its capacity.
+            for (part_outs, part_succs) in &mut parts {
+                outs.append(part_outs);
+                succs.append(part_succs);
+            }
+        }
 
         // --- Merge phase: sequential, deterministic in frontier order:
-        // intern, then the visited set. ---
-        let mut next: Vec<(CState, u8)> = Vec::new();
-        for (fi, out) in outs.into_iter().enumerate() {
+        // intern, then the visited set (sized for about as many new
+        // states as this level has). ---
+        visited.reserve(frontier.len());
+        next.clear();
+        let mut pending = succs.drain(..);
+        for (fi, out) in outs.iter().enumerate() {
             seen_bits |= out.decision_bits;
             report.por_sleep_skipped += out.sleep_skipped;
             report.transitions += out.transitions;
@@ -960,7 +1059,7 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
             if opts.mode == SearchMode::ValencyOnly && seen_bits == 0b11 {
                 break 'levels;
             }
-            for sp in out.succs {
+            for sp in pending.by_ref().take(out.transitions as usize) {
                 let (mut canon, sleep, fp) = (sp.state, sp.sleep, sp.fp);
                 if let Some((author, entry)) = sp.intern {
                     assert!(
@@ -972,22 +1071,9 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
                     canon.logs[author] = arena.push(canon.logs[author], entry);
                 }
                 report.symmetry_folds += u64::from(sp.folded);
-                let key = key_of(&canon, fp, &arena);
-                if opts.exact {
-                    match fp_audit.get(&fp) {
-                        None => {
-                            fp_audit.insert(fp, canon.to_config(n, &arena));
-                        }
-                        Some(rep) => {
-                            if *rep != canon.to_config(n, &arena) {
-                                report.collisions += 1;
-                            }
-                        }
-                    }
-                }
-                match visited.get_mut(&key) {
+                let config = || canon.to_config(n, &arena);
+                match visited.probe(fp, sleep, config, &mut report.collisions) {
                     None => {
-                        visited.insert(key, sleep);
                         report.states += 1;
                         if report.states > opts.max_states {
                             report.truncated = true;
@@ -1008,7 +1094,7 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
                 }
             }
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
     }
 
     report.valency = Valency::from_bits(seen_bits & 1 != 0, seen_bits & 2 != 0);
