@@ -4,7 +4,8 @@
 # pretend thread pool (the deleted criterion and rayon shims), a SipHash
 # map / an `Arc`ed payload on the simulator's per-message path, a public way
 # to pick the event queue's lane or the link table's representation, or a
-# second copy of a trial's graph beside its `TrialDag`.
+# second copy of a trial's graph beside its `TrialDag` or of any DAG's
+# columns beside its `BlockStore`.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -59,6 +60,16 @@ if shipped crates/protocols/src/bft.rs crates/protocols/src/propagation.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E 'FinalityOracle::new|DagInterpreter::new|Vec<Vec<bool>>'; then
   echo "error: a BFT or gossip trial builds its own oracle, table or per-node bool rows — take the pooled table, views and bitmaps (DESIGN.md §12, §16)" >&2
+  exit 1
+fi
+# Every DAG — a trial's, a BFT table's, `Propagation`'s, a snapshot's
+# `DagIndex` — keeps its graph in an `am_core::BlockStore`, and child edges
+# come from its one `ChildIndex` builder. A parent-CSR or first-child column
+# spelled out anywhere else is a second copy of the store.
+if shipped $(ls crates/*/src/*.rs | grep -v '^crates/core/src/incremental\.rs$') |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\b(par_off|parent_off|parent_ids|first_child)\b([^(]|$)'; then
+  echo "error: a parent-CSR / first-child column outside am_core::BlockStore — hold a store (DESIGN.md §16, \"Block store\")" >&2
   exit 1
 fi
 # The finality rule exists once, in `FinalityView`; `FinalityOracle` owns a

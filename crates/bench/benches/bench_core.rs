@@ -5,8 +5,8 @@
 use am_bench::{chain_history, dag_history, recorder::Recorder};
 use am_core::chain::longest_chain_positions;
 use am_core::{
-    ghost, linearize_in, linearize_with, longest_chain, longest_chain_with, ConeCoverTracker,
-    DagIndex, LinScratch, MsgId,
+    ghost, linearize_in, linearize_with, longest_chain, longest_chain_with, BlockStore,
+    ConeCoverTracker, DagIndex, LinScratch, NodeId, Time,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -39,26 +39,22 @@ fn main() {
     // message.
     let view = dag_history(8, 1500, 11).read();
     let msgs = view.len() as u64;
-    // Per-message parent table + running deepest tip, as the gate sees it.
-    let parents: Vec<Vec<MsgId>> = view.iter().map(|m| m.parents.clone()).collect();
-    let mut depth = vec![0u32; parents.len()];
-    let mut deepest: Vec<MsgId> = Vec::with_capacity(parents.len());
-    for (i, ps) in parents.iter().enumerate() {
-        depth[i] = ps.iter().map(|p| depth[p.index()] + 1).max().unwrap_or(0);
-        let best = deepest.last().copied().unwrap_or(MsgId(0));
-        deepest.push(if i == 0 || depth[i] > depth[best.index()] {
-            MsgId(i as u64)
-        } else {
-            best
-        });
-    }
-    // Gate kernel: covered count of the deepest tip after every append.
+    // Per-message parent rows, as the trial's store receives them.
+    let parents: Vec<Vec<u32>> = view
+        .iter()
+        .map(|m| m.parents.iter().map(|p| p.0 as u32).collect())
+        .collect();
+    // Gate kernel: push into a reset store, then the covered count of the
+    // deepest tip, after every append.
+    let mut store = BlockStore::new();
+    let mut t = ConeCoverTracker::new();
     rec.measure_absolute("core/cone_cover_incremental_gate", msgs - 1, budget, || {
-        let mut t = ConeCoverTracker::new();
+        store.reset();
+        t.reset();
         let mut acc = 0usize;
-        for (i, ps) in parents.iter().enumerate().skip(1) {
-            t.on_append(MsgId(i as u64), ps, true);
-            acc += t.cover_of(deepest[i]);
+        for ps in &parents[1..] {
+            store.push(NodeId(0), ps.iter().copied(), Time::ZERO);
+            acc += t.cover_of(&store, store.deepest(), |_| true);
         }
         black_box(acc)
     });

@@ -30,17 +30,20 @@
 //!   message of the embedded protocol (rotating proposer slots by chain
 //!   height; multi-parent merges act as echoes relaying concurrent
 //!   messages);
-//! * **parents** (a CSR row) and the **id** the caller knows the block by.
+//! * **parents**, **author** and **arrival** in a [`BlockStore`] — the same
+//!   columns every simulation's DAG lives in, so a BFT driver reads depth,
+//!   prefix tips and append times off the table's store — and the **id**
+//!   the caller knows the block by.
 //!
 //! What depends on *observation order* — which block an observer saw first
 //! at an (author, round) slot, hence who it has caught equivocating, its
 //! votes and its finalized prefix — is one observer's
 //! [`FinalityView`](crate::FinalityView) over this table.
 //!
-//! Indices are dense table ids in push order (genesis = 0), the same
-//! convention as `am_core::IncrementalDag`.
+//! Indices are dense table ids in push order (genesis = 0): the store's
+//! ids.
 
-use am_core::MsgId;
+use am_core::{BlockStore, MsgId, NodeId, Time};
 
 /// Sentinel for "no block" / "no author" in the packed index vectors.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -78,8 +81,8 @@ pub struct DagInterpreter {
     n: usize,
     /// The caller's id per block (genesis `MsgId(0)`).
     id: Vec<u64>,
-    /// Author per block (`NONE` for genesis).
-    author: Vec<u32>,
+    /// Author, parents and arrival per block, as pushed.
+    store: BlockStore,
     /// 1-based own-sequence round per block (genesis 0).
     round: Vec<u32>,
     /// Selected-parent chain height (genesis 0).
@@ -88,9 +91,6 @@ pub struct DagInterpreter {
     sel: Vec<u32>,
     /// Level-ancestor jump pointer over the selected-parent tree.
     jump: Vec<u32>,
-    /// Parent CSR: block `b`'s parents are `par[par_off[b]..par_off[b + 1]]`.
-    par_off: Vec<u32>,
-    par: Vec<u32>,
     /// Per block: for each author, the max round present in the closed
     /// past cone (0 = none). The justification high-water vectors, flat
     /// with stride `n` (one allocation, so a clone is one memcpy).
@@ -117,24 +117,20 @@ impl Clone for DagInterpreter {
         let DagInterpreter {
             n,
             id,
-            author,
+            store,
             round,
             height,
             sel,
             jump,
-            par_off,
-            par,
             hw,
         } = src;
         self.n = *n;
         self.id.clone_from(id);
-        self.author.clone_from(author);
+        self.store.clone_from(store);
         self.round.clone_from(round);
         self.height.clone_from(height);
         self.sel.clone_from(sel);
         self.jump.clone_from(jump);
-        self.par_off.clone_from(par_off);
-        self.par.clone_from(par);
         self.hw.clone_from(hw);
     }
 }
@@ -153,13 +149,11 @@ impl DagInterpreter {
         DagInterpreter {
             n: 0,
             id: Vec::new(),
-            author: Vec::new(),
+            store: BlockStore::default(),
             round: Vec::new(),
             height: Vec::new(),
             sel: Vec::new(),
             jump: Vec::new(),
-            par_off: Vec::new(),
-            par: Vec::new(),
             hw: Vec::new(),
         }
     }
@@ -171,8 +165,7 @@ impl DagInterpreter {
         self.n = n;
         self.id.clear();
         self.id.push(0);
-        self.author.clear();
-        self.author.push(NONE);
+        self.store.reset();
         for col in [
             &mut self.round,
             &mut self.height,
@@ -182,16 +175,13 @@ impl DagInterpreter {
             col.clear();
             col.push(0);
         }
-        self.par_off.clear();
-        self.par_off.extend([0, 0]);
-        self.par.clear();
         self.hw.clear();
         self.hw.resize(n, 0);
     }
 
     /// Number of blocks interpreted (genesis included).
     pub fn len(&self) -> usize {
-        self.author.len()
+        self.store.len()
     }
 
     /// Whether only genesis is present.
@@ -209,27 +199,23 @@ impl DagInterpreter {
     /// block's table id, which is also the id it is known by. O(parents · n).
     pub fn push(&mut self, author: usize, parents: &[u32]) -> u32 {
         let id = MsgId(self.len() as u64);
-        self.push_as(id, author, parents.iter().copied())
+        self.push_as(id, author, parents.iter().copied(), Time::ZERO)
     }
 
     /// [`push`](DagInterpreter::push) for a block the caller knows as `id`
-    /// (any id space; [`id_of`](DagInterpreter::id_of) returns it).
+    /// (any id space; [`id_of`](DagInterpreter::id_of) returns it) that
+    /// arrived at `at` (non-decreasing across pushes; the store keeps it).
     pub fn push_as(
         &mut self,
         id: MsgId,
         author: usize,
         parents: impl IntoIterator<Item = u32>,
+        at: Time,
     ) -> u32 {
         assert!(author < self.n, "author out of range");
-        let idx = self.author.len() as u32;
-        let start = self.par.len();
-        self.par.extend(parents);
-        let parents = &self.par[start..];
+        let idx = self.store.push(NodeId(author as u32), parents, at).0 as u32;
+        let parents = self.store.parents_of(idx as usize);
         assert!(!parents.is_empty(), "blocks reference at least genesis");
-        assert!(
-            parents.iter().all(|&p| p < idx),
-            "parents must precede the block"
-        );
 
         // Justification high water: elementwise max over parents, then
         // the block itself advances its author's entry by one round.
@@ -261,10 +247,7 @@ impl DagInterpreter {
             sel
         };
 
-        let end = u32::try_from(self.par.len()).expect("parent references exceed u32");
-        self.par_off.push(end);
         self.id.push(id.0);
-        self.author.push(author as u32);
         self.round.push(r);
         self.height.push(height);
         self.sel.push(sel);
@@ -295,11 +278,10 @@ impl DagInterpreter {
 
     /// The embedded protocol message the block carries.
     pub fn role_of(&self, b: u32) -> Role {
-        let i = b as usize;
-        if self.author[i] == NONE {
+        let Some(author) = self.author_of(b) else {
             return Role::Proposal; // genesis proposes height 0
-        }
-        if self.height[i] as usize % self.n == self.author[i] as usize {
+        };
+        if self.height[b as usize] as usize % self.n == author {
             Role::Proposal
         } else if self.parents_of(b).len() >= 2 {
             Role::Echo
@@ -310,8 +292,7 @@ impl DagInterpreter {
 
     /// Author of a block (`None` for genesis).
     pub fn author_of(&self, b: u32) -> Option<usize> {
-        let a = self.author[b as usize];
-        (a != NONE).then_some(a as usize)
+        self.store.author_of(b as usize).map(NodeId::index)
     }
 
     /// 1-based own-sequence round of a block (genesis 0).
@@ -332,8 +313,13 @@ impl DagInterpreter {
     /// The block's parents as table ids, in the order they were pushed
     /// (genesis has none).
     pub fn parents_of(&self, b: u32) -> &[u32] {
-        let b = b as usize;
-        &self.par[self.par_off[b] as usize..self.par_off[b + 1] as usize]
+        self.store.parents_of(b as usize)
+    }
+
+    /// The interpreted DAG itself: parents, authors, depths, prefix tips
+    /// and arrival times, under table ids.
+    pub fn store(&self) -> &BlockStore {
+        &self.store
     }
 
     /// The id the caller pushed the block under (`MsgId(0)` for genesis).

@@ -17,9 +17,9 @@
 //!   DAG however many observe it: round = the author's own sequence in
 //!   its past cone, justification = the high-water visibility vector over
 //!   the cone, vote = the selected-parent chain (`parents[0]`), role =
-//!   proposal / vote / echo under rotating slots, plus the parent rows and
-//!   the caller's id. Answers chain-ancestor queries in O(log) via jump
-//!   pointers.
+//!   proposal / vote / echo under rotating slots, plus the DAG itself (an
+//!   `am_core::BlockStore`) and the caller's id. Answers chain-ancestor
+//!   queries in O(log) via jump pointers.
 //! * [`FinalityView`] — one observer over a shared table: the blocks it
 //!   observed, the first-observed block per (author, round) (two blocks in
 //!   one slot brand the author an equivocator), and a monotone finalized

@@ -11,7 +11,7 @@
 
 use crate::interpret::{DagInterpreter, Role, NONE};
 use crate::view::{default_quorum, FinalityView, OracleStats};
-use am_core::MsgId;
+use am_core::{MsgId, Time};
 
 /// Deterministic BFT finality over an observed block DAG.
 ///
@@ -23,7 +23,7 @@ use am_core::MsgId;
 ///
 /// ```
 /// use am_bft::FinalityOracle;
-/// use am_core::MsgId;
+/// use am_core::{MsgId, Time};
 /// let mut o = FinalityOracle::new(3); // quorum 3
 /// let mut tip = MsgId(0);
 /// for i in 1..=8u64 {
@@ -117,6 +117,7 @@ impl FinalityOracle {
                 assert!(l != NONE, "parents must be observed before their child");
                 l
             }),
+            Time::ZERO,
         );
         let gi = id.index();
         if gi >= self.local_of.len() {

@@ -33,10 +33,13 @@
 //! * `observe` skipping the parents-observed assert;
 //! * a field forgotten in a manual `clone_from` — e.g. `FinalityView`'s
 //!   `stuck` or `stats`, `DagInterpreter`'s `jump` or `FinalityOracle`'s
-//!   `local_of` left as the slot had it.
+//!   `local_of` left as the slot had it — and likewise a column of the
+//!   table's `BlockStore` (`author`, the parent rows, `depth`,
+//!   `first_child`, `arrival` or `deepest`), since the nonforking DFS
+//!   refills a table per depth.
 
 use am_bft::{DagInterpreter, FinalityOracle, FinalityView, OracleStats};
-use am_core::{MsgId, GENESIS};
+use am_core::{MsgId, Time, GENESIS};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
@@ -224,7 +227,7 @@ fn run_shared(
 ) -> Vec<Snapshot> {
     let mut tid: HashMap<MsgId, u32> = HashMap::from([(GENESIS, 0)]);
     for (id, author, parents) in &sc.blocks {
-        let b = table.push_as(*id, *author, parents.iter().map(|p| tid[p]));
+        let b = table.push_as(*id, *author, parents.iter().map(|p| tid[p]), Time::ZERO);
         tid.insert(*id, b);
     }
     let by_index: Vec<u32> = sc.blocks.iter().map(|b| tid[&b.0]).collect();

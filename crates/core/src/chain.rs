@@ -75,12 +75,6 @@ pub fn longest_chain_with<D: DagRead + ?Sized>(dag: &D) -> Vec<MsgId> {
         .collect()
 }
 
-/// Number of messages that are *not* on the chain through `tip` — the forks
-/// ("wasted" correct appends in the Theorem 5.4 analysis).
-pub fn off_chain_count<D: DagRead + ?Sized>(dag: &D, tip: usize) -> usize {
-    dag.len() - chain_to_genesis(dag, tip).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,18 +146,6 @@ mod tests {
         let chain = chain_to_genesis(&dag, pos_c);
         let ids: Vec<MsgId> = chain.iter().map(|&p| dag.id_at(p)).collect();
         assert_eq!(ids, vec![GENESIS, a, c]);
-    }
-
-    #[test]
-    fn off_chain_counts_forks() {
-        let m = AppendMemory::new(2);
-        let a = append(&m, 0, &[GENESIS]);
-        let _fork = append(&m, 1, &[GENESIS]);
-        let b = append(&m, 0, &[a]);
-        let dag = DagIndex::new(&m.read());
-        let tip = dag.position(b).unwrap();
-        // 4 messages total, chain genesis→a→b has 3 → 1 off-chain.
-        assert_eq!(off_chain_count(&dag, tip), 1);
     }
 
     #[test]

@@ -9,30 +9,36 @@
 //! assigns ids in arrival order and parents always precede children, slice
 //! order is already a topological order — no explicit sort is ever needed.
 //!
-//! Layout: adjacency is stored CSR-style (one flat `u32` edge array plus an
-//! offsets array per direction) instead of a `Vec<Vec<u32>>` per node — one
-//! allocation per direction regardless of node count, cache-linear sweeps.
-//! Cone traversals mark nodes in an epoch-stamped scratch buffer owned by
-//! the index, so repeated `past_cone`/`future_cone`/`is_ancestor` calls on
-//! the same index allocate nothing (resetting the marks is a single epoch
-//! increment, not an O(n) clear).
+//! Layout: the graph is a [`BlockStore`] built from the view (parent CSR,
+//! depths) plus a [`ChildIndex`] over it — the same columns and the same
+//! child builder a simulation's growing store uses. Cone traversals mark
+//! nodes in an epoch-stamped scratch buffer owned by the index, so repeated
+//! `past_cone`/`future_cone`/`is_ancestor` calls on the same index allocate
+//! nothing (resetting the marks is a single epoch increment, not an O(n)
+//! clear).
 
 use crate::ids::MsgId;
+use crate::incremental::{BlockStore, ChildIndex};
 use crate::message::Message;
 use crate::view::MemoryView;
 use std::cell::RefCell;
 use std::sync::Arc;
 
 /// What the chain-selection and ordering rules read of a reference DAG:
-/// positions `0..len` in topological (id) order, CSR adjacency in both
-/// directions, longest-path depths, and the two content-derived facts the
-/// rules break ties with. [`DagIndex`] implements it over a
-/// [`MemoryView`]; the trial runners' append-only arena implements it over
-/// its own columns, so [`crate::chain`], [`crate::ghost`], [`crate::pivot`]
-/// and [`crate::linearize`] exist once.
+/// positions `0..len` in topological (id) order, held in a [`BlockStore`]
+/// (parents, longest-path depths), child adjacency, and the two
+/// content-derived facts the rules break ties with. [`DagIndex`]
+/// implements it over a [`MemoryView`]; the trial runners' append-only
+/// arena implements it over its own store, so [`crate::chain`],
+/// [`crate::ghost`], [`crate::pivot`] and [`crate::linearize`] exist once.
 pub trait DagRead {
+    /// The graph, positions as ids.
+    fn store(&self) -> &BlockStore;
+
     /// Number of messages.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.store().len()
+    }
 
     /// Whether the DAG holds no message at all (not even genesis).
     fn is_empty(&self) -> bool {
@@ -40,17 +46,21 @@ pub trait DagRead {
     }
 
     /// Parent positions of `pos`, in the order the message lists them.
-    fn parents_of(&self, pos: usize) -> &[u32];
+    fn parents_of(&self, pos: usize) -> &[u32] {
+        self.store().parents_of(pos)
+    }
 
     /// Child positions of `pos`, ascending.
     fn children_of(&self, pos: usize) -> &[u32];
 
     /// Longest-path depth of `pos` (roots have depth 0).
-    fn depth_of(&self, pos: usize) -> u32;
+    fn depth_of(&self, pos: usize) -> u32 {
+        self.store().depth_of(pos)
+    }
 
     /// Maximum depth over all messages (0 when empty).
     fn max_depth(&self) -> u32 {
-        (0..self.len()).map(|p| self.depth_of(p)).max().unwrap_or(0)
+        self.store().max_depth()
     }
 
     /// The message id at `pos`.
@@ -65,7 +75,9 @@ pub trait DagRead {
 
     /// Position of the *first listed* parent of `pos`, if the DAG holds it
     /// (the parental-tree edge of the pivot rule).
-    fn first_parent(&self, pos: usize) -> Option<usize>;
+    fn first_parent(&self, pos: usize) -> Option<usize> {
+        self.parents_of(pos).first().map(|&p| p as usize)
+    }
 }
 
 /// Epoch-stamped visit marks shared by the cone traversals. A node is
@@ -93,7 +105,7 @@ impl Scratch {
 /// Adjacency and depth index of a view's reference DAG.
 ///
 /// ```
-/// use am_core::{AppendMemory, DagIndex, MessageBuilder, NodeId, Value, GENESIS};
+/// use am_core::{AppendMemory, DagIndex, DagRead, MessageBuilder, NodeId, Value, GENESIS};
 /// let mem = AppendMemory::new(2);
 /// let a = mem.append(MessageBuilder::new(NodeId(0), Value::plus()).parent(GENESIS)).unwrap();
 /// let _b = mem.append(MessageBuilder::new(NodeId(1), Value::minus()).parent(a)).unwrap();
@@ -103,79 +115,29 @@ impl Scratch {
 /// ```
 pub struct DagIndex {
     view: MemoryView,
-    /// Parent positions of `pos` live at `par[par_off[pos]..par_off[pos+1]]`
-    /// (references outside the view dropped).
-    par_off: Vec<u32>,
-    par: Vec<u32>,
-    /// Child positions, same layout.
-    child_off: Vec<u32>,
-    child: Vec<u32>,
-    /// Longest-path depth from a root (genesis has depth 0).
-    depth: Vec<u32>,
+    /// Parent positions (references outside the view dropped) and depths.
+    store: BlockStore,
+    /// Child positions, ascending.
+    children: ChildIndex,
     scratch: RefCell<Scratch>,
 }
 
 impl DagIndex {
-    /// Builds the index for `view`. O(V + E), three flat allocations.
+    /// Builds the index for `view`. O(V + E).
     pub fn new(view: &MemoryView) -> DagIndex {
-        let n = view.len();
-        let mut par_off: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut par: Vec<u32> = Vec::new();
-        let mut child_count: Vec<u32> = vec![0; n];
-        let mut depth: Vec<u32> = vec![0; n];
-        par_off.push(0);
-        // Pass 1: resolve parent edges in position order (so `par` is
-        // naturally grouped by child) and accumulate depths + child counts.
-        for (pos, msg) in view.iter().enumerate() {
-            for &p in &msg.parents {
-                if let Some(pp) = Self::position_of(view, p) {
-                    par.push(pp as u32);
-                    child_count[pp] += 1;
-                    depth[pos] = depth[pos].max(depth[pp] + 1);
-                }
-            }
-            par_off.push(par.len() as u32);
-        }
-        // Pass 2: scatter child edges through running cursors. Iterating
-        // edges in ascending child position keeps each child list sorted.
-        let mut child_off: Vec<u32> = Vec::with_capacity(n + 1);
-        child_off.push(0);
-        for c in &child_count {
-            child_off.push(child_off.last().unwrap() + c);
-        }
-        let mut cursor: Vec<u32> = child_off[..n].to_vec();
-        let mut child: Vec<u32> = vec![0; par.len()];
-        for pos in 0..n {
-            let (s, e) = (par_off[pos] as usize, par_off[pos + 1] as usize);
-            for &pp in &par[s..e] {
-                child[cursor[pp as usize] as usize] = pos as u32;
-                cursor[pp as usize] += 1;
-            }
-        }
+        let store = BlockStore::from_view(view);
+        let mut children = ChildIndex::default();
+        children.build(&store);
         DagIndex {
             view: view.clone(),
-            par_off,
-            par,
-            child_off,
-            child,
-            depth,
+            store,
+            children,
             scratch: RefCell::new(Scratch {
-                mark: vec![0; n],
+                mark: vec![0; view.len()],
                 epoch: 0,
                 stack: Vec::new(),
             }),
         }
-    }
-
-    fn position_of(view: &MemoryView, id: MsgId) -> Option<usize> {
-        let idx = id.index();
-        let slice = view.as_slice();
-        if let Some(m) = slice.get(idx) {
-            if m.id == id {
-                return Some(idx);
-            }
-        }
-        slice.binary_search_by_key(&id, |m| m.id).ok()
     }
 
     /// The view this index was built from.
@@ -184,59 +146,10 @@ impl DagIndex {
         &self.view
     }
 
-    /// Number of messages indexed.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.view.len()
-    }
-
-    /// Whether the DAG is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.view.is_empty()
-    }
-
-    /// Position of a message id within this index.
-    pub fn position(&self, id: MsgId) -> Option<usize> {
-        Self::position_of(&self.view, id)
-    }
-
     /// The message at a position.
     #[inline]
     pub fn message(&self, pos: usize) -> &Arc<Message> {
         &self.view.as_slice()[pos]
-    }
-
-    /// The id at a position.
-    #[inline]
-    pub fn id_at(&self, pos: usize) -> MsgId {
-        self.view.as_slice()[pos].id
-    }
-
-    /// Parent positions of `pos`.
-    #[inline]
-    pub fn parents_of(&self, pos: usize) -> &[u32] {
-        &self.par[self.par_off[pos] as usize..self.par_off[pos + 1] as usize]
-    }
-
-    /// Child positions of `pos`.
-    #[inline]
-    pub fn children_of(&self, pos: usize) -> &[u32] {
-        &self.child[self.child_off[pos] as usize..self.child_off[pos + 1] as usize]
-    }
-
-    /// Longest-path depth of `pos` (roots have depth 0).
-    #[inline]
-    pub fn depth_of(&self, pos: usize) -> u32 {
-        self.depth[pos]
-    }
-
-    /// Positions with no parents *inside the view* (genesis, plus orphans
-    /// in sparse views).
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.parents_of(i).is_empty())
-            .collect()
     }
 
     /// Positions with no children: the tips — "the last states of M, which
@@ -252,48 +165,33 @@ impl DagIndex {
         self.tips().into_iter().map(|p| self.id_at(p)).collect()
     }
 
-    /// Maximum depth over all messages (the longest-chain length measured
-    /// in edges from genesis).
-    pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
-    }
-
     /// The past cone of `pos`: every ancestor position, `pos` excluded.
     /// Returned in ascending (topological) order. O(cone) plus the sort;
     /// allocates only the output vector.
     pub fn past_cone(&self, pos: usize) -> Vec<usize> {
-        let mut s = self.scratch.borrow_mut();
-        let epoch = s.begin();
-        let mut out: Vec<usize> = Vec::new();
-        let mut stack = std::mem::take(&mut s.stack);
-        stack.extend_from_slice(self.parents_of(pos));
-        while let Some(p) = stack.pop() {
-            let p = p as usize;
-            if s.mark[p] != epoch {
-                s.mark[p] = epoch;
-                out.push(p);
-                stack.extend_from_slice(self.parents_of(p));
-            }
-        }
-        s.stack = stack;
-        out.sort_unstable();
-        out
+        self.cone(pos, |p| self.parents_of(p))
     }
 
     /// The future cone of `pos`: every descendant position, `pos` excluded.
     /// Returned in ascending (topological) order.
     pub fn future_cone(&self, pos: usize) -> Vec<usize> {
+        self.cone(pos, |c| self.children_of(c))
+    }
+
+    /// Every position reachable from `pos` along `next`, `pos` excluded,
+    /// ascending.
+    fn cone<'a>(&'a self, pos: usize, next: impl Fn(usize) -> &'a [u32]) -> Vec<usize> {
         let mut s = self.scratch.borrow_mut();
         let epoch = s.begin();
         let mut out: Vec<usize> = Vec::new();
         let mut stack = std::mem::take(&mut s.stack);
-        stack.extend_from_slice(self.children_of(pos));
-        while let Some(c) = stack.pop() {
-            let c = c as usize;
-            if s.mark[c] != epoch {
-                s.mark[c] = epoch;
-                out.push(c);
-                stack.extend_from_slice(self.children_of(c));
+        stack.extend_from_slice(next(pos));
+        while let Some(q) = stack.pop() {
+            let q = q as usize;
+            if s.mark[q] != epoch {
+                s.mark[q] = epoch;
+                out.push(q);
+                stack.extend_from_slice(next(q));
             }
         }
         s.stack = stack;
@@ -328,43 +226,26 @@ impl DagIndex {
         s.stack = stack;
         found
     }
-
-    /// Number of distinct longest chains ending at maximal depth — the
-    /// fork multiplicity the tie-breaking rules have to resolve.
-    pub fn longest_chain_tip_count(&self) -> usize {
-        let d = self.max_depth();
-        self.depth.iter().filter(|&&x| x == d).count()
-    }
 }
 
 impl DagRead for DagIndex {
     #[inline]
-    fn len(&self) -> usize {
-        DagIndex::len(self)
-    }
-
-    #[inline]
-    fn parents_of(&self, pos: usize) -> &[u32] {
-        DagIndex::parents_of(self, pos)
+    fn store(&self) -> &BlockStore {
+        &self.store
     }
 
     #[inline]
     fn children_of(&self, pos: usize) -> &[u32] {
-        DagIndex::children_of(self, pos)
-    }
-
-    #[inline]
-    fn depth_of(&self, pos: usize) -> u32 {
-        DagIndex::depth_of(self, pos)
+        self.children.children_of(pos)
     }
 
     #[inline]
     fn id_at(&self, pos: usize) -> MsgId {
-        DagIndex::id_at(self, pos)
+        self.view.as_slice()[pos].id
     }
 
     fn position(&self, id: MsgId) -> Option<usize> {
-        DagIndex::position(self, id)
+        self.view.position(id)
     }
 
     #[inline]
@@ -373,9 +254,10 @@ impl DagRead for DagIndex {
         (m.author.map_or(0, |a| a.0), m.seq)
     }
 
+    /// Unlike the store's first parent, a first-listed parent outside a
+    /// sparse view is `None`, not the next listed one.
     fn first_parent(&self, pos: usize) -> Option<usize> {
-        let first = self.message(pos).parents.first()?;
-        DagIndex::position(self, *first)
+        self.position(*self.message(pos).parents.first()?)
     }
 }
 
@@ -438,7 +320,7 @@ mod tests {
     fn roots_and_tips() {
         let v = diamond().read();
         let g = DagIndex::new(&v);
-        assert_eq!(g.roots(), vec![0]);
+        assert!((0..g.len()).all(|p| g.parents_of(p).is_empty() == (p == 0)));
         assert_eq!(g.tips(), vec![4]);
         assert_eq!(g.tip_ids(), vec![MsgId(4)]);
     }
@@ -446,16 +328,12 @@ mod tests {
     #[test]
     fn tips_before_merge() {
         let m = AppendMemory::new(3);
-        let a = m
-            .append(MessageBuilder::new(NodeId(0), Value::plus()).parent(GENESIS))
-            .unwrap();
-        let _b = m
-            .append(MessageBuilder::new(NodeId(1), Value::plus()).parent(GENESIS))
-            .unwrap();
+        for author in [0, 1] {
+            m.append(MessageBuilder::new(NodeId(author), Value::plus()).parent(GENESIS))
+                .unwrap();
+        }
         let g = DagIndex::new(&m.read());
-        assert_eq!(g.tips().len(), 2);
-        assert_eq!(g.longest_chain_tip_count(), 2);
-        let _ = a;
+        assert_eq!(g.tips(), vec![1, 2]);
     }
 
     #[test]
@@ -512,7 +390,6 @@ mod tests {
         let b_pos = g.position(MsgId(2)).unwrap();
         assert!(g.parents_of(b_pos).is_empty());
         assert_eq!(g.depth_of(b_pos), 0);
-        assert_eq!(g.roots().len(), 2); // genesis and b
     }
 
     #[test]
@@ -523,7 +400,6 @@ mod tests {
         assert!(!g.is_empty());
         assert_eq!(g.max_depth(), 0);
         assert_eq!(g.tips(), vec![0]);
-        assert_eq!(g.roots(), vec![0]);
     }
 
     #[test]
@@ -538,7 +414,6 @@ mod tests {
         let g = DagIndex::new(&m.read());
         assert_eq!(g.max_depth(), 10);
         assert_eq!(g.tips().len(), 1);
-        assert_eq!(g.longest_chain_tip_count(), 1);
         for pos in 0..g.len() {
             assert_eq!(g.depth_of(pos) as usize, pos);
         }

@@ -38,17 +38,11 @@ impl GhostScratch {
     }
 }
 
-/// Weight of every message: 1 + the size of its future cone. In a tree this
-/// is exactly the GHOST subtree size; in a DAG a message may be counted in
-/// several branches, which matches the inclusive interpretation.
-pub fn subtree_weights<D: DagRead + ?Sized>(dag: &D) -> Vec<u64> {
-    let mut s = GhostScratch::new();
-    subtree_weights_in(dag, &mut s);
-    s.weight
-}
-
-/// [`subtree_weights`] into caller-owned scratch buffers (read the result
-/// from [`GhostScratch::weights`]); no allocation once the pool is warm.
+/// Weight of every message — 1 + the size of its future cone — into
+/// caller-owned scratch buffers (read the result from
+/// [`GhostScratch::weights`]); no allocation once the pool is warm. In a
+/// tree this is exactly the GHOST subtree size; in a DAG a message may be
+/// counted in several branches, which matches the inclusive interpretation.
 pub fn subtree_weights_in<D: DagRead + ?Sized>(dag: &D, s: &mut GhostScratch) {
     let n = dag.len();
     s.weight.clear();
@@ -96,13 +90,7 @@ pub fn subtree_weights_in<D: DagRead + ?Sized>(dag: &D, s: &mut GhostScratch) {
 }
 
 /// The GHOST pivot chain: the heaviest-subtree walk from genesis, returned
-/// root-first as positions into the index.
-pub fn ghost_pivot_positions<D: DagRead + ?Sized>(dag: &D) -> Vec<usize> {
-    let mut s = GhostScratch::new();
-    ghost_pivot_positions_in(dag, &mut s)
-}
-
-/// [`ghost_pivot_positions`] through caller-owned scratch buffers.
+/// root-first as positions, through caller-owned scratch buffers.
 pub fn ghost_pivot_positions_in<D: DagRead + ?Sized>(dag: &D, s: &mut GhostScratch) -> Vec<usize> {
     if dag.is_empty() {
         return Vec::new();
@@ -144,10 +132,7 @@ pub fn ghost_pivot(view: &MemoryView) -> Vec<MsgId> {
 /// [`ghost_pivot`] on an existing index — decision paths that also
 /// linearize build the index once and share it.
 pub fn ghost_pivot_with<D: DagRead + ?Sized>(dag: &D) -> Vec<MsgId> {
-    ghost_pivot_positions(dag)
-        .into_iter()
-        .map(|p| dag.id_at(p))
-        .collect()
+    ghost_pivot_in(dag, &mut GhostScratch::new())
 }
 
 /// [`ghost_pivot_with`] through caller-owned scratch buffers.
@@ -220,7 +205,9 @@ mod tests {
         let y = append(&m, 1, &[GENESIS]);
         let z = append(&m, 2, &[x, y]);
         let dag = crate::dag::DagIndex::new(&m.read());
-        let w = subtree_weights(&dag);
+        let mut s = GhostScratch::new();
+        subtree_weights_in(&dag, &mut s);
+        let w = s.weights();
         assert_eq!(w[0], 4);
         assert_eq!(w[dag.position(x).unwrap()], 2);
         assert_eq!(w[dag.position(y).unwrap()], 2);

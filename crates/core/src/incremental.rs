@@ -1,178 +1,346 @@
-//! Incremental DAG bookkeeping for append-by-append simulations.
+//! The block store: one append-only DAG under every simulation.
 //!
-//! [`DagIndex`](crate::DagIndex) rebuilds adjacency from a snapshot —
-//! right for analysis, wasteful inside a simulation loop that appends one
-//! message at a time. [`IncrementalDag`] maintains the quantities the
-//! Section 5 runners actually poll — longest-path depth, the prefix-tips
-//! needed for interval views, and arrival-time prefixes for lagged views —
-//! in O(parents) per append; [`ConeCoverTracker`] maintains the parent
-//! adjacency and the covered-value count of the decision gate. Both
-//! `reset` to the genesis-only state with their capacity kept, so a
-//! Monte-Carlo loop reuses one pair for every trial instead of building
-//! a pair per trial.
+//! "Listing preceding appends can be viewed as drawing an arrow from the
+//! new append to all previous ones" (Section 5.3). [`BlockStore`] keeps
+//! that graph as two flat buffers — one fixed-size row per block (author,
+//! longest-path depth, first child, arrival time, the end of its parent
+//! run) and the parent ids back to back, a `u32` CSR — plus the deepest
+//! block so far, and maintains them in O(parents) per
+//! [`push`](BlockStore::push), so the quantities the Section 5 and BFT
+//! loops poll after every append (depth, prefix tips, stale prefixes,
+//! arrival times) cost nothing to read. [`ChildIndex`] is the one
+//! child-CSR builder, run on demand at decision points;
+//! [`ConeCoverTracker`] keeps the covered-value gate's marks over a store.
+//! The store and the tracker `reset` to the genesis-only state and the
+//! index `clear`s, each with its capacity kept, so a Monte-Carlo loop
+//! reuses one set for every trial.
+//!
+//! A store's ids are its positions: `MsgId(i)` is the `i`-th block pushed
+//! (genesis = 0). [`BlockStore::from_view`] builds one over a snapshot,
+//! numbering the view's messages by position and dropping references that
+//! leave the view.
 
-use crate::ids::{MsgId, Time};
+use crate::ids::{MsgId, NodeId, Time};
+use crate::view::MemoryView;
 
-/// Incrementally-maintained structural facts about an append history.
-///
-/// Indices are message ids (dense, arrival order, genesis = 0). The owner
-/// must call [`on_append`](IncrementalDag::on_append) for every append, in
-/// order.
+/// Author entry of a block nobody wrote (genesis).
+const NO_AUTHOR: u32 = u32::MAX;
+/// First-child entry of a block with no child yet.
+const NO_CHILD: u32 = u32::MAX;
+
+/// An append-only block DAG as flat buffers.
 ///
 /// ```
-/// use am_core::{IncrementalDag, MsgId, Time};
-/// let mut inc = IncrementalDag::new();
-/// inc.on_append(MsgId(1), &[MsgId(0)], Time::new(0.5));
-/// inc.on_append(MsgId(2), &[MsgId(0)], Time::new(0.9));
-/// assert_eq!(inc.max_depth(), 1);
-/// assert_eq!(inc.tips_of_prefix(3).len(), 2);     // a fork
-/// assert_eq!(inc.prefix_at_time(Time::new(0.7)), 2); // genesis + m1
+/// use am_core::{BlockStore, MsgId, NodeId, Time};
+/// let mut s = BlockStore::new();
+/// s.push(NodeId(0), [0], Time::new(0.5));
+/// s.push(NodeId(1), [0], Time::new(0.9));
+/// assert_eq!(s.max_depth(), 1);
+/// let mut tips = Vec::new();
+/// s.tips_of_prefix_into(3, &mut tips);
+/// assert_eq!(tips, [MsgId(1), MsgId(2)]);        // a fork
+/// assert_eq!(s.prefix_at_time(Time::new(0.7)), 2); // genesis + m1
 /// ```
-#[derive(Clone, Debug)]
-pub struct IncrementalDag {
-    /// Longest-path depth per message (genesis 0).
-    depth: Vec<u32>,
-    /// Smallest child id per message (`None` = tip of the full history).
-    first_child: Vec<Option<u64>>,
-    /// Arrival time per message, non-decreasing.
-    arrivals: Vec<Time>,
-    /// Deepest message so far, ties to the smallest id (maintained on
-    /// append so the per-grant decision gate never rescans the history).
-    deepest: u64,
+///
+/// `Default` is a store with no blocks and no buffers — what a pool slot
+/// holds, allocation-free — until [`reset`](BlockStore::reset) or
+/// `clone_from` fills it.
+#[derive(Debug, Default)]
+pub struct BlockStore {
+    /// One row per block, in id order.
+    rows: Vec<Row>,
+    /// Parent lists back to back, each in the order it was listed: block
+    /// `i`'s run ends at `rows[i].par_end` and starts where block `i - 1`'s
+    /// ends.
+    par: Vec<u32>,
+    /// Deepest block so far, ties to the smallest id (maintained on push
+    /// so the per-grant decision gate never rescans the history).
+    deepest: u32,
 }
 
-impl Default for IncrementalDag {
-    fn default() -> Self {
-        IncrementalDag::new()
+/// A block's fixed-size fields.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    /// `NO_AUTHOR` for genesis.
+    author: u32,
+    /// Longest-path depth (roots 0).
+    depth: u32,
+    /// Smallest child (`NO_CHILD` = a tip of the whole store).
+    first_child: u32,
+    /// End of this block's run in `par`.
+    par_end: u32,
+    /// Non-decreasing across rows.
+    arrival: Time,
+}
+
+impl Clone for BlockStore {
+    fn clone(&self) -> BlockStore {
+        let mut s = BlockStore::default();
+        s.clone_from(self);
+        s
+    }
+
+    /// Copies `src` into this store's buffers, keeping their capacity.
+    fn clone_from(&mut self, src: &BlockStore) {
+        let BlockStore { rows, par, deepest } = src;
+        self.rows.clone_from(rows);
+        self.par.clone_from(par);
+        self.deepest = *deepest;
     }
 }
 
-impl IncrementalDag {
-    /// A fresh tracker containing only genesis (depth 0, time 0).
-    pub fn new() -> IncrementalDag {
-        IncrementalDag {
-            depth: vec![0],
-            first_child: vec![None],
-            arrivals: vec![Time::ZERO],
-            deepest: 0,
-        }
+impl BlockStore {
+    /// A store holding only genesis (no author, no parents, time 0).
+    pub fn new() -> BlockStore {
+        let mut s = BlockStore::default();
+        s.reset();
+        s
     }
 
-    /// Back to the genesis-only state of [`new`](IncrementalDag::new),
-    /// keeping the buffers' capacity.
+    /// Back to the genesis-only state of [`new`](BlockStore::new), keeping
+    /// every buffer's capacity.
     pub fn reset(&mut self) {
-        self.depth.clear();
-        self.depth.push(0);
-        self.first_child.clear();
-        self.first_child.push(None);
-        self.arrivals.clear();
-        self.arrivals.push(Time::ZERO);
+        self.rows.clear();
+        self.par.clear();
         self.deepest = 0;
+        self.push_block(NO_AUTHOR, [], Time::ZERO);
     }
 
-    /// Number of messages tracked (genesis included).
-    pub fn len(&self) -> usize {
-        self.depth.len()
-    }
-
-    /// Whether only genesis is present.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 1
-    }
-
-    /// Records an append. `id` must be the next dense id; `parents` must
-    /// be prior ids; `at` must be ≥ the previous arrival.
-    pub fn on_append(&mut self, id: MsgId, parents: &[MsgId], at: Time) {
-        assert_eq!(id.index(), self.len(), "ids must be dense and in order");
-        assert!(
-            at >= *self.arrivals.last().expect("genesis present"),
-            "arrivals must be non-decreasing"
-        );
-        let d = parents
-            .iter()
-            .map(|p| self.depth[p.index()] + 1)
-            .max()
-            .unwrap_or(0);
-        if d > self.depth[self.deepest as usize] {
-            self.deepest = id.0;
+    /// The store of a snapshot: its messages in view order, each with the
+    /// parents the view holds (as positions) and its arrival time. A
+    /// reference to a message outside a sparse view is dropped, so that
+    /// message's child may be a root.
+    pub fn from_view(view: &MemoryView) -> BlockStore {
+        let mut s = BlockStore::default();
+        for m in view.iter() {
+            let parents = m.parents.iter().filter_map(|&p| view.position(p));
+            let author = m.author.map_or(NO_AUTHOR, |a| a.0);
+            s.push_block(author, parents.map(|p| p as u32), m.arrival);
         }
-        self.depth.push(d);
-        self.first_child.push(None);
-        self.arrivals.push(at);
-        for p in parents {
-            let slot = &mut self.first_child[p.index()];
-            if slot.is_none() {
-                *slot = Some(id.0);
+        s
+    }
+
+    /// Appends a block by `author` on `parents` (prior ids, in the order
+    /// listed) arriving at `at`, and returns its id. O(parents).
+    ///
+    /// # Panics
+    /// If a parent is not a prior id, or `at` precedes the last arrival.
+    pub fn push(
+        &mut self,
+        author: NodeId,
+        parents: impl IntoIterator<Item = u32>,
+        at: Time,
+    ) -> MsgId {
+        self.push_block(author.0, parents, at)
+    }
+
+    fn push_block(
+        &mut self,
+        author: u32,
+        parents: impl IntoIterator<Item = u32>,
+        at: Time,
+    ) -> MsgId {
+        let id = u32::try_from(self.len()).expect("block ids exceed u32");
+        if let Some(last) = self.rows.last() {
+            assert!(at >= last.arrival, "arrivals must be non-decreasing");
+        }
+        let start = self.par.len();
+        self.par.extend(parents);
+        let mut depth = 0;
+        for &p in &self.par[start..] {
+            assert!(p < id, "parents must precede the block");
+            let parent = &mut self.rows[p as usize];
+            depth = depth.max(parent.depth + 1);
+            if parent.first_child == NO_CHILD {
+                parent.first_child = id;
             }
         }
+        if id == 0 || depth > self.rows[self.deepest as usize].depth {
+            self.deepest = id;
+        }
+        self.rows.push(Row {
+            author,
+            depth,
+            first_child: NO_CHILD,
+            par_end: u32::try_from(self.par.len()).expect("parent references exceed u32"),
+            arrival: at,
+        });
+        MsgId(u64::from(id))
     }
 
-    /// Longest-path depth of a message.
-    pub fn depth_of(&self, id: MsgId) -> u32 {
-        self.depth[id.index()]
+    /// Number of blocks (genesis included).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
     }
 
-    /// Maximum depth over the whole history — the depth of
-    /// [`deepest`](IncrementalDag::deepest), so O(1).
+    /// Whether the store holds no block at all (a `Default` one, or one
+    /// built from an empty view).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The author of block `i` (`None` for genesis).
+    #[inline]
+    pub fn author_of(&self, i: usize) -> Option<NodeId> {
+        let a = self.rows[i].author;
+        (a != NO_AUTHOR).then_some(NodeId(a))
+    }
+
+    /// Parents of block `i`, in the order they were listed.
+    #[inline]
+    pub fn parents_of(&self, i: usize) -> &[u32] {
+        let start = i.checked_sub(1).map_or(0, |prev| self.rows[prev].par_end);
+        &self.par[start as usize..self.rows[i].par_end as usize]
+    }
+
+    /// Total parent references (the edge count).
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.par.len()
+    }
+
+    /// Longest-path depth of block `i` (roots have depth 0).
+    #[inline]
+    pub fn depth_of(&self, i: usize) -> u32 {
+        self.rows[i].depth
+    }
+
+    /// Maximum depth over the whole store — the depth of
+    /// [`deepest`](BlockStore::deepest), so O(1).
+    #[inline]
     pub fn max_depth(&self) -> u32 {
-        self.depth[self.deepest as usize]
+        self.rows.get(self.deepest as usize).map_or(0, |r| r.depth)
     }
 
-    /// The deepest message (ties to the smallest id), maintained on append.
+    /// The deepest block (ties to the smallest id), maintained on push.
+    #[inline]
     pub fn deepest(&self) -> MsgId {
-        MsgId(self.deepest)
+        MsgId(u64::from(self.deepest))
     }
 
-    /// Deepest message ids *within the first `prefix` messages* — the
-    /// longest-chain tip candidates of a prefix view.
-    pub fn deepest_in_prefix(&self, prefix: usize) -> Vec<MsgId> {
-        let mut out = Vec::new();
-        self.deepest_in_prefix_into(prefix, &mut out);
-        out
+    /// Arrival time of block `i`.
+    #[inline]
+    pub fn arrival(&self, i: usize) -> Time {
+        self.rows[i].arrival
     }
 
-    /// [`deepest_in_prefix`](IncrementalDag::deepest_in_prefix) into a
-    /// caller buffer (cleared first).
+    /// The first `prefix` rows, at least genesis's.
+    fn prefix(&self, prefix: usize) -> &[Row] {
+        &self.rows[..prefix.min(self.len()).max(1)]
+    }
+
+    /// The deepest blocks *within the first `prefix` blocks* (at least
+    /// genesis), ascending, into `out` (cleared first) — the longest-chain
+    /// tip candidates of a prefix view.
     pub fn deepest_in_prefix_into(&self, prefix: usize, out: &mut Vec<MsgId>) {
         out.clear();
-        let prefix = prefix.clamp(1, self.len());
-        let max = self.depth[..prefix].iter().copied().max().unwrap_or(0);
+        let rows = self.prefix(prefix);
+        let max = rows.iter().map(|r| r.depth).max().unwrap_or(0);
         out.extend(
-            (0..prefix)
-                .filter(|&i| self.depth[i] == max)
-                .map(|i| MsgId(i as u64)),
+            (0..rows.len() as u64)
+                .filter(|&i| rows[i as usize].depth == max)
+                .map(MsgId),
         );
     }
 
-    /// Tips of the prefix view of length `prefix`: messages whose first
-    /// child (if any) lies beyond the prefix.
-    pub fn tips_of_prefix(&self, prefix: usize) -> Vec<MsgId> {
-        let mut out = Vec::new();
-        self.tips_of_prefix_into(prefix, &mut out);
-        out
-    }
-
-    /// [`tips_of_prefix`](IncrementalDag::tips_of_prefix) into a caller
-    /// buffer (cleared first) — the per-grant hot loops reuse one buffer
-    /// instead of allocating a tip list per token.
+    /// Tips of the prefix view of length `prefix` (at least genesis):
+    /// blocks whose first child, if any, lies beyond the prefix; ascending,
+    /// into `out` (cleared first) — the per-grant hot loops reuse one
+    /// buffer instead of allocating a tip list per token.
     pub fn tips_of_prefix_into(&self, prefix: usize, out: &mut Vec<MsgId>) {
         out.clear();
-        let prefix = prefix.clamp(1, self.len());
+        let rows = self.prefix(prefix);
+        let end = rows.len() as u32;
         out.extend(
-            (0..prefix)
-                .filter(|&i| match self.first_child[i] {
-                    None => true,
-                    Some(c) => c >= prefix as u64,
-                })
-                .map(|i| MsgId(i as u64)),
+            (0..end)
+                .filter(|&i| rows[i as usize].first_child >= end)
+                .map(|i| MsgId(u64::from(i))),
         );
     }
 
-    /// Number of messages that had arrived strictly before `t` — the
-    /// prefix a node whose view lags to time `t` can see. At least 1
-    /// (genesis is always visible).
+    /// Number of blocks that had arrived strictly before `t` — the prefix
+    /// a node whose view lags to time `t` can see. At least 1 (genesis is
+    /// always visible).
     pub fn prefix_at_time(&self, t: Time) -> usize {
-        self.arrivals.partition_point(|&a| a < t).max(1)
+        self.rows.partition_point(|r| r.arrival < t).max(1)
+    }
+}
+
+/// The child CSR of a [`BlockStore`], built on demand: the store grows by
+/// parent rows, and only the decision rules walk child edges, so they are
+/// indexed once per decision point rather than maintained per push.
+///
+/// ```
+/// use am_core::{BlockStore, ChildIndex, NodeId, Time};
+/// let mut s = BlockStore::new();
+/// s.push(NodeId(0), [0], Time::ZERO);
+/// s.push(NodeId(1), [0, 1], Time::ZERO);
+/// let mut c = ChildIndex::default();
+/// c.build(&s);
+/// assert_eq!((c.children_of(0), c.children_of(1), c.len()), (&[1, 2][..], &[2][..], 3));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct ChildIndex {
+    /// Children of `i` are `child[off[i]..off[i + 1]]`.
+    off: Vec<u32>,
+    child: Vec<u32>,
+}
+
+impl ChildIndex {
+    /// Indexes every block of `store`: children ascending, O(V + E), into
+    /// the buffers of the last build.
+    pub fn build(&mut self, store: &BlockStore) {
+        let n = store.len();
+        self.off.clear();
+        self.off.resize(n + 1, 0);
+        // Count children one slot to the right, prefix-sum into offsets,
+        // then scatter through the offsets as running cursors; ascending
+        // child order falls out of the ascending sweep.
+        for pos in 0..n {
+            for &p in store.parents_of(pos) {
+                self.off[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.off[i + 1] += self.off[i];
+        }
+        self.child.clear();
+        self.child.resize(store.edge_count(), 0);
+        for pos in 0..n {
+            for &p in store.parents_of(pos) {
+                let cursor = &mut self.off[p as usize];
+                self.child[*cursor as usize] = pos as u32;
+                *cursor += 1;
+            }
+        }
+        // Every cursor now sits at the end of its row, the start of the
+        // next one: shift right to turn them back into row starts.
+        self.off.copy_within(0..n, 1);
+        self.off[0] = 0;
+    }
+
+    /// Forgets the last build (then [`len`](ChildIndex::len) is 0).
+    pub fn clear(&mut self) {
+        self.off.clear();
+        self.child.clear();
+    }
+
+    /// Number of blocks the last build indexed.
+    pub fn len(&self) -> usize {
+        self.off.len().saturating_sub(1)
+    }
+
+    /// Whether nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Children of block `i`, ascending.
+    #[inline]
+    pub fn children_of(&self, i: usize) -> &[u32] {
+        &self.child[self.off[i] as usize..self.off[i + 1] as usize]
     }
 }
 
@@ -201,29 +369,25 @@ impl IncrementalDag {
 /// impossible in a DAG — so the first marked node on every such path *is*
 /// the tracked tip, and the probe reaches it whenever it is contained.
 ///
-/// Ids are dense arrival-order ids (genesis = 0), as everywhere in the
-/// incremental layer; the owner must call
-/// [`on_append`](ConeCoverTracker::on_append) for every append, in order.
+/// The tracker holds only its marks: each query reads the parents from
+/// the [`BlockStore`] it is handed (always the same one, growing, between
+/// two resets) and which blocks carry a value from a predicate.
 ///
 /// ```
-/// use am_core::{ConeCoverTracker, MsgId};
+/// use am_core::{BlockStore, ConeCoverTracker, MsgId, NodeId, Time};
+/// let mut s = BlockStore::new();
+/// for parent in [0, 1, 0] {
+///     s.push(NodeId(0), [parent], Time::ZERO); // m3 forks off genesis
+/// }
 /// let mut t = ConeCoverTracker::new();
-/// t.on_append(MsgId(1), &[MsgId(0)], true);
-/// t.on_append(MsgId(2), &[MsgId(1)], true);
-/// t.on_append(MsgId(3), &[MsgId(0)], true); // fork off genesis
-/// assert_eq!(t.cover_of(MsgId(2)), 2); // {m1, m2}; genesis carries none
-/// assert_eq!(t.cover_of(MsgId(3)), 1); // branch switch → fallback
+/// let carries = |i: usize| i > 0; // genesis carries none
+/// assert_eq!(t.cover_of(&s, MsgId(2), carries), 2); // {m1, m2}
+/// assert_eq!(t.cover_of(&s, MsgId(3), carries), 1); // branch switch → fallback
 /// ```
 #[derive(Clone, Debug)]
 pub struct ConeCoverTracker {
-    /// CSR parent adjacency: parents of `i` are
-    /// `par[par_off[i]..par_off[i+1]]`.
-    par_off: Vec<u32>,
-    par: Vec<u32>,
-    /// Whether message `i` carries a decision value.
-    carries_value: Vec<bool>,
     /// Persistent cone marks: `mark[i] == epoch` ⇔ `i` is in the closed
-    /// past cone of `tracked`.
+    /// past cone of `tracked`. Grown to the store's length on query.
     mark: Vec<u32>,
     epoch: u32,
     /// Probe stamps for the containment test (separate from `mark` so a
@@ -231,7 +395,7 @@ pub struct ConeCoverTracker {
     probe: Vec<u32>,
     probe_epoch: u32,
     /// The tip whose closed cone the marks currently describe.
-    tracked: u64,
+    tracked: u32,
     /// Value-carrying messages in the tracked cone.
     covered: usize,
     /// Reusable DFS stack.
@@ -247,13 +411,10 @@ impl Default for ConeCoverTracker {
 }
 
 impl ConeCoverTracker {
-    /// A fresh tracker containing only genesis; the tracked cone is
-    /// genesis's own (empty of values — genesis carries none).
+    /// A tracker over a genesis-only store; the tracked cone is genesis's
+    /// own (empty of values — genesis carries none).
     pub fn new() -> ConeCoverTracker {
         ConeCoverTracker {
-            par_off: vec![0, 0],
-            par: Vec::new(),
-            carries_value: vec![false],
             mark: vec![1],
             epoch: 1,
             probe: vec![0],
@@ -265,15 +426,9 @@ impl ConeCoverTracker {
         }
     }
 
-    /// Back to the genesis-only state of [`new`](ConeCoverTracker::new)
-    /// — marks, epochs and the tracked cone included — keeping the
-    /// buffers' capacity.
+    /// Back to the state of [`new`](ConeCoverTracker::new) — marks, epochs
+    /// and the tracked cone included — keeping the buffers' capacity.
     pub fn reset(&mut self) {
-        self.par_off.clear();
-        self.par_off.extend([0, 0]);
-        self.par.clear();
-        self.carries_value.clear();
-        self.carries_value.push(false);
         self.mark.clear();
         self.mark.push(1);
         self.epoch = 1;
@@ -284,86 +439,41 @@ impl ConeCoverTracker {
         self.covered = 0;
     }
 
-    /// Number of messages tracked (genesis included).
-    pub fn len(&self) -> usize {
-        self.carries_value.len()
-    }
-
-    /// Parents of message `i` in the order they were listed — the CSR row
-    /// the tracker already keeps, for owners that index the same history.
-    pub fn parents_of(&self, i: usize) -> &[u32] {
-        &self.par[self.par_off[i] as usize..self.par_off[i + 1] as usize]
-    }
-
-    /// Total parent references recorded (the edge count).
-    pub fn edge_count(&self) -> usize {
-        self.par.len()
-    }
-
-    /// Whether only genesis is present.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 1
-    }
-
-    /// Records an append. `id` must be the next dense id; `parents` must
-    /// be prior ids; `counts_value` says whether the message carries a
-    /// decision value (`Value::as_sign().is_some()` in the protocols).
-    pub fn on_append(&mut self, id: MsgId, parents: &[MsgId], counts_value: bool) {
-        assert_eq!(id.index(), self.len(), "ids must be dense and in order");
-        for p in parents {
-            self.par.push(p.0 as u32);
-        }
-        self.par_off.push(self.par.len() as u32);
-        self.carries_value.push(counts_value);
-        self.mark.push(0);
-        self.probe.push(0);
-    }
-
-    /// The covered-value count of the tracked tip, without re-querying.
-    pub fn covered(&self) -> usize {
-        self.covered
-    }
-
-    /// The tip whose cone the tracker currently holds.
-    pub fn tracked_tip(&self) -> MsgId {
-        MsgId(self.tracked)
-    }
-
-    /// Whether `id` lies in the closed past cone of the tracked tip — an
-    /// O(1) membership probe against the maintained marks.
-    pub fn in_cone(&self, id: MsgId) -> bool {
-        let i = id.index();
-        i < self.len() && self.mark[i] == self.epoch
-    }
-
-    /// Number of value-carrying messages in the closed past cone of
-    /// `tip`, maintained incrementally. Amortized O(parents) per append
-    /// when queried tips descend from one another (the growing-deepest
-    /// pattern of the simulation loops); O(cone) on branch switches.
-    pub fn cover_of(&mut self, tip: MsgId) -> usize {
+    /// Number of blocks of `store` in the closed past cone of `tip` for
+    /// which `carries` holds, maintained incrementally. Amortized
+    /// O(parents) per append when queried tips descend from one another
+    /// (the growing-deepest pattern of the simulation loops); O(cone) on
+    /// branch switches.
+    pub fn cover_of(
+        &mut self,
+        store: &BlockStore,
+        tip: MsgId,
+        carries: impl Fn(usize) -> bool,
+    ) -> usize {
         let t = tip.index();
-        assert!(t < self.len(), "queried tip must have been appended");
-        if t as u64 == self.tracked {
+        assert!(t < store.len(), "queried tip must be in the store");
+        if self.mark.len() < store.len() {
+            self.mark.resize(store.len(), 0);
+            self.probe.resize(store.len(), 0);
+        }
+        if t == self.tracked as usize {
             return self.covered;
         }
         if self.mark[t] == self.epoch {
             // The queried tip lies inside the tracked cone: the cone
             // shrinks, which in-place marks cannot express. Recount.
-            return self.recount(t);
+            return self.recount(store, t, &carries);
         }
         // Fast path for the growing-chain query: every parent already in
         // the tracked cone and the tracked tip among them means the new
         // cone is exactly the old one plus `t` — extend without probing.
-        let (ps, pe) = (self.par_off[t] as usize, self.par_off[t + 1] as usize);
-        let parents = &self.par[ps..pe];
-        if parents.iter().any(|&p| p as u64 == self.tracked)
+        let parents = store.parents_of(t);
+        if parents.contains(&self.tracked)
             && parents.iter().all(|&p| self.mark[p as usize] == self.epoch)
         {
             self.mark[t] = self.epoch;
-            if self.carries_value[t] {
-                self.covered += 1;
-            }
-            self.tracked = t as u64;
+            self.covered += usize::from(carries(t));
+            self.tracked = t as u32;
             return self.covered;
         }
         // Probe DFS from the new tip over unmarked nodes; collect the
@@ -380,41 +490,38 @@ impl ConeCoverTracker {
         self.probe[t] = pe;
         let mut saw_tracked = false;
         while let Some(i) = self.stack.pop() {
-            let i = i as usize;
-            self.fresh.push(i as u32);
-            let (s, e) = (self.par_off[i] as usize, self.par_off[i + 1] as usize);
-            for k in s..e {
-                let p = self.par[k] as usize;
-                if self.mark[p] == self.epoch {
+            self.fresh.push(i);
+            for &p in store.parents_of(i as usize) {
+                if self.mark[p as usize] == self.epoch {
                     // Boundary: already inside the tracked cone.
-                    if p as u64 == self.tracked {
-                        saw_tracked = true;
-                    }
-                } else if self.probe[p] != pe {
-                    self.probe[p] = pe;
-                    self.stack.push(p as u32);
+                    saw_tracked |= p == self.tracked;
+                } else if self.probe[p as usize] != pe {
+                    self.probe[p as usize] = pe;
+                    self.stack.push(p);
                 }
             }
         }
         if saw_tracked {
             // Old cone ⊆ new cone: extend the marks in place.
-            for idx in 0..self.fresh.len() {
-                let f = self.fresh[idx] as usize;
-                self.mark[f] = self.epoch;
-                if self.carries_value[f] {
-                    self.covered += 1;
-                }
+            for &f in &self.fresh {
+                self.mark[f as usize] = self.epoch;
+                self.covered += usize::from(carries(f as usize));
             }
-            self.tracked = t as u64;
+            self.tracked = t as u32;
             self.covered
         } else {
-            self.recount(t)
+            self.recount(store, t, &carries)
         }
     }
 
     /// Full DFS fallback: invalidate every mark (one epoch bump) and
     /// rebuild the cone of `tip` from scratch.
-    fn recount(&mut self, tip: usize) -> usize {
+    fn recount(
+        &mut self,
+        store: &BlockStore,
+        tip: usize,
+        carries: &impl Fn(usize) -> bool,
+    ) -> usize {
         self.epoch += 1;
         if self.epoch == u32::MAX {
             self.mark.fill(0);
@@ -426,20 +533,15 @@ impl ConeCoverTracker {
         self.stack.push(tip as u32);
         self.mark[tip] = e;
         while let Some(i) = self.stack.pop() {
-            let i = i as usize;
-            if self.carries_value[i] {
-                self.covered += 1;
-            }
-            let (s, en) = (self.par_off[i] as usize, self.par_off[i + 1] as usize);
-            for k in s..en {
-                let p = self.par[k] as usize;
-                if self.mark[p] != e {
-                    self.mark[p] = e;
-                    self.stack.push(p as u32);
+            self.covered += usize::from(carries(i as usize));
+            for &p in store.parents_of(i as usize) {
+                if self.mark[p as usize] != e {
+                    self.mark[p as usize] = e;
+                    self.stack.push(p);
                 }
             }
         }
-        self.tracked = tip as u64;
+        self.tracked = tip as u32;
         self.covered
     }
 }
@@ -452,80 +554,94 @@ mod tests {
         Time::new(x)
     }
 
-    fn tracker_chain(len: usize) -> IncrementalDag {
-        let mut d = IncrementalDag::new();
+    fn chain(len: usize) -> BlockStore {
+        let mut s = BlockStore::new();
         for i in 1..=len {
-            d.on_append(MsgId(i as u64), &[MsgId(i as u64 - 1)], t(i as f64));
+            s.push(NodeId(0), [i as u32 - 1], t(i as f64));
         }
-        d
+        s
+    }
+
+    fn tips(s: &BlockStore, prefix: usize) -> Vec<MsgId> {
+        let mut out = Vec::new();
+        s.tips_of_prefix_into(prefix, &mut out);
+        out
+    }
+
+    fn deepest(s: &BlockStore, prefix: usize) -> Vec<MsgId> {
+        let mut out = Vec::new();
+        s.deepest_in_prefix_into(prefix, &mut out);
+        out
     }
 
     #[test]
     fn chain_depths_and_tips() {
-        let d = tracker_chain(5);
-        assert_eq!(d.len(), 6);
-        assert!(!d.is_empty());
-        assert_eq!(d.max_depth(), 5);
-        assert_eq!(d.deepest(), MsgId(5));
-        assert_eq!(d.tips_of_prefix(6), vec![MsgId(5)]);
-        assert_eq!(d.tips_of_prefix(3), vec![MsgId(2)]);
-        assert_eq!(d.deepest_in_prefix(3), vec![MsgId(2)]);
+        let s = chain(5);
+        assert_eq!(s.len(), 6);
+        assert!(!s.is_empty());
+        assert_eq!(s.max_depth(), 5);
+        assert_eq!(s.deepest(), MsgId(5));
+        assert_eq!(tips(&s, 6), vec![MsgId(5)]);
+        assert_eq!(tips(&s, 3), vec![MsgId(2)]);
+        assert_eq!(deepest(&s, 3), vec![MsgId(2)]);
+        assert_eq!((s.author_of(0), s.author_of(3)), (None, Some(NodeId(0))));
     }
 
     #[test]
     fn fork_gives_multiple_prefix_tips() {
-        let mut d = IncrementalDag::new();
-        d.on_append(MsgId(1), &[MsgId(0)], t(1.0));
-        d.on_append(MsgId(2), &[MsgId(0)], t(2.0));
-        assert_eq!(d.tips_of_prefix(3), vec![MsgId(1), MsgId(2)]);
-        assert_eq!(d.deepest_in_prefix(3), vec![MsgId(1), MsgId(2)]);
+        let mut s = BlockStore::new();
+        s.push(NodeId(0), [0], t(1.0));
+        s.push(NodeId(1), [0], t(2.0));
+        assert_eq!(tips(&s, 3), vec![MsgId(1), MsgId(2)]);
+        assert_eq!(deepest(&s, 3), vec![MsgId(1), MsgId(2)]);
         // Merge closes both.
-        d.on_append(MsgId(3), &[MsgId(1), MsgId(2)], t(3.0));
-        assert_eq!(d.tips_of_prefix(4), vec![MsgId(3)]);
-        assert_eq!(d.depth_of(MsgId(3)), 2);
+        s.push(NodeId(2), [1, 2], t(3.0));
+        assert_eq!(tips(&s, 4), vec![MsgId(3)]);
+        assert_eq!(s.depth_of(3), 2);
+        assert_eq!(s.parents_of(3), &[1, 2]);
     }
 
     #[test]
     fn prefix_at_time_is_strict_and_clamped() {
-        let d = tracker_chain(4); // arrivals 0,1,2,3,4
-        assert_eq!(d.prefix_at_time(t(0.0)), 1, "genesis always visible");
-        assert_eq!(d.prefix_at_time(t(1.0)), 1, "strictly-before semantics");
-        assert_eq!(d.prefix_at_time(t(1.5)), 2);
-        assert_eq!(d.prefix_at_time(t(100.0)), 5);
+        let s = chain(4); // arrivals 0,1,2,3,4
+        assert_eq!(s.prefix_at_time(t(0.0)), 1, "genesis always visible");
+        assert_eq!(s.prefix_at_time(t(1.0)), 1, "strictly-before semantics");
+        assert_eq!(s.prefix_at_time(t(1.5)), 2);
+        assert_eq!(s.prefix_at_time(t(100.0)), 5);
     }
 
-    #[test]
-    fn matches_dag_index_on_random_history() {
-        use crate::ids::{NodeId, GENESIS};
-        use crate::memory::AppendMemory;
-        use crate::message::MessageBuilder;
-        use crate::value::Value;
-        let mem = AppendMemory::new(3);
-        let mut inc = IncrementalDag::new();
-        let picks: [u64; 10] = [0, 0, 1, 2, 0, 4, 3, 6, 2, 8];
-        for (i, &p) in picks.iter().enumerate() {
-            let parents = [MsgId(p), GENESIS];
-            let id = mem
-                .append_at(
-                    MessageBuilder::new(NodeId((i % 3) as u32), Value::plus())
-                        .parents(parents.iter().copied()),
-                    t(i as f64 + 1.0),
-                )
-                .unwrap();
-            inc.on_append(id, &[MsgId(p), GENESIS], t(i as f64 + 1.0));
+    /// A store plus the value flags the tracker counts, grown together.
+    struct Gate {
+        store: BlockStore,
+        carries: Vec<bool>,
+        tracker: ConeCoverTracker,
+    }
+
+    impl Gate {
+        fn new() -> Gate {
+            Gate {
+                store: BlockStore::new(),
+                carries: vec![false],
+                tracker: ConeCoverTracker::new(),
+            }
         }
-        let dag = crate::dag::DagIndex::new(&mem.read());
-        assert_eq!(inc.max_depth(), dag.max_depth());
-        let full_tips: Vec<MsgId> = inc.tips_of_prefix(inc.len());
-        assert_eq!(full_tips, dag.tip_ids());
-        for pos in 0..dag.len() {
-            assert_eq!(inc.depth_of(dag.id_at(pos)), dag.depth_of(pos));
+
+        fn push(&mut self, parents: &[u32], carries: bool) {
+            self.store
+                .push(NodeId(0), parents.iter().copied(), Time::ZERO);
+            self.carries.push(carries);
+        }
+
+        fn cover_of(&mut self, tip: u64) -> usize {
+            let carries = &self.carries;
+            self.tracker
+                .cover_of(&self.store, MsgId(tip), |i| carries[i])
         }
     }
 
     /// Naive reference: value count of the closed past cone by plain DFS.
-    fn naive_cover(parents: &[Vec<u64>], values: &[bool], tip: u64) -> usize {
-        let mut seen = vec![false; parents.len()];
+    fn naive_cover(g: &Gate, tip: u64) -> usize {
+        let mut seen = vec![false; g.store.len()];
         let mut stack = vec![tip as usize];
         let mut count = 0;
         while let Some(i) = stack.pop() {
@@ -533,186 +649,141 @@ mod tests {
                 continue;
             }
             seen[i] = true;
-            if values[i] {
-                count += 1;
-            }
-            stack.extend(parents[i].iter().map(|&p| p as usize));
+            count += usize::from(g.carries[i]);
+            stack.extend(g.store.parents_of(i).iter().map(|&p| p as usize));
         }
         count
     }
 
     #[test]
     fn cover_tracker_chain_growth_is_incremental_and_exact() {
-        let mut t = ConeCoverTracker::new();
-        assert_eq!(t.cover_of(MsgId(0)), 0);
+        let mut g = Gate::new();
+        assert_eq!(g.cover_of(0), 0);
         for i in 1..=50u64 {
-            t.on_append(MsgId(i), &[MsgId(i - 1)], i % 3 != 0);
+            g.push(&[i as u32 - 1], i % 3 != 0);
             let expect = (1..=i).filter(|x| x % 3 != 0).count();
-            assert_eq!(t.cover_of(MsgId(i)), expect, "at append {i}");
-            assert_eq!(t.covered(), expect);
-            assert_eq!(t.tracked_tip(), MsgId(i));
+            assert_eq!(g.cover_of(i), expect, "at append {i}");
+            assert_eq!((g.tracker.covered, g.tracker.tracked), (expect, i as u32));
         }
     }
 
     #[test]
     fn cover_tracker_handles_branch_switches() {
         // Two competing branches off genesis; the deepest tip alternates.
-        let mut t = ConeCoverTracker::new();
-        t.on_append(MsgId(1), &[MsgId(0)], true); // branch A
-        t.on_append(MsgId(2), &[MsgId(1)], true);
-        t.on_append(MsgId(3), &[MsgId(0)], true); // branch B
-        t.on_append(MsgId(4), &[MsgId(3)], true);
-        t.on_append(MsgId(5), &[MsgId(4)], true);
-        assert_eq!(t.cover_of(MsgId(2)), 2); // A: {1,2}
-        assert_eq!(t.cover_of(MsgId(5)), 3); // fallback to B: {3,4,5}
-        assert_eq!(t.cover_of(MsgId(2)), 2); // and back again
-                                             // A merge referencing both tips extends whichever cone is held.
-        t.on_append(MsgId(6), &[MsgId(2), MsgId(5)], true);
-        assert_eq!(t.cover_of(MsgId(6)), 6);
+        let mut g = Gate::new();
+        g.push(&[0], true); // branch A
+        g.push(&[1], true);
+        g.push(&[0], true); // branch B
+        g.push(&[3], true);
+        g.push(&[4], true);
+        assert_eq!(g.cover_of(2), 2); // A: {1,2}
+        assert_eq!(g.cover_of(5), 3); // fallback to B: {3,4,5}
+        assert_eq!(g.cover_of(2), 2); // and back again
+                                      // A merge referencing both tips extends whichever cone is held.
+        g.push(&[2, 5], true);
+        assert_eq!(g.cover_of(6), 6);
     }
 
     #[test]
     fn in_cone_tracks_the_held_cone() {
-        let mut t = ConeCoverTracker::new();
-        t.on_append(MsgId(1), &[MsgId(0)], true); // branch A
-        t.on_append(MsgId(2), &[MsgId(1)], true);
-        t.on_append(MsgId(3), &[MsgId(0)], true); // branch B
-        t.cover_of(MsgId(2));
-        assert!(t.in_cone(MsgId(0)) && t.in_cone(MsgId(1)) && t.in_cone(MsgId(2)));
-        assert!(!t.in_cone(MsgId(3)));
-        assert!(!t.in_cone(MsgId(99)), "unknown ids are outside");
-        t.cover_of(MsgId(3)); // branch switch: cone is now {0, 3}
-        assert!(t.in_cone(MsgId(3)) && !t.in_cone(MsgId(2)));
+        // The marks hold exactly the closed cone of the tracked tip.
+        let in_cone = |c: &ConeCoverTracker, i: usize| c.mark.get(i) == Some(&c.epoch);
+        let mut g = Gate::new();
+        g.push(&[0], true); // branch A
+        g.push(&[1], true);
+        g.push(&[0], true); // branch B
+        g.cover_of(2);
+        assert!((0..3).all(|i| in_cone(&g.tracker, i)) && !in_cone(&g.tracker, 3));
+        assert!(!in_cone(&g.tracker, 99), "unknown ids are outside");
+        g.cover_of(3); // branch switch: cone is now {0, 3}
+        assert!(in_cone(&g.tracker, 3) && !in_cone(&g.tracker, 2));
     }
 
     #[test]
     fn cover_tracker_query_inside_cone_falls_back() {
-        let mut t = ConeCoverTracker::new();
-        for i in 1..=10u64 {
-            t.on_append(MsgId(i), &[MsgId(i - 1)], true);
+        let mut g = Gate::new();
+        for i in 1..=10u32 {
+            g.push(&[i - 1], true);
         }
-        assert_eq!(t.cover_of(MsgId(10)), 10);
+        assert_eq!(g.cover_of(10), 10);
         // Query an ancestor of the tracked tip: cone shrinks.
-        assert_eq!(t.cover_of(MsgId(4)), 4);
-        assert_eq!(t.cover_of(MsgId(10)), 10);
+        assert_eq!(g.cover_of(4), 4);
+        assert_eq!(g.cover_of(10), 10);
     }
 
     #[test]
     fn cover_tracker_matches_naive_on_random_history() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
-        let mut t = ConeCoverTracker::new();
-        let mut parents: Vec<Vec<u64>> = vec![Vec::new()];
-        let mut values: Vec<bool> = vec![false];
+        let mut g = Gate::new();
         for i in 1..300u64 {
             let np = rng.gen_range(1..=3.min(i as usize));
-            let ps: Vec<MsgId> = (0..np).map(|_| MsgId(rng.gen_range(0..i))).collect();
-            let v = rng.gen_bool(0.8);
-            t.on_append(MsgId(i), &ps, v);
-            parents.push(ps.iter().map(|p| p.0).collect());
-            values.push(v);
+            let ps: Vec<u32> = (0..np).map(|_| rng.gen_range(0..i) as u32).collect();
+            g.push(&ps, rng.gen_bool(0.8));
             // Query a random prior tip every few appends plus the newest.
             let q = rng.gen_range(0..=i);
-            assert_eq!(t.cover_of(MsgId(q)), naive_cover(&parents, &values, q));
-            assert_eq!(t.cover_of(MsgId(i)), naive_cover(&parents, &values, i));
-        }
-    }
-
-    /// A random forked history: every append references one to three
-    /// earlier messages.
-    fn random_forked(len: u64, seed: u64) -> (IncrementalDag, Vec<Vec<MsgId>>) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut d = IncrementalDag::new();
-        let mut parents = vec![Vec::new()];
-        for i in 1..len {
-            let ps: Vec<MsgId> = (0..rng.gen_range(1..=3))
-                .map(|_| MsgId(rng.gen_range(i.saturating_sub(6)..i)))
-                .collect();
-            d.on_append(MsgId(i), &ps, t(i as f64));
-            parents.push(ps);
-        }
-        (d, parents)
-    }
-
-    #[test]
-    fn max_depth_and_deepest_match_the_scanning_definition() {
-        let mut d = IncrementalDag::new();
-        let (full, parents) = random_forked(400, 5);
-        for (i, ps) in parents.iter().enumerate().skip(1) {
-            d.on_append(MsgId(i as u64), ps, t(i as f64));
-            let scan = (0..d.len()).map(|j| d.depth_of(MsgId(j as u64))).max();
-            assert_eq!(Some(d.max_depth()), scan, "after append {i}");
-            let first = (0..d.len()).find(|&j| Some(d.depth_of(MsgId(j as u64))) == scan);
-            assert_eq!(
-                Some(d.deepest().index()),
-                first,
-                "ties go to the smallest id"
-            );
-        }
-        assert_eq!(d.max_depth(), full.max_depth());
-    }
-
-    #[test]
-    fn deepest_in_prefix_into_matches_the_scanning_definition() {
-        let (d, _) = random_forked(300, 9);
-        let mut buf = vec![MsgId(77); 5]; // dirty on purpose
-        for prefix in [0, 1, 2, 17, 150, 300, 999] {
-            d.deepest_in_prefix_into(prefix, &mut buf);
-            let p = prefix.clamp(1, d.len());
-            let max = (0..p).map(|j| d.depth_of(MsgId(j as u64))).max().unwrap();
-            let scan: Vec<MsgId> = (0..p as u64)
-                .map(MsgId)
-                .filter(|&m| d.depth_of(m) == max)
-                .collect();
-            assert_eq!(buf, scan, "prefix {prefix}");
-            assert_eq!(d.deepest_in_prefix(prefix), scan);
+            assert_eq!(g.cover_of(q), naive_cover(&g, q));
+            assert_eq!(g.cover_of(i), naive_cover(&g, i));
         }
     }
 
     #[test]
     fn reset_trackers_behave_like_fresh_ones() {
-        let (mut d, parents) = random_forked(200, 3);
-        let mut c = ConeCoverTracker::new();
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let mut parents: Vec<Vec<u32>> = vec![Vec::new()];
+        for i in 1..200u32 {
+            let ps = (0..rng.gen_range(1..=3))
+                .map(|_| rng.gen_range(i.saturating_sub(6)..i))
+                .collect();
+            parents.push(ps);
+        }
+        let mut used = Gate::new();
         for (i, ps) in parents.iter().enumerate().skip(1) {
-            c.on_append(MsgId(i as u64), ps, i % 4 != 0);
+            used.push(ps, i % 4 != 0);
         }
-        c.cover_of(MsgId(150));
-        c.cover_of(MsgId(40)); // bumps the epoch
-        d.reset();
-        c.reset();
-        assert!(d.is_empty() && c.is_empty());
-        assert_eq!((d.max_depth(), d.deepest()), (0, MsgId(0)));
+        used.cover_of(150);
+        used.cover_of(40); // bumps the epoch
+        used.store.reset();
+        used.carries.truncate(1);
+        used.tracker.reset();
+        assert_eq!(used.store.len(), 1);
         assert_eq!(
-            (c.tracked_tip(), c.covered(), c.edge_count()),
-            (MsgId(0), 0, 0)
+            (used.store.max_depth(), used.store.deepest()),
+            (0, MsgId(0))
         );
-        let (mut fresh_d, mut fresh_c) = (IncrementalDag::new(), ConeCoverTracker::new());
+        assert_eq!(
+            (
+                used.tracker.tracked,
+                used.tracker.covered,
+                used.store.edge_count()
+            ),
+            (0, 0, 0)
+        );
+        let mut fresh = Gate::new();
         for (i, ps) in parents.iter().enumerate().skip(1).take(60) {
-            let id = MsgId(i as u64);
-            for (d, c) in [(&mut d, &mut c), (&mut fresh_d, &mut fresh_c)] {
-                d.on_append(id, ps, t(i as f64));
-                c.on_append(id, ps, true);
+            for g in [&mut used, &mut fresh] {
+                g.push(ps, true);
             }
-            assert_eq!(c.cover_of(d.deepest()), fresh_c.cover_of(fresh_d.deepest()));
-            assert_eq!(c.parents_of(i), fresh_c.parents_of(i));
-            assert_eq!(d.tips_of_prefix(i), fresh_d.tips_of_prefix(i));
-            assert_eq!(d.prefix_at_time(t(i as f64 - 0.5)), i);
+            let (a, b) = (used.store.deepest().0, fresh.store.deepest().0);
+            assert_eq!(used.cover_of(a), fresh.cover_of(b));
+            assert_eq!(used.store.parents_of(i), fresh.store.parents_of(i));
+            assert_eq!(tips(&used.store, i), tips(&fresh.store, i));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "dense")]
-    fn rejects_gapped_ids() {
-        let mut d = IncrementalDag::new();
-        d.on_append(MsgId(5), &[MsgId(0)], t(1.0));
     }
 
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn rejects_time_travel() {
-        let mut d = IncrementalDag::new();
-        d.on_append(MsgId(1), &[MsgId(0)], t(2.0));
-        d.on_append(MsgId(2), &[MsgId(1)], t(1.0));
+        let mut s = BlockStore::new();
+        s.push(NodeId(0), [0], t(2.0));
+        s.push(NodeId(0), [1], t(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "precede")]
+    fn rejects_forward_parents() {
+        let mut s = BlockStore::new();
+        s.push(NodeId(0), [1], t(1.0));
     }
 }

@@ -27,10 +27,12 @@
 //!   ([`MemoryView`]) reads and per-author order enforcement.
 //! * [`Message`] / [`MessageBuilder`] — appended commands with values and
 //!   parent references.
-//! * [`DagIndex`] — the reference graph over a view: parents, children,
-//!   tips, depths, past/future cones, topological orders. The chain and
-//!   ordering rules below read a DAG through [`DagRead`], which it
-//!   implements.
+//! * [`BlockStore`] — the append-only block DAG every simulation grows
+//!   (parent CSR, depths, prefix tips, arrival times), with [`ChildIndex`]
+//!   for child edges and [`ConeCoverTracker`] for the covered-value gate.
+//! * [`DagIndex`] — the reference graph over a view: a store built from
+//!   the view plus cones and topological orders. The chain and ordering
+//!   rules below read a DAG through [`DagRead`], which it implements.
 //! * Chain selection rules: [`chain::longest_chain`],
 //!   [`ghost::ghost_pivot`], and the
 //!   [`ordering::OrderingRule`] abstraction used by the
@@ -80,10 +82,10 @@ pub mod view;
 pub use chain::{chain_to_genesis, longest_chain, longest_chain_tips, longest_chain_with};
 pub use dag::{DagIndex, DagRead};
 pub use error::{AppendError, CoreError};
-pub use ghost::{ghost_pivot, ghost_pivot_with, subtree_weights, GhostScratch};
+pub use ghost::{ghost_pivot, ghost_pivot_with, GhostScratch};
 pub use history::History;
 pub use ids::{MsgId, NodeId, Round, Time, GENESIS};
-pub use incremental::{ConeCoverTracker, IncrementalDag};
+pub use incremental::{BlockStore, ChildIndex, ConeCoverTracker};
 pub use linearize::{linearize, linearize_in, linearize_with, LinScratch, Linearization};
 pub use memory::AppendMemory;
 pub use message::{Message, MessageBuilder};

@@ -12,14 +12,6 @@ use crate::dag::{DagIndex, DagRead};
 use crate::ids::MsgId;
 use crate::view::MemoryView;
 
-/// First-parent tree: for each position, the parent position whose edge is
-/// the message's *first* listed reference (or `None` for roots).
-pub fn first_parent_tree<D: DagRead + ?Sized>(dag: &D) -> Vec<Option<u32>> {
-    (0..dag.len())
-        .map(|pos| dag.first_parent(pos).map(|p| p as u32))
-        .collect()
-}
-
 /// Subtree sizes of the first-parent tree (each block counted exactly
 /// once, in its first parent's subtree).
 pub fn pivot_weights<D: DagRead + ?Sized>(dag: &D) -> Vec<u64> {
@@ -110,10 +102,9 @@ mod tests {
         let c = append(&m, 2, &[b, a]); // first parent = b
         let v = m.read();
         let dag = DagIndex::new(&v);
-        let tree = first_parent_tree(&dag);
         let cpos = dag.position(c).unwrap();
         let bpos = dag.position(b).unwrap();
-        assert_eq!(tree[cpos], Some(bpos as u32));
+        assert_eq!(dag.first_parent(cpos), Some(bpos));
         // Weights: a's subtree is just itself; b's carries c.
         let w = pivot_weights(&dag);
         assert_eq!(w[dag.position(a).unwrap()], 1);

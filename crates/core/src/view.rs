@@ -53,21 +53,21 @@ impl MemoryView {
         Arc::ptr_eq(&self.msgs, &other.msgs)
     }
 
-    /// Looks a message up by id. O(1) for dense prefix views, O(log n)
+    /// Position of `id` in the view. O(1) for dense prefix views, O(log n)
     /// otherwise.
-    pub fn get(&self, id: MsgId) -> Option<&Arc<Message>> {
+    pub fn position(&self, id: MsgId) -> Option<usize> {
         let idx = id.index();
         // Fast path: dense prefix (ids equal positions).
-        if let Some(m) = self.msgs.get(idx) {
-            if m.id == id {
-                return Some(m);
-            }
+        match self.msgs.get(idx) {
+            Some(m) if m.id == id => Some(idx),
+            // General path: binary search (messages are sorted by id).
+            _ => self.msgs.binary_search_by_key(&id, |m| m.id).ok(),
         }
-        // General path: binary search (messages are sorted by id).
-        self.msgs
-            .binary_search_by_key(&id, |m| m.id)
-            .ok()
-            .map(|i| &self.msgs[i])
+    }
+
+    /// Looks a message up by id (see [`position`](Self::position)).
+    pub fn get(&self, id: MsgId) -> Option<&Arc<Message>> {
+        self.position(id).map(|i| &self.msgs[i])
     }
 
     /// Like [`get`](Self::get) but returns a typed error.

@@ -1,7 +1,8 @@
 //! Engine-equivalence property suite.
 //!
-//! The incremental decision-path engine (the `ConeCoverTracker`, the CSR
-//! `DagIndex` with epoch-stamped scratch, and the shared-index
+//! The incremental decision-path engine (the `ConeCoverTracker` over a
+//! growing `BlockStore`, the CSR `DagIndex` with epoch-stamped scratch, and
+//! the shared-index
 //! `*_with` chain/linearize variants) is a pure performance change: every
 //! result must agree exactly with a from-scratch recomputation. This suite
 //! drives all three layers over ≥1k randomized histories — random parent
@@ -21,8 +22,8 @@
 //! * `uncovered` dropped (returned empty).
 
 use am_core::{
-    chain, ghost, linearize, linearize_with, pivot, AppendMemory, ConeCoverTracker, DagIndex,
-    Linearization, MemoryView, MessageBuilder, MsgId, NodeId, Value,
+    chain, ghost, linearize, linearize_with, pivot, AppendMemory, BlockStore, ConeCoverTracker,
+    DagIndex, DagRead, Linearization, MemoryView, MessageBuilder, MsgId, NodeId, Value,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -136,6 +137,7 @@ fn cone_cover_tracker_matches_naive_over_1000_histories() {
         let mem = AppendMemory::new(authors);
         let mut parents: Vec<Vec<MsgId>> = vec![Vec::new()];
         let mut carries: Vec<bool> = vec![false];
+        let mut store = BlockStore::new();
         let mut tracker = ConeCoverTracker::new();
         for i in 0..appends {
             let next = (i + 1) as u64;
@@ -154,7 +156,8 @@ fn cone_cover_tracker_matches_naive_over_1000_histories() {
             let id = mem
                 .append(MessageBuilder::new(author, value).parents(ps.iter().copied()))
                 .unwrap();
-            tracker.on_append(id, &ps, counts);
+            let pushed = store.push(author, ps.iter().map(|p| p.0 as u32), mem.now());
+            assert_eq!(pushed, id);
             carries.push(counts);
             parents.push(ps);
             // Interleave queries mid-growth: descendants, ancestors, and
@@ -162,7 +165,7 @@ fn cone_cover_tracker_matches_naive_over_1000_histories() {
             if rng.gen_bool(0.4) {
                 let tip = MsgId(rng.gen_range(0..next + 1));
                 assert_eq!(
-                    tracker.cover_of(tip),
+                    tracker.cover_of(&store, tip, |i| carries[i]),
                     naive_cover(&parents, &carries, tip),
                     "seed {seed} append {i} tip {tip:?}"
                 );
@@ -172,7 +175,7 @@ fn cone_cover_tracker_matches_naive_over_1000_histories() {
         for idx in 0..parents.len() {
             let tip = MsgId(idx as u64);
             assert_eq!(
-                tracker.cover_of(tip),
+                tracker.cover_of(&store, tip, |i| carries[i]),
                 naive_cover(&parents, &carries, tip),
                 "seed {seed} final tip {tip:?}"
             );

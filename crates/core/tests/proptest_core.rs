@@ -5,8 +5,8 @@
 //! structural invariants the rest of the workspace relies on.
 
 use am_core::{
-    chain, check_view, ghost, linearize, AppendMemory, DagIndex, GhostRule, LongestChainRule,
-    MessageBuilder, MsgId, NodeId, OrderingRule, Value, GENESIS,
+    chain, check_view, ghost, linearize, AppendMemory, DagIndex, DagRead, GhostRule,
+    LongestChainRule, MessageBuilder, MsgId, NodeId, OrderingRule, Value, GENESIS,
 };
 use proptest::prelude::*;
 
@@ -146,7 +146,9 @@ proptest! {
     ) {
         let mem = build_memory(4, &specs);
         let dag = DagIndex::new(&mem.read());
-        let w = ghost::subtree_weights(&dag);
+        let mut gs = ghost::GhostScratch::new();
+        ghost::subtree_weights_in(&dag, &mut gs);
+        let w = gs.weights();
         for pos in 0..dag.len() {
             for &c in dag.children_of(pos) {
                 prop_assert!(w[pos] > w[c as usize],

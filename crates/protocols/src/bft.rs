@@ -36,7 +36,7 @@ use crate::schedule::GrantSchedule;
 use crate::scratch;
 use crate::view::{SharedLog, Visibility};
 use am_bft::{DagInterpreter, FinalityView};
-use am_core::{IncrementalDag, MsgId, Time, GENESIS};
+use am_core::{BlockStore, MsgId, Time, GENESIS};
 use am_net::{NetConfig, NetStats};
 
 /// The Byzantine strategy of a BFT finality trial.
@@ -138,12 +138,12 @@ pub struct BftNetRun {
 /// the drivers' own bookkeeping.
 #[derive(Default)]
 pub(crate) struct BftScratch {
-    /// Every appended block, pushed in id order (table id = block id).
+    /// Every appended block, pushed in id order (table id = block id). Its
+    /// store is the trial's only copy of the graph: the drivers read depth,
+    /// tips, stale prefixes and append times from it.
     table: DagInterpreter,
     /// One per observer; `views[0]` is the latency observer.
     views: Vec<FinalityView>,
-    inc: IncrementalDag,
-    append_time: Vec<f64>,
     /// Equivocator appends per author (odd ones vote, even ones fork).
     eq_cnt: Vec<u64>,
     /// Each author's last block. A node always knows its own history, so
@@ -172,9 +172,6 @@ impl BftScratch {
         for view in &mut self.views[..observers] {
             view.reset(n);
         }
-        self.inc.reset();
-        self.append_time.clear();
-        self.append_time.push(0.0);
         self.eq_cnt.clear();
         self.eq_cnt.resize(n, 0);
         self.last_own.clear();
@@ -205,9 +202,9 @@ struct LagTally {
 }
 
 impl LagTally {
-    fn absorb(&mut self, fin: &mut FinalityView, append_time: &[f64], now: f64) {
+    fn absorb(&mut self, fin: &mut FinalityView, store: &BlockStore, now: f64) {
         for id in fin.drain_newly_final() {
-            let lag = now - append_time[id.index()];
+            let lag = now - store.arrival(id.index()).seconds();
             self.sum += lag;
             self.max = self.max.max(lag);
             self.count += 1;
@@ -271,15 +268,15 @@ fn vote_parents(
 fn stale_vote(
     buf: &mut Vec<MsgId>,
     tmp: &mut Vec<MsgId>,
-    inc: &IncrementalDag,
+    log: &BlockStore,
     now: Time,
     delta: f64,
     own: MsgId,
 ) {
-    let stale = inc.prefix_at_time(Time::new(now.seconds() - 2.0 * delta));
-    inc.deepest_in_prefix_into(stale, tmp);
+    let stale = log.prefix_at_time(Time::new(now.seconds() - 2.0 * delta));
+    log.deepest_in_prefix_into(stale, tmp);
     let sel = tmp[0];
-    inc.tips_of_prefix_into(stale, tmp);
+    log.tips_of_prefix_into(stale, tmp);
     vote_parents(buf, sel, own, tmp.iter().copied());
 }
 
@@ -344,8 +341,6 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
     let BftScratch {
         table,
         views,
-        inc,
-        append_time,
         eq_cnt,
         last_own,
         parents: parents_buf,
@@ -358,12 +353,10 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
 
     macro_rules! append {
         ($node:expr, $parents:expr, $at:expr) => {{
-            let id = MsgId(inc.len() as u64);
-            inc.on_append(id, $parents, $at);
-            let b = table.push_as(id, $node, $parents.iter().map(|&p| table_id(p)));
-            append_time.push($at.seconds());
+            let id = MsgId(table.len() as u64);
+            let b = table.push_as(id, $node, $parents.iter().map(|&p| table_id(p)), $at);
             fin.observe(table, b);
-            lag.absorb(fin, append_time, $at.seconds());
+            lag.absorb(fin, table.store(), $at.seconds());
             last_own[$node] = id;
             id
         }};
@@ -372,7 +365,7 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
     while fin.finalized_height() < p.k && !fin.conflict_detected() {
         let Some(g) = sched.next() else { break };
         now = g.time;
-        view.advance_to(g.time, inc);
+        view.advance_to(g.time, table.store());
         let node = g.node.index();
 
         if sched.is_byz(g.node) {
@@ -383,7 +376,8 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
                     parents_buf.clear();
                     if eq_cnt[node] % 2 == 1 {
                         // Honest-looking vote on the current view.
-                        inc.deepest_in_prefix_into(inc.len(), tips_buf);
+                        let log = table.store();
+                        log.deepest_in_prefix_into(log.len(), tips_buf);
                         parents_buf.push(pick_vote(fin, table, tips_buf));
                     } else {
                         // Fork own history from genesis: the round-1
@@ -395,7 +389,7 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
                 BftAdversary::Withholder => {
                     sched.bank.push(g);
                     if sched.bank.len() >= burst_threshold(p) {
-                        let mut tip = inc.deepest();
+                        let mut tip = table.store().deepest();
                         for tok in sched.bank.drain(..) {
                             let node = tok.node.index();
                             vote_parents(parents_buf, tip, last_own[node], []);
@@ -404,7 +398,8 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
                     }
                 }
                 BftAdversary::StaleMiner => {
-                    stale_vote(parents_buf, tips_buf, inc, g.time, p.delta, last_own[node]);
+                    let log = table.store();
+                    stale_vote(parents_buf, tips_buf, log, g.time, p.delta, last_own[node]);
                     append!(node, parents_buf, g.time);
                 }
             }
@@ -414,13 +409,13 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
         // Correct append: vote for the deepest block of the view that
         // extends the finalized prefix, referencing every view tip plus
         // the author's own last block (self-parent).
-        let sel = pick_vote(fin, table, view.deepest(node, inc));
-        view.tips_into(node, inc, tips_buf);
+        let sel = pick_vote(fin, table, view.deepest(node, table.store()));
+        view.tips_into(node, table.store(), tips_buf);
         vote_parents(parents_buf, sel, last_own[node], tips_buf.iter().copied());
         append!(node, parents_buf, g.time);
     }
 
-    let out = finish(p, fin, inc.len() - 1, &lag, now.seconds());
+    let out = finish(p, fin, table.len() - 1, &lag, now.seconds());
     scratch::put_bft(s);
     out
 }
@@ -524,8 +519,6 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
     let BftScratch {
         table,
         views,
-        inc,
-        append_time,
         eq_cnt,
         last_own,
         deferred,
@@ -549,7 +542,7 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
                 prop.drain_admitted(node, admitted_buf);
                 feed_node(&mut views[node], &mut deferred[node], table, admitted_buf);
                 if node == 0 {
-                    lag.absorb(&mut views[0], append_time, $at.seconds());
+                    lag.absorb(&mut views[0], table.store(), $at.seconds());
                 }
             }
         };
@@ -557,10 +550,8 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
 
     macro_rules! append {
         ($node:expr, $parents:expr, $at:expr) => {{
-            let id = MsgId(inc.len() as u64);
-            inc.on_append(id, $parents, $at);
-            table.push_as(id, $node, $parents.iter().map(|&p| table_id(p)));
-            append_time.push($at.seconds());
+            let id = MsgId(table.len() as u64);
+            table.push_as(id, $node, $parents.iter().map(|&p| table_id(p)), $at);
             prop.on_append($node, id, $parents, $at);
             last_own[$node] = id;
             id
@@ -599,7 +590,7 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
                 BftAdversary::Withholder => {
                     sched.bank.push(g);
                     if sched.bank.len() >= burst_threshold(p) {
-                        let mut tip = inc.deepest();
+                        let mut tip = table.store().deepest();
                         for tok in sched.bank.drain(..) {
                             let node = tok.node.index();
                             vote_parents(parents_buf, tip, last_own[node], []);
@@ -611,7 +602,7 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
                     stale_vote(
                         parents_buf,
                         admitted_buf,
-                        inc,
+                        table.store(),
                         g.time,
                         p.delta,
                         last_own[node],
@@ -643,7 +634,7 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
         feed!(g.time);
     }
 
-    let total_appends = inc.len() - 1;
+    let total_appends = table.len() - 1;
     let finish_time = now.seconds();
     let chains_at_gate = chains(table, views);
 

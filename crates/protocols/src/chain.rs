@@ -168,11 +168,11 @@ fn run_chain_on<V: Visibility>(
     let mut hit_interval: Option<u64> = None;
     let mut correct_appends = 0usize;
 
-    while (dag.log().max_depth() as usize) < p.k {
+    while (dag.store().max_depth() as usize) < p.k {
         // An exhausted budget (undelivered blocks can stall growth)
         // leaves the decision a failure.
         let Some(g) = sched.next() else { break };
-        vis.advance_to(g.time, dag.log());
+        vis.advance_to(g.time, dag.store());
 
         if sched.is_byz(g.node) {
             match adv {
@@ -188,7 +188,7 @@ fn run_chain_on<V: Visibility>(
         }
 
         // --- Correct append: the longest chain of the node's view. ---
-        let tips = vis.deepest(g.node.index(), dag.log());
+        let tips = vis.deepest(g.node.index(), dag.store());
         let tip = match tie {
             TieBreak::Deterministic => tips[0],
             TieBreak::Randomized => tips[rng.gen_range(0..tips.len())],

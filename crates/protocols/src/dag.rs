@@ -24,7 +24,7 @@ use crate::view::{SharedLog, Visibility};
 use am_core::chain::longest_chain_positions;
 use am_core::ghost::{ghost_pivot_positions_in, GhostScratch};
 use am_core::pivot::pivot_chain_positions;
-use am_core::{linearize_in, MsgId, NodeId, Sign, Time, Value};
+use am_core::{linearize_in, DagRead, MsgId, NodeId, Sign, Time, Value};
 use am_net::{NetConfig, NetStats};
 
 /// Chain-selection rule for the DAG ordering (Algorithm 6 line 9).
@@ -162,7 +162,7 @@ fn run_dag_on<V: Visibility>(
             {
                 let mut tip = dag.deepest();
                 let fire_at = dag.now();
-                vis.advance_to(fire_at, dag.log());
+                vis.advance_to(fire_at, dag.store());
                 for tok in sched.bank.drain(..) {
                     tip = publish(&mut dag, vis, tok.node, Value::minus(), &[tip], fire_at);
                     burst_len += 1;
@@ -172,14 +172,14 @@ fn run_dag_on<V: Visibility>(
         }
 
         let Some(g) = sched.next() else { break };
-        vis.advance_to(g.time, dag.log());
+        vis.advance_to(g.time, dag.store());
 
         if sched.is_byz(g.node) {
             match adv {
                 DagAdversary::Absent => {}
                 DagAdversary::Dissenter => {
                     // Omniscient: references every tip of the whole log.
-                    dag.log().tips_of_prefix_into(dag.len(), &mut tips);
+                    dag.store().tips_of_prefix_into(dag.len(), &mut tips);
                     publish(&mut dag, vis, g.node, Value::minus(), &tips, g.time);
                 }
                 DagAdversary::WithholdBurst => sched.bank.push(g),
@@ -188,7 +188,7 @@ fn run_dag_on<V: Visibility>(
         }
 
         // Correct append: reference every tip of the node's view.
-        vis.tips_into(g.node.index(), dag.log(), &mut tips);
+        vis.tips_into(g.node.index(), dag.store(), &mut tips);
         publish(&mut dag, vis, g.node, Value::plus(), &tips, g.time);
     }
 

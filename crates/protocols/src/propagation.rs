@@ -20,7 +20,7 @@
 
 use crate::params::Params;
 use crate::view::Visibility;
-use am_core::{IncrementalDag, MsgId, Time, GENESIS};
+use am_core::{BlockStore, MsgId, NodeId, Time, GENESIS};
 use am_net::{Kinded, NetConfig, NetScratch, NetStats, SimNet, Transport};
 
 /// The gossip payload: a block reference (contents live in the shared
@@ -104,14 +104,8 @@ struct NodeView {
 /// it to the genesis-only state for the next trial's `n`, capacity kept.
 #[derive(Default)]
 struct Tables {
-    /// Longest-path depth per block, indexed by `MsgId::index()`.
-    depth: Vec<u32>,
-    /// Every block's parent list, back to back: block `i`'s parents are
-    /// `parent_ids[parent_off[i]..parent_off[i + 1]]` (see [`parent_span`]).
-    parent_off: Vec<u32>,
-    parent_ids: Vec<MsgId>,
-    /// Block authors (`u32::MAX` for genesis), for pull repair.
-    authors: Vec<u32>,
+    /// Every block: parents, depth, and author (for pull repair).
+    store: BlockStore,
     /// Which nodes see each block.
     visible: BlockBits,
     /// Which nodes have heard each announcement (relay mode only; gates
@@ -128,13 +122,7 @@ impl Tables {
     /// Genesis only, visible to (and, under relay, heard by) all `n`
     /// nodes; `rotor(v)` seeds node `v`'s fanout cursor.
     fn reset(&mut self, n: usize, relay: bool, rotor: impl Fn(usize) -> usize) {
-        self.depth.clear();
-        self.depth.push(0);
-        self.parent_off.clear();
-        self.parent_off.extend([0, 0]); // genesis has no parents
-        self.parent_ids.clear();
-        self.authors.clear();
-        self.authors.push(u32::MAX);
+        self.store.reset();
         self.visible.reset(n);
         self.visible.push_row(n);
         self.heard.reset(n);
@@ -156,9 +144,10 @@ impl Tables {
     }
 
     fn parents_visible(&self, node: usize, id: MsgId) -> bool {
-        self.parent_ids[parent_span(&self.parent_off, id.index())]
+        self.store
+            .parents_of(id.index())
             .iter()
-            .all(|p| self.visible.get(p.index(), node))
+            .all(|&p| self.visible.get(p as usize, node))
     }
 }
 
@@ -244,17 +233,10 @@ impl Propagation {
     pub fn on_append(&mut self, author: usize, id: MsgId, parents: &[MsgId], at: Time) {
         let idx = id.index();
         let t = &mut self.t;
-        debug_assert_eq!(idx, t.depth.len(), "appends must arrive in id order");
-        let d = parents
-            .iter()
-            .map(|p| t.depth[p.index()] + 1)
-            .max()
-            .unwrap_or(1);
-        t.depth.push(d);
-        t.parent_ids.extend_from_slice(parents);
-        let end = u32::try_from(t.parent_ids.len()).expect("parent references exceed u32");
-        t.parent_off.push(end);
-        t.authors.push(author as u32);
+        debug_assert_eq!(idx, t.store.len(), "appends must arrive in id order");
+        let by = NodeId(author as u32);
+        t.store.push(by, parents.iter().map(|p| p.0 as u32), at);
+        let d = t.store.depth_of(idx);
         t.visible.push_row(0);
         if self.relay {
             t.heard.push_row(0);
@@ -390,8 +372,8 @@ impl Propagation {
         let idx = id.index();
         let t = &mut self.t;
         t.visible.set(idx, node);
-        let parents = &t.parent_ids[parent_span(&t.parent_off, idx)];
-        let d = t.depth[idx];
+        let parents = t.store.parents_of(idx);
+        let d = t.store.depth_of(idx);
         let view = &mut t.nodes[node];
         view.visible_n += 1;
         if self.track_admitted {
@@ -399,7 +381,7 @@ impl Propagation {
         }
         // `retain` preserves order, so the sorted invariant survives the
         // parent eviction; the insert below restores it for the new tip.
-        view.tips.retain(|t| !parents.contains(t));
+        view.tips.retain(|t| !parents.contains(&(t.0 as u32)));
         if let Err(pos) = view.tips.binary_search(&id) {
             view.tips.insert(pos, id);
         }
@@ -447,7 +429,7 @@ impl Propagation {
     /// [`Self::visible_count`] by scanning the bitmap (the `debug_assert!`
     /// reference for the maintained counter).
     pub fn visible_count_scan(&self, node: usize) -> usize {
-        (0..self.t.depth.len())
+        (0..self.t.store.len())
             .filter(|&b| self.t.visible.get(b, node))
             .count()
     }
@@ -482,7 +464,8 @@ impl Propagation {
         let mut wanted = std::mem::take(&mut t.ready_buf);
         wanted.clear();
         for &id in &t.nodes[node].pending {
-            for &p in &t.parent_ids[parent_span(&t.parent_off, id.index())] {
+            for &p in t.store.parents_of(id.index()) {
+                let p = MsgId(u64::from(p));
                 if !t.visible.get(p.index(), node) && !wanted.contains(&p) {
                     wanted.push(p);
                 }
@@ -491,9 +474,10 @@ impl Propagation {
         let fetched = wanted.len();
         for &p in &wanted {
             // A node always sees its own appends instantly, so a missing
-            // block's author is never the requester.
-            let author = t.authors[p.index()] as usize;
-            self.net.send(author, node, BlockMsg { id: p });
+            // block's author is never the requester; genesis is never
+            // missing.
+            let author = t.store.author_of(p.index()).expect("not genesis");
+            self.net.send(author.index(), node, BlockMsg { id: p });
         }
         wanted.clear();
         t.ready_buf = wanted;
@@ -512,15 +496,8 @@ impl Propagation {
     }
 }
 
-/// Where block `idx`'s parents sit in the flat parent list. (A free
-/// function over the offsets so a caller can hold the slice while it
-/// mutates another field of the layer.)
-fn parent_span(parent_off: &[u32], idx: usize) -> std::ops::Range<usize> {
-    parent_off[idx] as usize..parent_off[idx + 1] as usize
-}
-
 impl Visibility for Propagation {
-    fn advance_to(&mut self, at: Time, _log: &IncrementalDag) {
+    fn advance_to(&mut self, at: Time, _log: &BlockStore) {
         Propagation::advance_to(self, at);
     }
 
@@ -528,14 +505,14 @@ impl Visibility for Propagation {
         self.on_append(author, id, parents, at);
     }
 
-    fn tips_into(&mut self, node: usize, _log: &IncrementalDag, out: &mut Vec<MsgId>) {
+    fn tips_into(&mut self, node: usize, _log: &BlockStore, out: &mut Vec<MsgId>) {
         // Copied out because the append that follows mutates the layer
         // the slice borrows from.
         out.clear();
         out.extend_from_slice(self.visible_tips(node));
     }
 
-    fn deepest<'a>(&'a mut self, node: usize, _log: &IncrementalDag) -> &'a [MsgId] {
+    fn deepest<'a>(&'a mut self, node: usize, _log: &BlockStore) -> &'a [MsgId] {
         self.deepest_visible(node)
     }
 }
@@ -609,6 +586,16 @@ mod tests {
         assert_eq!(prop.deepest_visible(2), vec![b]);
     }
 
+    #[test]
+    fn a_parentless_block_has_depth_zero_like_genesis() {
+        // One depth rule for every DAG: roots have depth 0, so a block
+        // that lists no parent ties with genesis instead of outranking it.
+        let mut prop = Propagation::new(2, &NetConfig::ideal(LatencyModel::Constant(0)), 1);
+        prop.on_append(0, MsgId(1), &[], Time::ZERO);
+        assert_eq!(prop.deepest_visible(0), vec![GENESIS, MsgId(1)]);
+        assert_eq!(prop.visible_tips(0), vec![GENESIS, MsgId(1)]);
+    }
+
     /// The from-scratch references the maintained invariants are checked
     /// against.
     impl Propagation {
@@ -619,8 +606,8 @@ mod tests {
             let mut is_tip = vis.clone();
             for (idx, &seen) in vis.iter().enumerate() {
                 if seen {
-                    for p in &self.t.parent_ids[parent_span(&self.t.parent_off, idx)] {
-                        is_tip[p.index()] = false;
+                    for &p in self.t.store.parents_of(idx) {
+                        is_tip[p as usize] = false;
                     }
                 }
             }
@@ -636,11 +623,11 @@ mod tests {
             let vis = self.visible_row(node);
             let best = (0..vis.len())
                 .filter(|&i| vis[i])
-                .map(|i| self.t.depth[i])
+                .map(|i| self.t.store.depth_of(i))
                 .max()
                 .unwrap_or(0);
             (0..vis.len())
-                .filter(|&i| vis[i] && self.t.depth[i] == best)
+                .filter(|&i| vis[i] && self.t.store.depth_of(i) == best)
                 .map(|i| MsgId(i as u64))
                 .collect()
         }
@@ -648,7 +635,7 @@ mod tests {
         /// Node `node`'s column of the visibility bitmap, one flag per
         /// block.
         fn visible_row(&self, node: usize) -> Vec<bool> {
-            (0..self.t.depth.len())
+            (0..self.t.store.len())
                 .map(|b| self.t.visible.get(b, node))
                 .collect()
         }

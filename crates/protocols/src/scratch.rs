@@ -131,7 +131,7 @@ pub(crate) fn put_prop(scratch: PropagationScratch) {
 /// trial is done.
 pub(crate) fn take_bft(n: usize, observers: usize) -> BftScratch {
     // An `Option` slot, as for the trial DAG: taking must not build a
-    // placeholder (a fresh table and `IncrementalDag` allocate).
+    // placeholder (a fresh table allocates).
     let mut bft = TRIAL_SCRATCH
         .with(|s| s.borrow_mut().bft.take())
         .unwrap_or_default();
@@ -181,7 +181,7 @@ mod tests {
             .unwrap();
         put_dag(dag);
         let dag = take_dag(2);
-        assert!(dag.is_empty() && dag.now() == Time::ZERO);
+        assert!(dag.append_count() == 0 && dag.now() == Time::ZERO);
         put_dag(dag);
     }
 

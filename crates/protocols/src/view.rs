@@ -18,7 +18,7 @@
 
 use crate::params::ViewPolicy;
 use crate::scratch::{self, IdBuf};
-use am_core::{IncrementalDag, MsgId, Time};
+use am_core::{BlockStore, MsgId, Time};
 
 /// The Δ-interval containing `at`.
 pub(crate) fn interval_of(at: Time, delta: f64) -> u64 {
@@ -31,7 +31,7 @@ pub(crate) trait Visibility {
     /// Brings every view up to simulated time `at`. An `at` earlier than
     /// a previous call is allowed (a withheld burst fires at the time of
     /// the last append) and must not move any view backwards.
-    fn advance_to(&mut self, at: Time, log: &IncrementalDag);
+    fn advance_to(&mut self, at: Time, log: &BlockStore);
 
     /// `author` appended `id` on `parents` at `at` (already in the log)
     /// and announces it.
@@ -39,11 +39,11 @@ pub(crate) trait Visibility {
 
     /// The tips of `node`'s view, ascending by id, into `out` (cleared
     /// first) — what an Algorithm 6 append references.
-    fn tips_into(&mut self, node: usize, log: &IncrementalDag, out: &mut Vec<MsgId>);
+    fn tips_into(&mut self, node: usize, log: &BlockStore, out: &mut Vec<MsgId>);
 
     /// The deepest blocks of `node`'s view, ascending by id — the longest
     /// chains Algorithm 5 line 6 chooses among.
-    fn deepest<'a>(&'a mut self, node: usize, log: &IncrementalDag) -> &'a [MsgId];
+    fn deepest<'a>(&'a mut self, node: usize, log: &BlockStore) -> &'a [MsgId];
 }
 
 /// The abstract append memory as a visibility policy: all correct nodes
@@ -82,7 +82,7 @@ impl SharedLog {
     }
 
     /// Length of the log prefix every correct node currently sees.
-    pub(crate) fn prefix(&self, log: &IncrementalDag) -> usize {
+    pub(crate) fn prefix(&self, log: &BlockStore) -> usize {
         match self.policy {
             ViewPolicy::IntervalSnapshot => self.boundary_len,
             ViewPolicy::LaggedDelta => {
@@ -92,7 +92,7 @@ impl SharedLog {
     }
 
     /// Recomputes the memo if the visible prefix moved since it was taken.
-    fn refresh(&mut self, log: &IncrementalDag) {
+    fn refresh(&mut self, log: &BlockStore) {
         let prefix = self.prefix(log);
         if prefix != self.memo_prefix {
             self.memo_prefix = prefix;
@@ -110,7 +110,7 @@ impl Drop for SharedLog {
 }
 
 impl Visibility for SharedLog {
-    fn advance_to(&mut self, at: Time, log: &IncrementalDag) {
+    fn advance_to(&mut self, at: Time, log: &BlockStore) {
         match self.policy {
             ViewPolicy::IntervalSnapshot => {
                 let interval = interval_of(at, self.delta);
@@ -129,13 +129,13 @@ impl Visibility for SharedLog {
 
     fn published(&mut self, _author: usize, _id: MsgId, _parents: &[MsgId], _at: Time) {}
 
-    fn tips_into(&mut self, _node: usize, log: &IncrementalDag, out: &mut Vec<MsgId>) {
+    fn tips_into(&mut self, _node: usize, log: &BlockStore, out: &mut Vec<MsgId>) {
         self.refresh(log);
         out.clear();
         out.extend_from_slice(&self.memo_tips);
     }
 
-    fn deepest<'a>(&'a mut self, _node: usize, log: &IncrementalDag) -> &'a [MsgId] {
+    fn deepest<'a>(&'a mut self, _node: usize, log: &BlockStore) -> &'a [MsgId] {
         self.refresh(log);
         &self.memo_deepest
     }
@@ -144,12 +144,12 @@ impl Visibility for SharedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use am_core::GENESIS;
+    use am_core::{NodeId, GENESIS};
 
-    fn log_with(times: &[f64]) -> IncrementalDag {
-        let mut log = IncrementalDag::new();
+    fn log_with(times: &[f64]) -> BlockStore {
+        let mut log = BlockStore::new();
         for (i, &t) in times.iter().enumerate() {
-            log.on_append(MsgId(i as u64 + 1), &[MsgId(i as u64)], Time::new(t));
+            log.push(NodeId(0), [i as u32], Time::new(t));
         }
         log
     }

@@ -29,7 +29,7 @@ use crate::schedule::{one_shot_budget, GrantSchedule};
 use crate::scratch::{self, IdBuf};
 use crate::trial_dag::TrialDag;
 use crate::view::{SharedLog, Visibility};
-use am_core::{MsgId, Sign, Value};
+use am_core::{DagRead, MsgId, Sign, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -67,11 +67,11 @@ pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> Staggere
             break;
         }
         let Some(g) = sched.next() else { break };
-        shared.advance_to(g.time, dag.log());
+        shared.advance_to(g.time, dag.store());
         if sched.is_byz(g.node) {
             sched.bank.push(g);
         } else {
-            shared.tips_into(g.node.index(), dag.log(), &mut tips);
+            shared.tips_into(g.node.index(), dag.store(), &mut tips);
             append(&mut dag, g.node, Value::plus(), &tips, g.time);
         }
     }
@@ -144,14 +144,14 @@ pub fn run_chain_staggered(p: &Params, ttl_factor: f64) -> StaggeredTrial {
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
 
     // Phase 1: correct nodes build; the adversary only banks.
-    while (dag.log().max_depth() as usize) < p.k {
+    while (dag.store().max_depth() as usize) < p.k {
         let Some(g) = sched.next() else { break };
-        shared.advance_to(g.time, dag.log());
+        shared.advance_to(g.time, dag.store());
         if sched.is_byz(g.node) {
             sched.bank.push(g);
             continue;
         }
-        let tips = shared.deepest(g.node.index(), dag.log());
+        let tips = shared.deepest(g.node.index(), dag.store());
         let tip = tips[rng.gen_range(0..tips.len())];
         extend(&mut dag, g.node, Value::plus(), tip, g.time);
     }
@@ -274,11 +274,11 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
         }
 
         sched.expire(&g);
-        shared.advance_to(g.time, dag.log());
+        shared.advance_to(g.time, dag.store());
         if sched.is_byz(g.node) {
             sched.bank.push(g);
         } else {
-            shared.tips_into(g.node.index(), dag.log(), &mut tips);
+            shared.tips_into(g.node.index(), dag.store(), &mut tips);
             append(&mut dag, g.node, Value::plus(), &tips, g.time);
         }
     }

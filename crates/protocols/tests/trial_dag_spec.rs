@@ -122,7 +122,7 @@ fn gate_both(dag: &mut TrialDag, mem: &AppendMemory) {
         .find(|&p| index.depth_of(p) == index.max_depth())
         .expect("genesis");
     assert_eq!(dag.deepest(), index.id_at(tip));
-    assert_eq!(dag.log().max_depth(), index.max_depth());
+    assert_eq!(dag.store().max_depth(), index.max_depth());
     let carries = |p: &usize| index.message(*p).value.as_sign().is_some();
     let covered =
         index.past_cone(tip).iter().filter(|p| carries(p)).count() + usize::from(carries(&tip));
@@ -186,7 +186,7 @@ fn history(pool: &mut Pool, n: usize, appends: usize, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mem = AppendMemory::new(n);
     pool.dag.reset(n);
-    assert!(pool.dag.is_empty() && pool.dag.now() == Time::ZERO);
+    assert!(pool.dag.append_count() == 0 && pool.dag.now() == Time::ZERO);
     for i in 1..=appends {
         append_both(&mut rng, &mut pool.dag, &mem, n);
         assert_eq!(pool.dag.append_count(), i);
