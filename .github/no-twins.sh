@@ -3,7 +3,8 @@
 # switch that selects one, a per-PR bench file, a second timing loop /
 # pretend thread pool (the deleted criterion and rayon shims), a SipHash
 # map / an `Arc`ed payload on the simulator's per-message path, a public way
-# to pick the event queue's lane or the link table's representation, or a
+# to pick the event queue's lane or the link table's representation, a
+# link-keyed map beside the `LinkTable` or a pairing heap, or a
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
 # columns beside its `BlockStore`.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
@@ -33,13 +34,30 @@ if shipped crates/net/src/sim.rs |
   exit 1
 fi
 # The event queue adapts to the order events arrive in and the link table's
-# representation follows from `n`: neither is a caller's choice. A public
+# representation follows from the topology: neither is a caller's choice. A public
 # function, `NetConfig` field or builder method in am-net naming either is
 # the second code path keyed on config that PR 24 avoided.
 if shipped crates/net/src/*.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -iE 'pub (const )?fn [a-z0-9_]*(dense|sparse|in_?order|heap_only|run_only|fast_path)[a-z0-9_]*\(|pub [a-z0-9_]*(dense|sparse|in_?order|heap_only|run_only|fast_path)[a-z0-9_]*:'; then
-  echo "error: a public switch for the queue lane or the link-table representation in am-net — the queue reads the event order, the table reads n (DESIGN.md §10)" >&2
+  echo "error: a public switch for the queue lane or the link-table representation in am-net — the queue reads the event order, the table reads the topology (DESIGN.md §10)" >&2
+  exit 1
+fi
+# Per-link state — `NetStats` counters, busy horizons, latency overrides —
+# is a `LinkTable` over the topology (`crates/net/src/topology.rs`): one
+# dense row per edge, one spill map. A link-keyed `IntMap` elsewhere in
+# am-net is a second link table; `pair_scratch` / `meld(` are the pairing
+# heap the 4-ary event heap replaced.
+if shipped $(ls crates/net/src/*.rs | grep -v '^crates/net/src/topology\.rs$') |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\bIntMap<u64\b|\blink_key\b'; then
+  echo "error: a link-keyed map outside the LinkTable in am-net — index per-link state by TopologyMap::edge_index (DESIGN.md §10)" >&2
+  exit 1
+fi
+if shipped crates/*/src/*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\bpair_scratch\b|\bmeld\('; then
+  echo "error: a pairing heap in src/ — the event queue is the in-order run beside the 4-ary heap (DESIGN.md §10)" >&2
   exit 1
 fi
 # A trial runner keeps its history in the pooled `TrialDag` and decides on

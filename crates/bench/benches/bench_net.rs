@@ -1,16 +1,18 @@
 //! The `net/*` lanes of the perf ledger, ns per delivered message: the
 //! discrete-event simulator's broadcast + drain across sizes and latency
 //! models beside the reliable in-process network (the price of simulated
-//! time), the fault-injector chain, and a relay-gossip flood at n = 1000 —
-//! then the event queue by itself (ns per event at 4 096 in flight, fed in
-//! order and fed shuffled) and one whole networked trial of the
-//! benchmark's first `sweep_net` point.
+//! time), the fault-injector chain, a relay-gossip flood at n = 1000 and
+//! the scale curve of E18's geo overlay at n = 500 / 2 000 / 5 000 — then
+//! the event queue by itself (ns per event at 4 096 in flight, fed in
+//! order and fed shuffled, and at gossip's ~56 k in flight fed a spread
+//! delay) and one whole networked trial of the benchmark's first
+//! `sweep_net` point.
 //!
-//! The topology engine keeps per-link state sparse — latency overrides and
-//! bandwidth busy horizons are hash-keyed by the links actually used, and
-//! so are the `NetStats` counters once n outgrows the directly indexed
-//! table (n ≤ 64), so a 1000-node relay overlay touches ~8n entries
-//! instead of materializing n² of them.
+//! Per-link state is laid out over the topology — latency overrides,
+//! bandwidth busy horizons and the `NetStats` counters hold one row per
+//! overlay edge (every ordered pair on a mesh of at most 64 nodes) — so a
+//! 5 000-node overlay holds ~8n rows instead of materializing n² of
+//! them.
 
 use am_bench::recorder::Recorder;
 use am_core::{MsgId, Time};
@@ -118,23 +120,49 @@ fn flood(n: usize, blocks: usize, cfg: &NetConfig, seed: u64) -> u64 {
     prop.stats().totals().delivered
 }
 
-/// Events in flight in the two queue lanes.
+/// E18's overlay: eight geo regions of degree-8 relay graphs joined by
+/// 40–200 ms gateways, 2–20 ms hops, 20 Mbit/s links, fanout 6.
+fn e18_overlay() -> NetConfig {
+    NetConfig::builder()
+        .topology(Topology::Geo {
+            regions: 8,
+            k: 8,
+            inter: LatencyModel::Uniform {
+                lo: 40_000_000,
+                hi: 200_000_000,
+            },
+        })
+        .latency(LatencyModel::Uniform {
+            lo: 2_000_000,
+            hi: 20_000_000,
+        })
+        .bandwidth_bps(20_000_000)
+        .fanout(6)
+        .build()
+        .expect("static bench config is valid")
+}
+
+/// Events in flight in the small queue lanes.
 const IN_FLIGHT: u64 = 4_096;
 
-/// A queue holding [`IN_FLIGHT`] events, keys ascending.
-fn loaded_queue() -> EventQueue<u64, u64> {
+/// Events in flight in the spread lane: about what `gossip_scale`'s heap
+/// holds at n = 5 000.
+const GOSSIP_IN_FLIGHT: u64 = 56_000;
+
+/// A queue holding `in_flight` events, keys ascending.
+fn loaded_queue(in_flight: u64) -> EventQueue<u64, u64> {
     let mut q = EventQueue::new();
-    for i in 0..IN_FLIGHT {
+    for i in 0..in_flight {
         q.schedule(i, i);
     }
     q
 }
 
-/// One pop and one schedule per event, [`IN_FLIGHT`] times over: each
+/// One pop and one schedule per event, `in_flight` times over: each
 /// popped event goes back `delay(key)` later (the hold model).
-fn hold(q: &mut EventQueue<u64, u64>, delay: impl Fn(u64) -> u64) -> u64 {
+fn hold(q: &mut EventQueue<u64, u64>, in_flight: u64, delay: impl Fn(u64) -> u64) -> u64 {
     let mut acc = 0;
-    for _ in 0..IN_FLIGHT {
+    for _ in 0..in_flight {
         let (key, _, item) = q.pop().expect("the queue stays loaded");
         acc ^= item;
         q.schedule(key + delay(key), item);
@@ -185,21 +213,39 @@ fn main() {
         Duration::from_millis(1100),
         || flood(1000, 40, &cfg, 1),
     );
+    let geo = e18_overlay();
+    for n in [500usize, 2_000, 5_000] {
+        let delivered = flood(n, 40, &geo, 1);
+        rec.measure_absolute(
+            &format!("net/gossip_ns_per_delivery_n{n}"),
+            delivered,
+            Duration::from_millis(1100),
+            || flood(n, 40, &geo, 1),
+        );
+    }
 
     // A constant delay keeps every event in schedule order; a delay spread
     // over the queue's whole span (a multiplicative hash of the key) puts
     // nearly every event behind the latest one scheduled.
+    let spread = |in_flight: u64| {
+        move |key: u64| 1 + (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % (2 * in_flight)
+    };
     let budget = Duration::from_millis(400);
-    let mut q = loaded_queue();
+    let mut q = loaded_queue(IN_FLIGHT);
     rec.measure_absolute("net/queue_inorder_push_pop", IN_FLIGHT, budget, || {
-        hold(&mut q, |_| IN_FLIGHT)
+        hold(&mut q, IN_FLIGHT, |_| IN_FLIGHT)
     });
-    let mut q = loaded_queue();
+    let mut q = loaded_queue(IN_FLIGHT);
     rec.measure_absolute("net/queue_shuffled_push_pop", IN_FLIGHT, budget, || {
-        hold(&mut q, |key| {
-            1 + (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % (2 * IN_FLIGHT)
-        })
+        hold(&mut q, IN_FLIGHT, spread(IN_FLIGHT))
     });
+    let mut q = loaded_queue(GOSSIP_IN_FLIGHT);
+    rec.measure_absolute(
+        "net/queue_spread_push_pop_b56k",
+        GOSSIP_IN_FLIGHT,
+        budget,
+        || hold(&mut q, GOSSIP_IN_FLIGHT, spread(GOSSIP_IN_FLIGHT)),
+    );
 
     let lossy = NetConfig::builder()
         .latency(LatencyModel::Constant(50_000_000))

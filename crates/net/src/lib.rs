@@ -15,15 +15,15 @@
 //!   implements it, and so does [`SimNet`]; Algorithms 2/3 run unchanged
 //!   over either.
 //! * [`SimNet`] — a seeded discrete-event simulator: an event queue
-//!   ([`EventQueue`]: an in-order run beside a slab pairing heap, one
+//!   ([`EventQueue`]: an in-order run beside an implicit 4-ary heap, one
 //!   total order `(time_ns, seq)`), carrying 24-byte handles to payloads
 //!   held once in a slab, drives per-link latency models
 //!   ([`LatencyModel`]: constant, uniform, exponential) and composable
 //!   fault injectors ([`Fault`]: probabilistic drops, duplication,
 //!   reorder-by-extra-delay, node crash/recover windows, scheduled
 //!   partitions with heal times).
-//! * [`NetStats`] — per-link (directly indexed while n² is small, a
-//!   sparse map beyond) and per-payload-kind counters (sent, delivered,
+//! * [`NetStats`] — per-link (one row per topology edge, a spill map for
+//!   the links without one) and per-payload-kind counters (sent, delivered,
 //!   dropped, duplicated) plus log-bucketed delay histograms, exportable
 //!   as JSON next to an experiment's `results/<id>.json`.
 //!

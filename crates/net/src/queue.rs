@@ -1,12 +1,12 @@
-//! The shared event core: an in-order run beside a slab pairing heap, one
-//! total order.
+//! The shared event core: an in-order run beside an implicit 4-ary
+//! min-heap, one total order.
 //!
 //! One type serves every discrete-event loop in the workspace — [`SimNet`]
 //! here and the `am_poisson::des::EventQueue` wrapper over it. Events are
 //! ordered by the strict total order `(key, seq)`, where `seq` is the
 //! schedule sequence number, so equal-key events pop in schedule order and
 //! the pop sequence is **independent of how the events are stored** — a
-//! pairing heap, a binary heap and a sorted list all produce the identical
+//! d-ary heap, a binary heap and a sorted list all produce the identical
 //! event trace. The queue keeps them in two places and reads no
 //! configuration to choose between them; it adapts to the order events
 //! arrive in:
@@ -17,14 +17,12 @@
 //!   construction and its front is its minimum. Under a constant latency
 //!   events are scheduled in pop order already — every one lands here, and
 //!   a push or a pop is one ring-buffer operation;
-//! - the **pairing heap**: everything else melds into a heap whose nodes
-//!   live in a slab (`Vec<Node>` plus an intrusive free list) — `O(1)`
-//!   push, `O(log n)` amortized pop (two-pass pairing merge), no per-event
-//!   allocation once the slab has warmed up. Every key in it is below the
-//!   run's tail, so the heap is empty whenever the run is. Spread-latency
-//!   traffic lives here but for its record-late events (0.02 % of
-//!   `gossip_scale`'s) and pays one key compare more per operation than
-//!   the heap alone.
+//! - the **4-ary heap**: everything else, as `(key, seq, item)` entries
+//!   inline in one `Vec` (slot `i`'s children are `4i + 1 ..= 4i + 4`) —
+//!   `O(log₄ n)` push and pop, no pointers to chase, no per-event
+//!   allocation once warm. Every key in it is below the run's tail, so the
+//!   heap is empty whenever the run is. Spread-latency traffic lives here
+//!   but for its record-late events (0.02 % of `gossip_scale`'s).
 //!
 //! [`EventQueue::pop`] and [`EventQueue::peek_key`] take the smaller
 //! `(key, seq)` of the two fronts. Both stores keep their capacity across
@@ -37,36 +35,30 @@
 
 use std::collections::VecDeque;
 
-/// Sentinel index: "no node".
-const NIL: u32 = u32::MAX;
+/// One queued event: `(key, seq, payload)`.
+type Entry<K, E> = (K, u64, E);
 
-/// One slab slot. Live nodes form a pairing heap through `child` /
-/// `sibling`; free slots form a singly-linked free list through `sibling`.
-/// `item` is `None` only for free slots (the slab is `forbid(unsafe)`, so
-/// payloads are moved out through `Option::take`).
-#[derive(Debug)]
-struct Node<K, E> {
-    key: K,
-    seq: u64,
-    child: u32,
-    sibling: u32,
-    item: Option<E>,
+/// Children per heap slot.
+const ARITY: usize = 4;
+
+/// Whether `a` pops before `b`: `(key, seq)` ascending. `seq` is unique,
+/// so the order is strict. Spelled with non-short-circuit operators so the
+/// heap's child selection compiles to flag arithmetic, not branches.
+#[inline]
+fn before<K: Ord, E>(a: &Entry<K, E>, b: &Entry<K, E>) -> bool {
+    (a.0 < b.0) | ((a.0 == b.0) & (a.1 < b.1))
 }
 
-/// One event in the in-order run: `(key, seq, payload)`.
-type RunEntry<K, E> = (K, u64, E);
-
-/// Recycled run and node storage for an [`EventQueue`].
+/// Recycled run and heap storage for an [`EventQueue`].
 ///
-/// [`EventQueue::into_storage`] returns the warmed-up ring buffer and slab
-/// (payloads dropped, capacity kept); [`EventQueue::from_storage`]
+/// [`EventQueue::into_storage`] returns the warmed-up ring buffer and heap
+/// `Vec` (payloads dropped, capacity kept); [`EventQueue::from_storage`]
 /// rebuilds a fresh queue on top of them with zero allocations. Trial
 /// runners keep one `Storage` per thread (a `thread_local!`).
 #[derive(Debug)]
 pub struct Storage<K, E> {
-    run: VecDeque<RunEntry<K, E>>,
-    nodes: Vec<Node<K, E>>,
-    pair_scratch: Vec<u32>,
+    run: VecDeque<Entry<K, E>>,
+    heap: Vec<Entry<K, E>>,
 }
 
 impl<K, E> Default for Storage<K, E> {
@@ -80,30 +72,22 @@ impl<K, E> Storage<K, E> {
     pub fn new() -> Storage<K, E> {
         Storage {
             run: VecDeque::new(),
-            nodes: Vec::new(),
-            pair_scratch: Vec::new(),
+            heap: Vec::new(),
         }
     }
 }
 
-/// A deterministic min-queue over `(key, seq)`: an in-order run beside a
-/// slab pairing heap (see the module docs). `seq` is assigned per
+/// A deterministic min-queue over `(key, seq)`: an in-order run beside an
+/// implicit 4-ary heap (see the module docs). `seq` is assigned per
 /// [`schedule`](EventQueue::schedule) call in strictly increasing order
 /// starting at 0, so ties on `key` break in schedule order.
 #[derive(Debug)]
 pub struct EventQueue<K, E> {
     /// The in-order run: strictly ascending in `(key, seq)`, front first.
-    run: VecDeque<RunEntry<K, E>>,
-    nodes: Vec<Node<K, E>>,
-    /// Free-list head (linked through `sibling`).
-    free: u32,
-    /// Root of the pairing heap.
-    root: u32,
-    /// Queued events, run and heap together.
-    len: usize,
+    run: VecDeque<Entry<K, E>>,
+    /// The 4-ary min-heap: no slot pops after any of its children.
+    heap: Vec<Entry<K, E>>,
     next_seq: u64,
-    /// Reused buffer for the first merge pass of `pop`.
-    pair_scratch: Vec<u32>,
 }
 
 impl<K: Ord + Copy, E> Default for EventQueue<K, E> {
@@ -118,30 +102,16 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
         EventQueue::from_storage(Storage::new())
     }
 
-    /// An empty queue with room for `cap` in-flight events.
-    pub fn with_capacity(cap: usize) -> EventQueue<K, E> {
-        EventQueue::from_storage(Storage {
-            run: VecDeque::with_capacity(cap),
-            nodes: Vec::with_capacity(cap),
-            pair_scratch: Vec::new(),
-        })
-    }
-
-    /// Rebuilds an empty queue on recycled [`Storage`]: run and node
+    /// Rebuilds an empty queue on recycled [`Storage`]: run and heap
     /// capacity is kept, any stale payloads are dropped, and `seq`
     /// restarts at 0.
     pub fn from_storage(mut storage: Storage<K, E>) -> EventQueue<K, E> {
         storage.run.clear();
-        storage.nodes.clear();
-        storage.pair_scratch.clear();
+        storage.heap.clear();
         EventQueue {
             run: storage.run,
-            nodes: storage.nodes,
-            free: NIL,
-            root: NIL,
-            len: 0,
+            heap: storage.heap,
             next_seq: 0,
-            pair_scratch: storage.pair_scratch,
         }
     }
 
@@ -150,19 +120,18 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     pub fn into_storage(self) -> Storage<K, E> {
         Storage {
             run: self.run,
-            nodes: self.nodes,
-            pair_scratch: self.pair_scratch,
+            heap: self.heap,
         }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.run.len() + self.heap.len()
     }
 
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Sequence number the next [`schedule`](EventQueue::schedule) call
@@ -173,11 +142,10 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
 
     /// Key of the earliest queued event, if any.
     pub fn peek_key(&self) -> Option<K> {
-        let heap = (self.root != NIL).then(|| self.nodes[self.root as usize].key);
-        match (self.run.front(), heap) {
-            (Some(&(run, ..)), Some(heap)) => Some(run.min(heap)),
+        match (self.run.front(), self.heap.first()) {
+            (Some(&(run, ..)), Some(&(heap, ..))) => Some(run.min(heap)),
             (Some(&(run, ..)), None) => Some(run),
-            (None, heap) => heap,
+            (None, heap) => heap.map(|&(key, ..)| key),
         }
     }
 
@@ -185,124 +153,93 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     /// `seq` counter are kept).
     pub fn clear(&mut self) {
         self.run.clear();
-        self.nodes.clear();
-        self.free = NIL;
-        self.root = NIL;
-        self.len = 0;
+        self.heap.clear();
     }
 
     /// Queues `item` at `key` and returns the assigned sequence number.
-    /// Allocation-free whenever the run has room or a previously popped
-    /// slot is available.
+    /// Allocation-free whenever the run or the heap has room.
     pub fn schedule(&mut self, key: K, item: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
         // In order behind the run's tail (`seq` already is): extend the run.
         if self.run.back().is_none_or(|&(tail, ..)| key >= tail) {
             self.run.push_back((key, seq, item));
             return seq;
         }
-        let idx = if self.free != NIL {
-            let idx = self.free;
-            let slot = &mut self.nodes[idx as usize];
-            self.free = slot.sibling;
-            slot.key = key;
-            slot.seq = seq;
-            slot.child = NIL;
-            slot.sibling = NIL;
-            slot.item = Some(item);
-            idx
-        } else {
-            let idx = u32::try_from(self.nodes.len()).expect("event slab exceeds u32 indices");
-            self.nodes.push(Node {
-                key,
-                seq,
-                child: NIL,
-                sibling: NIL,
-                item: Some(item),
-            });
-            idx
-        };
-        self.root = self.meld(self.root, idx);
+        self.heap.push((key, seq, item));
+        self.sift_up(self.heap.len() - 1);
         seq
+    }
+
+    /// Moves the heap entry at `at` up past every ancestor it pops before.
+    #[inline]
+    fn sift_up(&mut self, mut at: usize) {
+        while at > 0 {
+            let parent = (at - 1) / ARITY;
+            if !before(&self.heap[at], &self.heap[parent]) {
+                break;
+            }
+            self.heap.swap(at, parent);
+            at = parent;
+        }
     }
 
     /// Pops the event with the smallest `(key, seq)` — the smaller of the
     /// run's front and the heap's root.
     pub fn pop(&mut self) -> Option<(K, u64, E)> {
-        let run_first = match (self.run.front(), self.root) {
-            (None, NIL) => return None,
-            (Some(_), NIL) => true,
-            (None, _) => false,
-            (Some(&(key, seq, _)), root) => {
-                let root = &self.nodes[root as usize];
-                (key, seq) < (root.key, root.seq)
-            }
+        let heap_first = match (self.run.front(), self.heap.first()) {
+            (None, None) => return None,
+            (Some(run), Some(root)) => before(root, run),
+            (run, _) => run.is_none(),
         };
-        self.len -= 1;
-        if run_first {
+        if !heap_first {
             return self.run.pop_front();
         }
-        let root = self.root;
-        let slot = &mut self.nodes[root as usize];
-        let key = slot.key;
-        let seq = slot.seq;
-        let item = slot.item.take().expect("heap root must hold a payload");
-        let mut child = slot.child;
-        // Retire the old root onto the free list.
-        slot.child = NIL;
-        slot.sibling = self.free;
-        self.free = root;
-
-        // Two-pass pairing merge of the root's children. Pass 1 melds
-        // adjacent pairs left-to-right into `pair_scratch`; pass 2 melds
-        // the pair roots back right-to-left.
-        let mut scratch = std::mem::take(&mut self.pair_scratch);
-        debug_assert!(scratch.is_empty());
-        while child != NIL {
-            let next = self.nodes[child as usize].sibling;
-            self.nodes[child as usize].sibling = NIL;
-            if next == NIL {
-                scratch.push(child);
+        // The last leaf takes the root's slot, sinks along the least
+        // children to a leaf, then rises back to its place — a leaf
+        // usually belongs near the bottom, so this saves the compare
+        // against it on every level on the way down.
+        let top = self.heap.swap_remove(0);
+        let len = self.heap.len();
+        let mut at = 0;
+        loop {
+            let first = ARITY * at + 1;
+            if first >= len {
                 break;
             }
-            let after = self.nodes[next as usize].sibling;
-            self.nodes[next as usize].sibling = NIL;
-            scratch.push(self.meld(child, next));
-            child = after;
+            let h = &self.heap;
+            let least = if first + ARITY <= len {
+                // A full family: two independent pairs, then their winners.
+                let a = first + usize::from(before(&h[first + 1], &h[first]));
+                let b = first + 2 + usize::from(before(&h[first + 3], &h[first + 2]));
+                [a, b][usize::from(before(&h[b], &h[a]))]
+            } else {
+                (first..len)
+                    .min_by_key(|&c| (h[c].0, h[c].1))
+                    .expect("a child")
+            };
+            self.heap.swap(at, least);
+            at = least;
         }
-        let mut new_root = NIL;
-        while let Some(h) = scratch.pop() {
-            new_root = self.meld(new_root, h);
-        }
-        self.pair_scratch = scratch;
-        self.root = new_root;
-        Some((key, seq, item))
-    }
-
-    /// Melds two pairing-heap roots; the smaller `(key, seq)` wins. `seq`
-    /// uniqueness makes the order strict, so the winner is always unique.
-    fn meld(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        let ka = (self.nodes[a as usize].key, self.nodes[a as usize].seq);
-        let kb = (self.nodes[b as usize].key, self.nodes[b as usize].seq);
-        debug_assert_ne!(ka.1, kb.1, "seq numbers are unique");
-        let (parent, child) = if ka < kb { (a, b) } else { (b, a) };
-        self.nodes[child as usize].sibling = self.nodes[parent as usize].child;
-        self.nodes[parent as usize].child = child;
-        parent
+        self.sift_up(at);
+        Some(top)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// No heap slot pops before its parent.
+    fn assert_heap_ordered<K: Ord + Copy + std::fmt::Debug, E>(q: &EventQueue<K, E>) {
+        for at in 1..q.heap.len() {
+            let parent = (at - 1) / ARITY;
+            assert!(
+                before(&q.heap[parent], &q.heap[at]),
+                "slot {at} pops before its parent {parent}"
+            );
+        }
+    }
 
     #[test]
     fn pops_in_key_order() {
@@ -343,13 +280,14 @@ mod tests {
         for i in 0..100u64 {
             q.schedule(999 - i, i); // below the run's tail: the heap
         }
-        assert_eq!((q.run.len(), q.nodes.len()), (100, 100));
+        assert_eq!((q.run.len(), q.heap.len()), (100, 100));
+        assert_heap_ordered(&q);
         while q.pop().is_some() {}
-        let (run_cap, node_cap) = (q.run.capacity(), q.nodes.capacity());
+        let (run_cap, heap_cap) = (q.run.capacity(), q.heap.capacity());
         let storage = q.into_storage();
         let mut q2: EventQueue<u64, u64> = EventQueue::from_storage(storage);
         assert_eq!(q2.next_seq(), 0);
-        assert!(q2.run.capacity() >= run_cap && q2.nodes.capacity() >= node_cap);
+        assert!(q2.run.capacity() >= run_cap && q2.heap.capacity() >= heap_cap);
         assert_eq!(q2.schedule(1, 9), 0);
         assert_eq!(q2.pop(), Some((1, 0, 9)));
     }
@@ -357,7 +295,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_recycles_slots() {
         // A far-future sentinel holds the run's tail, so every other event
-        // is out of order and goes through the heap's slab.
+        // is out of order and goes through the heap.
         let mut q = EventQueue::new();
         q.schedule(u64::MAX, 0);
         let mut last_popped = None;
@@ -367,10 +305,15 @@ mod tests {
             let (k, _, _) = q.pop().unwrap();
             assert!(last_popped < Some(k), "pops come out in key order");
             last_popped = Some(k);
+            assert_heap_ordered(&q);
         }
-        // Slab never grows past live events + one recycled slot.
-        assert!(q.nodes.len() <= 51, "slab grew to {}", q.nodes.len());
-        assert_eq!(q.len(), 51);
+        // The heap holds the live events only: a popped slot is reused.
+        assert_eq!((q.heap.len(), q.run.len(), q.len()), (50, 1, 51));
+        assert!(
+            q.heap.capacity() <= 64,
+            "heap grew to {}",
+            q.heap.capacity()
+        );
     }
 
     #[test]
@@ -384,11 +327,11 @@ mod tests {
             // Schedule order is pop order: the `round`-th event overall.
             assert_eq!(q.pop(), Some((round / 4 * 10, round, round)));
         }
-        assert!(q.nodes.is_empty(), "an in-order event reached the slab");
+        assert!(q.heap.is_empty(), "an in-order event reached the heap");
         assert_eq!((q.len(), q.run.len()), (150, 150));
         // One late event is the heap's; the fronts still merge in order.
         q.schedule(5, 999);
-        assert_eq!((q.nodes.len(), q.peek_key()), (1, Some(5)));
+        assert_eq!((q.heap.len(), q.peek_key()), (1, Some(5)));
         assert_eq!(q.pop(), Some((5, 200, 999)));
         assert_eq!(q.pop(), Some((120, 50, 50)));
     }

@@ -2,11 +2,10 @@
 
 use crate::config::NetConfig;
 use crate::fault::{Fault, PartitionSpec};
-use crate::hash::IntMap;
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
 use crate::stats::{DeliveryRecord, NetStats};
-use crate::topology::TopologyMap;
+use crate::topology::{LinkTable, TopologyMap};
 use crate::transport::{Envelope, Kinded, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -135,12 +134,6 @@ struct Flight {
     parcel: ParcelId,
 }
 
-/// The directed-link key for the sparse per-link maps.
-#[inline]
-fn link_key(from: usize, to: usize) -> u64 {
-    ((from as u64) << 32) | to as u64
-}
-
 impl NetConfig {
     /// Builds the simulator for `n` nodes with this configuration.
     pub fn build_net<M: Kinded>(&self, n: usize, seed: u64) -> SimNet<M> {
@@ -159,7 +152,9 @@ impl NetConfig {
     ) -> SimNet<M> {
         let mut inbox_slots = std::mem::take(&mut scratch.inboxes);
         inbox_slots.resize_with(n, Vec::new);
-        scratch.stats.reset(n, self.trace);
+        scratch
+            .stats
+            .reset(self.topology.instantiate(n, seed), self.trace);
         scratch.dirty.clear();
         scratch.in_dirty.clear();
         scratch.in_dirty.resize(n, false);
@@ -171,10 +166,9 @@ impl NetConfig {
             parcels: scratch.parcels,
             arrived: inbox_slots.into_iter().map(Inbox::from_slots).collect(),
             default_latency: self.latency,
-            link_latency: IntMap::default(),
-            topo: self.topology.instantiate(n, seed),
+            link_latency: LinkTable::default(),
             bandwidth_bps: self.bandwidth_bps,
-            link_busy: IntMap::default(),
+            link_busy: LinkTable::default(),
             faults: scratch.faults,
             spare_side_a: scratch.side_a,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
@@ -387,10 +381,10 @@ impl<M> NetScratch<M> {
 /// payloads themselves sit in one slab (`Parcels`) from `send` to
 /// delivery.
 ///
-/// Per-node state is O(nodes + active links): latency overrides and link
-/// busy-times live in sparse maps keyed by the directed link, as do the
-/// [`NetStats`] counters once n² outgrows a small directly indexed table,
-/// and the set of nodes with fresh arrivals is maintained incrementally
+/// Per-node state is O(nodes + topology edges): latency overrides, link
+/// busy-times and the [`NetStats`] counters are `LinkTable`s over the
+/// topology (one dense row per edge, a sparse spill for the rest), and
+/// the set of nodes with fresh arrivals is maintained incrementally
 /// ([`SimNet::drain_arrived_nodes`]) so delivery loops iterate O(active)
 /// instead of O(n).
 pub struct SimNet<M> {
@@ -400,16 +394,13 @@ pub struct SimNet<M> {
     parcels: Parcels<M>,
     arrived: Vec<Inbox>,
     default_latency: LatencyModel,
-    /// Sparse per-link latency overrides (the old dense `Vec` was n²).
-    link_latency: IntMap<u64, LatencyModel>,
-    /// The gossip adjacency + region/latency classes (implicit full mesh
-    /// by default).
-    topo: TopologyMap,
+    /// Per-link latency overrides.
+    link_latency: LinkTable<Option<LatencyModel>>,
     /// Per-link store-and-forward capacity; `None` = infinite.
     bandwidth_bps: Option<u64>,
-    /// Sparse per-link transmit-busy horizon (only touched when
-    /// `bandwidth_bps` is set).
-    link_busy: IntMap<u64, u64>,
+    /// Per-link transmit-busy horizon (only touched when `bandwidth_bps`
+    /// is set).
+    link_busy: LinkTable<u64>,
     faults: Vec<Fault>,
     /// The recycled partition member list while no partition in `faults`
     /// holds it, so a partition-free trial hands it on unchanged.
@@ -451,7 +442,7 @@ impl<M: Kinded> SimNet<M> {
 
     /// Overrides the latency model of one directed link.
     pub fn set_link_latency(&mut self, from: usize, to: usize, model: LatencyModel) {
-        self.link_latency.insert(link_key(from, to), model);
+        *self.link_latency.get_mut(self.stats.topology(), from, to) = Some(model);
     }
 
     /// Appends a fault injector (applied to every send, in order).
@@ -470,16 +461,18 @@ impl<M: Kinded> SimNet<M> {
     }
 
     /// Moves the collected observability data out — for a caller that
-    /// keeps the statistics of a simulator it is done with — leaving the
-    /// empty [`NetStats`] of a zero-node network. A simulator torn down
-    /// with its statistics in place recycles their storage instead.
+    /// keeps the statistics of a simulator it is done with — leaving empty
+    /// [`NetStats`] over the same topology. A simulator torn down with its
+    /// statistics in place recycles their storage instead.
     pub fn take_stats(&mut self) -> NetStats {
-        std::mem::take(&mut self.stats)
+        let fresh = NetStats::over(self.topology().clone(), self.stats.trace_enabled());
+        std::mem::replace(&mut self.stats, fresh)
     }
 
-    /// The gossip adjacency this network was configured with.
+    /// The gossip adjacency this network was configured with (its
+    /// [`NetStats`] are laid out over it and hold it).
     pub fn topology(&self) -> &TopologyMap {
-        &self.topo
+        self.stats.topology()
     }
 
     /// Moves the nodes that received arrivals since the last call into
@@ -496,10 +489,10 @@ impl<M: Kinded> SimNet<M> {
     }
 
     fn latency_of(&self, from: usize, to: usize) -> LatencyModel {
-        if let Some(&m) = self.link_latency.get(&link_key(from, to)) {
+        if let Some(m) = self.link_latency.get(self.topology(), from, to) {
             return m;
         }
-        if let Some(m) = self.topo.inter_latency(from, to) {
+        if let Some(m) = self.topology().inter_latency(from, to) {
             return m;
         }
         self.default_latency
@@ -604,7 +597,7 @@ impl<M: Kinded> SimNet<M> {
         if let Some(bps) = self.bandwidth_bps {
             let bits = (self.parcels.get(parcel).wire_bytes() as u128) * 8;
             let tx = ((bits * 1_000_000_000) / bps.max(1) as u128).min(u64::MAX as u128) as u64;
-            let busy = self.link_busy.entry(link_key(from, to)).or_insert(0);
+            let busy = self.link_busy.get_mut(self.stats.topology(), from, to);
             let done = (*busy).max(self.now_ns).saturating_add(tx);
             *busy = done;
             tx_ns = done - self.now_ns;

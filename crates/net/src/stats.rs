@@ -1,19 +1,21 @@
 //! Per-link / per-kind observability.
 //!
-//! Per-link counters are probed on every send, drop and delivery. While
-//! the full `n × n` table is small (n ≤ 64: at most 4 096 links, 128 KB)
-//! they are held by direct index `from · n + to` — one add, no hashing;
-//! above that they live in a sparse integer-hashed map keyed by the
-//! directed link, so memory stays O(active links), not n² (25M `Counters`
-//! at n = 5000, even for an idle network). Which of the two holds them
-//! follows from `n` alone and shows nowhere in what [`NetStats`] reports.
+//! Per-link counters are probed on every send, drop and delivery. They
+//! sit in a `LinkTable` over the network's topology: one dense row per
+//! topology edge ([`TopologyMap::edge_index`]: the CSR row offset plus the
+//! position in the sorted row, or `from · n + to` on a mesh of at most 64
+//! nodes), so an overlay link costs a short binary search and no hashing,
+//! and memory stays O(edges), not n² (25M `Counters` at n = 5000). Links
+//! without a row — off-topology repair sends, any link of a larger mesh —
+//! spill into one sparse map. Where a link is held shows nowhere in what
+//! [`NetStats`] reports.
 //! Totals are maintained incrementally, so [`NetStats::totals`] is O(1)
 //! instead of an n² scan, and the delivery trace is opt-in for the same
 //! reason: at 5k nodes an unbounded record stream dominates peak memory.
 //! A trial loop keeps one `NetStats` and [`NetStats::reset`]s it, so a
 //! trial allocates no counters of its own.
 
-use crate::hash::IntMap;
+use crate::topology::{LinkTable, TopologyMap};
 use serde::Value;
 
 /// Counter set shared by links and payload kinds.
@@ -131,118 +133,38 @@ pub struct DeliveryRecord {
     pub seq: u64,
 }
 
-/// Networks with at most this many directed links (`n²`, so n ≤ 64) keep
-/// the whole link table by direct index; larger ones keep the sparse map.
-const DENSE_LINK_LIMIT: usize = 4_096;
-
-/// The per-link counter storage — probed on every send, drop and delivery
-/// and only ever read out sorted. The representation follows from `n`
-/// ([`LinkStore::reset`]); a link counts as *active* once any of its
-/// counters is non-zero, which is the same in both.
-#[derive(Clone)]
-enum LinkStore {
-    /// Every link's counters, row-major: `rows[from * n + to]`.
-    Dense { n: usize, rows: Vec<Counters> },
-    /// The touched links only, keyed by [`store_key`] (O(active links)).
-    Sparse(IntMap<u64, Counters>),
-}
-
-impl Default for LinkStore {
-    /// The store of a zero-node network: it has no link to count on.
-    fn default() -> Self {
-        LinkStore::Dense {
-            n: 0,
-            rows: Vec::new(),
-        }
-    }
+/// The per-link counters — probed on every send, drop and delivery and
+/// only ever read out sorted: a [`LinkTable`] over the network's topology,
+/// which the store owns (the simulator reads its adjacency from here). A
+/// link counts as *active* once any of its counters is non-zero.
+#[derive(Clone, Default)]
+struct LinkStore {
+    topo: TopologyMap,
+    table: LinkTable<Counters>,
 }
 
 impl std::fmt::Debug for LinkStore {
-    /// Deterministic Debug: entries print in sorted `(from, to)` order
-    /// (HashMap iteration order varies per instance), non-zero links only,
-    /// so both representations print alike.
+    /// Deterministic Debug: non-zero links only, in sorted `(from, to)`
+    /// order, like the map this stands for.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut map = f.debug_map();
-        for (from, to, c) in self.sorted_nonzero() {
-            map.entry(&(from, to), &c);
-        }
-        map.finish()
+        let links = self.sorted_nonzero().into_iter();
+        f.debug_map()
+            .entries(links.map(|(from, to, c)| ((from, to), c)))
+            .finish()
     }
-}
-
-#[inline]
-fn store_key(from: usize, to: usize) -> u64 {
-    ((from as u64) << 32) | to as u64
 }
 
 impl LinkStore {
-    /// Back to the all-zero store of an `n`-node network, on the
-    /// allocation already held wherever the representation allows.
-    fn reset(&mut self, n: usize) {
-        let dense = n.checked_mul(n).filter(|&links| links <= DENSE_LINK_LIMIT);
-        match (&mut *self, dense) {
-            (LinkStore::Dense { n: held, rows }, Some(links)) => {
-                *held = n;
-                rows.clear();
-                rows.resize(links, Counters::default());
-            }
-            (LinkStore::Sparse(map), None) => map.clear(),
-            (_, Some(links)) => {
-                *self = LinkStore::Dense {
-                    n,
-                    rows: vec![Counters::default(); links],
-                }
-            }
-            (_, None) => *self = LinkStore::Sparse(IntMap::default()),
-        }
-    }
-
-    #[inline]
     fn get_mut(&mut self, from: usize, to: usize) -> &mut Counters {
-        match self {
-            LinkStore::Dense { n, rows } => {
-                debug_assert!(from < *n && to < *n, "link {from}->{to} outside {n} nodes");
-                &mut rows[from * *n + to]
-            }
-            LinkStore::Sparse(map) => map.entry(store_key(from, to)).or_default(),
-        }
-    }
-
-    fn get(&self, from: usize, to: usize) -> Counters {
-        match self {
-            LinkStore::Dense { n, rows } if from < *n && to < *n => rows[from * n + to],
-            LinkStore::Dense { .. } => Counters::default(),
-            LinkStore::Sparse(map) => map.get(&store_key(from, to)).copied().unwrap_or_default(),
-        }
-    }
-
-    fn active(&self) -> usize {
-        match self {
-            LinkStore::Dense { rows, .. } => rows.iter().filter(|c| !c.is_zero()).count(),
-            // An entry exists only because a counter of it was bumped.
-            LinkStore::Sparse(map) => map.len(),
-        }
+        self.table.get_mut(&self.topo, from, to)
     }
 
     /// Non-zero links, ascending `(from, to)` — the historic row-major
     /// export order.
     fn sorted_nonzero(&self) -> Vec<(usize, usize, Counters)> {
-        match self {
-            LinkStore::Dense { n, rows } => rows
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !c.is_zero())
-                .map(|(at, &c)| (at / n, at % n, c))
-                .collect(),
-            LinkStore::Sparse(map) => {
-                let mut keys: Vec<u64> = map.keys().copied().collect();
-                keys.sort_unstable();
-                keys.into_iter()
-                    .map(|k| ((k >> 32) as usize, (k & 0xffff_ffff) as usize, map[&k]))
-                    .filter(|(_, _, c)| !c.is_zero())
-                    .collect()
-            }
-        }
+        let mut links = self.table.entries(&self.topo);
+        links.retain(|(_, _, c)| !c.is_zero());
+        links
     }
 }
 
@@ -300,19 +222,26 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Stats for an `n`-node network, recording the per-delivery trace
+    /// Stats for an `n`-node full mesh, recording the per-delivery trace
     /// iff `trace`.
     pub fn with_options(n: usize, trace: bool) -> NetStats {
+        NetStats::over(TopologyMap::mesh(n), trace)
+    }
+
+    /// Stats for a network over `topo`, recording the per-delivery trace
+    /// iff `trace`.
+    pub fn over(topo: TopologyMap, trace: bool) -> NetStats {
         let mut stats = NetStats::default();
-        stats.reset(n, trace);
+        stats.reset(topo, trace);
         stats
     }
 
-    /// Back to what [`NetStats::with_options`]`(n, trace)` returns, on the
+    /// Back to what [`NetStats::over`]`(topo, trace)` returns, on the
     /// storage already held: nothing recorded before shows afterwards.
-    pub fn reset(&mut self, n: usize, trace: bool) {
-        self.n = n;
-        self.links.reset(n);
+    pub fn reset(&mut self, topo: TopologyMap, trace: bool) {
+        self.n = topo.n();
+        self.links.topo = topo;
+        self.links.table.clear();
         self.totals = Counters::default();
         self.kinds.0.clear();
         self.trace.clear();
@@ -354,7 +283,12 @@ impl NetStats {
 
     /// Per-link counters for `from → to`.
     pub fn link(&self, from: usize, to: usize) -> Counters {
-        self.links.get(from, to)
+        self.links.table.get(&self.links.topo, from, to)
+    }
+
+    /// The topology the link counters are laid out over.
+    pub fn topology(&self) -> &TopologyMap {
+        &self.links.topo
     }
 
     /// Per-kind counters for `kind` (zeroes if never seen).
@@ -377,7 +311,7 @@ impl NetStats {
 
     /// Number of links that ever carried (or dropped) a message.
     pub fn active_links(&self) -> usize {
-        self.links.active()
+        self.links.table.values().filter(|c| !c.is_zero()).count()
     }
 
     /// Whether the per-delivery trace is being recorded.

@@ -16,12 +16,16 @@
 //!   diameter estimate). Construction is deterministic per `(n, seed)`
 //!   and draws from its *own* ChaCha8 stream, so adding a topology never
 //!   perturbs the delivery RNG of existing full-mesh runs.
+//! * `LinkTable` — per-directed-link values laid out over a topology
+//!   (crate-internal): one dense row per [`TopologyMap::edge_index`], one
+//!   sparse spill map for the links that have none.
 //!
 //! The adjacency restricts the *gossip overlay* (block announcements and
 //! relay forwarding in `am-protocols::propagation`); point-to-point sends
 //! — ABD rounds, pull repair, request traffic — model the IP underlay and
 //! stay legal between any pair of nodes.
 
+use crate::hash::IntMap;
 use crate::latency::LatencyModel;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -59,6 +63,9 @@ pub enum Topology {
         inter: LatencyModel,
     },
 }
+
+/// Meshes up to this many nodes give every ordered pair a row; larger, none.
+const DENSE_MESH_NODES: usize = 64;
 
 /// Default intra-region degree for `geo:<r>` parsed from the CLI.
 pub const GEO_DEFAULT_K: usize = 8;
@@ -287,6 +294,46 @@ impl TopologyMap {
         self.n
     }
 
+    /// The dense row of the directed link `from → to` in a per-link table
+    /// laid out over this topology (`LinkTable`): on a CSR topology the
+    /// row offset of `from` plus the position of `to` in its sorted row;
+    /// on a mesh of at most 64 nodes `from · n + to`. `None` for a link
+    /// with no row — an off-topology send, any link of a larger mesh, or
+    /// an endpoint out of range. Rows ascend with `(from, to)`.
+    #[inline]
+    pub fn edge_index(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= self.n || to >= self.n {
+            return None;
+        }
+        if self.mesh {
+            return (self.n <= DENSE_MESH_NODES).then(|| from * self.n + to);
+        }
+        let lo = self.offsets[from] as usize;
+        let row = &self.adj[lo..self.offsets[from + 1] as usize];
+        row.binary_search(&(to as u32)).ok().map(|at| lo + at)
+    }
+
+    /// Number of dense edge rows ([`TopologyMap::edge_index`] is below it).
+    pub fn edge_count(&self) -> usize {
+        match self.mesh {
+            true if self.n <= DENSE_MESH_NODES => self.n * self.n,
+            true => 0,
+            false => self.adj.len(),
+        }
+    }
+
+    /// The directed links of the edge rows, in row order.
+    fn edge_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.n;
+        (0..self.edge_count()).map(move |edge| match self.mesh {
+            true => (edge / n, edge % n),
+            false => (
+                self.offsets.partition_point(|&off| off as usize <= edge) - 1,
+                self.adj[edge] as usize,
+            ),
+        })
+    }
+
     /// Whether this is the implicit full mesh.
     pub fn is_mesh(&self) -> bool {
         self.mesh
@@ -390,6 +437,88 @@ impl TopologyMap {
     /// Whether every node can reach every other over the gossip links.
     pub fn connected(&self) -> bool {
         self.n <= 1 || self.mesh || self.eccentricity(0).1 != usize::MAX
+    }
+}
+
+impl Default for TopologyMap {
+    /// The mesh of a zero-node network.
+    fn default() -> Self {
+        TopologyMap::mesh(0)
+    }
+}
+
+/// Per-directed-link values over a [`TopologyMap`]: one dense row per edge
+/// ([`TopologyMap::edge_index`]), and a sparse spill map for every link
+/// without one. The rows are allocated at the first write, so a table
+/// nothing is written to holds no memory, and [`LinkTable::clear`] keeps
+/// them for the next network. Every method takes the topology the table
+/// is laid out over; the caller keeps it fixed between clears.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LinkTable<T> {
+    rows: Vec<T>,
+    spill: IntMap<u64, T>,
+}
+
+/// The spill key of a directed link.
+#[inline]
+fn link_key(from: usize, to: usize) -> u64 {
+    ((from as u64) << 32) | to as u64
+}
+
+impl<T: Copy + Default> LinkTable<T> {
+    /// Every link back to `T::default()`, capacity kept.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.spill.clear();
+    }
+
+    /// The value of `from → to`, created at `T::default()`.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, topo: &TopologyMap, from: usize, to: usize) -> &mut T {
+        match topo.edge_index(from, to) {
+            Some(edge) => {
+                if edge >= self.rows.len() {
+                    self.rows.resize(topo.edge_count(), T::default());
+                }
+                &mut self.rows[edge]
+            }
+            None => self.spill.entry(link_key(from, to)).or_default(),
+        }
+    }
+
+    /// The value of `from → to` (`T::default()` if never written).
+    #[inline]
+    pub(crate) fn get(&self, topo: &TopologyMap, from: usize, to: usize) -> T {
+        if self.rows.is_empty() && self.spill.is_empty() {
+            return T::default();
+        }
+        let value = match topo.edge_index(from, to) {
+            Some(edge) => self.rows.get(edge),
+            None => self.spill.get(&link_key(from, to)),
+        };
+        value.copied().unwrap_or_default()
+    }
+
+    /// Every written link's value, in no particular order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.rows.iter().chain(self.spill.values())
+    }
+
+    /// Every written link with its value, ascending `(from, to)`: the edge
+    /// rows merged with the spill.
+    pub(crate) fn entries(&self, topo: &TopologyMap) -> Vec<(usize, usize, T)> {
+        let mut out: Vec<(usize, usize, T)> = topo
+            .edge_links()
+            .zip(&self.rows)
+            .map(|((from, to), &value)| (from, to, value))
+            .collect();
+        out.extend(
+            self.spill
+                .iter()
+                .map(|(&key, &value)| ((key >> 32) as usize, (key & 0xffff_ffff) as usize, value)),
+        );
+        out.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        out
     }
 }
 

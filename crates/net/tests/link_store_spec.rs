@@ -1,38 +1,53 @@
-//! `NetStats`' per-link counters against the map they stand for.
+//! Per-link state against the map it stands for.
 //!
-//! `stats.rs` holds the counters of a small network (n² ≤ 4 096 links, so
-//! n ≤ 64) in a table indexed `from · n + to` and those of a larger one in
-//! a sparse integer-hashed map. Which of the two is in use follows from
-//! `n` alone and must show nowhere in what [`NetStats`] reports: `link()`,
-//! `active_links()`, `totals()`, the `{:?}` form `naive_equiv` hashes and
-//! `to_json()` (what `e14.netstats.json` is written from). The reference
-//! here is a `BTreeMap<(from, to), Counters>` inside a mirror of the
-//! struct, driven by the same seeded random calls at n ∈ {1, 12, 64, 65,
-//! 300} — both sides of the limit. A trial loop keeps one `NetStats` and
+//! `NetStats`' per-link counters and `SimNet`'s bandwidth busy horizons are
+//! `LinkTable`s laid out over the network's topology: one dense row per
+//! topology edge — `TopologyMap::edge_index`, the CSR row offset plus the
+//! position in the sorted row, or `from · n + to` on a mesh of at most 64
+//! nodes — and one sparse spill map for every link without a row (an
+//! off-topology send, any link of a larger mesh). Where a link is held must
+//! show nowhere in what [`NetStats`] reports: `link()`, `active_links()`,
+//! `totals()`, the `{:?}` form `naive_equiv` hashes and `to_json()` (what
+//! `e14.netstats.json` is written from). The reference here is a
+//! `BTreeMap<(from, to), Counters>` inside a mirror of the struct, driven by
+//! the same seeded random calls — on-edge traffic, a few hot links and
+//! uniformly random (mostly off-topology) pairs — over meshes of n ∈ {1, 12,
+//! 64, 65, 70, 300} (both sides of the limit; 65 and up all spill), relay
+//! overlays and a geo overlay. A trial loop keeps one `NetStats` and
 //! `reset`s it, so the suite also holds a recycled one (dirty, across
-//! n 64 → 12 → 64 → 300 → 64) to a fresh one, and — under a counting
-//! allocator, the library keeps `#![forbid(unsafe_code)]` — that a reset
-//! at the same `n` allocates nothing while an idle large network holds no
-//! table.
+//! meshes and overlays) to a fresh one, and — under a counting allocator,
+//! the library keeps `#![forbid(unsafe_code)]` — that a reset onto the same
+//! topology allocates nothing, an idle network holds no table, and the
+//! first write brings one 32-byte row per edge. The busy horizons are held
+//! to a per-direction reference by the arrival times of bandwidth-limited
+//! bursts on the same topologies.
 //!
-//! Mutation-checked: each of these edits to `stats.rs` fails the test
-//! named —
+//! Mutation-checked: each of these edits fails the test named —
 //!
+//! * `edge_index` reads the receiver's row (`offsets[to]` plus the place of
+//!   `from` in it): `every_report_matches_the_map_reference` (relay and geo:
+//!   the `{:?}` / JSON list a link's counters under its reverse);
+//! * `LinkTable::entries` appends the spill after the rows unsorted:
+//!   `every_report_matches…` (relay and geo `{:?}` / JSON order);
+//! * `send_parcel` keys the busy horizon by the unordered pair (both
+//!   directions of a link share one): `busy_horizons_are_per_direction…`;
 //! * a stale row survives `reset` (`rows.clear()` dropped, or the kind
 //!   list / totals / trace left): `a_recycled_netstats_is_a_fresh_one`;
-//! * `active_links` counts zeroed rows (`rows.len()`):
-//!   `every_report_matches_the_map_reference` at n = 12 and 64;
-//! * the row-major index transposed (`to * n + from`) in `get_mut`, in
-//!   `get` or in the read-out: `every_report_matches…` (`link()` or the
-//!   `{:?}` / JSON order);
-//! * the dense limit compared against `n` instead of `n²`:
-//!   `an_idle_large_network_holds_no_table` (n = 65 and 300 would
-//!   allocate theirs);
-//! * `reset` rebuilding the table instead of clearing it:
-//!   `a_reset_at_the_same_size_allocates_nothing`.
+//! * `active_links` counts zeroed rows (`values().count()`):
+//!   `every_report_matches…` on every mesh up to 64 and every overlay;
+//! * the mesh index transposed (`to * n + from`): `every_report_matches…`
+//!   (`{:?}` / JSON order);
+//! * the mesh limit compared as if against `n²` (`n <= 4_096`, so meshes of
+//!   65 to 4 096 nodes get a table): `an_idle_large_network_holds_no_table`;
+//! * `reset` dropping the rows' allocation instead of clearing them:
+//!   `a_reset_at_the_same_size_allocates_nothing` (same topology, same
+//!   size).
 
 use am_net::stats::{Counters, DelayHistogram};
-use am_net::{DeliveryRecord, NetStats};
+use am_net::{
+    DeliveryRecord, Kinded, LatencyModel, NetConfig, NetStats, SimNet, Topology, TopologyMap,
+    Transport,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -157,16 +172,16 @@ impl reference::NetStats {
 }
 
 /// Applies `calls` seeded random `on_*` calls to both.
-fn drive(s: &mut NetStats, r: &mut reference::NetStats, rng: &mut ChaCha8Rng, calls: usize) {
+fn drive(
+    s: &mut NetStats,
+    r: &mut reference::NetStats,
+    topo: &TopologyMap,
+    rng: &mut ChaCha8Rng,
+    calls: usize,
+) {
     const KINDS: [&str; 3] = ["block", "ack", "append"];
-    let n = r.n;
     for step in 0..calls {
-        // Half the traffic on a few hot links, the rest anywhere.
-        let (from, to) = if rng.gen_bool(0.5) {
-            (rng.gen_range(0..n.min(3)), rng.gen_range(0..n.min(4)))
-        } else {
-            (rng.gen_range(0..n), rng.gen_range(0..n))
-        };
+        let (from, to) = pick_link(topo, rng);
         let kind = KINDS[rng.gen_range(0..KINDS.len())];
         let link = r.links.entry((from, to)).or_default();
         let by_kind = r.kinds.entry(kind).or_default();
@@ -212,6 +227,29 @@ fn drive(s: &mut NetStats, r: &mut reference::NetStats, rng: &mut ChaCha8Rng, ca
     }
 }
 
+/// A link to put traffic on: half the time an overlay edge (any ordered
+/// pair on a mesh), a fifth of the time one of a few hot links, otherwise
+/// a uniformly random pair — off the topology, mostly, on an overlay.
+fn pick_link(topo: &TopologyMap, rng: &mut ChaCha8Rng) -> (usize, usize) {
+    let n = topo.n();
+    match rng.gen_range(0..10u32) {
+        0..=4 => {
+            let from = rng.gen_range(0..n);
+            match topo.degree(from) {
+                0 => (from, from),
+                degree => (from, topo.neighbor(from, rng.gen_range(0..degree))),
+            }
+        }
+        5..=6 => (rng.gen_range(0..n.min(3)), rng.gen_range(0..n.min(4))),
+        _ => (rng.gen_range(0..n), rng.gen_range(0..n)),
+    }
+}
+
+/// Whether `from → to` is an overlay edge (on a mesh: any pair).
+fn on_topology(topo: &TopologyMap, from: usize, to: usize) -> bool {
+    (0..topo.degree(from)).any(|i| topo.neighbor(from, i) == to)
+}
+
 /// Everything `NetStats` reports about its links, held to the reference.
 fn assert_same(s: &NetStats, r: &reference::NetStats, what: &str) {
     assert_eq!(s.totals(), r.totals, "totals ({what})");
@@ -234,23 +272,60 @@ fn assert_same(s: &NetStats, r: &reference::NetStats, what: &str) {
     assert_eq!(json, r.to_json(&json), "to_json ({what})");
 }
 
-const SIZES: [usize; 5] = [1, 12, 64, 65, 300];
+/// The network seed every topology here is instantiated at.
+const SEED: u64 = 5;
+
+/// Meshes on both sides of the 64-node limit (from 65 nodes every link
+/// spills), relay overlays and a geo overlay: a name, the description and
+/// its instance at [`SEED`].
+fn topologies() -> Vec<(String, Topology, TopologyMap)> {
+    let meshes = [1usize, 12, 64, 65, 70, 300].map(|n| (Topology::FullMesh, n));
+    let geo = Topology::Geo {
+        regions: 4,
+        k: 4,
+        inter: LatencyModel::Constant(10),
+    };
+    let overlays = [
+        (Topology::Relay { k: 4 }, 40),
+        (Topology::Relay { k: 6 }, 200),
+        (geo, 120),
+    ];
+    meshes
+        .into_iter()
+        .chain(overlays)
+        .map(|(topo, n)| (format!("{topo} n {n}"), topo, topo.instantiate(n, SEED)))
+        .collect()
+}
 
 #[test]
 fn every_report_matches_the_map_reference() {
-    for n in SIZES {
+    for (name, _, topo) in topologies() {
+        let (mut on_rows, mut spilled) = (0, 0);
         for seed in 0..8u64 {
-            let what = format!("n {n} seed {seed}");
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (n as u64) << 8);
+            let what = format!("{name} seed {seed}");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (topo.n() as u64) << 8);
             let trace = seed % 2 == 0;
-            let mut s = NetStats::with_options(n, trace);
-            let mut r = reference::NetStats::new(n, trace);
+            let mut s = NetStats::over(topo.clone(), trace);
+            let mut r = reference::NetStats::new(topo.n(), trace);
             assert_same(&s, &r, &what);
             for _ in 0..4 {
-                drive(&mut s, &mut r, &mut rng, 400);
+                drive(&mut s, &mut r, &topo, &mut rng, 400);
                 assert_same(&s, &r, &what);
             }
             assert!(r.n == 1 || r.links.len() > 12, "too few links ({what})");
+            for &(from, to) in r.links.keys() {
+                match on_topology(&topo, from, to) {
+                    true => on_rows += 1,
+                    false => spilled += 1,
+                }
+            }
+        }
+        // Every overlay exercises both the rows and the spill.
+        if !topo.is_mesh() {
+            assert!(
+                on_rows > 100 && spilled > 100,
+                "{name}: {on_rows} / {spilled}"
+            );
         }
     }
 }
@@ -258,23 +333,27 @@ fn every_report_matches_the_map_reference() {
 #[test]
 fn a_recycled_netstats_is_a_fresh_one() {
     let mut rng = ChaCha8Rng::seed_from_u64(24);
-    let mut recycled = NetStats::with_options(64, true);
+    let all = topologies();
+    let mut recycled = NetStats::over(all[2].2.clone(), true);
     let mut scrap = reference::NetStats::new(64, true);
-    drive(&mut recycled, &mut scrap, &mut rng, 3_000);
-    for (round, n) in [12usize, 64, 300, 64, 1, 65, 12].into_iter().enumerate() {
-        let what = format!("round {round}: reset to n {n}");
+    drive(&mut recycled, &mut scrap, &all[2].2, &mut rng, 3_000);
+    // Meshes and overlays in turn, each onto what the last one left.
+    for (round, at) in [1usize, 2, 8, 5, 6, 0, 3, 7, 1, 8].into_iter().enumerate() {
+        let (name, _, topo) = &all[at];
+        let what = format!("round {round}: reset to {name}");
         let trace = round % 2 == 1;
-        recycled.reset(n, trace);
-        let mut r = reference::NetStats::new(n, trace);
+        recycled.reset(topo.clone(), trace);
+        let mut r = reference::NetStats::new(topo.n(), trace);
         assert_same(&recycled, &r, &what);
         assert_eq!(recycled.trace_enabled(), trace);
         // Dirty it again, in step with a fresh one.
-        let mut fresh = NetStats::with_options(n, trace);
+        let mut fresh = NetStats::over(topo.clone(), trace);
         let mut twin = rng.clone();
-        drive(&mut recycled, &mut r, &mut rng, 1_500);
+        drive(&mut recycled, &mut r, topo, &mut rng, 1_500);
         drive(
             &mut fresh,
-            &mut reference::NetStats::new(n, trace),
+            &mut reference::NetStats::new(topo.n(), trace),
+            topo,
             &mut twin,
             1_500,
         );
@@ -287,39 +366,58 @@ fn a_recycled_netstats_is_a_fresh_one() {
 
 #[test]
 fn an_idle_large_network_holds_no_table() {
-    // Past the limit the store is O(active links): building the stats of
-    // an idle network asks for (next to) nothing, whatever n² would be.
-    for n in [65usize, 300, 5_000] {
-        let (_, bytes) = bytes_requested(|| NetStats::with_options(n, false));
-        assert!(bytes < 1_024, "n {n}: an idle NetStats asked for {bytes} B");
+    let geo = Topology::Geo {
+        regions: 8,
+        k: 8,
+        inter: LatencyModel::Constant(10),
     }
-    // At or under it, the whole table is there from the start, and is all
-    // that is: 32 B of counters per link.
-    for n in [12usize, 64] {
-        let (_, bytes) = bytes_requested(|| NetStats::with_options(n, false));
-        assert_eq!(bytes, (n * n * 32) as u64, "n {n}");
+    .instantiate(5_000, 1);
+    let mut all: Vec<TopologyMap> = [12usize, 64, 65, 300, 4_096, 5_000]
+        .into_iter()
+        .map(TopologyMap::mesh)
+        .collect();
+    all.push(geo);
+    for topo in all {
+        let what = format!("{} nodes, {} edge rows", topo.n(), topo.edge_count());
+        // Idle: no per-link storage at all, whatever n² would be.
+        let edges = topo.edge_count() as u64;
+        let (mut s, bytes) = bytes_requested(|| NetStats::over(topo, false));
+        assert_eq!(bytes, 0, "{what}: an idle NetStats asked for {bytes} B");
+        // The first write on a link brings the whole table — one 32-byte
+        // row per edge, n² on a mesh of at most 64 nodes, none past it —
+        // plus the kind list's first block.
+        let ((), bytes) = bytes_requested(|| s.on_sent(0, 1, "block"));
+        let rows = edges * 32;
+        assert!(
+            (rows..rows + 4_096).contains(&bytes),
+            "{what}: the first send asked for {bytes} B"
+        );
+        assert_eq!(edges == 0, s.topology().n() > 64 && s.topology().is_mesh());
     }
 }
 
 #[test]
 fn a_reset_at_the_same_size_allocates_nothing() {
-    for n in [12usize, 64, 300] {
-        let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
-        let mut s = NetStats::with_options(n, true);
-        let mut r = reference::NetStats::new(n, true);
-        drive(&mut s, &mut r, &mut rng, 2_000);
+    for (name, _, topo) in topologies().into_iter().filter(|(_, _, t)| t.n() >= 12) {
+        let mut rng = ChaCha8Rng::seed_from_u64(topo.n() as u64);
+        let mut s = NetStats::over(topo.clone(), true);
+        let mut r = reference::NetStats::new(topo.n(), true);
+        drive(&mut s, &mut r, &topo, &mut rng, 2_000);
+        let again = topo.clone();
         let mut twin = rng.clone();
         let ((), bytes) = bytes_requested(|| {
-            s.reset(n, true);
+            s.reset(again, true);
             // Traffic on links and kinds the first pass already met.
-            drive_only(&mut s, n, &mut twin, 500);
+            drive_only(&mut s, &topo, &mut twin, 500);
         });
-        assert_eq!(bytes, 0, "n {n}: reset + replay asked for {bytes} B");
+        assert_eq!(bytes, 0, "{name}: reset + replay asked for {bytes} B");
     }
 }
 
-/// [`drive`]'s sent / dropped arms without the (allocating) reference.
-fn drive_only(s: &mut NetStats, n: usize, rng: &mut ChaCha8Rng, calls: usize) {
+/// [`drive`]'s sent / dropped arms on its hot links, without the
+/// (allocating) reference.
+fn drive_only(s: &mut NetStats, topo: &TopologyMap, rng: &mut ChaCha8Rng, calls: usize) {
+    let n = topo.n();
     for _ in 0..calls {
         let (from, to) = (rng.gen_range(0..n.min(3)), rng.gen_range(0..n.min(4)));
         if rng.gen_bool(0.7) {
@@ -327,5 +425,80 @@ fn drive_only(s: &mut NetStats, n: usize, rng: &mut ChaCha8Rng, calls: usize) {
         } else {
             s.on_dropped(from, to, "ack");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bandwidth busy horizons
+// ---------------------------------------------------------------------------
+
+/// A fixed-size payload: 512 B on the wire (the `Kinded` default).
+#[derive(Clone, Debug)]
+struct Ping(u32);
+
+impl Kinded for Ping {
+    fn kind(&self) -> &'static str {
+        "ping"
+    }
+}
+
+/// Every arrival `(at_ns, from, to, id)`, popped and delivered in time order.
+fn drain(net: &mut SimNet<Ping>) -> Vec<(u64, usize, usize, u32)> {
+    let mut got = Vec::new();
+    while net.advance() {
+        for node in 0..net.n() {
+            while let Some(env) = net.deliver(node) {
+                got.push((net.now_ns(), env.from, env.to, env.payload.0));
+            }
+        }
+    }
+    got
+}
+
+/// Bursts of sends over edges, their reverses and off-topology pairs; each
+/// directed link transmits one 1 000 ns message at a time, behind its own
+/// earlier ones only. The reference is a busy horizon per ordered pair.
+#[test]
+fn busy_horizons_are_per_direction_on_every_topology() {
+    for (name, topology, map) in topologies() {
+        let cfg = NetConfig::builder()
+            .topology(topology)
+            .latency(LatencyModel::Constant(10))
+            // 512 B at 4 096 Mbit/s: 1 000 ns on the wire.
+            .bandwidth_bps(4_096_000_000)
+            .build()
+            .expect("valid config");
+        let mut net: SimNet<Ping> = cfg.build_net(map.n(), SEED);
+        assert_eq!(
+            format!("{:?}", net.topology()),
+            format!("{map:?}"),
+            "{name}"
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(map.n() as u64);
+        let mut busy: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut id = 0u32;
+        for round in 0..3u64 {
+            let now = round * 1_000_000;
+            net.advance_until(now);
+            let mut last = (0, 0);
+            for _ in 0..300 {
+                // A third of the sends go back along the previous link.
+                let (from, to) = match rng.gen_bool(0.3) {
+                    true => (last.1, last.0),
+                    false => pick_link(&map, &mut rng),
+                };
+                last = (from, to);
+                let done = busy.entry((from, to)).or_insert(0);
+                *done = (*done).max(now) + 1_000;
+                want.push((*done + 10, from, to, id));
+                net.send(from, to, Ping(id));
+                id += 1;
+            }
+            got.extend(drain(&mut net));
+        }
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "{name}");
     }
 }

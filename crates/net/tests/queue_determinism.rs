@@ -2,29 +2,37 @@
 //!
 //! [`am_net::EventQueue`] keeps its events in two places — an in-order run
 //! (a ring buffer that takes an event whose key is not below the run's
-//! tail) and a pairing heap (everything else) — and neither has a canonical
-//! shape: which event sits where depends on the exact push/pop
+//! tail) and an implicit 4-ary min-heap (everything else) — and neither has
+//! a canonical shape: which event sits where depends on the exact push/pop
 //! interleaving. What *is* canonical is the pop sequence: `(key, seq)` is a
 //! strict total order, so any correct implementation must pop in exactly
 //! the same order as the `BinaryHeap` the queue replaced. These tests pin
 //! that contract over three schedule shapes per seed ([`Shape`]): keys that
 //! never decrease (the run alone), random keys (the heap, mostly) and
 //! in-order bursts between stragglers with pops in between (both fronts
-//! live, equal keys on both sides). `len`, `peek_key` and `next_seq` are
-//! held to the reference at every step, `clear` and the `Storage` round
-//! trip are exercised with events in both stores, and
-//! `crates/poisson/tests/des_determinism.rs` runs the same shapes through
-//! the `am_poisson::EventQueue` wrapper.
+//! live, equal keys on both sides); over heap sizes on both sides of each
+//! 4-ary level boundary (1, 4, 5, 20, 21, 84, 85 slots); and over one
+//! spread-latency run at `gossip_scale`'s depth (~56 k in flight). `len`,
+//! `peek_key` and `next_seq` are held to the reference at every step,
+//! `clear` and the `Storage` round trip are exercised with events in both
+//! stores, and `crates/poisson/tests/des_determinism.rs` runs the same
+//! shapes through the `am_poisson::EventQueue` wrapper.
 //!
 //! Mutation-checked: each of these edits to `queue.rs` fails the test
 //! named —
 //!
-//! * the run accepts a key *below* its tail (`key >= tail` → `true`): the
-//!   random and burst shapes of `fuzz_matches_…` pop out of order;
+//! * `pop` sifts down to the first child instead of the least:
+//!   `heap_sizes_across_level_boundaries…` (from 3 slots on), the random
+//!   and burst shapes and the spread run;
+//! * key ties broken by heap position instead of `seq` (`before` compares
+//!   `key` alone): `heap_sizes_across_level_boundaries…` and the random
+//!   shape of `fuzz_matches_…`;
 //! * `pop` settles the two fronts on `key` alone and takes the heap's on a
 //!   tie (on a tie the run's event is always the older — the heap only
 //!   ever receives what was scheduled behind the run's tail):
 //!   `equal_keys_split_across_run_and_heap…` and the burst shape;
+//! * the run accepts a key *below* its tail (`key >= tail` → `true`): the
+//!   random and burst shapes of `fuzz_matches_…`;
 //! * `pop` always prefers a non-empty run: the random and burst shapes;
 //! * `peek_key` ignores the run (or the heap): the per-step `peek_key`
 //!   check of every shape;
@@ -278,4 +286,50 @@ fn recycled_storage_starts_empty_and_restarts_seq() {
         fill_both(&mut pair, &mut rng);
         assert_eq!(pair.drain(), 80);
     }
+}
+
+/// Heap sizes on both sides of each 4-ary level boundary: 1, 5, 21 and 85
+/// slots fill one to four levels exactly, 4, 20 and 84 leave the last
+/// family one short. A far-future sentinel holds the run's tail, so every
+/// other event goes to the heap; keys are drawn from a narrow range, so
+/// most compares are ties that `seq` must settle. The heap is filled to
+/// the size, held there (pop one, push one) and drained.
+#[test]
+fn heap_sizes_across_level_boundaries_pop_in_order() {
+    for size in [1usize, 4, 5, 20, 21, 84, 85] {
+        for seed in 0..20u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (size as u64) << 16);
+            let mut pair = Pair::new(format!("heap size {size} seed {seed}"));
+            pair.push(u64::MAX, 0);
+            for _ in 0..size {
+                pair.push(rng.gen_range(0..(size as u64 / 2 + 2)), rng.gen());
+            }
+            assert_eq!(pair.q.len(), size + 1);
+            for _ in 0..4 * size {
+                let (key, _, item) = pair.pop().expect("the heap stays loaded");
+                pair.push(key + rng.gen_range(0..4u64), item);
+            }
+            assert_eq!(pair.drain(), size + 1);
+        }
+    }
+}
+
+/// `gossip_scale`'s shape at its depth: ~56 k events in flight, each popped
+/// event scheduling its successor 2–20 ms later (uniform), so nearly every
+/// event lands behind the run's tail — the heap nine levels deep — and a
+/// record-late one now and then rides the run.
+#[test]
+fn spread_latency_at_gossip_depth_matches_the_reference() {
+    const IN_FLIGHT: usize = 56_000;
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    let mut pair = Pair::new("spread latency, 56 k in flight".into());
+    let latency = |rng: &mut ChaCha8Rng| rng.gen_range(2_000_000..20_000_000u64);
+    for item in 0..IN_FLIGHT as u32 {
+        pair.push(latency(&mut rng), item);
+    }
+    for _ in 0..3 * IN_FLIGHT {
+        let (now, _, item) = pair.pop().expect("the queue stays loaded");
+        pair.push(now + latency(&mut rng), item);
+    }
+    assert_eq!(pair.drain(), IN_FLIGHT);
 }

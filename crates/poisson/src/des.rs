@@ -2,8 +2,8 @@
 //! harness's `poisson.queue_op_ns` probe; see the crate docs).
 //!
 //! A thin wrapper over the shared event core
-//! ([`am_net::queue::EventQueue`]: an in-order run beside a slab pairing
-//! heap) keyed by `(Time, seq)`; `seq` breaks time ties in insertion order
+//! ([`am_net::queue::EventQueue`]: an in-order run beside an implicit
+//! 4-ary heap) keyed by `(Time, seq)`; `seq` breaks time ties in insertion order
 //! so runs are deterministic, and event storage is recycled in place
 //! instead of reallocated per event. `tests/des_determinism.rs` holds the
 //! pop order to a `BinaryHeap` through this wrapper.

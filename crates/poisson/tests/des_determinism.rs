@@ -1,7 +1,7 @@
 //! The shared event core's pop order, seen through the
 //! `am_poisson::EventQueue` wrapper.
 //!
-//! `am_net::EventQueue` keeps an in-order run beside a pairing heap
+//! `am_net::EventQueue` keeps an in-order run beside a 4-ary heap
 //! (`crates/net/src/queue.rs`); `crates/net/tests/queue_determinism.rs`
 //! pins its pop sequence against a `BinaryHeap` and lists the mutations
 //! that suite catches. This file runs the same three schedule shapes
