@@ -100,7 +100,7 @@ fi
 # A model-checker state costs no heap traffic: the visited sets are keyed by
 # the fingerprint itself over the pass-through hasher (`FpMap` / `FpSet`), and
 # the nonforking DFS refills one oracle per depth with `clone_from`.
-if shipped crates/sched/src/search.rs crates/sched/src/nonforking.rs |
+if shipped crates/sched/src/search.rs crates/sched/src/nonforking.rs crates/sched/src/bivalence.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\bHash(Map|Set)<\(?(u128|u64|\(u32, ?u64\))\b'; then
   echo "error: default-hasher map keyed by a fingerprint in the model checker — use FpMap / FpSet (DESIGN.md §14)" >&2

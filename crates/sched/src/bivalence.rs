@@ -11,9 +11,10 @@
 use crate::explore::{Config, Valency};
 use crate::proto::AsyncProtocol;
 use crate::search::{
-    state_fingerprint, successors_compact, valency_fast, CState, LogArena, SearchOptions,
+    state_fingerprint, successors_compact, valency_fast, CState, FpMap, FpSet, LogArena,
+    SearchOptions,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Outcome of a round-robin bivalence-extension attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,49 +78,56 @@ pub fn initial_bivalent(
 /// containing at least one event of `node`. Returns the event path (as
 /// node indices) and the final state. Valency queries are cached by state
 /// fingerprint.
+///
+/// Paths live in one flat trail: each enqueued state records the trail
+/// index of its predecessor and the node that stepped, and only the path
+/// that is returned is ever spelled out.
 fn extend_through_node(
     proto: &dyn AsyncProtocol,
     arena: &mut LogArena,
     start: &CState,
     node: usize,
-    valency_cache: &mut HashMap<u128, Valency>,
+    valency_cache: &mut FpMap<u128, Valency>,
     opts: &SearchOptions,
     max_frontier: usize,
 ) -> Option<(Vec<usize>, CState)> {
     let n = proto.n();
-    let mut queue: VecDeque<(CState, bool, Vec<usize>)> = VecDeque::new();
-    let mut seen: HashMap<(u128, bool), ()> = HashMap::new();
-    queue.push_back((*start, false, Vec::new()));
-    seen.insert((state_fingerprint(start), false), ());
+    // Queue entries are (state, whether `node` stepped, trail index);
+    // `trail[0]` stands for `start` itself and is never read.
+    let mut queue: VecDeque<(CState, bool, usize)> = VecDeque::new();
+    let mut trail: Vec<(usize, usize)> = vec![(0, node)];
+    // One fingerprint set per value of the hit bit.
+    let mut seen: [FpSet<u128>; 2] = Default::default();
+    queue.push_back((*start, false, 0));
+    seen[0].insert(state_fingerprint(start));
     let mut visited = 0usize;
 
-    while let Some((cur, hit, path)) = queue.pop_front() {
+    while let Some((cur, hit, at)) = queue.pop_front() {
         visited += 1;
         if visited > max_frontier {
             return None;
         }
         if hit {
-            let fp = state_fingerprint(&cur);
-            let val = match valency_cache.get(&fp) {
-                Some(&v) => v,
-                None => {
-                    let v = valency_fast(proto, &cur.to_config(n, arena), opts);
-                    valency_cache.insert(fp, v);
-                    v
+            let val = valency_cache
+                .entry(state_fingerprint(&cur))
+                .or_insert_with(|| valency_fast(proto, &cur.to_config(n, arena), opts));
+            if *val == Valency::Bivalent {
+                let mut path = Vec::new();
+                let mut i = at;
+                while i != 0 {
+                    let (parent, v) = trail[i];
+                    path.push(v);
+                    i = parent;
                 }
-            };
-            if val == Valency::Bivalent {
+                path.reverse();
                 return Some((path, cur));
             }
         }
         for (v, c2) in successors_compact(proto, &cur, arena) {
             let hit2 = hit || v == node;
-            let key = (state_fingerprint(&c2), hit2);
-            if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(key) {
-                e.insert(());
-                let mut p2 = path.clone();
-                p2.push(v);
-                queue.push_back((c2, hit2, p2));
+            if seen[usize::from(hit2)].insert(state_fingerprint(&c2)) {
+                trail.push((at, v));
+                queue.push_back((c2, hit2, trail.len() - 1));
             }
         }
     }
@@ -157,7 +165,7 @@ pub fn round_robin_witness(
     let n = proto.n();
     let mut arena = LogArena::new();
     let mut cur = CState::from_config(&start, &mut arena);
-    let mut valency_cache: HashMap<u128, Valency> = HashMap::new();
+    let mut valency_cache: FpMap<u128, Valency> = FpMap::default();
     let mut schedule: Vec<usize> = Vec::new();
     let mut null_steps = 0usize;
     let mut rr = 0usize;

@@ -47,10 +47,6 @@ pub use bivalence::{initial_bivalent, round_robin_witness, Witness, WitnessOutco
 pub use explore::{Analysis, Config, Entry, Event, Explorer, LocalState, Ref, Valency};
 pub use nonforking::{check_nonforking, NonforkingReport};
 pub use proto::{AsyncProtocol, FirstSeenProtocol, Op, QuorumVoteProtocol, ViewRef};
-pub use round_lb::{
-    merge_round_lb_shards, search_disagreement, search_disagreement_t,
-    search_disagreement_t_parallel, search_disagreement_t_shard, simulate_execution, Disagreement,
-    RoundLbOutcome, RoundLbShard,
-};
+pub use round_lb::{search_disagreement_t, simulate_execution, Disagreement, RoundLbOutcome};
 pub use search::{canonical_key, search, valency_fast, SearchMode, SearchOptions, SearchReport};
 pub use zoo_ext::EchoVoteProtocol;

@@ -267,12 +267,6 @@ fn strategies(n_correct: usize, n_byz: usize, rounds: u32) -> Vec<ByzStrategy> {
     all
 }
 
-/// Exhaustive Lemma 3.1 search: `n_correct` correct nodes plus one
-/// Byzantine node, protocol truncated to `rounds` rounds, ties to `tie`.
-pub fn search_disagreement(n_correct: usize, rounds: u32, tie: u8) -> RoundLbOutcome {
-    search_disagreement_t(n_correct, 1, rounds, tie)
-}
-
 /// Exhaustive Lemma 3.1 search with `t_byz` Byzantine nodes (one acting
 /// per round, per the lemma's induction). `rounds ≤ t_byz` must find a
 /// disagreement; `rounds = t_byz + 1` must not (for t < n/2).
@@ -325,154 +319,6 @@ pub fn search_disagreement_t(
         executions,
         disagreement,
         validity_violation,
-    }
-}
-
-/// Exhaustive parallel variant of [`search_disagreement_t`]: the input
-/// masks are split into contiguous chunks, one scoped thread per chunk,
-/// each scanning masks × strategies on the dense engine. Unlike the
-/// sequential search it never early-exits, so `executions` is always the
-/// full product — and the outcome (witnesses included) is byte-identical
-/// for every `workers` count: each thread reports its first finds with
-/// their global `(mask, strategy)` enumeration index and the merge keeps
-/// the minimum, i.e. exactly the witness the sequential scan order picks.
-pub fn search_disagreement_t_parallel(
-    n_correct: usize,
-    t_byz: usize,
-    rounds: u32,
-    tie: u8,
-    workers: usize,
-) -> RoundLbOutcome {
-    let shard = search_disagreement_t_shard(n_correct, t_byz, rounds, tie, 0, 1, workers);
-    merge_round_lb_shards(std::slice::from_ref(&shard))
-}
-
-/// One process's slice of the parallel search, ready to merge: firsts
-/// carry their global `(mask, strategy)` enumeration index so
-/// [`merge_round_lb_shards`] can reduce shards from any partition back
-/// to the exact sequential-scan witness.
-#[derive(Clone, Debug)]
-pub struct RoundLbShard {
-    /// Executions this shard simulated (its masks × all strategies).
-    pub executions: usize,
-    /// This shard's first disagreement, tagged with its global index.
-    pub disagreement: Option<(usize, Disagreement)>,
-    /// This shard's first validity violation, tagged likewise.
-    pub validity_violation: Option<(usize, Disagreement)>,
-}
-
-/// Folds per-process shards back into the outcome the unsharded
-/// parallel search produces: executions summed, witnesses min-reduced by
-/// global enumeration index. Order of `shards` does not matter.
-pub fn merge_round_lb_shards(shards: &[RoundLbShard]) -> RoundLbOutcome {
-    let min_of = |pick: fn(&RoundLbShard) -> &Option<(usize, Disagreement)>| {
-        shards
-            .iter()
-            .filter_map(|s| pick(s).as_ref())
-            .min_by_key(|(idx, _)| *idx)
-            .map(|(_, d)| d.clone())
-    };
-    RoundLbOutcome {
-        executions: shards.iter().map(|s| s.executions).sum(),
-        disagreement: min_of(|s| &s.disagreement),
-        validity_violation: min_of(|s| &s.validity_violation),
-    }
-}
-
-/// The multi-process form of [`search_disagreement_t_parallel`]: shard
-/// `shard_index` of `shard_count` scans only the input masks in its
-/// residue class (`mask % shard_count == shard_index`), each still
-/// against every Byzantine strategy, splitting its masks over `workers`
-/// threads. Merging every shard's result with [`merge_round_lb_shards`]
-/// is byte-identical to the single-process search for any
-/// `(shard_count, workers)` split, because witnesses carry their global
-/// enumeration index.
-pub fn search_disagreement_t_shard(
-    n_correct: usize,
-    t_byz: usize,
-    rounds: u32,
-    tie: u8,
-    shard_index: u32,
-    shard_count: u32,
-    workers: usize,
-) -> RoundLbShard {
-    assert!((2..=8).contains(&n_correct), "search is exponential in n");
-    assert!((1..=3).contains(&rounds), "search is exponential in rounds");
-    assert!((1..=3).contains(&t_byz), "search is exponential in t");
-    assert!(
-        shard_count >= 1 && shard_index < shard_count,
-        "shard index {shard_index} out of range (count {shard_count})"
-    );
-    let strats = strategies(n_correct, t_byz, rounds);
-    let masks: Vec<u32> = (0..(1u32 << n_correct))
-        .filter(|m| m % shard_count == shard_index)
-        .collect();
-    let workers = workers.clamp(1, masks.len().max(1));
-
-    /// A chunk's first witness: `(global enumeration index, witness)`.
-    type First = Option<(usize, Disagreement)>;
-
-    // Scans one mask chunk; firsts are tagged with their global index in
-    // the sequential (mask, strategy) enumeration order.
-    let scan = |chunk: &[u32]| {
-        let mut dis: First = None;
-        let mut val: First = None;
-        for &mask in chunk {
-            let inputs: Vec<u8> = (0..n_correct).map(|i| ((mask >> i) & 1) as u8).collect();
-            let uniform = inputs.iter().all(|&b| b == inputs[0]);
-            for (si, s) in strats.iter().enumerate() {
-                if dis.is_some() && (!uniform || val.is_some()) {
-                    break;
-                }
-                let decisions = DenseExecution::run(&inputs, t_byz, rounds, s, tie);
-                let idx = mask as usize * strats.len() + si;
-                let split = decisions.iter().any(|&d| d != decisions[0]);
-                if split && dis.is_none() {
-                    dis = Some((
-                        idx,
-                        Disagreement {
-                            inputs: inputs.clone(),
-                            strategy: s.clone(),
-                            decisions: decisions.clone(),
-                        },
-                    ));
-                }
-                if uniform && val.is_none() && decisions.iter().any(|&d| d != inputs[0]) {
-                    val = Some((
-                        idx,
-                        Disagreement {
-                            inputs: inputs.clone(),
-                            strategy: s.clone(),
-                            decisions,
-                        },
-                    ));
-                }
-            }
-        }
-        (dis, val)
-    };
-
-    let chunk = masks.len().div_ceil(workers).max(1);
-    let parts: Vec<(First, First)> = if workers <= 1 || masks.len() <= 1 {
-        vec![scan(&masks)]
-    } else {
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = masks.chunks(chunk).map(|c| sc.spawn(|| scan(c))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    };
-
-    let min_of = |pick: fn(&(First, First)) -> &First| {
-        parts
-            .iter()
-            .filter_map(|p| pick(p).as_ref())
-            .min_by_key(|(idx, _)| *idx)
-            .cloned()
-    };
-    RoundLbShard {
-        executions: masks.len() * strats.len(),
-        disagreement: min_of(|p| &p.0),
-        validity_violation: min_of(|p| &p.1),
     }
 }
 
@@ -644,7 +490,7 @@ mod tests {
     fn one_round_protocol_is_broken_by_straddling() {
         // t = 1 Byzantine, R = 1 ≤ t: disagreement must exist.
         for tie in [0u8, 1] {
-            let out = search_disagreement(3, 1, tie);
+            let out = search_disagreement_t(3, 1, 1, tie);
             let d = out
                 .disagreement
                 .unwrap_or_else(|| panic!("R=1 must disagree (tie={tie})"));
@@ -656,7 +502,7 @@ mod tests {
     fn two_round_protocol_resists_one_byzantine() {
         // R = t + 1 = 2: the exhaustive search must find NO disagreement —
         // the executable content of Theorem 3.2 at t = 1.
-        let out = search_disagreement(3, 2, 0);
+        let out = search_disagreement_t(3, 1, 2, 0);
         assert!(
             out.disagreement.is_none(),
             "Algorithm 1 with t+1 rounds must agree: {:?}",
@@ -667,7 +513,7 @@ mod tests {
 
     #[test]
     fn two_round_protocol_preserves_validity() {
-        let out = search_disagreement(3, 2, 0);
+        let out = search_disagreement_t(3, 1, 2, 0);
         assert!(
             out.validity_violation.is_none(),
             "uniform inputs must decide that input: {:?}",
@@ -677,7 +523,7 @@ mod tests {
 
     #[test]
     fn disagreement_witness_is_replayable() {
-        let out = search_disagreement(3, 1, 0);
+        let out = search_disagreement_t(3, 1, 1, 0);
         let d = out.disagreement.unwrap();
         // Re-run the found strategy and confirm the decisions replay.
         let replay = Execution::run(&d.inputs, 1, 1, &d.strategy, 0);
@@ -701,14 +547,14 @@ mod tests {
 
     #[test]
     fn four_correct_nodes_still_safe_at_two_rounds() {
-        let out = search_disagreement(4, 2, 1);
+        let out = search_disagreement_t(4, 1, 2, 1);
         assert!(out.disagreement.is_none());
     }
 
     #[test]
     #[should_panic(expected = "exponential")]
     fn guards_against_explosion() {
-        let _ = search_disagreement(9, 1, 0);
+        let _ = search_disagreement_t(9, 1, 1, 0);
     }
 
     #[test]
@@ -743,58 +589,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_search_is_deterministic_and_agrees() {
-        for (t, rounds) in [(1usize, 1u32), (1, 2)] {
-            let seq = search_disagreement_t(3, t, rounds, 0);
-            let p1 = search_disagreement_t_parallel(3, t, rounds, 0, 1);
-            let p4 = search_disagreement_t_parallel(3, t, rounds, 0, 4);
-            // Identical across worker counts, witnesses included.
-            assert_eq!(p1.executions, p4.executions);
-            assert_eq!(
-                p1.disagreement.as_ref().map(|d| (&d.inputs, &d.decisions)),
-                p4.disagreement.as_ref().map(|d| (&d.inputs, &d.decisions))
-            );
-            assert_eq!(
-                p1.validity_violation.as_ref().map(|d| &d.inputs),
-                p4.validity_violation.as_ref().map(|d| &d.inputs)
-            );
-            // Same verdict as the sequential early-exit search, and the
-            // same first witness when one exists.
-            assert_eq!(seq.disagreement.is_some(), p4.disagreement.is_some());
-            if let (Some(a), Some(b)) = (&seq.disagreement, &p4.disagreement) {
-                assert_eq!((&a.inputs, &a.strategy), (&b.inputs, &b.strategy));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_search_merges_to_the_parallel_outcome() {
-        // Any shard-count partition of the mask space, merged, must be
-        // byte-identical to the single-process parallel search —
-        // executions, witnesses, and all.
-        for (t, rounds) in [(1usize, 1u32), (1, 2)] {
-            let whole = search_disagreement_t_parallel(3, t, rounds, 0, 2);
-            for count in [1u32, 2, 3, 5] {
-                let shards: Vec<RoundLbShard> = (0..count)
-                    .map(|i| search_disagreement_t_shard(3, t, rounds, 0, i, count, 2))
-                    .collect();
-                let merged = merge_round_lb_shards(&shards);
-                assert_eq!(merged, whole, "{count} shards at t={t} R={rounds}");
-                // Merge order must not matter.
-                let mut reversed = shards.clone();
-                reversed.reverse();
-                assert_eq!(merge_round_lb_shards(&reversed), whole);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_must_be_in_range() {
-        let _ = search_disagreement_t_shard(3, 1, 1, 0, 4, 4, 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compact search core: interned states, hash-compacted visited sets,
-//! symmetry and partial-order reduction, and a level-synchronized
-//! parallel frontier (DESIGN.md §14).
+//! symmetry and partial-order reduction, and one breadth-first level
+//! loop (DESIGN.md §14).
 //!
 //! The naive [`crate::explore::Explorer`] clones whole [`Config`] values
 //! (nested `Vec`s) per transition and stores them verbatim in a
@@ -30,13 +30,11 @@
 //!   immediately. The soundness argument is in DESIGN.md §14 and the
 //!   reduced search is pinned to the naive one by
 //!   `tests/reduced_equivalence.rs`.
-//! * **Parallel frontier** — level-synchronized BFS: successor
-//!   generation — canonicalization and fingerprinting included — is
-//!   fanned out over `workers` threads against the read-only arena,
-//!   then merged (intern, visited set) sequentially in frontier order,
-//!   so every counter and witness is deterministic for any worker count.
-//!   Successors go to one buffer per level (per worker), and every
-//!   level buffer is reused by the next: a state allocates nothing.
+//! * **Level loop** — breadth-first, one frontier state at a time: its
+//!   facts are recorded, the valency-only early exit is checked, and
+//!   each successor is interned, canonicalized and probed against the
+//!   visited set on the spot. The two frontiers are reused level to
+//!   level, so a state allocates nothing.
 
 use crate::explore::{Config, Entry, LocalState, Valency};
 use crate::proto::{AsyncProtocol, Op, ViewRef};
@@ -507,7 +505,7 @@ pub enum SearchMode {
 }
 
 /// Knobs of the compact search. `Default` enables every reduction with
-/// hash compaction and a single worker.
+/// hash compaction.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchOptions {
     /// State budget; exploration past it sets `truncated`.
@@ -525,14 +523,12 @@ pub struct SearchOptions {
     /// Key the visited set by full configurations instead of 128-bit
     /// fingerprints, and count would-be fingerprint collisions.
     pub exact: bool,
-    /// Worker threads for the frontier (1 = fully sequential).
-    pub workers: usize,
     /// What to establish (full analysis vs valency-only early exit).
     pub mode: SearchMode,
 }
 
 impl SearchOptions {
-    /// All reductions on, hash-compacted, sequential, full analysis.
+    /// All reductions on, hash-compacted, full analysis.
     pub fn reduced(max_states: usize) -> SearchOptions {
         SearchOptions {
             max_states,
@@ -540,7 +536,6 @@ impl SearchOptions {
             ample_decide: true,
             symmetry: true,
             exact: false,
-            workers: 1,
             mode: SearchMode::Full,
         }
     }
@@ -554,15 +549,8 @@ impl SearchOptions {
             ample_decide: false,
             symmetry: false,
             exact: true,
-            workers: 1,
             mode: SearchMode::Full,
         }
-    }
-
-    /// Sets the worker count.
-    pub fn with_workers(mut self, workers: usize) -> SearchOptions {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Sets the search mode.
@@ -649,7 +637,7 @@ struct NodeMoves {
 }
 
 /// Computes every node's enabled move at `s`, reading logs from the
-/// arena (immutable — safe to run from worker threads).
+/// arena.
 fn node_moves(proto: &dyn AsyncProtocol, s: &CState, arena: &LogArena, n: usize) -> NodeMoves {
     let mut slices: [&[Entry]; MAX_N] = [&[]; MAX_N];
     for (a, slot) in slices.iter_mut().enumerate().take(n) {
@@ -712,170 +700,59 @@ fn independent(moves: &NodeMoves, x: usize, y: usize) -> bool {
     !affects(x, y) && !affects(y, x)
 }
 
-/// Applies a move to the compact state. Appends return the entry to be
-/// interned (the arena id is patched in by the sequential merge phase).
-fn apply_move(s: &CState, v: usize, mv: &Move, n: usize) -> (CState, Option<Entry>) {
+/// Applies a move to the compact state, interning an append's entry
+/// into `arena`.
+fn apply_move(s: &CState, v: usize, mv: &Move, n: usize, arena: &mut LogArena) -> CState {
     let mut t = *s;
     match mv {
         Move::Read => {
             for a in 0..n {
                 t.view[v][a] = t.loglen[a];
             }
-            (t, None)
         }
         Move::Append(e) => {
+            t.logs[v] = arena.push(t.logs[v], e.clone());
             t.logh[v] = log_push_hash(t.logh[v], entry_hash(e));
             t.loglen[v] += 1;
             t.own[v] += 1;
             t.view[v][v] = t.view[v][v].max(t.loglen[v]);
-            // t.logs[v] patched by the merge phase after interning.
-            (t, Some(e.clone()))
         }
-        Move::Decide(d) => {
-            t.decided[v] = *d;
-            (t, None)
-        }
+        Move::Decide(d) => t.decided[v] = *d,
     }
+    t
+}
+
+/// A node whose crash leaves `s` stuck — the v-free non-termination
+/// witness: every other node is passive and one of them is undecided
+/// (passivity is permanent unless an active node appends; if all others
+/// are passive, nobody ever appends again).
+fn vfree_node(s: &CState, moves: &NodeMoves, n: usize) -> Option<usize> {
+    (0..n).find(|&v| {
+        let mut others = (0..n).filter(|&u| u != v);
+        others.clone().all(|u| moves.mv[u].is_none()) && others.any(|u| s.decided[u] == UNDECIDED)
+    })
+}
+
+/// The node the ample rule commits at the state `moves` was computed
+/// for: a pending decision whose op is fresh-insensitive commutes with
+/// every other move and can never be disabled, so the lowest-index one
+/// is taken alone and every other move is pruned.
+fn ample_node(moves: &NodeMoves, n: usize) -> Option<usize> {
+    (0..n).find(|&v| matches!(moves.mv[v], Some(Move::Decide(_))) && moves.stable[v])
+}
+
+/// The sleep mask of the successor through node `v`'s move: the moves
+/// in `candidates` (enabled, and asleep at the state or taken before
+/// `v`) that are independent of it.
+fn successor_sleep(moves: &NodeMoves, candidates: u8, v: usize, n: usize) -> u8 {
+    (0..n)
+        .filter(|&u| candidates & (1 << u) != 0 && independent(moves, u, v))
+        .fold(0, |mask, u| mask | (1 << u))
 }
 
 // ---------------------------------------------------------------------------
 // The search proper
 // ---------------------------------------------------------------------------
-
-/// A successor produced by the generation phase: already the orbit
-/// representative, but not yet interned.
-struct SuccProto {
-    state: CState,
-    /// Fingerprint of the state's canonical encoding.
-    fp: u128,
-    /// Whether a permutation other than the identity won. The identity
-    /// is listed first, so the representative then has a strictly
-    /// smaller encoding: it is a different state of the orbit.
-    folded: bool,
-    /// Sleep mask for the successor (bit v = node v's move sleeps).
-    sleep: u8,
-    /// Author + entry to intern (appends only).
-    intern: Option<(usize, Entry)>,
-}
-
-impl SuccProto {
-    /// Canonicalizes the raw successor `t` of a move by node `v`. The
-    /// representative is a pure function of `t` (arena ids only ride
-    /// along), so this runs in the generation phase; sleep masks and the
-    /// pending intern name node indices and are relabelled with it.
-    fn new(t: &CState, v: usize, sleep: u8, entry: Option<Entry>, stab: &Stabilizer) -> SuccProto {
-        let (state, enc, p) = stab.canonicalize(t);
-        let mut relabelled = 0u8;
-        for (u, &pu) in p.iter().enumerate() {
-            relabelled |= (sleep >> u & 1) << pu;
-        }
-        SuccProto {
-            state,
-            fp: fingerprint(&enc),
-            folded: p != IDENTITY,
-            sleep: relabelled,
-            intern: entry.map(|e| (p[v] as usize, e)),
-        }
-    }
-}
-
-/// Facts produced for one frontier state; its successors go to the
-/// level's buffer.
-struct GenOut {
-    decision_bits: u8,
-    violation: bool,
-    /// Crashed-node index of a v-free non-termination witness.
-    vfree: Option<usize>,
-    sleep_skipped: u64,
-    ample: bool,
-    /// Transitions executed, one successor pushed for each.
-    transitions: u64,
-}
-
-/// Expands one frontier state: facts, POR-filtered moves, and the
-/// successors, appended to `succs`.
-fn expand(
-    proto: &dyn AsyncProtocol,
-    s: &CState,
-    sleep: u8,
-    arena: &LogArena,
-    stab: &Stabilizer,
-    opts: &SearchOptions,
-    succs: &mut Vec<SuccProto>,
-) -> GenOut {
-    let n = proto.n();
-    let moves = node_moves(proto, s, arena, n);
-    let bits = s.decision_bits(n);
-    let violation = bits == 0b11;
-    // v-free non-termination: some v with every other node passive and
-    // at least one other node undecided (passivity is permanent unless
-    // an active node appends; if all others are passive, nobody ever
-    // appends again).
-    let mut vfree = None;
-    if opts.mode == SearchMode::Full {
-        for v in 0..n {
-            let others_passive = (0..n).filter(|&u| u != v).all(|u| moves.mv[u].is_none());
-            let someone_stuck = (0..n)
-                .filter(|&u| u != v)
-                .any(|u| s.decided[u] == UNDECIDED);
-            if others_passive && someone_stuck {
-                vfree = Some(v);
-                break;
-            }
-        }
-    }
-
-    let mut out = GenOut {
-        decision_bits: bits,
-        violation,
-        vfree,
-        sleep_skipped: 0,
-        ample: false,
-        transitions: 0,
-    };
-
-    // Ample rule: a pending decision whose op is fresh-insensitive
-    // commutes with every other move and can never be disabled — commit
-    // the lowest-index one immediately and prune all other moves.
-    if opts.ample_decide {
-        let ample_v =
-            (0..n).find(|&v| matches!(moves.mv[v], Some(Move::Decide(_))) && moves.stable[v]);
-        if let Some(v) = ample_v {
-            out.ample = true;
-            if sleep & (1 << v) == 0 {
-                let (t, entry) = apply_move(s, v, moves.mv[v].as_ref().unwrap(), n);
-                out.transitions = 1;
-                succs.push(SuccProto::new(&t, v, 0, entry, stab));
-            }
-            return out;
-        }
-    }
-
-    // Sleep-set expansion (or plain expansion when POR is off).
-    let mut explored_mask = 0u8;
-    for v in 0..n {
-        let Some(mv) = &moves.mv[v] else { continue };
-        if opts.sleep_sets && sleep & (1 << v) != 0 {
-            out.sleep_skipped += 1;
-            continue;
-        }
-        let mut succ_sleep = 0u8;
-        if opts.sleep_sets {
-            let candidates = sleep | explored_mask;
-            for u in 0..n {
-                if candidates & (1 << u) != 0 && moves.mv[u].is_some() && independent(&moves, u, v)
-                {
-                    succ_sleep |= 1 << u;
-                }
-            }
-        }
-        let (t, entry) = apply_move(s, v, mv, n);
-        out.transitions += 1;
-        succs.push(SuccProto::new(&t, v, succ_sleep, entry, stab));
-        explored_mask |= 1 << v;
-    }
-    out
-}
 
 /// The visited set: state → the sleep mask it was explored with, keyed
 /// by the fingerprint itself or (`SearchOptions::exact`) by the decoded
@@ -992,87 +869,72 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
     visited.probe(root_fp, 0, root_config, &mut report.collisions);
     report.states = 1;
 
-    // Reused level to level: the frontier and the next one, each state's
-    // facts, one successor buffer (and one pair per worker).
+    // Both frontiers are reused level to level.
     let mut frontier: Vec<(CState, u8)> = vec![(root, 0)];
     let mut next: Vec<(CState, u8)> = Vec::new();
-    let mut outs: Vec<GenOut> = Vec::new();
-    let mut succs: Vec<SuccProto> = Vec::new();
-    let mut parts: Vec<(Vec<GenOut>, Vec<SuccProto>)> = Vec::new();
     let mut seen_bits = 0u8;
 
     'levels: while !frontier.is_empty() {
-        // --- Generation phase: parallel over the frontier, arena
-        // read-only, output in frontier order. Successors come out
-        // canonicalized and fingerprinted. ---
-        outs.clear();
-        succs.clear();
-        if opts.workers <= 1 || frontier.len() < 2 {
-            outs.extend(
-                frontier
-                    .iter()
-                    .map(|(s, sl)| expand(proto, s, *sl, &arena, &stab, opts, &mut succs)),
-            );
-        } else {
-            // `chunks` never hands out an empty or out-of-range part,
-            // whatever the frontier length is modulo the worker count.
-            let chunk = frontier.len().div_ceil(opts.workers);
-            let (arena_ref, stab_ref) = (&arena, &stab);
-            parts.resize_with(opts.workers, Default::default);
-            std::thread::scope(|scope| {
-                for (part, (part_outs, part_succs)) in frontier.chunks(chunk).zip(&mut parts) {
-                    scope.spawn(move || {
-                        part_outs.extend(part.iter().map(|(s, sl)| {
-                            expand(proto, s, *sl, arena_ref, stab_ref, opts, part_succs)
-                        }));
-                    });
-                }
-            });
-            // Concatenated in frontier order; each part keeps its capacity.
-            for (part_outs, part_succs) in &mut parts {
-                outs.append(part_outs);
-                succs.append(part_succs);
-            }
-        }
-
-        // --- Merge phase: sequential, deterministic in frontier order:
-        // intern, then the visited set (sized for about as many new
-        // states as this level has). ---
+        // Room for about as many new states as this level has.
         visited.reserve(frontier.len());
         next.clear();
-        let mut pending = succs.drain(..);
-        for (fi, out) in outs.iter().enumerate() {
-            seen_bits |= out.decision_bits;
-            report.por_sleep_skipped += out.sleep_skipped;
-            report.transitions += out.transitions;
-            if out.ample {
-                report.ample_commits += 1;
+        for &(s, sleep) in &frontier {
+            // The state's facts, then the moves reduction leaves it.
+            let moves = node_moves(proto, &s, &arena, n);
+            let bits = s.decision_bits(n);
+            seen_bits |= bits;
+            if bits == 0b11 && report.agreement_violation.is_none() {
+                report.agreement_violation = Some(s.to_config(n, &arena));
             }
-            if out.violation && report.agreement_violation.is_none() {
-                report.agreement_violation = Some(frontier[fi].0.to_config(n, &arena));
-            }
-            if let Some(v) = out.vfree {
-                if report.vfree_nontermination.is_none() {
-                    report.vfree_nontermination = Some((v, frontier[fi].0.to_config(n, &arena)));
+            if opts.mode == SearchMode::Full && report.vfree_nontermination.is_none() {
+                if let Some(v) = vfree_node(&s, &moves, n) {
+                    report.vfree_nontermination = Some((v, s.to_config(n, &arena)));
                 }
             }
+            let enabled = (0..n)
+                .filter(|&v| moves.mv[v].is_some())
+                .fold(0u8, |mask, v| mask | (1 << v));
+            let ample = opts.ample_decide.then(|| ample_node(&moves, n)).flatten();
+            let sleeps = ample.is_none() && opts.sleep_sets;
+            let taken = match ample {
+                Some(v) => (1 << v) & !sleep,
+                None if sleeps => enabled & !sleep,
+                None => enabled,
+            };
+            report.ample_commits += u64::from(ample.is_some());
+            if sleeps {
+                report.por_sleep_skipped += u64::from((enabled & sleep).count_ones());
+            }
+            report.transitions += u64::from(taken.count_ones());
             if opts.mode == SearchMode::ValencyOnly && seen_bits == 0b11 {
                 break 'levels;
             }
-            for sp in pending.by_ref().take(out.transitions as usize) {
-                let (mut canon, sleep, fp) = (sp.state, sp.sleep, sp.fp);
-                if let Some((author, entry)) = sp.intern {
+
+            // Its successors, in node order: interned, folded onto their
+            // orbit representative and probed against the visited set.
+            for v in (0..n).filter(|&v| taken & (1 << v) != 0) {
+                let mv = moves.mv[v].as_ref().expect("a taken move is enabled");
+                if let Move::Append(e) = mv {
                     assert!(
-                        !use_sym || entry.parents.is_empty(),
+                        !use_sym || e.parents.is_empty(),
                         "{} declares symmetric() but appends an entry with parents; \
                          AsyncProtocol::symmetric requires parent-free entries",
                         proto.name()
                     );
-                    canon.logs[author] = arena.push(canon.logs[author], entry);
                 }
-                report.symmetry_folds += u64::from(sp.folded);
+                let succ_sleep = if sleeps {
+                    successor_sleep(&moves, (sleep | (taken & ((1 << v) - 1))) & enabled, v, n)
+                } else {
+                    0
+                };
+                let (canon, enc, p) = stab.canonicalize(&apply_move(&s, v, mv, n, &mut arena));
+                // The identity is listed first, so any other winner has a
+                // strictly smaller encoding: a different state of the orbit.
+                report.symmetry_folds += u64::from(p != IDENTITY);
+                // Sleep masks name nodes and are relabelled with the state.
+                let sleep = (0..MAX_N).fold(0u8, |mask, u| mask | ((succ_sleep >> u & 1) << p[u]));
                 let config = || canon.to_config(n, &arena);
-                match visited.probe(fp, sleep, config, &mut report.collisions) {
+                match visited.probe(fingerprint(&enc), sleep, config, &mut report.collisions) {
                     None => {
                         report.states += 1;
                         if report.states > opts.max_states {
@@ -1117,17 +979,9 @@ pub fn successors_compact(
 ) -> Vec<(usize, CState)> {
     let n = proto.n();
     let moves = node_moves(proto, s, arena, n);
-    let mut out = Vec::new();
-    for v in 0..n {
-        if let Some(mv) = &moves.mv[v] {
-            let (mut t, intern) = apply_move(s, v, mv, n);
-            if let Some(e) = intern {
-                t.logs[v] = arena.push(t.logs[v], e);
-            }
-            out.push((v, t));
-        }
-    }
-    out
+    (0..n)
+        .filter_map(|v| Some((v, apply_move(s, v, moves.mv[v].as_ref()?, n, arena))))
+        .collect()
 }
 
 /// 128-bit fingerprint of a compact state (hash-compaction key).
@@ -1140,7 +994,6 @@ mod tests {
     use super::*;
     use crate::explore::Explorer;
     use crate::proto::{FirstSeenProtocol, QuorumVoteProtocol};
-    use crate::zoo_ext::EchoVoteProtocol;
 
     #[test]
     fn arena_interns_by_content() {
@@ -1286,41 +1139,6 @@ mod tests {
             .expect("reduced search must also find the stuck computation");
         assert!(crashed < 3);
         assert!(!stuck.all_decided());
-    }
-
-    #[test]
-    fn parallel_frontier_is_deterministic() {
-        // Canonicalization runs inside the fanned-out phase, so the n = 5
-        // and n = 6 quorum-vote searches (large stabilizers) are pinned
-        // across worker counts too.
-        let echo = EchoVoteProtocol::new(3, 2, 0);
-        let q5 = QuorumVoteProtocol::new(5, 3, 0);
-        let q6 = QuorumVoteProtocol::new(6, 4, 0);
-        let cases: [(&dyn AsyncProtocol, &[u8]); 3] = [
-            (&echo, &[0, 1, 1]),
-            (&q5, &[0, 0, 1, 1, 1]),
-            (&q6, &[0, 0, 0, 0, 0, 1]),
-        ];
-        for (p, inputs) in cases {
-            let init = Config::initial(inputs);
-            let opts = SearchOptions::reduced(500_000);
-            let seq = search(p, &init, &opts);
-            assert!(!seq.truncated);
-            for workers in [2, 4] {
-                let par = search(p, &init, &opts.with_workers(workers));
-                assert_eq!(seq.states, par.states);
-                assert_eq!(seq.transitions, par.transitions);
-                assert_eq!(seq.fingerprint_hits, par.fingerprint_hits);
-                assert_eq!(seq.por_sleep_skipped, par.por_sleep_skipped);
-                assert_eq!(seq.symmetry_folds, par.symmetry_folds);
-                assert_eq!(seq.valency, par.valency);
-                assert_eq!(
-                    (&seq.agreement_violation, &seq.vfree_nontermination),
-                    (&par.agreement_violation, &par.vfree_nontermination),
-                    "witness configs must be byte-identical across worker counts"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! What a model-checker state costs the allocator, held to a number.
 //!
-//! The compact search allocates per BFS level, not per state: one
-//! successor buffer, the facts vector and both frontiers are reused level
-//! to level, and the visited set and the log arena's child index are
+//! The compact search allocates per BFS level, not per state: a
+//! successor is probed as soon as it is made, both frontiers are reused
+//! level to level, and the visited set and the log arena's child index are
 //! keyed by the (already mixed) fingerprints over a pass-through hasher,
 //! so they grow geometrically and nothing else touches the heap. The
 //! nonforking DFS keeps one finality oracle per depth, refilled with

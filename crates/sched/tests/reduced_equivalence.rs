@@ -14,8 +14,8 @@ use am_bft::FinalityOracle;
 use am_core::{MsgId, GENESIS};
 use am_sched::{
     check_nonforking, round_robin_witness, search, AsyncProtocol, Config, EchoVoteProtocol,
-    Explorer, FirstSeenProtocol, QuorumVoteProtocol, SearchOptions, Valency, Witness,
-    WitnessOutcome,
+    Explorer, FirstSeenProtocol, QuorumVoteProtocol, SearchMode, SearchOptions, SearchReport,
+    Valency, Witness, WitnessOutcome,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -177,6 +177,86 @@ fn fast_witness_pipeline_agrees_with_naive_for_every_zoo_protocol() {
         assert_eq!(naive.outcome, fast.outcome, "{name}: witness outcome");
         assert_eq!(naive.schedule, fast.schedule, "{name}: witness schedule");
         assert_eq!(naive.null_steps, fast.null_steps, "{name}: null steps");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Counter pins of the reduced search
+// ---------------------------------------------------------------------------
+
+/// `(states, transitions, por_sleep_skipped, ample_commits,
+/// symmetry_folds, fingerprint_hits, truncated, valency)` of one search.
+type Counters = (usize, u64, u64, u64, u64, u64, bool, Valency);
+
+fn counters(r: &SearchReport) -> Counters {
+    (
+        r.states,
+        r.transitions,
+        r.por_sleep_skipped,
+        r.ample_commits,
+        r.symmetry_folds,
+        r.fingerprint_hits,
+        r.truncated,
+        r.valency,
+    )
+}
+
+#[test]
+fn reduced_search_counters_are_pinned() {
+    // The verdict suites above hold what a search decides; this table
+    // holds how it got there. Expansion order, the sleep masks a state
+    // is entered with, orbit folding and the early exit all move at
+    // least one counter, so a level loop that reorders any of them fails
+    // here even when every verdict survives. Echo-vote is the case whose
+    // sleep sets are busy enough that a mask not relabelled with its
+    // folded state shows (it even loses states).
+    let first_seen = FirstSeenProtocol::new(3);
+    let q4 = QuorumVoteProtocol::new(4, 3, 0);
+    let q5 = QuorumVoteProtocol::new(5, 3, 0);
+    let echo = EchoVoteProtocol::new(3, 2, 0);
+    let cases: [(&str, &dyn AsyncProtocol, &[u8]); 4] = [
+        ("first-seen(3) 011", &first_seen, &[0, 1, 1]),
+        ("quorum-vote(4,3,0) 0011", &q4, &[0, 0, 1, 1]),
+        ("quorum-vote(5,3,0) 00111", &q5, &[0, 0, 1, 1, 1]),
+        ("echo-vote(3,2,0) 011", &echo, &[0, 1, 1]),
+    ];
+    use SearchMode::{Full, ValencyOnly};
+    use Valency::Bivalent;
+    #[rustfmt::skip]
+    let pinned: [(SearchMode, Counters); 8] = [
+        (Full, (20, 24, 0, 12, 0, 5, false, Bivalent)),
+        (ValencyOnly, (9, 10, 0, 3, 0, 0, false, Bivalent)),
+        (Full, (434, 686, 10, 214, 182, 253, false, Bivalent)),
+        (ValencyOnly, (82, 115, 10, 16, 32, 31, false, Bivalent)),
+        (Full, (3232, 5004, 38, 1706, 1721, 1773, false, Bivalent)),
+        (ValencyOnly, (106, 170, 17, 17, 67, 61, false, Bivalent)),
+        (Full, (1125, 1565, 98, 485, 253, 441, false, Bivalent)),
+        (ValencyOnly, (280, 333, 61, 14, 89, 52, false, Bivalent)),
+    ];
+    let runs = cases.iter().flat_map(|&(name, proto, inputs)| {
+        [Full, ValencyOnly].map(|mode| {
+            let opts = SearchOptions::reduced(BUDGET).with_mode(mode);
+            (
+                name,
+                mode,
+                counters(&search(proto, &Config::initial(inputs), &opts)),
+            )
+        })
+    });
+    let got: Vec<(&str, SearchMode, Counters)> = runs.collect();
+    let rows: Vec<String> = got
+        .iter()
+        .map(|(_, mode, (s, t, sl, am, sy, fh, tr, v))| {
+            format!("({mode:?}, ({s}, {t}, {sl}, {am}, {sy}, {fh}, {tr}, {v:?})),")
+        })
+        .collect();
+    for ((name, mode, c), (pin_mode, pin)) in got.iter().zip(&pinned) {
+        assert_eq!(
+            (mode, c),
+            (pin_mode, pin),
+            "{name} {mode:?}; recomputed table:\n{}",
+            rows.join("\n")
+        );
     }
 }
 

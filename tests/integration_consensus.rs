@@ -7,7 +7,7 @@ use append_memory::protocols::{
     Params, TieBreak, TrialKind,
 };
 use append_memory::sched::{
-    round_robin_witness, search_disagreement, QuorumVoteProtocol, SearchOptions, WitnessOutcome,
+    round_robin_witness, search_disagreement_t, QuorumVoteProtocol, SearchOptions, WitnessOutcome,
 };
 use append_memory::stats::theory::chain_resilience_bound;
 use append_memory::sync::{run as run_sync, Dissenter, Straddler, SyncConfig};
@@ -18,10 +18,10 @@ use append_memory::sync::{run as run_sync, Dissenter, Straddler, SyncConfig};
 #[test]
 fn round_complexity_is_exactly_t_plus_one() {
     // Lower bound side (am-sched): R = 1 < t+1 = 2 breaks.
-    let lb = search_disagreement(3, 1, 0);
+    let lb = search_disagreement_t(3, 1, 1, 0);
     assert!(lb.disagreement.is_some());
     // Upper bound side, search (am-sched): R = 2 survives exhaustively.
-    let ub = search_disagreement(3, 2, 0);
+    let ub = search_disagreement_t(3, 1, 2, 0);
     assert!(ub.disagreement.is_none());
     // Upper bound side, runtime (am-sync): scripted straddler also fails
     // to split Algorithm 1.
