@@ -6,7 +6,8 @@
 # to pick the event queue's lane or the link table's representation, a
 # link-keyed map beside the `LinkTable` or a pairing heap, or a
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
-# columns beside its `BlockStore`.
+# columns beside its `BlockStore`, or a listed stabilizer in the
+# model checker's canonicalizer.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -110,6 +111,15 @@ if shipped crates/sched/src/nonforking.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E 'oracles?[A-Za-z0-9_]*(\[[^]]*\])?\.clone\(\)|FinalityOracle::clone\b'; then
   echo "error: a finality oracle cloned per nonforking state — clone_from into the depth's slot (DESIGN.md §14)" >&2
+  exit 1
+fi
+# The symmetry canonicalizer refines a partition; it never lists the
+# stabilizer. A materialised permutation list is the spec in
+# `crates/sched/tests/canon_spec.rs`, not the search path.
+if shipped crates/sched/src/search.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E 'Vec<\[u8; ?MAX_N\]>'; then
+  echo "error: a materialised permutation list in search.rs — canonicalize by refinement; the list is the test-side spec (DESIGN.md §14)" >&2
   exit 1
 fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then

@@ -11,8 +11,9 @@
 //!   state is a fixed-size, `Copy` [`CState`] of arena ids, counts and
 //!   incremental content hashes (≈150 bytes, no heap).
 //! * **Hash compaction** — the visited set is keyed by the 128-bit
-//!   fingerprint itself (two independent splitmix64 lanes over the
-//!   canonical encoding, so a pass-through hasher suffices).
+//!   fingerprint itself (two multiply-xorshift lanes over the canonical
+//!   encoding, each finalized by splitmix64, so a pass-through hasher
+//!   suffices).
 //!   `exact: true` keys full decoded configurations instead and counts
 //!   how many fingerprints would have collided, so the collision risk
 //!   of the compacted mode is *measured*, not assumed.
@@ -20,9 +21,10 @@
 //!   [`AsyncProtocol::symmetric`], states are canonicalized under the
 //!   node-ID permutations that fix the input vector (the stabilizer of
 //!   the initial configuration); one representative per orbit is
-//!   explored. The orbit minimum is computed lazily from a per-search
-//!   group table ([`Stabilizer`]) — no permuted state but the winner is
-//!   ever built.
+//!   explored. The orbit minimum is found by individualizing one
+//!   position at a time and refining the rest of the partition by the
+//!   placed node's row ([`Stabilizer`]); the group is never listed and no
+//!   permuted state but the winner is ever built.
 //! * **Partial-order reduction** — sleep sets over the commutation
 //!   structure of the append memory (reads/appends/decides by distinct
 //!   nodes commute unless an append changes what the other node would
@@ -307,169 +309,313 @@ fn decode(enc: &[u64; ENC_WORDS], logs: [u32; MAX_N]) -> CState {
     }
 }
 
-/// 128-bit fingerprint of an encoding: two independent splitmix64 lanes.
+/// 128-bit fingerprint of an encoding: two lanes, one multiply-xorshift per
+/// word each, then splitmix64. Every step is a bijection of the lane and of
+/// the word, so encodings one word apart differ in both halves.
 fn fingerprint(enc: &[u64; ENC_WORDS]) -> u128 {
     let mut a = 0x243f_6a88_85a3_08d3u64;
     let mut b = 0x1319_8a2e_0370_7344u64;
-    for (i, &w) in enc.iter().enumerate() {
-        a = mix64(a ^ w);
-        b = mix64(b.wrapping_add(w).wrapping_add((i as u64) << 56));
+    for &w in enc {
+        a = (a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        a ^= a >> 32;
+        b = b.wrapping_add(w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+        b ^= b >> 29;
     }
-    ((a as u128) << 64) | b as u128
+    ((mix64(a) as u128) << 64) | mix64(b) as u128
 }
 
 /// The identity permutation.
 const IDENTITY: [u8; MAX_N] = [0, 1, 2, 3, 4, 5, 6, 7];
 
-/// Byte `j` of the result is byte `inv[j]` of `x`: a packed per-node
-/// byte field (or a view row's columns) after the permutation whose
-/// inverse is `inv`. (`& 7` is a no-op that spares the bounds check.)
-fn shuffle(x: u64, inv: &[u8; MAX_N]) -> u64 {
+/// A state encoding.
+type Enc = [u64; ENC_WORDS];
+
+/// Byte `i` of `w`.
+fn byte(w: u64, i: usize) -> u64 {
+    w >> (8 * i) & 0xff
+}
+
+/// Word `k >= MAX_N` of `encode(t)`, `t` being `s` relabelled by `p`, read
+/// off `src = encode(s)` and the arrangement `inv` (byte `j` is `p⁻¹(j)`,
+/// a word so that it stays in a register): a row or packed field, gathered.
+fn permuted_word(src: &Enc, inv: u64, k: usize) -> u64 {
+    let row = |k: usize| MAX_N + (byte(inv, k - MAX_N) as usize & 7);
+    let x = src[if k < 2 * MAX_N { row(k) } else { k }];
+    if x == 0 {
+        return 0; // a padding node's row, say
+    }
     let b = x.to_le_bytes();
-    u64::from_le_bytes(inv.map(|i| b[(i & 7) as usize]))
+    (0..MAX_N).fold(0, |w, j| {
+        w | u64::from(b[byte(inv, j) as usize & 7]) << (8 * j)
+    })
 }
 
-/// Word `k >= MAX_N` of `encode(t)`, where `t` is `s` with node `v`
-/// relabelled `p[v]`, read off `src = encode(s)` and `inv = p⁻¹`
-/// without building `t`: a view row or a packed byte field, columns
-/// shuffled. (Word `k < MAX_N` is just `src[inv[k]]`; `& 7` as in
-/// [`shuffle`].)
-fn permuted_word(src: &[u64; ENC_WORDS], inv: &[u8; MAX_N], k: usize) -> u64 {
-    let row = if k < 2 * MAX_N {
-        MAX_N + (inv[k - MAX_N] & 7) as usize
-    } else {
-        k
-    };
-    shuffle(src[row], inv)
+/// Whether the same-input nodes `x < y` are twins, swapping them fixing the
+/// state `src` encodes; `memo` has the pairs asked and found at `8x + y`.
+fn twins(src: &Enc, memo: &mut [u64; 2], x: usize, y: usize) -> bool {
+    let (apart, bit) = (|w: u64| byte(w, x) != byte(w, y), 1 << (8 * x + y));
+    if memo[0] & bit == 0 {
+        let (rx, ry) = (src[MAX_N + x], src[MAX_N + y]);
+        let twins = src[x] == src[y]
+            && (rx ^ ry) & !(0xff << (8 * x) | 0xff << (8 * y)) == 0
+            && byte(rx, x) == byte(ry, y)
+            && byte(rx, y) == byte(ry, x)
+            && !src[2 * MAX_N..2 * MAX_N + 3].iter().any(|&w| apart(w))
+            && !(0..MAX_N).any(|z| z != x && z != y && apart(src[MAX_N + z]));
+        (memo[0], memo[1]) = (memo[0] | bit, memo[1] | (bit * u64::from(twins)));
+    }
+    memo[1] & bit != 0
 }
 
-/// The stabilizer of an input vector as a group table, built once per
-/// search: every permutation of `0..n` that maps equal-input nodes to
-/// equal-input nodes (identity on the padding nodes `n..MAX_N`).
+/// An ordered partition: the arrangement (byte `k` of `inv` is the node at
+/// position `k`) and its cells, runs of slots (see [`Stabilizer::order`]):
+/// bit `i` of `cells` is set iff a cell starts at slot `i`, as is bit `n`.
+#[derive(Clone, Copy)]
+struct Part {
+    inv: u64,
+    cells: u16,
+}
+
+impl Part {
+    /// The slot one past the cell that starts at slot `lo`.
+    fn end(&self, lo: usize) -> usize {
+        lo + 1 + (self.cells >> (lo + 1)).trailing_zeros() as usize
+    }
+}
+
+/// The best leaf (rows valid below `known`, `n + 1` once a leaf is stored;
+/// the tail once `tail` is set) and the memo of [`twins`].
+struct Best {
+    enc: Enc,
+    known: usize,
+    tail: bool,
+    inv: u64,
+    twins: [u64; 2],
+}
+
+impl Best {
+    /// Offers `w` as row `k` of a path tied with the best; false if it loses.
+    fn offer(&mut self, k: usize, w: u64) -> bool {
+        let word = &mut self.enc[MAX_N + k];
+        if self.known > k && w > *word {
+            return false;
+        }
+        if self.known <= k || w < *word {
+            (*word, self.known) = (w, k + 1);
+        }
+        true
+    }
+}
+
+/// The stabilizer of an input vector — the permutations of `0..n` that map
+/// each node to one of equal input — held as its two input classes. Its
+/// list order is lexicographic in the images over the class order (zero-
+/// input nodes ascending, then one-input ones), the identity first; the
+/// first minimal permutation wins and relabels the sleep mask.
 pub struct Stabilizer {
-    /// Forward permutations in lexicographic order of their images over
-    /// (zero-input nodes ascending, then one-input nodes ascending) —
-    /// the identity is first. The order is part of the contract: the
-    /// first minimal permutation wins and relabels the sleep mask.
-    perms: Vec<[u8; MAX_N]>,
-    /// `invs[i]` is the inverse of `perms[i]`.
-    invs: Vec<[u8; MAX_N]>,
-    /// The orbit partition of the nodes below `n`, as the pairs of
-    /// consecutive members of each orbit (padding nodes are in none).
-    adjacent: Vec<(usize, usize)>,
+    n: usize,
+    /// The nodes in class order: slot `i` is position `order[i]`, so every
+    /// cell is a run of slots, positions rising with them; `slot` inverts.
+    order: [u8; MAX_N],
+    slot: [u8; MAX_N],
+    /// The class partition; the positions on slots below `i` in `span[i]`.
+    classes: u16,
+    span: [u64; MAX_N + 1],
+    size: usize,
 }
 
 impl Stabilizer {
-    /// The stabilizer of `inputs` (one binary input per node). Of no
-    /// inputs it is the trivial group: nothing folds and `canonicalize`
-    /// just encodes.
+    /// The stabilizer of `inputs` (one binary input per node); of none, the
+    /// trivial group.
     pub fn new(inputs: &[u8]) -> Stabilizer {
-        assert!(
-            inputs.len() <= MAX_N,
-            "compact search supports n <= {MAX_N}"
-        );
-        let classes: Vec<usize> = [0u8, 1]
-            .iter()
-            .flat_map(|&b| (0..inputs.len()).filter(move |&v| inputs[v] == b))
-            .collect();
-        let adjacent = classes
-            .windows(2)
-            .filter(|w| inputs[w[0]] == inputs[w[1]])
-            .map(|w| (w[0], w[1]))
-            .collect();
-        // Depth-first over `classes`, targets ascending: lexicographic.
-        fn assign(
-            inputs: &[u8],
-            classes: &[usize],
-            i: usize,
-            used: u8,
-            perm: &mut [u8; MAX_N],
-            out: &mut Vec<[u8; MAX_N]>,
-        ) {
-            let Some(&v) = classes.get(i) else {
-                return out.push(*perm);
-            };
-            for target in (0..inputs.len()).filter(|&t| inputs[t] == inputs[v]) {
-                if used & (1 << target) == 0 {
-                    perm[v] = target as u8;
-                    assign(inputs, classes, i + 1, used | 1 << target, perm, out);
-                }
-            }
+        let n = inputs.len();
+        assert!(n <= MAX_N, "compact search supports n <= {MAX_N}");
+        let zeros = inputs.iter().filter(|&&b| b == 0).count();
+        let (mut order, mut slot, mut next) = (IDENTITY, IDENTITY, [0, zeros]);
+        for (v, &b) in inputs.iter().enumerate() {
+            let c = usize::from(b != 0);
+            (order[next[c]], slot[v]) = (v as u8, next[c] as u8);
+            next[c] += 1;
         }
-        let mut perms = Vec::new();
-        assign(inputs, &classes, 0, 0, &mut { IDENTITY }, &mut perms);
-        let invs = perms
-            .iter()
-            .map(|p| {
-                let mut inv = IDENTITY;
-                for (v, &pv) in p.iter().enumerate() {
-                    inv[pv as usize] = v as u8;
-                }
-                inv
-            })
-            .collect();
+        let mut span = [0; MAX_N + 1];
+        for i in 0..n {
+            span[i + 1] = span[i] | 0xff << (8 * order[i]);
+        }
+        let factorial = |m: usize| (1..=m).product::<usize>();
+        let size = factorial(zeros) * factorial(n - zeros);
+        let classes = 1 | 1 << zeros | 1 << n;
         Stabilizer {
-            perms,
-            invs,
-            adjacent,
+            n,
+            order,
+            slot,
+            classes,
+            span,
+            size,
         }
     }
 
     /// Number of permutations in the group.
     pub fn order(&self) -> usize {
-        self.perms.len()
+        self.size
     }
 
-    /// Canonicalizes `s` (whose inputs the table was built for): the
-    /// permuted state with the lexicographically smallest encoding, that
-    /// encoding, and the permutation used — the first minimal one in
-    /// list order. No permuted state but the winner is ever built: each
-    /// candidate's encoding is computed a word at a time from `s` and
-    /// abandoned at the first word larger than the best so far.
+    /// Canonicalizes `s` (whose inputs the stabilizer was built for): the
+    /// permuted state with the least encoding, that encoding, and the first
+    /// such permutation in list order. By refinement (DESIGN.md §14): classes
+    /// start sorted by `logh`; position `k` takes each node `b` of its cell
+    /// in turn, the other cells sorted by `b`'s row for the least row-`k`
+    /// word `b` allows; the least words go on, bar a larger twin's. Leaves
+    /// tied on every row are decided by the tail, then by list order.
     pub fn canonicalize(&self, s: &CState) -> (CState, [u64; ENC_WORDS], [u8; MAX_N]) {
         let src = encode(s);
-        // The `logh` words lead the encoding, so only permutations that
-        // sort `logh` within each orbit can be minimal, and all of those
-        // tie on them. Same-input nodes append the same vote, so `logh`
-        // is usually constant on every orbit and nothing is filtered.
-        let logh_free = self.adjacent.iter().all(|&(a, b)| src[a] == src[b]);
-        let sorts = |inv: &[u8; MAX_N]| {
-            let at = |v: usize| src[inv[v] as usize];
-            self.adjacent.iter().all(|&(a, b)| at(a) <= at(b))
+        let identity = u64::from_le_bytes(IDENTITY);
+        let (inv, cells) = (identity, self.classes);
+        let mut root = Part { inv, cells };
+        let mut lo = 0;
+        while lo < self.n {
+            let hi = root.end(lo);
+            self.split(&mut root, lo, hi, |v| src[v]);
+            lo = hi;
+        }
+        let known = if root.inv == identity { self.n + 1 } else { 0 };
+        let mut best = Best {
+            enc: src,
+            known,
+            tail: true,
+            inv: identity,
+            twins: [0; 2],
         };
-        let mut live = self
-            .invs
-            .iter()
-            .enumerate()
-            .filter(|(_, inv)| logh_free || sorts(inv));
-        let (mut best, mut best_inv) = live.next().expect("some permutation sorts logh");
-        // Words of `enc` below `valid` are the best candidate's; the rest
-        // are filled in when a comparison first needs them.
-        let (mut enc, mut valid) = (src, ENC_WORDS);
-        if best != 0 {
-            (0..MAX_N).for_each(|k| enc[k] = src[best_inv[k] as usize]);
-            valid = MAX_N;
+        self.level(&src, root, 0, &mut best);
+        let inv = best.inv;
+        if inv == identity {
+            return (*s, src, IDENTITY);
         }
-        for (i, inv) in live {
-            // The first word on which this candidate and the best differ.
-            let differs = (MAX_N..ENC_WORDS).find_map(|k| {
-                if k == valid {
-                    enc[k] = permuted_word(&src, best_inv, k);
-                    valid += 1;
-                }
-                let w = permuted_word(&src, inv, k);
-                (w != enc[k]).then_some((k, w))
-            });
-            // A tie on every word keeps the earlier permutation.
-            if let Some((k, w)) = differs.filter(|&(k, w)| w < enc[k]) {
-                (enc[k], valid, best, best_inv) = (w, k + 1, i, inv);
-            }
-        }
-        (valid..ENC_WORDS).for_each(|k| enc[k] = permuted_word(&src, best_inv, k));
+        let node = |k: usize| byte(inv, k) as usize & 7;
+        let tail = (MAX_N + self.n..ENC_WORDS).filter(|_| !best.tail);
+        tail.for_each(|k| best.enc[k] = permuted_word(&src, inv, k));
+        (0..MAX_N).for_each(|k| best.enc[k] = src[node(k)]);
+        let mut p = IDENTITY;
+        (0..MAX_N).for_each(|k| p[node(k)] = k as u8);
         // The representative is its encoding read back; only the arena
         // ids ride along.
-        let logs = best_inv.map(|v| s.logs[v as usize]);
-        (decode(&enc, logs), enc, self.perms[best])
+        let logs = std::array::from_fn(|k| s.logs[node(k)]);
+        (decode(&best.enc, logs), best.enc, p)
+    }
+
+    /// Sorts slots `lo..hi` of `part` by `key`, cutting a cell at each change.
+    fn split(&self, part: &mut Part, lo: usize, hi: usize, key: impl Fn(usize) -> u64) {
+        let node = |i: usize| byte(part.inv, self.order[i] as usize & 7);
+        if (lo + 1..hi).all(|i| key(node(i) as usize & 7) == key(node(lo) as usize & 7)) {
+            return;
+        }
+        let mut cell = [(0, 0); MAX_N];
+        let cell = &mut cell[..hi - lo];
+        for (i, x) in cell.iter_mut().enumerate() {
+            *x = (key(node(lo + i) as usize & 7), node(lo + i));
+        }
+        cell.sort_by_key(|x| x.0);
+        for (i, &(key, v)) in cell.iter().enumerate() {
+            let at = 8 * (self.order[lo + i] as usize & 7);
+            part.inv = part.inv & !(0xff << at) | v << at;
+            if i > 0 && cell[i - 1].0 != key {
+                part.cells |= 1 << (lo + i);
+            }
+        }
+    }
+
+    /// Searches below `part`, whose positions `< k` are placed; a level one
+    /// branch alone wins goes on in the loop, tied branches recurse.
+    fn level(&self, src: &Enc, mut part: Part, mut k: usize, best: &mut Best) {
+        while part.cells != (2 << self.n) - 1 {
+            let (lo, hi) = (self.slot[k] as usize, part.end(self.slot[k] as usize));
+            let node = |i: usize| byte(part.inv, self.order[i] as usize & 7) as usize & 7;
+            let cell: u64 = (lo..hi).map(|i| 1 << node(i)).sum();
+            let mut kids = [part; MAX_N];
+            let (mut m, mut least) = (0, u64::MAX);
+            for j in lo..hi {
+                let y = node(j);
+                if (0..y).any(|x| cell >> x & 1 != 0 && twins(src, &mut best.twins, x, y)) {
+                    continue;
+                }
+                let (kid, w) = self.place(src, &part, lo, j);
+                if w < least {
+                    (least, m) = (w, 0);
+                }
+                if w == least {
+                    kids[m] = kid;
+                    m += 1;
+                }
+            }
+            if !best.offer(k, least) {
+                return;
+            }
+            for &kid in &kids[1..m] {
+                self.level(src, kid, k + 1, best);
+            }
+            (part, k) = (kids[0], k + 1);
+        }
+        self.leaf(src, part.inv, k, best);
+    }
+
+    /// `part` with the node on slot `j` placed on slot `lo`, the first of
+    /// its cell, and every open cell sorted by that node's row, largest
+    /// values first; with the row word, the least the node allows.
+    fn place(&self, src: &Enc, part: &Part, lo: usize, j: usize) -> (Part, u64) {
+        let (at, from) = (self.order[lo] as usize & 7, self.order[j] as usize & 7);
+        let d = byte(part.inv, at) ^ byte(part.inv, from);
+        let inv = part.inv ^ (d << (8 * at) | d << (8 * from));
+        let cells = part.cells | 1 << (lo + 1);
+        let mut kid = Part { inv, cells };
+        let row = src[MAX_N + (byte(kid.inv, at) as usize & 7)];
+        let mut w = permuted_word(src, kid.inv, MAX_N + at);
+        let mut open = kid.cells & !(kid.cells >> 1) & ((1 << self.n) - 1);
+        while open != 0 {
+            let c = open.trailing_zeros() as usize;
+            open &= open - 1;
+            let (end, first) = (kid.end(c), byte(w, self.order[c] as usize & 7));
+            let mask = self.span[end] & !self.span[c];
+            if w & mask != first.wrapping_mul(0x0101_0101_0101_0101) & mask {
+                self.split(&mut kid, c, end, |v| !byte(row, v));
+                w = permuted_word(src, kid.inv, MAX_N + at);
+            }
+        }
+        (kid, w)
+    }
+
+    /// The arrangement `inv`, tied with `best` on rows below `k`: its other
+    /// rows, then its tail and its key in list order (the images of the
+    /// nodes in class order) decide whether it replaces `best`.
+    fn leaf(&self, src: &Enc, inv: u64, k: usize, best: &mut Best) {
+        let seen = inv == best.inv && best.known > self.n;
+        if seen || !(k..self.n).all(|k| best.offer(k, permuted_word(src, inv, MAX_N + k))) {
+            return;
+        }
+        let (tail, n) = (MAX_N + self.n..ENC_WORDS, self.n);
+        if best.known <= n {
+            return (best.known, best.tail, best.inv) = (n + 1, false, inv);
+        }
+        let fill = |enc: &mut Enc, inv| {
+            for k in tail.clone() {
+                enc[k] = permuted_word(src, inv, k);
+            }
+        };
+        if !best.tail {
+            fill(&mut best.enc, best.inv);
+        }
+        let key = |inv: u64| {
+            let p = (0..MAX_N).fold(0, |p, k| p | (k as u64) << (8 * byte(inv, k)));
+            (0..n).fold(0, |key, i| key << 8 | byte(p, self.order[i].into()))
+        };
+        let mut words = tail.clone().map(|k| (k, permuted_word(src, inv, k)));
+        match words.find(|&(k, w)| w != best.enc[k]) {
+            Some((k, w)) if w > best.enc[k] => {}
+            None if key(inv) > key(best.inv) => {}
+            _ => {
+                fill(&mut best.enc, inv);
+                best.inv = inv;
+            }
+        }
+        best.tail = true;
     }
 }
 
@@ -478,7 +624,7 @@ impl Stabilizer {
 /// `canonical_key(perm(c)) == canonical_key(c)` for any permutation
 /// fixing the input vector. With `symmetric: false` the key is just the
 /// plain encoding (no folding). A test helper, not the search path: it
-/// rebuilds the arena and the stabilizer table on every call.
+/// re-interns the configuration's logs on every call.
 pub fn canonical_key(c: &Config, symmetric: bool) -> Vec<u64> {
     let mut arena = LogArena::new();
     let s = CState::from_config(c, &mut arena);
@@ -1034,7 +1180,15 @@ mod tests {
         assert_eq!(Stabilizer::new(&[0, 1, 1]).order(), 2); // 1! * 2!
         assert_eq!(Stabilizer::new(&[0, 0, 1, 1]).order(), 4); // 2! * 2!
         assert_eq!(Stabilizer::new(&[1, 1, 1]).order(), 6); // 3!
-        assert_eq!(Stabilizer::new(&[0, 1]).perms[0], IDENTITY);
+        assert_eq!(Stabilizer::new(&[0, 1, 0, 0, 1, 0, 0, 1]).order(), 720); // 5! * 3!
+        assert_eq!(Stabilizer::new(&[1; MAX_N]).order(), 40_320); // 8!
+
+        // Nodes of a root state look alike within a class: the identity wins.
+        for inputs in [&[0, 1][..], &[0, 0, 1, 1], &[1, 0, 1, 0, 1, 0, 1, 0]] {
+            let root = CState::from_config(&Config::initial(inputs), &mut LogArena::new());
+            let (canon, enc, p) = Stabilizer::new(inputs).canonicalize(&root);
+            assert_eq!((canon, enc, p), (root, encode(&root), IDENTITY));
+        }
     }
 
     #[test]

@@ -1,30 +1,36 @@
 //! Spec-equivalence suite for the symmetry canonicalizer (DESIGN.md §14).
 //!
-//! `Stabilizer::canonicalize` never builds a permuted state except the
-//! winner. The rule it must reproduce — materialise every stabilizer
-//! permutation in list order, encode each, keep the first minimal one —
-//! lives here as the spec, with its own permutation listing,
-//! `apply_perm` and `encode`, so the search path has no twin in `src/`.
-//! On seeded random states the canonical state, the 20-word encoding and
-//! the chosen permutation must all equal the spec's: the permutation
-//! decides how sleep masks are relabelled, so a different winner of a tie
-//! moves `transitions`, `sleep_skipped` and `fingerprint_hits`.
+//! `Stabilizer::canonicalize` never lists the group: it individualizes
+//! one position at a time, refines the other cells by the placed node's
+//! row, prunes twin branches and breaks ties at the leaves. The rule it
+//! must reproduce — materialise every stabilizer permutation in list
+//! order, encode each, keep the first minimal one — lives here as the
+//! spec, with its own permutation listing, `apply_perm` and `encode`, so
+//! the search path has no twin in `src/`. On seeded random states and on
+//! the states a quorum-vote search actually reaches, the canonical state,
+//! the 20-word encoding and the chosen permutation must all equal the
+//! spec's: the permutation decides how sleep masks are relabelled, so a
+//! different winner of a tie moves `transitions`, `sleep_skipped` and
+//! `fingerprint_hits`.
 //!
 //! Mutation-checked: each of these edits to `Stabilizer` in `search.rs`
-//! fails `matches_the_materialising_spec` —
+//! turns this suite red —
 //!
-//! * reversed tie rule (a candidate that ties on every word replaces the
-//!   best: the last minimal permutation wins);
-//! * `logh` skip applied although an orbit is not constant
-//!   (`logh_free = true`);
-//! * padding nodes `n..MAX_N` counted into the zero-input orbit;
-//! * forward permutation used for the inverse (`inv[v] = pv`);
-//! * early exit on `<=` instead of `<` (the word scan stops at the first
-//!   word even when it ties, so the candidate is abandoned instead of
-//!   compared on the next word).
+//! * the twin rule keeps the larger twin (prunes `x` while a larger twin
+//!   `y` is in its cell);
+//! * refinement puts ascending values on ascending positions;
+//! * tied branches are dropped (only the first kid with the least row
+//!   word goes on);
+//! * leaves that tie on every row are compared without the packed fields;
+//! * the list-key tie-break is reversed (the last tied leaf wins).
 
-use am_sched::search::{CState, LogArena, Stabilizer, ENC_WORDS, MAX_N};
-use am_sched::{search, AsyncProtocol, Config, Op, Ref, SearchOptions, ViewRef};
+use am_sched::search::{
+    state_fingerprint, successors_compact, CState, LogArena, Stabilizer, ENC_WORDS, MAX_N,
+};
+use am_sched::{
+    search, AsyncProtocol, Config, Op, QuorumVoteProtocol, Ref, SearchOptions, ViewRef,
+};
+use std::collections::HashSet;
 
 const UNDECIDED: u8 = 0xff;
 
@@ -241,6 +247,53 @@ fn matches_the_materialising_spec() {
         "{unequal_logh} states with unequal logh in a class"
     );
     assert!(full_ties >= 100, "{full_ties} fully symmetric states");
+}
+
+/// The first `cap` distinct states `successors_compact` reaches
+/// breadth-first from `inputs` under the quorum-vote protocol the
+/// benchmark searches (quorum `n / 2 + 1`): the raw successors a search
+/// hands its canonicalizer, ties between twins included.
+fn reachable_states(inputs: &[u8], cap: usize) -> Vec<CState> {
+    let n = inputs.len();
+    let proto = QuorumVoteProtocol::new(n, n / 2 + 1, 0);
+    let mut arena = LogArena::new();
+    let root = CState::from_config(&Config::initial(inputs), &mut arena);
+    let mut seen = HashSet::from([state_fingerprint(&root)]);
+    let mut states = vec![root];
+    let mut next = 0;
+    while next < states.len() && states.len() < cap {
+        let s = states[next];
+        next += 1;
+        for (_, t) in successors_compact(&proto, &s, &mut arena) {
+            if states.len() < cap && seen.insert(state_fingerprint(&t)) {
+                states.push(t);
+            }
+        }
+    }
+    states
+}
+
+#[test]
+fn reachable_states_match_the_materialising_spec() {
+    for inputs in [&[0u8, 0, 1, 1][..], &[0, 0, 1, 1, 1], &[0, 1, 1, 1, 1, 1]] {
+        let states = reachable_states(inputs, 2_000);
+        let perms = spec_perms(inputs);
+        let stab = Stabilizer::new(inputs);
+        let mut folded = 0;
+        for s in &states {
+            let want = spec_canonicalize(s, &perms);
+            let got = stab.canonicalize(s);
+            assert_eq!(got.2, want.2, "permutation, inputs {inputs:?}, state {s:?}");
+            assert_eq!(got.1, want.1, "encoding, inputs {inputs:?}, state {s:?}");
+            assert_eq!(got.0, want.0, "state, inputs {inputs:?}, state {s:?}");
+            folded += usize::from(want.2 != perms[0]);
+        }
+        assert!(
+            states.len() >= 1_000 && folded >= states.len() / 4,
+            "inputs {inputs:?}: {} states, {folded} folded",
+            states.len()
+        );
+    }
 }
 
 /// The quotient is well defined: every state of an orbit canonicalizes to

@@ -12,6 +12,7 @@
 
 use am_bft::FinalityOracle;
 use am_core::{MsgId, GENESIS};
+use am_sched::search::{state_fingerprint, CState, LogArena};
 use am_sched::{
     check_nonforking, round_robin_witness, search, AsyncProtocol, Config, EchoVoteProtocol,
     Explorer, FirstSeenProtocol, QuorumVoteProtocol, SearchMode, SearchOptions, SearchReport,
@@ -96,6 +97,55 @@ fn sleep_sets_alone_preserve_the_exact_state_count() {
                 c
             );
             assert_eq!(rep.collisions, 0, "{name}: exact mode saw an fp collision");
+        }
+    }
+}
+
+/// The fingerprint takes every byte of every encoding word into both of
+/// its 64-bit halves: on seeded states, changing any one byte of any of
+/// the 20 words (through the `CState` field it encodes) changes both. A
+/// mixer that skipped a word, or a lane that skipped the word's high
+/// bytes, fails here; the exact-mode audits above bound what the two
+/// halves together let collide.
+#[test]
+fn one_changed_byte_changes_both_fingerprint_halves() {
+    let mut seed = 0x5eed_f00d_u64;
+    let mut next = || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (seed ^ (seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb) ^ seed >> 31
+    };
+    let base = CState::from_config(&Config::initial(&[0; 8]), &mut LogArena::new());
+    for _ in 0..50 {
+        let mut s = base;
+        s.logh = std::array::from_fn(|_| next());
+        s.view = std::array::from_fn(|_| next().to_le_bytes());
+        (s.loglen, s.own) = (next().to_le_bytes(), next().to_le_bytes());
+        (s.decided, s.input) = (next().to_le_bytes(), next().to_le_bytes());
+        let fp = state_fingerprint(&s);
+        for word in 0..20 {
+            for b in 0..8 {
+                let flip = (next() as u8) | 1;
+                let mut t = s;
+                match word {
+                    0..=7 => t.logh[word] ^= u64::from(flip) << (8 * b),
+                    8..=15 => t.view[word - 8][b] ^= flip,
+                    16 => t.loglen[b] ^= flip,
+                    17 => t.own[b] ^= flip,
+                    18 => t.decided[b] ^= flip,
+                    _ => t.input[b] ^= flip,
+                }
+                let ft = state_fingerprint(&t);
+                assert_ne!(
+                    fp >> 64,
+                    ft >> 64,
+                    "word {word} byte {b}: high half unchanged"
+                );
+                assert_ne!(
+                    fp as u64, ft as u64,
+                    "word {word} byte {b}: low half unchanged"
+                );
+            }
         }
     }
 }
