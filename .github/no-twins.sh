@@ -7,7 +7,8 @@
 # link-keyed map beside the `LinkTable` or a pairing heap, or a
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
 # columns beside its `BlockStore`, or a listed stabilizer in the
-# model checker's canonicalizer.
+# model checker's canonicalizer, or a process spawn in the experiments
+# harness.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -120,6 +121,15 @@ if shipped crates/sched/src/search.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E 'Vec<\[u8; ?MAX_N\]>'; then
   echo "error: a materialised permutation list in search.rs — canonicalize by refinement; the list is the test-side spec (DESIGN.md §14)" >&2
+  exit 1
+fi
+# On one box `--workers` runs its shards on scoped threads inside
+# `am_experiments::coordinate`; a harness or example that re-executes the
+# binary per shard is a second, process-level fan-out beside it. Separate
+# processes are the cross-machine path (`--shard` / `--merge-shards`).
+if shipped crates/experiments/src/*.rs examples/*.rs |
+  grep -E 'Command::new|current_exe|process::Child'; then
+  echo "error: a process spawn in the experiments harness or an example — the local fan-out is std::thread::scope in coordinate (DESIGN.md, \"Sweep lifecycle\")" >&2
   exit 1
 fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then

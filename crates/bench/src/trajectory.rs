@@ -20,11 +20,11 @@ use crate::recorder::{num, uint, LedgerError, Recorder};
 pub struct SweepThroughput {
     /// Experiment id, e.g. `"e8"`.
     pub experiment: String,
-    /// How many OS-process shards produced the tallies (1 = unsharded).
+    /// How many shards produced the tallies (1 = unsharded).
     pub shards: u32,
     /// Total Monte-Carlo trials across the experiment's sweep points.
     pub trials: u64,
-    /// Wall-clock seconds from first shard spawn to merged results.
+    /// Wall-clock seconds from the first shard's start to merged results.
     pub wall_s: f64,
 }
 

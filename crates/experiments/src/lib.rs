@@ -8,9 +8,10 @@
 //! configuration: fixed budgets reproduce the historic tables at
 //! `--seed 0`, adaptive mode ([`SweepConfig::adaptive`]) stops each
 //! Monte-Carlo point early once its Wilson 95% half-width is tight, and
-//! the attached window logs make a sweep resumable, shardable across OS
-//! processes ([`coordinate`]) and mergeable — all through one engine
-//! loop (DESIGN.md, "Sweep lifecycle").
+//! the attached window logs make a sweep resumable, shardable — across
+//! threads on one box ([`coordinate`]) or across machines (`--shard`) —
+//! and mergeable, all through one engine loop (DESIGN.md, "Sweep
+//! lifecycle").
 
 pub mod e1;
 pub mod e10;
@@ -37,7 +38,6 @@ use am_protocols::{ShardCheckpointStore, ShardSpec, SweepConfig, SweepRunner};
 use report::Report;
 use std::num::NonZeroU32;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
 
 /// Budget cap applied to every Monte-Carlo loop under `--fast`: enough
 /// trials to exercise the full pipeline, few enough that all nineteen
@@ -46,7 +46,7 @@ pub const FAST_BUDGET: u64 = 24;
 
 /// Context one experiment run receives: the base seed, the sweep-engine
 /// configuration, and the window logs of the residue classes this
-/// process answers for (none = the whole range, unlogged).
+/// run answers for (none = the whole range, unlogged).
 pub struct RunCtx {
     /// Base seed; 0 reproduces the historic tables in fixed mode.
     pub seed: u64,
@@ -248,14 +248,14 @@ pub fn run_one(id: &str, seed: u64) -> Option<Report> {
     run_with(id, &RunCtx::fixed(seed))
 }
 
-/// What one harness process does with each sweep — which residue classes
+/// What one `execute` call does with each sweep — which residue classes
 /// of the trial-index range it answers for, and whether it publishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepRole {
     /// The unsharded run: class `0/1`, logged to
     /// `<out-dir>/<id>.checkpoint.json`, final results written.
     Whole,
-    /// One shard of a multi-process sweep: run only this class and leave
+    /// One shard of a sharded sweep: run only this class and leave
     /// its log (`<out-dir>/<id>.shard-<i>-of-<m>.checkpoint.json`) for a
     /// later merge instead of writing final results.
     Shard(ShardSpec),
@@ -286,7 +286,7 @@ pub struct HarnessOpts {
     /// Topology override for experiments that honour it (see
     /// [`RunCtx::topology`]).
     pub topology: Option<am_net::Topology>,
-    /// This process's part in the sweep.
+    /// This run's part in the sweep.
     pub role: SweepRole,
 }
 
@@ -397,75 +397,47 @@ pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord>
     })
 }
 
-/// Runs `id` as `workers` shard child processes of the current
-/// executable and merges their logs into final results byte-identical to
-/// an unsharded run. `child_args(spec, resume)` is the argv that makes
-/// the executable run shard `spec` (continuing its log when `resume`)
-/// and exit 0 when the shard is done, non-zero when it should be
-/// restarted. Children are polled every 25 ms; one that fails is
-/// restarted with `resume` up to twice, after which — like a child that
-/// never spawned — its unrecorded windows are left for the merge to run,
-/// so a sick worker degrades throughput, never results.
+/// Runs `id` as `workers` interleaved shards on scoped threads of this
+/// process, then merges their logs into final results byte-identical to
+/// an unsharded run — the `--shard i/w` runs and `--merge-shards w` of a
+/// cross-machine sweep, on one box. Workers run with am-obs off, as a
+/// standalone `--no-obs` shard would (on the global registry's locks the
+/// threads would serialise); the merge runs with obs as the caller had
+/// it. A worker stopped by the batch cap leaves its log and the merge
+/// runs the windows it did not; a panicking worker panics the caller.
 pub fn coordinate(
     id: &str,
     opts: &HarnessOpts,
     workers: NonZeroU32,
-    child_args: impl Fn(ShardSpec, bool) -> Vec<String>,
 ) -> Option<am_obs::ExperimentRecord> {
-    const MAX_RETRIES: u32 = 2;
     find(id)?;
-    let spawn = |spec: ShardSpec, resume: bool| -> Option<Child> {
-        std::env::current_exe()
-            .and_then(|exe| {
-                Command::new(exe)
-                    .args(child_args(spec, resume))
-                    .stdout(Stdio::null())
-                    .spawn()
-            })
-            .map_err(|e| eprintln!("[coordinator] {id} shard {spec} failed to spawn: {e}"))
-            .ok()
-    };
-    let mut slots: Vec<(ShardSpec, Option<Child>, u32)> = ShardSpec::all(workers)
-        .map(|spec| (spec, spawn(spec, opts.resume), 0))
-        .collect();
-    println!("[coordinator] {id}: {workers} shard processes launched");
-    while slots.iter().any(|(_, child, _)| child.is_some()) {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        for (spec, slot, retries) in &mut slots {
-            let Some(child) = slot else { continue };
-            let status = match child.try_wait() {
-                Ok(None) => continue,
-                Ok(Some(status)) => status,
-                Err(e) => {
-                    eprintln!("[coordinator] {id} shard {spec} wait failed: {e}");
-                    *slot = None;
-                    continue;
-                }
-            };
-            *slot = None;
-            if status.success() {
-                continue;
+    {
+        let _restore = ObsRestore(am_obs::enabled());
+        am_obs::set_enabled(false);
+        std::thread::scope(|s| {
+            for spec in ShardSpec::all(workers) {
+                let shard = HarnessOpts {
+                    role: SweepRole::Shard(spec),
+                    ..opts.clone()
+                };
+                s.spawn(move || execute(id, &shard));
             }
-            if *retries < MAX_RETRIES {
-                *retries += 1;
-                eprintln!(
-                    "[coordinator] {id} shard {spec} exited with {status}; restarting \
-                     from its checkpoint (retry {retries}/{MAX_RETRIES})"
-                );
-                *slot = spawn(*spec, true);
-            } else {
-                eprintln!(
-                    "[coordinator] {id} shard {spec} gave up after {MAX_RETRIES} \
-                     retries; the merge will re-run its trials"
-                );
-            }
-        }
+        });
     }
     let merge = HarnessOpts {
         role: SweepRole::Merge(workers),
         ..opts.clone()
     };
     execute(id, &merge)
+}
+
+/// Puts the am-obs switch back as it was, on unwind too.
+struct ObsRestore(bool);
+
+impl Drop for ObsRestore {
+    fn drop(&mut self) {
+        am_obs::set_enabled(self.0);
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! am-experiments --topology relay:8 e18 # override the gossip topology
 //! am-experiments --shard 0/4 e8   # run one interleaved trial slice
 //! am-experiments --merge-shards 4 e8 # fold shard tallies to final JSON
-//! am-experiments --workers 4 e8   # spawn 4 shard processes and merge
+//! am-experiments --workers 4 e8   # 4 shard threads, then the merge
 //! am-experiments --workers 4 --record e8 # + publish trials/sec
 //! am-experiments --trials-scale 8 e6 # 8× trial budgets (throughput runs)
 //! am-experiments --list           # list experiments
@@ -35,7 +35,7 @@
 use am_bench::trajectory::{record_sweep, SweepThroughput};
 use am_experiments::{coordinate, execute, report::Report, HarnessOpts, SweepRole, REGISTRY};
 use am_obs::RunManifest;
-use am_protocols::{ShardSpec, SweepConfig};
+use am_protocols::SweepConfig;
 use std::num::NonZeroU32;
 
 struct Cli {
@@ -49,7 +49,6 @@ struct Cli {
     resume: bool,
     max_batches: Option<u64>,
     topology: Option<am_net::Topology>,
-    topology_raw: Option<String>,
     role: SweepRole,
     workers: Option<NonZeroU32>,
     record: bool,
@@ -79,7 +78,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         resume: false,
         max_batches: None,
         topology: None,
-        topology_raw: None,
         role: SweepRole::Whole,
         workers: None,
         record: false,
@@ -139,7 +137,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .next()
                     .ok_or("--topology needs mesh|relay:<k>|geo:<r>[:<k>]")?;
                 cli.topology = Some(v.parse().map_err(|e| format!("--topology: {e}"))?);
-                cli.topology_raw = Some(v.clone());
             }
             "--shard" => {
                 let v = it.next().ok_or("--shard needs i/m (e.g. 0/4)")?;
@@ -154,7 +151,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 set_role(&mut cli, SweepRole::Merge(count))?;
             }
             "--workers" => {
-                let v = it.next().ok_or("--workers needs a process count")?;
+                let v = it.next().ok_or("--workers needs a worker count")?;
                 cli.workers = Some(
                     v.parse()
                         .ok()
@@ -172,7 +169,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     if cli.workers.is_some() && cli.role != SweepRole::Whole {
         return Err(
-            "--workers spawns the shards and merges them itself; drop --shard / --merge-shards"
+            "--workers runs the shards and merges them itself; drop --shard / --merge-shards"
                 .into(),
         );
     }
@@ -183,7 +180,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 /// implies `--adaptive` (default target 0.05); `--fast` shrinks the batch
 /// so even tiny budgets span several batches (checkpoint/interruption
 /// behaviour stays exercisable); `--max-batches` caps each point's
-/// batches for this process, leaving the checkpoint to a `--resume`.
+/// batches for this run (for each worker under `--workers`), leaving the
+/// checkpoint to a `--resume` (or the rest of its windows to the merge).
 fn sweep_config(cli: &Cli) -> SweepConfig {
     let mut sweep = if cli.adaptive || cli.ci_width.is_some() {
         SweepConfig::adaptive(cli.ci_width.unwrap_or(0.05))
@@ -197,53 +195,11 @@ fn sweep_config(cli: &Cli) -> SweepConfig {
     sweep
 }
 
-/// Argv for a shard child process: the parent's sweep-shaping flags plus
-/// `--shard i/m`, with obs off (children's manifests would trample the
-/// coordinator's) and stdout silenced by the spawner.
-fn shard_child_args(cli: &Cli, id: &str, spec: ShardSpec, resume: bool) -> Vec<String> {
-    let mut args = vec![
-        "--shard".to_string(),
-        spec.to_string(),
-        "--seed".to_string(),
-        cli.seed.to_string(),
-        "--out-dir".to_string(),
-        cli.out_dir.clone(),
-        "--no-obs".to_string(),
-    ];
-    if cli.adaptive {
-        args.push("--adaptive".to_string());
-    }
-    if let Some(w) = cli.ci_width {
-        args.push("--ci-width".to_string());
-        args.push(w.to_string());
-    }
-    if cli.fast {
-        args.push("--fast".to_string());
-    }
-    if cli.trials_scale > 1 {
-        args.push("--trials-scale".to_string());
-        args.push(cli.trials_scale.to_string());
-    }
-    if let Some(n) = cli.max_batches {
-        args.push("--max-batches".to_string());
-        args.push(n.to_string());
-    }
-    if let Some(t) = &cli.topology_raw {
-        args.push("--topology".to_string());
-        args.push(t.clone());
-    }
-    if resume {
-        args.push("--resume".to_string());
-    }
-    args.push(id.to_string());
-    args
-}
-
 /// `--workers`: runs every selected experiment through
-/// [`am_experiments::coordinate`] with this binary's own `--shard i/w`
-/// as the child command. With `--record`, publishes the end-to-end
-/// trials/sec into BENCH_TRAJECTORY.json. Returns false if any
-/// experiment failed to produce merged results.
+/// [`am_experiments::coordinate`] — `w` shard threads, then the merge.
+/// With `--record`, publishes the end-to-end trials/sec into
+/// BENCH_TRAJECTORY.json. Returns false if any experiment failed to
+/// produce merged results.
 fn run_coordinator(
     cli: &Cli,
     opts: &HarnessOpts,
@@ -254,8 +210,7 @@ fn run_coordinator(
     let mut ok = true;
     for id in ids {
         let started = std::time::Instant::now();
-        let child = |spec, resume| shard_child_args(cli, id, spec, resume);
-        let Some(rec) = coordinate(id, opts, workers, child) else {
+        let Some(rec) = coordinate(id, opts, workers) else {
             eprintln!("unknown experiment '{id}' (try --list)");
             ok = false;
             continue;
@@ -386,8 +341,8 @@ fn main() {
         std::process::exit(2);
     }
     if shard_incomplete {
-        // Distinguishable from flag errors: the coordinator (and sweepd)
-        // treat it as "restart me with --resume".
+        // Distinguishable from flag errors: a standalone shard was
+        // interrupted, and its runner restarts it with --resume.
         std::process::exit(3);
     }
 }

@@ -4,11 +4,13 @@
 //! whether a shard was killed mid-run and resumed (DESIGN.md, "Sweep
 //! lifecycle").
 //!
-//! The shard lanes here run in one process for test speed; the OS-process
-//! spawning itself is the coordinator's job (`--workers`, the `sweepd`
-//! example) and is exercised by the CI shard-smoke job.
+//! The hand-driven lanes call `execute` once per role, as separate
+//! `--shard` / `--merge-shards` invocations on different machines would;
+//! the `coordinate` lanes run the shards on scoped threads and then the
+//! merge, as `--workers` does. CI's shard-smoke job repeats both through
+//! the binary, with the shards as real OS processes.
 
-use am_experiments::{execute, HarnessOpts, SweepRole};
+use am_experiments::{coordinate, execute, HarnessOpts, SweepRole};
 use am_protocols::{ShardSpec, SweepConfig};
 use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
@@ -237,4 +239,42 @@ fn sharded_merge_reproduces_the_committed_golden_e8() {
     let b = std::fs::read(dir.join("e8.json")).unwrap();
     assert_eq!(g, b, "4-shard merge must reproduce results/golden/e8.json");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `coordinate("e8", …, 3)` under `sweep` and checks that the result
+/// is the committed golden and that no checkpoint outlives the merge.
+fn coordinate_matches_the_golden_e8(tag: &str, sweep: SweepConfig) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/e8.json");
+    let dir = base_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    let workers = NonZeroU32::new(3).unwrap();
+    let rec = coordinate("e8", &opts(&dir, sweep), workers).expect("e8 exists");
+    assert!(rec.output.is_some(), "the merge publishes");
+    let g = std::fs::read(&golden).expect("committed golden");
+    let b = std::fs::read(dir.join("e8.json")).unwrap();
+    assert_eq!(g, b, "3 shard threads + merge must reproduce the golden");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with("checkpoint.json"))
+        .collect();
+    assert!(
+        left.is_empty(),
+        "the merge deletes every log, found {left:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coordinate_on_threads_reproduces_the_golden_e8() {
+    coordinate_matches_the_golden_e8("e8_coord", fast_sweep(None));
+}
+
+#[test]
+fn coordinate_merge_tops_up_capped_workers_e8() {
+    // Every worker stops after one window per point; the merge runs the
+    // windows their logs lack, so the results are still exact.
+    let mut sweep = fast_sweep(None);
+    sweep.max_batches_per_run = Some(1);
+    coordinate_matches_the_golden_e8("e8_coord_capped", sweep);
 }
