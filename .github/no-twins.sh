@@ -2,7 +2,8 @@
 # One implementation of each idea in src/: fails on a reference twin, a
 # switch that selects one, a per-PR bench file, a second timing loop /
 # pretend thread pool (the deleted criterion and rayon shims), a SipHash
-# map / an `Arc`ed payload on the simulator's per-message path, a public way
+# map / an `Arc`ed payload / a label-keyed stats hook on the simulator's
+# per-message path, a per-node backlog scan in the ABD pump, a public way
 # to pick the event queue's lane or the link table's representation, a
 # link-keyed map beside the `LinkTable` or a pairing heap, or a
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
@@ -33,6 +34,24 @@ if shipped crates/net/src/sim.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\b(Arc|Gossip)\b'; then
   echo "error: SimNet carries parcel handles, not shared payloads — keep Arc/Gossip out of sim.rs (DESIGN.md §10)" >&2
+  exit 1
+fi
+# A parcel's kind is resolved once, into a slot of the `NetStats` kind
+# table; the simulator's per-message hooks index by that slot. The
+# label-keyed `on_*` hooks search the table and are for callers outside
+# the simulator.
+if shipped crates/net/src/sim.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\.on_(sent|dropped|duplicated|delivered)\('; then
+  echo "error: a label-keyed NetStats hook on SimNet's per-message path — count through the parcel's kind slot (DESIGN.md §10)" >&2
+  exit 1
+fi
+# The ABD pump picks its target from the substrate's maintained backlog set
+# (`Transport::backlogged`); it asks `backlog` only of the node it picked.
+if shipped crates/mp/src/abd.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\bbacklog\(' | grep -vE '\bbacklog\(target\)'; then
+  echo "error: a per-node backlog scan in the ABD pump — pick from Transport::backlogged (DESIGN.md §10)" >&2
   exit 1
 fi
 # The event queue adapts to the order events arrive in and the link table's

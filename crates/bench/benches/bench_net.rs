@@ -1,12 +1,13 @@
 //! The `net/*` lanes of the perf ledger, ns per delivered message: the
 //! discrete-event simulator's broadcast + drain across sizes and latency
 //! models beside the reliable in-process network (the price of simulated
-//! time), the fault-injector chain, a relay-gossip flood at n = 1000 and
-//! the scale curve of E18's geo overlay at n = 500 / 2 000 / 5 000 — then
-//! the event queue by itself (ns per event at 4 096 in flight, fed in
-//! order and fed shuffled, and at gossip's ~56 k in flight fed a spread
-//! delay) and one whole networked trial of the benchmark's first
-//! `sweep_net` point.
+//! time), the bare per-message path of one broadcast at a time on an
+//! ideal network, the fault-injector chain, a relay-gossip flood at
+//! n = 1000 and the scale curve of E18's geo overlay at n = 500 / 2 000 /
+//! 5 000 — then the event queue by itself (ns per event at 4 096 in
+//! flight, fed in order and fed shuffled, and at gossip's ~56 k in flight
+//! fed a spread delay) and one whole networked trial of the benchmark's
+//! first `sweep_net` point.
 //!
 //! Per-link state is laid out over the topology — latency overrides,
 //! bandwidth busy horizons and the `NetStats` counters hold one row per
@@ -204,6 +205,32 @@ fn main() {
         );
     }
     drain_lane(&mut rec, "net/broadcast_drain_sim_faulty_n16", faulty);
+
+    // The bare per-message path of the serving shape (`mp/append_n8_
+    // simnet_ideal` without ABD): one 8-way broadcast at a time on a
+    // long-lived ideal n = 8 network — zero latency, no faults, no trace —
+    // advanced and drained; ns per message.
+    let mut net: SimNet<Payload> = NetConfig::ideal(LatencyModel::Constant(0)).build_net(8, 1);
+    let mut op = 0u64;
+    rec.measure_absolute(
+        "net/broadcast_drain_sim_ideal_n8",
+        8,
+        Duration::from_millis(400),
+        || {
+            op += 1;
+            let ack = Payload::Ack {
+                author: 0,
+                seq: op,
+                content: op,
+            };
+            net.broadcast((op % 8) as usize, ack);
+            net.advance();
+            for node in 0..8 {
+                while net.deliver(node).is_some() {}
+            }
+            net.delivered_count()
+        },
+    );
 
     let cfg = overlay();
     let delivered = flood(1000, 40, &cfg, 1);

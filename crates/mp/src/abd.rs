@@ -92,7 +92,9 @@ pub struct MpSystem<T: Transport<Payload> = Network> {
     net: T,
     ring: KeyRing,
     byz: Vec<bool>,
-    paused: Vec<bool>,
+    /// Paused nodes, one bit per node in the layout of
+    /// [`Transport::backlogged`].
+    paused: Vec<u64>,
     views: Vec<MpView>,
     /// Membership index per node: which messages its view holds.
     seen: Vec<SeenTable>,
@@ -163,7 +165,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
             net,
             ring: KeyRing::new(n, seed),
             byz: byz_flags,
-            paused: vec![false; n],
+            paused: vec![0; n.div_ceil(64)],
             views: vec![MpView::new(); n],
             seen: vec![SeenTable::new(n); n],
             next_seq: vec![0; n],
@@ -223,12 +225,22 @@ impl<T: Transport<Payload>> MpSystem<T> {
 
     /// Pauses delivery to `node` (models an arbitrarily slow node).
     pub fn pause(&mut self, node: usize) {
-        self.paused[node] = true;
+        assert!(
+            node < self.n(),
+            "pause({node}) on a {}-node system",
+            self.n()
+        );
+        self.paused[node / 64] |= 1 << (node % 64);
     }
 
     /// Resumes delivery to `node`.
     pub fn resume(&mut self, node: usize) {
-        self.paused[node] = false;
+        assert!(
+            node < self.n(),
+            "resume({node}) on a {}-node system",
+            self.n()
+        );
+        self.paused[node / 64] &= !(1 << (node % 64));
     }
 
     /// A snapshot of `node`'s local view `M_v`. O(1): it shares every
@@ -499,23 +511,21 @@ impl<T: Transport<Payload>> MpSystem<T> {
     /// `ViewResp{op}` consumed by `reader`: returns `Some(Some(from))` in
     /// that case, `Some(None)` for any other delivery, `None` when stuck.
     fn pump_one_tracking_read(&mut self, reader: usize, op: u64) -> Option<Option<usize>> {
-        let n = self.n();
-        // Pick the target node without materializing a candidate vector:
-        // FIFO/LIFO take the first unpaused node with a backlog; Random
-        // counts candidates, draws, then indexes — the same RNG stream
-        // (one `gen_range(0..count)` call) as the old collected-Vec code.
-        let deliverable = |sys: &Self, i: usize| !sys.paused[i] && sys.net.backlog(i) > 0;
+        // Pick the target from the substrate's backlog set minus the
+        // paused set, a word at a time: FIFO/LIFO take the lowest
+        // deliverable node; Random counts them, draws once with
+        // `gen_range(0..count)` and takes the drawn one, in node order —
+        // the draw stream the FNV pins of `naive_equiv` hold.
         let target = loop {
+            let backlogged = self.net.backlogged();
+            let ready = backlogged.iter().zip(&self.paused).map(|(&b, &p)| b & !p);
             let found = match self.delivery {
-                Delivery::Fifo | Delivery::Lifo => (0..n).find(|&i| deliverable(self, i)),
+                Delivery::Fifo | Delivery::Lifo => nth_set_bit(ready, 0),
                 Delivery::Random => {
-                    let count = (0..n).filter(|&i| deliverable(self, i)).count();
+                    let count: u32 = ready.clone().map(u64::count_ones).sum();
                     (count > 0).then(|| {
-                        let pick = self.delivery_rng.gen_range(0..count);
-                        (0..n)
-                            .filter(|&i| deliverable(self, i))
-                            .nth(pick)
-                            .expect("pick < count")
+                        let pick = self.delivery_rng.gen_range(0..count as usize);
+                        nth_set_bit(ready, pick).expect("pick < count")
                     })
                 }
             };
@@ -610,6 +620,23 @@ impl<T: Transport<Payload>> MpSystem<T> {
         }
         Some(read_from)
     }
+}
+
+/// The position of the `nth` (0-based) set bit of a bitset given as its
+/// words, lowest first. Walks the set bits below it one at a time, so the
+/// lowest set bit (`nth` = 0, the FIFO and LIFO pick) costs one
+/// `trailing_zeros` on the first non-zero word.
+fn nth_set_bit(words: impl Iterator<Item = u64>, mut nth: usize) -> Option<usize> {
+    for (w, mut word) in words.enumerate() {
+        while word != 0 {
+            if nth == 0 {
+                return Some(w * 64 + word.trailing_zeros() as usize);
+            }
+            word &= word - 1;
+            nth -= 1;
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -913,6 +940,18 @@ mod tests {
         assert_eq!(fnv, 0x53b9_58bf_47db_a18c, "moved: {observed:?}");
         // Every append completed, so every key reached its quorum of 3.
         assert!(observed.1.iter().all(|&c| c >= 3));
+    }
+
+    #[test]
+    fn nth_set_bit_walks_words_lowest_first() {
+        let words = [0b1010_0110u64, 0, 1 << 63 | 1];
+        let ones: Vec<usize> = (0..192)
+            .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+            .collect();
+        for (nth, &want) in ones.iter().enumerate() {
+            assert_eq!(nth_set_bit(words.iter().copied(), nth), Some(want));
+        }
+        assert_eq!(nth_set_bit(words.iter().copied(), ones.len()), None);
     }
 
     #[test]

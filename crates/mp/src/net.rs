@@ -69,6 +69,8 @@ pub type Envelope = am_net::Envelope<Payload>;
 pub struct Network {
     n: usize,
     inboxes: Vec<VecDeque<Envelope>>,
+    /// One bit per node with a non-empty inbox ([`Transport::backlogged`]).
+    backlogged: Vec<u64>,
     sent: u64,
     delivered: u64,
 }
@@ -79,6 +81,7 @@ impl Network {
         Network {
             n,
             inboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            backlogged: vec![0; n.div_ceil(64)],
             sent: 0,
             delivered: 0,
         }
@@ -93,6 +96,7 @@ impl Network {
     pub fn send(&mut self, from: usize, to: usize, payload: Payload) {
         self.sent += 1;
         self.inboxes[to].push_back(Envelope { from, to, payload });
+        self.backlogged[to / 64] |= 1 << (to % 64);
     }
 
     /// Broadcasts to every node including the sender (self-delivery keeps
@@ -105,27 +109,27 @@ impl Network {
 
     /// Pops the next message for `node`, if any.
     pub fn deliver(&mut self, node: usize) -> Option<Envelope> {
-        let e = self.inboxes[node].pop_front();
-        if e.is_some() {
-            self.delivered += 1;
-        }
-        e
+        self.deliver_at(node, 0)
     }
 
     /// Pops the message at position `idx` of `node`'s inbox — the
     /// adversarial-reordering primitive (asynchrony = delivery-order
     /// freedom).
     pub fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope> {
-        let e = self.inboxes[node].remove(idx);
+        let inbox = &mut self.inboxes[node];
+        let e = inbox.remove(idx);
         if e.is_some() {
             self.delivered += 1;
+            if inbox.is_empty() {
+                self.backlogged[node / 64] &= !(1 << (node % 64));
+            }
         }
         e
     }
 
     /// Whether any message is still in flight.
     pub fn quiescent(&self) -> bool {
-        self.inboxes.iter().all(VecDeque::is_empty)
+        self.backlogged.iter().all(|&word| word == 0)
     }
 
     /// Total messages sent so far (the complexity metric of E4).
@@ -160,6 +164,10 @@ impl Transport<Payload> for Network {
 
     fn backlog(&self, node: usize) -> usize {
         Network::backlog(self, node)
+    }
+
+    fn backlogged(&self) -> &[u64] {
+        &self.backlogged
     }
 
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope> {

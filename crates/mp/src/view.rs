@@ -422,6 +422,12 @@ impl IntoIterator for MpView {
     }
 }
 
+/// The instance an ack names: `(author, seq, content)`.
+type AckKey = (usize, u64, u64);
+
+/// Keys [`AckTally`] resolves without its index.
+const RECENT_KEYS: usize = 4;
+
 /// Dense per-op ack tallies: one bitmask block + maintained count per
 /// `(author, seq, content)` key, replacing `HashMap<_, HashSet<usize>>`.
 #[derive(Clone, Debug)]
@@ -429,7 +435,13 @@ pub struct AckTally {
     /// Words per op block: ⌈n / 64⌉.
     stride: usize,
     /// Key → block index into `bits` / `counts`.
-    index: IntMap<(usize, u64, u64), u32>,
+    index: IntMap<AckKey, u32>,
+    /// The last few keys resolved, with their blocks: an append's acks
+    /// arrive in a burst, interleaved with the stragglers of the appends
+    /// just before it, and the index outgrows the cache long before a
+    /// serving run ends. Overwritten round-robin at `recent_next`.
+    recent: [Option<(AckKey, u32)>; RECENT_KEYS],
+    recent_next: usize,
     /// Acker bitmasks, `stride` words per op.
     bits: Vec<u64>,
     /// Maintained popcount per op.
@@ -442,6 +454,8 @@ impl AckTally {
         AckTally {
             stride: n.div_ceil(64).max(1),
             index: IntMap::default(),
+            recent: [None; RECENT_KEYS],
+            recent_next: 0,
             bits: Vec::new(),
             counts: Vec::new(),
         }
@@ -451,16 +465,23 @@ impl AckTally {
     /// Resolved once by the appender, which then polls
     /// [`count_at`](AckTally::count_at) instead of hashing the key on
     /// every pump iteration.
-    pub(crate) fn block(&mut self, key: (usize, u64, u64)) -> usize {
-        if let Some(&b) = self.index.get(&key) {
-            return b as usize;
+    pub(crate) fn block(&mut self, key: AckKey) -> usize {
+        if let Some((_, b)) = self.recent.iter().flatten().find(|(k, _)| *k == key) {
+            return *b as usize;
         }
-        let b = self.counts.len();
-        self.index
-            .insert(key, u32::try_from(b).expect("op count fits u32"));
-        self.bits.resize(self.bits.len() + self.stride, 0);
-        self.counts.push(0);
-        b
+        let b = match self.index.get(&key) {
+            Some(&b) => b,
+            None => {
+                let b = u32::try_from(self.counts.len()).expect("op count fits u32");
+                self.index.insert(key, b);
+                self.bits.resize(self.bits.len() + self.stride, 0);
+                self.counts.push(0);
+                b
+            }
+        };
+        self.recent[self.recent_next] = Some((key, b));
+        self.recent_next = (self.recent_next + 1) % RECENT_KEYS;
+        b as usize
     }
 
     /// Distinct ackers recorded in `block`.
@@ -564,6 +585,7 @@ impl SeenTable {
 mod tests {
     use super::*;
     use crate::sig::Signature;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn msg(i: u64) -> MpMsg {
         MpMsg {
@@ -749,6 +771,25 @@ mod tests {
         t.add((1, 3, 0xbeef), 3);
         t.add(k, 5);
         assert_eq!((t.count_at(block), t.count(k)), (2, 2));
+    }
+
+    #[test]
+    fn tally_counts_survive_keys_leaving_the_memo() {
+        // Seven keys interleaved — more than the memo holds, so every key
+        // is evicted and looked up again — against a per-key set of ackers.
+        let mut t = AckTally::new(8);
+        let mut want: BTreeMap<(usize, u64, u64), BTreeSet<usize>> = BTreeMap::new();
+        for step in 0..200usize {
+            let seq = (step * 5 % 7) as u64;
+            let key = (step % 3, seq, 0xc0 + seq);
+            let from = step * 3 % 8;
+            let acked = want.entry(key).or_default();
+            acked.insert(from);
+            assert_eq!(t.add(key, from), acked.len(), "step {step}");
+        }
+        for (key, acked) in &want {
+            assert_eq!(t.count(*key), acked.len());
+        }
     }
 
     #[test]

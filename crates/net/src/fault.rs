@@ -20,8 +20,10 @@ impl PartitionSpec {
         if now < self.from_ns || now >= self.until_ns {
             return false;
         }
-        let a = self.side_a.contains(&from);
-        let b = self.side_a.contains(&to);
+        // One pass over the member list for both endpoints.
+        let (a, b) = self.side_a.iter().fold((false, false), |(a, b), &x| {
+            (a | (x == from), b | (x == to))
+        });
         a != b
     }
 }

@@ -134,6 +134,13 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
         self.run.is_empty() && self.heap.is_empty()
     }
 
+    /// Events held in the 4-ary heap rather than the in-order run: a
+    /// probe for tests that pin which store a workload's events take.
+    #[doc(hidden)]
+    pub fn heap_len(&self) -> usize {
+        self.heap.len()
+    }
+
     /// Sequence number the next [`schedule`](EventQueue::schedule) call
     /// will assign.
     pub fn next_seq(&self) -> u64 {

@@ -4,7 +4,7 @@ use crate::config::NetConfig;
 use crate::fault::{Fault, PartitionSpec};
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
-use crate::stats::{DeliveryRecord, NetStats};
+use crate::stats::{KindSlot, NetStats};
 use crate::topology::{LinkTable, TopologyMap};
 use crate::transport::{Envelope, Kinded, Transport};
 use rand::{Rng, SeedableRng};
@@ -23,13 +23,15 @@ impl ParcelId {
     }
 }
 
-/// One slab slot: a payload and how many in-flight or arrived copies of
-/// it are still owed a delivery. Vacant slots hold `None` and sit on the
-/// free list.
+/// One slab slot: a payload, its kind's row in the [`NetStats`] kind
+/// table (resolved once, when the payload enters the network) and how
+/// many in-flight or arrived copies of it are still owed a delivery.
+/// Vacant slots hold `None` and sit on the free list.
 #[derive(Debug)]
 struct Parcel<M> {
     payload: Option<M>,
     refs: u32,
+    kind: KindSlot,
 }
 
 /// Every payload inside the network, stored once. `send` and `broadcast`
@@ -61,12 +63,13 @@ impl<M> Parcels<M> {
         self.free.clear();
     }
 
-    /// Stores `payload` with `refs` copies owed.
-    fn insert(&mut self, payload: M, refs: u32) -> ParcelId {
+    /// Stores `payload`, of kind slot `kind`, with `refs` copies owed.
+    fn insert(&mut self, payload: M, kind: KindSlot, refs: u32) -> ParcelId {
         debug_assert!(refs > 0, "a parcel nobody is owed would never be freed");
         let parcel = Parcel {
             payload: Some(payload),
             refs,
+            kind,
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -86,6 +89,10 @@ impl<M> Parcels<M> {
             .payload
             .as_ref()
             .expect("a live handle names an occupied slot")
+    }
+
+    fn kind(&self, id: ParcelId) -> KindSlot {
+        self.slots[id.slot()].kind
     }
 
     /// One more copy owed (the duplicate fault).
@@ -158,6 +165,8 @@ impl NetConfig {
         scratch.dirty.clear();
         scratch.in_dirty.clear();
         scratch.in_dirty.resize(n, false);
+        scratch.backlogged.clear();
+        scratch.backlogged.resize(n.div_ceil(64), 0);
         scratch.faults.clear();
         let mut net = SimNet {
             n,
@@ -177,6 +186,7 @@ impl NetConfig {
             delivered: 0,
             dirty: scratch.dirty,
             in_dirty: scratch.in_dirty,
+            backlogged: scratch.backlogged,
             obs_sent: am_obs::static_counter!("net.sent"),
             obs_delivered: am_obs::static_counter!("net.delivered"),
             obs_dropped: am_obs::static_counter!("net.dropped"),
@@ -215,9 +225,8 @@ impl NetConfig {
 
 /// A queued arrival waiting in a node's inbox. Compact on purpose (24
 /// bytes, tombstone included) — the receiver is implied by which inbox it
-/// sits in, the payload stays in the [`Parcels`] slab and its kind is
-/// recomputed from it at delivery — so 5k-node backlogs carry no
-/// redundant per-arrival bookkeeping.
+/// sits in, the payload and its kind slot stay in the [`Parcels`] slab —
+/// so 5k-node backlogs carry no redundant per-arrival bookkeeping.
 #[derive(Clone, Copy, Debug)]
 struct Arrival {
     sent_ns: u64,
@@ -331,8 +340,8 @@ impl Inbox {
 
 /// Everything a [`SimNet`] would otherwise allocate per trial — queue
 /// storage, payload slab, inbox buffers, the [`NetStats`] tables, the
-/// arrival set, the injector list and a partition's member list —
-/// following the `TrialScratch` pattern: trial loops keep one
+/// arrival and backlog sets, the injector list and a partition's member
+/// list — following the `TrialScratch` pattern: trial loops keep one
 /// `NetScratch` per thread, rebuild each trial's `SimNet` on it via
 /// [`NetConfig::build_net_with_scratch`], which resets every piece rather
 /// than rebuilding it, and reclaim it afterwards with
@@ -348,6 +357,7 @@ pub struct NetScratch<M> {
     stats: NetStats,
     dirty: Vec<u32>,
     in_dirty: Vec<bool>,
+    backlogged: Vec<u64>,
     faults: Vec<Fault>,
     side_a: Vec<usize>,
 }
@@ -368,6 +378,7 @@ impl<M> NetScratch<M> {
             stats: NetStats::default(),
             dirty: Vec::new(),
             in_dirty: Vec::new(),
+            backlogged: Vec::new(),
             faults: Vec::new(),
             side_a: Vec::new(),
         }
@@ -384,9 +395,10 @@ impl<M> NetScratch<M> {
 /// Per-node state is O(nodes + topology edges): latency overrides, link
 /// busy-times and the [`NetStats`] counters are `LinkTable`s over the
 /// topology (one dense row per edge, a sparse spill for the rest), and
-/// the set of nodes with fresh arrivals is maintained incrementally
-/// ([`SimNet::drain_arrived_nodes`]) so delivery loops iterate O(active)
-/// instead of O(n).
+/// two node sets are maintained incrementally so delivery loops iterate
+/// O(active) instead of O(n): the nodes with fresh arrivals
+/// ([`SimNet::drain_arrived_nodes`]) and the nodes with a non-empty inbox
+/// ([`Transport::backlogged`]).
 pub struct SimNet<M> {
     n: usize,
     now_ns: u64,
@@ -413,6 +425,9 @@ pub struct SimNet<M> {
     /// [`SimNet::drain_arrived_nodes`], deduplicated via `in_dirty`.
     dirty: Vec<u32>,
     in_dirty: Vec<bool>,
+    /// One bit per node, set iff its inbox is non-empty: set at admit,
+    /// cleared by the take that empties the inbox.
+    backlogged: Vec<u64>,
     obs_sent: &'static am_obs::Counter,
     obs_delivered: &'static am_obs::Counter,
     obs_dropped: &'static am_obs::Counter,
@@ -435,6 +450,7 @@ impl<M: Kinded> SimNet<M> {
             stats: self.stats,
             dirty: self.dirty,
             in_dirty: self.in_dirty,
+            backlogged: self.backlogged,
             faults: self.faults,
             side_a: side_a.unwrap_or(self.spare_side_a),
         }
@@ -465,7 +481,7 @@ impl<M: Kinded> SimNet<M> {
     /// [`NetStats`] over the same topology. A simulator torn down with its
     /// statistics in place recycles their storage instead.
     pub fn take_stats(&mut self) -> NetStats {
-        let fresh = NetStats::over(self.topology().clone(), self.stats.trace_enabled());
+        let fresh = self.stats.emptied();
         std::mem::replace(&mut self.stats, fresh)
     }
 
@@ -486,6 +502,13 @@ impl<M: Kinded> SimNet<M> {
         for &node in out.iter() {
             self.in_dirty[node as usize] = false;
         }
+    }
+
+    /// [`EventQueue::heap_len`] of this network's event queue: a probe
+    /// for tests that pin which store a workload's events take.
+    #[doc(hidden)]
+    pub fn queue_heap_len(&self) -> usize {
+        self.queue.heap_len()
     }
 
     fn latency_of(&self, from: usize, to: usize) -> LatencyModel {
@@ -514,14 +537,34 @@ impl<M: Kinded> SimNet<M> {
         );
     }
 
+    /// Counts one copy of `parcel` (of kind `kind`) lost on `from → to`,
+    /// reports it as obs event `event` on `row`'s sim row, and gives its
+    /// reference back.
+    fn drop_copy(
+        &mut self,
+        (from, to): (usize, usize),
+        parcel: ParcelId,
+        kind: KindSlot,
+        event: &'static str,
+        row: usize,
+    ) {
+        self.stats.count_dropped(from, to, kind);
+        self.obs_dropped.inc();
+        let label = self.stats.kind_label(kind);
+        am_obs::event(event, row, self.now_ns, || format!("{label} {from}->{to}"));
+        self.parcels.release(parcel);
+    }
+
     /// The shared send path: fault injection, transmission-delay
     /// queueing, latency sampling, and event scheduling for one copy of
-    /// a payload of kind `kind` already in the slab, whose reference this
-    /// call either hands to the flight it schedules or releases. RNG draw order,
-    /// stats, and `seq` assignment do not depend on how many copies share
-    /// the parcel, so per-recipient sends and the one-parcel broadcast
+    /// a payload already in the slab, whose reference this call either
+    /// hands to the flight it schedules or releases. `sender_crashed` is
+    /// whether `from` is crashed now — the same for every copy of a
+    /// broadcast, so the caller asks once. RNG draw order, stats, and
+    /// `seq` assignment do not depend on how many copies share the
+    /// parcel, so per-recipient sends and the one-parcel broadcast
     /// produce bit-identical traces.
-    fn send_parcel(&mut self, from: usize, to: usize, parcel: ParcelId, kind: &'static str) {
+    fn send_parcel(&mut self, from: usize, to: usize, parcel: ParcelId, sender_crashed: bool) {
         // Checked here, at the caller's send, and on `n` rather than on
         // adjacency (repair traffic leaves the topology): past this point
         // an endpoint indexes the link table and an inbox unchecked.
@@ -530,19 +573,15 @@ impl<M: Kinded> SimNet<M> {
             "send {from}->{to} names a node outside this {}-node network",
             self.n
         );
+        let kind = self.parcels.kind(parcel);
         self.sent += 1;
-        self.stats.on_sent(from, to, kind);
+        self.stats.count_sent(from, to, kind);
         self.obs_sent.inc();
 
         // Sender or receiver crashed right now → the message never leaves
         // (receiver-side crash during flight is checked at arrival).
-        if self.crashed(from, self.now_ns) {
-            self.stats.on_dropped(from, to, kind);
-            self.obs_dropped.inc();
-            am_obs::event("net/drop/crashed_sender", from, self.now_ns, || {
-                format!("{kind} {from}->{to}")
-            });
-            self.parcels.release(parcel);
+        if sender_crashed {
+            self.drop_copy((from, to), parcel, kind, "net/drop/crashed_sender", from);
             return;
         }
 
@@ -552,12 +591,7 @@ impl<M: Kinded> SimNet<M> {
             match fault {
                 Fault::Drop { prob } => {
                     if self.rng.gen_bool(*prob) {
-                        self.stats.on_dropped(from, to, kind);
-                        self.obs_dropped.inc();
-                        am_obs::event("net/drop/random", from, self.now_ns, || {
-                            format!("{kind} {from}->{to}")
-                        });
-                        self.parcels.release(parcel);
+                        self.drop_copy((from, to), parcel, kind, "net/drop/random", from);
                         return;
                     }
                 }
@@ -573,12 +607,7 @@ impl<M: Kinded> SimNet<M> {
                 }
                 Fault::Partition(p) => {
                     if p.cuts(from, to, self.now_ns) {
-                        self.stats.on_dropped(from, to, kind);
-                        self.obs_dropped.inc();
-                        am_obs::event("net/drop/partitioned", from, self.now_ns, || {
-                            format!("{kind} {from}->{to}")
-                        });
-                        self.parcels.release(parcel);
+                        self.drop_copy((from, to), parcel, kind, "net/drop/partitioned", from);
                         return;
                     }
                 }
@@ -605,10 +634,11 @@ impl<M: Kinded> SimNet<M> {
 
         let base = self.latency_of(from, to).sample(&mut self.rng);
         if let Some(dup_extra) = duplicate {
-            self.stats.on_duplicated(from, to, kind);
+            self.stats.count_duplicated(from, to, kind);
             self.obs_duplicated.inc();
+            let label = self.stats.kind_label(kind);
             am_obs::event("net/duplicate", from, self.now_ns, || {
-                format!("{kind} {from}->{to}")
+                format!("{label} {from}->{to}")
             });
             self.parcels.add_ref(parcel);
             self.schedule(from, to, parcel, tx_ns + base + dup_extra);
@@ -629,13 +659,9 @@ impl<M: Kinded> SimNet<M> {
         } = flight;
         let to = to as usize;
         if self.crashed(to, self.now_ns) {
-            let kind = self.parcels.get(parcel).kind();
-            self.stats.on_dropped(from as usize, to, kind);
-            self.obs_dropped.inc();
-            am_obs::event("net/drop/crashed_receiver", to, self.now_ns, || {
-                format!("{kind} {from}->{to}")
-            });
-            self.parcels.release(parcel);
+            let kind = self.parcels.kind(parcel);
+            let event = "net/drop/crashed_receiver";
+            self.drop_copy((from as usize, to), parcel, kind, event, to);
             return false;
         }
         self.arrived[to].push(Arrival {
@@ -644,6 +670,7 @@ impl<M: Kinded> SimNet<M> {
             from,
             parcel,
         });
+        self.backlogged[to / 64] |= 1 << (to % 64);
         if !self.in_dirty[to] {
             self.in_dirty[to] = true;
             self.dirty.push(to as u32);
@@ -674,9 +701,10 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     }
 
     fn send(&mut self, from: usize, to: usize, payload: M) {
-        let kind = payload.kind();
-        let parcel = self.parcels.insert(payload, 1);
-        self.send_parcel(from, to, parcel, kind);
+        let kind = self.stats.kind_slot(payload.kind());
+        let parcel = self.parcels.insert(payload, kind, 1);
+        let sender_crashed = self.crashed(from, self.now_ns);
+        self.send_parcel(from, to, parcel, sender_crashed);
     }
 
     fn broadcast(&mut self, from: usize, payload: M)
@@ -687,10 +715,11 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
         if self.n == 0 {
             return;
         }
-        let kind = payload.kind();
-        let parcel = self.parcels.insert(payload, self.n as u32);
+        let kind = self.stats.kind_slot(payload.kind());
+        let parcel = self.parcels.insert(payload, kind, self.n as u32);
+        let sender_crashed = self.crashed(from, self.now_ns);
         for to in 0..self.n {
-            self.send_parcel(from, to, parcel, kind);
+            self.send_parcel(from, to, parcel, sender_crashed);
         }
     }
 
@@ -698,32 +727,33 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
         self.arrived[node].len()
     }
 
+    fn backlogged(&self) -> &[u64] {
+        &self.backlogged
+    }
+
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope<M>> {
+        let inbox = &mut self.arrived[node];
         let Arrival {
             sent_ns,
             seq,
             from,
             parcel,
-        } = self.arrived[node].take(idx)?;
+        } = inbox.take(idx)?;
+        if inbox.is_empty() {
+            self.backlogged[node / 64] &= !(1 << (node % 64));
+        }
         let from = from as usize;
+        let kind = self.parcels.kind(parcel);
         let payload = self.parcels.take(parcel);
-        let kind = payload.kind();
         self.delivered += 1;
         self.obs_delivered.inc();
         if am_obs::enabled() {
             // One flight span per delivery, on the receiver's sim row.
-            am_obs::record_sim_span(&format!("net/flight/{kind}"), node, sent_ns, self.now_ns);
+            let label = self.stats.kind_label(kind);
+            am_obs::record_sim_span(&format!("net/flight/{label}"), node, sent_ns, self.now_ns);
         }
-        self.stats.on_delivered(
-            DeliveryRecord {
-                at_ns: self.now_ns,
-                from,
-                to: node,
-                kind,
-                seq,
-            },
-            self.now_ns - sent_ns,
-        );
+        self.stats
+            .count_delivered(from, node, kind, (self.now_ns, seq), self.now_ns - sent_ns);
         Some(Envelope {
             from,
             to: node,
@@ -750,7 +780,7 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     }
 
     fn quiescent(&self) -> bool {
-        self.queue.is_empty() && self.arrived.iter().all(Inbox::is_empty)
+        self.queue.is_empty() && self.backlogged.iter().all(|&word| word == 0)
     }
 
     fn sent_count(&self) -> u64 {
@@ -1130,6 +1160,23 @@ mod tests {
         again.broadcast(0, Ping(1));
         let _ = drain(&mut again);
         assert_eq!(again.stats().totals(), taken.totals());
+    }
+
+    #[test]
+    fn stats_taken_mid_flight_count_what_is_still_in_flight() {
+        // In-flight parcels carry kind slots of the taken table; the
+        // table left behind keeps the slots, so their delivery counts.
+        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(1));
+        net.broadcast(0, Ping(1));
+        let taken = net.take_stats();
+        assert_eq!(taken.kind("ping").sent, 2);
+        assert_eq!(
+            format!("{:?}", net.stats()),
+            format!("{:?}", NetStats::with_options(2, true))
+        );
+        let _ = drain(&mut net);
+        assert_eq!(net.stats().kind("ping").delivered, 2);
+        assert_eq!(net.stats().trace()[0].kind, "ping");
     }
 
     #[test]

@@ -168,9 +168,16 @@ impl LinkStore {
     }
 }
 
-/// The per-kind counter storage: a handful of entries kept sorted by
-/// label, so `Debug` and JSON read like the `BTreeMap` this replaced. A
-/// kind is a `&'static str` literal, so the per-message lookup compares
+/// A payload kind's row in [`NetStats`]' kind table, resolved once per
+/// parcel by [`NetStats::kind_slot`] so the per-message hooks index the
+/// table instead of searching it by label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct KindSlot(u32);
+
+/// The per-kind counter storage: a handful of entries in first-seen
+/// order, which is what a [`KindSlot`] indexes; `Debug` and JSON print
+/// the counted ones sorted by label, like the `BTreeMap` this replaced.
+/// A kind is a `&'static str` literal, so resolving a label compares
 /// label *addresses* and falls back to comparing text (two literals with
 /// the same text need not share an address) only for a label not met
 /// before at that address.
@@ -180,31 +187,42 @@ struct KindStore(Vec<(&'static str, (Counters, DelayHistogram))>);
 impl std::fmt::Debug for KindStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_map()
-            .entries(self.0.iter().map(|(k, v)| (k, v)))
+            .entries(self.sorted().into_iter().map(|(k, v)| (k, v)))
             .finish()
     }
 }
 
 impl KindStore {
-    fn get_mut(&mut self, kind: &'static str) -> &mut (Counters, DelayHistogram) {
+    fn slot(&mut self, kind: &'static str) -> KindSlot {
         let same_literal =
             |k: &str| std::ptr::eq(k.as_ptr(), kind.as_ptr()) && k.len() == kind.len();
         let at = match self.0.iter().position(|(k, _)| same_literal(k)) {
             Some(at) => at,
-            None => match self.0.binary_search_by(|(k, _)| (*k).cmp(kind)) {
-                Ok(at) => at,
-                Err(at) => {
-                    self.0.insert(at, (kind, Default::default()));
-                    at
+            None => match self.0.iter().position(|(k, _)| *k == kind) {
+                Some(at) => at,
+                None => {
+                    self.0.push((kind, Default::default()));
+                    self.0.len() - 1
                 }
             },
         };
-        &mut self.0[at].1
+        KindSlot(at as u32)
+    }
+
+    fn at(&mut self, slot: KindSlot) -> &mut (Counters, DelayHistogram) {
+        &mut self.0[slot.0 as usize].1
     }
 
     fn get(&self, kind: &str) -> Option<&(Counters, DelayHistogram)> {
-        let at = self.0.binary_search_by(|(k, _)| (*k).cmp(kind)).ok()?;
-        Some(&self.0[at].1)
+        self.0.iter().find(|(k, _)| *k == kind).map(|(_, v)| v)
+    }
+
+    /// The kinds any hook counted, ascending by label. A slot resolved
+    /// but not yet counted (see [`NetStats::emptied`]) prints nowhere.
+    fn sorted(&self) -> Vec<&(&'static str, (Counters, DelayHistogram))> {
+        let mut kinds: Vec<_> = self.0.iter().filter(|(_, (c, _))| !c.is_zero()).collect();
+        kinds.sort_unstable_by_key(|(k, _)| *k);
+        kinds
     }
 }
 
@@ -250,35 +268,95 @@ impl NetStats {
 
     /// Records a send.
     pub fn on_sent(&mut self, from: usize, to: usize, kind: &'static str) {
-        self.links.get_mut(from, to).sent += 1;
-        self.totals.sent += 1;
-        self.kinds.get_mut(kind).0.sent += 1;
+        let slot = self.kind_slot(kind);
+        self.count_sent(from, to, slot);
     }
 
     /// Records a drop (fault loss).
     pub fn on_dropped(&mut self, from: usize, to: usize, kind: &'static str) {
-        self.links.get_mut(from, to).dropped += 1;
-        self.totals.dropped += 1;
-        self.kinds.get_mut(kind).0.dropped += 1;
+        let slot = self.kind_slot(kind);
+        self.count_dropped(from, to, slot);
     }
 
     /// Records an injected duplicate.
     pub fn on_duplicated(&mut self, from: usize, to: usize, kind: &'static str) {
-        self.links.get_mut(from, to).duplicated += 1;
-        self.totals.duplicated += 1;
-        self.kinds.get_mut(kind).0.duplicated += 1;
+        let slot = self.kind_slot(kind);
+        self.count_duplicated(from, to, slot);
     }
 
     /// Records a consumed delivery with its in-flight delay.
     pub fn on_delivered(&mut self, rec: DeliveryRecord, delay_ns: u64) {
-        self.links.get_mut(rec.from, rec.to).delivered += 1;
+        let slot = self.kind_slot(rec.kind);
+        self.count_delivered(rec.from, rec.to, slot, (rec.at_ns, rec.seq), delay_ns);
+    }
+
+    /// The kind table's slot for `kind`, appended on first sight.
+    pub(crate) fn kind_slot(&mut self, kind: &'static str) -> KindSlot {
+        self.kinds.slot(kind)
+    }
+
+    /// The label `slot` was resolved from (its first-seen literal).
+    pub(crate) fn kind_label(&self, slot: KindSlot) -> &'static str {
+        self.kinds.0[slot.0 as usize].0
+    }
+
+    /// [`NetStats::on_sent`] for a resolved kind.
+    pub(crate) fn count_sent(&mut self, from: usize, to: usize, kind: KindSlot) {
+        self.links.get_mut(from, to).sent += 1;
+        self.totals.sent += 1;
+        self.kinds.at(kind).0.sent += 1;
+    }
+
+    /// [`NetStats::on_dropped`] for a resolved kind.
+    pub(crate) fn count_dropped(&mut self, from: usize, to: usize, kind: KindSlot) {
+        self.links.get_mut(from, to).dropped += 1;
+        self.totals.dropped += 1;
+        self.kinds.at(kind).0.dropped += 1;
+    }
+
+    /// [`NetStats::on_duplicated`] for a resolved kind.
+    pub(crate) fn count_duplicated(&mut self, from: usize, to: usize, kind: KindSlot) {
+        self.links.get_mut(from, to).duplicated += 1;
+        self.totals.duplicated += 1;
+        self.kinds.at(kind).0.duplicated += 1;
+    }
+
+    /// [`NetStats::on_delivered`] for a resolved kind: `(at_ns, seq)` are
+    /// the trace line's time and send sequence number.
+    pub(crate) fn count_delivered(
+        &mut self,
+        from: usize,
+        to: usize,
+        kind: KindSlot,
+        (at_ns, seq): (u64, u64),
+        delay_ns: u64,
+    ) {
+        self.links.get_mut(from, to).delivered += 1;
         self.totals.delivered += 1;
-        let (c, h) = self.kinds.get_mut(rec.kind);
+        let (c, h) = self.kinds.at(kind);
         c.delivered += 1;
         h.record(delay_ns);
         if self.trace_on {
-            self.trace.push(rec);
+            let kind = self.kind_label(kind);
+            self.trace.push(DeliveryRecord {
+                at_ns,
+                from,
+                to,
+                kind,
+                seq,
+            });
         }
+    }
+
+    /// Empty statistics over the same topology and trace setting that keep
+    /// this table's kind slots, so slots resolved before stay valid.
+    pub(crate) fn emptied(&self) -> NetStats {
+        let mut fresh = NetStats::over(self.links.topo.clone(), self.trace_on);
+        fresh
+            .kinds
+            .0
+            .extend(self.kinds.0.iter().map(|(k, _)| (*k, Default::default())));
+        fresh
     }
 
     /// Per-link counters for `from → to`.
@@ -330,8 +408,8 @@ impl NetStats {
     pub fn to_json(&self) -> Value {
         let kinds: Vec<(String, Value)> = self
             .kinds
-            .0
-            .iter()
+            .sorted()
+            .into_iter()
             .map(|(k, (c, h))| {
                 let mut obj = match c.to_json() {
                     Value::Object(fields) => fields,
@@ -474,8 +552,19 @@ mod tests {
         assert_eq!(s.kind("a").delivered, 8);
     }
 
+    /// A payload whose kind is whatever label it carries.
+    #[derive(Clone, Debug)]
+    struct Labelled(&'static str);
+
+    impl crate::Kinded for Labelled {
+        fn kind(&self) -> &'static str {
+            self.0
+        }
+    }
+
     #[test]
     fn kinds_print_as_the_sorted_map_they_replace() {
+        use crate::{Fault, LatencyModel, NetConfig, PartitionSpec, SimNet, Transport};
         use std::collections::BTreeMap;
         // The same text at two addresses must be one kind.
         let ack_elsewhere: &'static str = String::from("ack").leak();
@@ -504,5 +593,70 @@ mod tests {
             names(&s.to_json()),
             ["ack", "append", "read_req", "view_resp"]
         );
+
+        // Through a real simulator, whose hooks count by kind slot. Slots
+        // are handed out in first-seen order — "b", then "a" at a second
+        // address, then "a" again — and must still print sorted, one entry
+        // per text.
+        let a_elsewhere: &'static str = String::from("a").leak();
+        let mut net: SimNet<Labelled> = NetConfig::ideal(LatencyModel::Constant(5)).build_net(2, 1);
+        net.add_fault(Fault::Partition(PartitionSpec {
+            side_a: vec![0],
+            from_ns: 0,
+            until_ns: 1,
+        }));
+        net.broadcast(0, Labelled("b")); // 0 → 1 crosses the cut: one drop
+        let drain = |net: &mut SimNet<Labelled>| {
+            while net.advance() {
+                for node in 0..2 {
+                    while net.deliver(node).is_some() {}
+                }
+            }
+        };
+        drain(&mut net); // now = 5, the cut has healed
+        net.send(1, 0, Labelled(a_elsewhere));
+        drain(&mut net);
+        net.add_fault(Fault::Duplicate {
+            prob: 1.0,
+            extra: LatencyModel::Constant(1),
+        });
+        net.send(0, 1, Labelled("a")); // one duplicate
+        drain(&mut net);
+
+        let mut want: BTreeMap<&'static str, (Counters, DelayHistogram)> = BTreeMap::new();
+        let b = want.entry("b").or_default();
+        (b.0.sent, b.0.dropped, b.0.delivered) = (2, 1, 1);
+        b.1.record(5);
+        let a = want.entry("a").or_default();
+        (a.0.sent, a.0.duplicated, a.0.delivered) = (2, 1, 3);
+        for delay in [5, 5, 6] {
+            a.1.record(delay);
+        }
+        let kinds = &net.stats().kinds;
+        assert_eq!(
+            kinds.0.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            ["b", "a"]
+        );
+        assert_eq!(format!("{kinds:?}"), format!("{want:?}"));
+        assert_eq!(format!("{kinds:#?}"), format!("{want:#?}"));
+        let want_json: Vec<(String, Value)> = want
+            .iter()
+            .map(|(k, (c, h))| {
+                let Value::Object(mut fields) = c.to_json() else {
+                    unreachable!("counters render as object")
+                };
+                fields.push(("delay".into(), h.to_json()));
+                (k.to_string(), Value::Object(fields))
+            })
+            .collect();
+        assert_eq!(
+            net.stats().to_json().get("kinds"),
+            Some(&Value::Object(want_json))
+        );
+        // A slot resolved but not yet counted prints nowhere: the emptied
+        // table keeps both slots and shows neither.
+        let emptied = net.stats().emptied();
+        assert_eq!(emptied.kinds.0.len(), 2);
+        assert_eq!(format!("{:?}", emptied.kinds), "{}");
     }
 }

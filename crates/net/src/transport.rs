@@ -62,6 +62,13 @@ pub trait Transport<M> {
     /// Messages arrived and waiting for `node`.
     fn backlog(&self, node: usize) -> usize;
 
+    /// The nodes whose [`backlog`](Transport::backlog) is non-empty, one
+    /// bit per node (node `i` is bit `i % 64` of word `i / 64`; the slice
+    /// holds `n.div_ceil(64)` words and no bit at or above `n`).
+    /// Maintained as messages arrive and are consumed, so a delivery loop
+    /// finds its next target without asking every node.
+    fn backlogged(&self) -> &[u64];
+
     /// Consumes the arrived message at position `idx` of `node`'s queue.
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope<M>>;
 

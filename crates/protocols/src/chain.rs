@@ -27,10 +27,10 @@ use crate::scratch;
 use crate::trial_dag::TrialDag;
 use crate::view::{interval_of, SharedLog, Visibility};
 use am_core::{chain_to_genesis, DagRead, MsgId, NodeId, Sign, Time, Value};
+use am_net::hash::IntSet;
 use am_net::{NetConfig, NetStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashSet;
 
 /// Tie-breaking rule for Algorithm 5 line 6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,7 +152,7 @@ pub(crate) fn chain_trial(p: &Params, tie: TieBreak, adv: ChainAdversary) -> Cha
 }
 
 /// The Algorithm 5 loop, once, for any [`Visibility`].
-fn run_chain_on<V: Visibility>(
+pub(crate) fn run_chain_on<V: Visibility>(
     p: &Params,
     tie: TieBreak,
     adv: ChainAdversary,
@@ -163,7 +163,7 @@ fn run_chain_on<V: Visibility>(
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed ^ 0x5eed5eed5eed5eed);
 
     // ForkMaker: tips already forked (one Byzantine sibling is enough).
-    let mut forked: HashSet<MsgId> = HashSet::new();
+    let mut forked: IntSet<MsgId> = IntSet::default();
     // TieBreaker: the interval whose first correct append was already hit.
     let mut hit_interval: Option<u64> = None;
     let mut correct_appends = 0usize;

@@ -135,7 +135,7 @@ pub(crate) fn dag_trial(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTria
 }
 
 /// The Algorithm 6 loop, once, for any [`Visibility`].
-fn run_dag_on<V: Visibility>(
+pub(crate) fn run_dag_on<V: Visibility>(
     p: &Params,
     rule: DagRule,
     adv: DagAdversary,
