@@ -9,7 +9,7 @@
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
 # columns beside its `BlockStore`, or a listed stabilizer in the
 # model checker's canonicalizer, or a process spawn in the experiments
-# harness.
+# harness, or a second shipped `Transport` impl.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -149,6 +149,15 @@ fi
 if shipped crates/experiments/src/*.rs examples/*.rs |
   grep -E 'Command::new|current_exe|process::Child'; then
   echo "error: a process spawn in the experiments harness or an example — the local fan-out is std::thread::scope in coordinate (DESIGN.md, \"Sweep lifecycle\")" >&2
+  exit 1
+fi
+# One shipped transport: `SimNet` is the only `Transport` impl in src/. The
+# reliable reference network and the backlog-checking wrapper substitute
+# for it through the trait from `crates/mp/tests/`.
+transports=$(shipped crates/*/src/*.rs | grep -E '^[^:]+:[0-9]+:[[:space:]]*impl\b.*\bTransport<.*>[[:space:]]+for\b' || true)
+if [ "$(printf '%s' "$transports" | grep -c .)" -ne 1 ]; then
+  printf '%s\n' "$transports"
+  echo "error: SimNet must be the one shipped Transport impl — keep reference networks test-side (DESIGN.md §10)" >&2
   exit 1
 fi
 if compgen -G 'BENCH_PR*.json' >/dev/null; then

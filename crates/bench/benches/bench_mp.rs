@@ -1,8 +1,9 @@
 //! The `mp/*` lanes of the perf ledger: one simulated `M.append` /
-//! `M.read` across system sizes (E4's Θ(n²) / Θ(n) message shapes as
-//! wall clock), the serving shape (n = 8 over an ideal `SimNet`), ABD
-//! over a faulty `SimNet`, and the view operations whose cost must not
-//! depend on the history behind them.
+//! `M.read` across system sizes over `MpSystem::new`'s ideal `SimNet`
+//! (E4's n + n² / 2n message counts as wall clock), a read far behind
+//! the appends (the serving shape), ABD over a faulty `SimNet`, and the
+//! view operations whose cost must not depend on the history behind
+//! them.
 
 use am_bench::recorder::Recorder;
 use am_mp::{MpMsg, MpSystem, MpView, Payload, Signature};
@@ -34,7 +35,7 @@ fn append_lane(rec: &mut Recorder, op: &str, n: usize, byz: &[usize], budget: Du
         i += 1;
         let m = sys
             .append(i % correct, 1)
-            .expect("reliable network cannot stall");
+            .expect("ideal network cannot stall");
         sys.settle();
         m.seq
     });
@@ -44,19 +45,19 @@ fn main() {
     let mut rec = Recorder::layer("mp");
     let budget = Duration::from_millis(700);
 
-    // E4 per operation: Algorithm 2 (append, n² messages) and Algorithm 3
-    // (read of a four-append history, 2n messages). The append lanes'
-    // systems keep every message, hence the shorter budget.
+    // E4 per operation: Algorithm 2 (append, n + n² messages) and
+    // Algorithm 3 (read of a four-append history, 2n messages). The append
+    // lanes' systems keep every message, hence the shorter budget.
     let e4_budget = Duration::from_millis(300);
     for n in [4usize, 8, 16, 32] {
         append_lane(&mut rec, &format!("mp/append_n{n}"), n, &[], e4_budget);
         let mut sys = MpSystem::new(n, &[], 1);
         for i in 0..4 {
-            sys.append(i % n, 1).expect("reliable network cannot stall");
+            sys.append(i % n, 1).expect("ideal network cannot stall");
             sys.settle();
         }
         rec.measure_absolute(&format!("mp/read_n{n}"), 1, e4_budget, || {
-            let v = sys.read(1).expect("reliable network cannot stall");
+            let v = sys.read(1).expect("ideal network cannot stall");
             sys.settle();
             v.len()
         });
@@ -66,25 +67,13 @@ fn main() {
     let byz: Vec<usize> = (11..16).collect();
     append_lane(&mut rec, "mp/append_n16_byz5", 16, &byz, e4_budget);
 
-    // The serving shape (`am-node`'s cluster on `serve_append_heavy`): the
-    // same algorithms at n = 8 over an ideal zero-latency `SimNet`,
-    // appends back to back without settling. One append with its 72
-    // messages, then a quorum read by a node whose last read is 840
-    // appends old: every responder's 840-message suffix is walked and
-    // nothing in it is new, the broadcasts having delivered it already.
-    let ideal = || {
-        let net: SimNet<Payload> = NetConfig::ideal(LatencyModel::Constant(0)).build_net(8, 11);
-        MpSystem::with_transport(net, &[], 11)
-    };
-    let mut sys = ideal();
+    // The serving shape (`am-node`'s cluster on `serve_append_heavy`): n = 8,
+    // appends back to back without settling, then a quorum read by a node
+    // whose last read is 840 appends old: every responder's 840-message
+    // suffix is walked and nothing in it is new, the broadcasts having
+    // delivered it already.
+    let mut sys = MpSystem::new(8, &[], 11);
     let mut i = 0usize;
-    rec.measure_absolute("mp/append_n8_simnet_ideal", 1, e4_budget, || {
-        i += 1;
-        sys.append(i % 8, 1)
-            .expect("ideal network cannot stall")
-            .seq
-    });
-    let mut sys = ideal();
     rec.measure_absolute_part(
         "mp/read_n8_simnet_gap840",
         1,
@@ -134,7 +123,7 @@ fn main() {
     // Snapshotting one node's view of a settled 1000-append history.
     let mut sys = MpSystem::new(5, &[], 7);
     for i in 0..1000usize {
-        sys.append(i % 5, 1).expect("reliable network cannot stall");
+        sys.append(i % 5, 1).expect("ideal network cannot stall");
     }
     rec.measure_absolute("mp/local_view_h1000", 1, budget, || sys.local_view(0).len());
 
@@ -170,9 +159,9 @@ fn main() {
     // (a read's cost does not depend on it: `mp/view_clone_*`).
     let mut sys = MpSystem::new(4, &[], 11);
     for i in 0..20_000usize {
-        sys.append(i % 4, 1).expect("reliable network cannot stall");
+        sys.append(i % 4, 1).expect("ideal network cannot stall");
     }
-    sys.read(0).expect("reliable network cannot stall");
+    sys.read(0).expect("ideal network cannot stall");
     let mut i = 0usize;
     rec.measure_absolute_part(
         "mp/read_n4_gap5_h20000",
@@ -181,10 +170,10 @@ fn main() {
         || {
             for _ in 0..5 {
                 i += 1;
-                sys.append(i % 4, 1).expect("reliable network cannot stall");
+                sys.append(i % 4, 1).expect("ideal network cannot stall");
             }
             let start = Instant::now();
-            black_box(sys.read(0).expect("reliable network cannot stall").len());
+            black_box(sys.read(0).expect("ideal network cannot stall").len());
             start.elapsed()
         },
     );

@@ -1,7 +1,6 @@
 //! The `net/*` lanes of the perf ledger, ns per delivered message: the
 //! discrete-event simulator's broadcast + drain across sizes and latency
-//! models beside the reliable in-process network (the price of simulated
-//! time), the bare per-message path of one broadcast at a time on an
+//! models, the bare per-message path of one broadcast at a time on an
 //! ideal network, the fault-injector chain, a relay-gossip flood at
 //! n = 1000 and the scale curve of E18's geo overlay at n = 500 / 2 000 /
 //! 5 000 — then the event queue by itself (ns per event at 4 096 in
@@ -17,7 +16,7 @@
 
 use am_bench::recorder::Recorder;
 use am_core::{MsgId, Time};
-use am_mp::{Network, Payload};
+use am_mp::Payload;
 use am_net::{EventQueue, Fault, LatencyModel, NetConfig, SimNet, Topology, Transport};
 use am_protocols::{run_chain_net, trial_seed, ChainAdversary, Params, Propagation, TieBreak};
 use std::time::Duration;
@@ -56,7 +55,7 @@ fn faulty() -> SimNet<Payload> {
 
 /// Broadcasts eight waves from every node and drains all arrivals;
 /// returns the messages delivered.
-fn pump<T: Transport<Payload>>(mut net: T) -> u64 {
+fn pump(mut net: SimNet<Payload>) -> u64 {
     let n = net.n();
     for round in 0..8 {
         for from in 0..n {
@@ -84,7 +83,7 @@ fn pump<T: Transport<Payload>>(mut net: T) -> u64 {
 
 /// One lane: `build` a network, [`pump`] it, ns per message delivered
 /// (the count is seed-deterministic, so one untimed run fixes it).
-fn drain_lane<T: Transport<Payload>>(rec: &mut Recorder, op: &str, build: impl Fn() -> T) {
+fn drain_lane(rec: &mut Recorder, op: &str, build: impl Fn() -> SimNet<Payload>) {
     let delivered = pump(build());
     rec.measure_absolute(op, delivered, Duration::from_millis(400), || pump(build()));
 }
@@ -190,11 +189,6 @@ fn main() {
     for n in [8usize, 32] {
         drain_lane(
             &mut rec,
-            &format!("net/broadcast_drain_reliable_n{n}"),
-            || Network::new(n),
-        );
-        drain_lane(
-            &mut rec,
             &format!("net/broadcast_drain_sim_constant_n{n}"),
             || traced(LatencyModel::Constant(1_000), n),
         );
@@ -206,8 +200,8 @@ fn main() {
     }
     drain_lane(&mut rec, "net/broadcast_drain_sim_faulty_n16", faulty);
 
-    // The bare per-message path of the serving shape (`mp/append_n8_
-    // simnet_ideal` without ABD): one 8-way broadcast at a time on a
+    // The bare per-message path of the serving shape (`mp/append_n8`
+    // without ABD): one 8-way broadcast at a time on a
     // long-lived ideal n = 8 network — zero latency, no faults, no trace —
     // advanced and drained; ns per message.
     let mut net: SimNet<Payload> = NetConfig::ideal(LatencyModel::Constant(0)).build_net(8, 1);

@@ -2,19 +2,16 @@
 //!
 //! Every Section 4/5 result assumes reliable delivery. This experiment
 //! reruns the key measurements over the `am-net` discrete-event simulator
-//! and sweeps its fault injectors:
+//! (E4 already runs on its fault-free zero-latency form) and sweeps its
+//! fault injectors:
 //!
-//! 1. **Baseline** — over a fault-free zero-latency simulator the ABD
-//!    simulation (E4) must reproduce its reliable-network outcomes
-//!    *exactly* (same seeds, same numbers): the `Transport` abstraction
-//!    is semantics-preserving.
-//! 2. **ABD vs drops** — message loss turns into liveness loss (stalled
+//! 1. **ABD vs drops** — message loss turns into liveness loss (stalled
 //!    operations), never safety loss: every completed append stays
 //!    visible to every completed read at every drop rate.
-//! 3. **ABD vs partitions** — during a half/half partition the minority
+//! 2. **ABD vs partitions** — during a half/half partition the minority
 //!    side loses its quorum and stalls; the majority side keeps
 //!    completing. The window length controls how many operations die.
-//! 4. **Chain vs DAG under drops and partitions** — the validity gap of
+//! 3. **Chain vs DAG under drops and partitions** — the validity gap of
 //!    E8/E9 degrades as delivery decays: stale views make correct nodes
 //!    fork, the exclusive chain orphans those forks (free slots for the
 //!    adversary) while the inclusive DAG recovers whatever arrives.
@@ -25,7 +22,7 @@
 use crate::report::{f, Report};
 use crate::RunCtx;
 use am_mp::{MpMsg, MpSystem, Payload};
-use am_net::{LatencyModel, NetConfig, SimNet, Transport};
+use am_net::{LatencyModel, NetConfig, SimNet};
 use am_protocols::{
     run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak, TrialKind,
 };
@@ -35,103 +32,6 @@ use serde::Value;
 /// One Δ of the protocol clock in network nanoseconds (matches
 /// `am_protocols::propagation`).
 const DELTA_NS: u64 = 1_000_000_000;
-
-/// The E4 complexity script over an arbitrary substrate: four appends,
-/// four reads. Returns mean messages per operation and the total sent.
-fn e4_script<T: Transport<Payload>>(mut sys: MpSystem<T>, n: usize) -> (f64, f64, u64) {
-    for i in 0..4 {
-        sys.append(i % n, 1).expect("append completes");
-        sys.settle();
-    }
-    for i in 0..4 {
-        sys.read((i + 1) % n).expect("read completes");
-        sys.settle();
-    }
-    (
-        sys.stats().mean_append(),
-        sys.stats().mean_read(),
-        sys.total_sent(),
-    )
-}
-
-/// Part 1: replays E4 over the reliable network and over a fault-free
-/// zero-latency `SimNet` with the same seeds, and reports whether every
-/// observable outcome matches. Returns `(table, notes)`; the notes must
-/// all say CONFIRMED (tested).
-pub(crate) fn baseline_equivalence(seed: u64) -> (Table, Vec<String>) {
-    let mut notes = Vec::new();
-    let mut table = Table::new(
-        "E4 complexity replayed: reliable network vs fault-free am-net",
-        &[
-            "n",
-            "msgs/append (net/sim)",
-            "msgs/read (net/sim)",
-            "total sent (net/sim)",
-            "totals equal",
-        ],
-    );
-    let mut all_equal = true;
-    let ideal = NetConfig::ideal(LatencyModel::Constant(0));
-    for &n in &[4usize, 8, 16, 32, 64] {
-        let (a_app, a_read, a_total) = e4_script(MpSystem::new(n, &[], seed ^ 42), n);
-        let sim: SimNet<Payload> = ideal.build_net(n, seed ^ 42);
-        let (b_app, b_read, b_total) = e4_script(MpSystem::with_transport(sim, &[], seed ^ 42), n);
-        let equal = a_total == b_total;
-        all_equal &= equal;
-        table.row(&[
-            n.to_string(),
-            format!("{a_app:.1} / {b_app:.1}"),
-            format!("{a_read:.1} / {b_read:.1}"),
-            format!("{a_total} / {b_total}"),
-            equal.to_string(),
-        ]);
-    }
-    notes.push(format!(
-        "Complexity equivalence: the total message count of the E4 script \
-         is identical over both substrates for every n (per-operation \
-         attribution may shift because the simulator batches arrivals at \
-         each advance, but nothing extra is ever sent): {}",
-        if all_equal { "CONFIRMED" } else { "VIOLATED" }
-    ));
-
-    // The E4 semantics checks, replayed over the simulator with E4's seed.
-    let sim: SimNet<Payload> = ideal.build_net(7, seed ^ 7);
-    let mut sys = MpSystem::with_transport(sim, &[5, 6], seed ^ 7);
-    let m = sys.append(0, 1).expect("append with byz minority");
-    let view = sys.read(3).expect("read with byz minority");
-    notes.push(format!(
-        "Quorum intersection over am-net (E4 check 1, same seed): {}",
-        if view.contains(&m) {
-            "CONFIRMED"
-        } else {
-            "VIOLATED"
-        }
-    ));
-    let (ma, mb) = sys.byz_equivocate(6, 1, -1, &[0, 1, 2]).unwrap();
-    sys.settle();
-    let v2 = sys.read(0).expect("read");
-    notes.push(format!(
-        "Equivocation accepted both values over am-net (E4 check 2): {}",
-        if v2.contains(&ma) && v2.contains(&mb) {
-            "CONFIRMED"
-        } else {
-            "VIOLATED"
-        }
-    ));
-    let before = sys.local_view(1).len();
-    sys.byz_forge(5, 0, -1, 0xbad5eed).unwrap();
-    sys.settle();
-    let after = sys.local_view(1).len();
-    notes.push(format!(
-        "Forgery rejected over am-net (E4 check 3): {}",
-        if before == after {
-            "CONFIRMED"
-        } else {
-            "VIOLATED"
-        }
-    ));
-    (table, notes)
-}
 
 /// Outcome counts of one ABD run over a faulty profile.
 struct AbdOutcome {
@@ -189,18 +89,9 @@ pub fn run(ctx: &RunCtx) -> Report {
         "Lemmas 4.1-4.2 + Theorems 5.4/5.6 under relaxed delivery (extension)",
     );
 
-    // --- Part 1: exact baseline equivalence. ---
-    let (table, notes) = {
-        let _part = am_obs::span("baseline");
-        baseline_equivalence(seed)
-    };
-    rep.tables.push(table);
-    for n in notes {
-        rep.note(n);
-    }
-    let part2 = am_obs::span("abd_drops");
+    let part1 = am_obs::span("abd_drops");
 
-    // --- Part 2: ABD under message drops. ---
+    // --- Part 1: ABD under message drops. ---
     let n = 5usize;
     let rounds = 4usize;
     let trials = ctx.reps(25);
@@ -259,10 +150,10 @@ pub fn run(ctx: &RunCtx) -> Report {
          quorum intersection is drop-proof.",
     );
 
-    drop(part2);
-    let part3 = am_obs::span("abd_partition");
+    drop(part1);
+    let part2 = am_obs::span("abd_partition");
 
-    // --- Part 3: ABD under a half/half partition. ---
+    // --- Part 2: ABD under a half/half partition. ---
     // Minority side = nodes {0, 1}; window lengths in units of the mean
     // link latency (1e6 ns). Appends alternate sides.
     let mut table3 = Table::new(
@@ -316,10 +207,10 @@ pub fn run(ctx: &RunCtx) -> Report {
          simulated time crosses the heal boundary.",
     );
 
-    drop(part3);
-    let part4 = am_obs::span("chain_vs_dag");
+    drop(part2);
+    let part3 = am_obs::span("chain_vs_dag");
 
-    // --- Part 4: chain vs DAG validity as delivery degrades. ---
+    // --- Part 3: chain vs DAG validity as delivery degrades. ---
     let runner = ctx.runner();
     let pn = 12usize;
     let pt = 4usize;
@@ -446,8 +337,8 @@ pub fn run(ctx: &RunCtx) -> Report {
          With no retransmission, heavy loss eventually hurts both.",
     );
 
-    drop(part4);
-    let _part5 = am_obs::span("netstats");
+    drop(part3);
+    let _part4 = am_obs::span("netstats");
 
     // --- Network observability snapshots → the e14.netstats.json side-car. ---
     let profile = NetConfig::builder()
@@ -487,17 +378,6 @@ pub fn run(ctx: &RunCtx) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_is_exactly_equivalent_at_any_seed() {
-        for seed in [0u64, 1, 0xdead_beef] {
-            let (_, notes) = baseline_equivalence(seed);
-            assert_eq!(notes.len(), 4);
-            for n in &notes {
-                assert!(n.contains("CONFIRMED"), "not confirmed at seed {seed}: {n}");
-            }
-        }
-    }
 
     #[test]
     fn abd_script_is_safe_and_stalls_under_heavy_drops() {

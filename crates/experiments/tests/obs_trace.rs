@@ -16,7 +16,7 @@ use std::sync::Mutex;
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// One fast pass through each layer: E4 covers am-mp (ABD append/read
-/// over the reliable network), a single networked chain trial covers
+/// over an ideal `SimNet`), a single networked chain trial covers
 /// am-poisson (token grants), am-net (flights), and am-protocols.
 fn exercise_all_layers() {
     run_one("e4", 0).expect("e4 runs");

@@ -10,14 +10,16 @@
 //!   sends its local view; after `> n/2` responses, merge every newly seen
 //!   value and terminate.
 //!
-//! This crate implements the simulation over an in-process network with
-//! per-node inboxes, simulated unforgeable signatures, Byzantine
-//! behaviours (silence, equivocation, forgery attempts), message-complexity
-//! instrumentation, and a conformance checker that the simulated object
-//! satisfies append-memory semantics (Lemmas 4.1/4.2): every completed
-//! correct append is visible to every subsequent correct read, and
-//! equivocated Byzantine values are all accepted — exactly as in the real
-//! append memory, where concurrent appends cannot be ordered.
+//! This crate implements the simulation over any `am_net::Transport` —
+//! `MpSystem::new` uses a fault-free zero-latency `am_net::SimNet`, the
+//! one shipped transport, on which every append sends exactly n + n²
+//! messages and every read 2n — with simulated unforgeable signatures,
+//! Byzantine behaviours (silence, equivocation, forgery attempts),
+//! message-complexity instrumentation, and a conformance checker that the
+//! simulated object satisfies append-memory semantics (Lemmas 4.1/4.2):
+//! every completed correct append is visible to every subsequent correct
+//! read, and equivocated Byzantine values are all accepted — exactly as
+//! in the real append memory, where concurrent appends cannot be ordered.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +31,7 @@ pub mod unsigned;
 pub mod view;
 
 pub use abd::{Delivery, MpError, MpMsg, MpStats, MpSystem};
-pub use net::{Envelope, Network, Payload};
+pub use net::{Envelope, Payload};
 pub use sig::{KeyRing, Signature};
 pub use unsigned::{UnsignedMsg, UnsignedSystem};
 pub use view::{AckTally, MpView};

@@ -3,18 +3,21 @@
 //! makes into the substrate: every delivery, every advance of simulated
 //! time and every send or broadcast it answers with. Scripts mix appends,
 //! reads and pause/resume under all three delivery policies, over the
-//! reliable `Network` and over `SimNet`, at n = 5 and at n = 70 (two-word
-//! bitsets, pauses either side of the word boundary), with one
-//! `NetScratch` carried through n = 5 → 70 → 5.
+//! reliable reference network (`reliable/`) and over `SimNet`, at n = 5
+//! and at n = 70 (two-word bitsets, pauses either side of the word
+//! boundary), with one `NetScratch` carried through n = 5 → 70 → 5.
 //!
 //! Checked to catch, each on its own: `SimNet` setting no bit at admit,
 //! not clearing it when a take empties an inbox, clearing it while the
 //! inbox still holds arrivals, or keeping a set sized for the previous
-//! network on a recycled scratch; `Network` not clearing its bit.
+//! network on a recycled scratch; the reference not clearing its bit.
 
-use am_mp::{Delivery, MpSystem, Network, Payload};
+mod reliable;
+
+use am_mp::{Delivery, MpSystem, Payload};
 use am_net::{Envelope, LatencyModel, NetConfig, NetScratch, SimNet, Transport};
 use proptest::prelude::*;
+use reliable::ReliableNet;
 
 /// A substrate that checks the backlog set against a rescan after every
 /// call that can move a message.
@@ -169,7 +172,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         for delivery in POLICIES {
-            let sys = MpSystem::with_transport(Rescanned::new(Network::new(5)), &[], seed);
+            let sys = MpSystem::with_transport(Rescanned::new(ReliableNet::new(5)), &[], seed);
             run(sys, delivery, &script);
             for cfg in [ideal(), lossy()] {
                 let net: SimNet<Payload> = cfg.build_net(5, seed);
@@ -209,7 +212,7 @@ fn the_backlog_set_is_the_rescan_at_n70_and_on_a_recycled_scratch() {
         Op::Append(4),
     ];
     for delivery in POLICIES {
-        let sys = MpSystem::with_transport(Rescanned::new(Network::new(70)), &[], 7);
+        let sys = MpSystem::with_transport(Rescanned::new(ReliableNet::new(70)), &[], 7);
         let sys = run(sys, delivery, &wide_script());
         assert!(sys.transport().checks > 10_000);
         for cfg in [ideal(), lossy()] {

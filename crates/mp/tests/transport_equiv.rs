@@ -1,10 +1,14 @@
 //! Substrate equivalence: a fault-free, zero-latency `am-net` simulator
-//! is observationally identical to the reliable in-process network — the
-//! property that lets Algorithms 2/3 run unchanged over either.
+//! is observationally identical to the reliable network (the test-side
+//! reference in `reliable/`) — the property that lets Algorithms 2/3 run
+//! unchanged over either.
 
-use am_mp::{MpMsg, MpSystem, Network, Payload};
+mod reliable;
+
+use am_mp::{MpMsg, MpSystem, Payload};
 use am_net::{LatencyModel, NetConfig, SimNet, Transport};
 use proptest::prelude::*;
+use reliable::ReliableNet;
 
 /// Drains every arrived/in-flight message via the Transport interface,
 /// FIFO per node, lowest node first — the same schedule for any substrate.
@@ -95,7 +99,7 @@ fn fifo_delivery_order_matches_reliable_network() {
             );
         }
     };
-    let mut reliable = Network::new(4);
+    let mut reliable = ReliableNet::new(4);
     script(&mut reliable);
     let a = drain_fifo(&mut reliable);
 
@@ -124,7 +128,7 @@ proptest! {
         ops in prop::collection::vec(op(), 1..12),
         seed in any::<u64>(),
     ) {
-        let reliable = MpSystem::new(n, &[], seed);
+        let reliable = MpSystem::with_transport(ReliableNet::new(n), &[], seed);
         let sim = MpSystem::with_transport(ideal_sim(n, seed), &[], seed);
 
         let (a_app, a_read, a_views, a_sent) = run_script(reliable, &ops);

@@ -6,8 +6,8 @@
 //! [`MpView`] is a persistent radix vector (`src/view.rs`): full leaves
 //! under a trie, the newest messages in a tail, everything behind `Arc`s
 //! and nothing written while shared. The behaviour pins (`naive_equiv`,
-//! `transport_equiv`, `proptest_mp`, the FNV pin in `abd.rs`) all run
-//! histories shorter than one leaf, so the trie is exercised here: every
+//! `transport_equiv`, `proptest_mp`, the FNV pin in `reliable_pins`) all
+//! run histories shorter than one leaf, so the trie is exercised here: every
 //! view in play is paired with the `Vec` it must equal, under seeded
 //! random interleavings of `push` / `clone` / `prefix` / `iter_from` /
 //! `last` / `to_vec` / `==` / drop, at lengths that cross the first and
@@ -58,11 +58,18 @@
 //! other value for good). And it is indexed by numbers off the wire:
 //! `wild_and_gapped_seqs…` holds a `seq` of 2⁴⁰ and a 500-seq backlog
 //! replayed in random order to a heap bound that does not know them.
+//! Both run on the reliable reference network (`reliable/`), whose
+//! inboxes the heap bound was written for: over `SimNet` the replay's
+//! in-flight acks pass through the event queue as well.
+
+mod reliable;
 
 use am_mp::sig::content_hash;
 use am_mp::{Delivery, KeyRing, MpMsg, MpSystem, MpView, Payload, Signature};
+use am_net::Transport;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use reliable::ReliableNet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -501,8 +508,8 @@ fn wire(m: MpMsg) -> Payload {
 
 /// A five-node system over the reliable network with node 4 Byzantine,
 /// and the key ring its seed makes (a test may sign as anybody).
-fn system_with_keys(seed: u64) -> (MpSystem, KeyRing) {
-    let mut sys = MpSystem::new(5, &[4], seed);
+fn system_with_keys(seed: u64) -> (MpSystem<ReliableNet>, KeyRing) {
+    let mut sys = MpSystem::with_transport(ReliableNet::new(5), &[4], seed);
     let ring = KeyRing::new(5, seed);
     // The helper signs what the system signs.
     let first = sys.append(0, 1).expect("quorum of correct nodes");
@@ -598,7 +605,7 @@ fn wild_and_gapped_seqs_are_accepted_at_a_constant_heap_cost() {
     // A node paused for 500 appends of one author and then handed its
     // backlog in random order meets seq 400-odd before seq 0: the table
     // grows to the gap at once, and to nothing more.
-    let mut sys = MpSystem::new(5, &[], 7);
+    let mut sys = MpSystem::with_transport(ReliableNet::new(5), &[], 7);
     sys.set_delivery(Delivery::Random);
     sys.pause(4);
     for _ in 0..500 {

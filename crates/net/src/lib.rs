@@ -11,9 +11,9 @@
 //! Three layers:
 //!
 //! * [`Transport`] — the substrate interface the algorithms run over.
-//!   `am-mp`'s reliable [`Network`](../am_mp/net/struct.Network.html)
-//!   implements it, and so does [`SimNet`]; Algorithms 2/3 run unchanged
-//!   over either.
+//!   [`SimNet`] is its one shipped implementation; test-side substitutes
+//!   (`am-mp`'s reliable reference network, its backlog-checking wrapper)
+//!   implement it too, and Algorithms 2/3 run unchanged over any of them.
 //! * [`SimNet`] — a seeded discrete-event simulator: an event queue
 //!   ([`EventQueue`]: an in-order run beside an implicit 4-ary heap, one
 //!   total order `(time_ns, seq)`), carrying 24-byte handles to payloads

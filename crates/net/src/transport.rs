@@ -35,8 +35,10 @@ pub trait Kinded {
 /// primitive, since the caller chooses *which* arrived message a node
 /// handles next. Substrates with simulated time expose progress through
 /// [`advance`](Transport::advance); instantaneous substrates (the
-/// reliable in-process network) make every sent message arrive at once
-/// and `advance` is a no-op returning `false`.
+/// test-side reliable reference network in `am-mp`) make every sent
+/// message arrive at once and `advance` is a no-op returning `false`.
+/// [`SimNet`](crate::SimNet) is the one shipped implementation; the trait
+/// stays so that test-side substitutes can stand in for it.
 pub trait Transport<M> {
     /// Number of nodes.
     fn n(&self) -> usize;
