@@ -9,7 +9,8 @@
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
 # columns beside its `BlockStore`, or a listed stabilizer in the
 # model checker's canonicalizer, or a process spawn in the experiments
-# harness, or a second shipped `Transport` impl.
+# harness, or a second shipped `Transport` impl, or a second serving
+# load harness beside `benchmark/`'s or the histograms it alone read.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -160,6 +161,23 @@ if [ "$(printf '%s' "$transports" | grep -c .)" -ne 1 ]; then
   echo "error: SimNet must be the one shipped Transport impl — keep reference networks test-side (DESIGN.md §10)" >&2
   exit 1
 fi
+# The serving stack has one ruler: `benchmark/`'s `serve_read_heavy` /
+# `serve_append_heavy` workloads, which split the time by layer with exact
+# per-class percentiles. A load generator in am-node or the examples is a
+# second one, and am-obs keeps no histograms (spans carry their own
+# buckets; the manifest exports spans, counters and events).
+if shipped crates/*/src/*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E 'static_histogram!|am_obs::histogram\(|Histogram::detached'; then
+  echo "error: an am-obs histogram in src/ — count with a counter or time with a span (DESIGN.md §7)" >&2
+  exit 1
+fi
+for f in crates/node/src/loadgen.rs examples/loadgen.rs; do
+  if [ -e "$f" ]; then
+    echo "error: $f is a second serving load harness — measure the node through benchmark/'s serve workloads (DESIGN.md §11)" >&2
+    exit 1
+  fi
+done
 if compgen -G 'BENCH_PR*.json' >/dev/null; then
   echo "error: per-PR bench file at the root — record into BENCH_TRAJECTORY.json" >&2
   exit 1

@@ -21,7 +21,7 @@
 //! samples reduced to a noise band: `ns_per_op` is their median,
 //! `min_ns_per_op` the fastest, `mad_ns_per_op` the median absolute
 //! deviation from the median. A preassembled object
-//! ([`Recorder::record_value`]) carries sweep and loadgen throughput. A
+//! ([`Recorder::record_value`]) carries sweep throughput. A
 //! lane is compared against its own committed band from a like machine,
 //! never against a second implementation.
 //!
@@ -29,7 +29,7 @@
 //! owns one layer key: its write *replaces* every `<layer>/` entry, so a
 //! renamed or dropped lane leaves the file with the run that stopped
 //! measuring it. [`Recorder::new`] owns nothing and merges by op name
-//! (the whole-run `sweep/` and `node/` records, one per invocation).
+//! (the whole-run `sweep/` records, one per invocation).
 
 use serde::{Number, Value};
 use std::hint::black_box;
@@ -159,8 +159,7 @@ fn band(mut ns: [f64; SAMPLES]) -> (f64, f64, f64) {
 
 impl Recorder {
     /// A recorder that merges its records into the ledger by op name —
-    /// the entry point of the whole-run lanes (the experiments harness
-    /// and the loadgen).
+    /// the entry point of the whole-run lane (the experiments harness).
     pub fn new() -> Recorder {
         Recorder::default()
     }
@@ -255,8 +254,7 @@ impl Recorder {
     }
 
     /// Records the object `fields` + `cores` + `commit` under `ops.<op>` — the lane
-    /// for records richer than a kernel timing (sweep and loadgen
-    /// throughput).
+    /// for records richer than a kernel timing (sweep throughput).
     pub fn record_value(&mut self, op: &str, mut fields: Vec<(String, Value)>) {
         println!("bench: {op:<52} (record)");
         fields.extend(context());
@@ -424,10 +422,10 @@ mod tests {
     fn record_value_is_upserted_verbatim() {
         let mut rec = Recorder::new();
         let body = vec![
-            ("requests".to_string(), num(100.0)),
-            ("requests_per_sec".to_string(), num(5.0)),
+            ("trials".to_string(), num(100.0)),
+            ("trials_per_sec".to_string(), num(5.0)),
         ];
-        rec.record_value("node/loadgen/smoke", body.clone());
+        rec.record_value("sweep/smoke/shards1", body.clone());
         assert_eq!(rec.results.len(), 1);
         let record = &rec.results[0].1;
         for (k, v) in &body {

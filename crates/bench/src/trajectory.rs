@@ -2,10 +2,10 @@
 //!
 //! [`record_sweep`] publishes per-experiment sweep throughput (trials/sec
 //! at a given shard count), recorded by the experiments harness at merge
-//! time. The host's core count is stored alongside, because
-//! multi-process sharding is the only parallelism a sweep has (a
-//! process runs its trials on one thread) and a 1-core container cannot
-//! exhibit the four-shard speedup a 4-core CI runner can.
+//! time. The host's core count is stored alongside, because shards are
+//! the only parallelism a sweep has (`--workers` runs one shard per
+//! thread, each shard's trials run in sequence) and a 1-core container
+//! cannot exhibit the four-shard speedup a 4-core CI runner can.
 //!
 //! The ledger's `budgets` section — per-experiment wall-clock ceilings
 //! (seconds, ~10× the observed duration on a cold CI runner) for the CI
@@ -67,8 +67,8 @@ mod tests {
 
     #[test]
     fn ledger_holds_layer_keyed_absolutes_only() {
-        // The layers a `cargo bench -p am-bench` target owns, and the two
-        // whole-run layers written by `--record`.
+        // The layers a `cargo bench -p am-bench` target owns, and the
+        // whole-run layer written by `am-experiments --record`.
         const KERNEL: [&str; 8] = [
             "core/",
             "protocols/",
@@ -79,7 +79,7 @@ mod tests {
             "sched/",
             "obs/",
         ];
-        const WHOLE_RUN: [&str; 2] = ["node/", "sweep/"];
+        const WHOLE_RUN: [&str; 1] = ["sweep/"];
         let doc = committed_ledger();
         assert_eq!(doc.get("schema"), Some(&Value::String(SCHEMA.into())));
         assert_eq!(doc.get("format"), Some(&Value::String(FORMAT.into())));

@@ -19,10 +19,9 @@
 //!   JSON-serializable [`api::Request`]/[`api::Response`] pairs to any
 //!   number of concurrent client threads over an in-process transport.
 //!
-//! [`loadgen`] drives the stack: an open- or closed-loop workload
-//! generator with a configurable read/append mix and zipf-skewed author
-//! keys, recording throughput and latency quantiles (p50/p99/p999 via
-//! `am-obs` histograms).
+//! The stack is measured from outside: the workspace's `benchmark/`
+//! harness drives it with its `serve_read_heavy` / `serve_append_heavy`
+//! workloads and splits the serving time by layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,13 +29,11 @@
 pub mod api;
 pub mod archive;
 pub mod cluster;
-pub mod loadgen;
 pub mod mempool;
 pub mod runtime;
 
 pub use api::{ApiError, Request, Response};
 pub use archive::Archive;
 pub use cluster::{Cluster, ClusterConfig};
-pub use loadgen::{LoadgenConfig, LoadgenRecord, OpStats};
 pub use mempool::{Mempool, MempoolConfig, MempoolError, PendingAppend, Ticket};
 pub use runtime::{NodeHandle, NodeRuntime};

@@ -97,19 +97,25 @@ impl NodeRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{AppendReq, ReadReq, StatsResp, TipReq};
+    use crate::api::{
+        AppendReq, FinalizedHeightReq, LinearizeReq, ReadReq, SnapshotAtFinalReq, SnapshotAtReq,
+        StatsResp, TipReq,
+    };
 
     #[test]
     fn concurrent_clients_share_one_cluster() {
         let rt = NodeRuntime::spawn(ClusterConfig::ideal(4, 11));
         let per_client = 25usize;
+        // Each client's last appends go out together through `call_async`.
+        let pipelined = 3usize;
         let clients = 4usize;
         let threads: Vec<_> = (0..clients)
             .map(|c| {
                 let h = rt.handle();
                 std::thread::spawn(move || {
                     let mut ok = 0;
-                    for i in 0..per_client {
+                    let mut finalized = 0u64;
+                    for i in 0..per_client - pipelined {
                         let resp = h
                             .call(Request::Append(AppendReq {
                                 author: c as u64,
@@ -119,17 +125,53 @@ mod tests {
                         if !resp.is_err() {
                             ok += 1;
                         }
-                        // Interleave a read-side query.
-                        let tip = h
-                            .call(Request::Tip(TipReq { node: 0 }))
-                            .expect("runtime alive");
-                        assert!(!tip.is_err());
+                        // Interleave every read-side request: the archive
+                        // queries, a quorum read and both finality queries,
+                        // on a node that rotates with `i`.
+                        let node = ((c + i) % 4) as u64;
+                        for req in [
+                            Request::Tip(TipReq { node: 0 }),
+                            Request::Read(ReadReq { node }),
+                            Request::SnapshotAt(SnapshotAtReq {
+                                node,
+                                height: i as u64,
+                            }),
+                            Request::Linearize(LinearizeReq { node }),
+                            Request::FinalizedHeight(FinalizedHeightReq { node }),
+                            Request::SnapshotAtFinal(SnapshotAtFinalReq { node }),
+                        ] {
+                            let resp = h.call(req).expect("runtime alive");
+                            assert!(!resp.is_err(), "{req:?} -> {resp:?}");
+                            if let Response::Finalized(f) = resp {
+                                finalized = finalized.max(f.height);
+                            }
+                        }
                     }
-                    ok
+                    let pending: Vec<_> = (per_client - pipelined..per_client)
+                        .map(|i| {
+                            h.call_async(Request::Append(AppendReq {
+                                author: c as u64,
+                                value: (i % 2) as i8,
+                            }))
+                            .expect("runtime alive")
+                        })
+                        .collect();
+                    for (i, rx) in (per_client - pipelined..).zip(pending) {
+                        match rx.recv().expect("response arrives") {
+                            Response::Appended(r) => assert_eq!(r.seq, i as u64, "fifo order"),
+                            other => panic!("pipelined append failed: {other:?}"),
+                        }
+                        ok += 1;
+                    }
+                    (ok, finalized)
                 })
             })
             .collect();
-        let decided: usize = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        let (decided, finalized) = threads
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .fold((0, 0), |(d, f), (ok, fin)| (d + ok, f.max(fin)));
+        assert!(finalized > 0, "some finality query saw a finalized prefix");
         assert_eq!(decided, clients * per_client, "every append decided");
 
         let h = rt.handle();

@@ -14,10 +14,8 @@
 //!   simulated-time spans are recorded explicitly with their sim-clock
 //!   endpoints. Both aggregate into per-path count/total/min/max/p50/p99
 //!   ([`SpanStats`]).
-//! * **Counters and histograms** ([`counter`], [`histogram`]) — named
-//!   atomics behind a registry; handles are cheap to clone and cache.
-//!   Log₂-bucketed histograms give approximate quantiles without storing
-//!   samples.
+//! * **Counters** ([`counter`], [`static_counter!`]) — named atomics
+//!   behind a registry; handles are cheap to clone and cache.
 //! * **Events** ([`event`]) — a bounded ring buffer of structured
 //!   `(sim-time, node, kind, detail)` records. The ring drops oldest
 //!   entries past its capacity, so long runs stay bounded.
@@ -64,7 +62,7 @@ pub mod trace;
 
 pub use events::{event, event_counts, events_dropped, events_recorded, set_ring_capacity};
 pub use manifest::{ExperimentRecord, RunManifest};
-pub use metrics::{counter, counter_values, histogram, Counter, Histogram, HistogramStats};
+pub use metrics::{counter, counter_values, Counter};
 pub use span::{record_sim_span, span, span_stats, SpanGuard, SpanStats};
 pub use trace::{chrome_trace_json, export_chrome_trace};
 
@@ -85,7 +83,7 @@ pub fn enabled() -> bool {
 }
 
 /// Clears every aggregate: span stats, counter values (handles stay
-/// live and simply read zero), histograms, event counts, and the trace
+/// live and simply read zero), event counts, and the trace
 /// ring. Also restarts the wall-clock epoch that trace timestamps are
 /// relative to. Call between runs that must not see each other's data.
 pub fn reset() {
@@ -118,7 +116,6 @@ mod tests {
             let _g = span("never");
         }
         counter("never.counter").inc();
-        histogram("never.hist").record(10);
         event("never/event", 0, 100, || "detail".into());
         record_sim_span("never/sim", 0, 0, 10);
         assert!(span_stats().is_empty());

@@ -1,7 +1,6 @@
 //! The process-global registry behind every am-obs facility.
 
 use crate::events::Ring;
-use crate::metrics::HistInner;
 use crate::span::SpanAgg;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +15,6 @@ pub(crate) struct Registry {
     /// Wall-clock base for trace timestamps; restarted by [`reset`].
     pub epoch: Mutex<Instant>,
     pub counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    pub hists: Mutex<BTreeMap<String, Arc<HistInner>>>,
     pub spans: Mutex<BTreeMap<String, SpanAgg>>,
     /// Total events emitted per kind (including ones the ring evicted).
     pub event_counts: Mutex<BTreeMap<String, u64>>,
@@ -29,7 +27,6 @@ pub(crate) fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         epoch: Mutex::new(Instant::now()),
         counters: Mutex::new(BTreeMap::new()),
-        hists: Mutex::new(BTreeMap::new()),
         spans: Mutex::new(BTreeMap::new()),
         event_counts: Mutex::new(BTreeMap::new()),
         ring: Mutex::new(Ring::new(DEFAULT_RING_CAP)),
@@ -46,8 +43,8 @@ pub(crate) fn wall_us() -> f64 {
 pub(crate) fn reset() {
     let reg = registry();
     *reg.epoch.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
-    // Counter/histogram handles may be cached by callers, so zero the
-    // shared cells in place instead of dropping the entries.
+    // Counter handles may be cached by callers, so zero the shared cells
+    // in place instead of dropping the entries.
     for c in reg
         .counters
         .lock()
@@ -55,9 +52,6 @@ pub(crate) fn reset() {
         .values()
     {
         c.store(0, Ordering::Relaxed);
-    }
-    for h in reg.hists.lock().unwrap_or_else(|e| e.into_inner()).values() {
-        h.clear();
     }
     reg.spans.lock().unwrap_or_else(|e| e.into_inner()).clear();
     reg.event_counts

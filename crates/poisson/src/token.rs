@@ -19,7 +19,9 @@ pub struct Grant {
     pub time: Time,
 }
 
-/// A seeded, replayable stream of grants with Byzantine banking.
+/// A seeded, replayable stream of grants. Banking Byzantine grants is
+/// the caller's job (the trial runners keep their bank in
+/// `am_protocols`' grant schedule).
 ///
 /// ```
 /// use am_poisson::TokenAuthority;
@@ -32,15 +34,12 @@ pub struct Grant {
 pub struct TokenAuthority {
     stream: MergedPoisson,
     byz: Vec<bool>,
-    banked: Vec<Grant>,
     granted: u64,
     granted_byz: u64,
     prev_grant: Time,
-    // One authority is built per Monte-Carlo trial: the handles are
+    // One authority is built per Monte-Carlo trial: the handle is
     // resolved once per process, not once per trial.
     obs_grants: &'static am_obs::Counter,
-    obs_banked: &'static am_obs::Counter,
-    obs_interarrival: &'static am_obs::Histogram,
 }
 
 impl TokenAuthority {
@@ -56,13 +55,10 @@ impl TokenAuthority {
         TokenAuthority {
             stream: MergedPoisson::new(n, lambda / delta, seed),
             byz: flags,
-            banked: Vec::new(),
             granted: 0,
             granted_byz: 0,
             prev_grant: Time::ZERO,
             obs_grants: am_obs::static_counter!("poisson.grants"),
-            obs_banked: am_obs::static_counter!("poisson.grants_banked"),
-            obs_interarrival: am_obs::static_histogram!("poisson.interarrival_ns"),
         }
     }
 
@@ -82,37 +78,11 @@ impl TokenAuthority {
         self.obs_grants.inc();
         let prev_ns = (self.prev_grant.seconds() * 1e9) as u64;
         let now_ns = (time.seconds() * 1e9) as u64;
-        self.obs_interarrival.record(now_ns.saturating_sub(prev_ns));
         // The wait between consecutive system-wide grants, on the node
         // that received the token.
         am_obs::record_sim_span("poisson/grant", node.index(), prev_ns, now_ns);
         self.prev_grant = time;
         Grant { node, time }
-    }
-
-    /// Draws the next grant; if it belongs to a Byzantine node, banks it
-    /// and keeps drawing until a correct node's grant appears. Returns the
-    /// correct grant. (The adversary's "withhold everything" mode.)
-    pub fn next_correct_grant_banking_byz(&mut self) -> Grant {
-        loop {
-            let g = self.next_grant();
-            if self.is_byz(g.node) {
-                self.obs_banked.inc();
-                self.banked.push(g);
-            } else {
-                return g;
-            }
-        }
-    }
-
-    /// Takes all banked Byzantine grants (the adversary spends its burst).
-    pub fn drain_banked(&mut self) -> Vec<Grant> {
-        std::mem::take(&mut self.banked)
-    }
-
-    /// Banked grants currently held.
-    pub fn banked_count(&self) -> usize {
-        self.banked.len()
     }
 
     /// Total grants drawn.
@@ -156,27 +126,6 @@ mod tests {
             (frac - 0.25).abs() < 0.03,
             "byz token share {frac} should be ≈ t/n = 0.25"
         );
-    }
-
-    #[test]
-    fn banking_accumulates_and_drains() {
-        let byz = vec![NodeId(3)];
-        let mut auth = TokenAuthority::new(4, 1.0, 1.0, &byz, 17);
-        let mut correct_seen = 0;
-        while correct_seen < 50 {
-            let g = auth.next_correct_grant_banking_byz();
-            assert!(!auth.is_byz(g.node));
-            correct_seen += 1;
-        }
-        let banked = auth.banked_count();
-        assert!(
-            banked > 5,
-            "≈1/4 of grants should have banked, got {banked}"
-        );
-        let drained = auth.drain_banked();
-        assert_eq!(drained.len(), banked);
-        assert!(drained.iter().all(|g| auth.is_byz(g.node)));
-        assert_eq!(auth.banked_count(), 0);
     }
 
     #[test]

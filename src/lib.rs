@@ -15,7 +15,7 @@
 //! | [`poisson`] | `am-poisson` | the Poisson token authority and discrete-event substrate |
 //! | [`protocols`] | `am-protocols` | Algorithms 4/5/6 with the paper's adversaries and Monte-Carlo runners |
 //! | [`stats`] | `am-stats` | distributions, estimators, paper bounds, table rendering |
-//! | [`node`] | `am-node` | the serving runtime: mempool, archival log, request API, load generator |
+//! | [`node`] | `am-node` | the serving runtime: mempool, archival log, request API, threaded runtime |
 //!
 //! ## Quickstart
 //!
