@@ -10,7 +10,8 @@
 # columns beside its `BlockStore`, or a listed stabilizer in the
 # model checker's canonicalizer, or a process spawn in the experiments
 # harness, or a second shipped `Transport` impl, or a second serving
-# load harness beside `benchmark/`'s or the histograms it alone read.
+# load harness beside `benchmark/`'s or the histograms it alone read, or
+# a second chain-rule dispatch or `Params` constructor.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -170,6 +171,17 @@ if shipped crates/*/src/*.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E 'static_histogram!|am_obs::histogram\(|Histogram::detached'; then
   echo "error: an am-obs histogram in src/ — count with a counter or time with a span (DESIGN.md §7)" >&2
+  exit 1
+fi
+# Algorithm 6's chain rule is picked through one dispatch,
+# `am_protocols::DagRule`; am-core ships the rules as plain functions. A
+# `Params` is built by `Params::new` and varied by `with_*`, and a token
+# lives one Δ (`Params.delta`): a rule trait, a second builder or a
+# lifetime field is a second spelling nothing ships against.
+if shipped crates/*/src/*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\btrait OrderingRule\b|\bParamsBuilder\b|\btoken_ttl\b'; then
+  echo "error: a second chain-rule dispatch or Params constructor in src/ — dispatch through DagRule, build with Params::new (DESIGN.md §16)" >&2
   exit 1
 fi
 for f in crates/node/src/loadgen.rs examples/loadgen.rs; do

@@ -34,9 +34,9 @@
 //!   the view plus cones and topological orders. The chain and ordering
 //!   rules below read a DAG through [`DagRead`], which it implements.
 //! * Chain selection rules: [`chain::longest_chain`],
-//!   [`ghost::ghost_pivot`], and the
-//!   [`ordering::OrderingRule`] abstraction used by the
-//!   Section 5 protocols.
+//!   [`ghost::ghost_pivot`] and [`pivot::pivot_chain`], plain functions
+//!   over a view (the `*_with` forms read any [`DagRead`]). The Section 5
+//!   protocols pick one through `am_protocols::DagRule`.
 //! * [`fn@linearize`] — DAG linearization along a selected chain
 //!   ("order the values of the DAG with respect to the longest chain",
 //!   Algorithm 6 line 9).
@@ -73,7 +73,6 @@ pub mod incremental;
 pub mod linearize;
 pub mod memory;
 pub mod message;
-pub mod ordering;
 pub mod pivot;
 pub mod validate;
 pub mod value;
@@ -89,7 +88,6 @@ pub use incremental::{BlockStore, ChildIndex, ConeCoverTracker};
 pub use linearize::{linearize, linearize_in, linearize_with, LinScratch, Linearization};
 pub use memory::AppendMemory;
 pub use message::{Message, MessageBuilder};
-pub use ordering::{GhostRule, LongestChainRule, OrderingRule, PivotRule};
 pub use pivot::{pivot_chain, pivot_chain_with};
 pub use validate::{check_view, Violation};
 pub use value::{Sign, Value};

@@ -5,10 +5,20 @@
 //! structural invariants the rest of the workspace relies on.
 
 use am_core::{
-    chain, check_view, ghost, linearize, AppendMemory, DagIndex, DagRead, GhostRule,
-    LongestChainRule, MessageBuilder, MsgId, NodeId, OrderingRule, Value, GENESIS,
+    chain, check_view, ghost, linearize, pivot_chain, AppendMemory, DagIndex, DagRead, MemoryView,
+    MessageBuilder, MsgId, NodeId, Value, GENESIS,
 };
 use proptest::prelude::*;
+
+/// A chain-selection rule: its name and the chain it picks, root first.
+type Rule = (&'static str, fn(&MemoryView) -> Vec<MsgId>);
+
+/// Every chain rule Algorithm 6 may order the DAG by.
+const RULES: [Rule; 3] = [
+    ("longest-chain", chain::longest_chain),
+    ("ghost", ghost::ghost_pivot),
+    ("pivot", pivot_chain),
+];
 
 /// A recipe for one append: author index, parent picks (as fractions of the
 /// current memory size), and a spin value.
@@ -84,8 +94,8 @@ proptest! {
     ) {
         let mem = build_memory(5, &specs);
         let view = mem.read();
-        for rule in [&LongestChainRule as &dyn OrderingRule, &GhostRule] {
-            let lin = rule.order(&view);
+        for (name, select) in RULES {
+            let lin = linearize(&view, &select(&view));
             // No duplicates; covered + uncovered == all messages.
             let mut seen = std::collections::HashSet::new();
             for &id in &lin.order {
@@ -104,7 +114,7 @@ proptest! {
                 for &p in &m.parents {
                     if let Some(&pp) = pos.get(&p) {
                         prop_assert!(pp < pos[&id],
-                            "{p:?} must precede {id:?} under {}", rule.name());
+                            "{p:?} must precede {id:?} under {name}");
                     }
                 }
             }
@@ -117,14 +127,14 @@ proptest! {
     ) {
         let mem = build_memory(4, &specs);
         let view = mem.read();
-        for rule in [&LongestChainRule as &dyn OrderingRule, &GhostRule] {
-            let c = rule.select_chain(&view);
+        for (name, select) in RULES {
+            let c = select(&view);
             prop_assert_eq!(c[0], GENESIS, "chains start at genesis");
             // Consecutive chain elements are parent→child edges.
             for w in c.windows(2) {
                 let child = view.get(w[1]).unwrap();
                 prop_assert!(child.parents.contains(&w[0]),
-                    "{:?} not a parent of {:?} under {}", w[0], w[1], rule.name());
+                    "{:?} not a parent of {:?} under {name}", w[0], w[1]);
             }
         }
     }

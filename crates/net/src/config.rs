@@ -1,10 +1,9 @@
 //! The unified, validating network configuration.
 //!
 //! One validating builder is the only way to configure (and, through
-//! [`NetConfig::build_net`], construct) a `SimNet`, mirroring the
-//! `Params::builder()` pattern — a NaN drop probability or an inverted
-//! partition window is rejected instead of silently producing
-//! meaningless trials:
+//! [`NetConfig::build_net`], construct) a `SimNet` — a NaN drop
+//! probability or an inverted partition window is rejected instead of
+//! silently producing meaningless trials:
 //!
 //! ```
 //! use am_net::{LatencyModel, NetConfig, Topology};

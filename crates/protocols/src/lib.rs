@@ -73,7 +73,7 @@ pub mod weak;
 pub use bft::{run_bft, run_bft_net, run_bft_net_full, BftAdversary, BftNetRun, BftTrial};
 pub use chain::{run_chain, run_chain_net, ChainAdversary, ChainTrial, TieBreak};
 pub use dag::{run_dag, run_dag_net, DagAdversary, DagRule, DagTrial};
-pub use params::{ParamError, Params, ParamsBuilder, ViewPolicy};
+pub use params::{Params, ViewPolicy};
 pub use propagation::{BlockMsg, Propagation};
 pub use runner::{measure_failure_rate, trial_seed, TrialKind};
 pub use shard::{LoadError, ShardCheckpointStore, ShardPointCheckpoint, ShardSpec};

@@ -25,12 +25,8 @@ pub enum ViewPolicy {
 /// case and a Byzantine side writing `-1`, "otherwise the Byzantine
 /// strategy would not be optimal"). Byzantine nodes are `n-t .. n`.
 ///
-/// Construct through [`Params::builder`] (validating, returns
-/// `Result`) or [`Params::new`] (panicking shorthand for tests and
-/// fixed scripts). The fields stay public for reading, but building a
-/// `Params` literal by hand skips validation and is deprecated — a
-/// `t ≥ n` or `λ ≤ 0` literal produces trials whose failure tallies are
-/// meaningless.
+/// Construct through the validating [`Params::new`], then vary one field
+/// with the `with_*` methods.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Params {
     /// Total nodes.
@@ -39,13 +35,10 @@ pub struct Params {
     pub t: usize,
     /// Per-node token rate per interval Δ (the paper's λ).
     pub lambda: f64,
-    /// The synchrony interval Δ.
+    /// The synchrony interval Δ; a token lives one Δ (see crate docs).
     pub delta: f64,
     /// Decision prefix size k (choose odd to avoid ties).
     pub k: usize,
-    /// Token lifetime in units of Δ (see crate docs; 1.0 is the model
-    /// default).
-    pub token_ttl: f64,
     /// How correct views lag the memory.
     pub view_policy: ViewPolicy,
     /// Trial seed.
@@ -56,194 +49,23 @@ pub struct Params {
     pub net: Option<NetConfig>,
 }
 
-/// Why a [`ParamsBuilder`] rejected its inputs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ParamError {
-    /// `t ≥ n`: there must be at least one correct node.
-    ByzantineMajority {
-        /// The offending Byzantine count.
-        t: usize,
-        /// The total node count.
-        n: usize,
-    },
-    /// `λ ≤ 0` (or NaN): the token process needs a positive rate.
-    NonPositiveLambda(f64),
-    /// `k = 0`: the decision prefix must contain at least one append.
-    ZeroHorizon,
-    /// `Δ ≤ 0` (or NaN): the synchrony interval must be positive.
-    NonPositiveDelta(f64),
-    /// Token TTL ≤ 0 (or NaN): grants must live for a positive time.
-    NonPositiveTtl(f64),
-}
-
-impl std::fmt::Display for ParamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParamError::ByzantineMajority { t, n } => {
-                write!(f, "need t < n, got t = {t}, n = {n}")
-            }
-            ParamError::NonPositiveLambda(l) => write!(f, "need λ > 0, got {l}"),
-            ParamError::ZeroHorizon => write!(f, "need decision prefix k ≥ 1, got 0"),
-            ParamError::NonPositiveDelta(d) => write!(f, "need Δ > 0, got {d}"),
-            ParamError::NonPositiveTtl(ttl) => write!(f, "need token TTL > 0, got {ttl}"),
-        }
-    }
-}
-
-impl std::error::Error for ParamError {}
-
-/// Validating builder for [`Params`]; see [`Params::builder`].
-#[derive(Clone, Copy, Debug)]
-pub struct ParamsBuilder {
-    n: usize,
-    t: usize,
-    lambda: f64,
-    delta: f64,
-    k: usize,
-    token_ttl: f64,
-    view_policy: ViewPolicy,
-    seed: u64,
-    net: Option<NetConfig>,
-}
-
-impl ParamsBuilder {
-    /// Total nodes.
-    #[must_use]
-    pub fn n(mut self, n: usize) -> Self {
-        self.n = n;
-        self
-    }
-
-    /// Byzantine count.
-    #[must_use]
-    pub fn t(mut self, t: usize) -> Self {
-        self.t = t;
-        self
-    }
-
-    /// Per-node token rate per interval Δ.
-    #[must_use]
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
-    /// The synchrony interval Δ.
-    #[must_use]
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Decision prefix size k.
-    #[must_use]
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Token lifetime in units of Δ.
-    #[must_use]
-    pub fn token_ttl(mut self, ttl: f64) -> Self {
-        self.token_ttl = ttl;
-        self
-    }
-
-    /// How correct views lag the memory.
-    #[must_use]
-    pub fn view_policy(mut self, vp: ViewPolicy) -> Self {
-        self.view_policy = vp;
-        self
-    }
-
-    /// Trial seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Run trials over a faulty network.
-    #[must_use]
-    pub fn net(mut self, cfg: NetConfig) -> Self {
-        self.net = Some(cfg);
-        self
-    }
-
-    /// Validates and builds. Rejects `t ≥ n`, non-positive `λ`/`Δ`/TTL,
-    /// and a zero decision horizon.
-    pub fn build(self) -> Result<Params, ParamError> {
-        if self.t >= self.n {
-            return Err(ParamError::ByzantineMajority {
-                t: self.t,
-                n: self.n,
-            });
-        }
-        // `is_nan() ||` keeps the checks rejecting NaN alongside x ≤ 0.
-        if self.lambda.is_nan() || self.lambda <= 0.0 {
-            return Err(ParamError::NonPositiveLambda(self.lambda));
-        }
-        if self.k == 0 {
-            return Err(ParamError::ZeroHorizon);
-        }
-        if self.delta.is_nan() || self.delta <= 0.0 {
-            return Err(ParamError::NonPositiveDelta(self.delta));
-        }
-        if self.token_ttl.is_nan() || self.token_ttl <= 0.0 {
-            return Err(ParamError::NonPositiveTtl(self.token_ttl));
-        }
-        Ok(Params {
-            n: self.n,
-            t: self.t,
-            lambda: self.lambda,
-            delta: self.delta,
-            k: self.k,
-            token_ttl: self.token_ttl,
-            view_policy: self.view_policy,
-            seed: self.seed,
-            net: self.net,
-        })
-    }
-}
-
 impl Params {
-    /// A validating builder with the conventional defaults (Δ = 1,
-    /// TTL = 1Δ, interval-snapshot views, seed 0, reliable network):
-    ///
-    /// ```
-    /// use am_protocols::Params;
-    /// let p = Params::builder().n(8).t(3).lambda(0.5).k(21).build().unwrap();
-    /// assert_eq!(p.n_correct(), 5);
-    /// assert!(Params::builder().n(4).t(4).lambda(1.0).k(3).build().is_err());
-    /// ```
-    pub fn builder() -> ParamsBuilder {
-        ParamsBuilder {
-            n: 4,
-            t: 0,
-            lambda: 1.0,
-            delta: 1.0,
-            k: 1,
-            token_ttl: 1.0,
-            view_policy: ViewPolicy::IntervalSnapshot,
-            seed: 0,
-            net: None,
-        }
-    }
-
-    /// Conventional defaults: Δ = 1, TTL = 1Δ. Panicking wrapper over
-    /// [`Params::builder`] for tests and fixed experiment scripts; use
-    /// the builder when the inputs are not compile-time constants.
+    /// Δ = 1, interval-snapshot views, reliable network. Panics unless
+    /// `t < n`, `λ > 0` (NaN rejected) and `k ≥ 1`: outside them a trial's
+    /// failure tally is meaningless.
     pub fn new(n: usize, t: usize, lambda: f64, k: usize, seed: u64) -> Params {
-        match Params::builder()
-            .n(n)
-            .t(t)
-            .lambda(lambda)
-            .k(k)
-            .seed(seed)
-            .build()
-        {
-            Ok(p) => p,
-            Err(e) => panic!("invalid Params (need t < n, λ > 0, k ≥ 1): {e}"),
+        assert!(t < n, "invalid Params: need t < n, got t = {t}, n = {n}");
+        assert!(lambda > 0.0, "invalid Params: need λ > 0, got {lambda}");
+        assert!(k >= 1, "invalid Params: need decision prefix k ≥ 1, got 0");
+        Params {
+            n,
+            t,
+            lambda,
+            delta: 1.0,
+            k,
+            view_policy: ViewPolicy::IntervalSnapshot,
+            seed,
+            net: None,
         }
     }
 
@@ -336,65 +158,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_and_matches_new() {
-        let built = Params::builder()
-            .n(10)
-            .t(3)
-            .lambda(0.5)
-            .k(21)
-            .seed(7)
-            .build()
-            .expect("valid params");
-        assert_eq!(built, Params::new(10, 3, 0.5, 21, 7));
-        let full = Params::builder()
-            .n(8)
-            .t(2)
-            .lambda(0.4)
-            .delta(2.0)
-            .k(11)
-            .token_ttl(3.0)
-            .view_policy(ViewPolicy::LaggedDelta)
-            .seed(9)
-            .build()
-            .unwrap();
-        assert_eq!(full.delta, 2.0);
-        assert_eq!(full.token_ttl, 3.0);
-        assert_eq!(full.view_policy, ViewPolicy::LaggedDelta);
+    #[should_panic(expected = "λ > 0")]
+    fn rejects_zero_lambda() {
+        let _ = Params::new(8, 3, 0.0, 21, 0);
     }
 
     #[test]
-    fn builder_rejects_each_invalid_input() {
-        let base = || Params::builder().n(8).t(3).lambda(0.5).k(21);
-        assert_eq!(
-            base().t(8).build(),
-            Err(ParamError::ByzantineMajority { t: 8, n: 8 })
-        );
-        assert_eq!(
-            base().lambda(0.0).build(),
-            Err(ParamError::NonPositiveLambda(0.0))
-        );
-        assert!(matches!(
-            base().lambda(f64::NAN).build(),
-            Err(ParamError::NonPositiveLambda(_))
-        ));
-        assert_eq!(base().k(0).build(), Err(ParamError::ZeroHorizon));
-        assert_eq!(
-            base().delta(-1.0).build(),
-            Err(ParamError::NonPositiveDelta(-1.0))
-        );
-        assert_eq!(
-            base().token_ttl(0.0).build(),
-            Err(ParamError::NonPositiveTtl(0.0))
-        );
+    #[should_panic(expected = "λ > 0")]
+    fn rejects_nan_lambda() {
+        let _ = Params::new(8, 3, f64::NAN, 21, 0);
     }
 
     #[test]
-    fn param_errors_render_their_constraint() {
-        let e = ParamError::ByzantineMajority { t: 5, n: 4 };
-        assert!(e.to_string().contains("t < n"));
-        assert!(ParamError::ZeroHorizon.to_string().contains("k ≥ 1"));
-        assert!(ParamError::NonPositiveLambda(-0.5)
-            .to_string()
-            .contains("λ > 0"));
+    #[should_panic(expected = "k ≥ 1")]
+    fn rejects_zero_k() {
+        let _ = Params::new(8, 3, 0.5, 0, 0);
     }
 }

@@ -35,7 +35,7 @@ pub(crate) struct GrantSchedule {
 
 impl GrantSchedule {
     /// The schedule of one trial at `p`. Banked tokens live
-    /// `token_ttl · Δ · ttl_factor` (a factor above 1 models a temporal
+    /// `Δ · ttl_factor` (a factor above 1 models a temporal
     /// asynchrony window); after `budget` grants the schedule ends and
     /// emits the `stalled_event` obs event.
     pub(crate) fn new(
@@ -47,7 +47,7 @@ impl GrantSchedule {
         GrantSchedule {
             auth: TokenAuthority::new(p.n, p.lambda, p.delta, &p.byz_nodes(), p.seed),
             bank: crate::scratch::take_banked(),
-            ttl: p.token_ttl * p.delta * ttl_factor,
+            ttl: p.delta * ttl_factor,
             k: p.k,
             budget,
             drawn: 0,
@@ -114,7 +114,7 @@ mod tests {
                 sched
                     .bank
                     .iter()
-                    .all(|b| b.time.seconds() + p.token_ttl * p.delta >= g.time.seconds()),
+                    .all(|b| b.time.seconds() + p.delta >= g.time.seconds()),
                 "an expired token survived"
             );
             sched.bank.push(g);

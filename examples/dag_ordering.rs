@@ -5,11 +5,12 @@
 //! ```
 //!
 //! Crafts the classic "long thin branch vs short bushy branch" DAG where
-//! the two rules disagree, then runs Algorithm 6 trials under the
-//! withhold-burst adversary with both rules to compare outcomes.
+//! the two rules (am-core's plain rule functions) disagree, then runs
+//! Algorithm 6 trials under the withhold-burst adversary with both
+//! `DagRule`s to compare outcomes.
 
 use append_memory::core::{
-    AppendMemory, GhostRule, LongestChainRule, MessageBuilder, MsgId, NodeId, OrderingRule, Value,
+    ghost_pivot, linearize, longest_chain, AppendMemory, MessageBuilder, MsgId, NodeId, Value,
     GENESIS,
 };
 use append_memory::protocols::{run_dag, DagAdversary, DagRule, Params};
@@ -33,8 +34,8 @@ fn main() {
     }
     let view = mem.read();
 
-    let lc = LongestChainRule.select_chain(&view);
-    let gp = GhostRule.select_chain(&view);
+    let lc = longest_chain(&view);
+    let gp = ghost_pivot(&view);
     println!(
         "longest chain tip: {:?} (follows the thin branch)",
         lc.last()
@@ -48,8 +49,8 @@ fn main() {
 
     // Linearizations cover different prefixes first — the rule choice
     // changes which values the first-k decision sees.
-    let lin_lc = LongestChainRule.order(&view);
-    let lin_gp = GhostRule.order(&view);
+    let lin_lc = linearize(&view, &lc);
+    let lin_gp = linearize(&view, &gp);
     println!("\nlongest-chain order: {:?}", lin_lc.order);
     println!("ghost order:         {:?}", lin_gp.order);
 
