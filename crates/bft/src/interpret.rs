@@ -223,8 +223,8 @@ impl DagInterpreter {
         let base = self.hw.len();
         let row = |b: u32| b as usize * n..(b as usize + 1) * n;
         self.hw.extend_from_within(row(parents[0]));
+        let (old, new) = self.hw.split_at_mut(base);
         for &p in &parents[1..] {
-            let (old, new) = self.hw.split_at_mut(base);
             for (h, &ph) in new.iter_mut().zip(&old[row(p)]) {
                 *h = (*h).max(ph);
             }

@@ -34,17 +34,23 @@
 //! The verdict is kept incrementally at the one height under test,
 //! `h = finalized_height + 1`. A new block by author `a` can change only
 //! `a`'s vote at `h` and what `a`'s latest block witnesses, so
-//! [`observe`](FinalityView::observe) recomputes that one vote and
-//! skips the tally-and-clique scan outright unless the vote moved or the
-//! last scan was stuck on `a`'s own row. "Ancestor at `h`" comes from a
+//! [`observe`](FinalityView::observe) recomputes that one vote, moves it
+//! in a maintained tally, and skips the clique scan outright unless the
+//! vote moved or the last scan was stuck on `a`'s own row (a scan whose
+//! tally has no quorum stops at once). "Ancestor at `h`" comes from a
 //! per-block memo stamped with `h`, so each selected-parent edge above
-//! the finalized head is walked once per height. A scan settles a
-//! supporter pair `(u, v)` by comparing the round of `v` that `latest(u)`
-//! witnesses with a per-column threshold (every block of `v` from there
-//! up is known to vote for the candidate) — one branch-free pass over
-//! `u`'s high-water row — and looks a witnessed block's vote up only when
-//! the row falls short; it tries the supporter with the oldest latest
-//! block first, since that row has seen the least. The rule itself —
+//! the finalized head is walked once per height. A scan keeps, per
+//! supporter column `v`, a voting run: the rounds from `voting_from[v]`
+//! up to `v`'s latest, all known to vote for the candidate. A pair
+//! `(u, v)` is settled by comparing the round of `v` that `latest(u)`
+//! witnesses with the run's bottom — one branch-free pass over `u`'s
+//! high-water row. A witnessed round below it extends the run downward,
+//! one memoised lookup per round, until the run reaches that round or
+//! meets a round that does not vote (the author switched branch); only a
+//! round below such a break is looked up on its own. So a column's round
+//! is looked up at most once per scan, however many rows witness it. The
+//! scan tries the supporter with the oldest latest block first, since
+//! that row has seen the least. The rule itself —
 //! first tally entry in author order reaching the quorum, the conflict
 //! test, the clique over *all* supporters — is pinned against a
 //! from-scratch transcription in `tests/oracle_spec.rs`.
@@ -92,8 +98,10 @@ pub struct OracleStats {
     pub early_outs: u64,
     /// Tally-and-clique scans run.
     pub scans: u64,
-    /// Witnessed blocks whose vote a scan had to look up (the rest of
-    /// its pair checks were one integer compare).
+    /// Blocks whose vote a scan looked up: the rounds it walked a
+    /// supporter's voting run down through, plus witnessed rounds below a
+    /// run's break (the rest of its pair checks were one integer
+    /// compare).
     pub witness_lookups: u64,
     /// Heights finalized.
     pub heights_advanced: u64,
@@ -174,13 +182,16 @@ pub struct FinalityView {
     /// scan (`NONE` = the scan stopped at the tally or the conflict test,
     /// which only a changed vote can move).
     stuck: u32,
+    /// `(candidate, votes)` over `vote` (entries may fall to 0 votes).
+    tally: Vec<(u32, u32)>,
     stats: OracleStats,
     // Scratch (reused across observes).
-    tally: Vec<(u32, u32)>,
     /// Per supporter `v`, during one clique scan: the lowest round such
     /// that every block of `v` from it up to `v`'s latest is known to
-    /// vote for the candidate.
+    /// vote for the candidate (its voting run), and whether the round
+    /// just below is known not to (the run's break).
     voting_from: Vec<u32>,
+    run_broken: Vec<bool>,
     /// DFS stack of the cone walk.
     stack: Vec<u32>,
 }
@@ -214,6 +225,7 @@ impl Clone for FinalityView {
             stats,
             tally,
             voting_from,
+            run_broken,
             stack,
         } = src;
         self.n = *n;
@@ -234,6 +246,7 @@ impl Clone for FinalityView {
         self.stats = *stats;
         self.tally.clone_from(tally);
         self.voting_from.clone_from(voting_from);
+        self.run_broken.clone_from(run_broken);
         self.stack.clone_from(stack);
     }
 }
@@ -274,6 +287,7 @@ impl FinalityView {
             stats: OracleStats::default(),
             tally: Vec::new(),
             voting_from: Vec::new(),
+            run_broken: Vec::new(),
             stack: Vec::new(),
         }
     }
@@ -311,6 +325,7 @@ impl FinalityView {
         self.conflict = false;
         self.vote.clear();
         self.vote.resize(n, NONE);
+        self.tally.clear();
         self.stuck = NONE;
         self.stats = OracleStats::default();
     }
@@ -329,6 +344,15 @@ impl FinalityView {
     /// have observed. Advances the finality watermark as far as the new
     /// evidence allows.
     pub fn observe(&mut self, table: &DagInterpreter, b: u32) {
+        assert!(
+            self.try_observe(table, b),
+            "parents must be observed before their child"
+        );
+    }
+
+    /// [`observe`](FinalityView::observe)s table block `b` if this view
+    /// has observed its parents; returns whether it did.
+    pub fn try_observe(&mut self, table: &DagInterpreter, b: u32) -> bool {
         assert_eq!(table.n(), self.n, "table and view disagree on n");
         let i = b as usize;
         assert!(i < table.len(), "block is not in the table");
@@ -336,10 +360,9 @@ impl FinalityView {
             self.seen.resize(i + 1, Seen::default());
         }
         assert!(self.seen[i].rank == 0, "block observed twice");
-        assert!(
-            table.parents_of(b).iter().all(|&p| self.is_observed(p)),
-            "parents must be observed before their child"
-        );
+        if !table.parents_of(b).iter().all(|&p| self.is_observed(p)) {
+            return false;
+        }
         self.observed += 1;
         self.seen[i].rank = self.observed as u32;
         let author = table
@@ -369,12 +392,47 @@ impl FinalityView {
         // Nobody else's latest block (hence vote, or what it witnesses)
         // moved.
         let vote = self.vote_by(table, author);
-        let moved = std::mem::replace(&mut self.vote[author], vote) != vote;
-        if moved || self.stuck == author as u32 {
+        if self.cast(author, vote) || self.stuck == author as u32 {
             self.try_advance(table);
         } else {
             self.stats.early_outs += 1;
         }
+        true
+    }
+
+    /// Moves `author`'s vote to `vote`, keeping the tally; whether it
+    /// moved.
+    fn cast(&mut self, author: usize, vote: u32) -> bool {
+        let old = std::mem::replace(&mut self.vote[author], vote);
+        if old == vote {
+            return false;
+        }
+        if old != NONE {
+            let e = self.tally.iter_mut().find(|e| e.0 == old);
+            e.expect("a cast vote is tallied").1 -= 1;
+        }
+        if vote != NONE {
+            match self.tally.iter_mut().find(|e| e.0 == vote) {
+                Some(e) => e.1 += 1,
+                None => self.tally.push((vote, 1)),
+            }
+        }
+        true
+    }
+
+    /// The first vote in author order whose candidate has a quorum.
+    /// Votes are one-per-author, so above `n / 2` at most one candidate
+    /// can have one.
+    fn quorum_candidate(&self) -> Option<u32> {
+        let q = self.quorum as u32;
+        let has_quorum = |c: u32| self.tally.iter().any(|e| e.0 == c && e.1 >= q);
+        if !self.tally.iter().any(|e| e.1 >= q) {
+            return None;
+        }
+        self.vote
+            .iter()
+            .copied()
+            .find(|&c| c != NONE && has_quorum(c))
     }
 
     /// The author's vote at the height under test: that of its latest
@@ -428,18 +486,7 @@ impl FinalityView {
         loop {
             self.stats.scans += 1;
             self.stuck = NONE;
-            // Tally the votes, in author order.
-            self.tally.clear();
-            for &c in self.vote.iter().filter(|&&c| c != NONE) {
-                match self.tally.iter_mut().find(|e| e.0 == c) {
-                    Some(e) => e.1 += 1,
-                    None => self.tally.push((c, 1)),
-                }
-            }
-            // Votes are one-per-author, so at most one candidate can
-            // reach a quorum > n/2 (below that, the first in author
-            // order wins).
-            let Some(&(cand, _)) = self.tally.iter().find(|e| e.1 as usize >= self.quorum) else {
+            let Some(cand) = self.quorum_candidate() else {
                 return;
             };
             // The candidate must extend the finalized prefix; a quorum
@@ -456,17 +503,26 @@ impl FinalityView {
             // last few rounds, so a pair is usually settled by comparing
             // the witnessed round with `voting_from[v]` (0 for a
             // non-supporter: any round will do).
-            self.voting_from.clear();
-            let (vote, by_round) = (&self.vote, &self.by_round);
-            self.voting_from
-                .extend((0..n).map(|v| u32::from(vote[v] == cand) * by_round[v].len() as u32));
+            //
             // The row most likely to fail is the supporter whose latest
-            // block this observer met first (it has seen the least): try
-            // it first.
-            let stalest = (0..n)
-                .filter(|&u| self.vote[u] == cand)
-                .min_by_key(|&u| self.latest(u).map(|l| self.seen[l as usize].rank));
-            for u in stalest.into_iter().chain(0..n) {
+            // block this observer met first (it has seen the least): it
+            // goes first.
+            self.voting_from.clear();
+            self.run_broken.clear();
+            self.run_broken.resize(n, false);
+            let (mut stalest, mut stalest_rank) = (0, u32::MAX);
+            for (v, slots) in self.by_round.iter().enumerate() {
+                let supports = self.vote[v] == cand;
+                self.voting_from
+                    .push(u32::from(supports) * slots.len() as u32);
+                if supports {
+                    let rank = self.seen[*slots.last().expect("a voter has blocks") as usize].rank;
+                    if rank < stalest_rank {
+                        (stalest, stalest_rank) = (v, rank);
+                    }
+                }
+            }
+            for u in std::iter::once(stalest).chain((0..n).filter(|&u| u != stalest)) {
                 if self.vote[u] != cand {
                     continue;
                 }
@@ -481,16 +537,9 @@ impl FinalityView {
                 }
                 for v in 0..n {
                     let r = table.high_water(lu, v);
-                    if r >= self.voting_from[v] {
-                        continue;
-                    }
-                    self.stats.witness_lookups += 1;
-                    if r == 0 || self.vote_of(table, self.block_at(v, r)) != cand {
+                    if r < self.voting_from[v] && !self.witnesses_vote(table, v, r, cand) {
                         self.stuck = u as u32;
                         return;
-                    }
-                    if r + 1 == self.voting_from[v] {
-                        self.voting_from[v] = r;
                     }
                 }
             }
@@ -506,10 +555,42 @@ impl FinalityView {
             self.mark_cone(table, cand);
             self.newly_final.push(id);
             // Every vote moves up one height.
+            self.vote.fill(NONE);
+            self.tally.clear();
             for a in 0..n {
-                self.vote[a] = self.vote_by(table, a);
+                let vote = self.vote_by(table, a);
+                self.cast(a, vote);
             }
         }
+    }
+
+    /// Whether round `r` of supporter `v`, below `voting_from[v]`, votes
+    /// for `cand` (round 0, nothing witnessed, never does). Walks `v`'s
+    /// voting run down one round at a time, until it reaches `r` or meets
+    /// a round that does not vote; that round is the run's break, and only
+    /// a round below the break needs a lookup of its own — the author may
+    /// have switched branch and back. So each round of a column is looked
+    /// up at most once per scan, however many rows witness it.
+    fn witnesses_vote(&mut self, table: &DagInterpreter, v: usize, r: u32, cand: u32) -> bool {
+        let mut from = self.voting_from[v];
+        while from > r && !self.run_broken[v] {
+            let below = from - 1;
+            if below > 0 && self.round_votes(table, v, below, cand) {
+                from = below;
+            } else {
+                self.run_broken[v] = true;
+            }
+        }
+        self.voting_from[v] = from;
+        // Below the run, `from - 1` is its break and does not vote.
+        r >= from || (r + 1 < from && r > 0 && self.round_votes(table, v, r, cand))
+    }
+
+    /// Whether `v`'s block at round `r` votes for `cand` (one witness
+    /// lookup).
+    fn round_votes(&mut self, table: &DagInterpreter, v: usize, r: u32, cand: u32) -> bool {
+        self.stats.witness_lookups += 1;
+        self.vote_of(table, self.block_at(v, r)) == cand
     }
 
     /// Marks the closed past cone of the new finalized head. Heads only

@@ -2,8 +2,9 @@
 //! held to it.
 //!
 //! [`FinalityOracle`] keeps its verdict incrementally (vote vector,
-//! per-height ancestor memo, stuck-row early-out, round thresholds in
-//! place of per-pair lookups). The
+//! maintained tally, per-height ancestor memo, stuck-row early-out, and
+//! per-column voting runs walked once per scan in place of per-pair
+//! lookups). The
 //! rule it must implement is the from-scratch one below: at every
 //! observe, rebuild the tally and the clique check from the
 //! interpreter's public accessors alone. The suites feed both the same
@@ -11,6 +12,13 @@
 //! appear mid-stream), sparse global ids, shuffled ancestor-closed
 //! orders, quorums small enough for two candidates to qualify — and
 //! compare every observable after *every* block.
+//!
+//! Checked to catch, each on its own:
+//!
+//! * every witnessed round below a voting run's break taken as not
+//!   voting (the author switched branch and back; see
+//!   `a_voting_run_with_a_gap_is_looked_up_below_its_break`);
+//! * every such round taken as voting (the same test's mirror case).
 
 use am_bft::{DagInterpreter, FinalityOracle, FinalityView};
 use am_core::{MsgId, GENESIS};
@@ -378,4 +386,45 @@ fn a_clone_taken_mid_stream_ends_where_the_original_does() {
             }
         }
     }
+}
+
+#[test]
+fn a_voting_run_with_a_gap_is_looked_up_below_its_break() {
+    // n = 4, q = 3. Author 1 votes x at round 1, switches to the rival
+    // branch y at round 2 and comes back to x at round 3; author 2's
+    // latest block witnesses only author 1's round 1. Walking author 1's
+    // run down from round 3 breaks at round 2, so the pair (2, 1) is
+    // settled by looking round 1 up on its own.
+    let b = |id: u64, author: usize, parents: &[u64]| -> Block {
+        (
+            MsgId(id),
+            author,
+            parents.iter().map(|&p| MsgId(p)).collect(),
+        )
+    };
+    let back = vec![
+        b(1, 0, &[0]),    // x
+        b(2, 3, &[0]),    // rival y
+        b(3, 1, &[1]),    // 1@1 votes x
+        b(4, 1, &[2, 3]), // 1@2 votes y
+        b(5, 2, &[3]),    // 2@1 votes x, witnesses 1@1
+        b(6, 1, &[5, 4]), // 1@3 votes x again
+        b(7, 0, &[6]),    // 0@2 votes x, witnesses 1@3 and 2@1
+    ];
+    let o = check_against_spec(4, 3, &back, "round below the break votes");
+    assert_eq!(o.finalized_chain(), vec![MsgId(1)]);
+
+    // The mirror: author 1's round 1 votes y, so the pair (2, 1) fails
+    // and x stays open.
+    let never = vec![
+        b(1, 0, &[0]),    // x
+        b(2, 3, &[0]),    // rival y
+        b(3, 1, &[2]),    // 1@1 votes y
+        b(4, 1, &[3]),    // 1@2 votes y
+        b(5, 2, &[1, 3]), // 2@1 votes x, witnesses 1@1
+        b(6, 1, &[5, 4]), // 1@3 votes x
+        b(7, 0, &[6]),    // 0@2 votes x, witnesses 1@3 and 2@1
+    ];
+    let o = check_against_spec(4, 3, &never, "round below the break does not vote");
+    assert!(o.finalized_chain().is_empty());
 }

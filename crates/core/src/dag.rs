@@ -30,7 +30,8 @@ use std::sync::Arc;
 /// content-derived facts the rules break ties with. [`DagIndex`]
 /// implements it over a [`MemoryView`]; the trial runners' append-only
 /// arena implements it over its own store, so [`crate::chain`],
-/// [`crate::ghost`], [`crate::pivot`] and [`crate::linearize`] exist once.
+/// [`crate::ghost`], [`crate::pivot`] and
+/// [`crate::linearize`](mod@crate::linearize) exist once.
 pub trait DagRead {
     /// The graph, positions as ids.
     fn store(&self) -> &BlockStore;

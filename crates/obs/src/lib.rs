@@ -8,11 +8,11 @@
 //!
 //! Four facilities, all behind one global registry:
 //!
-//! * **Spans** ([`span`], [`record_sim_span`]) — hierarchical RAII timers.
-//!   Wall-clock spans nest through a thread-local stack (`"mp/append"`
-//!   inside `"experiment/e4"` aggregates as `"experiment/e4/mp/append"`);
-//!   simulated-time spans are recorded explicitly with their sim-clock
-//!   endpoints. Both aggregate into per-path count/total/min/max/p50/p99
+//! * **Spans** ([`span`](fn@span), [`record_sim_span`]) — hierarchical
+//!   RAII timers. Wall-clock spans nest through a thread-local stack
+//!   (`"mp/append"` inside `"experiment/e4"` aggregates as
+//!   `"experiment/e4/mp/append"`); simulated-time spans are recorded
+//!   explicitly with their sim-clock endpoints. Both aggregate into per-path count/total/min/max/p50/p99
 //!   ([`SpanStats`]).
 //! * **Counters** ([`counter`], [`static_counter!`]) — named atomics
 //!   behind a registry; handles are cheap to clone and cache.

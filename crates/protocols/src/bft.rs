@@ -156,8 +156,13 @@ pub(crate) struct BftScratch {
     deferred: Vec<Vec<MsgId>>,
     /// The parent list of the append being assembled.
     parents: Vec<MsgId>,
-    /// Tips, deepest blocks or admitted ids, by driver.
+    /// Tips or deepest blocks, by driver.
     ids: Vec<MsgId>,
+    /// Per observer of a networked trial: its finalized height at the
+    /// gate and after settle. A view's finalized chain only grows, so
+    /// these heights cut both chains out of the healed one.
+    gate: Vec<usize>,
+    settled: Vec<usize>,
 }
 
 impl BftScratch {
@@ -184,6 +189,8 @@ impl BftScratch {
         }
         self.parents.clear();
         self.ids.clear();
+        self.gate.clear();
+        self.settled.clear();
     }
 }
 
@@ -292,27 +299,16 @@ fn feed_node(
     table: &DagInterpreter,
     admitted: &[MsgId],
 ) {
-    let ready =
-        |fin: &FinalityView, b: u32| table.parents_of(b).iter().all(|&p| fin.is_observed(p));
     for &id in admitted {
-        let b = table_id(id);
-        if !ready(fin, b) {
+        if !fin.try_observe(table, table_id(id)) {
             deferred.push(id);
             continue;
         }
-        fin.observe(table, b);
         // Each pass observes, in deferral order, whatever the passes
         // before it unblocked.
-        loop {
+        while !deferred.is_empty() {
             let waiting = deferred.len();
-            deferred.retain(|&d| {
-                let d = table_id(d);
-                let ok = ready(fin, d);
-                if ok {
-                    fin.observe(table, d);
-                }
-                !ok
-            });
+            deferred.retain(|&d| !fin.try_observe(table, table_id(d)));
             if deferred.len() == waiting {
                 break;
             }
@@ -468,21 +464,26 @@ fn finish(
 ///
 /// The summary is node 0's: `total_appends`, `finish_time` and `lag_*`
 /// are read at the gate, every other field after the in-flight blocks
-/// were delivered and every node was healed with the blocks it never
+/// were delivered and node 0 was healed with the blocks it never
 /// received (see [`BftTrial`]) — so `finalized_height` is
 /// `chains_healed[0].len()` of the full run, at least its gate height.
 pub fn run_bft_net(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> (BftTrial, NetStats) {
-    let run = run_bft_net_full(p, adv, cfg);
-    (run.trial, run.stats)
+    over_wire(BFT_NET_SPAN, p, cfg, |prop| {
+        let trial = net_summary(p, adv, prop);
+        (trial, prop.take_stats())
+    })
 }
 
 /// [`run_bft_net`] with the per-node finality state exposed (gate /
-/// settled / healed chains) for the agreement property suites.
+/// settled / healed chains) for the agreement property suites: every
+/// node is healed, not only node 0.
 pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNetRun {
     over_wire(BFT_NET_SPAN, p, cfg, |prop| {
         let mut run = bft_over_wire(p, adv, prop);
-        run.stats = prop.take_stats();
-        run
+        for node in 0..p.n {
+            run.heal(node);
+        }
+        run.full(p, prop.take_stats())
     })
 }
 
@@ -493,26 +494,135 @@ const BFT_NET_SPAN: &str = "protocols/bft_net";
 pub(crate) fn bft_trial(p: &Params, adv: BftAdversary) -> BftTrial {
     match &p.net {
         None => run_bft(p, adv),
-        Some(cfg) => over_wire(BFT_NET_SPAN, p, cfg, |prop| bft_over_wire(p, adv, prop)).trial,
+        Some(cfg) => over_wire(BFT_NET_SPAN, p, cfg, |prop| net_summary(p, adv, prop)),
     }
 }
 
-/// Every view's finalized chain, as block ids.
-fn chains(table: &DagInterpreter, views: &[FinalityView]) -> Vec<Vec<MsgId>> {
-    views
-        .iter()
-        .map(|v| {
-            v.finalized_chain()
-                .iter()
-                .map(|&b| table.id_of(b))
-                .collect()
-        })
-        .collect()
+/// Node 0's summary of a networked trial: the only view it reads, so the
+/// only one healed.
+fn net_summary(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftTrial {
+    let mut run = bft_over_wire(p, adv, prop);
+    run.heal(0);
+    run.summary(p)
 }
 
-/// The networked driver: per-node views fed in admission order.
-/// (`stats` is left empty for a caller that wants them to fill in.)
-fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNetRun {
+/// A networked trial run through settle, still holding its pooled tables
+/// (each view's gate and settled heights included). The caller heals the
+/// views it reads, then [`summary`](Settled::summary) or
+/// [`full`](Settled::full) reads them and returns the tables to the pool.
+struct Settled {
+    s: BftScratch,
+    total_appends: usize,
+    finish_time: f64,
+    /// Node 0's lags, gate and settle.
+    lag: LagTally,
+}
+
+impl Settled {
+    /// Omniscient heal of one view: it observes every block its node
+    /// never received, in id order (ancestor-closed by construction).
+    fn heal(&mut self, node: usize) {
+        let BftScratch { table, views, .. } = &mut self.s;
+        let fin = &mut views[node];
+        for b in 1..table.len() as u32 {
+            if !fin.is_observed(b) {
+                fin.observe(table, b);
+            }
+        }
+    }
+
+    /// Node 0's [`BftTrial`], as its view now stands.
+    fn summary(self, p: &Params) -> BftTrial {
+        let trial = finish(
+            p,
+            &self.s.views[0],
+            self.total_appends,
+            &self.lag,
+            self.finish_time,
+        );
+        scratch::put_bft(self.s);
+        trial
+    }
+
+    /// Every node's chains at the gate, after settle and as the views now
+    /// stand (healed), with node 0's [`BftTrial`].
+    fn full(self, p: &Params, stats: NetStats) -> BftNetRun {
+        let BftScratch {
+            table,
+            views,
+            gate,
+            settled,
+            ..
+        } = &self.s;
+        let views = &views[..p.n];
+        // A view's finalized chain only grows, so the gate and settled
+        // chains are prefixes of the healed one.
+        let chain = |node: usize, height: usize| -> Vec<MsgId> {
+            let chain = &views[node].finalized_chain()[..height];
+            chain.iter().map(|&b| table.id_of(b)).collect()
+        };
+        let chains = |height: &dyn Fn(usize) -> usize| -> Vec<Vec<MsgId>> {
+            (0..p.n).map(|node| chain(node, height(node))).collect()
+        };
+        let run = BftNetRun {
+            trial: finish(
+                p,
+                &views[0],
+                self.total_appends,
+                &self.lag,
+                self.finish_time,
+            ),
+            stats,
+            chains_at_gate: chains(&|node| gate[node]),
+            chains_settled: chains(&|node| settled[node]),
+            chains_healed: chains(&|node| views[node].finalized_height()),
+            digests_healed: views.iter().map(FinalityView::finalized_digest).collect(),
+            conflict_any: views[..p.n - p.t]
+                .iter()
+                .any(FinalityView::conflict_detected),
+        };
+        scratch::put_bft(self.s);
+        run
+    }
+}
+
+/// The Coglio–McCarthy nonforking invariants over a trial's correct
+/// views, as they stand after each feed: every two finalized chains are
+/// extension-ordered, and no chain ever shrinks or changes a block it
+/// held. Checked as a whole against the longest chain any correct view
+/// has held so far: every chain is prefix-comparable with it, and no
+/// view's height drops.
+#[derive(Default)]
+struct NonForking {
+    longest: Vec<u32>,
+    heights: Vec<usize>,
+}
+
+impl NonForking {
+    /// Whether `views` keep the invariants against everything seen so
+    /// far; records what it saw.
+    fn holds(&mut self, views: &[FinalityView]) -> bool {
+        self.heights.resize(views.len(), 0);
+        for (v, seen) in views.iter().zip(&mut self.heights) {
+            let chain = v.finalized_chain();
+            let m = chain.len().min(self.longest.len());
+            if chain.len() < *seen || chain[..m] != self.longest[..m] {
+                return false;
+            }
+            *seen = chain.len();
+            if chain.len() > self.longest.len() {
+                self.longest.clear();
+                self.longest.extend_from_slice(chain);
+            }
+        }
+        true
+    }
+}
+
+/// The networked driver, up to settle: per-node views fed in admission
+/// order, each view's finalized height recorded at the gate and after
+/// settle.
+fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> Settled {
     prop.set_track_admitted(true);
     let mut sched = GrantSchedule::new(p, 1.0, grant_budget(p), "protocols/bft_stalled");
     let mut s = scratch::take_bft(p.n, p.n);
@@ -523,11 +633,16 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
         last_own,
         deferred,
         parents: parents_buf,
-        ids: admitted_buf,
+        ids: tips_buf,
+        gate,
+        settled,
     } = &mut s;
     let views = &mut views[..p.n];
     let mut lag = LagTally::default();
     let correct = p.n - p.t;
+    // Only ever touched inside `debug_assert!`: a release build keeps it
+    // empty and unallocated.
+    let mut nonforking = NonForking::default();
     // `last_own` is self-parent bookkeeping for the omniscient strategies
     // (correct appends are safe without it: a node's own blocks are
     // always in its visible set, so its tips already cover its history).
@@ -537,14 +652,14 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
     // node 0 is the latency observer.
     macro_rules! feed {
         ($at:expr) => {
-            for node in 0..p.n {
-                admitted_buf.clear();
-                prop.drain_admitted(node, admitted_buf);
-                feed_node(&mut views[node], &mut deferred[node], table, admitted_buf);
-                if node == 0 {
-                    lag.absorb(&mut views[0], table.store(), $at.seconds());
-                }
-            }
+            prop.drain_admitted(|node, admitted| {
+                feed_node(&mut views[node], &mut deferred[node], table, admitted)
+            });
+            lag.absorb(&mut views[0], table.store(), $at.seconds());
+            debug_assert!(
+                nonforking.holds(&views[..correct]),
+                "correct views' finalized chains forked or shrank"
+            );
         };
     }
 
@@ -601,7 +716,7 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
                 BftAdversary::StaleMiner => {
                     stale_vote(
                         parents_buf,
-                        admitted_buf,
+                        tips_buf,
                         table.store(),
                         g.time,
                         p.delta,
@@ -636,33 +751,18 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftNe
 
     let total_appends = table.len() - 1;
     let finish_time = now.seconds();
-    let chains_at_gate = chains(table, views);
+    gate.extend(views.iter().map(FinalityView::finalized_height));
 
     // Deliver everything still in flight (dropped blocks stay lost).
     prop.settle();
     feed!(now);
-    let chains_settled = chains(table, views);
-
-    // Omniscient heal: every view observes the blocks it never received,
-    // in id order (ancestor-closed by construction).
-    for fin in views.iter_mut() {
-        for b in 1..table.len() as u32 {
-            if !fin.is_observed(b) {
-                fin.observe(table, b);
-            }
-        }
+    settled.extend(views.iter().map(FinalityView::finalized_height));
+    Settled {
+        s,
+        total_appends,
+        finish_time,
+        lag,
     }
-    let run = BftNetRun {
-        trial: finish(p, &views[0], total_appends, &lag, finish_time),
-        stats: NetStats::default(),
-        chains_at_gate,
-        chains_settled,
-        chains_healed: chains(table, views),
-        digests_healed: views.iter().map(FinalityView::finalized_digest).collect(),
-        conflict_any: views[..correct].iter().any(FinalityView::conflict_detected),
-    };
-    scratch::put_bft(s);
-    run
 }
 
 #[cfg(test)]
@@ -822,6 +922,42 @@ mod tests {
             strict += usize::from(run.trial.finalized_height > run.chains_at_gate[0].len());
         }
         assert!(strict > 0, "no seed finalized more after the gate");
+    }
+
+    #[test]
+    fn summary_path_reads_what_the_full_path_reads() {
+        // The summary heals node 0 alone and keeps no chains; the full
+        // run heals every node and cuts the gate and settled chains out
+        // of the healed ones. Node 0's summary must not tell them apart.
+        let is_prefix = |a: &[MsgId], b: &[MsgId]| b.starts_with(a);
+        for drop in [0.0, 0.1] {
+            let cfg = NetConfig::builder()
+                .latency(LatencyModel::Constant(50_000_000))
+                .drop(drop)
+                .build()
+                .unwrap();
+            for adv in [
+                BftAdversary::Absent,
+                BftAdversary::Equivocator,
+                BftAdversary::Withholder,
+                BftAdversary::StaleMiner,
+            ] {
+                for seed in 0..3 {
+                    let p = Params::new(8, 2, 0.5, 6, seed);
+                    let at = format!("drop {drop} {adv:?} seed {seed}");
+                    let summary = bft_trial(&p.with_net(cfg), adv);
+                    let (trial, _) = run_bft_net(&p, adv, &cfg);
+                    let run = run_bft_net_full(&p, adv, &cfg);
+                    assert_eq!(summary, trial, "{at}");
+                    assert_eq!(summary, run.trial, "{at}");
+                    for node in 0..p.n {
+                        let healed = &run.chains_healed[node];
+                        assert!(is_prefix(&run.chains_at_gate[node], healed), "{at}");
+                        assert!(is_prefix(&run.chains_settled[node], healed), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
