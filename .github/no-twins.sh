@@ -113,6 +113,16 @@ if shipped $(ls crates/*/src/*.rs | grep -v '^crates/core/src/incremental\.rs$')
   echo "error: a parent-CSR / first-child column outside am_core::BlockStore — hold a store (DESIGN.md §16, \"Block store\")" >&2
   exit 1
 fi
+# A view of a prefix that only grows — `SharedLog`'s, an omniscient
+# adversary's — owns an `am_core::Frontier` and extends it over the new
+# rows. The O(prefix) scans it replaced are the test-side oracle in
+# `crates/core/tests/block_store_spec.rs`.
+if shipped crates/*/src/*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\b(tips_of_prefix_into|deepest_in_prefix_into)\('; then
+  echo "error: a prefix rescan in src/ — extend a Frontier (DESIGN.md §16, \"Block store\")" >&2
+  exit 1
+fi
 # The finality rule exists once, in `FinalityView`; `FinalityOracle` owns a
 # table and a view, it does not carry a copy of the rule.
 if [ "$(shipped crates/bft/src/*.rs | grep -cE '\bfn try_advance\b')" -gt 1 ]; then

@@ -50,13 +50,14 @@ pub fn chain_to_genesis<D: DagRead + ?Sized>(dag: &D, tip: usize) -> Vec<usize> 
 }
 
 /// The longest chain as positions, root first, under the deterministic
-/// first-tip rule for ties; empty for an empty DAG.
+/// first-tip rule for ties; empty for an empty DAG. The walk starts at the
+/// store's maintained [`deepest`](crate::BlockStore::deepest) block (ties
+/// to the smallest id), so it costs O(depth), not a scan of the DAG.
 pub fn longest_chain_positions<D: DagRead + ?Sized>(dag: &D) -> Vec<usize> {
-    let d = dag.max_depth();
-    match (0..dag.len()).find(|&i| dag.depth_of(i) == d) {
-        Some(tip) => chain_to_genesis(dag, tip),
-        None => Vec::new(),
+    if dag.is_empty() {
+        return Vec::new();
     }
+    chain_to_genesis(dag, dag.store().deepest().index())
 }
 
 /// Convenience: the longest chain of a view as message ids (root first),

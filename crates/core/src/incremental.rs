@@ -6,14 +6,18 @@
 //! longest-path depth, first child, arrival time, the end of its parent
 //! run) and the parent ids back to back, a `u32` CSR — plus the deepest
 //! block so far, and maintains them in O(parents) per
-//! [`push`](BlockStore::push), so the quantities the Section 5 and BFT
-//! loops poll after every append (depth, prefix tips, stale prefixes,
-//! arrival times) cost nothing to read. [`ChildIndex`] is the one
+//! [`push`](BlockStore::push), so depth, the deepest block, stale
+//! prefixes and arrival times — what the Section 5 and BFT loops poll
+//! after every append — cost O(1) or a binary search to read.
+//! [`Frontier`] gives the tips and deepest blocks of a *prefix* of the
+//! store: a view that only grows (the log's arrivals never decrease, and
+//! a Δ-snapshot or Δ-lagged view never rewinds) extends it over the new
+//! rows and the old tips instead of rescanning the prefix. [`ChildIndex`] is the one
 //! child-CSR builder, run on demand at decision points;
 //! [`ConeCoverTracker`] keeps the covered-value gate's marks over a store.
 //! The store and the tracker `reset` to the genesis-only state and the
-//! index `clear`s, each with its capacity kept, so a Monte-Carlo loop
-//! reuses one set for every trial.
+//! index and the frontier `clear`, each with its capacity kept, so a
+//! Monte-Carlo loop reuses one set for every trial.
 //!
 //! A store's ids are its positions: `MsgId(i)` is the `i`-th block pushed
 //! (genesis = 0). [`BlockStore::from_view`] builds one over a snapshot,
@@ -35,11 +39,8 @@ const NO_CHILD: u32 = u32::MAX;
 /// let mut s = BlockStore::new();
 /// s.push(NodeId(0), [0], Time::new(0.5));
 /// s.push(NodeId(1), [0], Time::new(0.9));
-/// assert_eq!(s.max_depth(), 1);
-/// let mut tips = Vec::new();
-/// s.tips_of_prefix_into(3, &mut tips);
-/// assert_eq!(tips, [MsgId(1), MsgId(2)]);        // a fork
-/// assert_eq!(s.prefix_at_time(Time::new(0.7)), 2); // genesis + m1
+/// assert_eq!((s.max_depth(), s.deepest()), (1, MsgId(1))); // ties to the smallest id
+/// assert_eq!(s.prefix_at_time(Time::new(0.7)), 2);     // genesis + m1
 /// ```
 ///
 /// `Default` is a store with no blocks and no buffers — what a pool slot
@@ -226,45 +227,110 @@ impl BlockStore {
         self.rows[i].arrival
     }
 
-    /// The first `prefix` rows, at least genesis's.
-    fn prefix(&self, prefix: usize) -> &[Row] {
-        &self.rows[..prefix.min(self.len()).max(1)]
-    }
-
-    /// The deepest blocks *within the first `prefix` blocks* (at least
-    /// genesis), ascending, into `out` (cleared first) — the longest-chain
-    /// tip candidates of a prefix view.
-    pub fn deepest_in_prefix_into(&self, prefix: usize, out: &mut Vec<MsgId>) {
-        out.clear();
-        let rows = self.prefix(prefix);
-        let max = rows.iter().map(|r| r.depth).max().unwrap_or(0);
-        out.extend(
-            (0..rows.len() as u64)
-                .filter(|&i| rows[i as usize].depth == max)
-                .map(MsgId),
-        );
-    }
-
-    /// Tips of the prefix view of length `prefix` (at least genesis):
-    /// blocks whose first child, if any, lies beyond the prefix; ascending,
-    /// into `out` (cleared first) — the per-grant hot loops reuse one
-    /// buffer instead of allocating a tip list per token.
-    pub fn tips_of_prefix_into(&self, prefix: usize, out: &mut Vec<MsgId>) {
-        out.clear();
-        let rows = self.prefix(prefix);
-        let end = rows.len() as u32;
-        out.extend(
-            (0..end)
-                .filter(|&i| rows[i as usize].first_child >= end)
-                .map(|i| MsgId(u64::from(i))),
-        );
-    }
-
     /// Number of blocks that had arrived strictly before `t` — the prefix
     /// a node whose view lags to time `t` can see. At least 1 (genesis is
     /// always visible).
     pub fn prefix_at_time(&self, t: Time) -> usize {
         self.rows.partition_point(|r| r.arrival < t).max(1)
+    }
+}
+
+/// The tips and deepest blocks of a growing prefix of one [`BlockStore`].
+///
+/// A prefix's answers depend on its length alone: its rows never change,
+/// and a row is a tip of the prefix exactly when its first child lies past
+/// the prefix's end — a later push can set an unset first child, but only
+/// to an id past every earlier prefix. So the frontier of a longer prefix
+/// follows from the shorter one's plus the new rows:
+///
+/// * an old tip stays a tip unless its first child is now inside;
+/// * a new row is a tip unless its first child is;
+/// * the deepest set is the new rows at a greater depth, if any, or else
+///   the old set plus the new rows at the same depth.
+///
+/// [`extend_to`](Frontier::extend_to) costs O(new rows + old tips) instead
+/// of O(prefix). Prefixes may only grow between two
+/// [`clear`](Frontier::clear)s, over the same store as it grows.
+///
+/// ```
+/// use am_core::{BlockStore, Frontier, MsgId, NodeId, Time};
+/// let mut s = BlockStore::new();
+/// s.push(NodeId(0), [0], Time::new(0.5));
+/// s.push(NodeId(1), [0], Time::new(0.9));
+/// let mut f = Frontier::default();
+/// f.extend_to(&s, 3);
+/// assert_eq!(f.tips(), [MsgId(1), MsgId(2)]); // a fork
+/// s.push(NodeId(2), [1, 2], Time::new(1.2)); // a merge past the prefix
+/// f.extend_to(&s, 3);
+/// assert_eq!((f.tips(), f.deepest()), (&[MsgId(1), MsgId(2)][..], &[MsgId(1), MsgId(2)][..]));
+/// f.extend_to(&s, 4);
+/// assert_eq!((f.tips(), f.deepest()), (&[MsgId(3)][..], &[MsgId(3)][..]));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Frontier {
+    /// Length of the prefix described; 0 before the first extension.
+    end: usize,
+    /// Blocks of the prefix whose first child lies past it, ascending.
+    tips: Vec<MsgId>,
+    /// Blocks of the prefix at its maximum depth, ascending.
+    deepest: Vec<MsgId>,
+    /// The depth of `deepest`.
+    depth: u32,
+}
+
+impl Frontier {
+    /// Forgets every prefix, keeping the buffers' capacity: the next
+    /// [`extend_to`](Frontier::extend_to) may start over any store.
+    pub fn clear(&mut self) {
+        self.end = 0;
+        self.tips.clear();
+        self.deepest.clear();
+        self.depth = 0;
+    }
+
+    /// Moves to the first `prefix` blocks of `store` (at least genesis, at
+    /// most the whole store). A prefix of the current length is free.
+    ///
+    /// # Panics
+    /// If the prefix is shorter than the one described: a frontier only
+    /// grows (clear it to start over).
+    pub fn extend_to(&mut self, store: &BlockStore, prefix: usize) {
+        let end = prefix.min(store.len()).max(1);
+        assert!(end >= self.end, "a frontier's prefix only grows");
+        if end == self.end {
+            return;
+        }
+        let rows = &store.rows[..end];
+        let inside = |r: &Row| (r.first_child as usize) < end;
+        self.tips.retain(|t| !inside(&rows[t.index()]));
+        for (i, r) in (self.end..end).zip(&rows[self.end..]) {
+            let id = MsgId(i as u64);
+            if !inside(r) {
+                self.tips.push(id);
+            }
+            if r.depth > self.depth || self.deepest.is_empty() {
+                self.depth = r.depth;
+                self.deepest.clear();
+                self.deepest.push(id);
+            } else if r.depth == self.depth {
+                self.deepest.push(id);
+            }
+        }
+        self.end = end;
+    }
+
+    /// The blocks of the prefix no block of the prefix references,
+    /// ascending — the tips an Algorithm 6 append of that view references.
+    #[inline]
+    pub fn tips(&self) -> &[MsgId] {
+        &self.tips
+    }
+
+    /// The blocks of the prefix at its maximum depth, ascending — the
+    /// longest-chain candidates of that view.
+    #[inline]
+    pub fn deepest(&self) -> &[MsgId] {
+        &self.deepest
     }
 }
 
@@ -562,16 +628,18 @@ mod tests {
         s
     }
 
+    fn frontier(s: &BlockStore, prefix: usize) -> Frontier {
+        let mut f = Frontier::default();
+        f.extend_to(s, prefix);
+        f
+    }
+
     fn tips(s: &BlockStore, prefix: usize) -> Vec<MsgId> {
-        let mut out = Vec::new();
-        s.tips_of_prefix_into(prefix, &mut out);
-        out
+        frontier(s, prefix).tips().to_vec()
     }
 
     fn deepest(s: &BlockStore, prefix: usize) -> Vec<MsgId> {
-        let mut out = Vec::new();
-        s.deepest_in_prefix_into(prefix, &mut out);
-        out
+        frontier(s, prefix).deepest().to_vec()
     }
 
     #[test]

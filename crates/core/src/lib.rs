@@ -84,7 +84,7 @@ pub use error::{AppendError, CoreError};
 pub use ghost::{ghost_pivot, ghost_pivot_with, GhostScratch};
 pub use history::History;
 pub use ids::{MsgId, NodeId, Round, Time, GENESIS};
-pub use incremental::{BlockStore, ChildIndex, ConeCoverTracker};
+pub use incremental::{BlockStore, ChildIndex, ConeCoverTracker, Frontier};
 pub use linearize::{linearize, linearize_in, linearize_with, LinScratch, Linearization};
 pub use memory::AppendMemory;
 pub use message::{Message, MessageBuilder};

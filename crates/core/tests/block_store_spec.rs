@@ -7,11 +7,17 @@
 //! the view* (as positions) and its arrival — from which the test computes
 //! depth, tips, deepest blocks and time prefixes by plain scans. Two stores
 //! must answer exactly like the model: one grown by `push`, one built by
-//! `BlockStore::from_view`. Both are compared column by column and on every
-//! prefix (parents, depth, tips and deepest of the prefix) and every time
-//! prefix. A reset store must equal a fresh one, and `clone_from` into a
-//! slot that held a longer, a shorter or no history must equal `clone`
-//! (compared by `Debug`, which prints every column).
+//! `BlockStore::from_view`. Both are compared column by column, on every
+//! prefix (parents, depth, and a `Frontier`'s tips and deepest, extended
+//! one block at a time) and every time prefix. A reset store must equal a
+//! fresh one, and `clone_from` into a slot that held a longer, a shorter or
+//! no history must equal `clone` (compared by `Debug`, which prints every
+//! column).
+//!
+//! `Frontier` is also held to [`tips_of_prefix`] / [`deepest_in_prefix`],
+//! the O(prefix) scans it replaced, on stores that grow between
+//! extensions, under random monotone prefix sequences with repeats and
+//! clamps, and after a `clear` that reuses it for another store.
 //!
 //! Mutations this file was checked to catch (each applied alone, each
 //! turns at least one test red):
@@ -21,11 +27,17 @@
 //! 3. `reset` forgetting the arrival column (the genesis push then trips the
 //!    non-decreasing assert, or a stale time shifts `prefix_at_time`);
 //! 4. `clone_from` skipping a column (`first_child` or `arrival` left as the
-//!    slot had it).
+//!    slot had it);
+//! 5. `Frontier::extend_to` keeping every old tip (no re-check of first
+//!    children against the new end);
+//! 6. `Frontier::extend_to` appending a deeper new row to the deepest set
+//!    instead of replacing it;
+//! 7. `Frontier::clear` keeping the prefix length (a reused frontier
+//!    answers for the previous store).
 
 use am_core::{
-    AppendMemory, BlockStore, DagIndex, DagRead, MemoryView, MessageBuilder, MsgId, NodeId, Time,
-    Value,
+    AppendMemory, BlockStore, DagIndex, DagRead, Frontier, MemoryView, MessageBuilder, MsgId,
+    NodeId, Time, Value,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -51,6 +63,34 @@ fn random_forked(rng: &mut ChaCha8Rng, n: u32, len: u64) -> AppendMemory {
         .expect("a valid append");
     }
     mem
+}
+
+/// The tips of the first `prefix` blocks of `store` (at least genesis):
+/// the blocks no block of the prefix lists as a parent, ascending. The
+/// O(prefix) scan `Frontier` replaced, kept as its oracle.
+fn tips_of_prefix(store: &BlockStore, prefix: usize) -> Vec<MsgId> {
+    let end = prefix.min(store.len()).max(1);
+    let mut referenced = vec![false; end];
+    for i in 0..end {
+        for &p in store.parents_of(i) {
+            referenced[p as usize] = true;
+        }
+    }
+    (0..end)
+        .filter(|&i| !referenced[i])
+        .map(|i| MsgId(i as u64))
+        .collect()
+}
+
+/// The blocks of the first `prefix` blocks of `store` (at least genesis)
+/// at their maximum depth, ascending — `Frontier::deepest`'s oracle.
+fn deepest_in_prefix(store: &BlockStore, prefix: usize) -> Vec<MsgId> {
+    let end = prefix.min(store.len()).max(1);
+    let max = (0..end).map(|i| store.depth_of(i)).max().unwrap();
+    (0..end)
+        .filter(|&i| store.depth_of(i) == max)
+        .map(|i| MsgId(i as u64))
+        .collect()
 }
 
 /// A view as the model: per position, author, in-view parent positions in
@@ -121,7 +161,7 @@ impl Model {
 fn check(store: &BlockStore, model: &Model, what: &str) {
     let len = model.author.len();
     assert_eq!(store.len(), len, "{what}: len");
-    let mut buf = vec![MsgId(77); 3]; // dirty on purpose
+    let mut frontier = Frontier::default();
     for i in 0..len {
         assert_eq!(store.author_of(i), model.author[i], "{what}: author of {i}");
         assert_eq!(
@@ -132,13 +172,20 @@ fn check(store: &BlockStore, model: &Model, what: &str) {
         assert_eq!(store.depth_of(i), model.depth[i], "{what}: depth of {i}");
         assert_eq!(store.arrival(i), model.arrival[i], "{what}: arrival of {i}");
         let prefix = i + 1;
-        store.tips_of_prefix_into(prefix, &mut buf);
-        assert_eq!(buf, model.tips(prefix), "{what}: tips of prefix {prefix}");
-        store.deepest_in_prefix_into(prefix, &mut buf);
+        frontier.extend_to(store, prefix);
+        let tips = model.tips(prefix);
+        assert_eq!(frontier.tips(), tips, "{what}: tips of prefix {prefix}");
+        assert_eq!(tips_of_prefix(store, prefix), tips, "{what}: oracle tips");
+        let deepest = model.deepest(prefix);
         assert_eq!(
-            buf,
-            model.deepest(prefix),
+            frontier.deepest(),
+            deepest,
             "{what}: deepest of prefix {prefix}"
+        );
+        assert_eq!(
+            deepest_in_prefix(store, prefix),
+            deepest,
+            "{what}: oracle deepest"
         );
     }
     let deepest = model.deepest(len);
@@ -198,9 +245,9 @@ fn matches_dag_index_on_random_history() {
         let dag = DagIndex::new(&mem.read());
         let store = dag.store();
         assert_eq!(store.max_depth(), dag.max_depth());
-        let mut tips = Vec::new();
-        store.tips_of_prefix_into(store.len(), &mut tips);
-        assert_eq!(tips, dag.tip_ids());
+        let mut whole = Frontier::default();
+        whole.extend_to(store, store.len());
+        assert_eq!(whole.tips(), dag.tip_ids());
         for pos in 0..dag.len() {
             assert_eq!(store.depth_of(pos), dag.depth_of(pos));
             assert_eq!(store.parents_of(pos), dag.parents_of(pos));
@@ -231,20 +278,103 @@ fn max_depth_and_deepest_match_the_scanning_definition() {
 }
 
 #[test]
-fn deepest_in_prefix_into_matches_the_scanning_definition() {
+fn frontier_deepest_matches_the_scanning_definition() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let s = BlockStore::from_view(&random_forked(&mut rng, 4, 299).read());
-    let mut buf = vec![MsgId(77); 5]; // dirty on purpose
+    let mut frontier = Frontier::default();
     for prefix in [0, 1, 2, 17, 150, 300, 999] {
-        s.deepest_in_prefix_into(prefix, &mut buf);
+        frontier.extend_to(&s, prefix);
         let p = prefix.clamp(1, s.len());
         let max = (0..p).map(|j| s.depth_of(j)).max().unwrap();
         let scan: Vec<MsgId> = (0..p as u64)
             .map(MsgId)
             .filter(|&m| s.depth_of(m.index()) == max)
             .collect();
-        assert_eq!(buf, scan, "prefix {prefix}");
+        assert_eq!(frontier.deepest(), scan, "prefix {prefix}");
     }
+}
+
+/// The next prefix of a monotone sequence over a store of length `len`:
+/// the same one again, one or a few more blocks, the whole store, or past
+/// its end (clamped).
+fn next_prefix(rng: &mut ChaCha8Rng, prev: usize, len: usize) -> usize {
+    match rng.gen_range(0..6) {
+        0 => prev,
+        1 => prev + 1,
+        2 | 3 => prev + rng.gen_range(1..=5usize),
+        4 => len,
+        _ => len + rng.gen_range(1..=3usize),
+    }
+}
+
+#[test]
+fn frontier_matches_the_scans_on_growing_stores_and_monotone_prefixes() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xf207);
+    // One frontier per role, cleared and reused across cases as the trial
+    // pool reuses them: a trailing view and the whole log.
+    let (mut view, mut whole) = (Frontier::default(), Frontier::default());
+    let mut store = BlockStore::new();
+    for case in 0..150 {
+        let (n, len) = (rng.gen_range(1..=6), rng.gen_range(1..=120));
+        let mem = random_forked(&mut rng, n, len);
+        for (kind, v) in ["full", "sparse"].iter().zip(views(&mut rng, &mem)) {
+            let model = Model::of(&v);
+            view.clear();
+            whole.clear();
+            store.reset();
+            let mut prefix = 0;
+            let mut i = 1;
+            while i <= model.author.len() {
+                // Grow the store by a few blocks past the view, so rows of
+                // the view gain children beyond it between extensions.
+                for _ in 0..rng.gen_range(0..=3) {
+                    if i < model.author.len() {
+                        let author = model.author[i].unwrap();
+                        store.push(author, model.parents[i].iter().copied(), model.arrival[i]);
+                    }
+                    i += 1;
+                }
+                let next = next_prefix(&mut rng, prefix, store.len());
+                prefix = next.min(store.len()).max(1);
+                let what = format!("case {case} {kind}: prefix {next} of {}", store.len());
+                view.extend_to(&store, next);
+                assert_eq!(view.tips(), tips_of_prefix(&store, next), "{what}: tips");
+                assert_eq!(
+                    view.deepest(),
+                    deepest_in_prefix(&store, next),
+                    "{what}: deepest"
+                );
+                whole.extend_to(&store, store.len());
+                assert_eq!(
+                    whole.tips(),
+                    tips_of_prefix(&store, store.len()),
+                    "{what}: whole tips"
+                );
+                assert_eq!(
+                    whole.deepest()[0],
+                    store.deepest(),
+                    "{what}: the whole log's first deepest is the store's"
+                );
+            }
+            let mut fresh = Frontier::default();
+            fresh.extend_to(&store, prefix);
+            assert_eq!(
+                format!("{view:?}"),
+                format!("{fresh:?}"),
+                "case {case} {kind}: a reused frontier equals a fresh one"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "only grows")]
+fn a_frontier_never_shrinks() {
+    let mut s = BlockStore::new();
+    s.push(NodeId(0), [0], Time::new(1.0));
+    let mut f = Frontier::default();
+    f.extend_to(&s, 2);
+    f.extend_to(&s, 1);
 }
 
 #[test]

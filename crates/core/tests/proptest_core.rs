@@ -9,6 +9,7 @@ use am_core::{
     MessageBuilder, MsgId, NodeId, Value, GENESIS,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A chain-selection rule: its name and the chain it picks, root first.
 type Rule = (&'static str, fn(&MemoryView) -> Vec<MsgId>);
@@ -148,6 +149,31 @@ proptest! {
         let dag = DagIndex::new(&view);
         let c = chain::longest_chain(&view);
         prop_assert_eq!(c.len() as u32, dag.max_depth() + 1);
+    }
+
+    #[test]
+    fn longest_chain_starts_at_the_first_deepest_block(
+        specs in prop::collection::vec(append_spec(4), 0..60),
+        keep in prop::collection::vec(any::<bool>(), 61),
+    ) {
+        // The full view, and a sparse one (any message, genesis included,
+        // may go) whose index drops the references that leave it, so it
+        // can have several roots or none at all.
+        let full = build_memory(4, &specs).read();
+        let sparse = MemoryView::from_messages(
+            full.iter()
+                .zip(&keep)
+                .filter(|&(_, &k)| k)
+                .map(|(m, _)| Arc::clone(m))
+                .collect::<Vec<_>>(),
+        );
+        for view in [full, sparse] {
+            let dag = DagIndex::new(&view);
+            let max = (0..dag.len()).map(|i| dag.depth_of(i)).max();
+            let first = (0..dag.len()).find(|&i| Some(dag.depth_of(i)) == max);
+            let scan = first.map_or_else(Vec::new, |tip| chain::chain_to_genesis(&dag, tip));
+            prop_assert_eq!(chain::longest_chain_positions(&dag), scan);
+        }
     }
 
     #[test]

@@ -75,12 +75,14 @@ impl TokenAuthority {
         if self.is_byz(node) {
             self.granted_byz += 1;
         }
-        self.obs_grants.inc();
-        let prev_ns = (self.prev_grant.seconds() * 1e9) as u64;
-        let now_ns = (time.seconds() * 1e9) as u64;
-        // The wait between consecutive system-wide grants, on the node
-        // that received the token.
-        am_obs::record_sim_span("poisson/grant", node.index(), prev_ns, now_ns);
+        if am_obs::enabled() {
+            self.obs_grants.inc();
+            let prev_ns = (self.prev_grant.seconds() * 1e9) as u64;
+            let now_ns = (time.seconds() * 1e9) as u64;
+            // The wait between consecutive system-wide grants, on the node
+            // that received the token.
+            am_obs::record_sim_span("poisson/grant", node.index(), prev_ns, now_ns);
+        }
         self.prev_grant = time;
         Grant { node, time }
     }

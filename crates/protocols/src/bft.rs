@@ -36,7 +36,7 @@ use crate::schedule::GrantSchedule;
 use crate::scratch;
 use crate::view::{SharedLog, Visibility};
 use am_bft::{DagInterpreter, FinalityView};
-use am_core::{BlockStore, MsgId, Time, GENESIS};
+use am_core::{BlockStore, Frontier, MsgId, Time, GENESIS};
 use am_net::{NetConfig, NetStats};
 
 /// The Byzantine strategy of a BFT finality trial.
@@ -156,8 +156,11 @@ pub(crate) struct BftScratch {
     deferred: Vec<Vec<MsgId>>,
     /// The parent list of the append being assembled.
     parents: Vec<MsgId>,
-    /// Tips or deepest blocks, by driver.
+    /// The tips of a correct append's view.
     ids: Vec<MsgId>,
+    /// The omniscient adversary's view: the whole log (Equivocator) or
+    /// its 2Δ-stale prefix (StaleMiner). Both only grow with the clock.
+    adv_view: Frontier,
     /// Per observer of a networked trial: its finalized height at the
     /// gate and after settle. A view's finalized chain only grows, so
     /// these heights cut both chains out of the healed one.
@@ -189,6 +192,7 @@ impl BftScratch {
         }
         self.parents.clear();
         self.ids.clear();
+        self.adv_view.clear();
         self.gate.clear();
         self.settled.clear();
     }
@@ -271,20 +275,19 @@ fn vote_parents(
 }
 
 /// The StaleMiner vote: the first deepest block of the log as it stood
-/// 2Δ before `now`, referencing that stale view's tips (`tmp` is scratch).
+/// 2Δ before `now`, referencing that stale view's tips. `stale` is the
+/// miner's frontier; `now` never decreases between two calls on it.
 fn stale_vote(
     buf: &mut Vec<MsgId>,
-    tmp: &mut Vec<MsgId>,
+    stale: &mut Frontier,
     log: &BlockStore,
     now: Time,
     delta: f64,
     own: MsgId,
 ) {
-    let stale = log.prefix_at_time(Time::new(now.seconds() - 2.0 * delta));
-    log.deepest_in_prefix_into(stale, tmp);
-    let sel = tmp[0];
-    log.tips_of_prefix_into(stale, tmp);
-    vote_parents(buf, sel, own, tmp.iter().copied());
+    let stale_at = Time::new(now.seconds() - 2.0 * delta);
+    stale.extend_to(log, log.prefix_at_time(stale_at));
+    vote_parents(buf, stale.deepest()[0], own, stale.tips().iter().copied());
 }
 
 /// Feeds one node's view the blocks it just admitted. Correct nodes'
@@ -341,6 +344,7 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
         last_own,
         parents: parents_buf,
         ids: tips_buf,
+        adv_view,
         ..
     } = &mut s;
     let fin = &mut views[0];
@@ -373,8 +377,8 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
                     if eq_cnt[node] % 2 == 1 {
                         // Honest-looking vote on the current view.
                         let log = table.store();
-                        log.deepest_in_prefix_into(log.len(), tips_buf);
-                        parents_buf.push(pick_vote(fin, table, tips_buf));
+                        adv_view.extend_to(log, log.len());
+                        parents_buf.push(pick_vote(fin, table, adv_view.deepest()));
                     } else {
                         // Fork own history from genesis: the round-1
                         // collision brands the author an equivocator.
@@ -395,7 +399,7 @@ pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
                 }
                 BftAdversary::StaleMiner => {
                     let log = table.store();
-                    stale_vote(parents_buf, tips_buf, log, g.time, p.delta, last_own[node]);
+                    stale_vote(parents_buf, adv_view, log, g.time, p.delta, last_own[node]);
                     append!(node, parents_buf, g.time);
                 }
             }
@@ -633,7 +637,8 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> Settl
         last_own,
         deferred,
         parents: parents_buf,
-        ids: tips_buf,
+        ids: _,
+        adv_view,
         gate,
         settled,
     } = &mut s;
@@ -716,7 +721,7 @@ fn bft_over_wire(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> Settl
                 BftAdversary::StaleMiner => {
                     stale_vote(
                         parents_buf,
-                        tips_buf,
+                        adv_view,
                         table.store(),
                         g.time,
                         p.delta,

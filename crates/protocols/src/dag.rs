@@ -18,7 +18,7 @@
 use crate::params::Params;
 use crate::propagation::over_wire;
 use crate::schedule::{one_shot_budget, GrantSchedule};
-use crate::scratch::{self, IdBuf};
+use crate::scratch::{self, FrontierBuf};
 use crate::trial_dag::TrialDag;
 use crate::view::{SharedLog, Visibility};
 use am_core::chain::longest_chain_positions;
@@ -143,7 +143,9 @@ pub(crate) fn run_dag_on<V: Visibility>(
 ) -> DagTrial {
     let mut dag = scratch::take_dag(p.n);
     // The parent list of the append being assembled.
-    let mut tips = scratch::take_ids(IdBuf::Parents);
+    let mut tips = scratch::take_parents();
+    // The Dissenter's view: the whole log, which only grows.
+    let mut whole = scratch::take_frontier(FrontierBuf::Adversary);
     let mut sched = GrantSchedule::new(p, 1.0, one_shot_budget(p), "protocols/dag_stalled");
     let mut burst_len = 0usize;
 
@@ -179,8 +181,8 @@ pub(crate) fn run_dag_on<V: Visibility>(
                 DagAdversary::Absent => {}
                 DagAdversary::Dissenter => {
                     // Omniscient: references every tip of the whole log.
-                    dag.store().tips_of_prefix_into(dag.len(), &mut tips);
-                    publish(&mut dag, vis, g.node, Value::minus(), &tips, g.time);
+                    whole.extend_to(dag.store(), dag.len());
+                    publish(&mut dag, vis, g.node, Value::minus(), whole.tips(), g.time);
                 }
                 DagAdversary::WithholdBurst => sched.bank.push(g),
             }
@@ -193,7 +195,8 @@ pub(crate) fn run_dag_on<V: Visibility>(
     }
 
     let out = decide(p, &mut dag, rule, burst_len);
-    scratch::put_ids(IdBuf::Parents, tips);
+    scratch::put_parents(tips);
+    scratch::put_frontier(FrontierBuf::Adversary, whole);
     scratch::put_dag(dag);
     out
 }

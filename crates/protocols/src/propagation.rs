@@ -76,6 +76,10 @@ impl BlockBits {
     fn set(&mut self, block: usize, node: usize) {
         self.words[block * self.stride + node / 64] |= 1 << (node % 64);
     }
+
+    fn unset(&mut self, block: usize, node: usize) {
+        self.words[block * self.stride + node / 64] &= !(1 << (node % 64));
+    }
 }
 
 /// An arrived block waiting for parents, with one parent it still lacks.
@@ -94,8 +98,8 @@ fn id_bit(b: u64) -> u64 {
 /// One node's view: what it has admitted and what is waiting.
 #[derive(Default)]
 struct NodeView {
-    /// Arrived blocks waiting for parents, in arrival order (a block
-    /// delivered twice while waiting is listed twice).
+    /// Arrived blocks waiting for parents, in first-arrival order, each
+    /// listed once.
     pending: Vec<Pending>,
     /// The [`id_bit`]s of the pending entries' blockers (and possibly
     /// of blockers since admitted): a block whose bit is clear here
@@ -126,6 +130,8 @@ struct Tables {
     store: BlockStore,
     /// Which nodes see each block.
     visible: BlockBits,
+    /// Which nodes hold each block in their pending list.
+    waiting: BlockBits,
     /// Which nodes have heard each announcement (relay mode only; gates
     /// forward-on-first-hear).
     heard: BlockBits,
@@ -154,6 +160,8 @@ impl Tables {
         self.wanted_in.clear();
         self.visible.reset(n);
         self.visible.push_row(n);
+        self.waiting.reset(n);
+        self.waiting.push_row(0);
         self.heard.reset(n);
         if relay {
             self.heard.push_row(n);
@@ -271,6 +279,7 @@ impl Propagation {
         t.store.push(by, parents.iter().map(|p| p.0 as u32), at);
         let d = t.store.depth_of(idx);
         t.visible.push_row(0);
+        t.waiting.push_row(0);
         if self.relay {
             t.heard.push_row(0);
             t.heard.set(idx, author);
@@ -365,8 +374,11 @@ impl Propagation {
             self.t.heard.set(id.index(), node);
             self.announce_from(node, from, id);
         }
-        if self.t.visible.get(id.index(), node) {
-            return; // duplicate delivery
+        // A duplicate delivery, or a block delivered again while it
+        // waits: the pending entry is earlier and on the same blocker
+        // (its first missing parent), so a second one would change nothing.
+        if self.t.visible.get(id.index(), node) || self.t.waiting.get(id.index(), node) {
+            return;
         }
         match missing_parent(&self.t.store, &self.t.visible, node, id) {
             None => {
@@ -374,6 +386,7 @@ impl Propagation {
                 self.flush_pending(node, id);
             }
             Some(blocker) => {
+                self.t.waiting.set(id.index(), node);
                 let view = &mut self.t.nodes[node];
                 view.pending.push(Pending { id, blocker });
                 view.blocked_on |= id_bit(u64::from(blocker));
@@ -424,11 +437,11 @@ impl Propagation {
             view.blocked_on = blocked_on;
             fresh.clear();
             for &id in &ready {
-                // A block listed twice is admitted once.
-                if !self.t.visible.get(id.index(), node) {
-                    self.mark_visible(node, id);
-                    fresh.push(id);
-                }
+                // Pending entries are distinct and never visible.
+                debug_assert!(!self.t.visible.get(id.index(), node));
+                self.t.waiting.unset(id.index(), node);
+                self.mark_visible(node, id);
+                fresh.push(id);
             }
             if !fresh.iter().any(|f| blocked_on & id_bit(f.0) != 0) {
                 break;
@@ -747,7 +760,7 @@ mod tests {
                         })
                     })
             };
-            fits(&self.t.visible) && fits(&self.t.heard)
+            fits(&self.t.visible) && fits(&self.t.heard) && fits(&self.t.waiting)
         }
     }
 
@@ -791,6 +804,16 @@ mod tests {
                     prop.visible_count_scan(node),
                     "visible count ({at} node {node})"
                 );
+                // The waiting bits are the pending list, which lists a
+                // block at most once.
+                let waiting: Vec<MsgId> = (0..prop.t.store.len())
+                    .filter(|&b| prop.t.waiting.get(b, node))
+                    .map(|b| MsgId(b as u64))
+                    .collect();
+                let mut pending: Vec<MsgId> =
+                    prop.t.nodes[node].pending.iter().map(|w| w.id).collect();
+                pending.sort_unstable();
+                assert_eq!(waiting, pending, "waiting bits ({at} node {node})");
             }
         };
         for step in 1..=60u64 {
@@ -891,7 +914,7 @@ mod tests {
         // Node 0 never authors; every block reaches it through
         // `try_admit` in a shuffled order, some twice, some never, so
         // blocks park on missing parents, unblock in cascades several
-        // passes deep and sit twice in the pending list. Ids run past 64,
+        // passes deep and arrive again while they wait. Ids run past 64,
         // so blockers share `blocked_on` bits.
         let mut admitted = 0;
         for seed in 0..40u64 {

@@ -10,8 +10,10 @@
 //!   incremental indexes; [`take_dag`] hands it out *reset*, not rebuilt;
 //! * the **decision scratch** ([`with_decision`]) — GHOST's exact-weight
 //!   bitset pool (`n × ⌈n/64⌉` words) and the linearization buffers;
-//! * **id buffers** ([`IdBuf`]) — the parent list a DAG append assembles
-//!   and the two memoised answers of the shared-log view;
+//! * the **parent list** a DAG append assembles ([`take_parents`]);
+//! * the **frontiers** ([`FrontierBuf`]) — the shared-log view's tips and
+//!   deepest blocks, and an omniscient adversary's, each grown with its
+//!   prefix;
 //! * the **banked-grant buffer** every withhold-style adversary fills and
 //!   drains;
 //! * the **gossip layer** of a networked trial ([`PropagationScratch`]:
@@ -25,33 +27,32 @@
 //! Each buffer has one named slot, so its capacity depends only on the
 //! sequence of trials the thread has run — a repeated workload reaches
 //! every high-water mark in its first pass and allocates identically
-//! thereafter. Trials remain bit-identical: a buffer is cleared, reset or
-//! fully overwritten before use, so no state leaks between trials. A trial
+//! thereafter. Trials remain bit-identical: a buffer is cleared or reset
+//! when it is taken, so no state leaks between trials. A trial
 //! that panics forfeits what it held; the next one starts a fresh buffer.
 
 use crate::bft::BftScratch;
 use crate::propagation::PropagationScratch;
 use crate::trial_dag::TrialDag;
 use am_core::ghost::GhostScratch;
-use am_core::{LinScratch, MsgId};
+use am_core::{Frontier, LinScratch, MsgId};
 use am_poisson::Grant;
 use std::cell::RefCell;
 
-/// The pooled `Vec<MsgId>` slots, by role.
+/// The pooled [`Frontier`] slots, by role.
 #[derive(Clone, Copy)]
-pub(crate) enum IdBuf {
-    /// The parent list of the append being assembled.
-    Parents,
-    /// `SharedLog`'s memoised tips of the visible prefix.
-    MemoTips,
-    /// `SharedLog`'s memoised deepest blocks of the visible prefix.
-    MemoDeepest,
+pub(crate) enum FrontierBuf {
+    /// `SharedLog`'s: the prefix every correct node sees.
+    View,
+    /// An omniscient adversary's: the whole log.
+    Adversary,
 }
 
 #[derive(Default)]
 struct TrialScratch {
     banked: Vec<Grant>,
-    ids: [Vec<MsgId>; 3],
+    parents: Vec<MsgId>,
+    frontiers: [Frontier; 2],
     dag: Option<TrialDag>,
     ghost: GhostScratch,
     lin: LinScratch,
@@ -75,16 +76,32 @@ pub(crate) fn put_banked(mut v: Vec<Grant>) {
     TRIAL_SCRATCH.with(|s| s.borrow_mut().banked = v);
 }
 
-/// Takes the pooled id buffer of role `which` (empty, capacity retained).
-/// Return it with [`put_ids`] under the same role.
-pub(crate) fn take_ids(which: IdBuf) -> Vec<MsgId> {
-    TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().ids[which as usize]))
+/// Takes the pooled parent-list buffer (empty, capacity retained).
+/// Return it with [`put_parents`].
+pub(crate) fn take_parents() -> Vec<MsgId> {
+    TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().parents))
 }
 
-/// Returns an id buffer to its slot, clearing it first.
-pub(crate) fn put_ids(which: IdBuf, mut v: Vec<MsgId>) {
+/// Returns the parent-list buffer to the pool, clearing it first.
+pub(crate) fn put_parents(mut v: Vec<MsgId>) {
     v.clear();
-    TRIAL_SCRATCH.with(|s| s.borrow_mut().ids[which as usize] = v);
+    TRIAL_SCRATCH.with(|s| s.borrow_mut().parents = v);
+}
+
+/// Takes the pooled frontier of role `which`, cleared (capacity retained:
+/// a frontier extends what it holds, so one left over from the previous
+/// trial would answer for that trial's log). Return it with
+/// [`put_frontier`] under the same role.
+pub(crate) fn take_frontier(which: FrontierBuf) -> Frontier {
+    let mut f =
+        TRIAL_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().frontiers[which as usize]));
+    f.clear();
+    f
+}
+
+/// Returns a frontier to its slot.
+pub(crate) fn put_frontier(which: FrontierBuf, f: Frontier) {
+    TRIAL_SCRATCH.with(|s| s.borrow_mut().frontiers[which as usize] = f);
 }
 
 /// Takes the pooled trial DAG, reset to the genesis-only state for `n`
@@ -164,14 +181,25 @@ mod tests {
 
     #[test]
     fn id_slots_are_separate_and_come_back_empty() {
-        let mut parents = take_ids(IdBuf::Parents);
+        let mut parents = take_parents();
         parents.extend([GENESIS; 100]);
         let cap = parents.capacity();
-        put_ids(IdBuf::Parents, parents);
-        assert_eq!(take_ids(IdBuf::MemoTips).capacity(), 0, "another slot");
-        let back = take_ids(IdBuf::Parents);
+        put_parents(parents);
+        let mut store = am_core::BlockStore::new();
+        store.push(NodeId(0), [0], Time::new(1.0));
+        let mut view = take_frontier(FrontierBuf::View);
+        view.extend_to(&store, 2);
+        put_frontier(FrontierBuf::View, view);
+        let other = take_frontier(FrontierBuf::Adversary);
+        assert!(other.tips().is_empty(), "another slot");
+        put_frontier(FrontierBuf::Adversary, other);
+        // A frontier comes back cleared: the next trial's log starts over.
+        let view = take_frontier(FrontierBuf::View);
+        assert!(view.tips().is_empty() && view.deepest().is_empty());
+        put_frontier(FrontierBuf::View, view);
+        let back = take_parents();
         assert!(back.is_empty() && back.capacity() == cap);
-        put_ids(IdBuf::Parents, back);
+        put_parents(back);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! Adversaries stay omniscient under both (they read the log itself).
 
 use crate::params::ViewPolicy;
-use crate::scratch::{self, IdBuf};
-use am_core::{BlockStore, MsgId, Time};
+use crate::scratch::{self, FrontierBuf};
+use am_core::{BlockStore, Frontier, MsgId, Time};
 
 /// The Δ-interval containing `at`.
 pub(crate) fn interval_of(at: Time, delta: f64) -> u64 {
@@ -57,13 +57,11 @@ pub(crate) struct SharedLog {
     /// and the log length when it began.
     interval: u64,
     boundary_len: usize,
-    /// Tips and deepest blocks of the prefix of length `memo_prefix` —
-    /// both are functions of the prefix length alone, and a snapshot
-    /// prefix moves once per Δ, not once per grant. The two buffers are
-    /// pooled per thread across trials.
-    memo_prefix: usize,
-    memo_tips: Vec<MsgId>,
-    memo_deepest: Vec<MsgId>,
+    /// Tips and deepest blocks of the visible prefix, grown as it moves.
+    /// The log only grows with non-decreasing arrivals and neither policy
+    /// rewinds, so the prefix never shrinks and each row enters once.
+    /// Pooled per thread across trials.
+    frontier: Frontier,
 }
 
 impl SharedLog {
@@ -75,9 +73,7 @@ impl SharedLog {
             now: Time::ZERO,
             interval: 0,
             boundary_len: 1,
-            memo_prefix: 0,
-            memo_tips: scratch::take_ids(IdBuf::MemoTips),
-            memo_deepest: scratch::take_ids(IdBuf::MemoDeepest),
+            frontier: scratch::take_frontier(FrontierBuf::View),
         }
     }
 
@@ -91,21 +87,17 @@ impl SharedLog {
         }
     }
 
-    /// Recomputes the memo if the visible prefix moved since it was taken.
+    /// Extends the frontier over the rows the visible prefix gained since
+    /// the last read.
     fn refresh(&mut self, log: &BlockStore) {
         let prefix = self.prefix(log);
-        if prefix != self.memo_prefix {
-            self.memo_prefix = prefix;
-            log.tips_of_prefix_into(prefix, &mut self.memo_tips);
-            log.deepest_in_prefix_into(prefix, &mut self.memo_deepest);
-        }
+        self.frontier.extend_to(log, prefix);
     }
 }
 
 impl Drop for SharedLog {
     fn drop(&mut self) {
-        scratch::put_ids(IdBuf::MemoTips, std::mem::take(&mut self.memo_tips));
-        scratch::put_ids(IdBuf::MemoDeepest, std::mem::take(&mut self.memo_deepest));
+        scratch::put_frontier(FrontierBuf::View, std::mem::take(&mut self.frontier));
     }
 }
 
@@ -132,12 +124,12 @@ impl Visibility for SharedLog {
     fn tips_into(&mut self, _node: usize, log: &BlockStore, out: &mut Vec<MsgId>) {
         self.refresh(log);
         out.clear();
-        out.extend_from_slice(&self.memo_tips);
+        out.extend_from_slice(self.frontier.tips());
     }
 
     fn deepest<'a>(&'a mut self, _node: usize, log: &BlockStore) -> &'a [MsgId] {
         self.refresh(log);
-        &self.memo_deepest
+        self.frontier.deepest()
     }
 }
 
@@ -182,6 +174,67 @@ mod tests {
         view.tips_into(0, &log, &mut tips);
         assert_eq!(tips, vec![MsgId(5)]);
         assert_eq!(view.deepest(0, &log), &[MsgId(5)]);
+    }
+
+    /// Tips and deepest blocks of the first `prefix` blocks of `log`, by
+    /// plain scans of the whole prefix.
+    fn rescan(log: &BlockStore, prefix: usize) -> (Vec<MsgId>, Vec<MsgId>) {
+        let mut referenced = vec![false; prefix];
+        for i in 0..prefix {
+            for &p in log.parents_of(i) {
+                referenced[p as usize] = true;
+            }
+        }
+        let max = (0..prefix).map(|i| log.depth_of(i)).max().unwrap();
+        let ids = |keep: &dyn Fn(usize) -> bool| {
+            let kept = (0..prefix).filter(|&i| keep(i));
+            kept.map(|i| MsgId(i as u64)).collect()
+        };
+        (ids(&|i| !referenced[i]), ids(&|i| log.depth_of(i) == max))
+    }
+
+    #[test]
+    fn the_grown_view_matches_a_rescan_of_its_prefix() {
+        use rand::{Rng, SeedableRng};
+        // Each policy twice, so every view after the first takes the
+        // thread's pooled frontier back from a trial over another log.
+        for policy in [ViewPolicy::IntervalSnapshot, ViewPolicy::LaggedDelta].repeat(2) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(policy as u64);
+            let mut log = BlockStore::new();
+            let mut view = SharedLog::new(policy, 1.0);
+            let (mut now, mut seen) = (0.0, 1);
+            for step in 1..400u32 {
+                now += rng.gen_range(0.0..0.4);
+                let mut parents: Vec<u32> = (0..rng.gen_range(1..=3))
+                    .map(|_| rng.gen_range(step.saturating_sub(8)..step))
+                    .collect();
+                parents.sort_unstable();
+                parents.dedup();
+                log.push(NodeId(0), parents, Time::new(now));
+                // A withheld burst fires at an earlier time now and then.
+                let at = if rng.gen_bool(0.2) {
+                    now - rng.gen_range(0.0..3.0)
+                } else {
+                    now
+                };
+                view.advance_to(Time::new(at.max(0.0)), &log);
+                let prefix = view.prefix(&log);
+                assert!(prefix >= seen, "{policy:?} step {step}: the view rewound");
+                seen = prefix;
+                if rng.gen_bool(0.6) {
+                    let (tips, deepest) = rescan(&log, prefix);
+                    let mut out = vec![GENESIS; 3];
+                    view.tips_into(0, &log, &mut out);
+                    assert_eq!(out, tips, "{policy:?} step {step}: tips");
+                    assert_eq!(
+                        view.deepest(1, &log),
+                        deepest,
+                        "{policy:?} step {step}: deepest"
+                    );
+                }
+            }
+            assert!(seen > 100, "{policy:?}: the view barely moved ({seen})");
+        }
     }
 
     #[test]

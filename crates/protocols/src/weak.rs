@@ -26,7 +26,7 @@ use crate::chain::{canonical_chain, extend};
 use crate::dag::{append, read, select_chain, values_of, DagRule};
 use crate::params::{Params, ViewPolicy};
 use crate::schedule::{one_shot_budget, GrantSchedule};
-use crate::scratch::{self, IdBuf};
+use crate::scratch;
 use crate::trial_dag::TrialDag;
 use crate::view::{SharedLog, Visibility};
 use am_core::{DagRead, MsgId, Sign, Value};
@@ -56,7 +56,7 @@ pub struct StaggeredTrial {
 pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> StaggeredTrial {
     assert!(ttl_factor >= 1.0);
     let mut dag = scratch::take_dag(p.n);
-    let mut tips = scratch::take_ids(IdBuf::Parents);
+    let mut tips = scratch::take_parents();
     let mut sched = GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/dag_stalled");
     let mut shared = SharedLog::new(p.view_policy, p.delta);
 
@@ -95,7 +95,7 @@ pub fn run_dag_staggered(p: &Params, rule: DagRule, ttl_factor: f64) -> Staggere
     // Late decider: reads after the release (one Δ of skew).
     let late = read(&mut dag, rule, |dag, _, order| decide_on(p, dag, order));
 
-    scratch::put_ids(IdBuf::Parents, tips);
+    scratch::put_parents(tips);
     scratch::put_dag(dag);
     StaggeredTrial {
         early,
@@ -220,7 +220,7 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
     assert!(ttl_factor >= 1.0);
     let n_corr = p.n_correct();
     let mut dag = scratch::take_dag(p.n);
-    let mut tips = scratch::take_ids(IdBuf::Parents);
+    let mut tips = scratch::take_parents();
     let mut sched = GrantSchedule::new(p, ttl_factor, one_shot_budget(p), "protocols/dag_stalled");
     let mut shared = SharedLog::new(p.view_policy, p.delta);
 
@@ -283,7 +283,7 @@ pub fn run_dag_multinode(p: &Params, rule: DagRule, ttl_factor: f64) -> MultiTri
         }
     }
 
-    scratch::put_ids(IdBuf::Parents, tips);
+    scratch::put_parents(tips);
     scratch::put_dag(dag);
     let first = decisions.iter().flatten().next().copied();
     let agreement = decisions.iter().all(|d| d.is_some()) && decisions.iter().all(|d| *d == first);
