@@ -7,8 +7,8 @@
 # to pick the event queue's lane or the link table's representation, a
 # link-keyed map beside the `LinkTable` or a pairing heap, or a
 # second copy of a trial's graph beside its `TrialDag` or of any DAG's
-# columns beside its `BlockStore`, or a listed stabilizer in the
-# model checker's canonicalizer, or a process spawn in the experiments
+# columns beside its `BlockStore`, or a listed stabilizer or a second
+# `canonicalize` pass in the model checker, or a process spawn in the experiments
 # harness, or a second shipped `Transport` impl, or a second serving
 # load harness beside `benchmark/`'s or the histograms it alone read, or
 # a second chain-rule dispatch or `Params` constructor.
@@ -152,6 +152,16 @@ if shipped crates/sched/src/search.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E 'Vec<\[u8; ?MAX_N\]>'; then
   echo "error: a materialised permutation list in search.rs — canonicalize by refinement; the list is the test-side spec (DESIGN.md §14)" >&2
+  exit 1
+fi
+# `canonicalize` is the one entry point: the representative, its encoding,
+# the winning permutation and the `moved` mask all come out of the one
+# refinement search. A second `canonicalize*` fn would be a second pass
+# (or a listed group) computing the mask apart from the search it describes.
+canon_fns=$(shipped crates/sched/src/search.rs | grep -E '\bfn canonicalize[A-Za-z0-9_]*' || true)
+if [ "$(printf '%s' "$canon_fns" | grep -c .)" -ne 1 ]; then
+  printf '%s\n' "$canon_fns" >&2
+  echo "error: search.rs must have exactly one canonicalize-prefixed fn — the moved mask comes out of the one refinement search, not a second pass or a listed group (DESIGN.md §14)" >&2
   exit 1
 fi
 # On one box `--workers` runs its shards on scoped threads inside

@@ -24,7 +24,9 @@
 //!   explored. The orbit minimum is found by individualizing one
 //!   position at a time and refining the rest of the partition by the
 //!   placed node's row ([`Stabilizer`]); the group is never listed and no
-//!   permuted state but the winner is ever built.
+//!   permuted state but the winner is ever built. The same search reports
+//!   which positions the state's symmetry moves ([`Canonical::moved`]); a
+//!   decision by a node at any other position skips canonicalization.
 //! * **Partial-order reduction** — sleep sets over the commutation
 //!   structure of the append memory (reads/appends/decides by distinct
 //!   nodes commute unless an append changes what the other node would
@@ -384,13 +386,17 @@ impl Part {
 }
 
 /// The best leaf (rows valid below `known`, `n + 1` once a leaf is stored;
-/// the tail once `tail` is set) and the memo of [`twins`].
+/// the tail once `tail` is set), the memo of [`twins`], the positions where
+/// leaves tied with the best on every row differ from it (`ties`), and the
+/// nodes of the twin pairs pruned so far (`pruned`).
 struct Best {
     enc: Enc,
     known: usize,
     tail: bool,
     inv: u64,
     twins: [u64; 2],
+    ties: u8,
+    pruned: u8,
 }
 
 impl Best {
@@ -405,6 +411,22 @@ impl Best {
         }
         true
     }
+}
+
+/// What [`Stabilizer::canonicalize`] finds for a state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Canonical {
+    /// The orbit's representative: the permuted state with the least
+    /// encoding (arena ids ride along).
+    pub state: CState,
+    /// Its encoding.
+    pub enc: [u64; ENC_WORDS],
+    /// The first minimal permutation in list order: node `v` of the input
+    /// state is node `perm[v]` of the representative.
+    pub perm: [u8; MAX_N],
+    /// Bit `k` is set iff some stabilizer element that fixes the
+    /// representative's `logh` words and rows moves its position `k`.
+    pub moved: u8,
 }
 
 /// The stabilizer of an input vector — the permutations of `0..n` that map
@@ -460,13 +482,15 @@ impl Stabilizer {
     }
 
     /// Canonicalizes `s` (whose inputs the stabilizer was built for): the
-    /// permuted state with the least encoding, that encoding, and the first
-    /// such permutation in list order. By refinement (DESIGN.md §14): classes
-    /// start sorted by `logh`; position `k` takes each node `b` of its cell
-    /// in turn, the other cells sorted by `b`'s row for the least row-`k`
-    /// word `b` allows; the least words go on, bar a larger twin's. Leaves
-    /// tied on every row are decided by the tail, then by list order.
-    pub fn canonicalize(&self, s: &CState) -> (CState, [u64; ENC_WORDS], [u8; MAX_N]) {
+    /// permuted state with the least encoding, that encoding, the first such
+    /// permutation in list order, and the positions the representative's
+    /// prefix symmetry moves. By refinement (DESIGN.md §14): classes start
+    /// sorted by `logh`; position `k` takes each node `b` of its cell in
+    /// turn, the other cells sorted by `b`'s row for the least row-`k` word
+    /// `b` allows; the least words go on, bar a larger twin's. Leaves tied on
+    /// every row are decided by the tail, then by list order. The pruned
+    /// twins and the positions where tied leaves differ are `moved`.
+    pub fn canonicalize(&self, s: &CState) -> Canonical {
         let src = encode(s);
         let identity = u64::from_le_bytes(IDENTITY);
         let (inv, cells) = (identity, self.classes);
@@ -484,22 +508,33 @@ impl Stabilizer {
             tail: true,
             inv: identity,
             twins: [0; 2],
+            ties: 0,
+            pruned: 0,
         };
         self.level(&src, root, 0, &mut best);
         let inv = best.inv;
-        if inv == identity {
-            return (*s, src, IDENTITY);
-        }
         let node = |k: usize| byte(inv, k) as usize & 7;
-        let tail = (MAX_N + self.n..ENC_WORDS).filter(|_| !best.tail);
-        tail.for_each(|k| best.enc[k] = permuted_word(&src, inv, k));
-        (0..MAX_N).for_each(|k| best.enc[k] = src[node(k)]);
-        let mut p = IDENTITY;
-        (0..MAX_N).for_each(|k| p[node(k)] = k as u8);
-        // The representative is its encoding read back; only the arena
-        // ids ride along.
-        let logs = std::array::from_fn(|k| s.logs[node(k)]);
-        (decode(&best.enc, logs), best.enc, p)
+        let mut perm = IDENTITY;
+        (0..MAX_N).for_each(|k| perm[node(k)] = k as u8);
+        let pruned = (0..MAX_N).filter(|&v| best.pruned >> v & 1 != 0);
+        let moved = pruned.fold(best.ties, |m, v| m | 1 << perm[v]);
+        let (state, enc) = if inv == identity {
+            (*s, src)
+        } else {
+            let tail = (MAX_N + self.n..ENC_WORDS).filter(|_| !best.tail);
+            tail.for_each(|k| best.enc[k] = permuted_word(&src, inv, k));
+            (0..MAX_N).for_each(|k| best.enc[k] = src[node(k)]);
+            // The representative is its encoding read back; only the arena
+            // ids ride along.
+            let logs = std::array::from_fn(|k| s.logs[node(k)]);
+            (decode(&best.enc, logs), best.enc)
+        };
+        Canonical {
+            state,
+            enc,
+            perm,
+            moved,
+        }
     }
 
     /// Sorts slots `lo..hi` of `part` by `key`, cutting a cell at each change.
@@ -534,7 +569,10 @@ impl Stabilizer {
             let (mut m, mut least) = (0, u64::MAX);
             for j in lo..hi {
                 let y = node(j);
-                if (0..y).any(|x| cell >> x & 1 != 0 && twins(src, &mut best.twins, x, y)) {
+                let twin =
+                    (0..y).find(|&x| cell >> x & 1 != 0 && twins(src, &mut best.twins, x, y));
+                if let Some(x) = twin {
+                    best.pruned |= 1 << x | 1 << y;
                     continue;
                 }
                 let (kid, w) = self.place(src, &part, lo, j);
@@ -584,7 +622,9 @@ impl Stabilizer {
 
     /// The arrangement `inv`, tied with `best` on rows below `k`: its other
     /// rows, then its tail and its key in list order (the images of the
-    /// nodes in class order) decide whether it replaces `best`.
+    /// nodes in class order) decide whether it replaces `best`. A leaf tied
+    /// on every row adds the positions where it differs to `best.ties`; a
+    /// strictly better one starts them afresh.
     fn leaf(&self, src: &Enc, inv: u64, k: usize, best: &mut Best) {
         let seen = inv == best.inv && best.known > self.n;
         if seen || !(k..self.n).all(|k| best.offer(k, permuted_word(src, inv, MAX_N + k))) {
@@ -592,8 +632,11 @@ impl Stabilizer {
         }
         let (tail, n) = (MAX_N + self.n..ENC_WORDS, self.n);
         if best.known <= n {
+            best.ties = 0;
             return (best.known, best.tail, best.inv) = (n + 1, false, inv);
         }
+        let apart = inv ^ best.inv;
+        best.ties |= (0..n).fold(0, |m, k| m | u8::from(byte(apart, k) != 0) << k);
         let fill = |enc: &mut Enc, inv| {
             for k in tail.clone() {
                 enc[k] = permuted_word(src, inv, k);
@@ -632,7 +675,7 @@ pub fn canonical_key(c: &Config, symmetric: bool) -> Vec<u64> {
         return encode(&s).to_vec();
     }
     let inputs: Vec<u8> = c.nodes.iter().map(|st| st.input).collect();
-    Stabilizer::new(&inputs).canonicalize(&s).1.to_vec()
+    Stabilizer::new(&inputs).canonicalize(&s).enc.to_vec()
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,27 +1047,28 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
         collisions: 0,
     };
 
-    let (root, root_enc, _) = stab.canonicalize(&root_raw);
+    let root = stab.canonicalize(&root_raw);
 
     // A revisit whose sleep mask is not a superset of the stored one must
     // be re-explored with the intersection (strictly smaller →
     // terminates).
     let mut visited = Visited::new(opts.exact);
-    let root_fp = fingerprint(&root_enc);
-    let root_config = || root.to_config(n, &arena);
+    let root_fp = fingerprint(&root.enc);
+    let root_config = || root.state.to_config(n, &arena);
     visited.probe(root_fp, 0, root_config, &mut report.collisions);
     report.states = 1;
 
-    // Both frontiers are reused level to level.
-    let mut frontier: Vec<(CState, u8)> = vec![(root, 0)];
-    let mut next: Vec<(CState, u8)> = Vec::new();
+    // Both frontiers are reused level to level. A state rides with its
+    // sleep mask and the positions its prefix symmetry moves.
+    let mut frontier: Vec<(CState, u8, u8)> = vec![(root.state, 0, root.moved)];
+    let mut next: Vec<(CState, u8, u8)> = Vec::new();
     let mut seen_bits = 0u8;
 
     'levels: while !frontier.is_empty() {
         // Room for about as many new states as this level has.
         visited.reserve(frontier.len());
         next.clear();
-        for &(s, sleep) in &frontier {
+        for &(s, sleep, moved) in &frontier {
             // The state's facts, then the moves reduction leaves it.
             let moves = node_moves(proto, &s, &arena, n);
             let bits = s.decision_bits(n);
@@ -1073,21 +1117,33 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
                 } else {
                     0
                 };
-                let (canon, enc, p) = stab.canonicalize(&apply_move(&s, v, mv, n, &mut arena));
+                let succ = apply_move(&s, v, mv, n, &mut arena);
+                // A decision by a node no prefix symmetry moves leaves the
+                // successor its own representative (DESIGN.md §14).
+                let c = match mv {
+                    Move::Decide(_) if moved >> v & 1 == 0 => Canonical {
+                        state: succ,
+                        enc: encode(&succ),
+                        perm: IDENTITY,
+                        moved,
+                    },
+                    _ => stab.canonicalize(&succ),
+                };
                 // The identity is listed first, so any other winner has a
                 // strictly smaller encoding: a different state of the orbit.
-                report.symmetry_folds += u64::from(p != IDENTITY);
+                report.symmetry_folds += u64::from(c.perm != IDENTITY);
                 // Sleep masks name nodes and are relabelled with the state.
-                let sleep = (0..MAX_N).fold(0u8, |mask, u| mask | ((succ_sleep >> u & 1) << p[u]));
-                let config = || canon.to_config(n, &arena);
-                match visited.probe(fingerprint(&enc), sleep, config, &mut report.collisions) {
+                let sleep =
+                    (0..MAX_N).fold(0u8, |mask, u| mask | ((succ_sleep >> u & 1) << c.perm[u]));
+                let config = || c.state.to_config(n, &arena);
+                match visited.probe(fingerprint(&c.enc), sleep, config, &mut report.collisions) {
                     None => {
                         report.states += 1;
                         if report.states > opts.max_states {
                             report.truncated = true;
                             break 'levels;
                         }
-                        next.push((canon, sleep));
+                        next.push((c.state, sleep, c.moved));
                     }
                     Some(stored) => {
                         report.fingerprint_hits += 1;
@@ -1096,7 +1152,7 @@ pub fn search(proto: &dyn AsyncProtocol, init: &Config, opts: &SearchOptions) ->
                         if sleep & *stored != *stored {
                             let inter = sleep & *stored;
                             *stored = inter;
-                            next.push((canon, inter));
+                            next.push((c.state, inter, c.moved));
                         }
                     }
                 }
@@ -1186,8 +1242,8 @@ mod tests {
         // Nodes of a root state look alike within a class: the identity wins.
         for inputs in [&[0, 1][..], &[0, 0, 1, 1], &[1, 0, 1, 0, 1, 0, 1, 0]] {
             let root = CState::from_config(&Config::initial(inputs), &mut LogArena::new());
-            let (canon, enc, p) = Stabilizer::new(inputs).canonicalize(&root);
-            assert_eq!((canon, enc, p), (root, encode(&root), IDENTITY));
+            let c = Stabilizer::new(inputs).canonicalize(&root);
+            assert_eq!((c.state, c.enc, c.perm), (root, encode(&root), IDENTITY));
         }
     }
 

@@ -11,11 +11,18 @@
 //! the 20-word encoding and the chosen permutation must all equal the
 //! spec's: the permutation decides how sleep masks are relabelled, so a
 //! different winner of a tie moves `transitions`, `sleep_skipped` and
-//! `fingerprint_hits`.
+//! `fingerprint_hits`. The `moved` mask must *equal* the positions that
+//! the listed permutations keeping the representative's `logh` words and
+//! rows move: the search skips canonicalizing a decision at an unmoved
+//! position, so a missing bit lets an unfolded successor in, while an
+//! extra one only costs time, which equality alone catches.
 //!
 //! Mutation-checked: each of these edits to `Stabilizer` in `search.rs`
 //! turns this suite red —
 //!
+//! * a pruned twin pair is not added to `moved`;
+//! * the tied-leaf positions are not cleared when a strictly better leaf
+//!   takes over (a safe over-report);
 //! * the twin rule keeps the larger twin (prunes `x` while a larger twin
 //!   `y` is in its cell);
 //! * refinement puts ascending values on ascending positions;
@@ -23,6 +30,11 @@
 //!   word goes on);
 //! * leaves that tie on every row are compared without the packed fields;
 //! * the list-key tie-break is reversed (the last tied leaf wins).
+//!
+//! A level loop that skips canonicalizing every decision, whatever the
+//! mask says, is caught by `reduced_equivalence`'s
+//! `decisions_the_ample_rule_leaves_are_pinned`: with the ample rule on,
+//! no pin here or there moves.
 
 use am_sched::search::{
     state_fingerprint, successors_compact, CState, LogArena, Stabilizer, ENC_WORDS, MAX_N,
@@ -33,6 +45,8 @@ use am_sched::{
 use std::collections::HashSet;
 
 const UNDECIDED: u8 = 0xff;
+
+const IDENTITY: [u8; MAX_N] = [0, 1, 2, 3, 4, 5, 6, 7];
 
 // ---------------------------------------------------------------------------
 // The spec
@@ -94,13 +108,23 @@ fn spec_perms(inputs: &[u8]) -> Vec<[u8; MAX_N]> {
     images
         .iter()
         .map(|image| {
-            let mut p = [0, 1, 2, 3, 4, 5, 6, 7];
+            let mut p = IDENTITY;
             for (&v, &t) in order.iter().zip(image) {
                 p[v] = t;
             }
             p
         })
         .collect()
+}
+
+/// Every position of `r` moved by a listed permutation that keeps its
+/// `logh` words and rows: what `Canonical::moved` must equal.
+fn spec_moved(r: &CState, perms: &[[u8; MAX_N]]) -> u8 {
+    let prefix = |s: &CState| spec_encode(s)[..2 * MAX_N].to_vec();
+    let fixes = |p: &&[u8; MAX_N]| prefix(&spec_apply_perm(r, p)) == prefix(r);
+    perms.iter().filter(fixes).fold(0, |m, p| {
+        (0..MAX_N).fold(m, |m, v| m | u8::from(p[v] as usize != v) << v)
+    })
 }
 
 /// The rule: first minimal permutation in list order wins.
@@ -199,6 +223,7 @@ fn random_state(inputs: &[u8], rng: &mut Rng) -> CState {
 fn matches_the_materialising_spec() {
     let mut rng = Rng(0x5eed_ca11);
     let (mut states, mut folded, mut unequal_logh, mut full_ties) = (0, 0, 0, 0);
+    let mut partly_moved = 0;
     for n in 2..=MAX_N {
         for zeros in 0..=n {
             let order: usize = (1..=zeros).product::<usize>() * (1..=n - zeros).product::<usize>();
@@ -220,12 +245,18 @@ fn matches_the_materialising_spec() {
 
                 let want = spec_canonicalize(&s, &perms);
                 let got = stab.canonicalize(&s);
-                assert_eq!(got.2, want.2, "permutation, inputs {inputs:?}, state {s:?}");
-                assert_eq!(got.1, want.1, "encoding, inputs {inputs:?}, state {s:?}");
-                assert_eq!(got.0, want.0, "state, inputs {inputs:?}, state {s:?}");
+                assert_eq!(
+                    got.perm, want.2,
+                    "permutation, inputs {inputs:?}, state {s:?}"
+                );
+                assert_eq!(got.enc, want.1, "encoding, inputs {inputs:?}, state {s:?}");
+                assert_eq!(got.state, want.0, "state, inputs {inputs:?}, state {s:?}");
+                let moved = spec_moved(&want.0, &perms);
+                assert_eq!(got.moved, moved, "moved, inputs {inputs:?}, state {s:?}");
 
                 states += 1;
                 folded += usize::from(want.2 != perms[0]);
+                partly_moved += usize::from(moved != 0 && moved.count_ones() < n as u32);
                 unequal_logh += usize::from(
                     (0..n)
                         .any(|a| (0..n).any(|b| inputs[a] == inputs[b] && s.logh[a] != s.logh[b])),
@@ -247,13 +278,18 @@ fn matches_the_materialising_spec() {
         "{unequal_logh} states with unequal logh in a class"
     );
     assert!(full_ties >= 100, "{full_ties} fully symmetric states");
+    assert!(
+        partly_moved >= 300,
+        "{partly_moved} states whose prefix symmetry moves some positions only"
+    );
 }
 
 /// The first `cap` distinct states `successors_compact` reaches
 /// breadth-first from `inputs` under the quorum-vote protocol the
 /// benchmark searches (quorum `n / 2 + 1`): the raw successors a search
-/// hands its canonicalizer, ties between twins included.
-fn reachable_states(inputs: &[u8], cap: usize) -> Vec<CState> {
+/// hands its canonicalizer, ties between twins included — with the arena
+/// that holds their logs.
+fn reachable_states(inputs: &[u8], cap: usize) -> (Vec<CState>, LogArena) {
     let n = inputs.len();
     let proto = QuorumVoteProtocol::new(n, n / 2 + 1, 0);
     let mut arena = LogArena::new();
@@ -270,28 +306,79 @@ fn reachable_states(inputs: &[u8], cap: usize) -> Vec<CState> {
             }
         }
     }
-    states
+    (states, arena)
 }
+
+const REACHED: [&[u8]; 3] = [&[0, 0, 1, 1], &[0, 0, 1, 1, 1], &[0, 1, 1, 1, 1, 1]];
 
 #[test]
 fn reachable_states_match_the_materialising_spec() {
-    for inputs in [&[0u8, 0, 1, 1][..], &[0, 0, 1, 1, 1], &[0, 1, 1, 1, 1, 1]] {
-        let states = reachable_states(inputs, 2_000);
+    for inputs in REACHED {
+        let (states, _) = reachable_states(inputs, 2_000);
         let perms = spec_perms(inputs);
         let stab = Stabilizer::new(inputs);
-        let mut folded = 0;
+        let (mut folded, mut partly_moved) = (0, 0);
         for s in &states {
             let want = spec_canonicalize(s, &perms);
             let got = stab.canonicalize(s);
-            assert_eq!(got.2, want.2, "permutation, inputs {inputs:?}, state {s:?}");
-            assert_eq!(got.1, want.1, "encoding, inputs {inputs:?}, state {s:?}");
-            assert_eq!(got.0, want.0, "state, inputs {inputs:?}, state {s:?}");
+            assert_eq!(
+                got.perm, want.2,
+                "permutation, inputs {inputs:?}, state {s:?}"
+            );
+            assert_eq!(got.enc, want.1, "encoding, inputs {inputs:?}, state {s:?}");
+            assert_eq!(got.state, want.0, "state, inputs {inputs:?}, state {s:?}");
+            let moved = spec_moved(&want.0, &perms);
+            assert_eq!(got.moved, moved, "moved, inputs {inputs:?}, state {s:?}");
             folded += usize::from(want.2 != perms[0]);
+            partly_moved += usize::from(moved != 0 && moved.count_ones() < inputs.len() as u32);
         }
         assert!(
             states.len() >= 1_000 && folded >= states.len() / 4,
             "inputs {inputs:?}: {} states, {folded} folded",
             states.len()
+        );
+        assert!(
+            partly_moved >= states.len() / 10,
+            "inputs {inputs:?}: {partly_moved} states whose prefix symmetry moves some positions only"
+        );
+    }
+}
+
+/// What lets the search skip a decision's canonicalization: from a
+/// representative, a `Decide` by a node at a position its prefix symmetry
+/// does not move reaches a state that is its own representative under the
+/// identity, with the same `moved`.
+#[test]
+fn a_decision_at_an_unmoved_position_is_its_own_representative() {
+    for inputs in REACHED {
+        let (states, mut arena) = reachable_states(inputs, 2_000);
+        let n = inputs.len();
+        let proto = QuorumVoteProtocol::new(n, n / 2 + 1, 0);
+        let stab = Stabilizer::new(inputs);
+        let (mut skipped, mut kept) = (0, 0);
+        for s in &states {
+            let r = stab.canonicalize(s);
+            for (v, t) in successors_compact(&proto, &r.state, &mut arena) {
+                if t.decided[v] == r.state.decided[v] {
+                    continue; // not a decision
+                }
+                if r.moved >> v & 1 != 0 {
+                    kept += 1;
+                    continue;
+                }
+                let got = stab.canonicalize(&t);
+                assert_eq!(
+                    (got.state, got.enc, got.perm, got.moved),
+                    (t, spec_encode(&t), IDENTITY, r.moved),
+                    "inputs {inputs:?}, node {v} decides from {:?}",
+                    r.state
+                );
+                skipped += 1;
+            }
+        }
+        assert!(
+            skipped >= 100 && kept >= 30,
+            "inputs {inputs:?}: {skipped} decisions at unmoved positions, {kept} at moved ones"
         );
     }
 }
@@ -312,7 +399,7 @@ fn orbit_mates_share_the_representative() {
             stab.canonicalize(&s),
             stab.canonicalize(&spec_apply_perm(&s, &p)),
         );
-        assert_eq!(a.1, b.1, "inputs {inputs:?}, perm {p:?}, state {s:?}");
+        assert_eq!(a.enc, b.enc, "inputs {inputs:?}, perm {p:?}, state {s:?}");
     }
 }
 

@@ -310,6 +310,26 @@ fn reduced_search_counters_are_pinned() {
     }
 }
 
+#[test]
+fn decisions_the_ample_rule_leaves_are_pinned() {
+    // Without the ample rule every pending decision is a successor of its
+    // own, and 40 of the 543 here are not their own representative: a
+    // search that skips the canonicalization of a decision its state's
+    // symmetry can move (DESIGN.md §14) stores those unfolded and reads
+    // more states.
+    let mut opts = SearchOptions::reduced(BUDGET);
+    opts.ample_decide = false;
+    let q4 = QuorumVoteProtocol::new(4, 3, 0);
+    let r = search(&q4, &Config::initial(&[0, 0, 1, 1]), &opts);
+    assert_eq!(
+        (counters(&r), r.agreement_violation.is_some()),
+        (
+            (916, 1214, 1304, 0, 283, 299, false, Valency::Bivalent),
+            true
+        )
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Nonforking: the replay-every-state spec
 // ---------------------------------------------------------------------------
