@@ -11,7 +11,8 @@
 # `canonicalize` pass in the model checker, or a process spawn in the experiments
 # harness, or a second shipped `Transport` impl, or a second serving
 # load harness beside `benchmark/`'s or the histograms it alone read, or
-# a second chain-rule dispatch or `Params` constructor.
+# a second chain-rule dispatch or `Params` constructor, or a prefix view or a
+# collected mempool batch on the serving path.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -24,12 +25,14 @@ if shipped crates/*/src/*.rs |
   echo "error: reference twin in src/ — move it test-side (CONTRIBUTING.md)" >&2
   exit 1
 fi
-# Per-message maps are `am_net::hash::{IntMap, IntSet}`; a std map spelled
+# Per-message (and the mempool's per-request) maps are
+# `am_net::hash::{IntMap, IntSet}`; a std map spelled
 # out in these files is a default-hasher one. Comment lines may name them.
-if shipped crates/net/src/sim.rs crates/net/src/stats.rs crates/mp/src/abd.rs crates/mp/src/view.rs |
+if shipped crates/net/src/sim.rs crates/net/src/stats.rs crates/mp/src/abd.rs crates/mp/src/view.rs \
+  crates/node/src/mempool.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\b(HashMap|HashSet|RandomState)\b'; then
-  echo "error: default-hasher map on the per-message path — use am_net::hash::{IntMap, IntSet} (DESIGN.md §10)" >&2
+  echo "error: default-hasher map on the per-message or per-request path — use am_net::hash::{IntMap, IntSet} (DESIGN.md §10)" >&2
   exit 1
 fi
 if shipped crates/net/src/sim.rs |
@@ -202,6 +205,17 @@ if shipped crates/*/src/*.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\btrait OrderingRule\b|\bParamsBuilder\b|\btoken_ttl\b'; then
   echo "error: a second chain-rule dispatch or Params constructor in src/ — dispatch through DagRule, build with Params::new (DESIGN.md §16)" >&2
+  exit 1
+fi
+# The archive's log is append-only, so a serving query reads the messages
+# below its height in place (`Archive::tail_at`); a prefix view per request
+# is what a caller keeps, not what the cluster answers with. The executor
+# drains the mempool one `pop` at a time; a collected batch per append is
+# the `Vec` that path stopped paying for.
+if shipped crates/node/src/cluster.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\b(snapshot_at|take_batch)\('; then
+  echo "error: a prefix view or a collected batch on Cluster::handle's path — read with Archive::tail_at, drain with Mempool::pop (DESIGN.md §11)" >&2
   exit 1
 fi
 for f in crates/node/src/loadgen.rs examples/loadgen.rs; do

@@ -7,8 +7,11 @@
 //! buys nothing there and its ~20 ns per lookup is most of the lookup.
 //! [`IntHasher`] is one multiply and one xor-shift per integer written,
 //! with no per-process key: the same keys land in the same buckets in
-//! every run. Maps keyed by input from outside the program (request
-//! authors in `am-node`'s mempool) keep the default hasher.
+//! every run. `am-node`'s mempool keys its author table by it too: the
+//! request API is served in-process, so its clients are part of the
+//! program. The hasher is invertible, so a client could pick authors
+//! that share a bucket; a front end that takes requests from outside the
+//! program would key that table by the default hasher again.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

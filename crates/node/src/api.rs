@@ -50,7 +50,8 @@ pub struct TipReq {
     pub node: u64,
 }
 
-/// Archive snapshot at a height — served locally, O(chunks).
+/// Archive snapshot at a height — served locally from the archive's log:
+/// the height's digest and the last 8 messages below it, read in place.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotAtReq {
     /// The node whose archive is queried.

@@ -5,18 +5,22 @@
 //! API three query shapes the raw protocol state can't serve cheaply:
 //!
 //! * **Snapshot at height** — [`Archive::snapshot_at`] is
-//!   [`MpView::prefix`], and [`Archive::snapshot`] a clone. With H
-//!   messages archived:
+//!   [`MpView::prefix`], and [`Archive::snapshot`] a clone: views a
+//!   caller keeps while the log grows. A query that only reads a few
+//!   messages below a height takes [`Archive::tail_at`] instead, which
+//!   reads the live log in place: the log is append-only, so its
+//!   positions below `h` are the prefix of height `h`, now and later.
+//!   With H messages archived:
 //!
 //!   | | 128-message chunk list (before) | radix vector |
 //!   |---|---|---|
 //!   | `snapshot` (clone), and dropping it | H/128 refcounts each | 2 refcounts |
 //!   | `snapshot_at(h)` (prefix) | h/128 refcounts + ≤ 127 messages copied | O(log H) refcounts + less than one leaf of messages copied |
 //!   | `sync_from` per new message (push) | O(1) amortized | O(1) amortized |
-//!   | `tail(k)` seek (`iter_from`) | O(1) | O(1) near the tip, O(log H) below |
+//!   | `tail_at(h, k)` (in place: a seek, then k messages) | O(1) seek | O(1) seek near the tip, O(log H) below; nothing copied or refcounted |
 //!
-//! * **Cheap tail** — [`Archive::tail`] seeks with [`MpView::iter_from`];
-//!   [`Archive::tip`] is the last entry.
+//! * **Cheap tail** — [`Archive::tail_at`] seeks with
+//!   [`MpView::iter_from`]; [`Archive::tip`] is the last entry.
 //! * **Canonical linearization** — [`Archive::linearization_digest`] is
 //!   a pure function of which messages a node holds, independent of
 //!   arrival order. Two nodes whose views have converged — e.g. after a
@@ -116,11 +120,15 @@ impl Archive {
         self.log.clone()
     }
 
-    /// The last `k` decided messages, oldest first. O(k) after the log's
-    /// seek (O(1) inside its newest leaf, O(log history) below).
-    pub fn tail(&self, k: usize) -> Vec<MpMsg> {
-        let start = self.height().saturating_sub(k);
-        self.log.iter_from(start).copied().collect()
+    /// The last `k` messages of the prefix of height `height` (clamped),
+    /// oldest first, read from the live log in place: log positions
+    /// `[height − k, height)`. Exact for any height, because the log is
+    /// append-only. O(k) after the log's seek (O(1) inside its newest
+    /// leaf, O(log history) below); copies and allocates nothing.
+    pub fn tail_at(&self, height: usize, k: usize) -> impl Iterator<Item = &MpMsg> + '_ {
+        let height = height.min(self.height());
+        let start = height.saturating_sub(k);
+        self.log.iter_from(start).take(height - start)
     }
 
     /// Rolling append-order digest at `height` (1-based: the digest after
@@ -208,12 +216,22 @@ mod tests {
         assert_eq!(ar.sync_from(&view(&msgs)), 200);
         assert_eq!(ar.height(), 300);
         assert_eq!(ar.tip(), Some(msgs[299]));
-        assert_eq!(ar.tail(5), msgs[295..].to_vec());
-        assert_eq!(ar.tail(1000), msgs, "tail clamps to the whole log");
-        // Snapshot-at-height equals the prefix, at every tested height.
-        for h in [0, 1, 99, 128, 300, 999] {
+        let tail_at = |h, k| ar.tail_at(h, k).copied().collect::<Vec<_>>();
+        assert_eq!(tail_at(300, 5), msgs[295..].to_vec());
+        assert_eq!(tail_at(300, 1000), msgs, "tail clamps to the whole log");
+        // Snapshot-at-height equals the prefix, and the in-place tail at
+        // a height equals that prefix's own tail, at every tested height.
+        for h in [0, 1, 7, 8, 9, 63, 64, 65, 99, 128, 300, 999] {
             let want = &msgs[..h.min(300)];
-            assert_eq!(ar.snapshot_at(h).to_vec(), want, "snapshot_at({h})");
+            let snap = ar.snapshot_at(h);
+            assert_eq!(snap.to_vec(), want, "snapshot_at({h})");
+            for k in [0, 1, 8, 64, 1000] {
+                let from_snap: Vec<MpMsg> = snap
+                    .iter_from(snap.len().saturating_sub(k))
+                    .copied()
+                    .collect();
+                assert_eq!(tail_at(h, k), from_snap, "tail_at({h}, {k})");
+            }
         }
     }
 
@@ -269,7 +287,8 @@ mod tests {
         let ar = Archive::new();
         assert!(ar.is_empty());
         assert_eq!(ar.tip(), None);
-        assert_eq!(ar.tail(3), Vec::new());
+        assert_eq!(ar.tail_at(0, 3).count(), 0);
+        assert_eq!(ar.tail_at(5, 3).count(), 0, "past the end clamps");
         assert_eq!(ar.digest_at(0), Some(0));
         assert_eq!(ar.linearization_digest(), 0);
         assert_eq!(ar.snapshot_at(5).len(), 0);

@@ -32,6 +32,9 @@ use crate::mempool::{Mempool, MempoolConfig, MempoolError, PendingAppend};
 use am_mp::{MpError, MpSystem, Payload};
 use am_net::{NetConfig, SimNet};
 
+/// Messages a snapshot answer carries: the last ones below its height.
+const SNAPSHOT_TAIL: usize = 8;
+
 /// How to build a cluster.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
@@ -164,7 +167,7 @@ impl Cluster {
         wanted_ticket: crate::mempool::Ticket,
     ) -> Result<AppendedResp, ApiError> {
         let mut wanted: Result<AppendedResp, ApiError> = Err(ApiError::Stalled);
-        for (ticket, entry) in self.mempool.take_batch(usize::MAX) {
+        while let Some((ticket, entry)) = self.mempool.pop() {
             let PendingAppend { author, seq, value } = entry;
             let node = (author as usize) % self.n();
             let outcome = match self.sys.append(node, value) {
@@ -195,6 +198,20 @@ impl Cluster {
             MempoolError::Gap { expected, got, .. } => ApiError::Gap(GapInfo { expected, got }),
             MempoolError::Duplicate { seq, .. } => ApiError::Duplicate(DupInfo { seq }),
         }
+    }
+
+    /// A snapshot answer at `height` (≤ the archived height): its digest
+    /// and the last [`SNAPSHOT_TAIL`] messages below it, read from the
+    /// archive's log in place — no prefix view is built.
+    fn snapshot_resp(ar: &Archive, height: usize, digest: u64) -> Response {
+        Response::Snapshot(SnapshotResp {
+            height: height as u64,
+            digest,
+            tail: ar
+                .tail_at(height, SNAPSHOT_TAIL)
+                .map(|m| ApiMsg::from(*m))
+                .collect(),
+        })
     }
 
     /// Answers one request. Synchronous: returns once the operation
@@ -252,16 +269,8 @@ impl Cluster {
                 let node = self.node_of(r.node)?;
                 let ar = &self.archives[node];
                 let height = (r.height as usize).min(ar.height());
-                let snap = ar.snapshot_at(height);
-                let tail_start = height.saturating_sub(8);
-                Ok(Response::Snapshot(SnapshotResp {
-                    height: height as u64,
-                    digest: ar.digest_at(height).expect("height clamped"),
-                    tail: snap
-                        .iter_from(tail_start)
-                        .map(|m| ApiMsg::from(*m))
-                        .collect(),
-                }))
+                let digest = ar.digest_at(height).expect("height clamped");
+                Ok(Self::snapshot_resp(ar, height, digest))
             }
             Request::Linearize(r) => {
                 let node = self.node_of(r.node)?;
@@ -283,17 +292,11 @@ impl Cluster {
             Request::SnapshotAtFinal(r) => {
                 let node = self.node_of(r.node)?;
                 let ar = &self.archives[node];
-                let height = ar.finalized_height();
-                let snap = ar.snapshot_at(height);
-                let tail_start = height.saturating_sub(8);
-                Ok(Response::Snapshot(SnapshotResp {
-                    height: height as u64,
-                    digest: ar.finalized_digest(),
-                    tail: snap
-                        .iter_from(tail_start)
-                        .map(|m| ApiMsg::from(*m))
-                        .collect(),
-                }))
+                Ok(Self::snapshot_resp(
+                    ar,
+                    ar.finalized_height(),
+                    ar.finalized_digest(),
+                ))
             }
             Request::Stats => Ok(Response::Stats(StatsResp {
                 nodes: self.n() as u64,

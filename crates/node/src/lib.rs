@@ -12,9 +12,10 @@
 //!   schedules — drops, partitions — apply to a *running* cluster), and
 //!   each node's decided history lands in its archive.
 //! * [`archive`] — decided history on the persistent `MpView` log:
-//!   snapshot-at-height in O(log history), cheap tail and tip, rolling
-//!   per-height digests, and an O(1) order-independent linearization
-//!   digest that converged nodes agree on.
+//!   snapshot-at-height in O(log history), an in-place tail below any
+//!   height, the tip, rolling per-height digests, and an O(1)
+//!   order-independent linearization digest that converged nodes agree
+//!   on.
 //! * [`runtime`] + [`api`] — the cluster behind a thread, serving the
 //!   JSON-serializable [`api::Request`]/[`api::Response`] pairs to any
 //!   number of concurrent client threads over an in-process transport.

@@ -5,9 +5,10 @@
 //! `tests/mempool_props.rs`) relies on:
 //!
 //! * **Deterministic admission order.** Every admitted append gets a
-//!   monotone [`Ticket`]; [`Mempool::take_batch`] drains strictly in
-//!   ticket order. No hash-map iteration order leaks into behaviour, so
-//!   the same submission script always yields the same execution order.
+//!   monotone [`Ticket`]; [`Mempool::pop`] (and [`Mempool::take_batch`],
+//!   repeated pops) drains strictly in ticket order. No hash-map
+//!   iteration order leaks into behaviour, so the same submission script
+//!   always yields the same execution order.
 //! * **Per-author ordering is never violated.** An author's appends are
 //!   admitted only at contiguous sequence numbers (`expected`, then
 //!   `expected + 1`, ...). A gap or a replay is rejected with a typed
@@ -17,7 +18,7 @@
 //!   allowance) is full, `insert` returns [`MempoolError::Full`] /
 //!   [`MempoolError::AuthorFull`] and the pool is untouched — admitted
 //!   entries are never silently displaced by new traffic. Space is only
-//!   reclaimed by execution ([`Mempool::take_batch`]) or by the explicit,
+//!   reclaimed by execution ([`Mempool::pop`]) or by the explicit,
 //!   deterministic eviction lane ([`Mempool::evict_oldest`]).
 //!
 //! Eviction cascades by author: evicting an author's oldest pending
@@ -25,7 +26,9 @@
 //! otherwise leave a sequence gap) and rolls the author's expected
 //! sequence back, so the author can resubmit from the evicted point.
 
-use std::collections::{BTreeMap, HashMap};
+use am_net::hash::IntMap;
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 
 /// Admission ticket: the position in the global admission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -126,12 +129,14 @@ struct AuthorState {
 }
 
 /// The pool. Entries live in a ticket-ordered map — the single total
-/// order behind admission, draining, and eviction.
+/// order behind admission, draining, and eviction. The author table is
+/// only ever looked up by key, never iterated, so its hasher cannot leak
+/// into any order.
 pub struct Mempool {
     cfg: MempoolConfig,
     next_ticket: u64,
     entries: BTreeMap<Ticket, PendingAppend>,
-    authors: HashMap<u64, AuthorState>,
+    authors: IntMap<u64, AuthorState>,
     obs_admitted: am_obs::Counter,
     obs_rejected: am_obs::Counter,
     obs_evicted: am_obs::Counter,
@@ -144,7 +149,7 @@ impl Mempool {
             cfg,
             next_ticket: 0,
             entries: BTreeMap::new(),
-            authors: HashMap::new(),
+            authors: IntMap::default(),
             obs_admitted: am_obs::counter("node.mempool.admitted"),
             obs_rejected: am_obs::counter("node.mempool.rejected"),
             obs_evicted: am_obs::counter("node.mempool.evicted"),
@@ -176,88 +181,87 @@ impl Mempool {
         self.authors.get(&author).map_or(0, |a| a.next_seq)
     }
 
-    fn check_capacity(&self, author: u64) -> Result<(), MempoolError> {
-        if self.entries.len() >= self.cfg.capacity {
-            return Err(MempoolError::Full {
+    /// Admits `author`'s append at `seq`, or at the author's expected
+    /// sequence when `seq` is `None`, with one author-table lookup.
+    /// Checks a replay or gap first, then capacity; a rejection leaves
+    /// the pool — author table included — untouched.
+    fn admit(
+        &mut self,
+        author: u64,
+        seq: Option<u64>,
+        value: i8,
+    ) -> Result<(Ticket, u64), MempoolError> {
+        let slot = self.authors.entry(author);
+        let st = match &slot {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(_) => AuthorState::default(),
+        };
+        let seq = seq.unwrap_or(st.next_seq);
+        let verdict = if seq < st.next_seq {
+            Err(MempoolError::Duplicate { author, seq })
+        } else if seq > st.next_seq {
+            Err(MempoolError::Gap {
+                author,
+                expected: st.next_seq,
+                got: seq,
+            })
+        } else if self.entries.len() >= self.cfg.capacity {
+            Err(MempoolError::Full {
                 capacity: self.cfg.capacity,
-            });
-        }
-        if self.pending_of(author) >= self.cfg.per_author_cap {
-            return Err(MempoolError::AuthorFull {
+            })
+        } else if st.pending >= self.cfg.per_author_cap {
+            Err(MempoolError::AuthorFull {
                 author,
                 cap: self.cfg.per_author_cap,
-            });
+            })
+        } else {
+            Ok(())
+        };
+        if let Err(e) = verdict {
+            self.obs_rejected.inc();
+            return Err(e);
         }
-        Ok(())
-    }
-
-    fn admit(&mut self, entry: PendingAppend) -> Ticket {
+        let st = slot.or_default();
+        st.next_seq = seq + 1;
+        st.pending += 1;
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
-        self.entries.insert(ticket, entry);
-        let st = self.authors.entry(entry.author).or_default();
-        st.next_seq = entry.seq + 1;
-        st.pending += 1;
+        self.entries
+            .insert(ticket, PendingAppend { author, seq, value });
         self.obs_admitted.inc();
-        ticket
+        Ok((ticket, seq))
     }
 
     /// Admits an append at an explicit sequence number. Rejects (typed,
     /// state untouched) on capacity, a per-author gap, or a replay.
     pub fn insert(&mut self, entry: PendingAppend) -> Result<Ticket, MempoolError> {
-        let expected = self.next_seq(entry.author);
-        if entry.seq < expected {
-            self.obs_rejected.inc();
-            return Err(MempoolError::Duplicate {
-                author: entry.author,
-                seq: entry.seq,
-            });
-        }
-        if entry.seq > expected {
-            self.obs_rejected.inc();
-            return Err(MempoolError::Gap {
-                author: entry.author,
-                expected,
-                got: entry.seq,
-            });
-        }
-        if let Err(e) = self.check_capacity(entry.author) {
-            self.obs_rejected.inc();
-            return Err(e);
-        }
-        Ok(self.admit(entry))
+        self.admit(entry.author, Some(entry.seq), entry.value)
+            .map(|(ticket, _)| ticket)
     }
 
     /// Admits an append with the sequence number auto-assigned — the lane
     /// concurrent clients use, since the pool (behind the runtime thread)
     /// serializes each author's sequence for them.
     pub fn submit(&mut self, author: u64, value: i8) -> Result<(Ticket, u64), MempoolError> {
-        if let Err(e) = self.check_capacity(author) {
-            self.obs_rejected.inc();
-            return Err(e);
-        }
-        let seq = self.next_seq(author);
-        let ticket = self.admit(PendingAppend { author, seq, value });
-        Ok((ticket, seq))
+        self.admit(author, None, value)
     }
 
-    /// Drains up to `max` entries in admission (ticket) order. Each
-    /// author's entries come out in sequence order because they went in
-    /// that way — the executed prefix never has per-author holes.
+    /// Drains the oldest entry (lowest ticket), if any. Each author's
+    /// entries come out in sequence order because they went in that way
+    /// — the executed prefix never has per-author holes.
+    pub fn pop(&mut self) -> Option<(Ticket, PendingAppend)> {
+        let (ticket, entry) = self.entries.pop_first()?;
+        self.authors
+            .get_mut(&entry.author)
+            .expect("admitted author")
+            .pending -= 1;
+        Some((ticket, entry))
+    }
+
+    /// Drains up to `max` entries in admission (ticket) order: `max`
+    /// [`Mempool::pop`]s, collected.
     pub fn take_batch(&mut self, max: usize) -> Vec<(Ticket, PendingAppend)> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some((&ticket, _)) = self.entries.iter().next() else {
-                break;
-            };
-            let entry = self.entries.remove(&ticket).expect("peeked");
-            self.authors
-                .get_mut(&entry.author)
-                .expect("admitted author")
-                .pending -= 1;
-            out.push((ticket, entry));
-        }
-        out
+        std::iter::from_fn(|| self.pop()).take(max).collect()
     }
 
     /// Evicts at least `min_evicted` entries (if that many are pending)

@@ -21,6 +21,9 @@ enum Action {
     },
     /// Drain up to `max` entries.
     Take { max: usize },
+    /// Drain the oldest entry, if any — what the cluster's executor does
+    /// once per pending append.
+    Pop,
     /// Evict at least `k` oldest entries.
     Evict { k: usize },
 }
@@ -37,6 +40,7 @@ fn action() -> impl Strategy<Value = Action> {
             }
         }),
         (0usize..8).prop_map(|max| Action::Take { max }),
+        Just(Action::Pop),
         (0usize..4).prop_map(|k| Action::Evict { k }),
     ]
 }
@@ -85,11 +89,21 @@ fn run_script(cfg: MempoolConfig, script: &[Action]) -> Trace {
                     .push(mp.insert(PendingAppend { author, seq, value }));
             }
             Action::Take { max } => trace.drained.extend(mp.take_batch(max)),
+            Action::Pop => trace.drained.extend(mp.pop()),
             Action::Evict { k } => trace.evicted.push(mp.evict_oldest(k)),
         }
     }
     trace.final_len = mp.len();
     trace
+}
+
+/// Takes entries that left the pool off the per-author pending model;
+/// returns how many left.
+fn leave(pending: &mut HashMap<u64, usize>, out: Vec<(Ticket, PendingAppend)>) -> usize {
+    for (_, e) in &out {
+        *pending.get_mut(&e.author).expect("admitted author") -= 1;
+    }
+    out.len()
 }
 
 proptest! {
@@ -163,7 +177,9 @@ proptest! {
 
     /// A full pool (or a full author lane) rejects with the right typed
     /// error and never drops an admitted entry: every admitted ticket is
-    /// accounted for as drained, evicted, or still pending.
+    /// accounted for as drained, evicted, or still pending, and each
+    /// author's pending count is the model's (admitted minus left) after
+    /// every action, whichever lane the entries left by.
     #[test]
     fn full_rejects_and_nothing_is_dropped(
         capacity in 1usize..16,
@@ -174,13 +190,17 @@ proptest! {
         let mut mp = Mempool::new(cfg);
         let mut admitted = 0usize;
         let mut left = 0usize;
+        let mut pending: HashMap<u64, usize> = HashMap::new();
         for act in &script {
             match *act {
                 Action::Submit { author, value } => {
                     let was_len = mp.len();
                     let was_author = mp.pending_of(author);
                     match mp.submit(author, value) {
-                        Ok(_) => admitted += 1,
+                        Ok(_) => {
+                            admitted += 1;
+                            *pending.entry(author).or_default() += 1;
+                        }
                         Err(MempoolError::Full { capacity: c }) => {
                             prop_assert_eq!(c, capacity);
                             prop_assert_eq!(was_len, capacity, "Full only at capacity");
@@ -206,6 +226,7 @@ proptest! {
                         Ok(_) => {
                             prop_assert_eq!(seq, expected, "only contiguous seqs admit");
                             admitted += 1;
+                            *pending.entry(author).or_default() += 1;
                         }
                         Err(MempoolError::Gap { expected: e, got, .. }) => {
                             prop_assert!(got > e, "gap means above expected");
@@ -220,10 +241,18 @@ proptest! {
                         }
                     }
                 }
-                Action::Take { max } => left += mp.take_batch(max).len(),
-                Action::Evict { k } => left += mp.evict_oldest(k).len(),
+                Action::Take { max } => left += leave(&mut pending, mp.take_batch(max)),
+                Action::Pop => left += leave(&mut pending, mp.pop().into_iter().collect()),
+                Action::Evict { k } => left += leave(&mut pending, mp.evict_oldest(k)),
             }
             prop_assert!(mp.len() <= capacity, "capacity is an invariant");
+            for author in 0..6 {
+                prop_assert_eq!(
+                    mp.pending_of(author),
+                    pending.get(&author).copied().unwrap_or(0),
+                    "author {}'s pending count", author
+                );
+            }
         }
         prop_assert_eq!(
             admitted, left + mp.len(),
