@@ -176,6 +176,18 @@ if shipped crates/experiments/src/*.rs examples/*.rs |
   echo "error: a process spawn in the experiments harness or an example — the local fan-out is std::thread::scope in coordinate (DESIGN.md, \"Sweep lifecycle\")" >&2
   exit 1
 fi
+# An experiment is a registry entry plus `run(ctx, rep)`: `run_with` opens
+# the report from the entry's id, title and paper reference, and every
+# Monte-Carlo point goes through a `Sweep`, which keeps the points for the
+# sweep record. A report opened, an engine runner taken, a points list
+# kept or a second budget knob asked for in an experiment module states
+# again what the registry and `Sweep` already state.
+if shipped crates/experiments/src/e*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E 'Report::new\(|\.runner\(\)|points\.(push|extend)\(|ctx\.reps\b'; then
+  echo "error: an experiment opens its own report or keeps its own sweep points — take the report run_with opens and funnel points through ctx.sweep() (DESIGN.md, \"Sweep lifecycle\")" >&2
+  exit 1
+fi
 # One shipped transport: `SimNet` is the only `Transport` impl in src/. The
 # reliable reference network and the backlog-checking wrapper substitute
 # for it through the trait from `crates/mp/tests/`.

@@ -14,12 +14,7 @@ use am_sched::{
 use am_stats::Table;
 
 /// Runs E1 (deterministic; the context's seed is unused).
-pub fn run(_ctx: &RunCtx) -> Report {
-    let mut rep = Report::new(
-        "E1",
-        "No 1-resilient asynchronous consensus in the append memory",
-        "Theorem 2.1, Lemmas 2.2-2.3",
-    );
+pub fn run(_ctx: &RunCtx, rep: &mut Report) {
     let zoo: Vec<Box<dyn AsyncProtocol>> = vec![
         Box::new(FirstSeenProtocol::new(3)),
         Box::new(QuorumVoteProtocol::new(3, 3, 0)),
@@ -83,5 +78,4 @@ pub fn run(_ctx: &RunCtx) -> Report {
          construction, so no protocol can extract an ordering the append \
          memory does not provide.",
     );
-    rep
 }

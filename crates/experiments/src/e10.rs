@@ -1,26 +1,14 @@
 //! E10 — the headline crossover: chain resilience decays with the rate,
 //! DAG resilience stays flat near 1/2. "Why BlockDAGs excel blockchains."
 
-use crate::e8::{empirical_resilience, LAMBDA_SWEEP};
+use crate::e8::{chain_bound, empirical_resilience, CHAIN_KINDS, DAG_KINDS, LAMBDA_SWEEP};
 use crate::report::{f, Report};
 use crate::RunCtx;
-use am_protocols::{ChainAdversary, DagAdversary, DagRule, TieBreak, TrialKind};
-use am_stats::theory::chain_resilience_bound;
 use am_stats::{Series, Table};
 
 /// Runs E10.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E10",
-        "Chain vs DAG: the resilience crossover",
-        "Section 5 headline (Theorems 5.4 + 5.6)",
-    );
-    let runner = ctx.runner();
-    let n = 12usize;
-    let k = 41usize;
-    let trials = ctx.budget(300);
-    let tol = 0.25;
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let mut sweep = ctx.sweep();
 
     let mut table = Table::new(
         "resilience vs per-node rate λ (n = 12, worst adversary each)",
@@ -36,45 +24,23 @@ pub fn run(ctx: &RunCtx) -> Report {
     let mut s_dag = Series::new("dag (measured)");
     let mut s_cbound = Series::new("chain 1/(1+λ(n-t*))");
     let mut s_dbound = Series::new("dag 1/2");
-    let mut points = Vec::new();
     for &lambda in &LAMBDA_SWEEP {
-        let chain_kinds = [
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker),
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::Dissenter),
-        ];
-        let dag_kinds = [
-            TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst),
-            TrialKind::Dag(DagRule::LongestChain, DagAdversary::Dissenter),
-        ];
-        let (chain_r, chain_pts) = empirical_resilience(
-            &runner,
+        // Chain, then DAG, per λ: the JSON's sweep record pins this order.
+        let chain_r = empirical_resilience(
+            ctx,
+            &mut sweep,
             &format!("chain/l{lambda}"),
-            n,
             lambda,
-            k,
-            &chain_kinds,
-            trials,
-            tol,
-            seed,
+            &CHAIN_KINDS,
         );
-        let (dag_r, dag_pts) = empirical_resilience(
-            &runner,
+        let dag_r = empirical_resilience(
+            ctx,
+            &mut sweep,
             &format!("dag/l{lambda}"),
-            n,
             lambda,
-            k,
-            &dag_kinds,
-            trials,
-            tol,
-            seed,
+            &DAG_KINDS,
         );
-        points.extend(chain_pts);
-        points.extend(dag_pts);
-        let mut t_star = n as f64 / 3.0;
-        for _ in 0..50 {
-            t_star = n as f64 / (1.0 + lambda * (n as f64 - t_star));
-        }
-        let cbound = chain_resilience_bound(lambda * (n as f64 - t_star));
+        let (_, cbound) = chain_bound(lambda);
         table.row(&[f(lambda), f(chain_r), f(cbound), f(dag_r), f(0.5)]);
         s_chain.push(lambda, chain_r);
         s_dag.push(lambda, dag_r);
@@ -86,12 +52,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     rep.series.push(s_dag);
     rep.series.push(s_cbound);
     rep.series.push(s_dbound);
-    rep.record_sweep("crossover probes", points);
+    rep.record_sweep("crossover probes", sweep.points);
     rep.note(
         "The crossover the title promises: as λ grows, the chain's tolerable \
          Byzantine fraction collapses toward zero while the DAG holds near \
          the optimal 1/2 — the DAG's inclusivity makes its resilience \
          independent of the append rate.",
     );
-    rep
 }

@@ -9,28 +9,8 @@
 
 use crate::report::{f, Report};
 use crate::RunCtx;
-use am_protocols::{run_dag_staggered, trial_seed, DagRule, Params, PointResult, SweepRunner};
+use am_protocols::{run_dag_staggered, trial_seed, DagRule, Params};
 use am_stats::{Series, Summary, Table};
-
-/// Failure = agreement or validity broken across the staggered deciders,
-/// measured through the sweep engine (per-trial seeds derived from the
-/// params seed, so the point is schedule-independent and resumable).
-fn bad_rate(
-    runner: &SweepRunner<'_>,
-    key: &str,
-    p: &Params,
-    ttl_factor: f64,
-    trials: u64,
-) -> PointResult {
-    runner.estimate(key, trials, |i| {
-        let out = run_dag_staggered(
-            &p.with_seed(trial_seed(p.seed, i)),
-            DagRule::LongestChain,
-            ttl_factor,
-        );
-        !(out.agreement && out.validity)
-    })
-}
 
 /// Mean reorg depth over a few staggered runs (a mean, not a Bernoulli
 /// tally — stays outside the engine).
@@ -48,14 +28,9 @@ fn mean_reorg(p: &Params, ttl_factor: f64, reps: u64) -> f64 {
 }
 
 /// Runs E11.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E11",
-        "Temporal asynchrony reduces DAG Byzantine-agreement resilience",
-        "Section 5.3 closing remark (extension experiment)",
-    );
-    let runner = ctx.runner();
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
+    let mut sweep = ctx.sweep();
     let n = 12usize;
     let k = 41usize;
     let lambda = 0.4;
@@ -70,20 +45,25 @@ pub fn run(ctx: &RunCtx) -> Report {
         Series::new("t=3 failure"),
         Series::new("t=4 failure"),
     ];
-    let mut points = Vec::new();
     for &w in &[1.0f64, 2.0, 4.0, 8.0, 16.0] {
         let mut cells = vec![f(w)];
         let mut reorg_t4 = 0.0;
         for (i, &t) in [2usize, 3, 4].iter().enumerate() {
             let p = Params::new(n, t, lambda, k, seed ^ 77);
-            let key = format!("ttl{w}/t{t}");
-            let point = bad_rate(&runner, &key, &p, w, trials);
-            let rate = point.estimate();
-            points.push((key, point));
+            // Failure = agreement or validity broken across the staggered
+            // deciders (per-trial seeds derived from the params seed, so
+            // the point is schedule-independent and resumable).
+            let rate = sweep
+                .estimate(format!("ttl{w}/t{t}"), trials, |i| {
+                    let q = p.with_seed(trial_seed(p.seed, i));
+                    let out = run_dag_staggered(&q, DagRule::LongestChain, w);
+                    !(out.agreement && out.validity)
+                })
+                .estimate();
             cells.push(f(rate));
             series[i].push(w, rate);
             if t == 4 {
-                reorg_t4 = mean_reorg(&p, w, ctx.reps(40));
+                reorg_t4 = mean_reorg(&p, w, ctx.budget(40));
             }
         }
         cells.push(f(reorg_t4));
@@ -91,7 +71,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     }
     rep.tables.push(table);
     rep.series.extend(series);
-    rep.record_sweep("failure vs TTL stretch", points);
+    rep.record_sweep("failure vs TTL stretch", sweep.points);
     rep.note(
         "Stretching the Byzantine token lifetime (the effect of a temporal \
          asynchrony window) deepens the withheld reorg chain linearly and \
@@ -103,5 +83,4 @@ pub fn run(ctx: &RunCtx) -> Report {
         "Contrast with Nakamoto-style consistency [22], which has no fixed \
          decision prefix and therefore tolerates temporary asynchrony.",
     );
-    rep
 }

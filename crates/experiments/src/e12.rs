@@ -11,34 +11,13 @@
 
 use crate::report::{f, Report};
 use crate::RunCtx;
-use am_protocols::{
-    run_chain_staggered, run_dag_staggered, trial_seed, DagRule, Params, PointResult, SweepRunner,
-};
+use am_protocols::{run_chain_staggered, run_dag_staggered, trial_seed, DagRule, Params};
 use am_stats::{Series, Table};
 
-fn disagreement(
-    runner: &SweepRunner<'_>,
-    key: &str,
-    p: &Params,
-    rule: DagRule,
-    trials: u64,
-    seed: u64,
-) -> PointResult {
-    runner.estimate(key, trials, |i| {
-        let out = run_dag_staggered(&p.with_seed(trial_seed(seed, i)), rule, 1.0);
-        !out.agreement
-    })
-}
-
 /// Runs E12.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E12",
-        "Weak agreement: staggered deciders disagree with probability → 0 in k",
-        "Section 1.1 weak properties + Section 5.3 (extension experiment)",
-    );
-    let runner = ctx.runner();
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
+    let mut sweep = ctx.sweep();
     let n = 12usize;
     let lambda = 0.4;
     let trials = ctx.budget(300);
@@ -49,15 +28,15 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_lc = Series::new("longest-chain disagreement");
     let mut s_gh = Series::new("ghost disagreement");
-    let mut points = Vec::new();
     for &k in &[11usize, 21, 41, 81, 161] {
         let p = Params::new(n, 4, lambda, k, 31);
         let mut probe = |label: &str, rule| {
-            let key = format!("k{k}/{label}");
-            let point = disagreement(&runner, &key, &p, rule, trials, seed);
-            let rate = point.estimate();
-            points.push((key, point));
-            rate
+            sweep
+                .estimate(format!("k{k}/{label}"), trials, |i| {
+                    let out = run_dag_staggered(&p.with_seed(trial_seed(seed, i)), rule, 1.0);
+                    !out.agreement
+                })
+                .estimate()
         };
         let lc = probe("longest", DagRule::LongestChain);
         let gh = probe("ghost", DagRule::Ghost);
@@ -83,13 +62,11 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     for &w in &[1.0f64, 4.0, 8.0, 12.0] {
         let p = Params::new(n, 4, lambda, 21, seed ^ 0x12);
-        let chain_key = format!("ttl{w}/chain");
-        let chain_bad = runner.estimate(&chain_key, trials, |i| {
+        let chain_bad = sweep.estimate(format!("ttl{w}/chain"), trials, |i| {
             let c = run_chain_staggered(&p.with_seed(trial_seed(p.seed, i)), w);
             !(c.agreement && c.validity)
         });
-        let dag_key = format!("ttl{w}/dag");
-        let dag_bad = runner.estimate(&dag_key, trials, |i| {
+        let dag_bad = sweep.estimate(format!("ttl{w}/dag"), trials, |i| {
             let d = run_dag_staggered(
                 &p.with_seed(trial_seed(p.seed, i)),
                 DagRule::LongestChain,
@@ -98,11 +75,9 @@ pub fn run(ctx: &RunCtx) -> Report {
             !(d.agreement && d.validity)
         });
         table2.row(&[f(w), f(chain_bad.estimate()), f(dag_bad.estimate())]);
-        points.push((chain_key, chain_bad));
-        points.push((dag_key, dag_bad));
     }
     rep.tables.push(table2);
-    rep.record_sweep("disagreement and asymmetry probes", points);
+    rep.record_sweep("disagreement and asymmetry probes", sweep.points);
     rep.note(
         "Agreement is weak, not absolute: a boundary reorg can flip a \
          small-k prefix, but the disagreement probability decays as k \
@@ -122,5 +97,4 @@ pub fn run(ctx: &RunCtx) -> Report {
          confirming that Algorithm 6's correctness relies on *a* consistent \
          rule rather than a specific one.",
     );
-    rep
 }

@@ -18,17 +18,12 @@ use am_stats::{Series, Summary, Table};
 
 /// Runs E13. Latencies are means, not Bernoulli tallies, so this
 /// experiment stays on plain Summary loops (only `--fast` shrinks them).
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E13",
-        "Decision latency: chain saturates at 1 block/Δ, the DAG scales with λn",
-        "Section 5.3 inclusivity (extension experiment; cf. [14])",
-    );
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
     let n = 12usize;
     let t = 0usize; // latency is a correct-side property; adversaries only add to it
     let k = 41usize;
-    let reps = ctx.reps(40);
+    let reps = ctx.budget(40);
 
     let mut table = Table::new(
         "mean time to decision (n = 12, t = 0, k = 41)",
@@ -83,5 +78,4 @@ pub fn run(ctx: &RunCtx) -> Report {
         "Together with E10 this is the complete case for BlockDAGs: same \
          or better resilience AND rate-proportional latency.",
     );
-    rep
 }

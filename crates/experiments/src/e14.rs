@@ -20,11 +20,11 @@
 //! snapshots are saved as the `e14.netstats.json` side-car document.
 
 use crate::report::{f, Report};
-use crate::RunCtx;
+use crate::{RunCtx, CHAIN_VS_DAG};
 use am_mp::{MpMsg, MpSystem, Payload};
 use am_net::{LatencyModel, NetConfig, SimNet};
 use am_protocols::{
-    run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak, TrialKind,
+    run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
 };
 use am_stats::{Series, Table};
 use serde::Value;
@@ -81,20 +81,15 @@ fn abd_script(
 }
 
 /// Runs E14.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E14",
-        "Fault injection: ABD and chain-vs-DAG guarantees on a lossy network",
-        "Lemmas 4.1-4.2 + Theorems 5.4/5.6 under relaxed delivery (extension)",
-    );
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
 
     let part1 = am_obs::span("abd_drops");
 
     // --- Part 1: ABD under message drops. ---
     let n = 5usize;
     let rounds = 4usize;
-    let trials = ctx.reps(25);
+    let trials = ctx.budget(25);
     let latency = LatencyModel::Exponential { mean: 1_000_000 };
     let mut table2 = Table::new(
         "ABD (n = 5) vs drop rate: stalls rise, safety never breaks",
@@ -211,15 +206,13 @@ pub fn run(ctx: &RunCtx) -> Report {
     let part3 = am_obs::span("chain_vs_dag");
 
     // --- Part 3: chain vs DAG validity as delivery degrades. ---
-    let runner = ctx.runner();
+    let mut sweep = ctx.sweep();
     let pn = 12usize;
     let pt = 4usize;
     let lambda = 0.5;
     let k = 21usize;
     let ptrials = ctx.budget(32);
     let block_latency = LatencyModel::Constant(DELTA_NS / 20); // 0.05 Δ
-    let chain_kind = TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker);
-    let dag_kind = TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst);
 
     let mut table4 = Table::new(
         "validity failure vs drop rate (n = 12, t = 4, λ = 0.5, k = 21)",
@@ -227,7 +220,6 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_chain = Series::new("chain failure vs drop");
     let mut s_dag = Series::new("dag failure vs drop");
-    let mut points = Vec::new();
     for &drop in &[0.0f64, 0.1, 0.2, 0.3, 0.5] {
         let profile = NetConfig::builder()
             .latency(block_latency)
@@ -235,13 +227,7 @@ pub fn run(ctx: &RunCtx) -> Report {
             .build()
             .expect("valid config");
         let p = Params::new(pn, pt, lambda, k, seed ^ 0x14).with_net(profile);
-        let chain_key = format!("drop{drop}/chain");
-        let chain_pt = runner.measure(&chain_key, &p, chain_kind, ptrials);
-        let dag_key = format!("drop{drop}/dag");
-        let dag_pt = runner.measure(&dag_key, &p, dag_kind, ptrials);
-        let (c, d) = (chain_pt.estimate(), dag_pt.estimate());
-        points.push((chain_key, chain_pt));
-        points.push((dag_key, dag_pt));
+        let [c, d] = sweep.row(&format!("drop{drop}"), &p, &CHAIN_VS_DAG, ptrials);
         table4.row(&[f(drop), f(c), f(d), f(c - d)]);
         s_chain.push(drop, c);
         s_dag.push(drop, d);
@@ -253,7 +239,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     // Validity alone understates the damage (heavy drops also strand the
     // adversary's withheld burst); inclusion shows it directly: what
     // fraction of the appended blocks does each structure keep?
-    let inc_trials = ctx.reps(12);
+    let inc_trials = ctx.budget(12);
     let mut table4b = Table::new(
         "block inclusion vs drop rate (kept fraction of all appends)",
         &["drop", "chain kept", "dag kept", "chain orphans/trial"],
@@ -318,17 +304,11 @@ pub fn run(ctx: &RunCtx) -> Report {
             .build()
             .expect("valid config");
         let p = Params::new(pn, pt, lambda, k, seed ^ 0x15).with_net(profile);
-        let chain_key = format!("part{win}/chain");
-        let chain_pt = runner.measure(&chain_key, &p, chain_kind, ptrials);
-        let dag_key = format!("part{win}/dag");
-        let dag_pt = runner.measure(&dag_key, &p, dag_kind, ptrials);
-        let (c, d) = (chain_pt.estimate(), dag_pt.estimate());
-        points.push((chain_key, chain_pt));
-        points.push((dag_key, dag_pt));
+        let [c, d] = sweep.row(&format!("part{win}"), &p, &CHAIN_VS_DAG, ptrials);
         table5.row(&[win.to_string(), f(c), f(d), f(c - d)]);
     }
     rep.tables.push(table5);
-    rep.record_sweep("chain vs dag under faults", points);
+    rep.record_sweep("chain vs dag under faults", sweep.points);
     rep.note(
         "The chain-vs-DAG gap survives moderate faults but narrows as \
          delivery decays: stale views make every correct node fork, which \
@@ -372,7 +352,6 @@ pub fn run(ctx: &RunCtx) -> Report {
         rep.extra_json("e14.netstats.json", body);
         rep.note("Per-link/per-kind network statistics saved as e14.netstats.json.");
     }
-    rep
 }
 
 #[cfg(test)]

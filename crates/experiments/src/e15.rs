@@ -24,11 +24,8 @@
 //! must stall there, and `conflict` must stay false everywhere.
 
 use crate::report::{f, Report};
-use crate::RunCtx;
-use am_protocols::{
-    run_bft, BftAdversary, BftTrial, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
-    TrialKind,
-};
+use crate::{RunCtx, CHAIN_VS_DAG};
+use am_protocols::{run_bft, BftAdversary, BftTrial, Params, TrialKind};
 use am_stats::{Series, Table};
 
 /// Node count for every E15 grid point: quorum 9, tolerance t ≤ 3.
@@ -99,28 +96,17 @@ fn bft_cell(p: &Params, adv: BftAdversary, reps: u64) -> BftCell {
 }
 
 /// Runs E15.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E15",
-        "Embedded BFT finality vs Byzantine fraction, head-to-head with Algs 4-6",
-        "Extension: Schett-Danezis interpretation + Casper-CBC finality over §5 schedules",
-    );
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
 
     // --- Part 1: head-to-head failure sweep under identical schedules. ---
     let part1 = am_obs::span("head_to_head");
-    let runner = ctx.runner();
+    let mut sweep = ctx.sweep();
     let budget = ctx.budget(160);
-    let kinds: [(&str, TrialKind); 4] = [
+    let kinds = [
         ("timestamp", TrialKind::Timestamp),
-        (
-            "chain",
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker),
-        ),
-        (
-            "dag",
-            TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst),
-        ),
+        CHAIN_VS_DAG[0],
+        CHAIN_VS_DAG[1],
         ("bft", TrialKind::Bft(BftAdversary::Equivocator)),
     ];
     let mut table1 = Table::new(
@@ -135,31 +121,20 @@ pub fn run(ctx: &RunCtx) -> Report {
             "bft (stall|conflict)",
         ],
     );
-    let mut points = Vec::new();
     let mut s_bft = Series::new("bft failure vs f");
     let mut s_dag = Series::new("dag failure vs f");
     for &frac in &FRACTIONS {
         let t = byz_count(N, frac);
         let p = Params::new(N, t, LAMBDA, K, seed ^ 0x15);
-        let mut row = vec![f(frac), t.to_string()];
-        for (name, kind) in &kinds {
-            let key = format!("f{frac}/{name}");
-            let pt = runner.measure(&key, &p, *kind, budget);
-            row.push(f(pt.estimate()));
-            if *name == "bft" {
-                s_bft.push(frac, pt.estimate());
-            }
-            if *name == "dag" {
-                s_dag.push(frac, pt.estimate());
-            }
-            points.push((key, pt));
-        }
-        table1.row(&row);
+        let [ts, chain, dag, bft] = sweep.row(&format!("f{frac}"), &p, &kinds, budget);
+        table1.row(&[f(frac), t.to_string(), f(ts), f(chain), f(dag), f(bft)]);
+        s_bft.push(frac, bft);
+        s_dag.push(frac, dag);
     }
     rep.tables.push(table1);
     rep.series.push(s_bft);
     rep.series.push(s_dag);
-    rep.record_sweep("head-to-head vs f", points);
+    rep.record_sweep("head-to-head vs f", sweep.points);
     rep.note(
         "All four columns of each row consume the same TokenAuthority \
          grant schedule (it is a pure function of (n, λ, Δ, byz set, \
@@ -173,7 +148,7 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     // --- Part 2: finality latency/throughput per adversary. ---
     let part2 = am_obs::span("latency");
-    let reps = ctx.reps(24);
+    let reps = ctx.budget(24);
     let mut table2 = Table::new(
         "finality quality vs f per adversary (mean over trials; lag in s)",
         &[
@@ -273,7 +248,6 @@ pub fn run(ctx: &RunCtx) -> Report {
          multi-parent merges as echo broadcasts — finality costs zero \
          extra messages over the append schedule.",
     );
-    rep
 }
 
 #[cfg(test)]

@@ -132,15 +132,10 @@ const COLS: [&str; 8] = [
 ];
 
 /// Runs E16.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E16",
-        "Finalized-prefix growth over a faulty network (drops, dup/reorder, partitions)",
-        "Extension: am-bft per-node oracles over am-net fault schedules",
-    );
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
     let latency = LatencyModel::Constant(DELTA_NS / 20); // 0.05 Δ per hop
-    let reps = ctx.reps(16);
+    let reps = ctx.budget(16);
     let mut conflicts_total = 0u64;
     let mut healed_agree_min = 1.0f64;
 
@@ -298,7 +293,6 @@ pub fn run(ctx: &RunCtx) -> Report {
          a peer's until the next certificate — the chains themselves \
          never diverge.",
     );
-    rep
 }
 
 #[cfg(test)]

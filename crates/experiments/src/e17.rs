@@ -23,10 +23,10 @@
 //!    census diameter, not the link count.
 
 use crate::report::{f, Report};
-use crate::RunCtx;
+use crate::{RunCtx, CHAIN_VS_DAG};
 use am_net::{LatencyModel, NetConfig, Topology};
 use am_protocols::{
-    run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak, TrialKind,
+    run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
 };
 use am_stats::{Series, Table};
 
@@ -73,13 +73,8 @@ fn overlays() -> Vec<(&'static str, NetConfig)> {
 }
 
 /// Runs E17.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E17",
-        "Topology and the chain-vs-DAG gap: orphans track gossip diameter",
-        "Thms 5.4/5.6 over relay and geo overlays (extension)",
-    );
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
     let overlays = overlays();
 
     // --- Part 1: census of the instantiated overlays. ---
@@ -116,7 +111,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     let part2 = am_obs::span("inclusion");
     let lambda = 0.1;
     let k = 15;
-    let reps = ctx.reps(12);
+    let reps = ctx.budget(12);
     let mut table2 = Table::new(
         "honest-only inclusion (t = 0): kept fraction of appends",
         &["topology", "chain kept", "dag kept", "chain orphans/trial"],
@@ -155,11 +150,9 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     // --- Part 3: the gap under attack, per topology. ---
     let _part3 = am_obs::span("validity");
-    let runner = ctx.runner();
+    let mut sweep = ctx.sweep();
     let t = 12; // 25% Byzantine — inside both thresholds at this λ, k
     let trials = ctx.budget(24);
-    let chain_kind = TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker);
-    let dag_kind = TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst);
     let mut table3 = Table::new(
         format!("validity failure under attack (n = {N}, t = {t}, λ = {lambda}, k = {k})"),
         &[
@@ -172,16 +165,9 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_chain = Series::new("chain failure vs overlay diameter");
     let mut s_dag = Series::new("dag failure vs overlay diameter");
-    let mut points = Vec::new();
     for ((name, cfg), diam) in overlays.iter().zip(&diameters) {
         let p = Params::new(N, t, lambda, k, seed ^ 0x1717).with_net(*cfg);
-        let chain_key = format!("{name}/chain");
-        let chain_pt = runner.measure(&chain_key, &p, chain_kind, trials);
-        let dag_key = format!("{name}/dag");
-        let dag_pt = runner.measure(&dag_key, &p, dag_kind, trials);
-        let (c, d) = (chain_pt.estimate(), dag_pt.estimate());
-        points.push((chain_key, chain_pt));
-        points.push((dag_key, dag_pt));
+        let [c, d] = sweep.row(name, &p, &CHAIN_VS_DAG, trials);
         table3.row(&[name.to_string(), diam.to_string(), f(c), f(d), f(c - d)]);
         s_chain.push(*diam as f64, c);
         s_dag.push(*diam as f64, d);
@@ -189,14 +175,13 @@ pub fn run(ctx: &RunCtx) -> Report {
     rep.tables.push(table3);
     rep.series.push(s_chain);
     rep.series.push(s_dag);
-    rep.record_sweep("chain vs dag across overlays", points);
+    rep.record_sweep("chain vs dag across overlays", sweep.points);
     rep.note(
         "The adversary's leverage is the fork supply, and sparse overlays \
          manufacture forks for free: chain failure climbs with diameter \
          while the DAG's inclusion keeps its failure rate nearly flat — \
          the paper's gap widens exactly where real deployments live.",
     );
-    rep
 }
 
 #[cfg(test)]

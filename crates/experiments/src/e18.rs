@@ -131,21 +131,16 @@ fn probe(n: usize, blocks: usize, cfg: &NetConfig, seed: u64) -> ProbeOutcome {
 }
 
 /// Runs E18.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E18",
-        "Planet-scale divergence: geo overlays, bandwidth, fanout gossip",
-        "Section 5 inclusion argument at deployment scale (extension)",
-    );
-    let topology = ctx.topology.unwrap_or_else(default_topology);
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
+    let topology = ctx.opts.topology.unwrap_or_else(default_topology);
     let cfg = net_config(topology);
-    let sizes: &[usize] = if ctx.fast {
+    let sizes: &[usize] = if ctx.opts.fast {
         &[200, 500]
     } else {
         &[500, 2000, 5000]
     };
-    let blocks = ctx.reps(120) as usize;
+    let blocks = ctx.budget(120) as usize;
     rep.note(format!(
         "Overlay {topology} — {} blocks per point at {BLOCKS_PER_DELTA} \
          blocks/Δ global rate, 2–20 ms hops, 20 Mbit/s links, fanout 6.",
@@ -206,7 +201,6 @@ pub fn run(ctx: &RunCtx) -> Report {
          blocks × n × fanout, not n² — the sparse per-link state keeps a \
          5000-node probe in memory proportional to nodes + active links.",
     );
-    rep
 }
 
 #[cfg(test)]

@@ -83,13 +83,7 @@ fn canon_trial(proto: &dyn AsyncProtocol, inputs: &[u8], seed: u64) -> bool {
 /// Runs E19. Parts 1–3 are exhaustive searches (deterministic; the seed
 /// is unused); part 4 funnels its Monte-Carlo audit through the sweep
 /// engine, so it honours `--adaptive`, checkpoints, and `--resume`.
-pub fn run(ctx: &RunCtx) -> Report {
-    let mut rep = Report::new(
-        "E19",
-        "Scaling the model checker: reductions, ablated and audited",
-        "Theorem 2.1 infrastructure; DESIGN.md §14",
-    );
-
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
     // --- Part 1: the reduction stack, one layer at a time. ---
     let _part1 = am_obs::span("ablation");
     let proto = QuorumVoteProtocol::new(4, 3, 0);
@@ -143,8 +137,12 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     // --- Part 2: scaling in n under a fixed state budget. ---
     let _part2 = am_obs::span("scaling");
-    let cap = if ctx.fast { 40_000 } else { 400_000 };
-    let ns: &[usize] = if ctx.fast { &[3, 4] } else { &[3, 4, 5, 6] };
+    let cap = if ctx.opts.fast { 40_000 } else { 400_000 };
+    let ns: &[usize] = if ctx.opts.fast {
+        &[3, 4]
+    } else {
+        &[3, 4, 5, 6]
+    };
     let mut table2 = Table::new(
         format!("quorum-vote scaling under a {cap}-state budget"),
         &[
@@ -192,7 +190,7 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     // --- Part 3: nonforking incremental-oracle savings. ---
     let _part3 = am_obs::span("nonforking");
-    let nf_blocks = if ctx.fast { 5 } else { 6 };
+    let nf_blocks = if ctx.opts.fast { 5 } else { 6 };
     let mut table3 = Table::new(
         "nonforking DAG search: incremental oracle vs full replay",
         &[
@@ -225,19 +223,17 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     // --- Part 4: Monte-Carlo canonicalizer audit, through the engine. ---
     let _part4 = am_obs::span("canon-audit");
-    let runner = ctx.runner();
-    let trials = ctx.budget(if ctx.fast { 24 } else { 400 });
+    let mut sweep = ctx.sweep();
+    let trials = ctx.budget(if ctx.opts.fast { 24 } else { 400 });
     let mut table4 = Table::new(
         "canon(perm(s)) == canon(s) on random schedules",
         &["protocol", "n", "trials", "holds"],
     );
-    let mut points = Vec::new();
     for n in [3usize, 4] {
         let proto = QuorumVoteProtocol::new(n, n / 2 + 1, 0);
         let inputs = split_inputs(n);
-        let seed = ctx.seed;
-        let key = format!("canon-invariance/n{n}");
-        let pt = runner.estimate(&key, trials, |i| {
+        let seed = ctx.opts.seed;
+        let pt = sweep.estimate(format!("canon-invariance/n{n}"), trials, |i| {
             canon_trial(&proto, &inputs, mix(seed ^ 0xe19 ^ i))
         });
         table4.row(&[
@@ -246,15 +242,13 @@ pub fn run(ctx: &RunCtx) -> Report {
             pt.trials_used().to_string(),
             f(pt.estimate()),
         ]);
-        points.push((key, pt));
     }
     rep.tables.push(table4);
-    rep.record_sweep("symmetry canonicalizer audit", points);
+    rep.record_sweep("symmetry canonicalizer audit", sweep.points);
     rep.note(
         "The audit estimate must be 1.0: canonicalization quotients by the \
          stabilizer of the input vector, so a schedule and its node-permuted \
          image always share a canonical key. The same property is pinned \
          exhaustively (and adversarially shrunk) by the proptest suite.",
     );
-    rep
 }

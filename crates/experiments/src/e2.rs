@@ -12,12 +12,7 @@ use am_sched::search_disagreement_t;
 use am_stats::Table;
 
 /// Runs E2 (deterministic; the context's seed is unused).
-pub fn run(_ctx: &RunCtx) -> Report {
-    let mut rep = Report::new(
-        "E2",
-        "Round lower bound: t+1 rounds are necessary and sufficient",
-        "Lemma 3.1 + Theorem 3.2",
-    );
+pub fn run(_ctx: &RunCtx, rep: &mut Report) {
     let mut table = Table::new(
         "exhaustive straddling-adversary search",
         &[
@@ -71,5 +66,4 @@ pub fn run(_ctx: &RunCtx) -> Report {
          finds no disagreement — matching the Theorem 3.2 upper bound, at \
          t = 1 and t = 2 alike.",
     );
-    rep
 }

@@ -34,12 +34,7 @@ fn input_patterns(n_corr: usize) -> Vec<Vec<bool>> {
 }
 
 /// Runs E3 (deterministic; the context's seed is unused).
-pub fn run(_ctx: &RunCtx) -> Report {
-    let mut rep = Report::new(
-        "E3",
-        "Algorithm 1: Byzantine agreement for t < n/2 within O(tΔ)",
-        "Theorem 3.2",
-    );
+pub fn run(_ctx: &RunCtx, rep: &mut Report) {
     let mut table = Table::new(
         "Algorithm 1 across n, t, and Byzantine strategies",
         &["n", "t", "rounds", "strategy", "agreement", "validity"],
@@ -129,5 +124,4 @@ pub fn run(_ctx: &RunCtx) -> Report {
          visible or fully absent): {}",
         if crash_ok { "CONFIRMED" } else { "VIOLATED" }
     ));
-    rep
 }

@@ -8,13 +8,8 @@ use am_stats::{Series, Table};
 
 /// Runs E4. The context's seed shifts every trial; the default CLI
 /// seed 0 reproduces the historic tables exactly.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E4",
-        "ABD-style simulation of the append memory over message passing",
-        "Section 4, Algorithms 2-3, Lemmas 4.1-4.2",
-    );
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
     let mut table = Table::new(
         "message complexity per operation",
         &["n", "msgs/append", "msgs/read", "append/n^2", "read/n"],
@@ -122,5 +117,4 @@ pub fn run(ctx: &RunCtx) -> Report {
          simulation, exactly the resilience reduction the paper's closing \
          remark predicts.",
     );
-    rep
 }

@@ -11,14 +11,9 @@ use am_stats::theory::{timestamp_k_required, timestamp_validity_failure_bound};
 use am_stats::{Series, Table};
 
 /// Runs E6.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E6",
-        "Timestamp baseline: validity failure vs k (Algorithm 4)",
-        "Theorem 5.2",
-    );
-    let runner = ctx.runner();
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
+    let mut sweep = ctx.sweep();
     let trials = ctx.budget(4000);
 
     // Failure rate vs k, two gap regimes at n = 50.
@@ -29,13 +24,12 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_meas_small = Series::new("gap=2: measured");
     let mut s_bound_small = Series::new("gap=2: bound");
-    let mut points = Vec::new();
     for &(t, label) in &[(24usize, "2"), (13usize, "n/2")] {
         for &k in &[5usize, 15, 45, 135, 405] {
             let p = Params::new(n, t, 1.0, k, seed ^ 1234);
-            let key = format!("t{t}/k{k}");
-            let point = runner.measure(&key, &p, TrialKind::Timestamp, trials);
-            let measured = point.tally;
+            let measured = sweep
+                .measure(format!("t{t}/k{k}"), &p, TrialKind::Timestamp, trials)
+                .tally;
             let bound = timestamp_validity_failure_bound(k as u64, n as u64, t as u64);
             table.row(&[
                 t.to_string(),
@@ -48,11 +42,10 @@ pub fn run(ctx: &RunCtx) -> Report {
                 s_meas_small.push(k as f64, measured.estimate());
                 s_bound_small.push(k as f64, bound);
             }
-            points.push((key, point));
         }
     }
     rep.tables.push(table);
-    rep.record_sweep("failure rate vs k", points);
+    rep.record_sweep("failure rate vs k", sweep.points);
     rep.series.push(s_meas_small);
     rep.series.push(s_bound_small);
 
@@ -73,5 +66,4 @@ pub fn run(ctx: &RunCtx) -> Report {
          quadratically when the correct-Byzantine gap is constant and stays \
          near-constant when the gap is linear in n.",
     );
-    rep
 }

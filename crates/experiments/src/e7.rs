@@ -11,14 +11,9 @@ use am_protocols::{run_chain, ChainAdversary, Params, TieBreak, TrialKind};
 use am_stats::{Series, Table};
 
 /// Runs E7.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E7",
-        "Chain + deterministic tie-break: the n/3 wall (fork-maker)",
-        "Theorem 5.3",
-    );
-    let runner = ctx.runner();
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
+    let mut sweep = ctx.sweep();
     let n = 12usize;
     let k = 41usize;
     let lambda = 0.4;
@@ -37,27 +32,21 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_det = Series::new("deterministic tie: failure");
     let mut s_rand = Series::new("randomized tie: failure");
-    let mut points = Vec::new();
     for &t in &[1usize, 2, 3, 4, 5] {
         let p = Params::new(n, t, lambda, k, seed ^ 99);
-        let det_pt = runner.measure(
-            &format!("det/t{t}"),
-            &p,
-            TrialKind::Chain(TieBreak::Deterministic, ChainAdversary::ForkMaker),
-            trials,
-        );
-        let rand_pt = runner.measure(
-            &format!("rand/t{t}"),
-            &p,
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::ForkMaker),
-            trials,
-        );
-        let (det, rand) = (det_pt.tally, rand_pt.tally);
-        points.push((format!("det/t{t}"), det_pt));
-        points.push((format!("rand/t{t}"), rand_pt));
+        let [det, rand] = [
+            ("det", TieBreak::Deterministic),
+            ("rand", TieBreak::Randomized),
+        ]
+        .map(|(label, tie)| {
+            let kind = TrialKind::Chain(tie, ChainAdversary::ForkMaker);
+            sweep
+                .measure(format!("{label}/t{t}"), &p, kind, trials)
+                .tally
+        });
         // Byzantine chain share, averaged over a few runs.
         let mut share = 0.0;
-        let reps = ctx.reps(30);
+        let reps = ctx.budget(30);
         for s in 0..reps {
             let out = run_chain(
                 &p.with_seed(seed ^ s),
@@ -81,7 +70,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     rep.tables.push(table);
     rep.series.push(s_det);
     rep.series.push(s_rand);
-    rep.record_sweep("fork-maker failure vs t", points);
+    rep.record_sweep("fork-maker failure vs t", sweep.points);
     rep.note(
         "Deterministic tie-breaking collapses as t/n approaches 1/3 — the \
          measured Byzantine chain share tracks t/(n−t), reaching 1/2 at \
@@ -92,5 +81,4 @@ pub fn run(ctx: &RunCtx) -> Report {
          failure rate low at t = n/3 (the share drops toward 1/3), the \
          observation that motivates Theorem 5.4.",
     );
-    rep
 }

@@ -7,8 +7,8 @@
 //! λ(n−t) = 1 → 1/2, λ(n−t) = 2 → 1/3.
 
 use crate::report::{f, Report};
-use crate::RunCtx;
-use am_protocols::{ChainAdversary, Params, PointResult, SweepRunner, TieBreak, TrialKind};
+use crate::{RunCtx, Sweep};
+use am_protocols::{ChainAdversary, DagAdversary, DagRule, Params, TieBreak, TrialKind};
 use am_stats::theory::chain_resilience_bound;
 use am_stats::{Series, Table};
 
@@ -16,63 +16,69 @@ use am_stats::{Series, Table};
 /// bound's own threshold — we fix n and sweep λ).
 pub const LAMBDA_SWEEP: [f64; 5] = [0.05, 0.1, 0.2, 0.4, 0.8];
 
-/// Measures the empirical resilience over a *set* of adversaries at fixed
-/// n, λ: the largest t/n whose worst-case failure rate stays below `tol`.
-/// Probing several adversaries matters because each dominates a different
-/// regime (the tie-breaker needs λt ≥ 1; the dissenter needs numbers).
-/// Every probed point goes through `runner` (adaptive runners stop each
-/// point early; checkpointing runners make the scan resumable), keyed
-/// `"{key}/t{t}/{kind}"`; the probed points come back for the sweep record.
-#[allow(clippy::too_many_arguments)]
+/// Node count of every resilience probe.
+const N: usize = 12;
+
+/// The chain's adversaries for [`empirical_resilience`] (E8, E10).
+pub const CHAIN_KINDS: [TrialKind; 2] = [
+    TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker),
+    TrialKind::Chain(TieBreak::Randomized, ChainAdversary::Dissenter),
+];
+
+/// The DAG's adversaries for [`empirical_resilience`] (E9, E10).
+pub const DAG_KINDS: [TrialKind; 2] = [
+    TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst),
+    TrialKind::Dag(DagRule::LongestChain, DagAdversary::Dissenter),
+];
+
+/// Measures the empirical resilience over a *set* of adversaries at
+/// n = 12, k = 41 and rate `lambda`: the largest t/n whose worst-case
+/// failure rate stays below 0.25. Probing several adversaries matters
+/// because each dominates a different regime (the tie-breaker needs
+/// λt ≥ 1; the dissenter needs numbers). Every probed point (budget 300)
+/// goes into `sweep`, keyed `"{key}/t{t}/{kind}"`.
 pub fn empirical_resilience(
-    runner: &SweepRunner<'_>,
+    ctx: &RunCtx,
+    sweep: &mut Sweep<'_>,
     key: &str,
-    n: usize,
     lambda: f64,
-    k: usize,
     kinds: &[TrialKind],
-    trials: u64,
-    tol: f64,
-    seed: u64,
-) -> (f64, Vec<(String, PointResult)>) {
-    let mut points = Vec::new();
+) -> f64 {
+    let trials = ctx.budget(300);
     let mut best = 0.0f64;
-    for t in 1..n / 2 + 2 {
-        if t >= n {
-            break;
-        }
-        let p = Params::new(n, t, lambda, k, seed ^ 2024);
+    for t in 1..N / 2 + 2 {
+        let p = Params::new(N, t, lambda, 41, ctx.opts.seed ^ 2024);
         let mut rate = 0.0f64;
         for kind in kinds {
             let pk = format!("{key}/t{t}/{}", kind.label());
-            let point = runner.measure(&pk, &p, *kind, trials);
-            rate = rate.max(point.estimate());
-            points.push((pk, point));
+            rate = rate.max(sweep.measure(pk, &p, *kind, trials).estimate());
         }
-        if rate < tol {
-            best = t as f64 / n as f64;
+        if rate < 0.25 {
+            best = t as f64 / N as f64;
         }
         if rate > 0.95 {
             break;
         }
     }
-    (best, points)
+    best
+}
+
+/// Theorem 5.4's bound at n = 12 is implicit in t; evaluated at its own
+/// fixed point t* solving t = n/(1+λ(n−t)), iterated. Returns the
+/// correct rate λ(n−t*) there and the bound 1/(1+λ(n−t*)).
+pub fn chain_bound(lambda: f64) -> (f64, f64) {
+    let n = N as f64;
+    let mut t_star = n / 3.0;
+    for _ in 0..50 {
+        t_star = n / (1.0 + lambda * (n - t_star));
+    }
+    let rate = lambda * (n - t_star);
+    (rate, chain_resilience_bound(rate))
 }
 
 /// Runs E8.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E8",
-        "Chain resilience vs rate: t/n ≤ 1/(1+λ(n−t)) (tie-breaker adversary)",
-        "Theorem 5.4",
-    );
-    let runner = ctx.runner();
-    let n = 12usize;
-    let k = 41usize;
-    let trials = ctx.budget(300);
-    let tol = 0.25;
-
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let mut sweep = ctx.sweep();
     let mut table = Table::new(
         "empirical chain resilience vs the Theorem 5.4 bound (n = 12)",
         &[
@@ -84,32 +90,10 @@ pub fn run(ctx: &RunCtx) -> Report {
     );
     let mut s_meas = Series::new("chain: measured resilience");
     let mut s_bound = Series::new("chain: Thm 5.4 bound");
-    let mut points = Vec::new();
     for &lambda in &LAMBDA_SWEEP {
-        let kinds = [
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker),
-            TrialKind::Chain(TieBreak::Randomized, ChainAdversary::Dissenter),
-        ];
-        let (resilience, curve) = empirical_resilience(
-            &runner,
-            &format!("l{lambda}"),
-            n,
-            lambda,
-            k,
-            &kinds,
-            trials,
-            tol,
-            seed,
-        );
-        points.extend(curve);
-        // The bound is implicit in t; evaluate it at its own fixed point:
-        // t* solving t = n/(1+λ(n−t)) — iterate a few times.
-        let mut t_star = n as f64 / 3.0;
-        for _ in 0..50 {
-            t_star = n as f64 / (1.0 + lambda * (n as f64 - t_star));
-        }
-        let rate_at_bound = lambda * (n as f64 - t_star);
-        let bound = chain_resilience_bound(rate_at_bound);
+        let resilience =
+            empirical_resilience(ctx, &mut sweep, &format!("l{lambda}"), lambda, &CHAIN_KINDS);
+        let (rate_at_bound, bound) = chain_bound(lambda);
         table.row(&[f(lambda), f(rate_at_bound), f(resilience), f(bound)]);
         s_meas.push(rate_at_bound, resilience);
         s_bound.push(rate_at_bound, bound);
@@ -117,7 +101,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     rep.tables.push(table);
     rep.series.push(s_meas);
     rep.series.push(s_bound);
-    rep.record_sweep("resilience probes", points);
+    rep.record_sweep("resilience probes", sweep.points);
     rep.note(
         "The measured threshold tracks the closed form: as the correct \
          append rate λ(n−t) grows, every extra concurrent correct append is \
@@ -125,5 +109,4 @@ pub fn run(ctx: &RunCtx) -> Report {
          fraction decays like 1/(1+λ(n−t)).",
     );
     rep.note("Headline check: rate 1 → ≈1/2, rate 2 → ≈1/3 (Theorem 5.4).");
-    rep
 }

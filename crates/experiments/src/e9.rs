@@ -1,57 +1,34 @@
 //! E9 — Lemma 5.5 + Theorem 5.6: DAG resilience is ≈ 1/2 independent of
 //! the rate, and the withheld burst is O(λ log n).
 
-use crate::e8::{empirical_resilience, LAMBDA_SWEEP};
+use crate::e8::{empirical_resilience, DAG_KINDS, LAMBDA_SWEEP};
 use crate::report::{f, Report};
 use crate::RunCtx;
 use am_poisson::measure_silence;
-use am_protocols::{run_dag, DagAdversary, DagRule, Params, TrialKind};
+use am_protocols::{run_dag, DagAdversary, DagRule, Params};
 use am_stats::theory::{silence_interval_tail, withhold_burst_bound};
 use am_stats::{Series, Summary, Table};
 
 /// Runs E9.
-pub fn run(ctx: &RunCtx) -> Report {
-    let seed = ctx.seed;
-    let mut rep = Report::new(
-        "E9",
-        "DAG resilience ≈ 1/2 independent of λ; withheld burst is O(λ log n)",
-        "Lemma 5.5 + Theorem 5.6",
-    );
-    let runner = ctx.runner();
-    let n = 12usize;
+pub fn run(ctx: &RunCtx, rep: &mut Report) {
+    let seed = ctx.opts.seed;
+    let mut sweep = ctx.sweep();
     let k = 41usize;
-    let trials = ctx.budget(300);
-    let tol = 0.25;
 
     let mut table = Table::new(
         "empirical DAG resilience across rates (n = 12, withhold-burst adversary)",
         &["λ", "measured resilience t/n", "optimal bound 1/2"],
     );
     let mut s_meas = Series::new("dag: measured resilience");
-    let mut points = Vec::new();
     for &lambda in &LAMBDA_SWEEP {
-        let kinds = [
-            TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst),
-            TrialKind::Dag(DagRule::LongestChain, DagAdversary::Dissenter),
-        ];
-        let (resilience, curve) = empirical_resilience(
-            &runner,
-            &format!("l{lambda}"),
-            n,
-            lambda,
-            k,
-            &kinds,
-            trials,
-            tol,
-            seed,
-        );
-        points.extend(curve);
+        let resilience =
+            empirical_resilience(ctx, &mut sweep, &format!("l{lambda}"), lambda, &DAG_KINDS);
         table.row(&[f(lambda), f(resilience), f(0.5)]);
         s_meas.push(lambda, resilience);
     }
     rep.tables.push(table);
     rep.series.push(s_meas);
-    rep.record_sweep("resilience probes", points);
+    rep.record_sweep("resilience probes", sweep.points);
 
     // Burst-length distribution vs the token-bank prediction λt (one Δ of
     // Byzantine tokens survives the TTL) and the paper's 2λ log n form.
@@ -70,7 +47,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     for &(n, lambda) in &[(12usize, 0.4f64), (24, 0.4), (48, 0.4), (24, 0.8)] {
         let t = n / 3;
         let mut bursts = Summary::new();
-        for s in 0..ctx.reps(200) {
+        for s in 0..ctx.budget(200) {
             let p = Params::new(n, t, lambda, k, seed ^ s);
             let out = run_dag(&p, DagRule::LongestChain, DagAdversary::WithholdBurst);
             bursts.add(out.burst_len as f64);
@@ -106,7 +83,7 @@ pub fn run(ctx: &RunCtx) -> Report {
         let mut exceed = 0usize;
         let mut total_gaps = 0usize;
         let threshold = (n as f64).ln(); // Δ = 1
-        for s in 0..ctx.reps(60) {
+        for s in 0..ctx.budget(60) {
             let st = measure_silence(n, t, lambda, 1.0, 200, seed ^ s);
             max_gaps.add(st.max_gap);
             byz_bank.add(st.byz_in_max_gap as f64);
@@ -149,5 +126,4 @@ pub fn run(ctx: &RunCtx) -> Report {
          inside the Lemma 5.5 envelope — finality costs an O(λ log n) \
          prefix correction, not a constant fraction.",
     );
-    rep
 }

@@ -1,17 +1,20 @@
 //! # am-experiments — the E1..E19 harness, as a library
 //!
-//! Every experiment module exposes `run(ctx: &RunCtx) -> Report`;
-//! [`REGISTRY`] is the single table of [`Experiment`] descriptors the
-//! binary, the tests, and downstream tooling all dispatch through.
+//! An experiment is a [`REGISTRY`] entry — id, title, paper reference,
+//! one-line description — plus its module's `run(ctx: &RunCtx, rep: &mut
+//! Report)`, which fills the report [`run_with`] opened from the entry.
+//! The binary, the tests, and downstream tooling all dispatch through
+//! the registry.
 //!
-//! A [`RunCtx`] carries the base seed plus the sweep-engine
-//! configuration: fixed budgets reproduce the historic tables at
-//! `--seed 0`, adaptive mode ([`SweepConfig::adaptive`]) stops each
-//! Monte-Carlo point early once its Wilson 95% half-width is tight, and
-//! the attached window logs make a sweep resumable, shardable — across
-//! threads on one box ([`coordinate`]) or across machines (`--shard`) —
-//! and mergeable, all through one engine loop (DESIGN.md, "Sweep
-//! lifecycle").
+//! A [`RunCtx`] carries the run's [`HarnessOpts`] — base seed plus the
+//! sweep-engine configuration: fixed budgets reproduce the historic
+//! tables at `--seed 0`, adaptive mode ([`SweepConfig::adaptive`]) stops
+//! each Monte-Carlo point early once its Wilson 95% half-width is tight,
+//! and the attached window logs make a sweep resumable, shardable —
+//! across threads on one box ([`coordinate`]) or across machines
+//! (`--shard`) — and mergeable, all through one engine loop (DESIGN.md,
+//! "Sweep lifecycle"). Every Monte-Carlo point goes through a [`Sweep`],
+//! which keeps the points in probe order for the report's sweep record.
 
 pub mod e1;
 pub mod e10;
@@ -34,7 +37,10 @@ pub mod e8;
 pub mod e9;
 pub mod report;
 
-use am_protocols::{ShardCheckpointStore, ShardSpec, SweepConfig, SweepRunner};
+use am_protocols::{
+    ChainAdversary, DagAdversary, DagRule, Params, PointResult, ShardCheckpointStore, ShardSpec,
+    SweepConfig, SweepRunner, TieBreak, TrialKind,
+};
 use report::Report;
 use std::num::NonZeroU32;
 use std::path::Path;
@@ -44,27 +50,13 @@ use std::path::Path;
 /// experiments smoke-test in seconds.
 pub const FAST_BUDGET: u64 = 24;
 
-/// Context one experiment run receives: the base seed, the sweep-engine
-/// configuration, and the window logs of the residue classes this
-/// run answers for (none = the whole range, unlogged).
+/// Context one experiment run receives: the harness options (base seed,
+/// sweep-engine configuration, budget knobs, topology override) and the
+/// window logs of the residue classes this run answers for (none = the
+/// whole range, unlogged).
 pub struct RunCtx {
-    /// Base seed; 0 reproduces the historic tables in fixed mode.
-    pub seed: u64,
-    /// Sweep-engine configuration (fixed or adaptive, batch size,
-    /// interruption cap).
-    pub sweep: SweepConfig,
-    /// `--fast`: shrink every trial budget to [`FAST_BUDGET`].
-    pub fast: bool,
-    /// `--trials-scale`: multiply every sweep trial budget (ignored
-    /// under `--fast`, which caps after scaling). Scaled runs produce
-    /// *different* results than the historic tables — the knob exists
-    /// for throughput measurement (CI's sharded-speedup lane needs a
-    /// sweep-dominated workload), not for golden comparisons.
-    pub trials_scale: u64,
-    /// `--topology`: override the network topology of experiments that
-    /// honour it (E18's planet-scale sweep); `None` keeps each
-    /// experiment's own default.
-    pub topology: Option<am_net::Topology>,
+    /// The options of this run; a merge's sweep has no batch cap.
+    pub opts: HarnessOpts,
     stores: Vec<ShardCheckpointStore>,
 }
 
@@ -73,38 +65,32 @@ impl RunCtx {
     /// context under which seed-0 runs reproduce the historic tables.
     pub fn fixed(seed: u64) -> RunCtx {
         RunCtx {
-            seed,
-            sweep: SweepConfig::fixed(),
-            fast: false,
-            trials_scale: 1,
-            topology: None,
+            opts: HarnessOpts::new(seed, "results"),
             stores: Vec::new(),
         }
     }
 
-    /// The sweep engine for this run; experiment code funnels every
-    /// Monte-Carlo point through it. Under a shard's context the tallies
-    /// it returns cover that shard's indices only — progress, not
-    /// estimates.
-    pub fn runner(&self) -> SweepRunner<'_> {
-        SweepRunner::over(self.sweep, &self.stores)
+    /// A fresh sweep over this run's engine; experiment code funnels
+    /// every Monte-Carlo point through one. Under a shard's context the
+    /// tallies it returns cover that shard's indices only — progress,
+    /// not estimates.
+    pub fn sweep(&self) -> Sweep<'_> {
+        Sweep {
+            runner: SweepRunner::over(self.opts.sweep, &self.stores),
+            points: Vec::new(),
+        }
     }
 
-    /// A per-point trial budget: the experiment's historic default,
-    /// capped at [`FAST_BUDGET`] under `--fast`.
+    /// A per-point trial budget (or repetition count of a mean loop):
+    /// the experiment's historic default times `--trials-scale`, capped
+    /// at [`FAST_BUDGET`] under `--fast`.
     pub fn budget(&self, default: u64) -> u64 {
-        let scaled = default.saturating_mul(self.trials_scale.max(1));
-        if self.fast {
+        let scaled = default.saturating_mul(self.opts.trials_scale.max(1));
+        if self.opts.fast {
             scaled.min(FAST_BUDGET)
         } else {
             scaled
         }
-    }
-
-    /// Repetition count for non-Bernoulli loops (latency/burst
-    /// summaries), capped like [`RunCtx::budget`] under `--fast`.
-    pub fn reps(&self, default: u64) -> u64 {
-        self.budget(default)
     }
 
     /// False when an engine point was halted mid-budget (the
@@ -112,117 +98,226 @@ impl RunCtx {
     /// partial and must not be saved as final results. A shard is
     /// complete once every point has proven global coverage.
     pub fn complete(&self) -> bool {
-        self.runner()
+        SweepRunner::over(self.opts.sweep, &self.stores)
             .log()
             .is_none_or(ShardCheckpointStore::all_done)
     }
 }
 
-/// One experiment: its id, one-line description, and entry point.
+/// The Monte-Carlo points of one sweep, run through the engine and kept
+/// in probe order; an experiment hands them to
+/// [`Report::record_sweep`] once its grid is done.
+pub struct Sweep<'a> {
+    runner: SweepRunner<'a>,
+    /// `(key, outcome)` of every point probed so far, in probe order.
+    pub points: Vec<(String, PointResult)>,
+}
+
+impl Sweep<'_> {
+    /// Measures the validity-failure rate of `kind` at `p` as point `key`
+    /// (see [`SweepRunner::measure`]).
+    pub fn measure(
+        &mut self,
+        key: String,
+        p: &Params,
+        kind: TrialKind,
+        trials: u64,
+    ) -> PointResult {
+        let point = self.runner.measure(&key, p, kind, trials);
+        self.points.push((key, point));
+        point
+    }
+
+    /// Estimates the proportion of trials `i` for which `trial(i)` holds,
+    /// as point `key` (see [`SweepRunner::estimate`]).
+    pub fn estimate<F>(&mut self, key: String, trials: u64, trial: F) -> PointResult
+    where
+        F: Fn(u64) -> bool + Sync,
+    {
+        let point = self.runner.estimate(&key, trials, trial);
+        self.points.push((key, point));
+        point
+    }
+
+    /// Measures each named kind at `p`, keyed `"{row}/{name}"` in order,
+    /// and returns their failure-rate estimates.
+    pub fn row<const K: usize>(
+        &mut self,
+        row: &str,
+        p: &Params,
+        kinds: &[(&str, TrialKind); K],
+        trials: u64,
+    ) -> [f64; K] {
+        (*kinds).map(|(name, kind)| {
+            self.measure(format!("{row}/{name}"), p, kind, trials)
+                .estimate()
+        })
+    }
+}
+
+/// The head-to-head pair of E14, E15 and E17: Algorithm 5's chain with
+/// randomized tie-breaking against the tie-breaker, Algorithm 6's DAG
+/// against the withheld burst.
+pub const CHAIN_VS_DAG: [(&str, TrialKind); 2] = [
+    (
+        "chain",
+        TrialKind::Chain(TieBreak::Randomized, ChainAdversary::TieBreaker),
+    ),
+    (
+        "dag",
+        TrialKind::Dag(DagRule::LongestChain, DagAdversary::WithholdBurst),
+    ),
+];
+
+/// One experiment: its identity, one-line description, and entry point.
 pub struct Experiment {
-    /// Lower-case id, e.g. `"e8"`.
+    /// Lower-case id, e.g. `"e8"`; the report's id is its upper case,
+    /// and its JSON lands at `<out-dir>/<id>.json`.
     pub id: &'static str,
+    /// The report's human title.
+    pub title: &'static str,
+    /// The paper result the report reproduces.
+    pub paper_ref: &'static str,
     /// One-line description for `--list` and the docs.
     pub describe: &'static str,
-    /// The experiment body.
-    pub run: fn(&RunCtx) -> Report,
+    /// The experiment body: fills the report [`run_with`] opened.
+    pub run: fn(&RunCtx, &mut Report),
 }
 
 /// Every experiment in presentation order — the single source of truth
-/// for ids, descriptions, and dispatch.
+/// for ids, titles, paper references, descriptions, and dispatch.
 pub static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "e1",
+        title: "No 1-resilient asynchronous consensus in the append memory",
+        paper_ref: "Theorem 2.1, Lemmas 2.2-2.3",
         describe: "Thm 2.1: no 1-resilient asynchronous consensus (model checker)",
         run: e1::run,
     },
     Experiment {
         id: "e2",
+        title: "Round lower bound: t+1 rounds are necessary and sufficient",
+        paper_ref: "Lemma 3.1 + Theorem 3.2",
         describe: "Lemma 3.1: t+1 rounds necessary (exhaustive adversary search)",
         run: e2::run,
     },
     Experiment {
         id: "e3",
+        title: "Algorithm 1: Byzantine agreement for t < n/2 within O(tΔ)",
+        paper_ref: "Theorem 3.2",
         describe: "Thm 3.2: Algorithm 1 solves BA for t < n/2",
         run: e3::run,
     },
     Experiment {
         id: "e4",
+        title: "ABD-style simulation of the append memory over message passing",
+        paper_ref: "Section 4, Algorithms 2-3, Lemmas 4.1-4.2",
         describe: "Lemmas 4.1/4.2: message-passing simulation + complexity",
         run: e4::run,
     },
     Experiment {
         id: "e5",
+        title: "Randomized access + asynchronous nodes: still no consensus",
+        paper_ref: "Theorem 5.1",
         describe: "Thm 5.1: randomized access doesn't rescue asynchrony",
         run: e5::run,
     },
     Experiment {
         id: "e6",
+        title: "Timestamp baseline: validity failure vs k (Algorithm 4)",
+        paper_ref: "Theorem 5.2",
         describe: "Thm 5.2: timestamp baseline validity vs k",
         run: e6::run,
     },
     Experiment {
         id: "e7",
+        title: "Chain + deterministic tie-break: the n/3 wall (fork-maker)",
+        paper_ref: "Theorem 5.3",
         describe: "Thm 5.3: deterministic tie-break dies at n/3",
         run: e7::run,
     },
     Experiment {
         id: "e8",
+        title: "Chain resilience vs rate: t/n ≤ 1/(1+λ(n−t)) (tie-breaker adversary)",
+        paper_ref: "Theorem 5.4",
         describe: "Thm 5.4: chain resilience 1/(1+λ(n−t))",
         run: e8::run,
     },
     Experiment {
         id: "e9",
+        title: "DAG resilience ≈ 1/2 independent of λ; withheld burst is O(λ log n)",
+        paper_ref: "Lemma 5.5 + Theorem 5.6",
         describe: "Lemma 5.5 + Thm 5.6: DAG resilience ≈ 1/2, burst O(λ log n)",
         run: e9::run,
     },
     Experiment {
         id: "e10",
+        title: "Chain vs DAG: the resilience crossover",
+        paper_ref: "Section 5 headline (Theorems 5.4 + 5.6)",
         describe: "Headline crossover figure: chain vs DAG",
         run: e10::run,
     },
     Experiment {
         id: "e11",
+        title: "Temporal asynchrony reduces DAG Byzantine-agreement resilience",
+        paper_ref: "Section 5.3 closing remark (extension experiment)",
         describe: "Extension: temporal asynchrony reduces DAG resilience",
         run: e11::run,
     },
     Experiment {
         id: "e12",
+        title: "Weak agreement: staggered deciders disagree with probability → 0 in k",
+        paper_ref: "Section 1.1 weak properties + Section 5.3 (extension experiment)",
         describe: "Extension: weak agreement under staggered decisions",
         run: e12::run,
     },
     Experiment {
         id: "e13",
+        title: "Decision latency: chain saturates at 1 block/Δ, the DAG scales with λn",
+        paper_ref: "Section 5.3 inclusivity (extension experiment; cf. [14])",
         describe: "Extension: decision latency — chain saturates, DAG scales",
         run: e13::run,
     },
     Experiment {
         id: "e14",
+        title: "Fault injection: ABD and chain-vs-DAG guarantees on a lossy network",
+        paper_ref: "Lemmas 4.1-4.2 + Theorems 5.4/5.6 under relaxed delivery (extension)",
         describe: "Extension: ABD + chain/DAG under drops and partitions (am-net)",
         run: e14::run,
     },
     Experiment {
         id: "e15",
+        title: "Embedded BFT finality vs Byzantine fraction, head-to-head with Algs 4-6",
+        paper_ref:
+            "Extension: Schett-Danezis interpretation + Casper-CBC finality over §5 schedules",
         describe: "Extension: embedded BFT finality vs Byzantine fraction (am-bft)",
         run: e15::run,
     },
     Experiment {
         id: "e16",
+        title: "Finalized-prefix growth over a faulty network (drops, dup/reorder, partitions)",
+        paper_ref: "Extension: am-bft per-node oracles over am-net fault schedules",
         describe: "Extension: finalized-prefix growth on a faulty network",
         run: e16::run,
     },
     Experiment {
         id: "e17",
+        title: "Topology and the chain-vs-DAG gap: orphans track gossip diameter",
+        paper_ref: "Thms 5.4/5.6 over relay and geo overlays (extension)",
         describe: "Extension: chain orphans vs topology diameter (relay/geo gossip)",
         run: e17::run,
     },
     Experiment {
         id: "e18",
+        title: "Planet-scale divergence: geo overlays, bandwidth, fanout gossip",
+        paper_ref: "Section 5 inclusion argument at deployment scale (extension)",
         describe: "Extension: divergence at planet scale (n up to 5000, geo latency)",
         run: e18::run,
     },
     Experiment {
         id: "e19",
+        title: "Scaling the model checker: reductions, ablated and audited",
+        paper_ref: "Theorem 2.1 infrastructure; DESIGN.md §14",
         describe: "Infrastructure: model-checker reduction stack, ablated and audited",
         run: e19::run,
     },
@@ -233,13 +328,16 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id == id)
 }
 
-/// Runs one experiment by id under `ctx`. The whole run is wrapped in an
-/// obs span named after the id, so sub-spans (ABD phases, sweep points,
-/// network flights) aggregate under `e<N>/...` paths.
+/// Runs one experiment by id under `ctx`, into a report opened from its
+/// registry entry. The whole run is wrapped in an obs span named after
+/// the id, so sub-spans (ABD phases, sweep points, network flights)
+/// aggregate under `e<N>/...` paths.
 pub fn run_with(id: &str, ctx: &RunCtx) -> Option<Report> {
     let exp = find(id)?;
     let _span = am_obs::span(id);
-    Some((exp.run)(ctx))
+    let mut rep = Report::new(&exp.id.to_uppercase(), exp.title, exp.paper_ref);
+    (exp.run)(ctx, &mut rep);
+    Some(rep)
 }
 
 /// Runs one experiment by id with the given base seed under the library
@@ -277,14 +375,19 @@ pub struct HarnessOpts {
     pub sweep: SweepConfig,
     /// Shrink trial budgets to [`FAST_BUDGET`].
     pub fast: bool,
-    /// Multiply every sweep trial budget (see [`RunCtx::trials_scale`]).
+    /// `--trials-scale`: multiply every sweep trial budget (ignored
+    /// under `--fast`, which caps after scaling). Scaled runs produce
+    /// *different* results than the historic tables — the knob exists
+    /// for throughput measurement (CI's sharded-speedup lane needs a
+    /// sweep-dominated workload), not for golden comparisons.
     pub trials_scale: u64,
     /// Continue from the log an interrupted [`SweepRole::Whole`] or
     /// [`SweepRole::Shard`] run left behind (a merge always reads the
     /// logs).
     pub resume: bool,
-    /// Topology override for experiments that honour it (see
-    /// [`RunCtx::topology`]).
+    /// `--topology`: override the network topology of experiments that
+    /// honour it (E18's planet-scale sweep); `None` keeps each
+    /// experiment's own default.
     pub topology: Option<am_net::Topology>,
     /// This run's part in the sweep.
     pub role: SweepRole,
@@ -344,18 +447,14 @@ pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord>
         })
         .collect();
     let mut ctx = RunCtx {
-        seed: opts.seed,
-        sweep: opts.sweep,
-        fast: opts.fast,
-        trials_scale: opts.trials_scale,
-        topology: opts.topology,
+        opts: opts.clone(),
         stores,
     };
     if matches!(opts.role, SweepRole::Merge(_)) {
         // The batch cap interrupts a writer, which leaves a log to resume
         // from; the merge must run to completion or no final results
         // would ever be written.
-        ctx.sweep.max_batches_per_run = None;
+        ctx.opts.sweep.max_batches_per_run = None;
     }
     let started = std::time::Instant::now();
     let rep = run_with(id, &ctx)?;
@@ -450,6 +549,7 @@ mod tests {
         for (i, exp) in REGISTRY.iter().enumerate() {
             assert_eq!(exp.id, format!("e{}", i + 1), "presentation order");
             assert!(!exp.describe.is_empty(), "{} lacks a description", exp.id);
+            assert!(!exp.title.is_empty() && !exp.paper_ref.is_empty());
             assert_eq!(find(exp.id).map(|e| e.id), Some(exp.id));
         }
         assert!(find("e99").is_none());
@@ -462,11 +562,11 @@ mod tests {
         // has no indirection left to drift.
         assert!(std::ptr::fn_addr_eq(
             find("e3").unwrap().run,
-            e3::run as fn(&RunCtx) -> Report
+            e3::run as fn(&RunCtx, &mut Report)
         ));
         assert!(std::ptr::fn_addr_eq(
             find("e10").unwrap().run,
-            e10::run as fn(&RunCtx) -> Report
+            e10::run as fn(&RunCtx, &mut Report)
         ));
     }
 
@@ -515,7 +615,7 @@ mod tests {
     fn fast_context_caps_budgets() {
         let mut ctx = RunCtx::fixed(0);
         assert_eq!(ctx.budget(4000), 4000);
-        ctx.fast = true;
+        ctx.opts.fast = true;
         assert_eq!(ctx.budget(4000), FAST_BUDGET);
         assert_eq!(ctx.budget(8), 8);
     }

@@ -39,49 +39,39 @@ use am_protocols::SweepConfig;
 use std::num::NonZeroU32;
 
 struct Cli {
-    seed: u64,
-    out_dir: String,
+    /// Everything `execute` needs; `opts.sweep` is set from the three
+    /// engine flags below once parsing is done.
+    opts: HarnessOpts,
     trace: Option<String>,
     obs: bool,
     adaptive: bool,
     ci_width: Option<f64>,
-    fast: bool,
-    resume: bool,
     max_batches: Option<u64>,
-    topology: Option<am_net::Topology>,
-    role: SweepRole,
     workers: Option<NonZeroU32>,
     record: bool,
-    trials_scale: u64,
     ids: Vec<String>,
 }
 
 /// A process has one role, so `--shard` and `--merge-shards` exclude each
 /// other (and themselves, repeated with a different value).
 fn set_role(cli: &mut Cli, role: SweepRole) -> Result<(), String> {
-    if cli.role != SweepRole::Whole {
+    if cli.opts.role != SweepRole::Whole {
         return Err("--shard runs one slice and --merge-shards folds them; give one, once".into());
     }
-    cli.role = role;
+    cli.opts.role = role;
     Ok(())
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
-        seed: 0,
-        out_dir: "results".to_string(),
+        opts: HarnessOpts::new(0, "results"),
         trace: None,
         obs: true,
         adaptive: false,
         ci_width: None,
-        fast: false,
-        resume: false,
         max_batches: None,
-        topology: None,
-        role: SweepRole::Whole,
         workers: None,
         record: false,
-        trials_scale: 1,
         ids: Vec::new(),
     };
     let mut it = args.iter();
@@ -89,12 +79,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match a.as_str() {
             "--seed" | "-s" => {
                 let v = it.next().ok_or("--seed needs a value")?;
-                cli.seed = v
+                cli.opts.seed = v
                     .parse()
                     .map_err(|_| format!("--seed needs a u64, got '{v}'"))?;
             }
             "--out-dir" | "-o" => {
-                cli.out_dir = it.next().ok_or("--out-dir needs a path")?.clone();
+                cli.opts.out_dir = it.next().ok_or("--out-dir needs a path")?.clone();
             }
             "--trace" | "-t" => {
                 cli.trace = Some(it.next().ok_or("--trace needs a path")?.clone());
@@ -110,7 +100,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
                 cli.ci_width = Some(w);
             }
-            "--fast" | "-f" => cli.fast = true,
+            "--fast" | "-f" => cli.opts.fast = true,
             "--trials-scale" => {
                 let v = it.next().ok_or("--trials-scale needs a multiplier")?;
                 let n: u64 = v
@@ -119,9 +109,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 if n == 0 {
                     return Err("--trials-scale must be ≥ 1".into());
                 }
-                cli.trials_scale = n;
+                cli.opts.trials_scale = n;
             }
-            "--resume" | "-r" => cli.resume = true,
+            "--resume" | "-r" => cli.opts.resume = true,
             "--max-batches" => {
                 let v = it.next().ok_or("--max-batches needs a value")?;
                 let n: u64 = v
@@ -136,7 +126,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let v = it
                     .next()
                     .ok_or("--topology needs mesh|relay:<k>|geo:<r>[:<k>]")?;
-                cli.topology = Some(v.parse().map_err(|e| format!("--topology: {e}"))?);
+                cli.opts.topology = Some(v.parse().map_err(|e| format!("--topology: {e}"))?);
             }
             "--shard" => {
                 let v = it.next().ok_or("--shard needs i/m (e.g. 0/4)")?;
@@ -167,12 +157,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             id => cli.ids.push(id.to_lowercase()),
         }
     }
-    if cli.workers.is_some() && cli.role != SweepRole::Whole {
+    if cli.workers.is_some() && cli.opts.role != SweepRole::Whole {
         return Err(
             "--workers runs the shards and merges them itself; drop --shard / --merge-shards"
                 .into(),
         );
     }
+    cli.opts.sweep = sweep_config(&cli);
     Ok(cli)
 }
 
@@ -188,7 +179,7 @@ fn sweep_config(cli: &Cli) -> SweepConfig {
     } else {
         SweepConfig::fixed()
     };
-    if cli.fast {
+    if cli.opts.fast {
         sweep.batch = 8;
     }
     sweep.max_batches_per_run = cli.max_batches;
@@ -202,7 +193,6 @@ fn sweep_config(cli: &Cli) -> SweepConfig {
 /// produce merged results.
 fn run_coordinator(
     cli: &Cli,
-    opts: &HarnessOpts,
     workers: NonZeroU32,
     ids: &[String],
     manifest: &mut RunManifest,
@@ -210,7 +200,7 @@ fn run_coordinator(
     let mut ok = true;
     for id in ids {
         let started = std::time::Instant::now();
-        let Some(rec) = coordinate(id, opts, workers) else {
+        let Some(rec) = coordinate(id, &cli.opts, workers) else {
             eprintln!("unknown experiment '{id}' (try --list)");
             ok = false;
             continue;
@@ -228,7 +218,7 @@ fn run_coordinator(
 /// Files a `sweep/<id>/shards<n>` trials/sec record for the results
 /// just written; `false` (after saying why) if the ledger refused it.
 fn record_throughput(cli: &Cli, id: &str, shards: u32, wall_s: f64) -> bool {
-    let trials = Report::load_from(&cli.out_dir, id)
+    let trials = Report::load_from(&cli.opts.out_dir, id)
         .map(|r| r.total_sweep_trials())
         .unwrap_or(0);
     let filed = record_sweep(&SweepThroughput {
@@ -270,33 +260,23 @@ fn main() {
     } else {
         cli.ids.clone()
     };
-    let opts = HarnessOpts {
-        seed: cli.seed,
-        out_dir: cli.out_dir.clone(),
-        sweep: sweep_config(&cli),
-        fast: cli.fast,
-        trials_scale: cli.trials_scale,
-        resume: cli.resume,
-        topology: cli.topology,
-        role: cli.role,
-    };
-    let mut manifest = RunManifest::new(cli.seed, cli.out_dir.clone());
+    let mut manifest = RunManifest::new(cli.opts.seed, cli.opts.out_dir.clone());
     let mut failed = false;
     let mut shard_incomplete = false;
     if let Some(workers) = cli.workers {
-        if !run_coordinator(&cli, &opts, workers, &selected, &mut manifest) {
+        if !run_coordinator(&cli, workers, &selected, &mut manifest) {
             failed = true;
         }
     } else {
         for id in &selected {
-            match execute(id, &opts) {
+            match execute(id, &cli.opts) {
                 Some(rec) => {
-                    let is_shard = matches!(cli.role, SweepRole::Shard(_));
+                    let is_shard = matches!(cli.opts.role, SweepRole::Shard(_));
                     if is_shard && rec.output.is_none() {
                         shard_incomplete = true;
                     }
                     if cli.record && !is_shard && rec.output.is_some() {
-                        if cli.role == SweepRole::Whole {
+                        if cli.opts.role == SweepRole::Whole {
                             failed |= !record_throughput(&cli, id, 1, rec.duration_ms / 1e3);
                         } else {
                             // A standalone merge's wall clock covers only the

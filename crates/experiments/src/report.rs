@@ -223,11 +223,6 @@ impl Report {
         std::fs::write(&path, s).ok()?;
         Some(path)
     }
-
-    /// Writes the JSON form to `results/<id>.json` (best effort).
-    pub fn save_json(&self) {
-        let _ = self.save_in("results");
-    }
 }
 
 /// Formats a float tersely for table cells.
@@ -321,17 +316,6 @@ mod tests {
                          "tables":[],"series":[],"notes":[]}"#;
         let err = serde_json::from_str::<Report>(legacy).unwrap_err();
         assert!(err.to_string().contains("schema_version"));
-    }
-
-    #[test]
-    fn save_json_writes_file() {
-        let r = Report::new("ETEST", "json demo", "none");
-        r.save_json();
-        let path = std::path::Path::new("results/etest.json");
-        assert!(path.exists());
-        let body = std::fs::read_to_string(path).unwrap();
-        assert!(body.contains("json demo"));
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
