@@ -73,7 +73,9 @@ fi
 # is a `LinkTable` over the topology (`crates/net/src/topology.rs`): one
 # dense row per edge, one spill map. A link-keyed `IntMap` elsewhere in
 # am-net is a second link table; `pair_scratch` / `meld(` are the pairing
-# heap the 4-ary event heap replaced.
+# heap the 4-ary event heap replaced, and `sift_up` / `ARITY` that 4-ary
+# heap, which the calendar queue replaced (one ordered store beside the
+# in-order run, not two).
 if shipped $(ls crates/net/src/*.rs | grep -v '^crates/net/src/topology\.rs$') |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\bIntMap<u64\b|\blink_key\b'; then
@@ -82,8 +84,8 @@ if shipped $(ls crates/net/src/*.rs | grep -v '^crates/net/src/topology\.rs$') |
 fi
 if shipped crates/*/src/*.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
-  grep -E '\bpair_scratch\b|\bmeld\('; then
-  echo "error: a pairing heap in src/ — the event queue is the in-order run beside the 4-ary heap (DESIGN.md §10)" >&2
+  grep -E '\bpair_scratch\b|\bmeld\(|\bsift_up\b|\bARITY\b'; then
+  echo "error: a heap in src/ — the event queue is the in-order run beside the calendar (DESIGN.md §10)" >&2
   exit 1
 fi
 # A trial runner keeps its history in the pooled `TrialDag` and decides on

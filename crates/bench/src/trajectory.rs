@@ -134,15 +134,33 @@ mod tests {
 
     #[test]
     fn budgets_cover_the_golden_experiments() {
-        // The CI perf-smoke golden set; a budget without a golden (or
-        // vice versa) means the assertion lane silently checks nothing.
-        let golden = ["e4", "e6", "e8", "e12", "e14", "e15", "e17", "e18", "e19"];
+        // The CI perf-smoke golden set, read from `results/golden/`: a
+        // golden without a budget (or a budget without a golden) means
+        // the wall-clock lane silently checks nothing.
+        let dir = Recorder::output_path()
+            .with_file_name("results")
+            .join("golden");
+        let mut golden: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.expect("readable entry").file_name())
+            .filter_map(|name| {
+                let name = name.to_str()?;
+                let id = name.strip_suffix(".json")?;
+                // `e14.netstats.json` is E14's second file, not an experiment.
+                (!id.contains('.')).then(|| id.to_string())
+            })
+            .collect();
+        golden.sort();
+        assert_eq!(golden.len(), 19, "one golden per experiment");
         let budgets = section(&committed_ledger(), "budgets");
-        assert_eq!(budgets.len(), golden.len());
-        for id in golden {
-            let s = budgets.iter().find(|(b, _)| b == id).map(|(_, s)| s);
-            let s = s.unwrap_or_else(|| panic!("no budget for golden experiment {id}"));
-            assert!(s.as_f64().is_some_and(|s| s > 0.0));
+        let mut budgeted: Vec<String> = budgets.iter().map(|(id, _)| id.clone()).collect();
+        budgeted.sort();
+        assert_eq!(
+            budgeted, golden,
+            "budgets and goldens name different experiments"
+        );
+        for (id, s) in &budgets {
+            assert!(s.as_f64().is_some_and(|s| s > 0.0), "budget for {id}");
         }
     }
 

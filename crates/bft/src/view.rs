@@ -17,11 +17,19 @@
 //! a heavier opposing quorum (impossible while fewer than `2q − n`
 //! authors equivocate) or equivocating itself — and equivocators are
 //! excluded from all later quorums the moment two blocks share an
-//! (author, round) slot. All the evidence lives in the DAG: any observer
-//! whose view covers the members' latest blocks reaches the same
-//! verdict, which is what makes per-node observers agree (the nonforking
-//! invariant checked exhaustively in `am-sched` and statistically by the
-//! 300-seed suite).
+//! (author, round) slot. All the evidence lives in the DAG, so observers
+//! never finalize conflicting blocks (the nonforking invariant, checked
+//! exhaustively in `am-sched` and statistically by the 300-seed suite).
+//!
+//! The verdict is **not** a function of the DAG alone: it depends on the
+//! order the observer admits blocks in, even without equivocation. The
+//! clique must hold over every *current* supporter, so a late supporter
+//! whose vote no other member's latest block witnesses yet blocks a
+//! clique the others already form — an observer that admits that block
+//! before the clique closes can stay stuck at that height for good, while
+//! one that admits it after finalizes the height. `tests/order_independence.rs`
+//! (`a_late_supporter_decides_whether_a_height_is_final`) pins one such
+//! DAG; an order-independent rule is ROADMAP item 3.
 //!
 //! The split with [`DagInterpreter`] follows Schett & Danezis: a block's
 //! round, height, selected chain, high-water row and role are a function

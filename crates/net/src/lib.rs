@@ -15,8 +15,8 @@
 //!   (`am-mp`'s reliable reference network, its backlog-checking wrapper)
 //!   implement it too, and Algorithms 2/3 run unchanged over any of them.
 //! * [`SimNet`] — a seeded discrete-event simulator: an event queue
-//!   ([`EventQueue`]: an in-order run beside an implicit 4-ary heap, one
-//!   total order `(time_ns, seq)`), carrying 24-byte handles to payloads
+//!   ([`EventQueue`]: an in-order run beside an adaptive calendar queue,
+//!   one total order `(time_ns, seq)`), carrying 24-byte handles to payloads
 //!   held once in a slab, drives per-link latency models
 //!   ([`LatencyModel`]: constant, uniform, exponential) and composable
 //!   fault injectors ([`Fault`]: probabilistic drops, duplication,

@@ -1,15 +1,14 @@
-//! The shared event core: an in-order run beside an implicit 4-ary
-//! min-heap, one total order.
+//! The shared event core: an in-order run beside an adaptive calendar
+//! queue, one total order.
 //!
 //! One type serves every discrete-event loop in the workspace — [`SimNet`]
 //! here and the `am_poisson::des::EventQueue` wrapper over it. Events are
 //! ordered by the strict total order `(key, seq)`, where `seq` is the
 //! schedule sequence number, so equal-key events pop in schedule order and
 //! the pop sequence is **independent of how the events are stored** — a
-//! d-ary heap, a binary heap and a sorted list all produce the identical
-//! event trace. The queue keeps them in two places and reads no
-//! configuration to choose between them; it adapts to the order events
-//! arrive in:
+//! calendar, a heap and a sorted list all produce the identical event
+//! trace. The queue keeps them in two places and reads no configuration to
+//! choose between them; it adapts to the order events arrive in:
 //!
 //! - the **in-order run**: a ring buffer that takes a scheduled event
 //!   whenever its key is ≥ the key at the run's tail (an empty run takes
@@ -17,48 +16,97 @@
 //!   construction and its front is its minimum. Under a constant latency
 //!   events are scheduled in pop order already — every one lands here, and
 //!   a push or a pop is one ring-buffer operation;
-//! - the **4-ary heap**: everything else, as `(key, seq, item)` entries
-//!   inline in one `Vec` (slot `i`'s children are `4i + 1 ..= 4i + 4`) —
-//!   `O(log₄ n)` push and pop, no pointers to chase, no per-event
-//!   allocation once warm. Every key in it is below the run's tail, so the
-//!   heap is empty whenever the run is. Spread-latency traffic lives here
-//!   but for its record-late events (0.02 % of `gossip_scale`'s).
+//! - the **calendar** (Brown, CACM 1988): everything else. A key's
+//!   [`QueueKey::ordinal`] shifted right by the width's log gives its
+//!   bucket number; a ring of buckets covers the bucket numbers from the
+//!   cursor on, and a push there is one `Vec::push`. The bucket under the
+//!   cursor is *committed* when an event pops from it: it is sorted by
+//!   `(key, seq)` once and popped from its front, and an event scheduled
+//!   into it takes its sorted place. Keys past the ring wait in an
+//!   unordered **far store** with its exact minimum beside it; they move
+//!   into the ring when the cursor has left half a ring behind (one scan
+//!   per half turn, skipped while the minimum is still out of reach), and
+//!   an empty ring jumps straight to the minimum's bucket. Every key in the
+//!   calendar was below the run's tail when it was scheduled, so on a
+//!   constant latency the calendar is never touched — tests pin that from
+//!   outside with the `calendar_scheduled` probe.
+//!
+//! The calendar has no configured width. It is (re)built from the events
+//! — the width is a power of two near `PER_BUCKET` times the smaller of
+//! two mean key gaps, among the earliest quarter of the keys it holds and
+//! between the pops since its last build; the ring spans the earliest
+//! fifteen sixteenths of the keys — at the first commit after [`Storage`]
+//! or [`EventQueue::clear`] emptied it, and again whenever the events
+//! outgrow that estimate: the cursor steps over twice as many buckets as
+//! it pops events, the committed buckets hold four times the target, or
+//! inserts into the committed bucket or rescans of the far store cost more
+//! than the operations since the last build. A rebuild costs one pass over
+//! the calendar and waits until the operations since the last one pay for
+//! it, so it stays O(1) amortized per event and no input shape goes
+//! quadratic.
 //!
 //! [`EventQueue::pop`] and [`EventQueue::peek_key`] take the smaller
-//! `(key, seq)` of the two fronts. Both stores keep their capacity across
-//! trials through [`Storage`], mirroring the `TrialScratch` pattern from
-//! `am-protocols`. `crates/net/tests/queue_determinism.rs` fuzzes the pop
-//! sequence against a `BinaryHeap` reference model over schedule shapes
-//! that exercise the run alone, the heap alone and both at once.
+//! `(key, seq)` of the two fronts; [`EventQueue::pop_due`] pops only up to a
+//! key and commits no bucket that starts after it. All storage keeps its
+//! capacity across trials through [`Storage`], mirroring the
+//! `TrialScratch` pattern from `am-protocols`.
+//! `crates/net/tests/queue_determinism.rs` holds the pop sequence to a
+//! `BinaryHeap` reference model over schedule shapes that exercise the run
+//! alone, the calendar alone, both at once, its far store and its width
+//! changes.
 //!
 //! [`SimNet`]: crate::SimNet
 
 use std::collections::VecDeque;
 
+/// An integer view of a queue key: a calendar bucket is a range of
+/// ordinals.
+///
+/// Must be monotone — `a <= b` implies `a.ordinal() <= b.ordinal()` — so a
+/// lower bucket never holds a later key. Within a bucket the key's own
+/// [`Ord`] decides. Wrappers key the queue by a local newtype that
+/// implements this (as `am_poisson::des` does for `Time`).
+pub trait QueueKey: Ord + Copy {
+    /// The key's position on the integer line.
+    fn ordinal(self) -> u64;
+}
+
+impl QueueKey for u64 {
+    #[inline]
+    fn ordinal(self) -> u64 {
+        self
+    }
+}
+
 /// One queued event: `(key, seq, payload)`.
 type Entry<K, E> = (K, u64, E);
 
-/// Children per heap slot.
-const ARITY: usize = 4;
+/// Events a bucket is sized to hold near the front of the calendar: a
+/// commit sorts about this many, and the cursor steps over about one
+/// bucket per this many pops.
+const PER_BUCKET: u64 = 16;
 
-/// Whether `a` pops before `b`: `(key, seq)` ascending. `seq` is unique,
-/// so the order is strict. Spelled with non-short-circuit operators so the
-/// heap's child selection compiles to flag arithmetic, not branches.
-#[inline]
-fn before<K: Ord, E>(a: &Entry<K, E>, b: &Entry<K, E>) -> bool {
-    (a.0 < b.0) | ((a.0 == b.0) & (a.1 < b.1))
-}
+/// Fewest ring buckets a build makes.
+const MIN_BUCKETS: usize = 16;
 
-/// Recycled run and heap storage for an [`EventQueue`].
+/// Most ring buckets a build makes (the far store holds the rest).
+const MAX_BUCKETS: usize = 1 << 20;
+
+/// Log₂ of the narrowest bucket. Two ordinals per bucket keep every
+/// bucket number below 2⁶³, so the ring's bounds never overflow.
+const MIN_SHIFT: u32 = 1;
+
+/// Recycled run and calendar storage for an [`EventQueue`].
 ///
-/// [`EventQueue::into_storage`] returns the warmed-up ring buffer and heap
-/// `Vec` (payloads dropped, capacity kept); [`EventQueue::from_storage`]
-/// rebuilds a fresh queue on top of them with zero allocations. Trial
-/// runners keep one `Storage` per thread (a `thread_local!`).
+/// [`EventQueue::into_storage`] returns the warmed-up ring buffer, bucket
+/// ring and far store (payloads dropped, capacity kept);
+/// [`EventQueue::from_storage`] rebuilds a fresh queue on top of them with
+/// zero allocations. Trial runners keep one `Storage` per thread (a
+/// `thread_local!`).
 #[derive(Debug)]
 pub struct Storage<K, E> {
     run: VecDeque<Entry<K, E>>,
-    heap: Vec<Entry<K, E>>,
+    cal: Calendar<K, E>,
 }
 
 impl<K, E> Default for Storage<K, E> {
@@ -72,46 +120,403 @@ impl<K, E> Storage<K, E> {
     pub fn new() -> Storage<K, E> {
         Storage {
             run: VecDeque::new(),
-            heap: Vec::new(),
+            cal: Calendar::new(),
         }
     }
 }
 
+/// The out-of-order store: a ring of buckets, the committed bucket and a
+/// far store (see the module docs).
+///
+/// With `next` the cursor and `b(e) = e.ordinal() >> shift`:
+/// `cur` holds every entry with `b < next`, sorted; ring slot `b & mask`
+/// holds those with `next <= b < horizon` (unordered, `horizon <= next +
+/// mask + 1`, so no two live bucket numbers share a slot); `far` holds
+/// those with `b >= horizon`. An unbuilt calendar has `horizon == 0`, so
+/// everything waits in `far` until the first commit builds the ring from
+/// it.
+#[derive(Debug)]
+struct Calendar<K, E> {
+    /// The committed bucket (and anything scheduled behind the cursor
+    /// since), ascending by `(key, seq)`.
+    cur: VecDeque<Entry<K, E>>,
+    /// Bucket slots; the first `mask + 1` are in use, the rest keep
+    /// their capacity for a later, larger build.
+    ring: Vec<Vec<Entry<K, E>>>,
+    /// Entries past the ring, unordered.
+    far: Vec<Entry<K, E>>,
+    /// The smallest `(key, seq)` in `far`, if any.
+    far_min: Option<(K, u64)>,
+    /// An empty buffer that trades places with `far` while it is sorted
+    /// out.
+    spare: Vec<Entry<K, E>>,
+    /// Scratch ordinals for a build's estimates.
+    ords: Vec<u64>,
+    /// Log₂ of the bucket width in ordinals.
+    shift: u32,
+    /// Ring slots in use, minus one.
+    mask: u64,
+    /// The next bucket number to commit.
+    next: u64,
+    /// First bucket number held in `far`.
+    horizon: u64,
+    /// Entries in ring slots.
+    in_ring: usize,
+    /// Entries in `cur`, the ring and `far`.
+    len: usize,
+    /// Whether the width and ring were derived from the events it holds.
+    built: bool,
+    /// What the calendar did since it was last built.
+    since: Since,
+}
+
+/// Operation counts since the last build: what [`Calendar::rebuild_due`]
+/// weighs.
+#[derive(Clone, Copy, Debug, Default)]
+struct Since {
+    /// Schedules into and pops from the calendar.
+    ops: u64,
+    pops: u64,
+    /// Cursor steps, empty buckets included.
+    steps: u64,
+    /// Buckets committed.
+    commits: u64,
+    /// Entries moved aside by inserts into the committed bucket.
+    shifted: u64,
+    /// Far entries looked at by refills.
+    scanned: u64,
+    /// Ordinals of the first and the latest pop.
+    first_pop: u64,
+    last_pop: u64,
+}
+
+impl<K, E> Calendar<K, E> {
+    fn new() -> Calendar<K, E> {
+        Calendar {
+            cur: VecDeque::new(),
+            ring: Vec::new(),
+            far: Vec::new(),
+            far_min: None,
+            spare: Vec::new(),
+            ords: Vec::new(),
+            shift: MIN_SHIFT,
+            mask: 0,
+            next: 0,
+            horizon: 0,
+            in_ring: 0,
+            len: 0,
+            built: false,
+            since: Since::default(),
+        }
+    }
+
+    /// Drops every entry; the next commit derives the width afresh.
+    fn clear(&mut self) {
+        self.cur.clear();
+        if self.in_ring > 0 {
+            for slot in &mut self.ring {
+                slot.clear();
+            }
+        }
+        self.far.clear();
+        self.far_min = None;
+        self.in_ring = 0;
+        self.len = 0;
+        self.horizon = 0;
+        self.next = 0;
+        self.built = false;
+    }
+
+    fn buckets(&self) -> u64 {
+        self.mask + 1
+    }
+}
+
+impl<K: QueueKey, E> Calendar<K, E> {
+    #[inline]
+    fn bucket(&self, key: K) -> u64 {
+        key.ordinal() >> self.shift
+    }
+
+    fn push(&mut self, entry: Entry<K, E>) {
+        if self.len == 0 && self.built {
+            // Empty: re-anchor the ring at this event, committing nothing.
+            self.next = self.bucket(entry.0);
+            self.horizon = self.next + self.buckets();
+        }
+        self.len += 1;
+        self.since.ops += 1;
+        let b = self.bucket(entry.0);
+        if b < self.next {
+            // Behind the cursor: its sorted place in the committed bucket
+            // (after every equal key — its `seq` is the largest).
+            let at = self.cur.partition_point(|e| e.0 <= entry.0);
+            self.since.shifted += at.min(self.cur.len() - at) as u64;
+            self.cur.insert(at, entry);
+            if self.rebuild_due() {
+                self.rebuild();
+            }
+        } else if b < self.horizon {
+            self.ring[(b & self.mask) as usize].push(entry);
+            self.in_ring += 1;
+        } else {
+            self.push_far(entry);
+        }
+    }
+
+    #[inline]
+    fn push_far(&mut self, entry: Entry<K, E>) {
+        if self
+            .far_min
+            .is_none_or(|(key, seq)| (entry.0, entry.1) < (key, seq))
+        {
+            self.far_min = Some((entry.0, entry.1));
+        }
+        self.far.push(entry);
+    }
+
+    /// The earliest entry, without committing anything.
+    fn peek(&self) -> Option<(K, u64)> {
+        if let Some(e) = self.cur.front() {
+            return Some((e.0, e.1));
+        }
+        if self.in_ring == 0 {
+            return self.far_min;
+        }
+        (self.next..self.horizon)
+            .map(|b| &self.ring[(b & self.mask) as usize])
+            .find(|slot| !slot.is_empty())
+            .and_then(|slot| slot.iter().map(|e| (e.0, e.1)).min())
+    }
+
+    /// The earliest entry, committing the bucket it sits in — unless that
+    /// bucket starts past ordinal `bound`, when nothing is committed and
+    /// `None` is returned.
+    fn front_through(&mut self, bound: u64) -> Option<(K, u64)> {
+        if self.cur.is_empty() {
+            if self.len == 0 {
+                return None;
+            }
+            if !self.built {
+                let (key, _) = self.far_min.expect("an unbuilt calendar keeps all in far");
+                if key.ordinal() > bound {
+                    return None;
+                }
+            }
+            if self.rebuild_due() {
+                self.rebuild();
+            }
+            if !self.commit_through(bound >> self.shift) {
+                return None;
+            }
+        }
+        self.cur.front().map(|e| (e.0, e.1))
+    }
+
+    /// Moves the cursor to the next non-empty bucket numbered at most
+    /// `last` and commits it; false if there is none.
+    fn commit_through(&mut self, last: u64) -> bool {
+        loop {
+            if self.in_ring == 0 {
+                // Only the far store holds events: jump to its minimum.
+                let (key, _) = self.far_min.expect("a non-empty calendar");
+                let b = self.bucket(key);
+                if b > last {
+                    return false;
+                }
+                self.next = b;
+                self.refill();
+            }
+            if self.next > last {
+                return false;
+            }
+            let slot = (self.next & self.mask) as usize;
+            let found = !self.ring[slot].is_empty();
+            if found {
+                let bucket = std::mem::take(&mut self.ring[slot]);
+                let emptied = std::mem::replace(&mut self.cur, VecDeque::from(bucket));
+                self.ring[slot] = Vec::from(emptied);
+                self.in_ring -= self.cur.len();
+                self.since.commits += 1;
+            }
+            // Step past the bucket before the refill, which may hand its
+            // slot to the bucket a full turn ahead.
+            self.next += 1;
+            self.since.steps += 1;
+            if self.horizon - self.next <= self.mask / 2 {
+                self.refill();
+            }
+            if found {
+                self.cur
+                    .make_contiguous()
+                    .sort_unstable_by_key(|e| (e.0, e.1));
+                return true;
+            }
+        }
+    }
+
+    /// Slides the ring's end to a full turn past the cursor and moves the
+    /// far entries it now covers into their buckets. Skips the scan when
+    /// the far minimum is still out of reach.
+    fn refill(&mut self) {
+        self.horizon = self.next + self.buckets();
+        if self
+            .far_min
+            .is_some_and(|(key, _)| self.bucket(key) < self.horizon)
+        {
+            self.sort_far();
+        }
+    }
+
+    /// Moves every far entry below `horizon` into its ring slot and
+    /// recomputes the far minimum over the rest.
+    fn sort_far(&mut self) {
+        self.since.scanned += self.far.len() as u64;
+        let mut far = std::mem::replace(&mut self.far, std::mem::take(&mut self.spare));
+        self.far_min = None;
+        for entry in far.drain(..) {
+            let b = self.bucket(entry.0);
+            if b < self.horizon {
+                self.ring[(b & self.mask) as usize].push(entry);
+                self.in_ring += 1;
+            } else {
+                self.push_far(entry);
+            }
+        }
+        self.spare = far;
+    }
+
+    /// Whether the events have outgrown the width and ring they were
+    /// built for: the cursor steps over twice as many buckets as it pops
+    /// events, the committed buckets hold four times the target or take
+    /// costly inserts, or the far store is rescanned more than it is used.
+    /// A rebuild waits until the operations since the last one pay for its
+    /// pass over the calendar.
+    fn rebuild_due(&self) -> bool {
+        if !self.built {
+            return true;
+        }
+        let s = self.since;
+        let buckets = self.buckets();
+        if 2 * s.ops < self.len as u64 + buckets {
+            return false;
+        }
+        s.steps > 2 * s.pops + buckets
+            || s.pops > 4 * PER_BUCKET * s.commits + buckets
+            || s.shifted > s.ops + buckets
+            || s.scanned > s.ops + buckets
+    }
+
+    /// Re-derives width and ring size from the events held and sorts
+    /// every one of them into the new ring (or the far store). The width
+    /// is the power of two at or above `PER_BUCKET` mean key gaps; the
+    /// ring spans the earliest fifteen sixteenths of the keys, in at most
+    /// four buckets per event.
+    fn rebuild(&mut self) {
+        // Gather everything into `far`; nothing stays committed.
+        self.far.extend(self.cur.drain(..));
+        if self.in_ring > 0 {
+            let buckets = self.buckets() as usize;
+            for slot in &mut self.ring[..buckets] {
+                self.far.append(slot);
+            }
+        }
+        self.in_ring = 0;
+        self.ords.clear();
+        self.ords.extend(self.far.iter().map(|e| e.0.ordinal()));
+        let n = self.ords.len();
+        let low = *self.ords.iter().min().expect("a non-empty calendar");
+        let quarter = (n / 4).max(1);
+        let held = if n > quarter {
+            (*self.ords.select_nth_unstable(quarter).1 - low) / quarter as u64
+        } else {
+            0
+        };
+        let s = self.since;
+        // Pops run backwards only when keys were scheduled behind popped
+        // ones; the pop gap then says nothing.
+        let popped = match (s.pops, s.last_pop.checked_sub(s.first_pop)) {
+            (2.., Some(span)) => span / (s.pops - 1),
+            _ => u64::MAX,
+        };
+        // The held keys speak for the coming pops; the popped ones step in
+        // when the held are mostly far off while a few cycle at the front.
+        let gap = held.min(popped.saturating_mul(4));
+        let width = gap
+            .saturating_mul(PER_BUCKET)
+            .max(1)
+            .checked_next_power_of_two()
+            .unwrap_or(1 << 63);
+        self.shift = width.trailing_zeros().max(MIN_SHIFT);
+        let reach = *self.ords.select_nth_unstable(n * 15 / 16).1 - low;
+        let most = (4 * n).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        let buckets = ((reach >> self.shift) as usize + 1)
+            .checked_next_power_of_two()
+            .map_or(most, |b| b.clamp(MIN_BUCKETS, most));
+        if self.ring.len() < buckets {
+            self.ring.resize_with(buckets, Vec::new);
+        }
+        self.mask = buckets as u64 - 1;
+        self.next = low >> self.shift;
+        self.horizon = self.next + self.buckets();
+        self.sort_far();
+        self.built = true;
+        self.since = Since::default();
+    }
+
+    /// Pops the front of the committed bucket.
+    fn pop_front(&mut self) -> Option<Entry<K, E>> {
+        let entry = self.cur.pop_front()?;
+        let at = entry.0.ordinal();
+        if self.since.pops == 0 {
+            self.since.first_pop = at;
+        }
+        self.since.last_pop = at;
+        self.len -= 1;
+        self.since.ops += 1;
+        self.since.pops += 1;
+        Some(entry)
+    }
+}
+
 /// A deterministic min-queue over `(key, seq)`: an in-order run beside an
-/// implicit 4-ary heap (see the module docs). `seq` is assigned per
+/// adaptive calendar queue (see the module docs). `seq` is assigned per
 /// [`schedule`](EventQueue::schedule) call in strictly increasing order
 /// starting at 0, so ties on `key` break in schedule order.
 #[derive(Debug)]
 pub struct EventQueue<K, E> {
     /// The in-order run: strictly ascending in `(key, seq)`, front first.
     run: VecDeque<Entry<K, E>>,
-    /// The 4-ary min-heap: no slot pops after any of its children.
-    heap: Vec<Entry<K, E>>,
+    /// Everything scheduled behind the run's tail.
+    cal: Calendar<K, E>,
     next_seq: u64,
+    /// Schedules that went to the calendar since the queue was built.
+    calendar_scheduled: u64,
 }
 
-impl<K: Ord + Copy, E> Default for EventQueue<K, E> {
+impl<K: QueueKey, E> Default for EventQueue<K, E> {
     fn default() -> Self {
         EventQueue::new()
     }
 }
 
-impl<K: Ord + Copy, E> EventQueue<K, E> {
+impl<K: QueueKey, E> EventQueue<K, E> {
     /// An empty queue.
     pub fn new() -> EventQueue<K, E> {
         EventQueue::from_storage(Storage::new())
     }
 
-    /// Rebuilds an empty queue on recycled [`Storage`]: run and heap
-    /// capacity is kept, any stale payloads are dropped, and `seq`
-    /// restarts at 0.
+    /// Rebuilds an empty queue on recycled [`Storage`]: capacity is kept,
+    /// any stale payloads are dropped, `seq` restarts at 0 and the
+    /// calendar's width is derived afresh from the new events.
     pub fn from_storage(mut storage: Storage<K, E>) -> EventQueue<K, E> {
         storage.run.clear();
-        storage.heap.clear();
+        storage.cal.clear();
         EventQueue {
             run: storage.run,
-            heap: storage.heap,
+            cal: storage.cal,
             next_seq: 0,
+            calendar_scheduled: 0,
         }
     }
 
@@ -120,25 +525,26 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     pub fn into_storage(self) -> Storage<K, E> {
         Storage {
             run: self.run,
-            heap: self.heap,
+            cal: self.cal,
         }
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() + self.cal.len
     }
 
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// Events held in the 4-ary heap rather than the in-order run: a
+    /// Schedules that went to the calendar since this queue was built on
+    /// its [`Storage`] (a [`clear`](EventQueue::clear) keeps counting): a
     /// probe for tests that pin which store a workload's events take.
     #[doc(hidden)]
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
+    pub fn calendar_scheduled(&self) -> u64 {
+        self.calendar_scheduled
     }
 
     /// Sequence number the next [`schedule`](EventQueue::schedule) call
@@ -147,12 +553,12 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
         self.next_seq
     }
 
-    /// Key of the earliest queued event, if any.
+    /// Key of the earliest queued event, if any. Commits no bucket.
     pub fn peek_key(&self) -> Option<K> {
-        match (self.run.front(), self.heap.first()) {
-            (Some(&(run, ..)), Some(&(heap, ..))) => Some(run.min(heap)),
+        match (self.run.front(), self.cal.peek()) {
+            (Some(&(run, ..)), Some((cal, _))) => Some(run.min(cal)),
             (Some(&(run, ..)), None) => Some(run),
-            (None, heap) => heap.map(|&(key, ..)| key),
+            (None, cal) => cal.map(|(key, _)| key),
         }
     }
 
@@ -160,93 +566,76 @@ impl<K: Ord + Copy, E> EventQueue<K, E> {
     /// `seq` counter are kept).
     pub fn clear(&mut self) {
         self.run.clear();
-        self.heap.clear();
+        self.cal.clear();
     }
 
     /// Queues `item` at `key` and returns the assigned sequence number.
-    /// Allocation-free whenever the run or the heap has room.
+    /// Allocation-free whenever the store it lands in has room.
     pub fn schedule(&mut self, key: K, item: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         // In order behind the run's tail (`seq` already is): extend the run.
         if self.run.back().is_none_or(|&(tail, ..)| key >= tail) {
             self.run.push_back((key, seq, item));
-            return seq;
+        } else {
+            self.calendar_scheduled += 1;
+            self.cal.push((key, seq, item));
         }
-        self.heap.push((key, seq, item));
-        self.sift_up(self.heap.len() - 1);
         seq
     }
 
-    /// Moves the heap entry at `at` up past every ancestor it pops before.
-    #[inline]
-    fn sift_up(&mut self, mut at: usize) {
-        while at > 0 {
-            let parent = (at - 1) / ARITY;
-            if !before(&self.heap[at], &self.heap[parent]) {
-                break;
-            }
-            self.heap.swap(at, parent);
-            at = parent;
-        }
+    /// Pops the event with the smallest `(key, seq)` — the smaller of the
+    /// run's front and the calendar's.
+    pub fn pop(&mut self) -> Option<(K, u64, E)> {
+        self.pop_first(None)
     }
 
-    /// Pops the event with the smallest `(key, seq)` — the smaller of the
-    /// run's front and the heap's root.
-    pub fn pop(&mut self) -> Option<(K, u64, E)> {
-        let heap_first = match (self.run.front(), self.heap.first()) {
-            (None, None) => return None,
-            (Some(run), Some(root)) => before(root, run),
-            (run, _) => run.is_none(),
-        };
-        if !heap_first {
+    /// Pops the event with the smallest `(key, seq)` if its key is at most
+    /// `limit`; otherwise leaves the queue as it was, save that the
+    /// calendar may have committed a bucket starting at or before `limit`.
+    pub fn pop_due(&mut self, limit: K) -> Option<(K, u64, E)> {
+        self.pop_first(Some(limit))
+    }
+
+    fn pop_first(&mut self, limit: Option<K>) -> Option<(K, u64, E)> {
+        if self.cal.len == 0 {
+            // In-order traffic: the run's front is the minimum.
+            let &(key, ..) = self.run.front()?;
+            if limit.is_some_and(|limit| key > limit) {
+                return None;
+            }
             return self.run.pop_front();
         }
-        // The last leaf takes the root's slot, sinks along the least
-        // children to a leaf, then rises back to its place — a leaf
-        // usually belongs near the bottom, so this saves the compare
-        // against it on every level on the way down.
-        let top = self.heap.swap_remove(0);
-        let len = self.heap.len();
-        let mut at = 0;
-        loop {
-            let first = ARITY * at + 1;
-            if first >= len {
-                break;
+        let run = self.run.front().map(|&(key, seq, _)| (key, seq));
+        // The calendar need not commit past the run's front or the limit.
+        let bound = match (run, limit) {
+            (Some((key, _)), Some(limit)) => Some(key.min(limit)),
+            (run, limit) => run.map(|(key, _)| key).or(limit),
+        };
+        let cal = self.cal.front_through(bound.map_or(u64::MAX, K::ordinal));
+        let (key, from_cal) = match (run, cal) {
+            (None, None) => return None,
+            (Some(run), Some(cal)) => {
+                let cal_first = (cal.0 < run.0) | ((cal.0 == run.0) & (cal.1 < run.1));
+                (if cal_first { cal.0 } else { run.0 }, cal_first)
             }
-            let h = &self.heap;
-            let least = if first + ARITY <= len {
-                // A full family: two independent pairs, then their winners.
-                let a = first + usize::from(before(&h[first + 1], &h[first]));
-                let b = first + 2 + usize::from(before(&h[first + 3], &h[first + 2]));
-                [a, b][usize::from(before(&h[b], &h[a]))]
-            } else {
-                (first..len)
-                    .min_by_key(|&c| (h[c].0, h[c].1))
-                    .expect("a child")
-            };
-            self.heap.swap(at, least);
-            at = least;
+            (Some((key, _)), None) => (key, false),
+            (None, Some((key, _))) => (key, true),
+        };
+        if limit.is_some_and(|limit| key > limit) {
+            return None;
         }
-        self.sift_up(at);
-        Some(top)
+        if from_cal {
+            self.cal.pop_front()
+        } else {
+            self.run.pop_front()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// No heap slot pops before its parent.
-    fn assert_heap_ordered<K: Ord + Copy + std::fmt::Debug, E>(q: &EventQueue<K, E>) {
-        for at in 1..q.heap.len() {
-            let parent = (at - 1) / ARITY;
-            assert!(
-                before(&q.heap[parent], &q.heap[at]),
-                "slot {at} pops before its parent {parent}"
-            );
-        }
-    }
 
     #[test]
     fn pops_in_key_order() {
@@ -285,16 +674,17 @@ mod tests {
             q.schedule(1_000 + i, i); // in order: the run
         }
         for i in 0..100u64 {
-            q.schedule(999 - i, i); // below the run's tail: the heap
+            q.schedule(999 - i, i); // below the run's tail: the calendar
         }
-        assert_eq!((q.run.len(), q.heap.len()), (100, 100));
-        assert_heap_ordered(&q);
+        assert_eq!((q.run.len(), q.cal.len), (100, 100));
         while q.pop().is_some() {}
-        let (run_cap, heap_cap) = (q.run.capacity(), q.heap.capacity());
+        let (run_cap, ring_len) = (q.run.capacity(), q.cal.ring.len());
+        assert!(ring_len >= MIN_BUCKETS, "the first pop built the ring");
         let storage = q.into_storage();
         let mut q2: EventQueue<u64, u64> = EventQueue::from_storage(storage);
         assert_eq!(q2.next_seq(), 0);
-        assert!(q2.run.capacity() >= run_cap && q2.heap.capacity() >= heap_cap);
+        assert!(q2.run.capacity() >= run_cap && q2.cal.ring.len() == ring_len);
+        assert!(!q2.cal.built, "a recycled calendar re-derives its width");
         assert_eq!(q2.schedule(1, 9), 0);
         assert_eq!(q2.pop(), Some((1, 0, 9)));
     }
@@ -302,7 +692,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_recycles_slots() {
         // A far-future sentinel holds the run's tail, so every other event
-        // is out of order and goes through the heap.
+        // is out of order and goes through the calendar.
         let mut q = EventQueue::new();
         q.schedule(u64::MAX, 0);
         let mut last_popped = None;
@@ -312,19 +702,80 @@ mod tests {
             let (k, _, _) = q.pop().unwrap();
             assert!(last_popped < Some(k), "pops come out in key order");
             last_popped = Some(k);
-            assert_heap_ordered(&q);
         }
-        // The heap holds the live events only: a popped slot is reused.
-        assert_eq!((q.heap.len(), q.run.len(), q.len()), (50, 1, 51));
-        assert!(
-            q.heap.capacity() <= 64,
-            "heap grew to {}",
-            q.heap.capacity()
-        );
+        // The calendar holds the live events only: popped room is reused.
+        assert_eq!((q.cal.len, q.run.len(), q.len()), (50, 1, 51));
+        assert_eq!(q.calendar_scheduled(), 100);
+        let held: usize = q.cal.ring.iter().map(Vec::capacity).sum::<usize>()
+            + q.cal.cur.capacity()
+            + q.cal.far.capacity();
+        assert!(held <= 4 * 100, "the calendar holds room for {held}");
     }
 
     #[test]
-    fn in_order_schedules_never_touch_the_heap() {
+    fn a_bucket_is_committed_only_by_a_pop_from_it() {
+        // Events 1 000 apart behind a sentinel: a bucket of the built
+        // calendar holds one or a few of them.
+        let mut q = EventQueue::new();
+        q.schedule(u64::MAX, 0);
+        for i in 1..=64u64 {
+            q.schedule(i * 1_000, i);
+        }
+        assert_eq!(q.peek_key(), Some(1_000));
+        assert_eq!(q.pop_due(999), None, "nothing is due before 1 000");
+        assert!(
+            q.cal.cur.is_empty(),
+            "a limit before the front commits nothing"
+        );
+        assert_eq!(q.pop_due(1_000), Some((1_000, 1, 1)));
+        // The committed bucket ends before 64 000, and a limit short of the
+        // next event's bucket leaves that bucket in the ring.
+        while !q.cal.cur.is_empty() {
+            q.pop();
+        }
+        let next = q.peek_key().expect("events left");
+        let start = (next >> q.cal.shift) << q.cal.shift;
+        if start > 0 {
+            assert_eq!(q.pop_due(start - 1), None);
+            assert!(q.cal.cur.is_empty(), "a limit before the bucket commits it");
+        }
+        assert!(q.cal.cur.is_empty(), "peek_key commits nothing");
+        assert_eq!(q.pop_due(next).map(|(k, ..)| k), Some(next));
+    }
+
+    #[test]
+    fn the_width_follows_the_spread() {
+        // A hold model 2 000 deep: delays up to 100, then up to 10⁶.
+        let mut q = EventQueue::new();
+        q.schedule(u64::MAX, u64::MAX);
+        for i in 0..2_000u64 {
+            q.schedule(1 + i % 97, i);
+        }
+        let mut x = 1u64;
+        let mut hold = |q: &mut EventQueue<u64, u64>, spread: u64| {
+            for _ in 0..20_000 {
+                let (now, _, item) = q.pop().unwrap();
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                q.schedule(now + 1 + (x >> 33) % spread, item);
+            }
+            q.cal.shift
+        };
+        let narrow = hold(&mut q, 100);
+        let wide = hold(&mut q, 1_000_000);
+        let narrow_again = hold(&mut q, 100);
+        assert!(narrow <= 4, "2 000 events over 100 keys: width 2^{narrow}");
+        assert!(wide >= narrow + 10, "10⁴× the spread: width 2^{wide}");
+        assert!(
+            narrow_again + 6 <= wide,
+            "back near the first: 2^{narrow_again}"
+        );
+        assert_eq!(q.len(), 2_001);
+    }
+
+    #[test]
+    fn in_order_schedules_never_touch_the_calendar() {
         // Constant-latency traffic: keys never decrease, pops interleave.
         let mut q = EventQueue::new();
         for round in 0..50u64 {
@@ -334,11 +785,12 @@ mod tests {
             // Schedule order is pop order: the `round`-th event overall.
             assert_eq!(q.pop(), Some((round / 4 * 10, round, round)));
         }
-        assert!(q.heap.is_empty(), "an in-order event reached the heap");
+        assert_eq!(q.cal.len, 0, "an in-order event reached the calendar");
+        assert!(q.cal.ring.is_empty() && q.cal.far.capacity() == 0);
         assert_eq!((q.len(), q.run.len()), (150, 150));
-        // One late event is the heap's; the fronts still merge in order.
+        // One late event is the calendar's; the fronts still merge in order.
         q.schedule(5, 999);
-        assert_eq!((q.heap.len(), q.peek_key()), (1, Some(5)));
+        assert_eq!((q.cal.len, q.peek_key()), (1, Some(5)));
         assert_eq!(q.pop(), Some((5, 200, 999)));
         assert_eq!(q.pop(), Some((120, 50, 50)));
     }

@@ -504,11 +504,12 @@ impl<M: Kinded> SimNet<M> {
         }
     }
 
-    /// [`EventQueue::heap_len`] of this network's event queue: a probe
-    /// for tests that pin which store a workload's events take.
+    /// [`EventQueue::calendar_scheduled`] of this network's event queue:
+    /// how many of its schedules went to the calendar since it was built,
+    /// a probe for tests that pin which store a workload's events take.
     #[doc(hidden)]
-    pub fn queue_heap_len(&self) -> usize {
-        self.queue.heap_len()
+    pub fn queue_calendar_scheduled(&self) -> u64 {
+        self.queue.calendar_scheduled()
     }
 
     fn latency_of(&self, from: usize, to: usize) -> LatencyModel {
@@ -684,8 +685,7 @@ impl<M: Kinded> SimNet<M> {
     /// the right fault windows). Returns whether anything arrived.
     pub fn advance_until(&mut self, target_ns: u64) -> bool {
         let mut any = false;
-        while self.queue.peek_key().is_some_and(|at| at <= target_ns) {
-            let (at_ns, seq, flight) = self.queue.pop().expect("peeked");
+        while let Some((at_ns, seq, flight)) = self.queue.pop_due(target_ns) {
             any |= self.admit(at_ns, seq, flight);
         }
         if self.now_ns < target_ns {
@@ -770,8 +770,7 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
             }
             // Also surface everything else arriving at the same instant,
             // so equal-time arrivals stay in send order for the caller.
-            while self.queue.peek_key() == Some(self.now_ns) {
-                let (nat, nseq, nflight) = self.queue.pop().expect("peeked");
+            while let Some((nat, nseq, nflight)) = self.queue.pop_due(self.now_ns) {
                 self.admit(nat, nseq, nflight);
             }
             return true;

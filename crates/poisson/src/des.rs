@@ -2,13 +2,33 @@
 //! harness's `poisson.queue_op_ns` probe; see the crate docs).
 //!
 //! A thin wrapper over the shared event core
-//! ([`am_net::queue::EventQueue`]: an in-order run beside an implicit
-//! 4-ary heap) keyed by `(Time, seq)`; `seq` breaks time ties in insertion order
-//! so runs are deterministic, and event storage is recycled in place
-//! instead of reallocated per event. `tests/des_determinism.rs` holds the
-//! pop order to a `BinaryHeap` through this wrapper.
+//! ([`am_net::queue::EventQueue`]: an in-order run beside an adaptive
+//! calendar queue) keyed by `(Time, seq)`; `seq` breaks time ties in
+//! insertion order so runs are deterministic, and event storage is
+//! recycled in place instead of reallocated per event.
+//! `tests/des_determinism.rs` holds the pop order to a `BinaryHeap`
+//! through this wrapper.
 
 use am_core::Time;
+use am_net::queue::QueueKey;
+
+/// A [`Time`] as a queue key: the calendar buckets times by the bits of
+/// the `f64`, mapped so that unsigned order is [`f64::total_cmp`] order —
+/// the order `Time` itself sorts by.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct At(Time);
+
+impl QueueKey for At {
+    #[inline]
+    fn ordinal(self) -> u64 {
+        let bits = self.0.seconds().to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+}
 
 /// A scheduled event.
 #[derive(Clone, Debug)]
@@ -30,7 +50,7 @@ impl<E> Eq for Scheduled<E> {}
 
 /// A deterministic min-time event queue.
 pub struct EventQueue<E> {
-    core: am_net::queue::EventQueue<Time, E>,
+    core: am_net::queue::EventQueue<At, E>,
     now: Time,
     obs_scheduled: am_obs::Counter,
     obs_popped: am_obs::Counter,
@@ -63,7 +83,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, t: Time, event: E) {
         assert!(t >= self.now, "cannot schedule into the past");
         self.obs_scheduled.inc();
-        self.core.schedule(t, event);
+        self.core.schedule(At(t), event);
     }
 
     /// Schedules `event` `dt` after now.
@@ -74,7 +94,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let (time, seq, event) = self.core.pop()?;
+        let (At(time), seq, event) = self.core.pop()?;
         self.obs_popped.inc();
         self.now = time;
         Some(Scheduled { time, seq, event })
@@ -134,6 +154,26 @@ mod tests {
         q.schedule(Time::new(5.0), ());
         q.pop();
         q.schedule(Time::new(1.0), ());
+    }
+
+    #[test]
+    fn ordinals_follow_time_order() {
+        let times = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -1e-300,
+            -0.0,
+            0.0,
+            1e-300,
+            0.125,
+            1.0,
+            3.5e9,
+            f64::INFINITY,
+        ];
+        for pair in times.windows(2) {
+            let (a, b) = (At(Time::new(pair[0])), At(Time::new(pair[1])));
+            assert!(a < b && a.ordinal() < b.ordinal(), "{pair:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The shared event core's pop order, seen through the
 //! `am_poisson::EventQueue` wrapper.
 //!
-//! `am_net::EventQueue` keeps an in-order run beside a 4-ary heap
-//! (`crates/net/src/queue.rs`); `crates/net/tests/queue_determinism.rs`
+//! `am_net::EventQueue` keeps an in-order run beside an adaptive calendar
+//! queue (`crates/net/src/queue.rs`); `crates/net/tests/queue_determinism.rs`
 //! pins its pop sequence against a `BinaryHeap` and lists the mutations
 //! that suite catches. This file runs the same three schedule shapes
-//! through the `Time`-keyed wrapper — which adds a clock and refuses to
-//! schedule into the past — so the one queue type is held to the one
-//! total order `(time, schedule order)` from both of its callers.
+//! through the `Time`-keyed wrapper — which adds a clock, refuses to
+//! schedule into the past and buckets times by their `f64` bits — so the
+//! one queue type is held to the one total order `(time, schedule order)`
+//! from both of its callers. A fourth shape spreads times over thirteen
+//! binades (1/8 s to 1 024 s past the clock), where the bit view of a
+//! time is far from linear.
 
 use am_core::Time;
 use am_poisson::EventQueue;
@@ -21,15 +24,18 @@ use std::collections::BinaryHeap;
 enum Shape {
     /// Never before the latest time scheduled: the run alone.
     InOrder,
-    /// Anywhere in the next five seconds: the heap, mostly.
+    /// Anywhere in the next five seconds: the calendar, mostly.
     Random,
     /// In-order bursts with stragglers drawn from the span the run covers.
     Bursts,
+    /// From one tick to 8 192 ticks past the clock, the binade drawn
+    /// uniformly: most near, a long tail far.
+    Binades,
 }
 
 #[test]
 fn wrapper_pops_in_time_then_schedule_order_in_every_shape() {
-    for shape in [Shape::InOrder, Shape::Random, Shape::Bursts] {
+    for shape in [Shape::InOrder, Shape::Random, Shape::Bursts, Shape::Binades] {
         for seed in 0..60u64 {
             let what = format!("{shape:?} seed {seed}");
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -45,6 +51,10 @@ fn wrapper_pops_in_time_then_schedule_order_in_every_shape() {
                     let tick = match shape {
                         Shape::Random => now + rng.gen_range(0..40u64),
                         Shape::Bursts if rng.gen_bool(0.3) => rng.gen_range(now..=hi),
+                        Shape::Binades => {
+                            let binade = 1u64 << rng.gen_range(0..13);
+                            now + binade + rng.gen_range(0..binade)
+                        }
                         _ => {
                             hi += rng.gen_range(0..3u64);
                             hi

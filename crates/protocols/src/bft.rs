@@ -504,7 +504,7 @@ pub(crate) fn bft_trial(p: &Params, adv: BftAdversary) -> BftTrial {
 
 /// Node 0's summary of a networked trial: the only view it reads, so the
 /// only one healed.
-fn net_summary(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftTrial {
+pub(crate) fn net_summary(p: &Params, adv: BftAdversary, prop: &mut Propagation) -> BftTrial {
     let mut run = bft_over_wire(p, adv, prop);
     run.heal(0);
     run.summary(p)

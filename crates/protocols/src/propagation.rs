@@ -655,11 +655,14 @@ mod tests {
     //! entry not re-blocked on the parent it still lacks, a blocker's bit
     //! left out of `blocked_on`, and a flush that stops after one pass.
     //!
-    //! `sweep_net`'s two configs are held to an event queue whose heap
-    //! stays empty (checked against a queue that heaps every event).
+    //! The benchmark's networked points (`sweep_net`'s two configs and
+    //! `bft_finality`'s lossy one) are held to an event queue that never
+    //! schedules into its calendar (checked against a queue that sends
+    //! every event there).
     use super::*;
     use crate::{
-        run_chain_net, run_dag_net, ChainAdversary, DagAdversary, DagRule, Params, TieBreak,
+        run_chain_net, run_dag_net, BftAdversary, ChainAdversary, DagAdversary, DagRule, Params,
+        TieBreak,
     };
     use am_net::{LatencyModel, NetConfigBuilder, Topology};
     use rand::{Rng, SeedableRng};
@@ -1154,79 +1157,51 @@ mod tests {
         }
     }
 
-    /// A [`Propagation`] under a trial runner, recording the most events
-    /// its network's event queue ever held in the 4-ary heap between
-    /// calls. Under the mesh configs below nothing is sent inside
-    /// `advance_to` (no relays, no repair), so every schedule happens in
-    /// `published` and the heap is looked at after each one.
-    struct HeapWatch<'a> {
-        prop: &'a mut Propagation,
-        max_heap: usize,
-    }
-
-    impl HeapWatch<'_> {
-        fn look(&mut self) {
-            self.max_heap = self.max_heap.max(self.prop.net.queue_heap_len());
-        }
-    }
-
-    impl Visibility for HeapWatch<'_> {
-        fn advance_to(&mut self, at: Time, log: &BlockStore) {
-            Visibility::advance_to(self.prop, at, log);
-            self.look();
-        }
-
-        fn published(&mut self, author: usize, id: MsgId, parents: &[MsgId], at: Time) {
-            self.prop.published(author, id, parents, at);
-            self.look();
-        }
-
-        fn tips_into(&mut self, node: usize, log: &BlockStore, out: &mut Vec<MsgId>) {
-            self.prop.tips_into(node, log, out);
-        }
-
-        fn deepest<'a>(&'a mut self, node: usize, log: &BlockStore) -> &'a [MsgId] {
-            self.prop.deepest(node, log)
-        }
-    }
-
     #[test]
-    fn sweep_net_events_never_reach_the_heap() {
-        // The benchmark's `sweep_net` points: n = 12, λ = 0.5, k = 21, a
-        // Δ/20 constant wire that drops a fifth of its messages or is
-        // partitioned for [0, 5Δ). A constant latency schedules every
-        // event at `now + Δ/20` with `now` never decreasing, so keys never
-        // decrease and each event takes the queue's in-order run: the
-        // heap's push-per-pop cost cannot reach this workload.
+    fn networked_benchmark_points_never_reach_the_calendar() {
+        // The benchmark's networked points, all on a Δ/20 constant wire:
+        // `sweep_net`'s n = 12, λ = 0.5, k = 21 chain and DAG trials that
+        // drop a fifth of their messages or are partitioned for [0, 5Δ),
+        // and `bft_finality`'s n = 12, t = 3, λ = 0.5, k = 9 equivocator
+        // trial that drops a tenth (pull repair included). A constant
+        // latency schedules every event at `now + Δ/20` with `now` never
+        // decreasing, so keys never decrease and each event takes the
+        // queue's in-order run: the calendar's cost cannot reach these
+        // workloads — only spread latencies (`gossip_scale`) pay it.
         let delta_ns = 1_000_000_000;
         let wire = || NetConfig::builder().latency(LatencyModel::Constant(delta_ns / 20));
+        let trials =
+            |base: Params| (0..24).map(move |i| base.with_seed(crate::trial_seed(base.seed, i)));
         let configs = [
             wire().drop(0.2).build().unwrap(),
             wire().partition(0, 5 * delta_ns).build().unwrap(),
         ];
         for cfg in &configs {
-            let base = Params::new(12, 4, 0.5, 21, 11 ^ 0x14).with_net(*cfg);
-            for i in 0..24 {
-                let p = base.with_seed(crate::trial_seed(base.seed, i));
+            for p in trials(Params::new(12, 4, 0.5, 21, 11 ^ 0x14).with_net(*cfg)) {
                 for dag in [false, true] {
                     let mut prop = Propagation::new(p.n, cfg, p.seed ^ 0x6e57_c0de);
-                    let mut watch = HeapWatch {
-                        prop: &mut prop,
-                        max_heap: 0,
-                    };
                     if dag {
                         let (rule, adv) = (DagRule::LongestChain, DagAdversary::WithholdBurst);
-                        crate::dag::run_dag_on(&p, rule, adv, &mut watch);
+                        crate::dag::run_dag_on(&p, rule, adv, &mut prop);
                     } else {
                         let (tie, adv) = (TieBreak::Randomized, ChainAdversary::TieBreaker);
-                        crate::chain::run_chain_on(&p, tie, adv, &mut watch);
+                        crate::chain::run_chain_on(&p, tie, adv, &mut prop);
                     }
-                    watch.prop.settle();
-                    watch.look();
-                    assert_eq!(watch.max_heap, 0, "trial {i} (dag: {dag}) under {cfg:?}");
+                    prop.settle();
+                    let reached = prop.net.queue_calendar_scheduled();
+                    assert_eq!(reached, 0, "seed {} (dag: {dag}) under {cfg:?}", p.seed);
                     assert!(prop.stats().totals().delivered > 0);
                 }
             }
+        }
+        let lossy = wire().drop(0.1).build().unwrap();
+        for p in trials(Params::new(12, 3, 0.5, 9, 11 ^ 0x15).with_net(lossy)) {
+            let mut prop = Propagation::new(p.n, &lossy, p.seed ^ 0x6e57_c0de);
+            crate::bft::net_summary(&p, BftAdversary::Equivocator, &mut prop);
+            let reached = prop.net.queue_calendar_scheduled();
+            assert_eq!(reached, 0, "bft seed {}", p.seed);
+            let totals = prop.stats().totals();
+            assert!(totals.delivered > 0 && totals.dropped > 0);
         }
     }
 }
