@@ -12,7 +12,8 @@
 # harness, or a second shipped `Transport` impl, or a second serving
 # load harness beside `benchmark/`'s or the histograms it alone read, or
 # a second chain-rule dispatch or `Params` constructor, or a prefix view or a
-# collected mempool batch on the serving path.
+# collected mempool batch on the serving path, or a per-send fact (sender,
+# send time) carried by every message copy in the simulator.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -188,6 +189,17 @@ if shipped crates/experiments/src/e*.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E 'Report::new\(|\.runner\(\)|points\.(push|extend)\(|ctx\.reps\b'; then
   echo "error: an experiment opens its own report or keeps its own sweep points — take the report run_with opens and funnel points through ctx.sweep() (DESIGN.md, \"Sweep lifecycle\")" >&2
+  exit 1
+fi
+# A message copy in `SimNet`'s queue or inboxes is its receiver, parcel and
+# link row; the sender and send time are per send and live once in the
+# parcel's `Stamp`, which every copy of the send shares.
+if shipped crates/net/src/sim.rs |
+  awk '/^[^:]+:[0-9]+:(pub(\([a-z]+\))? )?struct (Flight|Arrival) \{/ {inside = 1}
+       inside {print}
+       inside && /^[^:]+:[0-9]+:\}/ {inside = 0}' |
+  grep -E '^[^:]+:[0-9]+:[[:space:]]*(pub(\([a-z]+\))? )?(sent_ns|from)[[:space:]]*:'; then
+  echo "error: a per-send fact on a per-copy handle in sim.rs — keep the sender and send time in the parcel's Stamp (DESIGN.md §10)" >&2
   exit 1
 fi
 # One shipped transport: `SimNet` is the only `Transport` impl in src/. The

@@ -92,6 +92,12 @@ pub enum MpError {
 pub struct MpSystem<T: Transport<Payload> = SimNet<Payload>> {
     net: T,
     ring: KeyRing,
+    /// The last message whose validity [`Self::adopt_new`] established.
+    /// Validity is a pure function of a message's five fields and the
+    /// ring, so the other receivers of the same broadcast append skip the
+    /// hash and the MAC; a copy that differs in any field, its signature
+    /// included, is checked afresh.
+    last_valid: Option<MpMsg>,
     byz: Vec<bool>,
     /// Paused nodes, one bit per node in the layout of
     /// [`Transport::backlogged`].
@@ -167,6 +173,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
         MpSystem {
             net,
             ring: KeyRing::new(n, seed),
+            last_valid: None,
             byz: byz_flags,
             paused: vec![0; n.div_ceil(64)],
             views: vec![MpView::new(); n],
@@ -485,19 +492,35 @@ impl<T: Transport<Payload>> MpSystem<T> {
     /// test would leave each node with whichever copy it met first, for
     /// good. Membership is tested first — it is the only test a message
     /// already held needs, and a read merge walks thousands of those.
+    /// `last_valid` is [`MpSystem`]'s memo of the last message found valid.
     /// Returns whether the message was new.
     #[inline(always)]
-    fn adopt(seen: &mut SeenTable, view: &mut MpView, ring: &KeyRing, m: &MpMsg) -> bool {
-        !seen.contains(m.author, m.seq, m.content) && Self::adopt_new(seen, view, ring, m)
+    fn adopt(
+        seen: &mut SeenTable,
+        view: &mut MpView,
+        ring: &KeyRing,
+        last_valid: &mut Option<MpMsg>,
+        m: &MpMsg,
+    ) -> bool {
+        !seen.contains(m.author, m.seq, m.content)
+            && Self::adopt_new(seen, view, ring, last_valid, m)
     }
 
     /// The rest of [`Self::adopt`], out of line so that the merge loop is
     /// the membership test alone.
     #[inline(never)]
-    fn adopt_new(seen: &mut SeenTable, view: &mut MpView, ring: &KeyRing, m: &MpMsg) -> bool {
-        let valid = m.content == Self::msg_content(m.author, m.seq, m.value)
-            && ring.verify(m.author, m.content, m.sig);
+    fn adopt_new(
+        seen: &mut SeenTable,
+        view: &mut MpView,
+        ring: &KeyRing,
+        last_valid: &mut Option<MpMsg>,
+        m: &MpMsg,
+    ) -> bool {
+        let valid = *last_valid == Some(*m)
+            || (m.content == Self::msg_content(m.author, m.seq, m.value)
+                && ring.verify(m.author, m.content, m.sig));
         if valid {
+            *last_valid = Some(*m);
             seen.insert(m.author, m.seq, m.content);
             view.push(*m);
         }
@@ -570,7 +593,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
                     sig,
                 };
                 let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
-                if Self::adopt(seen, mine, &self.ring, &msg) {
+                if Self::adopt(seen, mine, &self.ring, &mut self.last_valid, &msg) {
                     // Line 4 of Algorithm 2: broadcast the ack.
                     self.net.broadcast(
                         target,
@@ -607,7 +630,7 @@ impl<T: Transport<Payload>> MpSystem<T> {
                 let held = self.views[target].len();
                 let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
                 for m in view.iter_from(start) {
-                    Self::adopt(seen, mine, &self.ring, m);
+                    Self::adopt(seen, mine, &self.ring, &mut self.last_valid, m);
                 }
                 self.obs_merge_walked
                     .add(view.len().saturating_sub(start) as u64);

@@ -16,8 +16,9 @@
 //!   implement it too, and Algorithms 2/3 run unchanged over any of them.
 //! * [`SimNet`] — a seeded discrete-event simulator: an event queue
 //!   ([`EventQueue`]: an in-order run beside an adaptive calendar queue,
-//!   one total order `(time_ns, seq)`), carrying 24-byte handles to payloads
-//!   held once in a slab, drives per-link latency models
+//!   one total order `(time_ns, seq)`), carrying 12-byte handles (receiver,
+//!   parcel, link row) to payloads held once in a slab with their sender,
+//!   send time and kind, drives per-link latency models
 //!   ([`LatencyModel`]: constant, uniform, exponential) and composable
 //!   fault injectors ([`Fault`]: probabilistic drops, duplication,
 //!   reorder-by-extra-delay, node crash/recover windows, scheduled

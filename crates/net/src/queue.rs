@@ -326,6 +326,13 @@ impl<K: QueueKey, E> Calendar<K, E> {
                 }
                 self.next = b;
                 self.refill();
+                // The minimum is exact, so its bucket is in the ring now;
+                // a stale one would send this loop back to the same jump
+                // forever.
+                debug_assert!(
+                    !self.ring[(b & self.mask) as usize].is_empty(),
+                    "the far store's minimum names bucket {b}, which the refill left empty"
+                );
             }
             if self.next > last {
                 return false;
@@ -571,6 +578,7 @@ impl<K: QueueKey, E> EventQueue<K, E> {
 
     /// Queues `item` at `key` and returns the assigned sequence number.
     /// Allocation-free whenever the store it lands in has room.
+    #[inline]
     pub fn schedule(&mut self, key: K, item: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -597,6 +605,7 @@ impl<K: QueueKey, E> EventQueue<K, E> {
         self.pop_first(Some(limit))
     }
 
+    #[inline]
     fn pop_first(&mut self, limit: Option<K>) -> Option<(K, u64, E)> {
         if self.cal.len == 0 {
             // In-order traffic: the run's front is the minimum.

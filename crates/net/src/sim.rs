@@ -5,7 +5,7 @@ use crate::fault::{Fault, PartitionSpec};
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
 use crate::stats::{KindSlot, NetStats};
-use crate::topology::{LinkTable, TopologyMap};
+use crate::topology::{Link, LinkTable, TopologyMap};
 use crate::transport::{Envelope, Kinded, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -23,25 +23,36 @@ impl ParcelId {
     }
 }
 
-/// One slab slot: a payload, its kind's row in the [`NetStats`] kind
-/// table (resolved once, when the payload enters the network) and how
-/// many in-flight or arrived copies of it are still owed a delivery.
-/// Vacant slots hold `None` and sit on the free list.
+/// What every copy of one `send` or `broadcast` shares, so no copy carries
+/// it: who sent it, when, and its kind's row in the [`NetStats`] kind table
+/// (resolved once, when the payload enters the network). Duplicate-fault
+/// copies share it too.
+#[derive(Clone, Copy, Debug)]
+struct Stamp {
+    sent_ns: u64,
+    from: u32,
+    kind: KindSlot,
+}
+
+/// One slab slot: a payload, its [`Stamp`] and how many in-flight or
+/// arrived copies of it are still owed a delivery. Vacant slots hold
+/// `None` and sit on the free list.
 #[derive(Debug)]
 struct Parcel<M> {
     payload: Option<M>,
     refs: u32,
-    kind: KindSlot,
+    stamp: Stamp,
 }
 
-/// Every payload inside the network, stored once. `send` and `broadcast`
-/// move the payload in and pass [`ParcelId`]s through the event queue and
-/// the inboxes; each way a copy can leave the network gives its reference
-/// back — a fault drop through [`Parcels::release`], a delivery through
-/// [`Parcels::take`], which moves the payload out for the last reference
-/// and clones it for any earlier one. Nothing is allocated per message
-/// once the slab has warmed up, and the slab is recycled across trials
-/// through [`NetScratch`] like the queue's.
+/// Every payload inside the network, stored once with its per-send facts.
+/// `send` and `broadcast` move the payload in and pass [`ParcelId`]s
+/// through the event queue and the inboxes; each way a copy can leave the
+/// network gives its reference back — a fault drop through
+/// [`Parcels::release`], a delivery through [`Parcels::take`], which moves
+/// the payload out for the last reference and clones it for any earlier
+/// one. Nothing is allocated per message once the slab has warmed up, and
+/// the slab is recycled across trials through [`NetScratch`] like the
+/// queue's.
 #[derive(Debug)]
 struct Parcels<M> {
     slots: Vec<Parcel<M>>,
@@ -63,13 +74,14 @@ impl<M> Parcels<M> {
         self.free.clear();
     }
 
-    /// Stores `payload`, of kind slot `kind`, with `refs` copies owed.
-    fn insert(&mut self, payload: M, kind: KindSlot, refs: u32) -> ParcelId {
+    /// Stores `payload`, sent as `stamp` says, with `refs` copies owed.
+    #[inline]
+    fn insert(&mut self, payload: M, stamp: Stamp, refs: u32) -> ParcelId {
         debug_assert!(refs > 0, "a parcel nobody is owed would never be freed");
         let parcel = Parcel {
             payload: Some(payload),
             refs,
-            kind,
+            stamp,
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -91,8 +103,8 @@ impl<M> Parcels<M> {
             .expect("a live handle names an occupied slot")
     }
 
-    fn kind(&self, id: ParcelId) -> KindSlot {
-        self.slots[id.slot()].kind
+    fn stamp(&self, id: ParcelId) -> Stamp {
+        self.slots[id.slot()].stamp
     }
 
     /// One more copy owed (the duplicate fault).
@@ -113,32 +125,36 @@ impl<M> Parcels<M> {
 }
 
 impl<M: Clone> Parcels<M> {
-    /// The payload for one delivery: moved out if this is the last copy
-    /// owed, cloned otherwise.
-    fn take(&mut self, id: ParcelId) -> M {
+    /// The payload for one delivery, with its stamp: moved out if this is
+    /// the last copy owed, cloned otherwise.
+    #[inline]
+    fn take(&mut self, id: ParcelId) -> (M, Stamp) {
         let parcel = &mut self.slots[id.slot()];
         parcel.refs -= 1;
-        if parcel.refs == 0 {
+        let payload = if parcel.refs == 0 {
             self.free.push(id.slot() as u32);
             parcel.payload.take()
         } else {
             parcel.payload.clone()
-        }
-        .expect("a live handle names an occupied slot")
+        };
+        let payload = payload.expect("a live handle names an occupied slot");
+        (payload, parcel.stamp)
     }
 }
 
-/// A scheduled arrival in flight: 24 bytes whatever the payload, which
-/// stays in the [`Parcels`] slab. Ordering lives in the event queue's
-/// `(at_ns, seq)` key, so flights never implement `Ord` and the queue
-/// never sees the payload. Endpoints are `u32` — node counts cap at
-/// `u32::MAX` and 5k-node runs keep millions of these in the slab.
+/// A scheduled arrival in flight: 12 bytes whatever the payload — the
+/// receiver, the parcel and the link's row in the per-link tables,
+/// resolved at the send (`Link::SPILL` for a link without one). The
+/// sender and send time are per send, so they stay in the parcel's
+/// [`Stamp`]. Ordering lives in the event queue's `(at_ns, seq)` key, so
+/// flights never implement `Ord` and the queue never sees the payload.
+/// Endpoints are `u32` — node counts cap at `u32::MAX` and 5k-node runs
+/// keep millions of these in the queue.
 #[derive(Clone, Copy, Debug)]
 struct Flight {
-    sent_ns: u64,
-    from: u32,
     to: u32,
     parcel: ParcelId,
+    row: u32,
 }
 
 impl NetConfig {
@@ -223,16 +239,16 @@ impl NetConfig {
     }
 }
 
-/// A queued arrival waiting in a node's inbox. Compact on purpose (24
+/// A queued arrival waiting in a node's inbox. Compact on purpose (16
 /// bytes, tombstone included) — the receiver is implied by which inbox it
-/// sits in, the payload and its kind slot stay in the [`Parcels`] slab —
-/// so 5k-node backlogs carry no redundant per-arrival bookkeeping.
+/// sits in, the sender, send time, payload and kind slot stay in the
+/// [`Parcels`] slab, and the link's row came with the [`Flight`] — so
+/// 5k-node backlogs carry no redundant per-arrival bookkeeping.
 #[derive(Clone, Copy, Debug)]
 struct Arrival {
-    sent_ns: u64,
     seq: u64,
-    from: u32,
     parcel: ParcelId,
+    row: u32,
 }
 
 /// An order-preserving inbox with O(1) amortized removal at either end
@@ -273,6 +289,7 @@ impl Inbox {
         self.live == 0
     }
 
+    #[inline]
     fn push(&mut self, arrival: Arrival) {
         if self.live == 0 {
             // Whole buffer is tombstones — restart it for free.
@@ -285,6 +302,7 @@ impl Inbox {
 
     /// Removes and returns the arrival at logical position `idx` (0 =
     /// oldest). Preserves the relative order of everything else.
+    #[inline]
     fn take(&mut self, idx: usize) -> Option<Arrival> {
         if idx >= self.live {
             return None;
@@ -388,9 +406,11 @@ impl<M> NetScratch<M> {
 /// The seeded discrete-event network: latency models feed a slab-backed
 /// event queue ([`crate::queue::EventQueue`]); fault injectors run at
 /// send time; arrivals land in per-node inboxes consumed through the
-/// [`Transport`] interface. Queue and inboxes carry 24-byte handles; the
-/// payloads themselves sit in one slab (`Parcels`) from `send` to
-/// delivery.
+/// [`Transport`] interface. The payloads sit in one slab (`Parcels`) from
+/// `send` to delivery, each with what its send shares among its copies —
+/// sender, send time, kind. A copy is a 12-byte handle in the queue and a
+/// 16-byte one in an inbox: receiver, parcel and its link's row, resolved
+/// once at the send.
 ///
 /// Per-node state is O(nodes + topology edges): latency overrides, link
 /// busy-times and the [`NetStats`] counters are `LinkTable`s over the
@@ -512,60 +532,75 @@ impl<M: Kinded> SimNet<M> {
         self.queue.calendar_scheduled()
     }
 
-    fn latency_of(&self, from: usize, to: usize) -> LatencyModel {
-        if let Some(m) = self.link_latency.get(self.topology(), from, to) {
+    fn latency_of(&self, link: Link) -> LatencyModel {
+        if let Some(m) = self.link_latency.at(link) {
             return m;
         }
-        if let Some(m) = self.topology().inter_latency(from, to) {
+        if let Some(m) = self
+            .topology()
+            .inter_latency(link.from as usize, link.to as usize)
+        {
             return m;
         }
         self.default_latency
+    }
+
+    /// The [`Stamp`] of a payload `from` sends now. A sender past `u32`
+    /// saturates, so `send_parcel`'s range check still turns it away.
+    fn stamp(&mut self, from: usize, payload: &M) -> Stamp {
+        Stamp {
+            sent_ns: self.now_ns,
+            from: u32::try_from(from).unwrap_or(u32::MAX),
+            kind: self.stats.kind_slot(payload.kind()),
+        }
     }
 
     fn crashed(&self, node: usize, at_ns: u64) -> bool {
         self.faults.iter().any(|f| f.crashes(node, at_ns))
     }
 
-    fn schedule(&mut self, from: usize, to: usize, parcel: ParcelId, delay_ns: u64) {
-        self.queue.schedule(
-            self.now_ns + delay_ns,
-            Flight {
-                sent_ns: self.now_ns,
-                from: from as u32,
-                to: to as u32,
-                parcel,
-            },
-        );
+    fn schedule(&mut self, link: Link, parcel: ParcelId, delay_ns: u64) {
+        let flight = Flight {
+            to: link.to,
+            parcel,
+            row: link.row,
+        };
+        self.queue.schedule(self.now_ns + delay_ns, flight);
     }
 
-    /// Counts one copy of `parcel` (of kind `kind`) lost on `from → to`,
+    /// Counts one copy of `parcel` (of kind `kind`) lost on `link`,
     /// reports it as obs event `event` on `row`'s sim row, and gives its
     /// reference back.
     fn drop_copy(
         &mut self,
-        (from, to): (usize, usize),
+        link: Link,
         parcel: ParcelId,
         kind: KindSlot,
         event: &'static str,
         row: usize,
     ) {
-        self.stats.count_dropped(from, to, kind);
+        self.stats.count_dropped(link, kind);
         self.obs_dropped.inc();
         let label = self.stats.kind_label(kind);
+        let Link { from, to, .. } = link;
         am_obs::event(event, row, self.now_ns, || format!("{label} {from}->{to}"));
         self.parcels.release(parcel);
     }
 
     /// The shared send path: fault injection, transmission-delay
-    /// queueing, latency sampling, and event scheduling for one copy of
-    /// a payload already in the slab, whose reference this call either
-    /// hands to the flight it schedules or releases. `sender_crashed` is
-    /// whether `from` is crashed now — the same for every copy of a
-    /// broadcast, so the caller asks once. RNG draw order, stats, and
-    /// `seq` assignment do not depend on how many copies share the
-    /// parcel, so per-recipient sends and the one-parcel broadcast
-    /// produce bit-identical traces.
-    fn send_parcel(&mut self, from: usize, to: usize, parcel: ParcelId, sender_crashed: bool) {
+    /// queueing, latency sampling, and event scheduling for one copy to
+    /// `to` of a payload already in the slab, sent as `stamp` says, whose
+    /// reference this call either hands to the flight it schedules or
+    /// releases. The link's row is resolved here, once, for the counters,
+    /// the busy horizon and the delivery. `sender_crashed` is whether the
+    /// sender is crashed now — the same for every copy of a broadcast, so
+    /// the caller asks once. RNG draw order, stats, and `seq` assignment
+    /// do not depend on how many copies share the parcel, so
+    /// per-recipient sends and the one-parcel broadcast produce
+    /// bit-identical traces.
+    #[inline]
+    fn send_parcel(&mut self, to: usize, parcel: ParcelId, stamp: Stamp, sender_crashed: bool) {
+        let from = stamp.from as usize;
         // Checked here, at the caller's send, and on `n` rather than on
         // adjacency (repair traffic leaves the topology): past this point
         // an endpoint indexes the link table and an inbox unchecked.
@@ -574,15 +609,16 @@ impl<M: Kinded> SimNet<M> {
             "send {from}->{to} names a node outside this {}-node network",
             self.n
         );
-        let kind = self.parcels.kind(parcel);
+        let kind = stamp.kind;
+        let link = self.topology().link(from, to);
         self.sent += 1;
-        self.stats.count_sent(from, to, kind);
+        self.stats.count_sent(link, kind);
         self.obs_sent.inc();
 
         // Sender or receiver crashed right now → the message never leaves
         // (receiver-side crash during flight is checked at arrival).
         if sender_crashed {
-            self.drop_copy((from, to), parcel, kind, "net/drop/crashed_sender", from);
+            self.drop_copy(link, parcel, kind, "net/drop/crashed_sender", from);
             return;
         }
 
@@ -592,7 +628,7 @@ impl<M: Kinded> SimNet<M> {
             match fault {
                 Fault::Drop { prob } => {
                     if self.rng.gen_bool(*prob) {
-                        self.drop_copy((from, to), parcel, kind, "net/drop/random", from);
+                        self.drop_copy(link, parcel, kind, "net/drop/random", from);
                         return;
                     }
                 }
@@ -608,7 +644,7 @@ impl<M: Kinded> SimNet<M> {
                 }
                 Fault::Partition(p) => {
                     if p.cuts(from, to, self.now_ns) {
-                        self.drop_copy((from, to), parcel, kind, "net/drop/partitioned", from);
+                        self.drop_copy(link, parcel, kind, "net/drop/partitioned", from);
                         return;
                     }
                 }
@@ -627,50 +663,45 @@ impl<M: Kinded> SimNet<M> {
         if let Some(bps) = self.bandwidth_bps {
             let bits = (self.parcels.get(parcel).wire_bytes() as u128) * 8;
             let tx = ((bits * 1_000_000_000) / bps.max(1) as u128).min(u64::MAX as u128) as u64;
-            let busy = self.link_busy.get_mut(self.stats.topology(), from, to);
+            let busy = self.link_busy.at_mut(self.stats.topology(), link);
             let done = (*busy).max(self.now_ns).saturating_add(tx);
             *busy = done;
             tx_ns = done - self.now_ns;
         }
 
-        let base = self.latency_of(from, to).sample(&mut self.rng);
+        let base = self.latency_of(link).sample(&mut self.rng);
         if let Some(dup_extra) = duplicate {
-            self.stats.count_duplicated(from, to, kind);
+            self.stats.count_duplicated(link, kind);
             self.obs_duplicated.inc();
             let label = self.stats.kind_label(kind);
             am_obs::event("net/duplicate", from, self.now_ns, || {
                 format!("{label} {from}->{to}")
             });
             self.parcels.add_ref(parcel);
-            self.schedule(from, to, parcel, tx_ns + base + dup_extra);
+            self.schedule(link, parcel, tx_ns + base + dup_extra);
         }
-        self.schedule(from, to, parcel, tx_ns + base + extra_ns);
+        self.schedule(link, parcel, tx_ns + base + extra_ns);
     }
 
     /// Moves one popped event into its arrival inbox (or drops it if the
     /// receiver is crashed), advancing the clock to the event time.
+    #[inline]
     fn admit(&mut self, at_ns: u64, seq: u64, flight: Flight) -> bool {
         debug_assert!(at_ns >= self.now_ns, "time went backwards");
         self.now_ns = at_ns;
-        let Flight {
-            sent_ns,
-            from,
-            to,
-            parcel,
-        } = flight;
+        let Flight { to, parcel, row } = flight;
         let to = to as usize;
         if self.crashed(to, self.now_ns) {
-            let kind = self.parcels.kind(parcel);
-            let event = "net/drop/crashed_receiver";
-            self.drop_copy((from as usize, to), parcel, kind, event, to);
+            let Stamp { from, kind, .. } = self.parcels.stamp(parcel);
+            let link = Link {
+                from,
+                to: to as u32,
+                row,
+            };
+            self.drop_copy(link, parcel, kind, "net/drop/crashed_receiver", to);
             return false;
         }
-        self.arrived[to].push(Arrival {
-            sent_ns,
-            seq,
-            from,
-            parcel,
-        });
+        self.arrived[to].push(Arrival { seq, parcel, row });
         self.backlogged[to / 64] |= 1 << (to % 64);
         if !self.in_dirty[to] {
             self.in_dirty[to] = true;
@@ -701,10 +732,10 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     }
 
     fn send(&mut self, from: usize, to: usize, payload: M) {
-        let kind = self.stats.kind_slot(payload.kind());
-        let parcel = self.parcels.insert(payload, kind, 1);
+        let stamp = self.stamp(from, &payload);
+        let parcel = self.parcels.insert(payload, stamp, 1);
         let sender_crashed = self.crashed(from, self.now_ns);
-        self.send_parcel(from, to, parcel, sender_crashed);
+        self.send_parcel(to, parcel, stamp, sender_crashed);
     }
 
     fn broadcast(&mut self, from: usize, payload: M)
@@ -715,11 +746,11 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
         if self.n == 0 {
             return;
         }
-        let kind = self.stats.kind_slot(payload.kind());
-        let parcel = self.parcels.insert(payload, kind, self.n as u32);
+        let stamp = self.stamp(from, &payload);
+        let parcel = self.parcels.insert(payload, stamp, self.n as u32);
         let sender_crashed = self.crashed(from, self.now_ns);
         for to in 0..self.n {
-            self.send_parcel(from, to, parcel, sender_crashed);
+            self.send_parcel(to, parcel, stamp, sender_crashed);
         }
     }
 
@@ -733,18 +764,16 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
 
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope<M>> {
         let inbox = &mut self.arrived[node];
-        let Arrival {
-            sent_ns,
-            seq,
-            from,
-            parcel,
-        } = inbox.take(idx)?;
+        let Arrival { seq, parcel, row } = inbox.take(idx)?;
         if inbox.is_empty() {
             self.backlogged[node / 64] &= !(1 << (node % 64));
         }
-        let from = from as usize;
-        let kind = self.parcels.kind(parcel);
-        let payload = self.parcels.take(parcel);
+        let (payload, stamp) = self.parcels.take(parcel);
+        let Stamp {
+            sent_ns,
+            from,
+            kind,
+        } = stamp;
         self.delivered += 1;
         self.obs_delivered.inc();
         if am_obs::enabled() {
@@ -752,10 +781,15 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
             let label = self.stats.kind_label(kind);
             am_obs::record_sim_span(&format!("net/flight/{label}"), node, sent_ns, self.now_ns);
         }
-        self.stats
-            .count_delivered(from, node, kind, (self.now_ns, seq), self.now_ns - sent_ns);
-        Some(Envelope {
+        let link = Link {
             from,
+            to: node as u32,
+            row,
+        };
+        self.stats
+            .count_delivered(link, kind, (self.now_ns, seq), self.now_ns - sent_ns);
+        Some(Envelope {
+            from: from as usize,
             to: node,
             payload,
         })
@@ -833,11 +867,13 @@ mod tests {
     }
 
     #[test]
-    fn handles_are_24_bytes_and_their_options_are_free() {
+    fn a_copy_is_12_bytes_in_flight_and_16_in_an_inbox() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Flight>(), 24);
-        assert_eq!(size_of::<Option<Flight>>(), 24);
-        assert_eq!(size_of::<Option<Arrival>>(), 24);
+        assert_eq!(size_of::<Flight>(), 12);
+        assert_eq!(size_of::<Option<Flight>>(), 12);
+        assert_eq!(size_of::<Option<Arrival>>(), 16);
+        // A queue entry: `(at_ns, seq, flight)`.
+        assert_eq!(size_of::<(u64, u64, Flight)>(), 32);
     }
 
     /// A degree-2 ring: most node pairs are not adjacent.

@@ -4,8 +4,10 @@
 //! sit in a `LinkTable` over the network's topology: one dense row per
 //! topology edge ([`TopologyMap::edge_index`]: the CSR row offset plus the
 //! position in the sorted row, or `from · n + to` on a mesh of at most 64
-//! nodes), so an overlay link costs a short binary search and no hashing,
-//! and memory stays O(edges), not n² (25M `Counters` at n = 5000). Links
+//! nodes), so an overlay link costs a short binary search and no hashing
+//! — once per message copy: the simulator resolves the row at the send
+//! and hands it to every hook of that copy — and memory stays O(edges),
+//! not n² (25M `Counters` at n = 5000). Links
 //! without a row — off-topology repair sends, any link of a larger mesh —
 //! spill into one sparse map. Where a link is held shows nowhere in what
 //! [`NetStats`] reports.
@@ -15,7 +17,7 @@
 //! A trial loop keeps one `NetStats` and [`NetStats::reset`]s it, so a
 //! trial allocates no counters of its own.
 
-use crate::topology::{LinkTable, TopologyMap};
+use crate::topology::{Link, LinkTable, TopologyMap};
 use serde::Value;
 
 /// Counter set shared by links and payload kinds.
@@ -155,8 +157,9 @@ impl std::fmt::Debug for LinkStore {
 }
 
 impl LinkStore {
-    fn get_mut(&mut self, from: usize, to: usize) -> &mut Counters {
-        self.table.get_mut(&self.topo, from, to)
+    #[inline]
+    fn at_mut(&mut self, link: Link) -> &mut Counters {
+        self.table.at_mut(&self.topo, link)
     }
 
     /// Non-zero links, ascending `(from, to)` — the historic row-major
@@ -209,6 +212,7 @@ impl KindStore {
         KindSlot(at as u32)
     }
 
+    #[inline]
     fn at(&mut self, slot: KindSlot) -> &mut (Counters, DelayHistogram) {
         &mut self.0[slot.0 as usize].1
     }
@@ -269,25 +273,26 @@ impl NetStats {
     /// Records a send.
     pub fn on_sent(&mut self, from: usize, to: usize, kind: &'static str) {
         let slot = self.kind_slot(kind);
-        self.count_sent(from, to, slot);
+        self.count_sent(self.links.topo.link(from, to), slot);
     }
 
     /// Records a drop (fault loss).
     pub fn on_dropped(&mut self, from: usize, to: usize, kind: &'static str) {
         let slot = self.kind_slot(kind);
-        self.count_dropped(from, to, slot);
+        self.count_dropped(self.links.topo.link(from, to), slot);
     }
 
     /// Records an injected duplicate.
     pub fn on_duplicated(&mut self, from: usize, to: usize, kind: &'static str) {
         let slot = self.kind_slot(kind);
-        self.count_duplicated(from, to, slot);
+        self.count_duplicated(self.links.topo.link(from, to), slot);
     }
 
     /// Records a consumed delivery with its in-flight delay.
     pub fn on_delivered(&mut self, rec: DeliveryRecord, delay_ns: u64) {
         let slot = self.kind_slot(rec.kind);
-        self.count_delivered(rec.from, rec.to, slot, (rec.at_ns, rec.seq), delay_ns);
+        let link = self.links.topo.link(rec.from, rec.to);
+        self.count_delivered(link, slot, (rec.at_ns, rec.seq), delay_ns);
     }
 
     /// The kind table's slot for `kind`, appended on first sight.
@@ -300,52 +305,63 @@ impl NetStats {
         self.kinds.0[slot.0 as usize].0
     }
 
-    /// [`NetStats::on_sent`] for a resolved kind.
-    pub(crate) fn count_sent(&mut self, from: usize, to: usize, kind: KindSlot) {
-        self.links.get_mut(from, to).sent += 1;
+    /// [`NetStats::on_sent`] for a resolved link and kind.
+    #[inline]
+    pub(crate) fn count_sent(&mut self, link: Link, kind: KindSlot) {
+        self.links.at_mut(link).sent += 1;
         self.totals.sent += 1;
         self.kinds.at(kind).0.sent += 1;
     }
 
-    /// [`NetStats::on_dropped`] for a resolved kind.
-    pub(crate) fn count_dropped(&mut self, from: usize, to: usize, kind: KindSlot) {
-        self.links.get_mut(from, to).dropped += 1;
+    /// [`NetStats::on_dropped`] for a resolved link and kind.
+    #[inline]
+    pub(crate) fn count_dropped(&mut self, link: Link, kind: KindSlot) {
+        self.links.at_mut(link).dropped += 1;
         self.totals.dropped += 1;
         self.kinds.at(kind).0.dropped += 1;
     }
 
-    /// [`NetStats::on_duplicated`] for a resolved kind.
-    pub(crate) fn count_duplicated(&mut self, from: usize, to: usize, kind: KindSlot) {
-        self.links.get_mut(from, to).duplicated += 1;
+    /// [`NetStats::on_duplicated`] for a resolved link and kind.
+    #[inline]
+    pub(crate) fn count_duplicated(&mut self, link: Link, kind: KindSlot) {
+        self.links.at_mut(link).duplicated += 1;
         self.totals.duplicated += 1;
         self.kinds.at(kind).0.duplicated += 1;
     }
 
-    /// [`NetStats::on_delivered`] for a resolved kind: `(at_ns, seq)` are
-    /// the trace line's time and send sequence number.
+    /// [`NetStats::on_delivered`] for a resolved link and kind: `(at_ns,
+    /// seq)` are the trace line's time and send sequence number.
+    #[inline]
     pub(crate) fn count_delivered(
         &mut self,
-        from: usize,
-        to: usize,
+        link: Link,
         kind: KindSlot,
         (at_ns, seq): (u64, u64),
         delay_ns: u64,
     ) {
-        self.links.get_mut(from, to).delivered += 1;
+        self.links.at_mut(link).delivered += 1;
         self.totals.delivered += 1;
         let (c, h) = self.kinds.at(kind);
         c.delivered += 1;
         h.record(delay_ns);
         if self.trace_on {
-            let kind = self.kind_label(kind);
-            self.trace.push(DeliveryRecord {
-                at_ns,
-                from,
-                to,
-                kind,
-                seq,
-            });
+            self.push_trace(link, kind, at_ns, seq);
         }
+    }
+
+    /// Appends one line to the delivery trace (opt-in, so off the
+    /// delivery path).
+    #[cold]
+    #[inline(never)]
+    fn push_trace(&mut self, link: Link, kind: KindSlot, at_ns: u64, seq: u64) {
+        let kind = self.kind_label(kind);
+        self.trace.push(DeliveryRecord {
+            at_ns,
+            from: link.from as usize,
+            to: link.to as usize,
+            kind,
+            seq,
+        });
     }
 
     /// Empty statistics over the same topology and trace setting that keep

@@ -313,6 +313,22 @@ impl TopologyMap {
         row.binary_search(&(to as u32)).ok().map(|at| lo + at)
     }
 
+    /// `from → to` with its row resolved: [`TopologyMap::edge_index`], or
+    /// [`Link::SPILL`] for a link with none.
+    #[inline]
+    pub(crate) fn link(&self, from: usize, to: usize) -> Link {
+        // Edge rows are below `adj.len()`, whose `u32` CSR offsets keep
+        // them below `u32::MAX`; a mesh with rows has at most 64² of them.
+        let row = self
+            .edge_index(from, to)
+            .map_or(Link::SPILL, |edge| edge as u32);
+        Link {
+            from: from as u32,
+            to: to as u32,
+            row,
+        }
+    }
+
     /// Number of dense edge rows ([`TopologyMap::edge_index`] is below it).
     pub fn edge_count(&self) -> usize {
         match self.mesh {
@@ -447,12 +463,30 @@ impl Default for TopologyMap {
     }
 }
 
+/// A directed link with its row in every `LinkTable` over one topology
+/// resolved ([`TopologyMap::link`]). The simulator resolves it once per
+/// message copy, at the send, and the per-link counters, the bandwidth
+/// horizon and the delivery all index by it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Link {
+    pub(crate) from: u32,
+    pub(crate) to: u32,
+    /// The edge row, or [`Link::SPILL`].
+    pub(crate) row: u32,
+}
+
+impl Link {
+    /// The row of a link that has none: its value sits in the spill map.
+    pub(crate) const SPILL: u32 = u32::MAX;
+}
+
 /// Per-directed-link values over a [`TopologyMap`]: one dense row per edge
 /// ([`TopologyMap::edge_index`]), and a sparse spill map for every link
 /// without one. The rows are allocated at the first write, so a table
 /// nothing is written to holds no memory, and [`LinkTable::clear`] keeps
 /// them for the next network. Every method takes the topology the table
-/// is laid out over; the caller keeps it fixed between clears.
+/// is laid out over, or a [`Link`] resolved on it; the caller keeps it
+/// fixed between clears.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LinkTable<T> {
     rows: Vec<T>,
@@ -475,28 +509,51 @@ impl<T: Copy + Default> LinkTable<T> {
     /// The value of `from → to`, created at `T::default()`.
     #[inline]
     pub(crate) fn get_mut(&mut self, topo: &TopologyMap, from: usize, to: usize) -> &mut T {
-        match topo.edge_index(from, to) {
-            Some(edge) => {
-                if edge >= self.rows.len() {
-                    self.rows.resize(topo.edge_count(), T::default());
-                }
-                &mut self.rows[edge]
-            }
-            None => self.spill.entry(link_key(from, to)).or_default(),
+        self.at_mut(topo, topo.link(from, to))
+    }
+
+    /// The value of `link`, created at `T::default()`: an index into
+    /// allocated rows, anything else out of line.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, topo: &TopologyMap, link: Link) -> &mut T {
+        // `SPILL` is past any row count, so one compare keeps both the
+        // spill and the first write off this path.
+        if (link.row as usize) < self.rows.len() {
+            return &mut self.rows[link.row as usize];
         }
+        self.at_mut_cold(topo, link)
+    }
+
+    /// [`LinkTable::at_mut`] for a spilled link or a table whose rows are
+    /// not allocated yet.
+    #[cold]
+    #[inline(never)]
+    fn at_mut_cold(&mut self, topo: &TopologyMap, link: Link) -> &mut T {
+        if link.row == Link::SPILL {
+            let key = link_key(link.from as usize, link.to as usize);
+            return self.spill.entry(key).or_default();
+        }
+        self.rows.resize(topo.edge_count(), T::default());
+        &mut self.rows[link.row as usize]
     }
 
     /// The value of `from → to` (`T::default()` if never written).
     #[inline]
     pub(crate) fn get(&self, topo: &TopologyMap, from: usize, to: usize) -> T {
-        if self.rows.is_empty() && self.spill.is_empty() {
+        self.at(topo.link(from, to))
+    }
+
+    /// The value of `link` (`T::default()` if never written).
+    #[inline]
+    pub(crate) fn at(&self, link: Link) -> T {
+        if let Some(&value) = self.rows.get(link.row as usize) {
+            return value;
+        }
+        if link.row != Link::SPILL || self.spill.is_empty() {
             return T::default();
         }
-        let value = match topo.edge_index(from, to) {
-            Some(edge) => self.rows.get(edge),
-            None => self.spill.get(&link_key(from, to)),
-        };
-        value.copied().unwrap_or_default()
+        let key = link_key(link.from as usize, link.to as usize);
+        self.spill.get(&key).copied().unwrap_or_default()
     }
 
     /// Every written link's value, in no particular order.

@@ -1,7 +1,9 @@
 //! The payload slab's reference rules, held to a payload that counts.
 //!
-//! `SimNet` stores every payload once (`sim.rs`, `Parcels`) and moves
-//! 24-byte handles through its event queue and inboxes. Each copy the
+//! `SimNet` stores every payload once (`sim.rs`, `Parcels`), with what
+//! every copy of its send shares — sender, send time, kind — and moves
+//! 12-byte handles through its event queue and 16-byte ones through its
+//! inboxes (receiver, parcel, link row). Each copy the
 //! network owes somebody is a reference on the slot: `send` starts one,
 //! `broadcast` one per recipient, the duplicate fault adds one, every way
 //! a copy can be lost (crashed sender, drop fault, partition, crashed
@@ -41,12 +43,26 @@
 //!   vacated slot — a panic — or a recycled one — the wrong message;
 //! * `take` cloning although `refs == 1`: the original stays alive in its
 //!   freed slot, and clones ≠ deliveries − moves.
+//!
+//! A delivered copy reads its sender and send time from its parcel, and
+//! its link row from its handle. `every_copy_reports_its_parcel_s_origin`
+//! sends [`Stamped`] payloads that carry both, under duplicate, reorder,
+//! partition and crash faults, on a 12-node mesh (every link a row), a
+//! 70-node mesh (every link spills), a relay overlay and a bandwidth-limited
+//! geo overlay (rows and spill mixed), and holds each delivery's sender,
+//! the delivery trace, the per-kind delay histograms and the per-link
+//! counters to what the payloads say. It fails on each of: the send time
+//! taken at arrival instead of at the send, the sender of a delivery read
+//! from anywhere but the parcel, the link row resolved for the reverse
+//! direction.
 
 use am_net::stats::Counters;
 use am_net::{
-    DeliveryRecord, Fault, Kinded, LatencyModel, NetConfig, NetScratch, SimNet, Transport,
+    DeliveryRecord, Fault, Kinded, LatencyModel, NetConfig, NetScratch, NetStats, SimNet, Topology,
+    Transport,
 };
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // The counting payload (per thread: the runner's other tests count too)
@@ -387,5 +403,211 @@ fn a_recycled_scratch_changes_nothing() {
         let (again, _) = run(net(profile, 21, scratch), true);
         assert_eq!(fresh.deliveries, again.deliveries, "{profile:?}");
         assert_eq!(census().alive(), before.alive(), "{profile:?}: leaked");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The parcel-held origin: sender and send time, shared by every copy
+// ---------------------------------------------------------------------------
+
+/// A payload that carries the facts the network keeps once per send, so a
+/// delivery can be checked against them.
+#[derive(Clone, Debug)]
+struct Stamped {
+    from: usize,
+    sent_ns: u64,
+    kind: &'static str,
+}
+
+impl Kinded for Stamped {
+    fn kind(&self) -> &'static str {
+        self.kind
+    }
+}
+
+const KINDS: [&str; 3] = ["alpha", "beta", "gamma"];
+
+/// A network under every fault a copy can meet besides a plain drop:
+/// duplicates, reorders, a partition window and a crash window.
+fn origin_net(n: usize, topology: Topology, bandwidth: bool, seed: u64) -> SimNet<Stamped> {
+    let mut cfg = NetConfig::builder()
+        .latency(LatencyModel::Exponential { mean: 60 })
+        .topology(topology)
+        .dup(0.3)
+        .reorder(0.3)
+        .partition(300, 900)
+        .trace(true);
+    if bandwidth {
+        // 512-byte payloads at ~1 µs each: bursts queue on their link.
+        cfg = cfg.bandwidth_bps(4_096_000_000);
+    }
+    let mut net = cfg.build().expect("valid config").build_net(n, seed);
+    net.add_fault(Fault::Crash {
+        node: 1,
+        from_ns: 500,
+        until_ns: 1_400,
+    });
+    net
+}
+
+/// One delivery: when, the payload as delivered, and to whom.
+type Arrived = (u64, Stamped, usize);
+
+/// Copies handed to each directed link by `send` / `broadcast`.
+type Handed = BTreeMap<(usize, usize), u64>;
+
+/// Consumes everything arrived, checking each copy's sender against its
+/// payload.
+fn take_arrived(net: &mut SimNet<Stamped>, got: &mut Vec<Arrived>) -> bool {
+    let mut any = false;
+    for node in 0..net.n() {
+        while let Some(env) = net.deliver(node) {
+            assert_eq!(env.to, node);
+            assert_eq!(
+                env.from, env.payload.from,
+                "a copy's sender is its parcel's"
+            );
+            got.push((net.now_ns(), env.payload, node));
+            any = true;
+        }
+    }
+    any
+}
+
+/// Each round, every node broadcasts, sends to a gossip neighbour or sends
+/// to an arbitrary node (off the overlay, on a sparse topology), and time
+/// moves 50 ns. Returns the deliveries and the copies each link was
+/// handed.
+fn origin_script(net: &mut SimNet<Stamped>, rounds: u64) -> (Vec<Arrived>, Handed) {
+    let n = net.n();
+    let mut sent = Handed::new();
+    let mut got = Vec::new();
+    for round in 0..rounds {
+        for from in 0..n {
+            let payload = Stamped {
+                from,
+                sent_ns: net.now_ns(),
+                kind: KINDS[(round as usize + from) % KINDS.len()],
+            };
+            match (round as usize + from) % 3 {
+                0 => {
+                    for to in 0..n {
+                        *sent.entry((from, to)).or_default() += 1;
+                    }
+                    net.broadcast(from, payload);
+                }
+                1 => {
+                    let topo = net.topology();
+                    let to = topo.neighbor(from, round as usize % topo.degree(from));
+                    *sent.entry((from, to)).or_default() += 1;
+                    net.send(from, to, payload);
+                }
+                _ => {
+                    let to = (from * 7 + round as usize * 13 + 5) % n;
+                    *sent.entry((from, to)).or_default() += 1;
+                    net.send(from, to, payload);
+                }
+            }
+        }
+        net.advance_until((round + 1) * 50);
+        take_arrived(net, &mut got);
+    }
+    while take_arrived(net, &mut got) || net.advance() {}
+    assert!(net.quiescent());
+    (got, sent)
+}
+
+#[test]
+fn every_copy_reports_its_parcel_s_origin() {
+    let geo = Topology::Geo {
+        regions: 3,
+        k: 4,
+        inter: LatencyModel::Constant(200),
+    };
+    let networks = [
+        ("12-node mesh", 12, Topology::FullMesh, false),
+        ("70-node mesh", 70, Topology::FullMesh, false),
+        ("relay overlay", 24, Topology::Relay { k: 4 }, false),
+        ("bandwidth-limited geo overlay", 30, geo, true),
+    ];
+    for (name, n, topology, bandwidth) in networks {
+        for seed in [5, 11] {
+            let what = format!("{name}, seed {seed}");
+            let mut net = origin_net(n, topology, bandwidth, seed);
+            let (got, sent) = origin_script(&mut net, 12);
+            let stats = net.stats();
+            assert!(stats.totals().duplicated > 0, "{what}: no duplicates");
+            assert!(stats.totals().dropped > 0, "{what}: no cuts or crashes");
+
+            // The trace names each delivery's parcel sender, in delivery
+            // order.
+            let trace: Vec<_> = stats
+                .trace()
+                .iter()
+                .map(|r| (r.at_ns, r.from, r.to, r.kind))
+                .collect();
+            let want: Vec<_> = got
+                .iter()
+                .map(|(at, p, to)| (*at, p.from, *to, p.kind))
+                .collect();
+            assert_eq!(trace, want, "{what}: trace");
+
+            // Every delivery's delay runs from its parcel's send time: the
+            // per-kind histograms are what those delays make.
+            let mut reference = NetStats::with_options(n, false);
+            for (at, p, to) in &got {
+                assert!(*at >= p.sent_ns, "{what}: delivered before it was sent");
+                let rec = DeliveryRecord {
+                    at_ns: *at,
+                    from: p.from,
+                    to: *to,
+                    kind: p.kind,
+                    seq: 0,
+                };
+                reference.on_delivered(rec, at - p.sent_ns);
+            }
+            let kinds = |s: &NetStats| {
+                let json = s.to_json();
+                KINDS.map(|k| {
+                    let kind = json.get("kinds").and_then(|ks| ks.get(k)).cloned();
+                    (
+                        kind.as_ref().and_then(|k| k.get("delay")).cloned(),
+                        kind.and_then(|k| k.get("delivered").cloned()),
+                    )
+                })
+            };
+            assert_eq!(kinds(stats), kinds(&reference), "{what}: delay histograms");
+            for k in KINDS {
+                assert_eq!(
+                    stats.kind_mean_delay_ns(k),
+                    reference.kind_mean_delay_ns(k),
+                    "{what}: {k}"
+                );
+            }
+
+            // Each link counts the copies it was handed and delivered, and
+            // every copy it was handed or duplicated was delivered or lost.
+            let mut delivered: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            for (_, p, to) in &got {
+                *delivered.entry((p.from, *to)).or_default() += 1;
+            }
+            let mut links = 0;
+            for from in 0..n {
+                for to in 0..n {
+                    let c = stats.link(from, to);
+                    let handed = sent.get(&(from, to)).copied().unwrap_or(0);
+                    assert_eq!(c.sent, handed, "{what}: {from}->{to} sent");
+                    let arrived = delivered.get(&(from, to)).copied().unwrap_or(0);
+                    assert_eq!(c.delivered, arrived, "{what}: {from}->{to} delivered");
+                    assert_eq!(
+                        c.sent + c.duplicated,
+                        c.delivered + c.dropped,
+                        "{what}: {from}->{to} copies"
+                    );
+                    links += usize::from(c != Counters::default());
+                }
+            }
+            assert_eq!(links, stats.active_links(), "{what}");
+        }
     }
 }
