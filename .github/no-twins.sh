@@ -13,7 +13,8 @@
 # load harness beside `benchmark/`'s or the histograms it alone read, or
 # a second chain-rule dispatch or `Params` constructor, or a prefix view or a
 # collected mempool batch on the serving path, or a per-send fact (sender,
-# send time) carried by every message copy in the simulator.
+# send time) carried by every message copy in the simulator, or a second
+# home for experiment wall time beside the registry and the manifest.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -258,5 +259,24 @@ if [ -e vendor/criterion ] || [ -e vendor/rayon ] ||
   grep -nE '^(criterion|rayon)\b' Cargo.toml crates/*/Cargo.toml ||
   grep -rnE 'criterion_(group|main)!|par_iter' crates; then
   echo "error: criterion/rayon shim, manifest entry or call site — time through am_bench::recorder::Recorder, fan out with std::thread::scope (CONTRIBUTING.md)" >&2
+  exit 1
+fi
+# An experiment's wall time has one home: its `budget_s` sits in its
+# `REGISTRY` entry and the manifest records it beside `duration_ms`. The
+# perf ledger holds the eight kernel layers' lanes only, and the harness
+# neither writes it nor links the crate that does.
+if grep -n 'am-bench' crates/experiments/Cargo.toml ||
+  grep -n '"--record"' crates/experiments/src/main.rs ||
+  ! python3 - BENCH_TRAJECTORY.json <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+kernel = ("core/", "protocols/", "mp/", "net/", "sync/", "bft/", "sched/", "obs/")
+stray = [op for op in doc.get("ops", {}) if not op.startswith(kernel)]
+for line in ["top-level `budgets`"] * ("budgets" in doc) + stray:
+    print(f"BENCH_TRAJECTORY.json: {line}")
+sys.exit(1 if "budgets" in doc or stray else 0)
+EOF
+then
+  echo "error: a second home for experiment wall time — budgets live in REGISTRY, durations in manifest.json, and the ledger holds kernel lanes only (DESIGN.md §15)" >&2
   exit 1
 fi

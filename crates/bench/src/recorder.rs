@@ -8,28 +8,26 @@
 //!   "format": "bench-trajectory/1",
 //!   "ops": { "<layer>/<op>": { "ns_per_op": 123.4, "min_ns_per_op": 121.9, "mad_ns_per_op": 0.8,
 //!                              "samples": 15, "calls_per_sample": 310, "ops_per_call": 40,
-//!                              "cores": 2, "commit": "e0e9d11" } },
-//!   "budgets": { "<experiment>": 10.0 }
+//!                              "cores": 2, "commit": "e0e9d11" } }
 //! }
 //! ```
 //!
 //! `ops` maps a layer-prefixed operation name to its record. Every record
-//! is an absolute with the host's core count and the commit it was
-//! measured at, both of which the recorder adds. A kernel timing
-//! ([`Recorder::measure_absolute`], or [`Recorder::measure_absolute_part`]
-//! when only part of each call is the operation) is [`SAMPLES`] timed
-//! samples reduced to a noise band: `ns_per_op` is their median,
-//! `min_ns_per_op` the fastest, `mad_ns_per_op` the median absolute
-//! deviation from the median. A preassembled object
-//! ([`Recorder::record_value`]) carries sweep throughput. A
-//! lane is compared against its own committed band from a like machine,
-//! never against a second implementation.
+//! is a kernel timing ([`Recorder::measure_absolute`], or
+//! [`Recorder::measure_absolute_part`] when only part of each call is the
+//! operation): [`SAMPLES`] timed samples reduced to a noise band —
+//! `ns_per_op` is their median, `min_ns_per_op` the fastest,
+//! `mad_ns_per_op` the median absolute deviation from the median — plus
+//! the host's core count and the commit it was measured at. A lane is
+//! compared against its own committed band from a like machine, never
+//! against a second implementation. How long a whole experiment takes is
+//! not a ledger lane: its `manifest.json` holds each run's duration
+//! beside the budget its registry entry declares.
 //!
 //! Each bench target is a `fn main()` holding a [`Recorder::layer`], which
 //! owns one layer key: its write *replaces* every `<layer>/` entry, so a
 //! renamed or dropped lane leaves the file with the run that stopped
-//! measuring it. [`Recorder::new`] owns nothing and merges by op name
-//! (the whole-run `sweep/` records, one per invocation).
+//! measuring it.
 
 use serde::{Number, Value};
 use std::hint::black_box;
@@ -49,8 +47,7 @@ pub const SAMPLES: usize = 15;
 
 /// Why [`Recorder::write`] left the ledger untouched. Only a *missing*
 /// file starts a fresh document: anything else at the path holds other
-/// targets' lanes and the hand-maintained `budgets`, and overwriting it
-/// would silently drop them.
+/// targets' lanes, and overwriting it would silently drop them.
 #[derive(Debug)]
 pub enum LedgerError {
     /// The file exists but cannot be read (or the result not written).
@@ -82,20 +79,20 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// Collects `(op, record)` pairs and writes them to the ledger.
-#[derive(Debug, Default)]
+/// Collects one layer's `(op, record)` pairs and writes them to the ledger.
+#[derive(Debug)]
 pub struct Recorder {
-    /// The `<layer>/` prefix this recorder replaces on write, if any.
-    owns: Option<String>,
+    /// The `<layer>/` prefix this recorder replaces on write.
+    owns: String,
     results: Vec<(String, Value)>,
 }
 
 /// A ledger float, kept to two decimals.
-pub(crate) fn num(x: f64) -> Value {
+fn num(x: f64) -> Value {
     Value::Number(Number::Float((x * 100.0).round() / 100.0))
 }
 
-pub(crate) fn uint(x: u64) -> Value {
+fn uint(x: u64) -> Value {
     Value::Number(Number::UInt(x))
 }
 
@@ -140,14 +137,6 @@ fn context() -> [(String, Value); 2] {
     ]
 }
 
-/// Inserts or replaces `key` in an insertion-ordered object body.
-fn upsert(entries: &mut Vec<(String, Value)>, key: &str, value: Value) {
-    match entries.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = value,
-        None => entries.push((key.to_string(), value)),
-    }
-}
-
 /// Median, minimum and median absolute deviation of [`SAMPLES`] values.
 fn band(mut ns: [f64; SAMPLES]) -> (f64, f64, f64) {
     ns.sort_by(f64::total_cmp);
@@ -158,18 +147,12 @@ fn band(mut ns: [f64; SAMPLES]) -> (f64, f64, f64) {
 }
 
 impl Recorder {
-    /// A recorder that merges its records into the ledger by op name —
-    /// the entry point of the whole-run lane (the experiments harness).
-    pub fn new() -> Recorder {
-        Recorder::default()
-    }
-
     /// The recorder of the bench target that owns `layer`: every op it
     /// records must sit under `<layer>/`, and its write replaces the
     /// ledger's `<layer>/` entries with exactly this run's.
     pub fn layer(layer: &str) -> Recorder {
         Recorder {
-            owns: Some(format!("{layer}/")),
+            owns: format!("{layer}/"),
             results: Vec::new(),
         }
     }
@@ -253,17 +236,9 @@ impl Recorder {
         median
     }
 
-    /// Records the object `fields` + `cores` + `commit` under `ops.<op>` — the lane
-    /// for records richer than a kernel timing (sweep throughput).
-    pub fn record_value(&mut self, op: &str, mut fields: Vec<(String, Value)>) {
-        println!("bench: {op:<52} (record)");
-        fields.extend(context());
-        self.push(op, fields);
-    }
-
     fn push(&mut self, op: &str, record: Vec<(String, Value)>) {
         assert!(
-            self.owns.as_ref().is_none_or(|p| op.starts_with(p)),
+            op.starts_with(&self.owns),
             "{op}: outside the layer this recorder owns ({:?})",
             self.owns
         );
@@ -275,11 +250,10 @@ impl Recorder {
         PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(FILE_NAME)
     }
 
-    /// Writes the recorded ops into the ledger: a [`Recorder::layer`]
-    /// replaces its prefix (in place, so the file keeps its order), a
-    /// [`Recorder::new`] merges by op name. Every other entry and every
-    /// other top-level section (the hand-maintained `budgets` map) is
-    /// preserved; a ledger that cannot be preserved is refused.
+    /// Writes the recorded ops into the ledger, replacing this recorder's
+    /// layer prefix in place (so the file keeps its order). Every other
+    /// entry and every other top-level section is preserved; a ledger
+    /// that cannot be preserved is refused.
     pub fn write(&self) -> Result<(), LedgerError> {
         self.write_to(&Recorder::output_path())
     }
@@ -313,16 +287,10 @@ impl Recorder {
             Some((_, Value::Object(ops))) => ops,
             _ => return Err(unparseable("`ops` is not an object".to_string())),
         };
-        let fresh = self.results.iter().cloned();
-        match &self.owns {
-            Some(prefix) => {
-                let owned = |(op, _): &(String, Value)| op.starts_with(prefix.as_str());
-                let at = ops.iter().position(owned).unwrap_or(ops.len());
-                ops.retain(|entry| !owned(entry));
-                ops.splice(at..at, fresh);
-            }
-            None => fresh.for_each(|(op, record)| upsert(ops, &op, record)),
-        }
+        let owned = |(op, _): &(String, Value)| op.starts_with(self.owns.as_str());
+        let at = ops.iter().position(owned).unwrap_or(ops.len());
+        ops.retain(|entry| !owned(entry));
+        ops.splice(at..at, self.results.iter().cloned());
         std::fs::write(path, Value::Object(doc).render(true) + "\n")
             .map_err(|e| LedgerError::Io(path.into(), e))?;
         println!("bench: wrote {}", path.display());
@@ -336,8 +304,8 @@ mod tests {
 
     #[test]
     fn measure_returns_positive_ns() {
-        let mut rec = Recorder::new();
-        let ns = rec.measure_absolute("noop", 4, Duration::from_millis(5), || {
+        let mut rec = Recorder::layer("test");
+        let ns = rec.measure_absolute("test/noop", 4, Duration::from_millis(5), || {
             std::hint::black_box(1 + 1)
         });
         assert!(ns > 0.0);
@@ -357,8 +325,8 @@ mod tests {
 
     #[test]
     fn part_timing_counts_only_what_the_closure_reports() {
-        let mut rec = Recorder::new();
-        let ns = rec.measure_absolute_part("part", 2, Duration::from_millis(5), || {
+        let mut rec = Recorder::layer("test");
+        let ns = rec.measure_absolute_part("test/part", 2, Duration::from_millis(5), || {
             std::thread::sleep(Duration::from_micros(200)); // untimed preparation
             Duration::from_nanos(500)
         });
@@ -372,9 +340,9 @@ mod tests {
         // share of the budget, so every sample is exactly one call and
         // any 15 consecutive calls hold at most two slow ones.
         let budget = Duration::from_millis(8);
-        let mut rec = Recorder::new();
+        let mut rec = Recorder::layer("test");
         let mut call = 0u32;
-        let ns = rec.measure_absolute_part("bimodal", 1, budget, || {
+        let ns = rec.measure_absolute_part("test/bimodal", 1, budget, || {
             std::thread::sleep(budget / 16);
             call += 1;
             Duration::from_nanos(if call.is_multiple_of(10) { 10_000 } else { 100 })
@@ -419,36 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn record_value_is_upserted_verbatim() {
-        let mut rec = Recorder::new();
-        let body = vec![
-            ("trials".to_string(), num(100.0)),
-            ("trials_per_sec".to_string(), num(5.0)),
-        ];
-        rec.record_value("sweep/smoke/shards1", body.clone());
-        assert_eq!(rec.results.len(), 1);
-        let record = &rec.results[0].1;
-        for (k, v) in &body {
-            assert_eq!(record.get(k), Some(v));
-        }
-        assert_eq!(record.get("cores").and_then(Value::as_u64), Some(cores()));
-        assert_eq!(record.get("commit"), Some(&Value::String(commit())));
-    }
-
-    #[test]
-    fn upsert_replaces_in_place_and_appends() {
-        let mut entries = vec![("a".to_string(), num(1.0))];
-        upsert(&mut entries, "a", num(2.0));
-        upsert(&mut entries, "b", num(3.0));
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].1.as_f64(), Some(2.0));
-        assert_eq!(entries[1].0, "b");
-    }
-
-    #[test]
     #[should_panic(expected = "outside the layer")]
     fn a_layer_recorder_refuses_another_layers_op() {
-        Recorder::layer("core").record_value("mp/append_n4", Vec::new());
+        Recorder::layer("core").push("mp/append_n4", Vec::new());
     }
 
     /// A scratch ledger path unique to `name` (tests run in parallel).
@@ -474,29 +415,25 @@ mod tests {
             &path,
             format!(
                 r#"{{"schema": "{SCHEMA}", "format": "{FORMAT}",
-                    "ops": {{"sweep/e6/shards1": {{"cores": 2}}, "core/old_a": {{"cores": 2}},
+                    "ops": {{"bft/kept": {{"cores": 2}}, "core/old_a": {{"cores": 2}},
                              "mp/kept": {{"cores": 2}}, "core/old_b": {{"cores": 2}}}},
-                    "budgets": {{"e4": 5.0}}}}"#
+                    "other": {{"e4": 5.0}}}}"#
             ),
         )
         .unwrap();
         let mut rec = Recorder::layer("core");
-        rec.record_value("core/new", Vec::new());
-        rec.record_value("core/old_b", vec![("x".to_string(), num(1.0))]);
+        rec.push("core/new", Vec::new());
+        rec.push("core/old_b", vec![("x".to_string(), num(1.0))]);
         rec.write_to(&path).unwrap();
         assert_eq!(
             op_names(&path),
-            ["sweep/e6/shards1", "core/new", "core/old_b", "mp/kept"],
+            ["bft/kept", "core/new", "core/old_b", "mp/kept"],
             "`core/old_a` left with the run that no longer measures it"
         );
-        // A whole-run record merges by name and removes nothing.
-        let mut rec = Recorder::new();
-        rec.record_value("sweep/e6/shards2", Vec::new());
-        rec.write_to(&path).unwrap();
-        assert_eq!(op_names(&path).len(), 5);
+        // Another top-level section is carried over untouched.
         let doc: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(
-            doc.get("budgets")
+            doc.get("other")
                 .and_then(|b| b.get("e4"))
                 .and_then(Value::as_f64),
             Some(5.0)
@@ -515,7 +452,7 @@ mod tests {
     fn a_missing_ledger_starts_a_fresh_document() {
         let path = scratch("fresh");
         let mut rec = Recorder::layer("obs");
-        rec.record_value("obs/probe", Vec::new());
+        rec.push("obs/probe", Vec::new());
         rec.write_to(&path).unwrap();
         assert_eq!(op_names(&path), ["obs/probe"]);
         std::fs::remove_file(&path).unwrap();
@@ -523,7 +460,7 @@ mod tests {
 
     #[test]
     fn a_damaged_ledger_is_refused_and_left_as_it_was() {
-        let foreign = br#"{"schema": "someone-elses/3", "ops": {}, "budgets": {"e4": 5.0}}"#;
+        let foreign = br#"{"schema": "someone-elses/3", "ops": {}, "other": {"e4": 5.0}}"#;
         let cases: [(&str, &[u8]); 3] = [
             ("unreadable", b"{\"schema\": \"\xff\xfe\"}"), // not UTF-8
             ("unparseable", b"{\"schema\": \"bench-traj"), // truncated
@@ -532,8 +469,8 @@ mod tests {
         for (name, body) in cases {
             let path = scratch(name);
             std::fs::write(&path, body).unwrap();
-            let mut rec = Recorder::new();
-            rec.record_value("sweep/e6/shards1", Vec::new());
+            let mut rec = Recorder::layer("core");
+            rec.push("core/probe", Vec::new());
             let err = rec.write_to(&path).unwrap_err();
             assert!(
                 matches!(

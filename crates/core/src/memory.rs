@@ -35,9 +35,13 @@ struct Inner {
 
 /// The append memory `M` for a system of `n` nodes.
 ///
-/// Thread-safe: the Section 4 message-passing simulation and the parallel
-/// Monte-Carlo runners read and append concurrently. All synchronisation is
-/// internal (a `parking_lot::RwLock`); methods take `&self`.
+/// Thread-safe: the API is public and takes `&self` (the examples and
+/// `benchmark/`'s probes drive it), so all synchronisation is internal (a
+/// `parking_lot::RwLock`), and `concurrent_appends_and_reads` pins that
+/// concurrent readers and appenders see a consistent log. The simulation
+/// layers do not share one: the Monte-Carlo runners append to a pooled
+/// per-trial `TrialDag`, and the message-passing simulation (am-mp) keeps
+/// its own replicas.
 pub struct AppendMemory {
     inner: RwLock<Inner>,
 }

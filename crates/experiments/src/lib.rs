@@ -1,8 +1,9 @@
 //! # am-experiments — the E1..E19 harness, as a library
 //!
 //! An experiment is a [`REGISTRY`] entry — id, title, paper reference,
-//! one-line description — plus its module's `run(ctx: &RunCtx, rep: &mut
-//! Report)`, which fills the report [`run_with`] opened from the entry.
+//! one-line description, wall-clock budget — plus its module's
+//! `run(ctx: &RunCtx, rep: &mut Report)`, which fills the report
+//! [`run_with`] opened from the entry.
 //! The binary, the tests, and downstream tooling all dispatch through
 //! the registry.
 //!
@@ -44,6 +45,7 @@ use am_protocols::{
 use report::Report;
 use std::num::NonZeroU32;
 use std::path::Path;
+use std::time::Instant;
 
 /// Budget cap applied to every Monte-Carlo loop under `--fast`: enough
 /// trials to exercise the full pipeline, few enough that all nineteen
@@ -180,18 +182,26 @@ pub struct Experiment {
     pub paper_ref: &'static str,
     /// One-line description for `--list` and the docs.
     pub describe: &'static str,
+    /// Wall-clock ceiling in seconds for the `--fast` run, about ten
+    /// times the duration seen on a cold CI runner. [`execute`] puts it
+    /// into the manifest beside the measured `duration_ms`, and CI's
+    /// perf-smoke job fails an experiment that overruns it (times the
+    /// `PERF_BUDGET_SCALE` env knob, for slow or shared runners).
+    pub budget_s: f64,
     /// The experiment body: fills the report [`run_with`] opened.
     pub run: fn(&RunCtx, &mut Report),
 }
 
 /// Every experiment in presentation order — the single source of truth
-/// for ids, titles, paper references, descriptions, and dispatch.
+/// for ids, titles, paper references, descriptions, budgets, and
+/// dispatch.
 pub static REGISTRY: &[Experiment] = &[
     Experiment {
         id: "e1",
         title: "No 1-resilient asynchronous consensus in the append memory",
         paper_ref: "Theorem 2.1, Lemmas 2.2-2.3",
         describe: "Thm 2.1: no 1-resilient asynchronous consensus (model checker)",
+        budget_s: 5.0,
         run: e1::run,
     },
     Experiment {
@@ -199,6 +209,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Round lower bound: t+1 rounds are necessary and sufficient",
         paper_ref: "Lemma 3.1 + Theorem 3.2",
         describe: "Lemma 3.1: t+1 rounds necessary (exhaustive adversary search)",
+        budget_s: 3.0,
         run: e2::run,
     },
     Experiment {
@@ -206,6 +217,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Algorithm 1: Byzantine agreement for t < n/2 within O(tΔ)",
         paper_ref: "Theorem 3.2",
         describe: "Thm 3.2: Algorithm 1 solves BA for t < n/2",
+        budget_s: 1.0,
         run: e3::run,
     },
     Experiment {
@@ -213,6 +225,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "ABD-style simulation of the append memory over message passing",
         paper_ref: "Section 4, Algorithms 2-3, Lemmas 4.1-4.2",
         describe: "Lemmas 4.1/4.2: message-passing simulation + complexity",
+        budget_s: 5.0,
         run: e4::run,
     },
     Experiment {
@@ -220,6 +233,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Randomized access + asynchronous nodes: still no consensus",
         paper_ref: "Theorem 5.1",
         describe: "Thm 5.1: randomized access doesn't rescue asynchrony",
+        budget_s: 1.0,
         run: e5::run,
     },
     Experiment {
@@ -227,6 +241,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Timestamp baseline: validity failure vs k (Algorithm 4)",
         paper_ref: "Theorem 5.2",
         describe: "Thm 5.2: timestamp baseline validity vs k",
+        budget_s: 5.0,
         run: e6::run,
     },
     Experiment {
@@ -234,6 +249,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Chain + deterministic tie-break: the n/3 wall (fork-maker)",
         paper_ref: "Theorem 5.3",
         describe: "Thm 5.3: deterministic tie-break dies at n/3",
+        budget_s: 1.0,
         run: e7::run,
     },
     Experiment {
@@ -241,6 +257,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Chain resilience vs rate: t/n ≤ 1/(1+λ(n−t)) (tie-breaker adversary)",
         paper_ref: "Theorem 5.4",
         describe: "Thm 5.4: chain resilience 1/(1+λ(n−t))",
+        budget_s: 10.0,
         run: e8::run,
     },
     Experiment {
@@ -248,6 +265,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "DAG resilience ≈ 1/2 independent of λ; withheld burst is O(λ log n)",
         paper_ref: "Lemma 5.5 + Theorem 5.6",
         describe: "Lemma 5.5 + Thm 5.6: DAG resilience ≈ 1/2, burst O(λ log n)",
+        budget_s: 1.0,
         run: e9::run,
     },
     Experiment {
@@ -255,6 +273,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Chain vs DAG: the resilience crossover",
         paper_ref: "Section 5 headline (Theorems 5.4 + 5.6)",
         describe: "Headline crossover figure: chain vs DAG",
+        budget_s: 1.0,
         run: e10::run,
     },
     Experiment {
@@ -262,6 +281,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Temporal asynchrony reduces DAG Byzantine-agreement resilience",
         paper_ref: "Section 5.3 closing remark (extension experiment)",
         describe: "Extension: temporal asynchrony reduces DAG resilience",
+        budget_s: 1.0,
         run: e11::run,
     },
     Experiment {
@@ -269,6 +289,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Weak agreement: staggered deciders disagree with probability → 0 in k",
         paper_ref: "Section 1.1 weak properties + Section 5.3 (extension experiment)",
         describe: "Extension: weak agreement under staggered decisions",
+        budget_s: 10.0,
         run: e12::run,
     },
     Experiment {
@@ -276,6 +297,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Decision latency: chain saturates at 1 block/Δ, the DAG scales with λn",
         paper_ref: "Section 5.3 inclusivity (extension experiment; cf. [14])",
         describe: "Extension: decision latency — chain saturates, DAG scales",
+        budget_s: 1.0,
         run: e13::run,
     },
     Experiment {
@@ -283,6 +305,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Fault injection: ABD and chain-vs-DAG guarantees on a lossy network",
         paper_ref: "Lemmas 4.1-4.2 + Theorems 5.4/5.6 under relaxed delivery (extension)",
         describe: "Extension: ABD + chain/DAG under drops and partitions (am-net)",
+        budget_s: 15.0,
         run: e14::run,
     },
     Experiment {
@@ -291,6 +314,7 @@ pub static REGISTRY: &[Experiment] = &[
         paper_ref:
             "Extension: Schett-Danezis interpretation + Casper-CBC finality over §5 schedules",
         describe: "Extension: embedded BFT finality vs Byzantine fraction (am-bft)",
+        budget_s: 300.0,
         run: e15::run,
     },
     Experiment {
@@ -298,6 +322,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Finalized-prefix growth over a faulty network (drops, dup/reorder, partitions)",
         paper_ref: "Extension: am-bft per-node oracles over am-net fault schedules",
         describe: "Extension: finalized-prefix growth on a faulty network",
+        budget_s: 15.0,
         run: e16::run,
     },
     Experiment {
@@ -305,6 +330,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Topology and the chain-vs-DAG gap: orphans track gossip diameter",
         paper_ref: "Thms 5.4/5.6 over relay and geo overlays (extension)",
         describe: "Extension: chain orphans vs topology diameter (relay/geo gossip)",
+        budget_s: 30.0,
         run: e17::run,
     },
     Experiment {
@@ -312,6 +338,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Planet-scale divergence: geo overlays, bandwidth, fanout gossip",
         paper_ref: "Section 5 inclusion argument at deployment scale (extension)",
         describe: "Extension: divergence at planet scale (n up to 5000, geo latency)",
+        budget_s: 10.0,
         run: e18::run,
     },
     Experiment {
@@ -319,6 +346,7 @@ pub static REGISTRY: &[Experiment] = &[
         title: "Scaling the model checker: reductions, ablated and audited",
         paper_ref: "Theorem 2.1 infrastructure; DESIGN.md §14",
         describe: "Infrastructure: model-checker reduction stack, ablated and audited",
+        budget_s: 10.0,
         run: e19::run,
     },
 ];
@@ -420,7 +448,17 @@ impl HarnessOpts {
 /// sweep and writes byte-identical final results. A shard never writes
 /// final JSON; its record's `output` is its log once every point is done.
 pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord> {
-    find(id)?;
+    execute_since(id, opts, Instant::now())
+}
+
+/// [`execute`] on a clock started at `started`, so the duration it prints
+/// and records is the wall time since then.
+fn execute_since(
+    id: &str,
+    opts: &HarnessOpts,
+    started: Instant,
+) -> Option<am_obs::ExperimentRecord> {
+    let exp = find(id)?;
     let dir = Path::new(&opts.out_dir);
     // Logs are written during the run, so the directory must exist
     // before the first batch.
@@ -456,7 +494,6 @@ pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord>
         // would ever be written.
         ctx.opts.sweep.max_batches_per_run = None;
     }
-    let started = std::time::Instant::now();
     let rep = run_with(id, &ctx)?;
     let duration_ms = started.elapsed().as_secs_f64() * 1e3;
     // A shard's report holds its residue class's tallies only, so neither
@@ -492,6 +529,7 @@ pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord>
     Some(am_obs::ExperimentRecord {
         id: id.to_string(),
         duration_ms,
+        budget_s: exp.budget_s,
         output,
     })
 }
@@ -504,12 +542,14 @@ pub fn execute(id: &str, opts: &HarnessOpts) -> Option<am_obs::ExperimentRecord>
 /// threads would serialise); the merge runs with obs as the caller had
 /// it. A worker stopped by the batch cap leaves its log and the merge
 /// runs the windows it did not; a panicking worker panics the caller.
+/// The record's duration is the whole run's, shards and merge.
 pub fn coordinate(
     id: &str,
     opts: &HarnessOpts,
     workers: NonZeroU32,
 ) -> Option<am_obs::ExperimentRecord> {
     find(id)?;
+    let started = Instant::now();
     {
         let _restore = ObsRestore(am_obs::enabled());
         am_obs::set_enabled(false);
@@ -527,7 +567,7 @@ pub fn coordinate(
         role: SweepRole::Merge(workers),
         ..opts.clone()
     };
-    execute(id, &merge)
+    execute_since(id, &merge, started)
 }
 
 /// Puts the am-obs switch back as it was, on unwind too.
@@ -554,6 +594,33 @@ mod tests {
         }
         assert!(find("e99").is_none());
         assert!(run_one("nope", 0).is_none());
+    }
+
+    #[test]
+    fn budgets_cover_the_golden_experiments() {
+        // The CI perf-smoke golden set, read from `results/golden/`: a
+        // golden without a registry entry (or an entry without a golden)
+        // means the wall-clock lane silently checks nothing.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+        let mut golden: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|entry| entry.expect("readable entry").file_name())
+            .filter_map(|name| {
+                let id = name.to_str()?.strip_suffix(".json")?;
+                // `e14.netstats.json` is E14's second file, not an experiment.
+                (!id.contains('.')).then(|| id.to_string())
+            })
+            .collect();
+        golden.sort();
+        let mut ids: Vec<String> = REGISTRY.iter().map(|e| e.id.to_string()).collect();
+        ids.sort();
+        assert_eq!(
+            golden, ids,
+            "goldens and registry name different experiments"
+        );
+        for exp in REGISTRY {
+            assert!(exp.budget_s > 0.0, "budget for {}", exp.id);
+        }
     }
 
     #[test]

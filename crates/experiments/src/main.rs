@@ -18,22 +18,21 @@
 //! am-experiments --shard 0/4 e8   # run one interleaved trial slice
 //! am-experiments --merge-shards 4 e8 # fold shard tallies to final JSON
 //! am-experiments --workers 4 e8   # 4 shard threads, then the merge
-//! am-experiments --workers 4 --record e8 # + publish trials/sec
 //! am-experiments --trials-scale 8 e6 # 8× trial budgets (throughput runs)
 //! am-experiments --list           # list experiments
 //! ```
 //!
 //! Each experiment prints its tables/series and writes
 //! `<out-dir>/<id>.json` (default `results/`). Unless `--no-obs`, the run
-//! also writes `<out-dir>/manifest.json` — seed, per-experiment timings,
-//! output paths, and a snapshot of every span/counter/event recorded by
-//! the simulation layers. The default seed 0 under the default fixed
+//! also writes `<out-dir>/manifest.json` — seed, per-experiment timings
+//! beside each experiment's wall-clock budget, output paths, and a
+//! snapshot of every span/counter/event recorded by the simulation
+//! layers. The default seed 0 under the default fixed
 //! budgets reproduces the historic outputs exactly; `--adaptive` trades
 //! surplus trials at easy sweep points for speed, recording the trials
 //! actually used and the achieved 95% CI per point in the JSON.
 
-use am_bench::trajectory::{record_sweep, SweepThroughput};
-use am_experiments::{coordinate, execute, report::Report, HarnessOpts, SweepRole, REGISTRY};
+use am_experiments::{coordinate, execute, HarnessOpts, SweepRole, REGISTRY};
 use am_obs::RunManifest;
 use am_protocols::SweepConfig;
 use std::num::NonZeroU32;
@@ -48,7 +47,6 @@ struct Cli {
     ci_width: Option<f64>,
     max_batches: Option<u64>,
     workers: Option<NonZeroU32>,
-    record: bool,
     ids: Vec<String>,
 }
 
@@ -71,7 +69,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         ci_width: None,
         max_batches: None,
         workers: None,
-        record: false,
         ids: Vec::new(),
     };
     let mut it = args.iter();
@@ -149,7 +146,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .ok_or_else(|| format!("--workers must be in 1..=256, got '{v}'"))?,
                 );
             }
-            "--record" => cli.record = true,
             "--no-obs" => cli.obs = false,
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag '{other}'"));
@@ -188,9 +184,7 @@ fn sweep_config(cli: &Cli) -> SweepConfig {
 
 /// `--workers`: runs every selected experiment through
 /// [`am_experiments::coordinate`] — `w` shard threads, then the merge.
-/// With `--record`, publishes the end-to-end trials/sec into
-/// BENCH_TRAJECTORY.json. Returns false if any experiment failed to
-/// produce merged results.
+/// Returns false if any experiment failed to produce merged results.
 fn run_coordinator(
     cli: &Cli,
     workers: NonZeroU32,
@@ -199,38 +193,15 @@ fn run_coordinator(
 ) -> bool {
     let mut ok = true;
     for id in ids {
-        let started = std::time::Instant::now();
         let Some(rec) = coordinate(id, &cli.opts, workers) else {
             eprintln!("unknown experiment '{id}' (try --list)");
             ok = false;
             continue;
         };
-        if rec.output.is_none() {
-            ok = false;
-        } else if cli.record {
-            ok &= record_throughput(cli, id, workers.get(), started.elapsed().as_secs_f64());
-        }
+        ok &= rec.output.is_some();
         manifest.record(rec);
     }
     ok
-}
-
-/// Files a `sweep/<id>/shards<n>` trials/sec record for the results
-/// just written; `false` (after saying why) if the ledger refused it.
-fn record_throughput(cli: &Cli, id: &str, shards: u32, wall_s: f64) -> bool {
-    let trials = Report::load_from(&cli.opts.out_dir, id)
-        .map(|r| r.total_sweep_trials())
-        .unwrap_or(0);
-    let filed = record_sweep(&SweepThroughput {
-        experiment: id.to_string(),
-        shards,
-        trials,
-        wall_s,
-    });
-    if let Err(e) = &filed {
-        eprintln!("[record] {e}");
-    }
-    filed.is_ok()
 }
 
 fn main() {
@@ -271,24 +242,8 @@ fn main() {
         for id in &selected {
             match execute(id, &cli.opts) {
                 Some(rec) => {
-                    let is_shard = matches!(cli.opts.role, SweepRole::Shard(_));
-                    if is_shard && rec.output.is_none() {
+                    if matches!(cli.opts.role, SweepRole::Shard(_)) && rec.output.is_none() {
                         shard_incomplete = true;
-                    }
-                    if cli.record && !is_shard && rec.output.is_some() {
-                        if cli.opts.role == SweepRole::Whole {
-                            failed |= !record_throughput(&cli, id, 1, rec.duration_ms / 1e3);
-                        } else {
-                            // A standalone merge's wall clock covers only the
-                            // merge step, not the shard runs — recording it
-                            // would fabricate throughput. The coordinator
-                            // (--workers) records the honest end-to-end rate.
-                            println!(
-                                "[record] skipping trials/sec for {id}: standalone \
-                                 --merge-shards has no end-to-end wall clock \
-                                 (use --workers to record sharded throughput)"
-                            );
-                        }
                     }
                     manifest.record(rec);
                 }

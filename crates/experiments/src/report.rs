@@ -183,27 +183,6 @@ impl Report {
         out
     }
 
-    /// Total Monte-Carlo trials across every recorded sweep point — the
-    /// numerator of the trials/sec throughput the harness publishes to
-    /// BENCH_TRAJECTORY.json. Derived from the serialized sweeps
-    /// section, so it is identical whether computed on the live report
-    /// or on a reloaded `<id>.json` (wall-clock itself never enters the
-    /// report document, which must stay byte-reproducible).
-    pub fn total_sweep_trials(&self) -> u64 {
-        self.sweeps
-            .iter()
-            .flat_map(|s| &s.points)
-            .map(|p| p.trials_used)
-            .sum()
-    }
-
-    /// Loads a saved report from `<dir>/<id>.json`.
-    pub fn load_from(dir: &str, id: &str) -> Option<Report> {
-        let path = std::path::Path::new(dir).join(format!("{}.json", id.to_lowercase()));
-        let body = std::fs::read_to_string(path).ok()?;
-        serde_json::from_str(&body).ok()
-    }
-
     /// Adds a side-car JSON document saved as `<out_dir>/<file>` by
     /// [`Report::save_in`].
     pub fn extra_json(&mut self, file: impl Into<String>, body: impl Into<String>) {

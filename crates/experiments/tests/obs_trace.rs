@@ -114,6 +114,7 @@ fn trace_covers_every_layer_and_parses_as_chrome_trace() {
     manifest.record(am_obs::ExperimentRecord {
         id: "e4".into(),
         duration_ms: 1.0,
+        budget_s: 5.0,
         output: None,
     });
     let parsed: Value = serde_json::from_str(&manifest.to_json()).expect("manifest is valid JSON");

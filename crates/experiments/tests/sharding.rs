@@ -278,3 +278,25 @@ fn coordinate_merge_tops_up_capped_workers_e8() {
     sweep.max_batches_per_run = Some(1);
     coordinate_matches_the_golden_e8("e8_coord_capped", sweep);
 }
+
+#[test]
+fn coordinate_records_the_whole_runs_duration_e6() {
+    // The record's clock covers the shard threads as well as the merge.
+    // With every window logged by the workers the merge only replays
+    // tallies, so a record timing the merge alone reads a small fraction
+    // of the wall time the caller saw.
+    let dir = base_dir("e6_coord_clock");
+    let _ = std::fs::remove_dir_all(&dir);
+    let workers = NonZeroU32::new(2).unwrap();
+    let started = std::time::Instant::now();
+    let rec = coordinate("e6", &opts(&dir, fast_sweep(None)), workers).expect("e6 exists");
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    assert!(rec.output.is_some(), "the merge publishes");
+    assert!(
+        rec.duration_ms <= wall_ms && rec.duration_ms >= 0.5 * wall_ms,
+        "record {:.3} ms of a {wall_ms:.3} ms run",
+        rec.duration_ms
+    );
+    assert_eq!(rec.budget_s, am_experiments::find("e6").unwrap().budget_s);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,6 +13,9 @@ pub struct ExperimentRecord {
     pub id: String,
     /// Wall-clock duration.
     pub duration_ms: f64,
+    /// The wall-clock ceiling the experiment declares for its `--fast`
+    /// run, in seconds; CI compares `duration_ms` against it.
+    pub budget_s: f64,
     /// Where the experiment's JSON landed, if it was written.
     pub output: Option<String>,
 }
@@ -74,9 +77,10 @@ impl RunManifest {
                 None => "null".into(),
             };
             out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"duration_ms\": {}, \"output\": {output}}}{}\n",
+                "    {{\"id\": \"{}\", \"duration_ms\": {}, \"budget_s\": {}, \"output\": {output}}}{}\n",
                 esc(&e.id),
                 us(e.duration_ms),
+                us(e.budget_s),
                 if i + 1 < self.experiments.len() {
                     ","
                 } else {
@@ -164,18 +168,22 @@ mod tests {
         m.record(ExperimentRecord {
             id: "e4".into(),
             duration_ms: 12.5,
+            budget_s: 5.0,
             output: Some("e4.json".into()),
         });
         m.record(ExperimentRecord {
             id: "e14".into(),
             duration_ms: 99.0,
+            budget_s: 15.0,
             output: None,
         });
         m.set_trace("trace.json");
 
         let body = m.to_json();
         assert!(body.contains("\"seed\": 42"));
-        assert!(body.contains("\"id\": \"e4\""));
+        assert!(body.contains(
+            "{\"id\": \"e4\", \"duration_ms\": 12.500, \"budget_s\": 5.000, \"output\": \"e4.json\"}"
+        ));
         assert!(body.contains("\"man.count\": 7"));
         assert!(body.contains("\"man/span\""));
         assert!(body.contains("\"man/ev\": 1"));
