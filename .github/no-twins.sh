@@ -14,7 +14,8 @@
 # a second chain-rule dispatch or `Params` constructor, or a prefix view or a
 # collected mempool batch on the serving path, or a per-send fact (sender,
 # send time) carried by every message copy in the simulator, or a second
-# home for experiment wall time beside the registry and the manifest.
+# home for experiment wall time beside the registry and the manifest, or
+# a second way to give a network faults beside its `NetConfig`.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -201,6 +202,16 @@ if shipped crates/net/src/sim.rs |
        inside && /^[^:]+:[0-9]+:\}/ {inside = 0}' |
   grep -E '^[^:]+:[0-9]+:[[:space:]]*(pub(\([a-z]+\))? )?(sent_ns|from)[[:space:]]*:'; then
   echo "error: a per-send fact on a per-copy handle in sim.rs — keep the sender and send time in the parcel's Stamp (DESIGN.md §10)" >&2
+  exit 1
+fi
+# A network's faults are its `NetConfig`: `SimNet` keeps the config it was
+# built from and applies its drop, duplicate, reorder and partition at the
+# send. An injector list, a fault enum or a partition member list is the
+# second, open-ended fault path that config replaced.
+if shipped crates/net/src/*.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\badd_fault\b|\benum Fault\b|\bPartitionSpec\b|\bside_a\b'; then
+  echo "error: a second fault path in am-net — a network's faults are its NetConfig (DESIGN.md §10)" >&2
   exit 1
 fi
 # One shipped transport: `SimNet` is the only `Transport` impl in src/. The

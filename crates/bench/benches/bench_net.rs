@@ -1,9 +1,9 @@
 //! The `net/*` lanes of the perf ledger, ns per delivered message: the
 //! discrete-event simulator's broadcast + drain across sizes and latency
 //! models, the bare per-message path of one broadcast at a time on an
-//! ideal network, the fault-injector chain, a relay-gossip flood at
-//! n = 1000 and the scale curve of E18's geo overlay at n = 500 / 2 000 /
-//! 5 000 — then the event queue by itself (ns per event at 4 096 in
+//! ideal network, a network with every random fault on, a relay-gossip
+//! flood at n = 1000 and the scale curve of E18's geo overlay at n = 500 /
+//! 2 000 / 5 000 — then the event queue by itself (ns per event at 4 096 in
 //! flight, fed in order and fed shuffled, and at gossip's ~56 k in flight
 //! fed a spread delay) and one whole networked trial of the benchmark's
 //! first `sweep_net` point.
@@ -17,7 +17,7 @@
 use am_bench::recorder::Recorder;
 use am_core::{MsgId, Time};
 use am_mp::Payload;
-use am_net::{EventQueue, Fault, LatencyModel, NetConfig, SimNet, Topology, Transport};
+use am_net::{EventQueue, LatencyModel, NetConfig, SimNet, Topology, Transport};
 use am_protocols::{run_chain_net, trial_seed, ChainAdversary, Params, Propagation, TieBreak};
 use std::time::Duration;
 
@@ -31,26 +31,22 @@ fn traced(latency: LatencyModel, n: usize) -> SimNet<Payload> {
         .build_net(n, 1)
 }
 
-/// The same mesh at n = 16 behind the whole injector chain: drops,
-/// duplicates and reorders on.
+/// The same mesh at n = 16 with every random fault on: drops,
+/// duplicates and reorders, whose extra delays are second samples of the
+/// link latency.
 fn faulty() -> SimNet<Payload> {
-    let mut net = traced(
-        LatencyModel::Uniform {
+    NetConfig::builder()
+        .latency(LatencyModel::Uniform {
             lo: 100,
             hi: 10_000,
-        },
-        16,
-    );
-    net.add_fault(Fault::Drop { prob: 0.1 });
-    net.add_fault(Fault::Duplicate {
-        prob: 0.05,
-        extra: LatencyModel::Constant(500),
-    });
-    net.add_fault(Fault::Reorder {
-        prob: 0.2,
-        extra: LatencyModel::Constant(2_000),
-    });
-    net
+        })
+        .drop(0.1)
+        .dup(0.05)
+        .reorder(0.2)
+        .trace(true)
+        .build()
+        .expect("valid config")
+        .build_net(16, 1)
 }
 
 /// Broadcasts eight waves from every node and drains all arrivals;

@@ -78,16 +78,8 @@
 //!   probe.
 
 use crate::interpret::{DagInterpreter, Role, NONE};
+use am_core::splitmix::mix;
 use am_core::MsgId;
-
-/// Splitmix64-style mixer for the finalized-prefix digest (same family
-/// as the archive digest chain in `am-node`).
-fn mix(h: u64, v: u64) -> u64 {
-    let mut z = h ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The default quorum over `n` authors, `⌊2n/3⌋ + 1`.
 pub(crate) fn default_quorum(n: usize) -> usize {

@@ -42,6 +42,8 @@
 //!   Algorithm 6 line 9).
 //! * [`validate`] — structural invariant checking used by tests and by the
 //!   model checker.
+//! * [`splitmix`] — the SplitMix64 mixer the crates above seed, tag and
+//!   digest with.
 //!
 //! ## Example
 //!
@@ -74,6 +76,7 @@ pub mod linearize;
 pub mod memory;
 pub mod message;
 pub mod pivot;
+pub mod splitmix;
 pub mod validate;
 pub mod value;
 pub mod view;

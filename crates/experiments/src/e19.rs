@@ -19,19 +19,12 @@
 
 use crate::report::{f, Report};
 use crate::RunCtx;
+use am_core::splitmix::splitmix64;
 use am_sched::{
     canonical_key, check_nonforking, search, AsyncProtocol, Config, Explorer, QuorumVoteProtocol,
     SearchOptions,
 };
 use am_stats::{Series, Table};
-
-/// splitmix64 — the experiment's private schedule/permutation generator.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A half-zeros/half-ones input vector — the bivalence-rich start every
 /// part of this experiment explores from.
@@ -46,9 +39,9 @@ fn canon_trial(proto: &dyn AsyncProtocol, inputs: &[u8], seed: u64) -> bool {
     let n = proto.n();
     let ex = Explorer::new(proto, 100_000);
     // Random schedule of length 4..12.
-    let len = 4 + (mix(seed) % 9) as usize;
+    let len = 4 + (splitmix64(seed) % 9) as usize;
     let schedule: Vec<usize> = (0..len)
-        .map(|j| (mix(seed ^ (j as u64) << 8) % n as u64) as usize)
+        .map(|j| (splitmix64(seed ^ (j as u64) << 8) % n as u64) as usize)
         .collect();
     // Random permutation fixing the input vector: shuffle within classes.
     let mut perm: Vec<usize> = (0..n).collect();
@@ -57,8 +50,8 @@ fn canon_trial(proto: &dyn AsyncProtocol, inputs: &[u8], seed: u64) -> bool {
         let shuffled = members.clone();
         // Fisher-Yates driven by the mixed seed.
         for i in (1..members.len()).rev() {
-            let j =
-                (mix(seed ^ 0xc1a5 ^ (class as u64) << 32 ^ (i as u64)) % (i as u64 + 1)) as usize;
+            let j = (splitmix64(seed ^ 0xc1a5 ^ (class as u64) << 32 ^ (i as u64)) % (i as u64 + 1))
+                as usize;
             members.swap(i, j);
         }
         for (slot, who) in shuffled.iter().zip(members.iter()) {
@@ -234,7 +227,7 @@ pub fn run(ctx: &RunCtx, rep: &mut Report) {
         let inputs = split_inputs(n);
         let seed = ctx.opts.seed;
         let pt = sweep.estimate(format!("canon-invariance/n{n}"), trials, |i| {
-            canon_trial(&proto, &inputs, mix(seed ^ 0xe19 ^ i))
+            canon_trial(&proto, &inputs, splitmix64(seed ^ 0xe19 ^ i))
         });
         table4.row(&[
             proto.name(),

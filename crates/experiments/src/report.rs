@@ -4,7 +4,7 @@
 
 use am_protocols::PointResult;
 use am_stats::{Series, Table};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 
 /// Version stamp of the report JSON document. Bumped to 2 when the
@@ -14,7 +14,7 @@ use std::path::PathBuf;
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// One sweep point's outcome as recorded in the report JSON.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SweepPointRecord {
     /// The point's stable key (also its checkpoint/obs identity).
     pub key: String,
@@ -35,7 +35,7 @@ pub struct SweepPointRecord {
 }
 
 /// One labelled sweep: the engine outcomes of a grid of points.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SweepRecord {
     /// Human label of the sweep (matches the table it fed).
     pub label: String,
@@ -82,28 +82,6 @@ impl Serialize for Report {
             ("notes".to_string(), self.notes.to_value()),
             ("sweeps".to_string(), self.sweeps.to_value()),
         ])
-    }
-}
-
-// Manual impl mirroring the Serialize shape (extras are side-car files
-// and do not round-trip through the main document).
-impl Deserialize for Report {
-    fn from_value(v: &Value) -> Result<Report, Error> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| Error::msg(format!("Report: missing field {k}")))
-        };
-        Ok(Report {
-            schema_version: u32::from_value(field("schema_version")?)?,
-            id: String::from_value(field("id")?)?,
-            title: String::from_value(field("title")?)?,
-            paper_ref: String::from_value(field("paper_ref")?)?,
-            tables: Vec::from_value(field("tables")?)?,
-            series: Vec::from_value(field("series")?)?,
-            notes: Vec::from_value(field("notes")?)?,
-            sweeps: Vec::from_value(field("sweeps")?)?,
-            extras: Vec::new(),
-        })
     }
 }
 
@@ -245,56 +223,6 @@ mod tests {
         let s = prop(&p);
         assert!(s.starts_with("0.050 ["));
         assert!(s.contains(','));
-    }
-
-    #[test]
-    fn json_round_trip_preserves_every_field() {
-        use am_protocols::PointResult;
-        use am_stats::StopReason;
-
-        let mut r = Report::new("ERT", "round trip", "Schema v2");
-        let mut t = Table::new("tbl", &["x", "y"]);
-        t.row(&["1".into(), "2".into()]);
-        r.tables.push(t);
-        let mut se = Series::new("curve");
-        se.push(0.5, 0.25);
-        r.series.push(se);
-        r.note("a finding");
-        r.record_sweep(
-            "demo sweep",
-            [(
-                "pt/t3".to_string(),
-                PointResult {
-                    tally: Proportion::from_counts(7, 96),
-                    budget: 4000,
-                    batches: 3,
-                    stop: StopReason::HalfWidth,
-                    complete: true,
-                },
-            )],
-        );
-
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        assert!(json.contains("\"schema_version\": 2"));
-        assert!(json.contains("\"trials_used\": 96"));
-        assert!(json.contains("\"stop\": \"half_width\""));
-
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, SCHEMA_VERSION);
-        assert_eq!(back.id, r.id);
-        assert_eq!(back.sweeps, r.sweeps);
-        assert_eq!(back.sweeps[0].points[0].budget, 4000);
-        assert!((back.sweeps[0].points[0].estimate - 7.0 / 96.0).abs() < 1e-12);
-        // Re-serializing the rebuilt report reproduces the document.
-        assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
-    }
-
-    #[test]
-    fn deserialize_rejects_versionless_documents() {
-        let legacy = r#"{"id":"E1","title":"t","paper_ref":"p",
-                         "tables":[],"series":[],"notes":[]}"#;
-        let err = serde_json::from_str::<Report>(legacy).unwrap_err();
-        assert!(err.to_string().contains("schema_version"));
     }
 
     #[test]

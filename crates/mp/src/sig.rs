@@ -8,20 +8,13 @@
 //! in the [`KeyRing`]; Byzantine code never sees them, so the best forgery
 //! is a blind 64-bit guess, which tests treat as impossible.
 
+use am_core::splitmix::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A 64-bit message authentication tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Signature(pub u64);
-
-/// SplitMix64 finalizer — a strong 64-bit mixer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// FNV-1a over a byte slice, for content hashing.
 pub fn content_hash(bytes: &[u8]) -> u64 {
@@ -61,7 +54,7 @@ impl KeyRing {
     /// Signs `content` as node `author`. Only the simulator's trusted path
     /// calls this for correct nodes; Byzantine code signs only its own id.
     pub fn sign(&self, author: usize, content: u64) -> Signature {
-        Signature(mix(self.secrets[author] ^ mix(content)))
+        Signature(splitmix64(self.secrets[author] ^ splitmix64(content)))
     }
 
     /// Verifies that `sig` is `author`'s signature over `content`. An

@@ -19,10 +19,11 @@
 //!   one total order `(time_ns, seq)`), carrying 12-byte handles (receiver,
 //!   parcel, link row) to payloads held once in a slab with their sender,
 //!   send time and kind, drives per-link latency models
-//!   ([`LatencyModel`]: constant, uniform, exponential) and composable
-//!   fault injectors ([`Fault`]: probabilistic drops, duplication,
-//!   reorder-by-extra-delay, node crash/recover windows, scheduled
-//!   partitions with heal times).
+//!   ([`LatencyModel`]: constant, uniform, exponential) and applies the
+//!   faults of the [`NetConfig`] it was built from: probabilistic drops,
+//!   duplication, reorder-by-extra-delay and a half/half partition with a
+//!   heal time. A silent or crashed node is modelled in the node (it
+//!   stops reacting), not on the wire.
 //! * [`NetStats`] — per-link (one row per topology edge, a spill map for
 //!   the links without one) and per-payload-kind counters (sent, delivered,
 //!   dropped, duplicated) plus log-bucketed delay histograms, exportable
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod fault;
 pub mod hash;
 pub mod latency;
 pub mod queue;
@@ -45,7 +45,6 @@ pub mod topology;
 pub mod transport;
 
 pub use config::{NetConfig, NetConfigBuilder, NetConfigError};
-pub use fault::{Fault, PartitionSpec};
 pub use latency::LatencyModel;
 pub use queue::EventQueue;
 pub use sim::{NetScratch, SimNet};

@@ -1,7 +1,6 @@
 //! The discrete-event simulator.
 
 use crate::config::NetConfig;
-use crate::fault::{Fault, PartitionSpec};
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
 use crate::stats::{KindSlot, NetStats};
@@ -25,7 +24,7 @@ impl ParcelId {
 
 /// What every copy of one `send` or `broadcast` shares, so no copy carries
 /// it: who sent it, when, and its kind's row in the [`NetStats`] kind table
-/// (resolved once, when the payload enters the network). Duplicate-fault
+/// (resolved once, when the payload enters the network). Duplicate
 /// copies share it too.
 #[derive(Clone, Copy, Debug)]
 struct Stamp {
@@ -103,10 +102,6 @@ impl<M> Parcels<M> {
             .expect("a live handle names an occupied slot")
     }
 
-    fn stamp(&self, id: ParcelId) -> Stamp {
-        self.slots[id.slot()].stamp
-    }
-
     /// One more copy owed (the duplicate fault).
     fn add_ref(&mut self, id: ParcelId) {
         self.slots[id.slot()].refs += 1;
@@ -164,7 +159,8 @@ impl NetConfig {
     }
 
     /// Like [`NetConfig::build_net`] but reusing recycled [`NetScratch`]
-    /// storage. Fault injectors are appended in a fixed order (drop,
+    /// storage. The network keeps this configuration and applies its
+    /// faults to every copy at the send, in a fixed order (drop,
     /// duplicate, reorder, partition), which fixes the RNG draw order and
     /// hence the delivery trace per seed.
     pub fn build_net_with_scratch<M: Kinded>(
@@ -183,19 +179,15 @@ impl NetConfig {
         scratch.in_dirty.resize(n, false);
         scratch.backlogged.clear();
         scratch.backlogged.resize(n.div_ceil(64), 0);
-        scratch.faults.clear();
-        let mut net = SimNet {
+        SimNet {
             n,
             now_ns: 0,
             queue: EventQueue::from_storage(scratch.queue),
             parcels: scratch.parcels,
             arrived: inbox_slots.into_iter().map(Inbox::from_slots).collect(),
-            default_latency: self.latency,
+            cfg: *self,
             link_latency: LinkTable::default(),
-            bandwidth_bps: self.bandwidth_bps,
             link_busy: LinkTable::default(),
-            faults: scratch.faults,
-            spare_side_a: scratch.side_a,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5e70_fae7),
             stats: scratch.stats,
             sent: 0,
@@ -207,35 +199,7 @@ impl NetConfig {
             obs_delivered: am_obs::static_counter!("net.delivered"),
             obs_dropped: am_obs::static_counter!("net.dropped"),
             obs_duplicated: am_obs::static_counter!("net.duplicated"),
-        };
-        if self.drop_prob > 0.0 {
-            net.add_fault(Fault::Drop {
-                prob: self.drop_prob,
-            });
         }
-        if self.dup_prob > 0.0 {
-            net.add_fault(Fault::Duplicate {
-                prob: self.dup_prob,
-                extra: self.latency,
-            });
-        }
-        if self.reorder_prob > 0.0 {
-            net.add_fault(Fault::Reorder {
-                prob: self.reorder_prob,
-                extra: self.latency,
-            });
-        }
-        if let Some((from_ns, until_ns)) = self.partition {
-            let mut side_a = std::mem::take(&mut net.spare_side_a);
-            side_a.clear();
-            side_a.extend(0..n / 2);
-            net.add_fault(Fault::Partition(PartitionSpec {
-                side_a,
-                from_ns,
-                until_ns,
-            }));
-        }
-        net
     }
 }
 
@@ -357,12 +321,11 @@ impl Inbox {
 }
 
 /// Everything a [`SimNet`] would otherwise allocate per trial — queue
-/// storage, payload slab, inbox buffers, the [`NetStats`] tables, the
-/// arrival and backlog sets, the injector list and a partition's member
-/// list — following the `TrialScratch` pattern: trial loops keep one
-/// `NetScratch` per thread, rebuild each trial's `SimNet` on it via
-/// [`NetConfig::build_net_with_scratch`], which resets every piece rather
-/// than rebuilding it, and reclaim it afterwards with
+/// storage, payload slab, inbox buffers, the [`NetStats`] tables and the
+/// arrival and backlog sets — following the `TrialScratch` pattern: trial
+/// loops keep one `NetScratch` per thread, rebuild each trial's `SimNet`
+/// on it via [`NetConfig::build_net_with_scratch`], which resets every
+/// piece rather than rebuilding it, and reclaim it afterwards with
 /// [`SimNet::into_scratch`]. It holds capacity only — every payload of
 /// the simulator it came from was dropped when it was taken, and nothing
 /// the old simulator counted or was configured with shows in the next.
@@ -376,8 +339,6 @@ pub struct NetScratch<M> {
     dirty: Vec<u32>,
     in_dirty: Vec<bool>,
     backlogged: Vec<u64>,
-    faults: Vec<Fault>,
-    side_a: Vec<usize>,
 }
 
 impl<M> Default for NetScratch<M> {
@@ -397,20 +358,18 @@ impl<M> NetScratch<M> {
             dirty: Vec::new(),
             in_dirty: Vec::new(),
             backlogged: Vec::new(),
-            faults: Vec::new(),
-            side_a: Vec::new(),
         }
     }
 }
 
 /// The seeded discrete-event network: latency models feed a slab-backed
-/// event queue ([`crate::queue::EventQueue`]); fault injectors run at
-/// send time; arrivals land in per-node inboxes consumed through the
-/// [`Transport`] interface. The payloads sit in one slab (`Parcels`) from
-/// `send` to delivery, each with what its send shares among its copies —
-/// sender, send time, kind. A copy is a 12-byte handle in the queue and a
-/// 16-byte one in an inbox: receiver, parcel and its link's row, resolved
-/// once at the send.
+/// event queue ([`crate::queue::EventQueue`]); the faults of the
+/// [`NetConfig`] it was built from apply at send time; arrivals land in
+/// per-node inboxes consumed through the [`Transport`] interface. The
+/// payloads sit in one slab (`Parcels`) from `send` to delivery, each with
+/// what its send shares among its copies — sender, send time, kind. A
+/// copy is a 12-byte handle in the queue and a 16-byte one in an inbox:
+/// receiver, parcel and its link's row, resolved once at the send.
 ///
 /// Per-node state is O(nodes + topology edges): latency overrides, link
 /// busy-times and the [`NetStats`] counters are `LinkTable`s over the
@@ -425,18 +384,14 @@ pub struct SimNet<M> {
     queue: EventQueue<u64, Flight>,
     parcels: Parcels<M>,
     arrived: Vec<Inbox>,
-    default_latency: LatencyModel,
+    /// What this network was built from: its default latency, bandwidth
+    /// and faults.
+    cfg: NetConfig,
     /// Per-link latency overrides.
     link_latency: LinkTable<Option<LatencyModel>>,
-    /// Per-link store-and-forward capacity; `None` = infinite.
-    bandwidth_bps: Option<u64>,
-    /// Per-link transmit-busy horizon (only touched when `bandwidth_bps`
-    /// is set).
+    /// Per-link transmit-busy horizon (only touched when the config sets
+    /// a bandwidth).
     link_busy: LinkTable<u64>,
-    faults: Vec<Fault>,
-    /// The recycled partition member list while no partition in `faults`
-    /// holds it, so a partition-free trial hands it on unchanged.
-    spare_side_a: Vec<usize>,
     rng: ChaCha8Rng,
     stats: NetStats,
     sent: u64,
@@ -459,10 +414,6 @@ impl<M: Kinded> SimNet<M> {
     /// [`NetScratch`]), dropping any undelivered payloads.
     pub fn into_scratch(mut self) -> NetScratch<M> {
         self.parcels.clear();
-        let side_a = self.faults.drain(..).find_map(|fault| match fault {
-            Fault::Partition(spec) => Some(spec.side_a),
-            _ => None,
-        });
         NetScratch {
             queue: self.queue.into_storage(),
             parcels: self.parcels,
@@ -471,19 +422,12 @@ impl<M: Kinded> SimNet<M> {
             dirty: self.dirty,
             in_dirty: self.in_dirty,
             backlogged: self.backlogged,
-            faults: self.faults,
-            side_a: side_a.unwrap_or(self.spare_side_a),
         }
     }
 
     /// Overrides the latency model of one directed link.
     pub fn set_link_latency(&mut self, from: usize, to: usize, model: LatencyModel) {
         *self.link_latency.get_mut(self.stats.topology(), from, to) = Some(model);
-    }
-
-    /// Appends a fault injector (applied to every send, in order).
-    pub fn add_fault(&mut self, fault: Fault) {
-        self.faults.push(fault);
     }
 
     /// Current simulated time.
@@ -542,7 +486,7 @@ impl<M: Kinded> SimNet<M> {
         {
             return m;
         }
-        self.default_latency
+        self.cfg.latency
     }
 
     /// The [`Stamp`] of a payload `from` sends now. A sender past `u32`
@@ -555,10 +499,6 @@ impl<M: Kinded> SimNet<M> {
         }
     }
 
-    fn crashed(&self, node: usize, at_ns: u64) -> bool {
-        self.faults.iter().any(|f| f.crashes(node, at_ns))
-    }
-
     fn schedule(&mut self, link: Link, parcel: ParcelId, delay_ns: u64) {
         let flight = Flight {
             to: link.to,
@@ -569,37 +509,30 @@ impl<M: Kinded> SimNet<M> {
     }
 
     /// Counts one copy of `parcel` (of kind `kind`) lost on `link`,
-    /// reports it as obs event `event` on `row`'s sim row, and gives its
-    /// reference back.
-    fn drop_copy(
-        &mut self,
-        link: Link,
-        parcel: ParcelId,
-        kind: KindSlot,
-        event: &'static str,
-        row: usize,
-    ) {
+    /// reports it as obs event `event` on the sender's sim row, and gives
+    /// its reference back.
+    fn drop_copy(&mut self, link: Link, parcel: ParcelId, kind: KindSlot, event: &'static str) {
         self.stats.count_dropped(link, kind);
         self.obs_dropped.inc();
         let label = self.stats.kind_label(kind);
         let Link { from, to, .. } = link;
-        am_obs::event(event, row, self.now_ns, || format!("{label} {from}->{to}"));
+        am_obs::event(event, from as usize, self.now_ns, || {
+            format!("{label} {from}->{to}")
+        });
         self.parcels.release(parcel);
     }
 
-    /// The shared send path: fault injection, transmission-delay
+    /// The shared send path: the config's faults, transmission-delay
     /// queueing, latency sampling, and event scheduling for one copy to
     /// `to` of a payload already in the slab, sent as `stamp` says, whose
     /// reference this call either hands to the flight it schedules or
     /// releases. The link's row is resolved here, once, for the counters,
-    /// the busy horizon and the delivery. `sender_crashed` is whether the
-    /// sender is crashed now — the same for every copy of a broadcast, so
-    /// the caller asks once. RNG draw order, stats, and `seq` assignment
-    /// do not depend on how many copies share the parcel, so
+    /// the busy horizon and the delivery. RNG draw order, stats, and `seq`
+    /// assignment do not depend on how many copies share the parcel, so
     /// per-recipient sends and the one-parcel broadcast produce
     /// bit-identical traces.
     #[inline]
-    fn send_parcel(&mut self, to: usize, parcel: ParcelId, stamp: Stamp, sender_crashed: bool) {
+    fn send_parcel(&mut self, to: usize, parcel: ParcelId, stamp: Stamp) {
         let from = stamp.from as usize;
         // Checked here, at the caller's send, and on `n` rather than on
         // adjacency (repair traffic leaves the topology): past this point
@@ -615,40 +548,28 @@ impl<M: Kinded> SimNet<M> {
         self.stats.count_sent(link, kind);
         self.obs_sent.inc();
 
-        // Sender or receiver crashed right now → the message never leaves
-        // (receiver-side crash during flight is checked at arrival).
-        if sender_crashed {
-            self.drop_copy(link, parcel, kind, "net/drop/crashed_sender", from);
+        // The faults, in a fixed order: a probability of 0 draws nothing,
+        // and a duplicate's or a reorder's extra delay is a second sample
+        // of the configured latency. The partition cuts the links between
+        // `0..n/2` and the rest, decided at the send.
+        let cfg = &self.cfg;
+        if cfg.drop_prob > 0.0 && self.rng.gen_bool(cfg.drop_prob) {
+            self.drop_copy(link, parcel, kind, "net/drop/random");
             return;
         }
-
-        let mut extra_ns: u64 = 0;
         let mut duplicate: Option<u64> = None;
-        for fault in &self.faults {
-            match fault {
-                Fault::Drop { prob } => {
-                    if self.rng.gen_bool(*prob) {
-                        self.drop_copy(link, parcel, kind, "net/drop/random", from);
-                        return;
-                    }
-                }
-                Fault::Duplicate { prob, extra } => {
-                    if self.rng.gen_bool(*prob) {
-                        duplicate = Some(extra.sample(&mut self.rng));
-                    }
-                }
-                Fault::Reorder { prob, extra } => {
-                    if self.rng.gen_bool(*prob) {
-                        extra_ns += extra.sample(&mut self.rng);
-                    }
-                }
-                Fault::Partition(p) => {
-                    if p.cuts(from, to, self.now_ns) {
-                        self.drop_copy(link, parcel, kind, "net/drop/partitioned", from);
-                        return;
-                    }
-                }
-                Fault::Crash { .. } => {} // handled via crashed()
+        if cfg.dup_prob > 0.0 && self.rng.gen_bool(cfg.dup_prob) {
+            duplicate = Some(cfg.latency.sample(&mut self.rng));
+        }
+        let mut extra_ns: u64 = 0;
+        if cfg.reorder_prob > 0.0 && self.rng.gen_bool(cfg.reorder_prob) {
+            extra_ns = cfg.latency.sample(&mut self.rng);
+        }
+        if let Some((cut_from, cut_until)) = cfg.partition {
+            let half = self.n / 2;
+            if (cut_from..cut_until).contains(&self.now_ns) && (from < half) != (to < half) {
+                self.drop_copy(link, parcel, kind, "net/drop/partitioned");
+                return;
             }
         }
 
@@ -660,7 +581,7 @@ impl<M: Kinded> SimNet<M> {
         // artifact, not a second send). No RNG is drawn, so configs
         // without bandwidth stay bit-identical to the historic path.
         let mut tx_ns: u64 = 0;
-        if let Some(bps) = self.bandwidth_bps {
+        if let Some(bps) = cfg.bandwidth_bps {
             let bits = (self.parcels.get(parcel).wire_bytes() as u128) * 8;
             let tx = ((bits * 1_000_000_000) / bps.max(1) as u128).min(u64::MAX as u128) as u64;
             let busy = self.link_busy.at_mut(self.stats.topology(), link);
@@ -683,41 +604,31 @@ impl<M: Kinded> SimNet<M> {
         self.schedule(link, parcel, tx_ns + base + extra_ns);
     }
 
-    /// Moves one popped event into its arrival inbox (or drops it if the
-    /// receiver is crashed), advancing the clock to the event time.
+    /// Moves one popped event into its arrival inbox, advancing the clock
+    /// to the event time.
     #[inline]
-    fn admit(&mut self, at_ns: u64, seq: u64, flight: Flight) -> bool {
+    fn admit(&mut self, at_ns: u64, seq: u64, flight: Flight) {
         debug_assert!(at_ns >= self.now_ns, "time went backwards");
         self.now_ns = at_ns;
         let Flight { to, parcel, row } = flight;
         let to = to as usize;
-        if self.crashed(to, self.now_ns) {
-            let Stamp { from, kind, .. } = self.parcels.stamp(parcel);
-            let link = Link {
-                from,
-                to: to as u32,
-                row,
-            };
-            self.drop_copy(link, parcel, kind, "net/drop/crashed_receiver", to);
-            return false;
-        }
         self.arrived[to].push(Arrival { seq, parcel, row });
         self.backlogged[to / 64] |= 1 << (to % 64);
         if !self.in_dirty[to] {
             self.in_dirty[to] = true;
             self.dirty.push(to as u32);
         }
-        true
     }
 
     /// Delivers every in-flight event scheduled at or before `target_ns`,
     /// then moves the clock to `target_ns` (time-driven callers — the
     /// protocol runners — use this so sends issued at the target time see
-    /// the right fault windows). Returns whether anything arrived.
+    /// the right partition window). Returns whether anything arrived.
     pub fn advance_until(&mut self, target_ns: u64) -> bool {
         let mut any = false;
         while let Some((at_ns, seq, flight)) = self.queue.pop_due(target_ns) {
-            any |= self.admit(at_ns, seq, flight);
+            self.admit(at_ns, seq, flight);
+            any = true;
         }
         if self.now_ns < target_ns {
             self.now_ns = target_ns;
@@ -734,8 +645,7 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     fn send(&mut self, from: usize, to: usize, payload: M) {
         let stamp = self.stamp(from, &payload);
         let parcel = self.parcels.insert(payload, stamp, 1);
-        let sender_crashed = self.crashed(from, self.now_ns);
-        self.send_parcel(to, parcel, stamp, sender_crashed);
+        self.send_parcel(to, parcel, stamp);
     }
 
     fn broadcast(&mut self, from: usize, payload: M)
@@ -748,9 +658,8 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
         }
         let stamp = self.stamp(from, &payload);
         let parcel = self.parcels.insert(payload, stamp, self.n as u32);
-        let sender_crashed = self.crashed(from, self.now_ns);
         for to in 0..self.n {
-            self.send_parcel(to, parcel, stamp, sender_crashed);
+            self.send_parcel(to, parcel, stamp);
         }
     }
 
@@ -796,20 +705,16 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     }
 
     fn advance(&mut self) -> bool {
-        // Pop events until at least one lands in an inbox (crashed
-        // receivers eat their arrivals, so keep going past those).
-        while let Some((at_ns, seq, flight)) = self.queue.pop() {
-            if !self.admit(at_ns, seq, flight) {
-                continue;
-            }
-            // Also surface everything else arriving at the same instant,
-            // so equal-time arrivals stay in send order for the caller.
-            while let Some((nat, nseq, nflight)) = self.queue.pop_due(self.now_ns) {
-                self.admit(nat, nseq, nflight);
-            }
-            return true;
+        let Some((at_ns, seq, flight)) = self.queue.pop() else {
+            return false;
+        };
+        self.admit(at_ns, seq, flight);
+        // Also surface everything else arriving at the same instant, so
+        // equal-time arrivals stay in send order for the caller.
+        while let Some((nat, nseq, nflight)) = self.queue.pop_due(self.now_ns) {
+            self.admit(nat, nseq, nflight);
         }
-        false
+        true
     }
 
     fn quiescent(&self) -> bool {
@@ -956,8 +861,11 @@ mod tests {
 
     #[test]
     fn drop_all_loses_everything() {
-        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(0));
-        net.add_fault(Fault::Drop { prob: 1.0 });
+        let mut net: SimNet<Ping> = NetConfig::builder()
+            .drop(1.0)
+            .build()
+            .unwrap()
+            .build_net(2, 1);
         net.broadcast(0, Ping(1));
         assert!(!net.advance());
         assert!(net.quiescent());
@@ -967,46 +875,32 @@ mod tests {
 
     #[test]
     fn duplicates_arrive_twice() {
-        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(5));
-        net.add_fault(Fault::Duplicate {
-            prob: 1.0,
-            extra: LatencyModel::Constant(7),
-        });
+        let mut net: SimNet<Ping> = NetConfig::builder()
+            .latency(LatencyModel::Constant(5))
+            .dup(1.0)
+            .build()
+            .unwrap()
+            .build_net(2, 1);
         net.send(0, 1, Ping(9));
         let got = drain(&mut net);
-        assert_eq!(got.len(), 2, "original + duplicate");
+        assert_eq!(
+            got,
+            vec![(5, 0, 1, 9), (10, 0, 1, 9)],
+            "original, then the duplicate one more latency sample later"
+        );
         assert_eq!(net.stats().totals().duplicated, 1);
         assert_eq!(net.stats().totals().delivered, 2);
     }
 
     #[test]
-    fn crash_window_eats_sends_and_arrivals() {
-        let mut net: SimNet<Ping> = mesh(2, 1, LatencyModel::Constant(10));
-        net.add_fault(Fault::Crash {
-            node: 1,
-            from_ns: 0,
-            until_ns: 100,
-        });
-        net.send(0, 1, Ping(1)); // arrives at t=10 → eaten
-        net.send(1, 0, Ping(2)); // sender crashed → eaten
-        assert!(!net.advance());
-        assert_eq!(net.stats().totals().dropped, 2);
-        // After recovery the node participates again: advance time past
-        // the window by sending a long-latency message.
-        net.set_link_latency(0, 1, LatencyModel::Constant(200));
-        net.send(0, 1, Ping(3));
-        assert!(net.advance());
-        assert_eq!(net.backlog(1), 1);
-    }
-
-    #[test]
     fn partition_heals() {
-        let mut net: SimNet<Ping> = mesh(4, 1, LatencyModel::Constant(1));
-        net.add_fault(Fault::Partition(PartitionSpec {
-            side_a: vec![0, 1],
-            from_ns: 0,
-            until_ns: 50,
-        }));
+        // Nodes 0 and 1 (the first half) are cut from 2 and 3 until t = 50.
+        let mut net: SimNet<Ping> = NetConfig::builder()
+            .latency(LatencyModel::Constant(1))
+            .partition(0, 50)
+            .build()
+            .unwrap()
+            .build_net(4, 1);
         net.send(0, 2, Ping(1)); // cut
         net.send(0, 1, Ping(2)); // same side, fine
         let got = drain(&mut net);
@@ -1119,8 +1013,8 @@ mod tests {
 
     #[test]
     fn scratch_from_another_network_leaves_no_trace() {
-        // The recycled statistics, arrival set, injector list and partition
-        // side come from a larger, faultier network torn down mid-flight.
+        // The recycled statistics and arrival set come from a larger,
+        // faultier network torn down mid-flight.
         let run = |scratch: NetScratch<Ping>| {
             let mut net: SimNet<Ping> = NetConfig::builder()
                 .latency(LatencyModel::Constant(10))
@@ -1129,7 +1023,6 @@ mod tests {
                 .build()
                 .unwrap()
                 .build_net_with_scratch(4, 3, scratch);
-            assert_eq!(net.faults.len(), 1, "only this config's injectors");
             for from in 0..4 {
                 net.broadcast(from, Ping(from as u64));
             }
@@ -1150,34 +1043,6 @@ mod tests {
         other.advance();
         assert!(other.stats().active_links() > 16 && !other.dirty.is_empty());
         assert_eq!(run(other.into_scratch()), run(NetScratch::new()));
-    }
-
-    #[test]
-    fn a_partition_free_net_hands_the_partition_list_on() {
-        // What a pooled scratch holds must not depend on whether the last
-        // trial on it had a partition: partitioned → partition-free →
-        // partitioned keeps one member list, never reallocated.
-        let partitioned = NetConfig::builder()
-            .latency(LatencyModel::Constant(1))
-            .partition(0, 10)
-            .build()
-            .unwrap();
-        let plain = NetConfig::ideal(LatencyModel::Constant(1));
-        let scratch = partitioned.build_net::<Ping>(6, 1).into_scratch();
-        let list = (scratch.side_a.as_ptr(), scratch.side_a.capacity());
-        assert!(list.1 >= 3, "the partition filled the list");
-        let scratch = plain
-            .build_net_with_scratch::<Ping>(6, 2, scratch)
-            .into_scratch();
-        assert_eq!((scratch.side_a.as_ptr(), scratch.side_a.capacity()), list);
-        let net: SimNet<Ping> = partitioned.build_net_with_scratch(6, 3, scratch);
-        match &net.faults[..] {
-            [Fault::Partition(p)] => {
-                assert_eq!(p.side_a, [0, 1, 2]);
-                assert_eq!((p.side_a.as_ptr(), p.side_a.capacity()), list);
-            }
-            other => panic!("expected one partition, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1256,23 +1121,35 @@ mod tests {
     }
 
     #[test]
-    fn config_wires_faults_in_fixed_order() {
-        let net: SimNet<Ping> = NetConfig::builder()
+    fn partition_cuts_only_across_and_only_in_window() {
+        // The config's partition cuts nodes 0..3 (the first half) from the
+        // rest during [10, 20), decided at the send.
+        let mut net: SimNet<Ping> = NetConfig::builder()
             .latency(LatencyModel::Constant(1))
-            .drop(0.5)
             .partition(10, 20)
-            .trace(true)
             .build()
             .unwrap()
             .build_net(6, 7);
-        assert_eq!(net.n(), 6);
-        assert_eq!(net.faults.len(), 2);
-        match &net.faults[1] {
-            Fault::Partition(p) => {
-                assert_eq!(p.side_a, vec![0, 1, 2]);
-                assert_eq!((p.from_ns, p.until_ns), (10, 20));
+        let all_pairs = |net: &mut SimNet<Ping>| {
+            for from in 0..6 {
+                for to in 0..6 {
+                    net.send(from, to, Ping(0));
+                }
             }
-            other => panic!("expected partition, got {other:?}"),
+        };
+        all_pairs(&mut net); // t = 0: before the window
+        net.advance_until(10);
+        all_pairs(&mut net); // t = 10: cut
+        net.advance_until(20);
+        all_pairs(&mut net); // t = 20: healed
+        let _ = drain(&mut net);
+        for from in 0..6 {
+            for to in 0..6 {
+                let crosses = (from < 3) != (to < 3);
+                let link = net.stats().link(from, to);
+                assert_eq!(link.dropped, u64::from(crosses), "{from}->{to}");
+                assert_eq!(link.delivered, 3 - link.dropped, "{from}->{to}");
+            }
         }
     }
 

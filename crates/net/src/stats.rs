@@ -27,7 +27,7 @@ pub struct Counters {
     pub sent: u64,
     /// Messages that arrived and were consumed.
     pub delivered: u64,
-    /// Messages lost to drops, crashes, or partitions.
+    /// Messages lost to drops or partitions.
     pub dropped: u64,
     /// Extra copies injected by duplication faults.
     pub duplicated: u64,
@@ -580,7 +580,7 @@ mod tests {
 
     #[test]
     fn kinds_print_as_the_sorted_map_they_replace() {
-        use crate::{Fault, LatencyModel, NetConfig, PartitionSpec, SimNet, Transport};
+        use crate::{LatencyModel, NetConfig, SimNet, Transport};
         use std::collections::BTreeMap;
         // The same text at two addresses must be one kind.
         let ack_elsewhere: &'static str = String::from("ack").leak();
@@ -613,14 +613,16 @@ mod tests {
         // Through a real simulator, whose hooks count by kind slot. Slots
         // are handed out in first-seen order — "b", then "a" at a second
         // address, then "a" again — and must still print sorted, one entry
-        // per text.
+        // per text. Every copy is duplicated, one latency later, and node
+        // 0 is cut from node 1 at t = 0.
         let a_elsewhere: &'static str = String::from("a").leak();
-        let mut net: SimNet<Labelled> = NetConfig::ideal(LatencyModel::Constant(5)).build_net(2, 1);
-        net.add_fault(Fault::Partition(PartitionSpec {
-            side_a: vec![0],
-            from_ns: 0,
-            until_ns: 1,
-        }));
+        let mut net: SimNet<Labelled> = NetConfig::builder()
+            .latency(LatencyModel::Constant(5))
+            .dup(1.0)
+            .partition(0, 1)
+            .build()
+            .unwrap()
+            .build_net(2, 1);
         net.broadcast(0, Labelled("b")); // 0 → 1 crosses the cut: one drop
         let drain = |net: &mut SimNet<Labelled>| {
             while net.advance() {
@@ -629,23 +631,21 @@ mod tests {
                 }
             }
         };
-        drain(&mut net); // now = 5, the cut has healed
+        drain(&mut net); // now = 10, the cut has healed
         net.send(1, 0, Labelled(a_elsewhere));
         drain(&mut net);
-        net.add_fault(Fault::Duplicate {
-            prob: 1.0,
-            extra: LatencyModel::Constant(1),
-        });
-        net.send(0, 1, Labelled("a")); // one duplicate
+        net.send(0, 1, Labelled("a"));
         drain(&mut net);
 
         let mut want: BTreeMap<&'static str, (Counters, DelayHistogram)> = BTreeMap::new();
         let b = want.entry("b").or_default();
-        (b.0.sent, b.0.dropped, b.0.delivered) = (2, 1, 1);
-        b.1.record(5);
+        (b.0.sent, b.0.duplicated, b.0.dropped, b.0.delivered) = (2, 1, 1, 2);
+        for delay in [5, 10] {
+            b.1.record(delay);
+        }
         let a = want.entry("a").or_default();
-        (a.0.sent, a.0.duplicated, a.0.delivered) = (2, 1, 3);
-        for delay in [5, 5, 6] {
+        (a.0.sent, a.0.duplicated, a.0.delivered) = (2, 2, 4);
+        for delay in [5, 10, 5, 10] {
             a.1.record(delay);
         }
         let kinds = &net.stats().kinds;

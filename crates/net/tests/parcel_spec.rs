@@ -6,24 +6,25 @@
 //! inboxes (receiver, parcel, link row). Each copy the
 //! network owes somebody is a reference on the slot: `send` starts one,
 //! `broadcast` one per recipient, the duplicate fault adds one, every way
-//! a copy can be lost (crashed sender, drop fault, partition, crashed
-//! receiver) gives one back, and a delivery takes one — moving the
-//! payload out if it was the last, cloning it otherwise. A rule broken in
+//! a copy can be lost (the drop fault, the partition) gives one back, and
+//! a delivery takes one — moving the payload out if it was the last,
+//! cloning it otherwise. A rule broken in
 //! one direction leaks a payload; broken in the other it hands out a
 //! vacated or recycled slot.
 //!
 //! [`Tracked`] counts its constructions, clones and drops per thread.
 //! Seeded nets with drop 0.3, duplicate 0.3 and reorder 0.3, with and
-//! without a partition and a crash window, carry a mix of broadcasts and
+//! without a partition window, carry a mix of broadcasts and
 //! point-to-point sends, and the suite asserts that
 //!
 //! * once `quiescent()`, no payload is alive and every construction and
 //!   clone has been dropped (so each exactly once — safe Rust cannot drop
 //!   twice);
 //! * a payload is cloned only by a delivery that is not the last owed:
-//!   clones = deliveries − last-reference moves, and a message is
-//!   delivered as its original instance at most once (exactly once when
-//!   no receiver crash can eat its last copy);
+//!   clones = deliveries − last-reference moves, and a message that is
+//!   delivered at all is delivered as its original instance exactly once
+//!   (every copy is lost, if at all, at its send, so the last delivery
+//!   holds the last reference);
 //! * the deliveries and the `NetStats` trace equal those of one `send`
 //!   per recipient — the `Transport::broadcast` default body (the
 //!   in-crate `broadcast_cloning_matches_zero_copy_broadcast` pins the
@@ -35,10 +36,8 @@
 //! tests that drain a network (`teardown_in_mid_flight…` tears its down
 //! before that and fails on the third edit only) —
 //!
-//! * `release` skipped on the drop fault, on the partition cut or on the
-//!   crashed sender: payloads alive inside a quiescent network;
-//! * `release` skipped on the crashed receiver: the same, on the crash
-//!   profile;
+//! * `release` skipped on the drop fault or on the partition cut:
+//!   payloads alive inside a quiescent network;
 //! * `add_ref` skipped on the duplicate fault: the second copy names a
 //!   vacated slot — a panic — or a recycled one — the wrong message;
 //! * `take` cloning although `refs == 1`: the original stays alive in its
@@ -46,8 +45,8 @@
 //!
 //! A delivered copy reads its sender and send time from its parcel, and
 //! its link row from its handle. `every_copy_reports_its_parcel_s_origin`
-//! sends [`Stamped`] payloads that carry both, under duplicate, reorder,
-//! partition and crash faults, on a 12-node mesh (every link a row), a
+//! sends [`Stamped`] payloads that carry both, under duplicate, reorder
+//! and partition faults, on a 12-node mesh (every link a row), a
 //! 70-node mesh (every link spills), a relay overlay and a bandwidth-limited
 //! geo overlay (rows and spill mixed), and holds each delivery's sender,
 //! the delivery trace, the per-kind delay histograms and the per-link
@@ -58,7 +57,7 @@
 
 use am_net::stats::Counters;
 use am_net::{
-    DeliveryRecord, Fault, Kinded, LatencyModel, NetConfig, NetScratch, NetStats, SimNet, Topology,
+    DeliveryRecord, Kinded, LatencyModel, NetConfig, NetScratch, NetStats, SimNet, Topology,
     Transport,
 };
 use std::cell::Cell;
@@ -148,12 +147,10 @@ const ROUNDS: u64 = 40;
 /// Which faults besides drop / duplicate / reorder are on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Profile {
-    /// Random faults only: a copy is lost, if at all, at send time.
+    /// Random faults only.
     Lossy,
-    /// Plus a partition window and a crash window — copies also die on
-    /// arrival, possibly after other copies of the same parcel were
-    /// delivered.
-    LossyCutCrash,
+    /// Plus a partition window, which cuts the copies that cross it.
+    LossyCut,
 }
 
 fn net(profile: Profile, seed: u64, scratch: NetScratch<Tracked>) -> SimNet<Tracked> {
@@ -163,21 +160,12 @@ fn net(profile: Profile, seed: u64, scratch: NetScratch<Tracked>) -> SimNet<Trac
         .dup(0.3)
         .reorder(0.3)
         .trace(true);
-    if profile == Profile::LossyCutCrash {
+    if profile == Profile::LossyCut {
         cfg = cfg.partition(300, 900);
     }
-    let mut net = cfg
-        .build()
+    cfg.build()
         .expect("valid config")
-        .build_net_with_scratch(N, seed, scratch);
-    if profile == Profile::LossyCutCrash {
-        net.add_fault(Fault::Crash {
-            node: 1,
-            from_ns: 500,
-            until_ns: 1_400,
-        });
-    }
-    net
+        .build_net_with_scratch(N, seed, scratch)
 }
 
 /// One delivery as the caller saw it: when, who to whom, which message,
@@ -288,7 +276,7 @@ fn per_message(outcome: &Outcome) -> Vec<(u64, u64)> {
 
 #[test]
 fn nothing_outlives_quiescence_and_only_non_final_deliveries_clone() {
-    for profile in [Profile::Lossy, Profile::LossyCutCrash] {
+    for profile in [Profile::Lossy, Profile::LossyCut] {
         for seed in 0..12 {
             let what = format!("{profile:?} seed {seed}");
             let before = census();
@@ -313,20 +301,9 @@ fn nothing_outlives_quiescence_and_only_non_final_deliveries_clone() {
             let moves: u64 = per.iter().map(|&(_, originals)| originals).sum();
             assert_eq!(cloned, delivered - moves, "{what}: clones");
             for (id, &(all, originals)) in per.iter().enumerate() {
-                assert!(originals <= 1, "{what}: message {id} moved out twice");
-                if profile == Profile::Lossy {
-                    // Copies are lost at send time only, so whichever
-                    // delivery comes last holds the last reference.
-                    assert_eq!(originals, u64::from(all > 0), "{what}: message {id}");
-                }
-            }
-            if profile == Profile::LossyCutCrash {
-                assert!(
-                    per.iter()
-                        .any(|&(all, originals)| all > 0 && originals == 0),
-                    "{what}: no crashed receiver ever ate a last copy — \
-                     the profile no longer exercises that release"
-                );
+                // Copies are lost at send time only, so whichever
+                // delivery comes last holds the last reference.
+                assert_eq!(originals, u64::from(all > 0), "{what}: message {id}");
             }
             drop(scratch);
             assert_eq!(census().alive(), before.alive(), "{what}: scratch held one");
@@ -336,7 +313,7 @@ fn nothing_outlives_quiescence_and_only_non_final_deliveries_clone() {
 
 #[test]
 fn broadcast_equals_one_send_per_recipient() {
-    for profile in [Profile::Lossy, Profile::LossyCutCrash] {
+    for profile in [Profile::Lossy, Profile::LossyCut] {
         for seed in [3, 77, 1_234] {
             let what = format!("{profile:?} seed {seed}");
             let before = census();
@@ -362,7 +339,7 @@ fn broadcast_equals_one_send_per_recipient() {
 
 #[test]
 fn teardown_in_mid_flight_drops_every_payload() {
-    for profile in [Profile::Lossy, Profile::LossyCutCrash] {
+    for profile in [Profile::Lossy, Profile::LossyCut] {
         let before = census();
         let mut net = net(profile, 9, NetScratch::new());
         let mut seen = Vec::new();
@@ -389,7 +366,7 @@ fn teardown_in_mid_flight_drops_every_payload() {
 
 #[test]
 fn a_recycled_scratch_changes_nothing() {
-    for profile in [Profile::Lossy, Profile::LossyCutCrash] {
+    for profile in [Profile::Lossy, Profile::LossyCut] {
         let before = census();
         let (fresh, _) = run(net(profile, 21, NetScratch::new()), true);
         // A scratch torn off a simulator in mid flight, with a different
@@ -428,7 +405,7 @@ impl Kinded for Stamped {
 const KINDS: [&str; 3] = ["alpha", "beta", "gamma"];
 
 /// A network under every fault a copy can meet besides a plain drop:
-/// duplicates, reorders, a partition window and a crash window.
+/// duplicates, reorders and a partition window.
 fn origin_net(n: usize, topology: Topology, bandwidth: bool, seed: u64) -> SimNet<Stamped> {
     let mut cfg = NetConfig::builder()
         .latency(LatencyModel::Exponential { mean: 60 })
@@ -441,13 +418,7 @@ fn origin_net(n: usize, topology: Topology, bandwidth: bool, seed: u64) -> SimNe
         // 512-byte payloads at ~1 µs each: bursts queue on their link.
         cfg = cfg.bandwidth_bps(4_096_000_000);
     }
-    let mut net = cfg.build().expect("valid config").build_net(n, seed);
-    net.add_fault(Fault::Crash {
-        node: 1,
-        from_ns: 500,
-        until_ns: 1_400,
-    });
-    net
+    cfg.build().expect("valid config").build_net(n, seed)
 }
 
 /// One delivery: when, the payload as delivered, and to whom.
@@ -537,7 +508,7 @@ fn every_copy_reports_its_parcel_s_origin() {
             let (got, sent) = origin_script(&mut net, 12);
             let stats = net.stats();
             assert!(stats.totals().duplicated > 0, "{what}: no duplicates");
-            assert!(stats.totals().dropped > 0, "{what}: no cuts or crashes");
+            assert!(stats.totals().dropped > 0, "{what}: no cuts");
 
             // The trace names each delivery's parcel sender, in delivery
             // order.

@@ -319,10 +319,11 @@ fn feed_node(
     }
 }
 
-/// Runs one abstract-view BFT finality trial: a single shared DAG, a
-/// global observer, interval-snapshot views (the same view model as
+/// Runs one BFT finality trial. On the abstract views: a single shared
+/// DAG, a global observer, interval-snapshot views (the same view model as
 /// [`run_dag`](crate::run_dag), and the same token schedule at equal
-/// [`Params`]).
+/// [`Params`]). When `p.net` is set, over that network instead, as
+/// [`run_bft_net`] does.
 ///
 /// ```
 /// use am_protocols::{run_bft, BftAdversary, Params};
@@ -331,6 +332,9 @@ fn feed_node(
 /// assert!(out.finality && out.finalized_height >= p.k);
 /// ```
 pub fn run_bft(p: &Params, adv: BftAdversary) -> BftTrial {
+    if let Some(cfg) = &p.net {
+        return over_wire(BFT_NET_SPAN, p, cfg, |prop| net_summary(p, adv, prop));
+    }
     let _span = am_obs::span("protocols/bft");
     let mut sched = GrantSchedule::new(p, 1.0, grant_budget(p), "protocols/bft_stalled");
     // The finality layer always reads interval snapshots, whatever
@@ -493,14 +497,6 @@ pub fn run_bft_net_full(p: &Params, adv: BftAdversary, cfg: &NetConfig) -> BftNe
 
 /// The obs span around one networked BFT finality trial.
 const BFT_NET_SPAN: &str = "protocols/bft_net";
-
-/// One BFT finality trial under the visibility `p` itself asks for.
-pub(crate) fn bft_trial(p: &Params, adv: BftAdversary) -> BftTrial {
-    match &p.net {
-        None => run_bft(p, adv),
-        Some(cfg) => over_wire(BFT_NET_SPAN, p, cfg, |prop| net_summary(p, adv, prop)),
-    }
-}
 
 /// Node 0's summary of a networked trial: the only view it reads, so the
 /// only one healed.
@@ -950,7 +946,7 @@ mod tests {
                 for seed in 0..3 {
                     let p = Params::new(8, 2, 0.5, 6, seed);
                     let at = format!("drop {drop} {adv:?} seed {seed}");
-                    let summary = bft_trial(&p.with_net(cfg), adv);
+                    let summary = run_bft(&p.with_net(cfg), adv);
                     let (trial, _) = run_bft_net(&p, adv, &cfg);
                     let run = run_bft_net_full(&p, adv, &cfg);
                     assert_eq!(summary, trial, "{at}");

@@ -108,8 +108,10 @@ pub(crate) fn canonical_chain(dag: &TrialDag) -> Vec<usize> {
     chain_to_genesis(dag, dag.deepest().index())
 }
 
-/// Runs one trial of Algorithm 5 on the abstract append memory: every
-/// correct node sees the `p.view_policy` prefix of the shared log.
+/// Runs one trial of Algorithm 5 under the visibility `p` asks for: on
+/// the abstract append memory, where every correct node sees the
+/// `p.view_policy` prefix of the shared log, or — when `p.net` is set —
+/// with block propagation over that network, as [`run_chain_net`] does.
 ///
 /// ```
 /// use am_protocols::{run_chain, ChainAdversary, Params, TieBreak};
@@ -118,7 +120,12 @@ pub(crate) fn canonical_chain(dag: &TrialDag) -> Vec<usize> {
 /// assert!(out.chain_len >= p.k);
 /// ```
 pub fn run_chain(p: &Params, tie: TieBreak, adv: ChainAdversary) -> ChainTrial {
-    run_chain_on(p, tie, adv, &mut SharedLog::new(p.view_policy, p.delta))
+    match &p.net {
+        None => run_chain_on(p, tie, adv, &mut SharedLog::new(p.view_policy, p.delta)),
+        Some(cfg) => over_wire(CHAIN_NET_SPAN, p, cfg, |prop| {
+            run_chain_on(p, tie, adv, prop)
+        }),
+    }
 }
 
 /// Runs one Algorithm 5 trial with block propagation over `cfg`,
@@ -139,17 +146,6 @@ pub fn run_chain_net(
 
 /// The obs span around one networked Algorithm 5 trial.
 const CHAIN_NET_SPAN: &str = "protocols/chain_net";
-
-/// One Algorithm 5 trial under the visibility `p` itself asks for: gossip
-/// over `p.net` when set, the abstract memory otherwise.
-pub(crate) fn chain_trial(p: &Params, tie: TieBreak, adv: ChainAdversary) -> ChainTrial {
-    match &p.net {
-        None => run_chain(p, tie, adv),
-        Some(cfg) => over_wire(CHAIN_NET_SPAN, p, cfg, |prop| {
-            run_chain_on(p, tie, adv, prop)
-        }),
-    }
-}
 
 /// The Algorithm 5 loop, once, for any [`Visibility`].
 pub(crate) fn run_chain_on<V: Visibility>(

@@ -96,8 +96,10 @@ fn publish<V: Visibility>(
     id
 }
 
-/// Runs one trial of Algorithm 6 on the abstract append memory: every
-/// correct node sees the `p.view_policy` prefix of the shared log.
+/// Runs one trial of Algorithm 6 under the visibility `p` asks for: on
+/// the abstract append memory, where every correct node sees the
+/// `p.view_policy` prefix of the shared log, or — when `p.net` is set —
+/// with block propagation over that network, as [`run_dag_net`] does.
 ///
 /// ```
 /// use am_protocols::{run_dag, DagAdversary, DagRule, Params};
@@ -106,7 +108,10 @@ fn publish<V: Visibility>(
 /// assert!(out.covered_values >= p.k);
 /// ```
 pub fn run_dag(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
-    run_dag_on(p, rule, adv, &mut SharedLog::new(p.view_policy, p.delta))
+    match &p.net {
+        None => run_dag_on(p, rule, adv, &mut SharedLog::new(p.view_policy, p.delta)),
+        Some(cfg) => over_wire(DAG_NET_SPAN, p, cfg, |prop| run_dag_on(p, rule, adv, prop)),
+    }
 }
 
 /// Runs one Algorithm 6 trial with block propagation over `cfg`,
@@ -124,15 +129,6 @@ pub fn run_dag_net(
 
 /// The obs span around one networked Algorithm 6 trial.
 const DAG_NET_SPAN: &str = "protocols/dag_net";
-
-/// One Algorithm 6 trial under the visibility `p` itself asks for: gossip
-/// over `p.net` when set, the abstract memory otherwise.
-pub(crate) fn dag_trial(p: &Params, rule: DagRule, adv: DagAdversary) -> DagTrial {
-    match &p.net {
-        None => run_dag(p, rule, adv),
-        Some(cfg) => over_wire(DAG_NET_SPAN, p, cfg, |prop| run_dag_on(p, rule, adv, prop)),
-    }
-}
 
 /// The Algorithm 6 loop, once, for any [`Visibility`].
 pub(crate) fn run_dag_on<V: Visibility>(

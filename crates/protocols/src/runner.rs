@@ -4,9 +4,9 @@
 //! from the base seed and its index, and reduces into [`Proportion`]
 //! tallies — the pattern the experiment harness is built on.
 
-use crate::bft::{bft_trial, BftAdversary};
-use crate::chain::{chain_trial, ChainAdversary, TieBreak};
-use crate::dag::{dag_trial, DagAdversary, DagRule};
+use crate::bft::{run_bft, BftAdversary};
+use crate::chain::{run_chain, ChainAdversary, TieBreak};
+use crate::dag::{run_dag, DagAdversary, DagRule};
 use crate::params::Params;
 use crate::sweep::{SweepConfig, SweepRunner};
 use crate::timestamp::run_timestamp;
@@ -45,10 +45,10 @@ impl TrialKind {
     pub fn run_one(&self, p: &Params) -> bool {
         match self {
             TrialKind::Timestamp => !run_timestamp(p).validity,
-            TrialKind::Chain(tie, adv) => !chain_trial(p, *tie, *adv).validity,
-            TrialKind::Dag(rule, adv) => !dag_trial(p, *rule, *adv).validity,
+            TrialKind::Chain(tie, adv) => !run_chain(p, *tie, *adv).validity,
+            TrialKind::Dag(rule, adv) => !run_dag(p, *rule, *adv).validity,
             TrialKind::Bft(adv) => {
-                let out = bft_trial(p, *adv);
+                let out = run_bft(p, *adv);
                 !out.finality || out.conflict
             }
         }
@@ -58,10 +58,7 @@ impl TrialKind {
 /// Per-trial seed derivation: SplitMix of the base seed and index, so a
 /// tally does not depend on which process or thread ran which index.
 pub fn trial_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    am_core::splitmix::mix(base, index)
 }
 
 /// Measures the validity-failure rate of `kind` at `p` over `trials`

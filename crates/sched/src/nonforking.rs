@@ -30,18 +30,9 @@
 
 use crate::search::{FpMap, FpSet};
 use am_bft::FinalityOracle;
+use am_core::splitmix::mix;
 use am_core::{MsgId, GENESIS};
 use std::ops::Range;
-
-/// splitmix64-style mixer for structural block identities.
-fn mix(h: u64, v: u64) -> u64 {
-    let mut x = h ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One appended block of a history under exploration.
 struct Block {

@@ -42,6 +42,7 @@
 
 use crate::explore::{Config, Entry, LocalState, Valency};
 use crate::proto::{AsyncProtocol, Op, ViewRef};
+use am_core::splitmix::splitmix64;
 use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -59,26 +60,18 @@ const UNDECIDED: u8 = 0xff;
 // Hashing primitives
 // ---------------------------------------------------------------------------
 
-/// splitmix64 finalizer — the crate-wide cheap mixer (cf. `nonforking`).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Content hash of one log entry (value + parent refs, order-sensitive).
 fn entry_hash(e: &Entry) -> u64 {
-    let mut h = mix64(0x5ca1_ab1e ^ e.value as u64);
+    let mut h = splitmix64(0x5ca1_ab1e ^ e.value as u64);
     for r in &e.parents {
-        h = mix64(h ^ ((r.author as u64) << 8 | r.seq as u64));
+        h = splitmix64(h ^ ((r.author as u64) << 8 | r.seq as u64));
     }
     h
 }
 
 /// Incremental log hash: hash of `log ++ [entry]` from hash of `log`.
 fn log_push_hash(log_hash: u64, eh: u64) -> u64 {
-    mix64(log_hash.wrapping_mul(0x100_0000_01b3) ^ eh)
+    splitmix64(log_hash.wrapping_mul(0x100_0000_01b3) ^ eh)
 }
 
 /// Hash of the empty log.
@@ -323,7 +316,7 @@ fn fingerprint(enc: &[u64; ENC_WORDS]) -> u128 {
         b = b.wrapping_add(w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
         b ^= b >> 29;
     }
-    ((mix64(a) as u128) << 64) | mix64(b) as u128
+    ((splitmix64(a) as u128) << 64) | splitmix64(b) as u128
 }
 
 /// The identity permutation.
