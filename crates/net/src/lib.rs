@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod fault;
 pub mod hash;
 pub mod latency;
 pub mod queue;

@@ -1,6 +1,7 @@
 //! The discrete-event simulator.
 
 use crate::config::NetConfig;
+use crate::fault;
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
 use crate::stats::{KindSlot, NetStats};
@@ -565,9 +566,8 @@ impl<M: Kinded> SimNet<M> {
         if cfg.reorder_prob > 0.0 && self.rng.gen_bool(cfg.reorder_prob) {
             extra_ns = cfg.latency.sample(&mut self.rng);
         }
-        if let Some((cut_from, cut_until)) = cfg.partition {
-            let half = self.n / 2;
-            if (cut_from..cut_until).contains(&self.now_ns) && (from < half) != (to < half) {
+        if let Some(window) = cfg.partition {
+            if fault::partition_cuts(window, self.n, from, to, self.now_ns) {
                 self.drop_copy(link, parcel, kind, "net/drop/partitioned");
                 return;
             }
@@ -1118,6 +1118,52 @@ mod tests {
         // An empty target still moves time forward.
         net.advance_until(500);
         assert_eq!(net.now_ns(), 500);
+    }
+
+    #[test]
+    fn config_wires_faults_in_fixed_order() {
+        // The net keeps the config it was built from and draws the drop,
+        // duplicate and reorder coins before it checks the partition, so a
+        // cut send still spends its draws: the sends on either side of the
+        // cut see the same faults as on the same net without the cut.
+        let config = |cut: bool| {
+            let b = NetConfig::builder()
+                .latency(LatencyModel::Constant(1))
+                .drop(0.3)
+                .dup(0.3)
+                .reorder(0.3)
+                .trace(true);
+            if cut { b.partition(0, 20) } else { b }.build().unwrap()
+        };
+        let mut cut: SimNet<Ping> = config(true).build_net(6, 7);
+        let mut whole: SimNet<Ping> = config(false).build_net(6, 7);
+        assert_eq!(cut.n(), 6);
+        assert_eq!(cut.cfg, config(true));
+        for net in [&mut cut, &mut whole] {
+            for from in 0..6 {
+                for to in 0..6 {
+                    net.send(from, to, Ping(0));
+                }
+            }
+            let _ = drain(net);
+        }
+        let (mut whole_dropped, mut whole_crossed) = (false, false);
+        for from in 0..6 {
+            for to in 0..6 {
+                let (c, w) = (cut.stats().link(from, to), whole.stats().link(from, to));
+                if (from < 3) != (to < 3) {
+                    assert_eq!((c.dropped, c.delivered), (1, 0), "{from}->{to} is cut");
+                    whole_crossed |= w.delivered > 0;
+                } else {
+                    assert_eq!(c, w, "{from}->{to} keeps its draws");
+                    whole_dropped |= w.dropped > 0;
+                }
+            }
+        }
+        assert!(
+            whole_dropped && whole_crossed,
+            "the seed exercises both paths"
+        );
     }
 
     #[test]
