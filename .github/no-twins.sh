@@ -15,7 +15,9 @@
 # collected mempool batch on the serving path, or a per-send fact (sender,
 # send time) carried by every message copy in the simulator, or a second
 # home for experiment wall time beside the registry and the manifest, or
-# a second way to give a network faults beside its `NetConfig`.
+# a second way to give a network faults beside its `NetConfig`, or a
+# queue entry per message copy where a run of copies shares one, or a
+# parcel per gossip recipient.
 # `#[cfg(test)] mod tests` (always last in a file here) is exempt from the
 # source checks — that is where references live.
 set -euo pipefail
@@ -212,6 +214,25 @@ if shipped crates/net/src/*.rs |
   grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
   grep -E '\badd_fault\b|\benum Fault\b|\bPartitionSpec\b|\bside_a\b'; then
   echo "error: a second fault path in am-net — a network's faults are its NetConfig (DESIGN.md §10)" >&2
+  exit 1
+fi
+# A broadcast's same-instant copies share one queue entry: every copy
+# `SimNet` queues goes through `schedule_or_merge` (a plain `schedule` there
+# is an entry per copy again), and a gossip announcement is one
+# `multicast` — one parcel for all its copies — not a send per neighbour.
+if shipped crates/net/src/sim.rs |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\bqueue[[:space:]]*\.schedule\(|^[^:]+:[0-9]+:[[:space:]]*\.schedule\('; then
+  echo "error: a plain EventQueue::schedule in sim.rs — queue every copy through schedule_or_merge (DESIGN.md §10)" >&2
+  exit 1
+fi
+if shipped crates/protocols/src/propagation.rs |
+  awk '/fn announce_from\(/ {inside = 1}
+       inside {print}
+       inside && /^[^:]+:[0-9]+:    \}$/ {inside = 0}' |
+  grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+  grep -E '\.net\.send\('; then
+  echo "error: a send per neighbour in Propagation::announce_from — one SimNet::multicast per announcement (DESIGN.md §10)" >&2
   exit 1
 fi
 # One shipped transport: `SimNet` is the only `Transport` impl in src/. The

@@ -16,9 +16,10 @@
 //!   implement it too, and Algorithms 2/3 run unchanged over any of them.
 //! * [`SimNet`] — a seeded discrete-event simulator: an event queue
 //!   ([`EventQueue`]: an in-order run beside an adaptive calendar queue,
-//!   one total order `(time_ns, seq)`), carrying 12-byte handles (receiver,
-//!   parcel, link row) to payloads held once in a slab with their sender,
-//!   send time and kind, drives per-link latency models
+//!   one total order `(time_ns, seq)`), carrying 16-byte handles (first
+//!   receiver, parcel, first link row, copies — a broadcast's
+//!   same-instant copies share one) to payloads held once in a slab with
+//!   their sender, send time and kind, drives per-link latency models
 //!   ([`LatencyModel`]: constant, uniform, exponential) and applies the
 //!   faults of the [`NetConfig`] it was built from: probabilistic drops,
 //!   duplication, reorder-by-extra-delay and a half/half partition with a

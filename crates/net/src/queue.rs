@@ -15,7 +15,16 @@
 //!   anything). `seq` only grows, so the run is sorted by `(key, seq)` by
 //!   construction and its front is its minimum. Under a constant latency
 //!   events are scheduled in pop order already — every one lands here, and
-//!   a push or a pop is one ring-buffer operation;
+//!   a push or a pop is one ring-buffer operation. The run's back may also
+//!   grow in place: [`EventQueue::schedule_or_merge`] lets the caller fold
+//!   an event into the latest entry when that entry is the run's back
+//!   under the same key, so a burst of same-instant events can cost one
+//!   entry, one push and one pop. The merged events hold consecutive
+//!   sequence numbers under one key, so nothing sorts between them and
+//!   the caller's expansion of the entry pops what one entry per event
+//!   would have. A schedule into the calendar, a pop that empties the run,
+//!   [`EventQueue::clear`] and [`Storage`] all take the back's "latest"
+//!   mark away;
 //! - the **calendar** (Brown, CACM 1988): everything else. A key's
 //!   [`QueueKey::ordinal`] shifted right by the width's log gives its
 //!   bucket number; a ring of buckets covers the bucket numbers from the
@@ -52,8 +61,8 @@
 //! `TrialScratch` pattern from `am-protocols`.
 //! `crates/net/tests/queue_determinism.rs` holds the pop sequence to a
 //! `BinaryHeap` reference model over schedule shapes that exercise the run
-//! alone, the calendar alone, both at once, its far store and its width
-//! changes.
+//! alone, the calendar alone, both at once, its far store, its width
+//! changes and merged entries (expanded copy by copy).
 //!
 //! [`SimNet`]: crate::SimNet
 
@@ -488,8 +497,10 @@ impl<K: QueueKey, E> Calendar<K, E> {
 
 /// A deterministic min-queue over `(key, seq)`: an in-order run beside an
 /// adaptive calendar queue (see the module docs). `seq` is assigned per
-/// [`schedule`](EventQueue::schedule) call in strictly increasing order
-/// starting at 0, so ties on `key` break in schedule order.
+/// [`schedule`](EventQueue::schedule) or
+/// [`schedule_or_merge`](EventQueue::schedule_or_merge) call in strictly
+/// increasing order starting at 0, so ties on `key` break in schedule
+/// order.
 #[derive(Debug)]
 pub struct EventQueue<K, E> {
     /// The in-order run: strictly ascending in `(key, seq)`, front first.
@@ -497,6 +508,10 @@ pub struct EventQueue<K, E> {
     /// Everything scheduled behind the run's tail.
     cal: Calendar<K, E>,
     next_seq: u64,
+    /// Whether the run's back is the latest entry — the one that took
+    /// `next_seq − 1` (or, merged, ended on it): only then may
+    /// [`schedule_or_merge`](EventQueue::schedule_or_merge) extend it.
+    back_is_latest: bool,
     /// Schedules that went to the calendar since the queue was built.
     calendar_scheduled: u64,
 }
@@ -523,6 +538,7 @@ impl<K: QueueKey, E> EventQueue<K, E> {
             run: storage.run,
             cal: storage.cal,
             next_seq: 0,
+            back_is_latest: false,
             calendar_scheduled: 0,
         }
     }
@@ -536,7 +552,7 @@ impl<K: QueueKey, E> EventQueue<K, E> {
         }
     }
 
-    /// Number of queued events.
+    /// Number of queued entries (a merged entry counts once).
     pub fn len(&self) -> usize {
         self.run.len() + self.cal.len
     }
@@ -574,6 +590,7 @@ impl<K: QueueKey, E> EventQueue<K, E> {
     pub fn clear(&mut self) {
         self.run.clear();
         self.cal.clear();
+        self.back_is_latest = false;
     }
 
     /// Queues `item` at `key` and returns the assigned sequence number.
@@ -582,14 +599,50 @@ impl<K: QueueKey, E> EventQueue<K, E> {
     pub fn schedule(&mut self, key: K, item: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        // In order behind the run's tail (`seq` already is): extend the run.
-        if self.run.back().is_none_or(|&(tail, ..)| key >= tail) {
+        // In order behind the run's tail (`seq` already is): extend the
+        // run, whose back is then the latest entry.
+        self.back_is_latest = self.run.back().is_none_or(|&(tail, ..)| key >= tail);
+        if self.back_is_latest {
             self.run.push_back((key, seq, item));
         } else {
             self.calendar_scheduled += 1;
             self.cal.push((key, seq, item));
         }
         seq
+    }
+
+    /// Like [`schedule`](EventQueue::schedule), but first offers `item` to
+    /// the latest entry when that entry sits at the run's back under the
+    /// same `key`: `merge(back, &item)` may fold the item into the back's
+    /// payload and return true, and the item then takes the next sequence
+    /// number without an entry of its own. The caller owns what a merged
+    /// payload means: an entry popped as `(key, seq, e)` stands for every
+    /// item folded into `e`, the `i`-th of them (0 for the entry's own) at
+    /// sequence number `seq + i`. Nothing can sort between them — they are
+    /// consecutive in `seq` under one key — so expanding an entry in that
+    /// order pops exactly what one entry per item would have. [`len`]
+    /// counts entries.
+    ///
+    /// [`len`]: EventQueue::len
+    #[inline]
+    pub fn schedule_or_merge(
+        &mut self,
+        key: K,
+        item: E,
+        merge: impl FnOnce(&mut E, &E) -> bool,
+    ) -> u64 {
+        if self.back_is_latest {
+            let back = self
+                .run
+                .back_mut()
+                .expect("the latest entry sits at the run's back");
+            if back.0 == key && merge(&mut back.2, &item) {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                return seq;
+            }
+        }
+        self.schedule(key, item)
     }
 
     /// Pops the event with the smallest `(key, seq)` — the smaller of the
@@ -613,7 +666,7 @@ impl<K: QueueKey, E> EventQueue<K, E> {
             if limit.is_some_and(|limit| key > limit) {
                 return None;
             }
-            return self.run.pop_front();
+            return self.pop_run();
         }
         let run = self.run.front().map(|&(key, seq, _)| (key, seq));
         // The calendar need not commit past the run's front or the limit.
@@ -637,8 +690,19 @@ impl<K: QueueKey, E> EventQueue<K, E> {
         if from_cal {
             self.cal.pop_front()
         } else {
-            self.run.pop_front()
+            self.pop_run()
         }
+    }
+
+    /// Pops the run's front; the run's last entry takes the latest-entry
+    /// mark with it.
+    #[inline]
+    fn pop_run(&mut self) -> Option<(K, u64, E)> {
+        let entry = self.run.pop_front();
+        if self.run.is_empty() {
+            self.back_is_latest = false;
+        }
+        entry
     }
 }
 

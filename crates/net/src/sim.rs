@@ -5,7 +5,7 @@ use crate::fault;
 use crate::latency::LatencyModel;
 use crate::queue::{EventQueue, Storage};
 use crate::stats::{KindSlot, NetStats};
-use crate::topology::{Link, LinkTable, TopologyMap};
+use crate::topology::{Link, LinkTable, Topology, TopologyMap};
 use crate::transport::{Envelope, Kinded, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -138,22 +138,72 @@ impl<M: Clone> Parcels<M> {
     }
 }
 
-/// A scheduled arrival in flight: 12 bytes whatever the payload — the
-/// receiver, the parcel and the link's row in the per-link tables,
-/// resolved at the send (`Link::SPILL` for a link without one). The
-/// sender and send time are per send, so they stay in the parcel's
-/// [`Stamp`]. Ordering lives in the event queue's `(at_ns, seq)` key, so
-/// flights never implement `Ord` and the queue never sees the payload.
-/// Endpoints are `u32` — node counts cap at `u32::MAX` and 5k-node runs
-/// keep millions of these in the queue.
+/// A run of scheduled arrivals in flight: 16 bytes whatever the payload
+/// — the first receiver, the parcel, the first link's row in the per-link
+/// tables, resolved at the send (`Link::SPILL` for a link without one),
+/// and how many copies the run holds. Copy `i` of an entry queued as
+/// `(at_ns, seq, flight)` goes to `to + i` on row `row + i` (a spilled row
+/// stays spilled) under sequence number `seq + i`: a broadcast's copies
+/// that arrive at one instant share one queue entry
+/// ([`EventQueue::schedule_or_merge`] through [`Flight::extend`]), and
+/// [`SimNet::admit`] expands it in that order. The sender and send time
+/// are per send, so they stay in the parcel's [`Stamp`]. Ordering lives
+/// in the event queue's `(at_ns, seq)` key, so flights never implement
+/// `Ord` and the queue never sees the payload. Endpoints are `u32` — node
+/// counts cap at `u32::MAX` and 5k-node runs keep millions of these in
+/// the queue.
 #[derive(Clone, Copy, Debug)]
 struct Flight {
     to: u32,
     parcel: ParcelId,
     row: u32,
+    copies: u32,
+}
+
+impl Flight {
+    /// Folds `next` into this run when it is one more copy of the same
+    /// parcel, to the next node on the next row; the caller has checked
+    /// that the two arrive at the same instant.
+    #[inline]
+    fn extend(&mut self, next: &Flight) -> bool {
+        let follows = next.parcel == self.parcel
+            && next.to == self.to + self.copies
+            && next.row == row_after(self.row, self.copies);
+        self.copies += u32::from(follows);
+        follows
+    }
+}
+
+/// The row `i` links past `row` in a run: consecutive receivers of one
+/// sender sit on consecutive rows, and links with no row all share the
+/// spill.
+#[inline]
+fn row_after(row: u32, i: u32) -> u32 {
+    if row == Link::SPILL {
+        row
+    } else {
+        row + i
+    }
 }
 
 impl NetConfig {
+    /// The one delay every copy takes when this configuration draws
+    /// nothing and gives every link the same constant latency: no drop,
+    /// duplicate, reorder, partition or bandwidth, and no inter-region
+    /// latency class. `None` otherwise.
+    fn every_link_ns(&self) -> Option<u64> {
+        let quiet = self.drop_prob == 0.0
+            && self.dup_prob == 0.0
+            && self.reorder_prob == 0.0
+            && self.partition.is_none()
+            && self.bandwidth_bps.is_none()
+            && !matches!(self.topology, Topology::Geo { .. });
+        match self.latency {
+            LatencyModel::Constant(ns) if quiet => Some(ns),
+            _ => None,
+        }
+    }
+
     /// Builds the simulator for `n` nodes with this configuration.
     pub fn build_net<M: Kinded>(&self, n: usize, seed: u64) -> SimNet<M> {
         self.build_net_with_scratch(n, seed, NetScratch::new())
@@ -181,6 +231,7 @@ impl NetConfig {
         scratch.backlogged.clear();
         scratch.backlogged.resize(n.div_ceil(64), 0);
         SimNet {
+            every_link_ns: self.every_link_ns(),
             n,
             now_ns: 0,
             queue: EventQueue::from_storage(scratch.queue),
@@ -368,9 +419,11 @@ impl<M> NetScratch<M> {
 /// [`NetConfig`] it was built from apply at send time; arrivals land in
 /// per-node inboxes consumed through the [`Transport`] interface. The
 /// payloads sit in one slab (`Parcels`) from `send` to delivery, each with
-/// what its send shares among its copies — sender, send time, kind. A
-/// copy is a 12-byte handle in the queue and a 16-byte one in an inbox:
-/// receiver, parcel and its link's row, resolved once at the send.
+/// what its send shares among its copies — sender, send time, kind. In
+/// the queue a run of same-instant copies to consecutive receivers is one
+/// 16-byte `Flight` (first receiver, parcel, first link row, copies); in
+/// an inbox each copy is a 16-byte handle: receiver, parcel and its link's
+/// row, resolved once at the send.
 ///
 /// Per-node state is O(nodes + topology edges): latency overrides, link
 /// busy-times and the [`NetStats`] counters are `LinkTable`s over the
@@ -388,6 +441,11 @@ pub struct SimNet<M> {
     /// What this network was built from: its default latency, bandwidth
     /// and faults.
     cfg: NetConfig,
+    /// The delay of every copy on every link when `cfg` draws nothing and
+    /// no link's latency differs (see `NetConfig::every_link_ns`); a
+    /// latency override that differs clears it. The send path then skips
+    /// the fault branches and the latency lookup, which are no-ops here.
+    every_link_ns: Option<u64>,
     /// Per-link latency overrides.
     link_latency: LinkTable<Option<LatencyModel>>,
     /// Per-link transmit-busy horizon (only touched when the config sets
@@ -429,6 +487,9 @@ impl<M: Kinded> SimNet<M> {
     /// Overrides the latency model of one directed link.
     pub fn set_link_latency(&mut self, from: usize, to: usize, model: LatencyModel) {
         *self.link_latency.get_mut(self.stats.topology(), from, to) = Some(model);
+        self.every_link_ns = self
+            .every_link_ns
+            .filter(|&ns| model == LatencyModel::Constant(ns));
     }
 
     /// Current simulated time.
@@ -477,6 +538,38 @@ impl<M: Kinded> SimNet<M> {
         self.queue.calendar_scheduled()
     }
 
+    /// How many entries this network's event queue holds — a run of
+    /// same-instant copies is one — a probe for tests that pin which
+    /// copies share an entry.
+    #[doc(hidden)]
+    pub fn queue_entries(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Sends one `payload` from `from` to each node of `to`, in order: one
+    /// parcel and one stamp for all of them, as [`Transport::broadcast`]
+    /// does for every node. Each copy takes the send path on its own, so
+    /// the RNG draws, the counters and the delivery trace equal one
+    /// [`Transport::send`] per recipient.
+    pub fn multicast(&mut self, from: usize, to: &[u32], payload: M) {
+        self.send_to_each(from, to.iter().map(|&to| to as usize), payload);
+    }
+
+    /// One parcel with a reference per recipient and one stamp for all,
+    /// then the send path for each recipient in order.
+    #[inline]
+    fn send_to_each(&mut self, from: usize, to: impl ExactSizeIterator<Item = usize>, payload: M) {
+        if to.len() == 0 {
+            return;
+        }
+        let refs = u32::try_from(to.len()).expect("endpoints are u32");
+        let stamp = self.stamp(from, &payload);
+        let parcel = self.parcels.insert(payload, stamp, refs);
+        for to in to {
+            self.send_parcel(to, parcel, stamp);
+        }
+    }
+
     fn latency_of(&self, link: Link) -> LatencyModel {
         if let Some(m) = self.link_latency.at(link) {
             return m;
@@ -500,13 +593,19 @@ impl<M: Kinded> SimNet<M> {
         }
     }
 
+    /// Queues one copy of `parcel` over `link`, `delay_ns` from now — as
+    /// one more copy of the latest entry when it continues that entry's
+    /// run ([`Flight::extend`]).
+    #[inline]
     fn schedule(&mut self, link: Link, parcel: ParcelId, delay_ns: u64) {
         let flight = Flight {
             to: link.to,
             parcel,
             row: link.row,
+            copies: 1,
         };
-        self.queue.schedule(self.now_ns + delay_ns, flight);
+        self.queue
+            .schedule_or_merge(self.now_ns + delay_ns, flight, Flight::extend);
     }
 
     /// Counts one copy of `parcel` (of kind `kind`) lost on `link`,
@@ -531,7 +630,10 @@ impl<M: Kinded> SimNet<M> {
     /// the busy horizon and the delivery. RNG draw order, stats, and `seq`
     /// assignment do not depend on how many copies share the parcel, so
     /// per-recipient sends and the one-parcel broadcast produce
-    /// bit-identical traces.
+    /// bit-identical traces. On a network whose every copy takes one
+    /// constant delay (`every_link_ns`) the faults and the latency lookup
+    /// would draw nothing and change nothing, so the copy goes straight to
+    /// the queue.
     #[inline]
     fn send_parcel(&mut self, to: usize, parcel: ParcelId, stamp: Stamp) {
         let from = stamp.from as usize;
@@ -548,6 +650,10 @@ impl<M: Kinded> SimNet<M> {
         self.sent += 1;
         self.stats.count_sent(link, kind);
         self.obs_sent.inc();
+        if let Some(delay_ns) = self.every_link_ns {
+            self.schedule(link, parcel, delay_ns);
+            return;
+        }
 
         // The faults, in a fixed order: a probability of 0 draws nothing,
         // and a duplicate's or a reorder's extra delay is a second sample
@@ -604,19 +710,31 @@ impl<M: Kinded> SimNet<M> {
         self.schedule(link, parcel, tx_ns + base + extra_ns);
     }
 
-    /// Moves one popped event into its arrival inbox, advancing the clock
-    /// to the event time.
+    /// Moves one popped entry's copies into their arrival inboxes, copy
+    /// `i` to `to + i` on row `row + i` under `seq + i`, advancing the
+    /// clock to the event time.
     #[inline]
     fn admit(&mut self, at_ns: u64, seq: u64, flight: Flight) {
         debug_assert!(at_ns >= self.now_ns, "time went backwards");
         self.now_ns = at_ns;
-        let Flight { to, parcel, row } = flight;
-        let to = to as usize;
-        self.arrived[to].push(Arrival { seq, parcel, row });
-        self.backlogged[to / 64] |= 1 << (to % 64);
-        if !self.in_dirty[to] {
-            self.in_dirty[to] = true;
-            self.dirty.push(to as u32);
+        let Flight {
+            to,
+            parcel,
+            row,
+            copies,
+        } = flight;
+        for i in 0..copies {
+            let to = (to + i) as usize;
+            self.arrived[to].push(Arrival {
+                seq: seq + u64::from(i),
+                parcel,
+                row: row_after(row, i),
+            });
+            self.backlogged[to / 64] |= 1 << (to % 64);
+            if !self.in_dirty[to] {
+                self.in_dirty[to] = true;
+                self.dirty.push(to as u32);
+            }
         }
     }
 
@@ -652,15 +770,7 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     where
         M: Clone,
     {
-        // One parcel, one reference per recipient (endpoints are `u32`).
-        if self.n == 0 {
-            return;
-        }
-        let stamp = self.stamp(from, &payload);
-        let parcel = self.parcels.insert(payload, stamp, self.n as u32);
-        for to in 0..self.n {
-            self.send_parcel(to, parcel, stamp);
-        }
+        self.send_to_each(from, 0..self.n, payload);
     }
 
     fn backlog(&self, node: usize) -> usize {
@@ -733,7 +843,6 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct Ping(u64);
@@ -772,13 +881,167 @@ mod tests {
     }
 
     #[test]
-    fn a_copy_is_12_bytes_in_flight_and_16_in_an_inbox() {
+    fn a_run_is_16_bytes_in_flight_and_a_copy_16_in_an_inbox() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Flight>(), 12);
-        assert_eq!(size_of::<Option<Flight>>(), 12);
+        // The copy count takes the padding a queue entry already had.
+        assert_eq!(size_of::<Flight>(), 16);
+        assert_eq!(size_of::<Option<Flight>>(), 16);
+        assert_eq!(size_of::<Arrival>(), 16);
         assert_eq!(size_of::<Option<Arrival>>(), 16);
         // A queue entry: `(at_ns, seq, flight)`.
         assert_eq!(size_of::<(u64, u64, Flight)>(), 32);
+    }
+
+    /// Broadcasts `Ping(0)` from `from` and returns the queue entries it
+    /// made, then drains; the delivery log, the trace and the sent count
+    /// come back with them.
+    fn entries_of_broadcast(
+        net: &mut SimNet<Ping>,
+        from: usize,
+    ) -> (usize, Vec<(u64, usize, usize, u64)>) {
+        let before = net.queue_entries();
+        net.broadcast(from, Ping(0));
+        let entries = net.queue_entries() - before;
+        (entries, drain(net))
+    }
+
+    #[test]
+    fn a_fault_free_constant_latency_broadcast_is_one_queue_entry() {
+        for n in [8, 64] {
+            for from in [0, 3, n - 1] {
+                let mut net = mesh(n, 1, LatencyModel::Constant(10));
+                assert!(net.every_link_ns.is_some());
+                let (entries, got) = entries_of_broadcast(&mut net, from);
+                assert_eq!(entries, 1, "n = {n}, from {from}");
+                assert_eq!(got.len(), n);
+                // The expansion hands out every copy's own seq and row.
+                let trace = net.stats().trace();
+                assert!(trace.iter().map(|r| r.seq).eq(0..n as u64));
+                assert!(trace.iter().map(|r| r.to).eq(0..n));
+                for to in 0..n {
+                    assert_eq!(net.stats().link(from, to).delivered, 1);
+                }
+            }
+        }
+        // Past 64 nodes a mesh has no link rows: the spill row runs too.
+        let mut net = mesh(100, 1, LatencyModel::Constant(10));
+        assert_eq!(entries_of_broadcast(&mut net, 7).0, 1);
+        assert_eq!(net.stats().link(7, 99).delivered, 1);
+    }
+
+    /// The ranks of `to` where a new run starts: the first survivor and
+    /// every survivor whose predecessor was lost.
+    fn runs_of(survived: &[bool]) -> usize {
+        (0..survived.len())
+            .filter(|&to| survived[to] && (to == 0 || !survived[to - 1]))
+            .count()
+    }
+
+    #[test]
+    fn drops_split_a_broadcast_into_its_runs_of_survivors() {
+        let mut splits = 0;
+        for seed in 0..20 {
+            let mut net: SimNet<Ping> = NetConfig::builder()
+                .latency(LatencyModel::Constant(10))
+                .drop(0.2)
+                .trace(true)
+                .build()
+                .unwrap()
+                .build_net(16, seed);
+            assert!(net.every_link_ns.is_none());
+            let (entries, got) = entries_of_broadcast(&mut net, 5);
+            let survived: Vec<bool> = (0..16)
+                .map(|to| net.stats().link(5, to).dropped == 0)
+                .collect();
+            assert_eq!(entries, runs_of(&survived), "seed {seed}");
+            assert_eq!(got.len(), survived.iter().filter(|&&s| s).count());
+            splits += usize::from(entries > 1);
+        }
+        assert!(splits > 10, "the seeds exercise split runs");
+    }
+
+    #[test]
+    fn a_duplicate_breaks_a_run() {
+        // A duplicate arrives one more latency later and is scheduled
+        // before its original, so the run's back moves past the instant
+        // the other copies arrive at: every later original goes behind it,
+        // to the calendar, one entry each.
+        let mut seen = 0;
+        for seed in 0..200 {
+            let mut net: SimNet<Ping> = NetConfig::builder()
+                .latency(LatencyModel::Constant(10))
+                .dup(0.05)
+                .build()
+                .unwrap()
+                .build_net(8, seed);
+            let (entries, got) = entries_of_broadcast(&mut net, 0);
+            let dups: Vec<usize> = (0..8)
+                .filter(|&to| net.stats().link(0, to).duplicated > 0)
+                .collect();
+            let [k] = dups[..] else {
+                continue;
+            };
+            seen += 1;
+            assert_eq!(got.len(), 9);
+            // The copies before `k` (one run, if any), the duplicate, and
+            // the originals from `k` on.
+            assert_eq!(entries, usize::from(k > 0) + 1 + (8 - k), "seed {seed}");
+            assert_eq!(net.queue_calendar_scheduled(), 8 - k as u64);
+        }
+        assert!(seen > 5, "the seeds exercise lone duplicates");
+    }
+
+    #[test]
+    fn spread_latency_gives_one_entry_per_copy() {
+        let mut net = mesh(8, 1, LatencyModel::Exponential { mean: 1_000 });
+        assert!(net.every_link_ns.is_none());
+        assert_eq!(entries_of_broadcast(&mut net, 2).0, 8);
+        // Geo with one node per region: every copy but the self-send takes
+        // the inter-region class, a spread, so no two arrive together.
+        let geo = NetConfig::builder()
+            .latency(LatencyModel::Constant(1))
+            .topology(Topology::Geo {
+                regions: 8,
+                k: 2,
+                inter: LatencyModel::Uniform { lo: 50, hi: 150 },
+            })
+            .trace(true)
+            .build()
+            .unwrap();
+        let mut net: SimNet<Ping> = geo.build_net(8, 3);
+        assert!(net.every_link_ns.is_none());
+        assert_eq!(entries_of_broadcast(&mut net, 0).0, 8);
+    }
+
+    #[test]
+    fn a_link_latency_override_ends_the_shortcut_and_keeps_the_trace() {
+        // The reference never has the shortcut: an empty partition window
+        // cuts nothing, but any partition sends every copy down the full
+        // send path.
+        let run = |reference: bool| {
+            let b = NetConfig::builder()
+                .latency(LatencyModel::Constant(10))
+                .trace(true);
+            let cfg = if reference { b.partition(0, 0) } else { b };
+            let mut net: SimNet<Ping> = cfg.build().unwrap().build_net(6, 1);
+            assert_eq!(net.every_link_ns.is_some(), !reference);
+            // The same constant keeps the shortcut; another one ends it.
+            net.set_link_latency(0, 1, LatencyModel::Constant(10));
+            assert_eq!(net.every_link_ns.is_some(), !reference);
+            net.broadcast(0, Ping(1));
+            net.set_link_latency(1, 2, LatencyModel::Constant(25));
+            assert!(net.every_link_ns.is_none());
+            let mut got = drain(&mut net);
+            for from in 0..6 {
+                net.broadcast(from, Ping(2 + from as u64));
+            }
+            got.extend(drain(&mut net));
+            (got, net.stats().trace().to_vec(), net.sent_count())
+        };
+        let (got, trace, sent) = run(false);
+        assert_eq!(sent, 42);
+        assert!(got.contains(&(35, 1, 2, 3)), "the override applies");
+        assert_eq!((got, trace, sent), run(true));
     }
 
     /// A degree-2 ring: most node pairs are not adjacent.

@@ -58,6 +58,24 @@
 //! * `len` counts only the calendar: the per-step `len` check (first step
 //!   of the in-order shape);
 //! * `from_storage` keeps the old run: `recycled_storage_starts_empty…`.
+//!
+//! Merged entries ([`EventQueue::schedule_or_merge`], the shape `SimNet`
+//! gives a broadcast's same-instant copies) are held to a per-copy
+//! reference: every popped entry is expanded copy by copy and each copy
+//! must match one reference pop ([`MergePair`]). Mutation-checked the same
+//! way —
+//!
+//! * a pop of the run's back keeps the "latest entry" mark:
+//!   `a_pop_of_the_run_s_back_closes_it_to_merges` and
+//!   `merged_runs_interleaved_with_calendar_events_match_…` (the merge
+//!   finds no back to extend);
+//! * a merge under a different key (the key compare dropped):
+//!   `merged_runs_interleaved_with_calendar_events_match_…`, and
+//!   `fault_pins`, `parcel_spec` and `sim::tests` through `SimNet`.
+//!
+//! The merge rule `SimNet` passes in (same parcel, next receiver, next
+//! row) and its expansion at admission are pinned in `sim::tests`,
+//! `fault_pins` and `parcel_spec`.
 
 use am_net::EventQueue;
 use rand::{Rng, SeedableRng};
@@ -519,4 +537,318 @@ fn spread_latency_at_gossip_depth_matches_the_reference() {
         pair.push(now + latency(&mut rng), item);
     }
     assert_eq!(pair.drain(), IN_FLIGHT);
+}
+
+/// One queue entry of the merge tests: `copies` copies of `parcel`, the
+/// `i`-th carrying value `first + i` — the shape `SimNet` gives a run of
+/// one broadcast's same-instant copies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Copies {
+    parcel: u32,
+    first: u32,
+    copies: u32,
+}
+
+/// Folds `next` into `back` when it is the next copy of the same parcel.
+fn extend(back: &mut Copies, next: &Copies) -> bool {
+    let follows = next.parcel == back.parcel && next.first == back.first + back.copies;
+    back.copies += u32::from(follows);
+    follows
+}
+
+/// The per-copy reference of the merge tests: one `(key, seq, (parcel,
+/// value))` per scheduled copy.
+type CopyReference = BinaryHeap<Reverse<(u64, u64, (u32, u32))>>;
+
+/// A queue fed through `schedule_or_merge` and the per-copy reference,
+/// driven in lockstep: every popped entry is expanded copy by copy (copy
+/// `i` at `seq + i`) and each copy is held to one reference pop.
+struct MergePair {
+    q: EventQueue<u64, Copies>,
+    r: CopyReference,
+    /// Copies that joined an entry instead of making one.
+    merged: usize,
+    what: String,
+}
+
+impl MergePair {
+    fn new(what: String) -> MergePair {
+        MergePair {
+            q: EventQueue::new(),
+            r: CopyReference::new(),
+            merged: 0,
+            what,
+        }
+    }
+
+    /// Schedules one copy, merging it into the latest entry if it fits.
+    fn merge(&mut self, key: u64, parcel: u32, value: u32) -> u64 {
+        let item = Copies {
+            parcel,
+            first: value,
+            copies: 1,
+        };
+        let (want_seq, entries) = (self.q.next_seq(), self.q.len());
+        let seq = self.q.schedule_or_merge(key, item, extend);
+        self.merged += usize::from(self.q.len() == entries);
+        self.record(key, want_seq, seq, (parcel, value))
+    }
+
+    /// Schedules one copy as an entry of its own.
+    fn plain(&mut self, key: u64, parcel: u32, value: u32) -> u64 {
+        let item = Copies {
+            parcel,
+            first: value,
+            copies: 1,
+        };
+        let want_seq = self.q.next_seq();
+        let seq = self.q.schedule(key, item);
+        self.record(key, want_seq, seq, (parcel, value))
+    }
+
+    fn record(&mut self, key: u64, want_seq: u64, seq: u64, copy: (u32, u32)) -> u64 {
+        assert_eq!(seq, want_seq, "seq must be dense ({})", self.what);
+        self.r.push(Reverse((key, seq, copy)));
+        self.check();
+        seq
+    }
+
+    /// Checks a popped entry against the reference, copy by copy, and
+    /// returns how many copies it held (0 for none).
+    fn expand(&mut self, got: Option<(u64, u64, Copies)>, call: &str) -> u32 {
+        let Some((key, seq, run)) = got else {
+            return 0;
+        };
+        assert!(run.copies > 0, "an empty entry ({})", self.what);
+        for i in 0..run.copies {
+            let want = self.r.pop().map(|Reverse(t)| t);
+            let copy = (key, seq + u64::from(i), (run.parcel, run.first + i));
+            assert_eq!(
+                Some(copy),
+                want,
+                "{call}: copy {i} of {run:?} diverged ({})",
+                self.what
+            );
+        }
+        self.check();
+        run.copies
+    }
+
+    fn pop(&mut self) -> u32 {
+        let got = self.q.pop();
+        if got.is_none() {
+            assert!(self.r.is_empty(), "pop: queue empty early ({})", self.what);
+        }
+        self.expand(got, "pop")
+    }
+
+    fn pop_due(&mut self, limit: u64) -> u32 {
+        let got = self.q.pop_due(limit);
+        if got.is_none() {
+            let due = self
+                .r
+                .peek()
+                .is_some_and(|Reverse((key, ..))| *key <= limit);
+            assert!(!due, "pop_due({limit}) left a due copy ({})", self.what);
+        }
+        self.expand(got, &format!("pop_due({limit})"))
+    }
+
+    /// An entry holds one copy or more, so the queue never holds more
+    /// entries than the reference holds copies; the front key is the same.
+    fn check(&self) {
+        assert!(self.q.len() <= self.r.len(), "len ({})", self.what);
+        assert_eq!(self.q.is_empty(), self.r.is_empty(), "{}", self.what);
+        let want = self.r.peek().map(|Reverse((key, ..))| *key);
+        assert_eq!(self.q.peek_key(), want, "peek_key ({})", self.what);
+    }
+
+    fn drain(&mut self) -> u32 {
+        let mut copies = 0;
+        while !self.q.is_empty() {
+            copies += self.pop();
+        }
+        assert!(self.r.is_empty(), "drain left copies ({})", self.what);
+        copies
+    }
+}
+
+/// Broadcast-shaped bursts — one parcel's copies to consecutive values
+/// under one key, some broken by a skipped value, a different parcel or a
+/// different key — interleaved with plain schedules at the run's own keys
+/// and behind them (the calendar), pops and `pop_due`s, across 100 seeds.
+/// Every copy must pop where one entry per copy would have put it.
+#[test]
+fn merged_runs_interleaved_with_calendar_events_match_the_per_copy_reference() {
+    let mut merged_total = 0usize;
+    for seed in 0..100u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut pair = MergePair::new(format!("merge fuzz seed {seed}"));
+        let (mut now, mut parcel) = (0u64, 0u32);
+        for _ in 0..200 {
+            match rng.gen_range(0..10) {
+                // A burst: the instant the run is at or a later one.
+                0..=4 => {
+                    parcel += 1;
+                    let key = now + rng.gen_range(0..3u64);
+                    let mut value = rng.gen_range(0..4u32);
+                    for _ in 0..rng.gen_range(1..12) {
+                        match rng.gen_range(0..12) {
+                            0 => value += 1,
+                            1 => parcel += 1,
+                            2 => {
+                                // A copy at another key breaks the run.
+                                let other = key + rng.gen_range(0..2u64);
+                                pair.merge(other, parcel, value);
+                                value += 1;
+                                continue;
+                            }
+                            _ => {}
+                        }
+                        pair.merge(key, parcel, value);
+                        value += 1;
+                    }
+                }
+                // A plain event at the run's key or behind it.
+                5 | 6 => {
+                    let key = now + rng.gen_range(0..3u64);
+                    let key = key.saturating_sub(rng.gen_range(0..2u64));
+                    pair.plain(key, 0, rng.gen_range(0..1000u32));
+                }
+                7 | 8 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        pair.pop();
+                    }
+                }
+                _ => {
+                    now += rng.gen_range(0..3u64);
+                    while pair.pop_due(now) > 0 {}
+                }
+            }
+        }
+        merged_total += pair.merged;
+        pair.drain();
+    }
+    assert!(merged_total > 5_000, "the fuzz merges ({merged_total})");
+}
+
+/// A pop that takes the run's back — its only entry — takes the
+/// "latest entry" mark with it: the next copy of the same parcel, to the
+/// next value at the same key, starts an entry of its own. Pops of the
+/// run's front alone leave the back open.
+#[test]
+fn a_pop_of_the_run_s_back_closes_it_to_merges() {
+    let mut pair = MergePair::new("pop the run's back".into());
+    pair.merge(5, 1, 0);
+    pair.merge(5, 1, 1);
+    assert_eq!(pair.q.len(), 1, "the second copy joins the first");
+    assert_eq!(pair.pop(), 2);
+    pair.merge(5, 1, 2);
+    assert_eq!(pair.q.len(), 1, "the popped entry took no copy");
+    pair.merge(5, 1, 3);
+    assert_eq!(pair.q.len(), 1);
+    // A front pop with the back still queued keeps the back open.
+    pair.merge(6, 2, 0);
+    assert_eq!(pair.q.len(), 2);
+    assert_eq!(pair.pop(), 2);
+    pair.merge(6, 2, 1);
+    assert_eq!(pair.q.len(), 1, "the back stayed open");
+    // Between merges: a pop of everything, then the same copies again.
+    for round in 0..20u32 {
+        pair.merge(7, 3, 2 * round);
+        pair.merge(7, 3, 2 * round + 1);
+        while pair.pop() > 0 {}
+    }
+    assert_eq!(pair.drain(), 0);
+}
+
+/// A schedule into the calendar takes the mark from the run's back — the
+/// seq it took sits between the back's last copy and the next — and a
+/// plain schedule onto the run's back is the new latest entry.
+#[test]
+fn a_calendar_schedule_between_copies_breaks_the_run() {
+    let mut pair = MergePair::new("calendar between copies".into());
+    pair.merge(10, 1, 0);
+    pair.plain(4, 0, 99); // behind the run's tail: the calendar
+    pair.merge(10, 1, 1);
+    assert_eq!(
+        pair.q.len(),
+        3,
+        "the copy after the calendar event is apart"
+    );
+    pair.merge(10, 1, 2);
+    assert_eq!(pair.q.len(), 3, "…and the run goes on from it");
+    pair.plain(10, 2, 0); // on the run's back, as its own entry
+    pair.merge(10, 2, 1);
+    assert_eq!(pair.q.len(), 4, "a plain entry at the back takes merges");
+    assert_eq!(pair.drain(), 6);
+}
+
+/// `clear` and a `Storage` round trip between merges leave no open back:
+/// the next copy of the same parcel starts a fresh entry and `seq` goes on
+/// (or restarts) as the queue says.
+#[test]
+fn clear_and_recycled_storage_between_merges_start_fresh_entries() {
+    for seed in 0..20u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut pair = MergePair::new(format!("clear between merges seed {seed}"));
+        let key = rng.gen_range(0..100u64);
+        for value in 0..5 {
+            pair.merge(key, 7, value);
+        }
+        pair.plain(key.saturating_sub(1), 0, 0);
+        pair.merge(key, 7, 5);
+        assert_eq!(pair.q.len(), 3);
+        pair.q.clear();
+        pair.r.clear();
+        pair.check();
+        let seq = pair.merge(key, 7, 6);
+        assert_eq!(seq, 7, "clear keeps counting seq");
+        pair.merge(key, 7, 7);
+        assert_eq!(pair.q.len(), 1);
+        // Recycle with the back open; the new queue's first copy is alone.
+        let old = std::mem::take(&mut pair.q);
+        pair.q = EventQueue::from_storage(old.into_storage());
+        pair.r.clear();
+        assert_eq!(pair.merge(key, 7, 8), 0, "a recycled queue restarts seq");
+        pair.merge(key, 7, 9);
+        assert_eq!(pair.q.len(), 1);
+        assert_eq!(pair.drain(), 2);
+    }
+}
+
+/// `pop_due` with its limit at a merged entry's key hands out the whole
+/// entry, and with its limit just below it hands out nothing — a run's
+/// copies share their key, so no limit splits one.
+#[test]
+fn pop_due_at_the_run_s_key_takes_the_whole_entry() {
+    let mut pair = MergePair::new("pop_due at the run's key".into());
+    pair.plain(u64::MAX, 0, 0); // a sentinel keeps later keys behind the tail
+    for (key, parcel) in [(30u64, 1u32), (20, 2), (20, 3)] {
+        for value in 0..4 {
+            pair.merge(key, parcel, value);
+        }
+    }
+    for value in 0..3 {
+        pair.merge(u64::MAX, 9, value);
+    }
+    assert_eq!(pair.pop_due(19), 0);
+    assert_eq!(pair.pop_due(20), 1, "calendar copies arrive one by one");
+    while pair.pop_due(20) > 0 {}
+    assert_eq!(pair.pop_due(29), 0);
+    while pair.pop_due(30) > 0 {}
+    // On the run, with no calendar: one entry at a time.
+    let mut pair = MergePair::new("pop_due on the run".into());
+    for (key, parcel) in [(5u64, 1u32), (5, 2), (8, 3)] {
+        for value in 0..6 {
+            pair.merge(key, parcel, value);
+        }
+    }
+    assert_eq!(pair.q.len(), 3);
+    assert_eq!(pair.pop_due(4), 0);
+    assert_eq!(pair.pop_due(5), 6);
+    assert_eq!(pair.pop_due(5), 6);
+    assert_eq!(pair.pop_due(7), 0);
+    assert_eq!(pair.pop_due(8), 6);
+    assert!(pair.q.is_empty());
 }

@@ -149,6 +149,8 @@ struct Tables {
     wanted_in: Vec<u32>,
     /// Reused buffer for the O(active) delivery drain.
     active_buf: Vec<u32>,
+    /// Reused recipient list of one announcement.
+    announce_buf: Vec<u32>,
 }
 
 impl Tables {
@@ -301,30 +303,32 @@ impl Propagation {
     /// across the neighbourhood without consuming randomness, keeping
     /// trials deterministic per seed.
     fn announce_from(&mut self, node: usize, skip: usize, id: MsgId) {
-        let deg = self.net.topology().degree(node);
+        let topo = self.net.topology();
+        let deg = topo.degree(node);
+        let to = &mut self.t.announce_buf;
+        to.clear();
         if self.fanout >= deg {
-            for i in 0..deg {
-                let to = self.net.topology().neighbor(node, i);
-                if to != skip {
-                    self.net.send(node, to, BlockMsg { id });
-                }
-            }
+            to.extend(
+                (0..deg)
+                    .map(|i| topo.neighbor(node, i))
+                    .filter(|&v| v != skip)
+                    .map(|v| v as u32),
+            );
         } else {
             let rotor = &mut self.t.nodes[node].rotor;
             let start = *rotor;
             *rotor = (start + self.fanout) % deg;
-            let mut sent = 0;
-            let mut i = 0;
-            while sent < self.fanout && i < deg {
-                let to = self.net.topology().neighbor(node, (start + i) % deg);
-                i += 1;
-                if to == skip {
-                    continue;
-                }
-                self.net.send(node, to, BlockMsg { id });
-                sent += 1;
-            }
+            to.extend(
+                (0..deg)
+                    .map(|i| topo.neighbor(node, (start + i) % deg))
+                    .filter(|&v| v != skip)
+                    .take(self.fanout)
+                    .map(|v| v as u32),
+            );
         }
+        // One parcel for the whole announcement; each copy still takes
+        // the send path on its own, in this order.
+        self.net.multicast(node, to, BlockMsg { id });
     }
 
     /// Delivers everything scheduled up to `at` and folds the arrivals
