@@ -570,82 +570,102 @@ impl<T: Transport<Payload>> MpSystem<T> {
             Delivery::Lifo => self.net.backlog(target) - 1,
             Delivery::Random => self.delivery_rng.gen_range(0..self.net.backlog(target)),
         };
-        let env = self.net.deliver_at(target, idx).expect("backlog > 0");
-        self.obs_pumped.inc();
-        let mut read_from: Option<usize> = None;
-        if self.byz[target] {
+        // The message is handled where the substrate holds it: the closure
+        // borrows the receiver's state (fields disjoint from `net`), merges
+        // a `ViewResp` in place and copies the plain fields of the other
+        // kinds out; anything that sends runs once the closure returns.
+        let byz = self.byz[target];
+        let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
+        let (ring, last_valid) = (&self.ring, &mut self.last_valid);
+        let hw = &mut self.resp_hw[target];
+        let (walked, adopted) = (&self.obs_merge_walked, &self.obs_merge_adopted);
+        let handle = |from: usize, payload: &Payload| match *payload {
             // Byzantine nodes are silent: they consume and ignore.
-            return Some(None);
-        }
-        match env.payload {
+            _ if byz => Step::Done(None),
             Payload::Append {
                 author,
                 seq,
                 value,
                 content,
                 sig,
-            } => {
-                let msg = MpMsg {
-                    author,
-                    seq,
-                    value,
-                    content,
-                    sig,
-                };
-                let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
-                if Self::adopt(seen, mine, &self.ring, &mut self.last_valid, &msg) {
-                    // Line 4 of Algorithm 2: broadcast the ack.
-                    self.net.broadcast(
-                        target,
-                        Payload::Ack {
-                            author,
-                            seq,
-                            content,
-                        },
-                    );
-                }
-            }
+            } => Step::Append(MpMsg {
+                author,
+                seq,
+                value,
+                content,
+                sig,
+            }),
             Payload::Ack {
                 author,
                 seq,
                 content,
+            } => Step::Ack((author, seq, content), from),
+            Payload::ReadReq { op: req_op } => Step::ReadReq(req_op, from),
+            Payload::ViewResp {
+                op: resp_op,
+                ref view,
             } => {
-                self.acks.add((author, seq, content), env.from);
-            }
-            Payload::ReadReq { op: req_op } => {
-                // Line 3 of Algorithm 3: send the local view back — a
-                // snapshot, two pointer copies whatever the history.
-                let view = self.views[target].clone();
-                self.net
-                    .send(target, env.from, Payload::ViewResp { op: req_op, view });
-            }
-            Payload::ViewResp { op: resp_op, view } => {
                 // Line 6 of Algorithm 3: adopt all newly seen valid
                 // values. A responder's view is append-only, so every
                 // message below the high-water mark of a previously
                 // merged response from the same responder has already
                 // been verified and adopted here, so the merge starts at
                 // the mark.
-                let start = self.resp_hw[target][env.from];
-                let held = self.views[target].len();
-                let (seen, mine) = (&mut self.seen[target], &mut self.views[target]);
+                let start = hw[from];
+                let held = mine.len();
                 for m in view.iter_from(start) {
-                    Self::adopt(seen, mine, &self.ring, &mut self.last_valid, m);
+                    Self::adopt(seen, mine, ring, last_valid, m);
                 }
-                self.obs_merge_walked
-                    .add(view.len().saturating_sub(start) as u64);
-                self.obs_merge_adopted
-                    .add((self.views[target].len() - held) as u64);
-                if view.len() > self.resp_hw[target][env.from] {
-                    self.resp_hw[target][env.from] = view.len();
-                }
-                if target == reader && resp_op == op {
-                    read_from = Some(env.from);
+                walked.add(view.len().saturating_sub(start) as u64);
+                adopted.add((mine.len() - held) as u64);
+                hw[from] = hw[from].max(view.len());
+                Step::Done((target == reader && resp_op == op).then_some(from))
+            }
+        };
+        let step = self.net.deliver_at_with(target, idx, handle);
+        self.obs_pumped.inc();
+        match step.expect("backlog > 0") {
+            Step::Done(read_from) => return Some(read_from),
+            Step::Append(msg) => {
+                if Self::adopt(seen, mine, ring, last_valid, &msg) {
+                    // Line 4 of Algorithm 2: broadcast the ack.
+                    self.net.broadcast(
+                        target,
+                        Payload::Ack {
+                            author: msg.author,
+                            seq: msg.seq,
+                            content: msg.content,
+                        },
+                    );
                 }
             }
+            Step::Ack(key, from) => {
+                self.acks.add(key, from);
+            }
+            Step::ReadReq(req_op, from) => {
+                // Line 3 of Algorithm 3: send the local view back — a
+                // snapshot, two pointer copies whatever the history.
+                let view = mine.clone();
+                self.net
+                    .send(target, from, Payload::ViewResp { op: req_op, view });
+            }
         }
-        Some(read_from)
+        Some(None)
     }
+}
+
+/// What [`MpSystem::pump_one_tracking_read`] still has to do once the
+/// substrate has taken its borrowed message back.
+enum Step {
+    /// Nothing: a Byzantine receiver's message, or a merged `ViewResp` —
+    /// with its responder when it answers the tracked read.
+    Done(Option<usize>),
+    /// Adopt the append and, if it is new, broadcast the ack.
+    Append(MpMsg),
+    /// Count the ack `(author, seq, content)` from its sender.
+    Ack((usize, u64, u64), usize),
+    /// Answer the read request `op` of its sender with the local view.
+    ReadReq(u64, usize),
 }
 
 /// The position of the `nth` (0-based) set bit of a bitset given as its

@@ -47,12 +47,12 @@ struct Parcel<M> {
 /// Every payload inside the network, stored once with its per-send facts.
 /// `send` and `broadcast` move the payload in and pass [`ParcelId`]s
 /// through the event queue and the inboxes; each way a copy can leave the
-/// network gives its reference back — a fault drop through
-/// [`Parcels::release`], a delivery through [`Parcels::take`], which moves
-/// the payload out for the last reference and clones it for any earlier
-/// one. Nothing is allocated per message once the slab has warmed up, and
-/// the slab is recycled across trials through [`NetScratch`] like the
-/// queue's.
+/// network gives its reference back — a fault drop or a borrowed delivery
+/// through [`Parcels::release`], an owned delivery through
+/// [`Parcels::take`], which moves the payload out for the last reference
+/// and clones it for any earlier one. Nothing is allocated per message
+/// once the slab has warmed up, and the slab is recycled across trials
+/// through [`NetScratch`] like the queue's.
 #[derive(Debug)]
 struct Parcels<M> {
     slots: Vec<Parcel<M>>,
@@ -103,13 +103,17 @@ impl<M> Parcels<M> {
             .expect("a live handle names an occupied slot")
     }
 
+    fn stamp(&self, id: ParcelId) -> Stamp {
+        self.slots[id.slot()].stamp
+    }
+
     /// One more copy owed (the duplicate fault).
     fn add_ref(&mut self, id: ParcelId) {
         self.slots[id.slot()].refs += 1;
     }
 
-    /// One copy will never be delivered; the payload is dropped with the
-    /// last of them.
+    /// One copy is done with — lost to a fault, or delivered borrowed;
+    /// the payload is dropped with the last of them.
     fn release(&mut self, id: ParcelId) {
         let parcel = &mut self.slots[id.slot()];
         parcel.refs -= 1;
@@ -121,10 +125,10 @@ impl<M> Parcels<M> {
 }
 
 impl<M: Clone> Parcels<M> {
-    /// The payload for one delivery, with its stamp: moved out if this is
-    /// the last copy owed, cloned otherwise.
+    /// The payload for one owned delivery: moved out if this is the last
+    /// copy owed, cloned otherwise.
     #[inline]
-    fn take(&mut self, id: ParcelId) -> (M, Stamp) {
+    fn take(&mut self, id: ParcelId) -> M {
         let parcel = &mut self.slots[id.slot()];
         parcel.refs -= 1;
         let payload = if parcel.refs == 0 {
@@ -133,8 +137,7 @@ impl<M: Clone> Parcels<M> {
         } else {
             parcel.payload.clone()
         };
-        let payload = payload.expect("a live handle names an occupied slot");
-        (payload, parcel.stamp)
+        payload.expect("a live handle names an occupied slot")
     }
 }
 
@@ -738,6 +741,40 @@ impl<M: Kinded> SimNet<M> {
         }
     }
 
+    /// The bookkeeping of one delivery, owned or borrowed: takes `node`'s
+    /// arrival at `idx`, clears the node's backlog bit when that empties
+    /// its inbox, and counts the delivery (statistics, obs counter, flight
+    /// span). Returns the sender and the parcel, whose reference the
+    /// caller gives back.
+    #[inline(always)]
+    fn pop_delivery(&mut self, node: usize, idx: usize) -> Option<(usize, ParcelId)> {
+        let inbox = &mut self.arrived[node];
+        let Arrival { seq, parcel, row } = inbox.take(idx)?;
+        if inbox.is_empty() {
+            self.backlogged[node / 64] &= !(1 << (node % 64));
+        }
+        let Stamp {
+            sent_ns,
+            from,
+            kind,
+        } = self.parcels.stamp(parcel);
+        self.delivered += 1;
+        self.obs_delivered.inc();
+        if am_obs::enabled() {
+            // One flight span per delivery, on the receiver's sim row.
+            let label = self.stats.kind_label(kind);
+            am_obs::record_sim_span(&format!("net/flight/{label}"), node, sent_ns, self.now_ns);
+        }
+        let link = Link {
+            from,
+            to: node as u32,
+            row,
+        };
+        self.stats
+            .count_delivered(link, kind, (self.now_ns, seq), self.now_ns - sent_ns);
+        Some((from as usize, parcel))
+    }
+
     /// Delivers every in-flight event scheduled at or before `target_ns`,
     /// then moves the clock to `target_ns` (time-driven callers — the
     /// protocol runners — use this so sends issued at the target time see
@@ -782,36 +819,24 @@ impl<M: Kinded + Clone> Transport<M> for SimNet<M> {
     }
 
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope<M>> {
-        let inbox = &mut self.arrived[node];
-        let Arrival { seq, parcel, row } = inbox.take(idx)?;
-        if inbox.is_empty() {
-            self.backlogged[node / 64] &= !(1 << (node % 64));
-        }
-        let (payload, stamp) = self.parcels.take(parcel);
-        let Stamp {
-            sent_ns,
-            from,
-            kind,
-        } = stamp;
-        self.delivered += 1;
-        self.obs_delivered.inc();
-        if am_obs::enabled() {
-            // One flight span per delivery, on the receiver's sim row.
-            let label = self.stats.kind_label(kind);
-            am_obs::record_sim_span(&format!("net/flight/{label}"), node, sent_ns, self.now_ns);
-        }
-        let link = Link {
-            from,
-            to: node as u32,
-            row,
-        };
-        self.stats
-            .count_delivered(link, kind, (self.now_ns, seq), self.now_ns - sent_ns);
+        let (from, parcel) = self.pop_delivery(node, idx)?;
         Some(Envelope {
-            from: from as usize,
+            from,
             to: node,
-            payload,
+            payload: self.parcels.take(parcel),
         })
+    }
+
+    fn deliver_at_with<R>(
+        &mut self,
+        node: usize,
+        idx: usize,
+        f: impl FnOnce(usize, &M) -> R,
+    ) -> Option<R> {
+        let (from, parcel) = self.pop_delivery(node, idx)?;
+        let handled = f(from, self.parcels.get(parcel));
+        self.parcels.release(parcel);
+        Some(handled)
     }
 
     fn advance(&mut self) -> bool {

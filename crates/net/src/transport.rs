@@ -33,7 +33,9 @@ pub trait Kinded {
 /// receiver (shows up in [`backlog`](Transport::backlog)) and is consumed
 /// by [`deliver_at`](Transport::deliver_at) — the adversarial-reordering
 /// primitive, since the caller chooses *which* arrived message a node
-/// handles next. Substrates with simulated time expose progress through
+/// handles next — or by [`deliver_at_with`](Transport::deliver_at_with),
+/// the same consumption with the message lent to a handler instead of
+/// handed over. Substrates with simulated time expose progress through
 /// [`advance`](Transport::advance); instantaneous substrates (the
 /// test-side reliable reference network in `am-mp`) make every sent
 /// message arrive at once and `advance` is a no-op returning `false`.
@@ -47,11 +49,12 @@ pub trait Transport<M> {
     fn send(&mut self, from: usize, to: usize, payload: M);
 
     /// Broadcasts to every node including the sender (self-delivery keeps
-    /// the paper's pseudocode symmetric): one [`send`](Transport::send)
-    /// (and payload clone) per recipient. Substrates that can share one
+    /// the paper's pseudocode symmetric), observably as one
+    /// [`send`](Transport::send) per recipient — which is what this default
+    /// does, cloning the payload for each. Substrates that share one
     /// payload across recipients (see `SimNet`'s override: one slab slot,
-    /// one reference per recipient) must stay observably identical to
-    /// that loop.
+    /// one reference per recipient, a clone only when a copy is delivered
+    /// owned) must stay observably identical to that loop.
     fn broadcast(&mut self, from: usize, payload: M)
     where
         M: Clone,
@@ -74,6 +77,28 @@ pub trait Transport<M> {
     /// Consumes the arrived message at position `idx` of `node`'s queue.
     fn deliver_at(&mut self, node: usize, idx: usize) -> Option<Envelope<M>>;
 
+    /// Consumes the same message as [`deliver_at`](Transport::deliver_at)
+    /// — same choice, same counters, same order — but lends it: `f` gets
+    /// the sender and a borrow of the payload, and its result comes back.
+    /// `None` (with `f` not called) when `idx` is past the backlog. A
+    /// handler that only reads the message saves the owned copy: `SimNet`
+    /// lends the payload from its slab slot and gives the copy's reference
+    /// back afterwards, so delivering a broadcast this way clones nothing.
+    /// The default delivers owned and lends that, for substrates with
+    /// nothing to save. `Self: Sized` keeps the trait object-safe.
+    fn deliver_at_with<R>(
+        &mut self,
+        node: usize,
+        idx: usize,
+        f: impl FnOnce(usize, &M) -> R,
+    ) -> Option<R>
+    where
+        Self: Sized,
+    {
+        self.deliver_at(node, idx)
+            .map(|env| f(env.from, &env.payload))
+    }
+
     /// Pops the next arrived message for `node` (FIFO), if any.
     fn deliver(&mut self, node: usize) -> Option<Envelope<M>> {
         if self.backlog(node) == 0 {
@@ -94,6 +119,6 @@ pub trait Transport<M> {
     /// Total messages accepted by `send` so far.
     fn sent_count(&self) -> u64;
 
-    /// Total messages consumed by `deliver_at` so far.
+    /// Total messages consumed by `deliver_at` or `deliver_at_with` so far.
     fn delivered_count(&self) -> u64;
 }

@@ -136,6 +136,26 @@ mod tests {
     }
 
     #[test]
+    fn failure_rate_matches_the_exact_binomial_tail() {
+        // P[Bin(5, 0.4) ≥ 3] = 0.31744; 4 000 trials put it inside their
+        // 99.9 % Wilson interval (z = 3.2905), half-width ≈ 0.024.
+        let exact = am_stats::timestamp_validity_failure_exact(5, 10, 4);
+        assert!((exact - 0.31744).abs() < 1e-12);
+        let mut fails = am_stats::Proportion::new();
+        for seed in 0..4_000 {
+            fails.record(!run_timestamp(&Params::new(10, 4, 1.0, 5, seed)).validity);
+        }
+        let ci = fails.wilson(3.2905);
+        assert!(
+            ci.contains(exact),
+            "{} failures in 4000 trials, CI [{}, {}]",
+            fails.estimate(),
+            ci.lo,
+            ci.hi
+        );
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let p = Params::new(9, 2, 0.7, 17, 1234);
         assert_eq!(run_timestamp(&p), run_timestamp(&p));

@@ -126,6 +126,19 @@ pub fn binomial_cdf(k: u64, n: u64, p: f64) -> f64 {
         .min(1.0)
 }
 
+/// Binomial upper tail `P[X ≥ k]` for `X ~ Bin(n, p)`, summed term by
+/// term from `n` down to `k` (smallest terms first when `k > np`). Not
+/// `1 − binomial_cdf(k − 1, …)`: that subtraction cancels to rounding
+/// noise exactly where a tail is small enough to matter (1.5e-13 for a
+/// 3.3e-25 tail at n = 405).
+pub fn binomial_sf(k: u64, n: u64, p: f64) -> f64 {
+    (k..=n)
+        .rev()
+        .map(|i| binomial_pmf(i, n, p))
+        .sum::<f64>()
+        .min(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +269,17 @@ mod tests {
         let c = binomial_cdf(49, 100, 0.5);
         assert!(c > 0.4 && c < 0.5);
         assert!(close(binomial_cdf(100, 100, 0.5), 1.0, 1e-9));
+    }
+
+    #[test]
+    fn binomial_sf_is_the_upper_tail() {
+        assert!(close(binomial_sf(0, 20, 0.3), 1.0, 1e-12));
+        assert_eq!(binomial_sf(21, 20, 0.3), 0.0);
+        assert!(close(binomial_sf(20, 20, 0.3), 0.3f64.powi(20), 1e-24));
+        for k in 1..=20 {
+            let split = binomial_cdf(k - 1, 20, 0.3) + binomial_sf(k, 20, 0.3);
+            assert!(close(split, 1.0, 1e-12), "k = {k}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod summary;
 pub mod table;
 pub mod theory;
 
-pub use dist::{binomial_pmf, erf, normal_cdf, normal_pdf, poisson_cdf, poisson_pmf};
+pub use dist::{binomial_pmf, binomial_sf, erf, normal_cdf, normal_pdf, poisson_cdf, poisson_pmf};
 pub use estimator::{Proportion, WilsonInterval};
 pub use ks::{exponential_cdf, ks_fits, ks_statistic, uniform_cdf};
 pub use sequential::{required_trials, StopReason, StopRule};
@@ -35,5 +35,5 @@ pub use summary::Summary;
 pub use table::{Series, Table};
 pub use theory::{
     chain_resilience_bound, dag_validity_failure_bound, timestamp_validity_failure_bound,
-    withhold_burst_bound,
+    timestamp_validity_failure_exact, withhold_burst_bound,
 };

@@ -49,6 +49,22 @@ pub fn timestamp_validity_failure_bound(k: u64, n: u64, t: u64) -> f64 {
     (-(mu * mu) / (2.0 * sigma2)).exp().min(1.0)
 }
 
+/// **Theorem 5.2, exact**: the probability that the absolute-timestamp
+/// baseline (Algorithm 4) violates validity. Every node accesses the
+/// memory at the same rate, so each of the first `k` appends is Byzantine
+/// with probability `t/n`, independently, and the decision is the sign of
+/// (correct − Byzantine) = `k − 2B`. Validity fails unless that is
+/// positive: `P[Bin(k, t/n) ≥ ⌈k/2⌉]` — a tie fails too, since a zero sum
+/// decides nothing (`Sign::of_sum(0)` is `None`).
+///
+/// [`timestamp_validity_failure_bound`] is a Gaussian approximation of
+/// this value, not a bound on it: at `n = 50, t = 13, k = 405` it reads
+/// 4.7e-27 against an exact 3.3e-25.
+pub fn timestamp_validity_failure_exact(k: u64, n: u64, t: u64) -> f64 {
+    assert!(t < n, "t must be less than n");
+    crate::dist::binomial_sf(k.div_ceil(2), k, t as f64 / n as f64)
+}
+
 /// **Lemma 5.5**: bound on the length of a correct-silence interval: the
 /// probability that no correct node appends for time `Δ·log n` is at most
 /// `n^{−λ(n−t)/n·…}`; we expose the direct form
@@ -161,6 +177,62 @@ mod tests {
         assert_eq!(timestamp_validity_failure_bound(100, 10, 5), 1.0);
         assert_eq!(timestamp_validity_failure_bound(100, 10, 7), 1.0);
         assert_eq!(timestamp_validity_failure_bound(0, 10, 2), 1.0);
+    }
+
+    /// Hoeffding's inequality for the Byzantine count of the prefix:
+    /// `P[B ≥ k/2] ≤ exp(−2k(½ − t/n)²)`.
+    fn hoeffding(k: u64, n: u64, t: u64) -> f64 {
+        let gap = 0.5 - t as f64 / n as f64;
+        (-2.0 * k as f64 * gap * gap).exp()
+    }
+
+    #[test]
+    fn timestamp_exact_failure_at_the_pinned_point() {
+        let (k, n, t) = (405, 50, 13);
+        let exact = timestamp_validity_failure_exact(k, n, t);
+        // Σ_{i ≥ 203} C(405, i) 0.26^i 0.74^(405−i), in exact rationals:
+        // 3.33779e-25.
+        assert!((exact / 3.33779e-25 - 1.0).abs() < 1e-4, "{exact:e}");
+        // The finding: the Gaussian "bound" sits two orders of magnitude
+        // below the exact value.
+        let gaussian = timestamp_validity_failure_bound(k, n, t);
+        assert!((gaussian / 4.69312e-27 - 1.0).abs() < 1e-4, "{gaussian:e}");
+        assert!(gaussian < exact / 50.0);
+        // Hoeffding (5.46e-21) does hold.
+        let h = hoeffding(k, n, t);
+        assert!((h / 5.46458e-21 - 1.0).abs() < 1e-4, "{h:e}");
+        assert!(h >= exact);
+        // Why the tail is summed directly: the complement of the CDF is
+        // rounding noise here (1.5e-13 on x86-64), not the tail.
+        let complement = 1.0 - crate::dist::binomial_cdf(202, k, 0.26);
+        assert!((complement - exact).abs() >= exact, "{complement:e}");
+    }
+
+    #[test]
+    fn timestamp_exact_failure_matches_enumeration() {
+        for (n, t) in [(10, 4), (7, 3), (5, 1), (9, 0), (3, 1)] {
+            let p = t as f64 / n as f64;
+            for k in 0..=10u32 {
+                // Every Byzantine/correct pattern of the prefix, weighted
+                // by its probability; a pattern fails unless correct
+                // appends outnumber Byzantine ones.
+                let mut fail = 0.0;
+                for pattern in 0..1u32 << k {
+                    let byz = pattern.count_ones() as i32;
+                    let sum = k as i32 - 2 * byz;
+                    if sum <= 0 {
+                        fail += p.powi(byz) * (1.0 - p).powi(k as i32 - byz);
+                    }
+                }
+                let exact = timestamp_validity_failure_exact(k as u64, n, t);
+                assert!(
+                    (exact - fail).abs() < 1e-12,
+                    "n = {n}, t = {t}, k = {k}: {exact} vs {fail}"
+                );
+                assert!(exact <= hoeffding(k as u64, n, t) + 1e-12);
+            }
+        }
+        assert!((timestamp_validity_failure_exact(5, 10, 4) - 0.31744).abs() < 1e-12);
     }
 
     #[test]
